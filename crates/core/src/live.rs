@@ -1495,7 +1495,7 @@ impl LiveStorage {
             solutions.retain(|s| f.satisfied_by(s));
         }
         self.stats.add_solutions_shipped(solutions.len() as u64);
-        self.stats.add_solution_bytes(wire::encode(&solutions).len() as u64);
+        self.stats.add_solution_bytes(wire::encoded_len(&solutions) as u64);
         solutions
     }
 
@@ -1532,7 +1532,7 @@ impl LiveStorage {
         distinct.extend_distinct(acc);
         let solutions = distinct.into_vec();
         self.stats.add_solutions_shipped(solutions.len() as u64);
-        self.stats.add_solution_bytes(wire::encode(&solutions).len() as u64);
+        self.stats.add_solution_bytes(wire::encoded_len(&solutions) as u64);
         out.send(*reply_to, LiveMsg::Solutions { qid, solutions: solutions.clone() });
         st.answer = Some(solutions);
     }
@@ -1606,7 +1606,7 @@ impl Handler<LiveMsg> for LiveStorage {
                         } else {
                             let shipped: usize = mine.iter().map(Vec::len).sum();
                             let bytes: usize =
-                                mine.iter().map(|set| wire::encode(set).len()).sum();
+                                mine.iter().map(|set| wire::encoded_len(set)).sum();
                             self.stats.add_shuffle_parts(shipped as u64);
                             self.stats.add_shuffle_bytes(bytes as u64);
                             out.send(*peer, LiveMsg::ShufflePart { qid, round, parts: mine });
@@ -1642,7 +1642,7 @@ impl Handler<LiveMsg> for LiveStorage {
                     .map(|p| rdfmesh_sparql::eval::evaluate_pattern_with(&self.store, p, &unit))
                     .collect();
                 let shipped: usize = per_pattern.iter().map(Vec::len).sum();
-                let bytes: usize = per_pattern.iter().map(|set| wire::encode(set).len()).sum();
+                let bytes: usize = per_pattern.iter().map(|set| wire::encoded_len(set)).sum();
                 self.stats.add_solutions_shipped(shipped as u64);
                 self.stats.add_solution_bytes(bytes as u64);
                 out.send(reply_to, LiveMsg::PartialMatches { qid, per_pattern });

@@ -15,9 +15,11 @@
 //!   through the two-level index, ships the pattern (with its
 //!   pushed-down filter), and gathers solution mappings under the
 //!   fault-tolerant ack/retry/purge machinery of [`crate::live`];
-//! * a bind-join chain step ships the current intermediate solutions
-//!   *with* the sub-query, so providers return only compatible
-//!   extensions (Sect. IV-D);
+//! * a bind-join chain step ships the current intermediates' *join
+//!   keys* — their distinct projection onto the next pattern's
+//!   variables — with the sub-query, so providers return only
+//!   compatible extensions (Sect. IV-D), which the coordinator joins
+//!   back onto the rows it kept;
 //! * binary operators (JOIN / UNION / OPTIONAL) combine gathered sets
 //!   locally at the coordinator — the live mesh has no simulated-cost
 //!   notion of a cheaper third site, so the query site is always the
@@ -37,7 +39,7 @@ use rdfmesh_net::{NodeId, SimTime};
 use rdfmesh_rdf::{TriplePattern, Variable};
 use rdfmesh_sparql::{
     eval::NoGraph,
-    solution,
+    solution::{self, DistinctBuffer},
     Expression, QueryResult,
 };
 
@@ -229,8 +231,27 @@ impl MeshBackend for LiveBackend<'_> {
         self.round(op.pattern.clone(), op.filter.clone(), None)
     }
 
+    /// Ships the bind-join *keys*, not the rows: the distinct projection
+    /// of the intermediates onto the pattern's variables is all a
+    /// provider needs to return every compatible extension, and each
+    /// extension binds exactly the pattern's variables, so joining them
+    /// back onto the rows kept here gives what shipping the rows whole
+    /// would have — a set, so rows that extend to the same mapping
+    /// (duplicates, or an OPTIONAL's rows that differ only in what the
+    /// pattern goes on to bind) are merged as the providers' gather used
+    /// to merge them. When every row already lies within the pattern's
+    /// variables the keys *are* the rows and the reply is the answer.
     fn exec_bound(&mut self, pattern: &TriplePattern, current: Mat) -> Result<Mat, LiveError> {
-        self.round(pattern.clone(), None, Some(current.solutions))
+        let vars: Vec<Variable> = pattern.variables().into_iter().cloned().collect();
+        let rows = current.solutions;
+        if rows.iter().all(|row| row.domain().all(|v| vars.contains(v))) {
+            return self.round(pattern.clone(), None, Some(solution::distinct(rows)));
+        }
+        let mut keys = DistinctBuffer::new();
+        keys.extend_distinct(rows.iter().map(|row| row.project(&vars)));
+        let extensions = self.round(pattern.clone(), None, Some(keys.into_vec()))?;
+        let joined = solution::join_owned(rows, &extensions.solutions);
+        Ok(Mat { solutions: solution::distinct(joined), ..extensions })
     }
 
     fn exec_multiway(

@@ -41,9 +41,9 @@ const TAG_PUBLISH: u8 = 11;
 const TAG_SUBMIT_SOL_BATCH: u8 = 12;
 const TAG_SUB_QUERY_SOL_BATCH: u8 = 13;
 const TAG_SOLUTIONS_BATCH: u8 = 14;
-// Multiway distribution strategies (wire version 3): HyperCube shuffle
-// and partial-evaluation-and-assembly. Lone chained-query frames never
-// use these tags, so wire-v1/v2 byte layouts are untouched.
+// Multiway distribution strategies: HyperCube shuffle and
+// partial-evaluation-and-assembly. Lone chained-query frames never use
+// these tags.
 const TAG_SUBMIT_MULTI: u8 = 15;
 const TAG_MULTI_LOOKUP: u8 = 16;
 const TAG_MULTI_PROVIDERS: u8 = 17;
@@ -319,7 +319,10 @@ fn read_stage(r: &mut Reader<'_>) -> Result<DeadlineStage, WireError> {
 // land within a reallocation or two of the truth; patterns and header
 // fields fit in `BASE_HINT`, solutions/triples dominate everything else.
 const BASE_HINT: usize = 96;
-const SOLUTION_HINT: usize = 48;
+const TRIPLE_HINT: usize = 48;
+// A row of the compact solution frame: an id and a short front-coded
+// suffix per new term, one byte per repeated one.
+const SOLUTION_HINT: usize = 12;
 
 fn solutions_hint(solutions: &[Solution]) -> usize {
     solutions.len() * SOLUTION_HINT
@@ -338,7 +341,7 @@ fn size_hint(msg: &LiveMsg) -> usize {
         LiveMsg::SubmitSol { bound, .. } | LiveMsg::SubQuerySol { bound, .. } => {
             BASE_HINT + bound.as_deref().map_or(0, solutions_hint)
         }
-        LiveMsg::Matches { triples, .. } => BASE_HINT + triples.len() * SOLUTION_HINT,
+        LiveMsg::Matches { triples, .. } => BASE_HINT + triples.len() * TRIPLE_HINT,
         LiveMsg::Solutions { solutions, .. } => BASE_HINT + solutions_hint(solutions),
         LiveMsg::Providers { providers, .. } => BASE_HINT + providers.len() * 8,
         LiveMsg::Publish { keys, .. } => BASE_HINT + keys.len() * 8,
@@ -656,6 +659,7 @@ mod tests {
     use super::*;
     use rdfmesh_rdf::{Literal, Term};
     use rdfmesh_sparql::expr::ComparisonOp;
+    use rdfmesh_sparql::solution::wire::encode as wire_encode;
 
     fn pattern() -> TriplePattern {
         TriplePattern::new(
@@ -891,6 +895,304 @@ mod tests {
         }
     }
 
+    /// Counts the bytes the current thread asks the allocator for, so a
+    /// test can bound what decoding one frame costs. Per thread, because
+    /// the harness runs the other tests of this binary beside it.
+    struct CountingAlloc;
+
+    thread_local! {
+        static ALLOCATED: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    }
+
+    fn count(bytes: usize) {
+        // `try_with`: the allocator outlives a dying thread's locals.
+        let _ = ALLOCATED.try_with(|a| a.set(a.get() + bytes));
+    }
+
+    // SAFETY: every request is handed to `System` unchanged; the only
+    // addition is a thread-local integer with no destructor and no
+    // allocation of its own, so it cannot re-enter the allocator.
+    unsafe impl std::alloc::GlobalAlloc for CountingAlloc {
+        unsafe fn alloc(&self, layout: std::alloc::Layout) -> *mut u8 {
+            count(layout.size());
+            // SAFETY: the caller's contract, passed through.
+            unsafe { std::alloc::System.alloc(layout) }
+        }
+        unsafe fn dealloc(&self, ptr: *mut u8, layout: std::alloc::Layout) {
+            // SAFETY: the caller's contract, passed through.
+            unsafe { std::alloc::System.dealloc(ptr, layout) }
+        }
+        unsafe fn realloc(&self, ptr: *mut u8, layout: std::alloc::Layout, new: usize) -> *mut u8 {
+            count(new);
+            // SAFETY: the caller's contract, passed through.
+            unsafe { std::alloc::System.realloc(ptr, layout, new) }
+        }
+    }
+
+    #[global_allocator]
+    static GLOBAL: CountingAlloc = CountingAlloc;
+
+    /// One field of a solution-set frame, by the role a decoder gives it.
+    #[derive(Clone, Debug)]
+    enum Field {
+        /// `nvars` / `nrows`.
+        Count(usize),
+        /// A cell's term id.
+        Id(usize),
+        /// A dictionary entry's kind byte.
+        Kind(u8),
+        /// A literal entry's head length, or an entry's shared-prefix length.
+        Prefix(usize),
+        /// A name's or a suffix's length, then that many bytes.
+        Bytes(usize, &'static [u8]),
+    }
+
+    fn varint(out: &mut Vec<u8>, mut n: usize) {
+        while n >= 0x80 {
+            out.push(n as u8 | 0x80);
+            n >>= 7;
+        }
+        out.push(n as u8);
+    }
+
+    fn serialize(fields: &[Field]) -> Vec<u8> {
+        let mut out = Vec::new();
+        for f in fields {
+            match f {
+                Field::Count(n) | Field::Id(n) | Field::Prefix(n) => varint(&mut out, *n),
+                Field::Kind(k) => out.push(*k),
+                Field::Bytes(len, bytes) => {
+                    varint(&mut out, *len);
+                    out.extend_from_slice(bytes);
+                }
+            }
+        }
+        out
+    }
+
+    /// A set that exercises every field role — unbound cells, a repeated
+    /// term, front-coded neighbours, a typed literal — and its frame,
+    /// field by field.
+    fn labelled_frame() -> (Vec<Solution>, Vec<Field>) {
+        let int = rdfmesh_rdf::Iri::new("http://e/int").unwrap();
+        let row = |a: &str, k: &str, s: &str| {
+            Solution::from_pairs([
+                (Variable::new("a"), Term::iri(a)),
+                (Variable::new("k"), Term::Literal(Literal::typed(k, int.clone()))),
+                (Variable::new("s"), Term::iri(s)),
+            ])
+        };
+        let set = vec![
+            row("http://e/p1", "3", "http://e/s1"),
+            row("http://e/p1", "4", "http://e/s2"),
+            Solution::from_pairs([(Variable::new("s"), Term::iri("http://e/s3"))]),
+        ];
+        use Field::*;
+        let fields = vec![
+            Count(3),
+            Bytes(1, b"a"),
+            Bytes(1, b"k"),
+            Bytes(1, b"s"),
+            Count(3),
+            // Row 1: three first occurrences.
+            Id(1), Kind(0), Prefix(0), Bytes(11, b"http://e/p1"),
+            Id(2), Kind(4), Prefix(12), Prefix(0), Bytes(13, b"http://e/int3"),
+            Id(3), Kind(0), Prefix(0), Bytes(11, b"http://e/s1"),
+            // Row 2: a repeat, then two entries sharing all but a byte.
+            Id(1),
+            Id(4), Kind(4), Prefix(12), Prefix(12), Bytes(1, b"4"),
+            Id(5), Kind(0), Prefix(10), Bytes(1, b"2"),
+            // Row 3: two unbound cells.
+            Id(0),
+            Id(0),
+            Id(6), Kind(0), Prefix(10), Bytes(1, b"3"),
+        ];
+        (set, fields)
+    }
+
+    /// Every solution-carrying frame family around `set`.
+    fn carriers(set: &[Solution]) -> Vec<LiveMsg> {
+        let round = |qid| SolRound {
+            qid: QueryId(qid),
+            pattern: pattern(),
+            filter: None,
+            bound: Some(set.to_vec()),
+        };
+        vec![
+            LiveMsg::SubmitSol {
+                qid: QueryId(1),
+                pattern: pattern(),
+                filter: None,
+                bound: Some(set.to_vec()),
+            },
+            LiveMsg::SubQuerySol {
+                qid: QueryId(2),
+                pattern: pattern(),
+                filter: Some(filter()),
+                bound: Some(set.to_vec()),
+                reply_to: NodeId(3),
+            },
+            LiveMsg::Solutions { qid: QueryId(3), solutions: set.to_vec() },
+            LiveMsg::SubmitSolBatch { rounds: vec![round(4), round(5)] },
+            LiveMsg::SubQuerySolBatch { rounds: vec![round(6)], reply_to: NodeId(3) },
+            LiveMsg::SolutionsBatch { entries: vec![(QueryId(7), set.to_vec())] },
+            LiveMsg::ShufflePart {
+                qid: QueryId(8),
+                round: 1,
+                parts: vec![set.to_vec(), Vec::new()],
+            },
+            LiveMsg::PartialMatches { qid: QueryId(9), per_pattern: vec![set.to_vec()] },
+        ]
+    }
+
+    /// Structure-aware fuzz of the compact solution frame: starting from
+    /// a valid frame whose every field is labelled, each count, id,
+    /// prefix length, kind byte and string length is pushed to the
+    /// values a decoder is most likely to mishandle, inside every frame
+    /// family that carries a solution set. Each mutant must be refused,
+    /// or decode to a message that is itself valid — and either way
+    /// decoding must not allocate out of proportion to the frame.
+    #[test]
+    fn structurally_mutated_solution_frames_are_refused_or_valid_and_cheap() {
+        // The worst mutant of this corpus costs 46 B per frame byte (a
+        // decoded row is a `BTreeMap` leaf of name and term clones); a
+        // count or length trusted before it was checked against the
+        // bytes that remain would cost mega- to exabytes.
+        const ALLOC_PER_FRAME_BYTE: usize = 64;
+        let (set, fields) = labelled_frame();
+        let valid = serialize(&fields);
+        assert_eq!(valid, wire_encode(&set), "the labels describe what the encoder writes");
+
+        let huge = [usize::MAX, u32::MAX as usize, 1 << 20, 255, 128, 127];
+        let mut mutants: Vec<Vec<u8>> = Vec::new();
+        for (i, field) in fields.iter().enumerate() {
+            let with = |f: Field| {
+                let mut copy = fields.clone();
+                copy[i] = f;
+                serialize(&copy)
+            };
+            match field {
+                Field::Count(n) => {
+                    for v in huge.into_iter().chain([0, n + 1, n * 2, n.saturating_sub(1)]) {
+                        mutants.push(with(Field::Count(v)));
+                    }
+                }
+                Field::Id(n) => {
+                    for v in huge.into_iter().chain([0, 1, n + 1, n + 2, 7, 8]) {
+                        mutants.push(with(Field::Id(v)));
+                    }
+                }
+                Field::Prefix(n) => {
+                    for v in huge.into_iter().chain([0, n + 1, n.saturating_sub(1), 9, 11, 14]) {
+                        mutants.push(with(Field::Prefix(v)));
+                    }
+                }
+                Field::Kind(_) => {
+                    for v in [0, 1, 2, 3, 4, 5, 0x80, 0xff] {
+                        mutants.push(with(Field::Kind(v)));
+                    }
+                }
+                Field::Bytes(len, bytes) => {
+                    for v in huge.into_iter().chain([0, len + 1, len.saturating_sub(1)]) {
+                        mutants.push(with(Field::Bytes(v, bytes)));
+                    }
+                }
+            }
+        }
+        // A prefix that ends inside a code point (`é` = C3 A9), which
+        // the suffix completes (`è` = C3 A8) or does not.
+        for suffix in [b"\xa8".as_slice(), b"a", b""] {
+            let mut copy = fields.clone();
+            copy[17] = Field::Bytes(12, b"http://e/s\xc3\xa9");
+            copy[26] = Field::Prefix(11);
+            copy[27] = Field::Bytes(suffix.len(), suffix);
+            mutants.push(serialize(&copy));
+        }
+
+        let (mut refused, mut accepted) = (0, 0);
+        for carrier in carriers(&set) {
+            let frame = carrier.encode_wire();
+            let at = frame
+                .windows(valid.len())
+                .position(|w| w == valid)
+                .expect("the carrier embeds the set's frame verbatim");
+            for mutant in &mutants {
+                let mut bytes = frame[..at].to_vec();
+                bytes.extend_from_slice(mutant);
+                bytes.extend_from_slice(&frame[at + valid.len()..]);
+                let before = ALLOCATED.with(std::cell::Cell::get);
+                let decoded = LiveMsg::decode_wire(&bytes);
+                let allocated = ALLOCATED.with(std::cell::Cell::get) - before;
+                assert!(
+                    allocated <= ALLOC_PER_FRAME_BYTE * bytes.len(),
+                    "decoding a {} B frame allocated {allocated} B",
+                    bytes.len()
+                );
+                match decoded {
+                    Err(_) => refused += 1,
+                    Ok(msg) => {
+                        accepted += 1;
+                        let canonical = msg.encode_wire();
+                        let again =
+                            LiveMsg::decode_wire(&canonical).expect("a decoded message is valid");
+                        assert_eq!(again.encode_wire(), canonical);
+                    }
+                }
+            }
+        }
+        assert!(refused > accepted && accepted > 0, "{refused} refused, {accepted} accepted");
+    }
+
+    /// Frames written to make a decoder copy: one name or one body,
+    /// then as many one-byte cells referencing it as fit. What they can
+    /// cost is a row per byte — a `Solution` is a `BTreeMap` leaf,
+    /// ≈ 0.9 KiB however little it binds — plus the 64 B of copies per
+    /// byte the frame's budget allows; never the frame length squared.
+    #[test]
+    fn solution_frames_built_to_amplify_cost_a_row_per_byte_at_most() {
+        const ALLOC_PER_FRAME_BYTE: usize = 1024 + 64;
+        // `[{?name -> "body"}, then `ids` more rows of the bare id 1]`.
+        let frame = |name: usize, body: usize, ids: usize| {
+            let mut set = vec![1];
+            varint(&mut set, name);
+            set.extend(std::iter::repeat_n(b'n', name));
+            varint(&mut set, 1 + ids);
+            set.extend([1, 2, 0]);
+            varint(&mut set, body);
+            set.extend(std::iter::repeat_n(b'b', body));
+            set.extend(std::iter::repeat_n(1, ids));
+            let mut bytes = vec![TAG_SOLUTIONS];
+            put_u64(&mut bytes, 7);
+            bytes.extend(set);
+            bytes
+        };
+        let cost = |bytes: &[u8]| {
+            let before = ALLOCATED.with(std::cell::Cell::get);
+            let decoded = LiveMsg::decode_wire(bytes);
+            let allocated = ALLOCATED.with(std::cell::Cell::get) - before;
+            assert!(
+                allocated <= ALLOC_PER_FRAME_BYTE * bytes.len(),
+                "decoding a {} B frame allocated {allocated} B",
+                bytes.len()
+            );
+            (decoded.is_ok(), allocated)
+        };
+        // Half the frame one name, half of it cells that would clone it.
+        assert!(!cost(&frame(20_000, 1, 20_000)).0, "a name beyond MAX_NAME");
+        // The longest name allowed, then a 1 KiB body: refused once the
+        // copies outrun the budget, a few dozen rows in — most of what
+        // was allocated by then is the row vector, 24 B per row to come.
+        for hostile in [frame(256, 1, 40_000), frame(1, 1024, 40_000)] {
+            let (ok, allocated) = cost(&hostile);
+            assert!(!ok && allocated < 32 * hostile.len(), "{allocated} B");
+        }
+        // Inside the budget every row is materialized: the worst a
+        // frame can do, and linear.
+        let (ok, small) = cost(&frame(1, 60, 10_000));
+        let (_, large) = cost(&frame(1, 60, 40_000));
+        assert!(ok && large < 5 * small, "{small} B for 10 k rows, {large} B for 40 k");
+    }
+
     #[test]
     fn truncated_frames_are_rejected_at_every_length() {
         let bytes = LiveMsg::SubmitSol {
@@ -944,12 +1246,48 @@ mod tests {
         }
     }
 
+    /// 1 000 `(?s, ?a)` rows of `?s ub:advisor ?a` over five generated
+    /// departments: unique subjects that differ in a few trailing bytes,
+    /// ten advisors per department repeated twenty times each.
+    fn advisor_rows() -> Vec<Solution> {
+        use rdfmesh_workload::university::{department_triples, ub, UniversityConfig};
+        let config = UniversityConfig {
+            professors_per_department: 10,
+            students_per_department: 200,
+            ..UniversityConfig::default()
+        };
+        let advisor = Term::iri(ub::ADVISOR);
+        let rows: Vec<Solution> = (0..5)
+            .flat_map(|d| department_triples(&config, d))
+            .filter(|t| t.predicate == advisor)
+            .map(|t| {
+                Solution::from_pairs([
+                    (Variable::new("s"), t.subject),
+                    (Variable::new("a"), t.object),
+                ])
+            })
+            .collect();
+        assert_eq!(rows.len(), 1000);
+        rows
+    }
+
+    #[test]
+    fn advisor_rows_cost_at_most_sixteen_bytes_each() {
+        // The layout this one replaced spent 92 B on such a row. Pinned
+        // so a later change cannot quietly give the win back.
+        let rows = advisor_rows();
+        let frame = LiveMsg::Solutions { qid: QueryId(1), solutions: rows.clone() }.encode_wire();
+        assert!(frame.len() <= 16 * rows.len(), "{} B for {} rows", frame.len(), rows.len());
+    }
+
     #[test]
     fn encode_presizes_close_to_the_truth() {
         // The size hint is an allocation optimization, not a format
         // promise — but a hint below a quarter of the real size would
-        // mean the pre-sizing buys nothing, so pin it loosely.
-        let msg = LiveMsg::SubQuerySolBatch {
+        // mean the pre-sizing buys nothing, and one above four times it
+        // wastes what it was meant to save, so pin it loosely: on many
+        // small rounds, and on one large reply.
+        let batch = LiveMsg::SubQuerySolBatch {
             rounds: (0..20)
                 .map(|n| SolRound {
                     qid: QueryId(n),
@@ -960,13 +1298,12 @@ mod tests {
                 .collect(),
             reply_to: NodeId(1),
         };
-        let encoded = msg.encode_wire();
-        assert!(
-            super::size_hint(&msg) * 4 >= encoded.len(),
-            "hint {} too far below encoded size {}",
-            super::size_hint(&msg),
-            encoded.len()
-        );
+        let reply = LiveMsg::Solutions { qid: QueryId(1), solutions: advisor_rows() };
+        for msg in [batch, reply] {
+            let (hint, encoded) = (super::size_hint(&msg), msg.encode_wire().len());
+            assert!(hint * 4 >= encoded, "hint {hint} too far below encoded size {encoded}");
+            assert!(hint <= encoded * 4, "hint {hint} too far above encoded size {encoded}");
+        }
     }
 
     #[test]

@@ -210,7 +210,13 @@ impl NodeShared {
             Control::Join(member) => {
                 let (fresh, others) = {
                     let mut members = lock(&self.members);
-                    let fresh = members.insert(member.id, member.clone()).is_none();
+                    // A known id at a new address is a member that
+                    // restarted: the rest of the roster still routes to
+                    // its old listener and owes its empty index slice a
+                    // republish, so it is announced like a newcomer.
+                    let fresh = members
+                        .insert(member.id, member.clone())
+                        .is_none_or(|known| known.addr != member.addr);
                     let others: Vec<Member> = members
                         .values()
                         .filter(|m| m.id != self.me.id && m.id != member.id)
@@ -668,5 +674,77 @@ mod tests {
         n1.shutdown();
         n2.shutdown();
         n3.shutdown();
+    }
+
+    /// Twelve triples with predicates all of node `n`'s own, so every
+    /// node's rows hang off index keys spread over the whole ring.
+    fn numbered_store(n: u64) -> TripleStore {
+        let rows: Vec<[String; 3]> =
+            (0..12).map(|k| ["s", "p", "o"].map(|part| format!("{part}{n}_{k}"))).collect();
+        let rows: Vec<(&str, &str, &str)> =
+            rows.iter().map(|[s, p, o]| (s.as_str(), p.as_str(), o.as_str())).collect();
+        store(&rows)
+    }
+
+    #[test]
+    fn member_restarted_at_a_new_address_is_announced_to_the_whole_roster() {
+        let start = |id| {
+            MeshNode::start("127.0.0.1:0", id, numbered_store(id), LiveConfig::default()).unwrap()
+        };
+        let (a, b, c) = (start(1), start(2), start(3));
+        assert!(b.join(a.local_addr()));
+        assert!(c.join(a.local_addr()));
+        wait_members(&[&a, &b, &c], 3);
+
+        // C comes back under its old id on another port — bound before
+        // the old listener closes, so the port cannot repeat — with an
+        // empty index slice, and joins through A. B hears of it only if
+        // A passes the news on.
+        let restarted = start(3);
+        c.shutdown();
+        assert!(restarted.join(a.local_addr()));
+        wait_members(&[&restarted], 3);
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        while b.cluster.route_of(NodeId(3)) != Some(restarted.local_addr()) {
+            assert!(std::time::Instant::now() < deadline, "B never learned C's new address");
+            std::thread::sleep(Duration::from_millis(10));
+        }
+
+        // Coordinated at B, every node's rows: C's own (served from the
+        // new address), and those whose index key the rejoiner's slice
+        // owns (looked up there, after A and B republished to it).
+        let mut central = TripleStore::new();
+        for n in 1..=3 {
+            for t in numbered_store(n).iter() {
+                central.insert(&t);
+            }
+        }
+        let mut rejoiner_owns = 0;
+        for n in 1..=3 {
+            for k in 0..12 {
+                let query =
+                    format!("SELECT * WHERE {{ ?s <http://example.org/p{n}_{k}> ?o . }}");
+                let parsed = rdfmesh_sparql::parse_query(&query).unwrap();
+                let rdfmesh_sparql::algebra::GraphPattern::Bgp(tps) = &parsed.pattern else {
+                    panic!("a single-pattern query")
+                };
+                rejoiner_owns +=
+                    usize::from(b.index_owner_of(&tps[0]) == Some(NodeId(INDEX_BASE + 3)));
+                let expected = rdfmesh_sparql::evaluate_query(&central, &parsed);
+                // Publication trails the roster: poll, but only so long.
+                loop {
+                    let exec = b.execute(&query, true, Duration::from_secs(10)).unwrap();
+                    if exec.complete && exec.result == expected {
+                        break;
+                    }
+                    assert!(std::time::Instant::now() < deadline, "B never answered {query}");
+                    std::thread::sleep(Duration::from_millis(10));
+                }
+            }
+        }
+        assert!(rejoiner_owns > 0, "the rejoiner's index slice must be exercised");
+        a.shutdown();
+        b.shutdown();
+        restarted.shutdown();
     }
 }

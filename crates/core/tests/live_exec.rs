@@ -14,15 +14,24 @@
 
 use std::time::{Duration, Instant};
 
-use rdfmesh_core::{global_store, DistChoice, ExecConfig, FaultPlan, LiveConfig, LiveMesh, Transport};
+use rdfmesh_core::{
+    global_store, DistChoice, ExecConfig, FaultPlan, LiveBackend, LiveConfig, LiveMesh, Mat,
+    MeshBackend, Transport,
+};
 use rdfmesh_net::{LatencyModel, Network, NodeId, SimTime};
 use rdfmesh_overlay::Overlay;
-use rdfmesh_rdf::{Term, TermPattern, TriplePattern};
-use rdfmesh_sparql::{evaluate_query, parse_query, QueryResult, Solution};
+use rdfmesh_rdf::{Term, TermPattern, Triple, TriplePattern, Variable};
+use rdfmesh_sparql::eval::evaluate_pattern_with;
+use rdfmesh_sparql::{evaluate_query, parse_query, solution, QueryResult, Solution};
+use rdfmesh_workload::university::{self, ub, UniversityConfig};
 use rdfmesh_workload::{foaf, FoafConfig};
 
 fn build_overlay() -> Overlay {
-    let data = foaf::generate(&FoafConfig { persons: 30, peers: 5, ..Default::default() });
+    overlay_of(&foaf::generate(&FoafConfig { persons: 30, peers: 5, ..Default::default() }).peers)
+}
+
+/// One storage node per triple set, behind three index nodes.
+fn overlay_of(peers: &[Vec<Triple>]) -> Overlay {
     let net = Network::new(LatencyModel::Uniform(SimTime::millis(1)), 12.5);
     let mut overlay = Overlay::new(32, 4, 2, net);
     let index_count = 3;
@@ -31,7 +40,7 @@ fn build_overlay() -> Overlay {
         let pos = overlay.ring().space().hash(&addr.0.to_be_bytes());
         overlay.add_index_node(addr, pos).unwrap();
     }
-    for (i, triples) in data.peers.iter().enumerate() {
+    for (i, triples) in peers.iter().enumerate() {
         let attach = NodeId(1000 + (i as u64 % index_count));
         overlay.add_storage_node(NodeId(1 + i as u64), attach, triples.clone()).unwrap();
     }
@@ -49,6 +58,21 @@ fn sorted(mut sols: Vec<Solution>) -> Vec<Solution> {
 }
 
 const WAIT: Duration = Duration::from_secs(30);
+
+/// What `query` returns over the data of every storage node but `victim`.
+fn survivor_oracle(overlay: &Overlay, victim: NodeId, query: &str) -> Vec<Solution> {
+    let mut survivors = rdfmesh_rdf::TripleStore::new();
+    for node in overlay.storage_nodes().into_iter().filter(|n| *n != victim) {
+        for t in overlay.storage_node(node).unwrap().store.iter() {
+            survivors.insert(&t);
+        }
+    }
+    let QueryResult::Solutions(rows) = evaluate_query(&survivors, &parse_query(query).unwrap())
+    else {
+        panic!("SELECT returns solutions")
+    };
+    sorted(rows)
+}
 
 /// Runs `query` on the mesh and asserts it completed fault-free with
 /// exactly the oracle's solutions. Returns the solution count.
@@ -154,25 +178,155 @@ fn provider_crash_mid_query_degrades_to_a_partial_answer() {
     );
     // The survivors' solutions are still a well-formed result.
     let QueryResult::Solutions(sols) = live.result else { panic!("SELECT returns solutions") };
-    let survivors: Vec<NodeId> =
-        overlay.storage_nodes().into_iter().filter(|n| *n != victim).collect();
-    let survivor_store = {
-        let mut store = rdfmesh_rdf::TripleStore::new();
-        for n in &survivors {
-            for t in overlay.storage_node(*n).unwrap().store.iter() {
-                store.insert(&t);
-            }
-        }
-        store
-    };
-    let expected = evaluate_query(
-        &survivor_store,
-        &parse_query("SELECT * WHERE { ?x foaf:knows ?y . ?y foaf:knows ?z . }").unwrap(),
+    let expected = survivor_oracle(
+        &overlay,
+        victim,
+        "SELECT * WHERE { ?x foaf:knows ?y . ?y foaf:knows ?z . }",
     );
-    let QueryResult::Solutions(expected) = expected else { panic!() };
-    assert_eq!(sorted(sols), sorted(expected), "partial answer = survivors' data");
+    assert_eq!(sorted(sols), expected, "partial answer = survivors' data");
     assert!(mesh.stats().incomplete_queries >= 1);
     mesh.shutdown();
+}
+
+// ---- key-only bind rounds ---------------------------------------------
+
+const TRANSPORTS: [Transport; 2] = [Transport::Threads, Transport::Sockets];
+
+fn spawn_on(overlay: &Overlay, cfg: LiveConfig, transport: Transport) -> LiveMesh {
+    LiveMesh::spawn_with_transport(overlay, cfg, FaultPlan::new(), transport).expect("mesh spawns")
+}
+
+fn select(overlay: &Overlay, query: &str) -> Vec<Solution> {
+    let QueryResult::Solutions(rows) = oracle(overlay, query) else {
+        panic!("SELECT returns solutions")
+    };
+    rows
+}
+
+fn predicate_pattern(s: &str, predicate: &str, o: &str) -> TriplePattern {
+    TriplePattern::new(TermPattern::var(s), Term::iri(predicate), TermPattern::var(o))
+}
+
+/// One bind round through [`LiveBackend::exec_bound`] on both
+/// transports: what comes back must *be* the set `rows ⋈ ⟦pattern⟧`
+/// (no duplicate rows, whatever `rows` held) as the nested-loop
+/// reference join evaluates it centrally. Returns how many solutions
+/// the providers shipped for it (the same on both).
+fn assert_bound_round_agrees(overlay: &Overlay, rows: &[Solution], pattern: &TriplePattern) -> u64 {
+    let matches = evaluate_pattern_with(&global_store(overlay), pattern, &[Solution::new()]);
+    let mut expected = sorted(solution::naive::join(rows, &matches));
+    expected.dedup();
+    assert!(!expected.is_empty(), "the scenario must exercise the join: {pattern}");
+    let shipped = TRANSPORTS.map(|transport| {
+        let mesh = spawn_on(overlay, LiveConfig::default(), transport);
+        let mut backend = LiveBackend::new(&mesh, WAIT);
+        let current = Mat { solutions: rows.to_vec(), site: backend.home(), ready: SimTime::ZERO };
+        let got = sorted(backend.exec_bound(pattern, current).expect("round").solutions);
+        assert_eq!(expected, got, "bound round vs oracle for {pattern} on {transport:?}");
+        let shipped = mesh.stats().solutions_shipped;
+        mesh.shutdown();
+        shipped
+    });
+    assert_eq!(shipped[0], shipped[1], "both transports ship the same rows");
+    shipped[0]
+}
+
+#[test]
+fn bound_round_over_heterogeneous_domains_matches_the_oracle() {
+    // An OPTIONAL feeding a bound pattern: ?n is bound in some rows and
+    // not in others, and the next pattern mentions it. Rows without it
+    // project to a key without it and join with every match.
+    let overlay = build_overlay();
+    let rows =
+        select(&overlay, "SELECT * WHERE { ?x foaf:knows ?y . OPTIONAL { ?y foaf:nick ?n . } }");
+    let n = Variable::new("n");
+    assert!(rows.iter().any(|r| r.get(&n).is_some()) && rows.iter().any(|r| r.get(&n).is_none()));
+    let nick = predicate_pattern("y", rdfmesh_rdf::vocab::foaf::NICK, "n");
+    assert_bound_round_agrees(&overlay, &rows, &nick);
+
+    // Rows that extend to one mapping — a duplicate, and a row lacking
+    // only what the pattern goes on to bind — come back once.
+    let xy = [Variable::new("x"), Variable::new("y")];
+    let mut doubled = rows.clone();
+    doubled.extend(rows.iter().map(|r| r.project(&xy)));
+    doubled.extend(rows.iter().cloned());
+    assert_bound_round_agrees(&overlay, &doubled, &nick);
+}
+
+#[test]
+fn bound_round_without_a_shared_variable_cross_joins_at_the_coordinator() {
+    // The projection of every row is the unit row: one key ships, the
+    // providers return the pattern's matches once, and the product is
+    // formed where the rows were kept.
+    let overlay = build_overlay();
+    let rows = select(&overlay, "SELECT * WHERE { ?x foaf:nick ?v . }");
+    let mbox = predicate_pattern("p", rdfmesh_rdf::vocab::foaf::MBOX, "m");
+    let matches = select(&overlay, "SELECT * WHERE { ?p foaf:mbox ?m . }").len() as u64;
+    assert!(rows.len() > 1);
+    assert_eq!(assert_bound_round_agrees(&overlay, &rows, &mbox), matches);
+}
+
+#[test]
+fn bound_round_whose_projection_is_the_identity_matches_the_oracle() {
+    // Every row lies within the pattern's variables: the keys are the
+    // rows and the providers' reply is the answer, no join after it.
+    let overlay = build_overlay();
+    let rows = select(&overlay, "SELECT ?x WHERE { ?x foaf:nick ?v . }");
+    assert_bound_round_agrees(&overlay, &rows, &knows_pattern());
+}
+
+#[test]
+fn two_hop_bind_round_ships_one_row_per_distinct_join_key() {
+    // ?s ub:advisor ?a . ?a ub:worksFor ?d — a hundred students share
+    // twenty advisors, each of whom works for exactly one department.
+    let overlay = overlay_of(&university::generate(&UniversityConfig::default()).peers);
+    const UB: &str = "PREFIX ub: <http://example.org/univ#>";
+    let rows = select(&overlay, &format!("{UB} SELECT * WHERE {{ ?s ub:advisor ?a . }}"));
+    let mut keys: Vec<&Term> = rows.iter().filter_map(|r| r.get(&Variable::new("a"))).collect();
+    keys.sort();
+    keys.dedup();
+    assert!(keys.len() * 4 <= rows.len(), "{} keys for {} rows", keys.len(), rows.len());
+    let works_for = predicate_pattern("a", ub::WORKS_FOR, "d");
+    let shipped = assert_bound_round_agrees(&overlay, &rows, &works_for);
+    // Each provider answers only for the keys it holds a match for, so
+    // the mesh as a whole ships one extension per key — where shipping
+    // the rows whole made it one per student.
+    assert_eq!(shipped, keys.len() as u64);
+
+    // The same shape end to end, planner and all.
+    let query = format!("{UB} SELECT * WHERE {{ ?s ub:advisor ?a . ?a ub:worksFor ?d . }}");
+    for transport in TRANSPORTS {
+        let mesh = spawn_on(&overlay, LiveConfig::default(), transport);
+        assert_eq!(assert_live_agrees(&mesh, &overlay, &query, true), rows.len());
+        assert_eq!(mesh.stats().solutions_shipped, (rows.len() + keys.len()) as u64);
+        mesh.shutdown();
+    }
+}
+
+#[test]
+fn bind_join_over_a_crashed_provider_returns_the_survivors_rows() {
+    let overlay = build_overlay();
+    let query = "SELECT * WHERE { ?x foaf:knows ?y . ?y foaf:knows ?z . }";
+    let cfg = LiveConfig {
+        ack_timeout: Duration::from_millis(50),
+        lookup_timeout: Duration::from_millis(50),
+        query_deadline: Duration::from_secs(2),
+        retries: 1,
+        ..LiveConfig::default()
+    };
+    for transport in TRANSPORTS {
+        let mesh = spawn_on(&overlay, cfg, transport);
+        let victim = mesh.providers_of(&knows_pattern())[0];
+        assert!(mesh.crash(victim));
+        let live =
+            mesh.execute(query, true, WAIT).expect("a crash is a partial answer, not an error");
+        assert!(!live.complete, "{transport:?}");
+        assert!(live.failed_providers.contains(&victim), "{transport:?}");
+        let QueryResult::Solutions(got) = live.result else { panic!("SELECT returns solutions") };
+        let expected = survivor_oracle(&overlay, victim, query);
+        assert_eq!(expected, sorted(got), "survivors' data on {transport:?}");
+        mesh.shutdown();
+    }
 }
 
 // ---- distribution strategies (ISSUE 10: the pluggable seam) ---------
@@ -297,25 +451,7 @@ fn every_strategy_degrades_to_the_survivor_oracle_on_provider_crash() {
     }
     // All three strategies return the *same* partial answer: exactly
     // the survivors' data under the oracle semantics.
-    let victim = victim_node.unwrap();
-    let survivor_store = {
-        let mut store = rdfmesh_rdf::TripleStore::new();
-        for n in overlay.storage_nodes() {
-            if n == victim {
-                continue;
-            }
-            for t in overlay.storage_node(n).unwrap().store.iter() {
-                store.insert(&t);
-            }
-        }
-        store
-    };
-    let QueryResult::Solutions(expected) =
-        evaluate_query(&survivor_store, &parse_query(query).unwrap())
-    else {
-        panic!()
-    };
-    let expected = sorted(expected);
+    let expected = survivor_oracle(&overlay, victim_node.unwrap(), query);
     for (dist, got) in STRATEGIES.iter().zip(&answers) {
         assert_eq!(&expected, got, "{dist:?} partial answer must equal survivors' data");
     }

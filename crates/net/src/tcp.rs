@@ -49,8 +49,11 @@ pub const WIRE_MAGIC: [u8; 4] = *b"RDFM";
 /// Version 2 added the batched solution frames (`SubmitSolBatch` /
 /// `SubQuerySolBatch` / `SolutionsBatch` payload tags): a v1 peer would
 /// reject the new tags mid-stream, so the handshake refuses the mix
-/// up front.
-pub const WIRE_VERSION: u8 = 2;
+/// up front. Version 3 replaced the solution-set layout inside every
+/// solution-carrying payload with the compact dictionary frame
+/// (`docs/DEPLOYMENT.md` §1.3.1): same tags, different bytes, so a v2
+/// peer would misparse rather than reject them.
+pub const WIRE_VERSION: u8 = 3;
 /// Upper bound on a single frame's length field; larger values mean a
 /// corrupt or hostile stream and close the connection.
 pub const MAX_FRAME: u32 = 16 * 1024 * 1024;
@@ -645,9 +648,12 @@ mod tests {
         // Wrong magic.
         let mut r = io::Cursor::new(b"RDFX\x01\x00".to_vec());
         assert!(read_handshake(&mut r).is_err());
-        // Wrong version.
-        let mut r = io::Cursor::new(b"RDFM\x63\x00".to_vec());
-        assert!(read_handshake(&mut r).is_err());
+        // Wrong version — in particular the previous one, whose
+        // solution-set layout this build would misparse.
+        for version in [0x63, WIRE_VERSION - 1] {
+            let mut r = io::Cursor::new([b"RDFM".as_slice(), &[version, 0]].concat());
+            assert!(read_handshake(&mut r).is_err());
+        }
         // Zero-length frame.
         let mut r = io::Cursor::new(0u32.to_le_bytes().to_vec());
         assert!(read_frame(&mut r).is_err());

@@ -248,6 +248,10 @@ pub fn tokenize(input: &str) -> Result<Vec<Token>, LexError> {
                 if pos == name_start {
                     return Err(err(start, "empty variable name"));
                 }
+                // Longer names do not fit a solution frame's variable table.
+                if pos - name_start > crate::solution::wire::MAX_NAME {
+                    return Err(err(start, "variable name too long"));
+                }
                 tokens.push(Token {
                     kind: TokenKind::Var(input[name_start..pos].to_string()),
                     offset: start,
@@ -556,5 +560,8 @@ mod tests {
         assert_eq!(e.offset, 7);
         assert!(tokenize("SELECT ~").is_err());
         assert!(tokenize("? ").is_err());
+        let max = crate::solution::wire::MAX_NAME;
+        assert!(tokenize(&format!("?{}", "v".repeat(max))).is_ok());
+        assert!(tokenize(&format!("?{}", "v".repeat(max + 1))).is_err());
     }
 }

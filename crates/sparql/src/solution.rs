@@ -116,10 +116,19 @@ impl Solution {
             return None;
         }
         let mut merged = self.clone();
-        for (v, t) in &other.bindings {
-            merged.bindings.entry(v.clone()).or_insert_with(|| t.clone());
-        }
+        merged.extend_from(other);
         Some(merged)
+    }
+
+    /// Adds `other`'s bindings for the variables this solution leaves
+    /// unbound — `µ1 ∪ µ2` in place, for a caller that already knows the
+    /// two are compatible.
+    fn extend_from(&mut self, other: &Solution) {
+        for (v, t) in &other.bindings {
+            if !self.bindings.contains_key(v) {
+                self.bindings.insert(v.clone(), t.clone());
+            }
+        }
     }
 
     /// Restricts the solution to the given variables (projection).
@@ -224,6 +233,16 @@ pub fn join(left: &[Solution], right: &[Solution]) -> SolutionSet {
     } else {
         naive::join(left, right)
     }
+}
+
+/// `Ω1 ⋈ Ω2` for a caller that owns `Ω1`: the same rows in the same
+/// order as [`join`], but each left row is extended in place with its
+/// last partner's new bindings and cloned only for its other partners.
+/// When most rows have one partner — a bind join reassembling the rows
+/// it kept with the extensions it fetched — that allocates the new
+/// bindings and nothing else, where [`join`] rebuilds every row.
+pub fn join_owned(left: Vec<Solution>, right: &[Solution]) -> SolutionSet {
+    hashed::join_owned(left, right)
 }
 
 /// `Ω1 ∪ Ω2` — multiset union (Sect. IV-A).
@@ -379,6 +398,32 @@ pub mod hashed {
         out
     }
 
+    /// [`super::join_owned`]: hash probing as in [`join`], extending the
+    /// owned left rows instead of decoding merged ones.
+    pub fn join_owned(left: Vec<Solution>, right: &[Solution]) -> SolutionSet {
+        if left.is_empty() || right.is_empty() {
+            return Vec::new();
+        }
+        let mut interner = Interner::new();
+        let l = encode(&mut interner, &left);
+        let r = encode(&mut interner, right);
+        let mut index = JoinIndex::new(&r);
+        let mut out = Vec::with_capacity(left.len());
+        let mut hits = Vec::new();
+        for (mut sol, lrow) in left.into_iter().zip(&l) {
+            index.compatible_into(lrow, &mut hits);
+            let Some((&last, others)) = hits.split_last() else { continue };
+            for &j in others {
+                let mut copy = sol.clone();
+                copy.extend_from(&right[j]);
+                out.push(copy);
+            }
+            sol.extend_from(&right[last]);
+            out.push(sol);
+        }
+        out
+    }
+
     /// `Ω1 − Ω2` via hash probing.
     pub fn difference(left: &[Solution], right: &[Solution]) -> SolutionSet {
         if left.is_empty() {
@@ -443,28 +488,54 @@ pub mod hashed {
     }
 }
 
-/// A length-prefixed binary codec for solution sets — the wire format the
-/// socket transport ships between sites.
+/// The binary codec for solution sets — the wire format the socket
+/// transport ships between sites.
 ///
 /// The live mesh's solution rounds move [`SolutionSet`]s between storage
 /// nodes and the coordinator; this codec fixes the byte layout so their
 /// transfer sizes can be accounted (the `live.solution_bytes` counter)
 /// with the same number a real deployment puts on the network.
-/// Layout: a `u32` solution count, then per solution a `u32` binding
-/// count followed by `(variable name, term)` records. Strings are
-/// `u32`-length-prefixed UTF-8; terms carry a one-byte tag (IRI, blank,
-/// plain / language-tagged / typed literal). All integers little-endian.
 ///
-/// The primitive writers ([`put_str`], [`put_term`], [`put_u32`],
-/// [`put_u64`]) and the [`Reader`] cursor are public so higher-level
-/// codecs — the live-protocol message codec in `rdfmesh-core` and the
-/// [`crate::expr::wire`] expression codec — compose the same primitives
-/// instead of reinventing term encoding. `docs/DEPLOYMENT.md` specifies
-/// the full byte layout.
+/// A set is one *compact frame*: the variable table once, then the rows
+/// as cells of LEB128 term ids into a per-frame dictionary that is
+/// defined inline, in one pass, at each term's first occurrence:
+///
+/// ```text
+/// solutions := nvars:varint  var{nvars}  nrows:varint  row{nrows}
+/// var       := len:varint  utf8{len}
+/// row       := cell{nvars}          (one 0x00 pad byte when nvars = 0)
+/// cell      := id:varint  [entry]   (0 = unbound; entry iff id = entries so far + 1)
+/// entry     := kind:u8  [head:varint]  shared:varint  len:varint  suffix{len}
+/// ```
+///
+/// An entry's body is the first `shared` bytes of the body last defined
+/// in the same column followed by `suffix` (front coding; a column's
+/// values resemble each other more than their row neighbours). For a
+/// language-tagged or typed literal the body is the tag / datatype IRI
+/// (`head` bytes of it) followed by the lexical form, so literals of one
+/// datatype share it as a prefix; for every other kind the body is the
+/// IRI, label or lexical form.
+///
+/// A term may be defined again under a new id. The encoder does so when
+/// a bare id would make the decoder copy more than the frame has paid
+/// for: a frame may make its decoder copy (names into cells, bodies by
+/// id, front-coded prefixes) at most [`wire::EXPANSION`] bytes per byte
+/// read so far, and names are at most [`wire::MAX_NAME`] bytes, so what
+/// decoding allocates is linear in the frame whatever the frame says.
+///
+/// The primitive writers ([`wire::put_str`], [`wire::put_term`],
+/// [`wire::put_u32`], [`wire::put_u64`]) and the [`wire::Reader`]
+/// cursor are public so higher-level codecs — the live-protocol message
+/// codec in `rdfmesh-core` and the [`crate::expr::wire`] expression
+/// codec — compose the same primitives for their own fields (patterns,
+/// expressions, ids) instead of reinventing term encoding.
+/// `docs/DEPLOYMENT.md` specifies the full byte layout.
 pub mod wire {
+    use std::collections::{HashMap, HashSet};
+
     use rdfmesh_rdf::{BlankNode, Iri, Literal, LiteralKind, Term, Variable};
 
-    use super::{Solution, SolutionSet};
+    use super::{FxBuild, Solution, SolutionSet};
 
     /// A malformed byte stream handed to [`decode`] (or any of the
     /// [`Reader`] primitives).
@@ -488,6 +559,21 @@ pub mod wire {
     const TAG_LANG: u8 = 3;
     const TAG_TYPED: u8 = 4;
 
+    /// How many bytes a frame may make its decoder *copy* — the name
+    /// cloned into every bound cell, a body referenced by id, a
+    /// front-coded prefix — per byte of the frame read so far. Without it
+    /// a frame of `n` bytes could define one `n/2`-byte name or term and
+    /// reference it `n/2` times, and decoding would clone O(n²) bytes.
+    /// The encoder keeps every frame inside the budget (a cell that cannot
+    /// afford to borrow spells its term out, which buys more budget); the
+    /// decoder refuses a frame that is not.
+    pub const EXPANSION: usize = 64;
+
+    /// The longest variable name a frame may declare. A cell that borrows
+    /// nothing is at least four bytes (id, kind, shared, length), so with
+    /// names this short it always pays for the copy of its own name.
+    pub const MAX_NAME: usize = 4 * EXPANSION;
+
     /// Appends a `u32`-length-prefixed UTF-8 string.
     pub fn put_str(out: &mut Vec<u8>, s: &str) {
         out.extend_from_slice(&(s.len() as u32).to_le_bytes());
@@ -504,7 +590,10 @@ pub mod wire {
         out.extend_from_slice(&n.to_le_bytes());
     }
 
-    /// Appends a tagged RDF term (see the module docs for the layout).
+    /// Appends a tagged RDF term standing alone — a pattern constant, an
+    /// expression operand — as a tag byte plus `u32`-length-prefixed
+    /// strings. Terms inside a solution set go through the frame's
+    /// dictionary instead.
     pub fn put_term(out: &mut Vec<u8>, term: &Term) {
         match term {
             Term::Iri(iri) => {
@@ -534,11 +623,199 @@ pub mod wire {
         }
     }
 
+    /// Where the encoder walk writes: a frame buffer, or a byte counter
+    /// that lets [`encoded_len`] price a set without building it.
+    trait Sink {
+        fn put(&mut self, bytes: &[u8]);
+        /// Bytes held so far.
+        fn len(&self) -> usize;
+    }
+
+    impl Sink for Vec<u8> {
+        fn put(&mut self, bytes: &[u8]) {
+            self.extend_from_slice(bytes);
+        }
+        fn len(&self) -> usize {
+            self.len()
+        }
+    }
+
+    struct ByteCount(usize);
+
+    impl Sink for ByteCount {
+        fn put(&mut self, bytes: &[u8]) {
+            self.0 += bytes.len();
+        }
+        fn len(&self) -> usize {
+            self.0
+        }
+    }
+
+    /// Writes `n` as LEB128: 7 bits per byte, high bit = continuation.
+    fn put_varint(out: &mut impl Sink, mut n: usize) {
+        let mut buf = [0u8; 10];
+        let mut len = 0;
+        while n >= 0x80 {
+            buf[len] = n as u8 | 0x80;
+            n >>= 7;
+            len += 1;
+        }
+        buf[len] = n as u8;
+        out.put(&buf[..=len]);
+    }
+
+    /// Length of the longest common prefix, a word at a time.
+    fn common_prefix(a: &[u8], b: &[u8]) -> usize {
+        let mut n = 0;
+        for (x, y) in a.chunks_exact(8).zip(b.chunks_exact(8)) {
+            let x = u64::from_le_bytes(x.try_into().expect("8-byte chunk"));
+            let y = u64::from_le_bytes(y.try_into().expect("8-byte chunk"));
+            if x != y {
+                return n + ((x ^ y).trailing_zeros() / 8) as usize;
+            }
+            n += 8;
+        }
+        n + a[n..].iter().zip(&b[n..]).take_while(|(x, y)| x == y).count()
+    }
+
+    /// A term as the dictionary stores it: its kind tag and its body in
+    /// two pieces, `head ++ tail` — `head` is the language tag or datatype
+    /// IRI of a tagged / typed literal and empty for every other kind.
+    fn term_parts(term: &Term) -> (u8, &[u8], &[u8]) {
+        let (kind, head, tail) = match term {
+            Term::Iri(iri) => (TAG_IRI, "", iri.as_str()),
+            Term::Blank(b) => (TAG_BLANK, "", b.as_str()),
+            Term::Literal(lit) => match lit.kind() {
+                LiteralKind::Plain => (TAG_PLAIN, "", lit.lexical()),
+                LiteralKind::LanguageTagged(tag) => (TAG_LANG, tag.as_str(), lit.lexical()),
+                LiteralKind::Typed(dt) => (TAG_TYPED, dt.as_str(), lit.lexical()),
+            },
+        };
+        (kind, head.as_bytes(), tail.as_bytes())
+    }
+
+    /// The encoder's side of the per-frame dictionary: the id each term
+    /// was last defined under, per column its name's length and the body
+    /// of the entry last defined there (to front-code the column's next
+    /// one against), and the [`EXPANSION`] budget's two running figures.
+    /// Everything is borrowed from the solutions being encoded.
+    struct TermIds<'a> {
+        ids: HashMap<&'a Term, usize, FxBuild>,
+        defined: usize,
+        cols: Vec<(usize, &'a [u8], &'a [u8])>,
+        /// Where the frame starts in the sink.
+        start: usize,
+        /// Bytes the frame so far makes its decoder copy.
+        copied: usize,
+    }
+
+    impl<'a> TermIds<'a> {
+        /// Writes one bound cell of column `col`: the term's id, followed
+        /// by its dictionary entry if this is its first occurrence — or
+        /// if the budget cannot afford the copy a bare id asks for.
+        fn put(&mut self, out: &mut impl Sink, col: usize, term: &'a Term) {
+            let (kind, head, tail) = term_parts(term);
+            let body_len = head.len() + tail.len();
+            let (name_len, prev_head, prev_tail) = self.cols[col];
+            self.copied += name_len;
+            // What this cell may borrow on top of its name.
+            let room = (EXPANSION * (out.len() - self.start)).saturating_sub(self.copied);
+            let id = self.ids.entry(term).or_insert(0);
+            if *id != 0 && body_len <= room {
+                self.copied += body_len;
+                return put_varint(out, *id);
+            }
+            self.defined += 1;
+            *id = self.defined;
+            put_varint(out, *id);
+            out.put(&[kind]);
+            if matches!(kind, TAG_LANG | TAG_TYPED) {
+                put_varint(out, head.len());
+            }
+            // Any prefix the two bodies really share is a valid `shared`;
+            // this one stops at a head boundary unless the heads are equal,
+            // which is the case that pays (one datatype, many values).
+            let mut shared = common_prefix(prev_head, head);
+            if shared == prev_head.len() && shared == head.len() {
+                shared += common_prefix(prev_tail, tail);
+            }
+            let shared = shared.min(room);
+            self.copied += shared;
+            put_varint(out, shared);
+            put_varint(out, body_len - shared);
+            if shared < head.len() {
+                out.put(&head[shared..]);
+                out.put(tail);
+            } else {
+                out.put(&tail[shared - head.len()..]);
+            }
+            self.cols[col] = (name_len, head, tail);
+        }
+    }
+
+    fn write_solutions(out: &mut impl Sink, solutions: &[Solution]) {
+        let start = out.len();
+        // The variable table: the union of the rows' domains in
+        // first-seen order. Rows of one BGP all share one domain, which
+        // the zip recognizes without a search.
+        let mut vars: Vec<&Variable> = Vec::new();
+        for sol in solutions {
+            if sol.len() == vars.len() && sol.domain().zip(&vars).all(|(a, b)| a == *b) {
+                continue;
+            }
+            for v in sol.domain() {
+                if !vars.contains(&v) {
+                    vars.push(v);
+                }
+            }
+        }
+        put_varint(out, vars.len());
+        for v in &vars {
+            put_varint(out, v.as_str().len());
+            out.put(v.as_str().as_bytes());
+        }
+        put_varint(out, solutions.len());
+        let mut terms = TermIds {
+            ids: HashMap::with_capacity_and_hasher(solutions.len(), FxBuild::default()),
+            defined: 0,
+            cols: vars.iter().map(|v| (v.as_str().len(), &[][..], &[][..])).collect(),
+            start,
+            copied: 0,
+        };
+        for sol in solutions {
+            if vars.is_empty() {
+                // A row always costs a byte, so a decoder can bound the
+                // row count by the bytes that remain.
+                out.put(&[0]);
+            }
+            for (col, v) in vars.iter().enumerate() {
+                match sol.get(v) {
+                    Some(term) => terms.put(out, col, term),
+                    None => out.put(&[0]),
+                }
+            }
+        }
+    }
+
+    /// Appends a solution set (inverse of the body [`decode`] reads).
+    pub fn put_solutions(out: &mut Vec<u8>, solutions: &[Solution]) {
+        write_solutions(out, solutions);
+    }
+
     /// Encodes a solution set into its wire bytes.
     pub fn encode(solutions: &[Solution]) -> Vec<u8> {
         let mut out = Vec::new();
         put_solutions(&mut out, solutions);
         out
+    }
+
+    /// `encode(solutions).len()` without building the bytes: the same
+    /// encoder walk into a counting sink. For byte accounting at sites
+    /// whose frame the transport encodes anyway.
+    pub fn encoded_len(solutions: &[Solution]) -> usize {
+        let mut count = ByteCount(0);
+        write_solutions(&mut count, solutions);
+        count.0
     }
 
     /// A checked cursor over wire bytes: every read validates bounds and
@@ -578,36 +855,55 @@ pub mod wire {
             Ok(b)
         }
 
-        /// Reads a `u32`-length-prefixed UTF-8 string.
-        pub fn str(&mut self) -> Result<&'a str, WireError> {
-            let len = self.u32()? as usize;
+        /// Reads `len` raw bytes.
+        fn take(&mut self, len: usize) -> Result<&'a [u8], WireError> {
             let end = self.pos.checked_add(len).ok_or(WireError("length overflow"))?;
             let chunk = self.bytes.get(self.pos..end).ok_or(WireError("truncated string"))?;
             self.pos = end;
-            std::str::from_utf8(chunk).map_err(|_| WireError("invalid UTF-8"))
+            Ok(chunk)
+        }
+
+        /// Reads a `u32`-length-prefixed UTF-8 string.
+        pub fn str(&mut self) -> Result<&'a str, WireError> {
+            let len = self.u32()? as usize;
+            utf8(self.take(len)?)
+        }
+
+        /// Reads a LEB128 integer (inverse of the solution-set encoder's
+        /// counts, ids and lengths).
+        fn varint(&mut self) -> Result<usize, WireError> {
+            let mut value = 0usize;
+            for shift in (0..usize::BITS).step_by(7) {
+                let byte = self.u8()?;
+                let bits = usize::from(byte & 0x7F);
+                if (bits << shift) >> shift != bits {
+                    break;
+                }
+                value |= bits << shift;
+                if byte & 0x80 == 0 {
+                    return Ok(value);
+                }
+            }
+            Err(WireError("varint overflow"))
+        }
+
+        /// Reads a count of items that each occupy at least `unit` bytes
+        /// of this frame, rejecting one the remaining bytes cannot hold —
+        /// which makes the count safe to allocate for.
+        fn count(&mut self, unit: usize) -> Result<usize, WireError> {
+            let n = self.varint()?;
+            match n.checked_mul(unit) {
+                Some(bytes) if bytes <= self.bytes.len() - self.pos => Ok(n),
+                _ => Err(WireError("count exceeds the frame")),
+            }
         }
 
         /// Reads a tagged RDF term (inverse of [`put_term`]).
         pub fn term(&mut self) -> Result<Term, WireError> {
-            match self.u8()? {
-                TAG_IRI => Ok(Term::Iri(
-                    Iri::new(self.str()?).map_err(|_| WireError("invalid IRI"))?,
-                )),
-                TAG_BLANK => Ok(Term::Blank(
-                    BlankNode::new(self.str()?).map_err(|_| WireError("invalid blank node"))?,
-                )),
-                TAG_PLAIN => Ok(Term::Literal(Literal::plain(self.str()?))),
-                TAG_LANG => {
-                    let lexical = self.str()?.to_owned();
-                    Ok(Term::Literal(Literal::lang(lexical, self.str()?)))
-                }
-                TAG_TYPED => {
-                    let lexical = self.str()?.to_owned();
-                    let dt = Iri::new(self.str()?).map_err(|_| WireError("invalid datatype"))?;
-                    Ok(Term::Literal(Literal::typed(lexical, dt)))
-                }
-                _ => Err(WireError("unknown term tag")),
-            }
+            let kind = self.u8()?;
+            let first = self.str()?;
+            let second = if matches!(kind, TAG_LANG | TAG_TYPED) { self.str()? } else { "" };
+            build_term(kind, second, first)
         }
     }
 
@@ -622,30 +918,126 @@ pub mod wire {
         }
     }
 
-    /// Appends a solution set (inverse of the body [`decode`] reads).
-    pub fn put_solutions(out: &mut Vec<u8>, solutions: &[Solution]) {
-        put_u32(out, solutions.len() as u32);
-        for sol in solutions {
-            put_u32(out, sol.len() as u32);
-            for (var, term) in sol.iter() {
-                put_str(out, var.as_str());
-                put_term(out, term);
+    fn utf8(bytes: &[u8]) -> Result<&str, WireError> {
+        std::str::from_utf8(bytes).map_err(|_| WireError("invalid UTF-8"))
+    }
+
+    /// Validates and builds a term from its kind tag and the two pieces
+    /// [`term_parts`] splits it into.
+    fn build_term(kind: u8, head: &str, tail: &str) -> Result<Term, WireError> {
+        match kind {
+            TAG_IRI => Ok(Term::Iri(Iri::new(tail).map_err(|_| WireError("invalid IRI"))?)),
+            TAG_BLANK => Ok(Term::Blank(
+                BlankNode::new(tail).map_err(|_| WireError("invalid blank node"))?,
+            )),
+            TAG_PLAIN => Ok(Term::Literal(Literal::plain(tail))),
+            TAG_LANG => Ok(Term::Literal(Literal::lang(tail, head))),
+            TAG_TYPED => {
+                let dt = Iri::new(head).map_err(|_| WireError("invalid datatype"))?;
+                Ok(Term::Literal(Literal::typed(tail, dt)))
             }
+            _ => Err(WireError("unknown term tag")),
+        }
+    }
+
+    /// The decoder's side of the per-frame dictionary, and of the
+    /// [`EXPANSION`] budget.
+    struct TermTable {
+        terms: Vec<Term>,
+        /// Per column, the body of the entry last defined there, which
+        /// the column's next entry is front-coded against.
+        prev: Vec<Vec<u8>>,
+        /// Where the frame starts in the reader.
+        start: usize,
+        /// Bytes the frame so far has made this decoder copy.
+        copied: usize,
+    }
+
+    impl TermTable {
+        /// Resolves a non-zero cell id of column `col`, whose name is
+        /// `name_len` bytes: a term defined earlier, or — for the next
+        /// unused id — the entry that follows on the wire. Each term is
+        /// validated once, here, however many cells repeat it.
+        fn read(
+            &mut self,
+            r: &mut Reader<'_>,
+            col: usize,
+            name_len: usize,
+            id: usize,
+        ) -> Result<Term, WireError> {
+            let borrowed = if let Some(term) = self.terms.get(id - 1) {
+                let (_, head, tail) = term_parts(term);
+                head.len() + tail.len()
+            } else if id == self.terms.len() + 1 {
+                let kind = r.u8()?;
+                let head_len = if matches!(kind, TAG_LANG | TAG_TYPED) { r.varint()? } else { 0 };
+                let body = &mut self.prev[col];
+                let shared = r.varint()?;
+                if shared > body.len() {
+                    return Err(WireError("shared prefix longer than the previous entry"));
+                }
+                let suffix_len = r.varint()?;
+                let suffix = r.take(suffix_len)?;
+                body.truncate(shared);
+                body.extend_from_slice(suffix);
+                // Front coding works on bytes, so a prefix may end inside a
+                // code point: only the reconstructed pieces can be validated.
+                if head_len > body.len() {
+                    return Err(WireError("literal head longer than its body"));
+                }
+                let (head, tail) = body.split_at(head_len);
+                self.terms.push(build_term(kind, utf8(head)?, utf8(tail)?)?);
+                shared
+            } else {
+                return Err(WireError("term id beyond the dictionary"));
+            };
+            self.copied += name_len + borrowed;
+            if self.copied > EXPANSION * (r.pos - self.start) {
+                return Err(WireError("frame copies more than its length allows"));
+            }
+            Ok(self.terms[id - 1].clone())
         }
     }
 
     /// Reads a solution set off `r` (the streaming form of [`decode`]).
+    ///
+    /// Rejects — without panicking and without allocating for them —
+    /// counts the remaining bytes cannot hold, an over-long or duplicate
+    /// variable in the table, ids beyond the dictionary, prefixes longer
+    /// than the entry they borrow from, entries that do not reconstruct
+    /// to a valid term, and a frame whose cells copy more than
+    /// [`EXPANSION`] bytes per byte read.
     pub fn read_solutions(r: &mut Reader<'_>) -> Result<SolutionSet, WireError> {
-        let count = r.u32()? as usize;
-        let mut out = Vec::new();
-        for _ in 0..count {
-            let bindings = r.u32()? as usize;
+        let start = r.pos;
+        let nvars = r.count(1)?;
+        let mut vars = Vec::with_capacity(nvars);
+        // Names arrive from outside: the default, keyed hasher.
+        let mut seen = HashSet::with_capacity(nvars);
+        for _ in 0..nvars {
+            let len = r.varint()?;
+            if len > MAX_NAME {
+                return Err(WireError("variable name too long"));
+            }
+            let name = utf8(r.take(len)?)?;
+            if !seen.insert(name) {
+                return Err(WireError("duplicate variable in the table"));
+            }
+            vars.push(Variable::new(name));
+        }
+        let nrows = r.count(nvars.max(1))?;
+        let mut out = Vec::with_capacity(nrows);
+        let mut terms =
+            TermTable { terms: Vec::new(), prev: vec![Vec::new(); nvars], start, copied: 0 };
+        for _ in 0..nrows {
             let mut sol = Solution::new();
-            for _ in 0..bindings {
-                let var = Variable::new(r.str()?);
-                let term = r.term()?;
-                if !sol.bind(var, term) {
-                    return Err(WireError("duplicate variable in solution"));
+            if vars.is_empty() && r.u8()? != 0 {
+                return Err(WireError("non-zero pad byte in a zero-column row"));
+            }
+            for (col, var) in vars.iter().enumerate() {
+                let id = r.varint()?;
+                if id != 0 {
+                    let term = terms.read(r, col, var.as_str().len(), id)?;
+                    sol.bindings.insert(var.clone(), term);
                 }
             }
             out.push(sol);
@@ -953,43 +1345,167 @@ mod tests {
         assert_eq!(buf.into_vec().len(), 2);
     }
 
+    fn every_term_kind() -> Solution {
+        let dt = rdfmesh_rdf::Iri::new("http://www.w3.org/2001/XMLSchema#integer").unwrap();
+        Solution::from_pairs([
+            (v("i"), Term::iri("http://e/α")),
+            (v("b"), Term::blank("b1")),
+            (v("p"), Term::literal("plain \"q\"")),
+            (v("l"), Term::Literal(rdfmesh_rdf::Literal::lang("chat", "fr"))),
+            (v("t"), Term::Literal(rdfmesh_rdf::Literal::typed("42", dt))),
+        ])
+    }
+
     #[test]
     fn wire_round_trips_every_term_kind() {
-        let dt = rdfmesh_rdf::Iri::new("http://www.w3.org/2001/XMLSchema#integer").unwrap();
-        let sols = vec![
-            Solution::new(),
-            Solution::from_pairs([
-                (v("i"), Term::iri("http://e/α")),
-                (v("b"), rdfmesh_rdf::Term::Blank(rdfmesh_rdf::BlankNode::new("b1").unwrap())),
-                (v("p"), rdfmesh_rdf::Term::Literal(rdfmesh_rdf::Literal::plain("plain \"q\""))),
-                (v("l"), rdfmesh_rdf::Term::Literal(rdfmesh_rdf::Literal::lang("chat", "fr"))),
-                (v("t"), rdfmesh_rdf::Term::Literal(rdfmesh_rdf::Literal::typed("42", dt))),
-            ]),
-            sol(&[("x", "a")]),
+        let sets = [
+            // Heterogeneous domains: the table is the union, cells unbound.
+            vec![Solution::new(), every_term_kind(), sol(&[("x", "a")]), every_term_kind()],
+            // One domain throughout, terms repeated across rows and columns.
+            vec![sol(&[("x", "a"), ("y", "a")]), sol(&[("x", "b"), ("y", "a")])],
+            vec![Solution::new(), Solution::new()],
+            Vec::new(),
         ];
+        for sols in sets {
+            let bytes = wire::encode(&sols);
+            assert_eq!(wire::decode(&bytes).unwrap(), sols);
+            assert_eq!(wire::encoded_len(&sols), bytes.len());
+        }
+    }
+
+    #[test]
+    fn wire_repeats_cost_an_id_and_neighbours_share_prefixes() {
+        let one = wire::encode(&[sol(&[("x", "a")])]);
+        // nvars, var, nrows, id, kind, shared, len, the IRI itself.
+        assert_eq!(one.len(), 1 + 2 + 1 + 1 + 1 + 1 + 1 + "http://e/a".len());
+        // The layout this one replaced spent a u32 on each of: solution
+        // count, binding count, name length, term length — plus a tag.
+        assert!(one.len() <= 4 + 4 + (4 + 1) + 1 + (4 + "http://e/a".len()));
+        let same = wire::encode(&[sol(&[("x", "a"), ("y", "a")])]);
+        assert_eq!(same.len(), one.len() + 2 + 1, "a repeat is a second name and an id");
+        let near = wire::encode(&[sol(&[("x", "a")]), sol(&[("x", "b")])]);
+        assert_eq!(near.len(), one.len() + 4 + 1, "a neighbour is id, kind, shared, len + 1 byte");
+    }
+
+    #[test]
+    fn wire_typed_literals_share_their_datatype() {
+        // The datatype IRI leads the body, so a column of one datatype
+        // front-codes it away: id, kind, head, shared, len and the digits
+        // that differ — where spelling the 40-byte IRI out in every
+        // entry would cost 46 B a row.
+        let dt = rdfmesh_rdf::Iri::new("http://www.w3.org/2001/XMLSchema#integer").unwrap();
+        let ages: Vec<Solution> = (0..1000)
+            .map(|i| {
+                let age = rdfmesh_rdf::Literal::typed(i.to_string(), dt.clone());
+                Solution::from_pairs([(v("age"), Term::Literal(age))])
+            })
+            .collect();
+        let bytes = wire::encode(&ages);
+        assert_eq!(wire::decode(&bytes).unwrap(), ages);
+        assert!(bytes.len() <= 8 * ages.len(), "{} B for {} rows", bytes.len(), ages.len());
+    }
+
+    /// What decoding `sols` copies beyond the frame's own bytes: every
+    /// bound cell's name and, at most, its whole body.
+    fn copied_at_most(sols: &[Solution]) -> usize {
+        let cells = sols.iter().flat_map(Solution::iter);
+        cells.map(|(v, t)| v.as_str().len() + t.to_string().len()).sum()
+    }
+
+    #[test]
+    fn wire_spells_a_term_out_again_when_an_id_would_copy_too_much() {
+        // One long body in every row: a bare id is a byte and would copy
+        // the whole body, so only every so-manieth row can afford one.
+        let long = Term::literal(&"é".repeat(600));
+        let sols: Vec<Solution> =
+            (0..400).map(|_| Solution::from_pairs([(v("x"), long.clone())])).collect();
         let bytes = wire::encode(&sols);
         assert_eq!(wire::decode(&bytes).unwrap(), sols);
+        assert_eq!(wire::encoded_len(&sols), bytes.len());
+        assert!(bytes.len() * wire::EXPANSION >= 400 * 1200, "{} B", bytes.len());
+        assert!(bytes.len() * wire::EXPANSION <= 2 * copied_at_most(&sols), "{} B", bytes.len());
+        // Short bodies never hit the budget: every repeat is one byte.
+        let short: Vec<Solution> = (0..400).map(|_| sol(&[("x", "a")])).collect();
+        // (and `nrows` grows into a second varint byte)
+        assert_eq!(wire::encode(&short).len(), wire::encode(&short[..1]).len() + 399 + 1);
+    }
+
+    #[test]
+    fn wire_caps_variable_names() {
+        let named = |len: usize| {
+            vec![Solution::from_pairs([(v(&"n".repeat(len)), Term::iri("http://e/a"))]); 50]
+        };
+        let fits = named(wire::MAX_NAME);
+        assert_eq!(wire::decode(&wire::encode(&fits)).unwrap(), fits);
+        assert!(wire::decode(&wire::encode(&named(wire::MAX_NAME + 1))).is_err());
+    }
+
+    /// `[{?x -> term}, {?x -> next}]` with the second entry written by
+    /// hand: `kind`, then `rest` (head / shared / len / suffix).
+    fn second_entry(first: &Term, kind: u8, rest: &[u8]) -> Vec<u8> {
+        let mut bytes = wire::encode(&[Solution::from_pairs([(v("x"), first.clone())])]);
+        bytes[3] = 2; // nrows
+        bytes.extend_from_slice(&[2, kind]);
+        bytes.extend_from_slice(rest);
+        bytes
     }
 
     #[test]
     fn wire_rejects_malformed_streams() {
-        let bytes = wire::encode(&[sol(&[("x", "a")])]);
+        let iri = Term::iri("http://e/a");
+        let bytes = wire::encode(&[Solution::from_pairs([(v("x"), iri.clone())])]);
         // Truncations at every prefix length must error, never panic.
         for cut in 0..bytes.len() {
             assert!(wire::decode(&bytes[..cut]).is_err(), "cut at {cut}");
         }
         // Trailing garbage is rejected.
-        let mut extended = bytes;
+        let mut extended = bytes.clone();
         extended.push(0);
         assert!(wire::decode(&extended).is_err());
-        // Unknown term tag is rejected.
-        let mut bad = Vec::new();
-        bad.extend_from_slice(&1u32.to_le_bytes()); // one solution
-        bad.extend_from_slice(&1u32.to_le_bytes()); // one binding
-        bad.extend_from_slice(&1u32.to_le_bytes()); // var name "x"
-        bad.push(b'x');
-        bad.push(0xFF); // no such term tag
-        assert!(wire::decode(&bad).is_err());
+
+        // The hand-written second entry decodes when it is well formed…
+        let ok = second_entry(&iri, 0, &[9, 1, b'b']);
+        assert_eq!(wire::decode(&ok).unwrap()[1], sol(&[("x", "b")]));
+        let reject = |bytes: Vec<u8>, why: &str| {
+            assert!(wire::decode(&bytes).is_err(), "{why}");
+        };
+        // …and is rejected for each way it can be wrong.
+        reject(second_entry(&iri, 9, &[9, 1, b'b']), "unknown term kind");
+        reject(second_entry(&iri, 0, &[11, 1, b'b']), "prefix longer than the previous entry");
+        reject(second_entry(&iri, 0, &[9, 2, b' ', b'b']), "reconstructed IRI is not one");
+        reject(second_entry(&iri, 1, &[10, 0]), "reconstructed blank label is not one");
+        reject(second_entry(&iri, 4, &[12, 10, 1, b'7']), "literal head longer than its body");
+        let mut beyond = bytes;
+        beyond[3] = 2;
+        beyond.push(3);
+        reject(beyond, "id 3 with one entry defined");
+        // Front coding is on bytes: a prefix may end inside a code point,
+        // which is fine when the suffix completes it and an error if not.
+        let accent = Term::literal("é");
+        let completed = second_entry(&accent, 2, &[1, 1, 0xA8]);
+        assert_eq!(wire::decode(&completed).unwrap()[1].get(&v("x")), Some(&Term::literal("è")));
+        reject(second_entry(&accent, 2, &[1, 0]), "half a code point");
+        reject(second_entry(&accent, 2, &[1, 1, b'a']), "lead byte then ASCII");
+        // A cell may not copy what the frame has not paid for: a ~400 B
+        // frame buys ~26 kB of copies, each bare id of it another 64 B,
+        // and each copies 401 B (name and body) — good for 78 of them.
+        let greedy = |ids: u8| {
+            let mut bytes = wire::encode(&[sol(&[("x", &"a".repeat(391))])]);
+            bytes[3] = 1 + ids;
+            bytes.extend(std::iter::repeat_n(1, usize::from(ids)));
+            bytes
+        };
+        assert_eq!(wire::decode(&greedy(70)).unwrap().len(), 71);
+        reject(greedy(90), "ids copying beyond the budget");
+
+        // Table and counts.
+        reject(vec![2, 1, b'x', 1, b'x', 0], "duplicate variable");
+        reject(vec![5, 1, b'x', 0], "more variables than bytes");
+        reject(vec![1, 1, b'x', 0x80, 0x80, 0x80, 0x80, 0x01], "more rows than bytes");
+        reject(vec![2, 1, b'x', 1, b'y', 2, 0, 0, 0], "rows × columns beyond the frame");
+        reject([&[0][..], &[0xFF; 9], &[0x7F]].concat(), "varint overflow");
+        reject(vec![0, 2, 0, 1], "non-zero pad in a zero-column row");
+        assert_eq!(wire::decode(&[0, 2, 0, 0]).unwrap(), vec![Solution::new(); 2]);
     }
 
     #[test]

@@ -3,7 +3,9 @@
 //! optimizer rewrite.
 
 use proptest::prelude::*;
-use rdfmesh_rdf::{Term, TermPattern, Triple, TriplePattern, TripleStore, Variable};
+use rdfmesh_rdf::{
+    Iri, Literal, Term, TermPattern, Triple, TriplePattern, TripleStore, Variable,
+};
 use rdfmesh_sparql::{
     algebra::GraphPattern,
     eval,
@@ -63,6 +65,11 @@ proptest! {
     }
 
     #[test]
+    fn join_owned_is_join_row_for_row(l in arb_solution_set(), r in arb_solution_set()) {
+        prop_assert_eq!(solution::join_owned(l.clone(), &r), solution::naive::join(&l, &r));
+    }
+
+    #[test]
     fn union_is_commutative_as_multiset(l in arb_solution_set(), r in arb_solution_set()) {
         prop_assert_eq!(
             sorted(solution::union(&l, &r)),
@@ -94,6 +101,86 @@ proptest! {
         // And joining with the unit solution is identity.
         let unit = vec![Solution::new()];
         prop_assert_eq!(sorted(solution::join(&l, &unit)), sorted(l));
+    }
+}
+
+// ---- the solution-set wire frame ----------------------------------------
+
+/// All five term kinds over a small alphabet of one-, two- and three-byte
+/// characters: repeats hit the frame's dictionary, and neighbouring
+/// entries share prefixes that end inside a code point (`é` and `è`
+/// differ in their second byte only).
+fn arb_wire_term() -> impl Strategy<Value = Term> {
+    prop_oneof![
+        "[aéè]{0,3}".prop_map(|s| Term::iri(&format!("http://example.org/é{s}"))),
+        "[a-c]{1,2}".prop_map(|s| Term::blank(&s)),
+        "[aéè€]{0,3}".prop_map(|s| Term::literal(&s)),
+        ("[aéè]{0,2}", "[ef]{1,2}").prop_map(|(s, tag)| Term::Literal(Literal::lang(s, tag))),
+        ("[0-9é]{0,2}", "[éè]{0,1}").prop_map(|(s, dt)| {
+            let dt = Iri::new(format!("http://example.org/type/{dt}")).unwrap();
+            Term::Literal(Literal::typed(s, dt))
+        }),
+    ]
+}
+
+/// Rows whose domains differ (OPTIONAL-style unbound cells), including
+/// the unit row; the empty set comes from the `0..` size range.
+fn arb_wire_set() -> impl Strategy<Value = Vec<Solution>> {
+    let row = proptest::collection::btree_map(0u8..4, arb_wire_term(), 0..4).prop_map(|m| {
+        Solution::from_pairs(m.into_iter().map(|(v, t)| (Variable::new(format!("x{v}")), t)))
+    });
+    proptest::collection::vec(row, 0..12)
+}
+
+proptest! {
+    #[test]
+    fn wire_frame_round_trips(set in arb_wire_set()) {
+        let bytes = solution::wire::encode(&set);
+        prop_assert_eq!(solution::wire::encoded_len(&set), bytes.len());
+        prop_assert_eq!(solution::wire::decode(&bytes).unwrap(), set);
+    }
+
+    #[test]
+    fn wire_frame_round_trips_when_ids_cost_more_than_the_budget(
+        name_len in prop_oneof![Just(1usize), Just(200), Just(solution::wire::MAX_NAME)],
+        rows in proptest::collection::vec((0usize..3, 0usize..3), 0..80),
+    ) {
+        // Long names and a small pool of long bodies, repeated: bare ids
+        // would make the decoder copy far more than `EXPANSION` allows,
+        // so the encoder must spell terms out again — and the decoder,
+        // which enforces the budget, must accept every frame it writes.
+        let pool = [
+            Term::literal(&"é".repeat(300)),
+            Term::iri(&format!("http://e/{}", "a".repeat(900))),
+            Term::literal("é"),
+        ];
+        let (a, b) = (Variable::new("a".repeat(name_len)), Variable::new("b".repeat(name_len)));
+        let set: Vec<Solution> = rows
+            .into_iter()
+            .map(|(x, y)| {
+                Solution::from_pairs([(a.clone(), pool[x].clone()), (b.clone(), pool[y].clone())])
+            })
+            .collect();
+        let bytes = solution::wire::encode(&set);
+        prop_assert_eq!(solution::wire::encoded_len(&set), bytes.len());
+        prop_assert_eq!(solution::wire::decode(&bytes).unwrap(), set);
+    }
+
+    #[test]
+    fn wire_decoder_never_panics_on_mutated_frames(
+        set in arb_wire_set(),
+        at in any::<proptest::sample::Index>(),
+        byte in any::<u8>(),
+    ) {
+        let mut bytes = solution::wire::encode(&set);
+        let i = at.index(bytes.len());
+        bytes[i] = byte;
+        // Either a clean error or some valid set — and what decodes
+        // re-encodes to something that decodes to itself.
+        if let Ok(decoded) = solution::wire::decode(&bytes) {
+            let again = solution::wire::encode(&decoded);
+            prop_assert_eq!(solution::wire::decode(&again).unwrap(), decoded);
+        }
     }
 }
 
