@@ -36,9 +36,9 @@ fn round(qid: u64, bound: usize) -> SolRound {
     }
 }
 
-/// The frames a loaded mesh actually ships: a singleton sub-query, the
-/// same sub-query batched 8- and 32-wide, and the storage node's
-/// batched reply (8 queries × 16 solutions).
+/// The frames a loaded mesh actually ships: a singleton sub-query, a
+/// submission of one round and of eight, the sub-query batched 32-wide,
+/// and the storage node's batched reply (8 queries × 16 solutions).
 fn messages() -> Vec<(&'static str, LiveMsg)> {
     let single = {
         let r = round(1, 16);
@@ -52,6 +52,9 @@ fn messages() -> Vec<(&'static str, LiveMsg)> {
     };
     vec![
         ("subquery_sol_single_16b", single),
+        // What a lone round's submission is since the singleton
+        // `SubmitSol` frame was retired: a batch of one.
+        ("submit_sol_batch_1", LiveMsg::SubmitSolBatch { rounds: vec![round(0, 16)] }),
         (
             "submit_sol_batch_8",
             LiveMsg::SubmitSolBatch { rounds: (0..8).map(|q| round(q, 16)).collect() },

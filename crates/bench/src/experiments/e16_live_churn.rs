@@ -12,10 +12,11 @@
 
 use std::time::Duration;
 
-use rdfmesh_core::{FaultPlan, LiveConfig, LiveMesh, COORDINATOR};
+use rdfmesh_core::{FaultPlan, LiveAnswer, LiveConfig, LiveMesh, COORDINATOR};
 use rdfmesh_net::NodeId;
 use rdfmesh_overlay::Overlay;
-use rdfmesh_rdf::{Term, TermPattern, Triple, TriplePattern};
+use rdfmesh_rdf::{Term, TermPattern, TriplePattern};
+use rdfmesh_sparql::{eval::extend, Solution};
 use rdfmesh_workload::{foaf, FoafConfig};
 
 use crate::{print_table, testbed_from, INDEX_BASE};
@@ -37,23 +38,29 @@ fn patterns() -> Vec<TriplePattern> {
 }
 
 /// Simulator-side oracle: the union of the live storage nodes' local
-/// matches, deduplicated — what a failure-free query over the surviving
-/// mesh must return.
-fn oracle(overlay: &Overlay, pattern: &TriplePattern, dead: &[NodeId]) -> Vec<Triple> {
-    let mut expected: Vec<Triple> = overlay
+/// matches as bindings of the pattern's variables, deduplicated — what
+/// a failure-free query over the surviving mesh must return.
+fn oracle(overlay: &Overlay, pattern: &TriplePattern, dead: &[NodeId]) -> Vec<Solution> {
+    let mut expected: Vec<Solution> = overlay
         .storage_nodes()
         .into_iter()
         .filter(|n| !dead.contains(n))
         .flat_map(|n| overlay.storage_node(n).expect("listed").store.match_pattern(pattern))
+        .filter_map(|t| extend(pattern, &t, &Solution::new()))
         .collect();
     expected.sort();
     expected.dedup();
     expected
 }
 
-fn sorted(mut triples: Vec<Triple>) -> Vec<Triple> {
-    triples.sort();
-    triples
+fn sorted(mut solutions: Vec<Solution>) -> Vec<Solution> {
+    solutions.sort();
+    solutions
+}
+
+/// One solution round over `pattern`, no filter, no bound intermediates.
+fn query(mesh: &LiveMesh, pattern: &TriplePattern, wait: Duration) -> LiveAnswer {
+    mesh.query_solutions(pattern.clone(), None, None, wait).expect("within deadline")
 }
 
 /// Fences the lazy-removal route (coordinator → entry index node →
@@ -90,9 +97,9 @@ pub fn run() {
     // Phase 1 — warm: a lossy link (one dropped sub-query) but no dead
     // nodes; the bounded retry must keep every answer complete.
     for pattern in &workload {
-        let answer = mesh.query(pattern.clone(), cfg.query_deadline).expect("within deadline");
+        let answer = query(&mesh, pattern, cfg.query_deadline);
         assert!(answer.complete, "retry must absorb the dropped sub-query");
-        assert_eq!(sorted(answer.triples), oracle(&overlay, pattern, &[]));
+        assert_eq!(sorted(answer.solutions), oracle(&overlay, pattern, &[]));
     }
     let warm = mesh.stats();
     assert_eq!(warm.retries, 1, "exactly the planned drop is retried");
@@ -113,8 +120,8 @@ pub fn run() {
     }
     let mut incomplete = 0usize;
     for pattern in &workload {
-        let answer = mesh.query(pattern.clone(), cfg.query_deadline).expect("within deadline");
-        assert_eq!(sorted(answer.triples.clone()), oracle(&overlay, pattern, &crashed));
+        let answer = query(&mesh, pattern, cfg.query_deadline);
+        assert_eq!(sorted(answer.solutions.clone()), oracle(&overlay, pattern, &crashed));
         if answer.complete {
             assert!(answer.failed_providers.is_empty());
         } else {
@@ -146,9 +153,9 @@ pub fn run() {
         );
     }
     for pattern in &workload {
-        let answer = mesh.query(pattern.clone(), cfg.query_deadline).expect("within deadline");
+        let answer = query(&mesh, pattern, cfg.query_deadline);
         assert!(answer.complete, "post-purge queries are complete over the survivors");
-        assert_eq!(sorted(answer.triples), oracle(&overlay, pattern, &crashed));
+        assert_eq!(sorted(answer.solutions), oracle(&overlay, pattern, &crashed));
     }
     let done = mesh.stats();
     assert!(done.providers_purged >= 1);

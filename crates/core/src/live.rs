@@ -9,7 +9,13 @@
 //!
 //! Unlike the simulator, real threads really do lose messages and crash
 //! mid-query, so the coordinator is a **per-query state machine** keyed
-//! by a fresh [`QueryId`] carried in every [`LiveMsg`]:
+//! by a fresh [`QueryId`] carried in every [`LiveMsg`]. There is one
+//! machine for every kind of round — a chained solution round over one
+//! pattern, a HyperCube shuffle or a partial evaluation over a whole BGP:
+//! each pattern is a *slot* looked up with an ordinary
+//! [`LiveMsg::Lookup`], the exec frame fans out to the slots' provider
+//! union, and the strategies differ only in that frame's shape, the
+//! reply it earns, and what happens to the gathered replies at the end:
 //!
 //! * every awaited reply has a deadline ([`Outbox::schedule`] delivers
 //!   the coordinator a [`LiveMsg::Deadline`] message to itself);
@@ -30,9 +36,10 @@
 //! model with the simulator's; the fault-injection harness lives in
 //! [`rdfmesh_net::FaultPlan`].
 //!
-//! Swapping [`rdfmesh_net::Cluster`] for a socket transport would make
-//! this a deployable system; nothing here touches shared state beyond
-//! the observable location tables and counters.
+//! The same handlers run over [`rdfmesh_net::Cluster`] threads, loopback
+//! sockets ([`Transport::Sockets`]) and one process per peer
+//! ([`crate::MeshNode`]); nothing here touches shared state beyond the
+//! observable location tables and counters.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -42,7 +49,7 @@ use std::time::Duration;
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
 use rdfmesh_net::{Cluster, Envelope, FaultPlan, Handler, NodeId, Outbox, TcpCluster, TransportSnapshot};
 use rdfmesh_overlay::{key_for_pattern, keys_for_triple, Overlay};
-use rdfmesh_rdf::{SharedStore, Triple, TriplePattern, Variable};
+use rdfmesh_rdf::{SharedStore, TriplePattern, Variable};
 use rdfmesh_sparql::expr::Expression;
 use rdfmesh_sparql::solution::{wire, DistinctBuffer, Solution};
 
@@ -58,10 +65,13 @@ pub struct QueryId(pub u64);
 /// Which awaited event a [`LiveMsg::Deadline`] guards.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DeadlineStage {
-    /// The provider lookup at the index node; `attempt` is the lookup
-    /// attempt the deadline was armed for (a stale deadline from an
-    /// earlier attempt is ignored).
+    /// One pattern slot's provider lookup at the index node (a chained
+    /// round has the single slot 0); `attempt` is the lookup attempt the
+    /// deadline was armed for (a stale deadline from an earlier attempt
+    /// is ignored).
     Lookup {
+        /// Pattern slot within the round (0-based).
+        slot: u32,
         /// Attempt number at schedule time (0-based).
         attempt: u8,
     },
@@ -72,23 +82,15 @@ pub enum DeadlineStage {
         /// Attempt number at schedule time (0-based).
         attempt: u8,
     },
-    /// One pattern's provider lookup within a multiway round; `idx`
-    /// names the pattern slot the lookup resolves.
-    MultiLookup {
-        /// Pattern slot within the multiway BGP (0-based).
-        idx: u32,
-        /// Attempt number at schedule time (0-based).
-        attempt: u8,
-    },
     /// The whole-query backstop: fire whatever is still outstanding and
     /// answer with what was collected.
     Overall,
 }
 
-/// One query's solution round: everything a [`LiveMsg::SubmitSol`] /
-/// [`LiveMsg::SubQuerySol`] carries, minus the addressing. The batched
-/// messages ship several of these in one frame so N concurrent queries
-/// amortize framing and socket syscalls instead of paying them N times.
+/// One query's solution round: everything a [`LiveMsg::SubQuerySol`]
+/// carries, minus the addressing. The batched messages ship several of
+/// these in one frame so N concurrent queries amortize framing and
+/// socket syscalls instead of paying them N times.
 #[derive(Debug, Clone)]
 pub struct SolRound {
     /// The owning query.
@@ -105,29 +107,6 @@ pub struct SolRound {
 /// Protocol messages of the live mesh.
 #[derive(Debug, Clone)]
 pub enum LiveMsg {
-    /// The external application submits a query at the coordinator.
-    Submit {
-        /// Fresh id allocated by [`LiveMesh::query`].
-        qid: QueryId,
-        /// The pattern to resolve.
-        pattern: TriplePattern,
-    },
-    /// The external application submits a *solution round* at the
-    /// coordinator: the providers answer with solution mappings instead
-    /// of raw triples, optionally extending shipped intermediate
-    /// results (the bind-join step of Sect. IV-D) and applying a
-    /// pushed-down filter at the source (Sect. IV-G).
-    SubmitSol {
-        /// Fresh id allocated by [`LiveMesh::query_solutions`].
-        qid: QueryId,
-        /// The pattern to resolve.
-        pattern: TriplePattern,
-        /// Source-side filter every returned solution must satisfy.
-        filter: Option<Expression>,
-        /// Intermediate solutions the providers extend (`None` starts
-        /// from the unit solution).
-        bound: Option<Vec<Solution>>,
-    },
     /// Ask an index node which storage nodes can answer `pattern`.
     Lookup {
         /// The owning query.
@@ -137,30 +116,16 @@ pub enum LiveMsg {
         /// Where to send the provider list.
         reply_to: NodeId,
     },
-    /// An index node's answer: the providers for the pattern.
+    /// An index node's answer: the providers for the pattern. The
+    /// coordinator files it under every still-open slot of round `qid`
+    /// whose pattern equals the `pattern` echo.
     Providers {
         /// The owning query.
         qid: QueryId,
-        /// The pattern this answers.
+        /// The looked-up pattern, echoed verbatim.
         pattern: TriplePattern,
         /// Storage nodes holding matching triples.
         providers: Vec<NodeId>,
-    },
-    /// A sub-query shipped to a storage node.
-    SubQuery {
-        /// The owning query.
-        qid: QueryId,
-        /// The pattern to match locally.
-        pattern: TriplePattern,
-        /// Where to send the matches.
-        reply_to: NodeId,
-    },
-    /// A storage node's local matches.
-    Matches {
-        /// The owning query.
-        qid: QueryId,
-        /// The matching triples.
-        triples: Vec<Triple>,
     },
     /// A solution-round sub-query shipped to a storage node.
     SubQuerySol {
@@ -183,10 +148,14 @@ pub enum LiveMsg {
         /// The (filtered, extended) solution mappings.
         solutions: Vec<Solution>,
     },
-    /// Several queries' round submissions coalesced into one message by
-    /// the submit pump (group commit): under load, concurrent callers'
-    /// rounds pile up while the previous inject is in flight and the
-    /// coordinator starts them all in a single handler turn.
+    /// The external application submits *solution rounds* at the
+    /// coordinator: the providers answer with solution mappings,
+    /// optionally extending shipped intermediate results (the bind-join
+    /// step of Sect. IV-D) and applying a pushed-down filter at the
+    /// source (Sect. IV-G). The submit pump injects whatever piled up
+    /// while the previous inject was in flight as one message (group
+    /// commit) and the coordinator starts them all in a single handler
+    /// turn; a lone round is a batch of one.
     SubmitSolBatch {
         /// One entry per submitted round.
         rounds: Vec<SolRound>,
@@ -249,28 +218,6 @@ pub enum LiveMsg {
         /// Which multiway strategy resolves the round.
         strategy: DistStrategy,
     },
-    /// Ask an index node which storage nodes can answer pattern slot
-    /// `idx` of a multiway round. Routed hop-by-hop like a
-    /// [`LiveMsg::Lookup`].
-    MultiLookup {
-        /// The owning query.
-        qid: QueryId,
-        /// Pattern slot within the multiway BGP (0-based).
-        idx: u32,
-        /// The pattern being resolved.
-        pattern: TriplePattern,
-        /// Where to send the provider list.
-        reply_to: NodeId,
-    },
-    /// An index node's answer to a [`LiveMsg::MultiLookup`].
-    MultiProviders {
-        /// The owning query.
-        qid: QueryId,
-        /// The pattern slot this answers.
-        idx: u32,
-        /// Storage nodes holding matching triples for the slot.
-        providers: Vec<NodeId>,
-    },
     /// Coordinator → every provider: run the HyperCube shuffle for this
     /// BGP. Each provider evaluates every pattern locally, partitions
     /// the solutions by hashing their `join_vars` bindings over
@@ -288,7 +235,8 @@ pub enum LiveMsg {
         patterns: Vec<TriplePattern>,
         /// The hash key: variables shared by every pattern.
         join_vars: Vec<Variable>,
-        /// Every participating provider, sorted — the partition targets.
+        /// Every participating provider, in the same order in every
+        /// peer's frame — the partition targets.
         peers: Vec<NodeId>,
         /// Where to send the locally-joined fragment.
         reply_to: NodeId,
@@ -331,17 +279,13 @@ pub enum LiveMsg {
     },
 }
 
-/// What one live query returned. Instead of hanging on churn, the
+/// What one live round returned. Instead of hanging on churn, the
 /// protocol reports exactly how much of the answer survived.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LiveAnswer {
-    /// Deduplicated matches from every provider that answered in time
-    /// (triple rounds only; empty for solution rounds).
-    pub triples: Vec<Triple>,
     /// Deduplicated solution mappings from every provider that answered
-    /// in time (solution rounds only; empty for triple rounds). The
-    /// per-gather dedup mirrors the simulator's in-network aggregation:
-    /// identical solutions from replicated triples collapse.
+    /// in time. The per-gather dedup mirrors the simulator's in-network
+    /// aggregation: identical solutions from replicated triples collapse.
     pub solutions: Vec<Solution>,
     /// `true` iff every selected provider answered before its deadline
     /// (an empty provider set is complete).
@@ -375,66 +319,65 @@ pub(crate) struct LiveCounters {
     stitched_rows: u64,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Phase {
-    AwaitProviders,
-    Gather,
-}
-
-/// What a query round asks the providers for: raw triple matches (the
-/// original single-pattern protocol) or solution mappings (the
-/// sub-queries the distributed execution core ships).
-#[derive(Debug, Clone)]
-enum RoundKind {
-    Triples,
-    Solutions { filter: Option<Expression>, bound: Option<Vec<Solution>> },
-}
-
+/// One pattern of a round and the state of its provider lookup.
 #[derive(Debug)]
-struct InFlight {
+struct Slot {
     pattern: TriplePattern,
-    kind: RoundKind,
-    phase: Phase,
+    /// Current lookup attempt (0-based).
     lookup_attempt: u8,
-    /// provider → current sub-query attempt (0-based).
+    /// The pattern's providers as the index named them; `None` until
+    /// its lookup answers.
+    providers: Option<Vec<NodeId>>,
+}
+
+/// Where the distribution strategies differ: the exec frame a provider
+/// receives, the reply it sends back, and what the coordinator does with
+/// the gathered replies. Everything else — lookup, fan-out, ack/retry/
+/// purge, deadlines — is the one [`Round`] machine.
+#[derive(Debug)]
+enum RoundKind {
+    /// One pattern shipped as a [`LiveMsg::SubQuerySol`]; the providers'
+    /// [`LiveMsg::Solutions`] are the answer.
+    Chained { filter: Option<Expression>, bound: Option<Vec<Solution>> },
+    /// A [`LiveMsg::ShuffleExec`] to the provider union; the shuffle
+    /// targets answer with locally-joined [`LiveMsg::Solutions`]
+    /// fragments.
+    HyperCube {
+        join_vars: Vec<Variable>,
+        /// Shuffle generation: bumped on every restart over the
+        /// surviving peers, so stale partitions are fenced off.
+        generation: u32,
+    },
+    /// A [`LiveMsg::PartialExec`] to the provider union; the
+    /// [`LiveMsg::PartialMatches`] replies are assembled at finish.
+    PartialEval {
+        /// The deduped union of every provider's local solutions, per
+        /// pattern slot — the assembly operator's input.
+        per_pattern: Vec<DistinctBuffer>,
+        /// Rows some single provider could already join locally.
+        /// Assembly rows beyond these stitched cross-site matches.
+        local_complete: DistinctBuffer,
+    },
+}
+
+/// One in-flight round's coordinator state, whatever its strategy: the
+/// slots resolve their providers concurrently, then the exec frame fans
+/// out to the provider union and the replies gather under the
+/// Sect. III-D ack/retry/purge rules.
+#[derive(Debug)]
+struct Round {
+    slots: Vec<Slot>,
+    kind: RoundKind,
+    /// The provider union once every slot resolved, in the order the
+    /// index named them (so a chained round contacts its providers in
+    /// location-table order) — empty until then. Shrinks when a HyperCube restart drops a dead peer.
+    peers: Vec<NodeId>,
+    /// provider → current exec attempt (0-based).
     outstanding: HashMap<NodeId, u8>,
     failed: Vec<NodeId>,
-    collected: Vec<Triple>,
     /// Hash-indexed so the per-gather dedup stays linear even when many
     /// replicated providers ship the same large solution sets.
-    collected_solutions: DistinctBuffer,
-}
-
-/// One multiway (HyperCube / partial-evaluation) round's coordinator
-/// state. Kept apart from [`InFlight`]: the round resolves *several*
-/// patterns' providers concurrently and gathers from their union.
-#[derive(Debug)]
-struct MultiFlight {
-    patterns: Vec<TriplePattern>,
-    join_vars: Vec<Variable>,
-    strategy: DistStrategy,
-    phase: Phase,
-    /// Per-pattern lookup attempt (0-based), indexed like `patterns`.
-    lookup_attempts: Vec<u8>,
-    /// Per-pattern provider sets; `None` until the slot's lookup answers.
-    providers: Vec<Option<Vec<NodeId>>>,
-    /// The provider union (sorted) once every slot resolved. Shrinks
-    /// when a HyperCube restart drops peers declared dead.
-    peers: Vec<NodeId>,
-    /// HyperCube shuffle generation: bumped on every restart over the
-    /// surviving peers, so stale partitions and deadlines are ignored.
-    round: u32,
-    /// provider → current exec attempt (0-based, within `round`).
-    outstanding: HashMap<NodeId, u8>,
-    failed: Vec<NodeId>,
-    /// HyperCube: locally-joined fragments gathered from the peers.
-    collected: DistinctBuffer,
-    /// Partial evaluation: the deduped union of every provider's local
-    /// solutions, per pattern slot — the assembly operator's input.
-    per_pattern: Vec<DistinctBuffer>,
-    /// Partial evaluation: rows some single provider could already join
-    /// locally. Assembly rows beyond these stitched cross-site matches.
-    local_complete: DistinctBuffer,
+    gathered: DistinctBuffer,
 }
 
 /// The per-query coordinator state machine. Every transition consumes
@@ -451,8 +394,7 @@ pub(crate) struct CoordinatorCore {
     /// flooded to all sources instead (Sect. IV-B). Shared so the
     /// serve-mode membership protocol can extend it as peers join.
     flood: SharedFlood,
-    in_flight: HashMap<QueryId, InFlight>,
-    multi: HashMap<QueryId, MultiFlight>,
+    in_flight: HashMap<QueryId, Round>,
     counters: LiveCounters,
 }
 
@@ -471,32 +413,33 @@ impl CoordinatorCore {
             space,
             flood,
             in_flight: HashMap::new(),
-            multi: HashMap::new(),
             counters: LiveCounters::default(),
         }
     }
 
     fn on_event(&mut self, from: NodeId, msg: LiveMsg) -> Vec<Action> {
         match msg {
-            LiveMsg::Submit { qid, pattern } => self.on_submit(qid, pattern, RoundKind::Triples),
-            LiveMsg::SubmitSol { qid, pattern, filter, bound } => {
-                self.on_submit(qid, pattern, RoundKind::Solutions { filter, bound })
-            }
             LiveMsg::SubmitSolBatch { rounds } => {
                 let mut actions = Vec::new();
                 for r in rounds {
-                    actions.extend(self.on_submit(
-                        r.qid,
-                        r.pattern,
-                        RoundKind::Solutions { filter: r.filter, bound: r.bound },
-                    ));
+                    let kind = RoundKind::Chained { filter: r.filter, bound: r.bound };
+                    actions.extend(self.on_submit(r.qid, vec![r.pattern], kind));
                 }
                 actions
             }
-            LiveMsg::Providers { qid, pattern, providers } => {
-                self.on_providers(qid, pattern, providers)
+            LiveMsg::SubmitMulti { qid, patterns, join_vars, strategy } => {
+                let kind = match strategy {
+                    DistStrategy::HyperCube => RoundKind::HyperCube { join_vars, generation: 0 },
+                    _ => RoundKind::PartialEval {
+                        per_pattern: patterns.iter().map(|_| DistinctBuffer::new()).collect(),
+                        local_complete: DistinctBuffer::new(),
+                    },
+                };
+                self.on_submit(qid, patterns, kind)
             }
-            LiveMsg::Matches { qid, triples } => self.on_matches(qid, from, triples),
+            LiveMsg::Providers { qid, pattern, providers } => {
+                self.on_providers(qid, &pattern, providers)
+            }
             LiveMsg::Solutions { qid, solutions } => self.on_solutions(qid, from, solutions),
             LiveMsg::SolutionsBatch { entries } => {
                 let mut actions = Vec::new();
@@ -505,19 +448,12 @@ impl CoordinatorCore {
                 }
                 actions
             }
-            LiveMsg::SubmitMulti { qid, patterns, join_vars, strategy } => {
-                self.on_submit_multi(qid, patterns, join_vars, strategy)
-            }
-            LiveMsg::MultiProviders { qid, idx, providers } => {
-                self.on_multi_providers(qid, idx, providers)
-            }
             LiveMsg::PartialMatches { qid, per_pattern } => {
                 self.on_partial_matches(qid, from, per_pattern)
             }
             LiveMsg::Deadline { qid, stage } => match stage {
-                DeadlineStage::Lookup { attempt } => self.on_lookup_timeout(qid, attempt),
-                DeadlineStage::MultiLookup { idx, attempt } => {
-                    self.on_multi_lookup_timeout(qid, idx, attempt)
+                DeadlineStage::Lookup { slot, attempt } => {
+                    self.on_lookup_timeout(qid, slot as usize, attempt)
                 }
                 DeadlineStage::Ack { provider, attempt } => {
                     self.on_ack_timeout(qid, provider, attempt)
@@ -526,11 +462,9 @@ impl CoordinatorCore {
             },
             // Strays addressed to other roles are ignored.
             LiveMsg::Lookup { .. }
-            | LiveMsg::SubQuery { .. }
             | LiveMsg::SubQuerySol { .. }
             | LiveMsg::SubQuerySolBatch { .. }
             | LiveMsg::ProviderDead { .. }
-            | LiveMsg::MultiLookup { .. }
             | LiveMsg::ShuffleExec { .. }
             | LiveMsg::ShufflePart { .. }
             | LiveMsg::PartialExec { .. }
@@ -539,181 +473,240 @@ impl CoordinatorCore {
         }
     }
 
-    /// The sub-query message one provider receives, shaped by the
-    /// round's kind. Used by the initial fan-out, retransmissions, and
-    /// the keyless-pattern flood alike.
-    fn subquery_for(&self, qid: QueryId, q: &InFlight) -> LiveMsg {
+    /// The exec frame one provider receives, shaped by the round's
+    /// kind. Used by the fan-out and retransmissions alike.
+    fn exec_frame(&self, qid: QueryId, q: &Round) -> LiveMsg {
+        let patterns = || q.slots.iter().map(|s| s.pattern.clone()).collect();
         match &q.kind {
-            RoundKind::Triples => {
-                LiveMsg::SubQuery { qid, pattern: q.pattern.clone(), reply_to: self.me }
-            }
-            RoundKind::Solutions { filter, bound } => LiveMsg::SubQuerySol {
+            RoundKind::Chained { filter, bound } => LiveMsg::SubQuerySol {
                 qid,
-                pattern: q.pattern.clone(),
+                pattern: q.slots[0].pattern.clone(),
                 filter: filter.clone(),
                 bound: bound.clone(),
                 reply_to: self.me,
             },
+            RoundKind::HyperCube { join_vars, generation } => LiveMsg::ShuffleExec {
+                qid,
+                round: *generation,
+                patterns: patterns(),
+                join_vars: join_vars.clone(),
+                peers: q.peers.clone(),
+                reply_to: self.me,
+            },
+            RoundKind::PartialEval { .. } => {
+                LiveMsg::PartialExec { qid, patterns: patterns(), reply_to: self.me }
+            }
         }
     }
 
-    fn on_submit(&mut self, qid: QueryId, pattern: TriplePattern, kind: RoundKind) -> Vec<Action> {
-        if self.in_flight.contains_key(&qid) {
-            return Vec::new(); // duplicate submission
+    /// The exec frame and a fresh ack deadline for every current peer.
+    fn fan_out(&self, qid: QueryId, q: &Round) -> Vec<Action> {
+        let mut actions = Vec::new();
+        for &p in &q.peers {
+            actions.push(Action::Send { to: p, msg: self.exec_frame(qid, q) });
+            actions.push(self.ack_deadline(qid, p, 0));
         }
-        let keyless = key_for_pattern(self.space, &pattern).is_none();
-        self.in_flight.insert(
-            qid,
-            InFlight {
-                pattern: pattern.clone(),
-                kind,
-                phase: Phase::AwaitProviders,
-                lookup_attempt: 0,
-                outstanding: HashMap::new(),
-                failed: Vec::new(),
-                collected: Vec::new(),
-                collected_solutions: DistinctBuffer::new(),
-            },
-        );
-        if keyless {
-            // No location-table row exists for the all-variable pattern:
-            // skip the lookup and flood every storage node (Sect. IV-B).
-            let flood = rlock(&self.flood).clone();
-            let mut actions = self.on_providers(qid, pattern, flood);
-            actions.push(Action::Schedule {
-                after: self.cfg.query_deadline,
-                msg: LiveMsg::Deadline { qid, stage: DeadlineStage::Overall },
-            });
-            return actions;
+        actions
+    }
+
+    fn ack_deadline(&self, qid: QueryId, provider: NodeId, attempt: u8) -> Action {
+        Action::Schedule {
+            after: self.cfg.ack_timeout,
+            msg: LiveMsg::Deadline { qid, stage: DeadlineStage::Ack { provider, attempt } },
         }
-        vec![
+    }
+
+    /// One slot's lookup at the index node and the deadline guarding it.
+    fn lookup(&self, qid: QueryId, slot: usize, pattern: TriplePattern, attempt: u8) -> [Action; 2] {
+        [
             Action::Send {
                 to: self.index,
                 msg: LiveMsg::Lookup { qid, pattern, reply_to: self.me },
             },
             Action::Schedule {
                 after: self.cfg.lookup_timeout,
-                msg: LiveMsg::Deadline { qid, stage: DeadlineStage::Lookup { attempt: 0 } },
-            },
-            Action::Schedule {
-                after: self.cfg.query_deadline,
-                msg: LiveMsg::Deadline { qid, stage: DeadlineStage::Overall },
+                msg: LiveMsg::Deadline {
+                    qid,
+                    stage: DeadlineStage::Lookup { slot: slot as u32, attempt },
+                },
             },
         ]
     }
 
-    /// The `pattern` echo in the reply is informational; the sub-queries
-    /// are rebuilt from the round's own state, which the echo must match
-    /// (the index node answers with the looked-up pattern verbatim).
+    fn on_submit(
+        &mut self,
+        qid: QueryId,
+        patterns: Vec<TriplePattern>,
+        kind: RoundKind,
+    ) -> Vec<Action> {
+        if self.in_flight.contains_key(&qid) {
+            return Vec::new(); // duplicate submission
+        }
+        if patterns.is_empty() {
+            let answer =
+                LiveAnswer { solutions: Vec::new(), complete: true, failed_providers: Vec::new() };
+            return vec![Action::Finish { qid, answer }];
+        }
+        let slots = patterns
+            .iter()
+            .map(|p| Slot { pattern: p.clone(), lookup_attempt: 0, providers: None })
+            .collect();
+        self.in_flight.insert(
+            qid,
+            Round {
+                slots,
+                kind,
+                peers: Vec::new(),
+                outstanding: HashMap::new(),
+                failed: Vec::new(),
+                gathered: DistinctBuffer::new(),
+            },
+        );
+        let mut actions = Vec::new();
+        for (slot, pattern) in patterns.into_iter().enumerate() {
+            // The flood of an earlier keyless slot also filled every slot
+            // with an equal pattern — or, the flood list being empty,
+            // finished the round complete-and-empty.
+            let Some(q) = self.in_flight.get(&qid) else { break };
+            if q.slots[slot].providers.is_some() {
+                continue;
+            }
+            if key_for_pattern(self.space, &pattern).is_some() {
+                actions.extend(self.lookup(qid, slot, pattern, 0));
+            } else {
+                // No location-table row exists for the all-variable
+                // pattern: skip the lookup and flood every storage node
+                // (Sect. IV-B).
+                let flood = rlock(&self.flood).clone();
+                actions.extend(self.on_providers(qid, &pattern, flood));
+            }
+        }
+        actions.push(Action::Schedule {
+            after: self.cfg.query_deadline,
+            msg: LiveMsg::Deadline { qid, stage: DeadlineStage::Overall },
+        });
+        actions
+    }
+
+    /// Files the provider list under every still-open slot whose pattern
+    /// equals the reply's `pattern` echo (the index node answers with the
+    /// looked-up pattern verbatim), and fans the exec frames out once no
+    /// slot is left open. An echo that matches no open slot — the answer
+    /// to a retransmitted lookup whose first answer already arrived, or
+    /// a reply to some other round — is stale.
     fn on_providers(
         &mut self,
         qid: QueryId,
-        _pattern: TriplePattern,
+        pattern: &TriplePattern,
         providers: Vec<NodeId>,
     ) -> Vec<Action> {
-        let Some(q) = self.in_flight.get_mut(&qid) else {
-            self.counters.stale_replies += 1;
-            return Vec::new();
-        };
-        if q.phase != Phase::AwaitProviders {
-            // E.g. the answer to a retransmitted lookup when the first
-            // answer already arrived.
+        let open: Vec<&mut Slot> = self
+            .in_flight
+            .get_mut(&qid)
+            .into_iter()
+            .flat_map(|q| &mut q.slots)
+            .filter(|s| s.providers.is_none() && s.pattern == *pattern)
+            .collect();
+        if open.is_empty() {
             self.counters.stale_replies += 1;
             return Vec::new();
         }
         if providers.is_empty() {
+            // A pattern matches nothing, so the conjunction is empty — a
+            // complete answer, no provider contacted.
             return self.finish(qid, true);
         }
-        q.phase = Phase::Gather;
+        for slot in open {
+            slot.providers = Some(providers.clone());
+        }
+        let q = self.in_flight.get_mut(&qid).expect("checked in flight");
+        if q.slots.iter().any(|s| s.providers.is_none()) {
+            return Vec::new(); // other slots still resolving
+        }
         let mut seen = HashSet::new();
-        let mut targets = Vec::new();
-        for p in providers {
-            if seen.insert(p) {
-                q.outstanding.insert(p, 0);
-                targets.push(p);
-            }
-        }
-        let q = &self.in_flight[&qid];
-        let mut actions = Vec::new();
-        for p in targets {
-            actions.push(Action::Send { to: p, msg: self.subquery_for(qid, q) });
-            actions.push(Action::Schedule {
-                after: self.cfg.ack_timeout,
-                msg: LiveMsg::Deadline {
-                    qid,
-                    stage: DeadlineStage::Ack { provider: p, attempt: 0 },
-                },
-            });
-        }
-        actions
+        let named = q.slots.iter().flat_map(|s| s.providers.iter().flatten().copied());
+        q.peers = named.filter(|p| seen.insert(*p)).collect();
+        q.outstanding = q.peers.iter().map(|p| (*p, 0)).collect();
+        self.fan_out(qid, &self.in_flight[&qid])
     }
 
-    fn on_matches(&mut self, qid: QueryId, from: NodeId, triples: Vec<Triple>) -> Vec<Action> {
-        let stale = match self.in_flight.get_mut(&qid) {
-            None => true,
-            Some(q) => q.phase != Phase::Gather || q.outstanding.remove(&from).is_none(),
-        };
-        if stale {
+    /// Takes `from` off the round's outstanding set if the round awaits
+    /// its reply and `accepts` the reply's shape; anything else — late,
+    /// duplicated, from another query, or the wrong frame for the
+    /// round's kind — is counted and dropped, never applied.
+    fn awaited(
+        &mut self,
+        qid: QueryId,
+        from: NodeId,
+        accepts: impl FnOnce(&RoundKind) -> bool,
+    ) -> Option<&mut Round> {
+        let q = self.in_flight.get_mut(&qid).and_then(|q| {
+            (accepts(&q.kind) && q.outstanding.remove(&from).is_some()).then_some(q)
+        });
+        if q.is_none() {
             self.counters.stale_replies += 1;
-            return Vec::new();
         }
-        let q = self.in_flight.get_mut(&qid).expect("checked in flight");
-        for t in triples {
-            if !q.collected.contains(&t) {
-                q.collected.push(t);
-            }
-        }
-        if q.outstanding.is_empty() {
-            let complete = q.failed.is_empty();
-            return self.finish(qid, complete);
-        }
-        Vec::new()
+        q
     }
 
+    /// Finishes the round once its last awaited provider is settled.
+    fn settle(&mut self, qid: QueryId) -> Vec<Action> {
+        match self.in_flight.get(&qid).map(|q| (q.outstanding.is_empty(), q.failed.is_empty())) {
+            Some((true, complete)) => self.finish(qid, complete),
+            _ => Vec::new(),
+        }
+    }
+
+    /// A provider's solutions for a chained round, or a shuffle target's
+    /// locally-joined fragment for a HyperCube one.
     fn on_solutions(&mut self, qid: QueryId, from: NodeId, solutions: Vec<Solution>) -> Vec<Action> {
-        if self.multi.contains_key(&qid) {
-            // A shuffle target's locally-joined fragment.
-            return self.on_multi_solutions(qid, from, solutions);
-        }
-        let stale = match self.in_flight.get_mut(&qid) {
-            None => true,
-            Some(q) => q.phase != Phase::Gather || q.outstanding.remove(&from).is_none(),
-        };
-        if stale {
-            self.counters.stale_replies += 1;
-            return Vec::new();
-        }
-        let q = self.in_flight.get_mut(&qid).expect("checked in flight");
-        q.collected_solutions.extend_distinct(solutions);
-        if q.outstanding.is_empty() {
-            let complete = q.failed.is_empty();
-            return self.finish(qid, complete);
-        }
-        Vec::new()
+        let accepts = |kind: &RoundKind| !matches!(kind, RoundKind::PartialEval { .. });
+        let Some(q) = self.awaited(qid, from, accepts) else { return Vec::new() };
+        q.gathered.extend_distinct(solutions);
+        self.settle(qid)
     }
 
-    fn on_lookup_timeout(&mut self, qid: QueryId, attempt: u8) -> Vec<Action> {
-        let Some(q) = self.in_flight.get_mut(&qid) else { return Vec::new() };
-        if q.phase != Phase::AwaitProviders || q.lookup_attempt != attempt {
+    fn on_partial_matches(
+        &mut self,
+        qid: QueryId,
+        from: NodeId,
+        sets: Vec<Vec<Solution>>,
+    ) -> Vec<Action> {
+        let accepts = |kind: &RoundKind| {
+            matches!(kind, RoundKind::PartialEval { per_pattern, .. } if per_pattern.len() == sets.len())
+        };
+        let Some(q) = self.awaited(qid, from, accepts) else { return Vec::new() };
+        let RoundKind::PartialEval { per_pattern, local_complete } = &mut q.kind else {
+            unreachable!("accepted only by a partial-evaluation round")
+        };
+        // The provider's own cross-pattern join: everything it could
+        // answer without help. Assembly rows beyond the union of these
+        // are the stitched cross-site matches.
+        let mut local = vec![Solution::new()];
+        for (buf, sols) in per_pattern.iter_mut().zip(sets) {
+            let mut mine = DistinctBuffer::new();
+            for s in sols {
+                mine.push(s.clone());
+                buf.push(s);
+            }
+            local = rdfmesh_sparql::solution::join(&local, mine.as_slice());
+        }
+        local_complete.extend_distinct(local);
+        self.settle(qid)
+    }
+
+    fn on_lookup_timeout(&mut self, qid: QueryId, slot: usize, attempt: u8) -> Vec<Action> {
+        let Some(s) = self.in_flight.get_mut(&qid).and_then(|q| q.slots.get_mut(slot)) else {
+            return Vec::new();
+        };
+        if s.providers.is_some() || s.lookup_attempt != attempt {
             return Vec::new(); // answered, or a stale deadline
         }
         if attempt < self.cfg.retries {
-            q.lookup_attempt = attempt + 1;
+            s.lookup_attempt = attempt + 1;
             self.counters.retries += 1;
-            let pattern = q.pattern.clone();
-            vec![
-                Action::Send {
-                    to: self.index,
-                    msg: LiveMsg::Lookup { qid, pattern, reply_to: self.me },
-                },
-                Action::Schedule {
-                    after: self.cfg.lookup_timeout,
-                    msg: LiveMsg::Deadline {
-                        qid,
-                        stage: DeadlineStage::Lookup { attempt: attempt + 1 },
-                    },
-                },
-            ]
+            let pattern = s.pattern.clone();
+            self.lookup(qid, slot, pattern, attempt + 1).into()
         } else {
             self.counters.lookup_failures += 1;
             self.finish(qid, false)
@@ -721,50 +714,49 @@ impl CoordinatorCore {
     }
 
     fn on_ack_timeout(&mut self, qid: QueryId, provider: NodeId, attempt: u8) -> Vec<Action> {
-        if self.multi.contains_key(&qid) {
-            return self.on_multi_ack_timeout(qid, provider, attempt);
-        }
         let Some(q) = self.in_flight.get_mut(&qid) else { return Vec::new() };
-        if q.phase != Phase::Gather || q.outstanding.get(&provider) != Some(&attempt) {
+        if q.outstanding.get(&provider) != Some(&attempt) {
             return Vec::new(); // answered, escalated, or a stale deadline
         }
         if attempt < self.cfg.retries {
             q.outstanding.insert(provider, attempt + 1);
             self.counters.retries += 1;
             let q = &self.in_flight[&qid];
-            vec![
-                Action::Send { to: provider, msg: self.subquery_for(qid, q) },
-                Action::Schedule {
-                    after: self.cfg.ack_timeout,
-                    msg: LiveMsg::Deadline {
-                        qid,
-                        stage: DeadlineStage::Ack { provider, attempt: attempt + 1 },
-                    },
-                },
-            ]
-        } else {
-            q.outstanding.remove(&provider);
-            q.failed.push(provider);
-            self.counters.ack_timeouts += 1;
-            let mut actions = vec![Action::Send {
-                to: self.index,
-                msg: LiveMsg::ProviderDead { pattern: q.pattern.clone(), provider },
-            }];
-            if q.outstanding.is_empty() {
-                actions.extend(self.finish(qid, false));
-            }
-            actions
+            return vec![
+                Action::Send { to: provider, msg: self.exec_frame(qid, q) },
+                self.ack_deadline(qid, provider, attempt + 1),
+            ];
         }
+        q.outstanding.remove(&provider);
+        q.failed.push(provider);
+        self.counters.ack_timeouts += 1;
+        // Purge the dead provider from every pattern row that named it —
+        // each slot's key may live at a different index owner.
+        let mut actions: Vec<Action> = q
+            .slots
+            .iter()
+            .filter(|s| s.providers.as_deref().is_some_and(|ps| ps.contains(&provider)))
+            .map(|s| Action::Send {
+                to: self.index,
+                msg: LiveMsg::ProviderDead { pattern: s.pattern.clone(), provider },
+            })
+            .collect();
+        // A HyperCube generation cannot finish without every peer's
+        // partitions — the surviving targets are stalled waiting for the
+        // dead peer's scatter. Re-issue the round over the survivors
+        // under a bumped generation; partitions from the abandoned one
+        // are fenced off by the generation tag.
+        if let RoundKind::HyperCube { generation, .. } = &mut q.kind {
+            *generation += 1;
+            q.peers.retain(|p| *p != provider);
+            q.outstanding = q.peers.iter().map(|p| (*p, 0)).collect();
+            actions.extend(self.fan_out(qid, &self.in_flight[&qid]));
+        }
+        actions.extend(self.settle(qid));
+        actions
     }
 
     fn on_overall_deadline(&mut self, qid: QueryId) -> Vec<Action> {
-        if let Some(q) = self.multi.get_mut(&qid) {
-            let mut remaining: Vec<NodeId> = q.outstanding.keys().copied().collect();
-            remaining.sort();
-            q.failed.extend(remaining);
-            q.outstanding.clear();
-            return self.finish_multi(qid, false);
-        }
         let Some(q) = self.in_flight.get_mut(&qid) else { return Vec::new() };
         // Whatever is still outstanding has failed; no ProviderDead here —
         // the backstop fires on slow queries too, and purging the table on
@@ -777,47 +769,43 @@ impl CoordinatorCore {
         self.finish(qid, false)
     }
 
-    /// A synchronously failed send is an immediate ack timeout at the
+    /// The attempt `provider`'s exec frame for round `qid` is on, if the
+    /// round still awaits its reply.
+    fn exec_attempt(&self, qid: QueryId, provider: NodeId) -> Option<u8> {
+        self.in_flight.get(&qid)?.outstanding.get(&provider).copied()
+    }
+
+    /// A synchronously failed send is an immediate timeout at the
     /// target's current attempt (Sect. III-D): the transport already
     /// knows the peer is unreachable, so waiting out the deadline would
     /// only delay the retry/purge.
     fn on_send_failed(&mut self, to: NodeId, msg: LiveMsg) -> Vec<Action> {
         self.counters.send_failures += 1;
         match msg {
-            LiveMsg::SubQuery { qid, .. } | LiveMsg::SubQuerySol { qid, .. } => {
-                match self.in_flight.get(&qid).and_then(|q| q.outstanding.get(&to)).copied() {
-                    Some(attempt) => self.on_ack_timeout(qid, to, attempt),
-                    None => Vec::new(),
-                }
-            }
+            LiveMsg::SubQuerySol { qid, .. }
+            | LiveMsg::ShuffleExec { qid, .. }
+            | LiveMsg::PartialExec { qid, .. } => match self.exec_attempt(qid, to) {
+                Some(attempt) => self.on_ack_timeout(qid, to, attempt),
+                None => Vec::new(),
+            },
             // One failed frame fails every round it carried: each
             // becomes an immediate ack timeout at its current attempt.
             LiveMsg::SubQuerySolBatch { rounds, .. } => {
                 let mut actions = Vec::new();
                 for r in rounds {
-                    if let Some(attempt) =
-                        self.in_flight.get(&r.qid).and_then(|q| q.outstanding.get(&to)).copied()
-                    {
+                    if let Some(attempt) = self.exec_attempt(r.qid, to) {
                         actions.extend(self.on_ack_timeout(r.qid, to, attempt));
                     }
                 }
                 actions
             }
-            LiveMsg::Lookup { qid, .. } => match self.in_flight.get(&qid).map(|q| q.lookup_attempt)
-            {
-                Some(attempt) => self.on_lookup_timeout(qid, attempt),
-                None => Vec::new(),
-            },
-            LiveMsg::ShuffleExec { qid, .. } | LiveMsg::PartialExec { qid, .. } => {
-                match self.multi.get(&qid).and_then(|q| q.outstanding.get(&to)).copied() {
-                    Some(attempt) => self.on_multi_ack_timeout(qid, to, attempt),
-                    None => Vec::new(),
-                }
-            }
-            LiveMsg::MultiLookup { qid, idx, .. } => {
-                match self.multi.get(&qid).and_then(|q| q.lookup_attempts.get(idx as usize)).copied()
-                {
-                    Some(attempt) => self.on_multi_lookup_timeout(qid, idx, attempt),
+            // The first open slot awaiting this pattern: equal patterns
+            // in one round are interchangeable.
+            LiveMsg::Lookup { qid, pattern, .. } => {
+                let open = |s: &&Slot| s.providers.is_none() && s.pattern == pattern;
+                let slots = self.in_flight.get(&qid).into_iter().flat_map(|q| &q.slots);
+                match slots.enumerate().find(|(_, s)| open(s)).map(|(i, s)| (i, s.lookup_attempt)) {
+                    Some((slot, attempt)) => self.on_lookup_timeout(qid, slot, attempt),
                     None => Vec::new(),
                 }
             }
@@ -831,379 +819,33 @@ impl CoordinatorCore {
         if !complete {
             self.counters.incomplete_queries += 1;
         }
-        vec![Action::Finish {
-            qid,
-            answer: LiveAnswer {
-                triples: q.collected,
-                solutions: q.collected_solutions.into_vec(),
-                complete,
-                failed_providers: q.failed,
-            },
-        }]
-    }
-
-    // ---- the multiway round (HyperCube / partial evaluation) ---------
-
-    /// The exec frame one provider of a multiway round receives, shaped
-    /// by the round's strategy. Used by the fan-out and retransmissions.
-    fn multi_subquery_for(&self, qid: QueryId, q: &MultiFlight) -> LiveMsg {
-        match q.strategy {
-            DistStrategy::HyperCube => LiveMsg::ShuffleExec {
-                qid,
-                round: q.round,
-                patterns: q.patterns.clone(),
-                join_vars: q.join_vars.clone(),
-                peers: q.peers.clone(),
-                reply_to: self.me,
-            },
-            _ => LiveMsg::PartialExec { qid, patterns: q.patterns.clone(), reply_to: self.me },
-        }
-    }
-
-    fn on_submit_multi(
-        &mut self,
-        qid: QueryId,
-        patterns: Vec<TriplePattern>,
-        join_vars: Vec<Variable>,
-        strategy: DistStrategy,
-    ) -> Vec<Action> {
-        if self.multi.contains_key(&qid) || self.in_flight.contains_key(&qid) {
-            return Vec::new(); // duplicate submission
-        }
-        if patterns.is_empty() {
-            return vec![Action::Finish {
-                qid,
-                answer: LiveAnswer {
-                    triples: Vec::new(),
-                    solutions: Vec::new(),
-                    complete: true,
-                    failed_providers: Vec::new(),
-                },
-            }];
-        }
-        let n = patterns.len();
-        self.multi.insert(
-            qid,
-            MultiFlight {
-                patterns: patterns.clone(),
-                join_vars,
-                strategy,
-                phase: Phase::AwaitProviders,
-                lookup_attempts: vec![0; n],
-                providers: vec![None; n],
-                peers: Vec::new(),
-                round: 0,
-                outstanding: HashMap::new(),
-                failed: Vec::new(),
-                collected: DistinctBuffer::new(),
-                per_pattern: (0..n).map(|_| DistinctBuffer::new()).collect(),
-                local_complete: DistinctBuffer::new(),
-            },
-        );
-        let mut actions = Vec::new();
-        for (idx, pattern) in patterns.iter().enumerate() {
-            let idx = idx as u32;
-            if key_for_pattern(self.space, pattern).is_none() {
-                // Keyless slot (the planner avoids these, but the wire
-                // allows them): flood every storage node, no lookup.
-                let flood = rlock(&self.flood).clone();
-                actions.extend(self.on_multi_providers(qid, idx, flood));
-                // The round may already have finished (an empty flood
-                // list finishes it complete-and-empty).
-                if !self.multi.contains_key(&qid) {
-                    actions.push(Action::Schedule {
-                        after: self.cfg.query_deadline,
-                        msg: LiveMsg::Deadline { qid, stage: DeadlineStage::Overall },
-                    });
-                    return actions;
-                }
-            } else {
-                actions.push(Action::Send {
-                    to: self.index,
-                    msg: LiveMsg::MultiLookup {
-                        qid,
-                        idx,
-                        pattern: pattern.clone(),
-                        reply_to: self.me,
-                    },
-                });
-                actions.push(Action::Schedule {
-                    after: self.cfg.lookup_timeout,
-                    msg: LiveMsg::Deadline {
-                        qid,
-                        stage: DeadlineStage::MultiLookup { idx, attempt: 0 },
-                    },
-                });
-            }
-        }
-        actions.push(Action::Schedule {
-            after: self.cfg.query_deadline,
-            msg: LiveMsg::Deadline { qid, stage: DeadlineStage::Overall },
-        });
-        actions
-    }
-
-    fn on_multi_providers(&mut self, qid: QueryId, idx: u32, providers: Vec<NodeId>) -> Vec<Action> {
-        let i = idx as usize;
-        let stale = match self.multi.get(&qid) {
-            None => true,
-            Some(q) => q.phase != Phase::AwaitProviders || i >= q.providers.len()
-                || q.providers[i].is_some(),
-        };
-        if stale {
-            self.counters.stale_replies += 1;
-            return Vec::new();
-        }
-        if providers.is_empty() {
-            // One pattern matches nothing, so the conjunction is empty —
-            // a complete answer, no provider contacted.
-            return self.finish_multi(qid, true);
-        }
-        let q = self.multi.get_mut(&qid).expect("checked in flight");
-        let mut seen = HashSet::new();
-        let mut dedup = Vec::new();
-        for p in providers {
-            if seen.insert(p) {
-                dedup.push(p);
-            }
-        }
-        q.providers[i] = Some(dedup);
-        if q.providers.iter().any(|slot| slot.is_none()) {
-            return Vec::new(); // other slots still resolving
-        }
-        // Every slot resolved: fan the exec frames out to the union.
-        q.phase = Phase::Gather;
-        let mut peers: Vec<NodeId> = Vec::new();
-        let mut seen = HashSet::new();
-        for slot in &q.providers {
-            for p in slot.as_deref().unwrap_or_default() {
-                if seen.insert(*p) {
-                    peers.push(*p);
-                }
-            }
-        }
-        peers.sort();
-        for p in &peers {
-            q.outstanding.insert(*p, 0);
-        }
-        q.peers = peers.clone();
-        let q = &self.multi[&qid];
-        let mut actions = Vec::new();
-        for p in peers {
-            actions.push(Action::Send { to: p, msg: self.multi_subquery_for(qid, q) });
-            actions.push(Action::Schedule {
-                after: self.cfg.ack_timeout,
-                msg: LiveMsg::Deadline {
-                    qid,
-                    stage: DeadlineStage::Ack { provider: p, attempt: 0 },
-                },
-            });
-        }
-        actions
-    }
-
-    /// A shuffle target's locally-joined fragment (HyperCube gathers
-    /// through plain [`LiveMsg::Solutions`] frames).
-    fn on_multi_solutions(
-        &mut self,
-        qid: QueryId,
-        from: NodeId,
-        solutions: Vec<Solution>,
-    ) -> Vec<Action> {
-        let stale = match self.multi.get_mut(&qid) {
-            None => true,
-            Some(q) => q.phase != Phase::Gather || q.outstanding.remove(&from).is_none(),
-        };
-        if stale {
-            self.counters.stale_replies += 1;
-            return Vec::new();
-        }
-        let q = self.multi.get_mut(&qid).expect("checked in flight");
-        q.collected.extend_distinct(solutions);
-        if q.outstanding.is_empty() {
-            let complete = q.failed.is_empty();
-            return self.finish_multi(qid, complete);
-        }
-        Vec::new()
-    }
-
-    fn on_partial_matches(
-        &mut self,
-        qid: QueryId,
-        from: NodeId,
-        per_pattern: Vec<Vec<Solution>>,
-    ) -> Vec<Action> {
-        let stale = match self.multi.get_mut(&qid) {
-            None => true,
-            Some(q) => q.phase != Phase::Gather
-                || per_pattern.len() != q.per_pattern.len()
-                || q.outstanding.remove(&from).is_none(),
-        };
-        if stale {
-            self.counters.stale_replies += 1;
-            return Vec::new();
-        }
-        let q = self.multi.get_mut(&qid).expect("checked in flight");
-        // The provider's own cross-pattern join: everything it could
-        // answer without help. Assembly rows beyond the union of these
-        // are the stitched cross-site matches.
-        let mut local = vec![Solution::new()];
-        for (buf, sols) in q.per_pattern.iter_mut().zip(&per_pattern) {
-            let mut mine = DistinctBuffer::new();
-            for s in sols {
-                mine.push(s.clone());
-                buf.push(s.clone());
-            }
-            local = rdfmesh_sparql::solution::join(&local, mine.as_slice());
-        }
-        q.local_complete.extend_distinct(local);
-        if q.outstanding.is_empty() {
-            let complete = q.failed.is_empty();
-            return self.finish_multi(qid, complete);
-        }
-        Vec::new()
-    }
-
-    fn on_multi_lookup_timeout(&mut self, qid: QueryId, idx: u32, attempt: u8) -> Vec<Action> {
-        let i = idx as usize;
-        let Some(q) = self.multi.get_mut(&qid) else { return Vec::new() };
-        if q.phase != Phase::AwaitProviders
-            || i >= q.lookup_attempts.len()
-            || q.providers[i].is_some()
-            || q.lookup_attempts[i] != attempt
-        {
-            return Vec::new(); // answered, or a stale deadline
-        }
-        if attempt < self.cfg.retries {
-            q.lookup_attempts[i] = attempt + 1;
-            self.counters.retries += 1;
-            let pattern = q.patterns[i].clone();
-            vec![
-                Action::Send {
-                    to: self.index,
-                    msg: LiveMsg::MultiLookup { qid, idx, pattern, reply_to: self.me },
-                },
-                Action::Schedule {
-                    after: self.cfg.lookup_timeout,
-                    msg: LiveMsg::Deadline {
-                        qid,
-                        stage: DeadlineStage::MultiLookup { idx, attempt: attempt + 1 },
-                    },
-                },
-            ]
-        } else {
-            self.counters.lookup_failures += 1;
-            self.finish_multi(qid, false)
-        }
-    }
-
-    fn on_multi_ack_timeout(&mut self, qid: QueryId, provider: NodeId, attempt: u8) -> Vec<Action> {
-        let Some(q) = self.multi.get_mut(&qid) else { return Vec::new() };
-        if q.phase != Phase::Gather || q.outstanding.get(&provider) != Some(&attempt) {
-            return Vec::new(); // answered, escalated, or a stale deadline
-        }
-        if attempt < self.cfg.retries {
-            q.outstanding.insert(provider, attempt + 1);
-            self.counters.retries += 1;
-            let q = &self.multi[&qid];
-            vec![
-                Action::Send { to: provider, msg: self.multi_subquery_for(qid, q) },
-                Action::Schedule {
-                    after: self.cfg.ack_timeout,
-                    msg: LiveMsg::Deadline {
-                        qid,
-                        stage: DeadlineStage::Ack { provider, attempt: attempt + 1 },
-                    },
-                },
-            ]
-        } else {
-            q.outstanding.remove(&provider);
-            q.failed.push(provider);
-            self.counters.ack_timeouts += 1;
-            // Purge the dead provider from every pattern row that named
-            // it — each slot's key may live at a different index owner.
-            let dead_for: Vec<TriplePattern> = q
-                .providers
+        // Let a multiway round's providers retire retained shuffle state.
+        let mut actions: Vec<Action> = match q.kind {
+            RoundKind::Chained { .. } => Vec::new(),
+            _ => q
+                .peers
                 .iter()
-                .zip(&q.patterns)
-                .filter(|(slot, _)| slot.as_deref().is_some_and(|ps| ps.contains(&provider)))
-                .map(|(_, pattern)| pattern.clone())
-                .collect();
-            // A HyperCube generation cannot finish without every peer's
-            // partitions — the surviving targets are stalled waiting for
-            // the dead peer's scatter. Re-issue the round over the
-            // survivors under a bumped generation; partitions from the
-            // abandoned one are fenced off by the round tag.
-            let restart = q.strategy == DistStrategy::HyperCube;
-            if restart {
-                q.peers.retain(|p| *p != provider);
-                q.round += 1;
-                q.outstanding = q.peers.iter().map(|p| (*p, 0)).collect();
-            }
-            let done = q.outstanding.is_empty();
-            let mut actions: Vec<Action> = dead_for
-                .into_iter()
-                .map(|pattern| Action::Send {
-                    to: self.index,
-                    msg: LiveMsg::ProviderDead { pattern, provider },
-                })
-                .collect();
-            if done {
-                actions.extend(self.finish_multi(qid, false));
-            } else if restart {
-                let q = &self.multi[&qid];
-                let peers = q.peers.clone();
-                for p in peers {
-                    actions.push(Action::Send { to: p, msg: self.multi_subquery_for(qid, q) });
-                    actions.push(Action::Schedule {
-                        after: self.cfg.ack_timeout,
-                        msg: LiveMsg::Deadline {
-                            qid,
-                            stage: DeadlineStage::Ack { provider: p, attempt: 0 },
-                        },
-                    });
-                }
-            }
-            actions
-        }
-    }
-
-    fn finish_multi(&mut self, qid: QueryId, complete: bool) -> Vec<Action> {
-        let Some(q) = self.multi.remove(&qid) else { return Vec::new() };
-        if !complete {
-            self.counters.incomplete_queries += 1;
-        }
-        let solutions = match q.strategy {
-            DistStrategy::HyperCube => q.collected.into_vec(),
-            _ => {
-                // Assembly (partial evaluation): fold-join the deduped
-                // per-pattern unions in pattern order.
+                .map(|p| Action::Send { to: *p, msg: LiveMsg::MultiDone { qid } })
+                .collect(),
+        };
+        let solutions = match q.kind {
+            RoundKind::PartialEval { per_pattern, local_complete } => {
+                // Assembly: fold-join the deduped per-pattern unions in
+                // pattern order.
                 let mut acc = vec![Solution::new()];
-                for buf in &q.per_pattern {
+                for buf in &per_pattern {
                     acc = rdfmesh_sparql::solution::join(&acc, buf.as_slice());
                 }
                 let mut assembled = DistinctBuffer::new();
                 assembled.extend_distinct(acc);
                 self.counters.stitched_rows +=
-                    assembled.len().saturating_sub(q.local_complete.len()) as u64;
+                    assembled.len().saturating_sub(local_complete.len()) as u64;
                 assembled.into_vec()
             }
+            _ => q.gathered.into_vec(),
         };
-        // Let the providers retire any retained shuffle state.
-        let mut actions: Vec<Action> = q
-            .peers
-            .iter()
-            .map(|p| Action::Send { to: *p, msg: LiveMsg::MultiDone { qid } })
-            .collect();
-        actions.push(Action::Finish {
-            qid,
-            answer: LiveAnswer {
-                triples: Vec::new(),
-                solutions,
-                complete,
-                failed_providers: q.failed,
-            },
-        });
+        let answer = LiveAnswer { solutions, complete, failed_providers: q.failed };
+        actions.push(Action::Finish { qid, answer });
         actions
     }
 }
@@ -1274,6 +916,9 @@ impl Coordinator {
                     }
                     Action::Schedule { after, msg } => out.schedule(after, msg),
                     Action::Finish { qid, answer } => {
+                        // The caller may read `stats()` the moment it has
+                        // the answer: publish this query's counters first.
+                        self.sync_counters();
                         // Removing the sender is what makes "done" single-shot.
                         if let Some(tx) = lock(&self.pending).remove(&qid) {
                             let _ = tx.send(answer);
@@ -1313,6 +958,9 @@ impl Coordinator {
     fn sync_counters(&mut self) {
         let now = self.core.counters;
         let last = self.synced;
+        if now == last {
+            return;
+        }
         self.shared.add_retries(now.retries - last.retries);
         self.shared.add_ack_timeouts(now.ack_timeouts - last.ack_timeouts);
         self.shared.add_send_failures(now.send_failures - last.send_failures);
@@ -1383,28 +1031,6 @@ impl Handler<LiveMsg> for IndexNode {
                     }
                 }
             }
-            LiveMsg::MultiLookup { qid, idx, pattern, reply_to } => {
-                // Same owner routing as a plain lookup; the reply echoes
-                // the pattern slot so the coordinator can fill it in.
-                match key_for_pattern(self.space, &pattern) {
-                    None => {
-                        out.send(
-                            reply_to,
-                            LiveMsg::MultiProviders { qid, idx, providers: Vec::new() },
-                        );
-                    }
-                    Some(k) => {
-                        let owner = self.owner_of(k.id.0);
-                        if owner == out.me() {
-                            let providers =
-                                lock(&self.table).get(&k.id.0).cloned().unwrap_or_default();
-                            out.send(reply_to, LiveMsg::MultiProviders { qid, idx, providers });
-                        } else {
-                            out.send(owner, LiveMsg::MultiLookup { qid, idx, pattern, reply_to });
-                        }
-                    }
-                }
-            }
             LiveMsg::ProviderDead { pattern, provider } => {
                 let Some(k) = key_for_pattern(self.space, &pattern) else { return };
                 let owner = self.owner_of(k.id.0);
@@ -1470,8 +1096,10 @@ pub(crate) struct ShuffleState {
     answer: Option<Vec<Solution>>,
 }
 
-/// Shuffle entries for more queries than this trigger an eviction of
-/// finished entries — the backstop for lost [`LiveMsg::MultiDone`]s.
+/// Shuffle entries for more queries than this trigger an eviction: of
+/// finished entries (their [`LiveMsg::MultiDone`] was lost) and, if that
+/// frees nothing, of entries no exec frame vouches for (partitions that
+/// arrived after their round's `MultiDone`).
 const SHUFFLE_STATE_CAP: usize = 1024;
 
 pub(crate) struct LiveStorage {
@@ -1499,11 +1127,14 @@ impl LiveStorage {
         solutions
     }
 
-    /// Admits a new shuffle entry, evicting finished ones first when a
-    /// lost `MultiDone` let the map grow past the cap.
+    /// Admits a new shuffle entry, evicting retired rounds' leftovers
+    /// first when the map reached the cap.
     fn shuffle_entry(&mut self, qid: QueryId) -> &mut ShuffleState {
         if self.shuffle.len() >= SHUFFLE_STATE_CAP && !self.shuffle.contains_key(&qid) {
             self.shuffle.retain(|_, st| st.answer.is_none());
+            if self.shuffle.len() >= SHUFFLE_STATE_CAP {
+                self.shuffle.retain(|_, st| st.exec.is_some());
+            }
         }
         self.shuffle.entry(qid).or_default()
     }
@@ -1542,10 +1173,6 @@ impl Handler<LiveMsg> for LiveStorage {
     fn on_message(&mut self, envelope: Envelope<LiveMsg>, out: &Outbox<LiveMsg>) {
         let from = envelope.from;
         match envelope.payload {
-            LiveMsg::SubQuery { qid, pattern, reply_to } => {
-                let triples = self.store.match_pattern(&pattern);
-                out.send(reply_to, LiveMsg::Matches { qid, triples });
-            }
             LiveMsg::SubQuerySol { qid, pattern, filter, bound, reply_to } => {
                 let solutions = self.answer(&SolRound { qid, pattern, filter, bound });
                 out.send(reply_to, LiveMsg::Solutions { qid, solutions });
@@ -1735,10 +1362,11 @@ pub(crate) const SUBMIT_COALESCE: usize = 64;
 
 /// The group-commit submit pump: callers enqueue rounds without
 /// blocking; the pump injects whatever has piled up while the previous
-/// inject was in flight as one message. At low load every round still
-/// travels alone (zero added latency — the blocking `recv` forwards it
-/// immediately); batches only form under concurrency, which is exactly
-/// when the framing amortization pays.
+/// inject was in flight as one [`LiveMsg::SubmitSolBatch`]. At low load
+/// every round still travels alone, as a batch of one (zero added
+/// latency — the blocking `recv` forwards it immediately); wider batches
+/// only form under concurrency, which is exactly when the framing
+/// amortization pays.
 pub(crate) fn spawn_submit_pump<F>(rx: Receiver<SolRound>, stats: Arc<LiveStats>, inject: F)
 where
     F: Fn(LiveMsg) + Send + 'static,
@@ -1754,20 +1382,11 @@ where
                         Err(_) => break,
                     }
                 }
-                let msg = if rounds.len() == 1 {
-                    let r = rounds.pop().expect("one round");
-                    LiveMsg::SubmitSol {
-                        qid: r.qid,
-                        pattern: r.pattern,
-                        filter: r.filter,
-                        bound: r.bound,
-                    }
-                } else {
+                if rounds.len() > 1 {
                     stats.add_batches(1);
                     stats.add_batched_rounds(rounds.len() as u64);
-                    LiveMsg::SubmitSolBatch { rounds }
-                };
-                inject(msg);
+                }
+                inject(LiveMsg::SubmitSolBatch { rounds });
             }
         })
         .expect("spawn submit pump");
@@ -1950,22 +1569,6 @@ impl LiveMesh {
         })
     }
 
-    /// Resolves one triple pattern through the live protocol, blocking up
-    /// to `timeout` for the caller-side wait. The protocol's own
-    /// deadlines ([`LiveConfig`]) guarantee an answer well before a
-    /// generous `timeout`; `None` means the caller gave up first.
-    pub fn query(&self, pattern: TriplePattern, timeout: Duration) -> Option<LiveAnswer> {
-        let qid = QueryId(self.next_qid.fetch_add(1, Ordering::Relaxed));
-        let (tx, rx) = bounded(1);
-        lock(&self.pending).insert(qid, tx);
-        self.cluster.inject(self.coordinator, self.coordinator, LiveMsg::Submit { qid, pattern });
-        let answer = rx.recv_timeout(timeout).ok();
-        if answer.is_none() {
-            lock(&self.pending).remove(&qid);
-        }
-        answer
-    }
-
     /// Resolves one *solution round* through the live protocol: the
     /// selected providers answer with solution mappings — extending the
     /// shipped `bound` intermediates when given (bind join, Sect. IV-D)
@@ -2128,7 +1731,7 @@ impl LiveMesh {
 mod tests {
     use super::*;
     use rdfmesh_net::{LatencyModel, Network, SimTime};
-    use rdfmesh_rdf::{Term, TermPattern};
+    use rdfmesh_rdf::{Term, TermPattern, Triple, TripleStore};
 
     fn overlay() -> Overlay {
         let net = Network::new(LatencyModel::Uniform(SimTime::millis(1)), 12.5);
@@ -2171,13 +1774,19 @@ mod tests {
         let o = overlay();
         let mesh = LiveMesh::spawn(&o);
         let pattern = knows_pattern("bob");
-        let live = mesh.query(pattern.clone(), Duration::from_secs(10)).expect("no timeout");
+        let live = mesh
+            .query_solutions(pattern.clone(), None, None, Duration::from_secs(10))
+            .expect("no timeout");
         assert!(live.complete);
         assert!(live.failed_providers.is_empty());
-        assert_eq!(live.triples.len(), 2);
-        // Oracle agreement.
-        let mut expected: Vec<Triple> = crate::engine::global_store(&o).match_pattern(&pattern);
-        let mut got = live.triples;
+        assert_eq!(live.solutions.len(), 2);
+        // Oracle agreement: the central store's matches, as bindings.
+        let mut expected: Vec<Solution> = crate::engine::global_store(&o)
+            .match_pattern(&pattern)
+            .iter()
+            .filter_map(|t| rdfmesh_sparql::eval::extend(&pattern, t, &Solution::new()))
+            .collect();
+        let mut got = live.solutions;
         expected.sort();
         got.sort();
         assert_eq!(got, expected);
@@ -2195,9 +1804,10 @@ mod tests {
             Term::iri("http://example.org/never-used"),
             TermPattern::var("y"),
         );
-        let live = mesh.query(pattern, Duration::from_secs(10)).expect("no timeout");
+        let live =
+            mesh.query_solutions(pattern, None, None, Duration::from_secs(10)).expect("no timeout");
         assert!(live.complete);
-        assert!(live.triples.is_empty());
+        assert!(live.solutions.is_empty());
         mesh.shutdown();
     }
 
@@ -2206,10 +1816,11 @@ mod tests {
         let o = overlay();
         let mesh = LiveMesh::spawn(&o);
         for (target, expect) in [("bob", 2), ("carol", 1), ("nobody", 0)] {
-            let live =
-                mesh.query(knows_pattern(target), Duration::from_secs(10)).expect("no timeout");
+            let live = mesh
+                .query_solutions(knows_pattern(target), None, None, Duration::from_secs(10))
+                .expect("no timeout");
             assert!(live.complete, "target {target}");
-            assert_eq!(live.triples.len(), expect, "target {target}");
+            assert_eq!(live.solutions.len(), expect, "target {target}");
         }
         mesh.shutdown();
     }
@@ -2279,6 +1890,46 @@ mod tests {
         mesh.shutdown();
     }
 
+    /// A storage node that reports its shuffle-map size after every
+    /// message, so a test can watch it from outside the node's thread.
+    struct WatchedStorage {
+        inner: LiveStorage,
+        entries: Arc<AtomicU64>,
+    }
+
+    impl Handler<LiveMsg> for WatchedStorage {
+        fn on_message(&mut self, envelope: Envelope<LiveMsg>, out: &Outbox<LiveMsg>) {
+            self.inner.on_message(envelope, out);
+            self.entries.store(self.inner.shuffle.len() as u64, Ordering::SeqCst);
+        }
+    }
+
+    #[test]
+    fn partitions_arriving_after_multi_done_cannot_grow_the_shuffle_map_unboundedly() {
+        let (node, peer) = (NodeId(1), NodeId(2));
+        let entries = Arc::new(AtomicU64::new(0));
+        let storage = WatchedStorage {
+            inner: LiveStorage {
+                store: TripleStore::new().into(),
+                stats: Arc::new(LiveStats::default()),
+                shuffle: HashMap::new(),
+            },
+            entries: Arc::clone(&entries),
+        };
+        let cluster = Cluster::spawn(vec![(node, Box::new(storage) as Box<dyn Handler<LiveMsg>>)]);
+        // Every round below is already retired when its partition lands:
+        // no exec frame will ever come, and no second MultiDone.
+        cluster.inject(peer, node, LiveMsg::MultiDone { qid: QueryId(0) });
+        for q in 0..=SHUFFLE_STATE_CAP as u64 {
+            let part = LiveMsg::ShufflePart { qid: QueryId(q), round: 0, parts: vec![Vec::new()] };
+            cluster.inject(peer, node, part);
+        }
+        assert!(cluster.barrier(node, Duration::from_secs(10)));
+        let left = entries.load(Ordering::SeqCst) as usize;
+        assert!((1..=SHUFFLE_STATE_CAP).contains(&left), "{left} orphaned entries retained");
+        cluster.shutdown();
+    }
+
     // ---- state-machine unit + property tests -------------------------
 
     mod state_machine {
@@ -2298,11 +1949,11 @@ mod tests {
             )
         }
 
-        fn triple(n: u64) -> Triple {
-            Triple::new(
-                Term::iri(&format!("http://example.org/s{n}")),
-                Term::iri("http://example.org/p"),
-                Term::iri(&format!("http://example.org/o{n}")),
+        fn pattern2() -> TriplePattern {
+            TriplePattern::new(
+                TermPattern::var("x"),
+                Term::iri("http://example.org/q"),
+                TermPattern::var("z"),
             )
         }
 
@@ -2316,6 +1967,49 @@ mod tests {
             )
         }
 
+        fn round(qid: QueryId) -> SolRound {
+            SolRound { qid, pattern: pattern(), filter: None, bound: None }
+        }
+
+        /// Opens a chained solution round over [`pattern`].
+        fn submit(c: &mut CoordinatorCore, qid: QueryId) -> Vec<Action> {
+            c.on_event(COORDINATOR, LiveMsg::SubmitSolBatch { rounds: vec![round(qid)] })
+        }
+
+        /// Opens a multiway round over `patterns`, joined on `?x`.
+        fn submit_multi(
+            c: &mut CoordinatorCore,
+            qid: QueryId,
+            patterns: Vec<TriplePattern>,
+            strategy: DistStrategy,
+        ) -> Vec<Action> {
+            let join_vars = vec![Variable::new("x")];
+            c.on_event(COORDINATOR, LiveMsg::SubmitMulti { qid, patterns, join_vars, strategy })
+        }
+
+        /// The index node's answer to the lookup of `pattern`.
+        fn providers(
+            c: &mut CoordinatorCore,
+            qid: QueryId,
+            pattern: TriplePattern,
+            providers: Vec<NodeId>,
+        ) -> Vec<Action> {
+            c.on_event(IX, LiveMsg::Providers { qid, pattern, providers })
+        }
+
+        fn solutions(
+            c: &mut CoordinatorCore,
+            from: NodeId,
+            qid: QueryId,
+            solutions: Vec<Solution>,
+        ) -> Vec<Action> {
+            c.on_event(from, LiveMsg::Solutions { qid, solutions })
+        }
+
+        fn deadline(c: &mut CoordinatorCore, qid: QueryId, stage: DeadlineStage) -> Vec<Action> {
+            c.on_event(COORDINATOR, LiveMsg::Deadline { qid, stage })
+        }
+
         fn finishes(actions: &[Action]) -> Vec<(QueryId, LiveAnswer)> {
             actions
                 .iter()
@@ -2326,30 +2020,33 @@ mod tests {
                 .collect()
         }
 
+        fn xsol(n: u64) -> Solution {
+            Solution::from_pairs([(
+                Variable::new("x"),
+                Term::iri(&format!("http://example.org/s{n}")),
+            )])
+        }
+
         #[test]
-        fn duplicate_matches_are_dropped_not_underflowed() {
+        fn duplicate_solutions_are_dropped_not_underflowed() {
             // The seed bug: `expect -= 1` panicked (debug) or wrapped
             // (release) on a duplicate or post-completion reply.
             let mut c = core();
             let qid = QueryId(1);
-            c.on_event(COORDINATOR, LiveMsg::Submit { qid, pattern: pattern() });
-            c.on_event(
-                IX,
-                LiveMsg::Providers { qid, pattern: pattern(), providers: vec![P1, P2] },
-            );
-            let a1 = c.on_event(P1, LiveMsg::Matches { qid, triples: vec![triple(1)] });
+            submit(&mut c, qid);
+            providers(&mut c, qid, pattern(), vec![P1, P2]);
+            let a1 = solutions(&mut c, P1, qid, vec![xsol(1)]);
             assert!(finishes(&a1).is_empty());
             // Duplicate from P1: dropped, not applied.
-            let dup = c.on_event(P1, LiveMsg::Matches { qid, triples: vec![triple(9)] });
+            let dup = solutions(&mut c, P1, qid, vec![xsol(9)]);
             assert!(dup.is_empty());
             assert_eq!(c.counters.stale_replies, 1);
-            let a2 = c.on_event(P2, LiveMsg::Matches { qid, triples: vec![triple(2)] });
-            let done = finishes(&a2);
+            let done = finishes(&solutions(&mut c, P2, qid, vec![xsol(2)]));
             assert_eq!(done.len(), 1);
             assert!(done[0].1.complete);
-            assert_eq!(done[0].1.triples, vec![triple(1), triple(2)]);
+            assert_eq!(done[0].1.solutions, vec![xsol(1), xsol(2)]);
             // Post-completion reply: dropped.
-            let late = c.on_event(P2, LiveMsg::Matches { qid, triples: vec![triple(3)] });
+            let late = solutions(&mut c, P2, qid, vec![xsol(3)]);
             assert!(late.is_empty());
             assert_eq!(c.counters.stale_replies, 2);
         }
@@ -2359,51 +2056,37 @@ mod tests {
             let mut c = core();
             let q1 = QueryId(1);
             let q2 = QueryId(2);
-            c.on_event(COORDINATOR, LiveMsg::Submit { qid: q1, pattern: pattern() });
-            c.on_event(IX, LiveMsg::Providers { qid: q1, pattern: pattern(), providers: vec![P1] });
-            let done = c.on_event(P1, LiveMsg::Matches { qid: q1, triples: vec![triple(1)] });
+            submit(&mut c, q1);
+            providers(&mut c, q1, pattern(), vec![P1]);
+            let done = solutions(&mut c, P1, q1, vec![xsol(1)]);
             assert_eq!(finishes(&done).len(), 1);
             // Query 2 starts; a late reply tagged with q1 arrives.
-            c.on_event(COORDINATOR, LiveMsg::Submit { qid: q2, pattern: pattern() });
-            c.on_event(
-                IX,
-                LiveMsg::Providers { qid: q2, pattern: pattern(), providers: vec![P1, P2] },
-            );
-            assert!(c.on_event(P1, LiveMsg::Matches { qid: q1, triples: vec![triple(8)] })
-                .is_empty());
-            let a1 = c.on_event(P1, LiveMsg::Matches { qid: q2, triples: vec![triple(2)] });
+            submit(&mut c, q2);
+            providers(&mut c, q2, pattern(), vec![P1, P2]);
+            assert!(solutions(&mut c, P1, q1, vec![xsol(8)]).is_empty());
+            let a1 = solutions(&mut c, P1, q2, vec![xsol(2)]);
             assert!(finishes(&a1).is_empty());
-            let a2 = c.on_event(P2, LiveMsg::Matches { qid: q2, triples: vec![triple(3)] });
-            let done = finishes(&a2);
+            let done = finishes(&solutions(&mut c, P2, q2, vec![xsol(3)]));
             assert_eq!(done.len(), 1);
-            assert_eq!(done[0].1.triples, vec![triple(2), triple(3)], "q1's late reply excluded");
+            assert_eq!(done[0].1.solutions, vec![xsol(2), xsol(3)], "q1's late reply excluded");
         }
 
         #[test]
         fn exhausted_ack_deadline_purges_and_reports_partial() {
             let mut c = core();
             let qid = QueryId(7);
-            c.on_event(COORDINATOR, LiveMsg::Submit { qid, pattern: pattern() });
-            c.on_event(
-                IX,
-                LiveMsg::Providers { qid, pattern: pattern(), providers: vec![P1, P2] },
-            );
-            c.on_event(P1, LiveMsg::Matches { qid, triples: vec![triple(1)] });
+            submit(&mut c, qid);
+            providers(&mut c, qid, pattern(), vec![P1, P2]);
+            solutions(&mut c, P1, qid, vec![xsol(1)]);
             // P2 never answers: deadline at attempt 0 retries...
-            let retry = c.on_event(
-                COORDINATOR,
-                LiveMsg::Deadline { qid, stage: DeadlineStage::Ack { provider: P2, attempt: 0 } },
-            );
+            let retry = deadline(&mut c, qid, DeadlineStage::Ack { provider: P2, attempt: 0 });
             assert!(retry.iter().any(|a| matches!(
                 a,
-                Action::Send { to, msg: LiveMsg::SubQuery { .. } } if *to == P2
+                Action::Send { to, msg: LiveMsg::SubQuerySol { .. } } if *to == P2
             )));
             assert_eq!(c.counters.retries, 1);
             // ...and the deadline at attempt 1 gives up.
-            let give_up = c.on_event(
-                COORDINATOR,
-                LiveMsg::Deadline { qid, stage: DeadlineStage::Ack { provider: P2, attempt: 1 } },
-            );
+            let give_up = deadline(&mut c, qid, DeadlineStage::Ack { provider: P2, attempt: 1 });
             assert!(give_up.iter().any(|a| matches!(
                 a,
                 Action::Send { to, msg: LiveMsg::ProviderDead { provider, .. } }
@@ -2414,7 +2097,7 @@ mod tests {
             let answer = &done[0].1;
             assert!(!answer.complete);
             assert_eq!(answer.failed_providers, vec![P2]);
-            assert_eq!(answer.triples, vec![triple(1)]);
+            assert_eq!(answer.solutions, vec![xsol(1)]);
             assert_eq!(c.counters.ack_timeouts, 1);
         }
 
@@ -2422,9 +2105,8 @@ mod tests {
         fn failed_send_is_an_immediate_ack_timeout() {
             let mut c = core();
             let qid = QueryId(3);
-            c.on_event(COORDINATOR, LiveMsg::Submit { qid, pattern: pattern() });
-            let acts =
-                c.on_event(IX, LiveMsg::Providers { qid, pattern: pattern(), providers: vec![P1] });
+            submit(&mut c, qid);
+            let acts = providers(&mut c, qid, pattern(), vec![P1]);
             let sub = acts
                 .iter()
                 .find_map(|a| match a {
@@ -2436,7 +2118,7 @@ mod tests {
             let retry = c.on_send_failed(P1, sub.clone());
             assert!(retry
                 .iter()
-                .any(|a| matches!(a, Action::Send { msg: LiveMsg::SubQuery { .. }, .. })));
+                .any(|a| matches!(a, Action::Send { msg: LiveMsg::SubQuerySol { .. }, .. })));
             let give_up = c.on_send_failed(P1, sub);
             let done = finishes(&give_up);
             assert_eq!(done.len(), 1);
@@ -2449,77 +2131,70 @@ mod tests {
         fn lookup_timeout_retries_then_fails_within_deadline() {
             let mut c = core();
             let qid = QueryId(4);
-            c.on_event(COORDINATOR, LiveMsg::Submit { qid, pattern: pattern() });
-            let retry = c.on_event(
-                COORDINATOR,
-                LiveMsg::Deadline { qid, stage: DeadlineStage::Lookup { attempt: 0 } },
-            );
+            submit(&mut c, qid);
+            let retry = deadline(&mut c, qid, DeadlineStage::Lookup { slot: 0, attempt: 0 });
             assert!(retry
                 .iter()
                 .any(|a| matches!(a, Action::Send { msg: LiveMsg::Lookup { .. }, .. })));
-            let give_up = c.on_event(
-                COORDINATOR,
-                LiveMsg::Deadline { qid, stage: DeadlineStage::Lookup { attempt: 1 } },
-            );
+            let give_up = deadline(&mut c, qid, DeadlineStage::Lookup { slot: 0, attempt: 1 });
             let done = finishes(&give_up);
             assert_eq!(done.len(), 1);
             assert!(!done[0].1.complete);
             assert_eq!(c.counters.lookup_failures, 1);
         }
 
-        fn xsol(n: u64) -> Solution {
-            Solution::from_pairs([(
-                rdfmesh_rdf::Variable::new("x"),
-                Term::iri(&format!("http://example.org/s{n}")),
-            )])
+        #[test]
+        fn failed_lookup_send_is_an_immediate_lookup_timeout() {
+            let mut c = core();
+            let qid = QueryId(5);
+            let lookup = submit(&mut c, qid)
+                .into_iter()
+                .find_map(|a| match a {
+                    Action::Send { msg: msg @ LiveMsg::Lookup { .. }, .. } => Some(msg),
+                    _ => None,
+                })
+                .expect("lookup sent");
+            let retry = c.on_send_failed(IX, lookup.clone());
+            assert!(retry
+                .iter()
+                .any(|a| matches!(a, Action::Send { msg: LiveMsg::Lookup { .. }, .. })));
+            let done = finishes(&c.on_send_failed(IX, lookup));
+            assert_eq!(done.len(), 1);
+            assert!(!done[0].1.complete);
+            assert_eq!((c.counters.send_failures, c.counters.lookup_failures), (2, 1));
         }
 
         #[test]
         fn solution_round_gathers_and_dedups_across_providers() {
             let mut c = core();
             let qid = QueryId(11);
-            c.on_event(
-                COORDINATOR,
-                LiveMsg::SubmitSol { qid, pattern: pattern(), filter: None, bound: None },
-            );
-            c.on_event(
-                IX,
-                LiveMsg::Providers { qid, pattern: pattern(), providers: vec![P1, P2] },
-            );
-            let a1 = c.on_event(P1, LiveMsg::Solutions { qid, solutions: vec![xsol(1), xsol(2)] });
+            submit(&mut c, qid);
+            providers(&mut c, qid, pattern(), vec![P1, P2]);
+            let a1 = solutions(&mut c, P1, qid, vec![xsol(1), xsol(2)]);
             assert!(finishes(&a1).is_empty());
             // P2 repeats xsol(2) (a replicated triple): it collapses.
-            let a2 = c.on_event(P2, LiveMsg::Solutions { qid, solutions: vec![xsol(2), xsol(3)] });
-            let done = finishes(&a2);
+            let done = finishes(&solutions(&mut c, P2, qid, vec![xsol(2), xsol(3)]));
             assert_eq!(done.len(), 1);
             assert!(done[0].1.complete);
             assert_eq!(done[0].1.solutions, vec![xsol(1), xsol(2), xsol(3)]);
-            assert!(done[0].1.triples.is_empty());
         }
 
         #[test]
         fn solution_round_retry_reships_filter_and_bound() {
-            // An expired ack deadline on a solution round must retransmit
-            // the full SubQuerySol — same filter, same bound set — not a
-            // bare triple sub-query.
+            // An expired ack deadline must retransmit the full
+            // SubQuerySol — same filter, same bound set.
             let mut c = core();
             let qid = QueryId(12);
             let bound = vec![xsol(1)];
             let filter = Expression::Bound(rdfmesh_rdf::Variable::new("x"));
-            c.on_event(
-                COORDINATOR,
-                LiveMsg::SubmitSol {
-                    qid,
-                    pattern: pattern(),
-                    filter: Some(filter.clone()),
-                    bound: Some(bound.clone()),
-                },
-            );
-            c.on_event(IX, LiveMsg::Providers { qid, pattern: pattern(), providers: vec![P1] });
-            let retry = c.on_event(
-                COORDINATOR,
-                LiveMsg::Deadline { qid, stage: DeadlineStage::Ack { provider: P1, attempt: 0 } },
-            );
+            let round = SolRound {
+                filter: Some(filter.clone()),
+                bound: Some(bound.clone()),
+                ..round(qid)
+            };
+            c.on_event(COORDINATOR, LiveMsg::SubmitSolBatch { rounds: vec![round] });
+            providers(&mut c, qid, pattern(), vec![P1]);
+            let retry = deadline(&mut c, qid, DeadlineStage::Ack { provider: P1, attempt: 0 });
             let resent = retry
                 .iter()
                 .find_map(|a| match a {
@@ -2545,7 +2220,7 @@ mod tests {
             );
             let acts = c.on_event(
                 COORDINATOR,
-                LiveMsg::SubmitSol { qid, pattern: all, filter: None, bound: None },
+                LiveMsg::SubmitSolBatch { rounds: vec![SolRound { pattern: all, ..round(qid) }] },
             );
             assert!(
                 !acts.iter().any(|a| matches!(a, Action::Send { msg: LiveMsg::Lookup { .. }, .. })),
@@ -2559,9 +2234,9 @@ mod tests {
                 })
                 .collect();
             assert_eq!(targets, vec![P1, P2, P3], "flooded to every storage node in order");
-            c.on_event(P1, LiveMsg::Solutions { qid, solutions: vec![xsol(1)] });
-            c.on_event(P2, LiveMsg::Solutions { qid, solutions: Vec::new() });
-            let done = finishes(&c.on_event(P3, LiveMsg::Solutions { qid, solutions: Vec::new() }));
+            solutions(&mut c, P1, qid, vec![xsol(1)]);
+            solutions(&mut c, P2, qid, Vec::new());
+            let done = finishes(&solutions(&mut c, P3, qid, Vec::new()));
             assert_eq!(done.len(), 1);
             assert!(done[0].1.complete);
             assert_eq!(done[0].1.solutions, vec![xsol(1)]);
@@ -2571,23 +2246,15 @@ mod tests {
         fn submit_sol_batch_opens_each_round_independently() {
             let mut c = core();
             let (q1, q2) = (QueryId(21), QueryId(22));
-            c.on_event(
-                COORDINATOR,
-                LiveMsg::SubmitSolBatch {
-                    rounds: vec![
-                        SolRound { qid: q1, pattern: pattern(), filter: None, bound: None },
-                        SolRound { qid: q2, pattern: pattern(), filter: None, bound: None },
-                    ],
-                },
-            );
-            c.on_event(IX, LiveMsg::Providers { qid: q1, pattern: pattern(), providers: vec![P1] });
-            c.on_event(IX, LiveMsg::Providers { qid: q2, pattern: pattern(), providers: vec![P2] });
+            c.on_event(COORDINATOR, LiveMsg::SubmitSolBatch { rounds: vec![round(q1), round(q2)] });
+            providers(&mut c, q1, pattern(), vec![P1]);
+            providers(&mut c, q2, pattern(), vec![P2]);
             // q2 finishes first; q1 is untouched by it.
-            let d2 = finishes(&c.on_event(P2, LiveMsg::Solutions { qid: q2, solutions: vec![xsol(2)] }));
+            let d2 = finishes(&solutions(&mut c, P2, q2, vec![xsol(2)]));
             assert_eq!(d2.len(), 1);
             assert_eq!(d2[0].0, q2);
             assert_eq!(d2[0].1.solutions, vec![xsol(2)]);
-            let d1 = finishes(&c.on_event(P1, LiveMsg::Solutions { qid: q1, solutions: vec![xsol(1)] }));
+            let d1 = finishes(&solutions(&mut c, P1, q1, vec![xsol(1)]));
             assert_eq!(d1.len(), 1);
             assert_eq!(d1[0].0, q1);
             assert_eq!(d1[0].1.solutions, vec![xsol(1)]);
@@ -2599,11 +2266,8 @@ mod tests {
             let mut c = core();
             let (q1, q2) = (QueryId(31), QueryId(32));
             for qid in [q1, q2] {
-                c.on_event(
-                    COORDINATOR,
-                    LiveMsg::SubmitSol { qid, pattern: pattern(), filter: None, bound: None },
-                );
-                c.on_event(IX, LiveMsg::Providers { qid, pattern: pattern(), providers: vec![P1] });
+                submit(&mut c, qid);
+                providers(&mut c, qid, pattern(), vec![P1]);
             }
             // One batched reply frame from P1 settles both rounds; a
             // stale entry rides along and is dropped without effect.
@@ -2630,19 +2294,11 @@ mod tests {
             let mut c = core();
             let (q1, q2) = (QueryId(41), QueryId(42));
             for qid in [q1, q2] {
-                c.on_event(
-                    COORDINATOR,
-                    LiveMsg::SubmitSol { qid, pattern: pattern(), filter: None, bound: None },
-                );
-                c.on_event(IX, LiveMsg::Providers { qid, pattern: pattern(), providers: vec![P1] });
+                submit(&mut c, qid);
+                providers(&mut c, qid, pattern(), vec![P1]);
             }
-            let batch = LiveMsg::SubQuerySolBatch {
-                rounds: vec![
-                    SolRound { qid: q1, pattern: pattern(), filter: None, bound: None },
-                    SolRound { qid: q2, pattern: pattern(), filter: None, bound: None },
-                ],
-                reply_to: COORDINATOR,
-            };
+            let batch =
+                LiveMsg::SubQuerySolBatch { rounds: vec![round(q1), round(q2)], reply_to: COORDINATOR };
             // First failure retries both rounds; the second gives up on
             // both, each finishing as a partial answer naming P1.
             let retry = c.on_send_failed(P1, batch.clone());
@@ -2660,7 +2316,7 @@ mod tests {
         #[test]
         fn distinct_buffer_gather_matches_naive_contains_dedup() {
             // Twin run: the same duplicated reply stream through the
-            // state machine (DistinctBuffer gather) and through the old
+            // state machine (DistinctBuffer gather) and through a
             // Vec-plus-contains accumulator must agree exactly —
             // first-seen order included.
             let streams: Vec<(NodeId, Vec<u64>)> =
@@ -2676,20 +2332,12 @@ mod tests {
             }
             let mut c = core();
             let qid = QueryId(71);
-            c.on_event(
-                COORDINATOR,
-                LiveMsg::SubmitSol { qid, pattern: pattern(), filter: None, bound: None },
-            );
-            c.on_event(
-                IX,
-                LiveMsg::Providers { qid, pattern: pattern(), providers: vec![P1, P2, P3] },
-            );
+            submit(&mut c, qid);
+            providers(&mut c, qid, pattern(), vec![P1, P2, P3]);
             let mut done = Vec::new();
             for (from, vals) in streams {
-                done.extend(finishes(&c.on_event(
-                    from,
-                    LiveMsg::Solutions { qid, solutions: vals.into_iter().map(xsol).collect() },
-                )));
+                let sols = vals.into_iter().map(xsol).collect();
+                done.extend(finishes(&solutions(&mut c, from, qid, sols)));
             }
             assert_eq!(done.len(), 1);
             assert_eq!(done[0].1.solutions, naive);
@@ -2697,20 +2345,8 @@ mod tests {
 
         // ---- multiway rounds (HyperCube / partial evaluation) --------
 
-        fn pattern2() -> TriplePattern {
-            TriplePattern::new(
-                TermPattern::var("x"),
-                Term::iri("http://example.org/q"),
-                TermPattern::var("z"),
-            )
-        }
-
         fn star2() -> Vec<TriplePattern> {
             vec![pattern(), pattern2()]
-        }
-
-        fn xvar() -> Vec<Variable> {
-            vec![Variable::new("x")]
         }
 
         fn xy(x: u64, y: u64) -> Solution {
@@ -2731,31 +2367,21 @@ mod tests {
         fn hypercube_round_resolves_every_slot_then_shuffles_and_gathers() {
             let mut c = core();
             let qid = QueryId(51);
-            let acts = c.on_event(
-                COORDINATOR,
-                LiveMsg::SubmitMulti {
-                    qid,
-                    patterns: star2(),
-                    join_vars: xvar(),
-                    strategy: DistStrategy::HyperCube,
-                },
-            );
-            let lookups: Vec<u32> = acts
+            let acts = submit_multi(&mut c, qid, star2(), DistStrategy::HyperCube);
+            let lookups: Vec<TriplePattern> = acts
                 .iter()
                 .filter_map(|a| match a {
-                    Action::Send { to, msg: LiveMsg::MultiLookup { idx, .. } } if *to == IX => {
-                        Some(*idx)
+                    Action::Send { to, msg: LiveMsg::Lookup { pattern, .. } } if *to == IX => {
+                        Some(pattern.clone())
                     }
                     _ => None,
                 })
                 .collect();
-            assert_eq!(lookups, vec![0, 1], "one lookup per pattern slot");
+            assert_eq!(lookups, star2(), "one ordinary lookup per pattern slot");
             // Slot 1 resolves first; nothing fans out until slot 0 does.
-            let idle =
-                c.on_event(IX, LiveMsg::MultiProviders { qid, idx: 1, providers: vec![P2, P3] });
+            let idle = providers(&mut c, qid, pattern2(), vec![P2, P3]);
             assert!(idle.is_empty());
-            let fan =
-                c.on_event(IX, LiveMsg::MultiProviders { qid, idx: 0, providers: vec![P1, P2] });
+            let fan = providers(&mut c, qid, pattern(), vec![P1, P2]);
             let execs: Vec<(NodeId, Vec<NodeId>)> = fan
                 .iter()
                 .filter_map(|a| match a {
@@ -2766,20 +2392,16 @@ mod tests {
                 })
                 .collect();
             // The exec frame goes to the provider union, every frame
-            // naming the full sorted union as the partition targets.
+            // naming the full union as the partition targets.
             assert_eq!(execs.iter().map(|(to, _)| *to).collect::<Vec<_>>(), vec![P1, P2, P3]);
             for (_, peers) in &execs {
                 assert_eq!(peers, &vec![P1, P2, P3]);
             }
             // Targets answer with locally-joined fragments; duplicates
             // across fragments collapse, and the round retires its peers.
-            assert!(finishes(&c.on_event(P1, LiveMsg::Solutions { qid, solutions: vec![xsol(1)] }))
-                .is_empty());
-            assert!(finishes(
-                &c.on_event(P2, LiveMsg::Solutions { qid, solutions: vec![xsol(1), xsol(2)] })
-            )
-            .is_empty());
-            let last = c.on_event(P3, LiveMsg::Solutions { qid, solutions: vec![xsol(3)] });
+            assert!(finishes(&solutions(&mut c, P1, qid, vec![xsol(1)])).is_empty());
+            assert!(finishes(&solutions(&mut c, P2, qid, vec![xsol(1), xsol(2)])).is_empty());
+            let last = solutions(&mut c, P3, qid, vec![xsol(3)]);
             let done = finishes(&last);
             assert_eq!(done.len(), 1);
             assert!(done[0].1.complete);
@@ -2789,24 +2411,66 @@ mod tests {
                 .filter(|a| matches!(a, Action::Send { msg: LiveMsg::MultiDone { .. }, .. }))
                 .count();
             assert_eq!(retire, 3, "MultiDone broadcast to every peer");
-            assert!(c.multi.is_empty(), "no state leaks after completion");
+            assert!(c.in_flight.is_empty(), "no state leaks after completion");
+        }
+
+        #[test]
+        fn one_providers_reply_fills_every_open_slot_with_an_equal_pattern() {
+            let mut c = core();
+            let qid = QueryId(56);
+            let patterns = vec![pattern(), pattern2(), pattern()];
+            submit_multi(&mut c, qid, patterns, DistStrategy::PartialEval);
+            // Slots 0 and 2 ask for the same pattern: the first answer
+            // serves both, so only slot 1 is still open afterwards...
+            assert!(providers(&mut c, qid, pattern(), vec![P1]).is_empty());
+            assert_eq!(c.counters.stale_replies, 0);
+            // ...the answer to the twin lookup finds no open slot, like
+            // an echo that names none of the round's patterns...
+            assert!(providers(&mut c, qid, pattern(), vec![P3]).is_empty());
+            assert!(providers(&mut c, qid, knows_pattern("bob"), vec![P3]).is_empty());
+            assert_eq!(c.counters.stale_replies, 2);
+            // ...and slot 1's answer completes the fan-out over {P1, P2}.
+            let fan = providers(&mut c, qid, pattern2(), vec![P2]);
+            let targets: Vec<NodeId> = fan
+                .iter()
+                .filter_map(|a| match a {
+                    Action::Send { to, msg: LiveMsg::PartialExec { patterns, .. } } => {
+                        assert_eq!(patterns.len(), 3);
+                        Some(*to)
+                    }
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(targets, vec![P1, P2]);
+        }
+
+        #[test]
+        fn a_round_accepts_only_the_reply_frame_of_its_kind() {
+            let mut c = core();
+            let (partial, chained) = (QueryId(57), QueryId(58));
+            submit_multi(&mut c, partial, star2(), DistStrategy::PartialEval);
+            providers(&mut c, partial, pattern(), vec![P1]);
+            providers(&mut c, partial, pattern2(), vec![P1]);
+            submit(&mut c, chained);
+            providers(&mut c, chained, pattern(), vec![P1]);
+            // Swapped frames settle nothing: P1 stays awaited by both.
+            assert!(solutions(&mut c, P1, partial, vec![xsol(1)]).is_empty());
+            let sets = vec![vec![xsol(1)], vec![xsol(1)]];
+            let swapped = LiveMsg::PartialMatches { qid: chained, per_pattern: sets.clone() };
+            assert!(c.on_event(P1, swapped).is_empty());
+            assert_eq!(c.counters.stale_replies, 2);
+            let right = LiveMsg::PartialMatches { qid: partial, per_pattern: sets };
+            assert_eq!(finishes(&c.on_event(P1, right))[0].1.solutions, vec![xsol(1)]);
+            assert_eq!(finishes(&solutions(&mut c, P1, chained, vec![xsol(2)])).len(), 1);
         }
 
         #[test]
         fn partial_eval_assembles_cross_site_rows_and_counts_stitches() {
             let mut c = core();
             let qid = QueryId(52);
-            c.on_event(
-                COORDINATOR,
-                LiveMsg::SubmitMulti {
-                    qid,
-                    patterns: star2(),
-                    join_vars: xvar(),
-                    strategy: DistStrategy::PartialEval,
-                },
-            );
-            c.on_event(IX, LiveMsg::MultiProviders { qid, idx: 0, providers: vec![P1] });
-            let fan = c.on_event(IX, LiveMsg::MultiProviders { qid, idx: 1, providers: vec![P2] });
+            submit_multi(&mut c, qid, star2(), DistStrategy::PartialEval);
+            providers(&mut c, qid, pattern(), vec![P1]);
+            let fan = providers(&mut c, qid, pattern2(), vec![P2]);
             assert!(fan.iter().any(|a| matches!(
                 a,
                 Action::Send { to, msg: LiveMsg::PartialExec { .. } } if *to == P1
@@ -2836,23 +2500,12 @@ mod tests {
         fn multiway_dead_provider_retries_then_purges_every_slot_it_served() {
             let mut c = core();
             let qid = QueryId(53);
-            c.on_event(
-                COORDINATOR,
-                LiveMsg::SubmitMulti {
-                    qid,
-                    patterns: star2(),
-                    join_vars: xvar(),
-                    strategy: DistStrategy::HyperCube,
-                },
-            );
-            c.on_event(IX, LiveMsg::MultiProviders { qid, idx: 0, providers: vec![P1, P2] });
-            c.on_event(IX, LiveMsg::MultiProviders { qid, idx: 1, providers: vec![P2] });
-            c.on_event(P1, LiveMsg::Solutions { qid, solutions: vec![xsol(1)] });
+            submit_multi(&mut c, qid, star2(), DistStrategy::HyperCube);
+            providers(&mut c, qid, pattern(), vec![P1, P2]);
+            providers(&mut c, qid, pattern2(), vec![P2]);
+            solutions(&mut c, P1, qid, vec![xsol(1)]);
             // P2 misses its deadline: first a full exec retransmission...
-            let retry = c.on_event(
-                COORDINATOR,
-                LiveMsg::Deadline { qid, stage: DeadlineStage::Ack { provider: P2, attempt: 0 } },
-            );
+            let retry = deadline(&mut c, qid, DeadlineStage::Ack { provider: P2, attempt: 0 });
             assert!(retry.iter().any(|a| matches!(
                 a,
                 Action::Send { to, msg: LiveMsg::ShuffleExec { .. } } if *to == P2
@@ -2862,10 +2515,7 @@ mod tests {
             // bumped generation (round-0 targets were stalled waiting
             // for P2's partitions, so their fragments cannot be trusted
             // to ever arrive).
-            let give_up = c.on_event(
-                COORDINATOR,
-                LiveMsg::Deadline { qid, stage: DeadlineStage::Ack { provider: P2, attempt: 1 } },
-            );
+            let give_up = deadline(&mut c, qid, DeadlineStage::Ack { provider: P2, attempt: 1 });
             let dead: usize = give_up
                 .iter()
                 .filter(|a| matches!(
@@ -2892,7 +2542,7 @@ mod tests {
             );
             // The survivor's generation-1 fragment finishes the round
             // partial: P2's data is lost, everything else survives.
-            let done = finishes(&c.on_event(P1, LiveMsg::Solutions { qid, solutions: vec![xsol(1)] }));
+            let done = finishes(&solutions(&mut c, P1, qid, vec![xsol(1)]));
             assert_eq!(done.len(), 1);
             assert!(!done[0].1.complete);
             assert_eq!(done[0].1.failed_providers, vec![P2]);
@@ -2903,182 +2553,47 @@ mod tests {
         fn multiway_empty_provider_slot_finishes_complete_and_empty() {
             let mut c = core();
             let qid = QueryId(54);
-            c.on_event(
-                COORDINATOR,
-                LiveMsg::SubmitMulti {
-                    qid,
-                    patterns: star2(),
-                    join_vars: xvar(),
-                    strategy: DistStrategy::HyperCube,
-                },
-            );
+            submit_multi(&mut c, qid, star2(), DistStrategy::HyperCube);
             // One pattern matches nothing anywhere: the conjunction is
             // empty, so the round finishes before contacting providers.
-            let done = finishes(&c.on_event(
-                IX,
-                LiveMsg::MultiProviders { qid, idx: 0, providers: Vec::new() },
-            ));
+            let done = finishes(&providers(&mut c, qid, pattern(), Vec::new()));
             assert_eq!(done.len(), 1);
             assert!(done[0].1.complete);
             assert!(done[0].1.solutions.is_empty());
-            assert!(c.multi.is_empty());
+            assert!(c.in_flight.is_empty());
         }
 
         #[test]
         fn multiway_lookup_timeout_retries_per_slot_then_fails() {
             let mut c = core();
             let qid = QueryId(55);
-            c.on_event(
-                COORDINATOR,
-                LiveMsg::SubmitMulti {
-                    qid,
-                    patterns: star2(),
-                    join_vars: xvar(),
-                    strategy: DistStrategy::PartialEval,
-                },
-            );
-            c.on_event(IX, LiveMsg::MultiProviders { qid, idx: 0, providers: vec![P1] });
+            submit_multi(&mut c, qid, star2(), DistStrategy::PartialEval);
+            providers(&mut c, qid, pattern(), vec![P1]);
             // A stale deadline for the already-resolved slot is inert.
-            assert!(c
-                .on_event(
-                    COORDINATOR,
-                    LiveMsg::Deadline {
-                        qid,
-                        stage: DeadlineStage::MultiLookup { idx: 0, attempt: 0 },
-                    },
-                )
-                .is_empty());
+            let stale = deadline(&mut c, qid, DeadlineStage::Lookup { slot: 0, attempt: 0 });
+            assert!(stale.is_empty());
             // Slot 1's lookup never answers: retry, then give up.
-            let retry = c.on_event(
-                COORDINATOR,
-                LiveMsg::Deadline { qid, stage: DeadlineStage::MultiLookup { idx: 1, attempt: 0 } },
-            );
+            let retry = deadline(&mut c, qid, DeadlineStage::Lookup { slot: 1, attempt: 0 });
             assert!(retry.iter().any(|a| matches!(
                 a,
-                Action::Send { msg: LiveMsg::MultiLookup { idx: 1, .. }, .. }
+                Action::Send { msg: LiveMsg::Lookup { pattern, .. }, .. } if *pattern == pattern2()
             )));
-            let give_up = c.on_event(
-                COORDINATOR,
-                LiveMsg::Deadline { qid, stage: DeadlineStage::MultiLookup { idx: 1, attempt: 1 } },
-            );
+            let give_up = deadline(&mut c, qid, DeadlineStage::Lookup { slot: 1, attempt: 1 });
             let done = finishes(&give_up);
             assert_eq!(done.len(), 1);
             assert!(!done[0].1.complete);
             assert_eq!(c.counters.lookup_failures, 1);
-            assert!(c.multi.is_empty());
-        }
-
-        /// One abstract protocol event for the interleaving property.
-        #[derive(Debug, Clone)]
-        enum Ev {
-            Providers { stale: bool, providers: Vec<NodeId> },
-            Matches { stale_qid: bool, from: NodeId, triples: Vec<Triple> },
-            AckDeadline { provider: NodeId, attempt: u8 },
-            LookupDeadline { attempt: u8 },
-            Overall,
+            assert!(c.in_flight.is_empty());
         }
 
         fn arb_provider() -> impl Strategy<Value = NodeId> {
             prop_oneof![Just(P1), Just(P2), Just(P3), Just(NodeId(99))]
         }
 
-        fn arb_event() -> impl Strategy<Value = Ev> {
-            prop_oneof![
-                (any::<bool>(), proptest::collection::vec(arb_provider(), 0..4))
-                    .prop_map(|(stale, providers)| Ev::Providers { stale, providers }),
-                (any::<bool>(), arb_provider(), proptest::collection::vec(0u64..6, 0..3))
-                    .prop_map(|(stale_qid, from, ts)| Ev::Matches {
-                        stale_qid,
-                        from,
-                        triples: ts.into_iter().map(triple).collect(),
-                    }),
-                (arb_provider(), 0u8..3)
-                    .prop_map(|(provider, attempt)| Ev::AckDeadline { provider, attempt }),
-                (0u8..3).prop_map(|attempt| Ev::LookupDeadline { attempt }),
-                Just(Ev::Overall),
-            ]
-        }
+        // ---- N simultaneous rounds of every kind through one machine -
 
-        proptest! {
-            /// Arbitrary interleavings of in-order, late, duplicate, and
-            /// dropped replies: the machine never panics, never finishes
-            /// a query twice, always terminates once the overall deadline
-            /// fires, and only reports `complete` when no provider
-            /// failed.
-            #[test]
-            fn interleavings_terminate_exactly_once(
-                events in proptest::collection::vec(arb_event(), 0..40)
-            ) {
-                let mut c = core();
-                let qid = QueryId(1);
-                let stale = QueryId(999);
-                let mut done: Vec<LiveAnswer> = Vec::new();
-                let record = |actions: Vec<Action>, done: &mut Vec<LiveAnswer>| {
-                    for (q, answer) in finishes(&actions) {
-                        prop_assert_eq!(q, qid, "only the submitted query can finish");
-                        done.push(answer);
-                    }
-                    Ok(())
-                };
-                record(
-                    c.on_event(COORDINATOR, LiveMsg::Submit { qid, pattern: pattern() }),
-                    &mut done,
-                )?;
-                for ev in &events {
-                    let actions = match ev.clone() {
-                        Ev::Providers { stale: s, providers } => c.on_event(
-                            IX,
-                            LiveMsg::Providers {
-                                qid: if s { stale } else { qid },
-                                pattern: pattern(),
-                                providers,
-                            },
-                        ),
-                        Ev::Matches { stale_qid, from, triples } => c.on_event(
-                            from,
-                            LiveMsg::Matches { qid: if stale_qid { stale } else { qid }, triples },
-                        ),
-                        Ev::AckDeadline { provider, attempt } => c.on_event(
-                            COORDINATOR,
-                            LiveMsg::Deadline {
-                                qid,
-                                stage: DeadlineStage::Ack { provider, attempt },
-                            },
-                        ),
-                        Ev::LookupDeadline { attempt } => c.on_event(
-                            COORDINATOR,
-                            LiveMsg::Deadline { qid, stage: DeadlineStage::Lookup { attempt } },
-                        ),
-                        Ev::Overall => c.on_event(
-                            COORDINATOR,
-                            LiveMsg::Deadline { qid, stage: DeadlineStage::Overall },
-                        ),
-                    };
-                    record(actions, &mut done)?;
-                }
-                // The overall deadline always fires eventually.
-                record(
-                    c.on_event(COORDINATOR, LiveMsg::Deadline { qid, stage: DeadlineStage::Overall }),
-                    &mut done,
-                )?;
-                prop_assert_eq!(done.len(), 1, "exactly one completion, never two");
-                let answer = &done[0];
-                if answer.complete {
-                    prop_assert!(answer.failed_providers.is_empty());
-                }
-                // Dedup invariant: no triple reported twice.
-                let mut seen = std::collections::HashSet::new();
-                for t in &answer.triples {
-                    prop_assert!(seen.insert(t.clone()), "duplicate triple in answer");
-                }
-                prop_assert!(c.in_flight.is_empty(), "no state leaks after completion");
-            }
-        }
-
-        // ---- N simultaneous queries through one machine --------------
-
-        /// Number of concurrently-submitted rounds in the multi-query
-        /// interleaving property.
+        /// Number of concurrently-submitted rounds in the interleaving
+        /// property.
         const NQ: usize = 3;
 
         fn qid_of(q: usize) -> QueryId {
@@ -3092,47 +2607,74 @@ mod tests {
             xsol(1000 * (q as u64 + 1) + v)
         }
 
-        /// One abstract event aimed at one of the [`NQ`] queries.
+        /// One abstract event aimed at one of the [`NQ`] rounds. A
+        /// `second` pattern is the round's slot 1 for a multiway round
+        /// and an echo naming none of its slots for a chained one.
         #[derive(Debug, Clone)]
-        enum MEv {
-            Providers { q: usize, stale: bool, providers: Vec<NodeId> },
+        enum Ev {
+            Providers { q: usize, stale: bool, second: bool, providers: Vec<NodeId> },
             Solutions { q: usize, stale_qid: bool, from: NodeId, vals: Vec<u64> },
             Batch { from: NodeId, entries: Vec<(usize, u64)> },
+            Partial { q: usize, from: NodeId, sets: Vec<Vec<u64>> },
             AckDeadline { q: usize, provider: NodeId, attempt: u8 },
-            LookupDeadline { q: usize, attempt: u8 },
+            LookupDeadline { q: usize, slot: u32, attempt: u8 },
             Overall { q: usize },
         }
 
-        fn arb_mev() -> impl Strategy<Value = MEv> {
+        /// How a round is submitted: chained (`None`), or as a multiway
+        /// round under the given strategy.
+        fn arb_kind() -> impl Strategy<Value = Option<DistStrategy>> {
             prop_oneof![
-                (0..NQ, any::<bool>(), proptest::collection::vec(arb_provider(), 0..4))
-                    .prop_map(|(q, stale, providers)| MEv::Providers { q, stale, providers }),
-                (0..NQ, any::<bool>(), arb_provider(), proptest::collection::vec(0u64..6, 0..3))
-                    .prop_map(|(q, stale_qid, from, vals)| MEv::Solutions {
+                Just(None),
+                Just(Some(DistStrategy::HyperCube)),
+                Just(Some(DistStrategy::PartialEval)),
+            ]
+        }
+
+        fn arb_vals() -> impl Strategy<Value = Vec<u64>> {
+            proptest::collection::vec(0u64..6, 0..3)
+        }
+
+        fn arb_event() -> impl Strategy<Value = Ev> {
+            prop_oneof![
+                (0..NQ, any::<bool>(), any::<bool>(), proptest::collection::vec(arb_provider(), 0..4))
+                    .prop_map(|(q, stale, second, providers)| Ev::Providers {
                         q,
-                        stale_qid,
-                        from,
-                        vals,
+                        stale,
+                        second,
+                        providers,
                     }),
+                (0..NQ, any::<bool>(), arb_provider(), arb_vals()).prop_map(
+                    |(q, stale_qid, from, vals)| Ev::Solutions { q, stale_qid, from, vals }
+                ),
                 (arb_provider(), proptest::collection::vec((0..NQ, 0u64..6), 0..4))
-                    .prop_map(|(from, entries)| MEv::Batch { from, entries }),
+                    .prop_map(|(from, entries)| Ev::Batch { from, entries }),
+                (0..NQ, arb_provider(), proptest::collection::vec(arb_vals(), 1..4))
+                    .prop_map(|(q, from, sets)| Ev::Partial { q, from, sets }),
                 (0..NQ, arb_provider(), 0u8..3)
-                    .prop_map(|(q, provider, attempt)| MEv::AckDeadline { q, provider, attempt }),
-                (0..NQ, 0u8..3).prop_map(|(q, attempt)| MEv::LookupDeadline { q, attempt }),
-                (0..NQ).prop_map(|q| MEv::Overall { q }),
+                    .prop_map(|(q, provider, attempt)| Ev::AckDeadline { q, provider, attempt }),
+                (0..NQ, 0u32..3, 0u8..3)
+                    .prop_map(|(q, slot, attempt)| Ev::LookupDeadline { q, slot, attempt }),
+                (0..NQ).prop_map(|q| Ev::Overall { q }),
             ]
         }
 
         proptest! {
-            /// [`NQ`] queries submitted in one batched frame, then an
-            /// arbitrary interleaving of per-query providers, plain and
-            /// batched replies, stale frames, and deadlines: every query
-            /// finishes exactly once, within its own deadline, with only
-            /// solutions from its own universe — and the machine retires
-            /// all per-query state.
+            /// [`NQ`] rounds of arbitrary kinds — chained ones submitted
+            /// in one batched frame, HyperCube and partial-evaluation
+            /// ones over two slots — then an arbitrary interleaving of
+            /// in-order, late, duplicate, foreign and dropped provider
+            /// lists, plain and batched solution replies, partial
+            /// matches of the right and the wrong width, and deadlines
+            /// of current and abandoned attempts: the machine never
+            /// panics, every round finishes exactly once, `complete`
+            /// means no provider failed, answers hold only solutions
+            /// from the round's own universe, each once — and once every
+            /// overall deadline has fired the in-flight map is empty.
             #[test]
-            fn concurrent_queries_finish_once_without_contamination(
-                events in proptest::collection::vec(arb_mev(), 0..60)
+            fn concurrent_rounds_of_every_kind_finish_once_without_contamination(
+                kinds in proptest::collection::vec(arb_kind(), NQ..NQ + 1),
+                events in proptest::collection::vec(arb_event(), 0..60)
             ) {
                 let mut c = core();
                 let stale = QueryId(999);
@@ -3145,40 +2687,31 @@ mod tests {
                     }
                     Ok(())
                 };
+                let chained = (0..NQ).filter(|q| kinds[*q].is_none()).map(|q| round(qid_of(q)));
                 record(
-                    c.on_event(
-                        COORDINATOR,
-                        LiveMsg::SubmitSolBatch {
-                            rounds: (0..NQ)
-                                .map(|q| SolRound {
-                                    qid: qid_of(q),
-                                    pattern: pattern(),
-                                    filter: None,
-                                    bound: None,
-                                })
-                                .collect(),
-                        },
-                    ),
+                    c.on_event(COORDINATOR, LiveMsg::SubmitSolBatch { rounds: chained.collect() }),
                     &mut done,
                 )?;
+                for (q, kind) in kinds.iter().enumerate() {
+                    if let Some(strategy) = *kind {
+                        record(submit_multi(&mut c, qid_of(q), star2(), strategy), &mut done)?;
+                    }
+                }
                 for ev in &events {
                     let actions = match ev.clone() {
-                        MEv::Providers { q, stale: s, providers } => c.on_event(
-                            IX,
-                            LiveMsg::Providers {
-                                qid: if s { stale } else { qid_of(q) },
-                                pattern: pattern(),
-                                providers,
-                            },
+                        Ev::Providers { q, stale: s, second, providers: ps } => providers(
+                            &mut c,
+                            if s { stale } else { qid_of(q) },
+                            if second { pattern2() } else { pattern() },
+                            ps,
                         ),
-                        MEv::Solutions { q, stale_qid, from, vals } => c.on_event(
+                        Ev::Solutions { q, stale_qid, from, vals } => solutions(
+                            &mut c,
                             from,
-                            LiveMsg::Solutions {
-                                qid: if stale_qid { stale } else { qid_of(q) },
-                                solutions: vals.into_iter().map(|v| usol(q, v)).collect(),
-                            },
+                            if stale_qid { stale } else { qid_of(q) },
+                            vals.into_iter().map(|v| usol(q, v)).collect(),
                         ),
-                        MEv::Batch { from, entries } => c.on_event(
+                        Ev::Batch { from, entries } => c.on_event(
                             from,
                             LiveMsg::SolutionsBatch {
                                 entries: entries
@@ -3187,36 +2720,33 @@ mod tests {
                                     .collect(),
                             },
                         ),
-                        MEv::AckDeadline { q, provider, attempt } => c.on_event(
-                            COORDINATOR,
-                            LiveMsg::Deadline {
+                        Ev::Partial { q, from, sets } => c.on_event(
+                            from,
+                            LiveMsg::PartialMatches {
                                 qid: qid_of(q),
-                                stage: DeadlineStage::Ack { provider, attempt },
+                                per_pattern: sets
+                                    .into_iter()
+                                    .map(|vals| vals.into_iter().map(|v| usol(q, v)).collect())
+                                    .collect(),
                             },
                         ),
-                        MEv::LookupDeadline { q, attempt } => c.on_event(
-                            COORDINATOR,
-                            LiveMsg::Deadline {
-                                qid: qid_of(q),
-                                stage: DeadlineStage::Lookup { attempt },
-                            },
+                        Ev::AckDeadline { q, provider, attempt } => deadline(
+                            &mut c,
+                            qid_of(q),
+                            DeadlineStage::Ack { provider, attempt },
                         ),
-                        MEv::Overall { q } => c.on_event(
-                            COORDINATOR,
-                            LiveMsg::Deadline { qid: qid_of(q), stage: DeadlineStage::Overall },
+                        Ev::LookupDeadline { q, slot, attempt } => deadline(
+                            &mut c,
+                            qid_of(q),
+                            DeadlineStage::Lookup { slot, attempt },
                         ),
+                        Ev::Overall { q } => deadline(&mut c, qid_of(q), DeadlineStage::Overall),
                     };
                     record(actions, &mut done)?;
                 }
                 // Every query's overall deadline fires eventually.
                 for q in 0..NQ {
-                    record(
-                        c.on_event(
-                            COORDINATOR,
-                            LiveMsg::Deadline { qid: qid_of(q), stage: DeadlineStage::Overall },
-                        ),
-                        &mut done,
-                    )?;
+                    record(deadline(&mut c, qid_of(q), DeadlineStage::Overall), &mut done)?;
                 }
                 for (q, finished) in done.iter().enumerate() {
                     prop_assert_eq!(finished.len(), 1, "query {} must finish exactly once", q);

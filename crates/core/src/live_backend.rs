@@ -2,8 +2,8 @@
 //!
 //! [`crate::SimBackend`] executes a compiled [`crate::ExecPlan`] against
 //! the deterministic simulator; this module executes the *same plan*
-//! against [`LiveMesh`]'s real threads, which is what graduates the live
-//! mesh from single-pattern lookups to full SPARQL — conjunctive
+//! against [`LiveMesh`]'s real threads, which is what takes the live
+//! mesh from single-pattern rounds to full SPARQL — conjunctive
 //! patterns, UNION / OPTIONAL, FILTER pushdown, DISTINCT and the other
 //! solution modifiers.
 //!
@@ -194,14 +194,17 @@ impl<'a> LiveBackend<'a> {
         filter: Option<Expression>,
         bound: Option<Vec<solution::Solution>>,
     ) -> Result<Mat, LiveError> {
+        let answer = self.mesh.solution_round(pattern, filter, bound, self.wait);
+        self.absorb(answer)
+    }
+
+    /// Books one round's outcome — a caller-side timeout, or the fault
+    /// report the answer carries — and materializes its solutions at the
+    /// coordinator.
+    fn absorb(&mut self, answer: Option<LiveAnswer>) -> Result<Mat, LiveError> {
         self.rounds += 1;
-        let answer = self
-            .mesh
-            .solution_round(pattern, filter, bound, self.wait)
-            .ok_or(LiveError::Timeout)?;
-        if !answer.complete {
-            self.complete = false;
-        }
+        let answer = answer.ok_or(LiveError::Timeout)?;
+        self.complete &= answer.complete;
         for p in answer.failed_providers {
             if !self.failed.contains(&p) {
                 self.failed.push(p);
@@ -261,20 +264,9 @@ impl MeshBackend for LiveBackend<'_> {
         strategy: DistStrategy,
         _depart: SimTime,
     ) -> Result<Mat, LiveError> {
-        self.rounds += 1;
-        let answer = self
-            .mesh
-            .multiway_round(patterns.to_vec(), join_vars.to_vec(), strategy, self.wait)
-            .ok_or(LiveError::Timeout)?;
-        if !answer.complete {
-            self.complete = false;
-        }
-        for p in answer.failed_providers {
-            if !self.failed.contains(&p) {
-                self.failed.push(p);
-            }
-        }
-        Ok(Mat { solutions: answer.solutions, site: COORDINATOR, ready: SimTime::ZERO })
+        let answer =
+            self.mesh.multiway_round(patterns.to_vec(), join_vars.to_vec(), strategy, self.wait);
+        self.absorb(answer)
     }
 
     fn exec_binary(&mut self, op: &OpKind, left: Mat, right: Mat) -> Mat {

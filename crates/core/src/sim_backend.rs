@@ -5,7 +5,7 @@
 //! lookups, the three primitive shipping strategies, bind-join shipping,
 //! flooding, dead-provider timeouts and purges, join-site selection, and
 //! materialization transfers. Every movement of a sub-query or solution
-//! set is charged to the simulated network, so executing an [`ExecPlan`]
+//! set is charged to the simulated network, so executing an [`ExecPlan`](crate::ExecPlan)
 //! through this backend produces byte-identical [`QueryStats`] to the
 //! monolithic engine it was carved out of (locked by the
 //! `exec_golden` twin-run fixture in rdfmesh-bench).

@@ -15,10 +15,13 @@
 
 use std::time::Duration;
 
-use rdfmesh_core::{FaultPlan, LiveConfig, LiveMesh, LiveMsg, QueryId, Transport, COORDINATOR};
+use rdfmesh_core::{
+    FaultPlan, LiveAnswer, LiveConfig, LiveMesh, LiveMsg, QueryId, Transport, COORDINATOR,
+};
 use rdfmesh_net::{LatencyModel, Network, NodeId, SimTime};
 use rdfmesh_overlay::Overlay;
-use rdfmesh_rdf::{Term, TermPattern, Triple, TriplePattern};
+use rdfmesh_rdf::{Term, TermPattern, Triple, TriplePattern, Variable};
+use rdfmesh_sparql::{eval::extend, Solution};
 
 const STORAGE_A: NodeId = NodeId(1);
 const STORAGE_B: NodeId = NodeId(2);
@@ -62,20 +65,27 @@ fn knows_bob() -> TriplePattern {
 }
 
 /// Simulator-side oracle: the matches the overlay's storage nodes would
-/// produce, restricted to the given live nodes.
-fn oracle(o: &Overlay, pattern: &TriplePattern, live: &[NodeId]) -> Vec<Triple> {
-    let mut expected: Vec<Triple> = live
+/// produce, restricted to the given live nodes, as bindings of the
+/// pattern's variables.
+fn oracle(o: &Overlay, pattern: &TriplePattern, live: &[NodeId]) -> Vec<Solution> {
+    let mut expected: Vec<Solution> = live
         .iter()
         .flat_map(|n| o.storage_node(*n).expect("storage node").store.match_pattern(pattern))
+        .filter_map(|t| extend(pattern, &t, &Solution::new()))
         .collect();
     expected.sort();
     expected.dedup();
     expected
 }
 
-fn sorted(mut triples: Vec<Triple>) -> Vec<Triple> {
-    triples.sort();
-    triples
+fn sorted(mut solutions: Vec<Solution>) -> Vec<Solution> {
+    solutions.sort();
+    solutions
+}
+
+/// One solution round over `pattern`, no filter, no bound intermediates.
+fn query(mesh: &LiveMesh, pattern: &TriplePattern, wait: Duration) -> LiveAnswer {
+    mesh.query_solutions(pattern.clone(), None, None, wait).expect("within deadline")
 }
 
 fn tight() -> LiveConfig {
@@ -119,10 +129,10 @@ fn crashed_provider_scenario(transport: Transport) {
     let before = mesh.providers_of(&pattern);
     assert_eq!(before, vec![STORAGE_A, STORAGE_B]);
 
-    let answer = mesh.query(pattern.clone(), cfg.query_deadline).expect("within deadline");
+    let answer = query(&mesh, &pattern, cfg.query_deadline);
     assert!(!answer.complete, "a lost provider must be reported");
     assert_eq!(answer.failed_providers, vec![STORAGE_B]);
-    assert_eq!(sorted(answer.triples), oracle(&o, &pattern, &[STORAGE_A]));
+    assert_eq!(sorted(answer.solutions), oracle(&o, &pattern, &[STORAGE_A]));
 
     // Lazy removal: the ProviderDead notification was enqueued before the
     // answer was released, so fencing the index route makes it visible.
@@ -139,9 +149,9 @@ fn crashed_provider_scenario(transport: Transport) {
     // republish, as in the paper's rejoin): the next query is complete
     // over the remaining provider alone.
     assert!(mesh.restart(STORAGE_B));
-    let again = mesh.query(pattern.clone(), cfg.query_deadline).expect("within deadline");
+    let again = query(&mesh, &pattern, cfg.query_deadline);
     assert!(again.complete);
-    assert_eq!(sorted(again.triples), oracle(&o, &pattern, &[STORAGE_A]));
+    assert_eq!(sorted(again.solutions), oracle(&o, &pattern, &[STORAGE_A]));
     mesh.shutdown();
 }
 
@@ -153,10 +163,10 @@ fn dropped_subquery_scenario(transport: Transport) {
     let mesh =
         spawn(&o, cfg, FaultPlan::new().drop_nth(COORDINATOR, STORAGE_A, 1), transport);
     let pattern = knows_bob();
-    let answer = mesh.query(pattern.clone(), cfg.query_deadline).expect("within deadline");
+    let answer = query(&mesh, &pattern, cfg.query_deadline);
     assert!(answer.complete, "one bounded retry must recover a single drop");
     assert!(answer.failed_providers.is_empty());
-    assert_eq!(sorted(answer.triples), oracle(&o, &pattern, &[STORAGE_A, STORAGE_B]));
+    assert_eq!(sorted(answer.solutions), oracle(&o, &pattern, &[STORAGE_A, STORAGE_B]));
     assert_eq!(mesh.dropped_count(), 1);
     let stats = mesh.stats();
     assert_eq!(stats.retries, 1);
@@ -170,30 +180,28 @@ fn stale_reply_scenario(transport: Transport) {
     let mesh = spawn(&o, LiveConfig::default(), FaultPlan::new(), transport);
     let pattern = knows_bob();
 
-    let first = mesh.query(pattern.clone(), Duration::from_secs(10)).expect("within deadline");
+    let first = query(&mesh, &pattern, Duration::from_secs(10));
     assert!(first.complete);
-    assert_eq!(first.triples.len(), 2);
+    assert_eq!(first.solutions.len(), 2);
 
     // Forge a delayed duplicate of query 1's reply, carrying query 1's
-    // id (ids start at 1) and a triple that exists nowhere, arriving
+    // id (ids start at 1) and a binding that exists nowhere, arriving
     // between the two queries. The inject happens-before query 2's
-    // submission (same FIFO mailbox, same sending thread — and on the
-    // socket transport, the same self-link connection).
-    let bogus = Triple::new(
-        Term::iri("http://example.org/mallory"),
-        Term::iri(rdfmesh_rdf::vocab::foaf::KNOWS),
-        Term::iri("http://example.org/bob"),
-    );
+    // submission (same sending thread, and on the socket transport the
+    // same self-link connection; the submit pump forwards query 2 only
+    // after it was enqueued, which is after the inject returned).
+    let bogus =
+        Solution::from_pairs([(Variable::new("x"), Term::iri("http://example.org/mallory"))]);
     mesh.inject(
         STORAGE_A,
         COORDINATOR,
-        LiveMsg::Matches { qid: QueryId(1), triples: vec![bogus.clone()] },
+        LiveMsg::Solutions { qid: QueryId(1), solutions: vec![bogus.clone()] },
     );
 
-    let second = mesh.query(pattern.clone(), Duration::from_secs(10)).expect("within deadline");
+    let second = query(&mesh, &pattern, Duration::from_secs(10));
     assert!(second.complete);
-    assert!(!second.triples.contains(&bogus), "stale reply leaked into the next query");
-    assert_eq!(sorted(second.triples), oracle(&o, &pattern, &[STORAGE_A, STORAGE_B]));
+    assert!(!second.solutions.contains(&bogus), "stale reply leaked into the next query");
+    assert_eq!(sorted(second.solutions), oracle(&o, &pattern, &[STORAGE_A, STORAGE_B]));
     assert_eq!(mesh.stats().stale_replies, 1);
     mesh.shutdown();
 }
@@ -206,9 +214,9 @@ fn unreachable_index_scenario(transport: Transport) {
         plan = plan.crash(ix);
     }
     let mesh = spawn(&o, cfg, plan, transport);
-    let answer = mesh.query(knows_bob(), cfg.query_deadline).expect("within deadline");
+    let answer = query(&mesh, &knows_bob(), cfg.query_deadline);
     assert!(!answer.complete);
-    assert!(answer.triples.is_empty());
+    assert!(answer.solutions.is_empty());
     let stats = mesh.stats();
     assert_eq!(stats.lookup_failures, 1);
     assert_eq!(stats.send_failures, 2, "initial lookup and its retry");
@@ -222,25 +230,25 @@ fn runtime_crash_scenario(transport: Transport) {
     let mesh = spawn(&o, cfg, FaultPlan::new(), transport);
     let pattern = knows_bob();
 
-    let healthy = mesh.query(pattern.clone(), cfg.query_deadline).expect("within deadline");
+    let healthy = query(&mesh, &pattern, cfg.query_deadline);
     assert!(healthy.complete);
-    assert_eq!(sorted(healthy.triples), oracle(&o, &pattern, &[STORAGE_A, STORAGE_B]));
+    assert_eq!(sorted(healthy.solutions), oracle(&o, &pattern, &[STORAGE_A, STORAGE_B]));
 
     // B crashes at runtime; the very next query degrades gracefully.
     assert!(mesh.crash(STORAGE_B));
-    let degraded = mesh.query(pattern.clone(), cfg.query_deadline).expect("within deadline");
+    let degraded = query(&mesh, &pattern, cfg.query_deadline);
     assert!(!degraded.complete);
     assert_eq!(degraded.failed_providers, vec![STORAGE_B]);
-    assert_eq!(sorted(degraded.triples), oracle(&o, &pattern, &[STORAGE_A]));
+    assert_eq!(sorted(degraded.solutions), oracle(&o, &pattern, &[STORAGE_A]));
 
     fence_index_nodes(&mesh, &o);
     assert_eq!(mesh.providers_of(&pattern), vec![STORAGE_A]);
     assert_eq!(mesh.stats().providers_purged, 1);
 
     // With the dead entry purged, the mesh answers complete again.
-    let recovered = mesh.query(pattern.clone(), cfg.query_deadline).expect("within deadline");
+    let recovered = query(&mesh, &pattern, cfg.query_deadline);
     assert!(recovered.complete);
-    assert_eq!(sorted(recovered.triples), oracle(&o, &pattern, &[STORAGE_A]));
+    assert_eq!(sorted(recovered.solutions), oracle(&o, &pattern, &[STORAGE_A]));
     mesh.shutdown();
 }
 
@@ -302,7 +310,7 @@ fn runtime_crash_between_queries_degrades_then_purges_over_sockets() {
 
 /// Runs the crashed-provider query on both transports and asserts the
 /// [`rdfmesh_core::LiveAnswer`]s are *equal*, not merely both partial —
-/// same surviving triples, same failure report. The socket transport
+/// same surviving solutions, same failure report. The socket transport
 /// must also have pushed every protocol message through real frames.
 #[test]
 fn socket_and_thread_transports_return_identical_answers() {
@@ -313,9 +321,8 @@ fn socket_and_thread_transports_return_identical_answers() {
             let o = overlay();
             let cfg = tight();
             let mesh = spawn(&o, cfg, FaultPlan::new().crash(STORAGE_B), t);
-            let mut answer =
-                mesh.query(pattern.clone(), cfg.query_deadline).expect("within deadline");
-            answer.triples.sort();
+            let mut answer = query(&mesh, &pattern, cfg.query_deadline);
+            answer.solutions.sort();
             if t == Transport::Sockets {
                 let wire = mesh.transport_stats().expect("socket transport has wire stats");
                 assert!(wire.frames_sent > 0, "protocol must actually cross the socket");

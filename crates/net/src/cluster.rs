@@ -6,8 +6,8 @@
 //! Nodes are user-supplied handler closures; the cluster routes
 //! envelopes, counts traffic with atomics, and shuts down cleanly.
 //!
-//! Routing goes through a small internal [`Router`]: local nodes are
-//! crossbeam mailboxes, and an optional [`RemoteRoute`] hook lets a
+//! Routing goes through a small internal `Router`: local nodes are
+//! crossbeam mailboxes, and an optional `RemoteRoute` hook lets a
 //! socket transport claim destinations before the mailbox lookup. The
 //! thread cluster installs no hook; [`crate::tcp::TcpCluster`] installs
 //! one that frames envelopes onto TCP connections — same [`Outbox`]

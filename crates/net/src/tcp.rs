@@ -1,4 +1,4 @@
-//! A TCP socket transport implementing the same cluster/[`Outbox`]
+//! A TCP socket transport implementing the same cluster/[`Outbox`](crate::Outbox)
 //! contract as the thread-backed [`Cluster`].
 //!
 //! Every process binds one listener; logical nodes (storage, index,
@@ -52,8 +52,11 @@ pub const WIRE_MAGIC: [u8; 4] = *b"RDFM";
 /// up front. Version 3 replaced the solution-set layout inside every
 /// solution-carrying payload with the compact dictionary frame
 /// (`docs/DEPLOYMENT.md` §1.3.1): same tags, different bytes, so a v2
-/// peer would misparse rather than reject them.
-pub const WIRE_VERSION: u8 = 3;
+/// peer would misparse rather than reject them. Version 4 retired six
+/// payload tags (the triple round, the singleton submit, the multiway
+/// lookup pair) and widened the internal `Deadline` frame's lookup
+/// stage by a slot index; the surviving tags kept their layouts.
+pub const WIRE_VERSION: u8 = 4;
 /// Upper bound on a single frame's length field; larger values mean a
 /// corrupt or hostile stream and close the connection.
 pub const MAX_FRAME: u32 = 16 * 1024 * 1024;
@@ -401,7 +404,7 @@ fn run_reader<M: WireMsg>(mut stream: TcpStream, shared: Arc<TcpShared<M>>) {
 }
 
 /// A cluster whose inter-node traffic crosses TCP sockets — the same
-/// [`Outbox`]/[`Handler`] contract as [`Cluster`], so the live-mesh
+/// [`Outbox`](crate::Outbox)/[`Handler`] contract as [`Cluster`], so the live-mesh
 /// protocol and the PR 4 fault suite run on it unmodified. See the
 /// module docs for the two modes and `docs/DEPLOYMENT.md` for the wire
 /// specification.
@@ -648,8 +651,8 @@ mod tests {
         // Wrong magic.
         let mut r = io::Cursor::new(b"RDFX\x01\x00".to_vec());
         assert!(read_handshake(&mut r).is_err());
-        // Wrong version — in particular the previous one, whose
-        // solution-set layout this build would misparse.
+        // Wrong version — in particular the previous one, whose peers
+        // still send tags this build retired.
         for version in [0x63, WIRE_VERSION - 1] {
             let mut r = io::Cursor::new([b"RDFM".as_slice(), &[version, 0]].concat());
             assert!(read_handshake(&mut r).is_err());

@@ -67,15 +67,15 @@ fn main() {
     for (label, pattern) in queries {
         let t0 = Instant::now();
         let answer = mesh
-            .query(pattern.clone(), Duration::from_secs(10))
+            .query_solutions(pattern.clone(), None, None, Duration::from_secs(10))
             .expect("live query timed out");
         assert!(answer.complete, "no faults are injected, so every provider answers");
         // Cross-check against a direct scan of all peers.
         let expected = rdfmesh::global_store(&overlay).match_pattern(&pattern).len();
-        assert_eq!(answer.triples.len(), expected, "live protocol must agree with the data");
+        assert_eq!(answer.solutions.len(), expected, "live protocol must agree with the data");
         println!(
             "{label:<22} {:>4} matches in {:>7.2?} (wall clock, {} msgs so far)",
-            answer.triples.len(),
+            answer.solutions.len(),
             t0.elapsed(),
             mesh.message_count()
         );
