@@ -7,14 +7,11 @@
 //! cargo run -p rdfmesh-bench --bin wallclock --release -- --json out.json
 //! ```
 //!
-//! Two suites:
-//!
-//! * **Micro**: the algebra operators (join, left join, union, distinct)
-//!   on identical inputs under the naive nested-loop implementation and
-//!   the hash implementation, at FOAF and university scales.
-//! * **End-to-end**: a full query sweep through the simulated testbed
-//!   with the process-global algebra mode forced to each implementation
-//!   — the whole-pipeline view of the same change.
+//! One suite: the algebra operators (join, left join, union, distinct)
+//! on identical inputs under the naive nested-loop implementation and
+//! the hash implementation, at FOAF and university scales. (The
+//! end-to-end sweep under a forced implementation went with the switch
+//! that forced it; docs/PERFORMANCE.md keeps its last figures.)
 //!
 //! Output is a JSON array of records with `ns_naive`, `ns_hash` and the
 //! resulting `speedup` (committed as `BENCH_wallclock.json`).
@@ -24,14 +21,8 @@ use std::time::Instant;
 use rdfmesh_bench::algebra_inputs::{
     foaf_chain_inputs, foaf_join_inputs, university_join_inputs,
 };
-use rdfmesh_bench::{foaf_testbed, testbed_from, Testbed};
-use rdfmesh_core::ExecConfig;
 use rdfmesh_obs::json::{object, Value};
-use rdfmesh_rdf::Term;
 use rdfmesh_sparql::solution::{hashed, naive, Solution};
-use rdfmesh_sparql::{set_algebra_mode, AlgebraMode};
-use rdfmesh_workload::university::{self, ub, UniversityConfig};
-use rdfmesh_workload::{queries, FoafConfig};
 
 /// One measurement: a named workload timed under both implementations.
 struct Record {
@@ -204,92 +195,6 @@ fn micro_suite(quick: bool) -> Vec<Record> {
     out
 }
 
-fn sweep_queries() -> Vec<String> {
-    let knows = Term::iri(rdfmesh_rdf::vocab::foaf::KNOWS);
-    let name = Term::iri(rdfmesh_rdf::vocab::foaf::NAME);
-    let nick = Term::iri(rdfmesh_rdf::vocab::foaf::NICK);
-    vec![
-        queries::chain_query(&knows, 2),
-        queries::union_query(&name, &nick),
-        queries::optional_query(&name, &nick),
-        queries::filter_query(&name, &knows, "a"),
-    ]
-}
-
-fn run_sweep(tb: &mut Testbed, queries: &[String]) -> usize {
-    let mut total = 0;
-    for q in queries {
-        let stats = tb.run(ExecConfig::default(), q);
-        total += stats.result_size;
-    }
-    total
-}
-
-fn end_to_end_suite(quick: bool) -> Vec<Record> {
-    let persons = if quick { 150 } else { 400 };
-    let foaf_cfg = FoafConfig { persons, peers: 8, seed: 3, ..FoafConfig::default() };
-    let queries = sweep_queries();
-
-    let mut results = Vec::new();
-    let measure = |mode: AlgebraMode| -> (u64, usize) {
-        set_algebra_mode(mode);
-        let mut tb = foaf_testbed(&foaf_cfg, 4);
-        let reps = if quick { 1 } else { 3 };
-        let (ns, rows) = time_op(reps, || run_sweep(&mut tb, &queries));
-        set_algebra_mode(AlgebraMode::Auto);
-        (ns, rows)
-    };
-    let (ns_naive, rows_n) = measure(AlgebraMode::Naive);
-    let (ns_hash, rows_h) = measure(AlgebraMode::Hash);
-    assert_eq!(rows_n, rows_h, "end-to-end sweeps disagree");
-    results.push(Record {
-        suite: "end_to_end",
-        name: format!("foaf_sweep_{persons}"),
-        rows_left: queries.len(),
-        rows_right: 0,
-        output_rows: rows_h,
-        ns_naive,
-        ns_hash,
-    });
-
-    let departments = if quick { 4 } else { 10 };
-    let univ_cfg = UniversityConfig { departments, seed: 5, ..UniversityConfig::default() };
-    let data = university::generate(&univ_cfg);
-    let advisor = Term::iri(ub::ADVISOR);
-    let works_for = Term::iri(ub::WORKS_FOR);
-    let univ_queries = vec![
-        queries::chain_query(&advisor, 1),
-        queries::union_query(&works_for, &Term::iri(ub::TEACHER_OF)),
-        format!(
-            "SELECT * WHERE {{ ?s <{}> ?prof . ?prof <{}> ?dept . }}",
-            ub::ADVISOR,
-            ub::WORKS_FOR
-        ),
-    ];
-    let measure_univ = |mode: AlgebraMode| -> (u64, usize) {
-        set_algebra_mode(mode);
-        let mut tb = testbed_from(&data.peers, 3);
-        let reps = if quick { 1 } else { 3 };
-        let (ns, rows) = time_op(reps, || run_sweep(&mut tb, &univ_queries));
-        set_algebra_mode(AlgebraMode::Auto);
-        (ns, rows)
-    };
-    let (ns_naive, rows_n) = measure_univ(AlgebraMode::Naive);
-    let (ns_hash, rows_h) = measure_univ(AlgebraMode::Hash);
-    assert_eq!(rows_n, rows_h, "university sweeps disagree");
-    results.push(Record {
-        suite: "end_to_end",
-        name: format!("university_sweep_{departments}"),
-        rows_left: univ_queries.len(),
-        rows_right: 0,
-        output_rows: rows_h,
-        ns_naive,
-        ns_hash,
-    });
-
-    results
-}
-
 fn main() {
     let mut quick = false;
     let mut json_path: Option<String> = None;
@@ -310,8 +215,7 @@ fn main() {
         }
     }
 
-    let mut records = micro_suite(quick);
-    records.extend(end_to_end_suite(quick));
+    let records = micro_suite(quick);
 
     println!(
         "{:<28} {:>9} {:>9} {:>10} {:>12} {:>12} {:>9}",

@@ -6,8 +6,8 @@
 //! full-SPARQL workload through both backends over the same data
 //! placement — the deterministic simulator (`SimBackend` via `Engine`)
 //! and the thread-backed live mesh (`LiveBackend` via
-//! [`LiveMesh::execute`]) — and asserts the answers are identical
-//! solution sets. The table contrasts what each side can measure:
+//! [`rdfmesh_core::RoundClient::execute`]) — and asserts the answers are
+//! identical solution sets. The table contrasts what each side can measure:
 //! simulated bytes/messages/hops against live solution rounds, shipped
 //! solution wire bytes, and wall-clock time. The `exec.*` and `live.*`
 //! metrics land in `BENCH_exec_parity.json` in CI.

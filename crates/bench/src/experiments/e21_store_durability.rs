@@ -4,17 +4,14 @@
 //! `insert`/`remove` is write-ahead logged before acknowledgment, and
 //! `flush` seals the overlay into a new small segment generation instead
 //! of rewriting the whole store — adjacent generations merge only when
-//! the `CompactionPolicy` size-ratio trigger fires. This experiment
-//! climbs the E19 scale ladder (10⁴ → 10⁶ statements of the university
-//! corpus), bulk-loads each rung as an immutable base, then applies the
-//! same scripted write workload — batches of durable inserts plus
-//! tombstones of base triples, each batch sealed with a flush — under
-//! both compaction policies:
-//!
-//! * `FullRewrite` — the PR 7 model: every flush folds everything into
-//!   one generation (write amplification grows with the base);
-//! * `Incremental { ratio: 8 }` — the new default: a flush writes keys
-//!   proportional to the overlay, not the store.
+//! the size-ratio trigger fires, so a flush writes keys proportional to
+//! the overlay, not the store. This experiment climbs the E19 scale
+//! ladder (10⁴ → 10⁶ statements of the university corpus), bulk-loads
+//! each rung as an immutable base, then applies a scripted write
+//! workload — batches of durable inserts plus tombstones of base
+//! triples, each batch sealed with a flush. (The PR 7 rewrite-everything
+//! policy it was once compared against is gone; EXPERIMENTS.md §E21
+//! keeps its last measured figures.)
 //!
 //! Columns: acknowledged write latency (dict sync + WAL fsync per
 //! operation), flush latency, total keys written vs. overlay keys sealed
@@ -29,13 +26,13 @@ use std::path::Path;
 use std::time::Instant;
 
 use rdfmesh_rdf::{PatternSource, Term, Triple};
-use rdfmesh_store::{CompactionPolicy, LoadConfig, PersistentStore};
+use rdfmesh_store::{LoadConfig, PersistentStore};
 use rdfmesh_workload::university::{self, UniversityConfig};
 
 use crate::print_table;
 
 const RUNGS: &[u64] = &[10_000, 100_000, 1_000_000];
-/// Flush-sealed write batches per policy run.
+/// Flush-sealed write batches per rung.
 const BATCHES: usize = 4;
 /// Fresh durable inserts per batch.
 const INSERTS_PER_BATCH: usize = 96;
@@ -61,13 +58,6 @@ fn ladder() -> Vec<u64> {
     }
 }
 
-fn copy_dir(from: &Path, to: &Path) {
-    std::fs::create_dir_all(to).expect("copy target dir");
-    for entry in std::fs::read_dir(from).expect("read base store").flatten() {
-        std::fs::copy(entry.path(), to.join(entry.file_name())).expect("copy store file");
-    }
-}
-
 /// A fresh (never-in-the-corpus) triple for durable-insert batches.
 fn fresh_triple(batch: usize, i: usize) -> Triple {
     Triple::new(
@@ -77,7 +67,7 @@ fn fresh_triple(batch: usize, i: usize) -> Triple {
     )
 }
 
-struct PolicyOutcome {
+struct Outcome {
     writes: u64,
     write_us_avg: u64,
     sealed: u64,
@@ -90,18 +80,10 @@ struct PolicyOutcome {
     final_len: u64,
 }
 
-/// Runs the scripted write workload against a copy of the base store
-/// under `policy` and measures every durability-relevant number.
-fn drive(base_dir: &Path, scratch: &Path, policy: CompactionPolicy, cfg: &UniversityConfig) -> PolicyOutcome {
-    let tag = match policy {
-        CompactionPolicy::FullRewrite => "full",
-        CompactionPolicy::Incremental { .. } => "incr",
-    };
-    let dir = scratch.join(format!("run-{tag}"));
-    let _ = std::fs::remove_dir_all(&dir);
-    copy_dir(base_dir, &dir);
-    let mut store = PersistentStore::open(&dir).expect("open policy store");
-    store.set_compaction(policy);
+/// Runs the scripted write workload against the bulk-loaded base store
+/// in `dir` and measures every durability-relevant number.
+fn drive(dir: &Path, cfg: &UniversityConfig) -> Outcome {
+    let mut store = PersistentStore::open(dir).expect("open base store");
 
     // Tombstone victims: real base triples spread across departments.
     let mut victims = Vec::new();
@@ -149,16 +131,15 @@ fn drive(base_dir: &Path, scratch: &Path, policy: CompactionPolicy, cfg: &Univer
     let expected_len = store.len() as u64;
     drop(store);
     let started = Instant::now();
-    let reopened = PersistentStore::open(&dir).expect("reopen policy store");
+    let reopened = PersistentStore::open(dir).expect("reopen store");
     let reopen_us = started.elapsed().as_micros() as u64;
     assert_eq!(reopened.len() as u64, expected_len, "recovery sees every acknowledged write");
     assert_eq!(reopened.wal_replayed(), 0, "a flushed store has an empty WAL");
     assert!(reopened.contains(&fresh_triple(0, 0)));
     assert!(!reopened.contains(&victims[0]), "tombstones survive recovery");
     drop(reopened);
-    let _ = std::fs::remove_dir_all(&dir);
 
-    PolicyOutcome {
+    Outcome {
         writes,
         write_us_avg: write_us / writes.max(1),
         sealed,
@@ -205,80 +186,56 @@ pub fn run() {
         drop(base);
         let _ = std::fs::remove_file(&corpus);
 
-        for policy in [CompactionPolicy::FullRewrite, CompactionPolicy::Incremental { ratio: 8 }]
-        {
-            let name = match policy {
-                CompactionPolicy::FullRewrite => "full-rewrite",
-                CompactionPolicy::Incremental { .. } => "incremental",
-            };
-            let o = drive(&base_dir, &scratch, policy, &cfg);
-            let amp = o.keys_written as f64 / o.sealed.max(1) as f64;
+        let o = drive(&base_dir, &cfg);
+        let amp = o.keys_written as f64 / o.sealed.max(1) as f64;
 
-            let prefix = format!("store.durability.{target}.{name}");
-            let counter = |suffix: &str, value: u64| {
-                metrics.add(leak(format!("{prefix}.{suffix}")), value);
-            };
-            counter("base_triples", base_triples);
-            counter("writes", o.writes);
-            counter("write_us_avg", o.write_us_avg);
-            counter("sealed", o.sealed);
-            counter("keys_written", o.keys_written);
-            counter("write_amp_x100", (amp * 100.0) as u64);
-            counter("compactions", o.compactions);
-            counter("levels_final", o.levels as u64);
-            counter("flush_us_avg", o.flush_us_avg);
-            counter("flush_us_max", o.flush_us_max);
-            counter("reopen_us", o.reopen_us);
-            counter("final_triples", o.final_len);
+        let prefix = format!("store.durability.{target}.incremental");
+        let counter = |suffix: &str, value: u64| {
+            metrics.add(leak(format!("{prefix}.{suffix}")), value);
+        };
+        counter("base_triples", base_triples);
+        counter("writes", o.writes);
+        counter("write_us_avg", o.write_us_avg);
+        counter("sealed", o.sealed);
+        counter("keys_written", o.keys_written);
+        counter("write_amp_x100", (amp * 100.0) as u64);
+        counter("compactions", o.compactions);
+        counter("levels_final", o.levels as u64);
+        counter("flush_us_avg", o.flush_us_avg);
+        counter("flush_us_max", o.flush_us_max);
+        counter("reopen_us", o.reopen_us);
+        counter("final_triples", o.final_len);
 
-            rows.push(vec![
-                target.to_string(),
-                name.to_string(),
-                o.writes.to_string(),
-                o.write_us_avg.to_string(),
-                o.sealed.to_string(),
-                o.keys_written.to_string(),
-                format!("{amp:.1}"),
-                o.compactions.to_string(),
-                o.levels.to_string(),
-                format!("{:.1}", o.flush_us_avg as f64 / 1e3),
-                format!("{:.1}", o.flush_us_max as f64 / 1e3),
-                format!("{:.1}", o.reopen_us as f64 / 1e3),
-            ]);
+        rows.push(vec![
+            target.to_string(),
+            o.writes.to_string(),
+            o.write_us_avg.to_string(),
+            o.sealed.to_string(),
+            o.keys_written.to_string(),
+            format!("{amp:.1}"),
+            o.compactions.to_string(),
+            o.levels.to_string(),
+            format!("{:.1}", o.flush_us_avg as f64 / 1e3),
+            format!("{:.1}", o.flush_us_max as f64 / 1e3),
+            format!("{:.1}", o.reopen_us as f64 / 1e3),
+        ]);
 
-            // The acceptance gate: sealing a small overlay on a big base
-            // must not rewrite the full segment set under the
-            // incremental policy, while full-rewrite by construction
-            // does (its last compaction alone rewrites the base).
-            match policy {
-                CompactionPolicy::FullRewrite => {
-                    assert!(
-                        o.keys_written > base_triples,
-                        "full rewrite writes the base at least once: \
-                         {} keys vs base {base_triples}",
-                        o.keys_written
-                    );
-                }
-                CompactionPolicy::Incremental { .. } => {
-                    assert!(
-                        o.keys_written < base_triples / 2,
-                        "incremental flushes must write keys proportional to the \
-                         overlay: {} keys vs base {base_triples}",
-                        o.keys_written
-                    );
-                    assert!(o.levels > 1, "small seals stay in their own levels");
-                }
-            }
-        }
+        // The acceptance gate: sealing a small overlay on a big base
+        // must not rewrite the full segment set.
+        assert!(
+            o.keys_written < base_triples / 2,
+            "flushes must write keys proportional to the overlay: {} keys vs base {base_triples}",
+            o.keys_written
+        );
+        assert!(o.levels > 1, "small seals stay in their own levels");
         let _ = std::fs::remove_dir_all(&base_dir);
     }
     let _ = std::fs::remove_dir_all(&scratch);
 
     print_table(
-        "Durable-write cost by compaction policy (university corpus base)",
+        "Durable-write cost (university corpus base)",
         &[
             "base",
-            "policy",
             "writes",
             "write µs",
             "sealed",
@@ -294,10 +251,8 @@ pub fn run() {
     );
     println!(
         "\nEvery write pays one dictionary sync plus one WAL fsync before it is \
-         acknowledged — flat in store size. Sealing a batch under the incremental \
-         policy writes keys proportional to the batch, so write amplification stays \
-         near 1 and flush latency stays flat as the base grows; the full-rewrite \
-         baseline re-writes the whole base on every flush, and its amplification \
-         scales with the rung."
+         acknowledged — flat in store size. Sealing a batch writes keys proportional \
+         to the batch, so write amplification stays near 1 and flush latency stays \
+         flat as the base grows."
     );
 }

@@ -248,16 +248,6 @@ pub struct ExecConfig {
     /// gather-then-join scheme, drawn from the distributed-QP literature
     /// it builds on (Kossmann \[15\]); off by default for paper fidelity.
     pub bind_join: bool,
-    /// Consult the attached [`rdfmesh_cache::QueryCache`]'s routing layer
-    /// before level-1 ring walks (no effect without an attached cache).
-    pub cache_routing: bool,
-    /// Consult the provider-set cache before both index levels (no effect
-    /// without an attached cache).
-    pub cache_providers: bool,
-    /// Serve unfiltered primitive patterns from the result cache and
-    /// offer their results for admission (no effect without an attached
-    /// cache).
-    pub cache_results: bool,
     /// Distribution strategy for multi-pattern BGPs (the pluggable
     /// seam): chained shipping, HyperCube shuffle, partial evaluation,
     /// or per-shape automatic selection. Defaults to
@@ -276,9 +266,6 @@ impl Default for ExecConfig {
             ack_timeout: SimTime::millis(200),
             range_index: true,
             bind_join: false,
-            cache_routing: true,
-            cache_providers: true,
-            cache_results: true,
             dist: DistChoice::Chained,
         }
     }
@@ -297,12 +284,6 @@ impl ExecConfig {
             ack_timeout: SimTime::millis(200),
             range_index: false,
             bind_join: false,
-            // The knobs are on even in the baseline: caching only engages
-            // when a cache is attached (`Engine::with_cache`), so the
-            // baseline stays cache-free unless an experiment opts in.
-            cache_routing: true,
-            cache_providers: true,
-            cache_results: true,
             dist: DistChoice::Chained,
         }
     }

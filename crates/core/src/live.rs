@@ -39,7 +39,10 @@
 //! The same handlers run over [`rdfmesh_net::Cluster`] threads, loopback
 //! sockets ([`Transport::Sockets`]) and one process per peer
 //! ([`crate::MeshNode`]); nothing here touches shared state beyond the
-//! observable location tables and counters.
+//! observable location tables and counters. Callers reach a coordinator
+//! through the one [`RoundClient`], which both hosts own: it allocates
+//! query ids, pumps submissions, gates executions on admission and hands
+//! answers back.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -53,6 +56,7 @@ use rdfmesh_rdf::{SharedStore, TriplePattern, Variable};
 use rdfmesh_sparql::expr::Expression;
 use rdfmesh_sparql::solution::{wire, DistinctBuffer, Solution};
 
+use crate::admission::Admission;
 use crate::config::{DistStrategy, LiveConfig};
 use crate::stats::{LiveStats, LiveStatsSnapshot};
 
@@ -209,7 +213,7 @@ pub enum LiveMsg {
     /// partial-evaluation-and-assembly) instead of pattern-by-pattern
     /// chained shipping.
     SubmitMulti {
-        /// Fresh id allocated by [`LiveMesh::submit_multiway`].
+        /// Fresh id allocated by [`RoundClient::submit_multiway`].
         qid: QueryId,
         /// The conjunctive patterns to join.
         patterns: Vec<TriplePattern>,
@@ -1358,7 +1362,11 @@ impl MeshCluster {
 
 /// How many round submissions one submit-pump drain coalesces into a
 /// single [`LiveMsg::SubmitSolBatch`] at most.
-pub(crate) const SUBMIT_COALESCE: usize = 64;
+const SUBMIT_COALESCE: usize = 64;
+
+/// Delivers a [`LiveMsg`] to the coordinator a [`RoundClient`] fronts, as
+/// if the coordinator had sent it to itself.
+type Inject = Arc<dyn Fn(LiveMsg) + Send + Sync>;
 
 /// The group-commit submit pump: callers enqueue rounds without
 /// blocking; the pump injects whatever has piled up while the previous
@@ -1367,10 +1375,7 @@ pub(crate) const SUBMIT_COALESCE: usize = 64;
 /// latency — the blocking `recv` forwards it immediately); wider batches
 /// only form under concurrency, which is exactly when the framing
 /// amortization pays.
-pub(crate) fn spawn_submit_pump<F>(rx: Receiver<SolRound>, stats: Arc<LiveStats>, inject: F)
-where
-    F: Fn(LiveMsg) + Send + 'static,
-{
+fn spawn_submit_pump(rx: Receiver<SolRound>, stats: Arc<LiveStats>, inject: Inject) {
     std::thread::Builder::new()
         .name("rdfmesh-submit-pump".into())
         .spawn(move || {
@@ -1393,11 +1398,10 @@ where
 }
 
 /// A submitted-but-not-yet-awaited solution round: the non-blocking
-/// half of [`LiveMesh::query_solutions`] (and
-/// [`crate::MeshNode::submit_solutions`]). Callers submit any number of
-/// rounds and wait on each handle afterwards, so concurrent executions
-/// pipeline through one coordinator instead of serializing on the
-/// caller side.
+/// half of [`RoundClient::query_solutions`]. Callers submit any number
+/// of rounds and wait on each handle afterwards, so concurrent
+/// executions pipeline through one coordinator instead of serializing on
+/// the caller side.
 #[derive(Debug)]
 pub struct RoundHandle {
     qid: QueryId,
@@ -1406,10 +1410,6 @@ pub struct RoundHandle {
 }
 
 impl RoundHandle {
-    pub(crate) fn new(qid: QueryId, rx: Receiver<LiveAnswer>, pending: PendingMap) -> Self {
-        RoundHandle { qid, rx, pending }
-    }
-
     /// The id the round was submitted under.
     pub fn qid(&self) -> QueryId {
         self.qid
@@ -1427,20 +1427,156 @@ impl RoundHandle {
     }
 }
 
-/// A live mesh: one thread per node, built from an existing overlay's
-/// data placement.
-pub struct LiveMesh {
-    cluster: Arc<MeshCluster>,
-    coordinator: NodeId,
+/// The client side of one coordinator: allocates query ids, registers
+/// the channel each answer comes back on, feeds chained rounds through
+/// the submit pump and multiway rounds straight to the coordinator, and
+/// gates whole query executions on admission control. [`LiveMesh`] and
+/// [`crate::MeshNode`] each own one and dereference to it; they differ
+/// only in how a message reaches their coordinator, which is the
+/// `inject` closure each gives it at construction.
+pub struct RoundClient {
     cfg: LiveConfig,
     next_qid: AtomicU64,
     pending: PendingMap,
     submit: Sender<SolRound>,
-    admission: crate::admission::Admission,
+    inject: Inject,
+    admission: Admission,
     stats: Arc<LiveStats>,
+}
+
+impl RoundClient {
+    /// A client for the coordinator that shares `pending` and `stats`
+    /// and receives what `inject` is handed.
+    pub(crate) fn new<F>(
+        cfg: LiveConfig,
+        pending: PendingMap,
+        stats: Arc<LiveStats>,
+        inject: F,
+    ) -> Self
+    where
+        F: Fn(LiveMsg) + Send + Sync + 'static,
+    {
+        let inject: Inject = Arc::new(inject);
+        let (submit, submit_rx) = unbounded();
+        spawn_submit_pump(submit_rx, Arc::clone(&stats), Arc::clone(&inject));
+        RoundClient {
+            cfg,
+            next_qid: AtomicU64::new(1),
+            pending,
+            submit,
+            inject,
+            admission: Admission::new(&cfg, Arc::clone(&stats)),
+            stats,
+        }
+    }
+
+    /// Allocates a query id and registers the channel its answer will
+    /// arrive on.
+    fn open_round(&self) -> RoundHandle {
+        self.stats.add_solution_rounds(1);
+        let qid = QueryId(self.next_qid.fetch_add(1, Ordering::Relaxed));
+        let (tx, rx) = bounded(1);
+        lock(&self.pending).insert(qid, tx);
+        RoundHandle { qid, rx, pending: Arc::clone(&self.pending) }
+    }
+
+    /// Resolves one *solution round* through the live protocol: the
+    /// selected providers answer with solution mappings — extending the
+    /// shipped `bound` intermediates when given (bind join, Sect. IV-D)
+    /// and applying `filter` at the source (Sect. IV-G). The distributed
+    /// execution core's [`crate::LiveBackend`] issues one such round per
+    /// plan primitive or bound sub-query. Blocks up to `timeout`; the
+    /// protocol's own deadlines ([`LiveConfig`]) answer well before a
+    /// generous one.
+    pub fn query_solutions(
+        &self,
+        pattern: TriplePattern,
+        filter: Option<Expression>,
+        bound: Option<Vec<Solution>>,
+        timeout: Duration,
+    ) -> Option<LiveAnswer> {
+        self.submit_solutions(pattern, filter, bound).wait(timeout)
+    }
+
+    /// The non-blocking half of [`RoundClient::query_solutions`]:
+    /// enqueues the round at the submit pump and returns immediately
+    /// with a [`RoundHandle`] to wait on. Rounds submitted concurrently
+    /// pipeline through the coordinator (and coalesce into batched
+    /// frames under load).
+    pub fn submit_solutions(
+        &self,
+        pattern: TriplePattern,
+        filter: Option<Expression>,
+        bound: Option<Vec<Solution>>,
+    ) -> RoundHandle {
+        let handle = self.open_round();
+        let _ = self.submit.send(SolRound { qid: handle.qid, pattern, filter, bound });
+        handle
+    }
+
+    /// Resolves a whole multi-pattern BGP in a single distributed round
+    /// — HyperCube shuffle or partial-evaluation-and-assembly — instead
+    /// of pattern-by-pattern chained shipping, blocking up to `timeout`.
+    pub fn query_multiway(
+        &self,
+        patterns: Vec<TriplePattern>,
+        join_vars: Vec<Variable>,
+        strategy: DistStrategy,
+        timeout: Duration,
+    ) -> Option<LiveAnswer> {
+        self.submit_multiway(patterns, join_vars, strategy).wait(timeout)
+    }
+
+    /// The non-blocking half of [`RoundClient::query_multiway`].
+    /// Multiway rounds bypass the submit pump (they never coalesce with
+    /// chained rounds) and inject directly at the coordinator.
+    pub fn submit_multiway(
+        &self,
+        patterns: Vec<TriplePattern>,
+        join_vars: Vec<Variable>,
+        strategy: DistStrategy,
+    ) -> RoundHandle {
+        let handle = self.open_round();
+        (self.inject)(LiveMsg::SubmitMulti { qid: handle.qid, patterns, join_vars, strategy });
+        handle
+    }
+
+    /// The admission gate bounding concurrent query *executions* (one
+    /// SPARQL query = one permit, covering all its solution rounds).
+    /// [`RoundClient::execute_with`] acquires from it; raw round
+    /// submissions are ungated internals.
+    pub fn admission(&self) -> &Admission {
+        &self.admission
+    }
+
+    /// The fault-tolerance configuration the host was started with.
+    pub fn config(&self) -> LiveConfig {
+        self.cfg
+    }
+
+    /// Fault-tolerance counters accumulated so far.
+    pub fn stats(&self) -> LiveStatsSnapshot {
+        self.stats.snapshot()
+    }
+}
+
+/// A live mesh: one thread per node, built from an existing overlay's
+/// data placement. Queries go through the [`RoundClient`] it
+/// dereferences to.
+pub struct LiveMesh {
+    client: RoundClient,
+    cluster: Arc<MeshCluster>,
     space: rdfmesh_chord::IdSpace,
     ring_view: RingView,
     tables: HashMap<NodeId, SharedTable>,
+}
+
+impl std::ops::Deref for LiveMesh {
+    type Target = RoundClient;
+
+    fn deref(&self) -> &RoundClient {
+        &self.client
+    }
 }
 
 /// The coordinator's well-known address in the live mesh.
@@ -1549,106 +1685,11 @@ impl LiveMesh {
             Transport::Sockets => MeshCluster::Sockets(TcpCluster::spawn_loopback(nodes, plan)?),
         };
         let cluster = Arc::new(cluster);
-        let (submit, submit_rx) = unbounded();
-        let pump_cluster = Arc::clone(&cluster);
-        spawn_submit_pump(submit_rx, Arc::clone(&stats), move |msg| {
-            pump_cluster.inject(COORDINATOR, COORDINATOR, msg);
+        let inject_at = Arc::clone(&cluster);
+        let client = RoundClient::new(cfg, pending, stats, move |msg| {
+            inject_at.inject(COORDINATOR, COORDINATOR, msg);
         });
-        Ok(LiveMesh {
-            cluster,
-            coordinator: COORDINATOR,
-            cfg,
-            next_qid: AtomicU64::new(1),
-            pending,
-            submit,
-            admission: crate::admission::Admission::new(&cfg, Arc::clone(&stats)),
-            stats,
-            space,
-            ring_view,
-            tables: shared_tables,
-        })
-    }
-
-    /// Resolves one *solution round* through the live protocol: the
-    /// selected providers answer with solution mappings — extending the
-    /// shipped `bound` intermediates when given (bind join, Sect. IV-D)
-    /// and applying `filter` at the source (Sect. IV-G) — instead of raw
-    /// triples. The distributed execution core's [`crate::LiveBackend`]
-    /// issues one such round per plan primitive or bound sub-query.
-    pub fn query_solutions(
-        &self,
-        pattern: TriplePattern,
-        filter: Option<Expression>,
-        bound: Option<Vec<Solution>>,
-        timeout: Duration,
-    ) -> Option<LiveAnswer> {
-        self.submit_solutions(pattern, filter, bound).wait(timeout)
-    }
-
-    /// The non-blocking half of [`LiveMesh::query_solutions`]: enqueues
-    /// the round at the submit pump and returns immediately with a
-    /// [`RoundHandle`] to wait on. Rounds submitted concurrently
-    /// pipeline through the coordinator (and coalesce into batched
-    /// frames under load).
-    pub fn submit_solutions(
-        &self,
-        pattern: TriplePattern,
-        filter: Option<Expression>,
-        bound: Option<Vec<Solution>>,
-    ) -> RoundHandle {
-        self.stats.add_solution_rounds(1);
-        let qid = QueryId(self.next_qid.fetch_add(1, Ordering::Relaxed));
-        let (tx, rx) = bounded(1);
-        lock(&self.pending).insert(qid, tx);
-        let _ = self.submit.send(SolRound { qid, pattern, filter, bound });
-        RoundHandle::new(qid, rx, Arc::clone(&self.pending))
-    }
-
-    /// Resolves a whole multi-pattern BGP in a single distributed round
-    /// — HyperCube shuffle or partial-evaluation-and-assembly — instead
-    /// of pattern-by-pattern chained shipping, blocking up to `timeout`.
-    pub fn query_multiway(
-        &self,
-        patterns: Vec<TriplePattern>,
-        join_vars: Vec<Variable>,
-        strategy: DistStrategy,
-        timeout: Duration,
-    ) -> Option<LiveAnswer> {
-        self.submit_multiway(patterns, join_vars, strategy).wait(timeout)
-    }
-
-    /// The non-blocking half of [`LiveMesh::query_multiway`]. Multiway
-    /// rounds bypass the submit pump (they never coalesce with chained
-    /// rounds) and inject directly at the coordinator.
-    pub fn submit_multiway(
-        &self,
-        patterns: Vec<TriplePattern>,
-        join_vars: Vec<Variable>,
-        strategy: DistStrategy,
-    ) -> RoundHandle {
-        self.stats.add_solution_rounds(1);
-        let qid = QueryId(self.next_qid.fetch_add(1, Ordering::Relaxed));
-        let (tx, rx) = bounded(1);
-        lock(&self.pending).insert(qid, tx);
-        self.cluster.inject(
-            self.coordinator,
-            self.coordinator,
-            LiveMsg::SubmitMulti { qid, patterns, join_vars, strategy },
-        );
-        RoundHandle::new(qid, rx, Arc::clone(&self.pending))
-    }
-
-    /// The admission gate bounding concurrent query *executions* (one
-    /// SPARQL query = one permit, covering all its solution rounds).
-    /// [`LiveMesh::execute`] acquires from it; raw round submissions
-    /// are ungated internals.
-    pub fn admission(&self) -> &crate::admission::Admission {
-        &self.admission
-    }
-
-    /// The fault-tolerance configuration the mesh was spawned with.
-    pub fn config(&self) -> LiveConfig {
-        self.cfg
+        Ok(LiveMesh { client, cluster, space, ring_view, tables: shared_tables })
     }
 
     /// Test-harness facility: delivers a hand-crafted protocol message as
@@ -1695,11 +1736,6 @@ impl LiveMesh {
         let mut row = lock(table).get(&key.id.0).cloned().unwrap_or_default();
         row.sort();
         row
-    }
-
-    /// Fault-tolerance counters accumulated so far.
-    pub fn stats(&self) -> LiveStatsSnapshot {
-        self.stats.snapshot()
     }
 
     /// Messages delivered so far (across all threads).

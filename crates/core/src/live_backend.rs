@@ -2,16 +2,17 @@
 //!
 //! [`crate::SimBackend`] executes a compiled [`crate::ExecPlan`] against
 //! the deterministic simulator; this module executes the *same plan*
-//! against [`LiveMesh`]'s real threads, which is what takes the live
-//! mesh from single-pattern rounds to full SPARQL — conjunctive
-//! patterns, UNION / OPTIONAL, FILTER pushdown, DISTINCT and the other
-//! solution modifiers.
+//! against the live mesh's real threads, sockets and processes, through
+//! [`RoundClient`] — the one [`SolutionRounds`] implementation both hosts
+//! share. That is what takes the live mesh from single-pattern rounds to
+//! full SPARQL: conjunctive patterns, UNION / OPTIONAL, FILTER pushdown,
+//! DISTINCT and the other solution modifiers.
 //!
 //! The division of labour mirrors the paper's Fig. 3 on a real
 //! transport:
 //!
 //! * every plan primitive becomes one live *solution round*
-//!   ([`LiveMesh::query_solutions`]): the coordinator resolves providers
+//!   ([`RoundClient::query_solutions`]): the coordinator resolves providers
 //!   through the two-level index, ships the pattern (with its
 //!   pushed-down filter), and gathers solution mappings under the
 //!   fault-tolerant ack/retry/purge machinery of [`crate::live`];
@@ -45,13 +46,15 @@ use rdfmesh_sparql::{
 
 use crate::config::{DistStrategy, ExecConfig};
 use crate::exec::{self, Mat, MeshBackend, OpKind, PrimitiveOp};
-use crate::live::{LiveAnswer, LiveMesh, COORDINATOR};
+use crate::live::{LiveAnswer, LiveMesh, RoundClient, COORDINATOR};
 
-/// Anything that can resolve one live *solution round*: the loopback
-/// [`LiveMesh`] and the serve-mode [`crate::MeshNode`] both implement
-/// it, so [`LiveBackend`] — and through it the whole Fig. 3 pipeline —
-/// runs unchanged on threads, loopback sockets, and multi-process
-/// deployments (`docs/DEPLOYMENT.md`).
+/// Anything that can resolve one live *solution round*. [`RoundClient`]
+/// is the implementation — the loopback [`LiveMesh`] and the serve-mode
+/// [`crate::MeshNode`] each own one — so [`LiveBackend`], and through it
+/// the whole Fig. 3 pipeline, runs unchanged on threads, loopback
+/// sockets, and multi-process deployments (`docs/DEPLOYMENT.md`). The
+/// trait stays a seam for wrappers that observe rounds from outside
+/// (the repo benchmark's tracing wrapper).
 pub trait SolutionRounds {
     /// Resolves `pattern` into solution mappings through the live
     /// protocol, extending `bound` intermediates when given and applying
@@ -78,6 +81,30 @@ pub trait SolutionRounds {
     ) -> Option<LiveAnswer>;
 }
 
+impl SolutionRounds for RoundClient {
+    fn solution_round(
+        &self,
+        pattern: TriplePattern,
+        filter: Option<Expression>,
+        bound: Option<Vec<solution::Solution>>,
+        wait: Duration,
+    ) -> Option<LiveAnswer> {
+        self.query_solutions(pattern, filter, bound, wait)
+    }
+
+    fn multiway_round(
+        &self,
+        patterns: Vec<TriplePattern>,
+        join_vars: Vec<Variable>,
+        strategy: DistStrategy,
+        wait: Duration,
+    ) -> Option<LiveAnswer> {
+        self.query_multiway(patterns, join_vars, strategy, wait)
+    }
+}
+
+/// Delegates to the mesh's [`RoundClient`], so a `&LiveMesh` still
+/// coerces to the `&dyn SolutionRounds` that [`LiveBackend::new`] takes.
 impl SolutionRounds for LiveMesh {
     fn solution_round(
         &self,
@@ -301,30 +328,14 @@ impl MeshBackend for LiveBackend<'_> {
 
 /// Parses, optimizes, compiles and executes a full SPARQL query through
 /// live solution rounds on any [`SolutionRounds`] mesh — the complete
-/// Fig. 3 pipeline over a real transport.
-///
-/// `bind_join` selects the conjunctive strategy: `true` ships
-/// intermediates with each sub-query (Sect. IV-D bound evaluation),
-/// `false` gathers each pattern independently and joins at the
-/// coordinator. `wait` bounds the caller-side wait per solution round;
-/// set it comfortably above [`crate::LiveConfig::query_deadline`].
-pub fn live_execute(
-    mesh: &dyn SolutionRounds,
-    query: &str,
-    bind_join: bool,
-    wait: Duration,
-) -> Result<LiveExecution, LiveError> {
-    let cfg = ExecConfig { bind_join, ..ExecConfig::default() };
-    live_execute_with(mesh, query, &cfg, wait)
-}
-
-/// [`live_execute`] with a full [`ExecConfig`] — in particular
-/// [`ExecConfig::dist`], which selects the distribution strategy for
-/// multi-pattern BGPs (chained shipping, HyperCube shuffle,
-/// partial-evaluation-and-assembly, or shape-driven `Auto`).
+/// Fig. 3 pipeline over a real transport. `cfg` carries the conjunctive
+/// strategy ([`ExecConfig::bind_join`]) and the distribution strategy for
+/// multi-pattern BGPs ([`ExecConfig::dist`]: chained shipping, HyperCube
+/// shuffle, partial-evaluation-and-assembly, or shape-driven `Auto`).
 /// Placement-dependent knobs (`overlap_aware`, `range_index`) are forced
 /// off: they are simulator cost-model optimizations with no live
-/// equivalent.
+/// equivalent. `wait` bounds the caller-side wait per solution round;
+/// set it comfortably above [`crate::LiveConfig::query_deadline`].
 pub fn live_execute_with(
     mesh: &dyn SolutionRounds,
     query: &str,
@@ -354,28 +365,26 @@ pub fn live_execute_with(
     })
 }
 
-impl LiveMesh {
-    /// [`live_execute`] on this mesh — parse, optimize, compile and run
-    /// a full SPARQL query over the live protocol, gated by admission
-    /// control: the whole execution holds one permit, and a rejected
-    /// query returns [`LiveError::Overloaded`] before allocating any
-    /// query id or issuing any round.
+impl RoundClient {
+    /// Parses, optimizes, compiles and runs a full SPARQL query over the
+    /// live protocol with the default [`ExecConfig`] and the given
+    /// conjunctive strategy: `bind_join == true` ships intermediates with
+    /// each sub-query (Sect. IV-D bound evaluation), `false` gathers each
+    /// pattern independently and joins at the coordinator.
     pub fn execute(
         &self,
         query: &str,
         bind_join: bool,
         wait: Duration,
     ) -> Result<LiveExecution, LiveError> {
-        let _permit = self
-            .admission()
-            .acquire(self.config().query_deadline)
-            .map_err(|retry_after| LiveError::Overloaded { retry_after })?;
-        live_execute(self, query, bind_join, wait)
+        self.execute_with(query, &ExecConfig { bind_join, ..ExecConfig::default() }, wait)
     }
 
-    /// [`live_execute_with`] on this mesh, admission-gated like
-    /// [`LiveMesh::execute`]: the full [`ExecConfig`] selects the
-    /// distribution strategy (`cfg.dist`) for multi-pattern BGPs.
+    /// [`live_execute_with`] through this client, gated by admission
+    /// control: the whole execution holds one permit, and a rejected
+    /// query returns [`LiveError::Overloaded`] before allocating any
+    /// query id or issuing any round. The full [`ExecConfig`] selects
+    /// the distribution strategy (`cfg.dist`) for multi-pattern BGPs.
     pub fn execute_with(
         &self,
         query: &str,

@@ -11,7 +11,9 @@
 //!   the key ring its position covers, routing [`LiveMsg::Lookup`] /
 //!   [`LiveMsg::ProviderDead`] hop-by-hop to the current owner;
 //! * a **coordinator** (`NodeId(COORD_BASE + n)`) running the per-query
-//!   state machine for queries submitted *at this process*.
+//!   state machine for queries submitted *at this process* — through the
+//!   same [`RoundClient`] a [`crate::LiveMesh`] uses, here injecting at
+//!   the coordinator over the [`TcpCluster`].
 //!
 //! Membership is deliberately simple — an ad-hoc sharing system, not a
 //! consensus group. A joiner sends `JOIN` to any member; that member
@@ -25,30 +27,24 @@
 use std::collections::HashMap;
 use std::io;
 use std::net::{SocketAddr, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use crossbeam::channel::{bounded, unbounded, Sender};
 use rdfmesh_net::{FaultPlan, Handler, NodeId, TcpCluster, TransportSnapshot};
 use rdfmesh_overlay::{key_for_pattern, keys_for_triple};
-use rdfmesh_rdf::{TriplePattern, Variable};
+use rdfmesh_rdf::TriplePattern;
 #[cfg(test)]
 use rdfmesh_rdf::TripleStore;
-use rdfmesh_sparql::expr::Expression;
 use rdfmesh_sparql::solution::wire::{put_str, put_u64, Reader, WireError};
-use rdfmesh_sparql::solution::Solution;
 
-use crate::admission::Admission;
-use crate::config::{DistStrategy, ExecConfig, LiveConfig};
+use crate::config::LiveConfig;
 use crate::live::{
-    lock, owner_in_view, rlock, spawn_submit_pump, wlock, Coordinator, CoordinatorCore, IndexNode,
-    LiveAnswer, LiveCounters, LiveMsg, LiveStorage, PendingMap, QueryId, RingView, RoundHandle,
-    SharedFlood, SharedTable, SolRound,
+    lock, owner_in_view, rlock, wlock, Coordinator, CoordinatorCore, IndexNode, LiveCounters,
+    LiveMsg, LiveStorage, PendingMap, RingView, RoundClient, SharedFlood, SharedTable,
 };
-use crate::live_backend::{live_execute, live_execute_with, LiveError, LiveExecution, SolutionRounds};
-use crate::stats::{LiveStats, LiveStatsSnapshot};
+use crate::stats::LiveStats;
 
 /// Offset of a process's index-node id from its base id `n`.
 pub const INDEX_BASE: u64 = 1 << 32;
@@ -259,19 +255,23 @@ fn resolve(addr: &str) -> Option<SocketAddr> {
 }
 
 /// One deployable mesh process: storage + index + coordinator behind a
-/// TCP listener, with ad-hoc membership. See the module docs and
-/// `docs/DEPLOYMENT.md`.
+/// TCP listener, with ad-hoc membership. Queries submitted at this
+/// process go through the [`RoundClient`] it dereferences to. See the
+/// module docs and `docs/DEPLOYMENT.md`.
 pub struct MeshNode {
+    client: RoundClient,
     cluster: Arc<TcpCluster<LiveMsg>>,
-    cfg: LiveConfig,
-    next_qid: AtomicU64,
-    pending: PendingMap,
-    submit: Sender<SolRound>,
-    admission: Admission,
-    stats: Arc<LiveStats>,
     shared: Arc<NodeShared>,
     closing: Arc<AtomicBool>,
     membership: Mutex<Option<JoinHandle<()>>>,
+}
+
+impl std::ops::Deref for MeshNode {
+    type Target = RoundClient;
+
+    fn deref(&self) -> &RoundClient {
+        &self.client
+    }
 }
 
 impl MeshNode {
@@ -375,24 +375,11 @@ impl MeshNode {
             })
         };
 
-        let (submit, submit_rx) = unbounded();
-        let pump_cluster = Arc::clone(&cluster);
-        spawn_submit_pump(submit_rx, Arc::clone(&stats), move |msg| {
-            pump_cluster.inject(coord_id, coord_id, msg);
+        let inject_at = Arc::clone(&cluster);
+        let client = RoundClient::new(cfg, pending, stats, move |msg| {
+            inject_at.inject(coord_id, coord_id, msg);
         });
-
-        Ok(MeshNode {
-            cluster,
-            cfg,
-            next_qid: AtomicU64::new(1),
-            pending,
-            submit,
-            admission: Admission::new(&cfg, Arc::clone(&stats)),
-            stats,
-            shared,
-            closing,
-            membership: Mutex::new(Some(membership)),
-        })
+        Ok(MeshNode { client, cluster, shared, closing, membership: Mutex::new(Some(membership)) })
     }
 
     /// Announces this node to the member listening at `seed`. Membership
@@ -420,125 +407,6 @@ impl MeshNode {
         self.shared.me.id
     }
 
-    /// Resolves one solution round through the mesh, blocking up to
-    /// `timeout`. The protocol's own deadlines ([`LiveConfig`]) answer
-    /// well before a generous `timeout`.
-    pub fn query_solutions(
-        &self,
-        pattern: TriplePattern,
-        filter: Option<Expression>,
-        bound: Option<Vec<Solution>>,
-        timeout: Duration,
-    ) -> Option<LiveAnswer> {
-        self.submit_solutions(pattern, filter, bound).wait(timeout)
-    }
-
-    /// Enqueues one solution round without blocking and returns a
-    /// [`RoundHandle`] to wait on. Rounds submitted concurrently are
-    /// coalesced by the submit pump into batched frames, so many
-    /// in-flight queries pipeline through this process's coordinator.
-    pub fn submit_solutions(
-        &self,
-        pattern: TriplePattern,
-        filter: Option<Expression>,
-        bound: Option<Vec<Solution>>,
-    ) -> RoundHandle {
-        self.stats.add_solution_rounds(1);
-        let qid = QueryId(self.next_qid.fetch_add(1, Ordering::Relaxed));
-        let (tx, rx) = bounded(1);
-        lock(&self.pending).insert(qid, tx);
-        let _ = self.submit.send(SolRound { qid, pattern, filter, bound });
-        RoundHandle::new(qid, rx, Arc::clone(&self.pending))
-    }
-
-    /// Resolves a whole multi-pattern BGP in one distributed round —
-    /// HyperCube shuffle or partial-evaluation-and-assembly — through
-    /// this process's coordinator, blocking up to `timeout`.
-    pub fn query_multiway(
-        &self,
-        patterns: Vec<TriplePattern>,
-        join_vars: Vec<Variable>,
-        strategy: DistStrategy,
-        timeout: Duration,
-    ) -> Option<LiveAnswer> {
-        self.submit_multiway(patterns, join_vars, strategy).wait(timeout)
-    }
-
-    /// The non-blocking half of [`MeshNode::query_multiway`]. Multiway
-    /// rounds bypass the submit pump (they never coalesce with chained
-    /// rounds) and inject directly at this process's coordinator.
-    pub fn submit_multiway(
-        &self,
-        patterns: Vec<TriplePattern>,
-        join_vars: Vec<Variable>,
-        strategy: DistStrategy,
-    ) -> RoundHandle {
-        self.stats.add_solution_rounds(1);
-        let qid = QueryId(self.next_qid.fetch_add(1, Ordering::Relaxed));
-        let (tx, rx) = bounded(1);
-        lock(&self.pending).insert(qid, tx);
-        let coord = NodeId(COORD_BASE + self.shared.me.id);
-        self.cluster.inject(coord, coord, LiveMsg::SubmitMulti {
-            qid,
-            patterns,
-            join_vars,
-            strategy,
-        });
-        RoundHandle::new(qid, rx, Arc::clone(&self.pending))
-    }
-
-    /// The admission gate bounding concurrent query *executions* through
-    /// this process (one SPARQL query = one permit, covering all its
-    /// solution rounds). [`MeshNode::execute`] acquires from it; raw
-    /// round submissions are ungated internals.
-    pub fn admission(&self) -> &Admission {
-        &self.admission
-    }
-
-    /// The fault-tolerance configuration the node was started with.
-    pub fn config(&self) -> LiveConfig {
-        self.cfg
-    }
-
-    /// [`live_execute`] on this node: parse, optimize, compile and run a
-    /// full SPARQL query, gathering at this process's coordinator. Gated
-    /// by admission control — a rejected query returns
-    /// [`LiveError::Overloaded`] before allocating any query id or
-    /// issuing any round.
-    pub fn execute(
-        &self,
-        query: &str,
-        bind_join: bool,
-        wait: Duration,
-    ) -> Result<LiveExecution, LiveError> {
-        let _permit = self
-            .admission
-            .acquire(self.cfg.query_deadline)
-            .map_err(|retry_after| LiveError::Overloaded { retry_after })?;
-        live_execute(self, query, bind_join, wait)
-    }
-
-    /// [`live_execute_with`] on this node, admission-gated like
-    /// [`MeshNode::execute`]: the full [`ExecConfig`] selects the
-    /// distribution strategy (`cfg.dist`) for multi-pattern BGPs.
-    pub fn execute_with(
-        &self,
-        query: &str,
-        cfg: &ExecConfig,
-        wait: Duration,
-    ) -> Result<LiveExecution, LiveError> {
-        let _permit = self
-            .admission
-            .acquire(self.cfg.query_deadline)
-            .map_err(|retry_after| LiveError::Overloaded { retry_after })?;
-        live_execute_with(self, query, cfg, wait)
-    }
-
-    /// Fault-tolerance counters accumulated so far.
-    pub fn stats(&self) -> LiveStatsSnapshot {
-        self.stats.snapshot()
-    }
-
     /// Socket-layer counters (`transport.*` metric names).
     pub fn transport_stats(&self) -> TransportSnapshot {
         self.cluster.transport_stats()
@@ -557,28 +425,6 @@ impl MeshNode {
 impl Drop for MeshNode {
     fn drop(&mut self) {
         self.shutdown();
-    }
-}
-
-impl SolutionRounds for MeshNode {
-    fn solution_round(
-        &self,
-        pattern: TriplePattern,
-        filter: Option<Expression>,
-        bound: Option<Vec<Solution>>,
-        wait: Duration,
-    ) -> Option<LiveAnswer> {
-        self.query_solutions(pattern, filter, bound, wait)
-    }
-
-    fn multiway_round(
-        &self,
-        patterns: Vec<TriplePattern>,
-        join_vars: Vec<Variable>,
-        strategy: DistStrategy,
-        wait: Duration,
-    ) -> Option<LiveAnswer> {
-        self.query_multiway(patterns, join_vars, strategy, wait)
     }
 }
 

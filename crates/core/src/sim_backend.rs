@@ -219,9 +219,7 @@ impl<'a> SimBackend<'a> {
         pattern: &TriplePattern,
         depart: SimTime,
     ) -> Result<Option<Located>, EngineError> {
-        let use_providers = self.cfg.cache_providers && self.cache.is_some();
-        let use_routing = self.cfg.cache_routing && self.cache.is_some();
-        if !use_providers && !use_routing {
+        if self.cache.is_none() {
             return Ok(self.overlay.locate(entry, pattern, depart)?);
         }
         let Some(key) = self.overlay.index_key_for(pattern) else {
@@ -233,10 +231,8 @@ impl<'a> SimBackend<'a> {
         let mut provider_hit = None;
         let mut route_hit = None;
         if let Some(cache) = self.cache.as_mut() {
-            if use_providers {
-                provider_hit = cache.lookup_providers(key.id, version, epoch);
-            }
-            if provider_hit.is_none() && use_routing {
+            provider_hit = cache.lookup_providers(key.id, version, epoch);
+            if provider_hit.is_none() {
                 route_hit = cache.lookup_route(key.id, epoch);
             }
         }
@@ -250,10 +246,8 @@ impl<'a> SimBackend<'a> {
             let arrival = self.overlay.net.send(entry, owner, wire::LOOKUP_STEP, depart);
             self.overlay.net.set_byte_class(None);
             let providers = self.overlay.providers_for_key(owner, key.id);
-            if use_providers {
-                if let Some(cache) = self.cache.as_mut() {
-                    cache.store_providers(key.id, owner, providers.clone(), version, epoch);
-                }
+            if let Some(cache) = self.cache.as_mut() {
+                cache.store_providers(key.id, owner, providers.clone(), version, epoch);
             }
             let hops = usize::from(owner != entry);
             return Ok(Some(Located { key, index_node: owner, providers, hops, arrival }));
@@ -268,12 +262,8 @@ impl<'a> SimBackend<'a> {
             // routing hit reads the row at the remembered node directly.
             let owner = self.overlay.owner_addr(key.id).unwrap_or(loc.index_node);
             if let Some(cache) = self.cache.as_mut() {
-                if use_routing {
-                    cache.store_route(key.id, owner, epoch);
-                }
-                if use_providers {
-                    cache.store_providers(key.id, loc.index_node, loc.providers.clone(), version, epoch);
-                }
+                cache.store_route(key.id, owner, epoch);
+                cache.store_providers(key.id, loc.index_node, loc.providers.clone(), version, epoch);
             }
         }
         Ok(located)
@@ -344,10 +334,8 @@ impl<'a> SimBackend<'a> {
     ) -> Result<Mat, EngineError> {
         // Result-cache fast path: an unfiltered, dataset-free primitive
         // pattern may be answered entirely at the initiator.
-        let cacheable = self.cache.is_some()
-            && self.cfg.cache_results
-            && filter.is_none()
-            && self.dataset_graphs.is_empty();
+        let cacheable =
+            self.cache.is_some() && filter.is_none() && self.dataset_graphs.is_empty();
         if cacheable {
             if let Some(hit) = self.result_cache_get(pattern, depart) {
                 self.note_intermediates(hit.solutions.len());

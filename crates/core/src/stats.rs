@@ -136,7 +136,7 @@ pub struct LiveStatsSnapshot {
     /// Lookups the index node never answered within the deadline.
     pub lookup_failures: u64,
     /// Solution rounds issued (one per plan primitive or bound
-    /// sub-query executed through [`crate::LiveMesh::query_solutions`]).
+    /// sub-query executed through [`crate::RoundClient::query_solutions`]).
     pub solution_rounds: u64,
     /// Solution mappings shipped by storage nodes answering solution
     /// rounds.

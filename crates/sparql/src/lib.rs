@@ -46,9 +46,7 @@ pub use optimizer::{optimize, optimize_with, CardinalityEstimator, OptimizerConf
 pub use parser::{parse, ParseError};
 pub use results::{to_json, to_tsv, to_xml};
 pub use serializer::{graph_pattern as serialize_pattern, query as serialize_query};
-pub use solution::{
-    algebra_mode, distinct, set_algebra_mode, AlgebraMode, DistinctBuffer, Solution, SolutionSet,
-};
+pub use solution::{distinct, DistinctBuffer, Solution, SolutionSet};
 
 /// Parses a query string and translates it to algebra in one call — the
 /// Query Parsing + Query Transformation stages of Fig. 3.

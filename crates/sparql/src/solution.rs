@@ -17,16 +17,16 @@
 //!   compatibility scan into O(n + m + output).
 //!
 //! The public top-level functions ([`join`], [`difference`],
-//! [`left_join`], [`left_join_filtered`]) dispatch between them by the
-//! process-wide [`AlgebraMode`]; both paths produce **identical output in
-//! identical order** (property-tested in `tests/hash_algebra.rs`), so
-//! the choice is invisible to everything downstream — including the
-//! simulated byte/message accounting of the distributed engine.
+//! [`left_join`], [`left_join_filtered`]) dispatch between them by input
+//! size alone (hash operators once the pair product exceeds a small
+//! cutoff); both paths produce **identical output in identical order**
+//! (property-tested in `tests/hash_algebra.rs`), so the choice is
+//! invisible to everything downstream — including the simulated
+//! byte/message accounting of the distributed engine.
 
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
-use std::sync::atomic::{AtomicU8, Ordering};
 
 use rdfmesh_rdf::fxhash::FxHasher64;
 use rdfmesh_rdf::{Term, Variable};
@@ -176,53 +176,12 @@ impl fmt::Display for Solution {
 /// a multiset, matching the W3C semantics.
 pub type SolutionSet = Vec<Solution>;
 
-/// Which implementation the top-level algebra operators use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AlgebraMode {
-    /// Hash operators for large inputs, nested loops when the pair
-    /// product is small enough that hashing overhead would dominate.
-    /// The default.
-    Auto,
-    /// Always the nested-loop reference implementation ([`naive`]).
-    Naive,
-    /// Always the hash implementation ([`hashed`]).
-    Hash,
-}
-
-static ALGEBRA_MODE: AtomicU8 = AtomicU8::new(0);
-
-/// Selects the operator implementation process-wide. Intended for
-/// benchmarks and twin-run regression tests; both modes produce
-/// identical results, so production code never needs to call this.
-pub fn set_algebra_mode(mode: AlgebraMode) {
-    let v = match mode {
-        AlgebraMode::Auto => 0,
-        AlgebraMode::Naive => 1,
-        AlgebraMode::Hash => 2,
-    };
-    ALGEBRA_MODE.store(v, Ordering::Relaxed);
-}
-
-/// The current operator implementation mode.
-pub fn algebra_mode() -> AlgebraMode {
-    match ALGEBRA_MODE.load(Ordering::Relaxed) {
-        1 => AlgebraMode::Naive,
-        2 => AlgebraMode::Hash,
-        _ => AlgebraMode::Auto,
-    }
-}
-
-/// Below this left×right pair product, `Auto` keeps the nested loop:
-/// building an interner and hash tables costs more than scanning a
-/// handful of pairs.
+/// Up to this left×right pair product the nested loop runs: building an
+/// interner and hash tables costs more than scanning a handful of pairs.
 const NAIVE_PRODUCT_CUTOFF: usize = 256;
 
 fn use_hash(left: usize, right: usize) -> bool {
-    match algebra_mode() {
-        AlgebraMode::Naive => false,
-        AlgebraMode::Hash => true,
-        AlgebraMode::Auto => left.saturating_mul(right) > NAIVE_PRODUCT_CUTOFF,
-    }
+    left.saturating_mul(right) > NAIVE_PRODUCT_CUTOFF
 }
 
 /// `Ω1 ⋈ Ω2` — all merges of compatible pairs (Sect. IV-A), in
@@ -1509,18 +1468,30 @@ mod tests {
     }
 
     #[test]
-    fn mode_dispatch_is_equivalent() {
-        // Auto's cutoff sends small inputs down the naive path and large
-        // ones down the hash path; both must agree with the oracle.
-        let (l, r) = mixed_sets();
-        let mut big_l = Vec::new();
-        for i in 0..40 {
-            big_l.push(sol(&[("x", "a"), ("n", &format!("i{i}"))]));
+    fn dispatch_agrees_with_the_oracle_on_both_sides_of_the_cutoff() {
+        // Pair products 255 and 256 take the nested loop, 257 and 4000
+        // the hash operators. Every left row shares ?x with the right
+        // rows whose index has its parity, and binds ?n on its own.
+        let right: Vec<Solution> = (0..257)
+            .map(|j| sol(&[("x", &format!("p{}", j % 2)), ("w", &format!("w{j}"))]))
+            .collect();
+        let left = |n: usize| -> Vec<Solution> {
+            (0..n)
+                .map(|i| match i % 3 {
+                    0 => sol(&[("x", &format!("p{}", i % 2)), ("n", &format!("n{i}"))]),
+                    1 => sol(&[("n", &format!("n{i}"))]),
+                    _ => sol(&[("x", "none"), ("n", &format!("n{i}"))]),
+                })
+                .collect()
+        };
+        let cond = |s: &Solution| s.get(&v("w")).is_none_or(|t| t.to_string().ends_with("0>"));
+        for (l, r) in [(15, 17), (16, 16), (1, 257), (40, 100)] {
+            let (l, r) = (left(l), &right[..r]);
+            assert_eq!(use_hash(l.len(), r.len()), l.len() * r.len() > 256);
+            assert_eq!(join(&l, r), naive::join(&l, r));
+            assert_eq!(difference(&l, r), naive::difference(&l, r));
+            assert_eq!(left_join(&l, r), naive::left_join(&l, r));
+            assert_eq!(left_join_filtered(&l, r, cond), naive::left_join_filtered(&l, r, cond));
         }
-        assert_eq!(join(&l, &r), naive::join(&l, &r));
-        assert_eq!(join(&big_l, &r), naive::join(&big_l, &r));
-        assert_eq!(left_join(&big_l, &r), naive::left_join(&big_l, &r));
-        assert_eq!(difference(&big_l, &r), naive::difference(&big_l, &r));
-        assert_eq!(algebra_mode(), AlgebraMode::Auto);
     }
 }

@@ -5,9 +5,8 @@
 //! delta-compressed segment files (one per SPO/POS/OSP permutation, the
 //! same three orderings the in-memory [`rdfmesh_rdf::TripleStore`]
 //! keeps), fronted by a write-ahead-logged in-memory overlay with
-//! explicit [`flush`] and incremental levelled compaction
-//! ([`CompactionPolicy`]), plus a parallel bulk-load pipeline for
-//! N-Triples corpora.
+//! explicit [`flush`] and incremental levelled compaction, plus a
+//! parallel bulk-load pipeline for N-Triples corpora.
 //!
 //! Every acknowledged `insert`/`remove` is durable: it is recorded in a
 //! checksummed WAL before the overlay is touched, and
@@ -49,4 +48,4 @@ mod varint;
 mod wal;
 
 pub use bulk::{LoadConfig, LoadError, LoadReport};
-pub use pstore::{CompactionPolicy, FlushReport, PersistentStore};
+pub use pstore::{FlushReport, PersistentStore};

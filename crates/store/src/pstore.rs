@@ -14,11 +14,11 @@
 //! entries synced first — so [`open`] reconstructs the overlay after a
 //! crash instead of dropping it. [`flush`] seals the overlay into a new
 //! small generation instead of rewriting the whole store; adjacent
-//! generations merge only when the [`CompactionPolicy`]'s size-ratio
-//! trigger fires. The only commit point is the `MANIFEST` rename, which
-//! happens strictly after the segment files, the dictionary tail, and
-//! the directory entries are synced; the retired WAL is deleted only
-//! after the manifest that supersedes it is durable.
+//! generations merge only when the size-ratio trigger
+//! (`COMPACTION_RATIO`) fires. The only commit point is the `MANIFEST`
+//! rename, which happens strictly after the segment files, the
+//! dictionary tail, and the directory entries are synced; the retired
+//! WAL is deleted only after the manifest that supersedes it is durable.
 //!
 //! [`open`]: PersistentStore::open
 //! [`flush`]: PersistentStore::flush
@@ -199,28 +199,12 @@ impl Level {
     }
 }
 
-/// When `flush` merges sealed generations back together.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CompactionPolicy {
-    /// Every flush folds all generations into one — the PR 7 model,
-    /// kept as the write-amplification baseline (E21) and for callers
-    /// that want exactly one segment trio on disk.
-    FullRewrite,
-    /// Merge two adjacent generations only when the newer one has grown
-    /// to within `1/ratio` of the older one's size, so flushing a small
-    /// overlay into a big store writes keys proportional to the overlay,
-    /// not the store.
-    Incremental {
-        /// Merge when `newer_size * ratio >= older_size`.
-        ratio: u64,
-    },
-}
-
-impl Default for CompactionPolicy {
-    fn default() -> Self {
-        CompactionPolicy::Incremental { ratio: 8 }
-    }
-}
+/// `flush` merges two adjacent generations only when the newer one has
+/// grown to within `1/COMPACTION_RATIO` of the older one's size
+/// (`newer_size * COMPACTION_RATIO >= older_size`), so flushing a small
+/// overlay into a big store writes keys proportional to the overlay, not
+/// the store.
+const COMPACTION_RATIO: u64 = 8;
 
 /// What one [`PersistentStore::flush`] did — the write-amplification
 /// ledger for the durability experiment (E21).
@@ -263,7 +247,6 @@ pub struct PersistentStore {
     wal: Wal,
     wal_id: u64,
     wal_replayed: u64,
-    policy: CompactionPolicy,
 }
 
 impl std::fmt::Debug for PersistentStore {
@@ -339,7 +322,6 @@ impl PersistentStore {
             wal,
             wal_id: manifest.wal_id,
             wal_replayed: 0,
-            policy: CompactionPolicy::default(),
         };
         for op in ops {
             match op {
@@ -377,12 +359,6 @@ impl PersistentStore {
     /// Number of triples in the unflushed overlay (inserts + deletes).
     pub fn overlay_len(&self) -> usize {
         self.adds.spo.len() + self.dels.spo.len()
-    }
-
-    /// Replaces the compaction policy (default:
-    /// `Incremental { ratio: 8 }`). Takes effect at the next flush.
-    pub fn set_compaction(&mut self, policy: CompactionPolicy) {
-        self.policy = policy;
     }
 
     /// Wraps this store in a [`SharedStore`] handle for the mesh seams.
@@ -586,8 +562,8 @@ impl PersistentStore {
     /// Seals the overlay into a new segment generation: writes the adds
     /// (and tombstones, if any) as the next generation's segment files,
     /// atomically swaps the manifest, retires the write-ahead log, and
-    /// lets the [`CompactionPolicy`] merge adjacent generations if its
-    /// size-ratio trigger fires. A no-op (beyond syncing the dictionary
+    /// merges adjacent generations while the size-ratio trigger
+    /// (`COMPACTION_RATIO`) fires. A no-op (beyond syncing the dictionary
     /// tail) when the overlay is empty.
     pub fn flush(&mut self) -> io::Result<FlushReport> {
         self.sync_dict()?;
@@ -660,37 +636,25 @@ impl PersistentStore {
         Ok(())
     }
 
-    /// Runs the policy's merge trigger until it no longer fires.
+    /// Runs the size-ratio merge trigger until it no longer fires.
     fn maybe_compact(&mut self, report: &mut FlushReport) -> io::Result<()> {
-        match self.policy {
-            CompactionPolicy::FullRewrite => {
-                if self.levels.len() > 1 {
-                    report.keys_written += self.merge_levels(0, self.levels.len() - 1)?;
-                    report.compactions += 1;
-                }
-            }
-            CompactionPolicy::Incremental { ratio } => loop {
-                let trigger = (0..self.levels.len().saturating_sub(1))
-                    .find(|&i| self.levels[i].size() * ratio >= self.levels[i + 1].size());
-                match trigger {
-                    Some(i) => {
-                        report.keys_written += self.merge_levels(i, i + 1)?;
-                        report.compactions += 1;
-                    }
-                    None => break,
-                }
-            },
+        while let Some(i) = (0..self.levels.len().saturating_sub(1))
+            .find(|&i| self.levels[i].size() * COMPACTION_RATIO >= self.levels[i + 1].size())
+        {
+            report.keys_written += self.merge_levels(i)?;
+            report.compactions += 1;
         }
         Ok(())
     }
 
-    /// Merges levels `i..=j` (newest-first indices) into one new
+    /// Merges levels `i` and `i + 1` (newest-first indices) into one new
     /// generation, published with the usual atomic manifest swap.
     /// Tombstones are dropped when the merge reaches the oldest level —
     /// there is nothing older left to shadow. Returns the logical keys
     /// written.
-    fn merge_levels(&mut self, i: usize, j: usize) -> io::Result<u64> {
-        debug_assert!(i < j && j < self.levels.len());
+    fn merge_levels(&mut self, i: usize) -> io::Result<u64> {
+        let j = i + 1;
+        debug_assert!(j < self.levels.len());
         let gen = self.generation + 1;
         let reaches_oldest = j + 1 == self.levels.len();
         let mut add_count = 0u64;
@@ -988,7 +952,7 @@ fn read_manifest(dir: &Path) -> io::Result<Option<Manifest>> {
         Err(e) => return Err(e),
     };
     let bad = || io::Error::new(io::ErrorKind::InvalidData, "malformed MANIFEST");
-    let mut version = 1u32;
+    let mut versioned = false;
     let mut generation = None;
     let mut wal_id = 0;
     let mut triples = 0;
@@ -996,7 +960,13 @@ fn read_manifest(dir: &Path) -> io::Result<Option<Manifest>> {
     for line in text.lines() {
         let mut parts = line.split_whitespace();
         match (parts.next(), parts.next()) {
-            (Some("rdfmesh-store"), Some(v)) => version = v.parse().map_err(|_| bad())?,
+            (Some("rdfmesh-store"), Some("2")) => versioned = true,
+            (Some("rdfmesh-store"), Some(v)) => {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!("unsupported MANIFEST version {v}"),
+                ))
+            }
             (Some("generation"), Some(v)) => generation = v.parse().ok(),
             (Some("wal"), Some(v)) => wal_id = v.parse().map_err(|_| bad())?,
             (Some("triples"), Some(v)) => triples = v.parse().unwrap_or(0),
@@ -1012,17 +982,8 @@ fn read_manifest(dir: &Path) -> io::Result<Option<Manifest>> {
         }
     }
     match generation {
-        Some(generation) => {
-            // A PR 7 (version 1) manifest has no `level` lines: its one
-            // generation is the whole tree, tombstone-free. A version-2
-            // manifest with no levels really is empty (everything was
-            // deleted and compacted away).
-            if version < 2 && levels.is_empty() && generation > 0 {
-                levels.push((generation, triples, 0));
-            }
-            Ok(Some(Manifest { generation, wal_id, triples, levels }))
-        }
-        None => Err(bad()),
+        Some(generation) if versioned => Ok(Some(Manifest { generation, wal_id, triples, levels })),
+        _ => Err(bad()),
     }
 }
 
@@ -1284,35 +1245,56 @@ mod tests {
         assert_eq!(report.keys_written, 1, "only the overlay was written");
         assert_eq!(store.level_count(), 2);
         assert_eq!(PatternSource::len(&store), 201);
+        // A second small overlay folds into the first (3 * 8 >= 1) and
+        // stops there (4 * 8 < 200): the cost follows the overlay.
+        for i in 0..3 {
+            store.insert(&t(&format!("tiny{i}"), "p", "x"));
+        }
+        let report = store.flush().unwrap();
+        assert_eq!(report.compactions, 1);
+        assert_eq!(report.keys_written, 3 + 4, "seal + merge of the two small levels");
+        assert_eq!(store.level_count(), 2);
 
         // Reopened stores see both levels.
         drop(store);
         let store = PersistentStore::open(&dir).unwrap();
         assert_eq!(store.level_count(), 2);
-        assert_eq!(PatternSource::len(&store), 201);
+        assert_eq!(PatternSource::len(&store), 204);
         assert!(store.contains(&t("tiny", "p", "x")));
         assert!(store.contains(&t("s0", "p", "o0")));
         // The footer-counting fast path spans levels.
         let pat =
             TriplePattern::new(TermPattern::var("s"), iri("p"), TermPattern::var("o"));
-        assert_eq!(store.count_pattern(&pat), 201);
+        assert_eq!(store.count_pattern(&pat), 204);
     }
 
     #[test]
-    fn full_rewrite_policy_always_compacts_to_one_level() {
-        let dir = tmpdir("fullrewrite");
-        let mut store = PersistentStore::open(&dir).unwrap();
-        store.set_compaction(CompactionPolicy::FullRewrite);
-        for i in 0..100 {
-            store.insert(&t(&format!("s{i}"), "p", "o"));
+    fn manifest_versions_other_than_2_are_rejected() {
+        let dir = tmpdir("versions");
+        {
+            let mut store = PersistentStore::open(&dir).unwrap();
+            store.insert(&t("a", "p", "b"));
+            store.flush().unwrap();
         }
-        store.flush().unwrap();
-        store.insert(&t("one", "p", "more"));
-        let report = store.flush().unwrap();
-        assert_eq!(report.compactions, 1);
-        assert_eq!(report.keys_written, 1 + 101, "seal + full rewrite");
-        assert_eq!(store.level_count(), 1);
-        assert_eq!(PatternSource::len(&store), 101);
+        let manifest = dir.join("MANIFEST");
+        let current = std::fs::read_to_string(&manifest).unwrap();
+        assert!(current.starts_with("rdfmesh-store 2\n"));
+        for (version, message) in [
+            ("1", "unsupported MANIFEST version 1"),
+            ("3", "unsupported MANIFEST version 3"),
+            ("two", "unsupported MANIFEST version two"),
+        ] {
+            let text = current.replacen("rdfmesh-store 2", &format!("rdfmesh-store {version}"), 1);
+            std::fs::write(&manifest, text).unwrap();
+            let err = PersistentStore::open(&dir).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            assert_eq!(err.to_string(), message);
+        }
+        // No version line at all is not a manifest.
+        std::fs::write(&manifest, current.replacen("rdfmesh-store 2\n", "", 1)).unwrap();
+        assert_eq!(PersistentStore::open(&dir).unwrap_err().to_string(), "malformed MANIFEST");
+        std::fs::write(&manifest, current).unwrap();
+        assert_eq!(PatternSource::len(&PersistentStore::open(&dir).unwrap()), 1);
     }
 
     #[test]

@@ -183,11 +183,40 @@ struct Request {
     body: Vec<u8>,
 }
 
-fn read_request(stream: &mut TcpStream) -> io::Result<Request> {
+/// Longest request line or header line accepted, terminator included.
+const MAX_LINE: usize = 8 * 1024;
+/// Most header lines accepted.
+const MAX_HEADERS: usize = 64;
+/// Largest request body accepted.
+const MAX_BODY: usize = 16 * 1024 * 1024;
+
+/// A request turned away while reading it: the status line to answer
+/// with and the text of the JSON `error` member.
+type Refusal = (&'static str, &'static str);
+
+const TOO_LARGE_HEADERS: Refusal = (
+    "431 Request Header Fields Too Large",
+    "request line and header lines are limited to 8 KiB each, headers to 64",
+);
+
+/// Reads the next line into `line`; `false` when it exceeds [`MAX_LINE`].
+/// At most `MAX_LINE` bytes are ever buffered for it.
+fn read_line_bounded(reader: &mut impl BufRead, line: &mut String) -> io::Result<bool> {
+    line.clear();
+    let n = reader.take(MAX_LINE as u64).read_line(line)?;
+    Ok(n < MAX_LINE || line.ends_with('\n'))
+}
+
+/// Reads one request, refusing — without reading any further — a line
+/// or header count over the limits and a body whose declared length is
+/// over [`MAX_BODY`] or not a number.
+fn read_request(stream: &mut TcpStream) -> io::Result<Result<Request, Refusal>> {
     stream.set_read_timeout(Some(Duration::from_secs(10)))?;
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut line = String::new();
-    reader.read_line(&mut line)?;
+    if !read_line_bounded(&mut reader, &mut line)? {
+        return Ok(Err(TOO_LARGE_HEADERS));
+    }
     let mut parts = line.split_whitespace();
     let method = parts.next().unwrap_or_default().to_string();
     let target = parts.next().unwrap_or_default().to_string();
@@ -196,24 +225,34 @@ fn read_request(stream: &mut TcpStream) -> io::Result<Request> {
         None => (target, String::new()),
     };
     let mut content_length = 0usize;
+    let mut headers = 0usize;
     loop {
-        let mut header = String::new();
-        if reader.read_line(&mut header)? == 0 {
-            break;
+        if !read_line_bounded(&mut reader, &mut line)? {
+            return Ok(Err(TOO_LARGE_HEADERS));
         }
-        let header = header.trim_end();
+        let header = line.trim_end();
         if header.is_empty() {
             break;
         }
+        headers += 1;
+        if headers > MAX_HEADERS {
+            return Ok(Err(TOO_LARGE_HEADERS));
+        }
         if let Some((name, value)) = header.split_once(':') {
             if name.eq_ignore_ascii_case("content-length") {
-                content_length = value.trim().parse().unwrap_or(0);
+                content_length = match value.trim().parse() {
+                    Ok(n) if n <= MAX_BODY => n,
+                    Ok(_) => {
+                        return Ok(Err(("413 Payload Too Large", "request body is limited to 16 MiB")))
+                    }
+                    Err(_) => return Ok(Err(("400 Bad Request", "Content-Length is not a number"))),
+                };
             }
         }
     }
-    let mut body = vec![0u8; content_length.min(16 * 1024 * 1024)];
+    let mut body = vec![0u8; content_length];
     reader.read_exact(&mut body)?;
-    Ok(Request { method, path, query_string, body })
+    Ok(Ok(Request { method, path, query_string, body }))
 }
 
 fn respond(stream: &mut TcpStream, status: &str, content_type: &str, body: &str) -> io::Result<()> {
@@ -356,7 +395,13 @@ fn handle_connection(
     node: &MeshNode,
     options: ServeOptions,
 ) -> io::Result<()> {
-    let req = read_request(&mut stream)?;
+    let req = match read_request(&mut stream)? {
+        Ok(req) => req,
+        Err((status, error)) => {
+            let body = format!("{{\"error\":\"{error}\"}}");
+            return respond(&mut stream, status, "application/json", &body);
+        }
+    };
     match (req.method.as_str(), req.path.as_str()) {
         ("GET", "/health") => {
             let body = format!(
@@ -418,6 +463,88 @@ fn handle_connection(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Runs [`read_request`] on the server side of a loopback connection
+    /// while `client` writes to the other side from its own thread. The
+    /// client's socket stays open until the read has returned, so an
+    /// early return is never an end-of-stream in disguise.
+    fn served(
+        client: impl FnOnce(&mut TcpStream) + Send + 'static,
+    ) -> Result<Request, Refusal> {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut near = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (mut far, _) = listener.accept().unwrap();
+        let writer = std::thread::spawn(move || {
+            client(&mut near);
+            near
+        });
+        let outcome = read_request(&mut far).expect("no I/O error");
+        drop(far);
+        writer.join().unwrap();
+        outcome
+    }
+
+    fn sent(request: Vec<u8>) -> Result<Request, Refusal> {
+        served(move |stream| {
+            let _ = stream.write_all(&request);
+        })
+    }
+
+    fn status_of(outcome: Result<Request, Refusal>) -> &'static str {
+        outcome.err().expect("the request is refused").0
+    }
+
+    #[test]
+    fn over_long_lines_and_too_many_headers_are_refused_with_431() {
+        let long_target = format!("GET /{} HTTP/1.1\r\n\r\n", "a".repeat(MAX_LINE));
+        assert!(status_of(sent(long_target.into_bytes())).starts_with("431"));
+        let long_header = format!("GET / HTTP/1.1\r\nX-Pad: {}\r\n\r\n", "a".repeat(MAX_LINE));
+        assert!(status_of(sent(long_header.into_bytes())).starts_with("431"));
+        let many = format!("GET / HTTP/1.1\r\n{}\r\n", "X-H: v\r\n".repeat(MAX_HEADERS + 1));
+        assert!(status_of(sent(many.into_bytes())).starts_with("431"));
+    }
+
+    #[test]
+    fn an_endless_header_line_is_refused_after_a_bounded_read() {
+        let started = std::time::Instant::now();
+        let outcome = served(|stream| {
+            let _ = stream.write_all(b"GET / HTTP/1.1\r\nX-Endless: ");
+            // Stops once the far side has hung up.
+            while stream.write_all(&[b'a'; 4096]).is_ok() {}
+        });
+        assert!(status_of(outcome).starts_with("431"));
+        assert!(started.elapsed() < Duration::from_secs(10), "refused before the read timeout");
+    }
+
+    #[test]
+    fn body_lengths_over_the_cap_or_not_numeric_are_refused_unread() {
+        // No body byte is ever sent and the socket stays open: a reader
+        // that waited for the body would time out instead of refusing.
+        let declare = |length: &str| {
+            format!("POST /sparql HTTP/1.1\r\nContent-Length: {length}\r\n\r\n").into_bytes()
+        };
+        assert!(status_of(sent(declare(&(MAX_BODY + 1).to_string()))).starts_with("413"));
+        assert!(status_of(sent(declare("lots"))).starts_with("400"));
+        assert!(status_of(sent(declare("-1"))).starts_with("400"));
+    }
+
+    #[test]
+    fn a_request_at_every_limit_is_accepted_whole() {
+        let pad = |prefix: &str| format!("{prefix}{}\r\n", "a".repeat(MAX_LINE - prefix.len() - 2));
+        let request_line = format!("POST /sparql?{} HTTP/1.1\r\n", "q".repeat(MAX_LINE - 24));
+        assert_eq!(request_line.len(), MAX_LINE);
+        let mut request = request_line.into_bytes();
+        request.extend_from_slice(pad("X-Pad: ").as_bytes());
+        request.extend_from_slice(format!("Content-Length: {MAX_BODY}\r\n").as_bytes());
+        request.extend_from_slice("X-H: v\r\n".repeat(MAX_HEADERS - 2).as_bytes());
+        request.extend_from_slice(b"\r\n");
+        request.extend(std::iter::repeat_n(b'b', MAX_BODY));
+        let req = sent(request).expect("every limit is inclusive");
+        assert_eq!((req.method.as_str(), req.path.as_str()), ("POST", "/sparql"));
+        assert_eq!(req.query_string.len(), MAX_LINE - 24);
+        assert_eq!(req.body.len(), MAX_BODY);
+        assert!(req.body.iter().all(|&b| b == b'b'));
+    }
 
     #[test]
     fn percent_decoding_handles_spaces_and_hex() {

@@ -238,6 +238,17 @@ fn three_serve_processes_answer_http_queries_like_the_simulator() {
     let (status, _) = http_post_sparql(&http1, "SELECT WHERE {");
     assert!(status.contains("400"), "expected 400 for a parse error: {status}");
 
+    // A body over the 16 MiB cap is refused on its declared length: no
+    // body byte is sent, and the answer arrives without the server
+    // waiting for one.
+    let oversized = format!(
+        "POST /sparql HTTP/1.1\r\nHost: {http1}\r\nContent-Length: {}\r\n\r\n",
+        16 * 1024 * 1024 + 1
+    );
+    let (status, body) = http(&http1, &oversized);
+    assert!(status.contains("413"), "expected 413 for an oversized body: {status} {body}");
+    assert!(body.contains("\"error\""), "the refusal says why: {body}");
+
     let _ = std::fs::remove_dir_all(&dir);
 }
 
