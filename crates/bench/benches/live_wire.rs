@@ -1,13 +1,12 @@
-//! Micro-benchmarks of the live wire codec: encode/decode of the
-//! batched solution-shipping frames (`SubmitSolBatch`,
-//! `SubQuerySolBatch`, `SolutionsBatch`) that PR 8's submit pump and
-//! coordinator coalescing put on every loaded link, plus the singleton
-//! `SubQuerySol` they replace. `encode_wire` pre-sizes its buffer from
+//! Micro-benchmarks of the live wire codec: encode/decode of the two
+//! frames a chained round puts on every provider link — the
+//! `SubQuerySol` that ships a bind round's intermediates and the
+//! `Solutions` that answers it. `encode_wire` pre-sizes its buffer from
 //! a size hint; these benches price that allocation path at realistic
-//! batch widths.
+//! row counts.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use rdfmesh_core::{LiveMsg, QueryId, SolRound};
+use rdfmesh_core::{LiveMsg, QueryId};
 use rdfmesh_net::{NodeId, WireMsg};
 use rdfmesh_rdf::{Term, TermPattern, TriplePattern, Variable};
 use rdfmesh_sparql::Solution;
@@ -27,53 +26,23 @@ fn pattern() -> TriplePattern {
     )
 }
 
-fn round(qid: u64, bound: usize) -> SolRound {
-    SolRound {
-        qid: QueryId(qid),
+/// A sub-query with 16 bound rows, a bare one, and replies of 16 and
+/// 256 solutions.
+fn messages() -> Vec<(&'static str, LiveMsg)> {
+    let sub_query = |bound: u64| LiveMsg::SubQuerySol {
+        qid: QueryId(1),
         pattern: pattern(),
         filter: None,
-        bound: (bound > 0).then(|| (0..bound as u64).map(solution).collect()),
-    }
-}
-
-/// The frames a loaded mesh actually ships: a singleton sub-query, a
-/// submission of one round and of eight, the sub-query batched 32-wide,
-/// and the storage node's batched reply (8 queries × 16 solutions).
-fn messages() -> Vec<(&'static str, LiveMsg)> {
-    let single = {
-        let r = round(1, 16);
-        LiveMsg::SubQuerySol {
-            qid: r.qid,
-            pattern: r.pattern,
-            filter: r.filter,
-            bound: r.bound,
-            reply_to: NodeId(7),
-        }
+        bound: (bound > 0).then(|| (0..bound).map(solution).collect()),
+        reply_to: NodeId(7),
     };
+    let reply =
+        |rows: u64| LiveMsg::Solutions { qid: QueryId(1), solutions: (0..rows).map(solution).collect() };
     vec![
-        ("subquery_sol_single_16b", single),
-        // What a lone round's submission is since the singleton
-        // `SubmitSol` frame was retired: a batch of one.
-        ("submit_sol_batch_1", LiveMsg::SubmitSolBatch { rounds: vec![round(0, 16)] }),
-        (
-            "submit_sol_batch_8",
-            LiveMsg::SubmitSolBatch { rounds: (0..8).map(|q| round(q, 16)).collect() },
-        ),
-        (
-            "subquery_sol_batch_32",
-            LiveMsg::SubQuerySolBatch {
-                rounds: (0..32).map(|q| round(q, 16)).collect(),
-                reply_to: NodeId(7),
-            },
-        ),
-        (
-            "solutions_batch_8x16",
-            LiveMsg::SolutionsBatch {
-                entries: (0..8)
-                    .map(|q| (QueryId(q), (0..16u64).map(solution).collect()))
-                    .collect(),
-            },
-        ),
+        ("subquery_sol_unbound", sub_query(0)),
+        ("subquery_sol_single_16b", sub_query(16)),
+        ("solutions_16", reply(16)),
+        ("solutions_256", reply(256)),
     ]
 }
 

@@ -1,11 +1,17 @@
 //! §E20 — Throughput under concurrency: qps and latency vs. offered load.
 //!
 //! PR 8 makes the live mesh a multi-query engine: many queries pipeline
-//! through one coordinator, solution rounds coalesce into batched wire
-//! frames, and admission control bounds the in-flight window. This
-//! experiment prices that with the figure of merit the north star
-//! actually needs — queries per second, not per-query bytes. An
-//! open-loop mixed FOAF+university workload is driven at a ladder of
+//! through one coordinator and admission control bounds the in-flight
+//! window. This experiment prices that with the figure of merit the
+//! north star actually needs — queries per second, not per-query bytes.
+//! (PR 8 also coalesced concurrent rounds into batch frames; that layer
+//! was deleted once counted. On 2026-10-01, five alternating runs a
+//! side on 2 cores, this experiment sent 28 947–28 986 wire frames with
+//! it — commit `e565636`, the twin's own submits kept off its socket —
+//! and 28 940–28 965 without, at the commit after; the c16 socket rung
+//! read a median 1 698 vs 1 701 qps. EXPERIMENTS.md §E20 has the runs.)
+//!
+//! An open-loop mixed FOAF+university workload is driven at a ladder of
 //! offered loads (1, 4, 16 in-flight queries) over both live transports
 //! (in-process channels and framed loopback TCP), with the simulator as
 //! the inherently-serial baseline, measuring qps and p50/p99 latency at

@@ -41,15 +41,22 @@
 //! ([`crate::MeshNode`]); nothing here touches shared state beyond the
 //! observable location tables and counters. Callers reach a coordinator
 //! through the one [`RoundClient`], which both hosts own: it allocates
-//! query ids, pumps submissions, gates executions on admission and hands
-//! answers back.
+//! query ids, hands each round to its coordinator as one local command,
+//! gates executions on admission and hands answers back.
+//!
+//! A round is one frame per provider: whatever else is in flight, a
+//! chained round ships as [`LiveMsg::SubQuerySol`] and is answered with
+//! [`LiveMsg::Solutions`]. The commands that never leave their process —
+//! [`LiveMsg::SubmitSol`], [`LiveMsg::SubmitMulti`], [`LiveMsg::Deadline`]
+//! — have no wire encoding at all (`live_wire.rs`); every transport
+//! delivers an envelope a node addresses to itself to its own mailbox.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::Duration;
 
-use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
+use crossbeam::channel::{bounded, Receiver, Sender};
 use rdfmesh_net::{Cluster, Envelope, FaultPlan, Handler, NodeId, Outbox, TcpCluster, TransportSnapshot};
 use rdfmesh_overlay::{key_for_pattern, keys_for_triple, Overlay};
 use rdfmesh_rdf::{SharedStore, TriplePattern, Variable};
@@ -89,23 +96,6 @@ pub enum DeadlineStage {
     /// The whole-query backstop: fire whatever is still outstanding and
     /// answer with what was collected.
     Overall,
-}
-
-/// One query's solution round: everything a [`LiveMsg::SubQuerySol`]
-/// carries, minus the addressing. The batched messages ship several of
-/// these in one frame so N concurrent queries amortize framing and
-/// socket syscalls instead of paying them N times.
-#[derive(Debug, Clone)]
-pub struct SolRound {
-    /// The owning query.
-    pub qid: QueryId,
-    /// The pattern to resolve.
-    pub pattern: TriplePattern,
-    /// Source-side filter every returned solution must satisfy.
-    pub filter: Option<Expression>,
-    /// Intermediate solutions the providers extend (`None` starts from
-    /// the unit solution).
-    pub bound: Option<Vec<Solution>>,
 }
 
 /// Protocol messages of the live mesh.
@@ -152,31 +142,21 @@ pub enum LiveMsg {
         /// The (filtered, extended) solution mappings.
         solutions: Vec<Solution>,
     },
-    /// The external application submits *solution rounds* at the
+    /// The external application submits one *solution round* at the
     /// coordinator: the providers answer with solution mappings,
     /// optionally extending shipped intermediate results (the bind-join
     /// step of Sect. IV-D) and applying a pushed-down filter at the
-    /// source (Sect. IV-G). The submit pump injects whatever piled up
-    /// while the previous inject was in flight as one message (group
-    /// commit) and the coordinator starts them all in a single handler
-    /// turn; a lone round is a batch of one.
-    SubmitSolBatch {
-        /// One entry per submitted round.
-        rounds: Vec<SolRound>,
-    },
-    /// Several queries' solution sub-queries for the *same* storage
-    /// node, coalesced per provider within one coordinator turn.
-    SubQuerySolBatch {
-        /// One entry per query's sub-query.
-        rounds: Vec<SolRound>,
-        /// Where to send the batched solutions.
-        reply_to: NodeId,
-    },
-    /// A storage node's answers to a [`LiveMsg::SubQuerySolBatch`]: one
-    /// solution set per batched query, in one frame.
-    SolutionsBatch {
-        /// `(query, its solutions)` per batched sub-query.
-        entries: Vec<(QueryId, Vec<Solution>)>,
+    /// source (Sect. IV-G). A local command: it has no wire encoding.
+    SubmitSol {
+        /// Fresh id allocated by [`RoundClient::submit_solutions`].
+        qid: QueryId,
+        /// The pattern to resolve.
+        pattern: TriplePattern,
+        /// Source-side filter every returned solution must satisfy.
+        filter: Option<Expression>,
+        /// Intermediate solutions the providers extend (`None` starts
+        /// from the unit solution).
+        bound: Option<Vec<Solution>>,
     },
     /// Coordinator → index node: `provider` missed its query-ack
     /// deadline for `pattern`'s key; lazily drop it from the owner's
@@ -189,7 +169,8 @@ pub enum LiveMsg {
         provider: NodeId,
     },
     /// A deadline the coordinator scheduled to itself via the cluster
-    /// timer ([`Outbox::schedule`]).
+    /// timer ([`Outbox::schedule`]). A local command: it has no wire
+    /// encoding, so no peer can expire another coordinator's rounds.
     Deadline {
         /// The owning query.
         qid: QueryId,
@@ -211,7 +192,7 @@ pub enum LiveMsg {
     /// the coordinator, to be joined in a single distributed round by
     /// the named strategy (HyperCube shuffle or
     /// partial-evaluation-and-assembly) instead of pattern-by-pattern
-    /// chained shipping.
+    /// chained shipping. A local command: it has no wire encoding.
     SubmitMulti {
         /// Fresh id allocated by [`RoundClient::submit_multiway`].
         qid: QueryId,
@@ -310,17 +291,30 @@ enum Action {
     Finish { qid: QueryId, answer: LiveAnswer },
 }
 
-/// Monotonic fault counters the core accumulates; the handler diffs them
-/// into the shared [`LiveStats`] after every message.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub(crate) struct LiveCounters {
-    retries: u64,
-    ack_timeouts: u64,
-    send_failures: u64,
-    stale_replies: u64,
-    incomplete_queries: u64,
-    lookup_failures: u64,
-    stitched_rows: u64,
+/// What a frame's failed send has to be traced back to — taken from the
+/// frame before it moves into [`Outbox::send`], so the path that succeeds
+/// never copies one.
+#[derive(Debug)]
+enum SendKey {
+    /// A provider's exec frame of round `qid`.
+    Exec(QueryId),
+    /// The index lookup of `pattern` for round `qid`.
+    Lookup(QueryId, TriplePattern),
+    /// `ProviderDead` or `MultiDone`: losing one only postpones lazy
+    /// cleanup.
+    Cleanup,
+}
+
+impl SendKey {
+    fn of(msg: &LiveMsg) -> SendKey {
+        match msg {
+            LiveMsg::SubQuerySol { qid, .. }
+            | LiveMsg::ShuffleExec { qid, .. }
+            | LiveMsg::PartialExec { qid, .. } => SendKey::Exec(*qid),
+            LiveMsg::Lookup { qid, pattern, .. } => SendKey::Lookup(*qid, pattern.clone()),
+            _ => SendKey::Cleanup,
+        }
+    }
 }
 
 /// One pattern of a round and the state of its provider lookup.
@@ -399,7 +393,9 @@ pub(crate) struct CoordinatorCore {
     /// serve-mode membership protocol can extend it as peers join.
     flood: SharedFlood,
     in_flight: HashMap<QueryId, Round>,
-    counters: LiveCounters,
+    /// The host's shared counters, bumped where each event is counted —
+    /// so they are published before the answer they describe.
+    stats: Arc<LiveStats>,
 }
 
 impl CoordinatorCore {
@@ -409,6 +405,7 @@ impl CoordinatorCore {
         cfg: LiveConfig,
         space: rdfmesh_chord::IdSpace,
         flood: SharedFlood,
+        stats: Arc<LiveStats>,
     ) -> Self {
         CoordinatorCore {
             me,
@@ -417,19 +414,14 @@ impl CoordinatorCore {
             space,
             flood,
             in_flight: HashMap::new(),
-            counters: LiveCounters::default(),
+            stats,
         }
     }
 
     fn on_event(&mut self, from: NodeId, msg: LiveMsg) -> Vec<Action> {
         match msg {
-            LiveMsg::SubmitSolBatch { rounds } => {
-                let mut actions = Vec::new();
-                for r in rounds {
-                    let kind = RoundKind::Chained { filter: r.filter, bound: r.bound };
-                    actions.extend(self.on_submit(r.qid, vec![r.pattern], kind));
-                }
-                actions
+            LiveMsg::SubmitSol { qid, pattern, filter, bound } => {
+                self.on_submit(qid, vec![pattern], RoundKind::Chained { filter, bound })
             }
             LiveMsg::SubmitMulti { qid, patterns, join_vars, strategy } => {
                 let kind = match strategy {
@@ -445,13 +437,6 @@ impl CoordinatorCore {
                 self.on_providers(qid, &pattern, providers)
             }
             LiveMsg::Solutions { qid, solutions } => self.on_solutions(qid, from, solutions),
-            LiveMsg::SolutionsBatch { entries } => {
-                let mut actions = Vec::new();
-                for (qid, solutions) in entries {
-                    actions.extend(self.on_solutions(qid, from, solutions));
-                }
-                actions
-            }
             LiveMsg::PartialMatches { qid, per_pattern } => {
                 self.on_partial_matches(qid, from, per_pattern)
             }
@@ -467,7 +452,6 @@ impl CoordinatorCore {
             // Strays addressed to other roles are ignored.
             LiveMsg::Lookup { .. }
             | LiveMsg::SubQuerySol { .. }
-            | LiveMsg::SubQuerySolBatch { .. }
             | LiveMsg::ProviderDead { .. }
             | LiveMsg::ShuffleExec { .. }
             | LiveMsg::ShufflePart { .. }
@@ -612,7 +596,7 @@ impl CoordinatorCore {
             .filter(|s| s.providers.is_none() && s.pattern == *pattern)
             .collect();
         if open.is_empty() {
-            self.counters.stale_replies += 1;
+            self.stats.add_stale_replies(1);
             return Vec::new();
         }
         if providers.is_empty() {
@@ -648,7 +632,7 @@ impl CoordinatorCore {
             (accepts(&q.kind) && q.outstanding.remove(&from).is_some()).then_some(q)
         });
         if q.is_none() {
-            self.counters.stale_replies += 1;
+            self.stats.add_stale_replies(1);
         }
         q
     }
@@ -708,11 +692,11 @@ impl CoordinatorCore {
         }
         if attempt < self.cfg.retries {
             s.lookup_attempt = attempt + 1;
-            self.counters.retries += 1;
+            self.stats.add_retries(1);
             let pattern = s.pattern.clone();
             self.lookup(qid, slot, pattern, attempt + 1).into()
         } else {
-            self.counters.lookup_failures += 1;
+            self.stats.add_lookup_failures(1);
             self.finish(qid, false)
         }
     }
@@ -724,7 +708,7 @@ impl CoordinatorCore {
         }
         if attempt < self.cfg.retries {
             q.outstanding.insert(provider, attempt + 1);
-            self.counters.retries += 1;
+            self.stats.add_retries(1);
             let q = &self.in_flight[&qid];
             return vec![
                 Action::Send { to: provider, msg: self.exec_frame(qid, q) },
@@ -733,7 +717,7 @@ impl CoordinatorCore {
         }
         q.outstanding.remove(&provider);
         q.failed.push(provider);
-        self.counters.ack_timeouts += 1;
+        self.stats.add_ack_timeouts(1);
         // Purge the dead provider from every pattern row that named it —
         // each slot's key may live at a different index owner.
         let mut actions: Vec<Action> = q
@@ -783,29 +767,16 @@ impl CoordinatorCore {
     /// target's current attempt (Sect. III-D): the transport already
     /// knows the peer is unreachable, so waiting out the deadline would
     /// only delay the retry/purge.
-    fn on_send_failed(&mut self, to: NodeId, msg: LiveMsg) -> Vec<Action> {
-        self.counters.send_failures += 1;
-        match msg {
-            LiveMsg::SubQuerySol { qid, .. }
-            | LiveMsg::ShuffleExec { qid, .. }
-            | LiveMsg::PartialExec { qid, .. } => match self.exec_attempt(qid, to) {
+    fn on_send_failed(&mut self, to: NodeId, key: SendKey) -> Vec<Action> {
+        self.stats.add_send_failures(1);
+        match key {
+            SendKey::Exec(qid) => match self.exec_attempt(qid, to) {
                 Some(attempt) => self.on_ack_timeout(qid, to, attempt),
                 None => Vec::new(),
             },
-            // One failed frame fails every round it carried: each
-            // becomes an immediate ack timeout at its current attempt.
-            LiveMsg::SubQuerySolBatch { rounds, .. } => {
-                let mut actions = Vec::new();
-                for r in rounds {
-                    if let Some(attempt) = self.exec_attempt(r.qid, to) {
-                        actions.extend(self.on_ack_timeout(r.qid, to, attempt));
-                    }
-                }
-                actions
-            }
             // The first open slot awaiting this pattern: equal patterns
             // in one round are interchangeable.
-            LiveMsg::Lookup { qid, pattern, .. } => {
+            SendKey::Lookup(qid, pattern) => {
                 let open = |s: &&Slot| s.providers.is_none() && s.pattern == pattern;
                 let slots = self.in_flight.get(&qid).into_iter().flat_map(|q| &q.slots);
                 match slots.enumerate().find(|(_, s)| open(s)).map(|(i, s)| (i, s.lookup_attempt)) {
@@ -813,15 +784,14 @@ impl CoordinatorCore {
                     None => Vec::new(),
                 }
             }
-            // A lost ProviderDead or MultiDone only postpones lazy cleanup.
-            _ => Vec::new(),
+            SendKey::Cleanup => Vec::new(),
         }
     }
 
     fn finish(&mut self, qid: QueryId, complete: bool) -> Vec<Action> {
         let Some(q) = self.in_flight.remove(&qid) else { return Vec::new() };
         if !complete {
-            self.counters.incomplete_queries += 1;
+            self.stats.add_incomplete_queries(1);
         }
         // Let a multiway round's providers retire retained shuffle state.
         let mut actions: Vec<Action> = match q.kind {
@@ -842,8 +812,8 @@ impl CoordinatorCore {
                 }
                 let mut assembled = DistinctBuffer::new();
                 assembled.extend_distinct(acc);
-                self.counters.stitched_rows +=
-                    assembled.len().saturating_sub(local_complete.len()) as u64;
+                let stitched = assembled.len().saturating_sub(local_complete.len());
+                self.stats.add_stitched_rows(stitched as u64);
                 assembled.into_vec()
             }
             _ => q.gathered.into_vec(),
@@ -883,96 +853,32 @@ pub(crate) fn wlock<T>(m: &RwLock<T>) -> std::sync::RwLockWriteGuard<'_, T> {
 pub(crate) struct Coordinator {
     pub(crate) core: CoordinatorCore,
     pub(crate) pending: PendingMap,
-    pub(crate) shared: Arc<LiveStats>,
-    pub(crate) synced: LiveCounters,
 }
 
 impl Coordinator {
-    /// Executes the state machine's actions. Solution sub-queries are
-    /// not sent one by one: within one handler turn every
-    /// `SubQuerySol` bound for the same storage node is buffered and
-    /// flushed as a single frame — a lone round keeps its original
-    /// message (byte-identical to the unbatched protocol, which is what
-    /// the E17/E18 parity experiments pin down), while two or more
-    /// coalesce into a [`LiveMsg::SubQuerySolBatch`]. A failed flush
-    /// feeds back into the state machine per carried round, which may
-    /// buffer retransmissions — hence the outer loop.
+    /// Executes the state machine's actions in order, every frame sent
+    /// as it stands. A failed send feeds back into the state machine,
+    /// whose reaction (a retransmission, a purge, a finish) joins the
+    /// queue.
     fn run(&mut self, first: Vec<Action>, out: &Outbox<LiveMsg>) {
         let mut actions: VecDeque<Action> = first.into();
-        loop {
-            let mut buffered: Vec<(NodeId, Vec<SolRound>)> = Vec::new();
-            while let Some(action) = actions.pop_front() {
-                match action {
-                    Action::Send {
-                        to,
-                        msg: LiveMsg::SubQuerySol { qid, pattern, filter, bound, .. },
-                    } => {
-                        let round = SolRound { qid, pattern, filter, bound };
-                        match buffered.iter_mut().find(|(node, _)| *node == to) {
-                            Some((_, rounds)) => rounds.push(round),
-                            None => buffered.push((to, vec![round])),
-                        }
+        while let Some(action) = actions.pop_front() {
+            match action {
+                Action::Send { to, msg } => {
+                    let key = SendKey::of(&msg);
+                    if !out.send(to, msg) {
+                        actions.extend(self.core.on_send_failed(to, key));
                     }
-                    Action::Send { to, msg } => {
-                        if !out.send(to, msg.clone()) {
-                            actions.extend(self.core.on_send_failed(to, msg));
-                        }
-                    }
-                    Action::Schedule { after, msg } => out.schedule(after, msg),
-                    Action::Finish { qid, answer } => {
-                        // The caller may read `stats()` the moment it has
-                        // the answer: publish this query's counters first.
-                        self.sync_counters();
-                        // Removing the sender is what makes "done" single-shot.
-                        if let Some(tx) = lock(&self.pending).remove(&qid) {
-                            let _ = tx.send(answer);
-                        }
+                }
+                Action::Schedule { after, msg } => out.schedule(after, msg),
+                Action::Finish { qid, answer } => {
+                    // Removing the sender is what makes "done" single-shot.
+                    if let Some(tx) = lock(&self.pending).remove(&qid) {
+                        let _ = tx.send(answer);
                     }
                 }
             }
-            if buffered.is_empty() {
-                break;
-            }
-            for (to, mut rounds) in buffered {
-                let msg = if rounds.len() == 1 {
-                    let r = rounds.pop().expect("one round");
-                    LiveMsg::SubQuerySol {
-                        qid: r.qid,
-                        pattern: r.pattern,
-                        filter: r.filter,
-                        bound: r.bound,
-                        reply_to: self.core.me,
-                    }
-                } else {
-                    self.shared.add_batches(1);
-                    self.shared.add_batched_rounds(rounds.len() as u64);
-                    LiveMsg::SubQuerySolBatch { rounds, reply_to: self.core.me }
-                };
-                if !out.send(to, msg.clone()) {
-                    actions.extend(self.core.on_send_failed(to, msg));
-                }
-            }
-            if actions.is_empty() {
-                break;
-            }
         }
-        self.sync_counters();
-    }
-
-    fn sync_counters(&mut self) {
-        let now = self.core.counters;
-        let last = self.synced;
-        if now == last {
-            return;
-        }
-        self.shared.add_retries(now.retries - last.retries);
-        self.shared.add_ack_timeouts(now.ack_timeouts - last.ack_timeouts);
-        self.shared.add_send_failures(now.send_failures - last.send_failures);
-        self.shared.add_stale_replies(now.stale_replies - last.stale_replies);
-        self.shared.add_incomplete_queries(now.incomplete_queries - last.incomplete_queries);
-        self.shared.add_lookup_failures(now.lookup_failures - last.lookup_failures);
-        self.shared.add_stitched_rows(now.stitched_rows - last.stitched_rows);
-        self.synced = now;
     }
 }
 
@@ -1118,12 +1024,17 @@ impl LiveStorage {
     /// store — extending the shipped intermediates when the round is a
     /// bind join — then apply the pushed-down filter at the source
     /// (Sect. IV-G).
-    fn answer(&self, round: &SolRound) -> Vec<Solution> {
+    fn answer(
+        &self,
+        pattern: &TriplePattern,
+        filter: Option<&Expression>,
+        bound: Option<&[Solution]>,
+    ) -> Vec<Solution> {
         let unit = vec![Solution::new()];
-        let partial = round.bound.as_deref().unwrap_or(&unit);
+        let partial = bound.unwrap_or(&unit);
         let mut solutions =
-            rdfmesh_sparql::eval::evaluate_pattern_with(&self.store, &round.pattern, partial);
-        if let Some(f) = &round.filter {
+            rdfmesh_sparql::eval::evaluate_pattern_with(&self.store, pattern, partial);
+        if let Some(f) = filter {
             solutions.retain(|s| f.satisfied_by(s));
         }
         self.stats.add_solutions_shipped(solutions.len() as u64);
@@ -1178,18 +1089,8 @@ impl Handler<LiveMsg> for LiveStorage {
         let from = envelope.from;
         match envelope.payload {
             LiveMsg::SubQuerySol { qid, pattern, filter, bound, reply_to } => {
-                let solutions = self.answer(&SolRound { qid, pattern, filter, bound });
+                let solutions = self.answer(&pattern, filter.as_ref(), bound.as_deref());
                 out.send(reply_to, LiveMsg::Solutions { qid, solutions });
-            }
-            LiveMsg::SubQuerySolBatch { rounds, reply_to } => {
-                // Several queries' sub-queries in one frame: answer them
-                // all in one frame too, so the reply path amortizes the
-                // same framing the request path did.
-                let entries: Vec<(QueryId, Vec<Solution>)> =
-                    rounds.iter().map(|r| (r.qid, self.answer(r))).collect();
-                self.stats.add_batches(1);
-                self.stats.add_batched_rounds(entries.len() as u64);
-                out.send(reply_to, LiveMsg::SolutionsBatch { entries });
             }
             LiveMsg::ShuffleExec { qid, round, patterns, join_vars, peers, reply_to } => {
                 // A newer generation supersedes any retained state: the
@@ -1360,42 +1261,9 @@ impl MeshCluster {
     }
 }
 
-/// How many round submissions one submit-pump drain coalesces into a
-/// single [`LiveMsg::SubmitSolBatch`] at most.
-const SUBMIT_COALESCE: usize = 64;
-
 /// Delivers a [`LiveMsg`] to the coordinator a [`RoundClient`] fronts, as
 /// if the coordinator had sent it to itself.
-type Inject = Arc<dyn Fn(LiveMsg) + Send + Sync>;
-
-/// The group-commit submit pump: callers enqueue rounds without
-/// blocking; the pump injects whatever has piled up while the previous
-/// inject was in flight as one [`LiveMsg::SubmitSolBatch`]. At low load
-/// every round still travels alone, as a batch of one (zero added
-/// latency — the blocking `recv` forwards it immediately); wider batches
-/// only form under concurrency, which is exactly when the framing
-/// amortization pays.
-fn spawn_submit_pump(rx: Receiver<SolRound>, stats: Arc<LiveStats>, inject: Inject) {
-    std::thread::Builder::new()
-        .name("rdfmesh-submit-pump".into())
-        .spawn(move || {
-            while let Ok(first) = rx.recv() {
-                let mut rounds = vec![first];
-                while rounds.len() < SUBMIT_COALESCE {
-                    match rx.try_recv() {
-                        Ok(r) => rounds.push(r),
-                        Err(_) => break,
-                    }
-                }
-                if rounds.len() > 1 {
-                    stats.add_batches(1);
-                    stats.add_batched_rounds(rounds.len() as u64);
-                }
-                inject(LiveMsg::SubmitSolBatch { rounds });
-            }
-        })
-        .expect("spawn submit pump");
-}
+type Inject = Box<dyn Fn(LiveMsg) + Send + Sync>;
 
 /// A submitted-but-not-yet-awaited solution round: the non-blocking
 /// half of [`RoundClient::query_solutions`]. Callers submit any number
@@ -1428,9 +1296,9 @@ impl RoundHandle {
 }
 
 /// The client side of one coordinator: allocates query ids, registers
-/// the channel each answer comes back on, feeds chained rounds through
-/// the submit pump and multiway rounds straight to the coordinator, and
-/// gates whole query executions on admission control. [`LiveMesh`] and
+/// the channel each answer comes back on, injects every round straight
+/// at the coordinator, and gates whole query executions on admission
+/// control. It owns no thread. [`LiveMesh`] and
 /// [`crate::MeshNode`] each own one and dereference to it; they differ
 /// only in how a message reaches their coordinator, which is the
 /// `inject` closure each gives it at construction.
@@ -1438,7 +1306,6 @@ pub struct RoundClient {
     cfg: LiveConfig,
     next_qid: AtomicU64,
     pending: PendingMap,
-    submit: Sender<SolRound>,
     inject: Inject,
     admission: Admission,
     stats: Arc<LiveStats>,
@@ -1456,15 +1323,11 @@ impl RoundClient {
     where
         F: Fn(LiveMsg) + Send + Sync + 'static,
     {
-        let inject: Inject = Arc::new(inject);
-        let (submit, submit_rx) = unbounded();
-        spawn_submit_pump(submit_rx, Arc::clone(&stats), Arc::clone(&inject));
         RoundClient {
             cfg,
             next_qid: AtomicU64::new(1),
             pending,
-            submit,
-            inject,
+            inject: Box::new(inject),
             admission: Admission::new(&cfg, Arc::clone(&stats)),
             stats,
         }
@@ -1499,10 +1362,9 @@ impl RoundClient {
     }
 
     /// The non-blocking half of [`RoundClient::query_solutions`]:
-    /// enqueues the round at the submit pump and returns immediately
+    /// injects the round at the coordinator and returns immediately
     /// with a [`RoundHandle`] to wait on. Rounds submitted concurrently
-    /// pipeline through the coordinator (and coalesce into batched
-    /// frames under load).
+    /// pipeline through the coordinator.
     pub fn submit_solutions(
         &self,
         pattern: TriplePattern,
@@ -1510,7 +1372,7 @@ impl RoundClient {
         bound: Option<Vec<Solution>>,
     ) -> RoundHandle {
         let handle = self.open_round();
-        let _ = self.submit.send(SolRound { qid: handle.qid, pattern, filter, bound });
+        (self.inject)(LiveMsg::SubmitSol { qid: handle.qid, pattern, filter, bound });
         handle
     }
 
@@ -1528,8 +1390,6 @@ impl RoundClient {
     }
 
     /// The non-blocking half of [`RoundClient::query_multiway`].
-    /// Multiway rounds bypass the submit pump (they never coalesce with
-    /// chained rounds) and inject directly at the coordinator.
     pub fn submit_multiway(
         &self,
         patterns: Vec<TriplePattern>,
@@ -1674,10 +1534,15 @@ impl LiveMesh {
         nodes.push((
             COORDINATOR,
             Box::new(Coordinator {
-                core: CoordinatorCore::new(COORDINATOR, index_nodes[0], cfg, space, flood),
+                core: CoordinatorCore::new(
+                    COORDINATOR,
+                    index_nodes[0],
+                    cfg,
+                    space,
+                    flood,
+                    Arc::clone(&stats),
+                ),
                 pending: Arc::clone(&pending),
-                shared: Arc::clone(&stats),
-                synced: LiveCounters::default(),
             }),
         ));
         let cluster = match transport {
@@ -1884,45 +1749,35 @@ mod tests {
     }
 
     #[test]
-    fn batched_submit_coalesces_provider_traffic() {
-        // One SubmitSolBatch whose rounds fan out to the same storage
-        // nodes in one coordinator turn must travel as batched
-        // SubQuerySol / Solutions frames — the group-commit shipping
-        // path — while answering each round independently. The
-        // all-variable pattern floods immediately (no lookup
-        // round-trip), so both rounds leave in the same turn.
+    fn forged_deadlines_cannot_cut_a_waiting_round_short() {
+        use crate::live_wire::wire_v4;
+        // The sub-query to storage node 2 dawdles on its link, well
+        // inside the ack timeout: the round is in flight, awaiting that
+        // one reply, while the forged frames arrive.
         let o = overlay();
-        let mesh = LiveMesh::spawn(&o);
-        let p = TriplePattern::new(
-            TermPattern::var("s"),
-            TermPattern::var("p"),
-            TermPattern::var("o"),
-        );
-        let (tx1, rx1) = bounded(1);
-        let (tx2, rx2) = bounded(1);
-        let (q1, q2) = (QueryId(501), QueryId(502));
-        lock(&mesh.pending).insert(q1, tx1);
-        lock(&mesh.pending).insert(q2, tx2);
-        mesh.inject(
-            COORDINATOR,
-            COORDINATOR,
-            LiveMsg::SubmitSolBatch {
-                rounds: vec![
-                    SolRound { qid: q1, pattern: p.clone(), filter: None, bound: None },
-                    SolRound { qid: q2, pattern: p, filter: None, bound: None },
-                ],
-            },
-        );
-        let a1 = rx1.recv_timeout(Duration::from_secs(10)).expect("q1 answers");
-        let a2 = rx2.recv_timeout(Duration::from_secs(10)).expect("q2 answers");
-        assert!(a1.complete && a2.complete);
-        assert_eq!(a1.solutions, a2.solutions, "same pattern, same answer");
-        assert_eq!(a1.solutions.len(), 3, "one solution per stored triple");
-        let s = mesh.stats();
-        // Two storage nodes: each got one 2-round SubQuerySolBatch and
-        // answered one 2-entry SolutionsBatch.
-        assert!(s.batches >= 4, "expected coalesced frames, got {} batches", s.batches);
-        assert!(s.batched_rounds >= 8, "rounds carried in batches: {}", s.batched_rounds);
+        let cfg = LiveConfig {
+            ack_timeout: Duration::from_secs(5),
+            query_deadline: Duration::from_secs(20),
+            ..LiveConfig::default()
+        };
+        let plan = FaultPlan::new().delay(COORDINATOR, NodeId(2), Duration::from_millis(300));
+        let mesh = LiveMesh::spawn_with_transport(&o, cfg, plan, Transport::Sockets).unwrap();
+        let MeshCluster::Sockets(twin) = &*mesh.cluster else { unreachable!("spawned on sockets") };
+        let round = mesh.submit_solutions(knows_pattern("bob"), None, None);
+        // Any peer can finish the handshake, and query ids count up from
+        // 1: as wire version 4 laid it out, "your round N is overdue".
+        let forged: Vec<_> = (1..=8).map(|qid| wire_v4::deadline_overall(QueryId(qid))).collect();
+        let _peer = wire_v4::forge_at(twin.local_addr(), COORDINATOR, &forged);
+        let answer = round.wait(Duration::from_secs(30)).expect("no timeout");
+        assert!(answer.complete, "cut short, missing {:?}", answer.failed_providers);
+        assert_eq!(answer.solutions.len(), 2, "the oracle's rows, as in the unforged run above");
+        assert_eq!(mesh.stats().incomplete_queries, 0);
+        // Every forged frame was refused where it was decoded.
+        let refused = std::time::Instant::now() + Duration::from_secs(10);
+        while twin.transport_stats().decode_errors < 8 {
+            assert!(std::time::Instant::now() < refused, "{:?}", twin.transport_stats());
+            std::thread::sleep(Duration::from_millis(5));
+        }
         mesh.shutdown();
     }
 
@@ -2000,16 +1855,14 @@ mod tests {
                 LiveConfig::default(),
                 rdfmesh_chord::IdSpace::new(32),
                 Arc::new(RwLock::new(vec![P1, P2, P3])),
+                Arc::new(LiveStats::default()),
             )
-        }
-
-        fn round(qid: QueryId) -> SolRound {
-            SolRound { qid, pattern: pattern(), filter: None, bound: None }
         }
 
         /// Opens a chained solution round over [`pattern`].
         fn submit(c: &mut CoordinatorCore, qid: QueryId) -> Vec<Action> {
-            c.on_event(COORDINATOR, LiveMsg::SubmitSolBatch { rounds: vec![round(qid)] })
+            let (filter, bound) = (None, None);
+            c.on_event(COORDINATOR, LiveMsg::SubmitSol { qid, pattern: pattern(), filter, bound })
         }
 
         /// Opens a multiway round over `patterns`, joined on `?x`.
@@ -2076,7 +1929,7 @@ mod tests {
             // Duplicate from P1: dropped, not applied.
             let dup = solutions(&mut c, P1, qid, vec![xsol(9)]);
             assert!(dup.is_empty());
-            assert_eq!(c.counters.stale_replies, 1);
+            assert_eq!(c.stats.snapshot().stale_replies, 1);
             let done = finishes(&solutions(&mut c, P2, qid, vec![xsol(2)]));
             assert_eq!(done.len(), 1);
             assert!(done[0].1.complete);
@@ -2084,7 +1937,7 @@ mod tests {
             // Post-completion reply: dropped.
             let late = solutions(&mut c, P2, qid, vec![xsol(3)]);
             assert!(late.is_empty());
-            assert_eq!(c.counters.stale_replies, 2);
+            assert_eq!(c.stats.snapshot().stale_replies, 2);
         }
 
         #[test]
@@ -2120,7 +1973,7 @@ mod tests {
                 a,
                 Action::Send { to, msg: LiveMsg::SubQuerySol { .. } } if *to == P2
             )));
-            assert_eq!(c.counters.retries, 1);
+            assert_eq!(c.stats.snapshot().retries, 1);
             // ...and the deadline at attempt 1 gives up.
             let give_up = deadline(&mut c, qid, DeadlineStage::Ack { provider: P2, attempt: 1 });
             assert!(give_up.iter().any(|a| matches!(
@@ -2134,7 +1987,7 @@ mod tests {
             assert!(!answer.complete);
             assert_eq!(answer.failed_providers, vec![P2]);
             assert_eq!(answer.solutions, vec![xsol(1)]);
-            assert_eq!(c.counters.ack_timeouts, 1);
+            assert_eq!(c.stats.snapshot().ack_timeouts, 1);
         }
 
         #[test]
@@ -2146,21 +1999,21 @@ mod tests {
             let sub = acts
                 .iter()
                 .find_map(|a| match a {
-                    Action::Send { to, msg } if *to == P1 => Some(msg.clone()),
+                    Action::Send { to, msg } if *to == P1 => Some(msg),
                     _ => None,
                 })
                 .expect("subquery sent");
             // First failure retries (attempt 0 -> 1), second gives up.
-            let retry = c.on_send_failed(P1, sub.clone());
+            let retry = c.on_send_failed(P1, SendKey::of(sub));
             assert!(retry
                 .iter()
                 .any(|a| matches!(a, Action::Send { msg: LiveMsg::SubQuerySol { .. }, .. })));
-            let give_up = c.on_send_failed(P1, sub);
+            let give_up = c.on_send_failed(P1, SendKey::of(sub));
             let done = finishes(&give_up);
             assert_eq!(done.len(), 1);
             assert!(!done[0].1.complete);
             assert_eq!(done[0].1.failed_providers, vec![P1]);
-            assert_eq!(c.counters.send_failures, 2);
+            assert_eq!(c.stats.snapshot().send_failures, 2);
         }
 
         #[test]
@@ -2176,7 +2029,7 @@ mod tests {
             let done = finishes(&give_up);
             assert_eq!(done.len(), 1);
             assert!(!done[0].1.complete);
-            assert_eq!(c.counters.lookup_failures, 1);
+            assert_eq!(c.stats.snapshot().lookup_failures, 1);
         }
 
         #[test]
@@ -2190,14 +2043,15 @@ mod tests {
                     _ => None,
                 })
                 .expect("lookup sent");
-            let retry = c.on_send_failed(IX, lookup.clone());
+            let retry = c.on_send_failed(IX, SendKey::of(&lookup));
             assert!(retry
                 .iter()
                 .any(|a| matches!(a, Action::Send { msg: LiveMsg::Lookup { .. }, .. })));
-            let done = finishes(&c.on_send_failed(IX, lookup));
+            let done = finishes(&c.on_send_failed(IX, SendKey::of(&lookup)));
             assert_eq!(done.len(), 1);
             assert!(!done[0].1.complete);
-            assert_eq!((c.counters.send_failures, c.counters.lookup_failures), (2, 1));
+            let s = c.stats.snapshot();
+            assert_eq!((s.send_failures, s.lookup_failures), (2, 1));
         }
 
         #[test]
@@ -2223,12 +2077,13 @@ mod tests {
             let qid = QueryId(12);
             let bound = vec![xsol(1)];
             let filter = Expression::Bound(rdfmesh_rdf::Variable::new("x"));
-            let round = SolRound {
+            let round = LiveMsg::SubmitSol {
+                qid,
+                pattern: pattern(),
                 filter: Some(filter.clone()),
                 bound: Some(bound.clone()),
-                ..round(qid)
             };
-            c.on_event(COORDINATOR, LiveMsg::SubmitSolBatch { rounds: vec![round] });
+            c.on_event(COORDINATOR, round);
             providers(&mut c, qid, pattern(), vec![P1]);
             let retry = deadline(&mut c, qid, DeadlineStage::Ack { provider: P1, attempt: 0 });
             let resent = retry
@@ -2256,7 +2111,7 @@ mod tests {
             );
             let acts = c.on_event(
                 COORDINATOR,
-                LiveMsg::SubmitSolBatch { rounds: vec![SolRound { pattern: all, ..round(qid) }] },
+                LiveMsg::SubmitSol { qid, pattern: all, filter: None, bound: None },
             );
             assert!(
                 !acts.iter().any(|a| matches!(a, Action::Send { msg: LiveMsg::Lookup { .. }, .. })),
@@ -2279,10 +2134,11 @@ mod tests {
         }
 
         #[test]
-        fn submit_sol_batch_opens_each_round_independently() {
+        fn rounds_submitted_back_to_back_stay_independent() {
             let mut c = core();
             let (q1, q2) = (QueryId(21), QueryId(22));
-            c.on_event(COORDINATOR, LiveMsg::SubmitSolBatch { rounds: vec![round(q1), round(q2)] });
+            submit(&mut c, q1);
+            submit(&mut c, q2);
             providers(&mut c, q1, pattern(), vec![P1]);
             providers(&mut c, q2, pattern(), vec![P2]);
             // q2 finishes first; q1 is untouched by it.
@@ -2294,58 +2150,6 @@ mod tests {
             assert_eq!(d1.len(), 1);
             assert_eq!(d1[0].0, q1);
             assert_eq!(d1[0].1.solutions, vec![xsol(1)]);
-            assert!(c.in_flight.is_empty());
-        }
-
-        #[test]
-        fn solutions_batch_answers_several_queries_in_one_frame() {
-            let mut c = core();
-            let (q1, q2) = (QueryId(31), QueryId(32));
-            for qid in [q1, q2] {
-                submit(&mut c, qid);
-                providers(&mut c, qid, pattern(), vec![P1]);
-            }
-            // One batched reply frame from P1 settles both rounds; a
-            // stale entry rides along and is dropped without effect.
-            let done = finishes(&c.on_event(
-                P1,
-                LiveMsg::SolutionsBatch {
-                    entries: vec![
-                        (q1, vec![xsol(1)]),
-                        (q2, vec![xsol(2)]),
-                        (QueryId(999), vec![xsol(9)]),
-                    ],
-                },
-            ));
-            assert_eq!(done.len(), 2);
-            assert_eq!(done[0].0, q1);
-            assert_eq!(done[0].1.solutions, vec![xsol(1)]);
-            assert_eq!(done[1].0, q2);
-            assert_eq!(done[1].1.solutions, vec![xsol(2)]);
-            assert!(c.in_flight.is_empty());
-        }
-
-        #[test]
-        fn failed_batch_send_times_out_every_carried_round() {
-            let mut c = core();
-            let (q1, q2) = (QueryId(41), QueryId(42));
-            for qid in [q1, q2] {
-                submit(&mut c, qid);
-                providers(&mut c, qid, pattern(), vec![P1]);
-            }
-            let batch =
-                LiveMsg::SubQuerySolBatch { rounds: vec![round(q1), round(q2)], reply_to: COORDINATOR };
-            // First failure retries both rounds; the second gives up on
-            // both, each finishing as a partial answer naming P1.
-            let retry = c.on_send_failed(P1, batch.clone());
-            assert!(finishes(&retry).is_empty());
-            let give_up = c.on_send_failed(P1, batch);
-            let done = finishes(&give_up);
-            assert_eq!(done.len(), 2);
-            for (_, answer) in &done {
-                assert!(!answer.complete);
-                assert_eq!(answer.failed_providers, vec![P1]);
-            }
             assert!(c.in_flight.is_empty());
         }
 
@@ -2459,12 +2263,12 @@ mod tests {
             // Slots 0 and 2 ask for the same pattern: the first answer
             // serves both, so only slot 1 is still open afterwards...
             assert!(providers(&mut c, qid, pattern(), vec![P1]).is_empty());
-            assert_eq!(c.counters.stale_replies, 0);
+            assert_eq!(c.stats.snapshot().stale_replies, 0);
             // ...the answer to the twin lookup finds no open slot, like
             // an echo that names none of the round's patterns...
             assert!(providers(&mut c, qid, pattern(), vec![P3]).is_empty());
             assert!(providers(&mut c, qid, knows_pattern("bob"), vec![P3]).is_empty());
-            assert_eq!(c.counters.stale_replies, 2);
+            assert_eq!(c.stats.snapshot().stale_replies, 2);
             // ...and slot 1's answer completes the fan-out over {P1, P2}.
             let fan = providers(&mut c, qid, pattern2(), vec![P2]);
             let targets: Vec<NodeId> = fan
@@ -2494,7 +2298,7 @@ mod tests {
             let sets = vec![vec![xsol(1)], vec![xsol(1)]];
             let swapped = LiveMsg::PartialMatches { qid: chained, per_pattern: sets.clone() };
             assert!(c.on_event(P1, swapped).is_empty());
-            assert_eq!(c.counters.stale_replies, 2);
+            assert_eq!(c.stats.snapshot().stale_replies, 2);
             let right = LiveMsg::PartialMatches { qid: partial, per_pattern: sets };
             assert_eq!(finishes(&c.on_event(P1, right))[0].1.solutions, vec![xsol(1)]);
             assert_eq!(finishes(&solutions(&mut c, P1, chained, vec![xsol(2)])).len(), 1);
@@ -2529,7 +2333,7 @@ mod tests {
             assert!(done[0].1.complete);
             let expect = rdfmesh_sparql::solution::join(&[xy(1, 1)], &[xz(1, 5)]);
             assert_eq!(done[0].1.solutions, expect, "only the compatible pair assembles");
-            assert_eq!(c.counters.stitched_rows, 1);
+            assert_eq!(c.stats.snapshot().stitched_rows, 1);
         }
 
         #[test]
@@ -2618,7 +2422,7 @@ mod tests {
             let done = finishes(&give_up);
             assert_eq!(done.len(), 1);
             assert!(!done[0].1.complete);
-            assert_eq!(c.counters.lookup_failures, 1);
+            assert_eq!(c.stats.snapshot().lookup_failures, 1);
             assert!(c.in_flight.is_empty());
         }
 
@@ -2650,7 +2454,6 @@ mod tests {
         enum Ev {
             Providers { q: usize, stale: bool, second: bool, providers: Vec<NodeId> },
             Solutions { q: usize, stale_qid: bool, from: NodeId, vals: Vec<u64> },
-            Batch { from: NodeId, entries: Vec<(usize, u64)> },
             Partial { q: usize, from: NodeId, sets: Vec<Vec<u64>> },
             AckDeadline { q: usize, provider: NodeId, attempt: u8 },
             LookupDeadline { q: usize, slot: u32, attempt: u8 },
@@ -2683,8 +2486,6 @@ mod tests {
                 (0..NQ, any::<bool>(), arb_provider(), arb_vals()).prop_map(
                     |(q, stale_qid, from, vals)| Ev::Solutions { q, stale_qid, from, vals }
                 ),
-                (arb_provider(), proptest::collection::vec((0..NQ, 0u64..6), 0..4))
-                    .prop_map(|(from, entries)| Ev::Batch { from, entries }),
                 (0..NQ, arb_provider(), proptest::collection::vec(arb_vals(), 1..4))
                     .prop_map(|(q, from, sets)| Ev::Partial { q, from, sets }),
                 (0..NQ, arb_provider(), 0u8..3)
@@ -2696,11 +2497,11 @@ mod tests {
         }
 
         proptest! {
-            /// [`NQ`] rounds of arbitrary kinds — chained ones submitted
-            /// in one batched frame, HyperCube and partial-evaluation
-            /// ones over two slots — then an arbitrary interleaving of
-            /// in-order, late, duplicate, foreign and dropped provider
-            /// lists, plain and batched solution replies, partial
+            /// [`NQ`] rounds of arbitrary kinds — chained ones over one
+            /// slot, HyperCube and partial-evaluation ones over two,
+            /// each submitted on its own — then an arbitrary
+            /// interleaving of in-order, late, duplicate, foreign and
+            /// dropped provider lists, solution replies, partial
             /// matches of the right and the wrong width, and deadlines
             /// of current and abandoned attempts: the machine never
             /// panics, every round finishes exactly once, `complete`
@@ -2723,15 +2524,12 @@ mod tests {
                     }
                     Ok(())
                 };
-                let chained = (0..NQ).filter(|q| kinds[*q].is_none()).map(|q| round(qid_of(q)));
-                record(
-                    c.on_event(COORDINATOR, LiveMsg::SubmitSolBatch { rounds: chained.collect() }),
-                    &mut done,
-                )?;
                 for (q, kind) in kinds.iter().enumerate() {
-                    if let Some(strategy) = *kind {
-                        record(submit_multi(&mut c, qid_of(q), star2(), strategy), &mut done)?;
-                    }
+                    let opened = match *kind {
+                        None => submit(&mut c, qid_of(q)),
+                        Some(strategy) => submit_multi(&mut c, qid_of(q), star2(), strategy),
+                    };
+                    record(opened, &mut done)?;
                 }
                 for ev in &events {
                     let actions = match ev.clone() {
@@ -2746,15 +2544,6 @@ mod tests {
                             from,
                             if stale_qid { stale } else { qid_of(q) },
                             vals.into_iter().map(|v| usol(q, v)).collect(),
-                        ),
-                        Ev::Batch { from, entries } => c.on_event(
-                            from,
-                            LiveMsg::SolutionsBatch {
-                                entries: entries
-                                    .into_iter()
-                                    .map(|(q, v)| (qid_of(q), vec![usol(q, v)]))
-                                    .collect(),
-                            },
                         ),
                         Ev::Partial { q, from, sets } => c.on_event(
                             from,

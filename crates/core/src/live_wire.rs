@@ -2,11 +2,19 @@
 //!
 //! The live protocol was designed against an in-process cluster, so its
 //! messages carry rich payloads (patterns, expressions, solution sets).
-//! This module flattens each variant into the length-checked primitive
-//! layer of [`rdfmesh_sparql::solution::wire`] — one tag byte followed
-//! by the variant's fields — so a [`rdfmesh_net::TcpCluster`] can carry
-//! the identical protocol between OS processes. `docs/DEPLOYMENT.md`
-//! documents the full frame and payload layout.
+//! This module flattens each variant that crosses a wire into the
+//! length-checked primitive layer of [`rdfmesh_sparql::solution::wire`]
+//! — one tag byte followed by the variant's fields — so a
+//! [`rdfmesh_net::TcpCluster`] can carry the identical protocol between
+//! OS processes. `docs/DEPLOYMENT.md` documents the full frame and
+//! payload layout.
+//!
+//! The codec carries only what crosses a wire. The commands a process
+//! gives its own coordinator — [`LiveMsg::SubmitSol`],
+//! [`LiveMsg::SubmitMulti`], [`LiveMsg::Deadline`] — have no tag and no
+//! decoder: every transport hands an envelope a node addresses to itself
+//! to that node's mailbox, so no peer can submit a round at, or expire a
+//! round of, somebody else's coordinator.
 //!
 //! Decoding is paranoid by construction: every read is bounds-checked by
 //! [`Reader`], unknown tags are rejected, and trailing bytes fail the
@@ -22,28 +30,22 @@ use rdfmesh_sparql::solution::wire::{
 };
 use rdfmesh_sparql::solution::Solution;
 
-use crate::config::DistStrategy;
-use crate::live::{DeadlineStage, LiveMsg, QueryId, SolRound};
+use crate::live::{LiveMsg, QueryId};
 
-// One tag byte per `LiveMsg` variant. The gaps (1, 2, 5, 6, 16, 17) are
-// frames wire version 4 retired — the triple round, the singleton
-// submit and the multiway lookup pair; a frame carrying one is refused
-// as an unknown tag.
+// One tag byte per `LiveMsg` variant that crosses a wire. The gaps are
+// retired numbers, never reused: 1, 2, 5, 6, 16, 17 went with wire
+// version 4 (the triple round, the singleton submit, the multiway lookup
+// pair), 10, 12, 13, 14, 15 with version 5 (the local commands and the
+// batch frames). A frame carrying one is refused as an unknown tag.
 const TAG_LOOKUP: u8 = 3;
 const TAG_PROVIDERS: u8 = 4;
 const TAG_SUB_QUERY_SOL: u8 = 7;
 const TAG_SOLUTIONS: u8 = 8;
 const TAG_PROVIDER_DEAD: u8 = 9;
-const TAG_DEADLINE: u8 = 10;
 const TAG_PUBLISH: u8 = 11;
-// Batched frames (wire version 2; see docs/DEPLOYMENT.md).
-const TAG_SUBMIT_SOL_BATCH: u8 = 12;
-const TAG_SUB_QUERY_SOL_BATCH: u8 = 13;
-const TAG_SOLUTIONS_BATCH: u8 = 14;
 // Multiway distribution strategies: HyperCube shuffle and
 // partial-evaluation-and-assembly. Lone chained-query frames never use
 // these tags.
-const TAG_SUBMIT_MULTI: u8 = 15;
 const TAG_SHUFFLE_EXEC: u8 = 18;
 const TAG_SHUFFLE_PART: u8 = 19;
 const TAG_PARTIAL_EXEC: u8 = 20;
@@ -54,15 +56,9 @@ const TAG_MULTI_DONE: u8 = 22;
 const POS_VAR: u8 = 0;
 const POS_CONST: u8 = 1;
 
-// `DeadlineStage` sub-tags.
-const STAGE_LOOKUP: u8 = 0;
-const STAGE_ACK: u8 = 1;
-const STAGE_OVERALL: u8 = 2;
-
-// `DistStrategy` sub-tags.
-const DIST_CHAINED: u8 = 0;
-const DIST_HYPERCUBE: u8 = 1;
-const DIST_PARTIAL_EVAL: u8 = 2;
+// What a local command encodes to, should one be sent off-node anyway:
+// a tag never assigned, so every decoder refuses the frame.
+const NOT_ON_THE_WIRE: u8 = 0;
 
 // `Option<_>` presence flags.
 const ABSENT: u8 = 0;
@@ -158,37 +154,6 @@ fn read_opt_solutions(r: &mut Reader<'_>) -> Result<Option<Vec<Solution>>, WireE
     }
 }
 
-fn put_sol_round(out: &mut Vec<u8>, round: &SolRound) {
-    put_u64(out, round.qid.0);
-    put_pattern(out, &round.pattern);
-    put_opt_expr(out, &round.filter);
-    put_opt_solutions(out, &round.bound);
-}
-
-fn read_sol_round(r: &mut Reader<'_>) -> Result<SolRound, WireError> {
-    let qid = QueryId(r.u64()?);
-    let pattern = read_pattern(r)?;
-    let filter = read_opt_expr(r)?;
-    let bound = read_opt_solutions(r)?;
-    Ok(SolRound { qid, pattern, filter, bound })
-}
-
-fn put_sol_rounds(out: &mut Vec<u8>, rounds: &[SolRound]) {
-    put_u32(out, rounds.len() as u32);
-    for round in rounds {
-        put_sol_round(out, round);
-    }
-}
-
-fn read_sol_rounds(r: &mut Reader<'_>) -> Result<Vec<SolRound>, WireError> {
-    let count = r.u32()? as usize;
-    let mut rounds = Vec::with_capacity(count.min(1024));
-    for _ in 0..count {
-        rounds.push(read_sol_round(r)?);
-    }
-    Ok(rounds)
-}
-
 fn put_patterns(out: &mut Vec<u8>, patterns: &[TriplePattern]) {
     put_u32(out, patterns.len() as u32);
     for p in patterns {
@@ -237,54 +202,6 @@ fn read_solution_sets(r: &mut Reader<'_>) -> Result<Vec<Vec<Solution>>, WireErro
     Ok(sets)
 }
 
-fn put_strategy(out: &mut Vec<u8>, strategy: DistStrategy) {
-    out.push(match strategy {
-        DistStrategy::Chained => DIST_CHAINED,
-        DistStrategy::HyperCube => DIST_HYPERCUBE,
-        DistStrategy::PartialEval => DIST_PARTIAL_EVAL,
-    });
-}
-
-fn read_strategy(r: &mut Reader<'_>) -> Result<DistStrategy, WireError> {
-    match r.u8()? {
-        DIST_CHAINED => Ok(DistStrategy::Chained),
-        DIST_HYPERCUBE => Ok(DistStrategy::HyperCube),
-        DIST_PARTIAL_EVAL => Ok(DistStrategy::PartialEval),
-        _ => Err(WireError("unknown dist-strategy tag")),
-    }
-}
-
-fn put_stage(out: &mut Vec<u8>, stage: &DeadlineStage) {
-    match stage {
-        DeadlineStage::Lookup { slot, attempt } => {
-            out.push(STAGE_LOOKUP);
-            put_u32(out, *slot);
-            out.push(*attempt);
-        }
-        DeadlineStage::Ack { provider, attempt } => {
-            out.push(STAGE_ACK);
-            put_u64(out, provider.0);
-            out.push(*attempt);
-        }
-        DeadlineStage::Overall => out.push(STAGE_OVERALL),
-    }
-}
-
-fn read_stage(r: &mut Reader<'_>) -> Result<DeadlineStage, WireError> {
-    match r.u8()? {
-        STAGE_LOOKUP => {
-            let slot = r.u32()?;
-            Ok(DeadlineStage::Lookup { slot, attempt: r.u8()? })
-        }
-        STAGE_ACK => {
-            let provider = NodeId(r.u64()?);
-            Ok(DeadlineStage::Ack { provider, attempt: r.u8()? })
-        }
-        STAGE_OVERALL => Ok(DeadlineStage::Overall),
-        _ => Err(WireError("unknown deadline-stage tag")),
-    }
-}
-
 // Rough per-item encoded sizes feeding [`size_hint`]. They only have to
 // land within a reallocation or two of the truth; patterns and header
 // fields fit in `BASE_HINT`, solutions dominate everything else.
@@ -297,14 +214,10 @@ fn solutions_hint(solutions: &[Solution]) -> usize {
     solutions.len() * SOLUTION_HINT
 }
 
-fn round_hint(round: &SolRound) -> usize {
-    BASE_HINT + round.bound.as_deref().map_or(0, solutions_hint)
-}
-
 /// Estimates the encoded size of `msg` so [`WireMsg::encode_wire`] can
 /// allocate once up front instead of growing a fresh empty `Vec`
-/// through repeated doublings — batched frames in particular start in
-/// the kilobytes.
+/// through repeated doublings — a bind round's frame starts in the
+/// kilobytes.
 fn size_hint(msg: &LiveMsg) -> usize {
     match msg {
         LiveMsg::SubQuerySol { bound, .. } => {
@@ -313,13 +226,6 @@ fn size_hint(msg: &LiveMsg) -> usize {
         LiveMsg::Solutions { solutions, .. } => BASE_HINT + solutions_hint(solutions),
         LiveMsg::Providers { providers, .. } => BASE_HINT + providers.len() * 8,
         LiveMsg::Publish { keys, .. } => BASE_HINT + keys.len() * 8,
-        LiveMsg::SubmitSolBatch { rounds } | LiveMsg::SubQuerySolBatch { rounds, .. } => {
-            16 + rounds.iter().map(round_hint).sum::<usize>()
-        }
-        LiveMsg::SolutionsBatch { entries } => {
-            16 + entries.iter().map(|(_, s)| 12 + solutions_hint(s)).sum::<usize>()
-        }
-        LiveMsg::SubmitMulti { patterns, .. } => 16 + patterns.len() * BASE_HINT,
         LiveMsg::ShuffleExec { patterns, peers, .. } => {
             16 + patterns.len() * BASE_HINT + peers.len() * 8
         }
@@ -330,6 +236,8 @@ fn size_hint(msg: &LiveMsg) -> usize {
         LiveMsg::Lookup { .. }
         | LiveMsg::ProviderDead { .. }
         | LiveMsg::MultiDone { .. }
+        | LiveMsg::SubmitSol { .. }
+        | LiveMsg::SubmitMulti { .. }
         | LiveMsg::Deadline { .. } => BASE_HINT,
     }
 }
@@ -368,11 +276,6 @@ impl WireMsg for LiveMsg {
                 put_pattern(&mut out, pattern);
                 put_u64(&mut out, provider.0);
             }
-            LiveMsg::Deadline { qid, stage } => {
-                out.push(TAG_DEADLINE);
-                put_u64(&mut out, qid.0);
-                put_stage(&mut out, stage);
-            }
             LiveMsg::Publish { keys, provider } => {
                 out.push(TAG_PUBLISH);
                 put_u32(&mut out, keys.len() as u32);
@@ -380,30 +283,6 @@ impl WireMsg for LiveMsg {
                     put_u64(&mut out, *key);
                 }
                 put_u64(&mut out, provider.0);
-            }
-            LiveMsg::SubmitSolBatch { rounds } => {
-                out.push(TAG_SUBMIT_SOL_BATCH);
-                put_sol_rounds(&mut out, rounds);
-            }
-            LiveMsg::SubQuerySolBatch { rounds, reply_to } => {
-                out.push(TAG_SUB_QUERY_SOL_BATCH);
-                put_sol_rounds(&mut out, rounds);
-                put_u64(&mut out, reply_to.0);
-            }
-            LiveMsg::SolutionsBatch { entries } => {
-                out.push(TAG_SOLUTIONS_BATCH);
-                put_u32(&mut out, entries.len() as u32);
-                for (qid, solutions) in entries {
-                    put_u64(&mut out, qid.0);
-                    put_solutions(&mut out, solutions);
-                }
-            }
-            LiveMsg::SubmitMulti { qid, patterns, join_vars, strategy } => {
-                out.push(TAG_SUBMIT_MULTI);
-                put_u64(&mut out, qid.0);
-                put_patterns(&mut out, patterns);
-                put_vars(&mut out, join_vars);
-                put_strategy(&mut out, *strategy);
             }
             LiveMsg::ShuffleExec { qid, round, patterns, join_vars, peers, reply_to } => {
                 out.push(TAG_SHUFFLE_EXEC);
@@ -434,6 +313,9 @@ impl WireMsg for LiveMsg {
             LiveMsg::MultiDone { qid } => {
                 out.push(TAG_MULTI_DONE);
                 put_u64(&mut out, qid.0);
+            }
+            LiveMsg::SubmitSol { .. } | LiveMsg::SubmitMulti { .. } | LiveMsg::Deadline { .. } => {
+                out.push(NOT_ON_THE_WIRE);
             }
         }
         out
@@ -472,11 +354,6 @@ impl WireMsg for LiveMsg {
                 let provider = NodeId(r.u64().map_err(fault)?);
                 LiveMsg::ProviderDead { pattern, provider }
             }
-            TAG_DEADLINE => {
-                let qid = QueryId(r.u64().map_err(fault)?);
-                let stage = read_stage(&mut r).map_err(fault)?;
-                LiveMsg::Deadline { qid, stage }
-            }
             TAG_PUBLISH => {
                 let count = r.u32().map_err(fault)? as usize;
                 let mut keys = Vec::with_capacity(count.min(1024));
@@ -485,32 +362,6 @@ impl WireMsg for LiveMsg {
                 }
                 let provider = NodeId(r.u64().map_err(fault)?);
                 LiveMsg::Publish { keys, provider }
-            }
-            TAG_SUBMIT_SOL_BATCH => {
-                let rounds = read_sol_rounds(&mut r).map_err(fault)?;
-                LiveMsg::SubmitSolBatch { rounds }
-            }
-            TAG_SUB_QUERY_SOL_BATCH => {
-                let rounds = read_sol_rounds(&mut r).map_err(fault)?;
-                let reply_to = NodeId(r.u64().map_err(fault)?);
-                LiveMsg::SubQuerySolBatch { rounds, reply_to }
-            }
-            TAG_SOLUTIONS_BATCH => {
-                let count = r.u32().map_err(fault)? as usize;
-                let mut entries = Vec::with_capacity(count.min(1024));
-                for _ in 0..count {
-                    let qid = QueryId(r.u64().map_err(fault)?);
-                    let solutions = read_solutions(&mut r).map_err(fault)?;
-                    entries.push((qid, solutions));
-                }
-                LiveMsg::SolutionsBatch { entries }
-            }
-            TAG_SUBMIT_MULTI => {
-                let qid = QueryId(r.u64().map_err(fault)?);
-                let patterns = read_patterns(&mut r).map_err(fault)?;
-                let join_vars = read_vars(&mut r).map_err(fault)?;
-                let strategy = read_strategy(&mut r).map_err(fault)?;
-                LiveMsg::SubmitMulti { qid, patterns, join_vars, strategy }
             }
             TAG_SHUFFLE_EXEC => {
                 let qid = QueryId(r.u64().map_err(fault)?);
@@ -580,15 +431,9 @@ mod tests {
         LiveMsg::decode_wire(&msg.encode_wire()).expect("round trip decodes")
     }
 
-    /// At least one instance of every `LiveMsg` variant, fields populated.
+    /// At least one instance of every `LiveMsg` variant that crosses a
+    /// wire, fields populated.
     fn messages() -> Vec<LiveMsg> {
-        let full = |qid| SolRound {
-            qid: QueryId(qid),
-            pattern: pattern(),
-            filter: Some(filter()),
-            bound: Some(vec![solution(), Solution::new()]),
-        };
-        let bare = |qid| SolRound { qid: QueryId(qid), pattern: pattern(), filter: None, bound: None };
         vec![
             LiveMsg::Lookup { qid: QueryId(10), pattern: pattern(), reply_to: NodeId(u64::MAX) },
             LiveMsg::Providers {
@@ -606,38 +451,7 @@ mod tests {
             },
             LiveMsg::Solutions { qid: QueryId(15), solutions: vec![solution()] },
             LiveMsg::ProviderDead { pattern: pattern(), provider: NodeId(5) },
-            LiveMsg::Deadline {
-                qid: QueryId(16),
-                stage: DeadlineStage::Lookup { slot: 7, attempt: 1 },
-            },
-            LiveMsg::Deadline {
-                qid: QueryId(17),
-                stage: DeadlineStage::Ack { provider: NodeId(6), attempt: 2 },
-            },
-            LiveMsg::Deadline { qid: QueryId(18), stage: DeadlineStage::Overall },
             LiveMsg::Publish { keys: vec![3, 99, u64::MAX], provider: NodeId(7) },
-            LiveMsg::SubmitSolBatch { rounds: Vec::new() },
-            LiveMsg::SubmitSolBatch { rounds: vec![full(19), bare(20)] },
-            LiveMsg::SubQuerySolBatch { rounds: vec![bare(21), full(22)], reply_to: NodeId(u64::MAX) },
-            LiveMsg::SolutionsBatch {
-                entries: vec![
-                    (QueryId(23), vec![solution()]),
-                    (QueryId(24), Vec::new()),
-                    (QueryId(25), vec![solution(), Solution::new()]),
-                ],
-            },
-            LiveMsg::SubmitMulti {
-                qid: QueryId(30),
-                patterns: vec![pattern(), pattern()],
-                join_vars: vec![Variable::new("x")],
-                strategy: DistStrategy::HyperCube,
-            },
-            LiveMsg::SubmitMulti {
-                qid: QueryId(31),
-                patterns: vec![pattern(), pattern(), pattern()],
-                join_vars: Vec::new(),
-                strategy: DistStrategy::PartialEval,
-            },
             LiveMsg::ShuffleExec {
                 qid: QueryId(35),
                 round: 2,
@@ -664,10 +478,63 @@ mod tests {
         ]
     }
 
-    /// The tags wire version 4 retired: the triple round (`Submit` 1,
+    /// The commands a process gives its own coordinator: no tag, no
+    /// decoder.
+    fn local_commands() -> Vec<LiveMsg> {
+        use crate::config::DistStrategy;
+        use crate::live::DeadlineStage;
+        vec![
+            LiveMsg::SubmitSol {
+                qid: QueryId(19),
+                pattern: pattern(),
+                filter: Some(filter()),
+                bound: Some(vec![solution(), Solution::new()]),
+            },
+            LiveMsg::SubmitMulti {
+                qid: QueryId(30),
+                patterns: vec![pattern(), pattern()],
+                join_vars: vec![Variable::new("x")],
+                strategy: DistStrategy::HyperCube,
+            },
+            LiveMsg::Deadline {
+                qid: QueryId(16),
+                stage: DeadlineStage::Lookup { slot: 7, attempt: 1 },
+            },
+            LiveMsg::Deadline {
+                qid: QueryId(17),
+                stage: DeadlineStage::Ack { provider: NodeId(6), attempt: 2 },
+            },
+            LiveMsg::Deadline { qid: QueryId(18), stage: DeadlineStage::Overall },
+        ]
+    }
+
+    /// The tags wire version 4 retired — the triple round (`Submit` 1,
     /// `SubQuery` 5, `Matches` 6), the singleton `SubmitSol` 2 and the
-    /// multiway lookup pair (`MultiLookup` 16, `MultiProviders` 17).
-    const RETIRED_TAGS: [u8; 6] = [1, 2, 5, 6, 16, 17];
+    /// multiway lookup pair (`MultiLookup` 16, `MultiProviders` 17) —
+    /// and those version 5 did: the local commands (`Deadline` 10, the
+    /// batched submit 12, `SubmitMulti` 15) and the batched sub-query
+    /// and reply (13, 14).
+    const RETIRED_TAGS: [u8; 11] = [1, 2, 5, 6, 10, 12, 13, 14, 15, 16, 17];
+
+    /// `messages()` as the parent commit (wire version 4) encoded them.
+    const WIRE_V4: [&str; 12] = [
+        "030a00000000000000000100000078010018000000687474703a2f2f6578616d706c652e6f72672f6b6e6f7773010303000000426f6202000000656effffffffffffffff",
+        "040b00000000000000000100000078010018000000687474703a2f2f6578616d706c652e6f72672f6b6e6f7773010303000000426f6202000000656e0200000001000000000000000200000000000000",
+        "040c00000000000000000100000078010018000000687474703a2f2f6578616d706c652e6f72672f6b6e6f7773010303000000426f6202000000656e00000000",
+        "070e00000000000000000100000078010018000000687474703a2f2f6578616d706c652e6f72672f6b6e6f7773010303000000426f6202000000656e0105040003000000616765010202000000333001020361676501780201020002343202000018687474703a2f2f6578616d706c652e6f72672f616c69636500000400000000000000",
+        "080f00000000000000020361676501780101020002343202000018687474703a2f2f6578616d706c652e6f72672f616c696365",
+        "09000100000078010018000000687474703a2f2f6578616d706c652e6f72672f6b6e6f7773010303000000426f6202000000656e0500000000000000",
+        "0b0300000003000000000000006300000000000000ffffffffffffffff0700000000000000",
+        "1223000000000000000200000002000000000100000078010018000000687474703a2f2f6578616d706c652e6f72672f6b6e6f7773010303000000426f6202000000656e000100000078010018000000687474703a2f2f6578616d706c652e6f72672f6b6e6f7773010303000000426f6202000000656e0200000001000000780300000061676503000000010000000000000002000000000000000300000000000000ffffffffffffffff",
+        "1324000000000000000100000003000000020361676501780101020002343202000018687474703a2f2f6578616d706c652e6f72672f616c6963650000020361676501780201020002343202000018687474703a2f2f6578616d706c652e6f72672f616c6963650000",
+        "14250000000000000003000000000100000078010018000000687474703a2f2f6578616d706c652e6f72672f6b6e6f7773010303000000426f6202000000656e000100000078010018000000687474703a2f2f6578616d706c652e6f72672f6b6e6f7773010303000000426f6202000000656e000100000078010018000000687474703a2f2f6578616d706c652e6f72672f6b6e6f7773010303000000426f6202000000656e0400000000000000",
+        "15260000000000000002000000020361676501780201020002343202000018687474703a2f2f6578616d706c652e6f72672f616c6963650102000100",
+        "162700000000000000",
+    ];
+
+    fn unhex(hex: &str) -> Vec<u8> {
+        (0..hex.len()).step_by(2).map(|i| u8::from_str_radix(&hex[i..i + 2], 16).unwrap()).collect()
+    }
 
     #[test]
     fn every_variant_round_trips() {
@@ -679,26 +546,66 @@ mod tests {
             assert_eq!(back.encode_wire(), msg.encode_wire(), "round trip preserves {msg:?}");
             tags.insert(msg.encode_wire()[0]);
         }
-        assert_eq!(tags.len(), 16, "one tag per surviving variant: {tags:?}");
+        assert_eq!(tags.len(), 11, "one tag per variant on the wire: {tags:?}");
         assert!(RETIRED_TAGS.iter().all(|t| !tags.contains(t)));
+    }
+
+    #[test]
+    fn surviving_tags_keep_their_wire_v4_bytes() {
+        let now: Vec<Vec<u8>> = messages().iter().map(LiveMsg::encode_wire).collect();
+        let then: Vec<Vec<u8>> = WIRE_V4.iter().map(|hex| unhex(hex)).collect();
+        assert_eq!(now, then);
+        for bytes in then {
+            let decoded = LiveMsg::decode_wire(&bytes).expect("a v4 frame of a surviving tag");
+            assert_eq!(decoded.encode_wire(), bytes);
+        }
+    }
+
+    #[test]
+    fn local_commands_encode_to_a_frame_every_decoder_refuses() {
+        for msg in local_commands() {
+            assert_eq!(
+                LiveMsg::decode_wire(&msg.encode_wire()).unwrap_err(),
+                WireFault("unknown live-message tag"),
+                "{msg:?}"
+            );
+        }
     }
 
     #[test]
     fn unknown_and_retired_tags_are_rejected() {
         assert!(LiveMsg::decode_wire(&[0xEE]).is_err());
         assert!(LiveMsg::decode_wire(&[]).is_err());
-        // No compat path: whatever body follows a retired tag — here
-        // every valid body of the current set, among them the layouts
-        // tags 1 and 16 used to share with `Lookup` — the frame is
-        // refused for its tag.
+        // No compat path: whatever body follows a retired tag — none,
+        // every valid body of the current set (among them the layouts
+        // tags 1 and 16 used to share with `Lookup`), the layouts wire
+        // version 4 gave the tags version 5 retired, or noise — the
+        // frame is refused for its tag.
+        let forged = super::wire_v4::retired(QueryId(1), &pattern());
+        let tags: Vec<u8> = forged.iter().map(|bytes| bytes[0]).collect();
+        assert_eq!(tags, [10, 12, 13, 14, 15], "each version 4 layout under its own tag");
+        let mut bodies: Vec<Vec<u8>> = vec![vec![0]];
+        bodies.extend(messages().iter().map(LiveMsg::encode_wire));
+        bodies.extend(forged);
+        let mut noise = 0x2013_u64;
+        for len in [1, 2, 9, 17, 64, 300] {
+            bodies.push(
+                (0..len)
+                    .map(|_| {
+                        noise = noise.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                        (noise >> 56) as u8
+                    })
+                    .collect(),
+            );
+        }
         for tag in RETIRED_TAGS {
-            for msg in messages() {
-                let mut bytes = msg.encode_wire();
+            for body in &bodies {
+                let mut bytes = body.clone();
                 bytes[0] = tag;
                 assert_eq!(
                     LiveMsg::decode_wire(&bytes).unwrap_err(),
                     WireFault("unknown live-message tag"),
-                    "tag {tag} over the body of {msg:?}"
+                    "tag {tag} over the body {body:?}"
                 );
             }
         }
@@ -724,20 +631,6 @@ mod tests {
                 "trailing byte must not decode {msg:?}"
             );
         }
-    }
-
-    #[test]
-    fn corrupted_strategy_tag_is_rejected() {
-        let mut bytes = LiveMsg::SubmitMulti {
-            qid: QueryId(41),
-            patterns: vec![pattern()],
-            join_vars: Vec::new(),
-            strategy: DistStrategy::HyperCube,
-        }
-        .encode_wire();
-        let tag = bytes.len() - 1;
-        bytes[tag] = 9;
-        assert!(LiveMsg::decode_wire(&bytes).is_err(), "invalid strategy tag must fail");
     }
 
     /// Deterministic single-byte fuzz: every corruption of every frame
@@ -875,12 +768,6 @@ mod tests {
 
     /// Every solution-carrying frame family around `set`.
     fn carriers(set: &[Solution]) -> Vec<LiveMsg> {
-        let round = |qid| SolRound {
-            qid: QueryId(qid),
-            pattern: pattern(),
-            filter: None,
-            bound: Some(set.to_vec()),
-        };
         vec![
             LiveMsg::SubQuerySol {
                 qid: QueryId(2),
@@ -890,9 +777,6 @@ mod tests {
                 reply_to: NodeId(3),
             },
             LiveMsg::Solutions { qid: QueryId(3), solutions: set.to_vec() },
-            LiveMsg::SubmitSolBatch { rounds: vec![round(4), round(5)] },
-            LiveMsg::SubQuerySolBatch { rounds: vec![round(6)], reply_to: NodeId(3) },
-            LiveMsg::SolutionsBatch { entries: vec![(QueryId(7), set.to_vec())] },
             LiveMsg::ShufflePart {
                 qid: QueryId(8),
                 round: 1,
@@ -1089,21 +973,17 @@ mod tests {
         // The size hint is an allocation optimization, not a format
         // promise — but a hint below a quarter of the real size would
         // mean the pre-sizing buys nothing, and one above four times it
-        // wastes what it was meant to save, so pin it loosely: on many
-        // small rounds, and on one large reply.
-        let batch = LiveMsg::SubQuerySolBatch {
-            rounds: (0..20)
-                .map(|n| SolRound {
-                    qid: QueryId(n),
-                    pattern: pattern(),
-                    filter: Some(filter()),
-                    bound: Some(vec![solution(), solution()]),
-                })
-                .collect(),
+        // wastes what it was meant to save, so pin it loosely: on a
+        // small bind round, and on one large reply.
+        let round = LiveMsg::SubQuerySol {
+            qid: QueryId(1),
+            pattern: pattern(),
+            filter: Some(filter()),
+            bound: Some(vec![solution(), solution()]),
             reply_to: NodeId(1),
         };
         let reply = LiveMsg::Solutions { qid: QueryId(1), solutions: advisor_rows() };
-        for msg in [batch, reply] {
+        for msg in [round, reply] {
             let (hint, encoded) = (super::size_hint(&msg), msg.encode_wire().len());
             assert!(hint * 4 >= encoded, "hint {hint} too far below encoded size {encoded}");
             assert!(hint <= encoded * 4, "hint {hint} too far above encoded size {encoded}");
@@ -1112,10 +992,96 @@ mod tests {
 
     #[test]
     fn corrupted_option_flag_is_rejected() {
-        let round = SolRound { qid: QueryId(2), pattern: pattern(), filter: None, bound: None };
-        let mut bytes = LiveMsg::SubmitSolBatch { rounds: vec![round] }.encode_wire();
-        let flag = bytes.len() - 2;
+        let round = LiveMsg::SubQuerySol {
+            qid: QueryId(2),
+            pattern: pattern(),
+            filter: None,
+            bound: None,
+            reply_to: NodeId(1),
+        };
+        let mut bytes = round.encode_wire();
+        // The filter's flag: before the bound's and the 8 B `reply_to`.
+        let flag = bytes.len() - 10;
         bytes[flag] = 9;
         assert!(LiveMsg::decode_wire(&bytes).is_err(), "invalid option flag must fail");
+    }
+}
+
+/// Payloads as wire version 4 laid out the five tags version 5 retired,
+/// for the tests that forge them at a decoder or a listener.
+#[cfg(test)]
+pub(crate) mod wire_v4 {
+    use super::*;
+
+    /// What any stranger can do: connect to `listener`, finish the
+    /// handshake, and write each payload in an envelope `node` → `node`.
+    /// The connection closes when the returned stream drops.
+    pub(crate) fn forge_at(
+        listener: std::net::SocketAddr,
+        node: NodeId,
+        payloads: &[Vec<u8>],
+    ) -> std::net::TcpStream {
+        use rdfmesh_net::tcp::{encode_frame, write_handshake, KIND_ENVELOPE};
+        use std::io::Write;
+        let mut peer = std::net::TcpStream::connect(listener).expect("listener accepts");
+        write_handshake(&mut peer).expect("handshake written");
+        for payload in payloads {
+            let mut body = Vec::new();
+            put_u64(&mut body, node.0);
+            put_u64(&mut body, node.0);
+            body.extend_from_slice(payload);
+            peer.write_all(&encode_frame(KIND_ENVELOPE, &body)).expect("frame written");
+        }
+        peer
+    }
+
+    /// `Deadline{qid, Overall}`, tag 10.
+    pub(crate) fn deadline_overall(qid: QueryId) -> Vec<u8> {
+        let mut out = vec![10];
+        put_u64(&mut out, qid.0);
+        out.push(2);
+        out
+    }
+
+    fn put_round(out: &mut Vec<u8>, qid: QueryId, pattern: &TriplePattern) {
+        put_u32(out, 1);
+        put_u64(out, qid.0);
+        put_pattern(out, pattern);
+        out.extend([ABSENT, ABSENT]);
+    }
+
+    /// A batched submit of one unfiltered, unbound round, tag 12.
+    pub(crate) fn submit_sol_batch(qid: QueryId, pattern: &TriplePattern) -> Vec<u8> {
+        let mut out = vec![12];
+        put_round(&mut out, qid, pattern);
+        out
+    }
+
+    /// `SubmitMulti` over `pattern` twice, partial evaluation, tag 15.
+    pub(crate) fn submit_multi(qid: QueryId, pattern: &TriplePattern) -> Vec<u8> {
+        let mut out = vec![15];
+        put_u64(&mut out, qid.0);
+        put_patterns(&mut out, &[pattern.clone(), pattern.clone()]);
+        put_vars(&mut out, &[]);
+        out.push(2);
+        out
+    }
+
+    /// One valid version 4 payload per retired tag, in tag order.
+    pub(crate) fn retired(qid: QueryId, pattern: &TriplePattern) -> Vec<Vec<u8>> {
+        let mut sub_query_batch = vec![13];
+        put_round(&mut sub_query_batch, qid, pattern);
+        put_u64(&mut sub_query_batch, u64::MAX);
+        let mut solutions_batch = vec![14];
+        put_u32(&mut solutions_batch, 1);
+        put_u64(&mut solutions_batch, qid.0);
+        put_solutions(&mut solutions_batch, &[Solution::new()]);
+        vec![
+            deadline_overall(qid),
+            submit_sol_batch(qid, pattern),
+            sub_query_batch,
+            solutions_batch,
+            submit_multi(qid, pattern),
+        ]
     }
 }

@@ -41,8 +41,8 @@ use rdfmesh_sparql::solution::wire::{put_str, put_u64, Reader, WireError};
 
 use crate::config::LiveConfig;
 use crate::live::{
-    lock, owner_in_view, rlock, wlock, Coordinator, CoordinatorCore, IndexNode, LiveCounters,
-    LiveMsg, LiveStorage, PendingMap, RingView, RoundClient, SharedFlood, SharedTable,
+    lock, owner_in_view, rlock, wlock, Coordinator, CoordinatorCore, IndexNode, LiveMsg,
+    LiveStorage, PendingMap, RingView, RoundClient, SharedFlood, SharedTable,
 };
 use crate::stats::LiveStats;
 
@@ -338,10 +338,9 @@ impl MeshNode {
                         cfg,
                         space,
                         Arc::clone(&flood),
+                        Arc::clone(&stats),
                     ),
                     pending: Arc::clone(&pending),
-                    shared: Arc::clone(&stats),
-                    synced: LiveCounters::default(),
                 }),
             ),
         ];
@@ -520,6 +519,52 @@ mod tests {
         n1.shutdown();
         n2.shutdown();
         n3.shutdown();
+    }
+
+    #[test]
+    fn forged_submits_from_a_socket_open_no_round() {
+        use crate::live::QueryId;
+        use crate::live_wire::wire_v4;
+        let a = MeshNode::start("127.0.0.1:0", 1, store(&[]), LiveConfig::default()).unwrap();
+        let b = MeshNode::start(
+            "127.0.0.1:0",
+            2,
+            store(&[("bob", "knows", "carol")]),
+            LiveConfig::default(),
+        )
+        .unwrap();
+        assert!(b.join(a.local_addr()));
+        wait_members(&[&a, &b], 2);
+        // B's row has reached the index before anything is forged.
+        let query = "SELECT * WHERE { ?s <http://example.org/knows> ?o }";
+        let parsed = rdfmesh_sparql::parse_query(query).unwrap();
+        let rdfmesh_sparql::algebra::GraphPattern::Bgp(tps) = &parsed.pattern else {
+            panic!("a single-pattern query")
+        };
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        while a.execute(query, true, Duration::from_secs(10)).unwrap().result.len() != 1 {
+            assert!(std::time::Instant::now() < deadline, "B's row never became visible at A");
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        let (shipped, errors) = (b.stats().solutions_shipped, a.transport_stats().decode_errors);
+
+        // A stranger finishes the handshake with A and submits, in wire
+        // version 4's layout for the two submit commands, rounds at A's
+        // coordinator for the pattern only B holds.
+        let forged = [
+            wire_v4::submit_sol_batch(QueryId(9001), &tps[0]),
+            wire_v4::submit_multi(QueryId(9002), &tps[0]),
+        ];
+        let _peer = wire_v4::forge_at(a.local_addr(), NodeId(COORD_BASE + 1), &forged);
+        // Both are refused where they are decoded, so B is never asked.
+        while a.transport_stats().decode_errors < errors + 2 {
+            assert!(std::time::Instant::now() < deadline, "{:?}", a.transport_stats());
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        assert_eq!(a.transport_stats().decode_errors, errors + 2);
+        assert_eq!(b.stats().solutions_shipped, shipped, "B answered a round nobody asked for");
+        a.shutdown();
+        b.shutdown();
     }
 
     /// Twelve triples with predicates all of node `n`'s own, so every

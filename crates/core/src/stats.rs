@@ -111,8 +111,6 @@ pub struct LiveStats {
     admitted: std::sync::atomic::AtomicU64,
     queued: std::sync::atomic::AtomicU64,
     rejected: std::sync::atomic::AtomicU64,
-    batches: std::sync::atomic::AtomicU64,
-    batched_rounds: std::sync::atomic::AtomicU64,
     shuffle_parts: std::sync::atomic::AtomicU64,
     shuffle_bytes: std::sync::atomic::AtomicU64,
     stitched_rows: std::sync::atomic::AtomicU64,
@@ -150,10 +148,6 @@ pub struct LiveStatsSnapshot {
     pub queued: u64,
     /// Executions rejected under overload (queue full or wait expired).
     pub rejected: u64,
-    /// Batched frames shipped (more than one query's round coalesced).
-    pub batches: u64,
-    /// Per-query rounds that travelled inside a batched frame.
-    pub batched_rounds: u64,
     /// Solution partitions shipped peer-to-peer by HyperCube shuffles.
     pub shuffle_parts: u64,
     /// Wire bytes of those peer-to-peer shuffle partitions.
@@ -236,16 +230,6 @@ impl LiveStats {
         Self::bump(&self.rejected, rdfmesh_obs::names::LIVE_REJECTED, delta);
     }
 
-    /// Adds `delta` batched (multi-round) frames.
-    pub fn add_batches(&self, delta: u64) {
-        Self::bump(&self.batches, rdfmesh_obs::names::LIVE_BATCHES, delta);
-    }
-
-    /// Adds `delta` rounds shipped inside batched frames.
-    pub fn add_batched_rounds(&self, delta: u64) {
-        Self::bump(&self.batched_rounds, rdfmesh_obs::names::LIVE_BATCHED_ROUNDS, delta);
-    }
-
     /// Adds `delta` peer-to-peer shuffle partitions.
     pub fn add_shuffle_parts(&self, delta: u64) {
         Self::bump(&self.shuffle_parts, rdfmesh_obs::names::EXEC_STRATEGY_SHUFFLE_PARTS, delta);
@@ -278,8 +262,6 @@ impl LiveStats {
             admitted: self.admitted.load(Relaxed),
             queued: self.queued.load(Relaxed),
             rejected: self.rejected.load(Relaxed),
-            batches: self.batches.load(Relaxed),
-            batched_rounds: self.batched_rounds.load(Relaxed),
             shuffle_parts: self.shuffle_parts.load(Relaxed),
             shuffle_bytes: self.shuffle_bytes.load(Relaxed),
             stitched_rows: self.stitched_rows.load(Relaxed),

@@ -186,10 +186,10 @@ fn stale_reply_scenario(transport: Transport) {
 
     // Forge a delayed duplicate of query 1's reply, carrying query 1's
     // id (ids start at 1) and a binding that exists nowhere, arriving
-    // between the two queries. The inject happens-before query 2's
-    // submission (same sending thread, and on the socket transport the
-    // same self-link connection; the submit pump forwards query 2 only
-    // after it was enqueued, which is after the inject returned).
+    // between the two queries: on the socket transport the forgery
+    // crosses the twin's listener while query 2's submission goes
+    // straight to the coordinator's mailbox, so fence the coordinator
+    // before submitting.
     let bogus =
         Solution::from_pairs([(Variable::new("x"), Term::iri("http://example.org/mallory"))]);
     mesh.inject(
@@ -197,6 +197,7 @@ fn stale_reply_scenario(transport: Transport) {
         COORDINATOR,
         LiveMsg::Solutions { qid: QueryId(1), solutions: vec![bogus.clone()] },
     );
+    assert!(mesh.barrier(COORDINATOR, Duration::from_secs(10)));
 
     let second = query(&mesh, &pattern, Duration::from_secs(10));
     assert!(second.complete);

@@ -99,9 +99,8 @@ impl<M> Router<M> {
         self.deliver_local(env)
     }
 
-    /// Delivers `env` straight to a local mailbox, bypassing the remote
-    /// hook. Used for self-deadlines, which never cross the network.
-    pub(crate) fn deliver_local(&self, env: Envelope<M>) -> bool {
+    /// Delivers `env` straight to a local mailbox.
+    fn deliver_local(&self, env: Envelope<M>) -> bool {
         match self.mailboxes.get(&env.to) {
             Some(tx) => tx.send(Packet::Deliver(env)).is_ok(),
             None => false,
@@ -266,15 +265,12 @@ fn run_timer<M: Send + 'static>(
         let now = Instant::now();
         while heap.peek().is_some_and(|e| e.at <= now) {
             let e = heap.pop().expect("peeked");
-            let env = Envelope { from: e.from, to: e.to, payload: e.payload };
-            if e.from == e.to {
-                // A self-deadline: never crosses the network, even on
-                // the socket transport.
-                router.deliver_local(env);
-            } else {
+            // A self-deadline is no inter-node message, and `deliver`
+            // keeps it off the network on every transport.
+            if e.from != e.to {
                 stats.messages.fetch_add(1, Ordering::Relaxed);
-                router.deliver(env);
             }
+            router.deliver(Envelope { from: e.from, to: e.to, payload: e.payload });
         }
         // Sleep until the next deadline or the next command.
         let cmd = match heap.peek() {

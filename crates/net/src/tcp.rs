@@ -46,17 +46,20 @@ use crate::network::NodeId;
 /// Connection-handshake magic: the first four bytes on every connection.
 pub const WIRE_MAGIC: [u8; 4] = *b"RDFM";
 /// Wire-format version, negotiated (exact-match) by the handshake.
-/// Version 2 added the batched solution frames (`SubmitSolBatch` /
-/// `SubQuerySolBatch` / `SolutionsBatch` payload tags): a v1 peer would
-/// reject the new tags mid-stream, so the handshake refuses the mix
-/// up front. Version 3 replaced the solution-set layout inside every
-/// solution-carrying payload with the compact dictionary frame
+/// Version 2 added the batched solution frames (payload tags 12–14): a
+/// v1 peer would reject the new tags mid-stream, so the handshake
+/// refuses the mix up front. Version 3 replaced the solution-set layout
+/// inside every solution-carrying payload with the compact dictionary frame
 /// (`docs/DEPLOYMENT.md` §1.3.1): same tags, different bytes, so a v2
 /// peer would misparse rather than reject them. Version 4 retired six
 /// payload tags (the triple round, the singleton submit, the multiway
 /// lookup pair) and widened the internal `Deadline` frame's lookup
 /// stage by a slot index; the surviving tags kept their layouts.
-pub const WIRE_VERSION: u8 = 4;
+/// Version 5 retired five more — the three batch frames of version 2
+/// and the two commands (`Deadline`, `SubmitMulti`) that never left
+/// their process but could be forged into it; eleven tags remain, their
+/// layouts unchanged, and a v4 peer still sending batches is refused.
+pub const WIRE_VERSION: u8 = 5;
 /// Upper bound on a single frame's length field; larger values mean a
 /// corrupt or hostile stream and close the connection.
 pub const MAX_FRAME: u32 = 16 * 1024 * 1024;
@@ -365,7 +368,9 @@ impl<M: WireMsg> TcpShared<M> {
 impl<M: WireMsg> RemoteRoute<M> for TcpShared<M> {
     fn route(&self, env: Envelope<M>) -> Result<bool, Envelope<M>> {
         let local = self.mailboxes.contains_key(&env.to);
-        if local && !self.force_socket {
+        // What a node addresses to itself never crosses a socket, not
+        // even in the twin: message types need no encoding for it.
+        if local && (!self.force_socket || env.from == env.to) {
             return Err(env);
         }
         let addr = self.routes.read().get(&env.to).copied();
@@ -524,7 +529,9 @@ impl<M: WireMsg> TcpCluster<M> {
     }
 
     /// Injects a message from the outside world; see [`Cluster::inject`].
-    /// In loopback mode the injection crosses the socket like any send.
+    /// In loopback mode the injection crosses the socket like any send,
+    /// unless `from == to`: a node's message to itself is delivered to
+    /// its mailbox on every transport.
     pub fn inject(&self, from: NodeId, to: NodeId, payload: M) -> bool {
         self.cluster.inject(from, to, payload)
     }

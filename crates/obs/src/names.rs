@@ -152,7 +152,7 @@ pub const LIVE_SOLUTIONS_SHIPPED: &str = "live.solutions_shipped";
 /// back), measured with the `solution::wire` codec.
 pub const LIVE_SOLUTION_BYTES: &str = "live.solution_bytes";
 
-// ---- multi-query admission control + batching (docs/EXECUTION.md) ----
+// ---- multi-query admission control (docs/EXECUTION.md) ----
 
 /// Query executions admitted into the bounded in-flight window
 /// (immediately or after waiting in the queue).
@@ -163,9 +163,3 @@ pub const LIVE_QUEUED: &str = "live.queued";
 /// Query executions rejected under overload (queue full, or the queue
 /// wait outlived the query deadline) — surfaced as HTTP 503.
 pub const LIVE_REJECTED: &str = "live.rejected";
-/// Multi-round messages shipped (`SubmitSolBatch` / `SubQuerySolBatch` /
-/// `SolutionsBatch` frames carrying more than one query's round).
-pub const LIVE_BATCHES: &str = "live.batches";
-/// Per-query rounds that travelled inside a batched frame instead of
-/// their own message.
-pub const LIVE_BATCHED_ROUNDS: &str = "live.batched_rounds";
