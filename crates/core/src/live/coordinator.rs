@@ -1,284 +1,19 @@
-//! The query protocol on real threads, fault-tolerant end to end.
-//!
-//! The deterministic [`rdfmesh_net::Network`] measures costs; this module
-//! demonstrates that the same two-level protocol *runs* under genuine
-//! concurrency: every index and storage node is an OS thread, and the
-//! Sect. IV-C basic scheme plays out purely through messages — lookup to
-//! the index node, provider resolution from its location table, parallel
-//! sub-queries to the storage nodes, assembly of their answers.
-//!
-//! Unlike the simulator, real threads really do lose messages and crash
-//! mid-query, so the coordinator is a **per-query state machine** keyed
-//! by a fresh [`QueryId`] carried in every [`LiveMsg`]. There is one
-//! machine for every kind of round — a chained solution round over one
-//! pattern, a HyperCube shuffle or a partial evaluation over a whole BGP:
-//! each pattern is a *slot* looked up with an ordinary
-//! [`LiveMsg::Lookup`], the exec frame fans out to the slots' provider
-//! union, and the strategies differ only in that frame's shape, the
-//! reply it earns, and what happens to the gathered replies at the end:
-//!
-//! * every awaited reply has a deadline ([`Outbox::schedule`] delivers
-//!   the coordinator a [`LiveMsg::Deadline`] message to itself);
-//! * an expired query-ack deadline retransmits once (bounded by
-//!   [`LiveConfig::retries`]), then declares the provider dead — the
-//!   Sect. III-D query-ack timeout on real threads;
-//! * a dead provider triggers a [`LiveMsg::ProviderDead`] notification
-//!   to the owning index node, which lazily drops the provider from its
-//!   location-table row (Sect. III-C/D's lazy cleanup);
-//! * a failed [`Outbox::send`] (crashed peer) is treated as an immediate
-//!   ack timeout instead of being silently ignored;
-//! * replies that name no in-flight query — late, duplicated, or from a
-//!   previous query — are counted and dropped, never applied.
-//!
-//! A query therefore always terminates within its deadline, returning a
-//! [`LiveAnswer`] whose `complete` flag and `failed_providers` list say
-//! exactly what survived. `docs/FAULTS.md` contrasts this live failure
-//! model with the simulator's; the fault-injection harness lives in
-//! [`rdfmesh_net::FaultPlan`].
-//!
-//! The same handlers run over [`rdfmesh_net::Cluster`] threads, loopback
-//! sockets ([`Transport::Sockets`]) and one process per peer
-//! ([`crate::MeshNode`]); nothing here touches shared state beyond the
-//! observable location tables and counters. Callers reach a coordinator
-//! through the one [`RoundClient`], which both hosts own: it allocates
-//! query ids, hands each round to its coordinator as one local command,
-//! gates executions on admission and hands answers back.
-//!
-//! A round is one frame per provider: whatever else is in flight, a
-//! chained round ships as [`LiveMsg::SubQuerySol`] and is answered with
-//! [`LiveMsg::Solutions`]. The commands that never leave their process —
-//! [`LiveMsg::SubmitSol`], [`LiveMsg::SubmitMulti`], [`LiveMsg::Deadline`]
-//! — have no wire encoding at all (`live_wire.rs`); every transport
-//! delivers an envelope a node addresses to itself to its own mailbox.
+//! The coordinator role: the per-query [`Round`] state machine
+//! ([`CoordinatorCore`]) and the node that hosts it on an [`Outbox`].
 
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::Arc;
 use std::time::Duration;
 
-use crossbeam::channel::{bounded, Receiver, Sender};
-use rdfmesh_net::{Cluster, Envelope, FaultPlan, Handler, NodeId, Outbox, TcpCluster, TransportSnapshot};
-use rdfmesh_overlay::{key_for_pattern, keys_for_triple, Overlay};
-use rdfmesh_rdf::{SharedStore, TriplePattern, Variable};
+use rdfmesh_net::{Envelope, Handler, NodeId, Outbox};
+use rdfmesh_overlay::key_for_pattern;
+use rdfmesh_rdf::{TriplePattern, Variable};
 use rdfmesh_sparql::expr::Expression;
-use rdfmesh_sparql::solution::{wire, DistinctBuffer, Solution};
+use rdfmesh_sparql::solution::{DistinctBuffer, Solution};
 
-use crate::admission::Admission;
+use super::{lock, rlock, DeadlineStage, LiveAnswer, LiveMsg, PendingMap, QueryId, SharedFlood};
 use crate::config::{DistStrategy, LiveConfig};
-use crate::stats::{LiveStats, LiveStatsSnapshot};
-
-/// Identifies one in-flight live query. Every protocol message carries
-/// the id of the query it belongs to, so a late or duplicated reply from
-/// query *N* can never contaminate the state of query *N+1*.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct QueryId(pub u64);
-
-/// Which awaited event a [`LiveMsg::Deadline`] guards.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DeadlineStage {
-    /// One pattern slot's provider lookup at the index node (a chained
-    /// round has the single slot 0); `attempt` is the lookup attempt the
-    /// deadline was armed for (a stale deadline from an earlier attempt
-    /// is ignored).
-    Lookup {
-        /// Pattern slot within the round (0-based).
-        slot: u32,
-        /// Attempt number at schedule time (0-based).
-        attempt: u8,
-    },
-    /// One provider's query-ack deadline (Sect. III-D).
-    Ack {
-        /// The storage node awaited.
-        provider: NodeId,
-        /// Attempt number at schedule time (0-based).
-        attempt: u8,
-    },
-    /// The whole-query backstop: fire whatever is still outstanding and
-    /// answer with what was collected.
-    Overall,
-}
-
-/// Protocol messages of the live mesh.
-#[derive(Debug, Clone)]
-pub enum LiveMsg {
-    /// Ask an index node which storage nodes can answer `pattern`.
-    Lookup {
-        /// The owning query.
-        qid: QueryId,
-        /// The pattern being resolved.
-        pattern: TriplePattern,
-        /// Where to send the provider list.
-        reply_to: NodeId,
-    },
-    /// An index node's answer: the providers for the pattern. The
-    /// coordinator files it under every still-open slot of round `qid`
-    /// whose pattern equals the `pattern` echo.
-    Providers {
-        /// The owning query.
-        qid: QueryId,
-        /// The looked-up pattern, echoed verbatim.
-        pattern: TriplePattern,
-        /// Storage nodes holding matching triples.
-        providers: Vec<NodeId>,
-    },
-    /// A solution-round sub-query shipped to a storage node.
-    SubQuerySol {
-        /// The owning query.
-        qid: QueryId,
-        /// The pattern to match locally.
-        pattern: TriplePattern,
-        /// Source-side filter to apply before answering.
-        filter: Option<Expression>,
-        /// Intermediate solutions to extend (`None` starts from the
-        /// unit solution).
-        bound: Option<Vec<Solution>>,
-        /// Where to send the solutions.
-        reply_to: NodeId,
-    },
-    /// A storage node's local solutions for a solution round.
-    Solutions {
-        /// The owning query.
-        qid: QueryId,
-        /// The (filtered, extended) solution mappings.
-        solutions: Vec<Solution>,
-    },
-    /// The external application submits one *solution round* at the
-    /// coordinator: the providers answer with solution mappings,
-    /// optionally extending shipped intermediate results (the bind-join
-    /// step of Sect. IV-D) and applying a pushed-down filter at the
-    /// source (Sect. IV-G). A local command: it has no wire encoding.
-    SubmitSol {
-        /// Fresh id allocated by [`RoundClient::submit_solutions`].
-        qid: QueryId,
-        /// The pattern to resolve.
-        pattern: TriplePattern,
-        /// Source-side filter every returned solution must satisfy.
-        filter: Option<Expression>,
-        /// Intermediate solutions the providers extend (`None` starts
-        /// from the unit solution).
-        bound: Option<Vec<Solution>>,
-    },
-    /// Coordinator → index node: `provider` missed its query-ack
-    /// deadline for `pattern`'s key; lazily drop it from the owner's
-    /// location-table row (Sect. III-C/D). Routed hop-by-hop like a
-    /// [`LiveMsg::Lookup`].
-    ProviderDead {
-        /// The pattern whose key row names the dead provider.
-        pattern: TriplePattern,
-        /// The storage node that failed to answer.
-        provider: NodeId,
-    },
-    /// A deadline the coordinator scheduled to itself via the cluster
-    /// timer ([`Outbox::schedule`]). A local command: it has no wire
-    /// encoding, so no peer can expire another coordinator's rounds.
-    Deadline {
-        /// The owning query.
-        qid: QueryId,
-        /// Which awaited event expired.
-        stage: DeadlineStage,
-    },
-    /// Storage node → owning index node: register `provider` in the
-    /// location-table rows for `keys`. Idempotent, so the serve-mode
-    /// mesh ([`crate::MeshNode`]) re-sends it after every membership
-    /// change and the tables converge on the final ring view
-    /// (`docs/DEPLOYMENT.md`).
-    Publish {
-        /// Index-key ids the provider holds matching triples for.
-        keys: Vec<u64>,
-        /// The storage node registering itself.
-        provider: NodeId,
-    },
-    /// The external application submits a whole multi-pattern BGP at
-    /// the coordinator, to be joined in a single distributed round by
-    /// the named strategy (HyperCube shuffle or
-    /// partial-evaluation-and-assembly) instead of pattern-by-pattern
-    /// chained shipping. A local command: it has no wire encoding.
-    SubmitMulti {
-        /// Fresh id allocated by [`RoundClient::submit_multiway`].
-        qid: QueryId,
-        /// The conjunctive patterns to join.
-        patterns: Vec<TriplePattern>,
-        /// The variables every pattern shares — the shuffle hash key.
-        join_vars: Vec<Variable>,
-        /// Which multiway strategy resolves the round.
-        strategy: DistStrategy,
-    },
-    /// Coordinator → every provider: run the HyperCube shuffle for this
-    /// BGP. Each provider evaluates every pattern locally, partitions
-    /// the solutions by hashing their `join_vars` bindings over
-    /// `peers`, ships each partition to its target once, joins the
-    /// fragment it receives, and answers with [`LiveMsg::Solutions`].
-    ShuffleExec {
-        /// The owning query.
-        qid: QueryId,
-        /// Shuffle generation: bumped when the coordinator re-issues the
-        /// round over the surviving peers after declaring one dead, so
-        /// partitions from the abandoned generation cannot pollute the
-        /// restarted one.
-        round: u32,
-        /// The conjunctive patterns to evaluate locally.
-        patterns: Vec<TriplePattern>,
-        /// The hash key: variables shared by every pattern.
-        join_vars: Vec<Variable>,
-        /// Every participating provider, in the same order in every
-        /// peer's frame — the partition targets.
-        peers: Vec<NodeId>,
-        /// Where to send the locally-joined fragment.
-        reply_to: NodeId,
-    },
-    /// Provider → provider: one shuffle partition, `parts[i]` holding
-    /// the sender's pattern-`i` solutions that hash to the receiver.
-    ShufflePart {
-        /// The owning query.
-        qid: QueryId,
-        /// The shuffle generation the partition belongs to (matches the
-        /// [`LiveMsg::ShuffleExec`] that triggered the scatter).
-        round: u32,
-        /// Per-pattern solution sets destined for the receiver.
-        parts: Vec<Vec<Solution>>,
-    },
-    /// Coordinator → every provider: evaluate the whole BGP over local
-    /// data only (partial evaluation) and ship the per-pattern solution
-    /// sets back for assembly at the coordinator.
-    PartialExec {
-        /// The owning query.
-        qid: QueryId,
-        /// The conjunctive patterns to evaluate locally.
-        patterns: Vec<TriplePattern>,
-        /// Where to send the per-pattern matches.
-        reply_to: NodeId,
-    },
-    /// A provider's partial-evaluation answer: its local solutions for
-    /// every pattern slot, assembled (joined) at the coordinator.
-    PartialMatches {
-        /// The owning query.
-        qid: QueryId,
-        /// `per_pattern[i]` = local solutions of pattern `i`.
-        per_pattern: Vec<Vec<Solution>>,
-    },
-    /// Coordinator → providers: the multiway round finished; drop any
-    /// retained shuffle state for `qid`.
-    MultiDone {
-        /// The finished query.
-        qid: QueryId,
-    },
-}
-
-/// What one live round returned. Instead of hanging on churn, the
-/// protocol reports exactly how much of the answer survived.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LiveAnswer {
-    /// Deduplicated solution mappings from every provider that answered
-    /// in time. The per-gather dedup mirrors the simulator's in-network
-    /// aggregation: identical solutions from replicated triples collapse.
-    pub solutions: Vec<Solution>,
-    /// `true` iff every selected provider answered before its deadline
-    /// (an empty provider set is complete).
-    pub complete: bool,
-    /// Providers that never answered: crashed, unreachable, or lost
-    /// behind dropped messages. Sorted when set by the overall deadline.
-    pub failed_providers: Vec<NodeId>,
-}
+use crate::stats::LiveStats;
 
 // ---- the coordinator state machine ----------------------------------
 
@@ -824,29 +559,6 @@ impl CoordinatorCore {
     }
 }
 
-// ---- the node handlers ----------------------------------------------
-
-pub(crate) type PendingMap = Arc<Mutex<HashMap<QueryId, Sender<LiveAnswer>>>>;
-pub(crate) type SharedTable = Arc<Mutex<HashMap<u64, Vec<NodeId>>>>;
-/// The index nodes' routing view, `(ring position, address)` sorted by
-/// position. Shared mutable so serve-mode membership can extend it.
-pub(crate) type RingView = Arc<RwLock<Vec<(u64, NodeId)>>>;
-/// The keyless-pattern flood list (every storage node, sorted). Shared
-/// mutable for the same reason.
-pub(crate) type SharedFlood = Arc<RwLock<Vec<NodeId>>>;
-
-pub(crate) fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-pub(crate) fn rlock<T>(m: &RwLock<T>) -> std::sync::RwLockReadGuard<'_, T> {
-    m.read().unwrap_or_else(|e| e.into_inner())
-}
-
-pub(crate) fn wlock<T>(m: &RwLock<T>) -> std::sync::RwLockWriteGuard<'_, T> {
-    m.write().unwrap_or_else(|e| e.into_inner())
-}
-
 /// The coordinator node: hosts the state machine, executes its actions
 /// (turning failed sends back into events), and hands finished answers
 /// to the waiting caller.
@@ -889,778 +601,12 @@ impl Handler<LiveMsg> for Coordinator {
     }
 }
 
-pub(crate) struct IndexNode {
-    /// key id → providers (this node's location table). Shared with the
-    /// [`LiveMesh`] handle so tests and operators can observe the lazy
-    /// removal without an extra probe protocol.
-    pub(crate) table: SharedTable,
-    pub(crate) space: rdfmesh_chord::IdSpace,
-    /// `(ring position, address)` of every index node, sorted by
-    /// position — the routing view. A live deployment would walk fingers
-    /// hop by hop; one-shot resolution keeps the thread demo focused on
-    /// the query protocol itself.
-    pub(crate) ring_view: RingView,
-    pub(crate) stats: Arc<LiveStats>,
-}
-
-impl IndexNode {
-    fn owner_of(&self, key: u64) -> NodeId {
-        owner_in_view(&rlock(&self.ring_view), key)
-    }
-}
-
-pub(crate) fn owner_in_view(ring_view: &[(u64, NodeId)], key: u64) -> NodeId {
-    ring_view
-        .iter()
-        .find(|(pos, _)| *pos >= key)
-        .or_else(|| ring_view.first())
-        .map(|(_, addr)| *addr)
-        .expect("non-empty ring view")
-}
-
-impl Handler<LiveMsg> for IndexNode {
-    fn on_message(&mut self, envelope: Envelope<LiveMsg>, out: &Outbox<LiveMsg>) {
-        match envelope.payload {
-            LiveMsg::Lookup { qid, pattern, reply_to } => {
-                match key_for_pattern(self.space, &pattern) {
-                    None => {
-                        out.send(
-                            reply_to,
-                            LiveMsg::Providers { qid, pattern, providers: Vec::new() },
-                        );
-                    }
-                    Some(k) => {
-                        let owner = self.owner_of(k.id.0);
-                        if owner == out.me() {
-                            let providers =
-                                lock(&self.table).get(&k.id.0).cloned().unwrap_or_default();
-                            out.send(reply_to, LiveMsg::Providers { qid, pattern, providers });
-                        } else {
-                            out.send(owner, LiveMsg::Lookup { qid, pattern, reply_to });
-                        }
-                    }
-                }
-            }
-            LiveMsg::ProviderDead { pattern, provider } => {
-                let Some(k) = key_for_pattern(self.space, &pattern) else { return };
-                let owner = self.owner_of(k.id.0);
-                if owner != out.me() {
-                    out.send(owner, LiveMsg::ProviderDead { pattern, provider });
-                    return;
-                }
-                let mut table = lock(&self.table);
-                if let Some(row) = table.get_mut(&k.id.0) {
-                    let before = row.len();
-                    row.retain(|p| *p != provider);
-                    let removed = (before - row.len()) as u64;
-                    if row.is_empty() {
-                        table.remove(&k.id.0);
-                    }
-                    drop(table);
-                    self.stats.add_providers_purged(removed);
-                }
-            }
-            LiveMsg::Publish { keys, provider } => {
-                // Serve-mode registration: idempotent row inserts, so a
-                // republish after a membership change converges instead
-                // of duplicating.
-                let mut table = lock(&self.table);
-                for key in keys {
-                    let row = table.entry(key).or_default();
-                    if !row.contains(&provider) {
-                        row.push(provider);
-                    }
-                }
-            }
-            _ => {}
-        }
-    }
-}
-
-/// Per-query state a storage node keeps while a HyperCube shuffle is in
-/// flight: the exec frame and its peers' partitions can arrive in any
-/// order, and a retransmitted exec must re-ship the finished answer
-/// instead of re-scattering partitions.
-/// The retained copy of a [`LiveMsg::ShuffleExec`] frame's fields.
-#[derive(Debug)]
-pub(crate) struct ShuffleExecFrame {
-    patterns: Vec<TriplePattern>,
-    peers: Vec<NodeId>,
-    reply_to: NodeId,
-}
-
-#[derive(Debug, Default)]
-pub(crate) struct ShuffleState {
-    /// The shuffle generation the retained state belongs to. Frames
-    /// tagged with a newer generation supersede everything here (the
-    /// coordinator restarted the round over the surviving peers); frames
-    /// from an older one are dropped.
-    round: u32,
-    /// The exec frame's fields, once it arrived (`join_vars` are
-    /// consumed by the scatter and not retained).
-    exec: Option<ShuffleExecFrame>,
-    /// origin peer → its per-pattern partitions destined for this node.
-    /// Keyed by origin, so a retransmitted partition frame is idempotent.
-    received: HashMap<NodeId, Vec<Vec<Solution>>>,
-    /// The shipped local join, kept for retransmit resends.
-    answer: Option<Vec<Solution>>,
-}
-
-/// Shuffle entries for more queries than this trigger an eviction: of
-/// finished entries (their [`LiveMsg::MultiDone`] was lost) and, if that
-/// frees nothing, of entries no exec frame vouches for (partitions that
-/// arrived after their round's `MultiDone`).
-const SHUFFLE_STATE_CAP: usize = 1024;
-
-pub(crate) struct LiveStorage {
-    pub(crate) store: SharedStore,
-    pub(crate) stats: Arc<LiveStats>,
-    /// In-flight HyperCube rounds this node participates in.
-    pub(crate) shuffle: HashMap<QueryId, ShuffleState>,
-}
-
-impl LiveStorage {
-    /// Local execution (Fig. 3): match the pattern against the local
-    /// store — extending the shipped intermediates when the round is a
-    /// bind join — then apply the pushed-down filter at the source
-    /// (Sect. IV-G).
-    fn answer(
-        &self,
-        pattern: &TriplePattern,
-        filter: Option<&Expression>,
-        bound: Option<&[Solution]>,
-    ) -> Vec<Solution> {
-        let unit = vec![Solution::new()];
-        let partial = bound.unwrap_or(&unit);
-        let mut solutions =
-            rdfmesh_sparql::eval::evaluate_pattern_with(&self.store, pattern, partial);
-        if let Some(f) = filter {
-            solutions.retain(|s| f.satisfied_by(s));
-        }
-        self.stats.add_solutions_shipped(solutions.len() as u64);
-        self.stats.add_solution_bytes(wire::encoded_len(&solutions) as u64);
-        solutions
-    }
-
-    /// Admits a new shuffle entry, evicting retired rounds' leftovers
-    /// first when the map reached the cap.
-    fn shuffle_entry(&mut self, qid: QueryId) -> &mut ShuffleState {
-        if self.shuffle.len() >= SHUFFLE_STATE_CAP && !self.shuffle.contains_key(&qid) {
-            self.shuffle.retain(|_, st| st.answer.is_none());
-            if self.shuffle.len() >= SHUFFLE_STATE_CAP {
-                self.shuffle.retain(|_, st| st.exec.is_some());
-            }
-        }
-        self.shuffle.entry(qid).or_default()
-    }
-
-    /// Ships the local join once the exec frame and every peer's
-    /// partitions are in. The per-pattern fragment this node joins is
-    /// the union (deduped) of its own partition slice and every
-    /// [`LiveMsg::ShufflePart`] addressed to it — solutions that agree
-    /// on the join variables land at the same target, so the union of
-    /// all targets' local joins is the full join.
-    fn try_finish_shuffle(&mut self, qid: QueryId, out: &Outbox<LiveMsg>) {
-        let Some(st) = self.shuffle.get_mut(&qid) else { return };
-        let Some(ShuffleExecFrame { patterns, peers, reply_to }) = &st.exec else { return };
-        if st.answer.is_some() || st.received.len() < peers.len() {
-            return;
-        }
-        let mut acc = vec![Solution::new()];
-        for pi in 0..patterns.len() {
-            let mut fragment = DistinctBuffer::new();
-            for parts in st.received.values() {
-                fragment.extend_distinct(parts.get(pi).cloned().unwrap_or_default());
-            }
-            acc = rdfmesh_sparql::solution::join(&acc, fragment.as_slice());
-        }
-        let mut distinct = DistinctBuffer::new();
-        distinct.extend_distinct(acc);
-        let solutions = distinct.into_vec();
-        self.stats.add_solutions_shipped(solutions.len() as u64);
-        self.stats.add_solution_bytes(wire::encoded_len(&solutions) as u64);
-        out.send(*reply_to, LiveMsg::Solutions { qid, solutions: solutions.clone() });
-        st.answer = Some(solutions);
-    }
-}
-
-impl Handler<LiveMsg> for LiveStorage {
-    fn on_message(&mut self, envelope: Envelope<LiveMsg>, out: &Outbox<LiveMsg>) {
-        let from = envelope.from;
-        match envelope.payload {
-            LiveMsg::SubQuerySol { qid, pattern, filter, bound, reply_to } => {
-                let solutions = self.answer(&pattern, filter.as_ref(), bound.as_deref());
-                out.send(reply_to, LiveMsg::Solutions { qid, solutions });
-            }
-            LiveMsg::ShuffleExec { qid, round, patterns, join_vars, peers, reply_to } => {
-                // A newer generation supersedes any retained state: the
-                // coordinator restarted the round over the survivors.
-                if self.shuffle.get(&qid).is_some_and(|st| round > st.round) {
-                    self.shuffle.remove(&qid);
-                }
-                if let Some(st) = self.shuffle.get(&qid) {
-                    if round < st.round {
-                        return; // exec from an abandoned generation
-                    }
-                    if let Some(answer) = st.answer.clone() {
-                        // Retransmitted exec after the answer already
-                        // shipped: resend it (the coordinator dedups).
-                        out.send(reply_to, LiveMsg::Solutions { qid, solutions: answer });
-                        return;
-                    }
-                }
-                let me = out.me();
-                self.shuffle_entry(qid).round = round;
-                if self.shuffle_entry(qid).exec.is_none() {
-                    // Evaluate every pattern locally and scatter each
-                    // solution to the peer its join-variable bindings
-                    // hash to. Empty partitions ship too: a target can
-                    // only join once it heard from every peer.
-                    let k = peers.len().max(1);
-                    let unit = vec![Solution::new()];
-                    let mut parts: Vec<Vec<Vec<Solution>>> =
-                        vec![vec![Vec::new(); patterns.len()]; k];
-                    for (pi, pattern) in patterns.iter().enumerate() {
-                        let sols = rdfmesh_sparql::eval::evaluate_pattern_with(
-                            &self.store,
-                            pattern,
-                            &unit,
-                        );
-                        for s in sols {
-                            let target = crate::exec::shuffle_partition(&s, &join_vars, k);
-                            parts[target][pi].push(s);
-                        }
-                    }
-                    for (slot, peer) in peers.iter().enumerate() {
-                        let mine = std::mem::take(&mut parts[slot]);
-                        if *peer == me {
-                            self.shuffle_entry(qid).received.insert(me, mine);
-                        } else {
-                            let shipped: usize = mine.iter().map(Vec::len).sum();
-                            let bytes: usize =
-                                mine.iter().map(|set| wire::encoded_len(set)).sum();
-                            self.stats.add_shuffle_parts(shipped as u64);
-                            self.stats.add_shuffle_bytes(bytes as u64);
-                            out.send(*peer, LiveMsg::ShufflePart { qid, round, parts: mine });
-                        }
-                    }
-                    self.shuffle_entry(qid).exec =
-                        Some(ShuffleExecFrame { patterns, peers, reply_to });
-                }
-                self.try_finish_shuffle(qid, out);
-            }
-            LiveMsg::ShufflePart { qid, round, parts } => {
-                // A partition of a newer generation can outrun its exec
-                // frame: drop the abandoned generation's state and start
-                // collecting under the new one.
-                if self.shuffle.get(&qid).is_some_and(|st| round > st.round) {
-                    self.shuffle.remove(&qid);
-                }
-                let entry = self.shuffle_entry(qid);
-                if round < entry.round {
-                    return; // partition from an abandoned generation
-                }
-                entry.round = round;
-                entry.received.entry(from).or_insert(parts);
-                self.try_finish_shuffle(qid, out);
-            }
-            LiveMsg::PartialExec { qid, patterns, reply_to } => {
-                // Partial evaluation: answer every pattern over local
-                // data in one shot. Stateless, so a retransmission just
-                // recomputes the same reply.
-                let unit = vec![Solution::new()];
-                let per_pattern: Vec<Vec<Solution>> = patterns
-                    .iter()
-                    .map(|p| rdfmesh_sparql::eval::evaluate_pattern_with(&self.store, p, &unit))
-                    .collect();
-                let shipped: usize = per_pattern.iter().map(Vec::len).sum();
-                let bytes: usize = per_pattern.iter().map(|set| wire::encoded_len(set)).sum();
-                self.stats.add_solutions_shipped(shipped as u64);
-                self.stats.add_solution_bytes(bytes as u64);
-                out.send(reply_to, LiveMsg::PartialMatches { qid, per_pattern });
-            }
-            LiveMsg::MultiDone { qid } => {
-                self.shuffle.remove(&qid);
-            }
-            _ => {}
-        }
-    }
-}
-
-// ---- the mesh handle -------------------------------------------------
-
-/// Which substrate carries a [`LiveMesh`]'s protocol messages.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Transport {
-    /// Crossbeam channels between threads in one process — the original
-    /// live mesh.
-    Threads,
-    /// Framed TCP over loopback: every inter-node message crosses a real
-    /// socket through the process's own listener, exercising the
-    /// `docs/DEPLOYMENT.md` wire protocol end to end while the
-    /// [`FaultPlan`] keeps its sender-side semantics.
-    Sockets,
-}
-
-/// The cluster behind a [`LiveMesh`]: same `Outbox` contract, different
-/// wires. Both variants expose identical control/observation surfaces,
-/// which is what lets the fault suite run unmodified on either.
-enum MeshCluster {
-    Threads(Cluster<LiveMsg>),
-    Sockets(TcpCluster<LiveMsg>),
-}
-
-impl MeshCluster {
-    fn inject(&self, from: NodeId, to: NodeId, msg: LiveMsg) -> bool {
-        match self {
-            MeshCluster::Threads(c) => c.inject(from, to, msg),
-            MeshCluster::Sockets(c) => c.inject(from, to, msg),
-        }
-    }
-
-    fn crash(&self, node: NodeId) -> bool {
-        match self {
-            MeshCluster::Threads(c) => c.crash(node),
-            MeshCluster::Sockets(c) => c.crash(node),
-        }
-    }
-
-    fn restart(&self, node: NodeId) -> bool {
-        match self {
-            MeshCluster::Threads(c) => c.restart(node),
-            MeshCluster::Sockets(c) => c.restart(node),
-        }
-    }
-
-    fn barrier(&self, node: NodeId, timeout: Duration) -> bool {
-        match self {
-            MeshCluster::Threads(c) => c.barrier(node, timeout),
-            MeshCluster::Sockets(c) => c.barrier(node, timeout),
-        }
-    }
-
-    fn message_count(&self) -> u64 {
-        match self {
-            MeshCluster::Threads(c) => c.message_count(),
-            MeshCluster::Sockets(c) => c.message_count(),
-        }
-    }
-
-    fn dropped_count(&self) -> u64 {
-        match self {
-            MeshCluster::Threads(c) => c.dropped_count(),
-            MeshCluster::Sockets(c) => c.dropped_count(),
-        }
-    }
-
-    fn shutdown(&self) {
-        match self {
-            MeshCluster::Threads(c) => c.shutdown(),
-            MeshCluster::Sockets(c) => c.shutdown(),
-        }
-    }
-}
-
-/// Delivers a [`LiveMsg`] to the coordinator a [`RoundClient`] fronts, as
-/// if the coordinator had sent it to itself.
-type Inject = Box<dyn Fn(LiveMsg) + Send + Sync>;
-
-/// A submitted-but-not-yet-awaited solution round: the non-blocking
-/// half of [`RoundClient::query_solutions`]. Callers submit any number
-/// of rounds and wait on each handle afterwards, so concurrent
-/// executions pipeline through one coordinator instead of serializing on
-/// the caller side.
-#[derive(Debug)]
-pub struct RoundHandle {
-    qid: QueryId,
-    rx: Receiver<LiveAnswer>,
-    pending: PendingMap,
-}
-
-impl RoundHandle {
-    /// The id the round was submitted under.
-    pub fn qid(&self) -> QueryId {
-        self.qid
-    }
-
-    /// Blocks up to `timeout` for the round's answer. `None` abandons
-    /// the wait (the coordinator's own deadlines still retire the
-    /// round's protocol state).
-    pub fn wait(self, timeout: Duration) -> Option<LiveAnswer> {
-        let answer = self.rx.recv_timeout(timeout).ok();
-        if answer.is_none() {
-            lock(&self.pending).remove(&self.qid);
-        }
-        answer
-    }
-}
-
-/// The client side of one coordinator: allocates query ids, registers
-/// the channel each answer comes back on, injects every round straight
-/// at the coordinator, and gates whole query executions on admission
-/// control. It owns no thread. [`LiveMesh`] and
-/// [`crate::MeshNode`] each own one and dereference to it; they differ
-/// only in how a message reaches their coordinator, which is the
-/// `inject` closure each gives it at construction.
-pub struct RoundClient {
-    cfg: LiveConfig,
-    next_qid: AtomicU64,
-    pending: PendingMap,
-    inject: Inject,
-    admission: Admission,
-    stats: Arc<LiveStats>,
-}
-
-impl RoundClient {
-    /// A client for the coordinator that shares `pending` and `stats`
-    /// and receives what `inject` is handed.
-    pub(crate) fn new<F>(
-        cfg: LiveConfig,
-        pending: PendingMap,
-        stats: Arc<LiveStats>,
-        inject: F,
-    ) -> Self
-    where
-        F: Fn(LiveMsg) + Send + Sync + 'static,
-    {
-        RoundClient {
-            cfg,
-            next_qid: AtomicU64::new(1),
-            pending,
-            inject: Box::new(inject),
-            admission: Admission::new(&cfg, Arc::clone(&stats)),
-            stats,
-        }
-    }
-
-    /// Allocates a query id and registers the channel its answer will
-    /// arrive on.
-    fn open_round(&self) -> RoundHandle {
-        self.stats.add_solution_rounds(1);
-        let qid = QueryId(self.next_qid.fetch_add(1, Ordering::Relaxed));
-        let (tx, rx) = bounded(1);
-        lock(&self.pending).insert(qid, tx);
-        RoundHandle { qid, rx, pending: Arc::clone(&self.pending) }
-    }
-
-    /// Resolves one *solution round* through the live protocol: the
-    /// selected providers answer with solution mappings — extending the
-    /// shipped `bound` intermediates when given (bind join, Sect. IV-D)
-    /// and applying `filter` at the source (Sect. IV-G). The distributed
-    /// execution core's [`crate::LiveBackend`] issues one such round per
-    /// plan primitive or bound sub-query. Blocks up to `timeout`; the
-    /// protocol's own deadlines ([`LiveConfig`]) answer well before a
-    /// generous one.
-    pub fn query_solutions(
-        &self,
-        pattern: TriplePattern,
-        filter: Option<Expression>,
-        bound: Option<Vec<Solution>>,
-        timeout: Duration,
-    ) -> Option<LiveAnswer> {
-        self.submit_solutions(pattern, filter, bound).wait(timeout)
-    }
-
-    /// The non-blocking half of [`RoundClient::query_solutions`]:
-    /// injects the round at the coordinator and returns immediately
-    /// with a [`RoundHandle`] to wait on. Rounds submitted concurrently
-    /// pipeline through the coordinator.
-    pub fn submit_solutions(
-        &self,
-        pattern: TriplePattern,
-        filter: Option<Expression>,
-        bound: Option<Vec<Solution>>,
-    ) -> RoundHandle {
-        let handle = self.open_round();
-        (self.inject)(LiveMsg::SubmitSol { qid: handle.qid, pattern, filter, bound });
-        handle
-    }
-
-    /// Resolves a whole multi-pattern BGP in a single distributed round
-    /// — HyperCube shuffle or partial-evaluation-and-assembly — instead
-    /// of pattern-by-pattern chained shipping, blocking up to `timeout`.
-    pub fn query_multiway(
-        &self,
-        patterns: Vec<TriplePattern>,
-        join_vars: Vec<Variable>,
-        strategy: DistStrategy,
-        timeout: Duration,
-    ) -> Option<LiveAnswer> {
-        self.submit_multiway(patterns, join_vars, strategy).wait(timeout)
-    }
-
-    /// The non-blocking half of [`RoundClient::query_multiway`].
-    pub fn submit_multiway(
-        &self,
-        patterns: Vec<TriplePattern>,
-        join_vars: Vec<Variable>,
-        strategy: DistStrategy,
-    ) -> RoundHandle {
-        let handle = self.open_round();
-        (self.inject)(LiveMsg::SubmitMulti { qid: handle.qid, patterns, join_vars, strategy });
-        handle
-    }
-
-    /// The admission gate bounding concurrent query *executions* (one
-    /// SPARQL query = one permit, covering all its solution rounds).
-    /// [`RoundClient::execute_with`] acquires from it; raw round
-    /// submissions are ungated internals.
-    pub fn admission(&self) -> &Admission {
-        &self.admission
-    }
-
-    /// The fault-tolerance configuration the host was started with.
-    pub fn config(&self) -> LiveConfig {
-        self.cfg
-    }
-
-    /// Fault-tolerance counters accumulated so far.
-    pub fn stats(&self) -> LiveStatsSnapshot {
-        self.stats.snapshot()
-    }
-}
-
-/// A live mesh: one thread per node, built from an existing overlay's
-/// data placement. Queries go through the [`RoundClient`] it
-/// dereferences to.
-pub struct LiveMesh {
-    client: RoundClient,
-    cluster: Arc<MeshCluster>,
-    space: rdfmesh_chord::IdSpace,
-    ring_view: RingView,
-    tables: HashMap<NodeId, SharedTable>,
-}
-
-impl std::ops::Deref for LiveMesh {
-    type Target = RoundClient;
-
-    fn deref(&self) -> &RoundClient {
-        &self.client
-    }
-}
-
-/// The coordinator's well-known address in the live mesh.
-pub const COORDINATOR: NodeId = NodeId(u64::MAX);
-
-impl LiveMesh {
-    /// Spawns node threads mirroring `overlay`'s index placement and
-    /// storage contents, with default timeouts and no planned faults.
-    pub fn spawn(overlay: &Overlay) -> Self {
-        Self::spawn_with(overlay, LiveConfig::default(), FaultPlan::new())
-    }
-
-    /// [`LiveMesh::spawn`] with explicit fault-tolerance configuration
-    /// and a [`FaultPlan`] to exercise it. For simplicity the live index
-    /// is one thread per index node, each holding the full
-    /// key → providers map it would own (ring routing is already
-    /// exercised by the simulator; the live mesh demonstrates the
-    /// messaging).
-    pub fn spawn_with(overlay: &Overlay, cfg: LiveConfig, plan: FaultPlan) -> Self {
-        Self::spawn_with_transport(overlay, cfg, plan, Transport::Threads)
-            .expect("thread transport cannot fail to bind")
-    }
-
-    /// [`LiveMesh::spawn_with`] on an explicit [`Transport`]. Only
-    /// [`Transport::Sockets`] can fail (binding the loopback listener);
-    /// the protocol, fault semantics and observable counters are
-    /// identical on both substrates.
-    pub fn spawn_with_transport(
-        overlay: &Overlay,
-        cfg: LiveConfig,
-        plan: FaultPlan,
-        transport: Transport,
-    ) -> std::io::Result<Self> {
-        let space = overlay.ring().space();
-        // Build each index node's location table view from storage data.
-        let index_nodes = overlay.index_nodes();
-        assert!(!index_nodes.is_empty(), "live mesh needs an index node");
-        let mut tables: HashMap<NodeId, HashMap<u64, Vec<NodeId>>> = HashMap::new();
-        for storage in overlay.storage_nodes() {
-            let node = overlay.storage_node(storage).expect("listed");
-            for triple in node.store.iter() {
-                for key in keys_for_triple(space, &triple) {
-                    let owner = overlay
-                        .ring()
-                        .ideal_owner(key.id)
-                        .ok()
-                        .and_then(|id| overlay.addr_of(id))
-                        .unwrap_or(index_nodes[0]);
-                    let row = tables.entry(owner).or_default().entry(key.id.0).or_default();
-                    if !row.contains(&storage) {
-                        row.push(storage);
-                    }
-                }
-            }
-        }
-
-        let mut ring_view: Vec<(u64, NodeId)> = index_nodes
-            .iter()
-            .filter_map(|&addr| overlay.chord_id_of(addr).map(|id| (id.0, addr)))
-            .collect();
-        ring_view.sort();
-        let ring_view: RingView = Arc::new(RwLock::new(ring_view));
-        let stats = Arc::new(LiveStats::default());
-        let pending: PendingMap = Arc::new(Mutex::new(HashMap::new()));
-        let mut shared_tables: HashMap<NodeId, SharedTable> = HashMap::new();
-        let mut nodes: Vec<(NodeId, Box<dyn Handler<LiveMsg>>)> = Vec::new();
-        for ix in &index_nodes {
-            let table: SharedTable = Arc::new(Mutex::new(tables.remove(ix).unwrap_or_default()));
-            shared_tables.insert(*ix, Arc::clone(&table));
-            nodes.push((
-                *ix,
-                Box::new(IndexNode {
-                    table,
-                    space,
-                    ring_view: Arc::clone(&ring_view),
-                    stats: Arc::clone(&stats),
-                }),
-            ));
-        }
-        let mut flood: Vec<NodeId> = Vec::new();
-        for storage in overlay.storage_nodes() {
-            let store = overlay.storage_node(storage).expect("listed").store.clone();
-            nodes.push((
-                storage,
-                Box::new(LiveStorage {
-                    store,
-                    stats: Arc::clone(&stats),
-                    shuffle: HashMap::new(),
-                }),
-            ));
-            flood.push(storage);
-        }
-        flood.sort();
-        let flood: SharedFlood = Arc::new(RwLock::new(flood));
-        nodes.push((
-            COORDINATOR,
-            Box::new(Coordinator {
-                core: CoordinatorCore::new(
-                    COORDINATOR,
-                    index_nodes[0],
-                    cfg,
-                    space,
-                    flood,
-                    Arc::clone(&stats),
-                ),
-                pending: Arc::clone(&pending),
-            }),
-        ));
-        let cluster = match transport {
-            Transport::Threads => MeshCluster::Threads(Cluster::spawn_with(nodes, plan)),
-            Transport::Sockets => MeshCluster::Sockets(TcpCluster::spawn_loopback(nodes, plan)?),
-        };
-        let cluster = Arc::new(cluster);
-        let inject_at = Arc::clone(&cluster);
-        let client = RoundClient::new(cfg, pending, stats, move |msg| {
-            inject_at.inject(COORDINATOR, COORDINATOR, msg);
-        });
-        Ok(LiveMesh { client, cluster, space, ring_view, tables: shared_tables })
-    }
-
-    /// Test-harness facility: delivers a hand-crafted protocol message as
-    /// if `from` had sent it, bypassing link faults (see
-    /// [`Cluster::inject`]). Fault tests use it to forge late replies
-    /// from earlier queries.
-    pub fn inject(&self, from: NodeId, to: NodeId, msg: LiveMsg) {
-        self.cluster.inject(from, to, msg);
-    }
-
-    /// Crashes `node` at runtime: it stops answering and sends to it fail
-    /// fast. See [`Cluster::crash`].
-    pub fn crash(&self, node: NodeId) -> bool {
-        self.cluster.crash(node)
-    }
-
-    /// Restarts a crashed `node` with its state intact. Its purged
-    /// location-table entries stay purged until it republishes — exactly
-    /// the paper's rejoin behaviour. See [`Cluster::restart`].
-    pub fn restart(&self, node: NodeId) -> bool {
-        self.cluster.restart(node)
-    }
-
-    /// Blocks until `node` has processed everything delivered to it
-    /// before this call — the deterministic fence the fault tests use
-    /// instead of sleeping. See [`Cluster::barrier`].
-    pub fn barrier(&self, node: NodeId, timeout: Duration) -> bool {
-        self.cluster.barrier(node, timeout)
-    }
-
-    /// The index node whose location table owns `pattern`'s key, or
-    /// `None` for the all-variable pattern (which has no key).
-    pub fn index_owner_of(&self, pattern: &TriplePattern) -> Option<NodeId> {
-        key_for_pattern(self.space, pattern)
-            .map(|k| owner_in_view(&rlock(&self.ring_view), k.id.0))
-    }
-
-    /// The owner index node's current location-table row for `pattern`
-    /// (sorted) — the observable target of the lazy removal protocol.
-    pub fn providers_of(&self, pattern: &TriplePattern) -> Vec<NodeId> {
-        let Some(key) = key_for_pattern(self.space, pattern) else { return Vec::new() };
-        let owner = owner_in_view(&rlock(&self.ring_view), key.id.0);
-        let Some(table) = self.tables.get(&owner) else { return Vec::new() };
-        let mut row = lock(table).get(&key.id.0).cloned().unwrap_or_default();
-        row.sort();
-        row
-    }
-
-    /// Messages delivered so far (across all threads).
-    pub fn message_count(&self) -> u64 {
-        self.cluster.message_count()
-    }
-
-    /// Messages lost so far to the fault plan or crashed nodes.
-    pub fn dropped_count(&self) -> u64 {
-        self.cluster.dropped_count()
-    }
-
-    /// Socket-layer counters (`transport.*` metric names), or `None` on
-    /// [`Transport::Threads`] where no wire exists.
-    pub fn transport_stats(&self) -> Option<TransportSnapshot> {
-        match &*self.cluster {
-            MeshCluster::Threads(_) => None,
-            MeshCluster::Sockets(c) => Some(c.transport_stats()),
-        }
-    }
-
-    /// Stops every node thread.
-    pub fn shutdown(&self) {
-        self.cluster.shutdown();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rdfmesh_net::{LatencyModel, Network, SimTime};
-    use rdfmesh_rdf::{Term, TermPattern, Triple, TripleStore};
-
-    fn overlay() -> Overlay {
-        let net = Network::new(LatencyModel::Uniform(SimTime::millis(1)), 12.5);
-        let mut o = Overlay::new(32, 4, 2, net);
-        for i in 0..3u64 {
-            let addr = NodeId(1000 + i);
-            let pos = o.ring().space().hash(&addr.0.to_be_bytes());
-            o.add_index_node(addr, pos).unwrap();
-        }
-        let person = |n: &str| Term::iri(&format!("http://example.org/{n}"));
-        let knows = Term::iri(rdfmesh_rdf::vocab::foaf::KNOWS);
-        o.add_storage_node(
-            NodeId(1),
-            NodeId(1000),
-            vec![
-                Triple::new(person("alice"), knows.clone(), person("bob")),
-                Triple::new(person("alice"), knows.clone(), person("carol")),
-            ],
-        )
-        .unwrap();
-        o.add_storage_node(
-            NodeId(2),
-            NodeId(1001),
-            vec![Triple::new(person("dave"), knows, person("bob"))],
-        )
-        .unwrap();
-        o
-    }
+    use crate::live::COORDINATOR;
+    use rdfmesh_rdf::{Term, TermPattern};
+    use std::sync::RwLock;
 
     fn knows_pattern(target: &str) -> TriplePattern {
         TriplePattern::new(
@@ -1668,157 +614,6 @@ mod tests {
             Term::iri(rdfmesh_rdf::vocab::foaf::KNOWS),
             Term::iri(&format!("http://example.org/{target}")),
         )
-    }
-
-    #[test]
-    fn live_query_matches_simulated_results() {
-        let o = overlay();
-        let mesh = LiveMesh::spawn(&o);
-        let pattern = knows_pattern("bob");
-        let live = mesh
-            .query_solutions(pattern.clone(), None, None, Duration::from_secs(10))
-            .expect("no timeout");
-        assert!(live.complete);
-        assert!(live.failed_providers.is_empty());
-        assert_eq!(live.solutions.len(), 2);
-        // Oracle agreement: the central store's matches, as bindings.
-        let mut expected: Vec<Solution> = crate::engine::global_store(&o)
-            .match_pattern(&pattern)
-            .iter()
-            .filter_map(|t| rdfmesh_sparql::eval::extend(&pattern, t, &Solution::new()))
-            .collect();
-        let mut got = live.solutions;
-        expected.sort();
-        got.sort();
-        assert_eq!(got, expected);
-        // Protocol shape: 1 lookup + 1 providers + k subqueries + k answers.
-        assert!(mesh.message_count() >= 4);
-        mesh.shutdown();
-    }
-
-    #[test]
-    fn live_query_empty_when_no_providers() {
-        let o = overlay();
-        let mesh = LiveMesh::spawn(&o);
-        let pattern = TriplePattern::new(
-            TermPattern::var("x"),
-            Term::iri("http://example.org/never-used"),
-            TermPattern::var("y"),
-        );
-        let live =
-            mesh.query_solutions(pattern, None, None, Duration::from_secs(10)).expect("no timeout");
-        assert!(live.complete);
-        assert!(live.solutions.is_empty());
-        mesh.shutdown();
-    }
-
-    #[test]
-    fn sequential_queries_reuse_the_mesh() {
-        let o = overlay();
-        let mesh = LiveMesh::spawn(&o);
-        for (target, expect) in [("bob", 2), ("carol", 1), ("nobody", 0)] {
-            let live = mesh
-                .query_solutions(knows_pattern(target), None, None, Duration::from_secs(10))
-                .expect("no timeout");
-            assert!(live.complete, "target {target}");
-            assert_eq!(live.solutions.len(), expect, "target {target}");
-        }
-        mesh.shutdown();
-    }
-
-    #[test]
-    fn concurrent_submissions_answer_independently() {
-        // The non-blocking path end-to-end: many rounds in flight at
-        // once through one coordinator, each answer routed back to its
-        // own handle.
-        let o = overlay();
-        let mesh = Arc::new(LiveMesh::spawn(&o));
-        let handles: Vec<(usize, RoundHandle)> = (0..12)
-            .map(|i| {
-                let target = ["bob", "carol", "nobody"][i % 3];
-                (i % 3, mesh.submit_solutions(knows_pattern(target), None, None))
-            })
-            .collect();
-        for (kind, handle) in handles {
-            let answer = handle.wait(Duration::from_secs(10)).expect("no timeout");
-            assert!(answer.complete);
-            let expect = [2, 1, 0][kind];
-            assert_eq!(answer.solutions.len(), expect, "target kind {kind}");
-        }
-        mesh.shutdown();
-    }
-
-    #[test]
-    fn forged_deadlines_cannot_cut_a_waiting_round_short() {
-        use crate::live_wire::wire_v4;
-        // The sub-query to storage node 2 dawdles on its link, well
-        // inside the ack timeout: the round is in flight, awaiting that
-        // one reply, while the forged frames arrive.
-        let o = overlay();
-        let cfg = LiveConfig {
-            ack_timeout: Duration::from_secs(5),
-            query_deadline: Duration::from_secs(20),
-            ..LiveConfig::default()
-        };
-        let plan = FaultPlan::new().delay(COORDINATOR, NodeId(2), Duration::from_millis(300));
-        let mesh = LiveMesh::spawn_with_transport(&o, cfg, plan, Transport::Sockets).unwrap();
-        let MeshCluster::Sockets(twin) = &*mesh.cluster else { unreachable!("spawned on sockets") };
-        let round = mesh.submit_solutions(knows_pattern("bob"), None, None);
-        // Any peer can finish the handshake, and query ids count up from
-        // 1: as wire version 4 laid it out, "your round N is overdue".
-        let forged: Vec<_> = (1..=8).map(|qid| wire_v4::deadline_overall(QueryId(qid))).collect();
-        let _peer = wire_v4::forge_at(twin.local_addr(), COORDINATOR, &forged);
-        let answer = round.wait(Duration::from_secs(30)).expect("no timeout");
-        assert!(answer.complete, "cut short, missing {:?}", answer.failed_providers);
-        assert_eq!(answer.solutions.len(), 2, "the oracle's rows, as in the unforged run above");
-        assert_eq!(mesh.stats().incomplete_queries, 0);
-        // Every forged frame was refused where it was decoded.
-        let refused = std::time::Instant::now() + Duration::from_secs(10);
-        while twin.transport_stats().decode_errors < 8 {
-            assert!(std::time::Instant::now() < refused, "{:?}", twin.transport_stats());
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        mesh.shutdown();
-    }
-
-    /// A storage node that reports its shuffle-map size after every
-    /// message, so a test can watch it from outside the node's thread.
-    struct WatchedStorage {
-        inner: LiveStorage,
-        entries: Arc<AtomicU64>,
-    }
-
-    impl Handler<LiveMsg> for WatchedStorage {
-        fn on_message(&mut self, envelope: Envelope<LiveMsg>, out: &Outbox<LiveMsg>) {
-            self.inner.on_message(envelope, out);
-            self.entries.store(self.inner.shuffle.len() as u64, Ordering::SeqCst);
-        }
-    }
-
-    #[test]
-    fn partitions_arriving_after_multi_done_cannot_grow_the_shuffle_map_unboundedly() {
-        let (node, peer) = (NodeId(1), NodeId(2));
-        let entries = Arc::new(AtomicU64::new(0));
-        let storage = WatchedStorage {
-            inner: LiveStorage {
-                store: TripleStore::new().into(),
-                stats: Arc::new(LiveStats::default()),
-                shuffle: HashMap::new(),
-            },
-            entries: Arc::clone(&entries),
-        };
-        let cluster = Cluster::spawn(vec![(node, Box::new(storage) as Box<dyn Handler<LiveMsg>>)]);
-        // Every round below is already retired when its partition lands:
-        // no exec frame will ever come, and no second MultiDone.
-        cluster.inject(peer, node, LiveMsg::MultiDone { qid: QueryId(0) });
-        for q in 0..=SHUFFLE_STATE_CAP as u64 {
-            let part = LiveMsg::ShufflePart { qid: QueryId(q), round: 0, parts: vec![Vec::new()] };
-            cluster.inject(peer, node, part);
-        }
-        assert!(cluster.barrier(node, Duration::from_secs(10)));
-        let left = entries.load(Ordering::SeqCst) as usize;
-        assert!((1..=SHUFFLE_STATE_CAP).contains(&left), "{left} orphaned entries retained");
-        cluster.shutdown();
     }
 
     // ---- state-machine unit + property tests -------------------------

@@ -1,0 +1,453 @@
+//! The in-process host: every role of an [`Overlay`]'s placement on one
+//! thread or loopback-socket cluster.
+
+use std::collections::HashMap;
+use std::sync::{Arc, Mutex, RwLock};
+use std::time::Duration;
+
+use rdfmesh_net::{Cluster, FaultPlan, Handler, NodeId, TcpCluster, TransportSnapshot};
+use rdfmesh_overlay::{key_for_pattern, keys_for_triple, Overlay};
+use rdfmesh_rdf::TriplePattern;
+
+use super::{
+    lock, owner_in_view, rlock, Coordinator, CoordinatorCore, IndexNode, LiveMsg, LiveStorage,
+    PendingMap, RingView, RoundClient, SharedFlood, SharedTable,
+};
+use crate::config::LiveConfig;
+use crate::stats::LiveStats;
+
+/// Which substrate carries a [`LiveMesh`]'s protocol messages.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Transport {
+    /// Crossbeam channels between threads in one process — the original
+    /// live mesh.
+    Threads,
+    /// Framed TCP over loopback: every inter-node message crosses a real
+    /// socket through the process's own listener, exercising the
+    /// `docs/DEPLOYMENT.md` wire protocol end to end while the
+    /// [`FaultPlan`] keeps its sender-side semantics.
+    Sockets,
+}
+
+/// The cluster behind a [`LiveMesh`]: same `Outbox` contract, different
+/// wires. Both variants expose identical control/observation surfaces,
+/// which is what lets the fault suite run unmodified on either.
+enum MeshCluster {
+    Threads(Cluster<LiveMsg>),
+    Sockets(TcpCluster<LiveMsg>),
+}
+
+impl MeshCluster {
+    fn inject(&self, from: NodeId, to: NodeId, msg: LiveMsg) -> bool {
+        match self {
+            MeshCluster::Threads(c) => c.inject(from, to, msg),
+            MeshCluster::Sockets(c) => c.inject(from, to, msg),
+        }
+    }
+
+    fn crash(&self, node: NodeId) -> bool {
+        match self {
+            MeshCluster::Threads(c) => c.crash(node),
+            MeshCluster::Sockets(c) => c.crash(node),
+        }
+    }
+
+    fn restart(&self, node: NodeId) -> bool {
+        match self {
+            MeshCluster::Threads(c) => c.restart(node),
+            MeshCluster::Sockets(c) => c.restart(node),
+        }
+    }
+
+    fn barrier(&self, node: NodeId, timeout: Duration) -> bool {
+        match self {
+            MeshCluster::Threads(c) => c.barrier(node, timeout),
+            MeshCluster::Sockets(c) => c.barrier(node, timeout),
+        }
+    }
+
+    fn message_count(&self) -> u64 {
+        match self {
+            MeshCluster::Threads(c) => c.message_count(),
+            MeshCluster::Sockets(c) => c.message_count(),
+        }
+    }
+
+    fn dropped_count(&self) -> u64 {
+        match self {
+            MeshCluster::Threads(c) => c.dropped_count(),
+            MeshCluster::Sockets(c) => c.dropped_count(),
+        }
+    }
+
+    fn shutdown(&self) {
+        match self {
+            MeshCluster::Threads(c) => c.shutdown(),
+            MeshCluster::Sockets(c) => c.shutdown(),
+        }
+    }
+}
+
+/// A live mesh: one thread per node, built from an existing overlay's
+/// data placement. Queries go through the [`RoundClient`] it
+/// dereferences to.
+pub struct LiveMesh {
+    client: RoundClient,
+    cluster: Arc<MeshCluster>,
+    space: rdfmesh_chord::IdSpace,
+    ring_view: RingView,
+    tables: HashMap<NodeId, SharedTable>,
+}
+
+impl std::ops::Deref for LiveMesh {
+    type Target = RoundClient;
+
+    fn deref(&self) -> &RoundClient {
+        &self.client
+    }
+}
+
+/// The coordinator's well-known address in the live mesh.
+pub const COORDINATOR: NodeId = NodeId(u64::MAX);
+
+impl LiveMesh {
+    /// Spawns node threads mirroring `overlay`'s index placement and
+    /// storage contents, with default timeouts and no planned faults.
+    pub fn spawn(overlay: &Overlay) -> Self {
+        Self::spawn_with(overlay, LiveConfig::default(), FaultPlan::new())
+    }
+
+    /// [`LiveMesh::spawn`] with explicit fault-tolerance configuration
+    /// and a [`FaultPlan`] to exercise it. For simplicity the live index
+    /// is one thread per index node, each holding the full
+    /// key → providers map it would own (ring routing is already
+    /// exercised by the simulator; the live mesh demonstrates the
+    /// messaging).
+    pub fn spawn_with(overlay: &Overlay, cfg: LiveConfig, plan: FaultPlan) -> Self {
+        Self::spawn_with_transport(overlay, cfg, plan, Transport::Threads)
+            .expect("thread transport cannot fail to bind")
+    }
+
+    /// [`LiveMesh::spawn_with`] on an explicit [`Transport`]. Only
+    /// [`Transport::Sockets`] can fail (binding the loopback listener);
+    /// the protocol, fault semantics and observable counters are
+    /// identical on both substrates.
+    pub fn spawn_with_transport(
+        overlay: &Overlay,
+        cfg: LiveConfig,
+        plan: FaultPlan,
+        transport: Transport,
+    ) -> std::io::Result<Self> {
+        let space = overlay.ring().space();
+        // Build each index node's location table view from storage data.
+        let index_nodes = overlay.index_nodes();
+        assert!(!index_nodes.is_empty(), "live mesh needs an index node");
+        let mut tables: HashMap<NodeId, HashMap<u64, Vec<NodeId>>> = HashMap::new();
+        for storage in overlay.storage_nodes() {
+            let node = overlay.storage_node(storage).expect("listed");
+            for triple in node.store.iter() {
+                for key in keys_for_triple(space, &triple) {
+                    let owner = overlay
+                        .ring()
+                        .ideal_owner(key.id)
+                        .ok()
+                        .and_then(|id| overlay.addr_of(id))
+                        .unwrap_or(index_nodes[0]);
+                    let row = tables.entry(owner).or_default().entry(key.id.0).or_default();
+                    if !row.contains(&storage) {
+                        row.push(storage);
+                    }
+                }
+            }
+        }
+
+        let mut ring_view: Vec<(u64, NodeId)> = index_nodes
+            .iter()
+            .filter_map(|&addr| overlay.chord_id_of(addr).map(|id| (id.0, addr)))
+            .collect();
+        ring_view.sort();
+        let ring_view: RingView = Arc::new(RwLock::new(ring_view));
+        let stats = Arc::new(LiveStats::default());
+        let pending: PendingMap = Arc::new(Mutex::new(HashMap::new()));
+        let mut shared_tables: HashMap<NodeId, SharedTable> = HashMap::new();
+        let mut nodes: Vec<(NodeId, Box<dyn Handler<LiveMsg>>)> = Vec::new();
+        for ix in &index_nodes {
+            let table: SharedTable = Arc::new(Mutex::new(tables.remove(ix).unwrap_or_default()));
+            shared_tables.insert(*ix, Arc::clone(&table));
+            nodes.push((
+                *ix,
+                Box::new(IndexNode {
+                    table,
+                    space,
+                    ring_view: Arc::clone(&ring_view),
+                    stats: Arc::clone(&stats),
+                }),
+            ));
+        }
+        let mut flood: Vec<NodeId> = Vec::new();
+        for storage in overlay.storage_nodes() {
+            let store = overlay.storage_node(storage).expect("listed").store.clone();
+            nodes.push((
+                storage,
+                Box::new(LiveStorage {
+                    store,
+                    stats: Arc::clone(&stats),
+                    shuffle: HashMap::new(),
+                }),
+            ));
+            flood.push(storage);
+        }
+        flood.sort();
+        let flood: SharedFlood = Arc::new(RwLock::new(flood));
+        nodes.push((
+            COORDINATOR,
+            Box::new(Coordinator {
+                core: CoordinatorCore::new(
+                    COORDINATOR,
+                    index_nodes[0],
+                    cfg,
+                    space,
+                    flood,
+                    Arc::clone(&stats),
+                ),
+                pending: Arc::clone(&pending),
+            }),
+        ));
+        let cluster = match transport {
+            Transport::Threads => MeshCluster::Threads(Cluster::spawn_with(nodes, plan)),
+            Transport::Sockets => MeshCluster::Sockets(TcpCluster::spawn_loopback(nodes, plan)?),
+        };
+        let cluster = Arc::new(cluster);
+        let inject_at = Arc::clone(&cluster);
+        let client = RoundClient::new(cfg, pending, stats, move |msg| {
+            inject_at.inject(COORDINATOR, COORDINATOR, msg);
+        });
+        Ok(LiveMesh { client, cluster, space, ring_view, tables: shared_tables })
+    }
+
+    /// Test-harness facility: delivers a hand-crafted protocol message as
+    /// if `from` had sent it, bypassing link faults (see
+    /// [`Cluster::inject`]). Fault tests use it to forge late replies
+    /// from earlier queries.
+    pub fn inject(&self, from: NodeId, to: NodeId, msg: LiveMsg) {
+        self.cluster.inject(from, to, msg);
+    }
+
+    /// Crashes `node` at runtime: it stops answering and sends to it fail
+    /// fast. See [`Cluster::crash`].
+    pub fn crash(&self, node: NodeId) -> bool {
+        self.cluster.crash(node)
+    }
+
+    /// Restarts a crashed `node` with its state intact. Its purged
+    /// location-table entries stay purged until it republishes — exactly
+    /// the paper's rejoin behaviour. See [`Cluster::restart`].
+    pub fn restart(&self, node: NodeId) -> bool {
+        self.cluster.restart(node)
+    }
+
+    /// Blocks until `node` has processed everything delivered to it
+    /// before this call — the deterministic fence the fault tests use
+    /// instead of sleeping. See [`Cluster::barrier`].
+    pub fn barrier(&self, node: NodeId, timeout: Duration) -> bool {
+        self.cluster.barrier(node, timeout)
+    }
+
+    /// The index node whose location table owns `pattern`'s key, or
+    /// `None` for the all-variable pattern (which has no key).
+    pub fn index_owner_of(&self, pattern: &TriplePattern) -> Option<NodeId> {
+        key_for_pattern(self.space, pattern)
+            .map(|k| owner_in_view(&rlock(&self.ring_view), k.id.0))
+    }
+
+    /// The owner index node's current location-table row for `pattern`
+    /// (sorted) — the observable target of the lazy removal protocol.
+    pub fn providers_of(&self, pattern: &TriplePattern) -> Vec<NodeId> {
+        let Some(key) = key_for_pattern(self.space, pattern) else { return Vec::new() };
+        let owner = owner_in_view(&rlock(&self.ring_view), key.id.0);
+        let Some(table) = self.tables.get(&owner) else { return Vec::new() };
+        let mut row = lock(table).get(&key.id.0).cloned().unwrap_or_default();
+        row.sort();
+        row
+    }
+
+    /// Messages delivered so far (across all threads).
+    pub fn message_count(&self) -> u64 {
+        self.cluster.message_count()
+    }
+
+    /// Messages lost so far to the fault plan or crashed nodes.
+    pub fn dropped_count(&self) -> u64 {
+        self.cluster.dropped_count()
+    }
+
+    /// Socket-layer counters (`transport.*` metric names), or `None` on
+    /// [`Transport::Threads`] where no wire exists.
+    pub fn transport_stats(&self) -> Option<TransportSnapshot> {
+        match &*self.cluster {
+            MeshCluster::Threads(_) => None,
+            MeshCluster::Sockets(c) => Some(c.transport_stats()),
+        }
+    }
+
+    /// Stops every node thread.
+    pub fn shutdown(&self) {
+        self.cluster.shutdown();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::live::{QueryId, RoundHandle};
+    use rdfmesh_net::{LatencyModel, Network, SimTime};
+    use rdfmesh_rdf::{Term, TermPattern, Triple};
+    use rdfmesh_sparql::solution::Solution;
+
+    fn overlay() -> Overlay {
+        let net = Network::new(LatencyModel::Uniform(SimTime::millis(1)), 12.5);
+        let mut o = Overlay::new(32, 4, 2, net);
+        for i in 0..3u64 {
+            let addr = NodeId(1000 + i);
+            let pos = o.ring().space().hash(&addr.0.to_be_bytes());
+            o.add_index_node(addr, pos).unwrap();
+        }
+        let person = |n: &str| Term::iri(&format!("http://example.org/{n}"));
+        let knows = Term::iri(rdfmesh_rdf::vocab::foaf::KNOWS);
+        o.add_storage_node(
+            NodeId(1),
+            NodeId(1000),
+            vec![
+                Triple::new(person("alice"), knows.clone(), person("bob")),
+                Triple::new(person("alice"), knows.clone(), person("carol")),
+            ],
+        )
+        .unwrap();
+        o.add_storage_node(
+            NodeId(2),
+            NodeId(1001),
+            vec![Triple::new(person("dave"), knows, person("bob"))],
+        )
+        .unwrap();
+        o
+    }
+
+    fn knows_pattern(target: &str) -> TriplePattern {
+        TriplePattern::new(
+            TermPattern::var("x"),
+            Term::iri(rdfmesh_rdf::vocab::foaf::KNOWS),
+            Term::iri(&format!("http://example.org/{target}")),
+        )
+    }
+
+    #[test]
+    fn live_query_matches_simulated_results() {
+        let o = overlay();
+        let mesh = LiveMesh::spawn(&o);
+        let pattern = knows_pattern("bob");
+        let live = mesh
+            .query_solutions(pattern.clone(), None, None, Duration::from_secs(10))
+            .expect("no timeout");
+        assert!(live.complete);
+        assert!(live.failed_providers.is_empty());
+        assert_eq!(live.solutions.len(), 2);
+        // Oracle agreement: the central store's matches, as bindings.
+        let mut expected: Vec<Solution> = crate::engine::global_store(&o)
+            .match_pattern(&pattern)
+            .iter()
+            .filter_map(|t| rdfmesh_sparql::eval::extend(&pattern, t, &Solution::new()))
+            .collect();
+        let mut got = live.solutions;
+        expected.sort();
+        got.sort();
+        assert_eq!(got, expected);
+        // Protocol shape: 1 lookup + 1 providers + k subqueries + k answers.
+        assert!(mesh.message_count() >= 4);
+        mesh.shutdown();
+    }
+
+    #[test]
+    fn live_query_empty_when_no_providers() {
+        let o = overlay();
+        let mesh = LiveMesh::spawn(&o);
+        let pattern = TriplePattern::new(
+            TermPattern::var("x"),
+            Term::iri("http://example.org/never-used"),
+            TermPattern::var("y"),
+        );
+        let live =
+            mesh.query_solutions(pattern, None, None, Duration::from_secs(10)).expect("no timeout");
+        assert!(live.complete);
+        assert!(live.solutions.is_empty());
+        mesh.shutdown();
+    }
+
+    #[test]
+    fn sequential_queries_reuse_the_mesh() {
+        let o = overlay();
+        let mesh = LiveMesh::spawn(&o);
+        for (target, expect) in [("bob", 2), ("carol", 1), ("nobody", 0)] {
+            let live = mesh
+                .query_solutions(knows_pattern(target), None, None, Duration::from_secs(10))
+                .expect("no timeout");
+            assert!(live.complete, "target {target}");
+            assert_eq!(live.solutions.len(), expect, "target {target}");
+        }
+        mesh.shutdown();
+    }
+
+    #[test]
+    fn concurrent_submissions_answer_independently() {
+        // The non-blocking path end-to-end: many rounds in flight at
+        // once through one coordinator, each answer routed back to its
+        // own handle.
+        let o = overlay();
+        let mesh = Arc::new(LiveMesh::spawn(&o));
+        let handles: Vec<(usize, RoundHandle)> = (0..12)
+            .map(|i| {
+                let target = ["bob", "carol", "nobody"][i % 3];
+                (i % 3, mesh.submit_solutions(knows_pattern(target), None, None))
+            })
+            .collect();
+        for (kind, handle) in handles {
+            let answer = handle.wait(Duration::from_secs(10)).expect("no timeout");
+            assert!(answer.complete);
+            let expect = [2, 1, 0][kind];
+            assert_eq!(answer.solutions.len(), expect, "target kind {kind}");
+        }
+        mesh.shutdown();
+    }
+
+    #[test]
+    fn forged_deadlines_cannot_cut_a_waiting_round_short() {
+        use crate::live_wire::wire_v4;
+        // The sub-query to storage node 2 dawdles on its link, well
+        // inside the ack timeout: the round is in flight, awaiting that
+        // one reply, while the forged frames arrive.
+        let o = overlay();
+        let cfg = LiveConfig {
+            ack_timeout: Duration::from_secs(5),
+            query_deadline: Duration::from_secs(20),
+            ..LiveConfig::default()
+        };
+        let plan = FaultPlan::new().delay(COORDINATOR, NodeId(2), Duration::from_millis(300));
+        let mesh = LiveMesh::spawn_with_transport(&o, cfg, plan, Transport::Sockets).unwrap();
+        let MeshCluster::Sockets(twin) = &*mesh.cluster else { unreachable!("spawned on sockets") };
+        let round = mesh.submit_solutions(knows_pattern("bob"), None, None);
+        // Any peer can finish the handshake, and query ids count up from
+        // 1: as wire version 4 laid it out, "your round N is overdue".
+        let forged: Vec<_> = (1..=8).map(|qid| wire_v4::deadline_overall(QueryId(qid))).collect();
+        let _peer = wire_v4::forge_at(twin.local_addr(), COORDINATOR, &forged);
+        let answer = round.wait(Duration::from_secs(30)).expect("no timeout");
+        assert!(answer.complete, "cut short, missing {:?}", answer.failed_providers);
+        assert_eq!(answer.solutions.len(), 2, "the oracle's rows, as in the unforged run above");
+        assert_eq!(mesh.stats().incomplete_queries, 0);
+        // Every forged frame was refused where it was decoded.
+        let refused = std::time::Instant::now() + Duration::from_secs(10);
+        while twin.transport_stats().decode_errors < 8 {
+            assert!(std::time::Instant::now() < refused, "{:?}", twin.transport_stats());
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        mesh.shutdown();
+    }
+}
