@@ -1,9 +1,8 @@
 //! Wall-clock cost of the solution-mapping algebra operators: the hash
 //! implementation (interned bindings + shared-variable probe tables)
 //! versus the naive nested-loop transcription of Sect. IV-A, at FOAF-
-//! and university-workload scales. The `wallclock` binary measures the
-//! same comparison with explicit before/after JSON output; this target
-//! integrates it into the criterion suite.
+//! and university-workload scales. Experiment E23 times the small end,
+//! where the nested loop still wins, on the same inputs.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rdfmesh_bench::algebra_inputs::{foaf_join_inputs, university_join_inputs};

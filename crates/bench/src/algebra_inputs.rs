@@ -1,7 +1,7 @@
 //! Solution-set construction for the algebra micro-benchmarks.
 //!
-//! Shared by the `solution_algebra` criterion target and the `wallclock`
-//! binary so both measure identical inputs: solution sets materialized
+//! Shared by the `solution_algebra` criterion target and experiment E23
+//! so both measure identical inputs: solution sets materialized
 //! from workload-generator triples exactly as a storage node would
 //! produce them for a single triple pattern (one mapping per matching
 //! triple).
@@ -43,16 +43,5 @@ pub fn university_join_inputs(departments: usize) -> (Vec<Solution>, Vec<Solutio
     let all: Vec<Triple> = data.peers.into_iter().flatten().collect();
     let left = bindings_of(&all, university::ub::ADVISOR, "s", "prof");
     let right = bindings_of(&all, university::ub::WORKS_FOR, "prof", "dept");
-    (left, right)
-}
-
-/// A chain-of-knows input: `?x0 knows ?x1` ⋈ `?x1 knows ?x2` — the
-/// friend-of-friend join whose output fans out quadratically in degree.
-pub fn foaf_chain_inputs(persons: usize) -> (Vec<Solution>, Vec<Solution>) {
-    let cfg = FoafConfig { persons, peers: 8, seed: 7, ..FoafConfig::default() };
-    let data = foaf::generate(&cfg);
-    let all: Vec<Triple> = data.peers.into_iter().flatten().collect();
-    let left = bindings_of(&all, vocab::foaf::KNOWS, "x0", "x1");
-    let right = bindings_of(&all, vocab::foaf::KNOWS, "x1", "x2");
     (left, right)
 }

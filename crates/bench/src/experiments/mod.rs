@@ -1,4 +1,4 @@
-//! The deferred-evaluation experiment suite (EXPERIMENTS.md §E1-§E22).
+//! The deferred-evaluation experiment suite (EXPERIMENTS.md §E1-§E23).
 //!
 //! Each module prints one or more Markdown tables; `run_all` regenerates
 //! the whole of EXPERIMENTS.md's measured data. Everything is seeded and
@@ -28,6 +28,7 @@ pub mod e19_store_scale;
 pub mod e20_throughput;
 pub mod e21_store_durability;
 pub mod e22_join_strategies;
+pub mod e23_algebra_cutoff;
 
 /// `(id, description, runner)` for every experiment.
 pub fn all() -> Vec<(&'static str, &'static str, fn())> {
@@ -54,12 +55,13 @@ pub fn all() -> Vec<(&'static str, &'static str, fn())> {
         ("e20", "Throughput vs offered load: concurrent queries, admission control", e20_throughput::run),
         ("e21", "Durable writes: WAL overhead, flush latency, write amplification", e21_store_durability::run),
         ("e22", "Distribution strategies: chained vs HyperCube vs partial eval", e22_join_strategies::run),
+        ("e23", "Solution algebra: where the nested loop stops paying", e23_algebra_cutoff::run),
     ]
 }
 
 /// One experiment's identity plus the metrics it recorded while running.
 pub struct ExperimentRecord {
-    /// Registry id (`e1` … `e22`).
+    /// Registry id (`e1` … `e23`).
     pub id: &'static str,
     /// Human-readable title from the registry.
     pub title: &'static str,

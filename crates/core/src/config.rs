@@ -2,10 +2,10 @@
 //!
 //! Mirrors the strategy space the paper lays out: three processing
 //! schemes for primitive queries (Sect. IV-C), join site selection
-//! policies from the distributed-database literature (Sect. II), the
-//! overlap-aware site selection for conjunctive patterns (Sect. IV-D),
-//! and the two (sometimes conflicting) optimization objectives of
-//! Sect. V.
+//! policies from the distributed-database literature (Sect. II), and the
+//! overlap-aware site selection for conjunctive patterns (Sect. IV-D).
+//! The two (sometimes conflicting) optimization objectives of Sect. V are
+//! [`crate::PlanObjective`], which the planner prices per query.
 
 use rdfmesh_net::SimTime;
 use rdfmesh_sparql::OptimizerConfig;
@@ -81,12 +81,6 @@ pub enum DistStrategy {
     /// any connected BGP (including cyclic shapes HyperCube's
     /// common-variable hashing cannot cover).
     PartialEval,
-}
-
-impl DistStrategy {
-    /// All strategies, for sweeps.
-    pub const ALL: [DistStrategy; 3] =
-        [DistStrategy::Chained, DistStrategy::HyperCube, DistStrategy::PartialEval];
 }
 
 impl std::fmt::Display for DistStrategy {
@@ -206,17 +200,6 @@ impl Default for LiveConfig {
     }
 }
 
-/// The optimization objective (Sect. V): the basic scheme "trades
-/// transmission costs for a low response time" while the chained schemes
-/// do the opposite.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Objective {
-    /// Minimize total inter-site bytes.
-    MinBytes,
-    /// Minimize response time (critical-path latency).
-    MinResponseTime,
-}
-
 /// Full engine configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct ExecConfig {
@@ -281,26 +264,8 @@ impl ExecConfig {
             overlap_aware: false,
             optimizer: OptimizerConfig::disabled(),
             frequency_join_order: false,
-            ack_timeout: SimTime::millis(200),
             range_index: false,
-            bind_join: false,
-            dist: DistChoice::Chained,
-        }
-    }
-
-    /// A configuration tuned for one of the two Sect. V objectives.
-    pub fn for_objective(objective: Objective) -> Self {
-        match objective {
-            Objective::MinBytes => ExecConfig {
-                primitive: PrimitiveStrategy::FrequencyOrdered,
-                join_site: JoinSiteStrategy::MoveSmall,
-                ..ExecConfig::default()
-            },
-            Objective::MinResponseTime => ExecConfig {
-                primitive: PrimitiveStrategy::Basic,
-                join_site: JoinSiteStrategy::ThirdSite,
-                ..ExecConfig::default()
-            },
+            ..ExecConfig::default()
         }
     }
 }
@@ -322,13 +287,6 @@ mod tests {
         assert_eq!(c.primitive, PrimitiveStrategy::Basic);
         assert!(!c.overlap_aware);
         assert!(!c.optimizer.push_filters);
-    }
-
-    #[test]
-    fn objective_presets_differ() {
-        let b = ExecConfig::for_objective(Objective::MinBytes);
-        let t = ExecConfig::for_objective(Objective::MinResponseTime);
-        assert_ne!(b.primitive, t.primitive);
     }
 
     #[test]

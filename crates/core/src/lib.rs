@@ -26,14 +26,14 @@ pub mod live_backend;
 pub mod live_wire;
 pub mod node;
 pub mod planner;
+mod provider;
 pub mod sim_backend;
 pub mod stats;
 pub mod system;
 
 pub use admission::{Admission, AdmissionLoad, Permit};
 pub use config::{
-    DistChoice, DistStrategy, ExecConfig, JoinSiteStrategy, LiveConfig, Objective,
-    PrimitiveStrategy,
+    DistChoice, DistStrategy, ExecConfig, JoinSiteStrategy, LiveConfig, PrimitiveStrategy,
 };
 pub use engine::{global_store, Engine, EngineError, Execution, FrequencyEstimator};
 pub use exec::{ExecNode, ExecPlan, Mat, MeshBackend, OpKind, PrimitiveOp};

@@ -10,8 +10,6 @@ use rdfmesh_rdf::{TriplePattern, Variable};
 use rdfmesh_sparql::expr::Expression;
 use rdfmesh_sparql::solution::Solution;
 
-#[cfg(doc)]
-use super::LiveMesh;
 use super::{lock, LiveAnswer, LiveMsg, PendingMap, QueryId};
 use crate::admission::Admission;
 use crate::config::{DistStrategy, LiveConfig};
@@ -54,7 +52,7 @@ impl RoundHandle {
 /// The client side of one coordinator: allocates query ids, registers
 /// the channel each answer comes back on, injects every round straight
 /// at the coordinator, and gates whole query executions on admission
-/// control. It owns no thread. [`LiveMesh`] and
+/// control. It owns no thread. [`crate::LiveMesh`] and
 /// [`crate::MeshNode`] each own one and dereference to it; they differ
 /// only in how a message reaches their coordinator, which is the
 /// `inject` closure each gives it at construction.

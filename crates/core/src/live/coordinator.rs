@@ -13,6 +13,7 @@ use rdfmesh_sparql::solution::{DistinctBuffer, Solution};
 
 use super::{lock, rlock, DeadlineStage, LiveAnswer, LiveMsg, PendingMap, QueryId, SharedFlood};
 use crate::config::{DistStrategy, LiveConfig};
+use crate::provider;
 use crate::stats::LiveStats;
 
 // ---- the coordinator state machine ----------------------------------
@@ -84,12 +85,9 @@ enum RoundKind {
     /// A [`LiveMsg::PartialExec`] to the provider union; the
     /// [`LiveMsg::PartialMatches`] replies are assembled at finish.
     PartialEval {
-        /// The deduped union of every provider's local solutions, per
-        /// pattern slot — the assembly operator's input.
-        per_pattern: Vec<DistinctBuffer>,
-        /// Rows some single provider could already join locally.
-        /// Assembly rows beyond these stitched cross-site matches.
-        local_complete: DistinctBuffer,
+        /// Every answering provider's per-pattern local solutions, in
+        /// arrival order — the input of [`provider::assemble`].
+        replies: Vec<Vec<Vec<Solution>>>,
     },
 }
 
@@ -161,10 +159,7 @@ impl CoordinatorCore {
             LiveMsg::SubmitMulti { qid, patterns, join_vars, strategy } => {
                 let kind = match strategy {
                     DistStrategy::HyperCube => RoundKind::HyperCube { join_vars, generation: 0 },
-                    _ => RoundKind::PartialEval {
-                        per_pattern: patterns.iter().map(|_| DistinctBuffer::new()).collect(),
-                        local_complete: DistinctBuffer::new(),
-                    },
+                    _ => RoundKind::PartialEval { replies: Vec::new() },
                 };
                 self.on_submit(qid, patterns, kind)
             }
@@ -361,10 +356,10 @@ impl CoordinatorCore {
         &mut self,
         qid: QueryId,
         from: NodeId,
-        accepts: impl FnOnce(&RoundKind) -> bool,
+        accepts: impl FnOnce(&Round) -> bool,
     ) -> Option<&mut Round> {
         let q = self.in_flight.get_mut(&qid).and_then(|q| {
-            (accepts(&q.kind) && q.outstanding.remove(&from).is_some()).then_some(q)
+            (accepts(q) && q.outstanding.remove(&from).is_some()).then_some(q)
         });
         if q.is_none() {
             self.stats.add_stale_replies(1);
@@ -383,7 +378,7 @@ impl CoordinatorCore {
     /// A provider's solutions for a chained round, or a shuffle target's
     /// locally-joined fragment for a HyperCube one.
     fn on_solutions(&mut self, qid: QueryId, from: NodeId, solutions: Vec<Solution>) -> Vec<Action> {
-        let accepts = |kind: &RoundKind| !matches!(kind, RoundKind::PartialEval { .. });
+        let accepts = |q: &Round| !matches!(q.kind, RoundKind::PartialEval { .. });
         let Some(q) = self.awaited(qid, from, accepts) else { return Vec::new() };
         q.gathered.extend_distinct(solutions);
         self.settle(qid)
@@ -395,26 +390,14 @@ impl CoordinatorCore {
         from: NodeId,
         sets: Vec<Vec<Solution>>,
     ) -> Vec<Action> {
-        let accepts = |kind: &RoundKind| {
-            matches!(kind, RoundKind::PartialEval { per_pattern, .. } if per_pattern.len() == sets.len())
+        let accepts = |q: &Round| {
+            matches!(q.kind, RoundKind::PartialEval { .. }) && q.slots.len() == sets.len()
         };
         let Some(q) = self.awaited(qid, from, accepts) else { return Vec::new() };
-        let RoundKind::PartialEval { per_pattern, local_complete } = &mut q.kind else {
+        let RoundKind::PartialEval { replies } = &mut q.kind else {
             unreachable!("accepted only by a partial-evaluation round")
         };
-        // The provider's own cross-pattern join: everything it could
-        // answer without help. Assembly rows beyond the union of these
-        // are the stitched cross-site matches.
-        let mut local = vec![Solution::new()];
-        for (buf, sols) in per_pattern.iter_mut().zip(sets) {
-            let mut mine = DistinctBuffer::new();
-            for s in sols {
-                mine.push(s.clone());
-                buf.push(s);
-            }
-            local = rdfmesh_sparql::solution::join(&local, mine.as_slice());
-        }
-        local_complete.extend_distinct(local);
+        replies.push(sets);
         self.settle(qid)
     }
 
@@ -538,18 +521,10 @@ impl CoordinatorCore {
                 .collect(),
         };
         let solutions = match q.kind {
-            RoundKind::PartialEval { per_pattern, local_complete } => {
-                // Assembly: fold-join the deduped per-pattern unions in
-                // pattern order.
-                let mut acc = vec![Solution::new()];
-                for buf in &per_pattern {
-                    acc = rdfmesh_sparql::solution::join(&acc, buf.as_slice());
-                }
-                let mut assembled = DistinctBuffer::new();
-                assembled.extend_distinct(acc);
-                let stitched = assembled.len().saturating_sub(local_complete.len());
+            RoundKind::PartialEval { replies } => {
+                let (assembled, stitched) = provider::assemble(q.slots.len(), &replies);
                 self.stats.add_stitched_rows(stitched as u64);
-                assembled.into_vec()
+                assembled
             }
             _ => q.gathered.into_vec(),
         };
@@ -563,11 +538,16 @@ impl CoordinatorCore {
 /// (turning failed sends back into events), and hands finished answers
 /// to the waiting caller.
 pub(crate) struct Coordinator {
-    pub(crate) core: CoordinatorCore,
-    pub(crate) pending: PendingMap,
+    core: CoordinatorCore,
+    pending: PendingMap,
 }
 
 impl Coordinator {
+    /// Hosts `core`, answering into the host's `pending` map.
+    pub(crate) fn new(core: CoordinatorCore, pending: PendingMap) -> Self {
+        Coordinator { core, pending }
+    }
+
     /// Executes the state machine's actions in order, every frame sent
     /// as it stands. A failed send feeds back into the state machine,
     /// whose reaction (a retransmission, a purge, a finish) joins the

@@ -12,17 +12,27 @@ pub(crate) struct IndexNode {
     /// key id → providers (this node's location table). Shared with the
     /// [`LiveMesh`] handle so tests and operators can observe the lazy
     /// removal without an extra probe protocol.
-    pub(crate) table: SharedTable,
-    pub(crate) space: rdfmesh_chord::IdSpace,
+    table: SharedTable,
+    space: rdfmesh_chord::IdSpace,
     /// `(ring position, address)` of every index node, sorted by
     /// position — the routing view. A live deployment would walk fingers
     /// hop by hop; one-shot resolution keeps the thread demo focused on
     /// the query protocol itself.
-    pub(crate) ring_view: RingView,
-    pub(crate) stats: Arc<LiveStats>,
+    ring_view: RingView,
+    stats: Arc<LiveStats>,
 }
 
 impl IndexNode {
+    /// An index node serving `table`, routing by the shared `ring_view`.
+    pub(crate) fn new(
+        table: SharedTable,
+        space: rdfmesh_chord::IdSpace,
+        ring_view: RingView,
+        stats: Arc<LiveStats>,
+    ) -> Self {
+        IndexNode { table, space, ring_view, stats }
+    }
+
     fn owner_of(&self, key: u64) -> NodeId {
         owner_in_view(&rlock(&self.ring_view), key)
     }

@@ -174,45 +174,20 @@ impl LiveMesh {
         for ix in &index_nodes {
             let table: SharedTable = Arc::new(Mutex::new(tables.remove(ix).unwrap_or_default()));
             shared_tables.insert(*ix, Arc::clone(&table));
-            nodes.push((
-                *ix,
-                Box::new(IndexNode {
-                    table,
-                    space,
-                    ring_view: Arc::clone(&ring_view),
-                    stats: Arc::clone(&stats),
-                }),
-            ));
+            let node = IndexNode::new(table, space, Arc::clone(&ring_view), Arc::clone(&stats));
+            nodes.push((*ix, Box::new(node)));
         }
         let mut flood: Vec<NodeId> = Vec::new();
         for storage in overlay.storage_nodes() {
             let store = overlay.storage_node(storage).expect("listed").store.clone();
-            nodes.push((
-                storage,
-                Box::new(LiveStorage {
-                    store,
-                    stats: Arc::clone(&stats),
-                    shuffle: HashMap::new(),
-                }),
-            ));
+            nodes.push((storage, Box::new(LiveStorage::new(store, Arc::clone(&stats)))));
             flood.push(storage);
         }
         flood.sort();
         let flood: SharedFlood = Arc::new(RwLock::new(flood));
-        nodes.push((
-            COORDINATOR,
-            Box::new(Coordinator {
-                core: CoordinatorCore::new(
-                    COORDINATOR,
-                    index_nodes[0],
-                    cfg,
-                    space,
-                    flood,
-                    Arc::clone(&stats),
-                ),
-                pending: Arc::clone(&pending),
-            }),
-        ));
+        let index = index_nodes[0];
+        let core = CoordinatorCore::new(COORDINATOR, index, cfg, space, flood, Arc::clone(&stats));
+        nodes.push((COORDINATOR, Box::new(Coordinator::new(core, Arc::clone(&pending)))));
         let cluster = match transport {
             Transport::Threads => MeshCluster::Threads(Cluster::spawn_with(nodes, plan)),
             Transport::Sockets => MeshCluster::Sockets(TcpCluster::spawn_loopback(nodes, plan)?),

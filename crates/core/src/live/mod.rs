@@ -50,6 +50,10 @@
 //! [`LiveMsg::SubmitSol`], [`LiveMsg::SubmitMulti`], [`LiveMsg::Deadline`]
 //! — have no wire encoding at all (`live_wire.rs`); every transport
 //! delivers an envelope a node addresses to itself to its own mailbox.
+//!
+//! [`Outbox::schedule`]: rdfmesh_net::Outbox::schedule
+//! [`Outbox::send`]: rdfmesh_net::Outbox::send
+//! [`LiveConfig::retries`]: crate::config::LiveConfig::retries
 
 mod client;
 mod coordinator;
@@ -67,10 +71,6 @@ use rdfmesh_sparql::expr::Expression;
 use rdfmesh_sparql::solution::Solution;
 
 use crate::config::DistStrategy;
-#[cfg(doc)]
-use crate::config::LiveConfig;
-#[cfg(doc)]
-use rdfmesh_net::Outbox;
 
 pub use client::{RoundClient, RoundHandle};
 pub(crate) use coordinator::{Coordinator, CoordinatorCore};
@@ -180,8 +180,8 @@ pub enum LiveMsg {
         provider: NodeId,
     },
     /// A deadline the coordinator scheduled to itself via the cluster
-    /// timer ([`Outbox::schedule`]). A local command: it has no wire
-    /// encoding, so no peer can expire another coordinator's rounds.
+    /// timer ([`rdfmesh_net::Outbox::schedule`]). A local command: it has
+    /// no wire encoding, so no peer can expire another coordinator's rounds.
     Deadline {
         /// The owning query.
         qid: QueryId,

@@ -6,10 +6,10 @@ use std::sync::Arc;
 
 use rdfmesh_net::{Envelope, Handler, NodeId, Outbox};
 use rdfmesh_rdf::{SharedStore, TriplePattern};
-use rdfmesh_sparql::expr::Expression;
-use rdfmesh_sparql::solution::{wire, DistinctBuffer, Solution};
+use rdfmesh_sparql::solution::{wire, Solution};
 
 use super::{LiveMsg, QueryId};
+use crate::provider;
 use crate::stats::LiveStats;
 
 /// Per-query state a storage node keeps while a HyperCube shuffle is in
@@ -48,33 +48,39 @@ pub(crate) struct ShuffleState {
 const SHUFFLE_STATE_CAP: usize = 1024;
 
 pub(crate) struct LiveStorage {
-    pub(crate) store: SharedStore,
-    pub(crate) stats: Arc<LiveStats>,
+    store: SharedStore,
+    stats: Arc<LiveStats>,
     /// In-flight HyperCube rounds this node participates in.
-    pub(crate) shuffle: HashMap<QueryId, ShuffleState>,
+    shuffle: HashMap<QueryId, ShuffleState>,
 }
 
 impl LiveStorage {
-    /// Local execution (Fig. 3): match the pattern against the local
-    /// store — extending the shipped intermediates when the round is a
-    /// bind join — then apply the pushed-down filter at the source
-    /// (Sect. IV-G).
-    fn answer(
-        &self,
-        pattern: &TriplePattern,
-        filter: Option<&Expression>,
-        bound: Option<&[Solution]>,
-    ) -> Vec<Solution> {
-        let unit = vec![Solution::new()];
-        let partial = bound.unwrap_or(&unit);
-        let mut solutions =
-            rdfmesh_sparql::eval::evaluate_pattern_with(&self.store, pattern, partial);
-        if let Some(f) = filter {
-            solutions.retain(|s| f.satisfied_by(s));
+    /// A storage node over `store`, counting into the host's `stats`.
+    pub(crate) fn new(store: SharedStore, stats: Arc<LiveStats>) -> Self {
+        LiveStorage { store, stats, shuffle: HashMap::new() }
+    }
+
+    /// Ships a reply or partition frame, counting the solutions it
+    /// carries: rows and their encoded bytes, as shuffle traffic for a
+    /// peer-to-peer [`LiveMsg::ShufflePart`] and as shipped solutions
+    /// for everything that returns to the coordinator.
+    fn ship(stats: &LiveStats, out: &Outbox<LiveMsg>, to: NodeId, frame: LiveMsg) {
+        let sets = match &frame {
+            LiveMsg::Solutions { solutions, .. } => std::slice::from_ref(solutions),
+            LiveMsg::PartialMatches { per_pattern: sets, .. }
+            | LiveMsg::ShufflePart { parts: sets, .. } => sets.as_slice(),
+            _ => &[],
+        };
+        let rows = sets.iter().map(Vec::len).sum::<usize>() as u64;
+        let bytes = sets.iter().map(|set| wire::encoded_len(set)).sum::<usize>() as u64;
+        if matches!(frame, LiveMsg::ShufflePart { .. }) {
+            stats.add_shuffle_parts(rows);
+            stats.add_shuffle_bytes(bytes);
+        } else {
+            stats.add_solutions_shipped(rows);
+            stats.add_solution_bytes(bytes);
         }
-        self.stats.add_solutions_shipped(solutions.len() as u64);
-        self.stats.add_solution_bytes(wire::encoded_len(&solutions) as u64);
-        solutions
+        out.send(to, frame);
     }
 
     /// Admits a new shuffle entry, evicting retired rounds' leftovers
@@ -89,32 +95,18 @@ impl LiveStorage {
         self.shuffle.entry(qid).or_default()
     }
 
-    /// Ships the local join once the exec frame and every peer's
-    /// partitions are in. The per-pattern fragment this node joins is
-    /// the union (deduped) of its own partition slice and every
-    /// [`LiveMsg::ShufflePart`] addressed to it — solutions that agree
-    /// on the join variables land at the same target, so the union of
-    /// all targets' local joins is the full join.
+    /// Ships the local join ([`provider::fold`]) of this node's own
+    /// partition slice and every [`LiveMsg::ShufflePart`] addressed to
+    /// it, once the exec frame and every peer's partitions are in.
     fn try_finish_shuffle(&mut self, qid: QueryId, out: &Outbox<LiveMsg>) {
         let Some(st) = self.shuffle.get_mut(&qid) else { return };
         let Some(ShuffleExecFrame { patterns, peers, reply_to }) = &st.exec else { return };
         if st.answer.is_some() || st.received.len() < peers.len() {
             return;
         }
-        let mut acc = vec![Solution::new()];
-        for pi in 0..patterns.len() {
-            let mut fragment = DistinctBuffer::new();
-            for parts in st.received.values() {
-                fragment.extend_distinct(parts.get(pi).cloned().unwrap_or_default());
-            }
-            acc = rdfmesh_sparql::solution::join(&acc, fragment.as_slice());
-        }
-        let mut distinct = DistinctBuffer::new();
-        distinct.extend_distinct(acc);
-        let solutions = distinct.into_vec();
-        self.stats.add_solutions_shipped(solutions.len() as u64);
-        self.stats.add_solution_bytes(wire::encoded_len(&solutions) as u64);
-        out.send(*reply_to, LiveMsg::Solutions { qid, solutions: solutions.clone() });
+        let solutions = provider::fold(patterns.len(), st.received.values());
+        let reply = LiveMsg::Solutions { qid, solutions: solutions.clone() };
+        Self::ship(&self.stats, out, *reply_to, reply);
         st.answer = Some(solutions);
     }
 }
@@ -124,8 +116,9 @@ impl Handler<LiveMsg> for LiveStorage {
         let from = envelope.from;
         match envelope.payload {
             LiveMsg::SubQuerySol { qid, pattern, filter, bound, reply_to } => {
-                let solutions = self.answer(&pattern, filter.as_ref(), bound.as_deref());
-                out.send(reply_to, LiveMsg::Solutions { qid, solutions });
+                let solutions =
+                    provider::answer(&self.store, &pattern, filter.as_ref(), bound.as_deref());
+                Self::ship(&self.stats, out, reply_to, LiveMsg::Solutions { qid, solutions });
             }
             LiveMsg::ShuffleExec { qid, round, patterns, join_vars, peers, reply_to } => {
                 // A newer generation supersedes any retained state: the
@@ -147,36 +140,13 @@ impl Handler<LiveMsg> for LiveStorage {
                 let me = out.me();
                 self.shuffle_entry(qid).round = round;
                 if self.shuffle_entry(qid).exec.is_none() {
-                    // Evaluate every pattern locally and scatter each
-                    // solution to the peer its join-variable bindings
-                    // hash to. Empty partitions ship too: a target can
-                    // only join once it heard from every peer.
-                    let k = peers.len().max(1);
-                    let unit = vec![Solution::new()];
-                    let mut parts: Vec<Vec<Vec<Solution>>> =
-                        vec![vec![Vec::new(); patterns.len()]; k];
-                    for (pi, pattern) in patterns.iter().enumerate() {
-                        let sols = rdfmesh_sparql::eval::evaluate_pattern_with(
-                            &self.store,
-                            pattern,
-                            &unit,
-                        );
-                        for s in sols {
-                            let target = crate::exec::shuffle_partition(&s, &join_vars, k);
-                            parts[target][pi].push(s);
-                        }
-                    }
-                    for (slot, peer) in peers.iter().enumerate() {
-                        let mine = std::mem::take(&mut parts[slot]);
+                    let parts = provider::scatter(&self.store, &patterns, &join_vars, peers.len());
+                    for (peer, mine) in peers.iter().zip(parts) {
                         if *peer == me {
                             self.shuffle_entry(qid).received.insert(me, mine);
                         } else {
-                            let shipped: usize = mine.iter().map(Vec::len).sum();
-                            let bytes: usize =
-                                mine.iter().map(|set| wire::encoded_len(set)).sum();
-                            self.stats.add_shuffle_parts(shipped as u64);
-                            self.stats.add_shuffle_bytes(bytes as u64);
-                            out.send(*peer, LiveMsg::ShufflePart { qid, round, parts: mine });
+                            let part = LiveMsg::ShufflePart { qid, round, parts: mine };
+                            Self::ship(&self.stats, out, *peer, part);
                         }
                     }
                     self.shuffle_entry(qid).exec =
@@ -203,16 +173,12 @@ impl Handler<LiveMsg> for LiveStorage {
                 // Partial evaluation: answer every pattern over local
                 // data in one shot. Stateless, so a retransmission just
                 // recomputes the same reply.
-                let unit = vec![Solution::new()];
-                let per_pattern: Vec<Vec<Solution>> = patterns
+                let per_pattern = patterns
                     .iter()
-                    .map(|p| rdfmesh_sparql::eval::evaluate_pattern_with(&self.store, p, &unit))
+                    .map(|p| provider::answer(&self.store, p, None, None))
                     .collect();
-                let shipped: usize = per_pattern.iter().map(Vec::len).sum();
-                let bytes: usize = per_pattern.iter().map(|set| wire::encoded_len(set)).sum();
-                self.stats.add_solutions_shipped(shipped as u64);
-                self.stats.add_solution_bytes(bytes as u64);
-                out.send(reply_to, LiveMsg::PartialMatches { qid, per_pattern });
+                let reply = LiveMsg::PartialMatches { qid, per_pattern };
+                Self::ship(&self.stats, out, reply_to, reply);
             }
             LiveMsg::MultiDone { qid } => {
                 self.shuffle.remove(&qid);
@@ -249,11 +215,7 @@ mod tests {
         let (node, peer) = (NodeId(1), NodeId(2));
         let entries = Arc::new(AtomicU64::new(0));
         let storage = WatchedStorage {
-            inner: LiveStorage {
-                store: TripleStore::new().into(),
-                stats: Arc::new(LiveStats::default()),
-                shuffle: HashMap::new(),
-            },
+            inner: LiveStorage::new(TripleStore::new().into(), Arc::new(LiveStats::default())),
             entries: Arc::clone(&entries),
         };
         let cluster = Cluster::spawn(vec![(node, Box::new(storage) as Box<dyn Handler<LiveMsg>>)]);

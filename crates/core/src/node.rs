@@ -311,38 +311,19 @@ impl MeshNode {
         let flood: SharedFlood = Arc::new(std::sync::RwLock::new(vec![storage_id]));
         let table: SharedTable = Arc::new(Mutex::new(HashMap::new()));
 
+        let index = IndexNode::new(table, space, Arc::clone(&ring_view), Arc::clone(&stats));
+        let core = CoordinatorCore::new(
+            coord_id,
+            index_id,
+            cfg,
+            space,
+            Arc::clone(&flood),
+            Arc::clone(&stats),
+        );
         let nodes: Vec<(NodeId, Box<dyn Handler<LiveMsg>>)> = vec![
-            (
-                storage_id,
-                Box::new(LiveStorage {
-                    store,
-                    stats: Arc::clone(&stats),
-                    shuffle: HashMap::new(),
-                }),
-            ),
-            (
-                index_id,
-                Box::new(IndexNode {
-                    table,
-                    space,
-                    ring_view: Arc::clone(&ring_view),
-                    stats: Arc::clone(&stats),
-                }),
-            ),
-            (
-                coord_id,
-                Box::new(Coordinator {
-                    core: CoordinatorCore::new(
-                        coord_id,
-                        index_id,
-                        cfg,
-                        space,
-                        Arc::clone(&flood),
-                        Arc::clone(&stats),
-                    ),
-                    pending: Arc::clone(&pending),
-                }),
-            ),
+            (storage_id, Box::new(LiveStorage::new(store, Arc::clone(&stats)))),
+            (index_id, Box::new(index)),
+            (coord_id, Box::new(Coordinator::new(core, Arc::clone(&pending)))),
         ];
         let cluster = Arc::new(TcpCluster::bind(listen, nodes, FaultPlan::new())?);
 

@@ -1,0 +1,236 @@
+//! What a storage node computes from a request, and what the coordinator
+//! computes from the partial matches it gathers — once, as functions of
+//! data alone. The simulator ([`crate::SimBackend`]) prices these calls in
+//! bytes and `SimTime`; the live mesh (`live/storage.rs`,
+//! `live/coordinator.rs`) ships their inputs and outputs as frames.
+//! Neither re-implements them, which is what makes the answers of the two
+//! backends agree (E17, E22).
+
+use rdfmesh_rdf::{TriplePattern, Variable};
+use rdfmesh_sparql::eval::{evaluate_pattern_with, Graph};
+use rdfmesh_sparql::expr::Expression;
+use rdfmesh_sparql::solution::{self, DistinctBuffer, Solution};
+
+use crate::exec::shuffle_partition;
+
+/// Local query execution (Fig. 3): match `pattern` against the node's
+/// store — extending the shipped `bound` intermediates when the round is
+/// a bind join (Sect. IV-D) — then apply the pushed-down `filter` at the
+/// source (Sect. IV-G).
+pub(crate) fn answer<G: Graph>(
+    store: &G,
+    pattern: &TriplePattern,
+    filter: Option<&Expression>,
+    bound: Option<&[Solution]>,
+) -> Vec<Solution> {
+    // On the heap, as the storage handler had it before PR 18. With the
+    // unit row in a stack array the repo benchmark's `durable_filter`
+    // median reads 12 ms instead of 10 (docs/PERFORMANCE.md): no code a
+    // row runs through differs, only what glibc's heap looks like when
+    // the scan's vectors grow and are freed.
+    let unit = vec![Solution::new()];
+    let mut solutions = evaluate_pattern_with(store, pattern, bound.unwrap_or(&unit));
+    if let Some(f) = filter {
+        solutions.retain(|s| f.satisfied_by(s));
+    }
+    solutions
+}
+
+/// The scatter half of a HyperCube round: every pattern evaluated
+/// locally, each solution filed under the one of `k` shuffle targets its
+/// `join_vars` bindings hash to. `parts[target][slot]`; empty partitions
+/// are kept, because a target can only join once it heard from every
+/// origin.
+pub(crate) fn scatter<G: Graph>(
+    store: &G,
+    patterns: &[TriplePattern],
+    join_vars: &[Variable],
+    k: usize,
+) -> Vec<Vec<Vec<Solution>>> {
+    let k = k.max(1);
+    let mut parts = vec![vec![Vec::new(); patterns.len()]; k];
+    for (slot, pattern) in patterns.iter().enumerate() {
+        for s in answer(store, pattern, None, None) {
+            parts[shuffle_partition(&s, join_vars, k)][slot].push(s);
+        }
+    }
+    parts
+}
+
+/// The join half, at one shuffle target or at the assembly site: per
+/// pattern slot the deduped union of every origin's solutions for it
+/// (`origins[o][slot]`), fold-joined in slot order. Solutions that agree
+/// on the join variables land at the same target, so the union of all
+/// targets' folds is the full join.
+pub(crate) fn fold<'a>(
+    slots: usize,
+    origins: impl IntoIterator<Item = &'a Vec<Vec<Solution>>>,
+) -> Vec<Solution> {
+    let mut fragments: Vec<DistinctBuffer> = (0..slots).map(|_| DistinctBuffer::new()).collect();
+    for parts in origins {
+        for (fragment, set) in fragments.iter_mut().zip(parts) {
+            fragment.extend_distinct(set.iter().cloned());
+        }
+    }
+    let mut acc = vec![Solution::new()];
+    for fragment in &fragments {
+        acc = solution::join(&acc, fragment.as_slice());
+    }
+    solution::distinct(acc)
+}
+
+/// Assembly of a partial evaluation: the fold over every provider's
+/// per-pattern matches, and how many of its rows were *stitched* — rows
+/// beyond those some single provider could already join from its own
+/// matches alone.
+pub(crate) fn assemble(slots: usize, providers: &[Vec<Vec<Solution>>]) -> (Vec<Solution>, usize) {
+    let rows = fold(slots, providers);
+    let mut locally_complete = DistinctBuffer::new();
+    for sets in providers {
+        locally_complete.extend_distinct(fold(slots, [sets]));
+    }
+    let stitched = rows.len().saturating_sub(locally_complete.len());
+    (rows, stitched)
+}
+
+#[cfg(test)]
+mod tests {
+    //! The four functions against the central evaluator on generated
+    //! data: a random graph over a small vocabulary split across one to
+    //! four stores, and a random two- or three-pattern BGP.
+
+    use super::*;
+    use proptest::prelude::*;
+    use rdfmesh_rdf::{Term, TermPattern, Triple, TripleStore};
+    use rdfmesh_sparql::eval::evaluate_pattern;
+    use rdfmesh_sparql::GraphPattern;
+
+    const PREDICATES: [&str; 3] = ["p0", "p1", "p2"];
+
+    fn iri(name: &str) -> Term {
+        Term::iri(&format!("http://example.org/{name}"))
+    }
+
+    fn arb_triple() -> impl Strategy<Value = Triple> {
+        let node = || (0u8..5).prop_map(|i| iri(&format!("n{i}")));
+        let object = prop_oneof![
+            node(),
+            node(),
+            (0u8..3).prop_map(|i| Term::literal(&format!("l{i}")))
+        ];
+        (node(), proptest::sample::select(&PREDICATES[..]), object)
+            .prop_map(|(s, p, o)| Triple::new(s, iri(p), o))
+    }
+
+    /// A star on `?v0`, or a chain `?v0 → ?v1 → …`: of two patterns
+    /// (joined on `?v1`) or of three, which no variable runs through.
+    fn arb_bgp() -> impl Strategy<Value = Vec<TriplePattern>> {
+        (any::<bool>(), proptest::collection::vec(proptest::sample::select(&PREDICATES[..]), 2..4))
+            .prop_map(|(star, predicates)| {
+                let var = |i: usize| TermPattern::var(&format!("v{i}"));
+                predicates
+                    .iter()
+                    .enumerate()
+                    .map(|(i, p)| match star {
+                        true => TriplePattern::new(var(0), iri(p), var(i + 1)),
+                        false => TriplePattern::new(var(i), iri(p), var(i + 1)),
+                    })
+                    .collect()
+            })
+    }
+
+    fn arb_stores() -> impl Strategy<Value = Vec<TripleStore>> {
+        proptest::collection::vec(proptest::collection::vec(arb_triple(), 0..12), 1..5)
+            .prop_map(|parts| parts.into_iter().map(TripleStore::from_triples).collect())
+    }
+
+    fn union_of(stores: &[TripleStore]) -> TripleStore {
+        TripleStore::from_triples(stores.iter().flat_map(|s| s.iter()))
+    }
+
+    fn set(rows: impl IntoIterator<Item = Solution>) -> Vec<Solution> {
+        let mut rows = solution::distinct(rows.into_iter().collect());
+        rows.sort();
+        rows
+    }
+
+    /// The variables every pattern mentions: the shuffle hash key.
+    fn common_vars(patterns: &[TriplePattern]) -> Vec<Variable> {
+        let mut vars: Vec<Variable> = patterns[0].variables().into_iter().cloned().collect();
+        vars.retain(|v| patterns.iter().all(|p| p.variables().contains(&v)));
+        vars
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn answers_union_to_the_central_match_then_filter(
+            stores in arb_stores(),
+            bgp in arb_bgp(),
+            filtered in any::<bool>(),
+        ) {
+            // isIRI(?v1) keeps a pattern's IRI objects and drops its literals.
+            let is_iri = Expression::IsIri(Box::new(Expression::Var(Variable::new("v1"))));
+            let filter = filtered.then_some(&is_iri);
+            let central = union_of(&stores);
+            for tp in &bgp {
+                let mut expected = evaluate_pattern_with(&central, tp, &[Solution::new()]);
+                expected.retain(|s| filter.is_none_or(|f| f.satisfied_by(s)));
+                let got = stores.iter().flat_map(|s| answer(s, tp, filter, None));
+                prop_assert_eq!(set(got), set(expected));
+            }
+        }
+
+        #[test]
+        fn bound_answers_over_the_key_projection_rejoin_to_the_unbound_join(
+            stores in arb_stores(),
+            bgp in arb_bgp(),
+        ) {
+            let central = union_of(&stores);
+            let rows = set(answer(&central, &bgp[0], None, None));
+            let next = &bgp[1];
+            let vars: Vec<Variable> = next.variables().into_iter().cloned().collect();
+            let keys = set(rows.iter().map(|row| row.project(&vars)));
+            let bound = set(stores.iter().flat_map(|s| answer(s, next, None, Some(&keys))));
+            let unbound = set(stores.iter().flat_map(|s| answer(s, next, None, None)));
+            prop_assert_eq!(
+                set(solution::join(&rows, &bound)),
+                set(solution::join(&rows, &unbound))
+            );
+        }
+
+        #[test]
+        fn scattered_fragments_fold_to_the_central_join(
+            stores in arb_stores(),
+            bgp in arb_bgp(),
+        ) {
+            let join_vars = common_vars(&bgp);
+            prop_assume!(!join_vars.is_empty());
+            let k = stores.len();
+            let scattered: Vec<_> =
+                stores.iter().map(|s| scatter(s, &bgp, &join_vars, k)).collect();
+            // Target t folds what every origin filed under t.
+            let folded =
+                (0..k).flat_map(|t| fold(bgp.len(), scattered.iter().map(|parts| &parts[t])));
+            let expected = evaluate_pattern(&union_of(&stores), &GraphPattern::Bgp(bgp.clone()));
+            prop_assert_eq!(set(folded), set(expected));
+        }
+
+        #[test]
+        fn assembly_is_the_central_join_and_counts_what_no_provider_had_alone(
+            stores in arb_stores(),
+            bgp in arb_bgp(),
+        ) {
+            let replies: Vec<Vec<Vec<Solution>>> = stores
+                .iter()
+                .map(|s| bgp.iter().map(|tp| answer(s, tp, None, None)).collect())
+                .collect();
+            let (rows, stitched) = assemble(bgp.len(), &replies);
+            let whole = GraphPattern::Bgp(bgp.clone());
+            prop_assert_eq!(set(rows.clone()), set(evaluate_pattern(&union_of(&stores), &whole)));
+            let alone = set(stores.iter().flat_map(|s| evaluate_pattern(s, &whole)));
+            prop_assert_eq!(stitched, rows.len() - alone.len());
+        }
+    }
+}

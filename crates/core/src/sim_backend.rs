@@ -12,13 +12,13 @@
 
 use rdfmesh_cache::{QueryCache, ResultEntry};
 use rdfmesh_net::{NodeId, SimTime};
-use rdfmesh_obs::{names, phase};
+use rdfmesh_obs::{names, phase, SpanId};
 use rdfmesh_overlay::{wire, Located, Overlay, Provider};
-use rdfmesh_rdf::{Triple, TriplePattern, Variable};
+use rdfmesh_rdf::{SharedStore, Triple, TriplePattern, Variable};
 use rdfmesh_sparql::{
     algebra::AlgebraQuery,
     ast::QueryForm,
-    eval::{self, NoGraph},
+    eval::NoGraph,
     expr::Expression,
     solution::{self, DistinctBuffer, Solution, SolutionSet},
     QueryResult,
@@ -27,7 +27,50 @@ use rdfmesh_sparql::{
 use crate::config::{DistStrategy, ExecConfig, JoinSiteStrategy, PrimitiveStrategy};
 use crate::engine::{EngineError, FrequencyEstimator};
 use crate::exec::{collect_patterns, Mat, MeshBackend, OpKind, PrimitiveOp};
+use crate::provider;
 use crate::stats::QueryStats;
+
+/// A sub-query as a storage node receives it (Fig. 3): the pattern, the
+/// filter pushed to the source (Sect. IV-G) and the intermediate
+/// solutions a bind join carries (Sect. IV-D).
+#[derive(Clone, Copy)]
+struct SubQuery<'q> {
+    pattern: &'q TriplePattern,
+    filter: Option<&'q Expression>,
+    bound: Option<&'q [Solution]>,
+}
+
+impl SubQuery<'_> {
+    fn bytes(&self) -> usize {
+        wire::SUBQUERY_HEADER
+            + self.pattern.serialized_len()
+            + self.filter.map_or(0, |f| f.serialized_len())
+            + self.bound.map_or(0, solution::serialized_len)
+    }
+
+    fn answer(&self, store: &SharedStore) -> Vec<SolutionSet> {
+        vec![provider::answer(store, self.pattern, self.filter, self.bound)]
+    }
+}
+
+/// What the sender of an [`SimBackend::exchange`] gets back, which is
+/// what decides how the reply leg is priced.
+#[derive(Clone, Copy, PartialEq)]
+enum Reply {
+    /// The node's solutions, shipped to the named node.
+    Solutions(NodeId),
+    /// A bare ack to the named node: an ASK probe, whose witnesses are
+    /// not intermediate results.
+    Ack(NodeId),
+    /// Nothing: the solutions ride on with the next chain hop.
+    Forwarded,
+    /// Nothing yet: the frame only starts a shuffle, priced as it runs.
+    Started,
+}
+
+fn shipping_span(label: &str, at: SimTime) -> Option<SpanId> {
+    rdfmesh_obs::begin_current(phase::SHIPPING, label, at.0)
+}
 
 /// The simulated-overlay backend: executes plan operators against the
 /// in-process [`Overlay`], charging all traffic to its virtual network.
@@ -68,14 +111,7 @@ impl<'a> SimBackend<'a> {
         cfg: ExecConfig,
         cache: &'a mut QueryCache,
     ) -> Self {
-        SimBackend {
-            overlay,
-            cfg,
-            stats: QueryStats::default(),
-            initiator: NodeId(0),
-            dataset_graphs: Vec::new(),
-            cache: Some(cache),
-        }
+        SimBackend { cache: Some(cache), ..SimBackend::new(overlay, cfg) }
     }
 
     // ---- observability mirrors -----------------------------------------
@@ -107,26 +143,25 @@ impl<'a> SimBackend<'a> {
     }
 
     /// Forwards a sub-query from a storage-node initiator to its entry
-    /// index node (one charged message), under a shipping span.
+    /// index node (one charged message), under a shipping span. An
+    /// index-node initiator is its own entry and forwards nothing.
     fn forward_to_entry(
         &mut self,
         entry: NodeId,
         pattern: &TriplePattern,
         depart: SimTime,
     ) -> SimTime {
-        let span = rdfmesh_obs::begin_current(
-            phase::SHIPPING,
-            &format!("forward {} -> {}", self.initiator, entry),
-            depart.0,
-        );
+        if entry == self.initiator {
+            return depart;
+        }
+        let span = shipping_span(&format!("forward {} -> {}", self.initiator, entry), depart);
         let t = self.overlay.net.send(
             self.initiator,
             entry,
             wire::SUBQUERY_HEADER + pattern.serialized_len(),
             depart,
         );
-        rdfmesh_obs::end_current(span, t.0);
-        rdfmesh_obs::advance_current(phase::SHIPPING, t.0);
+        self.close_shipping(span, t, &[]);
         t
     }
 
@@ -150,6 +185,55 @@ impl<'a> SimBackend<'a> {
             at.0,
         );
         rdfmesh_obs::end_current(span, at.0);
+    }
+
+    /// Ends a shipping span at `at`, advances the frontier there, and
+    /// purges the providers that missed their ack inside it.
+    fn close_shipping(&mut self, span: Option<SpanId>, at: SimTime, dead: &[NodeId]) {
+        rdfmesh_obs::end_current(span, at.0);
+        rdfmesh_obs::advance_current(phase::SHIPPING, at.0);
+        self.handle_dead(dead);
+    }
+
+    /// One sub-query to one storage node, priced. The request is charged
+    /// and the contact counted; a live node runs `work` on its store and
+    /// its `reply` is charged; a dead one costs the sender the query-ack
+    /// timeout (Sect. III-D). Returns what the node computed — `None`
+    /// when it is dead, for the caller to purge — and when the sender
+    /// holds the reply or gives up on it.
+    fn exchange(
+        &mut self,
+        (from, to): (NodeId, NodeId),
+        bytes: usize,
+        depart: SimTime,
+        reply: Reply,
+        work: impl FnOnce(&SharedStore) -> Vec<SolutionSet>,
+    ) -> (Option<Vec<SolutionSet>>, SimTime) {
+        let sent = self.overlay.net.send(from, to, bytes, depart);
+        self.note_provider_contacted();
+        let Some(node) = self.overlay.storage_node(to) else {
+            return (None, sent + self.cfg.ack_timeout);
+        };
+        let sets = work(&node.store);
+        let rows: usize = sets.iter().map(Vec::len).sum();
+        if reply != Reply::Started {
+            self.note_local_exec(to, rows, sent);
+        }
+        let done = match reply {
+            Reply::Started => sent,
+            Reply::Ack(back) => self.overlay.net.send(to, back, wire::ACK, sent),
+            Reply::Forwarded => {
+                self.note_intermediates(rows);
+                sent
+            }
+            Reply::Solutions(back) => {
+                self.note_intermediates(rows);
+                let bytes = wire::RESULT_HEADER
+                    + sets.iter().map(|set| solution::serialized_len(set)).sum::<usize>();
+                self.overlay.net.send(to, back, bytes, sent)
+            }
+        };
+        (Some(sets), done)
     }
 
     pub(crate) fn check_initiator(&self, addr: NodeId) -> Result<(), EngineError> {
@@ -343,13 +427,7 @@ impl<'a> SimBackend<'a> {
             }
         }
         let entry = self.entry_index(self.initiator)?;
-        // A storage-node initiator first forwards the query to its index
-        // node (one message).
-        let depart = if entry == self.initiator {
-            depart
-        } else {
-            self.forward_to_entry(entry, pattern, depart)
-        };
+        let depart = self.forward_to_entry(entry, pattern, depart);
         let Some(located) = self.locate_cached(entry, pattern, depart)? else {
             return self.flood(pattern, filter, depart);
         };
@@ -367,22 +445,21 @@ impl<'a> SimBackend<'a> {
         }
 
         let provider_nodes: Vec<NodeId> = providers.iter().map(|p| p.node).collect();
+        let sub = SubQuery { pattern, filter, bound: None };
         let mat = match self.cfg.primitive {
-            PrimitiveStrategy::Basic => {
-                self.primitive_basic(pattern, filter, assembly, &providers, t0)
-            }
+            PrimitiveStrategy::Basic => self.primitive_basic(sub, assembly, &providers, t0),
             PrimitiveStrategy::Chained => {
                 providers.sort_by_key(|p| p.node);
-                self.primitive_chain(pattern, filter, assembly, providers, t0, end_hint)
+                self.primitive_chain(sub, assembly, providers, t0, end_hint)
             }
             PrimitiveStrategy::FrequencyOrdered => {
                 // Ascending frequency: the largest contributor is last, so
                 // its contribution never transits (Sect. IV-C further
                 // optimization).
                 providers.sort_by_key(|p| (p.frequency, p.node));
-                self.primitive_chain(pattern, filter, assembly, providers, t0, end_hint)
+                self.primitive_chain(sub, assembly, providers, t0, end_hint)
             }
-        }?;
+        };
         if cacheable {
             self.result_cache_store(pattern, &provider_nodes, &mat);
         }
@@ -392,59 +469,54 @@ impl<'a> SimBackend<'a> {
     /// Basic scheme: parallel fan-out from the assembly index node.
     fn primitive_basic(
         &mut self,
-        pattern: &TriplePattern,
-        filter: Option<&Expression>,
+        sub: SubQuery<'_>,
         assembly: NodeId,
         providers: &[Provider],
         t0: SimTime,
-    ) -> Result<Mat, EngineError> {
-        let subquery_bytes = wire::SUBQUERY_HEADER
-            + pattern.serialized_len()
-            + filter.map_or(0, |f| f.serialized_len());
-        let span = rdfmesh_obs::begin_current(
-            phase::SHIPPING,
-            &format!("basic fan-out to {} providers", providers.len()),
-            t0.0,
-        );
+    ) -> Mat {
+        let span =
+            shipping_span(&format!("basic fan-out to {} providers", providers.len()), t0);
+        self.fan_out(span, sub, assembly, providers, t0)
+    }
+
+    /// The fan-out itself, inside the caller's shipping `span` (which it
+    /// closes): the sub-query leaves `assembly` for every provider at
+    /// `t0` and the answers gather there.
+    fn fan_out(
+        &mut self,
+        span: Option<SpanId>,
+        sub: SubQuery<'_>,
+        assembly: NodeId,
+        providers: &[Provider],
+        t0: SimTime,
+    ) -> Mat {
+        let bytes = sub.bytes();
         let mut union = DistinctBuffer::new();
         let mut ready = t0;
         let mut dead = Vec::new();
         for p in providers {
-            let sent = self.overlay.net.send(assembly, p.node, subquery_bytes, t0);
-            self.note_provider_contacted();
-            match self.local_solutions(p.node, pattern, filter) {
-                Some(sols) => {
-                    self.note_local_exec(p.node, sols.len(), sent);
-                    self.note_intermediates(sols.len());
-                    let bytes = wire::RESULT_HEADER + solution::serialized_len(&sols);
-                    let back = self.overlay.net.send(p.node, assembly, bytes, sent);
-                    ready = ready.max(back);
-                    union.extend_distinct(sols);
-                }
-                None => {
-                    // Query-ack timeout (Sect. III-D), then purge.
-                    ready = ready.max(sent + self.cfg.ack_timeout);
-                    dead.push(p.node);
-                }
+            let reply = Reply::Solutions(assembly);
+            let (sets, at) = self.exchange((assembly, p.node), bytes, t0, reply, |s| sub.answer(s));
+            ready = ready.max(at);
+            match sets {
+                Some(sets) => union.extend_distinct(sets.into_iter().flatten()),
+                None => dead.push(p.node),
             }
         }
-        rdfmesh_obs::end_current(span, ready.0);
-        rdfmesh_obs::advance_current(phase::SHIPPING, ready.0);
-        self.handle_dead(&dead);
-        Ok(Mat { solutions: union.into_vec(), site: assembly, ready })
+        self.close_shipping(span, ready, &dead);
+        Mat { solutions: union.into_vec(), site: assembly, ready }
     }
 
     /// Chained schemes: the sub-query and accumulated mappings travel
     /// through the provider sequence; the last node holds the result.
     fn primitive_chain(
         &mut self,
-        pattern: &TriplePattern,
-        filter: Option<&Expression>,
+        sub: SubQuery<'_>,
         assembly: NodeId,
         mut providers: Vec<Provider>,
         t0: SimTime,
         end_hint: Option<NodeId>,
-    ) -> Result<Mat, EngineError> {
+    ) -> Mat {
         // Overlap optimization: rotate the hinted site to the end of the
         // sequence so the join with the waiting materialization is local.
         if let Some(hint) = end_hint {
@@ -453,45 +525,43 @@ impl<'a> SimBackend<'a> {
                 providers.push(hinted);
             }
         }
-        let subquery_bytes = wire::SUBQUERY_HEADER
-            + pattern.serialized_len()
-            + filter.map_or(0, |f| f.serialized_len())
-            + 8 * providers.len(); // the forwarding list
+        let bytes = sub.bytes() + 8 * providers.len(); // the forwarding list
+        self.chain("chain", sub, bytes, assembly, &providers, t0)
+    }
 
-        let span = rdfmesh_obs::begin_current(
-            phase::SHIPPING,
-            &format!("chain through {} providers", providers.len()),
-            t0.0,
-        );
+    /// The chain itself: from `start`, each hop carries `bytes` of
+    /// sub-query plus everything accumulated so far to the next provider,
+    /// which adds its own solutions.
+    fn chain(
+        &mut self,
+        label: &str,
+        sub: SubQuery<'_>,
+        bytes: usize,
+        start: NodeId,
+        providers: &[Provider],
+        t0: SimTime,
+    ) -> Mat {
+        let span = shipping_span(&format!("{label} through {} providers", providers.len()), t0);
         let mut acc = DistinctBuffer::new();
-        let mut cursor = assembly;
-        let mut t = t0;
+        let (mut cursor, mut t) = (start, t0);
         let mut dead = Vec::new();
-        for p in &providers {
-            let payload =
-                subquery_bytes + wire::RESULT_HEADER + solution::serialized_len(acc.as_slice());
-            let arrived = self.overlay.net.send(cursor, p.node, payload, t);
-            self.note_provider_contacted();
-            match self.local_solutions(p.node, pattern, filter) {
-                Some(sols) => {
-                    self.note_local_exec(p.node, sols.len(), arrived);
-                    self.note_intermediates(sols.len());
-                    acc.extend_distinct(sols);
+        for p in providers {
+            let payload = bytes + wire::RESULT_HEADER + solution::serialized_len(acc.as_slice());
+            let (sets, at) =
+                self.exchange((cursor, p.node), payload, t, Reply::Forwarded, |s| sub.answer(s));
+            t = at;
+            match sets {
+                Some(sets) => {
+                    acc.extend_distinct(sets.into_iter().flatten());
                     cursor = p.node;
-                    t = arrived;
                 }
-                None => {
-                    // The sender detects the missing ack and skips to the
-                    // next node in the list.
-                    t = arrived + self.cfg.ack_timeout;
-                    dead.push(p.node);
-                }
+                // The sender detects the missing ack and skips to the
+                // next node in the list.
+                None => dead.push(p.node),
             }
         }
-        rdfmesh_obs::end_current(span, t.0);
-        rdfmesh_obs::advance_current(phase::SHIPPING, t.0);
-        self.handle_dead(&dead);
-        Ok(Mat { solutions: acc.into_vec(), site: cursor, ready: t })
+        self.close_shipping(span, t, &dead);
+        Mat { solutions: acc.into_vec(), site: cursor, ready: t }
     }
 
     /// Existence test for one pattern: providers are probed in
@@ -504,11 +574,7 @@ impl<'a> SimBackend<'a> {
         filter: Option<&Expression>,
     ) -> Result<(bool, SimTime), EngineError> {
         let entry = self.entry_index(self.initiator)?;
-        let depart = if entry == self.initiator {
-            SimTime::ZERO
-        } else {
-            self.forward_to_entry(entry, pattern, SimTime::ZERO)
-        };
+        let depart = self.forward_to_entry(entry, pattern, SimTime::ZERO);
         let Some(located) = self.locate_cached(entry, pattern, depart)? else {
             let mat = self.flood(pattern, filter, depart)?;
             let initiator = self.initiator;
@@ -520,42 +586,30 @@ impl<'a> SimBackend<'a> {
         let assembly = located.index_node;
         let mut providers = self.in_dataset(located.providers.clone());
         providers.sort_by_key(|p| (std::cmp::Reverse(p.frequency), p.node));
-        let subquery_bytes = wire::SUBQUERY_HEADER
-            + pattern.serialized_len()
-            + filter.map_or(0, |f| f.serialized_len());
-        let span = rdfmesh_obs::begin_current(
-            phase::SHIPPING,
-            &format!("ask probe of {} providers", providers.len()),
-            located.arrival.0,
-        );
+        let sub = SubQuery { pattern, filter, bound: None };
+        let span =
+            shipping_span(&format!("ask probe of {} providers", providers.len()), located.arrival);
         let mut t = located.arrival;
         let mut dead = Vec::new();
         let mut answer = false;
         for p in &providers {
-            let sent = self.overlay.net.send(assembly, p.node, subquery_bytes, t);
-            self.note_provider_contacted();
-            match self.local_solutions(p.node, pattern, filter) {
-                Some(sols) if !sols.is_empty() => {
-                    // Witness found: one ack back to the assembly, done.
-                    self.note_local_exec(p.node, sols.len(), sent);
-                    t = self.overlay.net.send(p.node, assembly, wire::ACK, sent);
+            let reply = Reply::Ack(assembly);
+            let (sets, at) =
+                self.exchange((assembly, p.node), sub.bytes(), t, reply, |s| sub.answer(s));
+            t = at;
+            match sets {
+                // Witness found: its ack is back at the assembly, done.
+                Some(sets) if !sets[0].is_empty() => {
                     answer = true;
                     break;
                 }
-                Some(sols) => {
-                    self.note_local_exec(p.node, sols.len(), sent);
-                    t = self.overlay.net.send(p.node, assembly, wire::ACK, sent);
-                }
-                None => {
-                    t = sent + self.cfg.ack_timeout;
-                    dead.push(p.node);
-                }
+                Some(_) => {}
+                None => dead.push(p.node),
             }
         }
         self.handle_dead(&dead);
         let ready = self.overlay.net.send(assembly, self.initiator, wire::ACK, t);
-        rdfmesh_obs::end_current(span, ready.0);
-        rdfmesh_obs::advance_current(phase::SHIPPING, ready.0);
+        self.close_shipping(span, ready, &[]);
         Ok((answer, ready))
     }
 
@@ -586,11 +640,7 @@ impl<'a> SimBackend<'a> {
             }));
         }
         let entry = self.entry_index(self.initiator)?;
-        let depart = if entry == self.initiator {
-            depart
-        } else {
-            self.forward_to_entry(entry, pattern, depart)
-        };
+        let depart = self.forward_to_entry(entry, pattern, depart);
         let Some(located) =
             self.overlay.locate_numeric_range(entry, predicate, lo, hi, depart)?
         else {
@@ -607,8 +657,8 @@ impl<'a> SimBackend<'a> {
             }));
         }
         // Basic-style fan-out with the filter shipped to the sources.
-        self.primitive_basic(pattern, Some(filter), located.index_node, &providers, located.arrival)
-            .map(Some)
+        let sub = SubQuery { pattern, filter: Some(filter), bound: None };
+        Ok(Some(self.primitive_basic(sub, located.index_node, &providers, located.arrival)))
     }
 
     /// Flooding fallback for the all-variable pattern `(?s, ?p, ?o)`:
@@ -622,7 +672,8 @@ impl<'a> SimBackend<'a> {
     ) -> Result<Mat, EngineError> {
         let entry = self.entry_index(self.initiator)?;
         let subquery_bytes = wire::SUBQUERY_HEADER + pattern.serialized_len();
-        let span = rdfmesh_obs::begin_current(phase::SHIPPING, "flood all storage nodes", depart.0);
+        let sub = SubQuery { pattern, filter, bound: None };
+        let span = shipping_span("flood all storage nodes", depart);
         let mut union = DistinctBuffer::new();
         let mut ready = depart;
         let mut dead = Vec::new();
@@ -638,74 +689,39 @@ impl<'a> SimBackend<'a> {
                 })
                 .collect();
             for s in attached {
-                if !self.dataset_graphs.is_empty() {
-                    let in_set = self
-                        .overlay
-                        .storage_node(s)
-                        .and_then(|n| n.graph.as_ref())
-                        .is_some_and(|g| self.dataset_graphs.contains(g));
-                    if !in_set {
-                        continue;
-                    }
+                if !self.in_scope(s) {
+                    continue;
                 }
-                let at_storage = self.overlay.net.send(index, s, subquery_bytes, at_index);
-                self.note_provider_contacted();
-                match self.local_solutions(s, pattern, filter) {
-                    Some(sols) => {
-                        self.note_local_exec(s, sols.len(), at_storage);
-                        self.note_intermediates(sols.len());
-                        let bytes = wire::RESULT_HEADER + solution::serialized_len(&sols);
-                        let back = self.overlay.net.send(s, entry, bytes, at_storage);
-                        ready = ready.max(back);
-                        union.extend_distinct(sols);
-                    }
-                    None => {
-                        ready = ready.max(at_storage + self.cfg.ack_timeout);
-                        dead.push(s);
-                    }
+                let reply = Reply::Solutions(entry);
+                let (sets, at) =
+                    self.exchange((index, s), subquery_bytes, at_index, reply, |st| sub.answer(st));
+                ready = ready.max(at);
+                match sets {
+                    Some(sets) => union.extend_distinct(sets.into_iter().flatten()),
+                    None => dead.push(s),
                 }
             }
         }
-        rdfmesh_obs::end_current(span, ready.0);
-        rdfmesh_obs::advance_current(phase::SHIPPING, ready.0);
-        self.handle_dead(&dead);
+        self.close_shipping(span, ready, &dead);
         Ok(Mat { solutions: union.into_vec(), site: entry, ready })
     }
 
-    /// Restricts a provider list to the query's dataset (`FROM` clauses).
-    fn in_dataset(&self, providers: Vec<Provider>) -> Vec<Provider> {
-        if self.dataset_graphs.is_empty() {
-            return providers;
-        }
-        providers
-            .into_iter()
-            .filter(|p| {
-                self.overlay
-                    .storage_node(p.node)
-                    .and_then(|n| n.graph.as_ref())
-                    .is_some_and(|g| self.dataset_graphs.contains(g))
-            })
-            .collect()
+    /// Whether storage node `node` belongs to the query's dataset: every
+    /// node does unless `FROM` clauses name graphs, then those publishing
+    /// one of them (Sect. IV-A).
+    fn in_scope(&self, node: NodeId) -> bool {
+        self.dataset_graphs.is_empty()
+            || self
+                .overlay
+                .storage_node(node)
+                .and_then(|n| n.graph.as_ref())
+                .is_some_and(|g| self.dataset_graphs.contains(g))
     }
 
-    /// Local query execution at one storage node: pattern matching plus
-    /// the optional source-side filter. `None` when the node is dead.
-    fn local_solutions(
-        &self,
-        addr: NodeId,
-        pattern: &TriplePattern,
-        filter: Option<&Expression>,
-    ) -> Option<SolutionSet> {
-        let matches: Vec<Triple> = self.overlay.match_at(addr, pattern)?;
-        let empty = Solution::new();
-        let mut sols: SolutionSet = matches
-            .iter()
-            .filter_map(|t| eval::extend(pattern, t, &empty))
-            .collect();
-        if let Some(f) = filter {
-            sols.retain(|s| f.satisfied_by(s));
-        }
-        Some(sols)
+    /// Restricts a provider list to the query's dataset (`FROM` clauses).
+    fn in_dataset(&self, mut providers: Vec<Provider>) -> Vec<Provider> {
+        providers.retain(|p| self.in_scope(p.node));
+        providers
     }
 
     fn handle_dead(&mut self, dead: &[NodeId]) {
@@ -744,48 +760,22 @@ impl<'a> SimBackend<'a> {
         if providers.is_empty() {
             return Ok(Mat { solutions: Vec::new(), site: assembly, ready: located.arrival });
         }
-        let bound_bytes = solution::serialized_len(&current.solutions);
-        let subquery_bytes = wire::SUBQUERY_HEADER + pattern.serialized_len() + bound_bytes;
-
+        let sub = SubQuery { pattern, filter: None, bound: Some(&current.solutions) };
         match self.cfg.primitive {
             PrimitiveStrategy::Basic => {
                 // Current solutions move to the assembly, then fan out
                 // with the sub-query; extensions return to the assembly.
-                let span = rdfmesh_obs::begin_current(
-                    phase::SHIPPING,
+                let span = shipping_span(
                     &format!("bind-join fan-out to {} providers", providers.len()),
-                    current.ready.0,
+                    current.ready,
                 );
+                let carried = wire::RESULT_HEADER + solution::serialized_len(&current.solutions);
                 let at_assembly = self
                     .overlay
                     .net
-                    .send(current.site, assembly, wire::RESULT_HEADER + bound_bytes, current.ready)
+                    .send(current.site, assembly, carried, current.ready)
                     .max(located.arrival);
-                let mut union = DistinctBuffer::new();
-                let mut ready = at_assembly;
-                let mut dead = Vec::new();
-                for p in &providers {
-                    let sent = self.overlay.net.send(assembly, p.node, subquery_bytes, at_assembly);
-                    self.note_provider_contacted();
-                    match self.bound_solutions(p.node, pattern, &current.solutions) {
-                        Some(sols) => {
-                            self.note_local_exec(p.node, sols.len(), sent);
-                            self.note_intermediates(sols.len());
-                            let bytes = wire::RESULT_HEADER + solution::serialized_len(&sols);
-                            let back = self.overlay.net.send(p.node, assembly, bytes, sent);
-                            ready = ready.max(back);
-                            union.extend_distinct(sols);
-                        }
-                        None => {
-                            ready = ready.max(sent + self.cfg.ack_timeout);
-                            dead.push(p.node);
-                        }
-                    }
-                }
-                rdfmesh_obs::end_current(span, ready.0);
-                rdfmesh_obs::advance_current(phase::SHIPPING, ready.0);
-                self.handle_dead(&dead);
-                Ok(Mat { solutions: union.into_vec(), site: assembly, ready })
+                Ok(self.fan_out(span, sub, assembly, &providers, at_assembly))
             }
             PrimitiveStrategy::Chained | PrimitiveStrategy::FrequencyOrdered => {
                 if self.cfg.primitive == PrimitiveStrategy::FrequencyOrdered {
@@ -795,53 +785,10 @@ impl<'a> SimBackend<'a> {
                 }
                 // The chain starts at the current site (it already holds
                 // the bound solutions) after the index lookup resolves.
-                let mut acc = DistinctBuffer::new();
-                let mut cursor = current.site;
-                let mut t = current.ready.max(located.arrival);
-                let span = rdfmesh_obs::begin_current(
-                    phase::SHIPPING,
-                    &format!("bind-join chain through {} providers", providers.len()),
-                    t.0,
-                );
-                let mut dead = Vec::new();
-                for p in &providers {
-                    let payload = subquery_bytes
-                        + wire::RESULT_HEADER
-                        + solution::serialized_len(acc.as_slice());
-                    let arrived = self.overlay.net.send(cursor, p.node, payload, t);
-                    self.note_provider_contacted();
-                    match self.bound_solutions(p.node, pattern, &current.solutions) {
-                        Some(sols) => {
-                            self.note_local_exec(p.node, sols.len(), arrived);
-                            self.note_intermediates(sols.len());
-                            acc.extend_distinct(sols);
-                            cursor = p.node;
-                            t = arrived;
-                        }
-                        None => {
-                            t = arrived + self.cfg.ack_timeout;
-                            dead.push(p.node);
-                        }
-                    }
-                }
-                rdfmesh_obs::end_current(span, t.0);
-                rdfmesh_obs::advance_current(phase::SHIPPING, t.0);
-                self.handle_dead(&dead);
-                Ok(Mat { solutions: acc.into_vec(), site: cursor, ready: t })
+                let t0 = current.ready.max(located.arrival);
+                Ok(self.chain("bind-join chain", sub, sub.bytes(), current.site, &providers, t0))
             }
         }
-    }
-
-    /// Local bind-join at one storage node: extensions of the carried
-    /// partial solutions by local matches. `None` when the node is dead.
-    fn bound_solutions(
-        &self,
-        addr: NodeId,
-        pattern: &TriplePattern,
-        partial: &[Solution],
-    ) -> Option<SolutionSet> {
-        let node = self.overlay.storage_node(addr)?;
-        Some(eval::evaluate_pattern_with(&node.store, pattern, partial))
     }
 
     // ---- binary operations & join site selection (Sect. II, IV-E/F) ----
@@ -914,14 +861,10 @@ impl<'a> SimBackend<'a> {
             return mat;
         }
         let bytes = wire::RESULT_HEADER + solution::serialized_len(&mat.solutions);
-        let span = rdfmesh_obs::begin_current(
-            phase::SHIPPING,
-            &format!("ship {} solutions {} -> {}", mat.solutions.len(), mat.site, site),
-            mat.ready.0,
-        );
+        let label = format!("ship {} solutions {} -> {}", mat.solutions.len(), mat.site, site);
+        let span = shipping_span(&label, mat.ready);
         let ready = self.overlay.net.send(mat.site, site, bytes, mat.ready);
-        rdfmesh_obs::end_current(span, ready.0);
-        rdfmesh_obs::advance_current(phase::SHIPPING, ready.0);
+        self.close_shipping(span, ready, &[]);
         Mat { solutions: mat.solutions, site, ready }
     }
 
@@ -983,19 +926,8 @@ impl<'a> SimBackend<'a> {
                     slots.push(providers.into_iter().map(|p| p.node).collect::<Vec<_>>());
                 }
                 None => {
-                    let all: Vec<NodeId> = self
-                        .overlay
-                        .storage_nodes()
-                        .into_iter()
-                        .filter(|s| {
-                            self.dataset_graphs.is_empty()
-                                || self
-                                    .overlay
-                                    .storage_node(*s)
-                                    .and_then(|n| n.graph.as_ref())
-                                    .is_some_and(|g| self.dataset_graphs.contains(g))
-                        })
-                        .collect();
+                    let mut all = self.overlay.storage_nodes();
+                    all.retain(|s| self.in_scope(*s));
                     slots.push(all);
                 }
             }
@@ -1062,11 +994,8 @@ impl<'a> SimBackend<'a> {
                 + patterns.iter().map(TriplePattern::serialized_len).sum::<usize>()
                 + 8 * k // the peer list every node partitions against
         };
-        let span = rdfmesh_obs::begin_current(
-            phase::SHIPPING,
-            &format!("hypercube shuffle across {} providers", peers.len()),
-            t0.0,
-        );
+        let span =
+            shipping_span(&format!("hypercube shuffle across {} providers", peers.len()), t0);
         // Phase A: fan the exec frame out. A dead peer costs one ack
         // timeout and is dropped; mirroring the live protocol's
         // generation bump, the shuffle then restarts over the survivors
@@ -1075,27 +1004,25 @@ impl<'a> SimBackend<'a> {
         let mut dead = Vec::new();
         let mut lost = t0;
         for &peer in peers {
-            let sent = self.overlay.net.send(self.initiator, peer, exec_bytes(peers.len()), t0);
-            self.note_provider_contacted();
-            if self.overlay.is_storage_alive(peer) {
-                alive.push(peer);
-            } else {
-                lost = lost.max(sent + self.cfg.ack_timeout);
-                dead.push(peer);
+            let frame = exec_bytes(peers.len());
+            let (up, at) =
+                self.exchange((self.initiator, peer), frame, t0, Reply::Started, |_| Vec::new());
+            match up {
+                Some(_) => alive.push(peer),
+                None => {
+                    lost = lost.max(at);
+                    dead.push(peer);
+                }
             }
         }
         let k = alive.len();
         if k == 0 {
-            rdfmesh_obs::end_current(span, lost.0);
-            rdfmesh_obs::advance_current(phase::SHIPPING, lost.0);
-            self.handle_dead(&dead);
+            self.close_shipping(span, lost, &dead);
             return Ok(Mat { solutions: Vec::new(), site: self.initiator, ready: lost });
         }
-        // Phase B: scatter. parts[target][slot] accumulates fragments at
-        // each shuffle target; at_target is when its last partition lands.
-        let mut parts: Vec<Vec<DistinctBuffer>> = (0..k)
-            .map(|_| (0..patterns.len()).map(|_| DistinctBuffer::new()).collect())
-            .collect();
+        // Phase B: scatter. received[target] collects every origin's
+        // partitions for it; at_target is when the last of them lands.
+        let mut received: Vec<Vec<Vec<SolutionSet>>> = vec![Vec::with_capacity(k); k];
         let mut at_target = vec![t0; k];
         for (origin, &peer) in alive.iter().enumerate() {
             let sent = if dead.is_empty() {
@@ -1105,25 +1032,13 @@ impl<'a> SimBackend<'a> {
                 // bumped generation, paid after the failure detection.
                 self.overlay.net.send(self.initiator, peer, exec_bytes(k), lost)
             };
-            let mut local: Vec<SolutionSet> = Vec::with_capacity(patterns.len());
-            for pattern in patterns {
-                local.push(self.local_solutions(peer, pattern, None).unwrap_or_default());
-            }
-            let produced: usize = local.iter().map(Vec::len).sum();
+            let store = &self.overlay.storage_node(peer).expect("answered the exec frame").store;
+            // Empty partitions ship too (a header-only frame): targets
+            // need one frame per origin to know the scatter is complete.
+            let outbound = provider::scatter(store, patterns, join_vars, k);
+            let produced: usize = outbound.iter().flatten().map(Vec::len).sum();
             self.note_local_exec(peer, produced, sent);
             self.note_intermediates(produced);
-            // Partition every pattern's solutions across the live peer
-            // set. Empty partitions ship too (a header-only frame):
-            // targets need one frame per origin to know the scatter is
-            // complete.
-            let mut outbound: Vec<Vec<SolutionSet>> =
-                (0..k).map(|_| vec![SolutionSet::new(); patterns.len()]).collect();
-            for (slot, sols) in local.into_iter().enumerate() {
-                for s in sols {
-                    let target = crate::exec::shuffle_partition(&s, join_vars, k);
-                    outbound[target][slot].push(s);
-                }
-            }
             for (ti, sets) in outbound.into_iter().enumerate() {
                 if ti != origin {
                     let rows: usize = sets.iter().map(Vec::len).sum();
@@ -1138,20 +1053,15 @@ impl<'a> SimBackend<'a> {
                 } else {
                     at_target[ti] = at_target[ti].max(sent);
                 }
-                for (slot, set) in sets.into_iter().enumerate() {
-                    parts[ti][slot].extend_distinct(set);
-                }
+                received[ti].push(sets);
             }
         }
         // Phase C: each target folds its fragments into a local join and
         // returns its answer fragment to the initiator.
         let mut union = DistinctBuffer::new();
         let mut ready = lost;
-        for (ti, per_slot) in parts.into_iter().enumerate() {
-            let mut acc: SolutionSet = vec![Solution::new()];
-            for buf in &per_slot {
-                acc = solution::join(&acc, buf.as_slice());
-            }
+        for (ti, origins) in received.iter().enumerate() {
+            let acc = provider::fold(patterns.len(), origins);
             self.note_local_exec(alive[ti], acc.len(), at_target[ti]);
             self.note_intermediates(acc.len());
             let bytes = wire::RESULT_HEADER + solution::serialized_len(&acc);
@@ -1159,9 +1069,7 @@ impl<'a> SimBackend<'a> {
             ready = ready.max(back);
             union.extend_distinct(acc);
         }
-        rdfmesh_obs::end_current(span, ready.0);
-        rdfmesh_obs::advance_current(phase::SHIPPING, ready.0);
-        self.handle_dead(&dead);
+        self.close_shipping(span, ready, &dead);
         Ok(Mat { solutions: union.into_vec(), site: self.initiator, ready })
     }
 
@@ -1179,66 +1087,29 @@ impl<'a> SimBackend<'a> {
         let metrics = rdfmesh_obs::metrics();
         let exec_bytes = wire::SUBQUERY_HEADER
             + patterns.iter().map(TriplePattern::serialized_len).sum::<usize>();
-        let span = rdfmesh_obs::begin_current(
-            phase::SHIPPING,
-            &format!("partial evaluation at {} providers", peers.len()),
-            t0.0,
-        );
-        let mut per_pattern: Vec<DistinctBuffer> =
-            (0..patterns.len()).map(|_| DistinctBuffer::new()).collect();
-        let mut local_complete = DistinctBuffer::new();
+        let span =
+            shipping_span(&format!("partial evaluation at {} providers", peers.len()), t0);
+        let mut replies = Vec::with_capacity(peers.len());
         let mut ready = t0;
         let mut dead = Vec::new();
         for &peer in peers {
-            let sent = self.overlay.net.send(self.initiator, peer, exec_bytes, t0);
-            self.note_provider_contacted();
-            let mut sets: Vec<SolutionSet> = Vec::with_capacity(patterns.len());
-            let mut up = true;
-            for pattern in patterns {
-                match self.local_solutions(peer, pattern, None) {
-                    Some(sols) => sets.push(sols),
-                    None => {
-                        up = false;
-                        break;
-                    }
-                }
+            let reply = Reply::Solutions(self.initiator);
+            let (sets, at) = self.exchange((self.initiator, peer), exec_bytes, t0, reply, |s| {
+                patterns.iter().map(|p| provider::answer(s, p, None, None)).collect()
+            });
+            ready = ready.max(at);
+            match sets {
+                Some(sets) => replies.push(sets),
+                None => dead.push(peer),
             }
-            if !up {
-                ready = ready.max(sent + self.cfg.ack_timeout);
-                dead.push(peer);
-                continue;
-            }
-            let produced: usize = sets.iter().map(Vec::len).sum();
-            self.note_local_exec(peer, produced, sent);
-            self.note_intermediates(produced);
-            let bytes = wire::RESULT_HEADER
-                + sets.iter().map(|set| solution::serialized_len(set)).sum::<usize>();
-            let back = self.overlay.net.send(peer, self.initiator, bytes, sent);
-            ready = ready.max(back);
-            // What this provider could answer alone — the baseline that
-            // separates stitched rows from locally complete ones.
-            let mut mine: SolutionSet = vec![Solution::new()];
-            for (slot, set) in sets.into_iter().enumerate() {
-                mine = solution::join(&mine, &set);
-                per_pattern[slot].extend_distinct(set);
-            }
-            local_complete.extend_distinct(mine);
         }
-        let mut acc: SolutionSet = vec![Solution::new()];
-        for buf in &per_pattern {
-            acc = solution::join(&acc, buf.as_slice());
-        }
-        let mut assembled = DistinctBuffer::new();
-        assembled.extend_distinct(acc);
-        let stitched = assembled.len().saturating_sub(local_complete.len()) as u64;
+        let (assembled, stitched) = provider::assemble(patterns.len(), &replies);
         if metrics.is_enabled() {
-            metrics.add(names::EXEC_STRATEGY_STITCHED_ROWS, stitched);
+            metrics.add(names::EXEC_STRATEGY_STITCHED_ROWS, stitched as u64);
         }
         self.note_intermediates(assembled.len());
-        rdfmesh_obs::end_current(span, ready.0);
-        rdfmesh_obs::advance_current(phase::SHIPPING, ready.0);
-        self.handle_dead(&dead);
-        Ok(Mat { solutions: assembled.into_vec(), site: self.initiator, ready })
+        self.close_shipping(span, ready, &dead);
+        Ok(Mat { solutions: assembled, site: self.initiator, ready })
     }
 
     // ---- post-processing (Fig. 3) --------------------------------------

@@ -177,8 +177,11 @@ impl fmt::Display for Solution {
 pub type SolutionSet = Vec<Solution>;
 
 /// Up to this left×right pair product the nested loop runs: building an
-/// interner and hash tables costs more than scanning a handful of pairs.
-const NAIVE_PRODUCT_CUTOFF: usize = 256;
+/// interner and hash tables costs more than scanning that many pairs.
+/// Measured by E23 (docs/PERFORMANCE.md): on equal-length inputs — the
+/// shape kindest to hashing — the nested loop still wins every operator
+/// at 4 096 pairs and loses the join at 9 216.
+const NAIVE_PRODUCT_CUTOFF: usize = 4096;
 
 fn use_hash(left: usize, right: usize) -> bool {
     left.saturating_mul(right) > NAIVE_PRODUCT_CUTOFF
@@ -1469,9 +1472,9 @@ mod tests {
 
     #[test]
     fn dispatch_agrees_with_the_oracle_on_both_sides_of_the_cutoff() {
-        // Pair products 255 and 256 take the nested loop, 257 and 4000
-        // the hash operators. Every left row shares ?x with the right
-        // rows whose index has its parity, and binds ?n on its own.
+        // Pair products 3 855 and 4 096 take the nested loop, 4 112 and
+        // 10 280 the hash operators. Every left row shares ?x with the
+        // right rows whose index has its parity, and binds ?n on its own.
         let right: Vec<Solution> = (0..257)
             .map(|j| sol(&[("x", &format!("p{}", j % 2)), ("w", &format!("w{j}"))]))
             .collect();
@@ -1485,9 +1488,9 @@ mod tests {
                 .collect()
         };
         let cond = |s: &Solution| s.get(&v("w")).is_none_or(|t| t.to_string().ends_with("0>"));
-        for (l, r) in [(15, 17), (16, 16), (1, 257), (40, 100)] {
+        for (l, r) in [(15, 257), (16, 256), (16, 257), (40, 257)] {
             let (l, r) = (left(l), &right[..r]);
-            assert_eq!(use_hash(l.len(), r.len()), l.len() * r.len() > 256);
+            assert_eq!(use_hash(l.len(), r.len()), l.len() * r.len() > 4096);
             assert_eq!(join(&l, r), naive::join(&l, r));
             assert_eq!(difference(&l, r), naive::difference(&l, r));
             assert_eq!(left_join(&l, r), naive::left_join(&l, r));

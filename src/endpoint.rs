@@ -30,7 +30,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use crossbeam::channel::{bounded, Receiver, TrySendError};
 use rdfmesh_core::{LiveError, MeshNode};
@@ -207,12 +207,47 @@ fn read_line_bounded(reader: &mut impl BufRead, line: &mut String) -> io::Result
     Ok(n < MAX_LINE || line.ends_with('\n'))
 }
 
+/// How long a client has to send its whole request: line, headers and
+/// body together.
+const REQUEST_DEADLINE: Duration = Duration::from_secs(10);
+
+/// A socket read under one deadline for everything read through it: each
+/// read re-arms the socket's timeout with the time remaining, so a
+/// client trickling one byte per read cannot hold a handler for a
+/// timeout per byte.
+struct UntilDeadline {
+    stream: TcpStream,
+    deadline: Instant,
+}
+
+impl Read for UntilDeadline {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let left = self.deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(io::ErrorKind::TimedOut.into());
+        }
+        self.stream.set_read_timeout(Some(left))?;
+        self.stream.read(buf)
+    }
+}
+
 /// Reads one request, refusing — without reading any further — a line
-/// or header count over the limits and a body whose declared length is
-/// over [`MAX_BODY`] or not a number.
+/// or header count over the limits, a body whose declared length is
+/// over [`MAX_BODY`] or not a number, and a request not complete within
+/// [`REQUEST_DEADLINE`].
 fn read_request(stream: &mut TcpStream) -> io::Result<Result<Request, Refusal>> {
-    stream.set_read_timeout(Some(Duration::from_secs(10)))?;
-    let mut reader = BufReader::new(stream.try_clone()?);
+    let deadline = Instant::now() + REQUEST_DEADLINE;
+    let reader = BufReader::new(UntilDeadline { stream: stream.try_clone()?, deadline });
+    match parse_request(reader) {
+        // An expired socket timeout reads as either kind, by platform.
+        Err(e) if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut) => {
+            Ok(Err(("408 Request Timeout", "the whole request must arrive within 10 s")))
+        }
+        outcome => outcome,
+    }
+}
+
+fn parse_request(mut reader: impl BufRead) -> io::Result<Result<Request, Refusal>> {
     let mut line = String::new();
     if !read_line_bounded(&mut reader, &mut line)? {
         return Ok(Err(TOO_LARGE_HEADERS));
@@ -514,6 +549,21 @@ mod tests {
         });
         assert!(status_of(outcome).starts_with("431"));
         assert!(started.elapsed() < Duration::from_secs(10), "refused before the read timeout");
+    }
+
+    #[test]
+    fn a_trickled_request_is_refused_when_the_request_deadline_passes() {
+        let started = Instant::now();
+        let outcome = served(|stream| {
+            let _ = stream.write_all(b"GET / HTTP/1.1\r\nX-Slow: ");
+            // One header byte per 300 ms, each far inside any per-read
+            // timeout. Stops once the far side has hung up.
+            while stream.write_all(b"a").is_ok() {
+                std::thread::sleep(Duration::from_millis(300));
+            }
+        });
+        assert!(status_of(outcome).starts_with("408"));
+        assert!(started.elapsed() < Duration::from_secs(12), "held past the request deadline");
     }
 
     #[test]

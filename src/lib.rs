@@ -43,7 +43,7 @@ pub use endpoint::{ServeOptions, SparqlEndpoint};
 pub use rdfmesh_chord::{ChordRing, Id};
 pub use rdfmesh_core::{
     global_store, Engine, EngineError, ExecConfig, Execution, JoinSiteStrategy, MeshNode,
-    Objective, PrimitiveStrategy, QueryStats, SharingSystem, SystemBuilder,
+    PrimitiveStrategy, QueryStats, SharingSystem, SystemBuilder,
 };
 pub use rdfmesh_net::{LatencyModel, Network, NodeId, SimTime};
 pub use rdfmesh_overlay::Overlay;
