@@ -370,6 +370,7 @@ fn eval<B: MeshBackend>(
                 metrics.add(rdfmesh_obs::names::EXEC_RESIDUAL_FILTERS, 1);
             }
             let mut mat = eval(backend, input, depart, None)?;
+            let expr = expr.compile();
             mat.solutions.retain(|s| expr.satisfied_by(s));
             Ok(mat)
         }

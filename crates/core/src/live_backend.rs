@@ -301,11 +301,12 @@ impl MeshBackend for LiveBackend<'_> {
             OpKind::Join => solution::join(&left.solutions, &right.solutions),
             OpKind::Union => solution::union(&left.solutions, &right.solutions),
             OpKind::LeftJoin(None) => solution::left_join(&left.solutions, &right.solutions),
-            OpKind::LeftJoin(Some(cond)) => solution::left_join_filtered(
-                &left.solutions,
-                &right.solutions,
-                |m| cond.satisfied_by(m),
-            ),
+            OpKind::LeftJoin(Some(cond)) => {
+                let cond = cond.compile();
+                solution::left_join_filtered(&left.solutions, &right.solutions, |m| {
+                    cond.satisfied_by(m)
+                })
+            }
         };
         Mat { solutions, site: COORDINATOR, ready: SimTime::ZERO }
     }

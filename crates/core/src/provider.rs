@@ -7,7 +7,7 @@
 //! backends agree (E17, E22).
 
 use rdfmesh_rdf::{TriplePattern, Variable};
-use rdfmesh_sparql::eval::{evaluate_pattern_with, Graph};
+use rdfmesh_sparql::eval::{for_each_extension, Graph};
 use rdfmesh_sparql::expr::Expression;
 use rdfmesh_sparql::solution::{self, DistinctBuffer, Solution};
 
@@ -15,24 +15,22 @@ use crate::exec::shuffle_partition;
 
 /// Local query execution (Fig. 3): match `pattern` against the node's
 /// store — extending the shipped `bound` intermediates when the round is
-/// a bind join (Sect. IV-D) — then apply the pushed-down `filter` at the
-/// source (Sect. IV-G).
+/// a bind join (Sect. IV-D) — and apply the pushed-down `filter` at the
+/// source (Sect. IV-G): compiled once, run on each row while the store
+/// still only lends it, so that a row is built only if it is shipped.
 pub(crate) fn answer<G: Graph>(
     store: &G,
     pattern: &TriplePattern,
     filter: Option<&Expression>,
     bound: Option<&[Solution]>,
 ) -> Vec<Solution> {
-    // On the heap, as the storage handler had it before PR 18. With the
-    // unit row in a stack array the repo benchmark's `durable_filter`
-    // median reads 12 ms instead of 10 (docs/PERFORMANCE.md): no code a
-    // row runs through differs, only what glibc's heap looks like when
-    // the scan's vectors grow and are freed.
-    let unit = vec![Solution::new()];
-    let mut solutions = evaluate_pattern_with(store, pattern, bound.unwrap_or(&unit));
-    if let Some(f) = filter {
-        solutions.retain(|s| f.satisfied_by(s));
-    }
+    let filter = filter.map(Expression::compile);
+    let mut solutions = Vec::new();
+    for_each_extension(store, pattern, bound.unwrap_or(&[Solution::new()]), |row| {
+        if filter.as_ref().is_none_or(|f| f.satisfied_by(&row)) {
+            solutions.extend(row.to_solution());
+        }
+    });
     solutions
 }
 
@@ -102,7 +100,8 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
     use rdfmesh_rdf::{Term, TermPattern, Triple, TripleStore};
-    use rdfmesh_sparql::eval::evaluate_pattern;
+    use rdfmesh_sparql::eval::{evaluate_pattern, evaluate_pattern_with};
+    use rdfmesh_sparql::expr::ComparisonOp;
     use rdfmesh_sparql::GraphPattern;
 
     const PREDICATES: [&str; 3] = ["p0", "p1", "p2"];
@@ -168,16 +167,24 @@ mod tests {
         fn answers_union_to_the_central_match_then_filter(
             stores in arb_stores(),
             bgp in arb_bgp(),
-            filtered in any::<bool>(),
+            filter in proptest::sample::select(&[None, Some(false), Some(true)][..]),
+            bind in any::<bool>(),
         ) {
+            let var = |name: &str| Box::new(Expression::Var(Variable::new(name)));
             // isIRI(?v1) keeps a pattern's IRI objects and drops its literals.
-            let is_iri = Expression::IsIri(Box::new(Expression::Var(Variable::new("v1"))));
-            let filter = filtered.then_some(&is_iri);
+            let is_iri = Expression::IsIri(var("v1"));
+            // ?v0 != ?v2: with bound rows, ?v0 comes with them (the first
+            // pattern binds it) and ?v2 from the triple matched here.
+            let differ = Expression::Compare(ComparisonOp::Neq, var("v0"), var("v2"));
+            let filter = filter.map(|both| if both { &differ } else { &is_iri });
             let central = union_of(&stores);
-            for tp in &bgp {
-                let mut expected = evaluate_pattern_with(&central, tp, &[Solution::new()]);
+            // A bind join ships the first pattern's rows with the second.
+            let bound = bind.then(|| set(answer(&central, &bgp[0], None, None)));
+            for tp in &bgp[usize::from(bind)..] {
+                let partial = bound.clone().unwrap_or_else(|| vec![Solution::new()]);
+                let mut expected = evaluate_pattern_with(&central, tp, &partial);
                 expected.retain(|s| filter.is_none_or(|f| f.satisfied_by(s)));
-                let got = stores.iter().flat_map(|s| answer(s, tp, filter, None));
+                let got = stores.iter().flat_map(|s| answer(s, tp, filter, bound.as_deref()));
                 prop_assert_eq!(set(got), set(expected));
             }
         }

@@ -802,6 +802,7 @@ impl<'a> SimBackend<'a> {
             OpKind::Union => solution::union(&l.solutions, &r.solutions),
             OpKind::LeftJoin(None) => solution::left_join(&l.solutions, &r.solutions),
             OpKind::LeftJoin(Some(cond)) => {
+                let cond = cond.compile();
                 solution::left_join_filtered(&l.solutions, &r.solutions, |m| cond.satisfied_by(m))
             }
         };

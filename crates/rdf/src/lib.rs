@@ -41,4 +41,6 @@ pub use ntriples::{
 pub use source::{PatternSource, SharedStore, StoreFactory};
 pub use store::TripleStore;
 pub use term::{BlankNode, Iri, Literal, LiteralKind, Term, TermError};
-pub use triple::{PatternKind, TermPattern, Triple, TriplePattern, Variable};
+pub use triple::{
+    PatternKind, RepeatedVars, TermPattern, Triple, TriplePattern, TripleRef, Variable,
+};

@@ -7,12 +7,19 @@
 //! can run on the legacy in-memory store *or* on the persistent
 //! `rdfmesh-store` backend (`rdfmesh serve --store-dir`) without the
 //! query path knowing which one is underneath.
+//!
+//! The scan *lends*: [`PatternSource::for_each_match`] hands its callback
+//! a [`TripleRef`] into the store's own dictionary, so a caller that
+//! filters at the source clones only the rows it keeps. The terms are
+//! valid for the callback only, a [`SharedStore`] holds its read lock for
+//! the whole walk, and the callback must not call back into the store (a
+//! writer queued behind the read lock would deadlock a second read).
 
 use std::fmt;
 use std::sync::{Arc, RwLock};
 
 use crate::store::TripleStore;
-use crate::triple::{TermPattern, Triple, TriplePattern};
+use crate::triple::{TermPattern, Triple, TriplePattern, TripleRef};
 
 /// Anything that stores triples and answers the eight pattern kinds of
 /// the paper's Sect. IV-C.
@@ -23,8 +30,9 @@ use crate::triple::{TermPattern, Triple, TriplePattern};
 /// [`for_each_match`](PatternSource::for_each_match). Match emission
 /// *order* is unspecified — callers that need a canonical order sort.
 pub trait PatternSource: fmt::Debug + Send + Sync {
-    /// Invokes `f` for every triple matching `pattern`.
-    fn for_each_match(&self, pattern: &TriplePattern, f: &mut dyn FnMut(Triple));
+    /// Lends every triple matching `pattern` to `f`. The terms belong to
+    /// the store and are valid for that call of `f` only.
+    fn for_each_match(&self, pattern: &TriplePattern, f: &mut dyn FnMut(TripleRef<'_>));
 
     /// Number of triples matching `pattern` — the "frequency" statistic
     /// published into location tables (paper Table I).
@@ -42,21 +50,21 @@ pub trait PatternSource: fmt::Debug + Send + Sync {
     /// True if the exact triple is present.
     fn contains(&self, triple: &Triple) -> bool;
 
-    /// All triples matching `pattern`, collected.
+    /// All triples matching `pattern`, cloned and collected.
     fn match_pattern(&self, pattern: &TriplePattern) -> Vec<Triple> {
         let mut out = Vec::new();
-        self.for_each_match(pattern, &mut |t| out.push(t));
+        self.for_each_match(pattern, &mut |t| out.push(t.to_triple()));
         out
     }
 
-    /// Invokes `f` for every stored triple.
+    /// Invokes `f` with a clone of every stored triple.
     fn for_each_triple(&self, f: &mut dyn FnMut(Triple)) {
         let all = TriplePattern::new(
             TermPattern::var("s"),
             TermPattern::var("p"),
             TermPattern::var("o"),
         );
-        self.for_each_match(&all, f);
+        self.for_each_match(&all, &mut |t| f(t.to_triple()));
     }
 
     /// True if the store holds no triples.
@@ -66,7 +74,7 @@ pub trait PatternSource: fmt::Debug + Send + Sync {
 }
 
 impl PatternSource for TripleStore {
-    fn for_each_match(&self, pattern: &TriplePattern, f: &mut dyn FnMut(Triple)) {
+    fn for_each_match(&self, pattern: &TriplePattern, f: &mut dyn FnMut(TripleRef<'_>)) {
         TripleStore::for_each_match(self, pattern, f);
     }
 
@@ -159,8 +167,9 @@ impl SharedStore {
         self.read().count_pattern(pattern)
     }
 
-    /// Invokes `f` for every triple matching `pattern`.
-    pub fn for_each_match(&self, pattern: &TriplePattern, mut f: impl FnMut(Triple)) {
+    /// Lends every triple matching `pattern` to `f`, under the read lock
+    /// for the whole walk: `f` must not call back into this store.
+    pub fn for_each_match(&self, pattern: &TriplePattern, mut f: impl FnMut(TripleRef<'_>)) {
         self.read().for_each_match(pattern, &mut f);
     }
 

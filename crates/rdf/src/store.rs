@@ -9,7 +9,7 @@ use std::collections::BTreeSet;
 use std::ops::Bound;
 
 use crate::dictionary::{Dictionary, TermId};
-use crate::triple::{PatternKind, TermPattern, Triple, TriplePattern};
+use crate::triple::{PatternKind, TermPattern, Triple, TriplePattern, TripleRef};
 
 type Key = (TermId, TermId, TermId);
 
@@ -114,71 +114,40 @@ impl TripleStore {
     /// All triples matching `pattern`, honouring repeated variables.
     pub fn match_pattern(&self, pattern: &TriplePattern) -> Vec<Triple> {
         let mut out = Vec::new();
-        self.for_each_match(pattern, |t| out.push(t));
+        self.for_each_match(pattern, |t| out.push(t.to_triple()));
         out
     }
 
     /// Number of triples matching `pattern` — the "frequency" statistic
     /// that storage nodes publish into location tables (Table I).
     ///
-    /// Counts directly on the ID-range iterators: interning is bijective,
-    /// so repeated-variable consistency (`?x p ?x`) is an integer
-    /// comparison and no triple is ever decoded into owned [`Term`]s.
-    /// The all-variable pattern is answered from the index size alone.
-    ///
-    /// [`Term`]: crate::term::Term
+    /// Counts on the ID-range iterators without resolving a term; the
+    /// all-variable pattern is answered from the index size alone.
     pub fn count_pattern(&self, pattern: &TriplePattern) -> usize {
-        let (Some(s), Some(p), Some(o)) = (
-            self.id_of(&pattern.subject),
-            self.id_of(&pattern.predicate),
-            self.id_of(&pattern.object),
-        ) else {
-            return 0; // a bound term is not even in the dictionary
-        };
-
-        let same = |a: &TermPattern, b: &TermPattern| match (a, b) {
-            (TermPattern::Var(x), TermPattern::Var(y)) => x == y,
-            _ => false,
-        };
-        let same_sp = same(&pattern.subject, &pattern.predicate);
-        let same_so = same(&pattern.subject, &pattern.object);
-        let same_po = same(&pattern.predicate, &pattern.object);
-        let repeated = same_sp || same_so || same_po;
-        let consistent = |s1: TermId, p1: TermId, o1: TermId| {
-            (!same_sp || s1 == p1) && (!same_so || s1 == o1) && (!same_po || p1 == o1)
-        };
-
-        // `keys.filter(consistent).count()` never clones a term: the
-        // closures see raw `TermId`s straight out of the B-tree keys.
-        match pattern.kind() {
-            PatternKind::SPO => {
-                usize::from(self.spo.contains(&(s.unwrap(), p.unwrap(), o.unwrap())))
-            }
-            PatternKind::SP => range2(&self.spo, s.unwrap(), p.unwrap()).count(),
-            PatternKind::PO => range2(&self.pos, p.unwrap(), o.unwrap()).count(),
-            PatternKind::SO => range2(&self.osp, o.unwrap(), s.unwrap()).count(),
-            PatternKind::S if !repeated => range1(&self.spo, s.unwrap()).count(),
-            PatternKind::S => range1(&self.spo, s.unwrap())
-                .filter(|&&(s1, p1, o1)| consistent(s1, p1, o1))
-                .count(),
-            PatternKind::P if !repeated => range1(&self.pos, p.unwrap()).count(),
-            PatternKind::P => range1(&self.pos, p.unwrap())
-                .filter(|&&(p1, o1, s1)| consistent(s1, p1, o1))
-                .count(),
-            PatternKind::O if !repeated => range1(&self.osp, o.unwrap()).count(),
-            PatternKind::O => range1(&self.osp, o.unwrap())
-                .filter(|&&(o1, s1, p1)| consistent(s1, p1, o1))
-                .count(),
-            PatternKind::None if !repeated => self.spo.len(),
-            PatternKind::None => {
-                self.spo.iter().filter(|&&(s1, p1, o1)| consistent(s1, p1, o1)).count()
-            }
+        if pattern.kind() == PatternKind::None && !pattern.repeated_vars().any() {
+            return self.spo.len();
         }
+        let mut n = 0;
+        self.scan_ids(pattern, |_, _, _| n += 1);
+        n
     }
 
-    /// Invokes `f` for every matching triple, selecting the best index by
-    /// the pattern's [`PatternKind`].
-    pub fn for_each_match<F: FnMut(Triple)>(&self, pattern: &TriplePattern, mut f: F) {
+    /// Lends every matching triple to `f`: the three terms are the
+    /// dictionary's own, borrowed for the call.
+    pub fn for_each_match<F: FnMut(TripleRef<'_>)>(&self, pattern: &TriplePattern, mut f: F) {
+        self.scan_ids(pattern, |s, p, o| {
+            f(TripleRef {
+                subject: self.dict.term(s),
+                predicate: self.dict.term(p),
+                object: self.dict.term(o),
+            })
+        });
+    }
+
+    /// Invokes `f` with the ids of every matching triple, from the index
+    /// the pattern's [`PatternKind`] selects. Interning is bijective, so
+    /// repeated-variable consistency (`?x p ?x`) is an integer comparison.
+    fn scan_ids(&self, pattern: &TriplePattern, mut f: impl FnMut(TermId, TermId, TermId)) {
         let (Some(s), Some(p), Some(o)) = (
             self.id_of(&pattern.subject),
             self.id_of(&pattern.predicate),
@@ -186,66 +155,38 @@ impl TripleStore {
         ) else {
             return; // a bound term is not even in the dictionary
         };
-
-        // Repeated-variable patterns (e.g. ?x ?p ?x) need a per-triple check.
-        let needs_consistency = {
-            let vars = pattern.variables();
-            vars.len()
-                < [&pattern.subject, &pattern.predicate, &pattern.object]
-                    .iter()
-                    .filter(|tp| tp.is_var())
-                    .count()
-        };
-
-        let emit = |store: &Self, s: TermId, p: TermId, o: TermId, f: &mut F| {
-            let t = store.decode(s, p, o);
-            if !needs_consistency || pattern.matches(&t) {
-                f(t);
+        let repeated = pattern.repeated_vars();
+        let mut emit = |s1, p1, o1| {
+            if repeated.consistent(s1, p1, o1) {
+                f(s1, p1, o1);
             }
         };
-
         match pattern.kind() {
             PatternKind::SPO => {
                 let key = (s.unwrap(), p.unwrap(), o.unwrap());
                 if self.spo.contains(&key) {
-                    emit(self, key.0, key.1, key.2, &mut f);
+                    emit(key.0, key.1, key.2);
                 }
             }
             PatternKind::SP => {
-                for &(s1, p1, o1) in range2(&self.spo, s.unwrap(), p.unwrap()) {
-                    emit(self, s1, p1, o1, &mut f);
-                }
+                range2(&self.spo, s.unwrap(), p.unwrap()).for_each(|&(s1, p1, o1)| emit(s1, p1, o1))
             }
             PatternKind::S => {
-                for &(s1, p1, o1) in range1(&self.spo, s.unwrap()) {
-                    emit(self, s1, p1, o1, &mut f);
-                }
+                range1(&self.spo, s.unwrap()).for_each(|&(s1, p1, o1)| emit(s1, p1, o1))
             }
             PatternKind::PO => {
-                for &(p1, o1, s1) in range2(&self.pos, p.unwrap(), o.unwrap()) {
-                    emit(self, s1, p1, o1, &mut f);
-                }
+                range2(&self.pos, p.unwrap(), o.unwrap()).for_each(|&(p1, o1, s1)| emit(s1, p1, o1))
             }
             PatternKind::P => {
-                for &(p1, o1, s1) in range1(&self.pos, p.unwrap()) {
-                    emit(self, s1, p1, o1, &mut f);
-                }
+                range1(&self.pos, p.unwrap()).for_each(|&(p1, o1, s1)| emit(s1, p1, o1))
             }
             PatternKind::SO => {
-                for &(o1, s1, p1) in range2(&self.osp, o.unwrap(), s.unwrap()) {
-                    emit(self, s1, p1, o1, &mut f);
-                }
+                range2(&self.osp, o.unwrap(), s.unwrap()).for_each(|&(o1, s1, p1)| emit(s1, p1, o1))
             }
             PatternKind::O => {
-                for &(o1, s1, p1) in range1(&self.osp, o.unwrap()) {
-                    emit(self, s1, p1, o1, &mut f);
-                }
+                range1(&self.osp, o.unwrap()).for_each(|&(o1, s1, p1)| emit(s1, p1, o1))
             }
-            PatternKind::None => {
-                for &(s1, p1, o1) in self.spo.iter() {
-                    emit(self, s1, p1, o1, &mut f);
-                }
-            }
+            PatternKind::None => self.spo.iter().for_each(|&(s1, p1, o1)| emit(s1, p1, o1)),
         }
     }
 }

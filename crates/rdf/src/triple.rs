@@ -44,6 +44,37 @@ impl fmt::Display for Triple {
     }
 }
 
+/// A triple lent by the store that holds it: three references into the
+/// store's own dictionary, valid for as long as the store is borrowed.
+/// What a scan hands its callback, so that only the rows a caller keeps
+/// are ever cloned ([`TripleRef::to_triple`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TripleRef<'a> {
+    /// The subject term.
+    pub subject: &'a Term,
+    /// The predicate term.
+    pub predicate: &'a Term,
+    /// The object term.
+    pub object: &'a Term,
+}
+
+impl TripleRef<'_> {
+    /// An owned copy of the three terms.
+    pub fn to_triple(self) -> Triple {
+        Triple {
+            subject: self.subject.clone(),
+            predicate: self.predicate.clone(),
+            object: self.object.clone(),
+        }
+    }
+}
+
+impl<'a> From<&'a Triple> for TripleRef<'a> {
+    fn from(t: &'a Triple) -> Self {
+        TripleRef { subject: &t.subject, predicate: &t.predicate, object: &t.object }
+    }
+}
+
 /// A variable name, without the leading `?` or `$`.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Variable(String);
@@ -170,6 +201,30 @@ impl PatternKind {
     }
 }
 
+/// The pairs of positions in which a pattern repeats a variable
+/// ([`TriplePattern::repeated_vars`]). Position-wise matching cannot see
+/// them, so every scan checks them per triple — a store on its own
+/// dictionary ids, where equal terms are equal integers.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RepeatedVars {
+    sp: bool,
+    so: bool,
+    po: bool,
+}
+
+impl RepeatedVars {
+    /// True if any variable occurs twice.
+    pub fn any(self) -> bool {
+        self.sp || self.so || self.po
+    }
+
+    /// True if the three components (terms, or their ids) are equal
+    /// wherever the pattern repeats a variable.
+    pub fn consistent<T: PartialEq>(self, s: T, p: T, o: T) -> bool {
+        (!self.sp || s == p) && (!self.so || s == o) && (!self.po || p == o)
+    }
+}
+
 /// A triple pattern: three [`TermPattern`] positions.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TriplePattern {
@@ -211,26 +266,20 @@ impl TriplePattern {
         self.subject.matches(&triple.subject)
             && self.predicate.matches(&triple.predicate)
             && self.object.matches(&triple.object)
-            && self.repeated_vars_consistent(triple)
+            && self.repeated_vars().consistent(&triple.subject, &triple.predicate, &triple.object)
     }
 
-    /// Checks that repeated variables (e.g. `?x ?p ?x`) bind consistently.
-    fn repeated_vars_consistent(&self, triple: &Triple) -> bool {
-        let positions = [
-            (&self.subject, &triple.subject),
-            (&self.predicate, &triple.predicate),
-            (&self.object, &triple.object),
-        ];
-        for i in 0..3 {
-            for j in (i + 1)..3 {
-                if let (TermPattern::Var(a), TermPattern::Var(b)) = (positions[i].0, positions[j].0) {
-                    if a == b && positions[i].1 != positions[j].1 {
-                        return false;
-                    }
-                }
-            }
+    /// Which positions repeat a variable (e.g. `?x ?p ?x`).
+    pub fn repeated_vars(&self) -> RepeatedVars {
+        let same = |a: &TermPattern, b: &TermPattern| match (a, b) {
+            (TermPattern::Var(x), TermPattern::Var(y)) => x == y,
+            _ => false,
+        };
+        RepeatedVars {
+            sp: same(&self.subject, &self.predicate),
+            so: same(&self.subject, &self.object),
+            po: same(&self.predicate, &self.object),
         }
-        true
     }
 
     /// The set of variables occurring in the pattern — `var(t)` of Pérez

@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use rdfmesh_rdf::{
-    ntriples, Literal, Term, TermPattern, Triple, TriplePattern, TripleStore,
+    ntriples, Literal, PatternSource, Term, TermPattern, Triple, TriplePattern, TripleStore,
 };
 
 /// Small alphabets force collisions, which is where bugs live.
@@ -46,12 +46,76 @@ prop_compose! {
     fn arb_pattern()(anchor in arb_triple())
         (s in arb_position(anchor.subject.clone(), "s"),
          p in arb_position(anchor.predicate.clone(), "p"),
-         o in arb_position(anchor.object.clone(), "o")) -> TriplePattern {
+         o in arb_position(anchor.object, "o")) -> TriplePattern {
+        TriplePattern::new(s, p, o)
+    }
+}
+
+/// What it means for a triple to match a pattern, written out: the
+/// pattern's constants equal the triple's terms, and one mapping of
+/// variables to terms covers all three positions.
+fn matches_by_definition(pattern: &TriplePattern, triple: &Triple) -> bool {
+    let mut mapping: Vec<(&TermPattern, &Term)> = Vec::new();
+    [
+        (&pattern.subject, &triple.subject),
+        (&pattern.predicate, &triple.predicate),
+        (&pattern.object, &triple.object),
+    ]
+    .into_iter()
+    .all(|(position, term)| match position {
+        TermPattern::Const(c) => c == term,
+        var => match mapping.iter().find(|(v, _)| *v == var) {
+            Some((_, bound)) => *bound == term,
+            None => {
+                mapping.push((var, term));
+                true
+            }
+        },
+    })
+}
+
+prop_compose! {
+    /// Every position bound to `anchor`'s term or one of two variables:
+    /// all eight pattern kinds, and every way a variable can repeat
+    /// (`?x p ?x`, `?x ?x ?o`, `?x ?x ?x`, …).
+    fn arb_shape()(anchor in arb_triple())
+        (s in prop_oneof![arb_position(anchor.subject.clone(), "x"), Just(TermPattern::var("y"))],
+         p in prop_oneof![arb_position(anchor.predicate.clone(), "x"), Just(TermPattern::var("y"))],
+         o in prop_oneof![arb_position(anchor.object, "x"), Just(TermPattern::var("y"))])
+        -> TriplePattern {
         TriplePattern::new(s, p, o)
     }
 }
 
 proptest! {
+    #[test]
+    fn lending_scan_visits_what_the_pattern_defines(
+        // Objects drawn like subjects and predicates, so that repeated
+        // variables have rows to keep.
+        triples in proptest::collection::vec(
+            (arb_iri(), arb_iri(), prop_oneof![arb_iri(), arb_term()])
+                .prop_map(|(s, p, o)| Triple::new(s, p, o)),
+            0..40,
+        ),
+        pattern in arb_shape(),
+    ) {
+        let store = TripleStore::from_triples(triples.clone());
+        let mut expected: Vec<Triple> =
+            triples.iter().filter(|t| matches_by_definition(&pattern, t)).cloned().collect();
+        expected.sort();
+        expected.dedup();
+        let mut lent = Vec::new();
+        store.for_each_match(&pattern, |t| lent.push(t.to_triple()));
+        lent.sort();
+        prop_assert_eq!(&lent, &expected, "{}", &pattern);
+        // The trait's cloning methods sit on the same scan.
+        let source: &dyn PatternSource = &store;
+        let mut matched = source.match_pattern(&pattern);
+        matched.sort();
+        prop_assert_eq!(&matched, &expected, "{}", &pattern);
+        prop_assert_eq!(source.count_pattern(&pattern), expected.len(), "{}", &pattern);
+    }
+
     #[test]
     fn ntriples_round_trip(triples in proptest::collection::vec(arb_triple(), 0..20)) {
         let doc = ntriples::write_document(&triples);

@@ -8,11 +8,13 @@
 use std::cmp::Ordering;
 use std::collections::HashSet;
 
-use rdfmesh_rdf::{Literal, Term, TermPattern, Triple, TriplePattern, TripleStore};
+use rdfmesh_rdf::{
+    Literal, Term, TermPattern, Triple, TriplePattern, TripleRef, TripleStore, Variable,
+};
 
 use crate::algebra::{AlgebraQuery, GraphPattern};
 use crate::ast::{DescribeTarget, Duplicates, Modifiers, QueryForm};
-use crate::expr::Expression;
+use crate::expr::{Bindings, Compiled};
 use crate::solution::{self, Solution, SolutionSet};
 
 /// Anything that can enumerate triples matching a pattern.
@@ -21,19 +23,28 @@ use crate::solution::{self, Solution, SolutionSet};
 /// implements it for "the union of all triples stored in all storage
 /// nodes" (Sect. IV-A).
 pub trait Graph {
-    /// All triples matching `pattern`.
-    fn matching(&self, pattern: &TriplePattern) -> Vec<Triple>;
+    /// Lends every triple matching `pattern` to `f`: the terms belong to
+    /// the graph and are valid for that call only, and `f` must not call
+    /// back into the graph (a shared store holds its read lock meanwhile).
+    fn for_each_match(&self, pattern: &TriplePattern, f: &mut dyn FnMut(TripleRef<'_>));
+
+    /// All triples matching `pattern`, cloned.
+    fn matching(&self, pattern: &TriplePattern) -> Vec<Triple> {
+        let mut out = Vec::new();
+        self.for_each_match(pattern, &mut |t| out.push(t.to_triple()));
+        out
+    }
 }
 
 impl Graph for TripleStore {
-    fn matching(&self, pattern: &TriplePattern) -> Vec<Triple> {
-        self.match_pattern(pattern)
+    fn for_each_match(&self, pattern: &TriplePattern, f: &mut dyn FnMut(TripleRef<'_>)) {
+        TripleStore::for_each_match(self, pattern, f);
     }
 }
 
 impl Graph for rdfmesh_rdf::SharedStore {
-    fn matching(&self, pattern: &TriplePattern) -> Vec<Triple> {
-        self.match_pattern(pattern)
+    fn for_each_match(&self, pattern: &TriplePattern, f: &mut dyn FnMut(TripleRef<'_>)) {
+        rdfmesh_rdf::SharedStore::for_each_match(self, pattern, f);
     }
 }
 
@@ -47,9 +58,7 @@ impl Graph for rdfmesh_rdf::SharedStore {
 pub struct NoGraph;
 
 impl Graph for NoGraph {
-    fn matching(&self, _pattern: &TriplePattern) -> Vec<Triple> {
-        Vec::new()
-    }
+    fn for_each_match(&self, _pattern: &TriplePattern, _f: &mut dyn FnMut(TripleRef<'_>)) {}
 }
 
 /// Substitutes the bindings of `solution` into `pattern`, producing a more
@@ -65,23 +74,75 @@ pub fn substitute(pattern: &TriplePattern, solution: &Solution) -> TriplePattern
     TriplePattern::new(sub(&pattern.subject), sub(&pattern.predicate), sub(&pattern.object))
 }
 
+/// A triple seen through the pattern it matched, over the partial
+/// solution being extended: the row that extension *would* produce,
+/// before it exists. A filter evaluated on it ([`Bindings`]) decides
+/// whether [`Matched::to_solution`] is worth its clones.
+#[derive(Debug, Clone, Copy)]
+pub struct Matched<'a> {
+    /// The pattern the triple matched.
+    pub pattern: &'a TriplePattern,
+    /// The triple, lent by its graph.
+    pub triple: TripleRef<'a>,
+    /// The solution the match extends.
+    pub partial: &'a Solution,
+}
+
+impl<'a> Matched<'a> {
+    fn positions(&self) -> [(&'a TermPattern, &'a Term); 3] {
+        [
+            (&self.pattern.subject, self.triple.subject),
+            (&self.pattern.predicate, self.triple.predicate),
+            (&self.pattern.object, self.triple.object),
+        ]
+    }
+
+    /// The extended solution, materialised: `partial` plus the bindings
+    /// the triple induces for the pattern's variables. `None` on conflict.
+    pub fn to_solution(&self) -> Option<Solution> {
+        let mut out = self.partial.clone();
+        for (tp, term) in self.positions() {
+            if let TermPattern::Var(v) = tp {
+                if !out.bind(v.clone(), term.clone()) {
+                    return None;
+                }
+            }
+        }
+        Some(out)
+    }
+}
+
+impl Bindings for Matched<'_> {
+    fn get(&self, var: &Variable) -> Option<&Term> {
+        // Where the triple and `partial` both bind a variable they agree,
+        // or there is no extended solution to ask about.
+        self.positions()
+            .into_iter()
+            .find_map(|(tp, term)| (tp.as_var() == Some(var)).then_some(term))
+            .or_else(|| self.partial.get(var))
+    }
+}
+
 /// Extends `solution` with the bindings a `triple` induces for `pattern`'s
 /// variables. Returns `None` on conflict.
 pub fn extend(pattern: &TriplePattern, triple: &Triple, solution: &Solution) -> Option<Solution> {
-    let mut out = solution.clone();
-    let positions = [
-        (&pattern.subject, &triple.subject),
-        (&pattern.predicate, &triple.predicate),
-        (&pattern.object, &triple.object),
-    ];
-    for (tp, term) in positions {
-        if let TermPattern::Var(v) = tp {
-            if !out.bind(v.clone(), term.clone()) {
-                return None;
-            }
-        }
+    Matched { pattern, triple: triple.into(), partial: solution }.to_solution()
+}
+
+/// Lends `f` every row that matching `pattern` against `graph` adds to
+/// one of the `partial` solutions, none of them materialised.
+pub fn for_each_extension<G: Graph>(
+    graph: &G,
+    pattern: &TriplePattern,
+    partial: &[Solution],
+    mut f: impl FnMut(Matched<'_>),
+) {
+    for sol in partial {
+        let bound = substitute(pattern, sol);
+        graph.for_each_match(&bound, &mut |triple| {
+            f(Matched { pattern: &bound, triple, partial: sol })
+        });
     }
-    Some(out)
 }
 
 /// Evaluates one triple pattern against a graph, extending each of the
@@ -92,14 +153,7 @@ pub fn evaluate_pattern_with<G: Graph>(
     partial: &[Solution],
 ) -> SolutionSet {
     let mut out = Vec::new();
-    for sol in partial {
-        let bound = substitute(pattern, sol);
-        for triple in graph.matching(&bound) {
-            if let Some(ext) = extend(&bound, &triple, sol) {
-                out.push(ext);
-            }
-        }
-    }
+    for_each_extension(graph, pattern, partial, |row| out.extend(row.to_solution()));
     out
 }
 
@@ -135,14 +189,17 @@ pub fn evaluate_pattern<G: Graph>(graph: &G, pattern: &GraphPattern) -> Solution
             match expr {
                 None => solution::left_join(&oa, &ob),
                 Some(cond) => {
+                    let cond = cond.compile();
                     solution::left_join_filtered(&oa, &ob, |m| cond.satisfied_by(m))
                 }
             }
         }
-        GraphPattern::Filter(cond, p) => evaluate_pattern(graph, p)
-            .into_iter()
-            .filter(|s| cond.satisfied_by(s))
-            .collect(),
+        GraphPattern::Filter(cond, p) => {
+            let cond = cond.compile();
+            let mut rows = evaluate_pattern(graph, p);
+            rows.retain(|s| cond.satisfied_by(s));
+            rows
+        }
     }
 }
 
@@ -287,10 +344,12 @@ fn apply_order(rows: &mut [Solution], modifiers: &Modifiers) {
     if modifiers.order_by.is_empty() {
         return;
     }
+    let keys: Vec<(Compiled<'_>, bool)> =
+        modifiers.order_by.iter().map(|cmp| (cmp.expression.compile(), cmp.descending)).collect();
     rows.sort_by(|a, b| {
-        for cmp in &modifiers.order_by {
-            let ord = compare_for_order(&cmp.expression, a, b);
-            let ord = if cmp.descending { ord.reverse() } else { ord };
+        for (key, descending) in &keys {
+            let ord = compare_for_order(key, a, b);
+            let ord = if *descending { ord.reverse() } else { ord };
             if ord != Ordering::Equal {
                 return ord;
             }
@@ -301,7 +360,7 @@ fn apply_order(rows: &mut [Solution], modifiers: &Modifiers) {
 
 /// Total order used by ORDER BY: errors/unbound sort lowest, then
 /// numerics by value, then everything else by serialized form.
-fn compare_for_order(expr: &Expression, a: &Solution, b: &Solution) -> Ordering {
+fn compare_for_order(expr: &Compiled<'_>, a: &Solution, b: &Solution) -> Ordering {
     let ka = expr.evaluate(a).ok();
     let kb = expr.evaluate(b).ok();
     match (ka, kb) {

@@ -10,10 +10,22 @@
 //! third truth value — `FILTER` drops rows whose condition errors, and
 //! `||`/`&&` recover from errors when the other operand decides the
 //! result.
+//!
+//! There is one evaluator, and it runs on a [`Compiled`] expression over
+//! any [`Bindings`]: [`Expression::compile`] is paid once per filter (it
+//! compiles every `regex` whose pattern and flags are constants), each
+//! row then costs no allocation unless it does arithmetic — intermediate
+//! values borrow from the row and the expression. That is how a filter
+//! pushed to a data source (Sect. IV-G) runs on rows the store only
+//! *lends* ([`crate::eval::Matched`]), before any of them is materialised.
+//! [`Expression::evaluate`] and [`Expression::satisfied_by`] compile and
+//! evaluate in one call, for one-off uses.
 
+use std::borrow::Cow;
 use std::fmt;
 
-use rdfmesh_rdf::{Literal, Term, Variable};
+use rdfmesh_rdf::vocab::xsd;
+use rdfmesh_rdf::{BlankNode, Iri, Literal, LiteralKind, Term, Variable};
 
 use crate::regex::Regex;
 use crate::solution::Solution;
@@ -108,14 +120,23 @@ fn err(msg: impl Into<String>) -> ExprError {
     ExprError(msg.into())
 }
 
-fn bool_term(b: bool) -> Term {
-    Term::Literal(Literal::boolean(b))
+/// Anything that resolves a variable to a term it holds — what an
+/// expression is evaluated over.
+pub trait Bindings {
+    /// The term bound to `var`, if any.
+    fn get(&self, var: &Variable) -> Option<&Term>;
+}
+
+impl Bindings for Solution {
+    fn get(&self, var: &Variable) -> Option<&Term> {
+        Solution::get(self, var)
+    }
 }
 
 impl Expression {
     /// Convenience: a boolean constant.
     pub fn boolean(b: bool) -> Expression {
-        Expression::Const(bool_term(b))
+        Expression::Const(Term::Literal(Literal::boolean(b)))
     }
 
     /// All variables mentioned by the expression, deduplicated.
@@ -165,117 +186,71 @@ impl Expression {
         }
     }
 
-    /// Evaluates the expression under solution `µ`, producing a term.
-    pub fn evaluate(&self, solution: &Solution) -> EvalResult {
-        match self {
-            Expression::Var(v) => solution
-                .get(v)
-                .cloned()
-                .ok_or_else(|| err(format!("unbound variable {v}"))),
-            Expression::Const(t) => Ok(t.clone()),
-            Expression::Or(a, b) => {
-                // SPARQL 3-valued OR: true beats error.
-                let ra = a.evaluate(solution).and_then(|t| effective_boolean_value(&t));
-                let rb = b.evaluate(solution).and_then(|t| effective_boolean_value(&t));
-                match (ra, rb) {
-                    (Ok(true), _) | (_, Ok(true)) => Ok(bool_term(true)),
-                    (Ok(false), Ok(false)) => Ok(bool_term(false)),
-                    (Err(e), _) | (_, Err(e)) => Err(e),
-                }
-            }
-            Expression::And(a, b) => {
-                let ra = a.evaluate(solution).and_then(|t| effective_boolean_value(&t));
-                let rb = b.evaluate(solution).and_then(|t| effective_boolean_value(&t));
-                match (ra, rb) {
-                    (Ok(false), _) | (_, Ok(false)) => Ok(bool_term(false)),
-                    (Ok(true), Ok(true)) => Ok(bool_term(true)),
-                    (Err(e), _) | (_, Err(e)) => Err(e),
-                }
-            }
-            Expression::Not(e) => {
-                let v = e.evaluate(solution).and_then(|t| effective_boolean_value(&t))?;
-                Ok(bool_term(!v))
-            }
-            Expression::Compare(op, a, b) => {
-                let ta = a.evaluate(solution)?;
-                let tb = b.evaluate(solution)?;
-                compare_terms(*op, &ta, &tb).map(bool_term)
-            }
-            Expression::Arith(op, a, b) => {
-                let na = numeric(&a.evaluate(solution)?)?;
-                let nb = numeric(&b.evaluate(solution)?)?;
-                let r = match op {
-                    ArithOp::Add => na + nb,
-                    ArithOp::Sub => na - nb,
-                    ArithOp::Mul => na * nb,
-                    ArithOp::Div => {
-                        if nb == 0.0 {
-                            return Err(err("division by zero"));
-                        }
-                        na / nb
-                    }
-                };
-                Ok(number_term(r))
-            }
-            Expression::Neg(e) => {
-                let n = numeric(&e.evaluate(solution)?)?;
-                Ok(number_term(-n))
-            }
-            Expression::Bound(v) => Ok(bool_term(solution.get(v).is_some())),
-            Expression::Str(e) => {
-                let t = e.evaluate(solution)?;
-                match &t {
-                    Term::Iri(i) => Ok(Term::Literal(Literal::plain(i.as_str()))),
-                    Term::Literal(l) => Ok(Term::Literal(Literal::plain(l.lexical()))),
-                    Term::Blank(_) => Err(err("STR of a blank node")),
-                }
-            }
-            Expression::Lang(e) => match e.evaluate(solution)? {
-                Term::Literal(l) => Ok(Term::Literal(Literal::plain(l.language().unwrap_or("")))),
-                _ => Err(err("LANG of a non-literal")),
-            },
-            Expression::Datatype(e) => match e.evaluate(solution)? {
-                Term::Literal(l) => {
-                    let dt = match (l.datatype(), l.language()) {
-                        (Some(d), _) => d.as_str().to_string(),
-                        (None, None) => rdfmesh_rdf::vocab::xsd::STRING.to_string(),
-                        (None, Some(_)) => return Err(err("DATATYPE of a language-tagged literal")),
-                    };
-                    Ok(Term::iri(&dt))
-                }
-                _ => Err(err("DATATYPE of a non-literal")),
-            },
-            Expression::IsIri(e) => Ok(bool_term(e.evaluate(solution)?.is_iri())),
-            Expression::IsBlank(e) => Ok(bool_term(e.evaluate(solution)?.is_blank())),
-            Expression::IsLiteral(e) => Ok(bool_term(e.evaluate(solution)?.is_literal())),
-            Expression::SameTerm(a, b) => {
-                Ok(bool_term(a.evaluate(solution)? == b.evaluate(solution)?))
-            }
-            Expression::LangMatches(tag, range) => {
-                let tag = string_value(&tag.evaluate(solution)?)?;
-                let range = string_value(&range.evaluate(solution)?)?;
-                Ok(bool_term(lang_matches(&tag, &range)))
-            }
-            Expression::Regex(text, pattern, flags) => {
-                let text = string_value(&text.evaluate(solution)?)?;
-                let pattern = string_value(&pattern.evaluate(solution)?)?;
-                let flags = match flags {
-                    Some(f) => string_value(&f.evaluate(solution)?)?,
-                    None => String::new(),
-                };
-                let re = Regex::with_flags(&pattern, &flags).map_err(|e| err(e.to_string()))?;
-                Ok(bool_term(re.is_match(&text)))
+    /// Prepares the expression for evaluation over many rows: the same
+    /// tree, with every `regex` whose pattern and flags are constants
+    /// compiled now instead of per row.
+    pub fn compile(&self) -> Compiled<'_> {
+        Compiled(self.node())
+    }
+
+    fn node(&self) -> Node<'_> {
+        fn unary(op: UnaryOp, e: &Expression) -> Node<'_> {
+            Node::Unary(op, Box::new(e.node()))
+        }
+        fn binary<'e>(op: BinaryOp, a: &'e Expression, b: &'e Expression) -> Node<'e> {
+            Node::Binary(op, Box::new(a.node()), Box::new(b.node()))
+        }
+        fn connective<'e>(decisive: bool, a: &'e Expression, b: &'e Expression) -> Node<'e> {
+            Node::Connective { decisive, a: Box::new(a.node()), b: Box::new(b.node()) }
+        }
+        fn constant(e: &Expression) -> Option<Value<'_>> {
+            match e {
+                Expression::Const(t) => Some(Value::from(t)),
+                _ => None,
             }
         }
+        match self {
+            Expression::Var(v) => Node::Var(v),
+            Expression::Const(t) => Node::Const(Value::from(t)),
+            Expression::Bound(v) => Node::Bound(v),
+            Expression::Not(e) => unary(UnaryOp::Not, e),
+            Expression::Neg(e) => unary(UnaryOp::Neg, e),
+            Expression::Str(e) => unary(UnaryOp::Str, e),
+            Expression::Lang(e) => unary(UnaryOp::Lang, e),
+            Expression::Datatype(e) => unary(UnaryOp::Datatype, e),
+            Expression::IsIri(e) => unary(UnaryOp::IsIri, e),
+            Expression::IsBlank(e) => unary(UnaryOp::IsBlank, e),
+            Expression::IsLiteral(e) => unary(UnaryOp::IsLiteral, e),
+            Expression::Or(a, b) => connective(true, a, b),
+            Expression::And(a, b) => connective(false, a, b),
+            Expression::Compare(op, a, b) => binary(BinaryOp::Compare(*op), a, b),
+            Expression::Arith(op, a, b) => binary(BinaryOp::Arith(*op), a, b),
+            Expression::SameTerm(a, b) => binary(BinaryOp::SameTerm, a, b),
+            Expression::LangMatches(a, b) => binary(BinaryOp::LangMatches, a, b),
+            Expression::Regex(text, pattern, flags) => {
+                let matcher = match (constant(pattern), flags.as_deref().map(constant)) {
+                    (Some(p), None) => Matcher::Constant(compile_regex(&p, None)),
+                    (Some(p), Some(Some(f))) => Matcher::Constant(compile_regex(&p, Some(&f))),
+                    _ => Matcher::PerRow {
+                        pattern: Box::new(pattern.node()),
+                        flags: flags.as_deref().map(|f| Box::new(f.node())),
+                    },
+                };
+                Node::Regex { text: Box::new(text.node()), matcher }
+            }
+        }
+    }
+
+    /// Evaluates the expression under solution `µ`, producing a term.
+    pub fn evaluate(&self, solution: &Solution) -> EvalResult {
+        self.compile().evaluate(solution)
     }
 
     /// Evaluates the expression as a filter condition: `true` only if it
     /// evaluates without error to a term whose effective boolean value is
     /// true.
     pub fn satisfied_by(&self, solution: &Solution) -> bool {
-        self.evaluate(solution)
-            .and_then(|t| effective_boolean_value(&t))
-            .unwrap_or(false)
+        self.compile().satisfied_by(solution)
     }
 
     /// Serialized size in bytes when shipped inside a sub-query.
@@ -307,49 +282,280 @@ impl Expression {
     }
 }
 
+/// An [`Expression`] prepared by [`Expression::compile`], borrowing its
+/// variables and constants from it.
+#[derive(Debug)]
+pub struct Compiled<'e>(Node<'e>);
+
+impl Compiled<'_> {
+    /// Evaluates the expression over `row`, producing a term.
+    pub fn evaluate<B: Bindings + ?Sized>(&self, row: &B) -> EvalResult {
+        self.0.eval(row).map(Value::into_term)
+    }
+
+    /// Evaluates the expression as a filter condition: `true` only if it
+    /// evaluates without error to a term whose effective boolean value is
+    /// true.
+    pub fn satisfied_by<B: Bindings + ?Sized>(&self, row: &B) -> bool {
+        self.0.eval(row).and_then(|v| v.ebv()).unwrap_or(false)
+    }
+}
+
+#[derive(Debug)]
+enum Node<'e> {
+    Var(&'e Variable),
+    Const(Value<'e>),
+    Bound(&'e Variable),
+    Unary(UnaryOp, Box<Node<'e>>),
+    Binary(BinaryOp, Box<Node<'e>>, Box<Node<'e>>),
+    /// `||` (`decisive` is true) or `&&` (false).
+    Connective { decisive: bool, a: Box<Node<'e>>, b: Box<Node<'e>> },
+    Regex { text: Box<Node<'e>>, matcher: Matcher<'e> },
+}
+
+#[derive(Debug, Clone, Copy)]
+enum UnaryOp {
+    Not,
+    Neg,
+    Str,
+    Lang,
+    Datatype,
+    IsIri,
+    IsBlank,
+    IsLiteral,
+}
+
+#[derive(Debug, Clone, Copy)]
+enum BinaryOp {
+    Compare(ComparisonOp),
+    Arith(ArithOp),
+    SameTerm,
+    LangMatches,
+}
+
+#[derive(Debug)]
+enum Matcher<'e> {
+    /// Pattern and flags are constants: compiled with the expression
+    /// (to the error every row gets, if they do not compile).
+    Constant(Result<Regex, ExprError>),
+    /// Compiled from what pattern and flags evaluate to on each row.
+    PerRow { pattern: Box<Node<'e>>, flags: Option<Box<Node<'e>>> },
+}
+
+/// Where every `regex` pattern is compiled, constant or not.
+fn compile_regex(pattern: &Value<'_>, flags: Option<&Value<'_>>) -> Result<Regex, ExprError> {
+    let pattern = pattern.string_value()?;
+    let flags = flags.map_or(Ok(""), Value::string_value)?;
+    Regex::with_flags(pattern, flags).map_err(|e| err(e.to_string()))
+}
+
+impl Node<'_> {
+    fn eval<'a, B: Bindings + ?Sized>(&'a self, row: &'a B) -> Result<Value<'a>, ExprError> {
+        match self {
+            Node::Var(v) => {
+                row.get(v).map(Value::from).ok_or_else(|| err(format!("unbound variable {v}")))
+            }
+            Node::Const(value) => Ok(value.clone()),
+            Node::Bound(v) => Ok(Value::boolean(row.get(v).is_some())),
+            Node::Unary(op, e) => {
+                let value = e.eval(row)?;
+                match op {
+                    UnaryOp::Not => Ok(Value::boolean(!value.ebv()?)),
+                    UnaryOp::Neg => Ok(Value::number(-value.numeric()?)),
+                    UnaryOp::Str => match value {
+                        Value::Iri(iri) => Ok(Value::plain(iri)),
+                        Value::Literal { lexical, .. } => {
+                            Ok(Value::Literal { lexical, kind: Kind::Plain })
+                        }
+                        Value::Blank(_) => Err(err("STR of a blank node")),
+                    },
+                    UnaryOp::Lang => match value {
+                        Value::Literal { kind: Kind::Lang(tag), .. } => Ok(Value::plain(tag)),
+                        Value::Literal { .. } => Ok(Value::plain("")),
+                        _ => Err(err("LANG of a non-literal")),
+                    },
+                    UnaryOp::Datatype => match value {
+                        Value::Literal { kind: Kind::Typed(datatype), .. } => {
+                            Ok(Value::Iri(datatype))
+                        }
+                        Value::Literal { kind: Kind::Plain, .. } => Ok(Value::Iri(xsd::STRING)),
+                        Value::Literal { kind: Kind::Lang(_), .. } => {
+                            Err(err("DATATYPE of a language-tagged literal"))
+                        }
+                        _ => Err(err("DATATYPE of a non-literal")),
+                    },
+                    UnaryOp::IsIri => Ok(Value::boolean(matches!(value, Value::Iri(_)))),
+                    UnaryOp::IsBlank => Ok(Value::boolean(matches!(value, Value::Blank(_)))),
+                    UnaryOp::IsLiteral => {
+                        Ok(Value::boolean(matches!(value, Value::Literal { .. })))
+                    }
+                }
+            }
+            Node::Connective { decisive, a, b } => {
+                // SPARQL's 3-valued logic: one operand with the decisive
+                // value (true for `||`, false for `&&`) beats an error
+                // in the other.
+                let truth = |e: &'a Node<'_>| e.eval(row).and_then(|v| v.ebv());
+                match truth(a) {
+                    Ok(t) if t == *decisive => Ok(Value::boolean(t)),
+                    Ok(_) => truth(b).map(Value::boolean),
+                    Err(e) => match truth(b) {
+                        Ok(t) if t == *decisive => Ok(Value::boolean(t)),
+                        _ => Err(e),
+                    },
+                }
+            }
+            Node::Binary(op, a, b) => {
+                let (a, b) = (a.eval(row)?, b.eval(row)?);
+                match op {
+                    BinaryOp::Compare(op) => compare_terms(*op, &a, &b).map(Value::boolean),
+                    BinaryOp::Arith(op) => {
+                        let (na, nb) = (a.numeric()?, b.numeric()?);
+                        Ok(Value::number(match op {
+                            ArithOp::Add => na + nb,
+                            ArithOp::Sub => na - nb,
+                            ArithOp::Mul => na * nb,
+                            ArithOp::Div if nb == 0.0 => return Err(err("division by zero")),
+                            ArithOp::Div => na / nb,
+                        }))
+                    }
+                    BinaryOp::SameTerm => Ok(Value::boolean(a == b)),
+                    BinaryOp::LangMatches => {
+                        Ok(Value::boolean(lang_matches(a.string_value()?, b.string_value()?)))
+                    }
+                }
+            }
+            Node::Regex { text, matcher } => {
+                let text = text.eval(row)?;
+                let text = text.string_value()?;
+                let matched = match matcher {
+                    Matcher::Constant(regex) => regex.as_ref().map_err(Clone::clone)?.is_match(text),
+                    Matcher::PerRow { pattern, flags } => {
+                        let pattern = pattern.eval(row)?;
+                        let flags = flags.as_ref().map(|f| f.eval(row)).transpose()?;
+                        compile_regex(&pattern, flags.as_ref())?.is_match(text)
+                    }
+                };
+                Ok(Value::boolean(matched))
+            }
+        }
+    }
+}
+
+/// A term as the evaluator sees it: the strings of a row's or the
+/// expression's [`Term`], borrowed, or a computed value — which borrows
+/// too (`STR`, `LANG`, `DATATYPE`, booleans) unless it is a number.
+#[derive(Debug, Clone, PartialEq)]
+enum Value<'a> {
+    Iri(&'a str),
+    Blank(&'a str),
+    Literal { lexical: Cow<'a, str>, kind: Kind<'a> },
+}
+
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Kind<'a> {
+    Plain,
+    Lang(&'a str),
+    Typed(&'a str),
+}
+
+impl<'a> From<&'a Term> for Value<'a> {
+    fn from(term: &'a Term) -> Self {
+        match term {
+            Term::Iri(iri) => Value::Iri(iri.as_str()),
+            Term::Blank(blank) => Value::Blank(blank.as_str()),
+            Term::Literal(literal) => Value::Literal {
+                lexical: Cow::Borrowed(literal.lexical()),
+                kind: match literal.kind() {
+                    LiteralKind::Plain => Kind::Plain,
+                    LiteralKind::LanguageTagged(tag) => Kind::Lang(tag),
+                    LiteralKind::Typed(datatype) => Kind::Typed(datatype.as_str()),
+                },
+            },
+        }
+    }
+}
+
+impl<'a> Value<'a> {
+    fn plain(lexical: &'a str) -> Self {
+        Value::Literal { lexical: Cow::Borrowed(lexical), kind: Kind::Plain }
+    }
+
+    fn boolean(b: bool) -> Self {
+        let lexical = Cow::Borrowed(if b { "true" } else { "false" });
+        Value::Literal { lexical, kind: Kind::Typed(xsd::BOOLEAN) }
+    }
+
+    fn number(n: f64) -> Self {
+        let (lexical, datatype) = if n.fract() == 0.0 && n.abs() < i64::MAX as f64 {
+            ((n as i64).to_string(), xsd::INTEGER)
+        } else {
+            (n.to_string(), xsd::DOUBLE)
+        };
+        Value::Literal { lexical: Cow::Owned(lexical), kind: Kind::Typed(datatype) }
+    }
+
+    fn into_term(self) -> Term {
+        match self {
+            Value::Iri(iri) => Term::Iri(Iri::new_unchecked(iri)),
+            Value::Blank(label) => Term::Blank(BlankNode::new_unchecked(label)),
+            Value::Literal { lexical, kind } => Term::Literal(match kind {
+                Kind::Plain => Literal::plain(lexical),
+                Kind::Lang(tag) => Literal::lang(lexical, tag),
+                Kind::Typed(datatype) => Literal::typed(lexical, Iri::new_unchecked(datatype)),
+            }),
+        }
+    }
+
+    /// The numeric interpretation [`Literal::as_f64`] gives the term.
+    fn as_f64(&self) -> Option<f64> {
+        match self {
+            Value::Literal { lexical, kind: Kind::Plain } => lexical.parse().ok(),
+            Value::Literal { lexical, kind: Kind::Typed(datatype) } if xsd::is_numeric(datatype) => {
+                lexical.parse().ok()
+            }
+            _ => None,
+        }
+    }
+
+    fn numeric(&self) -> Result<f64, ExprError> {
+        self.as_f64().ok_or_else(|| err("not a number"))
+    }
+
+    fn string_value(&self) -> Result<&str, ExprError> {
+        match self {
+            Value::Literal { lexical, .. } => Ok(lexical),
+            Value::Iri(iri) => Ok(iri),
+            Value::Blank(_) => Err(err("string value of a blank node")),
+        }
+    }
+
+    /// The SPARQL effective boolean value (EBV).
+    fn ebv(&self) -> Result<bool, ExprError> {
+        let Value::Literal { lexical, kind } = self else {
+            return Err(err("EBV of a non-literal"));
+        };
+        match kind {
+            Kind::Typed(datatype) if *datatype == xsd::BOOLEAN => match lexical.as_ref() {
+                "true" | "1" => Ok(true),
+                "false" | "0" => Ok(false),
+                _ => Err(err("ill-formed boolean")),
+            },
+            Kind::Typed(datatype) if xsd::is_numeric(datatype) => {
+                Ok(self.as_f64().is_some_and(|n| n != 0.0))
+            }
+            Kind::Typed(datatype) if *datatype != xsd::STRING => {
+                Err(err("no boolean value for this datatype"))
+            }
+            // Plain, language-tagged and xsd:string literals: non-empty is true.
+            _ => Ok(!lexical.is_empty()),
+        }
+    }
+}
+
 /// The SPARQL effective boolean value (EBV) of a term.
 pub fn effective_boolean_value(term: &Term) -> Result<bool, ExprError> {
-    match term {
-        Term::Literal(l) => {
-            if let Some(dt) = l.datatype() {
-                if dt.as_str() == rdfmesh_rdf::vocab::xsd::BOOLEAN {
-                    return l.as_bool().ok_or_else(|| err("ill-formed boolean"));
-                }
-                if rdfmesh_rdf::vocab::xsd::is_numeric(dt.as_str()) {
-                    return Ok(l.as_f64().is_some_and(|n| n != 0.0));
-                }
-                if dt.as_str() == rdfmesh_rdf::vocab::xsd::STRING {
-                    return Ok(!l.lexical().is_empty());
-                }
-                return Err(err("no boolean value for this datatype"));
-            }
-            // Plain / language-tagged literals: non-empty string is true.
-            Ok(!l.lexical().is_empty())
-        }
-        _ => Err(err("EBV of a non-literal")),
-    }
-}
-
-fn numeric(term: &Term) -> Result<f64, ExprError> {
-    term.as_literal()
-        .and_then(Literal::as_f64)
-        .ok_or_else(|| err(format!("not a number: {term}")))
-}
-
-fn number_term(n: f64) -> Term {
-    if n.fract() == 0.0 && n.abs() < i64::MAX as f64 {
-        Term::Literal(Literal::integer(n as i64))
-    } else {
-        Term::Literal(Literal::double(n))
-    }
-}
-
-fn string_value(term: &Term) -> Result<String, ExprError> {
-    match term {
-        Term::Literal(l) => Ok(l.lexical().to_string()),
-        Term::Iri(i) => Ok(i.as_str().to_string()),
-        Term::Blank(_) => Err(err("string value of a blank node")),
-    }
+    Value::from(term).ebv()
 }
 
 fn lang_matches(tag: &str, range: &str) -> bool {
@@ -365,13 +571,10 @@ fn lang_matches(tag: &str, range: &str) -> bool {
 }
 
 /// SPARQL `=`/ordering comparison of two terms.
-fn compare_terms(op: ComparisonOp, a: &Term, b: &Term) -> Result<bool, ExprError> {
+fn compare_terms(op: ComparisonOp, a: &Value<'_>, b: &Value<'_>) -> Result<bool, ExprError> {
     use ComparisonOp::*;
     // Numeric comparison when both sides are numeric literals.
-    if let (Some(na), Some(nb)) = (
-        a.as_literal().and_then(Literal::as_f64),
-        b.as_literal().and_then(Literal::as_f64),
-    ) {
+    if let (Some(na), Some(nb)) = (a.as_f64(), b.as_f64()) {
         return Ok(match op {
             Eq => na == nb,
             Neq => na != nb,
@@ -381,31 +584,28 @@ fn compare_terms(op: ComparisonOp, a: &Term, b: &Term) -> Result<bool, ExprError
             Ge => na >= nb,
         });
     }
+    // Ordering is defined for comparable literals (string compare of
+    // untyped and xsd:string literals); anything else is a type error.
+    fn orderable<'v>(v: &'v Value<'_>) -> Option<&'v str> {
+        match v {
+            Value::Literal { kind: Kind::Typed(datatype), .. } if *datatype != xsd::STRING => None,
+            Value::Literal { lexical, .. } => Some(lexical),
+            _ => None,
+        }
+    }
     match op {
         Eq => Ok(a == b),
         Neq => Ok(a != b),
-        _ => {
-            // Ordering is defined for comparable literals (string compare
-            // of plain/string literals); anything else is a type error.
-            let sa = a
-                .as_literal()
-                .filter(|l| l.datatype().is_none() || l.datatype().map(|d| d.as_str()) == Some(rdfmesh_rdf::vocab::xsd::STRING))
-                .map(Literal::lexical);
-            let sb = b
-                .as_literal()
-                .filter(|l| l.datatype().is_none() || l.datatype().map(|d| d.as_str()) == Some(rdfmesh_rdf::vocab::xsd::STRING))
-                .map(Literal::lexical);
-            match (sa, sb) {
-                (Some(sa), Some(sb)) => Ok(match op {
-                    Lt => sa < sb,
-                    Le => sa <= sb,
-                    Gt => sa > sb,
-                    Ge => sa >= sb,
-                    _ => unreachable!(),
-                }),
-                _ => Err(err("terms are not order-comparable")),
-            }
-        }
+        _ => match (orderable(a), orderable(b)) {
+            (Some(sa), Some(sb)) => Ok(match op {
+                Lt => sa < sb,
+                Le => sa <= sb,
+                Gt => sa > sb,
+                Ge => sa >= sb,
+                Eq | Neq => unreachable!("matched above"),
+            }),
+            _ => Err(err("terms are not order-comparable")),
+        },
     }
 }
 
@@ -709,6 +909,10 @@ mod tests {
 
     fn int(n: i64) -> Term {
         Term::Literal(Literal::integer(n))
+    }
+
+    fn bool_term(b: bool) -> Term {
+        Term::Literal(Literal::boolean(b))
     }
 
     #[test]

@@ -7,21 +7,38 @@
 //! * literal characters, `.`
 //! * character classes `[abc]`, ranges `[a-z]`, negation `[^...]`
 //! * anchors `^` and `$`
-//! * quantifiers `*`, `+`, `?` (greedy, with backtracking)
+//! * quantifiers `*`, `+`, `?`
 //! * alternation `|` and grouping `(...)`
 //! * escapes `\.` `\\` `\d` `\w` `\s` (and their literal forms)
 //! * the `i` (case-insensitive) flag of `regex(str, pattern, flags)`
 //!
 //! Matching is *search* semantics (the pattern may match anywhere in the
 //! input), per the XPath `fn:matches` behaviour SPARQL inherits.
+//!
+//! A pattern arrives inside a sub-query frame, so it is hostile input.
+//! [`Regex::with_flags`] compiles it once into a program whose size is
+//! linear in the pattern, and [`Regex::is_match`] simulates that program
+//! over all its threads at once: pattern size × input length steps at
+//! most, whatever the pattern nests (`^(a+)+$` is no slower than `^a+$`;
+//! groups nest at most 128 deep, which bounds the stack).
+//! Before that, an input must contain the pattern's longest run of plain
+//! characters — for `"Smith"` that test is the whole match.
 
+use std::borrow::Cow;
 use std::fmt;
 
 /// A compiled pattern.
 #[derive(Debug, Clone)]
 pub struct Regex {
-    node: Node,
-    case_insensitive: bool,
+    /// The program; its last instruction is [`Inst::Match`].
+    prog: Vec<Inst>,
+    /// The longest run of literal characters at the pattern's top level:
+    /// every match contains it.
+    literal: String,
+    /// The pattern is nothing but `literal`.
+    literal_only: bool,
+    /// The `i` flag: pattern and input are folded, char by char.
+    fold: bool,
 }
 
 /// Errors raised when compiling a pattern.
@@ -46,7 +63,17 @@ enum Node {
     EndAnchor,
     Concat(Vec<Node>),
     Alternate(Vec<Node>),
-    Repeat { node: Box<Node>, min: u32, max: Option<u32> },
+    Repeat { node: Box<Node>, quantifier: Quantifier },
+}
+
+#[derive(Debug, Clone, Copy)]
+enum Quantifier {
+    /// `*`
+    Star,
+    /// `+`
+    Plus,
+    /// `?`
+    Optional,
 }
 
 #[derive(Debug, Clone)]
@@ -58,26 +85,82 @@ enum ClassItem {
     Space,
 }
 
+impl ClassItem {
+    fn contains(&self, c: char) -> bool {
+        match self {
+            ClassItem::Char(x) => c == *x,
+            ClassItem::Range(a, b) => (*a..=*b).contains(&c),
+            ClassItem::Digit => c.is_ascii_digit(),
+            ClassItem::Word => c.is_alphanumeric() || c == '_',
+            ClassItem::Space => c.is_whitespace(),
+        }
+    }
+}
+
+/// One instruction of a compiled pattern. A thread at a consuming
+/// instruction moves to the next one on a character it accepts; the
+/// others move without reading input.
+#[derive(Debug, Clone)]
+enum Inst {
+    Char(char),
+    Any,
+    Class { negated: bool, items: Vec<ClassItem> },
+    /// `^`: passes at the start of the input only.
+    Start,
+    /// `$`: passes at the end of the input only.
+    End,
+    /// Continues at both targets.
+    Split(usize, usize),
+    Jump(usize),
+    Match,
+}
+
+impl Inst {
+    fn consumes(&self, c: char) -> bool {
+        match self {
+            Inst::Char(x) => *x == c,
+            Inst::Any => true,
+            Inst::Class { negated, items } => items.iter().any(|i| i.contains(c)) != *negated,
+            _ => false,
+        }
+    }
+}
+
+/// Simple case folding, the same on pattern and input: the lowercase form
+/// where that is one character, the character itself where it is not
+/// (`İ` lowercases to two).
+fn fold_char(c: char) -> char {
+    let mut lower = c.to_lowercase();
+    match (lower.next(), lower.next()) {
+        (Some(l), None) => l,
+        _ => c,
+    }
+}
+
+/// Programs of up to this many instructions are simulated on the stack.
+const INLINE_INSTS: usize = 64;
+
 impl Regex {
     /// Compiles `pattern` with the given SPARQL flags string (only `i` is
-    /// recognized; other flags are rejected).
+    /// recognized; other flags are rejected). All per-pattern work happens
+    /// here, case folding included.
     pub fn with_flags(pattern: &str, flags: &str) -> Result<Self, RegexError> {
-        let mut case_insensitive = false;
+        let mut fold = false;
         for f in flags.chars() {
             match f {
-                'i' => case_insensitive = true,
+                'i' => fold = true,
                 's' | 'm' | 'x' => {
                     return Err(RegexError(format!("flag {f:?} not supported")));
                 }
                 other => return Err(RegexError(format!("unknown flag {other:?}"))),
             }
         }
-        let mut p = Parser { chars: pattern.chars().collect(), pos: 0 };
-        let node = p.parse_alternation()?;
-        if p.pos != p.chars.len() {
-            return Err(RegexError(format!("unexpected {:?} at {}", p.chars[p.pos], p.pos)));
-        }
-        Ok(Regex { node, case_insensitive })
+        let node = parse(pattern, fold)?;
+        let (literal, literal_only) = top_level_literal(&node);
+        let mut prog = Vec::new();
+        emit(node, &mut prog);
+        prog.push(Inst::Match);
+        Ok(Regex { prog, literal, literal_only, fold })
     }
 
     /// Compiles `pattern` with no flags.
@@ -87,141 +170,207 @@ impl Regex {
 
     /// True if the pattern matches anywhere in `input`.
     pub fn is_match(&self, input: &str) -> bool {
-        let chars: Vec<char> = if self.case_insensitive {
-            input.chars().flat_map(char::to_lowercase).collect()
+        let text = self.folded(input);
+        text.contains(self.literal.as_str()) && (self.literal_only || self.simulate(&text))
+    }
+
+    /// [`Regex::is_match`] without the literal pre-check.
+    #[cfg(test)]
+    fn is_match_unfiltered(&self, input: &str) -> bool {
+        self.simulate(&self.folded(input))
+    }
+
+    fn folded<'a>(&self, input: &'a str) -> Cow<'a, str> {
+        if self.fold {
+            Cow::Owned(input.chars().map(fold_char).collect())
         } else {
-            input.chars().collect()
+            Cow::Borrowed(input)
+        }
+    }
+
+    /// Runs every thread of the program over `text` in lockstep, one
+    /// input position at a time. A thread is an instruction index, and a
+    /// position's thread list holds each index at most once, so a
+    /// position costs at most one visit per instruction.
+    fn simulate(&self, text: &str) -> bool {
+        let n = self.prog.len();
+        let mut inline = [0usize; 3 * INLINE_INSTS];
+        let mut spill = Vec::new();
+        let buf = if n <= INLINE_INSTS {
+            &mut inline[..3 * n]
+        } else {
+            spill.resize(3 * n, 0);
+            &mut spill[..]
         };
-        let node = if self.case_insensitive { self.node.lowercased() } else { self.node.clone() };
-        for start in 0..=chars.len() {
-            if match_node(&node, &chars, start, start == 0, &mut |_| true) {
-                return true;
+        let (pcs, rest) = buf.split_at_mut(n);
+        let (next, added) = rest.split_at_mut(n);
+        let mut threads = Threads { pcs, len: 0, added, position: 0 };
+        // `next[..next_len]`: where the threads that consumed the last
+        // character continue.
+        let mut next_len = 0;
+        let mut chars = text.chars();
+        loop {
+            let c = chars.next();
+            threads.position += 1;
+            threads.len = 0;
+            next[..next_len].iter().for_each(|&pc| threads.add(pc));
+            // Search semantics: a match may start at every position.
+            threads.add(0);
+            // The list is its own work list: what an instruction adds is
+            // visited later in this same loop.
+            let mut i = 0;
+            while i < threads.len {
+                let pc = threads.pcs[i];
+                match self.prog[pc] {
+                    Inst::Match => return true,
+                    Inst::Split(a, b) => {
+                        threads.add(a);
+                        threads.add(b);
+                    }
+                    Inst::Jump(a) => threads.add(a),
+                    Inst::Start if threads.position == 1 => threads.add(pc + 1),
+                    Inst::End if c.is_none() => threads.add(pc + 1),
+                    _ => {}
+                }
+                i += 1;
+            }
+            let Some(c) = c else { return false };
+            next_len = 0;
+            for &pc in &threads.pcs[..threads.len] {
+                if self.prog[pc].consumes(c) {
+                    next[next_len] = pc + 1;
+                    next_len += 1;
+                }
             }
         }
-        false
     }
 }
 
-impl Node {
-    fn lowercased(&self) -> Node {
-        match self {
-            Node::Char(c) => Node::Char(c.to_lowercase().next().unwrap_or(*c)),
-            Node::Class { negated, items } => Node::Class {
-                negated: *negated,
-                items: items
-                    .iter()
-                    .map(|i| match i {
-                        ClassItem::Char(c) => {
-                            ClassItem::Char(c.to_lowercase().next().unwrap_or(*c))
-                        }
-                        ClassItem::Range(a, b) => ClassItem::Range(
-                            a.to_lowercase().next().unwrap_or(*a),
-                            b.to_lowercase().next().unwrap_or(*b),
-                        ),
-                        other => other.clone(),
-                    })
-                    .collect(),
-            },
-            Node::Concat(ns) => Node::Concat(ns.iter().map(Node::lowercased).collect()),
-            Node::Alternate(ns) => Node::Alternate(ns.iter().map(Node::lowercased).collect()),
-            Node::Repeat { node, min, max } => {
-                Node::Repeat { node: Box::new(node.lowercased()), min: *min, max: *max }
-            }
-            other => other.clone(),
+/// The threads at one input position: instruction indexes in the order
+/// they were added, each at most once.
+struct Threads<'a> {
+    pcs: &'a mut [usize],
+    len: usize,
+    /// Per instruction, the last position at which it was added.
+    added: &'a mut [usize],
+    /// 1-based, so that a zeroed `added` means "never".
+    position: usize,
+}
+
+impl Threads<'_> {
+    fn add(&mut self, pc: usize) {
+        if self.added[pc] != self.position {
+            self.added[pc] = self.position;
+            self.pcs[self.len] = pc;
+            self.len += 1;
         }
     }
 }
 
-/// Backtracking matcher: tries to match `node` at `pos`, invoking `k`
-/// (the continuation) with the position after the match. `at_start` is
-/// true when `pos` 0 corresponds to the true start of input.
-fn match_node(
-    node: &Node,
-    input: &[char],
-    pos: usize,
-    at_start: bool,
-    k: &mut dyn FnMut(usize) -> bool,
-) -> bool {
+/// The longest run of plain characters at the top level of the pattern,
+/// and whether the pattern is nothing else. A Char under a quantifier,
+/// group or alternation is not at the top level: a match need not
+/// contain it.
+fn top_level_literal(node: &Node) -> (String, bool) {
+    let top = match node {
+        Node::Concat(nodes) => nodes.as_slice(),
+        one => std::slice::from_ref(one),
+    };
+    let char_of = |n: &Node| match n {
+        Node::Char(c) => Some(*c),
+        _ => None,
+    };
+    let literal = top
+        .split(|n| char_of(n).is_none())
+        .map(|run| run.iter().filter_map(char_of).collect::<String>())
+        .max_by_key(String::len)
+        .unwrap_or_default();
+    (literal, top.iter().all(|n| char_of(n).is_some()))
+}
+
+/// Appends the instructions matching `node` to `prog`: as many as the
+/// node has characters, classes, anchors and operators, so a program is
+/// linear in its pattern.
+fn emit(node: Node, prog: &mut Vec<Inst>) {
     match node {
-        Node::Empty => k(pos),
-        Node::Char(c) => pos < input.len() && input[pos] == *c && k(pos + 1),
-        Node::AnyChar => pos < input.len() && k(pos + 1),
-        Node::Class { negated, items } => {
-            if pos >= input.len() {
-                return false;
+        Node::Empty => {}
+        Node::Char(c) => prog.push(Inst::Char(c)),
+        Node::AnyChar => prog.push(Inst::Any),
+        Node::Class { negated, items } => prog.push(Inst::Class { negated, items }),
+        Node::StartAnchor => prog.push(Inst::Start),
+        Node::EndAnchor => prog.push(Inst::End),
+        Node::Concat(nodes) => nodes.into_iter().for_each(|n| emit(n, prog)),
+        Node::Alternate(mut branches) => {
+            // split b1, L2 · b1 · jump end · L2: split b2, L3 · … · bn
+            let last = branches.pop();
+            let mut jumps = Vec::with_capacity(branches.len());
+            for branch in branches {
+                let split = prog.len();
+                prog.push(Inst::Split(split + 1, 0));
+                emit(branch, prog);
+                jumps.push(prog.len());
+                prog.push(Inst::Jump(0));
+                prog[split] = Inst::Split(split + 1, prog.len());
             }
-            let c = input[pos];
-            let inside = items.iter().any(|item| match item {
-                ClassItem::Char(x) => c == *x,
-                ClassItem::Range(a, b) => (*a..=*b).contains(&c),
-                ClassItem::Digit => c.is_ascii_digit(),
-                ClassItem::Word => c.is_alphanumeric() || c == '_',
-                ClassItem::Space => c.is_whitespace(),
-            });
-            (inside != *negated) && k(pos + 1)
+            last.into_iter().for_each(|n| emit(n, prog));
+            for jump in jumps {
+                prog[jump] = Inst::Jump(prog.len());
+            }
         }
-        Node::StartAnchor => pos == 0 && at_start && k(pos),
-        Node::EndAnchor => pos == input.len() && k(pos),
-        Node::Concat(nodes) => match_seq(nodes, input, pos, at_start, k),
-        Node::Alternate(branches) => branches
-            .iter()
-            .any(|b| match_node(b, input, pos, at_start, k)),
-        Node::Repeat { node, min, max } => {
-            match_repeat(node, *min, *max, input, pos, at_start, k)
+        Node::Repeat { node, quantifier } => {
+            let start = prog.len();
+            match quantifier {
+                Quantifier::Plus => {
+                    emit(*node, prog);
+                    prog.push(Inst::Split(start, prog.len() + 1));
+                }
+                Quantifier::Star | Quantifier::Optional => {
+                    prog.push(Inst::Split(start + 1, 0));
+                    emit(*node, prog);
+                    if matches!(quantifier, Quantifier::Star) {
+                        prog.push(Inst::Jump(start));
+                    }
+                    prog[start] = Inst::Split(start + 1, prog.len());
+                }
+            }
         }
     }
 }
 
-fn match_seq(
-    nodes: &[Node],
-    input: &[char],
-    pos: usize,
-    at_start: bool,
-    k: &mut dyn FnMut(usize) -> bool,
-) -> bool {
-    match nodes.split_first() {
-        None => k(pos),
-        Some((head, tail)) => match_node(head, input, pos, at_start, &mut |next| {
-            match_seq(tail, input, next, at_start, k)
-        }),
+/// Parses `pattern`, folding its literal characters when `fold` is set.
+fn parse(pattern: &str, fold: bool) -> Result<Node, RegexError> {
+    let mut p = Parser { chars: pattern.chars().collect(), pos: 0, fold, depth: 0 };
+    let node = p.parse_alternation()?;
+    if p.pos != p.chars.len() {
+        return Err(RegexError(format!("unexpected {:?} at {}", p.chars[p.pos], p.pos)));
     }
+    Ok(node)
 }
 
-fn match_repeat(
-    node: &Node,
-    min: u32,
-    max: Option<u32>,
-    input: &[char],
-    pos: usize,
-    at_start: bool,
-    k: &mut dyn FnMut(usize) -> bool,
-) -> bool {
-    if min > 0 {
-        return match_node(node, input, pos, at_start, &mut |next| {
-            // Guard against zero-width inner matches looping forever.
-            if next == pos {
-                return match_repeat(node, 0, Some(0), input, next, at_start, k);
-            }
-            match_repeat(node, min - 1, max.map(|m| m.saturating_sub(1)), input, next, at_start, k)
-        });
-    }
-    if max == Some(0) {
-        return k(pos);
-    }
-    // Greedy: try one more repetition first, then fall back to stopping.
-    let more = match_node(node, input, pos, at_start, &mut |next| {
-        next != pos
-            && match_repeat(node, 0, max.map(|m| m.saturating_sub(1)), input, next, at_start, k)
-    });
-    more || k(pos)
-}
+/// Groups may nest this deep. The parser, [`emit`] and `Node`'s drop each
+/// recurse once per level, so the bound is what keeps a pattern of 10⁵
+/// `(` an error instead of a stack overflow (parsed queries never come
+/// near it; the expression codec bounds its own nesting the same way).
+const MAX_GROUP_DEPTH: usize = 128;
 
 struct Parser {
     chars: Vec<char>,
     pos: usize,
+    fold: bool,
+    /// Groups open at `pos`.
+    depth: usize,
 }
 
 impl Parser {
+    /// A literal character of the pattern, folded under the `i` flag.
+    fn literal(&self, c: char) -> char {
+        if self.fold {
+            fold_char(c)
+        } else {
+            c
+        }
+    }
+
     fn peek(&self) -> Option<char> {
         self.chars.get(self.pos).copied()
     }
@@ -260,31 +409,29 @@ impl Parser {
 
     fn parse_repeat(&mut self) -> Result<Node, RegexError> {
         let atom = self.parse_atom()?;
-        match self.peek() {
-            Some('*') => {
-                self.bump();
-                Ok(Node::Repeat { node: Box::new(atom), min: 0, max: None })
-            }
-            Some('+') => {
-                self.bump();
-                Ok(Node::Repeat { node: Box::new(atom), min: 1, max: None })
-            }
-            Some('?') => {
-                self.bump();
-                Ok(Node::Repeat { node: Box::new(atom), min: 0, max: Some(1) })
-            }
-            _ => Ok(atom),
-        }
+        let quantifier = match self.peek() {
+            Some('*') => Quantifier::Star,
+            Some('+') => Quantifier::Plus,
+            Some('?') => Quantifier::Optional,
+            _ => return Ok(atom),
+        };
+        self.bump();
+        Ok(Node::Repeat { node: Box::new(atom), quantifier })
     }
 
     fn parse_atom(&mut self) -> Result<Node, RegexError> {
         match self.bump() {
             None => Err(RegexError("unexpected end of pattern".into())),
             Some('(') => {
+                self.depth += 1;
+                if self.depth > MAX_GROUP_DEPTH {
+                    return Err(RegexError(format!("groups nested deeper than {MAX_GROUP_DEPTH}")));
+                }
                 let inner = self.parse_alternation()?;
                 if self.bump() != Some(')') {
                     return Err(RegexError("unclosed group".into()));
                 }
+                self.depth -= 1;
                 Ok(inner)
             }
             Some('[') => self.parse_class(),
@@ -298,7 +445,7 @@ impl Parser {
                 ClassItem::Char(c) => Node::Char(c),
                 other => Node::Class { negated: false, items: vec![other] },
             }),
-            Some(c) => Ok(Node::Char(c)),
+            Some(c) => Ok(Node::Char(self.literal(c))),
         }
     }
 
@@ -311,7 +458,7 @@ impl Parser {
             Some('n') => Ok(ClassItem::Char('\n')),
             Some('t') => Ok(ClassItem::Char('\t')),
             Some('r') => Ok(ClassItem::Char('\r')),
-            Some(c) => Ok(ClassItem::Char(c)),
+            Some(c) => Ok(ClassItem::Char(self.literal(c))),
         }
     }
 
@@ -338,9 +485,9 @@ impl Parser {
                         if hi < c {
                             return Err(RegexError(format!("invalid range {c}-{hi}")));
                         }
-                        items.push(ClassItem::Range(c, hi));
+                        items.push(ClassItem::Range(self.literal(c), self.literal(hi)));
                     } else {
-                        items.push(ClassItem::Char(c));
+                        items.push(ClassItem::Char(self.literal(c)));
                     }
                 }
             }
@@ -352,6 +499,7 @@ impl Parser {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn substring_search_semantics() {
@@ -457,5 +605,157 @@ mod tests {
     fn unicode_literals() {
         let re = Regex::with_flags("héllo", "i").unwrap();
         assert!(re.is_match("say HÉLLO now"));
+    }
+
+    #[test]
+    fn a_string_matches_itself_under_the_i_flag() {
+        // `İ` lowercases to two characters; pattern and input must fold
+        // it the same way.
+        assert!(Regex::with_flags("^İ$", "i").unwrap().is_match("İ"));
+        assert!(Regex::with_flags("^[İ]$", "i").unwrap().is_match("İ"));
+        assert!(Regex::with_flags("İstanbul", "i").unwrap().is_match("in İSTANBUL"));
+    }
+
+    #[test]
+    fn nested_quantifiers_cost_pattern_times_input() {
+        // Backtracking doubles on these with every two characters
+        // (seconds at 28); the simulation visits each instruction once
+        // per position.
+        let input = format!("{}b", "a".repeat(64));
+        for pattern in ["^(a+)+$", "^(a*)*$", "^(a|a)*$", "^((a*)*)*$"] {
+            let re = Regex::new(pattern).unwrap();
+            let started = std::time::Instant::now();
+            assert!(!re.is_match(&input), "{pattern}");
+            assert!(re.is_match(&input[..64]), "{pattern}");
+            assert!(started.elapsed() < std::time::Duration::from_millis(50), "{pattern}");
+        }
+    }
+
+    #[test]
+    fn group_nesting_is_bounded_not_a_stack_overflow() {
+        let nested = |n: usize| format!("{}a{}", "(".repeat(n), ")".repeat(n));
+        assert!(Regex::new(&nested(MAX_GROUP_DEPTH)).unwrap().is_match("a"));
+        assert!(Regex::new(&nested(MAX_GROUP_DEPTH + 1)).is_err());
+        assert!(Regex::new(&nested(100_000)).is_err());
+        assert!(Regex::new(&"(".repeat(100_000)).is_err());
+    }
+
+    #[test]
+    fn programs_past_the_inline_size_spill_to_the_heap() {
+        let months = "^(January|February|March|April|May|June|July|August|September|October|November|December)$";
+        let re = Regex::new(months).unwrap();
+        assert!(re.prog.len() > INLINE_INSTS);
+        assert!(re.is_match("September"));
+        assert!(!re.is_match("Septembers"));
+    }
+
+    #[test]
+    fn the_literal_is_the_longest_top_level_run() {
+        let literal = |p: &str| Regex::new(p).unwrap().literal;
+        assert_eq!(literal("Smith"), "Smith");
+        assert_eq!(literal("^ab.cde$"), "cde");
+        assert_eq!(literal("ab*cd"), "cd"); // b is under a quantifier
+        assert_eq!(literal("(abc)d|e"), "");
+        assert_eq!(literal("x(abc)yz"), "yz"); // a group is not top level
+        assert_eq!(literal("a|b"), "");
+        assert!(Regex::new("Smith").unwrap().literal_only);
+        assert!(!Regex::new("Smith$").unwrap().literal_only);
+        assert_eq!(Regex::with_flags("SmiTH", "i").unwrap().literal, "smith");
+    }
+
+    /// The matcher this module had before the simulation: a direct
+    /// transcription of what each construct means, exponential on nested
+    /// quantifiers. Tries `node` at `pos` and calls `k` with the position
+    /// after each way it can match.
+    fn backtrack(node: &Node, input: &[char], pos: usize, k: &mut dyn FnMut(usize) -> bool) -> bool {
+        match node {
+            Node::Empty => k(pos),
+            Node::Char(c) => input.get(pos) == Some(c) && k(pos + 1),
+            Node::AnyChar => pos < input.len() && k(pos + 1),
+            Node::Class { negated, items } => input
+                .get(pos)
+                .is_some_and(|&c| items.iter().any(|i| i.contains(c)) != *negated && k(pos + 1)),
+            Node::StartAnchor => pos == 0 && k(pos),
+            Node::EndAnchor => pos == input.len() && k(pos),
+            Node::Concat(nodes) => match nodes.split_first() {
+                None => k(pos),
+                Some((head, tail)) => backtrack(head, input, pos, &mut |next| {
+                    backtrack(&Node::Concat(tail.to_vec()), input, next, k)
+                }),
+            },
+            Node::Alternate(branches) => branches.iter().any(|b| backtrack(b, input, pos, k)),
+            Node::Repeat { node: inner, quantifier } => {
+                // One more round must consume something, or `(a*)*` never ends.
+                let again = |k: &mut dyn FnMut(usize) -> bool| {
+                    backtrack(inner, input, pos, &mut |next| {
+                        next != pos && backtrack(node, input, next, k)
+                    })
+                };
+                match quantifier {
+                    Quantifier::Optional => backtrack(inner, input, pos, k) || k(pos),
+                    Quantifier::Star => again(k) || k(pos),
+                    Quantifier::Plus => {
+                        let star = Node::Repeat { node: inner.clone(), quantifier: Quantifier::Star };
+                        backtrack(inner, input, pos, &mut |next| backtrack(&star, input, next, k))
+                    }
+                }
+            }
+        }
+    }
+
+    fn oracle(pattern: &str, fold: bool, input: &str) -> bool {
+        let node = parse(pattern, fold).unwrap();
+        let fold_input = |c| if fold { fold_char(c) } else { c };
+        let chars: Vec<char> = input.chars().map(fold_input).collect();
+        (0..=chars.len()).any(|start| backtrack(&node, &chars, start, &mut |_| true))
+    }
+
+    /// Well-formed patterns over a small alphabet, every construct of
+    /// the grammar included.
+    fn arb_pattern() -> impl Strategy<Value = String> {
+        let atom = proptest::sample::select(
+            &["a", "b", "B", "c", ".", "^", "$", "[ab]", "[^a]", "[a-c]", "\\d", "\\.", ""][..],
+        )
+        .prop_map(str::to_string);
+        atom.prop_recursive(3, 16, 3, |inner| {
+            prop_oneof![
+                proptest::collection::vec(inner.clone(), 2..4).prop_map(|parts| parts.concat()),
+                (inner.clone(), inner.clone()).prop_map(|(a, b)| format!("({a}|{b})")),
+                (inner, proptest::sample::select(&["*", "+", "?"][..]))
+                    .prop_map(|(a, q)| format!("({a}){q}")),
+            ]
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn the_literal_pre_check_never_changes_an_answer(
+            pattern in arb_pattern(),
+            input in "[a-cAB1.]{0,10}",
+            fold in any::<bool>(),
+        ) {
+            let re = Regex::with_flags(&pattern, if fold { "i" } else { "" }).unwrap();
+            prop_assert_eq!(
+                re.is_match(&input),
+                re.is_match_unfiltered(&input),
+                "/{}/ on {:?}, literal {:?}", pattern, input, re.literal
+            );
+        }
+
+        #[test]
+        fn the_simulation_agrees_with_backtracking(
+            pattern in arb_pattern(),
+            input in "[a-cAB1.]{0,10}",
+            fold in any::<bool>(),
+        ) {
+            let re = Regex::with_flags(&pattern, if fold { "i" } else { "" }).unwrap();
+            prop_assert_eq!(
+                re.is_match_unfiltered(&input),
+                oracle(&pattern, fold, &input),
+                "/{}/ on {:?}", pattern, input
+            );
+        }
     }
 }

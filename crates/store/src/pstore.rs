@@ -32,7 +32,7 @@ use std::path::{Path, PathBuf};
 use rdfmesh_obs::{metrics, names};
 use rdfmesh_rdf::{
     Dictionary, PatternKind, PatternSource, SharedStore, TermId, TermPattern, Triple,
-    TriplePattern,
+    TriplePattern, TripleRef,
 };
 
 use crate::dict::DictLog;
@@ -401,14 +401,6 @@ impl PersistentStore {
         self.sealed_contains(spo)
     }
 
-    fn decode(&self, (s, p, o): Key) -> Triple {
-        Triple {
-            subject: self.dict.term(TermId(s)).clone(),
-            predicate: self.dict.term(TermId(p)).clone(),
-            object: self.dict.term(TermId(o)).clone(),
-        }
-    }
-
     /// Invokes `f` with the SPO key of every live triple whose `perm`-
     /// order key lies in `lo..=hi`, in ascending `perm`-key order: a
     /// shadow merge of the overlay and every level.
@@ -449,17 +441,28 @@ impl PersistentStore {
         }
     }
 
-    /// The index permutation and key range answering `pattern`, given
-    /// the resolved ids of its bound positions (`None` = variable).
-    fn plan(
-        kind: PatternKind,
-        s: Option<u32>,
-        p: Option<u32>,
-        o: Option<u32>,
-    ) -> (Perm, Key, Key) {
+    /// Invokes `f` with the SPO key of every live triple matching
+    /// `pattern`. Interning is bijective, so repeated-variable
+    /// consistency (`?x p ?x`) is an integer comparison on the key.
+    fn scan_pattern(&self, pattern: &TriplePattern, mut f: impl FnMut(Key)) {
+        let Some((perm, lo, hi)) = self.plan(pattern) else { return };
+        let repeated = pattern.repeated_vars();
+        self.scan_ids(perm, lo, hi, &mut |(s, p, o)| {
+            if repeated.consistent(s, p, o) {
+                f((s, p, o));
+            }
+        });
+    }
+
+    /// The index permutation and key range answering `pattern`; `None`
+    /// when a bound term is not even in the dictionary.
+    fn plan(&self, pattern: &TriplePattern) -> Option<(Perm, Key, Key)> {
+        let s = self.id_of(&pattern.subject)?;
+        let p = self.id_of(&pattern.predicate)?;
+        let o = self.id_of(&pattern.object)?;
         let lo = KEY_MIN;
         let hi = KEY_MAX;
-        match kind {
+        Some(match pattern.kind() {
             PatternKind::SPO => {
                 let k = (s.unwrap(), p.unwrap(), o.unwrap());
                 (Perm::Spo, k, k)
@@ -477,7 +480,7 @@ impl PersistentStore {
             }
             PatternKind::O => (Perm::Osp, (o.unwrap(), lo, lo), (o.unwrap(), hi, hi)),
             PatternKind::None => (Perm::Spo, (lo, lo, lo), (hi, hi, hi)),
-        }
+        })
     }
 
     /// Resolves a position's id: outer `None` = constant not in the
@@ -841,51 +844,21 @@ impl PersistentStore {
 }
 
 impl PatternSource for PersistentStore {
-    fn for_each_match(&self, pattern: &TriplePattern, f: &mut dyn FnMut(Triple)) {
-        let (Some(s), Some(p), Some(o)) = (
-            self.id_of(&pattern.subject),
-            self.id_of(&pattern.predicate),
-            self.id_of(&pattern.object),
-        ) else {
-            return; // a bound term is not even in the dictionary
-        };
-        let needs_consistency = {
-            let vars = pattern.variables();
-            vars.len()
-                < [&pattern.subject, &pattern.predicate, &pattern.object]
-                    .iter()
-                    .filter(|tp| tp.is_var())
-                    .count()
-        };
-        let (perm, lo, hi) = Self::plan(pattern.kind(), s, p, o);
-        self.scan_ids(perm, lo, hi, &mut |spo| {
-            let t = self.decode(spo);
-            if !needs_consistency || pattern.matches(&t) {
-                f(t);
-            }
+    fn for_each_match(&self, pattern: &TriplePattern, f: &mut dyn FnMut(TripleRef<'_>)) {
+        self.scan_pattern(pattern, |(s, p, o)| {
+            f(TripleRef {
+                subject: self.dict.term(TermId(s)),
+                predicate: self.dict.term(TermId(p)),
+                object: self.dict.term(TermId(o)),
+            })
         });
     }
 
     fn count_pattern(&self, pattern: &TriplePattern) -> usize {
-        let (Some(s), Some(p), Some(o)) = (
-            self.id_of(&pattern.subject),
-            self.id_of(&pattern.predicate),
-            self.id_of(&pattern.object),
-        ) else {
-            return 0;
-        };
-        let same = |a: &TermPattern, b: &TermPattern| match (a, b) {
-            (TermPattern::Var(x), TermPattern::Var(y)) => x == y,
-            _ => false,
-        };
-        let same_sp = same(&pattern.subject, &pattern.predicate);
-        let same_so = same(&pattern.subject, &pattern.object);
-        let same_po = same(&pattern.predicate, &pattern.object);
-        let repeated = same_sp || same_so || same_po;
-        let (perm, lo, hi) = Self::plan(pattern.kind(), s, p, o);
         let tombstone_free =
             self.dels.spo.is_empty() && self.levels.iter().all(|l| l.del_count == 0);
-        if !repeated && tombstone_free {
+        if tombstone_free && !pattern.repeated_vars().any() {
+            let Some((perm, lo, hi)) = self.plan(pattern) else { return 0 };
             // Fast path: with no tombstones anywhere, every level's add
             // set is disjoint from the others and from the overlay, so
             // the footer index can count whole interior blocks without
@@ -900,13 +873,7 @@ impl PatternSource for PersistentStore {
             return sealed as usize + overlay;
         }
         let mut n = 0usize;
-        self.scan_ids(perm, lo, hi, &mut |(s1, p1, o1)| {
-            let ok =
-                (!same_sp || s1 == p1) && (!same_so || s1 == o1) && (!same_po || p1 == o1);
-            if ok {
-                n += 1;
-            }
-        });
+        self.scan_pattern(pattern, |_| n += 1);
         n
     }
 

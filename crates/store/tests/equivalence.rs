@@ -2,8 +2,10 @@
 //! exactly like the in-memory [`TripleStore`].
 //!
 //! Random triple sets are driven through both backends in lock-step,
-//! then compared on all 8 bound/variable pattern shapes plus
-//! repeated-variable patterns (which force the raw-id consistency path)
+//! then compared — the lending scan, `match_pattern` on top of it and
+//! `count_pattern`, each against the pattern's term-level definition —
+//! on all 8 bound/variable pattern shapes plus repeated-variable
+//! patterns (which force the raw-id consistency path)
 //! in every interesting store state: post-flush (all data in segments),
 //! overlay-mixed (segments + in-memory adds), tombstoned (removals of
 //! flushed triples), wal-reopened (reopened *without* a flush — the
@@ -83,7 +85,58 @@ fn shapes(anchor: &Triple) -> Vec<TriplePattern> {
         TermPattern::Const(anchor.predicate.clone()),
         TermPattern::var("v"),
     ));
+    patterns.push(TriplePattern::new(
+        TermPattern::var("v"),
+        TermPattern::var("v"),
+        TermPattern::var("o"),
+    ));
+    patterns.push(TriplePattern::new(
+        TermPattern::var("s"),
+        TermPattern::var("v"),
+        TermPattern::var("v"),
+    ));
+    patterns.push(TriplePattern::new(
+        TermPattern::Const(anchor.subject.clone()),
+        TermPattern::var("v"),
+        TermPattern::var("v"),
+    ));
+    patterns.push(TriplePattern::new(
+        TermPattern::var("v"),
+        TermPattern::var("v"),
+        TermPattern::Const(anchor.object.clone()),
+    ));
     patterns
+}
+
+/// What it means for a triple to match a pattern, written out: the
+/// pattern's constants equal the triple's terms, and one mapping of
+/// variables to terms covers all three positions.
+fn matches_by_definition(pattern: &TriplePattern, triple: &Triple) -> bool {
+    let mut mapping: Vec<(&TermPattern, &Term)> = Vec::new();
+    [
+        (&pattern.subject, &triple.subject),
+        (&pattern.predicate, &triple.predicate),
+        (&pattern.object, &triple.object),
+    ]
+    .into_iter()
+    .all(|(position, term)| match position {
+        TermPattern::Const(c) => c == term,
+        var => match mapping.iter().find(|(v, _)| *v == var) {
+            Some((_, bound)) => *bound == term,
+            None => {
+                mapping.push((var, term));
+                true
+            }
+        },
+    })
+}
+
+/// What a backend's lending scan visits, cloned out of the callback.
+fn lent(source: &dyn PatternSource, pattern: &TriplePattern) -> Vec<Triple> {
+    let mut out = Vec::new();
+    source.for_each_match(pattern, &mut |t| out.push(t.to_triple()));
+    out.sort();
+    out
 }
 
 /// Compares both backends on every shape from every anchor.
@@ -97,8 +150,12 @@ fn check(
     prop_assert_eq!(mem.is_empty(), PatternSource::is_empty(store), "is_empty ({})", state);
     for anchor in anchors {
         for pattern in shapes(anchor) {
-            let mut want = mem.match_pattern(&pattern);
+            // No index, no ids.
+            let mut want: Vec<Triple> =
+                mem.iter().filter(|t| matches_by_definition(&pattern, t)).collect();
             want.sort();
+            prop_assert_eq!(&lent(mem, &pattern), &want, "memory scan {:?} ({})", &pattern, state);
+            prop_assert_eq!(&lent(store, &pattern), &want, "scan {:?} ({})", &pattern, state);
             let mut got = store.match_pattern(&pattern);
             got.sort();
             prop_assert_eq!(&got, &want, "match_pattern {:?} ({})", &pattern, state);
@@ -118,6 +175,52 @@ fn check(
         prop_assert_eq!(mem.contains(&held), store.contains(&held), "contains ({})", state);
     }
     Ok(())
+}
+
+/// The state the lending scan has most to merge in: two sealed levels
+/// (the newer one carrying tombstones for the older), unflushed inserts
+/// and unflushed removals of triples from either level — over a
+/// vocabulary where subjects, predicates and objects coincide, so every
+/// repeated-variable form has rows to keep and rows to drop.
+#[test]
+fn lending_scan_over_two_levels_an_overlay_and_tombstones() {
+    let r = |i: usize| Term::iri(&format!("http://example.org/r{i}"));
+    let all: Vec<Triple> = (0..10)
+        .flat_map(|s| (0..3).flat_map(move |p| (0..3).map(move |o| Triple::new(r(s), r(p), r(o)))))
+        .collect();
+    let dir = fresh_dir();
+    let mut mem = TripleStore::new();
+    let mut store = PersistentStore::open(&dir).expect("open store");
+    let apply = |mem: &mut TripleStore, store: &mut PersistentStore, t: &Triple, insert| {
+        if insert {
+            assert_eq!(mem.insert(t), PatternSource::insert(store, t));
+        } else {
+            assert_eq!(mem.remove(t), PatternSource::remove(store, t));
+        }
+    };
+    for t in &all[..80] {
+        apply(&mut mem, &mut store, t, true);
+    }
+    store.flush().expect("first level");
+    for t in &all[80..84] {
+        apply(&mut mem, &mut store, t, true);
+    }
+    for t in all[..80].iter().step_by(27) {
+        apply(&mut mem, &mut store, t, false);
+    }
+    store.flush().expect("second level, with tombstones");
+    for t in &all[84..] {
+        apply(&mut mem, &mut store, t, true);
+    }
+    apply(&mut mem, &mut store, &all[1], false); // lives in the older level
+    apply(&mut mem, &mut store, &all[81], false); // lives in the newer level
+    apply(&mut mem, &mut store, &all[0], true); // re-insert over a sealed tombstone
+    assert_eq!(store.level_count(), 2, "the second flush must not have compacted");
+    assert!(store.overlay_len() > 0);
+    let anchors = [&all[0], &all[4], &all[13], &all[81], &all[89]];
+    check(&mem, &store, &anchors, "two levels + overlay + tombstones").unwrap();
+    drop(store);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 proptest! {

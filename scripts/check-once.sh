@@ -1,8 +1,10 @@
 #!/bin/sh
 # What a provider computes, how an exchange is priced, how a reply is
 # counted and how a role is built are each written once under
-# crates/core/src (PR 18). Fails when a second copy appears. Test modules
-# (`mod tests` to end of file) and comment lines are not code.
+# crates/core/src (PR 18); a regex is compiled in one place, and the
+# provider's scan lends its rows instead of collecting them (PR 19).
+# Fails when a second copy appears. Test modules (`mod tests` to end of
+# file) and comment lines are not code.
 set -eu
 cd "$(dirname "$0")/../crates/core/src"
 
@@ -33,5 +35,16 @@ expect 'wire::encoded_len sites under live/' \
     "$(code live/*.rs | grep -c 'wire::encoded_len' || true)" 1
 expect 'role struct literals (one per constructor)' \
     "$(code ./*.rs live/*.rs | grep -E "$role" | grep -cvE "(struct|impl|for) $role" || true)" 3
-[ "$bad" -eq 0 ] && echo 'exists once: provider compute, exchange pricing, reply accounting, role constructors'
+sparql=../../sparql/src
+# The bodies of the scan driver and of its collecting wrapper.
+scan=$(awk '/^pub fn (for_each_extension|evaluate_pattern_with)/{on=1} on{print} on&&/^}/{on=0}' \
+    "$sparql/eval.rs")
+expect 'Regex::with_flags( callers under crates/sparql/src' \
+    "$(code "$sparql"/*.rs | grep -c 'Regex::with_flags(' || true)" 1
+expect 'collected scans (.match_pattern( / .matching() in provider.rs' \
+    "$(code provider.rs | grep -cE '\.match_pattern\(|\.matching\(' || true)" 0
+expect 'collected scans in for_each_extension / evaluate_pattern_with' \
+    "$(echo "$scan" | grep -v '^ *//' | grep -cE '\.match_pattern\(|\.matching\(' || true)" 0
+expect 'scan driver bodies found in eval.rs' "$(echo "$scan" | grep -c '^pub fn')" 2
+[ "$bad" -eq 0 ] && echo 'exists once: provider compute, exchange pricing, reply accounting, role constructors, regex compilation, lending scan'
 exit "$bad"
