@@ -255,14 +255,12 @@ pub fn finalize<G: Graph>(graph: &G, query: &AlgebraQuery, raw: SolutionSet) -> 
         QueryForm::Select { duplicates, projection } => {
             let mut rows = raw;
             apply_order(&mut rows, &query.modifiers);
-            let projected: Vec<Solution> = if projection.is_empty() {
-                rows
-            } else {
-                rows.iter().map(|s| s.project(projection)).collect()
-            };
+            if !projection.is_empty() {
+                rows.iter_mut().for_each(|s| s.retain(projection));
+            }
             let deduped = match duplicates {
-                Duplicates::All => projected,
-                Duplicates::Distinct | Duplicates::Reduced => solution::distinct(projected),
+                Duplicates::All => rows,
+                Duplicates::Distinct | Duplicates::Reduced => solution::distinct(rows),
             };
             QueryResult::Solutions(apply_slice(deduped, &query.modifiers))
         }
@@ -378,10 +376,14 @@ fn compare_for_order(expr: &Compiled<'_>, a: &Solution, b: &Solution) -> Orderin
     }
 }
 
-fn apply_slice(rows: Vec<Solution>, modifiers: &Modifiers) -> Vec<Solution> {
-    let offset = modifiers.offset.unwrap_or(0);
-    let limit = modifiers.limit.unwrap_or(usize::MAX);
-    rows.into_iter().skip(offset).take(limit).collect()
+fn apply_slice(mut rows: Vec<Solution>, modifiers: &Modifiers) -> Vec<Solution> {
+    if let Some(offset) = modifiers.offset {
+        rows.drain(..offset.min(rows.len()));
+    }
+    if let Some(limit) = modifiers.limit {
+        rows.truncate(limit);
+    }
+    rows
 }
 
 #[cfg(test)]
@@ -577,5 +579,100 @@ mod tests {
         assert_eq!(sol.get_by_name("x").unwrap(), &person("alice"));
         assert_eq!(sol.get_by_name("y").unwrap(), &person("bob"));
         assert_eq!(sol.get_by_name("z").unwrap(), &person("carol"));
+    }
+
+    /// SELECT post-processing as it was before it worked on the rows it
+    /// owns: every row rebuilt by the cloning `Solution::project`, the
+    /// slice taken through an iterator. What [`finalize`] must equal.
+    fn finalize_by_projection(query: &AlgebraQuery, raw: SolutionSet) -> QueryResult {
+        let QueryForm::Select { duplicates, projection } = &query.form else {
+            unreachable!("the differential generates SELECT only")
+        };
+        let mut rows = raw;
+        apply_order(&mut rows, &query.modifiers);
+        let projected: Vec<Solution> = if projection.is_empty() {
+            rows
+        } else {
+            rows.iter().map(|s| s.project(projection)).collect()
+        };
+        let deduped = match duplicates {
+            Duplicates::All => projected,
+            Duplicates::Distinct | Duplicates::Reduced => solution::distinct(projected),
+        };
+        let offset = query.modifiers.offset.unwrap_or(0);
+        let limit = query.modifiers.limit.unwrap_or(usize::MAX);
+        QueryResult::Solutions(deduped.into_iter().skip(offset).take(limit).collect())
+    }
+
+    mod generated {
+        use super::*;
+        use crate::ast::{Dataset, OrderComparator};
+        use crate::expr::Expression;
+        use proptest::prelude::*;
+
+        const VARS: [&str; 4] = ["a", "b", "c", "d"];
+
+        fn var(i: usize) -> Variable {
+            Variable::new(VARS[i])
+        }
+
+        /// Rows binding any subset of four variables to one of three
+        /// values: duplicates, differing domains and ORDER BY ties are
+        /// all common.
+        fn arb_rows() -> impl Strategy<Value = SolutionSet> {
+            let cell = (0usize..4, 0i64..3);
+            let row = proptest::collection::vec(cell, 0..5).prop_map(|cells| {
+                Solution::from_pairs(
+                    cells.into_iter().map(|(v, n)| (var(v), Term::Literal(Literal::integer(n)))),
+                )
+            });
+            proptest::collection::vec(row, 0..12)
+        }
+
+        /// A SELECT over no pattern: the projection (empty is `*`; may
+        /// name a variable no row binds, or one twice), the duplicate
+        /// rule, up to two ORDER BY keys, OFFSET and LIMIT — each absent,
+        /// zero, inside and past the end.
+        fn arb_query() -> impl Strategy<Value = AlgebraQuery> {
+            let duplicates = proptest::sample::select(
+                &[Duplicates::All, Duplicates::Distinct, Duplicates::Reduced][..],
+            );
+            let key = (0usize..4, any::<bool>()).prop_map(|(v, descending)| OrderComparator {
+                expression: Expression::Var(var(v)),
+                descending,
+            });
+            let slice = || prop_oneof![2 => Just(None), 3 => (0usize..15).prop_map(Some)];
+            (
+                proptest::collection::vec(0usize..4, 0..4),
+                duplicates,
+                proptest::collection::vec(key, 0..3),
+                slice(),
+                slice(),
+            )
+                .prop_map(|(projection, duplicates, order_by, offset, limit)| AlgebraQuery {
+                    form: QueryForm::Select {
+                        duplicates,
+                        projection: projection.into_iter().map(var).collect(),
+                    },
+                    dataset: Dataset::default(),
+                    pattern: GraphPattern::Bgp(Vec::new()),
+                    modifiers: Modifiers { order_by, limit, offset },
+                })
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(1024))]
+
+            #[test]
+            fn finalize_in_place_equals_finalize_by_projection(
+                rows in arb_rows(),
+                query in arb_query(),
+            ) {
+                prop_assert_eq!(
+                    finalize(&NoGraph, &query, rows.clone()),
+                    finalize_by_projection(&query, rows)
+                );
+            }
+        }
     }
 }

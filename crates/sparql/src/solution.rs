@@ -143,6 +143,14 @@ impl Solution {
         }
     }
 
+    /// [`Solution::project`] in place, for a caller that owns the row:
+    /// nothing is cloned, and a row already inside `vars` is left alone.
+    pub fn retain(&mut self, vars: &[Variable]) {
+        if self.bindings.keys().any(|v| !vars.contains(v)) {
+            self.bindings.retain(|v, _| vars.contains(v));
+        }
+    }
+
     /// Serialized size in bytes when shipped between sites: each binding
     /// costs `?name` + one separator + the N-Triples form of the term,
     /// plus a two-byte record frame. This is the unit in which the paper's
@@ -1199,6 +1207,17 @@ mod tests {
         let p = s.project(&[v("x"), v("z")]);
         assert_eq!(p.len(), 2);
         assert!(p.get(&v("y")).is_none());
+    }
+
+    #[test]
+    fn retain_is_projection_in_place() {
+        let s = sol(&[("x", "a"), ("y", "b"), ("z", "c")]);
+        let inside = vec![v("z"), v("y"), v("x")];
+        for vars in [vec![], vec![v("y")], vec![v("x"), v("z"), v("w")], inside] {
+            let mut kept = s.clone();
+            kept.retain(&vars);
+            assert_eq!(kept, s.project(&vars), "{vars:?}");
+        }
     }
 
     #[test]

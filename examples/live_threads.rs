@@ -48,7 +48,7 @@ fn main() {
         ),
         (
             "p3's outgoing edges",
-            TriplePattern::new(foaf::person_iri(3), knows.clone(), TermPattern::var("y")),
+            TriplePattern::new(foaf::person_iri(3), knows, TermPattern::var("y")),
         ),
         (
             "everyone's names",

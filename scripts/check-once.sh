@@ -2,7 +2,9 @@
 # What a provider computes, how an exchange is priced, how a reply is
 # counted and how a role is built are each written once under
 # crates/core/src (PR 18); a regex is compiled in one place, and the
-# provider's scan lends its rows instead of collecting them (PR 19).
+# provider's scan lends its rows instead of collecting them (PR 19); a
+# JSON string is escaped by one function, and the result writers build no
+# string per cell, row or document (PR 20).
 # Fails when a second copy appears. Test modules (`mod tests` to end of
 # file) and comment lines are not code.
 set -eu
@@ -46,5 +48,16 @@ expect 'collected scans (.match_pattern( / .matching() in provider.rs' \
 expect 'collected scans in for_each_extension / evaluate_pattern_with' \
     "$(echo "$scan" | grep -v '^ *//' | grep -cE '\.match_pattern\(|\.matching\(' || true)" 0
 expect 'scan driver bodies found in eval.rs' "$(echo "$scan" | grep -c '^pub fn')" 2
-[ "$bad" -eq 0 ] && echo 'exists once: provider compute, exchange pricing, reply accounting, role constructors, regex compilation, lending scan'
+# A JSON string escaper is what writes a control character as \u00XX, or
+# is named for the job. rdfmesh-obs keeps its own for metric lines: it
+# depends on nothing, and crates/sparql does not depend on it.
+cd ../../..
+escapers=$(find src crates/*/src -name '*.rs' ! -path 'crates/obs/*' | while read -r f; do
+    if code "$f" | grep -qE '\\\\u(00|\{:04)|fn [a-z_]*(json_escape|escape_json)'; then echo "$f"; fi
+done)
+expect "files defining JSON string escaping outside crates/obs ($(echo $escapers))" \
+    "$(echo "$escapers" | grep -c . || true)" 1
+expect 'format!( / .join( in results.rs (a String per cell, row or document)' \
+    "$(code crates/sparql/src/results.rs | grep -cE 'format!\(|\.join\(' || true)" 0
+[ "$bad" -eq 0 ] && echo 'exists once: provider compute, exchange pricing, reply accounting, role constructors, regex compilation, lending scan, JSON escaping, result writers'
 exit "$bad"

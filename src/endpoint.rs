@@ -25,6 +25,7 @@
 //! layer still face the mesh's own admission window
 //! ([`rdfmesh_core::Admission`]), which produces the same 503 shape.
 
+use std::fmt::Write as _;
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -34,6 +35,7 @@ use std::time::{Duration, Instant};
 
 use crossbeam::channel::{bounded, Receiver, TrySendError};
 use rdfmesh_core::{LiveError, MeshNode};
+use rdfmesh_sparql::results::push_json_escaped;
 use rdfmesh_sparql::to_json;
 
 /// How a served query is executed: the conjunctive strategy and the
@@ -114,16 +116,11 @@ impl SparqlEndpoint {
                     let Ok(stream) = stream else { continue };
                     match tx.try_send(stream) {
                         Ok(()) => {}
-                        Err(TrySendError::Full(mut stream)) => {
+                        Err(TrySendError::Full(stream)) => {
                             // Queue full: shed load at the door without
                             // reading the request.
-                            let _ = respond_with(
-                                &mut stream,
-                                "503 Service Unavailable",
-                                "application/json",
-                                "Retry-After: 1\r\n",
-                                "{\"error\":\"endpoint connection queue full\"}",
-                            );
+                            let _ = Response::overloaded(1, "endpoint connection queue full")
+                                .send(stream);
                         }
                         Err(TrySendError::Disconnected(_)) => break,
                     }
@@ -211,23 +208,49 @@ fn read_line_bounded(reader: &mut impl BufRead, line: &mut String) -> io::Result
 /// body together.
 const REQUEST_DEADLINE: Duration = Duration::from_secs(10);
 
-/// A socket read under one deadline for everything read through it: each
-/// read re-arms the socket's timeout with the time remaining, so a
-/// client trickling one byte per read cannot hold a handler for a
-/// timeout per byte.
+/// How long a client has to take its whole response. One that stops
+/// reading gives its handler back when this has passed.
+const RESPONSE_DEADLINE: Duration = REQUEST_DEADLINE;
+
+/// A socket under one deadline for everything read or written through
+/// it: each call re-arms the socket's timeout with the time remaining,
+/// so a client trickling (or taking) one byte per call cannot hold a
+/// handler for a timeout per byte.
 struct UntilDeadline {
     stream: TcpStream,
     deadline: Instant,
 }
 
-impl Read for UntilDeadline {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+impl UntilDeadline {
+    fn after(stream: TcpStream, allowed: Duration) -> UntilDeadline {
+        UntilDeadline { stream, deadline: Instant::now() + allowed }
+    }
+
+    /// The time left, or `TimedOut` once there is none.
+    fn remaining(&self) -> io::Result<Duration> {
         let left = self.deadline.saturating_duration_since(Instant::now());
         if left.is_zero() {
             return Err(io::ErrorKind::TimedOut.into());
         }
-        self.stream.set_read_timeout(Some(left))?;
+        Ok(left)
+    }
+}
+
+impl Read for UntilDeadline {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        self.stream.set_read_timeout(Some(self.remaining()?))?;
         self.stream.read(buf)
+    }
+}
+
+impl Write for UntilDeadline {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        self.stream.set_write_timeout(Some(self.remaining()?))?;
+        self.stream.write(buf)
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        self.stream.flush()
     }
 }
 
@@ -236,8 +259,7 @@ impl Read for UntilDeadline {
 /// over [`MAX_BODY`] or not a number, and a request not complete within
 /// [`REQUEST_DEADLINE`].
 fn read_request(stream: &mut TcpStream) -> io::Result<Result<Request, Refusal>> {
-    let deadline = Instant::now() + REQUEST_DEADLINE;
-    let reader = BufReader::new(UntilDeadline { stream: stream.try_clone()?, deadline });
+    let reader = BufReader::new(UntilDeadline::after(stream.try_clone()?, REQUEST_DEADLINE));
     match parse_request(reader) {
         // An expired socket timeout reads as either kind, by platform.
         Err(e) if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut) => {
@@ -290,24 +312,61 @@ fn parse_request(mut reader: impl BufRead) -> io::Result<Result<Request, Refusal
     Ok(Ok(Request { method, path, query_string, body }))
 }
 
-fn respond(stream: &mut TcpStream, status: &str, content_type: &str, body: &str) -> io::Result<()> {
-    respond_with(stream, status, content_type, "", body)
+/// What a request is answered with.
+struct Response {
+    status: &'static str,
+    content_type: &'static str,
+    /// Raw header lines, each `\r\n`-terminated, e.g. `Retry-After` on a
+    /// 503.
+    extra_headers: String,
+    body: String,
 }
 
-/// [`respond`] with extra raw header lines (each `\r\n`-terminated),
-/// e.g. `Retry-After` on a 503.
-fn respond_with(
-    stream: &mut TcpStream,
-    status: &str,
-    content_type: &str,
-    extra_headers: &str,
-    body: &str,
-) -> io::Result<()> {
-    write!(
-        stream,
-        "HTTP/1.1 {status}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\n{extra_headers}Connection: close\r\n\r\n{body}",
+impl Response {
+    fn new(status: &'static str, content_type: &'static str, body: String) -> Response {
+        Response { status, content_type, extra_headers: String::new(), body }
+    }
+
+    /// `{"error":"<message>"}` under `status`.
+    fn error(status: &'static str, message: &str) -> Response {
+        let mut body = String::from("{\"error\":\"");
+        push_json_escaped(&mut body, message);
+        body.push_str("\"}");
+        Response::new(status, "application/json", body)
+    }
+
+    /// A `503` that says when to come back.
+    fn overloaded(retry_after_s: u64, message: &str) -> Response {
+        Response {
+            extra_headers: format!("Retry-After: {retry_after_s}\r\n"),
+            ..Response::error("503 Service Unavailable", message)
+        }
+    }
+
+    /// Writes the response to `stream`, the client taking all of it
+    /// within [`RESPONSE_DEADLINE`].
+    fn send(&self, stream: TcpStream) -> io::Result<()> {
+        respond_with(&mut UntilDeadline::after(stream, RESPONSE_DEADLINE), self)
+    }
+}
+
+/// A body up to this size leaves in the same write as its head; a larger
+/// one is not copied for it and leaves in a second.
+const ONE_WRITE_BODY: usize = 64 * 1024;
+
+fn respond_with(stream: &mut impl Write, response: &Response) -> io::Result<()> {
+    let Response { status, content_type, extra_headers, body } = response;
+    let mut head = format!(
+        "HTTP/1.1 {status}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\n{extra_headers}Connection: close\r\n\r\n",
         body.len()
-    )
+    );
+    if body.len() <= ONE_WRITE_BODY {
+        head.push_str(body);
+        stream.write_all(head.as_bytes())
+    } else {
+        stream.write_all(head.as_bytes())?;
+        stream.write_all(body.as_bytes())
+    }
 }
 
 /// Renders an obs [`rdfmesh_obs::Snapshot`] as flat `name value` text:
@@ -394,34 +453,68 @@ fn sparql_text(req: &Request) -> Option<String> {
     }
 }
 
-fn json_escape(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' => "\\\"".chars().collect::<Vec<_>>(),
-            '\\' => "\\\\".chars().collect(),
-            '\n' => "\\n".chars().collect(),
-            '\r' => "\\r".chars().collect(),
-            '\t' => "\\t".chars().collect(),
-            c => vec![c],
-        })
-        .collect()
+/// Splices the `"rdfmesh"` metadata object into a SPARQL JSON results
+/// document (which is always a single top-level object), in place.
+fn with_metadata(mut results_json: String, exec: &rdfmesh_core::LiveExecution) -> String {
+    if !results_json.ends_with('}') {
+        return results_json;
+    }
+    results_json.pop();
+    if !results_json.ends_with('{') {
+        results_json.push(',');
+    }
+    let complete = exec.complete;
+    let _ = write!(results_json, "\"rdfmesh\":{{\"complete\":{complete},\"failed_providers\":[");
+    for (i, provider) in exec.failed_providers.iter().enumerate() {
+        let separator = if i > 0 { "," } else { "" };
+        let _ = write!(results_json, "{separator}{}", provider.0);
+    }
+    let _ = write!(results_json, "],\"rounds\":{}}}}}", exec.rounds);
+    results_json
 }
 
-/// Splices the `"rdfmesh"` metadata object into a SPARQL JSON results
-/// document (which is always a single top-level object).
-fn with_metadata(results_json: &str, exec: &rdfmesh_core::LiveExecution) -> String {
-    let failed: Vec<String> =
-        exec.failed_providers.iter().map(|p| p.0.to_string()).collect();
-    let meta = format!(
-        "\"rdfmesh\":{{\"complete\":{},\"failed_providers\":[{}],\"rounds\":{}}}",
-        exec.complete,
-        failed.join(","),
-        exec.rounds
-    );
-    match results_json.strip_suffix('}') {
-        Some(head) if head.ends_with('{') => format!("{head}{meta}}}"),
-        Some(head) => format!("{head},{meta}}}"),
-        None => results_json.to_string(),
+/// What `req` is answered with.
+fn answer(req: &Request, node: &MeshNode, options: ServeOptions) -> Response {
+    match (req.method.as_str(), req.path.as_str()) {
+        ("GET", "/health") => Response::new(
+            "200 OK",
+            "application/json",
+            format!(
+                "{{\"status\":\"ok\",\"node\":{},\"members\":{},\"mesh_addr\":\"{}\"}}",
+                node.id(),
+                node.member_count(),
+                node.local_addr()
+            ),
+        ),
+        ("GET", "/metrics") => Response::new(
+            "200 OK",
+            "text/plain; charset=utf-8",
+            render_metrics(&rdfmesh_obs::metrics().snapshot()),
+        ),
+        ("GET" | "POST", "/sparql") => {
+            let Some(query) = sparql_text(req) else {
+                return Response::error("400 Bad Request", "missing query parameter");
+            };
+            match node.execute(&query, options.bind_join, options.wait) {
+                Ok(exec) => Response::new(
+                    "200 OK",
+                    "application/sparql-results+json",
+                    with_metadata(to_json(&exec.result), &exec),
+                ),
+                Err(LiveError::Parse(e)) => Response::error("400 Bad Request", &e.to_string()),
+                Err(LiveError::Timeout) => {
+                    Response::error("504 Gateway Timeout", "solution round timed out")
+                }
+                Err(LiveError::Overloaded { retry_after }) => Response::overloaded(
+                    retry_after.as_secs().max(1),
+                    "mesh overloaded; retry later",
+                ),
+            }
+        }
+        _ => Response::error(
+            "404 Not Found",
+            "routes: GET|POST /sparql, GET /health, GET /metrics",
+        ),
     }
 }
 
@@ -430,69 +523,11 @@ fn handle_connection(
     node: &MeshNode,
     options: ServeOptions,
 ) -> io::Result<()> {
-    let req = match read_request(&mut stream)? {
-        Ok(req) => req,
-        Err((status, error)) => {
-            let body = format!("{{\"error\":\"{error}\"}}");
-            return respond(&mut stream, status, "application/json", &body);
-        }
+    let response = match read_request(&mut stream)? {
+        Ok(req) => answer(&req, node, options),
+        Err((status, error)) => Response::error(status, error),
     };
-    match (req.method.as_str(), req.path.as_str()) {
-        ("GET", "/health") => {
-            let body = format!(
-                "{{\"status\":\"ok\",\"node\":{},\"members\":{},\"mesh_addr\":\"{}\"}}",
-                node.id(),
-                node.member_count(),
-                node.local_addr()
-            );
-            respond(&mut stream, "200 OK", "application/json", &body)
-        }
-        ("GET", "/metrics") => {
-            let body = render_metrics(&rdfmesh_obs::metrics().snapshot());
-            respond(&mut stream, "200 OK", "text/plain; charset=utf-8", &body)
-        }
-        ("GET" | "POST", "/sparql") => {
-            let Some(query) = sparql_text(&req) else {
-                return respond(
-                    &mut stream,
-                    "400 Bad Request",
-                    "application/json",
-                    "{\"error\":\"missing query parameter\"}",
-                );
-            };
-            match node.execute(&query, options.bind_join, options.wait) {
-                Ok(exec) => {
-                    let body = with_metadata(&to_json(&exec.result), &exec);
-                    respond(&mut stream, "200 OK", "application/sparql-results+json", &body)
-                }
-                Err(LiveError::Parse(e)) => respond(
-                    &mut stream,
-                    "400 Bad Request",
-                    "application/json",
-                    &format!("{{\"error\":\"{}\"}}", json_escape(&e.to_string())),
-                ),
-                Err(LiveError::Timeout) => respond(
-                    &mut stream,
-                    "504 Gateway Timeout",
-                    "application/json",
-                    "{\"error\":\"solution round timed out\"}",
-                ),
-                Err(LiveError::Overloaded { retry_after }) => respond_with(
-                    &mut stream,
-                    "503 Service Unavailable",
-                    "application/json",
-                    &format!("Retry-After: {}\r\n", retry_after.as_secs().max(1)),
-                    "{\"error\":\"mesh overloaded; retry later\"}",
-                ),
-            }
-        }
-        _ => respond(
-            &mut stream,
-            "404 Not Found",
-            "application/json",
-            "{\"error\":\"routes: GET|POST /sparql, GET /health, GET /metrics\"}",
-        ),
-    }
+    response.send(stream)
 }
 
 #[cfg(test)]
@@ -631,15 +666,159 @@ mod tests {
             failed_providers: vec![rdfmesh_net::NodeId(3), rdfmesh_net::NodeId(9)],
             rounds: 2,
         };
-        let spliced = with_metadata("{\"head\":{},\"boolean\":true}", &exec);
+        let spliced = with_metadata("{\"head\":{},\"boolean\":true}".to_string(), &exec);
         assert_eq!(
             spliced,
             "{\"head\":{},\"boolean\":true,\"rdfmesh\":{\"complete\":false,\"failed_providers\":[3,9],\"rounds\":2}}"
         );
-        let empty = with_metadata("{}", &exec);
+        let empty = with_metadata("{}".to_string(), &exec);
         assert_eq!(
             empty,
             "{\"rdfmesh\":{\"complete\":false,\"failed_providers\":[3,9],\"rounds\":2}}"
         );
+    }
+
+    /// Counts the `write` calls made on it and keeps the bytes. It takes
+    /// whatever it is handed, so `write_all` is one call.
+    #[derive(Default)]
+    struct Counting {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for Counting {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_response_is_one_write_and_a_large_one_two() {
+        let small = Response::overloaded(3, "come back");
+        let mut out = Counting::default();
+        respond_with(&mut out, &small).unwrap();
+        assert_eq!(out.writes, 1);
+        assert_eq!(
+            String::from_utf8(out.bytes).unwrap(),
+            "HTTP/1.1 503 Service Unavailable\r\nContent-Type: application/json\r\n\
+             Content-Length: 21\r\nRetry-After: 3\r\nConnection: close\r\n\r\n\
+             {\"error\":\"come back\"}"
+        );
+
+        for (len, writes) in [(ONE_WRITE_BODY, 1), (ONE_WRITE_BODY + 1, 2), (300 * 1024, 2)] {
+            let body: String = ('a'..='z').cycle().take(len).collect();
+            let large = Response::new("200 OK", "application/sparql-results+json", body.clone());
+            let mut out = Counting::default();
+            respond_with(&mut out, &large).unwrap();
+            assert_eq!(out.writes, writes, "{len} bytes");
+            let expected = format!(
+                "HTTP/1.1 200 OK\r\nContent-Type: application/sparql-results+json\r\n\
+                 Content-Length: {len}\r\nConnection: close\r\n\r\n{body}"
+            );
+            assert!(out.bytes == expected.as_bytes(), "{len} bytes");
+        }
+    }
+
+    /// Both ends of a loopback connection: (client side, server side).
+    fn connected() -> (TcpStream, TcpStream) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let near = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (far, _) = listener.accept().unwrap();
+        (near, far)
+    }
+
+    /// More than a loopback connection buffers for a client that is not
+    /// reading.
+    const MORE_THAN_THE_SOCKET_HOLDS: usize = 64 * 1024 * 1024;
+
+    #[test]
+    fn a_client_that_never_reads_releases_its_handler_at_the_deadline() {
+        let (near, far) = connected();
+        let response =
+            Response::new("200 OK", "text/plain", "x".repeat(MORE_THAN_THE_SOCKET_HOLDS));
+        let allowed = Duration::from_millis(500);
+        let started = Instant::now();
+        let outcome = respond_with(&mut UntilDeadline::after(far, allowed), &response);
+        let held = started.elapsed();
+        // An expired socket timeout reads as either kind, by platform.
+        let kind = outcome.expect_err("the response cannot have been taken").kind();
+        assert!(matches!(kind, io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut), "{kind:?}");
+        assert!(held >= allowed, "gave up after {held:?}, before the deadline");
+        assert!(held < allowed + Duration::from_secs(5), "held for {held:?}");
+        drop(near);
+    }
+
+    #[test]
+    fn a_prompt_reader_gets_exactly_content_length_bytes() {
+        let (mut near, far) = connected();
+        let body: String = ('a'..='z').cycle().take(3 * 1024 * 1024 + 17).collect();
+        let response = Response::new("200 OK", "text/plain", body.clone());
+        let reader = std::thread::spawn(move || {
+            let mut taken = Vec::new();
+            near.read_to_end(&mut taken).unwrap();
+            taken
+        });
+        response.send(far).expect("a reader that keeps up is served whole");
+        let taken = reader.join().unwrap();
+        let split = taken.windows(4).position(|w| w == b"\r\n\r\n").expect("a head") + 4;
+        let head = std::str::from_utf8(&taken[..split]).unwrap();
+        let declared: usize = head
+            .lines()
+            .find_map(|l| l.strip_prefix("Content-Length: "))
+            .expect("a Content-Length")
+            .parse()
+            .unwrap();
+        assert_eq!(declared, body.len());
+        assert!(&taken[split..] == body.as_bytes(), "{} body bytes", taken.len() - split);
+    }
+
+    /// The text inside a JSON string literal, unescaped; `None` unless it
+    /// is one by RFC 8259 §7.
+    fn json_unescape(inside: &str) -> Option<String> {
+        let mut out = String::new();
+        let mut chars = inside.chars();
+        while let Some(c) = chars.next() {
+            match c {
+                '"' => return None,
+                c if (c as u32) < 0x20 => return None,
+                '\\' => match chars.next()? {
+                    c @ ('"' | '\\' | '/') => out.push(c),
+                    'n' => out.push('\n'),
+                    'r' => out.push('\r'),
+                    't' => out.push('\t'),
+                    'b' => out.push('\u{8}'),
+                    'f' => out.push('\u{c}'),
+                    'u' => {
+                        let hex: String = chars.by_ref().take(4).collect();
+                        out.push(char::from_u32(u32::from_str_radix(&hex, 16).ok()?)?);
+                    }
+                    _ => return None,
+                },
+                c => out.push(c),
+            }
+        }
+        Some(out)
+    }
+
+    #[test]
+    fn a_parse_error_naming_a_control_character_is_still_json() {
+        let error = rdfmesh_sparql::parse_query("SELECT * WHERE { ?s ?p \"a\\\u{1}b\" }")
+            .expect_err("\\ before U+0001 is no escape")
+            .to_string();
+        assert!(error.contains('\u{1}'), "the message quotes the character: {error:?}");
+        let response = Response::error("400 Bad Request", &error);
+        assert!(response.body.bytes().all(|b| b >= 0x20), "{:?}", response.body);
+        let inside = response
+            .body
+            .strip_prefix("{\"error\":\"")
+            .and_then(|rest| rest.strip_suffix("\"}"))
+            .expect("one error member");
+        assert_eq!(json_unescape(inside).as_deref(), Some(error.as_str()));
     }
 }

@@ -237,6 +237,12 @@ fn three_serve_processes_answer_http_queries_like_the_simulator() {
     // Malformed SPARQL is a client error, not a mesh failure.
     let (status, _) = http_post_sparql(&http1, "SELECT WHERE {");
     assert!(status.contains("400"), "expected 400 for a parse error: {status}");
+    // The error quotes what the lexer choked on; a raw control character
+    // there must reach the client escaped, or the body is not JSON.
+    let (status, body) = http_post_sparql(&http1, "SELECT * WHERE { ?s ?p \"a\\\u{1}b\" }");
+    assert!(status.contains("400"), "expected 400 for an unknown escape: {status}");
+    assert!(body.contains("unknown escape \\\\\\u0001"), "the error names the escape: {body}");
+    assert!(body.bytes().all(|b| b >= 0x20), "raw control character in {body:?}");
 
     // A body over the 16 MiB cap is refused on its declared length: no
     // body byte is sent, and the answer arrives without the server
