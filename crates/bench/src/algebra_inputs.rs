@@ -1,14 +1,11 @@
-//! Solution-set construction for the algebra micro-benchmarks.
-//!
-//! Shared by the `solution_algebra` criterion target and experiment E23
-//! so both measure identical inputs: solution sets materialized
-//! from workload-generator triples exactly as a storage node would
-//! produce them for a single triple pattern (one mapping per matching
-//! triple).
+//! Solution-set construction for experiment E23: solution sets
+//! materialized from workload-generator triples exactly as a storage
+//! node would produce them for a single triple pattern (one mapping per
+//! matching triple).
 
 use rdfmesh_rdf::{vocab, Term, Triple, Variable};
 use rdfmesh_sparql::Solution;
-use rdfmesh_workload::{foaf, university, FoafConfig, UniversityConfig};
+use rdfmesh_workload::{foaf, FoafConfig};
 
 fn bindings_of(triples: &[Triple], predicate: &str, subj: &str, obj: &str) -> Vec<Solution> {
     let p = Term::iri(predicate);
@@ -32,16 +29,5 @@ pub fn foaf_join_inputs(persons: usize) -> (Vec<Solution>, Vec<Solution>) {
     let all: Vec<Triple> = data.peers.into_iter().flatten().collect();
     let left = bindings_of(&all, vocab::foaf::KNOWS, "x", "y");
     let right = bindings_of(&all, vocab::foaf::NAME, "x", "n");
-    (left, right)
-}
-
-/// Join inputs at university scale: `?s advisor ?prof` ⋈
-/// `?prof worksFor ?dept` over a `departments`-sized campus.
-pub fn university_join_inputs(departments: usize) -> (Vec<Solution>, Vec<Solution>) {
-    let cfg = UniversityConfig { departments, seed: 11, ..UniversityConfig::default() };
-    let data = university::generate(&cfg);
-    let all: Vec<Triple> = data.peers.into_iter().flatten().collect();
-    let left = bindings_of(&all, university::ub::ADVISOR, "s", "prof");
-    let right = bindings_of(&all, university::ub::WORKS_FOR, "prof", "dept");
     (left, right)
 }

@@ -1,10 +1,14 @@
 //! The deferred-evaluation experiment suite (EXPERIMENTS.md §E1-§E23).
 //!
 //! Each module prints one or more Markdown tables; `run_all` regenerates
-//! the whole of EXPERIMENTS.md's measured data. Everything is seeded and
-//! deterministic. Each run also returns the experiment's metrics
-//! [`Snapshot`](rdfmesh_obs::Snapshot) so callers (the `experiments`
-//! binary) can emit machine-readable summaries.
+//! the whole of EXPERIMENTS.md's measured data. The simulator
+//! experiments are seeded and deterministic; E19, E21 and E23 time the
+//! store and the solution algebra in-process. Nothing here times the
+//! live mesh: that stopwatch is the repo benchmark's (`benchmark/`), and
+//! E17, E18, E20 and E22, which held one, are retired numbers
+//! (EXPERIMENTS.md §Retired). Each run also returns the experiment's
+//! metrics [`Snapshot`](rdfmesh_obs::Snapshot) so callers (the
+//! `experiments` binary) can emit machine-readable summaries.
 
 pub mod e01_chord_scalability;
 pub mod e02_primitive_strategies;
@@ -22,12 +26,8 @@ pub mod e13_system_scalability;
 pub mod e14_range_index;
 pub mod e15_cache;
 pub mod e16_live_churn;
-pub mod e17_exec_parity;
-pub mod e18_socket_parity;
 pub mod e19_store_scale;
-pub mod e20_throughput;
 pub mod e21_store_durability;
-pub mod e22_join_strategies;
 pub mod e23_algebra_cutoff;
 
 /// `(id, description, runner)` for every experiment.
@@ -49,12 +49,8 @@ pub fn all() -> Vec<(&'static str, &'static str, fn())> {
         ("e14", "Numeric range queries: bucketed index vs gather vs RDFPeers", e14_range_index::run),
         ("e15", "Query-path caching and adaptive hot-key replication", e15_cache::run),
         ("e16", "Live-mesh churn soak: fault tolerance on real threads", e16_live_churn::run),
-        ("e17", "Execution-core parity: one plan on simulator and live mesh", e17_exec_parity::run),
-        ("e18", "Socket-transport parity: identical answers over framed TCP", e18_socket_parity::run),
         ("e19", "Persistent-store scale ladder: bulk load, lookup, memory", e19_store_scale::run),
-        ("e20", "Throughput vs offered load: concurrent queries, admission control", e20_throughput::run),
         ("e21", "Durable writes: WAL overhead, flush latency, write amplification", e21_store_durability::run),
-        ("e22", "Distribution strategies: chained vs HyperCube vs partial eval", e22_join_strategies::run),
         ("e23", "Solution algebra: where the nested loop stops paying", e23_algebra_cutoff::run),
     ]
 }
@@ -113,21 +109,31 @@ pub fn run_one(id: &str) -> Option<ExperimentRecord> {
 
 #[cfg(test)]
 mod tests {
-    use super::all;
+    use super::{all, run_one};
     use std::collections::HashSet;
+
+    /// Numbers of retired experiments (EXPERIMENTS.md §Retired). Like a
+    /// wire tag, a retired number is never handed to a new experiment.
+    const RETIRED: [u32; 4] = [17, 18, 20, 22];
 
     /// The registry is the single source of truth for ids, titles, and
     /// the unknown-id error message — so it must stay self-consistent:
-    /// sequential ids `e1..eN`, no duplicates, non-empty titles.
+    /// ids `eN` unique, titles non-empty, and a retired number never
+    /// handed to a new experiment.
     #[test]
     fn registry_is_self_consistent() {
         let reg = all();
         assert!(!reg.is_empty());
         let mut seen = HashSet::new();
-        for (i, (id, title, _)) in reg.iter().enumerate() {
-            assert_eq!(*id, format!("e{}", i + 1), "ids must be sequential");
+        for (id, title, _) in &reg {
+            let number: u32 = id
+                .strip_prefix('e')
+                .and_then(|n| n.parse().ok())
+                .unwrap_or_else(|| panic!("experiment id {id} is not `e<number>`"));
+            assert!(!RETIRED.contains(&number), "{id} reuses a retired number");
             assert!(seen.insert(*id), "duplicate experiment id {id}");
             assert!(!title.is_empty(), "experiment {id} needs a title");
         }
+        assert!(run_one("e17").is_none(), "a retired id is unknown to the binary");
     }
 }

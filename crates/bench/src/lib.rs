@@ -1,7 +1,7 @@
 //! # rdfmesh-bench — the experiment harness
 //!
 //! Shared testbed construction and table rendering for the deferred
-//! evaluation suite (EXPERIMENTS.md §E1-§E22). The `experiments` binary
+//! evaluation suite (EXPERIMENTS.md §E1-§E23). The `experiments` binary
 //! regenerates every table and can emit a machine-readable summary:
 //!
 //! ```sh
@@ -10,8 +10,9 @@
 //! cargo run -p rdfmesh-bench --bin experiments --release -- --json out.json e2 e15
 //! ```
 //!
-//! Criterion benches under `benches/` measure the wall-clock cost of the
-//! same components.
+//! Wall-clock on the live mesh is not measured here: the repo benchmark
+//! (`benchmark/`, `BENCHMARK.json`) times real `serve` processes end to
+//! end and layer by layer.
 
 #![warn(missing_docs)]
 

@@ -280,8 +280,9 @@ impl MeshNode {
     /// enter an existing mesh through any member.
     ///
     /// `id` is the process's base node id and must be unique across the
-    /// mesh and below [`INDEX_BASE`]; `store` is the process's local
-    /// triples — an in-memory [`rdfmesh_rdf::TripleStore`] or any
+    /// mesh and below [`INDEX_BASE`] (`InvalidInput` otherwise); `store`
+    /// is the process's local triples — an in-memory
+    /// [`rdfmesh_rdf::TripleStore`] or any
     /// [`SharedStore`](rdfmesh_rdf::SharedStore) handle (e.g. a
     /// persistent `rdfmesh-store` backend).
     pub fn start(
@@ -290,7 +291,12 @@ impl MeshNode {
         store: impl Into<rdfmesh_rdf::SharedStore>,
         cfg: LiveConfig,
     ) -> io::Result<MeshNode> {
-        assert!(id < INDEX_BASE, "base node id must be below INDEX_BASE");
+        if id >= INDEX_BASE {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!("node id {id} is not below {INDEX_BASE} (index-node ids start there)"),
+            ));
+        }
         let store = store.into();
         let space = rdfmesh_chord::IdSpace::new(RING_BITS);
         let storage_id = NodeId(id);

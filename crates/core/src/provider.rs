@@ -4,7 +4,8 @@
 //! bytes and `SimTime`; the live mesh (`live/storage.rs`,
 //! `live/coordinator.rs`) ships their inputs and outputs as frames.
 //! Neither re-implements them, which is what makes the answers of the two
-//! backends agree (E17, E22).
+//! backends agree (each is held to the central oracle, in
+//! `tests/engine_correctness.rs` and `tests/live_exec.rs`).
 
 use rdfmesh_rdf::{TriplePattern, Variable};
 use rdfmesh_sparql::eval::{for_each_extension, Graph};

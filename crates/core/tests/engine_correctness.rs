@@ -5,7 +5,9 @@
 //! computed by the local engine on a merged store. Every strategy
 //! combination must return exactly the same solution multiset.
 
-use rdfmesh_core::{global_store, Engine, ExecConfig, JoinSiteStrategy, PrimitiveStrategy};
+use rdfmesh_core::{
+    global_store, DistChoice, Engine, ExecConfig, JoinSiteStrategy, PrimitiveStrategy,
+};
 use rdfmesh_net::{LatencyModel, Network, NodeId, SimTime};
 use rdfmesh_overlay::Overlay;
 use rdfmesh_rdf::PatternKind;
@@ -88,6 +90,11 @@ fn all_configs() -> Vec<ExecConfig> {
         }
     }
     out.push(ExecConfig::baseline());
+    // The one-round multiway strategies: the simulator prices the shuffle
+    // and the assembly that `live_exec.rs` holds the mesh to.
+    for dist in [DistChoice::HyperCube, DistChoice::PartialEval] {
+        out.push(ExecConfig { dist, ..ExecConfig::default() });
+    }
     out
 }
 

@@ -347,7 +347,15 @@ const STRATEGY_SUITE: &[&str] = &[
     "SELECT * WHERE { ?x foaf:name ?n . ?x foaf:age ?a . OPTIONAL { ?x foaf:nick ?k . } }",
     // FILTER over a star.
     "SELECT * WHERE { ?x foaf:name ?n . ?x foaf:age ?a . FILTER (?a >= 30) }",
+    SELECTIVE_STAR,
 ];
+
+/// A star whose patterns are selective (few persons have a nick, fewer
+/// also an mbox): providers prune before anything travels, so a
+/// single-round strategy must beat chained shipping here on rounds *and*
+/// on the solution bytes that reach the coordinator.
+const SELECTIVE_STAR: &str =
+    "SELECT * WHERE { ?x foaf:nick ?k . ?x foaf:mbox ?m . ?x foaf:knows ?y . }";
 
 const STRATEGIES: [DistChoice; 3] =
     [DistChoice::Chained, DistChoice::HyperCube, DistChoice::PartialEval];
@@ -364,7 +372,12 @@ fn assert_strategies_agree(mesh: &LiveMesh, overlay: &Overlay) {
             panic!("SELECT returns solutions")
         };
         let expected = sorted(expected);
+        // (rounds, coordinator-bound solution bytes) per strategy. A
+        // provider counts a reply's bytes before sending it, so the
+        // delta is exact once the answer is back.
+        let mut cost = Vec::new();
         for dist in STRATEGIES {
+            let bytes_before = mesh.stats().solution_bytes;
             let live = mesh
                 .execute_with(query, &strategy_cfg(dist), WAIT)
                 .unwrap_or_else(|e| panic!("{dist:?} failed on {query}: {e:?}"));
@@ -374,6 +387,14 @@ fn assert_strategies_agree(mesh: &LiveMesh, overlay: &Overlay) {
                 panic!("SELECT returns solutions")
             };
             assert_eq!(expected, sorted(got), "oracle mismatch: {query} under {dist:?}");
+            cost.push((live.rounds, mesh.stats().solution_bytes - bytes_before));
+        }
+        if *query == SELECTIVE_STAR {
+            let chained = cost[0];
+            assert!(
+                cost[1..].iter().any(|c| c.0 < chained.0 && c.1 < chained.1),
+                "no single-round strategy beat chained on the selective star: {cost:?}"
+            );
         }
     }
 }
@@ -406,6 +427,8 @@ fn all_three_strategies_agree_with_the_oracle_on_sockets() {
     .expect("loopback listener");
     assert_strategies_agree(&mesh, &overlay);
     assert!(mesh.stats().shuffle_parts > 0, "sockets ship the same shuffle frames");
+    let wire = mesh.transport_stats().expect("a socket mesh counts its frames");
+    assert_eq!(wire.decode_errors, 0, "a fault-free loopback run decodes every frame");
     mesh.shutdown();
 }
 

@@ -4,7 +4,8 @@
 # crates/core/src (PR 18); a regex is compiled in one place, and the
 # provider's scan lends its rows instead of collecting them (PR 19); a
 # JSON string is escaped by one function, and the result writers build no
-# string per cell, row or document (PR 20).
+# string per cell, row or document (PR 20); wall-clock is measured by the
+# repo benchmark (benchmark/) and by no bench target (PR 21).
 # Fails when a second copy appears. Test modules (`mod tests` to end of
 # file) and comment lines are not code.
 set -eu
@@ -59,5 +60,13 @@ expect "files defining JSON string escaping outside crates/obs ($(echo $escapers
     "$(echo "$escapers" | grep -c . || true)" 1
 expect 'format!( / .join( in results.rs (a String per cell, row or document)' \
     "$(code crates/sparql/src/results.rs | grep -cE 'format!\(|\.join\(' || true)" 0
-[ "$bad" -eq 0 ] && echo 'exists once: provider compute, exchange pricing, reply accounting, role constructors, regex compilation, lending scan, JSON escaping, result writers'
+# The one stopwatch is benchmark/: no bench target, no bench framework
+# and no shim for one come back (the three shims are crossbeam,
+# parking_lot, proptest).
+expect '[[bench]] tables under crates/*/Cargo.toml' \
+    "$(cat crates/*/Cargo.toml | grep -c '^\[\[bench\]\]' || true)" 0
+expect 'criterion mentions in any Cargo.toml' \
+    "$(cat Cargo.toml crates/*/Cargo.toml shims/*/Cargo.toml benchmark/Cargo.toml | grep -ci criterion || true)" 0
+expect 'directories under shims/' "$(ls -d shims/*/ | wc -l)" 3
+[ "$bad" -eq 0 ] && echo 'exists once: provider compute, exchange pricing, reply accounting, role constructors, regex compilation, lending scan, JSON escaping, result writers, the stopwatch'
 exit "$bad"

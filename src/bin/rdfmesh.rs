@@ -24,7 +24,7 @@
 //! --listen A             mesh listener address           [127.0.0.1:0]
 //! --http A               HTTP endpoint address           [127.0.0.1:0]
 //! --join A               an existing member to join through
-//! --node-id N            unique base node id             [pid-derived]
+//! --node-id N            unique base node id, < 2^32     [pid-derived]
 //! --load FILE.nt         triples this process shares (repeatable)
 //! --store-dir DIR        persistent triple store (docs/STORAGE.md)
 //! --ack-timeout-ms N     provider query-ack deadline     [150]
@@ -387,7 +387,7 @@ SERVE OPTIONS (docs/DEPLOYMENT.md):
   --listen A             mesh listener address            [127.0.0.1:0]
   --http A               HTTP SPARQL endpoint address     [127.0.0.1:0]
   --join A               existing member to join through
-  --node-id N            unique base node id              [pid-derived]
+  --node-id N            unique base node id, < 2^32      [pid-derived]
   --load FILE.nt         triples this process shares (repeatable)
   --store-dir DIR        persistent triple store directory (docs/STORAGE.md)
   --ack-timeout-ms N     provider query-ack deadline      [150]

@@ -171,12 +171,14 @@ impl Drop for SparqlEndpoint {
     }
 }
 
-/// One parsed HTTP request: method, path (query string split off), and
-/// body.
+/// One parsed HTTP request: method, path (query string split off), the
+/// body and what it declares itself to be.
 struct Request {
     method: String,
     path: String,
     query_string: String,
+    /// The `Content-Type` media type, lower-cased, parameters dropped.
+    content_type: Option<String>,
     body: Vec<u8>,
 }
 
@@ -282,6 +284,7 @@ fn parse_request(mut reader: impl BufRead) -> io::Result<Result<Request, Refusal
         None => (target, String::new()),
     };
     let mut content_length = 0usize;
+    let mut content_type = None;
     let mut headers = 0usize;
     loop {
         if !read_line_bounded(&mut reader, &mut line)? {
@@ -304,12 +307,15 @@ fn parse_request(mut reader: impl BufRead) -> io::Result<Result<Request, Refusal
                     }
                     Err(_) => return Ok(Err(("400 Bad Request", "Content-Length is not a number"))),
                 };
+            } else if name.eq_ignore_ascii_case("content-type") {
+                let media_type = value.split(';').next().unwrap_or_default();
+                content_type = Some(media_type.trim().to_ascii_lowercase());
             }
         }
     }
     let mut body = vec![0u8; content_length];
     reader.read_exact(&mut body)?;
-    Ok(Ok(Request { method, path, query_string, body }))
+    Ok(Ok(Request { method, path, query_string, content_type, body }))
 }
 
 /// What a request is answered with.
@@ -434,19 +440,23 @@ fn query_param(encoded: &str) -> Option<String> {
 }
 
 /// Extracts the SPARQL text from a request per the SPARQL 1.1 Protocol:
-/// `GET` carries it percent-encoded in the query string, `POST` either
-/// form-encoded (`query=`) or as the raw body.
+/// `GET` carries it percent-encoded in the query string, `POST` as the
+/// raw body (`application/sparql-query`) or form-encoded
+/// (`application/x-www-form-urlencoded`, a `query=` pair). A body that
+/// does not say which is a form only if it has a `query` pair — the text
+/// `query=` inside a query (`FILTER(?query=<…>)`) does not make it one.
 fn sparql_text(req: &Request) -> Option<String> {
     match req.method.as_str() {
         "GET" => query_param(&req.query_string),
         "POST" => {
-            let body = String::from_utf8_lossy(&req.body).into_owned();
-            if body.contains("query=") {
-                query_param(&body)
-            } else if body.trim().is_empty() {
-                query_param(&req.query_string)
-            } else {
-                Some(body)
+            let body = String::from_utf8_lossy(&req.body);
+            if body.trim().is_empty() {
+                return query_param(&req.query_string);
+            }
+            match req.content_type.as_deref() {
+                Some("application/sparql-query") => Some(body.into_owned()),
+                Some("application/x-www-form-urlencoded") => query_param(&body),
+                _ => query_param(&body).or_else(|| Some(body.into_owned())),
             }
         }
         _ => None,
@@ -646,6 +656,33 @@ mod tests {
             Some("SELECT *")
         );
         assert_eq!(query_param("format=json"), None);
+    }
+
+    /// The SPARQL text taken from a `POST /sparql` of `body`.
+    fn posted(content_type: Option<&str>, body: &str) -> Option<String> {
+        let declared = content_type.map(|t| format!("Content-Type: {t}\r\n")).unwrap_or_default();
+        let request =
+            format!("POST /sparql HTTP/1.1\r\n{declared}Content-Length: {}\r\n\r\n{body}", body.len());
+        sparql_text(&sent(request.into_bytes()).expect("within every limit"))
+    }
+
+    #[test]
+    fn a_posted_body_is_read_as_its_content_type_says() {
+        // `query=` inside the query, and an `&`-pair starting with it
+        // inside a literal: neither makes a declared raw body a form.
+        let raw = "SELECT * WHERE { ?s ?p ?query FILTER(?query=<http://e/o>) }";
+        let decoy = "SELECT * WHERE { ?s ?p \"a+b&query=c%20d\" }";
+        for query in [raw, decoy] {
+            assert_eq!(posted(Some("application/sparql-query"), query).as_deref(), Some(query));
+            let with_charset = Some("Application/SPARQL-Query; charset=utf-8");
+            assert_eq!(posted(with_charset, query).as_deref(), Some(query));
+        }
+        let form = Some("application/x-www-form-urlencoded");
+        assert_eq!(posted(form, "format=json&query=ASK+%7B%7D").as_deref(), Some("ASK {}"));
+        assert_eq!(posted(form, raw), None, "a declared form without a query pair has no query");
+        // Undeclared: a form when a pair starts with `query=`, else verbatim.
+        assert_eq!(posted(None, "query=ASK+%7B%7D").as_deref(), Some("ASK {}"));
+        assert_eq!(posted(None, raw).as_deref(), Some(raw));
     }
 
     #[test]

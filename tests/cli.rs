@@ -121,3 +121,12 @@ fn invalid_sparql_reports_parse_error() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("error"), "{stderr}");
 }
+
+#[test]
+fn serve_refuses_a_node_id_at_or_above_the_index_id_range() {
+    let out = rdfmesh().args(["serve", "--node-id", "4294967296"]).output().expect("binary runs");
+    assert_eq!(out.status.code(), Some(1), "a start-up failure, not a panic's 101");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.starts_with("error: node id 4294967296 is not below 4294967296"), "{stderr}");
+    assert_eq!(stderr.lines().count(), 1, "one line, no backtrace: {stderr}");
+}

@@ -234,6 +234,15 @@ fn three_serve_processes_answer_http_queries_like_the_simulator() {
     assert!(body.contains("\"complete\":true"), "answer degraded: {body}");
     assert_eq!(bindings_of(&body), sim_bindings(&triples, optional));
 
+    // A raw body is the query even when the text `query=` occurs in it:
+    // alice and dave know bob.
+    let named_query =
+        "SELECT * WHERE { ?s ?p ?query FILTER(?query=<http://example.org/bob>) }";
+    let (status, body) = http_post_sparql(&http1, named_query);
+    assert!(status.contains("200"), "a variable named ?query is no form field: {status} {body}");
+    assert_eq!(bindings_of(&body).len(), 2, "{body}");
+    assert_eq!(bindings_of(&body), sim_bindings(&triples, named_query));
+
     // Malformed SPARQL is a client error, not a mesh failure.
     let (status, _) = http_post_sparql(&http1, "SELECT WHERE {");
     assert!(status.contains("400"), "expected 400 for a parse error: {status}");
