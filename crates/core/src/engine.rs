@@ -37,7 +37,7 @@ use rdfmesh_sparql::{
 };
 
 use crate::config::ExecConfig;
-use crate::exec::{self, single_pattern_of, MeshBackend};
+use crate::exec::{self, single_pattern_of};
 use crate::sim_backend::SimBackend;
 use crate::stats::QueryStats;
 
@@ -262,37 +262,21 @@ impl<'a> Engine<'a> {
 
         // ASK fast path: a single-pattern existence test stops at the
         // first provider that produces a witness instead of gathering
-        // every match in the system.
-        if matches!(query.form, QueryForm::Ask) {
-            if let Some((tp, filter)) = single_pattern_of(&pattern) {
+        // every match in the system. Everything else is the tail every
+        // backend shares: distributed evaluation, delivery to the
+        // initiator, post-processing there.
+        let ask = matches!(query.form, QueryForm::Ask).then(|| single_pattern_of(&pattern));
+        let (result, ready) = match ask.flatten() {
+            Some((tp, filter)) => {
                 let (answer, ready) = self.backend.ask_primitive(tp, filter)?;
-                self.backend.stats.response_time = ready;
-                self.backend.stats.result_size = usize::from(answer);
-                self.backend
-                    .stats
-                    .absorb_net(&before.delta(&self.backend.overlay.net.stats()));
-                rdfmesh_obs::advance_current(phase::POST_PROCESS, ready.0);
-                rdfmesh_obs::count_current("result_size", self.backend.stats.result_size as u64);
-                self.finish_query();
-                return Ok(Execution {
-                    result: QueryResult::Boolean(answer),
-                    stats: self.backend.stats.clone(),
-                });
+                (QueryResult::Boolean(answer), ready)
             }
-        }
-
-        // Distributed evaluation: compile the optimized algebra to the
-        // operator IR and walk the plan over the backend.
-        let plan = crate::planner::compile(&pattern, &self.backend.cfg);
-        let mat = exec::run(&mut self.backend, &plan, SimTime::ZERO)?;
-        // Final results return to the query initiator.
-        let mat = self.backend.deliver(mat);
-
-        // Post-processing at the initiator.
-        let result = self.backend.post_process(query, mat.solutions)?;
-        // `max`, not assignment: DESCRIBE's distributed resource fetches
-        // inside post_process may finish after the main materialization.
-        self.backend.stats.response_time = self.backend.stats.response_time.max(mat.ready);
+            None => {
+                let cfg = self.backend.cfg;
+                exec::answer(&mut self.backend, query, &pattern, &cfg)?
+            }
+        };
+        self.backend.stats.response_time = ready;
         self.backend.stats.result_size = result.len();
         self.backend
             .stats

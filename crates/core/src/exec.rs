@@ -27,13 +27,17 @@
 //! `docs/EXECUTION.md` documents the IR, the backend contract, and the
 //! sim-vs-live semantics table.
 
-use crate::config::DistStrategy;
+use std::cell::RefCell;
+
+use crate::config::{DistStrategy, ExecConfig};
 use rdfmesh_net::{NodeId, SimTime};
-use rdfmesh_rdf::{TriplePattern, Variable};
+use rdfmesh_rdf::{TriplePattern, TripleRef, Variable};
 use rdfmesh_sparql::{
+    algebra::AlgebraQuery,
+    eval::{instantiate, Graph},
     expr::Expression,
-    solution::{Solution, SolutionSet},
-    GraphPattern,
+    solution::{self, Solution, SolutionSet},
+    GraphPattern, QueryResult,
 };
 
 /// A solution set materialized at a site at a point in simulated time.
@@ -70,6 +74,23 @@ pub enum OpKind {
     Union,
     /// Left outer join, optionally guarded by an `OPTIONAL ... FILTER`.
     LeftJoin(Option<Expression>),
+}
+
+impl OpKind {
+    /// Combines two solution sets standing at one site — the operator
+    /// table every backend's [`MeshBackend::exec_binary`] applies once it
+    /// has decided where (the oracle's copy is `eval::evaluate_pattern`).
+    pub fn apply(&self, left: &[Solution], right: &[Solution]) -> SolutionSet {
+        match self {
+            OpKind::Join => solution::join(left, right),
+            OpKind::Union => solution::union(left, right),
+            OpKind::LeftJoin(None) => solution::left_join(left, right),
+            OpKind::LeftJoin(Some(cond)) => {
+                let cond = cond.compile();
+                solution::left_join_filtered(left, right, |m| cond.satisfied_by(m))
+            }
+        }
+    }
 }
 
 /// One node of the operator IR. The tree mirrors the optimized algebra,
@@ -381,6 +402,56 @@ fn eval<B: MeshBackend>(
             backend.exec_multiway(patterns, join_vars, *strategy, depart)
         }
     }
+}
+
+// ---- the pipeline's tail (Fig. 3), written once ----------------------
+
+/// "The union of all triples stored in all storage nodes" (Sect. IV-A)
+/// as the [`Graph`] that [`rdfmesh_sparql::finalize`] reads DESCRIBE's
+/// resource triples through: each pattern asked of it is one primitive
+/// sub-query on the backend, delivered to the initiator. Carries the
+/// time the last answer was home and the first error (a graph cannot
+/// return one; once set, nothing further is asked).
+struct MeshGraph<'b, B: MeshBackend>(RefCell<(&'b mut B, SimTime, Option<B::Error>)>);
+
+impl<B: MeshBackend> Graph for MeshGraph<'_, B> {
+    fn for_each_match(&self, pattern: &TriplePattern, f: &mut dyn FnMut(TripleRef<'_>)) {
+        let (backend, ready, failed) = &mut *self.0.borrow_mut();
+        if failed.is_some() {
+            return;
+        }
+        let op = PrimitiveOp { pattern: pattern.clone(), filter: None, try_range: false };
+        let mat = match backend.exec_primitive(&op, SimTime::ZERO, None, false) {
+            Ok(mat) => backend.deliver(mat),
+            Err(e) => return *failed = Some(e),
+        };
+        *ready = (*ready).max(mat.ready);
+        for triple in mat.solutions.iter().filter_map(|row| instantiate(pattern, row)) {
+            f((&triple).into());
+        }
+    }
+}
+
+/// Answers `query`, whose optimized graph pattern is `pattern`, on any
+/// backend: compile, [`run`], deliver to the initiator, post-process
+/// there. The one place a plan's materialization becomes a
+/// [`QueryResult`] — DESCRIBE's resource fetches included, so they are
+/// priced (simulator) or counted as rounds with their faults reported
+/// (mesh) like any other primitive. Returns the result and when it
+/// stands complete at the initiator.
+pub fn answer<B: MeshBackend>(
+    backend: &mut B,
+    query: &AlgebraQuery,
+    pattern: &GraphPattern,
+    cfg: &ExecConfig,
+) -> Result<(QueryResult, SimTime), B::Error> {
+    let plan = crate::planner::compile(pattern, cfg);
+    let mat = run(backend, &plan, SimTime::ZERO)?;
+    let mat = backend.deliver(mat);
+    let mesh = MeshGraph(RefCell::new((backend, mat.ready, None)));
+    let result = rdfmesh_sparql::finalize(&mesh, query, mat.solutions);
+    let (_, ready, failed) = mesh.0.into_inner();
+    failed.map_or(Ok((result, ready)), Err)
 }
 
 // ---- shared multiway helpers ----------------------------------------

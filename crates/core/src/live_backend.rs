@@ -25,8 +25,9 @@
 //!   locally at the coordinator — the live mesh has no simulated-cost
 //!   notion of a cheaper third site, so the query site is always the
 //!   assembly site;
-//! * post-processing ([`rdfmesh_sparql::finalize`]) runs at the
-//!   coordinator over the delivered materialization.
+//! * delivery and post-processing are [`exec::answer`]'s, the tail the
+//!   simulator runs too — so DESCRIBE fetches its resources' triples
+//!   through further rounds, counted and fault-reported like the rest.
 //!
 //! Faults surface in the result instead of hanging the query: a crashed
 //! provider makes the affected round — and therefore the whole
@@ -39,7 +40,6 @@ use std::time::Duration;
 use rdfmesh_net::{NodeId, SimTime};
 use rdfmesh_rdf::{TriplePattern, Variable};
 use rdfmesh_sparql::{
-    eval::NoGraph,
     solution::{self, DistinctBuffer},
     Expression, QueryResult,
 };
@@ -133,6 +133,11 @@ impl SolutionRounds for LiveMesh {
 pub enum LiveError {
     /// The query text did not parse.
     Parse(rdfmesh_sparql::ParseError),
+    /// The query carries the named dataset clause. The mesh's peers
+    /// publish no graph IRI, so it cannot scope a query as the simulator
+    /// does (`SimBackend::in_scope`) — and answering over every provider
+    /// instead would be a wrong answer, not a partial one.
+    Dataset(String),
     /// A solution round outlived the caller-side wait — the protocol's
     /// own deadlines should answer long before this fires, so a timeout
     /// means the mesh was shut down or the wait was set below
@@ -153,6 +158,10 @@ impl std::fmt::Display for LiveError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             LiveError::Parse(e) => write!(f, "live query parse error: {e}"),
+            LiveError::Dataset(clause) => write!(
+                f,
+                "the live mesh publishes no named graphs and cannot scope a query to `{clause}`"
+            ),
             LiveError::Timeout => write!(f, "live query timed out waiting for a solution round"),
             LiveError::Overloaded { retry_after } => write!(
                 f,
@@ -167,7 +176,7 @@ impl std::error::Error for LiveError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             LiveError::Parse(e) => Some(e),
-            LiveError::Timeout | LiveError::Overloaded { .. } => None,
+            LiveError::Dataset(_) | LiveError::Timeout | LiveError::Overloaded { .. } => None,
         }
     }
 }
@@ -297,17 +306,7 @@ impl MeshBackend for LiveBackend<'_> {
     }
 
     fn exec_binary(&mut self, op: &OpKind, left: Mat, right: Mat) -> Mat {
-        let solutions = match op {
-            OpKind::Join => solution::join(&left.solutions, &right.solutions),
-            OpKind::Union => solution::union(&left.solutions, &right.solutions),
-            OpKind::LeftJoin(None) => solution::left_join(&left.solutions, &right.solutions),
-            OpKind::LeftJoin(Some(cond)) => {
-                let cond = cond.compile();
-                solution::left_join_filtered(&left.solutions, &right.solutions, |m| {
-                    cond.satisfied_by(m)
-                })
-            }
-        };
+        let solutions = op.apply(&left.solutions, &right.solutions);
         Mat { solutions, site: COORDINATOR, ready: SimTime::ZERO }
     }
 
@@ -344,24 +343,23 @@ pub fn live_execute_with(
     wait: Duration,
 ) -> Result<LiveExecution, LiveError> {
     let parsed = rdfmesh_sparql::parse_query(query)?;
+    let dataset = &parsed.dataset;
+    let named = dataset.named.first().map(|g| format!("FROM NAMED {g}"));
+    if let Some(clause) = dataset.default.first().map(|g| format!("FROM {g}")).or(named) {
+        return Err(LiveError::Dataset(clause));
+    }
     // Placement-dependent decisions (overlap hints, range probing) are
     // meaningless on a live transport; compile them out so the plan
     // contains only what the live protocol implements.
     let cfg = ExecConfig { overlap_aware: false, range_index: false, ..*cfg };
     let pattern = rdfmesh_sparql::optimize(parsed.pattern.clone(), &cfg.optimizer);
-    let plan = crate::planner::compile(&pattern, &cfg);
     let mut backend = LiveBackend::new(mesh, wait);
-    let mat = exec::run(&mut backend, &plan, SimTime::ZERO)?;
-    let mat = backend.deliver(mat);
-    let result = rdfmesh_sparql::finalize(&NoGraph, &parsed, mat.solutions);
+    let (result, _) = exec::answer(&mut backend, &parsed, &pattern, &cfg)?;
+    backend.failed.sort();
     Ok(LiveExecution {
         result,
         complete: backend.complete,
-        failed_providers: {
-            let mut failed = backend.failed;
-            failed.sort();
-            failed
-        },
+        failed_providers: backend.failed,
         rounds: backend.rounds,
     })
 }

@@ -14,14 +14,10 @@ use rdfmesh_cache::{QueryCache, ResultEntry};
 use rdfmesh_net::{NodeId, SimTime};
 use rdfmesh_obs::{names, phase, SpanId};
 use rdfmesh_overlay::{wire, Located, Overlay, Provider};
-use rdfmesh_rdf::{SharedStore, Triple, TriplePattern, Variable};
+use rdfmesh_rdf::{SharedStore, TriplePattern, Variable};
 use rdfmesh_sparql::{
-    algebra::AlgebraQuery,
-    ast::QueryForm,
-    eval::NoGraph,
     expr::Expression,
     solution::{self, DistinctBuffer, Solution, SolutionSet},
-    QueryResult,
 };
 
 use crate::config::{DistStrategy, ExecConfig, JoinSiteStrategy, PrimitiveStrategy};
@@ -66,6 +62,39 @@ enum Reply {
     Forwarded,
     /// Nothing yet: the frame only starts a shuffle, priced as it runs.
     Started,
+}
+
+/// Which lookup leg [`SimBackend::resolve`] runs: who asks the two-level
+/// index, through which key, and whether the answer waits on it.
+#[derive(Clone, Copy, PartialEq)]
+enum Leg<'q> {
+    /// A sub-query leaving the initiator: a storage-node initiator first
+    /// forwards it to its entry index node.
+    Primitive,
+    /// The same through the numeric range index: the providers of the
+    /// buckets overlapping `[lo, hi]` under the predicate.
+    Range(&'q rdfmesh_rdf::Term, f64, f64),
+    /// A sub-query already at the entry node (a bind-join step, a
+    /// multiway slot): nothing to forward.
+    Step,
+    /// The planner reading statistics: the whole row, whatever the
+    /// dataset, and no step of the answer's key resolution.
+    Statistics,
+}
+
+/// What a lookup leg found.
+enum Resolved {
+    /// The key's location-table row, where and when it was read.
+    Row(Located),
+    /// No key — the all-variable pattern: callers flood, from when the
+    /// sub-query stood at the entry node.
+    Keyless(SimTime),
+}
+
+/// The answer to a pattern no provider in the dataset holds: empty, at
+/// the index node that said so.
+fn nowhere(located: &Located) -> Mat {
+    Mat { solutions: Vec::new(), site: located.index_node, ready: located.arrival }
 }
 
 fn shipping_span(label: &str, at: SimTime) -> Option<SpanId> {
@@ -253,20 +282,16 @@ impl<'a> SimBackend<'a> {
     ) -> Result<FrequencyEstimator, EngineError> {
         let mut tps = Vec::new();
         collect_patterns(pattern, &mut tps);
-        let entry = self.entry_index(self.initiator)?;
         let mut entries = Vec::with_capacity(tps.len());
         let mut default = 1u64;
         for tp in tps {
-            match self.locate_cached(entry, &tp, SimTime::ZERO)? {
-                Some(located) => {
-                    self.note_index_hops(located.hops);
+            match self.resolve(&tp, SimTime::ZERO, Leg::Statistics)? {
+                Resolved::Row(located) => {
                     let total: u64 = located.providers.iter().map(|p| p.frequency).sum();
                     entries.push((tp, total));
                 }
-                None => {
-                    // All-variable pattern: worst case, schedule it last.
-                    default = u64::MAX / 2;
-                }
+                // All-variable pattern: worst case, schedule it last.
+                Resolved::Keyless(_) => default = u64::MAX / 2,
             }
         }
         Ok(FrequencyEstimator::new(entries, default))
@@ -286,6 +311,38 @@ impl<'a> SimBackend<'a> {
         self.overlay
             .addr_of(storage.attached_to)
             .ok_or(EngineError::UnknownInitiator(addr))
+    }
+
+    /// The lookup leg of Fig. 2, for every caller: reach the entry index
+    /// node (forwarding the sub-query there when the leg starts at a
+    /// storage node), resolve the pattern's key to its location-table
+    /// row through the cache stack, count the hops, and — unless the
+    /// planner is only reading statistics — advance key resolution to
+    /// the row's arrival and keep the providers inside the dataset.
+    fn resolve(
+        &mut self,
+        pattern: &TriplePattern,
+        depart: SimTime,
+        leg: Leg<'_>,
+    ) -> Result<Resolved, EngineError> {
+        let entry = self.entry_index(self.initiator)?;
+        let depart = match leg {
+            Leg::Primitive | Leg::Range(..) => self.forward_to_entry(entry, pattern, depart),
+            Leg::Step | Leg::Statistics => depart,
+        };
+        let located = match leg {
+            Leg::Range(predicate, lo, hi) => {
+                self.overlay.locate_numeric_range(entry, predicate, lo, hi, depart)?
+            }
+            _ => self.locate_cached(entry, pattern, depart)?,
+        };
+        let Some(mut located) = located else { return Ok(Resolved::Keyless(depart)) };
+        self.note_index_hops(located.hops);
+        if leg != Leg::Statistics {
+            rdfmesh_obs::advance_current(phase::KEY_RESOLUTION, located.arrival.0);
+            located.providers.retain(|p| self.in_scope(p.node));
+        }
+        Ok(Resolved::Row(located))
     }
 
     // ---- cache-aware index lookup (rdfmesh-cache) ----------------------
@@ -426,23 +483,18 @@ impl<'a> SimBackend<'a> {
                 return Ok(hit);
             }
         }
-        let entry = self.entry_index(self.initiator)?;
-        let depart = self.forward_to_entry(entry, pattern, depart);
-        let Some(located) = self.locate_cached(entry, pattern, depart)? else {
-            return self.flood(pattern, filter, depart);
+        let located = match self.resolve(pattern, depart, Leg::Primitive)? {
+            Resolved::Row(located) => located,
+            Resolved::Keyless(at) => return self.flood(pattern, filter, at),
         };
-        self.note_index_hops(located.hops);
-        rdfmesh_obs::advance_current(phase::KEY_RESOLUTION, located.arrival.0);
-        let assembly = located.index_node;
-        let t0 = located.arrival;
-        let mut providers = self.in_dataset(located.providers);
         let metrics = rdfmesh_obs::metrics();
         if metrics.is_enabled() {
-            metrics.observe("engine.providers_per_pattern", providers.len() as u64);
+            metrics.observe("engine.providers_per_pattern", located.providers.len() as u64);
         }
-        if providers.is_empty() {
-            return Ok(Mat { solutions: Vec::new(), site: assembly, ready: t0 });
+        if located.providers.is_empty() {
+            return Ok(nowhere(&located));
         }
+        let Located { index_node: assembly, arrival: t0, mut providers, .. } = located;
 
         let provider_nodes: Vec<NodeId> = providers.iter().map(|p| p.node).collect();
         let sub = SubQuery { pattern, filter, bound: None };
@@ -573,23 +625,20 @@ impl<'a> SimBackend<'a> {
         pattern: &TriplePattern,
         filter: Option<&Expression>,
     ) -> Result<(bool, SimTime), EngineError> {
-        let entry = self.entry_index(self.initiator)?;
-        let depart = self.forward_to_entry(entry, pattern, SimTime::ZERO);
-        let Some(located) = self.locate_cached(entry, pattern, depart)? else {
-            let mat = self.flood(pattern, filter, depart)?;
-            let initiator = self.initiator;
-            let mat = self.ship(mat, initiator);
-            return Ok((!mat.solutions.is_empty(), mat.ready));
+        let located = match self.resolve(pattern, SimTime::ZERO, Leg::Primitive)? {
+            Resolved::Row(located) => located,
+            Resolved::Keyless(at) => {
+                let mat = self.flood(pattern, filter, at)?;
+                let mat = self.deliver(mat);
+                return Ok((!mat.solutions.is_empty(), mat.ready));
+            }
         };
-        self.note_index_hops(located.hops);
-        rdfmesh_obs::advance_current(phase::KEY_RESOLUTION, located.arrival.0);
-        let assembly = located.index_node;
-        let mut providers = self.in_dataset(located.providers.clone());
+        let Located { index_node: assembly, arrival, mut providers, .. } = located;
         providers.sort_by_key(|p| (std::cmp::Reverse(p.frequency), p.node));
         let sub = SubQuery { pattern, filter, bound: None };
         let span =
-            shipping_span(&format!("ask probe of {} providers", providers.len()), located.arrival);
-        let mut t = located.arrival;
+            shipping_span(&format!("ask probe of {} providers", providers.len()), arrival);
+        let mut t = arrival;
         let mut dead = Vec::new();
         let mut answer = false;
         for p in &providers {
@@ -639,26 +688,15 @@ impl<'a> SimBackend<'a> {
                 ready: depart,
             }));
         }
-        let entry = self.entry_index(self.initiator)?;
-        let depart = self.forward_to_entry(entry, pattern, depart);
-        let Some(located) =
-            self.overlay.locate_numeric_range(entry, predicate, lo, hi, depart)?
-        else {
-            return Ok(None);
-        };
-        self.note_index_hops(located.hops);
-        rdfmesh_obs::advance_current(phase::KEY_RESOLUTION, located.arrival.0);
-        let providers = self.in_dataset(located.providers.clone());
-        if providers.is_empty() {
-            return Ok(Some(Mat {
-                solutions: Vec::new(),
-                site: located.index_node,
-                ready: located.arrival,
-            }));
+        let leg = Leg::Range(predicate, lo, hi);
+        let Resolved::Row(located) = self.resolve(pattern, depart, leg)? else { return Ok(None) };
+        if located.providers.is_empty() {
+            return Ok(Some(nowhere(&located)));
         }
         // Basic-style fan-out with the filter shipped to the sources.
         let sub = SubQuery { pattern, filter: Some(filter), bound: None };
-        Ok(Some(self.primitive_basic(sub, located.index_node, &providers, located.arrival)))
+        let (assembly, t0) = (located.index_node, located.arrival);
+        Ok(Some(self.primitive_basic(sub, assembly, &located.providers, t0)))
     }
 
     /// Flooding fallback for the all-variable pattern `(?s, ?p, ?o)`:
@@ -718,12 +756,6 @@ impl<'a> SimBackend<'a> {
                 .is_some_and(|g| self.dataset_graphs.contains(g))
     }
 
-    /// Restricts a provider list to the query's dataset (`FROM` clauses).
-    fn in_dataset(&self, mut providers: Vec<Provider>) -> Vec<Provider> {
-        providers.retain(|p| self.in_scope(p.node));
-        providers
-    }
-
     fn handle_dead(&mut self, dead: &[NodeId]) {
         let metrics = rdfmesh_obs::metrics();
         for &d in dead {
@@ -747,19 +779,18 @@ impl<'a> SimBackend<'a> {
         pattern: &TriplePattern,
         current: Mat,
     ) -> Result<Mat, EngineError> {
-        let entry = self.entry_index(self.initiator)?;
-        let Some(located) = self.locate_cached(entry, pattern, current.ready)? else {
-            // All-variable pattern: fall back to gathering + local join.
-            let right = self.flood(pattern, None, current.ready)?;
-            return Ok(self.binary_op(&OpKind::Join, current, right));
+        let located = match self.resolve(pattern, current.ready, Leg::Step)? {
+            Resolved::Row(located) => located,
+            Resolved::Keyless(at) => {
+                // All-variable pattern: fall back to gathering + local join.
+                let right = self.flood(pattern, None, at)?;
+                return Ok(self.binary_op(&OpKind::Join, current, right));
+            }
         };
-        self.note_index_hops(located.hops);
-        rdfmesh_obs::advance_current(phase::KEY_RESOLUTION, located.arrival.0);
-        let assembly = located.index_node;
-        let mut providers = self.in_dataset(located.providers.clone());
-        if providers.is_empty() {
-            return Ok(Mat { solutions: Vec::new(), site: assembly, ready: located.arrival });
+        if located.providers.is_empty() {
+            return Ok(nowhere(&located));
         }
+        let Located { index_node: assembly, arrival, mut providers, .. } = located;
         let sub = SubQuery { pattern, filter: None, bound: Some(&current.solutions) };
         match self.cfg.primitive {
             PrimitiveStrategy::Basic => {
@@ -774,7 +805,7 @@ impl<'a> SimBackend<'a> {
                     .overlay
                     .net
                     .send(current.site, assembly, carried, current.ready)
-                    .max(located.arrival);
+                    .max(arrival);
                 Ok(self.fan_out(span, sub, assembly, &providers, at_assembly))
             }
             PrimitiveStrategy::Chained | PrimitiveStrategy::FrequencyOrdered => {
@@ -785,7 +816,7 @@ impl<'a> SimBackend<'a> {
                 }
                 // The chain starts at the current site (it already holds
                 // the bound solutions) after the index lookup resolves.
-                let t0 = current.ready.max(located.arrival);
+                let t0 = current.ready.max(arrival);
                 Ok(self.chain("bind-join chain", sub, sub.bytes(), current.site, &providers, t0))
             }
         }
@@ -797,15 +828,7 @@ impl<'a> SimBackend<'a> {
         let site = self.select_site(op, &left, &right);
         let (l, r) = (self.ship(left, site), self.ship(right, site));
         let ready = l.ready.max(r.ready);
-        let solutions = match op {
-            OpKind::Join => solution::join(&l.solutions, &r.solutions),
-            OpKind::Union => solution::union(&l.solutions, &r.solutions),
-            OpKind::LeftJoin(None) => solution::left_join(&l.solutions, &r.solutions),
-            OpKind::LeftJoin(Some(cond)) => {
-                let cond = cond.compile();
-                solution::left_join_filtered(&l.solutions, &r.solutions, |m| cond.satisfied_by(m))
-            }
-        };
+        let solutions = op.apply(&l.solutions, &r.solutions);
         self.note_intermediates(solutions.len());
         Mat { solutions, site, ready }
     }
@@ -882,14 +905,19 @@ impl<'a> SimBackend<'a> {
         ta: &TriplePattern,
         tb: &TriplePattern,
     ) -> Result<Option<NodeId>, EngineError> {
+        // The first row is read outside `resolve`, as it always was: its
+        // hops count only once the second row is in hand too, so a keyless
+        // second pattern abandons the probe with the first lookup charged
+        // and uncounted. `resolve` counts as it charges, which would move
+        // that number.
         let entry = self.entry_index(self.initiator)?;
         let Some(la) = self.locate_cached(entry, ta, SimTime::ZERO)? else {
             return Ok(None);
         };
-        let Some(lb) = self.locate_cached(entry, tb, SimTime::ZERO)? else {
+        let Resolved::Row(lb) = self.resolve(tb, SimTime::ZERO, Leg::Statistics)? else {
             return Ok(None);
         };
-        self.note_index_hops(la.hops + lb.hops);
+        self.note_index_hops(la.hops);
         let mut best: Option<(u64, NodeId)> = None;
         for pa in &la.providers {
             if let Some(pb) = lb.providers.iter().find(|pb| pb.node == pa.node) {
@@ -914,19 +942,15 @@ impl<'a> SimBackend<'a> {
         patterns: &[TriplePattern],
         depart: SimTime,
     ) -> Result<(Vec<Vec<NodeId>>, SimTime), EngineError> {
-        let entry = self.entry_index(self.initiator)?;
         let mut slots = Vec::with_capacity(patterns.len());
         let mut resolved = depart;
         for pattern in patterns {
-            match self.locate_cached(entry, pattern, depart)? {
-                Some(located) => {
-                    self.note_index_hops(located.hops);
+            match self.resolve(pattern, depart, Leg::Step)? {
+                Resolved::Row(located) => {
                     resolved = resolved.max(located.arrival);
-                    rdfmesh_obs::advance_current(phase::KEY_RESOLUTION, located.arrival.0);
-                    let providers = self.in_dataset(located.providers);
-                    slots.push(providers.into_iter().map(|p| p.node).collect::<Vec<_>>());
+                    slots.push(located.providers.into_iter().map(|p| p.node).collect::<Vec<_>>());
                 }
-                None => {
+                Resolved::Keyless(_) => {
                     let mut all = self.overlay.storage_nodes();
                     all.retain(|s| self.in_scope(*s));
                     slots.push(all);
@@ -1112,76 +1136,6 @@ impl<'a> SimBackend<'a> {
         self.close_shipping(span, ready, &dead);
         Ok(Mat { solutions: assembled, site: self.initiator, ready })
     }
-
-    // ---- post-processing (Fig. 3) --------------------------------------
-
-    /// Shapes the raw solution set into the query form's result at the
-    /// initiator. DESCRIBE issues its own distributed sub-queries for the
-    /// described resources' triples, stretching the query's response time.
-    pub(crate) fn post_process(
-        &mut self,
-        query: &AlgebraQuery,
-        raw: SolutionSet,
-    ) -> Result<QueryResult, EngineError> {
-        match &query.form {
-            QueryForm::Describe(_) => {
-                // DESCRIBE needs the described resources' triples, which
-                // are themselves distributed: fetch each resource's
-                // subject triples with primitive sub-queries.
-                let described = rdfmesh_sparql::finalize(&NoGraph, query, raw.clone());
-                let QueryResult::Graph(_) = &described else {
-                    return Ok(described);
-                };
-                let mut resources: Vec<rdfmesh_rdf::Term> = Vec::new();
-                if let QueryForm::Describe(targets) = &query.form {
-                    for t in targets {
-                        match t {
-                            rdfmesh_sparql::ast::DescribeTarget::Iri(iri) => {
-                                resources.push(rdfmesh_rdf::Term::Iri(iri.clone()))
-                            }
-                            rdfmesh_sparql::ast::DescribeTarget::Var(v) => {
-                                for sol in &raw {
-                                    if let Some(t) = sol.get(v) {
-                                        if !resources.contains(t) {
-                                            resources.push(t.clone());
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-                let mut triples = Vec::new();
-                for r in resources {
-                    let pat = TriplePattern::new(
-                        r,
-                        rdfmesh_rdf::TermPattern::var("p"),
-                        rdfmesh_rdf::TermPattern::var("o"),
-                    );
-                    let mat = self.primitive(&pat, None, SimTime::ZERO, None)?;
-                    let initiator = self.initiator;
-                    let mat = self.ship(mat, initiator);
-                    self.stats.response_time = self.stats.response_time.max(mat.ready);
-                    for sol in &mat.solutions {
-                        if let (Some(p), Some(o)) =
-                            (sol.get(&Variable::new("p")), sol.get(&Variable::new("o")))
-                        {
-                            let t = Triple {
-                                subject: pat.subject.as_const().expect("bound").clone(),
-                                predicate: p.clone(),
-                                object: o.clone(),
-                            };
-                            if !triples.contains(&t) {
-                                triples.push(t);
-                            }
-                        }
-                    }
-                }
-                Ok(QueryResult::Graph(triples))
-            }
-            _ => Ok(rdfmesh_sparql::finalize(&NoGraph, query, raw)),
-        }
-    }
 }
 
 // Result accumulation: the dataset of an unscoped query is "the union of
@@ -1246,7 +1200,6 @@ impl<'a> MeshBackend for SimBackend<'a> {
     }
 
     fn deliver(&mut self, mat: Mat) -> Mat {
-        let initiator = self.initiator;
-        self.ship(mat, initiator)
+        self.ship(mat, self.initiator)
     }
 }

@@ -7,6 +7,8 @@
 //! stats from the trace alone, and the engine's correctness tests assert
 //! the reconstruction matches the hand-counted values exactly.
 
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+
 use rdfmesh_net::{NetStats, SimTime};
 
 /// What one distributed query cost — the quantities the paper's deferred
@@ -90,183 +92,85 @@ impl std::fmt::Display for QueryStats {
     }
 }
 
-/// Shared fault-tolerance counters of one [`crate::LiveMesh`].
-///
-/// Bumped by the coordinator's state machine and the index nodes as the
-/// live protocol detects churn; every bump is mirrored into the global
-/// [`rdfmesh_obs::metrics()`] registry under the `live.*` names so the
-/// soak experiment (§E16) and dashboards see the same numbers.
-#[derive(Debug, Default)]
-pub struct LiveStats {
-    retries: std::sync::atomic::AtomicU64,
-    ack_timeouts: std::sync::atomic::AtomicU64,
-    send_failures: std::sync::atomic::AtomicU64,
-    stale_replies: std::sync::atomic::AtomicU64,
-    providers_purged: std::sync::atomic::AtomicU64,
-    incomplete_queries: std::sync::atomic::AtomicU64,
-    lookup_failures: std::sync::atomic::AtomicU64,
-    solution_rounds: std::sync::atomic::AtomicU64,
-    solutions_shipped: std::sync::atomic::AtomicU64,
-    solution_bytes: std::sync::atomic::AtomicU64,
-    admitted: std::sync::atomic::AtomicU64,
-    queued: std::sync::atomic::AtomicU64,
-    rejected: std::sync::atomic::AtomicU64,
-    shuffle_parts: std::sync::atomic::AtomicU64,
-    shuffle_bytes: std::sync::atomic::AtomicU64,
-    stitched_rows: std::sync::atomic::AtomicU64,
+/// Declares the live counters, each once: the atomic field of
+/// [`LiveStats`], the [`LiveStatsSnapshot`] field of the same name (which
+/// takes the documentation), the `add_*` bump, and the `rdfmesh_obs::names`
+/// constant the bump mirrors into.
+macro_rules! live_counters {
+    ($($(#[$doc:meta])* $field:ident, $add:ident => $metric:ident;)*) => {
+        /// Shared fault-tolerance counters of one [`crate::LiveMesh`].
+        ///
+        /// Bumped by the coordinator's state machine and the index nodes as the
+        /// live protocol detects churn; every bump is mirrored into the global
+        /// [`rdfmesh_obs::metrics()`] registry under the `live.*` names so the
+        /// soak experiment (§E16) and dashboards see the same numbers.
+        #[derive(Debug, Default)]
+        pub struct LiveStats {
+            $($field: AtomicU64,)*
+        }
+
+        /// A point-in-time copy of [`LiveStats`].
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        pub struct LiveStatsSnapshot {
+            $($(#[$doc])* pub $field: u64,)*
+        }
+
+        impl LiveStats {
+            $(
+                #[doc = concat!("Adds `delta` to [`LiveStatsSnapshot::", stringify!($field), "`].")]
+                pub fn $add(&self, delta: u64) {
+                    if delta > 0 {
+                        self.$field.fetch_add(delta, Relaxed);
+                        rdfmesh_obs::metrics().add(rdfmesh_obs::names::$metric, delta);
+                    }
+                }
+            )*
+
+            /// A point-in-time copy of every counter.
+            pub fn snapshot(&self) -> LiveStatsSnapshot {
+                LiveStatsSnapshot { $($field: self.$field.load(Relaxed),)* }
+            }
+        }
+    };
 }
 
-/// A point-in-time copy of [`LiveStats`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LiveStatsSnapshot {
+live_counters! {
     /// Sub-query/lookup retransmissions after an expired ack deadline.
-    pub retries: u64,
+    retries, add_retries => LIVE_RETRIES;
     /// Providers declared dead after the bounded retries were exhausted.
-    pub ack_timeouts: u64,
+    ack_timeouts, add_ack_timeouts => LIVE_ACK_TIMEOUTS;
     /// Failed `Outbox::send`s, each treated as an immediate ack timeout.
-    pub send_failures: u64,
+    send_failures, add_send_failures => LIVE_SEND_FAILURES;
     /// Replies dropped as stale (wrong/finished query, duplicate sender).
-    pub stale_replies: u64,
+    stale_replies, add_stale_replies => LIVE_STALE_REPLIES;
     /// Location-table entries lazily purged via `ProviderDead`.
-    pub providers_purged: u64,
+    providers_purged, add_providers_purged => LIVE_PROVIDERS_PURGED;
     /// Queries answered with `complete == false`.
-    pub incomplete_queries: u64,
+    incomplete_queries, add_incomplete_queries => LIVE_INCOMPLETE_QUERIES;
     /// Lookups the index node never answered within the deadline.
-    pub lookup_failures: u64,
+    lookup_failures, add_lookup_failures => LIVE_LOOKUP_FAILURES;
     /// Solution rounds issued (one per plan primitive or bound
     /// sub-query executed through [`crate::RoundClient::query_solutions`]).
-    pub solution_rounds: u64,
+    solution_rounds, add_solution_rounds => LIVE_SOLUTION_ROUNDS;
     /// Solution mappings shipped by storage nodes answering solution
     /// rounds.
-    pub solutions_shipped: u64,
+    solutions_shipped, add_solutions_shipped => LIVE_SOLUTIONS_SHIPPED;
     /// Wire bytes of those solutions, sized by the
     /// `rdfmesh_sparql::solution::wire` codec.
-    pub solution_bytes: u64,
+    solution_bytes, add_solution_bytes => LIVE_SOLUTION_BYTES;
     /// Query executions admitted into the bounded in-flight window.
-    pub admitted: u64,
+    admitted, add_admitted => LIVE_ADMITTED;
     /// Admitted executions that first waited in the bounded queue.
-    pub queued: u64,
+    queued, add_queued => LIVE_QUEUED;
     /// Executions rejected under overload (queue full or wait expired).
-    pub rejected: u64,
+    rejected, add_rejected => LIVE_REJECTED;
     /// Solution partitions shipped peer-to-peer by HyperCube shuffles.
-    pub shuffle_parts: u64,
+    shuffle_parts, add_shuffle_parts => EXEC_STRATEGY_SHUFFLE_PARTS;
     /// Wire bytes of those peer-to-peer shuffle partitions.
-    pub shuffle_bytes: u64,
+    shuffle_bytes, add_shuffle_bytes => EXEC_STRATEGY_SHUFFLE_BYTES;
     /// Assembled rows stitched from more than one provider's partial
     /// matches (partial-evaluation queries only).
-    pub stitched_rows: u64,
-}
-
-impl LiveStats {
-    fn bump(counter: &std::sync::atomic::AtomicU64, name: &'static str, delta: u64) {
-        if delta > 0 {
-            counter.fetch_add(delta, std::sync::atomic::Ordering::Relaxed);
-            rdfmesh_obs::metrics().add(name, delta);
-        }
-    }
-
-    /// Adds `delta` retransmissions.
-    pub fn add_retries(&self, delta: u64) {
-        Self::bump(&self.retries, rdfmesh_obs::names::LIVE_RETRIES, delta);
-    }
-
-    /// Adds `delta` exhausted-retry provider deaths.
-    pub fn add_ack_timeouts(&self, delta: u64) {
-        Self::bump(&self.ack_timeouts, rdfmesh_obs::names::LIVE_ACK_TIMEOUTS, delta);
-    }
-
-    /// Adds `delta` failed sends.
-    pub fn add_send_failures(&self, delta: u64) {
-        Self::bump(&self.send_failures, rdfmesh_obs::names::LIVE_SEND_FAILURES, delta);
-    }
-
-    /// Adds `delta` stale replies.
-    pub fn add_stale_replies(&self, delta: u64) {
-        Self::bump(&self.stale_replies, rdfmesh_obs::names::LIVE_STALE_REPLIES, delta);
-    }
-
-    /// Adds `delta` lazily purged location-table entries.
-    pub fn add_providers_purged(&self, delta: u64) {
-        Self::bump(&self.providers_purged, rdfmesh_obs::names::LIVE_PROVIDERS_PURGED, delta);
-    }
-
-    /// Adds `delta` incomplete query completions.
-    pub fn add_incomplete_queries(&self, delta: u64) {
-        Self::bump(&self.incomplete_queries, rdfmesh_obs::names::LIVE_INCOMPLETE_QUERIES, delta);
-    }
-
-    /// Adds `delta` abandoned lookups.
-    pub fn add_lookup_failures(&self, delta: u64) {
-        Self::bump(&self.lookup_failures, rdfmesh_obs::names::LIVE_LOOKUP_FAILURES, delta);
-    }
-
-    /// Adds `delta` solution rounds.
-    pub fn add_solution_rounds(&self, delta: u64) {
-        Self::bump(&self.solution_rounds, rdfmesh_obs::names::LIVE_SOLUTION_ROUNDS, delta);
-    }
-
-    /// Adds `delta` shipped solution mappings.
-    pub fn add_solutions_shipped(&self, delta: u64) {
-        Self::bump(&self.solutions_shipped, rdfmesh_obs::names::LIVE_SOLUTIONS_SHIPPED, delta);
-    }
-
-    /// Adds `delta` wire bytes of shipped solutions.
-    pub fn add_solution_bytes(&self, delta: u64) {
-        Self::bump(&self.solution_bytes, rdfmesh_obs::names::LIVE_SOLUTION_BYTES, delta);
-    }
-
-    /// Adds `delta` admitted query executions.
-    pub fn add_admitted(&self, delta: u64) {
-        Self::bump(&self.admitted, rdfmesh_obs::names::LIVE_ADMITTED, delta);
-    }
-
-    /// Adds `delta` executions that waited in the admission queue.
-    pub fn add_queued(&self, delta: u64) {
-        Self::bump(&self.queued, rdfmesh_obs::names::LIVE_QUEUED, delta);
-    }
-
-    /// Adds `delta` executions rejected under overload.
-    pub fn add_rejected(&self, delta: u64) {
-        Self::bump(&self.rejected, rdfmesh_obs::names::LIVE_REJECTED, delta);
-    }
-
-    /// Adds `delta` peer-to-peer shuffle partitions.
-    pub fn add_shuffle_parts(&self, delta: u64) {
-        Self::bump(&self.shuffle_parts, rdfmesh_obs::names::EXEC_STRATEGY_SHUFFLE_PARTS, delta);
-    }
-
-    /// Adds `delta` wire bytes of shuffle partitions.
-    pub fn add_shuffle_bytes(&self, delta: u64) {
-        Self::bump(&self.shuffle_bytes, rdfmesh_obs::names::EXEC_STRATEGY_SHUFFLE_BYTES, delta);
-    }
-
-    /// Adds `delta` cross-provider stitched assembly rows.
-    pub fn add_stitched_rows(&self, delta: u64) {
-        Self::bump(&self.stitched_rows, rdfmesh_obs::names::EXEC_STRATEGY_STITCHED_ROWS, delta);
-    }
-
-    /// A point-in-time copy of every counter.
-    pub fn snapshot(&self) -> LiveStatsSnapshot {
-        use std::sync::atomic::Ordering::Relaxed;
-        LiveStatsSnapshot {
-            retries: self.retries.load(Relaxed),
-            ack_timeouts: self.ack_timeouts.load(Relaxed),
-            send_failures: self.send_failures.load(Relaxed),
-            stale_replies: self.stale_replies.load(Relaxed),
-            providers_purged: self.providers_purged.load(Relaxed),
-            incomplete_queries: self.incomplete_queries.load(Relaxed),
-            lookup_failures: self.lookup_failures.load(Relaxed),
-            solution_rounds: self.solution_rounds.load(Relaxed),
-            solutions_shipped: self.solutions_shipped.load(Relaxed),
-            solution_bytes: self.solution_bytes.load(Relaxed),
-            admitted: self.admitted.load(Relaxed),
-            queued: self.queued.load(Relaxed),
-            rejected: self.rejected.load(Relaxed),
-            shuffle_parts: self.shuffle_parts.load(Relaxed),
-            shuffle_bytes: self.shuffle_bytes.load(Relaxed),
-            stitched_rows: self.stitched_rows.load(Relaxed),
-        }
-    }
+    stitched_rows, add_stitched_rows => EXEC_STRATEGY_STITCHED_ROWS;
 }
 
 #[cfg(test)]

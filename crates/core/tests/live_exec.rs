@@ -15,8 +15,8 @@
 use std::time::{Duration, Instant};
 
 use rdfmesh_core::{
-    global_store, DistChoice, ExecConfig, FaultPlan, LiveBackend, LiveConfig, LiveMesh, Mat,
-    MeshBackend, Transport,
+    global_store, DistChoice, ExecConfig, FaultPlan, LiveBackend, LiveConfig, LiveError, LiveMesh,
+    Mat, MeshBackend, Transport,
 };
 use rdfmesh_net::{LatencyModel, Network, NodeId, SimTime};
 use rdfmesh_overlay::Overlay;
@@ -59,19 +59,28 @@ fn sorted(mut sols: Vec<Solution>) -> Vec<Solution> {
 
 const WAIT: Duration = Duration::from_secs(30);
 
-/// What `query` returns over the data of every storage node but `victim`.
-fn survivor_oracle(overlay: &Overlay, victim: NodeId, query: &str) -> Vec<Solution> {
+/// `result` with its rows or triples in a canonical order.
+fn canonical(result: QueryResult) -> QueryResult {
+    match result {
+        QueryResult::Solutions(rows) => QueryResult::Solutions(sorted(rows)),
+        QueryResult::Graph(mut triples) => {
+            triples.sort();
+            QueryResult::Graph(triples)
+        }
+        boolean => boolean,
+    }
+}
+
+/// What `query` returns over the data of every storage node but
+/// `victim`, in canonical order.
+fn survivor_oracle(overlay: &Overlay, victim: NodeId, query: &str) -> QueryResult {
     let mut survivors = rdfmesh_rdf::TripleStore::new();
     for node in overlay.storage_nodes().into_iter().filter(|n| *n != victim) {
         for t in overlay.storage_node(node).unwrap().store.iter() {
             survivors.insert(&t);
         }
     }
-    let QueryResult::Solutions(rows) = evaluate_query(&survivors, &parse_query(query).unwrap())
-    else {
-        panic!("SELECT returns solutions")
-    };
-    sorted(rows)
+    canonical(evaluate_query(&survivors, &parse_query(query).unwrap()))
 }
 
 /// Runs `query` on the mesh and asserts it completed fault-free with
@@ -93,6 +102,10 @@ fn assert_live_agrees(mesh: &LiveMesh, overlay: &Overlay, query: &str, bind_join
         (QueryResult::Boolean(e), QueryResult::Boolean(g)) => {
             assert_eq!(e, g, "{query}");
             usize::from(g)
+        }
+        (e @ QueryResult::Graph(_), g @ QueryResult::Graph(_)) => {
+            assert_eq!(canonical(e), canonical(g.clone()), "live vs oracle mismatch for {query}");
+            g.len()
         }
         other => panic!("result shape mismatch for {query}: {other:?}"),
     }
@@ -145,6 +158,47 @@ fn ask_and_all_variable_flood_run_live() {
 }
 
 #[test]
+fn describe_fetches_its_resources_through_rounds_on_both_transports() {
+    let overlay = build_overlay();
+    let person = foaf::person_iri(0);
+    // (query, rounds): the WHERE clause's plan, then one fetch per
+    // described resource — chosen after ORDER BY / LIMIT cut the rows.
+    let queries = [
+        (format!("DESCRIBE {person}"), Some(1)),
+        ("DESCRIBE ?x WHERE { ?x foaf:name ?n . } ORDER BY ?n ?x LIMIT 1".to_string(), Some(2)),
+        (format!("DESCRIBE ?x {person} WHERE {{ ?x foaf:nick ?k . }}"), None),
+    ];
+    for transport in TRANSPORTS {
+        let mesh = spawn_on(&overlay, LiveConfig::default(), transport);
+        for (query, rounds) in &queries {
+            let before = mesh.stats().solution_rounds;
+            let triples = assert_live_agrees(&mesh, &overlay, query, true);
+            assert!(triples > 0, "{query} describes something");
+            let issued = mesh.stats().solution_rounds - before;
+            assert!(rounds.is_none_or(|n| n == issued), "{query}: {issued} rounds");
+            assert_eq!(triples, assert_live_agrees(&mesh, &overlay, query, false), "{query}");
+        }
+        mesh.shutdown();
+    }
+}
+
+#[test]
+fn a_dataset_clause_is_refused_before_any_round() {
+    // The mesh's peers publish no graph IRI: scoping to one is not
+    // something it can do, and answering unscoped would be wrong.
+    let overlay = build_overlay();
+    let mesh = LiveMesh::spawn(&overlay);
+    for clause in ["FROM <http://ex/nosuchgraph>", "FROM NAMED <http://ex/nosuchgraph>"] {
+        let query = format!("SELECT * {clause} WHERE {{ ?x foaf:knows ?y . }}");
+        let err = mesh.execute(&query, true, WAIT).expect_err("a dataset clause is refused");
+        assert_eq!(err, LiveError::Dataset(clause.to_string()));
+        assert!(err.to_string().contains(clause), "{err}");
+    }
+    assert_eq!(mesh.stats().solution_rounds, 0);
+    mesh.shutdown();
+}
+
+#[test]
 fn provider_crash_mid_query_degrades_to_a_partial_answer() {
     let overlay = build_overlay();
     let cfg = LiveConfig {
@@ -177,13 +231,12 @@ fn provider_crash_mid_query_degrades_to_a_partial_answer() {
         "query must terminate within its deadlines, took {elapsed:?}"
     );
     // The survivors' solutions are still a well-formed result.
-    let QueryResult::Solutions(sols) = live.result else { panic!("SELECT returns solutions") };
     let expected = survivor_oracle(
         &overlay,
         victim,
         "SELECT * WHERE { ?x foaf:knows ?y . ?y foaf:knows ?z . }",
     );
-    assert_eq!(sorted(sols), expected, "partial answer = survivors' data");
+    assert_eq!(canonical(live.result), expected, "partial answer = survivors' data");
     assert!(mesh.stats().incomplete_queries >= 1);
     mesh.shutdown();
 }
@@ -306,7 +359,13 @@ fn two_hop_bind_round_ships_one_row_per_distinct_join_key() {
 #[test]
 fn bind_join_over_a_crashed_provider_returns_the_survivors_rows() {
     let overlay = build_overlay();
-    let query = "SELECT * WHERE { ?x foaf:knows ?y . ?y foaf:knows ?z . }";
+    // A DESCRIBE loses the victim's part of the WHERE rows *and* of the
+    // described resources' triples: the graph the survivors alone hold.
+    let queries = [
+        "SELECT * WHERE { ?x foaf:knows ?y . ?y foaf:knows ?z . }",
+        "DESCRIBE ?y WHERE { ?x foaf:knows ?y . }",
+        "DESCRIBE ?x WHERE { ?x foaf:knows ?y . } ORDER BY ?x ?y LIMIT 1",
+    ];
     let cfg = LiveConfig {
         ack_timeout: Duration::from_millis(50),
         lookup_timeout: Duration::from_millis(50),
@@ -314,17 +373,19 @@ fn bind_join_over_a_crashed_provider_returns_the_survivors_rows() {
         retries: 1,
         ..LiveConfig::default()
     };
-    for transport in TRANSPORTS {
+    // One mesh per query: a crash is permanent, and once a round has
+    // purged the victim the next query would not notice it is gone.
+    for (transport, query) in TRANSPORTS.into_iter().flat_map(|t| queries.map(|q| (t, q))) {
         let mesh = spawn_on(&overlay, cfg, transport);
         let victim = mesh.providers_of(&knows_pattern())[0];
         assert!(mesh.crash(victim));
         let live =
             mesh.execute(query, true, WAIT).expect("a crash is a partial answer, not an error");
-        assert!(!live.complete, "{transport:?}");
-        assert!(live.failed_providers.contains(&victim), "{transport:?}");
-        let QueryResult::Solutions(got) = live.result else { panic!("SELECT returns solutions") };
+        assert!(!live.complete, "{query} on {transport:?}");
+        assert!(live.failed_providers.contains(&victim), "{query} on {transport:?}");
         let expected = survivor_oracle(&overlay, victim, query);
-        assert_eq!(expected, sorted(got), "survivors' data on {transport:?}");
+        assert!(!expected.is_empty(), "{query}");
+        assert_eq!(expected, canonical(live.result), "survivors' data: {query} on {transport:?}");
         mesh.shutdown();
     }
 }
@@ -446,7 +507,7 @@ fn every_strategy_degrades_to_the_survivor_oracle_on_provider_crash() {
     // One mesh per strategy: a crash is permanent, and the purge a
     // previous strategy triggered must not mask the next one's own
     // fault handling.
-    let mut answers: Vec<Vec<Solution>> = Vec::new();
+    let mut answers: Vec<QueryResult> = Vec::new();
     let mut victim_node = None;
     for dist in STRATEGIES {
         let mesh = LiveMesh::spawn_with(&overlay, cfg, FaultPlan::new());
@@ -468,8 +529,7 @@ fn every_strategy_degrades_to_the_survivor_oracle_on_provider_crash() {
             elapsed < Duration::from_secs(10),
             "{dist:?} must terminate within its deadlines, took {elapsed:?}"
         );
-        let QueryResult::Solutions(sols) = live.result else { panic!("SELECT") };
-        answers.push(sorted(sols));
+        answers.push(canonical(live.result));
         mesh.shutdown();
     }
     // All three strategies return the *same* partial answer: exactly

@@ -567,24 +567,6 @@ impl Overlay {
         self.publish(addr)
     }
 
-    /// [`Overlay::add_storage_node_with_graph`], but mounting an
-    /// existing [`SharedStore`] (e.g. a persistent `rdfmesh-store`
-    /// backend) instead of collecting triples into a fresh in-memory
-    /// store. The store's current contents are published into the index.
-    pub fn add_storage_node_with_store(
-        &mut self,
-        addr: NodeId,
-        attach: NodeId,
-        store: SharedStore,
-        graph: Option<rdfmesh_rdf::Iri>,
-    ) -> Result<PublishReport, OverlayError> {
-        self.check_addr_free(addr)?;
-        let attach_id =
-            *self.addr_index.get(&attach).ok_or(OverlayError::UnknownIndexNode(attach))?;
-        self.storage.insert(addr, StorageNode { store, attached_to: attach_id, graph });
-        self.publish(addr)
-    }
-
     /// The storage nodes whose graph IRI appears in `graphs` — the
     /// dataset of a query with `FROM` clauses.
     pub fn providers_in_graphs(&self, graphs: &[rdfmesh_rdf::Iri]) -> Vec<NodeId> {

@@ -38,7 +38,7 @@ pub use ntriples::{
     parse_document, parse_line, parse_statements, parse_statements_from, parse_term_str,
     write_document, ParseError, Statements,
 };
-pub use source::{PatternSource, SharedStore, StoreFactory};
+pub use source::{PatternSource, SharedStore};
 pub use store::TripleStore;
 pub use term::{BlankNode, Iri, Literal, LiteralKind, Term, TermError};
 pub use triple::{

@@ -221,41 +221,6 @@ impl FromIterator<Triple> for SharedStore {
     }
 }
 
-/// A factory producing fresh stores — how components that create stores
-/// *internally* (the RDFPeers baseline allocates one per ring node) are
-/// parameterized over the backend.
-#[derive(Clone)]
-pub struct StoreFactory(Arc<dyn Fn() -> SharedStore + Send + Sync>);
-
-impl StoreFactory {
-    /// A factory from a closure.
-    pub fn new(f: impl Fn() -> SharedStore + Send + Sync + 'static) -> Self {
-        StoreFactory(Arc::new(f))
-    }
-
-    /// The in-memory default.
-    pub fn memory() -> Self {
-        StoreFactory::new(SharedStore::memory)
-    }
-
-    /// Produces a fresh store.
-    pub fn make(&self) -> SharedStore {
-        (self.0)()
-    }
-}
-
-impl fmt::Debug for StoreFactory {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str("StoreFactory(..)")
-    }
-}
-
-impl Default for StoreFactory {
-    fn default() -> Self {
-        StoreFactory::memory()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -312,14 +277,5 @@ mod tests {
         source.for_each_triple(&mut |_| n += 1);
         assert_eq!(n, 2);
         assert!(!source.is_empty());
-    }
-
-    #[test]
-    fn factory_produces_independent_stores() {
-        let f = StoreFactory::default();
-        let a = f.make();
-        let b = f.make();
-        a.insert(&t("a", "b"));
-        assert!(b.is_empty());
     }
 }

@@ -15,7 +15,7 @@ use std::collections::BTreeMap;
 
 use rdfmesh_chord::{ChordRing, Id, RingError};
 use rdfmesh_net::{Network, NodeId, SimTime};
-use rdfmesh_rdf::{Literal, SharedStore, StoreFactory, Term, TermPattern, Triple, TriplePattern};
+use rdfmesh_rdf::{Literal, SharedStore, Term, TermPattern, Triple, TriplePattern};
 
 use crate::lphash::LocalityHash;
 
@@ -79,7 +79,6 @@ pub struct RdfPeers {
     ring: ChordRing,
     addr: BTreeMap<Id, NodeId>,
     stores: BTreeMap<Id, SharedStore>,
-    factory: StoreFactory,
     lp: LocalityHash,
     /// The shared cost-accounting network.
     pub net: Network,
@@ -95,17 +94,9 @@ impl RdfPeers {
             ring,
             addr: BTreeMap::new(),
             stores: BTreeMap::new(),
-            factory: StoreFactory::memory(),
             lp,
             net,
         }
-    }
-
-    /// Replaces the factory that allocates each ring node's local store
-    /// (in-memory by default) — how the baseline mounts alternative
-    /// backends. Applies to nodes added after the call.
-    pub fn set_store_factory(&mut self, factory: StoreFactory) {
-        self.factory = factory;
     }
 
     /// Adds a ring node.
@@ -114,7 +105,7 @@ impl RdfPeers {
         self.ring.join(position, bootstrap)?;
         self.ring.stabilize_until_converged(128);
         self.addr.insert(position, addr);
-        self.stores.insert(position, self.factory.make());
+        self.stores.insert(position, SharedStore::memory());
         // Keys the new node now owns migrate from its successor.
         let succ = self.ring.node(position)?.successor();
         if succ != position {

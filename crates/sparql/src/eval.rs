@@ -50,11 +50,11 @@ impl Graph for rdfmesh_rdf::SharedStore {
 
 /// A graph with no triples.
 ///
-/// Distributed post-processing ([`crate::finalize`]) operates on solution
-/// sets that already arrived at the query initiator; the graph argument
-/// is only consulted by DESCRIBE, which the distributed engines resolve
-/// with their own sub-queries instead. Both the simulated and the live
-/// backend finalize against `NoGraph`.
+/// Post-processing ([`finalize`]) operates on solution sets that already
+/// arrived at the query initiator; the graph argument is only consulted
+/// by DESCRIBE. A caller that finalizes a form it knows is not DESCRIBE
+/// passes `NoGraph`; the distributed engines pass the mesh itself, every
+/// pattern asked of it one primitive sub-query.
 pub struct NoGraph;
 
 impl Graph for NoGraph {
@@ -319,10 +319,11 @@ pub fn finalize<G: Graph>(graph: &G, query: &AlgebraQuery, raw: SolutionSet) -> 
     }
 }
 
-/// Instantiates a CONSTRUCT template pattern under a solution; `None` when
-/// a template variable is unbound or a literal would land in an invalid
-/// position.
-fn instantiate(tp: &TriplePattern, sol: &Solution) -> Option<Triple> {
+/// Instantiates a pattern under a solution — a CONSTRUCT template, or
+/// the pattern a solution answered, back into the triple it matched.
+/// `None` when a variable is unbound or a literal would land in an
+/// invalid position.
+pub fn instantiate(tp: &TriplePattern, sol: &Solution) -> Option<Triple> {
     let resolve = |p: &TermPattern| -> Option<Term> {
         match p {
             TermPattern::Const(t) => Some(t.clone()),

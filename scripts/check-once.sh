@@ -5,7 +5,10 @@
 # provider's scan lends its rows instead of collecting them (PR 19); a
 # JSON string is escaped by one function, and the result writers build no
 # string per cell, row or document (PR 20); wall-clock is measured by the
-# repo benchmark (benchmark/) and by no bench target (PR 21).
+# repo benchmark (benchmark/) and by no bench target (PR 21); a plan's
+# materialization becomes a result in one place above the backends, the
+# binary-operator table is spelled once beside it, and the simulator asks
+# the two-level index in one function (PR 22).
 # Fails when a second copy appears. Test modules (`mod tests` to end of
 # file) and comment lines are not code.
 set -eu
@@ -38,6 +41,18 @@ expect 'wire::encoded_len sites under live/' \
     "$(code live/*.rs | grep -c 'wire::encoded_len' || true)" 1
 expect 'role struct literals (one per constructor)' \
     "$(code ./*.rs live/*.rs | grep -E "$role" | grep -cvE "(struct|impl|for) $role" || true)" 3
+# The pipeline's tail is exec::answer and the lookup leg is
+# SimBackend::resolve: no backend post-processes, joins or looks up on its
+# own again. (The second locate_cached( is common_site's first row, whose
+# hops are counted only after the second resolves — CHANGES.md, PR 22.)
+expect 'finalize( call sites under crates/core/src' \
+    "$(code ./*.rs live/*.rs | grep -c 'finalize(' || true)" 1
+expect 'fn post_process in sim_backend.rs' \
+    "$(code sim_backend.rs | grep -c 'fn post_process' || true)" 0
+expect 'left_join_filtered call sites under crates/core/src' \
+    "$(code ./*.rs live/*.rs | grep -c 'left_join_filtered' || true)" 1
+expect 'locate_cached( call sites in sim_backend.rs' \
+    "$(code sim_backend.rs | grep -v 'fn locate_cached(' | grep -c 'locate_cached(' || true)" 2
 sparql=../../sparql/src
 # The bodies of the scan driver and of its collecting wrapper.
 scan=$(awk '/^pub fn (for_each_extension|evaluate_pattern_with)/{on=1} on{print} on&&/^}/{on=0}' \
@@ -68,5 +83,5 @@ expect '[[bench]] tables under crates/*/Cargo.toml' \
 expect 'criterion mentions in any Cargo.toml' \
     "$(cat Cargo.toml crates/*/Cargo.toml shims/*/Cargo.toml benchmark/Cargo.toml | grep -ci criterion || true)" 0
 expect 'directories under shims/' "$(ls -d shims/*/ | wc -l)" 3
-[ "$bad" -eq 0 ] && echo 'exists once: provider compute, exchange pricing, reply accounting, role constructors, regex compilation, lending scan, JSON escaping, result writers, the stopwatch'
+[ "$bad" -eq 0 ] && echo 'exists once: provider compute, exchange pricing, reply accounting, role constructors, regex compilation, lending scan, JSON escaping, result writers, the stopwatch, the pipeline tail, the operator table, the lookup leg'
 exit "$bad"

@@ -512,6 +512,9 @@ fn answer(req: &Request, node: &MeshNode, options: ServeOptions) -> Response {
                     with_metadata(to_json(&exec.result), &exec),
                 ),
                 Err(LiveError::Parse(e)) => Response::error("400 Bad Request", &e.to_string()),
+                Err(e @ LiveError::Dataset(_)) => {
+                    Response::error("400 Bad Request", &e.to_string())
+                }
                 Err(LiveError::Timeout) => {
                     Response::error("504 Gateway Timeout", "solution round timed out")
                 }

@@ -48,8 +48,7 @@ pub use rdfmesh_core::{
 pub use rdfmesh_net::{LatencyModel, Network, NodeId, SimTime};
 pub use rdfmesh_overlay::Overlay;
 pub use rdfmesh_rdf::{
-    PatternSource, SharedStore, StoreFactory, Term, TermPattern, Triple, TriplePattern,
-    TripleStore,
+    PatternSource, SharedStore, Term, TermPattern, Triple, TriplePattern, TripleStore,
 };
 pub use rdfmesh_sparql::{parse_query, QueryResult, Solution};
 pub use rdfmesh_store::{LoadConfig, LoadReport, PersistentStore};

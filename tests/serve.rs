@@ -151,15 +151,39 @@ fn bindings_of(json: &str) -> Vec<String> {
     rows
 }
 
-/// The simulator oracle: the same data on the in-process backend.
-fn sim_bindings(per_node: &[Vec<Triple>], query: &str) -> Vec<String> {
+/// The N-Triples lines of a `{"triples":"…"}` graph document, sorted.
+/// They stay JSON-escaped — both sides of a comparison are — so a line
+/// ends at the escape sequence `\n` and the document at the first bare
+/// quote.
+fn triples_of(json: &str) -> Vec<String> {
+    let start = json.find("\"triples\":\"").map(|i| i + "\"triples\":\"".len());
+    let Some(start) = start else { panic!("no triples document in {json}") };
+    let mut doc = &json[start..];
+    let mut end = 0;
+    while !doc[end..].starts_with('"') {
+        end += if doc[end..].starts_with('\\') { 2 } else { 1 };
+    }
+    doc = &doc[..end];
+    let mut lines: Vec<String> =
+        doc.split("\\n").filter(|l| !l.is_empty()).map(str::to_string).collect();
+    lines.sort();
+    lines
+}
+
+/// The simulator oracle: the same data on the in-process backend, its
+/// answer as the JSON document the endpoint would send.
+fn sim_json(per_node: &[Vec<Triple>], query: &str) -> String {
     let mut sys = SharingSystem::new();
     let ix = sys.add_index_node().unwrap();
     for triples in per_node {
         sys.add_peer(triples.clone()).unwrap();
     }
     let exec = sys.query(ix, query).unwrap();
-    bindings_of(&rdfmesh::sparql::to_json(&exec.result))
+    rdfmesh::sparql::to_json(&exec.result)
+}
+
+fn sim_bindings(per_node: &[Vec<Triple>], query: &str) -> Vec<String> {
+    bindings_of(&sim_json(per_node, query))
 }
 
 fn nt(lines: &[&str]) -> Vec<Triple> {
@@ -242,6 +266,30 @@ fn three_serve_processes_answer_http_queries_like_the_simulator() {
     assert!(status.contains("200"), "a variable named ?query is no form field: {status} {body}");
     assert_eq!(bindings_of(&body).len(), 2, "{body}");
     assert_eq!(bindings_of(&body), sim_bindings(&triples, named_query));
+
+    // DESCRIBE: the resources' triples live in other processes and come
+    // through further rounds — an IRI target, a variable one, and one
+    // chosen after ORDER BY / LIMIT (alice, who alone is described).
+    for (describe, lines) in [
+        ("DESCRIBE <http://example.org/alice>", 2),
+        ("DESCRIBE ?y WHERE { ?x foaf:knows ?y . }", 1),
+        ("DESCRIBE ?x WHERE { ?x foaf:knows ?y . } ORDER BY ?x LIMIT 1", 2),
+    ] {
+        let (status, body) = http_post_sparql(&http3, describe);
+        assert!(status.contains("200"), "{describe} failed: {status} {body}");
+        assert!(body.contains("\"complete\":true"), "answer degraded: {body}");
+        assert!(!body.contains("\"rounds\":0"), "the triples take a round to fetch: {body}");
+        assert_eq!(triples_of(&body).len(), lines, "{describe}: {body}");
+        assert_eq!(triples_of(&body), triples_of(&sim_json(&triples, describe)), "{describe}");
+    }
+
+    // A dataset clause names a graph no serve peer publishes; the mesh
+    // cannot scope to it and says so instead of answering unscoped.
+    let scoped = "SELECT * FROM <http://ex/nosuchgraph> WHERE { ?x foaf:knows ?y . }";
+    let (status, body) = http_post_sparql(&http1, scoped);
+    assert!(status.contains("400"), "expected 400 for a dataset clause: {status} {body}");
+    assert!(body.starts_with("{\"error\":"), "{body}");
+    assert!(body.contains("FROM <http://ex/nosuchgraph>"), "the error names the clause: {body}");
 
     // Malformed SPARQL is a client error, not a mesh failure.
     let (status, _) = http_post_sparql(&http1, "SELECT WHERE {");
