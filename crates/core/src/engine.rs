@@ -127,8 +127,8 @@ impl<'a> Engine<'a> {
     /// attached: index lookups consult the routing and provider-set
     /// layers first, unfiltered primitive patterns may be served from
     /// the result cache, and the initiator is subscribed to the
-    /// overlay's invalidation notifications. The `ExecConfig::cache_*`
-    /// knobs gate the individual layers.
+    /// overlay's invalidation notifications. Every layer is on while a
+    /// cache is attached; the cache's own `CacheConfig` sizes each one.
     pub fn with_cache(overlay: &'a mut Overlay, cfg: ExecConfig, cache: &'a mut QueryCache) -> Self {
         Engine { backend: SimBackend::with_cache(overlay, cfg, cache) }
     }

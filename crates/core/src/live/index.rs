@@ -1,9 +1,11 @@
 //! The index-node role: one location table, routed to by ring position.
 
+use std::collections::HashMap;
 use std::sync::Arc;
 
-use rdfmesh_net::{Envelope, Handler, NodeId, Outbox};
-use rdfmesh_overlay::key_for_pattern;
+use rdfmesh_net::{Cluster, Envelope, Handler, NodeId, Outbox};
+use rdfmesh_overlay::{key_for_pattern, keys_for_triple};
+use rdfmesh_rdf::SharedStore;
 
 use super::{lock, rlock, LiveMsg, RingView, SharedTable};
 use crate::stats::LiveStats;
@@ -45,6 +47,34 @@ pub(crate) fn owner_in_view(ring_view: &[(u64, NodeId)], key: u64) -> NodeId {
         .or_else(|| ring_view.first())
         .map(|(_, addr)| *addr)
         .expect("non-empty ring view")
+}
+
+/// The index-key ids of `store`'s triples (six per triple, Sect. III-B),
+/// sorted and deduplicated — what its storage node publishes.
+pub(crate) fn index_keys(space: rdfmesh_chord::IdSpace, store: &SharedStore) -> Vec<u64> {
+    let mut keys: Vec<u64> =
+        store.iter().flat_map(|t| keys_for_triple(space, &t).map(|k| k.id.0)).collect();
+    keys.sort_unstable();
+    keys.dedup();
+    keys
+}
+
+/// Registers `provider` for `keys` at each key's owner in `ring`: one
+/// [`LiveMsg::Publish`] per owner, injected as if `provider` sent it. The
+/// one way a location-table row is filled, on every host.
+pub(crate) fn publish(
+    cluster: &Cluster<LiveMsg>,
+    ring: &[(u64, NodeId)],
+    provider: NodeId,
+    keys: &[u64],
+) {
+    let mut by_owner: HashMap<NodeId, Vec<u64>> = HashMap::new();
+    for &key in keys {
+        by_owner.entry(owner_in_view(ring, key)).or_default().push(key);
+    }
+    for (owner, keys) in by_owner {
+        cluster.inject(provider, owner, LiveMsg::Publish { keys, provider });
+    }
 }
 
 impl Handler<LiveMsg> for IndexNode {
@@ -90,7 +120,7 @@ impl Handler<LiveMsg> for IndexNode {
                 }
             }
             LiveMsg::Publish { keys, provider } => {
-                // Serve-mode registration: idempotent row inserts, so a
+                // Registration: idempotent row inserts, so a serve-mode
                 // republish after a membership change converges instead
                 // of duplicating.
                 let mut table = lock(&self.table);

@@ -1,22 +1,24 @@
 //! The in-process host: every role of an [`Overlay`]'s placement on one
-//! thread or loopback-socket cluster.
+//! [`Cluster`], over channels or over loopback sockets. Its index tables
+//! fill as a serve process's do: each storage node publishes its keys to
+//! their owners ([`LiveMsg::Publish`]).
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::Duration;
 
-use rdfmesh_net::{Cluster, FaultPlan, Handler, NodeId, TcpCluster, TransportSnapshot};
-use rdfmesh_overlay::{key_for_pattern, keys_for_triple, Overlay};
+use rdfmesh_net::{Cluster, FaultPlan, Handler, NodeId, TransportSnapshot};
+use rdfmesh_overlay::{key_for_pattern, Overlay};
 use rdfmesh_rdf::TriplePattern;
 
 use super::{
-    lock, owner_in_view, rlock, Coordinator, CoordinatorCore, IndexNode, LiveMsg, LiveStorage,
-    PendingMap, RingView, RoundClient, SharedFlood, SharedTable,
+    index_keys, lock, owner_in_view, publish, rlock, Coordinator, CoordinatorCore, IndexNode,
+    LiveMsg, LiveStorage, PendingMap, RingView, RoundClient, SharedFlood, SharedTable,
 };
 use crate::config::LiveConfig;
 use crate::stats::LiveStats;
 
-/// Which substrate carries a [`LiveMesh`]'s protocol messages.
+/// Which wire carries a [`LiveMesh`]'s protocol messages.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Transport {
     /// Crossbeam channels between threads in one process — the original
@@ -29,71 +31,16 @@ pub enum Transport {
     Sockets,
 }
 
-/// The cluster behind a [`LiveMesh`]: same `Outbox` contract, different
-/// wires. Both variants expose identical control/observation surfaces,
-/// which is what lets the fault suite run unmodified on either.
-enum MeshCluster {
-    Threads(Cluster<LiveMsg>),
-    Sockets(TcpCluster<LiveMsg>),
-}
-
-impl MeshCluster {
-    fn inject(&self, from: NodeId, to: NodeId, msg: LiveMsg) -> bool {
-        match self {
-            MeshCluster::Threads(c) => c.inject(from, to, msg),
-            MeshCluster::Sockets(c) => c.inject(from, to, msg),
-        }
-    }
-
-    fn crash(&self, node: NodeId) -> bool {
-        match self {
-            MeshCluster::Threads(c) => c.crash(node),
-            MeshCluster::Sockets(c) => c.crash(node),
-        }
-    }
-
-    fn restart(&self, node: NodeId) -> bool {
-        match self {
-            MeshCluster::Threads(c) => c.restart(node),
-            MeshCluster::Sockets(c) => c.restart(node),
-        }
-    }
-
-    fn barrier(&self, node: NodeId, timeout: Duration) -> bool {
-        match self {
-            MeshCluster::Threads(c) => c.barrier(node, timeout),
-            MeshCluster::Sockets(c) => c.barrier(node, timeout),
-        }
-    }
-
-    fn message_count(&self) -> u64 {
-        match self {
-            MeshCluster::Threads(c) => c.message_count(),
-            MeshCluster::Sockets(c) => c.message_count(),
-        }
-    }
-
-    fn dropped_count(&self) -> u64 {
-        match self {
-            MeshCluster::Threads(c) => c.dropped_count(),
-            MeshCluster::Sockets(c) => c.dropped_count(),
-        }
-    }
-
-    fn shutdown(&self) {
-        match self {
-            MeshCluster::Threads(c) => c.shutdown(),
-            MeshCluster::Sockets(c) => c.shutdown(),
-        }
-    }
-}
+/// How long [`LiveMesh::spawn_with_transport`] waits for an index node to
+/// file the publications addressed to it.
+const PUBLISH_WAIT: Duration = Duration::from_secs(30);
 
 /// A live mesh: one thread per node, built from an existing overlay's
 /// data placement. Queries go through the [`RoundClient`] it
 /// dereferences to.
 pub struct LiveMesh {
     client: RoundClient,
-    cluster: Arc<MeshCluster>,
+    cluster: Arc<Cluster<LiveMsg>>,
     space: rdfmesh_chord::IdSpace,
     ring_view: RingView,
     tables: HashMap<NodeId, SharedTable>,
@@ -118,20 +65,24 @@ impl LiveMesh {
     }
 
     /// [`LiveMesh::spawn`] with explicit fault-tolerance configuration
-    /// and a [`FaultPlan`] to exercise it. For simplicity the live index
-    /// is one thread per index node, each holding the full
-    /// key → providers map it would own (ring routing is already
-    /// exercised by the simulator; the live mesh demonstrates the
-    /// messaging).
+    /// and a [`FaultPlan`] to exercise it. The live index is one thread
+    /// per index node, each owning the keys its ring position covers, as
+    /// in the overlay; one-shot routing over the shared ring view stands
+    /// in for the finger walk (ring routing is already exercised by the
+    /// simulator; the live mesh demonstrates the messaging).
     pub fn spawn_with(overlay: &Overlay, cfg: LiveConfig, plan: FaultPlan) -> Self {
         Self::spawn_with_transport(overlay, cfg, plan, Transport::Threads)
-            .expect("thread transport cannot fail to bind")
+            .expect("the channel wire binds nothing and publishes in-process")
     }
 
-    /// [`LiveMesh::spawn_with`] on an explicit [`Transport`]. Only
-    /// [`Transport::Sockets`] can fail (binding the loopback listener);
-    /// the protocol, fault semantics and observable counters are
-    /// identical on both substrates.
+    /// [`LiveMesh::spawn_with`] on an explicit [`Transport`]. Every
+    /// storage node publishes its keys to their owners before this
+    /// returns (a barrier on every index node), so the rows are in place
+    /// for the first query. Only [`Transport::Sockets`] can fail (binding
+    /// the loopback listener, or a publication that never arrives); the
+    /// protocol, fault semantics and observable counters are identical
+    /// on both wires. A node the plan crashes from the start discards
+    /// what is published to it, as it would any delivery.
     pub fn spawn_with_transport(
         overlay: &Overlay,
         cfg: LiveConfig,
@@ -139,28 +90,8 @@ impl LiveMesh {
         transport: Transport,
     ) -> std::io::Result<Self> {
         let space = overlay.ring().space();
-        // Build each index node's location table view from storage data.
         let index_nodes = overlay.index_nodes();
         assert!(!index_nodes.is_empty(), "live mesh needs an index node");
-        let mut tables: HashMap<NodeId, HashMap<u64, Vec<NodeId>>> = HashMap::new();
-        for storage in overlay.storage_nodes() {
-            let node = overlay.storage_node(storage).expect("listed");
-            for triple in node.store.iter() {
-                for key in keys_for_triple(space, &triple) {
-                    let owner = overlay
-                        .ring()
-                        .ideal_owner(key.id)
-                        .ok()
-                        .and_then(|id| overlay.addr_of(id))
-                        .unwrap_or(index_nodes[0]);
-                    let row = tables.entry(owner).or_default().entry(key.id.0).or_default();
-                    if !row.contains(&storage) {
-                        row.push(storage);
-                    }
-                }
-            }
-        }
-
         let mut ring_view: Vec<(u64, NodeId)> = index_nodes
             .iter()
             .filter_map(|&addr| overlay.chord_id_of(addr).map(|id| (id.0, addr)))
@@ -172,7 +103,7 @@ impl LiveMesh {
         let mut shared_tables: HashMap<NodeId, SharedTable> = HashMap::new();
         let mut nodes: Vec<(NodeId, Box<dyn Handler<LiveMsg>>)> = Vec::new();
         for ix in &index_nodes {
-            let table: SharedTable = Arc::new(Mutex::new(tables.remove(ix).unwrap_or_default()));
+            let table: SharedTable = Arc::new(Mutex::new(HashMap::new()));
             shared_tables.insert(*ix, Arc::clone(&table));
             let node = IndexNode::new(table, space, Arc::clone(&ring_view), Arc::clone(&stats));
             nodes.push((*ix, Box::new(node)));
@@ -188,11 +119,18 @@ impl LiveMesh {
         let index = index_nodes[0];
         let core = CoordinatorCore::new(COORDINATOR, index, cfg, space, flood, Arc::clone(&stats));
         nodes.push((COORDINATOR, Box::new(Coordinator::new(core, Arc::clone(&pending)))));
-        let cluster = match transport {
-            Transport::Threads => MeshCluster::Threads(Cluster::spawn_with(nodes, plan)),
-            Transport::Sockets => MeshCluster::Sockets(TcpCluster::spawn_loopback(nodes, plan)?),
-        };
-        let cluster = Arc::new(cluster);
+        let cluster = Arc::new(match transport {
+            Transport::Threads => Cluster::spawn_with(nodes, plan),
+            Transport::Sockets => Cluster::spawn_loopback(nodes, plan)?,
+        });
+        for storage in overlay.storage_nodes() {
+            let keys = index_keys(space, &overlay.storage_node(storage).expect("listed").store);
+            publish(&cluster, &rlock(&ring_view), storage, &keys);
+        }
+        if !index_nodes.iter().all(|&ix| cluster.barrier(ix, PUBLISH_WAIT)) {
+            let err = "an index node never filed its publications";
+            return Err(std::io::Error::new(std::io::ErrorKind::TimedOut, err));
+        }
         let inject_at = Arc::clone(&cluster);
         let client = RoundClient::new(cfg, pending, stats, move |msg| {
             inject_at.inject(COORDINATOR, COORDINATOR, msg);
@@ -246,7 +184,8 @@ impl LiveMesh {
         row
     }
 
-    /// Messages delivered so far (across all threads).
+    /// Messages delivered so far (across all threads), the start-up
+    /// publications included.
     pub fn message_count(&self) -> u64 {
         self.cluster.message_count()
     }
@@ -257,12 +196,9 @@ impl LiveMesh {
     }
 
     /// Socket-layer counters (`transport.*` metric names), or `None` on
-    /// [`Transport::Threads`] where no wire exists.
+    /// [`Transport::Threads`] where no socket exists.
     pub fn transport_stats(&self) -> Option<TransportSnapshot> {
-        match &*self.cluster {
-            MeshCluster::Threads(_) => None,
-            MeshCluster::Sockets(c) => Some(c.transport_stats()),
-        }
+        self.cluster.transport_stats()
     }
 
     /// Stops every node thread.
@@ -407,20 +343,20 @@ mod tests {
         };
         let plan = FaultPlan::new().delay(COORDINATOR, NodeId(2), Duration::from_millis(300));
         let mesh = LiveMesh::spawn_with_transport(&o, cfg, plan, Transport::Sockets).unwrap();
-        let MeshCluster::Sockets(twin) = &*mesh.cluster else { unreachable!("spawned on sockets") };
         let round = mesh.submit_solutions(knows_pattern("bob"), None, None);
         // Any peer can finish the handshake, and query ids count up from
         // 1: as wire version 4 laid it out, "your round N is overdue".
         let forged: Vec<_> = (1..=8).map(|qid| wire_v4::deadline_overall(QueryId(qid))).collect();
-        let _peer = wire_v4::forge_at(twin.local_addr(), COORDINATOR, &forged);
+        let listener = mesh.cluster.local_addr().expect("spawned on sockets");
+        let _peer = wire_v4::forge_at(listener, COORDINATOR, &forged);
         let answer = round.wait(Duration::from_secs(30)).expect("no timeout");
         assert!(answer.complete, "cut short, missing {:?}", answer.failed_providers);
         assert_eq!(answer.solutions.len(), 2, "the oracle's rows, as in the unforged run above");
         assert_eq!(mesh.stats().incomplete_queries, 0);
         // Every forged frame was refused where it was decoded.
         let refused = std::time::Instant::now() + Duration::from_secs(10);
-        while twin.transport_stats().decode_errors < 8 {
-            assert!(std::time::Instant::now() < refused, "{:?}", twin.transport_stats());
+        while mesh.transport_stats().expect("sockets").decode_errors < 8 {
+            assert!(std::time::Instant::now() < refused, "{:?}", mesh.transport_stats());
             std::thread::sleep(Duration::from_millis(5));
         }
         mesh.shutdown();

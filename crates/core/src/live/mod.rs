@@ -36,9 +36,11 @@
 //! model with the simulator's; the fault-injection harness lives in
 //! [`rdfmesh_net::FaultPlan`].
 //!
-//! The same handlers run over [`rdfmesh_net::Cluster`] threads, loopback
-//! sockets ([`Transport::Sockets`]) and one process per peer
-//! ([`crate::MeshNode`]); nothing here touches shared state beyond the
+//! The same handlers run on one [`rdfmesh_net::Cluster`] over either of
+//! its wires — channels ([`Transport::Threads`]), loopback sockets
+//! ([`Transport::Sockets`]) or one process per peer ([`crate::MeshNode`])
+//! — and every host fills its index tables the same way, by
+//! [`LiveMsg::Publish`]; nothing here touches shared state beyond the
 //! observable location tables and counters. Callers reach a coordinator
 //! through the one [`RoundClient`], which both hosts own: it allocates
 //! query ids, hands each round to its coordinator as one local command,
@@ -74,7 +76,7 @@ use crate::config::DistStrategy;
 
 pub use client::{RoundClient, RoundHandle};
 pub(crate) use coordinator::{Coordinator, CoordinatorCore};
-pub(crate) use index::{owner_in_view, IndexNode};
+pub(crate) use index::{index_keys, owner_in_view, publish, IndexNode};
 pub use mesh::{LiveMesh, Transport, COORDINATOR};
 pub(crate) use storage::LiveStorage;
 
@@ -189,10 +191,10 @@ pub enum LiveMsg {
         stage: DeadlineStage,
     },
     /// Storage node → owning index node: register `provider` in the
-    /// location-table rows for `keys`. Idempotent, so the serve-mode
-    /// mesh ([`crate::MeshNode`]) re-sends it after every membership
-    /// change and the tables converge on the final ring view
-    /// (`docs/DEPLOYMENT.md`).
+    /// location-table rows for `keys` — how every host fills its index.
+    /// Idempotent, so the serve-mode mesh ([`crate::MeshNode`]) re-sends
+    /// it after every membership change and the tables converge on the
+    /// final ring view (`docs/DEPLOYMENT.md`).
     Publish {
         /// Index-key ids the provider holds matching triples for.
         keys: Vec<u64>,

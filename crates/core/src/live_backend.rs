@@ -46,10 +46,10 @@ use rdfmesh_sparql::{
 
 use crate::config::{DistStrategy, ExecConfig};
 use crate::exec::{self, Mat, MeshBackend, OpKind, PrimitiveOp};
-use crate::live::{LiveAnswer, LiveMesh, RoundClient, COORDINATOR};
+use crate::live::{LiveAnswer, RoundClient, COORDINATOR};
 
 /// Anything that can resolve one live *solution round*. [`RoundClient`]
-/// is the implementation — the loopback [`LiveMesh`] and the serve-mode
+/// is the implementation — the loopback [`crate::LiveMesh`] and the serve-mode
 /// [`crate::MeshNode`] each own one — so [`LiveBackend`], and through it
 /// the whole Fig. 3 pipeline, runs unchanged on threads, loopback
 /// sockets, and multi-process deployments (`docs/DEPLOYMENT.md`). The
@@ -82,30 +82,6 @@ pub trait SolutionRounds {
 }
 
 impl SolutionRounds for RoundClient {
-    fn solution_round(
-        &self,
-        pattern: TriplePattern,
-        filter: Option<Expression>,
-        bound: Option<Vec<solution::Solution>>,
-        wait: Duration,
-    ) -> Option<LiveAnswer> {
-        self.query_solutions(pattern, filter, bound, wait)
-    }
-
-    fn multiway_round(
-        &self,
-        patterns: Vec<TriplePattern>,
-        join_vars: Vec<Variable>,
-        strategy: DistStrategy,
-        wait: Duration,
-    ) -> Option<LiveAnswer> {
-        self.query_multiway(patterns, join_vars, strategy, wait)
-    }
-}
-
-/// Delegates to the mesh's [`RoundClient`], so a `&LiveMesh` still
-/// coerces to the `&dyn SolutionRounds` that [`LiveBackend::new`] takes.
-impl SolutionRounds for LiveMesh {
     fn solution_round(
         &self,
         pattern: TriplePattern,

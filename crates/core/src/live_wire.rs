@@ -4,9 +4,9 @@
 //! messages carry rich payloads (patterns, expressions, solution sets).
 //! This module flattens each variant that crosses a wire into the
 //! length-checked primitive layer of [`rdfmesh_sparql::solution::wire`]
-//! — one tag byte followed by the variant's fields — so a
-//! [`rdfmesh_net::TcpCluster`] can carry the identical protocol between
-//! OS processes. `docs/DEPLOYMENT.md` documents the full frame and
+//! — one tag byte followed by the variant's fields — so an
+//! [`rdfmesh_net::Cluster`] on its socket wire can carry the identical
+//! protocol between OS processes. `docs/DEPLOYMENT.md` documents the full frame and
 //! payload layout.
 //!
 //! The codec carries only what crosses a wire. The commands a process

@@ -1,5 +1,6 @@
 //! A deployable mesh node: one OS process hosting a storage node, an
-//! index node, and a coordinator over the [`TcpCluster`] transport.
+//! index node, and a coordinator on one [`Cluster`] over the socket wire
+//! ([`Cluster::bind`]).
 //!
 //! [`crate::LiveMesh`] proves the protocol under real concurrency inside
 //! one process; [`MeshNode`] is the same protocol *between* processes —
@@ -13,15 +14,16 @@
 //! * a **coordinator** (`NodeId(COORD_BASE + n)`) running the per-query
 //!   state machine for queries submitted *at this process* — through the
 //!   same [`RoundClient`] a [`crate::LiveMesh`] uses, here injecting at
-//!   the coordinator over the [`TcpCluster`].
+//!   the coordinator of this process's [`Cluster`].
 //!
 //! Membership is deliberately simple — an ad-hoc sharing system, not a
 //! consensus group. A joiner sends `JOIN` to any member; that member
 //! answers `WELCOME` with the full roster and broadcasts `PEER_JOINED`
 //! to everyone else. Every membership event makes every member rebuild
 //! its ring view and **republish** its local keys ([`LiveMsg::Publish`]
-//! rows are idempotent), so location tables converge on the final ring
-//! without coordination. Rows left on a node that lost ownership are
+//! rows are idempotent, and a [`crate::LiveMesh`] fills its tables
+//! through the same function), so location tables converge on the final
+//! ring without coordination. Rows left on a node that lost ownership are
 //! harmless: lookups always route to the *current* owner.
 
 use std::collections::HashMap;
@@ -32,8 +34,8 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use rdfmesh_net::{FaultPlan, Handler, NodeId, TcpCluster, TransportSnapshot};
-use rdfmesh_overlay::{key_for_pattern, keys_for_triple};
+use rdfmesh_net::{Cluster, FaultPlan, Handler, NodeId, TransportSnapshot};
+use rdfmesh_overlay::key_for_pattern;
 use rdfmesh_rdf::TriplePattern;
 #[cfg(test)]
 use rdfmesh_rdf::TripleStore;
@@ -41,8 +43,8 @@ use rdfmesh_sparql::solution::wire::{put_str, put_u64, Reader, WireError};
 
 use crate::config::LiveConfig;
 use crate::live::{
-    lock, owner_in_view, rlock, wlock, Coordinator, CoordinatorCore, IndexNode, LiveMsg,
-    LiveStorage, PendingMap, RingView, RoundClient, SharedFlood, SharedTable,
+    index_keys, lock, owner_in_view, publish, rlock, wlock, Coordinator, CoordinatorCore,
+    IndexNode, LiveMsg, LiveStorage, PendingMap, RingView, RoundClient, SharedFlood, SharedTable,
 };
 use crate::stats::LiveStats;
 
@@ -157,7 +159,7 @@ impl NodeShared {
     /// Rebuilds the routing views from the roster and republishes the
     /// local keys to their current owners. Idempotent; called after
     /// every membership event.
-    fn refresh(&self, cluster: &TcpCluster<LiveMsg>) {
+    fn refresh(&self, cluster: &Cluster<LiveMsg>) {
         let members: Vec<Member> = lock(&self.members).values().cloned().collect();
         for m in &members {
             if m.id == self.me.id {
@@ -178,19 +180,9 @@ impl NodeShared {
         let mut flood: Vec<NodeId> = members.iter().map(|m| NodeId(m.id)).collect();
         flood.sort();
         *wlock(&self.flood) = flood;
-        // Republish: group the local keys by their current owner and
-        // register this process's storage node for each.
-        let mut by_owner: HashMap<NodeId, Vec<u64>> = HashMap::new();
-        for &key in &self.keys {
-            by_owner.entry(owner_in_view(&ring, key)).or_default().push(key);
-        }
-        for (owner, keys) in by_owner {
-            cluster.inject(
-                NodeId(self.me.id),
-                owner,
-                LiveMsg::Publish { keys, provider: NodeId(self.me.id) },
-            );
-        }
+        // Republish: register this process's storage node for each local
+        // key at its current owner.
+        publish(cluster, &ring, NodeId(self.me.id), &self.keys);
     }
 
     fn roster(&self) -> Vec<Member> {
@@ -201,7 +193,7 @@ impl NodeShared {
 
     /// Applies one control message, answering `JOIN` with `WELCOME` and
     /// fanning `PEER_JOINED` out to the rest of the roster.
-    fn on_control(&self, ctrl: Control, cluster: &TcpCluster<LiveMsg>) {
+    fn on_control(&self, ctrl: Control, cluster: &Cluster<LiveMsg>) {
         match ctrl {
             Control::Join(member) => {
                 let (fresh, others) = {
@@ -260,7 +252,7 @@ fn resolve(addr: &str) -> Option<SocketAddr> {
 /// module docs and `docs/DEPLOYMENT.md`.
 pub struct MeshNode {
     client: RoundClient,
-    cluster: Arc<TcpCluster<LiveMsg>>,
+    cluster: Arc<Cluster<LiveMsg>>,
     shared: Arc<NodeShared>,
     closing: Arc<AtomicBool>,
     membership: Mutex<Option<JoinHandle<()>>>,
@@ -304,12 +296,7 @@ impl MeshNode {
         let coord_id = NodeId(COORD_BASE + id);
         let pos = space.hash(&id.to_be_bytes()).0;
 
-        let mut keys: Vec<u64> = store
-            .iter()
-            .flat_map(|t| keys_for_triple(space, &t).map(|k| k.id.0))
-            .collect();
-        keys.sort_unstable();
-        keys.dedup();
+        let keys = index_keys(space, &store);
 
         let stats = Arc::new(LiveStats::default());
         let pending: PendingMap = Arc::new(Mutex::new(HashMap::new()));
@@ -331,9 +318,10 @@ impl MeshNode {
             (index_id, Box::new(index)),
             (coord_id, Box::new(Coordinator::new(core, Arc::clone(&pending)))),
         ];
-        let cluster = Arc::new(TcpCluster::bind(listen, nodes, FaultPlan::new())?);
+        let cluster = Arc::new(Cluster::bind(listen, nodes, FaultPlan::new())?);
+        let addr = cluster.local_addr().expect("a bound cluster has a listener");
 
-        let me = Member { id, pos, addr: cluster.local_addr().to_string() };
+        let me = Member { id, pos, addr: addr.to_string() };
         let shared = Arc::new(NodeShared {
             me: me.clone(),
             members: Mutex::new(HashMap::from([(id, me)])),
@@ -385,7 +373,7 @@ impl MeshNode {
 
     /// The address the process listener is bound to.
     pub fn local_addr(&self) -> SocketAddr {
-        self.cluster.local_addr()
+        self.cluster.local_addr().expect("a bound cluster has a listener")
     }
 
     /// This node's base id.
@@ -395,7 +383,7 @@ impl MeshNode {
 
     /// Socket-layer counters (`transport.*` metric names).
     pub fn transport_stats(&self) -> TransportSnapshot {
-        self.cluster.transport_stats()
+        self.cluster.transport_stats().expect("a bound cluster has a socket wire")
     }
 
     /// Stops the membership thread and every node thread.

@@ -768,70 +768,7 @@ impl<'a> SimBackend<'a> {
         }
     }
 
-    /// Bind-join evaluation of one pattern against the current
-    /// materialization: the accumulated solutions travel *with* the
-    /// sub-query, and every provider returns only the compatible
-    /// extensions. Sequential by nature (each pattern waits for the
-    /// previous intermediate), but the wire never carries mappings that
-    /// cannot contribute to the final answer.
-    fn primitive_bound(
-        &mut self,
-        pattern: &TriplePattern,
-        current: Mat,
-    ) -> Result<Mat, EngineError> {
-        let located = match self.resolve(pattern, current.ready, Leg::Step)? {
-            Resolved::Row(located) => located,
-            Resolved::Keyless(at) => {
-                // All-variable pattern: fall back to gathering + local join.
-                let right = self.flood(pattern, None, at)?;
-                return Ok(self.binary_op(&OpKind::Join, current, right));
-            }
-        };
-        if located.providers.is_empty() {
-            return Ok(nowhere(&located));
-        }
-        let Located { index_node: assembly, arrival, mut providers, .. } = located;
-        let sub = SubQuery { pattern, filter: None, bound: Some(&current.solutions) };
-        match self.cfg.primitive {
-            PrimitiveStrategy::Basic => {
-                // Current solutions move to the assembly, then fan out
-                // with the sub-query; extensions return to the assembly.
-                let span = shipping_span(
-                    &format!("bind-join fan-out to {} providers", providers.len()),
-                    current.ready,
-                );
-                let carried = wire::RESULT_HEADER + solution::serialized_len(&current.solutions);
-                let at_assembly = self
-                    .overlay
-                    .net
-                    .send(current.site, assembly, carried, current.ready)
-                    .max(arrival);
-                Ok(self.fan_out(span, sub, assembly, &providers, at_assembly))
-            }
-            PrimitiveStrategy::Chained | PrimitiveStrategy::FrequencyOrdered => {
-                if self.cfg.primitive == PrimitiveStrategy::FrequencyOrdered {
-                    providers.sort_by_key(|p| (p.frequency, p.node));
-                } else {
-                    providers.sort_by_key(|p| p.node);
-                }
-                // The chain starts at the current site (it already holds
-                // the bound solutions) after the index lookup resolves.
-                let t0 = current.ready.max(arrival);
-                Ok(self.chain("bind-join chain", sub, sub.bytes(), current.site, &providers, t0))
-            }
-        }
-    }
-
     // ---- binary operations & join site selection (Sect. II, IV-E/F) ----
-
-    fn binary_op(&mut self, op: &OpKind, left: Mat, right: Mat) -> Mat {
-        let site = self.select_site(op, &left, &right);
-        let (l, r) = (self.ship(left, site), self.ship(right, site));
-        let ready = l.ready.max(r.ready);
-        let solutions = op.apply(&l.solutions, &r.solutions);
-        self.note_intermediates(solutions.len());
-        Mat { solutions, site, ready }
-    }
 
     /// Applies the configured join-site strategy.
     fn select_site(&self, op: &OpKind, left: &Mat, right: &Mat) -> NodeId {
@@ -892,44 +829,6 @@ impl<'a> SimBackend<'a> {
         Mat { solutions: mat.solutions, site, ready }
     }
 
-    /// The runtime half of the Sect. IV-D/IV-F site optimization: locate
-    /// both patterns' providers (charged lookups) and pick the common
-    /// provider with the largest combined frequency, mirroring the
-    /// paper's preference for the node with the most target triples
-    /// ("either D1 or D2 can be selected as the storage node at which the
-    /// final result is generated"). The compile-time guards (overlap
-    /// awareness, both operands single primitives) live in
-    /// `planner::compile`.
-    fn common_site(
-        &mut self,
-        ta: &TriplePattern,
-        tb: &TriplePattern,
-    ) -> Result<Option<NodeId>, EngineError> {
-        // The first row is read outside `resolve`, as it always was: its
-        // hops count only once the second row is in hand too, so a keyless
-        // second pattern abandons the probe with the first lookup charged
-        // and uncounted. `resolve` counts as it charges, which would move
-        // that number.
-        let entry = self.entry_index(self.initiator)?;
-        let Some(la) = self.locate_cached(entry, ta, SimTime::ZERO)? else {
-            return Ok(None);
-        };
-        let Resolved::Row(lb) = self.resolve(tb, SimTime::ZERO, Leg::Statistics)? else {
-            return Ok(None);
-        };
-        self.note_index_hops(la.hops);
-        let mut best: Option<(u64, NodeId)> = None;
-        for pa in &la.providers {
-            if let Some(pb) = lb.providers.iter().find(|pb| pb.node == pa.node) {
-                let combined = pa.frequency + pb.frequency;
-                if best.is_none_or(|(f, _)| combined > f) {
-                    best = Some((combined, pa.node));
-                }
-            }
-        }
-        Ok(best.map(|(_, node)| node))
-    }
-
     // ---- multiway distribution strategies (ExecNode::MultiJoin) --------
 
     /// Resolves every pattern slot's provider set up front (charged
@@ -958,45 +857,6 @@ impl<'a> SimBackend<'a> {
             }
         }
         Ok((slots, resolved))
-    }
-
-    /// One-round multiway BGP join (the [`crate::exec::ExecNode::MultiJoin`]
-    /// operator): resolves every slot, then runs the selected strategy
-    /// across the sorted provider union. Dead providers cost one ack
-    /// timeout each and are purged, so the round yields a
-    /// complete-or-partial answer exactly like the chained pipeline.
-    pub(crate) fn multiway(
-        &mut self,
-        patterns: &[TriplePattern],
-        join_vars: &[Variable],
-        strategy: DistStrategy,
-        depart: SimTime,
-    ) -> Result<Mat, EngineError> {
-        if patterns.is_empty() {
-            return Ok(Mat {
-                solutions: vec![Solution::new()],
-                site: self.initiator,
-                ready: depart,
-            });
-        }
-        let (slots, resolved) = self.multiway_providers(patterns, depart)?;
-        if slots.iter().any(Vec::is_empty) {
-            // Some pattern matches nowhere: the conjunction is empty.
-            return Ok(Mat { solutions: Vec::new(), site: self.initiator, ready: resolved });
-        }
-        let mut peers: Vec<NodeId> = slots.into_iter().flatten().collect();
-        peers.sort_unstable_by_key(|n| n.0);
-        peers.dedup();
-        match strategy {
-            DistStrategy::HyperCube => {
-                self.multiway_hypercube(patterns, join_vars, &peers, resolved)
-            }
-            // Chained BGPs never compile to MultiJoin; routing the variant
-            // like partial evaluation keeps the operator total anyway.
-            DistStrategy::Chained | DistStrategy::PartialEval => {
-                self.multiway_partial(patterns, &peers, resolved)
-            }
-        }
     }
 
     /// HyperCube shuffle: every provider evaluates each pattern locally,
@@ -1173,14 +1033,70 @@ impl<'a> MeshBackend for SimBackend<'a> {
         self.primitive(&op.pattern, op.filter.as_ref(), depart, hint)
     }
 
+    /// Bind-join evaluation of one pattern against the current
+    /// materialization: the accumulated solutions travel *with* the
+    /// sub-query, and every provider returns only the compatible
+    /// extensions. Sequential by nature (each pattern waits for the
+    /// previous intermediate), but the wire never carries mappings that
+    /// cannot contribute to the final answer.
     fn exec_bound(&mut self, pattern: &TriplePattern, current: Mat) -> Result<Mat, EngineError> {
-        self.primitive_bound(pattern, current)
+        let located = match self.resolve(pattern, current.ready, Leg::Step)? {
+            Resolved::Row(located) => located,
+            Resolved::Keyless(at) => {
+                // All-variable pattern: fall back to gathering + local join.
+                let right = self.flood(pattern, None, at)?;
+                return Ok(self.exec_binary(&OpKind::Join, current, right));
+            }
+        };
+        if located.providers.is_empty() {
+            return Ok(nowhere(&located));
+        }
+        let Located { index_node: assembly, arrival, mut providers, .. } = located;
+        let sub = SubQuery { pattern, filter: None, bound: Some(&current.solutions) };
+        match self.cfg.primitive {
+            PrimitiveStrategy::Basic => {
+                // Current solutions move to the assembly, then fan out
+                // with the sub-query; extensions return to the assembly.
+                let span = shipping_span(
+                    &format!("bind-join fan-out to {} providers", providers.len()),
+                    current.ready,
+                );
+                let carried = wire::RESULT_HEADER + solution::serialized_len(&current.solutions);
+                let at_assembly = self
+                    .overlay
+                    .net
+                    .send(current.site, assembly, carried, current.ready)
+                    .max(arrival);
+                Ok(self.fan_out(span, sub, assembly, &providers, at_assembly))
+            }
+            PrimitiveStrategy::Chained | PrimitiveStrategy::FrequencyOrdered => {
+                if self.cfg.primitive == PrimitiveStrategy::FrequencyOrdered {
+                    providers.sort_by_key(|p| (p.frequency, p.node));
+                } else {
+                    providers.sort_by_key(|p| p.node);
+                }
+                // The chain starts at the current site (it already holds
+                // the bound solutions) after the index lookup resolves.
+                let t0 = current.ready.max(arrival);
+                Ok(self.chain("bind-join chain", sub, sub.bytes(), current.site, &providers, t0))
+            }
+        }
     }
 
     fn exec_binary(&mut self, op: &OpKind, left: Mat, right: Mat) -> Mat {
-        self.binary_op(op, left, right)
+        let site = self.select_site(op, &left, &right);
+        let (l, r) = (self.ship(left, site), self.ship(right, site));
+        let ready = l.ready.max(r.ready);
+        let solutions = op.apply(&l.solutions, &r.solutions);
+        self.note_intermediates(solutions.len());
+        Mat { solutions, site, ready }
     }
 
+    /// One-round multiway BGP join (the [`crate::exec::ExecNode::MultiJoin`]
+    /// operator): resolves every slot, then runs the selected strategy
+    /// across the sorted provider union. Dead providers cost one ack
+    /// timeout each and are purged, so the round yields a
+    /// complete-or-partial answer exactly like the chained pipeline.
     fn exec_multiway(
         &mut self,
         patterns: &[TriplePattern],
@@ -1188,15 +1104,69 @@ impl<'a> MeshBackend for SimBackend<'a> {
         strategy: DistStrategy,
         depart: SimTime,
     ) -> Result<Mat, EngineError> {
-        self.multiway(patterns, join_vars, strategy, depart)
+        if patterns.is_empty() {
+            return Ok(Mat {
+                solutions: vec![Solution::new()],
+                site: self.initiator,
+                ready: depart,
+            });
+        }
+        let (slots, resolved) = self.multiway_providers(patterns, depart)?;
+        if slots.iter().any(Vec::is_empty) {
+            // Some pattern matches nowhere: the conjunction is empty.
+            return Ok(Mat { solutions: Vec::new(), site: self.initiator, ready: resolved });
+        }
+        let mut peers: Vec<NodeId> = slots.into_iter().flatten().collect();
+        peers.sort_unstable_by_key(|n| n.0);
+        peers.dedup();
+        match strategy {
+            DistStrategy::HyperCube => {
+                self.multiway_hypercube(patterns, join_vars, &peers, resolved)
+            }
+            // Chained BGPs never compile to MultiJoin; routing the variant
+            // like partial evaluation keeps the operator total anyway.
+            DistStrategy::Chained | DistStrategy::PartialEval => {
+                self.multiway_partial(patterns, &peers, resolved)
+            }
+        }
     }
 
+    /// The runtime half of the Sect. IV-D/IV-F site optimization: locate
+    /// both patterns' providers (charged lookups) and pick the common
+    /// provider with the largest combined frequency, mirroring the
+    /// paper's preference for the node with the most target triples
+    /// ("either D1 or D2 can be selected as the storage node at which the
+    /// final result is generated"). The compile-time guards (overlap
+    /// awareness, both operands single primitives) live in
+    /// `planner::compile`.
     fn exec_common_site(
         &mut self,
-        a: &TriplePattern,
-        b: &TriplePattern,
+        ta: &TriplePattern,
+        tb: &TriplePattern,
     ) -> Result<Option<NodeId>, EngineError> {
-        self.common_site(a, b)
+        // The first row is read outside `resolve`, as it always was: its
+        // hops count only once the second row is in hand too, so a keyless
+        // second pattern abandons the probe with the first lookup charged
+        // and uncounted. `resolve` counts as it charges, which would move
+        // that number.
+        let entry = self.entry_index(self.initiator)?;
+        let Some(la) = self.locate_cached(entry, ta, SimTime::ZERO)? else {
+            return Ok(None);
+        };
+        let Resolved::Row(lb) = self.resolve(tb, SimTime::ZERO, Leg::Statistics)? else {
+            return Ok(None);
+        };
+        self.note_index_hops(la.hops);
+        let mut best: Option<(u64, NodeId)> = None;
+        for pa in &la.providers {
+            if let Some(pb) = lb.providers.iter().find(|pb| pb.node == pa.node) {
+                let combined = pa.frequency + pb.frequency;
+                if best.is_none_or(|(f, _)| combined > f) {
+                    best = Some((combined, pa.node));
+                }
+            }
+        }
+        Ok(best.map(|(_, node)| node))
     }
 
     fn deliver(&mut self, mat: Mat) -> Mat {

@@ -137,8 +137,8 @@ impl SharingSystem {
 
     /// Attaches a query-path cache stack: subsequent [`Self::query`] /
     /// [`Self::query_with`] calls consult the routing, provider-set and
-    /// result caches (as gated by the `ExecConfig::cache_*` knobs) and
-    /// fill them as they execute.
+    /// result caches — all three, each sized by `cfg` — and fill them as
+    /// they execute.
     pub fn enable_cache(&mut self, cfg: CacheConfig) {
         self.cache = Some(QueryCache::new(cfg));
     }

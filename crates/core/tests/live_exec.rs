@@ -272,7 +272,7 @@ fn assert_bound_round_agrees(overlay: &Overlay, rows: &[Solution], pattern: &Tri
     assert!(!expected.is_empty(), "the scenario must exercise the join: {pattern}");
     let shipped = TRANSPORTS.map(|transport| {
         let mesh = spawn_on(overlay, LiveConfig::default(), transport);
-        let mut backend = LiveBackend::new(&mesh, WAIT);
+        let mut backend = LiveBackend::new(&*mesh, WAIT);
         let current = Mat { solutions: rows.to_vec(), site: backend.home(), ready: SimTime::ZERO };
         let got = sorted(backend.exec_bound(pattern, current).expect("round").solutions);
         assert_eq!(expected, got, "bound round vs oracle for {pattern} on {transport:?}");

@@ -253,7 +253,49 @@ fn runtime_crash_scenario(transport: Transport) {
     mesh.shutdown();
 }
 
+/// Every storage node publishes its keys to their owners at spawn: for
+/// every index key of every shared triple, the live owner and row equal
+/// the overlay's location-table placement — a storage node down from the
+/// start included, since publication is what the index knows until a
+/// query finds the node dead.
+fn publication_scenario(transport: Transport) {
+    let o = overlay();
+    for plan in [FaultPlan::new(), FaultPlan::new().crash(STORAGE_B)] {
+        let mesh = spawn(&o, tight(), plan, transport);
+        let mut keys = 0;
+        for storage in o.storage_nodes() {
+            for t in o.storage_node(storage).expect("listed").store.iter() {
+                let (s, p, obj) = (&t.subject, &t.predicate, &t.object);
+                let [x, y, z] = ["x", "y", "z"].map(TermPattern::var);
+                for pattern in [
+                    TriplePattern::new(s.clone(), x.clone(), y.clone()),
+                    TriplePattern::new(x.clone(), p.clone(), y.clone()),
+                    TriplePattern::new(x.clone(), y.clone(), obj.clone()),
+                    TriplePattern::new(s.clone(), p.clone(), z.clone()),
+                    TriplePattern::new(z.clone(), p.clone(), obj.clone()),
+                    TriplePattern::new(s.clone(), z, obj.clone()),
+                ] {
+                    let key = o.index_key_for(&pattern).expect("a bound pattern has a key");
+                    let owner = o.owner_addr(key.id).expect("a ring owns every key");
+                    let table = o.location_table(owner).expect("an index node has a table");
+                    let row: Vec<NodeId> = table.providers(key.id).iter().map(|p| p.node).collect();
+                    assert_eq!(mesh.index_owner_of(&pattern), Some(owner), "{pattern:?}");
+                    assert_eq!(mesh.providers_of(&pattern), row, "{pattern:?}");
+                    keys += 1;
+                }
+            }
+        }
+        assert_eq!(keys, 6 * 3, "six keys for each of the three shared triples");
+        mesh.shutdown();
+    }
+}
+
 // ---- thread transport ------------------------------------------------
+
+#[test]
+fn publication_fills_the_index_as_the_overlay_places_it() {
+    publication_scenario(Transport::Threads);
+}
 
 #[test]
 fn crashed_provider_yields_partial_result_and_lazy_purge() {
@@ -281,6 +323,11 @@ fn runtime_crash_between_queries_degrades_then_purges() {
 }
 
 // ---- socket transport: the same scenarios over loopback TCP ----------
+
+#[test]
+fn publication_fills_the_index_as_the_overlay_places_it_over_sockets() {
+    publication_scenario(Transport::Sockets);
+}
 
 #[test]
 fn crashed_provider_yields_partial_result_and_lazy_purge_over_sockets() {

@@ -1,17 +1,18 @@
-//! A thread-backed transport: every node is an OS thread, messages move
-//! over crossbeam channels.
+//! The one cluster: every node is an OS thread with a mailbox, and its
+//! messages travel one of two wires.
 //!
 //! The discrete-event [`crate::Network`] gives deterministic *costs*; this
 //! module demonstrates the same protocols running under real concurrency.
 //! Nodes are user-supplied handler closures; the cluster routes
 //! envelopes, counts traffic with atomics, and shuts down cleanly.
 //!
-//! Routing goes through a small internal `Router`: local nodes are
-//! crossbeam mailboxes, and an optional `RemoteRoute` hook lets a
-//! socket transport claim destinations before the mailbox lookup. The
-//! thread cluster installs no hook; [`crate::tcp::TcpCluster`] installs
-//! one that frames envelopes onto TCP connections — same [`Outbox`]
-//! contract, different wire (see `docs/DEPLOYMENT.md`).
+//! [`Cluster::spawn`] / [`Cluster::spawn_with`] carry every envelope over
+//! crossbeam channels. `Cluster::spawn_loopback` / `Cluster::bind`
+//! (`crate::tcp`) give the same cluster a socket wire: a listener, framed
+//! TCP links and a route table, so envelopes to remote processes — or, in
+//! the loopback twin, to local nodes as well — leave through a socket.
+//! The threads, the [`Outbox`] contract and the fault plan are the same
+//! on both wires (see `docs/DEPLOYMENT.md`).
 //!
 //! Fault tolerance is exercised through [`crate::FaultPlan`] (declarative
 //! crash / drop / delay schedules), [`Cluster::crash`] /
@@ -32,6 +33,7 @@ use parking_lot::Mutex;
 
 use crate::fault::{FaultPlan, FaultState, SendFate};
 use crate::network::NodeId;
+use crate::tcp::Wire;
 
 /// A routed message.
 #[derive(Debug, Clone)]
@@ -52,8 +54,6 @@ pub(crate) enum Packet<M> {
     Shutdown,
 }
 
-type PendingNode<M> = (NodeId, Receiver<Packet<M>>, Box<dyn Handler<M>>);
-
 /// Shared traffic counters for a running cluster.
 #[derive(Debug, Default)]
 pub struct ClusterStats {
@@ -64,63 +64,50 @@ pub struct ClusterStats {
     pub dropped: AtomicU64,
 }
 
-/// A transport hook consulted by the [`Router`] before the local mailbox
-/// lookup. Implemented by the TCP transport so envelopes addressed to
-/// remote processes (or, in loopback twin mode, to local nodes as well)
-/// leave through a socket instead of a channel.
-pub(crate) trait RemoteRoute<M>: Send + Sync {
-    /// Tries to route `env` remotely. `Ok(delivered)` means the hook
-    /// claimed the envelope (it was written to a socket, or the write
-    /// failed); `Err(env)` returns it for local mailbox delivery.
-    fn route(&self, env: Envelope<M>) -> Result<bool, Envelope<M>>;
-    /// Whether `to` is reachable through this hook.
-    fn reaches(&self, to: NodeId) -> bool;
-    /// Node ids reachable through this hook (for [`Outbox::peers`]).
-    fn peer_ids(&self) -> Vec<NodeId>;
+/// What every thread of one cluster shares: the local mailboxes, the
+/// socket wire when the cluster has one, the traffic counters, the fault
+/// state and the timer's command channel.
+pub(crate) struct Hub<M> {
+    pub(crate) mailboxes: HashMap<NodeId, Sender<Packet<M>>>,
+    pub(crate) wire: Option<Wire<M>>,
+    stats: ClusterStats,
+    faults: FaultState,
+    timer: Sender<TimerCmd<M>>,
+    timer_seq: AtomicU64,
 }
 
-/// Message routing for one cluster: local mailboxes plus an optional
-/// remote transport hook.
-pub(crate) struct Router<M> {
-    mailboxes: Arc<HashMap<NodeId, Sender<Packet<M>>>>,
-    remote: Option<Arc<dyn RemoteRoute<M>>>,
-}
-
-impl<M> Router<M> {
-    /// Delivers `env`, letting the remote hook claim it first.
-    pub(crate) fn deliver(&self, env: Envelope<M>) -> bool {
-        let env = match &self.remote {
-            Some(hook) => match hook.route(env) {
-                Ok(delivered) => return delivered,
-                Err(env) => env,
-            },
-            None => env,
-        };
-        self.deliver_local(env)
-    }
-
-    /// Delivers `env` straight to a local mailbox.
-    fn deliver_local(&self, env: Envelope<M>) -> bool {
-        match self.mailboxes.get(&env.to) {
-            Some(tx) => tx.send(Packet::Deliver(env)).is_ok(),
-            None => false,
+impl<M> Hub<M> {
+    /// Counts `env` as traffic and delivers it: through the wire when the
+    /// wire claims it, to the local mailbox otherwise. A node's message to
+    /// itself (a self-deadline) is no inter-node message, and the wire
+    /// never claims it.
+    fn post(&self, env: Envelope<M>) -> bool {
+        if env.from != env.to {
+            self.stats.messages.fetch_add(1, Ordering::Relaxed);
         }
+        let local = self.mailboxes.get(&env.to);
+        if let Some(wire) = &self.wire {
+            if let Some(addr) = wire.route(&env, local.is_some()) {
+                return wire.send_envelope(addr, &env);
+            }
+        }
+        local.is_some_and(|tx| tx.send(Packet::Deliver(env)).is_ok())
     }
 
     /// Whether `to` is a known destination (local or remote).
-    pub(crate) fn knows(&self, to: NodeId) -> bool {
-        self.mailboxes.contains_key(&to)
-            || self.remote.as_ref().is_some_and(|r| r.reaches(to))
+    fn knows(&self, to: NodeId) -> bool {
+        self.mailboxes.contains_key(&to) || self.wire.as_ref().is_some_and(|w| w.reaches(to))
     }
 
-    fn peer_ids(&self) -> Vec<NodeId> {
-        let mut ids: Vec<NodeId> = self.mailboxes.keys().copied().collect();
-        if let Some(remote) = &self.remote {
-            ids.extend(remote.peer_ids());
-        }
-        ids.sort();
-        ids.dedup();
-        ids
+    fn schedule(&self, after: Duration, from: NodeId, to: NodeId, payload: M) {
+        let entry = TimerEntry {
+            at: Instant::now() + after,
+            seq: self.timer_seq.fetch_add(1, Ordering::Relaxed),
+            from,
+            to,
+            payload,
+        };
+        let _ = self.timer.send(TimerCmd::Schedule(entry));
     }
 }
 
@@ -161,11 +148,7 @@ enum TimerCmd<M> {
 /// Handle through which a node handler sends messages to peers.
 pub struct Outbox<M> {
     me: NodeId,
-    router: Arc<Router<M>>,
-    stats: Arc<ClusterStats>,
-    faults: Arc<FaultState>,
-    timer: Sender<TimerCmd<M>>,
-    timer_seq: Arc<AtomicU64>,
+    hub: Arc<Hub<M>>,
 }
 
 impl<M> Outbox<M> {
@@ -178,29 +161,24 @@ impl<M> Outbox<M> {
     /// crashed (mailbox unreachable) — the ad-hoc setting treats that as
     /// a detectable timeout, not an error. A send the fault plan drops or
     /// delays still returns `true`: the loss is only observable through
-    /// the sender's own deadlines (Sect. III-D). On the socket transport
+    /// the sender's own deadlines (Sect. III-D). On the socket wire
     /// an unreachable process likewise fails the send (connection
-    /// refused), so the contract is transport-independent.
+    /// refused), so the contract is wire-independent.
     pub fn send(&self, to: NodeId, payload: M) -> bool {
-        if !self.router.knows(to) {
+        if !self.hub.knows(to) {
             return false;
         }
-        match self.faults.on_send(self.me, to) {
+        match self.hub.faults.on_send(self.me, to) {
             SendFate::Refuse => false,
             SendFate::Drop => {
-                self.stats.dropped.fetch_add(1, Ordering::Relaxed);
+                self.hub.stats.dropped.fetch_add(1, Ordering::Relaxed);
                 true
             }
             SendFate::Delay(by) => {
-                self.schedule_entry(by, self.me, to, payload);
+                self.hub.schedule(by, self.me, to, payload);
                 true
             }
-            SendFate::Deliver => {
-                if to != self.me {
-                    self.stats.messages.fetch_add(1, Ordering::Relaxed);
-                }
-                self.router.deliver(Envelope { from: self.me, to, payload })
-            }
+            SendFate::Deliver => self.hub.post(Envelope { from: self.me, to, payload }),
         }
     }
 
@@ -209,34 +187,27 @@ impl<M> Outbox<M> {
     /// plan's link faults (they never cross the network) but are
     /// discarded like any delivery if the node is crashed when they fire.
     pub fn schedule(&self, after: Duration, payload: M) {
-        self.schedule_entry(after, self.me, self.me, payload);
-    }
-
-    fn schedule_entry(&self, after: Duration, from: NodeId, to: NodeId, payload: M) {
-        let entry = TimerEntry {
-            at: Instant::now() + after,
-            seq: self.timer_seq.fetch_add(1, Ordering::Relaxed),
-            from,
-            to,
-            payload,
-        };
-        let _ = self.timer.send(TimerCmd::Schedule(entry));
+        self.hub.schedule(after, self.me, self.me, payload);
     }
 
     /// The node ids reachable from this node.
     pub fn peers(&self) -> Vec<NodeId> {
-        self.router.peer_ids()
+        let mut ids: Vec<NodeId> = self.hub.mailboxes.keys().copied().collect();
+        if let Some(wire) = &self.hub.wire {
+            ids.extend(wire.peer_ids());
+        }
+        ids.sort();
+        ids.dedup();
+        ids
     }
 }
 
-/// A running set of node threads.
+/// A running set of node threads, over channels or over sockets (see the
+/// module docs).
 pub struct Cluster<M: Send + 'static> {
-    mailboxes: Arc<HashMap<NodeId, Sender<Packet<M>>>>,
-    router: Arc<Router<M>>,
-    handles: Mutex<Vec<JoinHandle<()>>>,
-    stats: Arc<ClusterStats>,
-    faults: Arc<FaultState>,
-    timer: Sender<TimerCmd<M>>,
+    pub(crate) hub: Arc<Hub<M>>,
+    /// The timer, every node and, on the socket wire, the accept loop.
+    pub(crate) handles: Mutex<Vec<JoinHandle<()>>>,
 }
 
 /// A node's behaviour: invoked once per delivered envelope.
@@ -254,23 +225,14 @@ where
     }
 }
 
-fn run_timer<M: Send + 'static>(
-    rx: Receiver<TimerCmd<M>>,
-    router: Arc<Router<M>>,
-    stats: Arc<ClusterStats>,
-) {
+fn run_timer<M>(rx: Receiver<TimerCmd<M>>, hub: &Hub<M>) {
     let mut heap: BinaryHeap<TimerEntry<M>> = BinaryHeap::new();
     loop {
         // Fire everything due.
         let now = Instant::now();
         while heap.peek().is_some_and(|e| e.at <= now) {
             let e = heap.pop().expect("peeked");
-            // A self-deadline is no inter-node message, and `deliver`
-            // keeps it off the network on every transport.
-            if e.from != e.to {
-                stats.messages.fetch_add(1, Ordering::Relaxed);
-            }
-            router.deliver(Envelope { from: e.from, to: e.to, payload: e.payload });
+            hub.post(Envelope { from: e.from, to: e.to, payload: e.payload });
         }
         // Sleep until the next deadline or the next command.
         let cmd = match heap.peek() {
@@ -295,88 +257,6 @@ fn run_timer<M: Send + 'static>(
     }
 }
 
-/// The pre-spawn pieces of a cluster: mailbox channels, shared stats and
-/// fault state. The TCP transport prepares these first so its listener
-/// threads can deliver into the mailboxes, then finishes the spawn with
-/// its remote-route hook installed.
-pub(crate) struct ClusterParts<M: Send + 'static> {
-    pub(crate) mailboxes: Arc<HashMap<NodeId, Sender<Packet<M>>>>,
-    pub(crate) stats: Arc<ClusterStats>,
-    pub(crate) faults: Arc<FaultState>,
-    pending: Vec<PendingNode<M>>,
-}
-
-impl<M: Send + 'static> ClusterParts<M> {
-    pub(crate) fn prepare(nodes: Vec<(NodeId, Box<dyn Handler<M>>)>, plan: FaultPlan) -> Self {
-        let mut mailboxes = HashMap::new();
-        let mut pending: Vec<PendingNode<M>> = Vec::new();
-        for (id, handler) in nodes {
-            let (tx, rx) = unbounded();
-            mailboxes.insert(id, tx);
-            pending.push((id, rx, handler));
-        }
-        ClusterParts {
-            mailboxes: Arc::new(mailboxes),
-            stats: Arc::new(ClusterStats::default()),
-            faults: Arc::new(FaultState::from_plan(plan)),
-            pending,
-        }
-    }
-
-    /// Spawns the timer and node threads, routing through `remote` when
-    /// one is given.
-    pub(crate) fn finish(self, remote: Option<Arc<dyn RemoteRoute<M>>>) -> Cluster<M> {
-        let router = Arc::new(Router { mailboxes: Arc::clone(&self.mailboxes), remote });
-        let (timer_tx, timer_rx) = unbounded();
-        let timer_seq = Arc::new(AtomicU64::new(0));
-        let mut handles = Vec::new();
-        handles.push({
-            let router = Arc::clone(&router);
-            let stats = Arc::clone(&self.stats);
-            std::thread::spawn(move || run_timer(timer_rx, router, stats))
-        });
-        for (id, rx, mut handler) in self.pending {
-            let outbox = Outbox {
-                me: id,
-                router: Arc::clone(&router),
-                stats: Arc::clone(&self.stats),
-                faults: Arc::clone(&self.faults),
-                timer: timer_tx.clone(),
-                timer_seq: Arc::clone(&timer_seq),
-            };
-            let faults = Arc::clone(&self.faults);
-            handles.push(std::thread::spawn(move || {
-                while let Ok(packet) = rx.recv() {
-                    match packet {
-                        Packet::Deliver(env) => {
-                            // A crashed node is a running thread that
-                            // discards its deliveries; restart makes it
-                            // responsive again with state intact.
-                            if faults.is_crashed(id) {
-                                outbox.stats.dropped.fetch_add(1, Ordering::Relaxed);
-                            } else {
-                                handler.on_message(env, &outbox);
-                            }
-                        }
-                        Packet::Barrier(ack) => {
-                            let _ = ack.send(());
-                        }
-                        Packet::Shutdown => break,
-                    }
-                }
-            }));
-        }
-        Cluster {
-            mailboxes: self.mailboxes,
-            router,
-            handles: Mutex::new(handles),
-            stats: self.stats,
-            faults: self.faults,
-            timer: timer_tx,
-        }
-    }
-}
-
 impl<M: Send + 'static> Cluster<M> {
     /// Spawns one thread per `(id, handler)` pair with no planned faults.
     /// All nodes can reach each other by id (IP addresses in the paper's
@@ -389,29 +269,79 @@ impl<M: Send + 'static> Cluster<M> {
     /// start unresponsive, and the plan's link drops/delays apply to
     /// every [`Outbox::send`].
     pub fn spawn_with(nodes: Vec<(NodeId, Box<dyn Handler<M>>)>, plan: FaultPlan) -> Self {
-        ClusterParts::prepare(nodes, plan).finish(None)
+        Self::start(nodes, plan, None)
+    }
+
+    /// Spawns the timer and node threads, carrying envelopes over `wire`
+    /// when one is given and over channels alone otherwise.
+    pub(crate) fn start(
+        nodes: Vec<(NodeId, Box<dyn Handler<M>>)>,
+        plan: FaultPlan,
+        wire: Option<Wire<M>>,
+    ) -> Self {
+        let mut mailboxes = HashMap::new();
+        let mut inboxes = Vec::new();
+        for (id, handler) in nodes {
+            let (tx, rx) = unbounded();
+            mailboxes.insert(id, tx);
+            inboxes.push((id, rx, handler));
+        }
+        let (timer, timer_rx) = unbounded();
+        let hub = Arc::new(Hub {
+            mailboxes,
+            wire,
+            stats: ClusterStats::default(),
+            faults: FaultState::from_plan(plan),
+            timer,
+            timer_seq: AtomicU64::new(0),
+        });
+        let mut handles = Vec::new();
+        handles.push({
+            let hub = Arc::clone(&hub);
+            std::thread::spawn(move || run_timer(timer_rx, &hub))
+        });
+        for (id, rx, mut handler) in inboxes {
+            let outbox = Outbox { me: id, hub: Arc::clone(&hub) };
+            handles.push(std::thread::spawn(move || {
+                while let Ok(packet) = rx.recv() {
+                    match packet {
+                        Packet::Deliver(env) => {
+                            // A crashed node is a running thread that
+                            // discards its deliveries; restart makes it
+                            // responsive again with state intact.
+                            if outbox.hub.faults.is_crashed(id) {
+                                outbox.hub.stats.dropped.fetch_add(1, Ordering::Relaxed);
+                            } else {
+                                handler.on_message(env, &outbox);
+                            }
+                        }
+                        Packet::Barrier(ack) => {
+                            let _ = ack.send(());
+                        }
+                        Packet::Shutdown => break,
+                    }
+                }
+            }));
+        }
+        Cluster { hub, handles: Mutex::new(handles) }
     }
 
     /// Injects a message from the outside world (e.g. the external
     /// application submitting a query in Fig. 3). `from` names the logical
     /// origin. Injection is a test-harness facility: it bypasses the
     /// fault plan's link faults (but a crashed destination still discards
-    /// the delivery).
+    /// the delivery). On the loopback twin the injection crosses the
+    /// socket like any send, unless `from == to`: a node's message to
+    /// itself is delivered to its mailbox on every wire.
     pub fn inject(&self, from: NodeId, to: NodeId, payload: M) -> bool {
-        if !self.router.knows(to) {
-            return false;
-        }
-        if from != to {
-            self.stats.messages.fetch_add(1, Ordering::Relaxed);
-        }
-        self.router.deliver(Envelope { from, to, payload })
+        self.hub.knows(to) && self.hub.post(Envelope { from, to, payload })
     }
 
     /// Crashes `node` at runtime: it stops processing deliveries and
     /// sends addressed to it fail fast. Returns `false` if it was already
     /// crashed or unknown.
     pub fn crash(&self, node: NodeId) -> bool {
-        self.mailboxes.contains_key(&node) && self.faults.crash(node)
+        self.hub.mailboxes.contains_key(&node) && self.hub.faults.crash(node)
     }
 
     /// Restarts a crashed `node`: its thread (never actually stopped)
@@ -419,48 +349,64 @@ impl<M: Send + 'static> Cluster<M> {
     /// arrived while it was down are lost. Returns `false` if it was not
     /// crashed.
     pub fn restart(&self, node: NodeId) -> bool {
-        self.mailboxes.contains_key(&node) && self.faults.restart(node)
+        self.hub.mailboxes.contains_key(&node) && self.hub.faults.restart(node)
     }
 
     /// Whether `node` is currently crashed.
     pub fn is_crashed(&self, node: NodeId) -> bool {
-        self.faults.is_crashed(node)
+        self.hub.faults.is_crashed(node)
     }
 
     /// Blocks until `node` has drained every packet queued before this
     /// call, or `timeout` elapses. Mailboxes are FIFO, so a `true` return
     /// means every earlier delivery to `node` has been fully processed —
     /// the deterministic fence the fault tests use instead of sleeping.
-    /// Works on crashed nodes too (their thread still drains packets).
+    /// Works on crashed nodes too (their thread still drains packets). In
+    /// the loopback twin the fence travels the socket path itself (a
+    /// [`crate::tcp::KIND_BARRIER`] frame on the same connection as earlier
+    /// sends), so it orders after every frame already written — a
+    /// mailbox-only fence could overtake in-flight socket traffic.
     pub fn barrier(&self, node: NodeId, timeout: Duration) -> bool {
-        let Some(tx) = self.mailboxes.get(&node) else { return false };
-        let (ack_tx, ack_rx) = bounded(1);
-        if tx.send(Packet::Barrier(ack_tx)).is_err() {
-            return false;
-        }
-        ack_rx.recv_timeout(timeout).is_ok()
+        let (ack, acked) = bounded(1);
+        let sent = match &self.hub.wire {
+            Some(wire) if wire.fences(node) => wire.send_fence(node, ack),
+            _ => {
+                let mailbox = self.hub.mailboxes.get(&node);
+                mailbox.is_some_and(|tx| tx.send(Packet::Barrier(ack)).is_ok())
+            }
+        };
+        sent && acked.recv_timeout(timeout).is_ok()
     }
 
-    /// Messages delivered so far.
+    /// Messages delivered so far (sender-side count, wire-agnostic).
     pub fn message_count(&self) -> u64 {
-        self.stats.messages.load(Ordering::Relaxed)
+        self.hub.stats.messages.load(Ordering::Relaxed)
     }
 
     /// Messages lost so far (fault-plan drops plus deliveries discarded
     /// at crashed nodes).
     pub fn dropped_count(&self) -> u64 {
-        self.stats.dropped.load(Ordering::Relaxed)
+        self.hub.stats.dropped.load(Ordering::Relaxed)
     }
 
-    /// Stops every node thread and waits for them to finish.
+    /// Stops every node thread and waits for them to finish; on the
+    /// socket wire, also unblocks the listener and closes every outbound
+    /// connection.
     pub fn shutdown(&self) {
-        for tx in self.mailboxes.values() {
+        for tx in self.hub.mailboxes.values() {
             let _ = tx.send(Packet::Shutdown);
         }
-        let _ = self.timer.send(TimerCmd::Shutdown);
+        let _ = self.hub.timer.send(TimerCmd::Shutdown);
+        let wire = self.hub.wire.as_ref();
+        if let Some(wire) = wire {
+            wire.stop_accepting();
+        }
         let mut handles = self.handles.lock();
         for h in handles.drain(..) {
             let _ = h.join();
+        }
+        if let Some(wire) = wire {
+            wire.hang_up();
         }
     }
 }

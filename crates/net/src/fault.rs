@@ -1,4 +1,4 @@
-//! Deterministic fault injection for the thread-backed transport.
+//! Deterministic fault injection for the [`crate::Cluster`], on either wire.
 //!
 //! The discrete-event [`crate::Network`] models churn analytically
 //! (Sect. III-D's failures are a cost term); the [`crate::Cluster`] runs

@@ -1,16 +1,17 @@
 //! # rdfmesh-net — network substrate
 //!
-//! Two transports behind one set of node identities:
+//! Two substrates behind one set of node identities:
 //!
 //! * [`Network`] — a deterministic cost model charging every inter-site
 //!   message `latency + bytes/bandwidth`, with per-node statistics. The
 //!   distributed query executors run on this to measure the paper's two
 //!   objectives (total inter-site bytes, response time) exactly.
-//! * [`Cluster`] — a thread-per-node transport over crossbeam channels,
-//!   demonstrating the same protocols under real concurrency.
-//! * [`TcpCluster`] — the same `Outbox` contract over framed TCP
-//!   sockets, so nodes can run as separate OS processes
-//!   (`docs/DEPLOYMENT.md`).
+//! * [`Cluster`] — one thread per node running the same protocols under
+//!   real concurrency, over either of two wires: crossbeam channels
+//!   ([`Cluster::spawn`]) or framed TCP sockets
+//!   ([`Cluster::spawn_loopback`], [`Cluster::bind`]), so nodes can also
+//!   run as separate OS processes (`docs/DEPLOYMENT.md`). The `Outbox`
+//!   contract and the [`FaultPlan`] are the same on both.
 //!
 //! Plus a small discrete-event [`Scheduler`] for churn experiments.
 

@@ -1,7 +1,8 @@
 //! A minimal discrete-event scheduler.
 //!
-//! Used by churn experiments (§E10) to interleave node joins, failures,
-//! maintenance rounds and queries on a virtual clock. Events fire in time
+//! Used by the churn-storm test (`rdfmesh-core`'s `churn_storm.rs`) to
+//! interleave node joins, failures, maintenance rounds and queries on a
+//! virtual clock, and by the transport tests. Events fire in time
 //! order; ties break by insertion sequence, which keeps runs reproducible.
 
 use std::cmp::Ordering;

@@ -1,24 +1,31 @@
-//! A TCP socket transport implementing the same cluster/[`Outbox`](crate::Outbox)
-//! contract as the thread-backed [`Cluster`].
+//! The socket wire of the one [`Cluster`]: the same nodes, [`Outbox`](crate::Outbox)
+//! contract and fault plan as over channels, with envelopes framed onto TCP.
 //!
 //! Every process binds one listener; logical nodes (storage, index,
-//! coordinator) live inside the process as mailbox threads exactly as in
-//! the thread cluster, and envelopes addressed to nodes routed to a
+//! coordinator) live inside the process as mailbox threads exactly as on
+//! the channel wire, and envelopes addressed to nodes routed to a
 //! remote address leave through a framed TCP connection instead of a
-//! channel. Two modes:
+//! channel. Two modes, two constructors of the same [`Cluster`]:
 //!
-//! * [`TcpCluster::spawn_loopback`] — every node is local **and** routed
+//! * [`Cluster::spawn_loopback`] — every node is local **and** routed
 //!   through the process's own listener, so all inter-node traffic
-//!   genuinely crosses a socket. This is the twin-test mode: the PR 4
-//!   fault suite runs unmodified because the shared [`FaultPlan`] still
+//!   genuinely crosses a socket. This is the twin-test mode: the fault
+//!   suite runs unmodified because the shared [`FaultPlan`] still
 //!   adjudicates each send before it reaches the wire.
-//! * [`TcpCluster::bind`] — serve mode: local nodes use mailboxes,
-//!   remote nodes are registered with [`TcpCluster::add_peer`], and an
+//! * [`Cluster::bind`] — serve mode: local nodes use mailboxes,
+//!   remote nodes are registered with [`Cluster::add_peer`], and an
 //!   opaque control channel carries membership messages between
 //!   processes (`rdfmesh serve --join`).
 //!
+//! On a cluster spawned over channels the socket-only methods
+//! ([`Cluster::local_addr`], [`Cluster::add_peer`], [`Cluster::route_of`],
+//! [`Cluster::send_control`], [`Cluster::recv_control`],
+//! [`Cluster::transport_stats`]) answer `None` / `false`.
+//! [`TcpCluster`] is another name for [`Cluster`].
+//!
 //! Wire format (normative spec in `docs/DEPLOYMENT.md`): a connection
-//! starts with a 6-byte handshake `"RDFM" <version> <reserved>`; after
+//! starts with a 6-byte handshake `"RDFM" <version> <reserved>`, which
+//! must arrive within [`HANDSHAKE_TIMEOUT`]; after
 //! that, each frame is `[u32 LE length][u8 kind][body]` where `length`
 //! counts the kind byte plus the body. Envelope bodies are
 //! `[u64 LE from][u64 LE to][payload]` with the payload encoded by the
@@ -33,13 +40,12 @@ use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::Duration;
 
-use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
+use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::{Mutex, RwLock};
 
-use crate::cluster::{Cluster, ClusterParts, Envelope, Handler, Packet, RemoteRoute};
+use crate::cluster::{Cluster, Envelope, Handler, Hub, Packet};
 use crate::fault::FaultPlan;
 use crate::network::NodeId;
 
@@ -72,6 +78,16 @@ pub const KIND_CONTROL: u8 = 2;
 /// Frame kind: a flush barrier (`[u64 to][u64 token]`), acknowledged by
 /// the target node's thread after every earlier frame on the connection.
 pub const KIND_BARRIER: u8 = 3;
+
+/// How long an accepted connection may take to send its handshake before
+/// it is closed and counted as a decode error. Once the handshake passes,
+/// the connection may idle indefinitely.
+pub const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(2);
+
+/// What [`read_frame`] reserves for a body before any of it arrives: a
+/// length field alone claims at most this much memory, and a longer body
+/// grows the buffer as its bytes are read.
+const BODY_RESERVE: usize = 16 * 1024;
 
 const CONNECT_TIMEOUT: Duration = Duration::from_millis(500);
 
@@ -118,7 +134,9 @@ pub fn encode_frame(kind: u8, body: &[u8]) -> Vec<u8> {
 
 /// Reads one frame. Returns `Ok(None)` on a clean end of stream (EOF at
 /// a frame boundary) and an `InvalidData` error for malformed input: a
-/// zero or oversized length field, or a body truncated mid-frame.
+/// zero or oversized length field, or a body truncated mid-frame. The
+/// body buffer grows with the bytes that actually arrive, so a header
+/// claiming [`MAX_FRAME`] costs nothing until its body follows.
 pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Frame>> {
     let mut len = [0u8; 4];
     match r.read_exact(&mut len) {
@@ -133,16 +151,13 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Frame>> {
             format!("frame length {len} outside 1..={MAX_FRAME}"),
         ));
     }
-    let mut buf = vec![0u8; len as usize];
-    r.read_exact(&mut buf).map_err(|e| {
-        if e.kind() == io::ErrorKind::UnexpectedEof {
-            io::Error::new(io::ErrorKind::InvalidData, "frame truncated mid-body")
-        } else {
-            e
-        }
-    })?;
-    let body = buf.split_off(1);
-    Ok(Some(Frame { kind: buf[0], body }))
+    let mut buf = Vec::with_capacity((len as usize).min(BODY_RESERVE));
+    r.take(u64::from(len)).read_to_end(&mut buf)?;
+    if buf.len() < len as usize {
+        return Err(io::Error::new(io::ErrorKind::InvalidData, "frame truncated mid-body"));
+    }
+    let kind = buf.remove(0);
+    Ok(Some(Frame { kind, body: buf }))
 }
 
 /// Writes the 6-byte connection handshake: magic, version, reserved.
@@ -295,132 +310,170 @@ impl PeerLink {
     }
 }
 
-/// State shared between the cluster's sender side (as the router's
-/// remote hook), the listener's reader threads, and the public handle.
-struct TcpShared<M: WireMsg> {
+/// The socket half of a [`Cluster`] spawned by [`Cluster::spawn_loopback`]
+/// or [`Cluster::bind`]: the listener's address, the route table, the
+/// outbound links, the barrier frames in flight and the control channel.
+pub(crate) struct Wire<M> {
     listen: SocketAddr,
-    mailboxes: Arc<HashMap<NodeId, Sender<Packet<M>>>>,
     routes: RwLock<HashMap<NodeId, SocketAddr>>,
     links: Mutex<HashMap<SocketAddr, Arc<PeerLink>>>,
     stats: TransportStats,
     /// Loopback twin mode: local destinations go over the socket too.
     force_socket: bool,
+    /// The message type's [`WireMsg::encode_wire`], fixed by the socket
+    /// constructor, so a cluster over channels needs no encoding.
+    encode: fn(&M) -> Vec<u8>,
     control_tx: Sender<Vec<u8>>,
+    /// Behind a mutex so a membership thread can poll through a shared
+    /// [`Arc<Cluster>`].
+    control_rx: Mutex<Receiver<Vec<u8>>>,
     barriers: Mutex<HashMap<u64, Sender<()>>>,
     barrier_seq: AtomicU64,
     closing: AtomicBool,
 }
 
-impl<M: WireMsg> TcpShared<M> {
-    fn link(&self, addr: SocketAddr) -> Arc<PeerLink> {
-        Arc::clone(self.links.lock().entry(addr).or_insert_with(|| Arc::new(PeerLink::new(addr))))
+impl<M> Wire<M> {
+    fn send_frame(&self, addr: SocketAddr, kind: u8, body: &[u8]) -> bool {
+        let link = Arc::clone(
+            self.links.lock().entry(addr).or_insert_with(|| Arc::new(PeerLink::new(addr))),
+        );
+        link.send_frame(&encode_frame(kind, body), &self.stats)
     }
 
-    fn send_envelope(&self, addr: SocketAddr, env: &Envelope<M>) -> bool {
-        let payload = env.payload.encode_wire();
+    pub(crate) fn send_envelope(&self, addr: SocketAddr, env: &Envelope<M>) -> bool {
+        let payload = (self.encode)(&env.payload);
         let mut body = Vec::with_capacity(16 + payload.len());
         body.extend_from_slice(&env.from.0.to_le_bytes());
         body.extend_from_slice(&env.to.0.to_le_bytes());
         body.extend_from_slice(&payload);
-        self.link(addr).send_frame(&encode_frame(KIND_ENVELOPE, &body), &self.stats)
+        self.send_frame(addr, KIND_ENVELOPE, &body)
     }
 
-    fn on_frame(&self, frame: Frame) {
-        self.stats.frame_received(5 + frame.body.len() as u64);
-        match frame.kind {
-            KIND_ENVELOPE => {
-                if frame.body.len() < 16 {
-                    self.stats.decode_error();
-                    return;
-                }
-                let from = NodeId(u64::from_le_bytes(frame.body[..8].try_into().expect("8")));
-                let to = NodeId(u64::from_le_bytes(frame.body[8..16].try_into().expect("8")));
-                match M::decode_wire(&frame.body[16..]) {
-                    Ok(payload) => {
-                        if let Some(tx) = self.mailboxes.get(&to) {
-                            let _ = tx.send(Packet::Deliver(Envelope { from, to, payload }));
-                        }
-                    }
-                    Err(_) => self.stats.decode_error(),
-                }
-            }
-            KIND_BARRIER => {
-                if frame.body.len() != 16 {
-                    self.stats.decode_error();
-                    return;
-                }
-                let to = NodeId(u64::from_le_bytes(frame.body[..8].try_into().expect("8")));
-                let token = u64::from_le_bytes(frame.body[8..16].try_into().expect("8"));
-                if let Some(ack) = self.barriers.lock().remove(&token) {
-                    if let Some(tx) = self.mailboxes.get(&to) {
-                        let _ = tx.send(Packet::Barrier(ack));
-                    }
-                }
-            }
-            KIND_CONTROL => {
-                let _ = self.control_tx.send(frame.body);
-            }
-            _ => self.stats.decode_error(),
-        }
-    }
-}
-
-impl<M: WireMsg> RemoteRoute<M> for TcpShared<M> {
-    fn route(&self, env: Envelope<M>) -> Result<bool, Envelope<M>> {
-        let local = self.mailboxes.contains_key(&env.to);
-        // What a node addresses to itself never crosses a socket, not
-        // even in the twin: message types need no encoding for it.
+    /// Where `env` leaves through a socket, if it does: a remote
+    /// destination always, a `local` one only in the loopback twin. What
+    /// a node addresses to itself never crosses a socket, not even in the
+    /// twin: message types need no encoding for it.
+    pub(crate) fn route(&self, env: &Envelope<M>, local: bool) -> Option<SocketAddr> {
         if local && (!self.force_socket || env.from == env.to) {
-            return Err(env);
+            return None;
         }
-        let addr = self.routes.read().get(&env.to).copied();
-        match addr {
-            Some(addr) => Ok(self.send_envelope(addr, &env)),
-            None if local => Err(env),
-            None => Ok(false),
-        }
+        self.routes.read().get(&env.to).copied()
     }
 
-    fn reaches(&self, to: NodeId) -> bool {
+    /// Whether `to` is reachable through this wire.
+    pub(crate) fn reaches(&self, to: NodeId) -> bool {
         self.routes.read().contains_key(&to)
     }
 
-    fn peer_ids(&self) -> Vec<NodeId> {
+    /// Node ids reachable through this wire.
+    pub(crate) fn peer_ids(&self) -> Vec<NodeId> {
         self.routes.read().keys().copied().collect()
+    }
+
+    /// Whether a flush fence for `node` travels this wire: in the loopback
+    /// twin, where `node`'s deliveries do.
+    pub(crate) fn fences(&self, node: NodeId) -> bool {
+        self.force_socket && self.reaches(node)
+    }
+
+    /// Sends a [`KIND_BARRIER`] frame for `node` down its route; the
+    /// receiving reader hands `ack` to the node's mailbox.
+    pub(crate) fn send_fence(&self, node: NodeId, ack: Sender<()>) -> bool {
+        let Some(addr) = self.routes.read().get(&node).copied() else { return false };
+        let token = self.barrier_seq.fetch_add(1, Ordering::Relaxed);
+        self.barriers.lock().insert(token, ack);
+        let mut body = Vec::with_capacity(16);
+        body.extend_from_slice(&node.0.to_le_bytes());
+        body.extend_from_slice(&token.to_le_bytes());
+        if !self.send_frame(addr, KIND_BARRIER, &body) {
+            self.barriers.lock().remove(&token);
+            return false;
+        }
+        true
+    }
+
+    /// Unblocks the accept loop with a throwaway connection; idempotent.
+    pub(crate) fn stop_accepting(&self) {
+        if !self.closing.swap(true, Ordering::SeqCst) {
+            let _ = TcpStream::connect_timeout(&self.listen, CONNECT_TIMEOUT);
+        }
+    }
+
+    /// Dropping the links closes outbound streams; loopback reader
+    /// threads then exit on EOF.
+    pub(crate) fn hang_up(&self) {
+        self.links.lock().clear();
     }
 }
 
-fn run_reader<M: WireMsg>(mut stream: TcpStream, shared: Arc<TcpShared<M>>) {
-    if read_handshake(&mut stream).is_err() {
-        shared.stats.decode_error();
+fn on_frame<M: WireMsg>(hub: &Hub<M>, wire: &Wire<M>, frame: Frame) {
+    wire.stats.frame_received(5 + frame.body.len() as u64);
+    match frame.kind {
+        KIND_ENVELOPE => {
+            if frame.body.len() < 16 {
+                wire.stats.decode_error();
+                return;
+            }
+            let from = NodeId(u64::from_le_bytes(frame.body[..8].try_into().expect("8")));
+            let to = NodeId(u64::from_le_bytes(frame.body[8..16].try_into().expect("8")));
+            match M::decode_wire(&frame.body[16..]) {
+                Ok(payload) => {
+                    if let Some(tx) = hub.mailboxes.get(&to) {
+                        let _ = tx.send(Packet::Deliver(Envelope { from, to, payload }));
+                    }
+                }
+                Err(_) => wire.stats.decode_error(),
+            }
+        }
+        KIND_BARRIER => {
+            if frame.body.len() != 16 {
+                wire.stats.decode_error();
+                return;
+            }
+            let to = NodeId(u64::from_le_bytes(frame.body[..8].try_into().expect("8")));
+            let token = u64::from_le_bytes(frame.body[8..16].try_into().expect("8"));
+            if let Some(ack) = wire.barriers.lock().remove(&token) {
+                if let Some(tx) = hub.mailboxes.get(&to) {
+                    let _ = tx.send(Packet::Barrier(ack));
+                }
+            }
+        }
+        KIND_CONTROL => {
+            let _ = wire.control_tx.send(frame.body);
+        }
+        _ => wire.stats.decode_error(),
+    }
+}
+
+fn run_reader<M: WireMsg>(mut stream: TcpStream, hub: &Hub<M>) {
+    let wire = hub.wire.as_ref().expect("readers run on a socket wire");
+    // The handshake has a deadline; the frames after it may idle.
+    let hello = stream
+        .set_read_timeout(Some(HANDSHAKE_TIMEOUT))
+        .and_then(|()| read_handshake(&mut stream))
+        .and_then(|()| stream.set_read_timeout(None));
+    if hello.is_err() {
+        wire.stats.decode_error();
         return;
     }
     let mut r = io::BufReader::new(stream);
     loop {
         match read_frame(&mut r) {
-            Ok(Some(frame)) => shared.on_frame(frame),
+            Ok(Some(frame)) => on_frame(hub, wire, frame),
             Ok(None) => return,
             Err(_) => {
-                shared.stats.decode_error();
+                wire.stats.decode_error();
                 return;
             }
         }
     }
 }
 
-/// A cluster whose inter-node traffic crosses TCP sockets — the same
-/// [`Outbox`](crate::Outbox)/[`Handler`] contract as [`Cluster`], so the live-mesh
-/// protocol and the PR 4 fault suite run on it unmodified. See the
-/// module docs for the two modes and `docs/DEPLOYMENT.md` for the wire
-/// specification.
-pub struct TcpCluster<M: WireMsg> {
-    cluster: Cluster<M>,
-    shared: Arc<TcpShared<M>>,
-    accept: Mutex<Option<JoinHandle<()>>>,
-    control_rx: Mutex<Receiver<Vec<u8>>>,
-}
+/// The name the socket constructors went by before the two wires became
+/// one cluster; the same type.
+pub type TcpCluster<M> = Cluster<M>;
 
-impl<M: WireMsg> TcpCluster<M> {
+impl<M: WireMsg> Cluster<M> {
     /// Spawns a loopback twin cluster: one listener on an ephemeral
     /// `127.0.0.1` port, every node local, and **all** inter-node sends
     /// routed through the socket. The [`FaultPlan`] adjudicates each
@@ -430,22 +483,22 @@ impl<M: WireMsg> TcpCluster<M> {
         nodes: Vec<(NodeId, Box<dyn Handler<M>>)>,
         plan: FaultPlan,
     ) -> io::Result<Self> {
-        Self::start("127.0.0.1:0", nodes, plan, true)
+        Self::listen("127.0.0.1:0", nodes, plan, true)
     }
 
     /// Binds `listen` and spawns the local nodes in serve mode: local
     /// destinations use in-process mailboxes, remote destinations must
-    /// be registered with [`TcpCluster::add_peer`], and inbound control
-    /// frames surface on [`TcpCluster::recv_control`].
+    /// be registered with [`Cluster::add_peer`], and inbound control
+    /// frames surface on [`Cluster::recv_control`].
     pub fn bind(
         listen: impl ToSocketAddrs,
         nodes: Vec<(NodeId, Box<dyn Handler<M>>)>,
         plan: FaultPlan,
     ) -> io::Result<Self> {
-        Self::start(listen, nodes, plan, false)
+        Self::listen(listen, nodes, plan, false)
     }
 
-    fn start(
+    fn listen(
         listen: impl ToSocketAddrs,
         nodes: Vec<(NodeId, Box<dyn Handler<M>>)>,
         plan: FaultPlan,
@@ -453,163 +506,77 @@ impl<M: WireMsg> TcpCluster<M> {
     ) -> io::Result<Self> {
         let listener = TcpListener::bind(listen)?;
         let addr = listener.local_addr()?;
-        let parts = ClusterParts::prepare(nodes, plan);
+        let routes = nodes.iter().filter(|_| force_socket).map(|(id, _)| (*id, addr)).collect();
         let (control_tx, control_rx) = unbounded();
-        let mut routes = HashMap::new();
-        if force_socket {
-            for id in parts.mailboxes.keys() {
-                routes.insert(*id, addr);
-            }
-        }
-        let shared = Arc::new(TcpShared {
+        let wire = Wire {
             listen: addr,
-            mailboxes: Arc::clone(&parts.mailboxes),
             routes: RwLock::new(routes),
             links: Mutex::new(HashMap::new()),
             stats: TransportStats::default(),
             force_socket,
+            encode: M::encode_wire,
             control_tx,
+            control_rx: Mutex::new(control_rx),
             barriers: Mutex::new(HashMap::new()),
             barrier_seq: AtomicU64::new(0),
             closing: AtomicBool::new(false),
-        });
-        let accept = {
-            let shared = Arc::clone(&shared);
-            std::thread::spawn(move || {
-                for stream in listener.incoming() {
-                    if shared.closing.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    if let Ok(s) = stream {
-                        let shared = Arc::clone(&shared);
-                        std::thread::spawn(move || run_reader(s, shared));
-                    }
-                }
-            })
         };
-        let hook: Arc<dyn RemoteRoute<M>> = Arc::clone(&shared) as _;
-        let cluster = parts.finish(Some(hook));
-        Ok(TcpCluster {
-            cluster,
-            shared,
-            accept: Mutex::new(Some(accept)),
-            control_rx: Mutex::new(control_rx),
-        })
+        let cluster = Cluster::start(nodes, plan, Some(wire));
+        let hub = Arc::clone(&cluster.hub);
+        cluster.handles.lock().push(std::thread::spawn(move || {
+            for stream in listener.incoming() {
+                if hub.wire.as_ref().is_some_and(|w| w.closing.load(Ordering::Relaxed)) {
+                    break;
+                }
+                if let Ok(s) = stream {
+                    let hub = Arc::clone(&hub);
+                    std::thread::spawn(move || run_reader(s, &hub));
+                }
+            }
+        }));
+        Ok(cluster)
     }
+}
 
-    /// The address the process listener is bound to.
-    pub fn local_addr(&self) -> SocketAddr {
-        self.shared.listen
+impl<M: Send + 'static> Cluster<M> {
+    /// The address the process listener is bound to, or `None` on a
+    /// cluster over channels.
+    pub fn local_addr(&self) -> Option<SocketAddr> {
+        self.hub.wire.as_ref().map(|w| w.listen)
     }
 
     /// Routes envelopes addressed to `node` to the process listening at
     /// `addr`. Re-registering an id replaces its route (a peer that came
-    /// back on a new port).
-    pub fn add_peer(&self, node: NodeId, addr: SocketAddr) {
-        self.shared.routes.write().insert(node, addr);
+    /// back on a new port). Returns `false` on a cluster over channels,
+    /// which has nowhere to route to.
+    pub fn add_peer(&self, node: NodeId, addr: SocketAddr) -> bool {
+        self.hub.wire.as_ref().map(|w| w.routes.write().insert(node, addr)).is_some()
     }
 
     /// The registered route for `node`, if any.
     pub fn route_of(&self, node: NodeId) -> Option<SocketAddr> {
-        self.shared.routes.read().get(&node).copied()
+        self.hub.wire.as_ref()?.routes.read().get(&node).copied()
     }
 
     /// Sends an opaque control frame (membership traffic) to the process
     /// listening at `addr`. Returns `false` if the connection could not
-    /// be established or the write failed after a reconnect.
+    /// be established, the write failed after a reconnect, or the
+    /// cluster runs over channels.
     pub fn send_control(&self, addr: SocketAddr, bytes: &[u8]) -> bool {
-        self.shared.link(addr).send_frame(&encode_frame(KIND_CONTROL, bytes), &self.shared.stats)
+        self.hub.wire.as_ref().is_some_and(|w| w.send_frame(addr, KIND_CONTROL, bytes))
     }
 
     /// Receives the next inbound control frame, waiting up to `timeout`.
-    /// `None` means the wait expired. Behind a mutex so a membership
-    /// thread can poll through a shared [`Arc<TcpCluster>`].
+    /// `None` means the wait expired, or that the cluster runs over
+    /// channels and no control frame can arrive.
     pub fn recv_control(&self, timeout: Duration) -> Option<Vec<u8>> {
-        self.control_rx.lock().recv_timeout(timeout).ok()
+        self.hub.wire.as_ref()?.control_rx.lock().recv_timeout(timeout).ok()
     }
 
-    /// Injects a message from the outside world; see [`Cluster::inject`].
-    /// In loopback mode the injection crosses the socket like any send,
-    /// unless `from == to`: a node's message to itself is delivered to
-    /// its mailbox on every transport.
-    pub fn inject(&self, from: NodeId, to: NodeId, payload: M) -> bool {
-        self.cluster.inject(from, to, payload)
-    }
-
-    /// Crashes `node`; see [`Cluster::crash`].
-    pub fn crash(&self, node: NodeId) -> bool {
-        self.cluster.crash(node)
-    }
-
-    /// Restarts a crashed `node`; see [`Cluster::restart`].
-    pub fn restart(&self, node: NodeId) -> bool {
-        self.cluster.restart(node)
-    }
-
-    /// Whether `node` is currently crashed.
-    pub fn is_crashed(&self, node: NodeId) -> bool {
-        self.cluster.is_crashed(node)
-    }
-
-    /// Flush fence; see [`Cluster::barrier`]. In loopback mode the fence
-    /// travels the socket path itself (a [`KIND_BARRIER`] frame on the
-    /// same connection as earlier sends), so it orders after every frame
-    /// already written — a mailbox-only fence could overtake in-flight
-    /// socket traffic.
-    pub fn barrier(&self, node: NodeId, timeout: Duration) -> bool {
-        let addr = if self.shared.force_socket { self.route_of(node) } else { None };
-        let Some(addr) = addr else {
-            return self.cluster.barrier(node, timeout);
-        };
-        let token = self.shared.barrier_seq.fetch_add(1, Ordering::Relaxed);
-        let (ack_tx, ack_rx) = bounded(1);
-        self.shared.barriers.lock().insert(token, ack_tx);
-        let mut body = Vec::with_capacity(16);
-        body.extend_from_slice(&node.0.to_le_bytes());
-        body.extend_from_slice(&token.to_le_bytes());
-        if !self.shared.link(addr).send_frame(&encode_frame(KIND_BARRIER, &body), &self.shared.stats)
-        {
-            self.shared.barriers.lock().remove(&token);
-            return false;
-        }
-        ack_rx.recv_timeout(timeout).is_ok()
-    }
-
-    /// Messages delivered so far (sender-side count, transport-agnostic).
-    pub fn message_count(&self) -> u64 {
-        self.cluster.message_count()
-    }
-
-    /// Messages lost so far; see [`Cluster::dropped_count`].
-    pub fn dropped_count(&self) -> u64 {
-        self.cluster.dropped_count()
-    }
-
-    /// A snapshot of the socket-level counters.
-    pub fn transport_stats(&self) -> TransportSnapshot {
-        self.shared.stats.snapshot()
-    }
-
-    /// Stops the node threads, unblocks the listener, and closes every
-    /// outbound connection.
-    pub fn shutdown(&self) {
-        self.cluster.shutdown();
-        if !self.shared.closing.swap(true, Ordering::SeqCst) {
-            // Unblock the accept loop with a throwaway connection.
-            let _ = TcpStream::connect_timeout(&self.shared.listen, CONNECT_TIMEOUT);
-            if let Some(h) = self.accept.lock().take() {
-                let _ = h.join();
-            }
-            // Dropping the links closes outbound streams; loopback
-            // reader threads then exit on EOF.
-            self.shared.links.lock().clear();
-        }
-    }
-}
-
-impl<M: WireMsg> Drop for TcpCluster<M> {
-    fn drop(&mut self) {
-        self.shutdown();
+    /// A snapshot of the socket-level counters, or `None` on a cluster
+    /// over channels, where no wire exists.
+    pub fn transport_stats(&self) -> Option<TransportSnapshot> {
+        self.hub.wire.as_ref().map(|w| w.stats.snapshot())
     }
 }
 
@@ -689,7 +656,7 @@ mod tests {
             counter.fetch_add(env.payload.0, Ordering::SeqCst);
             let _ = done_tx.send(());
         };
-        let cluster = TcpCluster::spawn_loopback(
+        let cluster = Cluster::spawn_loopback(
             vec![
                 (NodeId(1), Box::new(forward) as Box<dyn Handler<TestMsg>>),
                 (NodeId(2), Box::new(sink)),
@@ -700,7 +667,14 @@ mod tests {
         assert!(cluster.inject(NodeId(99), NodeId(1), TestMsg(41)));
         done_rx.recv_timeout(Duration::from_secs(5)).unwrap();
         assert_eq!(hits.load(Ordering::SeqCst), 42);
-        let t = cluster.transport_stats();
+        // A sender counts its frame once the write returns, which can be
+        // after the receiver has already handled it: let the count settle.
+        let settled = std::time::Instant::now() + Duration::from_secs(5);
+        let mut t = cluster.transport_stats().expect("a socket wire");
+        while t.frames_sent != t.frames_received && std::time::Instant::now() < settled {
+            std::thread::sleep(Duration::from_millis(5));
+            t = cluster.transport_stats().expect("a socket wire");
+        }
         assert!(t.frames_sent >= 2, "inject and forward both crossed the socket: {t:?}");
         assert_eq!(t.frames_sent, t.frames_received, "loopback receives what it sends");
         assert_eq!(t.decode_errors, 0);
@@ -719,7 +693,7 @@ mod tests {
         let sink = move |env: Envelope<TestMsg>, _out: &Outbox<TestMsg>| {
             let _ = seen_tx.send(env.payload.0);
         };
-        let cluster = TcpCluster::spawn_loopback(
+        let cluster = Cluster::spawn_loopback(
             vec![
                 (NodeId(1), Box::new(relay) as Box<dyn Handler<TestMsg>>),
                 (NodeId(2), Box::new(sink)),
@@ -749,7 +723,7 @@ mod tests {
         let node = move |_env: Envelope<TestMsg>, _out: &Outbox<TestMsg>| {
             counter.fetch_add(1, Ordering::SeqCst);
         };
-        let cluster = TcpCluster::spawn_loopback(
+        let cluster = Cluster::spawn_loopback(
             vec![(NodeId(1), Box::new(node) as Box<dyn Handler<TestMsg>>)],
             FaultPlan::new(),
         )
@@ -804,7 +778,7 @@ mod tests {
 
     #[test]
     fn undecodable_payloads_are_counted_not_trusted() {
-        let cluster = TcpCluster::spawn_loopback(
+        let cluster = Cluster::spawn_loopback(
             vec![(
                 NodeId(1),
                 Box::new(|_e: Envelope<TestMsg>, _o: &Outbox<TestMsg>| {})
@@ -815,7 +789,7 @@ mod tests {
         .unwrap();
         // Speak the protocol by hand: valid handshake and frame, but a
         // payload TestMsg::decode_wire rejects.
-        let mut s = TcpStream::connect(cluster.local_addr()).unwrap();
+        let mut s = TcpStream::connect(cluster.local_addr().expect("bound")).unwrap();
         write_handshake(&mut s).unwrap();
         let mut body = Vec::new();
         body.extend_from_slice(&9u64.to_le_bytes());
@@ -824,7 +798,7 @@ mod tests {
         s.write_all(&encode_frame(KIND_ENVELOPE, &body)).unwrap();
         s.flush().unwrap();
         let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        while cluster.transport_stats().decode_errors == 0 {
+        while cluster.transport_stats().expect("a socket wire").decode_errors == 0 {
             assert!(std::time::Instant::now() < deadline, "decode error never counted");
             std::thread::sleep(Duration::from_millis(10));
         }

@@ -1,10 +1,12 @@
 //! Serialization of algebra back to SPARQL query strings.
 //!
-//! Sub-queries cross the network in the data sharing system; a node that
-//! receives one must be able to parse it. This module renders any
-//! [`GraphPattern`] (and whole [`AlgebraQuery`]s) as standard SPARQL
-//! text, and the round-trip `parse(serialize(q))` reproduces the algebra
-//! — property-tested in `tests/properties.rs`.
+//! Sub-queries do not cross the network as text: the live mesh ships
+//! patterns, filters and solutions in the binary `live_wire` codec of
+//! `rdfmesh-core` (wire primitives in [`crate::solution::wire`] and
+//! [`crate::expr::wire`]). This module is for people and tools: it
+//! renders any [`GraphPattern`] (and whole [`AlgebraQuery`]s) as standard
+//! SPARQL text, and the round-trip `parse(serialize(q))` reproduces the
+//! algebra — property-tested in `tests/properties.rs`.
 
 use std::fmt::Write as _;
 

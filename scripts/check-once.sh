@@ -9,6 +9,9 @@
 # materialization becomes a result in one place above the backends, the
 # binary-operator table is spelled once beside it, and the simulator asks
 # the two-level index in one function (PR 22).
+# Sockets are a wire of the one cluster, not a second cluster type wrapped
+# around it, and every live host fills its location tables by publishing,
+# through one function.
 # Fails when a second copy appears. Test modules (`mod tests` to end of
 # file) and comment lines are not code.
 set -eu
@@ -43,7 +46,7 @@ expect 'role struct literals (one per constructor)' \
     "$(code ./*.rs live/*.rs | grep -E "$role" | grep -cvE "(struct|impl|for) $role" || true)" 3
 # The pipeline's tail is exec::answer and the lookup leg is
 # SimBackend::resolve: no backend post-processes, joins or looks up on its
-# own again. (The second locate_cached( is common_site's first row, whose
+# own again. (The second locate_cached( is exec_common_site's first row, whose
 # hops are counted only after the second resolves — CHANGES.md, PR 22.)
 expect 'finalize( call sites under crates/core/src' \
     "$(code ./*.rs live/*.rs | grep -c 'finalize(' || true)" 1
@@ -53,6 +56,20 @@ expect 'left_join_filtered call sites under crates/core/src' \
     "$(code ./*.rs live/*.rs | grep -c 'left_join_filtered' || true)" 1
 expect 'locate_cached( call sites in sim_backend.rs' \
     "$(code sim_backend.rs | grep -v 'fn locate_cached(' | grep -c 'locate_cached(' || true)" 2
+# One cluster, two wires: crates/net/src declares one cluster struct, and
+# neither the socket hook, its two-phase constructor nor the mesh's
+# per-wire enum is back. The live mesh places no key centrally: its index
+# nodes learn their rows from the one publication path, as serve
+# processes do.
+net=../../net/src
+expect 'cluster structs under crates/net/src' \
+    "$(code "$net"/*.rs | grep -cE 'struct [A-Za-z]*Cluster\b' || true)" 1
+expect 'trait RemoteRoute / struct ClusterParts / enum MeshCluster' \
+    "$(code "$net"/*.rs ./*.rs live/*.rs | grep -cE 'trait RemoteRoute|struct ClusterParts|enum MeshCluster' || true)" 0
+expect 'ideal_owner( under crates/core/src' \
+    "$(code ./*.rs live/*.rs | grep -c 'ideal_owner(' || true)" 0
+expect 'keys_for_triple( call sites under crates/core/src' \
+    "$(code ./*.rs live/*.rs | grep -c 'keys_for_triple(' || true)" 1
 sparql=../../sparql/src
 # The bodies of the scan driver and of its collecting wrapper.
 scan=$(awk '/^pub fn (for_each_extension|evaluate_pattern_with)/{on=1} on{print} on&&/^}/{on=0}' \
@@ -83,5 +100,5 @@ expect '[[bench]] tables under crates/*/Cargo.toml' \
 expect 'criterion mentions in any Cargo.toml' \
     "$(cat Cargo.toml crates/*/Cargo.toml shims/*/Cargo.toml benchmark/Cargo.toml | grep -ci criterion || true)" 0
 expect 'directories under shims/' "$(ls -d shims/*/ | wc -l)" 3
-[ "$bad" -eq 0 ] && echo 'exists once: provider compute, exchange pricing, reply accounting, role constructors, regex compilation, lending scan, JSON escaping, result writers, the stopwatch, the pipeline tail, the operator table, the lookup leg'
+[ "$bad" -eq 0 ] && echo 'exists once: provider compute, exchange pricing, reply accounting, role constructors, regex compilation, lending scan, JSON escaping, result writers, the stopwatch, the pipeline tail, the operator table, the lookup leg, the cluster, the publication path'
 exit "$bad"
