@@ -32,11 +32,6 @@ pub struct RoundHandle {
 }
 
 impl RoundHandle {
-    /// The id the round was submitted under.
-    pub fn qid(&self) -> QueryId {
-        self.qid
-    }
-
     /// Blocks up to `timeout` for the round's answer. `None` abandons
     /// the wait (the coordinator's own deadlines still retire the
     /// round's protocol state).

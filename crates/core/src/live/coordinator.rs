@@ -1,37 +1,25 @@
 //! The coordinator role: the per-query [`Round`] state machine
-//! ([`CoordinatorCore`]) and the node that hosts it on an [`Outbox`].
+//! ([`CoordinatorCore`]).
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
-use std::time::Duration;
 
-use rdfmesh_net::{Envelope, Handler, NodeId, Outbox};
+use rdfmesh_net::NodeId;
 use rdfmesh_overlay::key_for_pattern;
 use rdfmesh_rdf::{TriplePattern, Variable};
 use rdfmesh_sparql::expr::Expression;
 use rdfmesh_sparql::solution::{DistinctBuffer, Solution};
 
-use super::{lock, rlock, DeadlineStage, LiveAnswer, LiveMsg, PendingMap, QueryId, SharedFlood};
+use super::{rlock, Action, DeadlineStage, LiveAnswer, LiveMsg, QueryId, SharedFlood};
 use crate::config::{DistStrategy, LiveConfig};
 use crate::provider;
 use crate::stats::LiveStats;
 
-// ---- the coordinator state machine ----------------------------------
-
-/// What the state machine asks its host to do. Pure data, so property
-/// tests can drive arbitrary interleavings without threads or timers.
-#[derive(Debug, Clone)]
-enum Action {
-    Send { to: NodeId, msg: LiveMsg },
-    Schedule { after: Duration, msg: LiveMsg },
-    Finish { qid: QueryId, answer: LiveAnswer },
-}
-
 /// What a frame's failed send has to be traced back to — taken from the
-/// frame before it moves into [`Outbox::send`], so the path that succeeds
-/// never copies one.
+/// frame before the host sends it, so the path that succeeds never
+/// copies one.
 #[derive(Debug)]
-enum SendKey {
+pub(crate) enum SendKey {
     /// A provider's exec frame of round `qid`.
     Exec(QueryId),
     /// The index lookup of `pattern` for round `qid`.
@@ -42,7 +30,7 @@ enum SendKey {
 }
 
 impl SendKey {
-    fn of(msg: &LiveMsg) -> SendKey {
+    pub(crate) fn of(msg: &LiveMsg) -> SendKey {
         match msg {
             LiveMsg::SubQuerySol { qid, .. }
             | LiveMsg::ShuffleExec { qid, .. }
@@ -151,7 +139,7 @@ impl CoordinatorCore {
         }
     }
 
-    fn on_event(&mut self, from: NodeId, msg: LiveMsg) -> Vec<Action> {
+    pub(crate) fn on_event(&mut self, from: NodeId, msg: LiveMsg) -> Vec<Action> {
         match msg {
             LiveMsg::SubmitSol { qid, pattern, filter, bound } => {
                 self.on_submit(qid, vec![pattern], RoundKind::Chained { filter, bound })
@@ -485,7 +473,7 @@ impl CoordinatorCore {
     /// target's current attempt (Sect. III-D): the transport already
     /// knows the peer is unreachable, so waiting out the deadline would
     /// only delay the retry/purge.
-    fn on_send_failed(&mut self, to: NodeId, key: SendKey) -> Vec<Action> {
+    pub(crate) fn on_send_failed(&mut self, to: NodeId, key: SendKey) -> Vec<Action> {
         self.stats.add_send_failures(1);
         match key {
             SendKey::Exec(qid) => match self.exec_attempt(qid, to) {
@@ -531,53 +519,6 @@ impl CoordinatorCore {
         let answer = LiveAnswer { solutions, complete, failed_providers: q.failed };
         actions.push(Action::Finish { qid, answer });
         actions
-    }
-}
-
-/// The coordinator node: hosts the state machine, executes its actions
-/// (turning failed sends back into events), and hands finished answers
-/// to the waiting caller.
-pub(crate) struct Coordinator {
-    core: CoordinatorCore,
-    pending: PendingMap,
-}
-
-impl Coordinator {
-    /// Hosts `core`, answering into the host's `pending` map.
-    pub(crate) fn new(core: CoordinatorCore, pending: PendingMap) -> Self {
-        Coordinator { core, pending }
-    }
-
-    /// Executes the state machine's actions in order, every frame sent
-    /// as it stands. A failed send feeds back into the state machine,
-    /// whose reaction (a retransmission, a purge, a finish) joins the
-    /// queue.
-    fn run(&mut self, first: Vec<Action>, out: &Outbox<LiveMsg>) {
-        let mut actions: VecDeque<Action> = first.into();
-        while let Some(action) = actions.pop_front() {
-            match action {
-                Action::Send { to, msg } => {
-                    let key = SendKey::of(&msg);
-                    if !out.send(to, msg) {
-                        actions.extend(self.core.on_send_failed(to, key));
-                    }
-                }
-                Action::Schedule { after, msg } => out.schedule(after, msg),
-                Action::Finish { qid, answer } => {
-                    // Removing the sender is what makes "done" single-shot.
-                    if let Some(tx) = lock(&self.pending).remove(&qid) {
-                        let _ = tx.send(answer);
-                    }
-                }
-            }
-        }
-    }
-}
-
-impl Handler<LiveMsg> for Coordinator {
-    fn on_message(&mut self, envelope: Envelope<LiveMsg>, out: &Outbox<LiveMsg>) {
-        let actions = self.core.on_event(envelope.from, envelope.payload);
-        self.run(actions, out);
     }
 }
 

@@ -3,14 +3,15 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use rdfmesh_net::{Cluster, Envelope, Handler, NodeId, Outbox};
+use rdfmesh_net::{Cluster, NodeId};
 use rdfmesh_overlay::{key_for_pattern, keys_for_triple};
 use rdfmesh_rdf::SharedStore;
 
-use super::{lock, rlock, LiveMsg, RingView, SharedTable};
+use super::{lock, rlock, Action, LiveMsg, RingView, SharedTable};
 use crate::stats::LiveStats;
 
 pub(crate) struct IndexNode {
+    me: NodeId,
     /// key id → providers (this node's location table). Shared with the
     /// [`LiveMesh`] handle so tests and operators can observe the lazy
     /// removal without an extra probe protocol.
@@ -25,18 +26,76 @@ pub(crate) struct IndexNode {
 }
 
 impl IndexNode {
-    /// An index node serving `table`, routing by the shared `ring_view`.
+    /// The index node at `me`, serving `table`, routing by the shared
+    /// `ring_view`.
     pub(crate) fn new(
+        me: NodeId,
         table: SharedTable,
         space: rdfmesh_chord::IdSpace,
         ring_view: RingView,
         stats: Arc<LiveStats>,
     ) -> Self {
-        IndexNode { table, space, ring_view, stats }
+        IndexNode { me, table, space, ring_view, stats }
     }
 
     fn owner_of(&self, key: u64) -> NodeId {
         owner_in_view(&rlock(&self.ring_view), key)
+    }
+
+    /// Answers a lookup from the location table, purges a dead provider
+    /// from it, or files a publication — routing the first two on to the
+    /// key's owner when that is another index node.
+    pub(crate) fn on_event(&mut self, _from: NodeId, msg: LiveMsg) -> Vec<Action> {
+        match msg {
+            LiveMsg::Lookup { qid, pattern, reply_to } => {
+                let Some(k) = key_for_pattern(self.space, &pattern) else {
+                    let msg = LiveMsg::Providers { qid, pattern, providers: Vec::new() };
+                    return vec![Action::Send { to: reply_to, msg }];
+                };
+                let owner = self.owner_of(k.id.0);
+                if owner != self.me {
+                    let msg = LiveMsg::Lookup { qid, pattern, reply_to };
+                    return vec![Action::Send { to: owner, msg }];
+                }
+                let providers = lock(&self.table).get(&k.id.0).cloned().unwrap_or_default();
+                let msg = LiveMsg::Providers { qid, pattern, providers };
+                vec![Action::Send { to: reply_to, msg }]
+            }
+            LiveMsg::ProviderDead { pattern, provider } => {
+                let Some(k) = key_for_pattern(self.space, &pattern) else { return Vec::new() };
+                let owner = self.owner_of(k.id.0);
+                if owner != self.me {
+                    let msg = LiveMsg::ProviderDead { pattern, provider };
+                    return vec![Action::Send { to: owner, msg }];
+                }
+                let mut table = lock(&self.table);
+                if let Some(row) = table.get_mut(&k.id.0) {
+                    let before = row.len();
+                    row.retain(|p| *p != provider);
+                    let removed = (before - row.len()) as u64;
+                    if row.is_empty() {
+                        table.remove(&k.id.0);
+                    }
+                    drop(table);
+                    self.stats.add_providers_purged(removed);
+                }
+                Vec::new()
+            }
+            LiveMsg::Publish { keys, provider } => {
+                // Registration: idempotent row inserts, so a serve-mode
+                // republish after a membership change converges instead
+                // of duplicating.
+                let mut table = lock(&self.table);
+                for key in keys {
+                    let row = table.entry(key).or_default();
+                    if !row.contains(&provider) {
+                        row.push(provider);
+                    }
+                }
+                Vec::new()
+            }
+            _ => Vec::new(),
+        }
     }
 }
 
@@ -74,64 +133,5 @@ pub(crate) fn publish(
     }
     for (owner, keys) in by_owner {
         cluster.inject(provider, owner, LiveMsg::Publish { keys, provider });
-    }
-}
-
-impl Handler<LiveMsg> for IndexNode {
-    fn on_message(&mut self, envelope: Envelope<LiveMsg>, out: &Outbox<LiveMsg>) {
-        match envelope.payload {
-            LiveMsg::Lookup { qid, pattern, reply_to } => {
-                match key_for_pattern(self.space, &pattern) {
-                    None => {
-                        out.send(
-                            reply_to,
-                            LiveMsg::Providers { qid, pattern, providers: Vec::new() },
-                        );
-                    }
-                    Some(k) => {
-                        let owner = self.owner_of(k.id.0);
-                        if owner == out.me() {
-                            let providers =
-                                lock(&self.table).get(&k.id.0).cloned().unwrap_or_default();
-                            out.send(reply_to, LiveMsg::Providers { qid, pattern, providers });
-                        } else {
-                            out.send(owner, LiveMsg::Lookup { qid, pattern, reply_to });
-                        }
-                    }
-                }
-            }
-            LiveMsg::ProviderDead { pattern, provider } => {
-                let Some(k) = key_for_pattern(self.space, &pattern) else { return };
-                let owner = self.owner_of(k.id.0);
-                if owner != out.me() {
-                    out.send(owner, LiveMsg::ProviderDead { pattern, provider });
-                    return;
-                }
-                let mut table = lock(&self.table);
-                if let Some(row) = table.get_mut(&k.id.0) {
-                    let before = row.len();
-                    row.retain(|p| *p != provider);
-                    let removed = (before - row.len()) as u64;
-                    if row.is_empty() {
-                        table.remove(&k.id.0);
-                    }
-                    drop(table);
-                    self.stats.add_providers_purged(removed);
-                }
-            }
-            LiveMsg::Publish { keys, provider } => {
-                // Registration: idempotent row inserts, so a serve-mode
-                // republish after a membership change converges instead
-                // of duplicating.
-                let mut table = lock(&self.table);
-                for key in keys {
-                    let row = table.entry(key).or_default();
-                    if !row.contains(&provider) {
-                        row.push(provider);
-                    }
-                }
-            }
-            _ => {}
-        }
     }
 }

@@ -12,8 +12,8 @@ use rdfmesh_overlay::{key_for_pattern, Overlay};
 use rdfmesh_rdf::TriplePattern;
 
 use super::{
-    index_keys, lock, owner_in_view, publish, rlock, Coordinator, CoordinatorCore, IndexNode,
-    LiveMsg, LiveStorage, PendingMap, RingView, RoundClient, SharedFlood, SharedTable,
+    index_keys, lock, owner_in_view, publish, rlock, CoordinatorCore, IndexNode, LiveMsg,
+    LiveStorage, PendingMap, RingView, Role, RoundClient, SharedFlood, SharedTable,
 };
 use crate::config::LiveConfig;
 use crate::stats::LiveStats;
@@ -105,20 +105,22 @@ impl LiveMesh {
         for ix in &index_nodes {
             let table: SharedTable = Arc::new(Mutex::new(HashMap::new()));
             shared_tables.insert(*ix, Arc::clone(&table));
-            let node = IndexNode::new(table, space, Arc::clone(&ring_view), Arc::clone(&stats));
-            nodes.push((*ix, Box::new(node)));
+            let node =
+                IndexNode::new(*ix, table, space, Arc::clone(&ring_view), Arc::clone(&stats));
+            nodes.push((*ix, Box::new(Role::Index(node))));
         }
         let mut flood: Vec<NodeId> = Vec::new();
         for storage in overlay.storage_nodes() {
             let store = overlay.storage_node(storage).expect("listed").store.clone();
-            nodes.push((storage, Box::new(LiveStorage::new(store, Arc::clone(&stats)))));
+            let node = LiveStorage::new(storage, store, Arc::clone(&stats));
+            nodes.push((storage, Box::new(Role::Storage(node))));
             flood.push(storage);
         }
         flood.sort();
         let flood: SharedFlood = Arc::new(RwLock::new(flood));
         let index = index_nodes[0];
         let core = CoordinatorCore::new(COORDINATOR, index, cfg, space, flood, Arc::clone(&stats));
-        nodes.push((COORDINATOR, Box::new(Coordinator::new(core, Arc::clone(&pending)))));
+        nodes.push((COORDINATOR, Box::new(Role::Coordinator(core, Arc::clone(&pending)))));
         let cluster = Arc::new(match transport {
             Transport::Threads => Cluster::spawn_with(nodes, plan),
             Transport::Sockets => Cluster::spawn_loopback(nodes, plan)?,

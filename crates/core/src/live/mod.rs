@@ -1,43 +1,46 @@
-//! The query protocol on real threads, fault-tolerant end to end.
+//! The query protocol's three roles — coordinator, index node, storage
+//! node — and the one host that runs them on a cluster.
 //!
-//! The deterministic [`rdfmesh_net::Network`] measures costs; this module
-//! demonstrates that the same two-level protocol *runs* under genuine
-//! concurrency: every index and storage node is an OS thread, and the
-//! Sect. IV-C basic scheme plays out purely through messages — lookup to
-//! the index node, provider resolution from its location table, parallel
-//! sub-queries to the storage nodes, assembly of their answers.
+//! Every role is a pure state machine: `CoordinatorCore`, `IndexNode` and
+//! `LiveStorage` each consume one event, `on_event(from, msg)`, and
+//! return the actions it calls for — send a frame, schedule a deadline
+//! to itself, finish a round. None holds a channel, a thread, a clock or
+//! an [`rdfmesh_net::Outbox`]; each is told its own address at
+//! construction. `Role` is the one [`Handler`] that runs those actions on
+//! a cluster's `Outbox`, and the simulator (`SimBackend::exec_multiway`)
+//! runs the same coordinator and storage roles over its discrete-event
+//! network instead, pricing each frame at its codec length.
 //!
-//! Unlike the simulator, real threads really do lose messages and crash
-//! mid-query, so the coordinator is a **per-query state machine** keyed
-//! by a fresh [`QueryId`] carried in every [`LiveMsg`]. There is one
-//! machine for every kind of round — a chained solution round over one
-//! pattern, a HyperCube shuffle or a partial evaluation over a whole BGP:
-//! each pattern is a *slot* looked up with an ordinary
-//! [`LiveMsg::Lookup`], the exec frame fans out to the slots' provider
-//! union, and the strategies differ only in that frame's shape, the
-//! reply it earns, and what happens to the gathered replies at the end:
+//! Real threads lose messages and crash mid-query, so the coordinator is
+//! a **per-query state machine** keyed by a fresh [`QueryId`] carried in
+//! every [`LiveMsg`]. There is one machine for every kind of round — a
+//! chained solution round over one pattern, a HyperCube shuffle or a
+//! partial evaluation over a whole BGP: each pattern is a *slot* looked
+//! up with an ordinary [`LiveMsg::Lookup`], the exec frame fans out to
+//! the slots' provider union, and the strategies differ only in that
+//! frame's shape, the reply it earns, and what happens to the gathered
+//! replies at the end:
 //!
-//! * every awaited reply has a deadline ([`Outbox::schedule`] delivers
-//!   the coordinator a [`LiveMsg::Deadline`] message to itself);
+//! * every awaited reply has a deadline (a scheduled
+//!   [`LiveMsg::Deadline`] the coordinator delivers to itself);
 //! * an expired query-ack deadline retransmits once (bounded by
 //!   [`LiveConfig::retries`]), then declares the provider dead — the
-//!   Sect. III-D query-ack timeout on real threads;
+//!   Sect. III-D query-ack timeout;
 //! * a dead provider triggers a [`LiveMsg::ProviderDead`] notification
 //!   to the owning index node, which lazily drops the provider from its
 //!   location-table row (Sect. III-C/D's lazy cleanup);
-//! * a failed [`Outbox::send`] (crashed peer) is treated as an immediate
-//!   ack timeout instead of being silently ignored;
+//! * a failed send (crashed peer) is treated as an immediate ack timeout
+//!   instead of being silently ignored;
 //! * replies that name no in-flight query — late, duplicated, or from a
 //!   previous query — are counted and dropped, never applied.
 //!
 //! A query therefore always terminates within its deadline, returning a
 //! [`LiveAnswer`] whose `complete` flag and `failed_providers` list say
-//! exactly what survived. `docs/FAULTS.md` contrasts this live failure
-//! model with the simulator's; the fault-injection harness lives in
-//! [`rdfmesh_net::FaultPlan`].
+//! exactly what survived. `docs/FAULTS.md` describes the failure model;
+//! the fault-injection harness lives in [`rdfmesh_net::FaultPlan`].
 //!
-//! The same handlers run on one [`rdfmesh_net::Cluster`] over either of
-//! its wires — channels ([`Transport::Threads`]), loopback sockets
+//! The same roles run on one [`rdfmesh_net::Cluster`] over either of its
+//! wires — channels ([`Transport::Threads`]), loopback sockets
 //! ([`Transport::Sockets`]) or one process per peer ([`crate::MeshNode`])
 //! — and every host fills its index tables the same way, by
 //! [`LiveMsg::Publish`]; nothing here touches shared state beyond the
@@ -53,8 +56,7 @@
 //! — have no wire encoding at all (`live_wire.rs`); every transport
 //! delivers an envelope a node addresses to itself to its own mailbox.
 //!
-//! [`Outbox::schedule`]: rdfmesh_net::Outbox::schedule
-//! [`Outbox::send`]: rdfmesh_net::Outbox::send
+//! [`Handler`]: rdfmesh_net::Handler
 //! [`LiveConfig::retries`]: crate::config::LiveConfig::retries
 
 mod client;
@@ -63,11 +65,12 @@ mod index;
 mod mesh;
 mod storage;
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Mutex, RwLock};
+use std::time::Duration;
 
 use crossbeam::channel::Sender;
-use rdfmesh_net::NodeId;
+use rdfmesh_net::{Envelope, Handler, NodeId, Outbox};
 use rdfmesh_rdf::{TriplePattern, Variable};
 use rdfmesh_sparql::expr::Expression;
 use rdfmesh_sparql::solution::Solution;
@@ -75,10 +78,67 @@ use rdfmesh_sparql::solution::Solution;
 use crate::config::DistStrategy;
 
 pub use client::{RoundClient, RoundHandle};
-pub(crate) use coordinator::{Coordinator, CoordinatorCore};
+pub(crate) use coordinator::{CoordinatorCore, SendKey};
 pub(crate) use index::{index_keys, owner_in_view, publish, IndexNode};
 pub use mesh::{LiveMesh, Transport, COORDINATOR};
 pub(crate) use storage::LiveStorage;
+
+/// What a role asks its host to do. Pure data, so tests drive a role
+/// without threads or timers and the simulator prices what it sends.
+#[derive(Debug, Clone)]
+pub(crate) enum Action {
+    /// Send `msg` to `to`.
+    Send { to: NodeId, msg: LiveMsg },
+    /// Deliver `msg` to the acting node itself after `after`: a deadline.
+    Schedule { after: Duration, msg: LiveMsg },
+    /// Round `qid` is over: hand `answer` to whoever waits for it.
+    Finish { qid: QueryId, answer: LiveAnswer },
+}
+
+/// One role as a cluster node hosts it; the coordinator carries the map
+/// its finished answers are handed to.
+pub(crate) enum Role {
+    Coordinator(CoordinatorCore, PendingMap),
+    Index(IndexNode),
+    Storage(LiveStorage),
+}
+
+impl Handler<LiveMsg> for Role {
+    /// Runs the role's actions in order, every frame sent as it stands.
+    /// A failed send feeds back into the coordinator, whose reaction (a
+    /// retransmission, a purge, a finish) joins the queue; the index and
+    /// storage roles have nothing to react with.
+    fn on_message(&mut self, envelope: Envelope<LiveMsg>, out: &Outbox<LiveMsg>) {
+        let (from, msg) = (envelope.from, envelope.payload);
+        let mut actions: VecDeque<Action> = match self {
+            Role::Coordinator(core, _) => core.on_event(from, msg),
+            Role::Index(index) => index.on_event(from, msg),
+            Role::Storage(storage) => storage.on_event(from, msg),
+        }
+        .into();
+        while let Some(action) = actions.pop_front() {
+            match (action, &mut *self) {
+                (Action::Send { to, msg }, Role::Coordinator(core, _)) => {
+                    let key = SendKey::of(&msg);
+                    if !out.send(to, msg) {
+                        actions.extend(core.on_send_failed(to, key));
+                    }
+                }
+                (Action::Send { to, msg }, _) => {
+                    out.send(to, msg);
+                }
+                (Action::Schedule { after, msg }, _) => out.schedule(after, msg),
+                (Action::Finish { qid, answer }, role) => {
+                    // Removing the sender is what makes "done" single-shot.
+                    let Role::Coordinator(_, pending) = role else { continue };
+                    if let Some(tx) = lock(pending).remove(&qid) {
+                        let _ = tx.send(answer);
+                    }
+                }
+            }
+        }
+    }
+}
 
 /// Identifies one in-flight live query. Every protocol message carries
 /// the id of the query it belongs to, so a late or duplicated reply from
@@ -181,9 +241,10 @@ pub enum LiveMsg {
         /// The storage node that failed to answer.
         provider: NodeId,
     },
-    /// A deadline the coordinator scheduled to itself via the cluster
-    /// timer ([`rdfmesh_net::Outbox::schedule`]). A local command: it has
-    /// no wire encoding, so no peer can expire another coordinator's rounds.
+    /// A deadline the coordinator scheduled to itself, which its host
+    /// delivers on the cluster timer ([`rdfmesh_net::Outbox::schedule`]) or
+    /// the simulator's clock. A local command: it has no wire encoding, so
+    /// no peer can expire another coordinator's rounds.
     Deadline {
         /// The owning query.
         qid: QueryId,

@@ -1,21 +1,17 @@
 //! The storage-node role: local execution of shipped sub-queries and
 //! the provider side of the multiway rounds.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
-use rdfmesh_net::{Envelope, Handler, NodeId, Outbox};
+use rdfmesh_net::NodeId;
 use rdfmesh_rdf::{SharedStore, TriplePattern};
 use rdfmesh_sparql::solution::{wire, Solution};
 
-use super::{LiveMsg, QueryId};
+use super::{Action, LiveMsg, QueryId};
 use crate::provider;
 use crate::stats::LiveStats;
 
-/// Per-query state a storage node keeps while a HyperCube shuffle is in
-/// flight: the exec frame and its peers' partitions can arrive in any
-/// order, and a retransmitted exec must re-ship the finished answer
-/// instead of re-scattering partitions.
 /// The retained copy of a [`LiveMsg::ShuffleExec`] frame's fields.
 #[derive(Debug)]
 pub(crate) struct ShuffleExecFrame {
@@ -24,6 +20,10 @@ pub(crate) struct ShuffleExecFrame {
     reply_to: NodeId,
 }
 
+/// Per-query state a storage node keeps while a HyperCube shuffle is in
+/// flight: the exec frame and its peers' partitions can arrive in any
+/// order, and a retransmitted exec must re-ship the finished answer
+/// instead of re-scattering partitions.
 #[derive(Debug, Default)]
 pub(crate) struct ShuffleState {
     /// The shuffle generation the retained state belongs to. Frames
@@ -35,8 +35,10 @@ pub(crate) struct ShuffleState {
     /// consumed by the scatter and not retained).
     exec: Option<ShuffleExecFrame>,
     /// origin peer → its per-pattern partitions destined for this node.
-    /// Keyed by origin, so a retransmitted partition frame is idempotent.
-    received: HashMap<NodeId, Vec<Vec<Solution>>>,
+    /// Keyed by origin, so a retransmitted partition frame is idempotent,
+    /// and ordered, so the fold's rows come out in the same order on every
+    /// run (the simulator's are reproducible bit for bit).
+    received: BTreeMap<NodeId, Vec<Vec<Solution>>>,
     /// The shipped local join, kept for retransmit resends.
     answer: Option<Vec<Solution>>,
 }
@@ -48,6 +50,7 @@ pub(crate) struct ShuffleState {
 const SHUFFLE_STATE_CAP: usize = 1024;
 
 pub(crate) struct LiveStorage {
+    me: NodeId,
     store: SharedStore,
     stats: Arc<LiveStats>,
     /// In-flight HyperCube rounds this node participates in.
@@ -55,16 +58,17 @@ pub(crate) struct LiveStorage {
 }
 
 impl LiveStorage {
-    /// A storage node over `store`, counting into the host's `stats`.
-    pub(crate) fn new(store: SharedStore, stats: Arc<LiveStats>) -> Self {
-        LiveStorage { store, stats, shuffle: HashMap::new() }
+    /// The storage node at `me` over `store`, counting into the host's
+    /// `stats`.
+    pub(crate) fn new(me: NodeId, store: SharedStore, stats: Arc<LiveStats>) -> Self {
+        LiveStorage { me, store, stats, shuffle: HashMap::new() }
     }
 
-    /// Ships a reply or partition frame, counting the solutions it
-    /// carries: rows and their encoded bytes, as shuffle traffic for a
+    /// A reply or partition frame to send, with the solutions it carries
+    /// counted: rows and their encoded bytes, as shuffle traffic for a
     /// peer-to-peer [`LiveMsg::ShufflePart`] and as shipped solutions
     /// for everything that returns to the coordinator.
-    fn ship(stats: &LiveStats, out: &Outbox<LiveMsg>, to: NodeId, frame: LiveMsg) {
+    fn ship(stats: &LiveStats, to: NodeId, frame: LiveMsg) -> Action {
         let sets = match &frame {
             LiveMsg::Solutions { solutions, .. } => std::slice::from_ref(solutions),
             LiveMsg::PartialMatches { per_pattern: sets, .. }
@@ -80,7 +84,7 @@ impl LiveStorage {
             stats.add_solutions_shipped(rows);
             stats.add_solution_bytes(bytes);
         }
-        out.send(to, frame);
+        Action::Send { to, msg: frame }
     }
 
     /// Admits a new shuffle entry, evicting retired rounds' leftovers
@@ -95,30 +99,33 @@ impl LiveStorage {
         self.shuffle.entry(qid).or_default()
     }
 
-    /// Ships the local join ([`provider::fold`]) of this node's own
-    /// partition slice and every [`LiveMsg::ShufflePart`] addressed to
-    /// it, once the exec frame and every peer's partitions are in.
-    fn try_finish_shuffle(&mut self, qid: QueryId, out: &Outbox<LiveMsg>) {
-        let Some(st) = self.shuffle.get_mut(&qid) else { return };
-        let Some(ShuffleExecFrame { patterns, peers, reply_to }) = &st.exec else { return };
+    /// The frame shipping the local join ([`provider::fold`]) of this
+    /// node's own partition slice and every [`LiveMsg::ShufflePart`]
+    /// addressed to it, once the exec frame and every peer's partitions
+    /// are in.
+    fn try_finish_shuffle(&mut self, qid: QueryId) -> Option<Action> {
+        let st = self.shuffle.get_mut(&qid)?;
+        let ShuffleExecFrame { patterns, peers, reply_to } = st.exec.as_ref()?;
         if st.answer.is_some() || st.received.len() < peers.len() {
-            return;
+            return None;
         }
         let solutions = provider::fold(patterns.len(), st.received.values());
         let reply = LiveMsg::Solutions { qid, solutions: solutions.clone() };
-        Self::ship(&self.stats, out, *reply_to, reply);
+        let shipped = Self::ship(&self.stats, *reply_to, reply);
         st.answer = Some(solutions);
+        Some(shipped)
     }
-}
 
-impl Handler<LiveMsg> for LiveStorage {
-    fn on_message(&mut self, envelope: Envelope<LiveMsg>, out: &Outbox<LiveMsg>) {
-        let from = envelope.from;
-        match envelope.payload {
+    /// Answers a sub-query or a partial evaluation from the local store,
+    /// or takes one step of a HyperCube shuffle: scatter on the exec
+    /// frame, collect on a partition, ship the local join once both are
+    /// complete, retire on [`LiveMsg::MultiDone`].
+    pub(crate) fn on_event(&mut self, from: NodeId, msg: LiveMsg) -> Vec<Action> {
+        match msg {
             LiveMsg::SubQuerySol { qid, pattern, filter, bound, reply_to } => {
                 let solutions =
                     provider::answer(&self.store, &pattern, filter.as_ref(), bound.as_deref());
-                Self::ship(&self.stats, out, reply_to, LiveMsg::Solutions { qid, solutions });
+                vec![Self::ship(&self.stats, reply_to, LiveMsg::Solutions { qid, solutions })]
             }
             LiveMsg::ShuffleExec { qid, round, patterns, join_vars, peers, reply_to } => {
                 // A newer generation supersedes any retained state: the
@@ -128,16 +135,18 @@ impl Handler<LiveMsg> for LiveStorage {
                 }
                 if let Some(st) = self.shuffle.get(&qid) {
                     if round < st.round {
-                        return; // exec from an abandoned generation
+                        return Vec::new(); // exec from an abandoned generation
                     }
                     if let Some(answer) = st.answer.clone() {
                         // Retransmitted exec after the answer already
-                        // shipped: resend it (the coordinator dedups).
-                        out.send(reply_to, LiveMsg::Solutions { qid, solutions: answer });
-                        return;
+                        // shipped: resend it (the coordinator dedups),
+                        // counted like the first.
+                        let reply = LiveMsg::Solutions { qid, solutions: answer };
+                        return vec![Self::ship(&self.stats, reply_to, reply)];
                     }
                 }
-                let me = out.me();
+                let me = self.me;
+                let mut actions = Vec::new();
                 self.shuffle_entry(qid).round = round;
                 if self.shuffle_entry(qid).exec.is_none() {
                     let parts = provider::scatter(&self.store, &patterns, &join_vars, peers.len());
@@ -146,13 +155,14 @@ impl Handler<LiveMsg> for LiveStorage {
                             self.shuffle_entry(qid).received.insert(me, mine);
                         } else {
                             let part = LiveMsg::ShufflePart { qid, round, parts: mine };
-                            Self::ship(&self.stats, out, *peer, part);
+                            actions.push(Self::ship(&self.stats, *peer, part));
                         }
                     }
                     self.shuffle_entry(qid).exec =
                         Some(ShuffleExecFrame { patterns, peers, reply_to });
                 }
-                self.try_finish_shuffle(qid, out);
+                actions.extend(self.try_finish_shuffle(qid));
+                actions
             }
             LiveMsg::ShufflePart { qid, round, parts } => {
                 // A partition of a newer generation can outrun its exec
@@ -163,11 +173,11 @@ impl Handler<LiveMsg> for LiveStorage {
                 }
                 let entry = self.shuffle_entry(qid);
                 if round < entry.round {
-                    return; // partition from an abandoned generation
+                    return Vec::new(); // partition from an abandoned generation
                 }
                 entry.round = round;
                 entry.received.entry(from).or_insert(parts);
-                self.try_finish_shuffle(qid, out);
+                self.try_finish_shuffle(qid).into_iter().collect()
             }
             LiveMsg::PartialExec { qid, patterns, reply_to } => {
                 // Partial evaluation: answer every pattern over local
@@ -178,12 +188,13 @@ impl Handler<LiveMsg> for LiveStorage {
                     .map(|p| provider::answer(&self.store, p, None, None))
                     .collect();
                 let reply = LiveMsg::PartialMatches { qid, per_pattern };
-                Self::ship(&self.stats, out, reply_to, reply);
+                vec![Self::ship(&self.stats, reply_to, reply)]
             }
             LiveMsg::MultiDone { qid } => {
                 self.shuffle.remove(&qid);
+                Vec::new()
             }
-            _ => {}
+            _ => Vec::new(),
         }
     }
 }
@@ -191,44 +202,65 @@ impl Handler<LiveMsg> for LiveStorage {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rdfmesh_net::Cluster;
-    use rdfmesh_rdf::TripleStore;
-    use std::sync::atomic::{AtomicU64, Ordering};
-    use std::time::Duration;
+    use rdfmesh_rdf::{Term, TermPattern, Triple, TripleStore, Variable};
 
-    /// A storage node that reports its shuffle-map size after every
-    /// message, so a test can watch it from outside the node's thread.
-    struct WatchedStorage {
-        inner: LiveStorage,
-        entries: Arc<AtomicU64>,
-    }
+    const ME: NodeId = NodeId(1);
+    const COORDINATOR: NodeId = NodeId(9);
 
-    impl Handler<LiveMsg> for WatchedStorage {
-        fn on_message(&mut self, envelope: Envelope<LiveMsg>, out: &Outbox<LiveMsg>) {
-            self.inner.on_message(envelope, out);
-            self.entries.store(self.inner.shuffle.len() as u64, Ordering::SeqCst);
+    fn storage(triples: &[Triple]) -> LiveStorage {
+        let mut store = TripleStore::new();
+        for t in triples {
+            store.insert(t);
         }
+        LiveStorage::new(ME, store.into(), Arc::new(LiveStats::default()))
     }
 
     #[test]
     fn partitions_arriving_after_multi_done_cannot_grow_the_shuffle_map_unboundedly() {
-        let (node, peer) = (NodeId(1), NodeId(2));
-        let entries = Arc::new(AtomicU64::new(0));
-        let storage = WatchedStorage {
-            inner: LiveStorage::new(TripleStore::new().into(), Arc::new(LiveStats::default())),
-            entries: Arc::clone(&entries),
-        };
-        let cluster = Cluster::spawn(vec![(node, Box::new(storage) as Box<dyn Handler<LiveMsg>>)]);
+        let (mut node, peer) = (storage(&[]), NodeId(2));
         // Every round below is already retired when its partition lands:
         // no exec frame will ever come, and no second MultiDone.
-        cluster.inject(peer, node, LiveMsg::MultiDone { qid: QueryId(0) });
+        node.on_event(peer, LiveMsg::MultiDone { qid: QueryId(0) });
         for q in 0..=SHUFFLE_STATE_CAP as u64 {
             let part = LiveMsg::ShufflePart { qid: QueryId(q), round: 0, parts: vec![Vec::new()] };
-            cluster.inject(peer, node, part);
+            assert!(node.on_event(peer, part).is_empty(), "no exec frame, nothing to ship");
         }
-        assert!(cluster.barrier(node, Duration::from_secs(10)));
-        let left = entries.load(Ordering::SeqCst) as usize;
+        let left = node.shuffle.len();
         assert!((1..=SHUFFLE_STATE_CAP).contains(&left), "{left} orphaned entries retained");
-        cluster.shutdown();
+    }
+
+    #[test]
+    fn a_retransmitted_shuffle_exec_resends_the_answer_and_counts_it() {
+        let knows = Term::iri(rdfmesh_rdf::vocab::foaf::KNOWS);
+        let person = |n: &str| Term::iri(&format!("http://example.org/{n}"));
+        let mut node = storage(&[
+            Triple::new(person("alice"), knows.clone(), person("bob")),
+            Triple::new(person("carol"), knows.clone(), person("bob")),
+        ]);
+        let exec = LiveMsg::ShuffleExec {
+            qid: QueryId(7),
+            round: 0,
+            patterns: vec![TriplePattern::new(TermPattern::var("x"), knows, TermPattern::var("y"))],
+            join_vars: vec![Variable::new("x")],
+            peers: vec![ME],
+            reply_to: COORDINATOR,
+        };
+        // A shuffle over this node alone: its own partition completes it.
+        let answer = |actions: &[Action]| match actions {
+            [Action::Send { to, msg: LiveMsg::Solutions { qid: QueryId(7), solutions } }] => {
+                assert_eq!(*to, COORDINATOR);
+                solutions.clone()
+            }
+            other => panic!("expected one Solutions frame, got {other:?}"),
+        };
+        let first = answer(&node.on_event(COORDINATOR, exec.clone()));
+        assert_eq!(first.len(), 2);
+        let once = node.stats.snapshot();
+        assert_eq!(once.solutions_shipped, 2);
+        assert_eq!(answer(&node.on_event(COORDINATOR, exec)), first, "the retained answer");
+        let twice = node.stats.snapshot();
+        assert_eq!(twice.solutions_shipped, 2 * once.solutions_shipped);
+        assert_eq!(twice.solution_bytes, 2 * once.solution_bytes);
+        assert_eq!(twice.shuffle_parts, 0, "no partition is scattered again");
     }
 }

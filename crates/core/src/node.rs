@@ -43,8 +43,8 @@ use rdfmesh_sparql::solution::wire::{put_str, put_u64, Reader, WireError};
 
 use crate::config::LiveConfig;
 use crate::live::{
-    index_keys, lock, owner_in_view, publish, rlock, wlock, Coordinator, CoordinatorCore,
-    IndexNode, LiveMsg, LiveStorage, PendingMap, RingView, RoundClient, SharedFlood, SharedTable,
+    index_keys, lock, owner_in_view, publish, rlock, wlock, CoordinatorCore, IndexNode, LiveMsg,
+    LiveStorage, PendingMap, RingView, Role, RoundClient, SharedFlood, SharedTable,
 };
 use crate::stats::LiveStats;
 
@@ -304,7 +304,8 @@ impl MeshNode {
         let flood: SharedFlood = Arc::new(std::sync::RwLock::new(vec![storage_id]));
         let table: SharedTable = Arc::new(Mutex::new(HashMap::new()));
 
-        let index = IndexNode::new(table, space, Arc::clone(&ring_view), Arc::clone(&stats));
+        let index =
+            IndexNode::new(index_id, table, space, Arc::clone(&ring_view), Arc::clone(&stats));
         let core = CoordinatorCore::new(
             coord_id,
             index_id,
@@ -313,10 +314,11 @@ impl MeshNode {
             Arc::clone(&flood),
             Arc::clone(&stats),
         );
+        let storage = LiveStorage::new(storage_id, store, Arc::clone(&stats));
         let nodes: Vec<(NodeId, Box<dyn Handler<LiveMsg>>)> = vec![
-            (storage_id, Box::new(LiveStorage::new(store, Arc::clone(&stats)))),
-            (index_id, Box::new(index)),
-            (coord_id, Box::new(Coordinator::new(core, Arc::clone(&pending)))),
+            (storage_id, Box::new(Role::Storage(storage))),
+            (index_id, Box::new(Role::Index(index))),
+            (coord_id, Box::new(Role::Coordinator(core, Arc::clone(&pending)))),
         ];
         let cluster = Arc::new(Cluster::bind(listen, nodes, FaultPlan::new())?);
         let addr = cluster.local_addr().expect("a bound cluster has a listener");

@@ -8,10 +8,16 @@
 //! set is charged to the simulated network, so executing an [`ExecPlan`](crate::ExecPlan)
 //! through this backend produces byte-identical [`QueryStats`] to the
 //! monolithic engine it was carved out of (locked by the
-//! `exec_golden` twin-run fixture in rdfmesh-bench).
+//! `exec_golden` twin-run fixture in rdfmesh-bench). A multiway round is
+//! not priced here at all: the mesh's own coordinator and storage roles
+//! run it over the simulated network (`exec_multiway`).
+
+use std::collections::{HashMap, VecDeque};
+use std::sync::{Arc, RwLock};
+use std::time::Duration;
 
 use rdfmesh_cache::{QueryCache, ResultEntry};
-use rdfmesh_net::{NodeId, SimTime};
+use rdfmesh_net::{NodeId, Scheduler, SimTime, WireMsg};
 use rdfmesh_obs::{names, phase, SpanId};
 use rdfmesh_overlay::{wire, Located, Overlay, Provider};
 use rdfmesh_rdf::{SharedStore, TriplePattern, Variable};
@@ -20,11 +26,12 @@ use rdfmesh_sparql::{
     solution::{self, DistinctBuffer, Solution, SolutionSet},
 };
 
-use crate::config::{DistStrategy, ExecConfig, JoinSiteStrategy, PrimitiveStrategy};
+use crate::config::{DistStrategy, ExecConfig, JoinSiteStrategy, LiveConfig, PrimitiveStrategy};
 use crate::engine::{EngineError, FrequencyEstimator};
 use crate::exec::{collect_patterns, Mat, MeshBackend, OpKind, PrimitiveOp};
+use crate::live::{Action, CoordinatorCore, LiveMsg, LiveStorage, QueryId, SendKey};
 use crate::provider;
-use crate::stats::QueryStats;
+use crate::stats::{LiveStats, LiveStatsSnapshot, QueryStats};
 
 /// A sub-query as a storage node receives it (Fig. 3): the pattern, the
 /// filter pushed to the source (Sect. IV-G) and the intermediate
@@ -51,7 +58,7 @@ impl SubQuery<'_> {
 
 /// What the sender of an [`SimBackend::exchange`] gets back, which is
 /// what decides how the reply leg is priced.
-#[derive(Clone, Copy, PartialEq)]
+#[derive(Clone, Copy)]
 enum Reply {
     /// The node's solutions, shipped to the named node.
     Solutions(NodeId),
@@ -60,8 +67,6 @@ enum Reply {
     Ack(NodeId),
     /// Nothing: the solutions ride on with the next chain hop.
     Forwarded,
-    /// Nothing yet: the frame only starts a shuffle, priced as it runs.
-    Started,
 }
 
 /// Which lookup leg [`SimBackend::resolve`] runs: who asks the two-level
@@ -99,6 +104,25 @@ fn nowhere(located: &Located) -> Mat {
 
 fn shipping_span(label: &str, at: SimTime) -> Option<SpanId> {
     rdfmesh_obs::begin_current(phase::SHIPPING, label, at.0)
+}
+
+/// A multiway round's lookup and overall deadlines, in simulated time:
+/// far enough that a lossless simulated network always answers first —
+/// a backstop, not a knob.
+const BACKSTOP: Duration = Duration::from_secs(3600);
+
+/// Whether `msg` is addressed to the storage role (every [`LiveMsg`] has
+/// exactly one recipient role; the index answers `Lookup`, the
+/// coordinator everything else).
+fn for_storage(msg: &LiveMsg) -> bool {
+    matches!(
+        msg,
+        LiveMsg::SubQuerySol { .. }
+            | LiveMsg::ShuffleExec { .. }
+            | LiveMsg::ShufflePart { .. }
+            | LiveMsg::PartialExec { .. }
+            | LiveMsg::MultiDone { .. }
+    )
 }
 
 /// The simulated-overlay backend: executes plan operators against the
@@ -238,18 +262,14 @@ impl<'a> SimBackend<'a> {
         reply: Reply,
         work: impl FnOnce(&SharedStore) -> Vec<SolutionSet>,
     ) -> (Option<Vec<SolutionSet>>, SimTime) {
-        let sent = self.overlay.net.send(from, to, bytes, depart);
-        self.note_provider_contacted();
+        let sent = self.contact((from, to), bytes, depart);
         let Some(node) = self.overlay.storage_node(to) else {
             return (None, sent + self.cfg.ack_timeout);
         };
         let sets = work(&node.store);
         let rows: usize = sets.iter().map(Vec::len).sum();
-        if reply != Reply::Started {
-            self.note_local_exec(to, rows, sent);
-        }
+        self.note_local_exec(to, rows, sent);
         let done = match reply {
-            Reply::Started => sent,
             Reply::Ack(back) => self.overlay.net.send(to, back, wire::ACK, sent),
             Reply::Forwarded => {
                 self.note_intermediates(rows);
@@ -263,6 +283,12 @@ impl<'a> SimBackend<'a> {
             }
         };
         (Some(sets), done)
+    }
+
+    /// One frame to storage node `to`, charged, and the contact counted.
+    fn contact(&mut self, (from, to): (NodeId, NodeId), bytes: usize, depart: SimTime) -> SimTime {
+        self.note_provider_contacted();
+        self.overlay.net.send(from, to, bytes, depart)
     }
 
     pub(crate) fn check_initiator(&self, addr: NodeId) -> Result<(), EngineError> {
@@ -828,174 +854,6 @@ impl<'a> SimBackend<'a> {
         self.close_shipping(span, ready, &[]);
         Mat { solutions: mat.solutions, site, ready }
     }
-
-    // ---- multiway distribution strategies (ExecNode::MultiJoin) --------
-
-    /// Resolves every pattern slot's provider set up front (charged
-    /// lookups from the initiator's entry node). A keyless all-variable
-    /// slot has no index row to consult, so it names every storage node
-    /// in the dataset — the flood fallback of Sect. IV-B. Returns the
-    /// per-slot provider lists and the time the last lookup resolves.
-    fn multiway_providers(
-        &mut self,
-        patterns: &[TriplePattern],
-        depart: SimTime,
-    ) -> Result<(Vec<Vec<NodeId>>, SimTime), EngineError> {
-        let mut slots = Vec::with_capacity(patterns.len());
-        let mut resolved = depart;
-        for pattern in patterns {
-            match self.resolve(pattern, depart, Leg::Step)? {
-                Resolved::Row(located) => {
-                    resolved = resolved.max(located.arrival);
-                    slots.push(located.providers.into_iter().map(|p| p.node).collect::<Vec<_>>());
-                }
-                Resolved::Keyless(_) => {
-                    let mut all = self.overlay.storage_nodes();
-                    all.retain(|s| self.in_scope(*s));
-                    slots.push(all);
-                }
-            }
-        }
-        Ok((slots, resolved))
-    }
-
-    /// HyperCube shuffle: every provider evaluates each pattern locally,
-    /// hashes each solution's join-variable bindings to a shuffle target
-    /// (`exec::shuffle_partition`), and ships each partition exactly
-    /// once, peer to peer. Every target then joins its partitions
-    /// locally and returns one answer fragment to the initiator — a
-    /// single communication round with no coordinator relay of
-    /// intermediates.
-    fn multiway_hypercube(
-        &mut self,
-        patterns: &[TriplePattern],
-        join_vars: &[Variable],
-        peers: &[NodeId],
-        t0: SimTime,
-    ) -> Result<Mat, EngineError> {
-        let metrics = rdfmesh_obs::metrics();
-        let exec_bytes = |k: usize| {
-            wire::SUBQUERY_HEADER
-                + patterns.iter().map(TriplePattern::serialized_len).sum::<usize>()
-                + 8 * k // the peer list every node partitions against
-        };
-        let span =
-            shipping_span(&format!("hypercube shuffle across {} providers", peers.len()), t0);
-        // Phase A: fan the exec frame out. A dead peer costs one ack
-        // timeout and is dropped; mirroring the live protocol's
-        // generation bump, the shuffle then restarts over the survivors
-        // (a second exec fan-out) so only the dead peer's data is lost.
-        let mut alive: Vec<NodeId> = Vec::with_capacity(peers.len());
-        let mut dead = Vec::new();
-        let mut lost = t0;
-        for &peer in peers {
-            let frame = exec_bytes(peers.len());
-            let (up, at) =
-                self.exchange((self.initiator, peer), frame, t0, Reply::Started, |_| Vec::new());
-            match up {
-                Some(_) => alive.push(peer),
-                None => {
-                    lost = lost.max(at);
-                    dead.push(peer);
-                }
-            }
-        }
-        let k = alive.len();
-        if k == 0 {
-            self.close_shipping(span, lost, &dead);
-            return Ok(Mat { solutions: Vec::new(), site: self.initiator, ready: lost });
-        }
-        // Phase B: scatter. received[target] collects every origin's
-        // partitions for it; at_target is when the last of them lands.
-        let mut received: Vec<Vec<Vec<SolutionSet>>> = vec![Vec::with_capacity(k); k];
-        let mut at_target = vec![t0; k];
-        for (origin, &peer) in alive.iter().enumerate() {
-            let sent = if dead.is_empty() {
-                self.overlay.net.transfer_time(self.initiator, peer, exec_bytes(k)) + t0
-            } else {
-                // Restart fan-out: the survivors re-execute under the
-                // bumped generation, paid after the failure detection.
-                self.overlay.net.send(self.initiator, peer, exec_bytes(k), lost)
-            };
-            let store = &self.overlay.storage_node(peer).expect("answered the exec frame").store;
-            // Empty partitions ship too (a header-only frame): targets
-            // need one frame per origin to know the scatter is complete.
-            let outbound = provider::scatter(store, patterns, join_vars, k);
-            let produced: usize = outbound.iter().flatten().map(Vec::len).sum();
-            self.note_local_exec(peer, produced, sent);
-            self.note_intermediates(produced);
-            for (ti, sets) in outbound.into_iter().enumerate() {
-                if ti != origin {
-                    let rows: usize = sets.iter().map(Vec::len).sum();
-                    let bytes = wire::RESULT_HEADER
-                        + sets.iter().map(|set| solution::serialized_len(set)).sum::<usize>();
-                    if metrics.is_enabled() {
-                        metrics.add(names::EXEC_STRATEGY_SHUFFLE_PARTS, rows as u64);
-                        metrics.add(names::EXEC_STRATEGY_SHUFFLE_BYTES, bytes as u64);
-                    }
-                    let arrived = self.overlay.net.send(peer, alive[ti], bytes, sent);
-                    at_target[ti] = at_target[ti].max(arrived);
-                } else {
-                    at_target[ti] = at_target[ti].max(sent);
-                }
-                received[ti].push(sets);
-            }
-        }
-        // Phase C: each target folds its fragments into a local join and
-        // returns its answer fragment to the initiator.
-        let mut union = DistinctBuffer::new();
-        let mut ready = lost;
-        for (ti, origins) in received.iter().enumerate() {
-            let acc = provider::fold(patterns.len(), origins);
-            self.note_local_exec(alive[ti], acc.len(), at_target[ti]);
-            self.note_intermediates(acc.len());
-            let bytes = wire::RESULT_HEADER + solution::serialized_len(&acc);
-            let back = self.overlay.net.send(alive[ti], self.initiator, bytes, at_target[ti]);
-            ready = ready.max(back);
-            union.extend_distinct(acc);
-        }
-        self.close_shipping(span, ready, &dead);
-        Ok(Mat { solutions: union.into_vec(), site: self.initiator, ready })
-    }
-
-    /// Partial evaluation and assembly: every provider evaluates the
-    /// whole BGP over its local data and ships its per-pattern match
-    /// sets back in one reply; the initiator assembles cross-site rows
-    /// with a fold join. Rows no single provider could produce alone
-    /// feed the `exec.strategy.assembly_stitched_rows` counter.
-    fn multiway_partial(
-        &mut self,
-        patterns: &[TriplePattern],
-        peers: &[NodeId],
-        t0: SimTime,
-    ) -> Result<Mat, EngineError> {
-        let metrics = rdfmesh_obs::metrics();
-        let exec_bytes = wire::SUBQUERY_HEADER
-            + patterns.iter().map(TriplePattern::serialized_len).sum::<usize>();
-        let span =
-            shipping_span(&format!("partial evaluation at {} providers", peers.len()), t0);
-        let mut replies = Vec::with_capacity(peers.len());
-        let mut ready = t0;
-        let mut dead = Vec::new();
-        for &peer in peers {
-            let reply = Reply::Solutions(self.initiator);
-            let (sets, at) = self.exchange((self.initiator, peer), exec_bytes, t0, reply, |s| {
-                patterns.iter().map(|p| provider::answer(s, p, None, None)).collect()
-            });
-            ready = ready.max(at);
-            match sets {
-                Some(sets) => replies.push(sets),
-                None => dead.push(peer),
-            }
-        }
-        let (assembled, stitched) = provider::assemble(patterns.len(), &replies);
-        if metrics.is_enabled() {
-            metrics.add(names::EXEC_STRATEGY_STITCHED_ROWS, stitched as u64);
-        }
-        self.note_intermediates(assembled.len());
-        self.close_shipping(span, ready, &dead);
-        Ok(Mat { solutions: assembled, site: self.initiator, ready })
-    }
 }
 
 // Result accumulation: the dataset of an unscoped query is "the union of
@@ -1093,10 +951,20 @@ impl<'a> MeshBackend for SimBackend<'a> {
     }
 
     /// One-round multiway BGP join (the [`crate::exec::ExecNode::MultiJoin`]
-    /// operator): resolves every slot, then runs the selected strategy
-    /// across the sorted provider union. Dead providers cost one ack
-    /// timeout each and are purged, so the round yields a
-    /// complete-or-partial answer exactly like the chained pipeline.
+    /// operator), run rather than priced: the mesh's own coordinator
+    /// (`CoordinatorCore`, at the initiator, with its entry index node as
+    /// index) and one `LiveStorage` per peer play the round over the
+    /// simulated network, in time order. Every frame is charged at its
+    /// codec length and delivered when it arrives; a deadline fires its
+    /// delay after it was armed. The overlay stands in for the index
+    /// role: a `Lookup` is answered by `SimBackend::resolve` (Chord hops,
+    /// replicas, cache and `FROM` scope included). A frame to a dead
+    /// storage node is charged and refused, and the coordinator hears of
+    /// it as it hears of a crashed peer on the mesh, through
+    /// `on_send_failed`; with no retries that peer is declared dead at
+    /// once. Its `ProviderDead` notices go uncharged: the overlay is
+    /// purged of every failed provider when the round finishes. The whole
+    /// round is one shipping span; its lookups are key resolution.
     fn exec_multiway(
         &mut self,
         patterns: &[TriplePattern],
@@ -1104,29 +972,90 @@ impl<'a> MeshBackend for SimBackend<'a> {
         strategy: DistStrategy,
         depart: SimTime,
     ) -> Result<Mat, EngineError> {
-        if patterns.is_empty() {
-            return Ok(Mat {
-                solutions: vec![Solution::new()],
-                site: self.initiator,
-                ready: depart,
-            });
-        }
-        let (slots, resolved) = self.multiway_providers(patterns, depart)?;
-        if slots.iter().any(Vec::is_empty) {
-            // Some pattern matches nowhere: the conjunction is empty.
-            return Ok(Mat { solutions: Vec::new(), site: self.initiator, ready: resolved });
-        }
-        let mut peers: Vec<NodeId> = slots.into_iter().flatten().collect();
-        peers.sort_unstable_by_key(|n| n.0);
-        peers.dedup();
-        match strategy {
-            DistStrategy::HyperCube => {
-                self.multiway_hypercube(patterns, join_vars, &peers, resolved)
-            }
-            // Chained BGPs never compile to MultiJoin; routing the variant
-            // like partial evaluation keeps the operator total anyway.
-            DistStrategy::Chained | DistStrategy::PartialEval => {
-                self.multiway_partial(patterns, &peers, resolved)
+        let me = self.initiator;
+        let index = self.entry_index(me)?;
+        let mut flood = self.overlay.storage_nodes();
+        flood.retain(|s| self.in_scope(*s));
+        flood.sort();
+        let cfg = LiveConfig {
+            ack_timeout: Duration::from_micros(self.cfg.ack_timeout.0),
+            lookup_timeout: BACKSTOP,
+            query_deadline: BACKSTOP,
+            retries: 0,
+            ..LiveConfig::default()
+        };
+        let stats = Arc::new(LiveStats::default());
+        let (space, flood) = (self.overlay.ring().space(), Arc::new(RwLock::new(flood)));
+        let mut coordinator =
+            CoordinatorCore::new(me, index, cfg, space, flood, Arc::clone(&stats));
+        let mut storages: HashMap<NodeId, LiveStorage> = HashMap::new();
+        let (patterns, join_vars) = (patterns.to_vec(), join_vars.to_vec());
+        let submit = LiveMsg::SubmitMulti { qid: QueryId(0), patterns, join_vars, strategy };
+        let mut events = Scheduler::new();
+        events.schedule_at(depart, (me, me, submit));
+        let span = shipping_span(&format!("{strategy} round"), depart);
+        // The latest lookup answer: key resolution advanced the trace's
+        // clock to it, so the round cannot be ready earlier.
+        let mut resolved = depart;
+        loop {
+            let (now, (from, to, msg)) =
+                events.next().expect("the overall deadline finishes every round");
+            // Dispatch by variant, not address: the initiator may be a peer.
+            let (actor, coordinating, actions) = match msg {
+                LiveMsg::Lookup { qid, pattern, reply_to } => {
+                    let Resolved::Row(row) = self.resolve(&pattern, now, Leg::Step)? else {
+                        unreachable!("the coordinator floods a keyless pattern, looking nothing up")
+                    };
+                    resolved = resolved.max(row.arrival);
+                    let providers = row.providers.iter().map(|p| p.node).collect();
+                    let answer = LiveMsg::Providers { qid, pattern, providers };
+                    events.schedule_at(row.arrival, (row.index_node, reply_to, answer));
+                    continue;
+                }
+                msg if for_storage(&msg) => {
+                    let store = &self.overlay.storage_node(to).expect("refused when dead").store;
+                    let node = storages.entry(to).or_insert_with(|| {
+                        LiveStorage::new(to, store.clone(), Arc::clone(&stats))
+                    });
+                    (to, false, node.on_event(from, msg))
+                }
+                msg => (me, true, coordinator.on_event(from, msg)),
+            };
+            let mut actions = VecDeque::from(actions);
+            while let Some(action) = actions.pop_front() {
+                match action {
+                    // Uncharged: the overlay purges every failed provider
+                    // when the round finishes.
+                    Action::Send { msg: LiveMsg::ProviderDead { .. }, .. } => {}
+                    Action::Send { to, msg } => {
+                        let bytes = msg.encode_wire().len();
+                        let arrival = match msg {
+                            LiveMsg::ShuffleExec { .. } | LiveMsg::PartialExec { .. } => {
+                                self.contact((actor, to), bytes, now)
+                            }
+                            _ => self.overlay.net.send(actor, to, bytes, now),
+                        };
+                        // A dead storage node refuses the frame, as a
+                        // crashed peer's transport does on the mesh.
+                        if !for_storage(&msg) || self.overlay.is_storage_alive(to) {
+                            events.schedule_at(arrival, (actor, to, msg));
+                        } else if coordinating {
+                            actions.extend(coordinator.on_send_failed(to, SendKey::of(&msg)));
+                        }
+                    }
+                    Action::Schedule { after, msg } => {
+                        let at = now + SimTime(after.as_micros() as u64);
+                        events.schedule_at(at, (actor, actor, msg));
+                    }
+                    Action::Finish { answer, .. } => {
+                        let LiveStatsSnapshot { solutions_shipped, shuffle_parts, .. } =
+                            stats.snapshot();
+                        self.note_intermediates((solutions_shipped + shuffle_parts) as usize);
+                        let ready = resolved.max(now);
+                        self.close_shipping(span, ready, &answer.failed_providers);
+                        return Ok(Mat { solutions: answer.solutions, site: me, ready });
+                    }
+                }
             }
         }
     }

@@ -98,11 +98,14 @@ impl std::fmt::Display for QueryStats {
 /// constant the bump mirrors into.
 macro_rules! live_counters {
     ($($(#[$doc:meta])* $field:ident, $add:ident => $metric:ident;)*) => {
-        /// Shared fault-tolerance counters of one [`crate::LiveMesh`].
+        /// Shared protocol counters of one host of the mesh's roles.
         ///
-        /// Bumped by the coordinator's state machine and the index nodes as the
-        /// live protocol detects churn; every bump is mirrored into the global
-        /// [`rdfmesh_obs::metrics()`] registry under the `live.*` names so the
+        /// Bumped by all three roles — the coordinator's state machine, the
+        /// index nodes and the storage nodes — wherever they run: on a
+        /// [`crate::LiveMesh`] or [`crate::MeshNode`], and in the simulator's
+        /// multiway rounds, which count each round into a fresh set. Every
+        /// bump is mirrored into the global [`rdfmesh_obs::metrics()`]
+        /// registry under its `live.*` or `exec.strategy.*` name, so the
         /// soak experiment (§E16) and dashboards see the same numbers.
         #[derive(Debug, Default)]
         pub struct LiveStats {

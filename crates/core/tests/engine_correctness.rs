@@ -10,7 +10,7 @@ use rdfmesh_core::{
 };
 use rdfmesh_net::{LatencyModel, Network, NodeId, SimTime};
 use rdfmesh_overlay::Overlay;
-use rdfmesh_rdf::PatternKind;
+use rdfmesh_rdf::{PatternKind, Term, TermPattern, TriplePattern};
 use rdfmesh_sparql::{evaluate_query, parse_query, QueryResult, Solution};
 use rdfmesh_workload::{foaf, queries, FoafConfig, Rng};
 
@@ -369,4 +369,78 @@ fn traced_stats_equal_hand_counted_stats_on_fixtures() {
     trace.check_well_formed().unwrap();
     assert!(exec.stats.dead_providers > 0, "the victim should have timed out");
     assert_eq!(rdfmesh_core::QueryStats::from_trace(&trace), exec.stats);
+}
+
+/// The one-round strategies the simulator runs on the mesh's own roles.
+const MULTIWAY: [DistChoice; 2] = [DistChoice::HyperCube, DistChoice::PartialEval];
+
+/// A star on `?x` over two index keys: eligible for both strategies.
+const STAR: &str = "SELECT * WHERE { ?x foaf:name ?n . ?x foaf:knows ?y . }";
+
+fn star_patterns() -> [TriplePattern; 2] {
+    let on_x = |predicate: &str, object: &str| {
+        TriplePattern::new(TermPattern::var("x"), Term::iri(predicate), TermPattern::var(object))
+    };
+    [on_x(rdfmesh_rdf::vocab::foaf::NAME, "n"), on_x(rdfmesh_rdf::vocab::foaf::KNOWS, "y")]
+}
+
+/// The storage nodes `pattern`'s location-table row names.
+fn row(overlay: &Overlay, pattern: &TriplePattern) -> Vec<NodeId> {
+    let located = overlay.locate(NodeId(1000), pattern, SimTime::ZERO).unwrap().expect("keyed");
+    located.providers.iter().map(|p| p.node).collect()
+}
+
+/// A storage node both of the star's rows name: a peer of its round.
+fn star_peer(overlay: &Overlay) -> NodeId {
+    let [name, knows] = star_patterns().map(|p| row(overlay, &p));
+    *name.iter().find(|n| knows.contains(n)).expect("a peer holds both")
+}
+
+/// A dead peer of a multiway round is declared dead once and purged from
+/// every row, and the answer is the survivors' — what `live_exec.rs`
+/// asserts of the mesh when a provider crashes.
+#[test]
+fn a_multiway_round_over_a_dead_peer_answers_the_survivors_oracle_and_purges_it() {
+    for dist in MULTIWAY {
+        let cfg = ExecConfig { dist, ..ExecConfig::default() };
+        let mut overlay =
+            build_overlay(&FoafConfig { persons: 25, peers: 5, ..Default::default() });
+        let victim = star_peer(&overlay);
+        overlay.fail_storage_node(victim).unwrap();
+        let (exec, trace) =
+            Engine::new(&mut overlay, cfg).execute_traced(NodeId(1000), STAR).unwrap();
+        assert!(trace.spans().iter().any(|s| s.label.ends_with(" round")), "{dist:?}: no round");
+        trace.check_well_formed().unwrap();
+        assert_eq!(rdfmesh_core::QueryStats::from_trace(&trace), exec.stats, "{dist:?}");
+        // The oracle of an overlay that lost `victim` is the survivors'.
+        assert_is_the_oracles(&overlay, STAR, &exec.result, cfg);
+        assert_eq!(exec.stats.dead_providers, 1, "{dist:?}");
+        for pattern in star_patterns() {
+            assert!(!row(&overlay, &pattern).contains(&victim), "{dist:?} kept {victim}");
+        }
+    }
+}
+
+/// Submitted at a storage node that is also a peer of its round, one
+/// address carries two roles: frames reach the coordinator or the
+/// storage role by what they are, not where they go. And the round is
+/// reproducible: a second run answers the same rows in the same order,
+/// at the same cost.
+#[test]
+fn a_multiway_round_submitted_at_one_of_its_peers_is_the_oracles() {
+    for dist in MULTIWAY {
+        let cfg = ExecConfig { dist, ..ExecConfig::default() };
+        let run = || {
+            let mut overlay =
+                build_overlay(&FoafConfig { persons: 25, peers: 5, ..Default::default() });
+            let peer = star_peer(&overlay);
+            let got = Engine::new(&mut overlay, cfg).execute(peer, STAR).unwrap();
+            (overlay, got)
+        };
+        let (overlay, got) = run();
+        assert!(!got.result.is_empty(), "{dist:?}: the star has matches");
+        assert_is_the_oracles(&overlay, STAR, &got.result, cfg);
+        let again = run().1;
+        assert_eq!((again.result, again.stats), (got.result, got.stats), "{dist:?}");
+    }
 }

@@ -189,17 +189,6 @@ impl<M> Outbox<M> {
     pub fn schedule(&self, after: Duration, payload: M) {
         self.hub.schedule(after, self.me, self.me, payload);
     }
-
-    /// The node ids reachable from this node.
-    pub fn peers(&self) -> Vec<NodeId> {
-        let mut ids: Vec<NodeId> = self.hub.mailboxes.keys().copied().collect();
-        if let Some(wire) = &self.hub.wire {
-            ids.extend(wire.peer_ids());
-        }
-        ids.sort();
-        ids.dedup();
-        ids
-    }
 }
 
 /// A running set of node threads, over channels or over sockets (see the

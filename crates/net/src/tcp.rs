@@ -27,8 +27,9 @@
 //! starts with a 6-byte handshake `"RDFM" <version> <reserved>`, which
 //! must arrive within [`HANDSHAKE_TIMEOUT`]; after
 //! that, each frame is `[u32 LE length][u8 kind][body]` where `length`
-//! counts the kind byte plus the body. Envelope bodies are
-//! `[u64 LE from][u64 LE to][payload]` with the payload encoded by the
+//! counts the kind byte plus the body; once a frame's length has arrived,
+//! the rest of it must follow within the same deadline. Envelope bodies
+//! are `[u64 LE from][u64 LE to][payload]` with the payload encoded by the
 //! message type's [`WireMsg`] impl. Connections are one-directional:
 //! replies flow over the receiving process's own dial-back link, and a
 //! failed write triggers one reconnect attempt before the send is
@@ -40,7 +41,7 @@ use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::{Mutex, RwLock};
@@ -79,9 +80,10 @@ pub const KIND_CONTROL: u8 = 2;
 /// the target node's thread after every earlier frame on the connection.
 pub const KIND_BARRIER: u8 = 3;
 
-/// How long an accepted connection may take to send its handshake before
-/// it is closed and counted as a decode error. Once the handshake passes,
-/// the connection may idle indefinitely.
+/// How long an accepted connection may take to send its handshake, and a
+/// frame whose length field has arrived the rest of its bytes, before the
+/// connection is closed and counted as a decode error. Between frames the
+/// connection may idle indefinitely.
 pub const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(2);
 
 /// What [`read_frame`] reserves for a body before any of it arrives: a
@@ -138,6 +140,15 @@ pub fn encode_frame(kind: u8, body: &[u8]) -> Vec<u8> {
 /// body buffer grows with the bytes that actually arrive, so a header
 /// claiming [`MAX_FRAME`] costs nothing until its body follows.
 pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Frame>> {
+    read_frame_then(r, |_, _| {})
+}
+
+/// [`read_frame`], calling `started(r, length)` once the length field is
+/// in and valid, before the rest of the frame is read.
+fn read_frame_then<R: Read>(
+    r: &mut R,
+    started: impl FnOnce(&mut R, u32),
+) -> io::Result<Option<Frame>> {
     let mut len = [0u8; 4];
     match r.read_exact(&mut len) {
         Ok(()) => {}
@@ -151,6 +162,7 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Frame>> {
             format!("frame length {len} outside 1..={MAX_FRAME}"),
         ));
     }
+    started(r, len);
     let mut buf = Vec::with_capacity((len as usize).min(BODY_RESERVE));
     r.take(u64::from(len)).read_to_end(&mut buf)?;
     if buf.len() < len as usize {
@@ -365,11 +377,6 @@ impl<M> Wire<M> {
         self.routes.read().contains_key(&to)
     }
 
-    /// Node ids reachable through this wire.
-    pub(crate) fn peer_ids(&self) -> Vec<NodeId> {
-        self.routes.read().keys().copied().collect()
-    }
-
     /// Whether a flush fence for `node` travels this wire: in the loopback
     /// twin, where `node`'s deliveries do.
     pub(crate) fn fences(&self, node: NodeId) -> bool {
@@ -445,20 +452,53 @@ fn on_frame<M: WireMsg>(hub: &Hub<M>, wire: &Wire<M>, frame: Frame) {
     }
 }
 
-fn run_reader<M: WireMsg>(mut stream: TcpStream, hub: &Hub<M>) {
+/// An accepted connection's read half, every read held to a deadline
+/// while one is set.
+struct Deadline {
+    stream: TcpStream,
+    by: Option<Instant>,
+    /// Whether the socket still carries the read timeout of a lifted
+    /// deadline, to be cleared before the next unbounded read.
+    armed: bool,
+}
+
+impl Read for Deadline {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        if let Some(by) = self.by {
+            let left = by.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                return Err(io::ErrorKind::TimedOut.into());
+            }
+            self.stream.set_read_timeout(Some(left))?;
+            self.armed = true;
+        } else if self.armed {
+            self.stream.set_read_timeout(None)?;
+            self.armed = false;
+        }
+        self.stream.read(buf)
+    }
+}
+
+fn run_reader<M: WireMsg>(stream: TcpStream, hub: &Hub<M>) {
     let wire = hub.wire.as_ref().expect("readers run on a socket wire");
-    // The handshake has a deadline; the frames after it may idle.
-    let hello = stream
-        .set_read_timeout(Some(HANDSHAKE_TIMEOUT))
-        .and_then(|()| read_handshake(&mut stream))
-        .and_then(|()| stream.set_read_timeout(None));
-    if hello.is_err() {
+    // The handshake has a deadline, and so has the rest of a frame once
+    // its length is in; the wait for the next frame has none.
+    let mut conn = Deadline { stream, by: Some(Instant::now() + HANDSHAKE_TIMEOUT), armed: false };
+    if read_handshake(&mut conn).is_err() {
         wire.stats.decode_error();
         return;
     }
-    let mut r = io::BufReader::new(stream);
+    conn.by = None;
+    let mut r = io::BufReader::new(conn);
     loop {
-        match read_frame(&mut r) {
+        // A body already buffered costs no deadline (and no syscall).
+        let frame = read_frame_then(&mut r, |r, len| {
+            if r.buffer().len() < len as usize {
+                r.get_mut().by = Some(Instant::now() + HANDSHAKE_TIMEOUT);
+            }
+        });
+        r.get_mut().by = None;
+        match frame {
             Ok(Some(frame)) => on_frame(hub, wire, frame),
             Ok(None) => return,
             Err(_) => {

@@ -3,14 +3,16 @@
 //! hostile peer, and the cost model composed with the scheduler.
 
 use std::cell::Cell;
-use std::io::{self, Read};
+use std::io::{self, Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::{unbounded, Sender};
-use rdfmesh_net::tcp::{read_frame, HANDSHAKE_TIMEOUT, KIND_ENVELOPE, MAX_FRAME};
+use rdfmesh_net::tcp::{
+    encode_frame, read_frame, write_handshake, HANDSHAKE_TIMEOUT, KIND_ENVELOPE, MAX_FRAME,
+};
 use rdfmesh_net::{
     Cluster, Envelope, FaultPlan, Handler, LatencyModel, Network, NodeId, Outbox, Scheduler,
     SimTime, WireFault, WireMsg,
@@ -319,6 +321,61 @@ fn a_connection_that_never_says_hello_is_closed_at_the_handshake_deadline() {
         assert!(Instant::now() < counted, "{:?}", cluster.transport_stats());
         std::thread::sleep(Duration::from_millis(10));
     }
+    cluster.shutdown();
+}
+
+/// Waits up to `by` for the cluster's socket wire to count `want` decode
+/// errors.
+fn await_decode_errors(cluster: &Cluster<Tag>, want: u64, by: Instant) {
+    while cluster.transport_stats().expect("a socket wire").decode_errors != want {
+        assert!(Instant::now() < by, "{:?}", cluster.transport_stats());
+        std::thread::sleep(Duration::from_millis(10));
+    }
+}
+
+#[test]
+fn a_frame_stalled_mid_body_is_closed_at_the_deadline() {
+    let nop = |_env: Envelope<Tag>, _out: &Outbox<Tag>| {};
+    let nodes: Nodes = vec![(NodeId(1), Box::new(nop))];
+    let cluster = Cluster::spawn_loopback(nodes, FaultPlan::new()).expect("loopback binds");
+    let mut stalled = TcpStream::connect(cluster.local_addr().expect("bound")).unwrap();
+    write_handshake(&mut stalled).unwrap();
+    // A header claiming 64 KiB, then 10 of those bytes, then silence.
+    let mut start = (64u32 << 10).to_le_bytes().to_vec();
+    start.push(KIND_ENVELOPE);
+    start.extend_from_slice(&[0; 9]);
+    stalled.write_all(&start).unwrap();
+    let patience = HANDSHAKE_TIMEOUT + Duration::from_secs(1);
+    let began = Instant::now();
+    stalled.set_read_timeout(Some(patience)).unwrap();
+    let read = stalled.read(&mut [0u8; 1]);
+    assert_eq!(read.expect("closed by the peer, not timed out here"), 0, "EOF");
+    await_decode_errors(&cluster, 1, began + patience);
+    cluster.shutdown();
+}
+
+#[test]
+fn a_connection_idle_between_frames_past_the_deadline_still_delivers_both() {
+    let (tx, rx) = unbounded();
+    let nodes: Nodes = vec![(NodeId(1), echo(&tx))];
+    let cluster = Cluster::spawn_loopback(nodes, FaultPlan::new()).expect("loopback binds");
+    let mut peer = TcpStream::connect(cluster.local_addr().expect("bound")).unwrap();
+    write_handshake(&mut peer).unwrap();
+    let frame = |tag: u64| {
+        let body = [9u64.to_le_bytes(), 1u64.to_le_bytes(), tag.to_le_bytes()].concat();
+        encode_frame(KIND_ENVELOPE, &body)
+    };
+    // The first frame arrives in two writes, so its rest is read under
+    // the deadline, which must be lifted again for the idle wait.
+    let first = frame(1);
+    peer.write_all(&first[..4]).unwrap();
+    std::thread::sleep(Duration::from_millis(100));
+    peer.write_all(&first[4..]).unwrap();
+    assert_eq!(rx.recv_timeout(Duration::from_secs(5)).unwrap(), (NodeId(1), 1));
+    std::thread::sleep(HANDSHAKE_TIMEOUT + Duration::from_millis(500));
+    peer.write_all(&frame(2)).unwrap();
+    assert_eq!(rx.recv_timeout(Duration::from_secs(5)).unwrap(), (NodeId(1), 2));
+    assert_eq!(cluster.transport_stats().expect("a socket wire").decode_errors, 0);
     cluster.shutdown();
 }
 

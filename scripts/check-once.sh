@@ -12,6 +12,11 @@
 # Sockets are a wire of the one cluster, not a second cluster type wrapped
 # around it, and every live host fills its location tables by publishing,
 # through one function.
+# The mesh's three roles are pure state machines behind one host, and the
+# simulator runs their multiway round instead of repricing a copy of it:
+# one `impl Handler<LiveMsg>`, no `Outbox` inside a role, one caller each
+# of `provider::scatter(` and `provider::fold(` (the storage role) and of
+# `provider::assemble(` (the coordinator), one shuffle `generation += 1`.
 # Fails when a second copy appears. Test modules (`mod tests` to end of
 # file) and comment lines are not code.
 set -eu
@@ -29,8 +34,20 @@ expect() {
         bad=1
     fi
 }
+# expect_at TEXT WANT: the non-test files under crates/core/src whose code
+# holds TEXT, each with its count, are exactly WANT ("FILE:COUNT").
+expect_at() {
+    got=$(for f in ./*.rs live/*.rs; do
+        n=$(code "$f" | grep -cF -- "$1" || true)
+        [ "$n" -eq 0 ] || printf '%s:%s ' "${f#./}" "$n"
+    done)
+    if [ "$got" != "$2 " ]; then
+        echo "exists once: $1 — found at '${got% }', want '$2'" >&2
+        bad=1
+    fi
+}
 others=$(ls ./*.rs live/*.rs | grep -v '^./provider.rs$')
-role='(LiveStorage|IndexNode|Coordinator) \{'
+role='(LiveStorage|IndexNode|CoordinatorCore) \{'
 
 expect 'pattern evaluation outside provider.rs' \
     "$(code $others | grep -cE 'evaluate_pattern_with|eval::extend' || true)" 0
@@ -38,12 +55,21 @@ expect 'shuffle_partition( callers outside provider.rs' \
     "$(code $others | grep -v 'fn shuffle_partition(' | grep -c 'shuffle_partition(' || true)" 0
 expect 'note_provider_contacted() calls in sim_backend.rs' \
     "$(code sim_backend.rs | grep -c 'self\.note_provider_contacted()' || true)" 1
+# Two: the exchange prices a dead provider with it, and the multiway
+# round's coordinator waits for it.
 expect 'cfg.ack_timeout uses in sim_backend.rs' \
-    "$(code sim_backend.rs | grep -c 'cfg\.ack_timeout' || true)" 1
+    "$(code sim_backend.rs | grep -c 'cfg\.ack_timeout' || true)" 2
 expect 'wire::encoded_len sites under live/' \
     "$(code live/*.rs | grep -c 'wire::encoded_len' || true)" 1
 expect 'role struct literals (one per constructor)' \
     "$(code ./*.rs live/*.rs | grep -E "$role" | grep -cvE "(struct|impl|for) $role" || true)" 3
+expect_at 'impl Handler<LiveMsg> for' 'live/mod.rs:1'
+expect 'Outbox in live/{coordinator,index,storage}.rs' \
+    "$(code live/coordinator.rs live/index.rs live/storage.rs | grep -c 'Outbox' || true)" 0
+expect_at 'provider::scatter(' 'live/storage.rs:1'
+expect_at 'provider::fold(' 'live/storage.rs:1'
+expect_at 'provider::assemble(' 'live/coordinator.rs:1'
+expect_at 'generation += 1' 'live/coordinator.rs:1'
 # The pipeline's tail is exec::answer and the lookup leg is
 # SimBackend::resolve: no backend post-processes, joins or looks up on its
 # own again. (The second locate_cached( is exec_common_site's first row, whose
@@ -100,5 +126,5 @@ expect '[[bench]] tables under crates/*/Cargo.toml' \
 expect 'criterion mentions in any Cargo.toml' \
     "$(cat Cargo.toml crates/*/Cargo.toml shims/*/Cargo.toml benchmark/Cargo.toml | grep -ci criterion || true)" 0
 expect 'directories under shims/' "$(ls -d shims/*/ | wc -l)" 3
-[ "$bad" -eq 0 ] && echo 'exists once: provider compute, exchange pricing, reply accounting, role constructors, regex compilation, lending scan, JSON escaping, result writers, the stopwatch, the pipeline tail, the operator table, the lookup leg, the cluster, the publication path'
+[ "$bad" -eq 0 ] && echo 'exists once: provider compute, exchange pricing, reply accounting, role constructors, the role host, the multiway protocol, regex compilation, lending scan, JSON escaping, result writers, the stopwatch, the pipeline tail, the operator table, the lookup leg, the cluster, the publication path'
 exit "$bad"
