@@ -8,7 +8,7 @@ use rdfmesh_net::NodeId;
 use rdfmesh_overlay::key_for_pattern;
 use rdfmesh_rdf::{TriplePattern, Variable};
 use rdfmesh_sparql::expr::Expression;
-use rdfmesh_sparql::solution::{DistinctBuffer, Solution};
+use rdfmesh_sparql::solution::{self, DistinctBuffer, Solution};
 
 use super::{rlock, Action, DeadlineStage, LiveAnswer, LiveMsg, QueryId, SharedFlood};
 use crate::config::{DistStrategy, LiveConfig};
@@ -47,9 +47,22 @@ struct Slot {
     pattern: TriplePattern,
     /// Current lookup attempt (0-based).
     lookup_attempt: u8,
-    /// The pattern's providers as the index named them; `None` until
-    /// its lookup answers.
-    providers: Option<Vec<NodeId>>,
+    /// The pattern's providers as the index named them, each with its
+    /// frequency (`None` for a flooded provider: no row names it); `None`
+    /// until its lookup answers.
+    providers: Option<Vec<(NodeId, Option<u64>)>>,
+}
+
+/// Move-small (Sect. II), for one provider of a bind-join round, counted
+/// in rows: the round's `keys` travel to the provider only while they are
+/// fewer than the triples it holds under the pattern's key (its
+/// `frequency`); otherwise the provider's matches travel instead and are
+/// joined with the keys at the coordinator. Either way the round's answer
+/// is the same set, so a stale or colliding frequency can only make it
+/// dearer. A filtered round, and a provider of unknown frequency, ship the
+/// keys.
+fn ships_keys(keys: usize, frequency: Option<u64>, filtered: bool) -> bool {
+    filtered || frequency.is_none_or(|f| (keys as u64) < f)
 }
 
 /// Where the distribution strategies differ: the exec frame a provider
@@ -60,7 +73,17 @@ struct Slot {
 enum RoundKind {
     /// One pattern shipped as a [`LiveMsg::SubQuerySol`]; the providers'
     /// [`LiveMsg::Solutions`] are the answer.
-    Chained { filter: Option<Expression>, bound: Option<Vec<Solution>> },
+    Chained {
+        filter: Option<Expression>,
+        /// The bind join's key set (`None` starts from the unit solution).
+        bound: Option<Vec<Solution>>,
+        /// The providers sent the bare pattern instead of `bound`
+        /// ([`ships_keys`] said no), decided once at fan-out.
+        fetch_from: Vec<NodeId>,
+        /// Their matches, deduplicated apart from the extensions and
+        /// joined with `bound` when the round finishes.
+        fetched: DistinctBuffer,
+    },
     /// A [`LiveMsg::ShuffleExec`] to the provider union; the shuffle
     /// targets answer with locally-joined [`LiveMsg::Solutions`]
     /// fragments.
@@ -97,6 +120,16 @@ struct Round {
     /// Hash-indexed so the per-gather dedup stays linear even when many
     /// replicated providers ship the same large solution sets.
     gathered: DistinctBuffer,
+}
+
+impl Round {
+    /// The shuffle generation a HyperCube round is on; 0 for the others.
+    fn generation(&self) -> u32 {
+        match self.kind {
+            RoundKind::HyperCube { generation, .. } => generation,
+            _ => 0,
+        }
+    }
 }
 
 /// The per-query coordinator state machine. Every transition consumes
@@ -142,7 +175,9 @@ impl CoordinatorCore {
     pub(crate) fn on_event(&mut self, from: NodeId, msg: LiveMsg) -> Vec<Action> {
         match msg {
             LiveMsg::SubmitSol { qid, pattern, filter, bound } => {
-                self.on_submit(qid, vec![pattern], RoundKind::Chained { filter, bound })
+                let (fetch_from, fetched) = (Vec::new(), DistinctBuffer::new());
+                let kind = RoundKind::Chained { filter, bound, fetch_from, fetched };
+                self.on_submit(qid, vec![pattern], kind)
             }
             LiveMsg::SubmitMulti { qid, patterns, join_vars, strategy } => {
                 let kind = match strategy {
@@ -152,7 +187,8 @@ impl CoordinatorCore {
                 self.on_submit(qid, patterns, kind)
             }
             LiveMsg::Providers { qid, pattern, providers } => {
-                self.on_providers(qid, &pattern, providers)
+                let named = providers.into_iter().map(|(p, f)| (p, Some(f))).collect();
+                self.on_providers(qid, &pattern, named)
             }
             LiveMsg::Solutions { qid, solutions } => self.on_solutions(qid, from, solutions),
             LiveMsg::PartialMatches { qid, per_pattern } => {
@@ -162,8 +198,8 @@ impl CoordinatorCore {
                 DeadlineStage::Lookup { slot, attempt } => {
                     self.on_lookup_timeout(qid, slot as usize, attempt)
                 }
-                DeadlineStage::Ack { provider, attempt } => {
-                    self.on_ack_timeout(qid, provider, attempt)
+                DeadlineStage::Ack { provider, attempt, generation } => {
+                    self.on_ack_timeout(qid, provider, attempt, generation)
                 }
                 DeadlineStage::Overall => self.on_overall_deadline(qid),
             },
@@ -179,18 +215,23 @@ impl CoordinatorCore {
         }
     }
 
-    /// The exec frame one provider receives, shaped by the round's
-    /// kind. Used by the fan-out and retransmissions alike.
-    fn exec_frame(&self, qid: QueryId, q: &Round) -> LiveMsg {
+    /// The exec frame provider `to` receives, shaped by the round's kind
+    /// (and, in a chained round, by whether `to` is sent the keys). Used
+    /// by the fan-out and retransmissions alike.
+    fn exec_frame(&self, qid: QueryId, q: &Round, to: NodeId) -> LiveMsg {
         let patterns = || q.slots.iter().map(|s| s.pattern.clone()).collect();
         match &q.kind {
-            RoundKind::Chained { filter, bound } => LiveMsg::SubQuerySol {
-                qid,
-                pattern: q.slots[0].pattern.clone(),
-                filter: filter.clone(),
-                bound: bound.clone(),
-                reply_to: self.me,
-            },
+            RoundKind::Chained { filter, bound, fetch_from, .. } => {
+                let bound = if fetch_from.contains(&to) { None } else { bound.clone() };
+                self.stats.add_bound_keys_shipped(bound.as_ref().map_or(0, Vec::len) as u64);
+                LiveMsg::SubQuerySol {
+                    qid,
+                    pattern: q.slots[0].pattern.clone(),
+                    filter: filter.clone(),
+                    bound,
+                    reply_to: self.me,
+                }
+            }
             RoundKind::HyperCube { join_vars, generation } => LiveMsg::ShuffleExec {
                 qid,
                 round: *generation,
@@ -209,17 +250,18 @@ impl CoordinatorCore {
     fn fan_out(&self, qid: QueryId, q: &Round) -> Vec<Action> {
         let mut actions = Vec::new();
         for &p in &q.peers {
-            actions.push(Action::Send { to: p, msg: self.exec_frame(qid, q) });
-            actions.push(self.ack_deadline(qid, p, 0));
+            actions.push(Action::Send { to: p, msg: self.exec_frame(qid, q, p) });
+            actions.push(self.ack_deadline(qid, q, p, 0));
         }
         actions
     }
 
-    fn ack_deadline(&self, qid: QueryId, provider: NodeId, attempt: u8) -> Action {
-        Action::Schedule {
-            after: self.cfg.ack_timeout,
-            msg: LiveMsg::Deadline { qid, stage: DeadlineStage::Ack { provider, attempt } },
-        }
+    /// `provider`'s ack deadline for `attempt` of round `qid` as it
+    /// stands — tagged with its generation, which a HyperCube restart
+    /// leaves behind.
+    fn ack_deadline(&self, qid: QueryId, q: &Round, provider: NodeId, attempt: u8) -> Action {
+        let stage = DeadlineStage::Ack { provider, attempt, generation: q.generation() };
+        Action::Schedule { after: self.cfg.ack_timeout, msg: LiveMsg::Deadline { qid, stage } }
     }
 
     /// One slot's lookup at the index node and the deadline guarding it.
@@ -282,8 +324,8 @@ impl CoordinatorCore {
             } else {
                 // No location-table row exists for the all-variable
                 // pattern: skip the lookup and flood every storage node
-                // (Sect. IV-B).
-                let flood = rlock(&self.flood).clone();
+                // (Sect. IV-B), whose frequencies no row gives.
+                let flood = rlock(&self.flood).iter().map(|&p| (p, None)).collect();
                 actions.extend(self.on_providers(qid, &pattern, flood));
             }
         }
@@ -297,14 +339,15 @@ impl CoordinatorCore {
     /// Files the provider list under every still-open slot whose pattern
     /// equals the reply's `pattern` echo (the index node answers with the
     /// looked-up pattern verbatim), and fans the exec frames out once no
-    /// slot is left open. An echo that matches no open slot — the answer
-    /// to a retransmitted lookup whose first answer already arrived, or
-    /// a reply to some other round — is stale.
+    /// slot is left open — a bind-join round's key set only to the
+    /// providers [`ships_keys`] picks. An echo that matches no open slot —
+    /// the answer to a retransmitted lookup whose first answer already
+    /// arrived, or a reply to some other round — is stale.
     fn on_providers(
         &mut self,
         qid: QueryId,
         pattern: &TriplePattern,
-        providers: Vec<NodeId>,
+        providers: Vec<(NodeId, Option<u64>)>,
     ) -> Vec<Action> {
         let open: Vec<&mut Slot> = self
             .in_flight
@@ -330,9 +373,15 @@ impl CoordinatorCore {
             return Vec::new(); // other slots still resolving
         }
         let mut seen = HashSet::new();
-        let named = q.slots.iter().flat_map(|s| s.providers.iter().flatten().copied());
+        let named = q.slots.iter().flat_map(|s| s.providers.iter().flatten().map(|(p, _)| *p));
         q.peers = named.filter(|p| seen.insert(*p)).collect();
         q.outstanding = q.peers.iter().map(|p| (*p, 0)).collect();
+        if let RoundKind::Chained { filter, bound: Some(keys), fetch_from, .. } = &mut q.kind {
+            let row = q.slots[0].providers.iter().flatten();
+            let fetch = row.filter(|(_, f)| !ships_keys(keys.len(), *f, filter.is_some()));
+            *fetch_from = fetch.map(|(p, _)| *p).collect();
+            self.stats.add_gathered_legs(fetch_from.len() as u64);
+        }
         self.fan_out(qid, &self.in_flight[&qid])
     }
 
@@ -363,12 +412,18 @@ impl CoordinatorCore {
         }
     }
 
-    /// A provider's solutions for a chained round, or a shuffle target's
-    /// locally-joined fragment for a HyperCube one.
+    /// A provider's solutions for a chained round — extensions of the
+    /// keys, or the matches of a provider sent the bare pattern — or a
+    /// shuffle target's locally-joined fragment for a HyperCube one.
     fn on_solutions(&mut self, qid: QueryId, from: NodeId, solutions: Vec<Solution>) -> Vec<Action> {
         let accepts = |q: &Round| !matches!(q.kind, RoundKind::PartialEval { .. });
         let Some(q) = self.awaited(qid, from, accepts) else { return Vec::new() };
-        q.gathered.extend_distinct(solutions);
+        match &mut q.kind {
+            RoundKind::Chained { fetch_from, fetched, .. } if fetch_from.contains(&from) => {
+                fetched.extend_distinct(solutions)
+            }
+            _ => q.gathered.extend_distinct(solutions),
+        }
         self.settle(qid)
     }
 
@@ -407,18 +462,26 @@ impl CoordinatorCore {
         }
     }
 
-    fn on_ack_timeout(&mut self, qid: QueryId, provider: NodeId, attempt: u8) -> Vec<Action> {
+    fn on_ack_timeout(
+        &mut self,
+        qid: QueryId,
+        provider: NodeId,
+        attempt: u8,
+        generation: u32,
+    ) -> Vec<Action> {
         let Some(q) = self.in_flight.get_mut(&qid) else { return Vec::new() };
-        if q.outstanding.get(&provider) != Some(&attempt) {
-            return Vec::new(); // answered, escalated, or a stale deadline
+        if q.outstanding.get(&provider) != Some(&attempt) || q.generation() != generation {
+            // Answered, escalated, or a stale deadline: armed for an
+            // earlier attempt, or for a generation a restart abandoned.
+            return Vec::new();
         }
         if attempt < self.cfg.retries {
             q.outstanding.insert(provider, attempt + 1);
             self.stats.add_retries(1);
             let q = &self.in_flight[&qid];
             return vec![
-                Action::Send { to: provider, msg: self.exec_frame(qid, q) },
-                self.ack_deadline(qid, provider, attempt + 1),
+                Action::Send { to: provider, msg: self.exec_frame(qid, q, provider) },
+                self.ack_deadline(qid, q, provider, attempt + 1),
             ];
         }
         q.outstanding.remove(&provider);
@@ -429,7 +492,7 @@ impl CoordinatorCore {
         let mut actions: Vec<Action> = q
             .slots
             .iter()
-            .filter(|s| s.providers.as_deref().is_some_and(|ps| ps.contains(&provider)))
+            .filter(|s| s.providers.iter().flatten().any(|(p, _)| *p == provider))
             .map(|s| Action::Send {
                 to: self.index,
                 msg: LiveMsg::ProviderDead { pattern: s.pattern.clone(), provider },
@@ -463,10 +526,11 @@ impl CoordinatorCore {
         self.finish(qid, false)
     }
 
-    /// The attempt `provider`'s exec frame for round `qid` is on, if the
-    /// round still awaits its reply.
-    fn exec_attempt(&self, qid: QueryId, provider: NodeId) -> Option<u8> {
-        self.in_flight.get(&qid)?.outstanding.get(&provider).copied()
+    /// The attempt and generation `provider`'s exec frame for round `qid`
+    /// is on, if the round still awaits its reply.
+    fn exec_attempt(&self, qid: QueryId, provider: NodeId) -> Option<(u8, u32)> {
+        let q = self.in_flight.get(&qid)?;
+        Some((*q.outstanding.get(&provider)?, q.generation()))
     }
 
     /// A synchronously failed send is an immediate timeout at the
@@ -477,7 +541,7 @@ impl CoordinatorCore {
         self.stats.add_send_failures(1);
         match key {
             SendKey::Exec(qid) => match self.exec_attempt(qid, to) {
-                Some(attempt) => self.on_ack_timeout(qid, to, attempt),
+                Some((attempt, generation)) => self.on_ack_timeout(qid, to, attempt, generation),
                 None => Vec::new(),
             },
             // The first open slot awaiting this pattern: equal patterns
@@ -513,6 +577,14 @@ impl CoordinatorCore {
                 let (assembled, stitched) = provider::assemble(q.slots.len(), &replies);
                 self.stats.add_stitched_rows(stitched as u64);
                 assembled
+            }
+            // The providers sent the bare pattern: their matches joined
+            // with the keys are the extensions they would have computed
+            // (`provider::answer`'s bind join, done once here).
+            RoundKind::Chained { bound: Some(keys), fetched, .. } if !fetched.is_empty() => {
+                let mut gathered = q.gathered;
+                gathered.extend_distinct(solution::join(&keys, fetched.as_slice()));
+                gathered.into_vec()
             }
             _ => q.gathered.into_vec(),
         };
@@ -592,12 +664,25 @@ mod tests {
             c.on_event(COORDINATOR, LiveMsg::SubmitMulti { qid, patterns, join_vars, strategy })
         }
 
-        /// The index node's answer to the lookup of `pattern`.
+        /// The index node's answer to the lookup of `pattern`: `providers`,
+        /// each at a frequency no key set reaches, so a bind-join round
+        /// sends every one of them its keys.
         fn providers(
             c: &mut CoordinatorCore,
             qid: QueryId,
             pattern: TriplePattern,
             providers: Vec<NodeId>,
+        ) -> Vec<Action> {
+            row(c, qid, pattern, providers.into_iter().map(|p| (p, u64::MAX)).collect())
+        }
+
+        /// The index node's answer to the lookup of `pattern`: the row's
+        /// `(provider, frequency)` entries.
+        fn row(
+            c: &mut CoordinatorCore,
+            qid: QueryId,
+            pattern: TriplePattern,
+            providers: Vec<(NodeId, u64)>,
         ) -> Vec<Action> {
             c.on_event(IX, LiveMsg::Providers { qid, pattern, providers })
         }
@@ -684,14 +769,16 @@ mod tests {
             providers(&mut c, qid, pattern(), vec![P1, P2]);
             solutions(&mut c, P1, qid, vec![xsol(1)]);
             // P2 never answers: deadline at attempt 0 retries...
-            let retry = deadline(&mut c, qid, DeadlineStage::Ack { provider: P2, attempt: 0 });
+            let stage = DeadlineStage::Ack { provider: P2, attempt: 0, generation: 0 };
+            let retry = deadline(&mut c, qid, stage);
             assert!(retry.iter().any(|a| matches!(
                 a,
                 Action::Send { to, msg: LiveMsg::SubQuerySol { .. } } if *to == P2
             )));
             assert_eq!(c.stats.snapshot().retries, 1);
             // ...and the deadline at attempt 1 gives up.
-            let give_up = deadline(&mut c, qid, DeadlineStage::Ack { provider: P2, attempt: 1 });
+            let stage = DeadlineStage::Ack { provider: P2, attempt: 1, generation: 0 };
+            let give_up = deadline(&mut c, qid, stage);
             assert!(give_up.iter().any(|a| matches!(
                 a,
                 Action::Send { to, msg: LiveMsg::ProviderDead { provider, .. } }
@@ -801,7 +888,8 @@ mod tests {
             };
             c.on_event(COORDINATOR, round);
             providers(&mut c, qid, pattern(), vec![P1]);
-            let retry = deadline(&mut c, qid, DeadlineStage::Ack { provider: P1, attempt: 0 });
+            let stage = DeadlineStage::Ack { provider: P1, attempt: 0, generation: 0 };
+            let retry = deadline(&mut c, qid, stage);
             let resent = retry
                 .iter()
                 .find_map(|a| match a {
@@ -899,17 +987,121 @@ mod tests {
             assert_eq!(done[0].1.solutions, naive);
         }
 
-        // ---- multiway rounds (HyperCube / partial evaluation) --------
-
-        fn star2() -> Vec<TriplePattern> {
-            vec![pattern(), pattern2()]
-        }
+        // ---- bind-join rounds: move-small per provider ----------------
 
         fn xy(x: u64, y: u64) -> Solution {
             Solution::from_pairs([
                 (Variable::new("x"), Term::iri(&format!("http://example.org/s{x}"))),
                 (Variable::new("y"), Term::iri(&format!("http://example.org/o{y}"))),
             ])
+        }
+
+        /// Opens a chained round over `pattern` extending `keys`.
+        fn submit_keyed(
+            c: &mut CoordinatorCore,
+            qid: QueryId,
+            pattern: TriplePattern,
+            filter: Option<Expression>,
+            keys: Vec<Solution>,
+        ) -> Vec<Action> {
+            c.on_event(COORDINATOR, LiveMsg::SubmitSol { qid, pattern, filter, bound: Some(keys) })
+        }
+
+        /// `(recipient, keys shipped)` of every sub-query frame in
+        /// `actions` — `None` for a provider sent the bare pattern.
+        fn sub_queries(actions: &[Action]) -> Vec<(NodeId, Option<usize>)> {
+            actions
+                .iter()
+                .filter_map(|a| match a {
+                    Action::Send { to, msg: LiveMsg::SubQuerySol { bound, .. } } => {
+                        Some((*to, bound.as_ref().map(Vec::len)))
+                    }
+                    _ => None,
+                })
+                .collect()
+        }
+
+        fn sorted(mut rows: Vec<Solution>) -> Vec<Solution> {
+            rows.sort();
+            rows
+        }
+
+        #[test]
+        fn keys_go_to_exactly_the_providers_whose_frequency_exceeds_their_count() {
+            let mut c = core();
+            let qid = QueryId(31);
+            submit_keyed(&mut c, qid, pattern(), None, vec![xsol(1), xsol(2), xsol(3)]);
+            let fan = row(&mut c, qid, pattern(), vec![(P1, 2), (P2, 3), (P3, 4)]);
+            // Three keys: fewer than P3's four triples, not fewer than
+            // P2's three or P1's two.
+            assert_eq!(sub_queries(&fan), vec![(P1, None), (P2, None), (P3, Some(3))]);
+            let s = c.stats.snapshot();
+            assert_eq!((s.gathered_legs, s.bound_keys_shipped), (2, 3));
+            // P1 and P2 answer with their raw matches — one of which
+            // extends no key — and P3 with the extension it computed.
+            solutions(&mut c, P1, qid, vec![xy(1, 1), xy(4, 1)]);
+            solutions(&mut c, P3, qid, vec![xy(3, 3)]);
+            let done = finishes(&solutions(&mut c, P2, qid, vec![xy(2, 2), xy(1, 1)]));
+            assert_eq!(done.len(), 1);
+            assert!(done[0].1.complete);
+            assert_eq!(sorted(done[0].1.solutions.clone()), vec![xy(1, 1), xy(2, 2), xy(3, 3)]);
+        }
+
+        #[test]
+        fn a_retransmission_resends_the_frame_shape_its_provider_was_given() {
+            let mut c = core();
+            let qid = QueryId(32);
+            submit_keyed(&mut c, qid, pattern(), None, vec![xsol(1), xsol(2)]);
+            let fan = row(&mut c, qid, pattern(), vec![(P1, 1), (P2, 10)]);
+            assert_eq!(sub_queries(&fan), vec![(P1, None), (P2, Some(2))]);
+            for (provider, keys) in [(P1, None), (P2, Some(2))] {
+                let stage = DeadlineStage::Ack { provider, attempt: 0, generation: 0 };
+                assert_eq!(sub_queries(&deadline(&mut c, qid, stage)), vec![(provider, keys)]);
+            }
+            assert_eq!(c.stats.snapshot().bound_keys_shipped, 4, "two keys in each of P2's frames");
+            // The retransmitted bare pattern is answered like the first.
+            solutions(&mut c, P1, qid, vec![xy(1, 5)]);
+            let done = finishes(&solutions(&mut c, P2, qid, vec![xy(2, 6)]));
+            assert_eq!(sorted(done[0].1.solutions.clone()), vec![xy(1, 5), xy(2, 6)]);
+        }
+
+        #[test]
+        fn a_round_cut_short_by_the_overall_deadline_joins_the_matches_that_arrived() {
+            let mut c = core();
+            let qid = QueryId(33);
+            submit_keyed(&mut c, qid, pattern(), None, vec![xsol(1), xsol(2)]);
+            row(&mut c, qid, pattern(), vec![(P1, 2), (P2, 2)]);
+            solutions(&mut c, P1, qid, vec![xy(1, 1), xy(3, 1)]);
+            let done = finishes(&deadline(&mut c, qid, DeadlineStage::Overall));
+            assert_eq!(done.len(), 1);
+            assert!(!done[0].1.complete);
+            assert_eq!(done[0].1.failed_providers, vec![P2]);
+            assert_eq!(done[0].1.solutions, vec![xy(1, 1)], "P1's match that extends a key");
+        }
+
+        #[test]
+        fn a_keyless_flood_and_a_filtered_round_ship_their_keys() {
+            let mut c = core();
+            let (flood, filtered) = (QueryId(34), QueryId(35));
+            let all = TriplePattern::new(
+                TermPattern::var("x"),
+                TermPattern::var("p"),
+                TermPattern::var("o"),
+            );
+            // No row, so no frequency: every storage node is sent the keys.
+            let fan = submit_keyed(&mut c, flood, all, None, vec![xsol(1), xsol(2)]);
+            assert_eq!(sub_queries(&fan), vec![(P1, Some(2)), (P2, Some(2)), (P3, Some(2))]);
+            let filter = Some(Expression::Bound(Variable::new("y")));
+            submit_keyed(&mut c, filtered, pattern(), filter, vec![xsol(1), xsol(2)]);
+            let fan = row(&mut c, filtered, pattern(), vec![(P1, 1)]);
+            assert_eq!(sub_queries(&fan), vec![(P1, Some(2))]);
+            assert_eq!(c.stats.snapshot().gathered_legs, 0);
+        }
+
+        // ---- multiway rounds (HyperCube / partial evaluation) --------
+
+        fn star2() -> Vec<TriplePattern> {
+            vec![pattern(), pattern2()]
         }
 
         fn xz(x: u64, z: u64) -> Solution {
@@ -1061,7 +1253,8 @@ mod tests {
             providers(&mut c, qid, pattern2(), vec![P2]);
             solutions(&mut c, P1, qid, vec![xsol(1)]);
             // P2 misses its deadline: first a full exec retransmission...
-            let retry = deadline(&mut c, qid, DeadlineStage::Ack { provider: P2, attempt: 0 });
+            let stage = DeadlineStage::Ack { provider: P2, attempt: 0, generation: 0 };
+            let retry = deadline(&mut c, qid, stage);
             assert!(retry.iter().any(|a| matches!(
                 a,
                 Action::Send { to, msg: LiveMsg::ShuffleExec { .. } } if *to == P2
@@ -1071,7 +1264,8 @@ mod tests {
             // bumped generation (round-0 targets were stalled waiting
             // for P2's partitions, so their fragments cannot be trusted
             // to ever arrive).
-            let give_up = deadline(&mut c, qid, DeadlineStage::Ack { provider: P2, attempt: 1 });
+            let stage = DeadlineStage::Ack { provider: P2, attempt: 1, generation: 0 };
+            let give_up = deadline(&mut c, qid, stage);
             let dead: usize = give_up
                 .iter()
                 .filter(|a| matches!(
@@ -1103,6 +1297,48 @@ mod tests {
             assert!(!done[0].1.complete);
             assert_eq!(done[0].1.failed_providers, vec![P2]);
             assert_eq!(done[0].1.solutions, vec![xsol(1)]);
+        }
+
+        #[test]
+        fn an_ack_deadline_of_an_abandoned_generation_is_ignored() {
+            let mut c = core();
+            let qid = QueryId(59);
+            submit_multi(&mut c, qid, star2(), DistStrategy::HyperCube);
+            providers(&mut c, qid, pattern(), vec![P1, P2]);
+            let fan = providers(&mut c, qid, pattern2(), vec![P2]);
+            let exec = fan
+                .iter()
+                .find_map(|a| match a {
+                    Action::Send { to, msg } if *to == P1 => Some(msg),
+                    _ => None,
+                })
+                .expect("P1's exec frame");
+            // P1's exec frame fails to send at fan-out, and so does its
+            // retransmission: P1 is dead, and the round restarts over P2.
+            c.on_send_failed(P1, SendKey::of(exec));
+            let restart = c.on_send_failed(P1, SendKey::of(exec));
+            // The generations of the exec frames `actions` send P2.
+            let to_p2 = |actions: &[Action]| -> Vec<u32> {
+                actions
+                    .iter()
+                    .filter_map(|a| match a {
+                        Action::Send { to: P2, msg: LiveMsg::ShuffleExec { round, .. } } => {
+                            Some(*round)
+                        }
+                        _ => None,
+                    })
+                    .collect()
+            };
+            assert_eq!(to_p2(&restart), vec![1], "generation 1, over the survivor");
+            // The restart put P2 back at attempt 0. The deadline armed
+            // for generation 0's attempt 0 must not pass for it...
+            let stale = DeadlineStage::Ack { provider: P2, attempt: 0, generation: 0 };
+            let ignored = deadline(&mut c, qid, stale);
+            assert!(ignored.is_empty(), "{ignored:?}");
+            assert_eq!(c.stats.snapshot().retries, 1, "P1's retransmission only");
+            // ...while generation 1's retransmits as any expired deadline.
+            let current = DeadlineStage::Ack { provider: P2, attempt: 0, generation: 1 };
+            assert_eq!(to_p2(&deadline(&mut c, qid, current)), vec![1]);
         }
 
         #[test]
@@ -1168,21 +1404,30 @@ mod tests {
         /// and an echo naming none of its slots for a chained one.
         #[derive(Debug, Clone)]
         enum Ev {
-            Providers { q: usize, stale: bool, second: bool, providers: Vec<NodeId> },
+            Providers { q: usize, stale: bool, second: bool, providers: Vec<(NodeId, u64)> },
             Solutions { q: usize, stale_qid: bool, from: NodeId, vals: Vec<u64> },
             Partial { q: usize, from: NodeId, sets: Vec<Vec<u64>> },
-            AckDeadline { q: usize, provider: NodeId, attempt: u8 },
+            AckDeadline { q: usize, provider: NodeId, attempt: u8, generation: u32 },
             LookupDeadline { q: usize, slot: u32, attempt: u8 },
             Overall { q: usize },
         }
 
-        /// How a round is submitted: chained (`None`), or as a multiway
-        /// round under the given strategy.
-        fn arb_kind() -> impl Strategy<Value = Option<DistStrategy>> {
+        /// How a round is submitted: chained — from the unit solution, or
+        /// extending two keys, which a provider is sent only when its
+        /// frequency exceeds two — or as a multiway round under a
+        /// strategy.
+        #[derive(Debug, Clone, Copy)]
+        enum Kind {
+            Chained { keyed: bool },
+            Multi(DistStrategy),
+        }
+
+        fn arb_kind() -> impl Strategy<Value = Kind> {
             prop_oneof![
-                Just(None),
-                Just(Some(DistStrategy::HyperCube)),
-                Just(Some(DistStrategy::PartialEval)),
+                Just(Kind::Chained { keyed: false }),
+                Just(Kind::Chained { keyed: true }),
+                Just(Kind::Multi(DistStrategy::HyperCube)),
+                Just(Kind::Multi(DistStrategy::PartialEval)),
             ]
         }
 
@@ -1192,7 +1437,12 @@ mod tests {
 
         fn arb_event() -> impl Strategy<Value = Ev> {
             prop_oneof![
-                (0..NQ, any::<bool>(), any::<bool>(), proptest::collection::vec(arb_provider(), 0..4))
+                (
+                    0..NQ,
+                    any::<bool>(),
+                    any::<bool>(),
+                    proptest::collection::vec((arb_provider(), 0u64..4), 0..4)
+                )
                     .prop_map(|(q, stale, second, providers)| Ev::Providers {
                         q,
                         stale,
@@ -1204,8 +1454,14 @@ mod tests {
                 ),
                 (0..NQ, arb_provider(), proptest::collection::vec(arb_vals(), 1..4))
                     .prop_map(|(q, from, sets)| Ev::Partial { q, from, sets }),
-                (0..NQ, arb_provider(), 0u8..3)
-                    .prop_map(|(q, provider, attempt)| Ev::AckDeadline { q, provider, attempt }),
+                (0..NQ, arb_provider(), 0u8..3, 0u32..2).prop_map(
+                    |(q, provider, attempt, generation)| Ev::AckDeadline {
+                        q,
+                        provider,
+                        attempt,
+                        generation
+                    }
+                ),
                 (0..NQ, 0u32..3, 0u8..3)
                     .prop_map(|(q, slot, attempt)| Ev::LookupDeadline { q, slot, attempt }),
                 (0..NQ).prop_map(|q| Ev::Overall { q }),
@@ -1214,12 +1470,13 @@ mod tests {
 
         proptest! {
             /// [`NQ`] rounds of arbitrary kinds — chained ones over one
-            /// slot, HyperCube and partial-evaluation ones over two,
-            /// each submitted on its own — then an arbitrary
-            /// interleaving of in-order, late, duplicate, foreign and
-            /// dropped provider lists, solution replies, partial
-            /// matches of the right and the wrong width, and deadlines
-            /// of current and abandoned attempts: the machine never
+            /// slot, with or without keys, HyperCube and
+            /// partial-evaluation ones over two, each submitted on its
+            /// own — then an arbitrary interleaving of in-order, late,
+            /// duplicate, foreign and dropped provider rows of any
+            /// frequencies, solution replies, partial matches of the
+            /// right and the wrong width, and deadlines of current and
+            /// abandoned attempts and generations: the machine never
             /// panics, every round finishes exactly once, `complete`
             /// means no provider failed, answers hold only solutions
             /// from the round's own universe, each once — and once every
@@ -1242,14 +1499,20 @@ mod tests {
                 };
                 for (q, kind) in kinds.iter().enumerate() {
                     let opened = match *kind {
-                        None => submit(&mut c, qid_of(q)),
-                        Some(strategy) => submit_multi(&mut c, qid_of(q), star2(), strategy),
+                        Kind::Chained { keyed: false } => submit(&mut c, qid_of(q)),
+                        Kind::Chained { keyed: true } => {
+                            let bound = Some(vec![usol(q, 0), usol(q, 1)]);
+                            let (qid, pattern) = (qid_of(q), pattern());
+                            let round = LiveMsg::SubmitSol { qid, pattern, filter: None, bound };
+                            c.on_event(COORDINATOR, round)
+                        }
+                        Kind::Multi(strategy) => submit_multi(&mut c, qid_of(q), star2(), strategy),
                     };
                     record(opened, &mut done)?;
                 }
                 for ev in &events {
                     let actions = match ev.clone() {
-                        Ev::Providers { q, stale: s, second, providers: ps } => providers(
+                        Ev::Providers { q, stale: s, second, providers: ps } => row(
                             &mut c,
                             if s { stale } else { qid_of(q) },
                             if second { pattern2() } else { pattern() },
@@ -1271,10 +1534,10 @@ mod tests {
                                     .collect(),
                             },
                         ),
-                        Ev::AckDeadline { q, provider, attempt } => deadline(
+                        Ev::AckDeadline { q, provider, attempt, generation } => deadline(
                             &mut c,
                             qid_of(q),
-                            DeadlineStage::Ack { provider, attempt },
+                            DeadlineStage::Ack { provider, attempt, generation },
                         ),
                         Ev::LookupDeadline { q, slot, attempt } => deadline(
                             &mut c,

@@ -12,9 +12,10 @@ use crate::stats::LiveStats;
 
 pub(crate) struct IndexNode {
     me: NodeId,
-    /// key id → providers (this node's location table). Shared with the
-    /// [`LiveMesh`] handle so tests and operators can observe the lazy
-    /// removal without an extra probe protocol.
+    /// key id → `(provider, frequency)` row: this node's location table
+    /// (Table I). Shared with the [`LiveMesh`] handle so tests and
+    /// operators can observe publication and the lazy removal without an
+    /// extra probe protocol.
     table: SharedTable,
     space: rdfmesh_chord::IdSpace,
     /// `(ring position, address)` of every index node, sorted by
@@ -57,7 +58,8 @@ impl IndexNode {
                     let msg = LiveMsg::Lookup { qid, pattern, reply_to };
                     return vec![Action::Send { to: owner, msg }];
                 }
-                let providers = lock(&self.table).get(&k.id.0).cloned().unwrap_or_default();
+                let providers =
+                    lock(&self.table).get(&k.id.0).map(|row| row.to_vec()).unwrap_or_default();
                 let msg = LiveMsg::Providers { qid, pattern, providers };
                 vec![Action::Send { to: reply_to, msg }]
             }
@@ -70,11 +72,13 @@ impl IndexNode {
                 }
                 let mut table = lock(&self.table);
                 if let Some(row) = table.get_mut(&k.id.0) {
-                    let before = row.len();
-                    row.retain(|p| *p != provider);
-                    let removed = (before - row.len()) as u64;
-                    if row.is_empty() {
+                    let kept: Box<[_]> =
+                        row.iter().copied().filter(|(p, _)| *p != provider).collect();
+                    let removed = (row.len() - kept.len()) as u64;
+                    if kept.is_empty() {
                         table.remove(&k.id.0);
+                    } else {
+                        *row = kept;
                     }
                     drop(table);
                     self.stats.add_providers_purged(removed);
@@ -82,14 +86,17 @@ impl IndexNode {
                 Vec::new()
             }
             LiveMsg::Publish { keys, provider } => {
-                // Registration: idempotent row inserts, so a serve-mode
-                // republish after a membership change converges instead
-                // of duplicating.
+                // Registration is idempotent: a republished count replaces
+                // the provider's entry, so a serve-mode republish after a
+                // membership change converges instead of adding up.
                 let mut table = lock(&self.table);
-                for key in keys {
+                for (key, frequency) in keys {
                     let row = table.entry(key).or_default();
-                    if !row.contains(&provider) {
-                        row.push(provider);
+                    match row.iter_mut().find(|(p, _)| *p == provider) {
+                        Some(entry) => entry.1 = frequency,
+                        None => {
+                            *row = row.iter().copied().chain([(provider, frequency)]).collect();
+                        }
                     }
                 }
                 Vec::new()
@@ -109,12 +116,16 @@ pub(crate) fn owner_in_view(ring_view: &[(u64, NodeId)], key: u64) -> NodeId {
 }
 
 /// The index-key ids of `store`'s triples (six per triple, Sect. III-B),
-/// sorted and deduplicated — what its storage node publishes.
-pub(crate) fn index_keys(space: rdfmesh_chord::IdSpace, store: &SharedStore) -> Vec<u64> {
-    let mut keys: Vec<u64> =
+/// sorted, each with its frequency — how many of the triples carry it,
+/// counted as the overlay's location table counts — what its storage node
+/// publishes. Allocated at its exact length: a serve process keeps it to
+/// republish.
+pub(crate) fn index_keys(space: rdfmesh_chord::IdSpace, store: &SharedStore) -> Vec<(u64, u64)> {
+    let mut ids: Vec<u64> =
         store.iter().flat_map(|t| keys_for_triple(space, &t).map(|k| k.id.0)).collect();
-    keys.sort_unstable();
-    keys.dedup();
+    ids.sort_unstable();
+    let mut keys = Vec::with_capacity(ids.chunk_by(u64::eq).count());
+    keys.extend(ids.chunk_by(u64::eq).map(|run| (run[0], run.len() as u64)));
     keys
 }
 
@@ -125,11 +136,11 @@ pub(crate) fn publish(
     cluster: &Cluster<LiveMsg>,
     ring: &[(u64, NodeId)],
     provider: NodeId,
-    keys: &[u64],
+    keys: &[(u64, u64)],
 ) {
-    let mut by_owner: HashMap<NodeId, Vec<u64>> = HashMap::new();
-    for &key in keys {
-        by_owner.entry(owner_in_view(ring, key)).or_default().push(key);
+    let mut by_owner: HashMap<NodeId, Vec<(u64, u64)>> = HashMap::new();
+    for &entry in keys {
+        by_owner.entry(owner_in_view(ring, entry.0)).or_default().push(entry);
     }
     for (owner, keys) in by_owner {
         cluster.inject(provider, owner, LiveMsg::Publish { keys, provider });

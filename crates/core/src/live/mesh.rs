@@ -175,13 +175,14 @@ impl LiveMesh {
             .map(|k| owner_in_view(&rlock(&self.ring_view), k.id.0))
     }
 
-    /// The owner index node's current location-table row for `pattern`
-    /// (sorted) — the observable target of the lazy removal protocol.
-    pub fn providers_of(&self, pattern: &TriplePattern) -> Vec<NodeId> {
+    /// The owner index node's current location-table row for `pattern`:
+    /// `(storage node, frequency)` entries sorted by node — the
+    /// observable target of publication and of the lazy removal protocol.
+    pub fn providers_of(&self, pattern: &TriplePattern) -> Vec<(NodeId, u64)> {
         let Some(key) = key_for_pattern(self.space, pattern) else { return Vec::new() };
         let owner = owner_in_view(&rlock(&self.ring_view), key.id.0);
         let Some(table) = self.tables.get(&owner) else { return Vec::new() };
-        let mut row = lock(table).get(&key.id.0).cloned().unwrap_or_default();
+        let mut row = lock(table).get(&key.id.0).map(|row| row.to_vec()).unwrap_or_default();
         row.sort();
         row
     }

@@ -26,6 +26,11 @@
 //! * an expired query-ack deadline retransmits once (bounded by
 //!   [`LiveConfig::retries`]), then declares the provider dead — the
 //!   Sect. III-D query-ack timeout;
+//! * a bind-join round moves the smaller side to each provider (the
+//!   paper's move-small rule, counted in rows): its key set when it holds
+//!   fewer rows than the provider's frequency for the pattern's key, and
+//!   otherwise the bare pattern, whose matches the coordinator joins with
+//!   the key set when the round ends;
 //! * a dead provider triggers a [`LiveMsg::ProviderDead`] notification
 //!   to the owning index node, which lazily drops the provider from its
 //!   location-table row (Sect. III-C/D's lazy cleanup);
@@ -159,12 +164,17 @@ pub enum DeadlineStage {
         /// Attempt number at schedule time (0-based).
         attempt: u8,
     },
-    /// One provider's query-ack deadline (Sect. III-D).
+    /// One provider's query-ack deadline (Sect. III-D). A deadline armed
+    /// for an earlier attempt, or for a HyperCube generation the round
+    /// has since abandoned, is ignored.
     Ack {
         /// The storage node awaited.
         provider: NodeId,
         /// Attempt number at schedule time (0-based).
         attempt: u8,
+        /// The round's shuffle generation at schedule time (always 0
+        /// outside a HyperCube round).
+        generation: u32,
     },
     /// The whole-query backstop: fire whatever is still outstanding and
     /// answer with what was collected.
@@ -183,16 +193,17 @@ pub enum LiveMsg {
         /// Where to send the provider list.
         reply_to: NodeId,
     },
-    /// An index node's answer: the providers for the pattern. The
-    /// coordinator files it under every still-open slot of round `qid`
-    /// whose pattern equals the `pattern` echo.
+    /// An index node's answer: the location-table row for the pattern's
+    /// key (Table I). The coordinator files it under every still-open slot
+    /// of round `qid` whose pattern equals the `pattern` echo.
     Providers {
         /// The owning query.
         qid: QueryId,
         /// The looked-up pattern, echoed verbatim.
         pattern: TriplePattern,
-        /// Storage nodes holding matching triples.
-        providers: Vec<NodeId>,
+        /// Storage nodes holding matching triples, each with its
+        /// frequency: how many of its triples carry the key.
+        providers: Vec<(NodeId, u64)>,
     },
     /// A solution-round sub-query shipped to a storage node.
     SubQuerySol {
@@ -253,12 +264,14 @@ pub enum LiveMsg {
     },
     /// Storage node → owning index node: register `provider` in the
     /// location-table rows for `keys` — how every host fills its index.
-    /// Idempotent, so the serve-mode mesh ([`crate::MeshNode`]) re-sends
-    /// it after every membership change and the tables converge on the
-    /// final ring view (`docs/DEPLOYMENT.md`).
+    /// Idempotent: a republished count replaces the provider's entry, never
+    /// adds to it, so the serve-mode mesh ([`crate::MeshNode`]) re-sends it
+    /// after every membership change and the tables converge on the final
+    /// ring view (`docs/DEPLOYMENT.md`).
     Publish {
-        /// Index-key ids the provider holds matching triples for.
-        keys: Vec<u64>,
+        /// `(index-key id, frequency)`: each key the provider holds
+        /// triples for, with how many of them carry it.
+        keys: Vec<(u64, u64)>,
         /// The storage node registering itself.
         provider: NodeId,
     },
@@ -355,7 +368,9 @@ pub struct LiveAnswer {
 }
 
 pub(crate) type PendingMap = Arc<Mutex<HashMap<QueryId, Sender<LiveAnswer>>>>;
-pub(crate) type SharedTable = Arc<Mutex<HashMap<u64, Vec<NodeId>>>>;
+/// An index node's location table: key id → its row of `(storage node,
+/// frequency)` entries (Table I), each row allocated at its exact length.
+pub(crate) type SharedTable = Arc<Mutex<HashMap<u64, Box<[(NodeId, u64)]>>>>;
 /// The index nodes' routing view, `(ring position, address)` sorted by
 /// position. Shared mutable so serve-mode membership can extend it.
 pub(crate) type RingView = Arc<RwLock<Vec<(u64, NodeId)>>>;

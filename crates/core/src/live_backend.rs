@@ -16,11 +16,13 @@
 //!   through the two-level index, ships the pattern (with its
 //!   pushed-down filter), and gathers solution mappings under the
 //!   fault-tolerant ack/retry/purge machinery of [`crate::live`];
-//! * a bind-join chain step ships the current intermediates' *join
-//!   keys* — their distinct projection onto the next pattern's
-//!   variables — with the sub-query, so providers return only
-//!   compatible extensions (Sect. IV-D), which the coordinator joins
-//!   back onto the rows it kept;
+//! * a bind-join chain step hands the round the current intermediates'
+//!   *join keys* — their distinct projection onto the next pattern's
+//!   variables — and gets back their compatible extensions (Sect. IV-D),
+//!   which it joins back onto the rows it kept. Which side travels is the
+//!   coordinator's choice per provider (move-small, by the index row's
+//!   frequencies: the keys, or the provider's matches joined with the
+//!   keys at the coordinator); the answer is the same set either way;
 //! * binary operators (JOIN / UNION / OPTIONAL) combine gathered sets
 //!   locally at the coordinator — the live mesh has no simulated-cost
 //!   notion of a cheaper third site, so the query site is always the

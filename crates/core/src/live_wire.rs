@@ -118,6 +118,33 @@ fn read_node_ids(r: &mut Reader<'_>) -> Result<Vec<NodeId>, WireError> {
     Ok(ids)
 }
 
+/// The wire size of one frequency entry, `[u64 id][u32 frequency]`.
+const ENTRY_LEN: usize = 12;
+
+/// `[u32 count]` then `count` entries `[u64 id][u32 frequency]`: a
+/// location-table row's `(provider, frequency)`, or a publication's
+/// `(key, frequency)`. A frequency beyond `u32::MAX` is written as
+/// `u32::MAX`, which can only make the move-small choice dearer.
+fn put_entries(out: &mut Vec<u8>, entries: impl ExactSizeIterator<Item = (u64, u64)>) {
+    put_u32(out, entries.len() as u32);
+    for (id, frequency) in entries {
+        put_u64(out, id);
+        put_u32(out, u32::try_from(frequency).unwrap_or(u32::MAX));
+    }
+}
+
+/// The inverse of [`put_entries`], each id read through `id`. A count the
+/// frame's remaining bytes cannot hold is refused before anything is
+/// allocated for it.
+fn read_entries<A>(r: &mut Reader<'_>, id: fn(u64) -> A) -> Result<Vec<(A, u64)>, WireError> {
+    let count = r.u32_count(ENTRY_LEN)?;
+    let mut entries = Vec::with_capacity(count);
+    for _ in 0..count {
+        entries.push((id(r.u64()?), u64::from(r.u32()?)));
+    }
+    Ok(entries)
+}
+
 fn put_opt_expr(out: &mut Vec<u8>, filter: &Option<Expression>) {
     match filter {
         None => out.push(ABSENT),
@@ -224,8 +251,8 @@ fn size_hint(msg: &LiveMsg) -> usize {
             BASE_HINT + bound.as_deref().map_or(0, solutions_hint)
         }
         LiveMsg::Solutions { solutions, .. } => BASE_HINT + solutions_hint(solutions),
-        LiveMsg::Providers { providers, .. } => BASE_HINT + providers.len() * 8,
-        LiveMsg::Publish { keys, .. } => BASE_HINT + keys.len() * 8,
+        LiveMsg::Providers { providers, .. } => BASE_HINT + providers.len() * ENTRY_LEN,
+        LiveMsg::Publish { keys, .. } => BASE_HINT + keys.len() * ENTRY_LEN,
         LiveMsg::ShuffleExec { patterns, peers, .. } => {
             16 + patterns.len() * BASE_HINT + peers.len() * 8
         }
@@ -256,7 +283,7 @@ impl WireMsg for LiveMsg {
                 out.push(TAG_PROVIDERS);
                 put_u64(&mut out, qid.0);
                 put_pattern(&mut out, pattern);
-                put_node_ids(&mut out, providers);
+                put_entries(&mut out, providers.iter().map(|(p, f)| (p.0, *f)));
             }
             LiveMsg::SubQuerySol { qid, pattern, filter, bound, reply_to } => {
                 out.push(TAG_SUB_QUERY_SOL);
@@ -278,10 +305,7 @@ impl WireMsg for LiveMsg {
             }
             LiveMsg::Publish { keys, provider } => {
                 out.push(TAG_PUBLISH);
-                put_u32(&mut out, keys.len() as u32);
-                for key in keys {
-                    put_u64(&mut out, *key);
-                }
+                put_entries(&mut out, keys.iter().copied());
                 put_u64(&mut out, provider.0);
             }
             LiveMsg::ShuffleExec { qid, round, patterns, join_vars, peers, reply_to } => {
@@ -333,7 +357,7 @@ impl WireMsg for LiveMsg {
             TAG_PROVIDERS => {
                 let qid = QueryId(r.u64().map_err(fault)?);
                 let pattern = read_pattern(&mut r).map_err(fault)?;
-                let providers = read_node_ids(&mut r).map_err(fault)?;
+                let providers = read_entries(&mut r, NodeId).map_err(fault)?;
                 LiveMsg::Providers { qid, pattern, providers }
             }
             TAG_SUB_QUERY_SOL => {
@@ -355,11 +379,7 @@ impl WireMsg for LiveMsg {
                 LiveMsg::ProviderDead { pattern, provider }
             }
             TAG_PUBLISH => {
-                let count = r.u32().map_err(fault)? as usize;
-                let mut keys = Vec::with_capacity(count.min(1024));
-                for _ in 0..count {
-                    keys.push(r.u64().map_err(fault)?);
-                }
+                let keys = read_entries(&mut r, |key| key).map_err(fault)?;
                 let provider = NodeId(r.u64().map_err(fault)?);
                 LiveMsg::Publish { keys, provider }
             }
@@ -439,7 +459,7 @@ mod tests {
             LiveMsg::Providers {
                 qid: QueryId(11),
                 pattern: pattern(),
-                providers: vec![NodeId(1), NodeId(2)],
+                providers: vec![(NodeId(1), 400), (NodeId(2), 3)],
             },
             LiveMsg::Providers { qid: QueryId(12), pattern: pattern(), providers: Vec::new() },
             LiveMsg::SubQuerySol {
@@ -451,7 +471,10 @@ mod tests {
             },
             LiveMsg::Solutions { qid: QueryId(15), solutions: vec![solution()] },
             LiveMsg::ProviderDead { pattern: pattern(), provider: NodeId(5) },
-            LiveMsg::Publish { keys: vec![3, 99, u64::MAX], provider: NodeId(7) },
+            LiveMsg::Publish {
+                keys: vec![(3, 1), (99, 6), (u64::MAX, u32::MAX.into())],
+                provider: NodeId(7),
+            },
             LiveMsg::ShuffleExec {
                 qid: QueryId(35),
                 round: 2,
@@ -502,7 +525,7 @@ mod tests {
             },
             LiveMsg::Deadline {
                 qid: QueryId(17),
-                stage: DeadlineStage::Ack { provider: NodeId(6), attempt: 2 },
+                stage: DeadlineStage::Ack { provider: NodeId(6), attempt: 2, generation: 3 },
             },
             LiveMsg::Deadline { qid: QueryId(18), stage: DeadlineStage::Overall },
         ]
@@ -516,15 +539,18 @@ mod tests {
     /// and reply (13, 14).
     const RETIRED_TAGS: [u8; 11] = [1, 2, 5, 6, 10, 12, 13, 14, 15, 16, 17];
 
-    /// `messages()` as the parent commit (wire version 4) encoded them.
-    const WIRE_V4: [&str; 12] = [
+    /// `messages()` as wire version 6 encodes them. Every entry is the
+    /// bytes version 4 wrote, except the two non-empty frames that carry
+    /// the location table's frequency column, which version 6 added: the
+    /// `Providers` row (second entry) and the `Publish` (seventh).
+    const PINNED: [&str; 12] = [
         "030a00000000000000000100000078010018000000687474703a2f2f6578616d706c652e6f72672f6b6e6f7773010303000000426f6202000000656effffffffffffffff",
-        "040b00000000000000000100000078010018000000687474703a2f2f6578616d706c652e6f72672f6b6e6f7773010303000000426f6202000000656e0200000001000000000000000200000000000000",
+        "040b00000000000000000100000078010018000000687474703a2f2f6578616d706c652e6f72672f6b6e6f7773010303000000426f6202000000656e02000000010000000000000090010000020000000000000003000000",
         "040c00000000000000000100000078010018000000687474703a2f2f6578616d706c652e6f72672f6b6e6f7773010303000000426f6202000000656e00000000",
         "070e00000000000000000100000078010018000000687474703a2f2f6578616d706c652e6f72672f6b6e6f7773010303000000426f6202000000656e0105040003000000616765010202000000333001020361676501780201020002343202000018687474703a2f2f6578616d706c652e6f72672f616c69636500000400000000000000",
         "080f00000000000000020361676501780101020002343202000018687474703a2f2f6578616d706c652e6f72672f616c696365",
         "09000100000078010018000000687474703a2f2f6578616d706c652e6f72672f6b6e6f7773010303000000426f6202000000656e0500000000000000",
-        "0b0300000003000000000000006300000000000000ffffffffffffffff0700000000000000",
+        "0b03000000030000000000000001000000630000000000000006000000ffffffffffffffffffffffff0700000000000000",
         "1223000000000000000200000002000000000100000078010018000000687474703a2f2f6578616d706c652e6f72672f6b6e6f7773010303000000426f6202000000656e000100000078010018000000687474703a2f2f6578616d706c652e6f72672f6b6e6f7773010303000000426f6202000000656e0200000001000000780300000061676503000000010000000000000002000000000000000300000000000000ffffffffffffffff",
         "1324000000000000000100000003000000020361676501780101020002343202000018687474703a2f2f6578616d706c652e6f72672f616c6963650000020361676501780201020002343202000018687474703a2f2f6578616d706c652e6f72672f616c6963650000",
         "14250000000000000003000000000100000078010018000000687474703a2f2f6578616d706c652e6f72672f6b6e6f7773010303000000426f6202000000656e000100000078010018000000687474703a2f2f6578616d706c652e6f72672f6b6e6f7773010303000000426f6202000000656e000100000078010018000000687474703a2f2f6578616d706c652e6f72672f6b6e6f7773010303000000426f6202000000656e0400000000000000",
@@ -551,12 +577,12 @@ mod tests {
     }
 
     #[test]
-    fn surviving_tags_keep_their_wire_v4_bytes() {
+    fn every_tag_keeps_its_pinned_bytes() {
         let now: Vec<Vec<u8>> = messages().iter().map(LiveMsg::encode_wire).collect();
-        let then: Vec<Vec<u8>> = WIRE_V4.iter().map(|hex| unhex(hex)).collect();
-        assert_eq!(now, then);
-        for bytes in then {
-            let decoded = LiveMsg::decode_wire(&bytes).expect("a v4 frame of a surviving tag");
+        let pinned: Vec<Vec<u8>> = PINNED.iter().map(|hex| unhex(hex)).collect();
+        assert_eq!(now, pinned);
+        for bytes in pinned {
+            let decoded = LiveMsg::decode_wire(&bytes).expect("a pinned frame decodes");
             assert_eq!(decoded.encode_wire(), bytes);
         }
     }
@@ -882,6 +908,77 @@ mod tests {
             }
         }
         assert!(refused > accepted && accepted > 0, "{refused} refused, {accepted} accepted");
+    }
+
+    /// Structure-aware fuzz of the two frames that carry the location
+    /// table's frequency column, `Providers` (`tag qid pattern count
+    /// entries`) and `Publish` (`tag count entries provider`): the count
+    /// is pushed to the values a decoder is most likely to trust, and
+    /// each entry's id and frequency to their extremes. Every mutant must
+    /// be refused or decode to a valid message, and no count may make the
+    /// decoder allocate beyond what the frame can hold — the pattern's
+    /// few terms aside, a 12-byte entry decodes to 16 bytes.
+    #[test]
+    fn structurally_mutated_index_frames_are_refused_or_valid_and_cheap() {
+        const ALLOC_PER_FRAME_BYTE: usize = 4;
+        let frames = [
+            LiveMsg::Providers {
+                qid: QueryId(11),
+                pattern: pattern(),
+                providers: vec![(NodeId(1), 400), (NodeId(2), 3)],
+            },
+            LiveMsg::Publish { keys: vec![(3, 1), (99, 6)], provider: NodeId(7) },
+        ];
+        let (mut refused, mut accepted) = (0, 0);
+        for msg in frames {
+            let frame = msg.encode_wire();
+            let (count_at, n) = match &msg {
+                LiveMsg::Providers { providers, .. } => {
+                    (frame.len() - 4 - ENTRY_LEN * providers.len(), providers.len())
+                }
+                LiveMsg::Publish { keys, .. } => (1, keys.len()),
+                _ => unreachable!("the two index frames"),
+            };
+            let mut mutants = Vec::new();
+            for count in [0, n - 1, n + 1, 2 * n, 127, 255, 1 << 20, u32::MAX as usize] {
+                let mut bytes = frame.clone();
+                bytes[count_at..count_at + 4].copy_from_slice(&(count as u32).to_le_bytes());
+                mutants.push(bytes);
+            }
+            for entry in 0..n {
+                let at = count_at + 4 + ENTRY_LEN * entry;
+                for value in [0, 1, u64::MAX] {
+                    let mut id = frame.clone();
+                    id[at..at + 8].copy_from_slice(&value.to_le_bytes());
+                    let mut frequency = frame.clone();
+                    frequency[at + 8..at + 12].copy_from_slice(&(value as u32).to_le_bytes());
+                    mutants.extend([id, frequency]);
+                }
+            }
+            for bytes in mutants {
+                let before = ALLOCATED.with(std::cell::Cell::get);
+                let decoded = LiveMsg::decode_wire(&bytes);
+                let allocated = ALLOCATED.with(std::cell::Cell::get) - before;
+                assert!(
+                    allocated <= ALLOC_PER_FRAME_BYTE * bytes.len(),
+                    "decoding a {} B frame allocated {allocated} B",
+                    bytes.len()
+                );
+                match decoded {
+                    Err(_) => refused += 1,
+                    Ok(msg) => {
+                        accepted += 1;
+                        let canonical = msg.encode_wire();
+                        assert_eq!(canonical, bytes, "a decoded mutant re-encodes to itself");
+                    }
+                }
+            }
+        }
+        assert!(refused > 0 && accepted > 0, "{refused} refused, {accepted} accepted");
+        // A count beyond the field's width is written as its maximum.
+        let huge = LiveMsg::Publish { keys: vec![(5, u64::MAX)], provider: NodeId(7) };
+        let LiveMsg::Publish { keys, .. } = round_trip(&huge) else { panic!("a Publish") };
+        assert_eq!(keys, vec![(5, u64::from(u32::MAX))]);
     }
 
     /// Frames written to make a decoder copy: one name or one body,

@@ -149,9 +149,10 @@ struct NodeShared {
     members: Mutex<HashMap<u64, Member>>,
     ring_view: RingView,
     flood: SharedFlood,
-    /// The local store's index-key ids, precomputed at start — what this
-    /// process republishes after every membership change.
-    keys: Vec<u64>,
+    /// The local store's index-key ids and their frequencies, precomputed
+    /// at start — what this process republishes after every membership
+    /// change.
+    keys: Vec<(u64, u64)>,
     space: rdfmesh_chord::IdSpace,
 }
 

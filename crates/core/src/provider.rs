@@ -111,15 +111,35 @@ mod tests {
         Term::iri(&format!("http://example.org/{name}"))
     }
 
+    fn arb_node() -> impl Strategy<Value = Term> {
+        (0u8..5).prop_map(|i| iri(&format!("n{i}")))
+    }
+
+    fn arb_object() -> impl Strategy<Value = Term> {
+        prop_oneof![arb_node(), arb_node(), (0u8..3).prop_map(|i| Term::literal(&format!("l{i}")))]
+    }
+
     fn arb_triple() -> impl Strategy<Value = Triple> {
-        let node = || (0u8..5).prop_map(|i| iri(&format!("n{i}")));
-        let object = prop_oneof![
-            node(),
-            node(),
-            (0u8..3).prop_map(|i| Term::literal(&format!("l{i}")))
-        ];
-        (node(), proptest::sample::select(&PREDICATES[..]), object)
+        (arb_node(), proptest::sample::select(&PREDICATES[..]), arb_object())
             .prop_map(|(s, p, o)| Triple::new(s, iri(p), o))
+    }
+
+    /// Keys over `?v0` … `?v3`, each binding its own subset of them — so a
+    /// set mixes domains as an OPTIONAL's rows do — and, in about half
+    /// the sets, the unit key that binds none.
+    fn arb_keys() -> impl Strategy<Value = Vec<Solution>> {
+        let cell = (any::<bool>(), arb_object());
+        let key = proptest::collection::vec(cell, 4..5).prop_map(|cells| {
+            Solution::from_pairs(cells.into_iter().enumerate().filter_map(|(i, (bound, term))| {
+                bound.then(|| (Variable::new(format!("v{i}")), term))
+            }))
+        });
+        (proptest::collection::vec(key, 0..6), any::<bool>()).prop_map(|(mut keys, unit)| {
+            if unit {
+                keys.push(Solution::new());
+            }
+            keys
+        })
     }
 
     /// A star on `?v0`, or a chain `?v0 → ?v1 → …`: of two patterns
@@ -206,6 +226,23 @@ mod tests {
                 set(solution::join(&rows, &bound)),
                 set(solution::join(&rows, &unbound))
             );
+        }
+
+        /// What move-small relies on: a provider sent the bare pattern
+        /// and joined with the keys at the coordinator contributes
+        /// exactly the extensions it would have computed from the keys.
+        #[test]
+        fn fetched_matches_joined_with_the_keys_are_the_bound_answers(
+            stores in arb_stores(),
+            bgp in arb_bgp(),
+            keys in arb_keys(),
+        ) {
+            for tp in &bgp {
+                let fetched: Vec<Solution> =
+                    stores.iter().flat_map(|s| answer(s, tp, None, None)).collect();
+                let bound = stores.iter().flat_map(|s| answer(s, tp, None, Some(&keys)));
+                prop_assert_eq!(set(solution::join(&keys, &fetched)), set(bound));
+            }
         }
 
         #[test]

@@ -958,7 +958,8 @@ impl<'a> MeshBackend for SimBackend<'a> {
     /// codec length and delivered when it arrives; a deadline fires its
     /// delay after it was armed. The overlay stands in for the index
     /// role: a `Lookup` is answered by `SimBackend::resolve` (Chord hops,
-    /// replicas, cache and `FROM` scope included). A frame to a dead
+    /// replicas, cache and `FROM` scope included), with the overlay's own
+    /// location-table frequencies. A frame to a dead
     /// storage node is charged and refused, and the coordinator hears of
     /// it as it hears of a crashed peer on the mesh, through
     /// `on_send_failed`; with no retries that peer is declared dead at
@@ -1007,7 +1008,7 @@ impl<'a> MeshBackend for SimBackend<'a> {
                         unreachable!("the coordinator floods a keyless pattern, looking nothing up")
                     };
                     resolved = resolved.max(row.arrival);
-                    let providers = row.providers.iter().map(|p| p.node).collect();
+                    let providers = row.providers.iter().map(|p| (p.node, p.frequency)).collect();
                     let answer = LiveMsg::Providers { qid, pattern, providers };
                     events.schedule_at(row.arrival, (row.index_node, reply_to, answer));
                     continue;

@@ -161,6 +161,12 @@ live_counters! {
     /// Wire bytes of those solutions, sized by the
     /// `rdfmesh_sparql::solution::wire` codec.
     solution_bytes, add_solution_bytes => LIVE_SOLUTION_BYTES;
+    /// Bind-join key rows sent in sub-query frames, counted once per
+    /// provider frame (retransmissions included).
+    bound_keys_shipped, add_bound_keys_shipped => LIVE_BOUND_KEYS_SHIPPED;
+    /// Bind-join provider legs sent the bare pattern instead of the keys
+    /// (move-small), their matches joined at the coordinator.
+    gathered_legs, add_gathered_legs => LIVE_GATHERED_LEGS;
     /// Query executions admitted into the bounded in-flight window.
     admitted, add_admitted => LIVE_ADMITTED;
     /// Admitted executions that first waited in the bounded queue.

@@ -16,7 +16,7 @@ use std::time::{Duration, Instant};
 
 use rdfmesh_core::{
     global_store, DistChoice, ExecConfig, FaultPlan, LiveBackend, LiveConfig, LiveError, LiveMesh,
-    Mat, MeshBackend, Transport,
+    LiveStatsSnapshot, Mat, MeshBackend, Transport,
 };
 use rdfmesh_net::{LatencyModel, Network, NodeId, SimTime};
 use rdfmesh_overlay::Overlay;
@@ -210,7 +210,7 @@ fn provider_crash_mid_query_degrades_to_a_partial_answer() {
     };
     let mesh = LiveMesh::spawn_with(&overlay, cfg, FaultPlan::new());
     // Crash a provider that serves the conjunctive query's patterns.
-    let victim = mesh.providers_of(&knows_pattern())[0];
+    let victim = mesh.providers_of(&knows_pattern())[0].0;
     assert!(mesh.crash(victim));
     let started = Instant::now();
     let live = mesh
@@ -263,25 +263,30 @@ fn predicate_pattern(s: &str, predicate: &str, o: &str) -> TriplePattern {
 /// One bind round through [`LiveBackend::exec_bound`] on both
 /// transports: what comes back must *be* the set `rows ⋈ ⟦pattern⟧`
 /// (no duplicate rows, whatever `rows` held) as the nested-loop
-/// reference join evaluates it centrally. Returns how many solutions
-/// the providers shipped for it (the same on both).
-fn assert_bound_round_agrees(overlay: &Overlay, rows: &[Solution], pattern: &TriplePattern) -> u64 {
+/// reference join evaluates it centrally. Returns the mesh's counters
+/// after it — rows shipped, keys shipped, legs fetched — which are the
+/// same on both.
+fn assert_bound_round_agrees(
+    overlay: &Overlay,
+    rows: &[Solution],
+    pattern: &TriplePattern,
+) -> LiveStatsSnapshot {
     let matches = evaluate_pattern_with(&global_store(overlay), pattern, &[Solution::new()]);
     let mut expected = sorted(solution::naive::join(rows, &matches));
     expected.dedup();
     assert!(!expected.is_empty(), "the scenario must exercise the join: {pattern}");
-    let shipped = TRANSPORTS.map(|transport| {
+    let stats = TRANSPORTS.map(|transport| {
         let mesh = spawn_on(overlay, LiveConfig::default(), transport);
         let mut backend = LiveBackend::new(&*mesh, WAIT);
         let current = Mat { solutions: rows.to_vec(), site: backend.home(), ready: SimTime::ZERO };
         let got = sorted(backend.exec_bound(pattern, current).expect("round").solutions);
         assert_eq!(expected, got, "bound round vs oracle for {pattern} on {transport:?}");
-        let shipped = mesh.stats().solutions_shipped;
+        let stats = mesh.stats();
         mesh.shutdown();
-        shipped
+        stats
     });
-    assert_eq!(shipped[0], shipped[1], "both transports ship the same rows");
-    shipped[0]
+    assert_eq!(stats[0], stats[1], "both transports ship the same rows");
+    stats[0]
 }
 
 #[test]
@@ -316,7 +321,7 @@ fn bound_round_without_a_shared_variable_cross_joins_at_the_coordinator() {
     let mbox = predicate_pattern("p", rdfmesh_rdf::vocab::foaf::MBOX, "m");
     let matches = select(&overlay, "SELECT * WHERE { ?p foaf:mbox ?m . }").len() as u64;
     assert!(rows.len() > 1);
-    assert_eq!(assert_bound_round_agrees(&overlay, &rows, &mbox), matches);
+    assert_eq!(assert_bound_round_agrees(&overlay, &rows, &mbox).solutions_shipped, matches);
 }
 
 #[test]
@@ -328,30 +333,122 @@ fn bound_round_whose_projection_is_the_identity_matches_the_oracle() {
     assert_bound_round_agrees(&overlay, &rows, &knows_pattern());
 }
 
+const UB: &str = "PREFIX ub: <http://example.org/univ#>";
+
+/// Five departments, one storage node each: four professors and twenty
+/// students apiece.
+fn university_overlay() -> Overlay {
+    overlay_of(&university::generate(&UniversityConfig::default()).peers)
+}
+
 #[test]
-fn two_hop_bind_round_ships_one_row_per_distinct_join_key() {
+fn two_hop_bind_round_moves_the_smaller_side_to_each_provider() {
     // ?s ub:advisor ?a . ?a ub:worksFor ?d — a hundred students share
     // twenty advisors, each of whom works for exactly one department.
-    let overlay = overlay_of(&university::generate(&UniversityConfig::default()).peers);
-    const UB: &str = "PREFIX ub: <http://example.org/univ#>";
+    let overlay = university_overlay();
     let rows = select(&overlay, &format!("{UB} SELECT * WHERE {{ ?s ub:advisor ?a . }}"));
-    let mut keys: Vec<&Term> = rows.iter().filter_map(|r| r.get(&Variable::new("a"))).collect();
-    keys.sort();
-    keys.dedup();
+    let a = [Variable::new("a")];
+    let keys = solution::distinct(rows.iter().map(|r| r.project(&a)).collect());
     assert!(keys.len() * 4 <= rows.len(), "{} keys for {} rows", keys.len(), rows.len());
     let works_for = predicate_pattern("a", ub::WORKS_FOR, "d");
-    let shipped = assert_bound_round_agrees(&overlay, &rows, &works_for);
-    // Each provider answers only for the keys it holds a match for, so
-    // the mesh as a whole ships one extension per key — where shipping
-    // the rows whole made it one per student.
-    assert_eq!(shipped, keys.len() as u64);
+    let mesh = LiveMesh::spawn(&overlay);
+    let row = mesh.providers_of(&works_for);
+    mesh.shutdown();
+    // What move-small predicts from the row, for a round over `keys`: a
+    // provider holding more worksFor triples than there are keys is sent
+    // them and ships the extensions it computes; any other is sent the
+    // bare pattern and ships its matches, as many as its frequency.
+    let predict = |keys: &[Solution]| {
+        let (mut shipped, mut fetched, mut sent) = (0, 0, 0);
+        for &(provider, frequency) in &row {
+            let store = &overlay.storage_node(provider).expect("a provider").store;
+            let matches = evaluate_pattern_with(store, &works_for, &[Solution::new()]);
+            assert_eq!(matches.len() as u64, frequency, "the row counts {provider:?}'s matches");
+            if (keys.len() as u64) < frequency {
+                shipped += evaluate_pattern_with(store, &works_for, keys).len() as u64;
+                sent += keys.len() as u64;
+            } else {
+                shipped += frequency;
+                fetched += 1;
+            }
+        }
+        (shipped, fetched, sent)
+    };
+    let stats = assert_bound_round_agrees(&overlay, &rows, &works_for);
+    let (shipped, fetched, sent) = predict(&keys);
+    assert!(fetched > 0, "twenty keys outnumber a department's four professors");
+    assert_eq!(
+        (stats.solutions_shipped, stats.gathered_legs, stats.bound_keys_shipped),
+        (shipped, fetched, sent)
+    );
+    // One advisor's students make one key, fewer than any provider's
+    // frequency: the key goes to every provider, and one extension comes
+    // back.
+    let first = keys[0].clone();
+    let advisees: Vec<Solution> =
+        rows.iter().filter(|r| r.project(&a) == first).cloned().collect();
+    let stats = assert_bound_round_agrees(&overlay, &advisees, &works_for);
+    assert_eq!(predict(&[first]), (1, 0, row.len() as u64));
+    assert_eq!((stats.solutions_shipped, stats.gathered_legs), (1, 0));
+    assert_eq!(stats.bound_keys_shipped, row.len() as u64);
 
-    // The same shape end to end, planner and all.
+    // The same shape end to end, planner and all: the advisor round
+    // ships every row, the worksFor round what move-small predicts.
     let query = format!("{UB} SELECT * WHERE {{ ?s ub:advisor ?a . ?a ub:worksFor ?d . }}");
     for transport in TRANSPORTS {
         let mesh = spawn_on(&overlay, LiveConfig::default(), transport);
         assert_eq!(assert_live_agrees(&mesh, &overlay, &query, true), rows.len());
-        assert_eq!(mesh.stats().solutions_shipped, (rows.len() + keys.len()) as u64);
+        assert_eq!(mesh.stats().solutions_shipped, rows.len() as u64 + shipped);
+        mesh.shutdown();
+    }
+}
+
+/// The repo benchmark's `bind_join` pool, whose bind rounds hold more
+/// keys than some provider has matches: its two-hop and its triangle
+/// equal the oracle on both transports with those legs fetched.
+#[test]
+fn the_bind_join_pools_two_hop_and_triangle_fetch_legs_and_match_the_oracle() {
+    let overlay = university_overlay();
+    let queries = [
+        format!("{UB} SELECT ?s ?p ?d WHERE {{ ?s ub:advisor ?p . ?p ub:worksFor ?d }}"),
+        format!(
+            "{UB} SELECT ?s ?c ?p WHERE {{ ?s ub:takesCourse ?c . ?p ub:teacherOf ?c . \
+             ?s ub:advisor ?p }}"
+        ),
+    ];
+    for transport in TRANSPORTS {
+        let mesh = spawn_on(&overlay, LiveConfig::default(), transport);
+        for query in &queries {
+            let before = mesh.stats().gathered_legs;
+            assert!(assert_live_agrees(&mesh, &overlay, query, true) > 0, "{query}");
+            assert!(mesh.stats().gathered_legs > before, "{query} on {transport:?}");
+        }
+        mesh.shutdown();
+    }
+}
+
+#[test]
+fn a_crashed_provider_of_a_fetched_leg_gives_the_survivors_oracle() {
+    let overlay = university_overlay();
+    let query = format!("{UB} SELECT * WHERE {{ ?s ub:advisor ?p . ?p ub:worksFor ?d }}");
+    let cfg = LiveConfig {
+        ack_timeout: Duration::from_millis(50),
+        lookup_timeout: Duration::from_millis(50),
+        query_deadline: Duration::from_secs(2),
+        retries: 1,
+        ..LiveConfig::default()
+    };
+    for transport in TRANSPORTS {
+        let mesh = spawn_on(&overlay, cfg, transport);
+        let victim = mesh.providers_of(&predicate_pattern("p", ub::WORKS_FOR, "d"))[0].0;
+        assert!(mesh.crash(victim));
+        let live = mesh.execute(&query, true, WAIT).expect("a crash is a partial answer");
+        assert!(!live.complete, "{transport:?}");
+        assert!(live.failed_providers.contains(&victim), "{transport:?}");
+        assert!(mesh.stats().gathered_legs > 0, "the worksFor round fetched from {victim:?}");
+        let expected = survivor_oracle(&overlay, victim, &query);
+        assert!(!expected.is_empty());
+        assert_eq!(expected, canonical(live.result), "survivors' data on {transport:?}");
         mesh.shutdown();
     }
 }
@@ -377,7 +474,7 @@ fn bind_join_over_a_crashed_provider_returns_the_survivors_rows() {
     // purged the victim the next query would not notice it is gone.
     for (transport, query) in TRANSPORTS.into_iter().flat_map(|t| queries.map(|q| (t, q))) {
         let mesh = spawn_on(&overlay, cfg, transport);
-        let victim = mesh.providers_of(&knows_pattern())[0];
+        let victim = mesh.providers_of(&knows_pattern())[0].0;
         assert!(mesh.crash(victim));
         let live =
             mesh.execute(query, true, WAIT).expect("a crash is a partial answer, not an error");
@@ -511,7 +608,7 @@ fn every_strategy_degrades_to_the_survivor_oracle_on_provider_crash() {
     let mut victim_node = None;
     for dist in STRATEGIES {
         let mesh = LiveMesh::spawn_with(&overlay, cfg, FaultPlan::new());
-        let victim = mesh.providers_of(&knows_pattern())[0];
+        let victim = mesh.providers_of(&knows_pattern())[0].0;
         victim_node = Some(victim);
         assert!(mesh.crash(victim));
         let started = Instant::now();

@@ -127,7 +127,7 @@ fn crashed_provider_scenario(transport: Transport) {
     // Before the query, the owner's location table still lists B: the
     // index learns about the crash only lazily, from a failed query.
     let before = mesh.providers_of(&pattern);
-    assert_eq!(before, vec![STORAGE_A, STORAGE_B]);
+    assert_eq!(before, vec![(STORAGE_A, 1), (STORAGE_B, 1)]);
 
     let answer = query(&mesh, &pattern, cfg.query_deadline);
     assert!(!answer.complete, "a lost provider must be reported");
@@ -137,7 +137,7 @@ fn crashed_provider_scenario(transport: Transport) {
     // Lazy removal: the ProviderDead notification was enqueued before the
     // answer was released, so fencing the index route makes it visible.
     fence_index_nodes(&mesh, &o);
-    assert_eq!(mesh.providers_of(&pattern), vec![STORAGE_A]);
+    assert_eq!(mesh.providers_of(&pattern), vec![(STORAGE_A, 1)]);
 
     let stats = mesh.stats();
     assert_eq!(stats.ack_timeouts, 1);
@@ -243,7 +243,7 @@ fn runtime_crash_scenario(transport: Transport) {
     assert_eq!(sorted(degraded.solutions), oracle(&o, &pattern, &[STORAGE_A]));
 
     fence_index_nodes(&mesh, &o);
-    assert_eq!(mesh.providers_of(&pattern), vec![STORAGE_A]);
+    assert_eq!(mesh.providers_of(&pattern), vec![(STORAGE_A, 1)]);
     assert_eq!(mesh.stats().providers_purged, 1);
 
     // With the dead entry purged, the mesh answers complete again.
@@ -253,39 +253,72 @@ fn runtime_crash_scenario(transport: Transport) {
     mesh.shutdown();
 }
 
-/// Every storage node publishes its keys to their owners at spawn: for
-/// every index key of every shared triple, the live owner and row equal
-/// the overlay's location-table placement — a storage node down from the
-/// start included, since publication is what the index knows until a
-/// query finds the node dead.
+/// For every index key of every shared triple, asserts that the live
+/// owner and row — providers *and* frequencies — equal the overlay's
+/// location-table placement. Returns how many keys it checked.
+fn assert_rows_are_the_overlays(mesh: &LiveMesh, o: &Overlay) -> usize {
+    let mut keys = 0;
+    for storage in o.storage_nodes() {
+        for t in o.storage_node(storage).expect("listed").store.iter() {
+            let (s, p, obj) = (&t.subject, &t.predicate, &t.object);
+            let [x, y, z] = ["x", "y", "z"].map(TermPattern::var);
+            for pattern in [
+                TriplePattern::new(s.clone(), x.clone(), y.clone()),
+                TriplePattern::new(x.clone(), p.clone(), y.clone()),
+                TriplePattern::new(x.clone(), y.clone(), obj.clone()),
+                TriplePattern::new(s.clone(), p.clone(), z.clone()),
+                TriplePattern::new(z.clone(), p.clone(), obj.clone()),
+                TriplePattern::new(s.clone(), z, obj.clone()),
+            ] {
+                let key = o.index_key_for(&pattern).expect("a bound pattern has a key");
+                let owner = o.owner_addr(key.id).expect("a ring owns every key");
+                let table = o.location_table(owner).expect("an index node has a table");
+                let row: Vec<(NodeId, u64)> =
+                    table.providers(key.id).iter().map(|p| (p.node, p.frequency)).collect();
+                assert_eq!(mesh.index_owner_of(&pattern), Some(owner), "{pattern:?}");
+                assert_eq!(mesh.providers_of(&pattern), row, "{pattern:?}");
+                keys += 1;
+            }
+        }
+    }
+    keys
+}
+
+/// Every storage node publishes its keys and their frequencies to their
+/// owners at spawn: the live rows equal the overlay's location tables — a
+/// storage node down from the start included, since publication is what
+/// the index knows until a query finds the node dead. Publishing the
+/// same counts again, as a serve process does after every membership
+/// change, replaces them: no count doubles.
 fn publication_scenario(transport: Transport) {
     let o = overlay();
+    // A frequency above one, so that a doubled count would show.
+    let knows = TriplePattern::new(
+        TermPattern::var("x"),
+        Term::iri(rdfmesh_rdf::vocab::foaf::KNOWS),
+        TermPattern::var("y"),
+    );
     for plan in [FaultPlan::new(), FaultPlan::new().crash(STORAGE_B)] {
         let mesh = spawn(&o, tight(), plan, transport);
-        let mut keys = 0;
-        for storage in o.storage_nodes() {
-            for t in o.storage_node(storage).expect("listed").store.iter() {
-                let (s, p, obj) = (&t.subject, &t.predicate, &t.object);
-                let [x, y, z] = ["x", "y", "z"].map(TermPattern::var);
-                for pattern in [
-                    TriplePattern::new(s.clone(), x.clone(), y.clone()),
-                    TriplePattern::new(x.clone(), p.clone(), y.clone()),
-                    TriplePattern::new(x.clone(), y.clone(), obj.clone()),
-                    TriplePattern::new(s.clone(), p.clone(), z.clone()),
-                    TriplePattern::new(z.clone(), p.clone(), obj.clone()),
-                    TriplePattern::new(s.clone(), z, obj.clone()),
-                ] {
-                    let key = o.index_key_for(&pattern).expect("a bound pattern has a key");
-                    let owner = o.owner_addr(key.id).expect("a ring owns every key");
-                    let table = o.location_table(owner).expect("an index node has a table");
-                    let row: Vec<NodeId> = table.providers(key.id).iter().map(|p| p.node).collect();
-                    assert_eq!(mesh.index_owner_of(&pattern), Some(owner), "{pattern:?}");
-                    assert_eq!(mesh.providers_of(&pattern), row, "{pattern:?}");
-                    keys += 1;
+        assert_eq!(mesh.providers_of(&knows), vec![(STORAGE_A, 2), (STORAGE_B, 1)]);
+        assert_eq!(assert_rows_are_the_overlays(&mesh, &o), 6 * 3, "six keys per shared triple");
+        for ix in o.index_nodes() {
+            let table = o.location_table(ix).expect("an index node has a table");
+            for provider in o.storage_nodes() {
+                let keys: Vec<(u64, u64)> = table
+                    .iter()
+                    .filter_map(|(key, row)| {
+                        row.iter().find(|p| p.node == provider).map(|p| (key.0, p.frequency))
+                    })
+                    .collect();
+                if !keys.is_empty() {
+                    mesh.inject(provider, ix, LiveMsg::Publish { keys, provider });
                 }
             }
         }
-        assert_eq!(keys, 6 * 3, "six keys for each of the three shared triples");
+        fence_index_nodes(&mesh, &o);
+        assert_eq!(mesh.providers_of(&knows), vec![(STORAGE_A, 2), (STORAGE_B, 1)]);
+        assert_eq!(assert_rows_are_the_overlays(&mesh, &o), 6 * 3);
         mesh.shutdown();
     }
 }

@@ -66,7 +66,11 @@ pub const WIRE_MAGIC: [u8; 4] = *b"RDFM";
 /// and the two commands (`Deadline`, `SubmitMulti`) that never left
 /// their process but could be forged into it; eleven tags remain, their
 /// layouts unchanged, and a v4 peer still sending batches is refused.
-pub const WIRE_VERSION: u8 = 5;
+/// Version 6 gave `Publish` and `Providers` the location table's
+/// frequency column: same tags, each entry `[u64][u32]` where version 5
+/// wrote a lone `[u64]`, so a v5 peer would misparse them rather than
+/// reject them.
+pub const WIRE_VERSION: u8 = 6;
 /// Upper bound on a single frame's length field; larger values mean a
 /// corrupt or hostile stream and close the connection.
 pub const MAX_FRAME: u32 = 16 * 1024 * 1024;
@@ -665,9 +669,10 @@ mod tests {
         // Wrong magic.
         let mut r = io::Cursor::new(b"RDFX\x01\x00".to_vec());
         assert!(read_handshake(&mut r).is_err());
-        // Wrong version — in particular the previous one, whose peers
-        // still send tags this build retired.
-        for version in [0x63, WIRE_VERSION - 1] {
+        // Wrong version — in particular the previous two: a v4 peer still
+        // sends tags this build retired, and a v5 peer writes publications
+        // and provider rows without their frequencies.
+        for version in [0x63, 4, 5] {
             let mut r = io::Cursor::new([b"RDFM".as_slice(), &[version, 0]].concat());
             assert!(read_handshake(&mut r).is_err());
         }

@@ -151,6 +151,12 @@ pub const LIVE_SOLUTIONS_SHIPPED: &str = "live.solutions_shipped";
 /// Wire bytes of shipped solution sets (bound sets out, extensions
 /// back), measured with the `solution::wire` codec.
 pub const LIVE_SOLUTION_BYTES: &str = "live.solution_bytes";
+/// Bind-join key rows the coordinator sent in sub-query frames, counted
+/// per provider frame.
+pub const LIVE_BOUND_KEYS_SHIPPED: &str = "live.bound_keys_shipped";
+/// Bind-join provider legs sent the bare pattern (their key set was not
+/// the smaller side) and joined with the keys at the coordinator.
+pub const LIVE_GATHERED_LEGS: &str = "live.gathered_legs";
 
 // ---- multi-query admission control (docs/EXECUTION.md) ----
 

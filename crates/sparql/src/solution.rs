@@ -862,6 +862,18 @@ pub mod wire {
         /// which makes the count safe to allocate for.
         fn count(&mut self, unit: usize) -> Result<usize, WireError> {
             let n = self.varint()?;
+            self.fits(n, unit)
+        }
+
+        /// Reads a little-endian `u32` count of items that each occupy at
+        /// least `unit` bytes of this frame, rejecting one the remaining
+        /// bytes cannot hold — the live protocol's frames count this way.
+        pub fn u32_count(&mut self, unit: usize) -> Result<usize, WireError> {
+            let n = self.u32()? as usize;
+            self.fits(n, unit)
+        }
+
+        fn fits(&self, n: usize, unit: usize) -> Result<usize, WireError> {
             match n.checked_mul(unit) {
                 Some(bytes) if bytes <= self.bytes.len() - self.pos => Ok(n),
                 _ => Err(WireError("count exceeds the frame")),

@@ -17,6 +17,11 @@
 # one `impl Handler<LiveMsg>`, no `Outbox` inside a role, one caller each
 # of `provider::scatter(` and `provider::fold(` (the storage role) and of
 # `provider::assemble(` (the coordinator), one shuffle `generation += 1`.
+# A live location-table row carries the paper's frequency column (no
+# `HashMap<u64, Vec<NodeId>>` table in live/mod.rs), counted where the
+# six keys are placed (one `keys_for_triple(` call), and the bind join's
+# move-small rule — keys or fetch, per provider — is one function with
+# one caller, both in the coordinator.
 # Fails when a second copy appears. Test modules (`mod tests` to end of
 # file) and comment lines are not code.
 set -eu
@@ -96,6 +101,11 @@ expect 'ideal_owner( under crates/core/src' \
     "$(code ./*.rs live/*.rs | grep -c 'ideal_owner(' || true)" 0
 expect 'keys_for_triple( call sites under crates/core/src' \
     "$(code ./*.rs live/*.rs | grep -c 'keys_for_triple(' || true)" 1
+expect 'HashMap<u64, Vec<NodeId>> in live/mod.rs (a live row carries its frequency)' \
+    "$(code live/mod.rs | grep -cF 'HashMap<u64, Vec<NodeId>>' || true)" 0
+expect_at 'fn ships_keys(' 'live/coordinator.rs:1'
+# The definition and its one caller.
+expect_at 'ships_keys(' 'live/coordinator.rs:2'
 sparql=../../sparql/src
 # The bodies of the scan driver and of its collecting wrapper.
 scan=$(awk '/^pub fn (for_each_extension|evaluate_pattern_with)/{on=1} on{print} on&&/^}/{on=0}' \
@@ -126,5 +136,5 @@ expect '[[bench]] tables under crates/*/Cargo.toml' \
 expect 'criterion mentions in any Cargo.toml' \
     "$(cat Cargo.toml crates/*/Cargo.toml shims/*/Cargo.toml benchmark/Cargo.toml | grep -ci criterion || true)" 0
 expect 'directories under shims/' "$(ls -d shims/*/ | wc -l)" 3
-[ "$bad" -eq 0 ] && echo 'exists once: provider compute, exchange pricing, reply accounting, role constructors, the role host, the multiway protocol, regex compilation, lending scan, JSON escaping, result writers, the stopwatch, the pipeline tail, the operator table, the lookup leg, the cluster, the publication path'
+[ "$bad" -eq 0 ] && echo 'exists once: provider compute, exchange pricing, reply accounting, role constructors, the role host, the multiway protocol, regex compilation, lending scan, JSON escaping, result writers, the stopwatch, the pipeline tail, the operator table, the lookup leg, the cluster, the publication path, the frequency column, the move-small rule'
 exit "$bad"
