@@ -148,7 +148,7 @@ pub fn run() {
     fence(&mesh, &index_nodes);
     for pattern in &workload {
         assert!(
-            mesh.providers_of(pattern).iter().all(|(p, _)| !crashed.contains(p)),
+            mesh.providers_of(pattern).iter().all(|p| !crashed.contains(&p.node)),
             "dead providers must be lazily purged"
         );
     }

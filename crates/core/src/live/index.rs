@@ -4,7 +4,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use rdfmesh_net::{Cluster, NodeId};
-use rdfmesh_overlay::{key_for_pattern, keys_for_triple};
+use rdfmesh_overlay::{key_counts, key_for_pattern};
 use rdfmesh_rdf::SharedStore;
 
 use super::{lock, rlock, Action, LiveMsg, RingView, SharedTable};
@@ -12,10 +12,10 @@ use crate::stats::LiveStats;
 
 pub(crate) struct IndexNode {
     me: NodeId,
-    /// key id → `(provider, frequency)` row: this node's location table
-    /// (Table I). Shared with the [`LiveMesh`] handle so tests and
-    /// operators can observe publication and the lazy removal without an
-    /// extra probe protocol.
+    /// This node's location table (Table I), touched only through its
+    /// methods. Shared with the host, so tests and operators can observe
+    /// publication and the lazy removal without an extra probe protocol,
+    /// and a serve process can drop the rows it stops owning.
     table: SharedTable,
     space: rdfmesh_chord::IdSpace,
     /// `(ring position, address)` of every index node, sorted by
@@ -58,9 +58,9 @@ impl IndexNode {
                     let msg = LiveMsg::Lookup { qid, pattern, reply_to };
                     return vec![Action::Send { to: owner, msg }];
                 }
-                let providers =
-                    lock(&self.table).get(&k.id.0).map(|row| row.to_vec()).unwrap_or_default();
-                let msg = LiveMsg::Providers { qid, pattern, providers };
+                let table = lock(&self.table);
+                let row = table.providers(k.id).iter().map(|p| (p.node, p.frequency));
+                let msg = LiveMsg::Providers { qid, pattern, providers: row.collect() };
                 vec![Action::Send { to: reply_to, msg }]
             }
             LiveMsg::ProviderDead { pattern, provider } => {
@@ -70,19 +70,8 @@ impl IndexNode {
                     let msg = LiveMsg::ProviderDead { pattern, provider };
                     return vec![Action::Send { to: owner, msg }];
                 }
-                let mut table = lock(&self.table);
-                if let Some(row) = table.get_mut(&k.id.0) {
-                    let kept: Box<[_]> =
-                        row.iter().copied().filter(|(p, _)| *p != provider).collect();
-                    let removed = (row.len() - kept.len()) as u64;
-                    if kept.is_empty() {
-                        table.remove(&k.id.0);
-                    } else {
-                        *row = kept;
-                    }
-                    drop(table);
-                    self.stats.add_providers_purged(removed);
-                }
+                let purged = lock(&self.table).remove(k.id, provider, u64::MAX);
+                self.stats.add_providers_purged(u64::from(purged));
                 Vec::new()
             }
             LiveMsg::Publish { keys, provider } => {
@@ -91,13 +80,7 @@ impl IndexNode {
                 // membership change converges instead of adding up.
                 let mut table = lock(&self.table);
                 for (key, frequency) in keys {
-                    let row = table.entry(key).or_default();
-                    match row.iter_mut().find(|(p, _)| *p == provider) {
-                        Some(entry) => entry.1 = frequency,
-                        None => {
-                            *row = row.iter().copied().chain([(provider, frequency)]).collect();
-                        }
-                    }
+                    table.set(rdfmesh_chord::Id(key), provider, frequency);
                 }
                 Vec::new()
             }
@@ -116,16 +99,14 @@ pub(crate) fn owner_in_view(ring_view: &[(u64, NodeId)], key: u64) -> NodeId {
 }
 
 /// The index-key ids of `store`'s triples (six per triple, Sect. III-B),
-/// sorted, each with its frequency — how many of the triples carry it,
-/// counted as the overlay's location table counts — what its storage node
-/// publishes. Allocated at its exact length: a serve process keeps it to
-/// republish.
+/// sorted, each with its frequency — the overlay's [`key_counts`], summed
+/// over the kinds that share an id — what its storage node publishes.
+/// Allocated at its exact length: a serve process keeps it to republish.
 pub(crate) fn index_keys(space: rdfmesh_chord::IdSpace, store: &SharedStore) -> Vec<(u64, u64)> {
-    let mut ids: Vec<u64> =
-        store.iter().flat_map(|t| keys_for_triple(space, &t).map(|k| k.id.0)).collect();
-    ids.sort_unstable();
-    let mut keys = Vec::with_capacity(ids.chunk_by(u64::eq).count());
-    keys.extend(ids.chunk_by(u64::eq).map(|run| (run[0], run.len() as u64)));
+    let counts = key_counts(space, None, store.iter());
+    let ids = counts.chunk_by(|(a, _), (b, _)| a.id == b.id);
+    let mut keys = Vec::with_capacity(ids.clone().count());
+    keys.extend(ids.map(|run| (run[0].0.id.0, run.iter().map(|(_, n)| n).sum())));
     keys
 }
 

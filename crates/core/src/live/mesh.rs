@@ -8,7 +8,7 @@ use std::sync::{Arc, Mutex, RwLock};
 use std::time::Duration;
 
 use rdfmesh_net::{Cluster, FaultPlan, Handler, NodeId, TransportSnapshot};
-use rdfmesh_overlay::{key_for_pattern, Overlay};
+use rdfmesh_overlay::{key_for_pattern, Overlay, Provider};
 use rdfmesh_rdf::TriplePattern;
 
 use super::{
@@ -103,7 +103,7 @@ impl LiveMesh {
         let mut shared_tables: HashMap<NodeId, SharedTable> = HashMap::new();
         let mut nodes: Vec<(NodeId, Box<dyn Handler<LiveMsg>>)> = Vec::new();
         for ix in &index_nodes {
-            let table: SharedTable = Arc::new(Mutex::new(HashMap::new()));
+            let table = SharedTable::default();
             shared_tables.insert(*ix, Arc::clone(&table));
             let node =
                 IndexNode::new(*ix, table, space, Arc::clone(&ring_view), Arc::clone(&stats));
@@ -175,16 +175,14 @@ impl LiveMesh {
             .map(|k| owner_in_view(&rlock(&self.ring_view), k.id.0))
     }
 
-    /// The owner index node's current location-table row for `pattern`:
-    /// `(storage node, frequency)` entries sorted by node — the
-    /// observable target of publication and of the lazy removal protocol.
-    pub fn providers_of(&self, pattern: &TriplePattern) -> Vec<(NodeId, u64)> {
+    /// The owner index node's current location-table row for `pattern`,
+    /// sorted by node — the observable target of publication and of the
+    /// lazy removal protocol.
+    pub fn providers_of(&self, pattern: &TriplePattern) -> Vec<Provider> {
         let Some(key) = key_for_pattern(self.space, pattern) else { return Vec::new() };
         let owner = owner_in_view(&rlock(&self.ring_view), key.id.0);
         let Some(table) = self.tables.get(&owner) else { return Vec::new() };
-        let mut row = lock(table).get(&key.id.0).map(|row| row.to_vec()).unwrap_or_default();
-        row.sort();
-        row
+        lock(table).providers(key.id).to_vec()
     }
 
     /// Messages delivered so far (across all threads), the start-up

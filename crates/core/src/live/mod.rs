@@ -76,6 +76,7 @@ use std::time::Duration;
 
 use crossbeam::channel::Sender;
 use rdfmesh_net::{Envelope, Handler, NodeId, Outbox};
+use rdfmesh_overlay::LocationTable;
 use rdfmesh_rdf::{TriplePattern, Variable};
 use rdfmesh_sparql::expr::Expression;
 use rdfmesh_sparql::solution::Solution;
@@ -368,9 +369,9 @@ pub struct LiveAnswer {
 }
 
 pub(crate) type PendingMap = Arc<Mutex<HashMap<QueryId, Sender<LiveAnswer>>>>;
-/// An index node's location table: key id → its row of `(storage node,
-/// frequency)` entries (Table I), each row allocated at its exact length.
-pub(crate) type SharedTable = Arc<Mutex<HashMap<u64, Box<[(NodeId, u64)]>>>>;
+/// An index node's location table (Table I): the overlay's own type,
+/// shared between the index role and its host.
+pub(crate) type SharedTable = Arc<Mutex<LocationTable>>;
 /// The index nodes' routing view, `(ring position, address)` sorted by
 /// position. Shared mutable so serve-mode membership can extend it.
 pub(crate) type RingView = Arc<RwLock<Vec<(u64, NodeId)>>>;

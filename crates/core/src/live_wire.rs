@@ -110,16 +110,29 @@ fn put_node_ids(out: &mut Vec<u8>, ids: &[NodeId]) {
 }
 
 fn read_node_ids(r: &mut Reader<'_>) -> Result<Vec<NodeId>, WireError> {
-    let count = r.u32()? as usize;
-    let mut ids = Vec::with_capacity(count.min(1024));
+    let count = r.u32_count(NODE_ID_LEN)?;
+    let mut ids = Vec::with_capacity(count);
     for _ in 0..count {
         ids.push(NodeId(r.u64()?));
     }
     Ok(ids)
 }
 
+// Every list is `[u32 count]` then its items, and every decoder reads
+// the count through `Reader::u32_count` with the smallest encoding of one
+// item: a count the frame's remaining bytes cannot hold is refused before
+// anything is allocated for it.
+
 /// The wire size of one frequency entry, `[u64 id][u32 frequency]`.
 const ENTRY_LEN: usize = 12;
+/// The wire size of a node id.
+const NODE_ID_LEN: usize = 8;
+/// The smallest pattern: three variables with empty names.
+const PATTERN_MIN_LEN: usize = 3 * (1 + 4);
+/// The smallest variable: an empty name.
+const VAR_MIN_LEN: usize = 4;
+/// The smallest solution set: no column, no row.
+const SOLUTION_SET_MIN_LEN: usize = 2;
 
 /// `[u32 count]` then `count` entries `[u64 id][u32 frequency]`: a
 /// location-table row's `(provider, frequency)`, or a publication's
@@ -133,9 +146,7 @@ fn put_entries(out: &mut Vec<u8>, entries: impl ExactSizeIterator<Item = (u64, u
     }
 }
 
-/// The inverse of [`put_entries`], each id read through `id`. A count the
-/// frame's remaining bytes cannot hold is refused before anything is
-/// allocated for it.
+/// The inverse of [`put_entries`], each id read through `id`.
 fn read_entries<A>(r: &mut Reader<'_>, id: fn(u64) -> A) -> Result<Vec<(A, u64)>, WireError> {
     let count = r.u32_count(ENTRY_LEN)?;
     let mut entries = Vec::with_capacity(count);
@@ -189,8 +200,8 @@ fn put_patterns(out: &mut Vec<u8>, patterns: &[TriplePattern]) {
 }
 
 fn read_patterns(r: &mut Reader<'_>) -> Result<Vec<TriplePattern>, WireError> {
-    let count = r.u32()? as usize;
-    let mut patterns = Vec::with_capacity(count.min(1024));
+    let count = r.u32_count(PATTERN_MIN_LEN)?;
+    let mut patterns = Vec::with_capacity(count);
     for _ in 0..count {
         patterns.push(read_pattern(r)?);
     }
@@ -205,8 +216,8 @@ fn put_vars(out: &mut Vec<u8>, vars: &[Variable]) {
 }
 
 fn read_vars(r: &mut Reader<'_>) -> Result<Vec<Variable>, WireError> {
-    let count = r.u32()? as usize;
-    let mut vars = Vec::with_capacity(count.min(1024));
+    let count = r.u32_count(VAR_MIN_LEN)?;
+    let mut vars = Vec::with_capacity(count);
     for _ in 0..count {
         vars.push(Variable::new(r.str()?));
     }
@@ -221,8 +232,8 @@ fn put_solution_sets(out: &mut Vec<u8>, sets: &[Vec<Solution>]) {
 }
 
 fn read_solution_sets(r: &mut Reader<'_>) -> Result<Vec<Vec<Solution>>, WireError> {
-    let count = r.u32()? as usize;
-    let mut sets = Vec::with_capacity(count.min(1024));
+    let count = r.u32_count(SOLUTION_SET_MIN_LEN)?;
+    let mut sets = Vec::with_capacity(count);
     for _ in 0..count {
         sets.push(read_solutions(r)?);
     }
@@ -416,6 +427,9 @@ impl WireMsg for LiveMsg {
         Ok(msg)
     }
 }
+
+#[cfg(test)]
+pub(crate) use tests::{allocated_by, ALLOC_PER_FRAME_BYTE};
 
 #[cfg(test)]
 mod tests {
@@ -714,6 +728,19 @@ mod tests {
     #[global_allocator]
     static GLOBAL: CountingAlloc = CountingAlloc;
 
+    /// What decoding a frame may allocate per byte of it, unless a test
+    /// states a larger budget: a 12-byte frequency entry decodes to 16
+    /// bytes, and a count the frame cannot hold costs nothing.
+    pub(crate) const ALLOC_PER_FRAME_BYTE: usize = 4;
+
+    /// Runs `f`, returning its result and the bytes it asked the
+    /// allocator for on this thread.
+    pub(crate) fn allocated_by<T>(f: impl FnOnce() -> T) -> (T, usize) {
+        let before = ALLOCATED.with(std::cell::Cell::get);
+        let out = f();
+        (out, ALLOCATED.with(std::cell::Cell::get) - before)
+    }
+
     /// One field of a solution-set frame, by the role a decoder gives it.
     #[derive(Clone, Debug)]
     enum Field {
@@ -920,7 +947,6 @@ mod tests {
     /// few terms aside, a 12-byte entry decodes to 16 bytes.
     #[test]
     fn structurally_mutated_index_frames_are_refused_or_valid_and_cheap() {
-        const ALLOC_PER_FRAME_BYTE: usize = 4;
         let frames = [
             LiveMsg::Providers {
                 qid: QueryId(11),
@@ -979,6 +1005,61 @@ mod tests {
         let huge = LiveMsg::Publish { keys: vec![(5, u64::MAX)], provider: NodeId(7) };
         let LiveMsg::Publish { keys, .. } = round_trip(&huge) else { panic!("a Publish") };
         assert_eq!(keys, vec![(5, u64::from(u32::MAX))]);
+    }
+
+    /// Each list's unit is the smallest encoding of one of its items, as
+    /// its encoder writes it.
+    #[test]
+    fn every_list_unit_is_its_smallest_item() {
+        let item_len = |put: &dyn Fn(&mut Vec<u8>)| {
+            let mut out = Vec::new();
+            put(&mut out);
+            out.len() - 4
+        };
+        let v = || TermPattern::var("");
+        let smallest = [TriplePattern::new(v(), v(), v())];
+        assert_eq!(item_len(&|out| put_node_ids(out, &[NodeId(0)])), NODE_ID_LEN);
+        assert_eq!(item_len(&|out| put_patterns(out, &smallest)), PATTERN_MIN_LEN);
+        assert_eq!(item_len(&|out| put_vars(out, &[Variable::new("")])), VAR_MIN_LEN);
+        assert_eq!(item_len(&|out| put_solution_sets(out, &[Vec::new()])), SOLUTION_SET_MIN_LEN);
+        assert_eq!(item_len(&|out| put_entries(out, [(0, 0)].into_iter())), ENTRY_LEN);
+    }
+
+    /// Per list, a frame that ends right after a count of `u32::MAX`: it
+    /// is refused for that count before anything is allocated for it.
+    #[test]
+    fn a_count_the_frame_cannot_hold_is_refused_before_allocating() {
+        let head = |tag: u8| {
+            let mut bytes = vec![tag];
+            put_u64(&mut bytes, 7);
+            bytes
+        };
+        let then = |mut bytes: Vec<u8>, u32s: &[u32]| {
+            u32s.iter().for_each(|&n| put_u32(&mut bytes, n));
+            bytes
+        };
+        let mut providers = head(TAG_PROVIDERS);
+        put_pattern(&mut providers, &pattern());
+        let max = u32::MAX;
+        let frames = [
+            ("PartialExec patterns", then(head(TAG_PARTIAL_EXEC), &[max])),
+            ("ShuffleExec patterns", then(head(TAG_SHUFFLE_EXEC), &[2, max])),
+            ("ShuffleExec vars", then(head(TAG_SHUFFLE_EXEC), &[2, 0, max])),
+            ("ShuffleExec peers", then(head(TAG_SHUFFLE_EXEC), &[2, 0, 0, max])),
+            ("ShufflePart sets", then(head(TAG_SHUFFLE_PART), &[1, max])),
+            ("PartialMatches sets", then(head(TAG_PARTIAL_MATCHES), &[max])),
+            ("Providers entries", then(providers, &[max])),
+            ("Publish entries", then(vec![TAG_PUBLISH], &[max])),
+        ];
+        for (list, bytes) in frames {
+            let (decoded, allocated) = allocated_by(|| LiveMsg::decode_wire(&bytes));
+            assert_eq!(decoded.unwrap_err(), WireFault("count exceeds the frame"), "{list}");
+            assert!(
+                allocated <= ALLOC_PER_FRAME_BYTE * bytes.len(),
+                "{list}: decoding a {} B frame allocated {allocated} B",
+                bytes.len()
+            );
+        }
     }
 
     /// Frames written to make a decoder copy: one name or one body,

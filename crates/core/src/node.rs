@@ -23,8 +23,10 @@
 //! its ring view and **republish** its local keys ([`LiveMsg::Publish`]
 //! rows are idempotent, and a [`crate::LiveMesh`] fills its tables
 //! through the same function), so location tables converge on the final
-//! ring without coordination. Rows left on a node that lost ownership are
-//! harmless: lookups always route to the *current* owner.
+//! ring without coordination. A node drops the rows it stops owning when
+//! its view changes; one filed later from a peer's older view lingers
+//! until the next change, unread, since lookups and purges route to the
+//! *current* owner.
 
 use std::collections::HashMap;
 use std::io;
@@ -62,6 +64,9 @@ const CTRL_PEER_JOINED: u8 = 3;
 /// must agree on it for key ownership to agree; 32 bits matches the
 /// simulator's default overlay.
 const RING_BITS: u32 = 32;
+
+/// The smallest encoding of a [`Member`]: two `u64`s and an empty address.
+const MEMBER_MIN_LEN: usize = 20;
 
 /// One member of the mesh, as carried in control frames.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -127,8 +132,8 @@ impl Control {
         let ctrl = match r.u8()? {
             CTRL_JOIN => Control::Join(read_member(&mut r)?),
             CTRL_WELCOME => {
-                let count = r.u32()? as usize;
-                let mut members = Vec::with_capacity(count.min(1024));
+                let count = r.u32_count(MEMBER_MIN_LEN)?;
+                let mut members = Vec::with_capacity(count);
                 for _ in 0..count {
                     members.push(read_member(&mut r)?);
                 }
@@ -149,6 +154,8 @@ struct NodeShared {
     members: Mutex<HashMap<u64, Member>>,
     ring_view: RingView,
     flood: SharedFlood,
+    /// The local index node's location table.
+    table: SharedTable,
     /// The local store's index-key ids and their frequencies, precomputed
     /// at start — what this process republishes after every membership
     /// change.
@@ -157,9 +164,10 @@ struct NodeShared {
 }
 
 impl NodeShared {
-    /// Rebuilds the routing views from the roster and republishes the
-    /// local keys to their current owners. Idempotent; called after
-    /// every membership event.
+    /// Rebuilds the routing views from the roster, drops the local rows
+    /// the new view gives another index node, and republishes the local
+    /// keys to their current owners. Idempotent; called after every
+    /// membership event.
     fn refresh(&self, cluster: &Cluster<LiveMsg>) {
         let members: Vec<Member> = lock(&self.members).values().cloned().collect();
         for m in &members {
@@ -178,6 +186,8 @@ impl NodeShared {
             members.iter().map(|m| (m.pos, NodeId(INDEX_BASE + m.id))).collect();
         ring.sort();
         *wlock(&self.ring_view) = ring.clone();
+        let index = NodeId(INDEX_BASE + self.me.id);
+        lock(&self.table).retain(|key| owner_in_view(&ring, key.0) == index);
         let mut flood: Vec<NodeId> = members.iter().map(|m| NodeId(m.id)).collect();
         flood.sort();
         *wlock(&self.flood) = flood;
@@ -303,10 +313,15 @@ impl MeshNode {
         let pending: PendingMap = Arc::new(Mutex::new(HashMap::new()));
         let ring_view: RingView = Arc::new(std::sync::RwLock::new(vec![(pos, index_id)]));
         let flood: SharedFlood = Arc::new(std::sync::RwLock::new(vec![storage_id]));
-        let table: SharedTable = Arc::new(Mutex::new(HashMap::new()));
+        let table = SharedTable::default();
 
-        let index =
-            IndexNode::new(index_id, table, space, Arc::clone(&ring_view), Arc::clone(&stats));
+        let index = IndexNode::new(
+            index_id,
+            Arc::clone(&table),
+            space,
+            Arc::clone(&ring_view),
+            Arc::clone(&stats),
+        );
         let core = CoordinatorCore::new(
             coord_id,
             index_id,
@@ -330,6 +345,7 @@ impl MeshNode {
             members: Mutex::new(HashMap::from([(id, me)])),
             ring_view,
             flood,
+            table,
             keys,
             space,
         });
@@ -419,6 +435,8 @@ impl MeshNode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rdfmesh_chord::Id;
+    use rdfmesh_overlay::LocationTable;
     use rdfmesh_rdf::{Term, Triple};
 
     fn store(rows: &[(&str, &str, &str)]) -> TripleStore {
@@ -453,6 +471,20 @@ mod tests {
         }
         assert!(Control::decode(&[0xEE]).is_err());
         assert!(Control::decode(&[]).is_err());
+    }
+
+    #[test]
+    fn a_welcome_count_the_frame_cannot_hold_is_refused_before_allocating() {
+        use crate::live_wire::{allocated_by, ALLOC_PER_FRAME_BYTE};
+        // The unit a roster's count is checked against is the smallest member.
+        let mut smallest = Vec::new();
+        put_member(&mut smallest, &Member { id: 0, pos: 0, addr: String::new() });
+        assert_eq!(smallest.len(), MEMBER_MIN_LEN);
+        let mut bytes = vec![CTRL_WELCOME];
+        bytes.extend_from_slice(&u32::MAX.to_le_bytes());
+        let (decoded, allocated) = allocated_by(|| Control::decode(&bytes));
+        assert_eq!(decoded.unwrap_err().0, "count exceeds the frame");
+        assert!(allocated <= ALLOC_PER_FRAME_BYTE * bytes.len(), "{allocated} B");
     }
 
     #[test]
@@ -553,6 +585,60 @@ mod tests {
         let rows: Vec<(&str, &str, &str)> =
             rows.iter().map(|[s, p, o]| (s.as_str(), p.as_str(), o.as_str())).collect();
         store(&rows)
+    }
+
+    /// The table each of `nodes`' index nodes holds once the mesh has
+    /// settled: every store's keys at their owner in that node's view.
+    fn owned_rows(nodes: &[MeshNode], node: &MeshNode) -> LocationTable {
+        let index = NodeId(INDEX_BASE + node.id());
+        let ring = rlock(&node.shared.ring_view).clone();
+        let mut table = LocationTable::new();
+        for provider in nodes {
+            for &(key, frequency) in &provider.shared.keys {
+                if owner_in_view(&ring, key) == index {
+                    table.set(Id(key), NodeId(provider.id()), frequency);
+                }
+            }
+        }
+        table
+    }
+
+    #[test]
+    fn index_nodes_drop_the_rows_they_no_longer_own() {
+        let start = |id| {
+            MeshNode::start("127.0.0.1:0", id, numbered_store(id), LiveConfig::default()).unwrap()
+        };
+        // Process 2's slice of the final ring is the smallest (38 of the
+        // 216 keys), so it starts the mesh: alone, it files all 72 of its own.
+        let nodes = [start(2), start(1), start(3)];
+        // One joiner at a time, each view's publications filed before the
+        // next member joins: a row filed from an older view may linger
+        // until the next change, and none can arrive late here.
+        for joined in 2..=nodes.len() {
+            let mesh = &nodes[..joined];
+            assert!(mesh[joined - 1].join(nodes[0].local_addr()));
+            wait_members(&mesh.iter().collect::<Vec<_>>(), joined);
+            let deadline = std::time::Instant::now() + Duration::from_secs(10);
+            for node in mesh {
+                while *lock(&node.shared.table) != owned_rows(mesh, node) {
+                    let id = node.id();
+                    assert!(std::time::Instant::now() < deadline, "node {id} never settled");
+                    std::thread::sleep(Duration::from_millis(10));
+                }
+            }
+            for node in mesh {
+                let index = NodeId(INDEX_BASE + node.id());
+                assert!(node.cluster.barrier(index, Duration::from_secs(5)));
+            }
+        }
+        for node in &nodes {
+            let ring = rlock(&node.shared.ring_view).clone();
+            let index = NodeId(INDEX_BASE + node.id());
+            let table = lock(&node.shared.table);
+            assert!(table.iter().all(|(key, _)| owner_in_view(&ring, key.0) == index));
+        }
+        let first = lock(&nodes[0].shared.table).key_count();
+        assert!(first < nodes[0].shared.keys.len(), "{first} rows kept");
     }
 
     #[test]

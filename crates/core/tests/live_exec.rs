@@ -19,7 +19,7 @@ use rdfmesh_core::{
     LiveStatsSnapshot, Mat, MeshBackend, Transport,
 };
 use rdfmesh_net::{LatencyModel, Network, NodeId, SimTime};
-use rdfmesh_overlay::Overlay;
+use rdfmesh_overlay::{Overlay, Provider};
 use rdfmesh_rdf::{Term, TermPattern, Triple, TriplePattern, Variable};
 use rdfmesh_sparql::eval::evaluate_pattern_with;
 use rdfmesh_sparql::{evaluate_query, parse_query, solution, QueryResult, Solution};
@@ -210,7 +210,7 @@ fn provider_crash_mid_query_degrades_to_a_partial_answer() {
     };
     let mesh = LiveMesh::spawn_with(&overlay, cfg, FaultPlan::new());
     // Crash a provider that serves the conjunctive query's patterns.
-    let victim = mesh.providers_of(&knows_pattern())[0].0;
+    let victim = mesh.providers_of(&knows_pattern())[0].node;
     assert!(mesh.crash(victim));
     let started = Instant::now();
     let live = mesh
@@ -360,7 +360,7 @@ fn two_hop_bind_round_moves_the_smaller_side_to_each_provider() {
     // bare pattern and ships its matches, as many as its frequency.
     let predict = |keys: &[Solution]| {
         let (mut shipped, mut fetched, mut sent) = (0, 0, 0);
-        for &(provider, frequency) in &row {
+        for &Provider { node: provider, frequency } in &row {
             let store = &overlay.storage_node(provider).expect("a provider").store;
             let matches = evaluate_pattern_with(store, &works_for, &[Solution::new()]);
             assert_eq!(matches.len() as u64, frequency, "the row counts {provider:?}'s matches");
@@ -440,7 +440,7 @@ fn a_crashed_provider_of_a_fetched_leg_gives_the_survivors_oracle() {
     };
     for transport in TRANSPORTS {
         let mesh = spawn_on(&overlay, cfg, transport);
-        let victim = mesh.providers_of(&predicate_pattern("p", ub::WORKS_FOR, "d"))[0].0;
+        let victim = mesh.providers_of(&predicate_pattern("p", ub::WORKS_FOR, "d"))[0].node;
         assert!(mesh.crash(victim));
         let live = mesh.execute(&query, true, WAIT).expect("a crash is a partial answer");
         assert!(!live.complete, "{transport:?}");
@@ -474,7 +474,7 @@ fn bind_join_over_a_crashed_provider_returns_the_survivors_rows() {
     // purged the victim the next query would not notice it is gone.
     for (transport, query) in TRANSPORTS.into_iter().flat_map(|t| queries.map(|q| (t, q))) {
         let mesh = spawn_on(&overlay, cfg, transport);
-        let victim = mesh.providers_of(&knows_pattern())[0].0;
+        let victim = mesh.providers_of(&knows_pattern())[0].node;
         assert!(mesh.crash(victim));
         let live =
             mesh.execute(query, true, WAIT).expect("a crash is a partial answer, not an error");
@@ -608,7 +608,7 @@ fn every_strategy_degrades_to_the_survivor_oracle_on_provider_crash() {
     let mut victim_node = None;
     for dist in STRATEGIES {
         let mesh = LiveMesh::spawn_with(&overlay, cfg, FaultPlan::new());
-        let victim = mesh.providers_of(&knows_pattern())[0].0;
+        let victim = mesh.providers_of(&knows_pattern())[0].node;
         victim_node = Some(victim);
         assert!(mesh.crash(victim));
         let started = Instant::now();

@@ -19,7 +19,7 @@ use rdfmesh_core::{
     FaultPlan, LiveAnswer, LiveConfig, LiveMesh, LiveMsg, QueryId, Transport, COORDINATOR,
 };
 use rdfmesh_net::{LatencyModel, Network, NodeId, SimTime};
-use rdfmesh_overlay::Overlay;
+use rdfmesh_overlay::{Overlay, Provider};
 use rdfmesh_rdf::{Term, TermPattern, Triple, TriplePattern, Variable};
 use rdfmesh_sparql::{eval::extend, Solution};
 
@@ -78,6 +78,11 @@ fn oracle(o: &Overlay, pattern: &TriplePattern, live: &[NodeId]) -> Vec<Solution
     expected
 }
 
+/// A location-table row from its `(storage node, frequency)` entries.
+fn row(entries: &[(NodeId, u64)]) -> Vec<Provider> {
+    entries.iter().map(|&(node, frequency)| Provider { node, frequency }).collect()
+}
+
 fn sorted(mut solutions: Vec<Solution>) -> Vec<Solution> {
     solutions.sort();
     solutions
@@ -127,7 +132,7 @@ fn crashed_provider_scenario(transport: Transport) {
     // Before the query, the owner's location table still lists B: the
     // index learns about the crash only lazily, from a failed query.
     let before = mesh.providers_of(&pattern);
-    assert_eq!(before, vec![(STORAGE_A, 1), (STORAGE_B, 1)]);
+    assert_eq!(before, row(&[(STORAGE_A, 1), (STORAGE_B, 1)]));
 
     let answer = query(&mesh, &pattern, cfg.query_deadline);
     assert!(!answer.complete, "a lost provider must be reported");
@@ -137,7 +142,7 @@ fn crashed_provider_scenario(transport: Transport) {
     // Lazy removal: the ProviderDead notification was enqueued before the
     // answer was released, so fencing the index route makes it visible.
     fence_index_nodes(&mesh, &o);
-    assert_eq!(mesh.providers_of(&pattern), vec![(STORAGE_A, 1)]);
+    assert_eq!(mesh.providers_of(&pattern), row(&[(STORAGE_A, 1)]));
 
     let stats = mesh.stats();
     assert_eq!(stats.ack_timeouts, 1);
@@ -243,7 +248,7 @@ fn runtime_crash_scenario(transport: Transport) {
     assert_eq!(sorted(degraded.solutions), oracle(&o, &pattern, &[STORAGE_A]));
 
     fence_index_nodes(&mesh, &o);
-    assert_eq!(mesh.providers_of(&pattern), vec![(STORAGE_A, 1)]);
+    assert_eq!(mesh.providers_of(&pattern), row(&[(STORAGE_A, 1)]));
     assert_eq!(mesh.stats().providers_purged, 1);
 
     // With the dead entry purged, the mesh answers complete again.
@@ -273,10 +278,8 @@ fn assert_rows_are_the_overlays(mesh: &LiveMesh, o: &Overlay) -> usize {
                 let key = o.index_key_for(&pattern).expect("a bound pattern has a key");
                 let owner = o.owner_addr(key.id).expect("a ring owns every key");
                 let table = o.location_table(owner).expect("an index node has a table");
-                let row: Vec<(NodeId, u64)> =
-                    table.providers(key.id).iter().map(|p| (p.node, p.frequency)).collect();
                 assert_eq!(mesh.index_owner_of(&pattern), Some(owner), "{pattern:?}");
-                assert_eq!(mesh.providers_of(&pattern), row, "{pattern:?}");
+                assert_eq!(mesh.providers_of(&pattern), table.providers(key.id), "{pattern:?}");
                 keys += 1;
             }
         }
@@ -289,7 +292,8 @@ fn assert_rows_are_the_overlays(mesh: &LiveMesh, o: &Overlay) -> usize {
 /// storage node down from the start included, since publication is what
 /// the index knows until a query finds the node dead. Publishing the
 /// same counts again, as a serve process does after every membership
-/// change, replaces them: no count doubles.
+/// change, replaces them: no count doubles. A zero count removes the
+/// entry it names and files nothing where there is none.
 fn publication_scenario(transport: Transport) {
     let o = overlay();
     // A frequency above one, so that a doubled count would show.
@@ -300,7 +304,7 @@ fn publication_scenario(transport: Transport) {
     );
     for plan in [FaultPlan::new(), FaultPlan::new().crash(STORAGE_B)] {
         let mesh = spawn(&o, tight(), plan, transport);
-        assert_eq!(mesh.providers_of(&knows), vec![(STORAGE_A, 2), (STORAGE_B, 1)]);
+        assert_eq!(mesh.providers_of(&knows), row(&[(STORAGE_A, 2), (STORAGE_B, 1)]));
         assert_eq!(assert_rows_are_the_overlays(&mesh, &o), 6 * 3, "six keys per shared triple");
         for ix in o.index_nodes() {
             let table = o.location_table(ix).expect("an index node has a table");
@@ -317,8 +321,22 @@ fn publication_scenario(transport: Transport) {
             }
         }
         fence_index_nodes(&mesh, &o);
-        assert_eq!(mesh.providers_of(&knows), vec![(STORAGE_A, 2), (STORAGE_B, 1)]);
+        assert_eq!(mesh.providers_of(&knows), row(&[(STORAGE_A, 2), (STORAGE_B, 1)]));
         assert_eq!(assert_rows_are_the_overlays(&mesh, &o), 6 * 3);
+
+        let nobody = TriplePattern::new(
+            TermPattern::var("x"),
+            Term::iri(rdfmesh_rdf::vocab::foaf::KNOWS),
+            Term::iri("http://example.org/nobody"),
+        );
+        for (pattern, provider) in [(&knows, STORAGE_B), (&nobody, STORAGE_A)] {
+            let key = o.index_key_for(pattern).expect("a bound pattern has a key").id.0;
+            let owner = mesh.index_owner_of(pattern).expect("a keyed pattern has an owner");
+            mesh.inject(provider, owner, LiveMsg::Publish { keys: vec![(key, 0)], provider });
+        }
+        fence_index_nodes(&mesh, &o);
+        assert_eq!(mesh.providers_of(&knows), row(&[(STORAGE_A, 2)]));
+        assert_eq!(mesh.providers_of(&nobody), row(&[]), "a zero files no entry");
         mesh.shutdown();
     }
 }

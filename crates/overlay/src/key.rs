@@ -100,6 +100,39 @@ pub fn keys_for_triple(space: IdSpace, triple: &Triple) -> [IndexKey; 6] {
     KeyKind::ALL.map(|k| key_for_triple(space, triple, k))
 }
 
+/// The index keys `triples` publish — six per triple, plus the range key
+/// of a numeric object when `buckets` is set — each with its frequency:
+/// how many of the triples carry it (Table I). Sorted by `(id, kind)`.
+/// The one place a provider's keys are counted, on every host.
+pub fn key_counts(
+    space: IdSpace,
+    buckets: Option<NumericBuckets>,
+    triples: impl IntoIterator<Item = Triple>,
+) -> Vec<(IndexKey, u64)> {
+    // One column of 8-byte ids per kind, in `KeyKind` order: a store's
+    // keys are the peak of a peer's start-up.
+    let triples = triples.into_iter();
+    let mut columns: [Vec<u64>; 7] = Default::default();
+    for column in &mut columns[..6] {
+        column.reserve_exact(triples.size_hint().0);
+    }
+    for triple in triples {
+        let range_key = buckets.and_then(|b| b.key_of(space, &triple));
+        for key in keys_for_triple(space, &triple).into_iter().chain(range_key) {
+            columns[key.kind as usize].push(key.id.0);
+        }
+    }
+    columns.iter_mut().for_each(|column| column.sort_unstable());
+    let distinct = columns.iter().map(|column| column.chunk_by(u64::eq).count()).sum();
+    let mut counts = Vec::with_capacity(distinct);
+    for (kind, column) in KeyKind::ALL.into_iter().chain([KeyKind::PON]).zip(&columns) {
+        let runs = column.chunk_by(u64::eq);
+        counts.extend(runs.map(|run| (IndexKey { kind, id: Id(run[0]) }, run.len() as u64)));
+    }
+    counts.sort_unstable_by_key(|(key, _)| (key.id, key.kind));
+    counts
+}
+
 /// The most selective index key usable for a triple pattern, or `None`
 /// for the all-variable pattern `(?s, ?p, ?o)` (which must be flooded).
 ///
@@ -257,11 +290,47 @@ impl NumericBuckets {
     pub fn key(&self, space: IdSpace, predicate: &Term, bucket: usize) -> Id {
         space.hash_parts(&["PON", &predicate.to_string(), &bucket.to_string()])
     }
+
+    /// The range key `triple` publishes, if its object is numeric.
+    pub fn key_of(&self, space: IdSpace, triple: &Triple) -> Option<IndexKey> {
+        let value = triple.object.as_literal().and_then(rdfmesh_rdf::Literal::as_f64)?;
+        let id = self.key(space, &triple.predicate, self.bucket_of(value));
+        Some(IndexKey { kind: KeyKind::PON, id })
+    }
 }
 
 #[cfg(test)]
 mod bucket_tests {
     use super::*;
+
+    #[test]
+    fn key_counts_count_every_key_sorted_by_id_then_kind() {
+        let space = IdSpace::new(8); // small enough that kinds share ids
+        let buckets = NumericBuckets::new(0.0, 100.0, 10);
+        let int = rdfmesh_rdf::Iri::new(rdfmesh_rdf::vocab::xsd::INTEGER).unwrap();
+        let iri = |name: String| Term::iri(&format!("http://e/{name}"));
+        let triples: Vec<Triple> = (0..40)
+            .map(|i| {
+                let age = rdfmesh_rdf::Literal::typed((i % 7).to_string(), int.clone());
+                let object = match i % 3 {
+                    0 => Term::Literal(age),
+                    _ => iri(format!("o{}", i % 4)),
+                };
+                Triple::new(iri(format!("s{}", i % 5)), iri("p".into()), object)
+            })
+            .collect();
+        let mut naive = std::collections::BTreeMap::new();
+        for t in &triples {
+            for key in keys_for_triple(space, t).into_iter().chain(buckets.key_of(space, t)) {
+                *naive.entry((key.id, key.kind)).or_insert(0) += 1;
+            }
+        }
+        let want: Vec<(IndexKey, u64)> =
+            naive.into_iter().map(|((id, kind), n)| (IndexKey { kind, id }, n)).collect();
+        assert_eq!(key_counts(space, Some(buckets), triples.clone()), want);
+        let without: Vec<_> = want.into_iter().filter(|(k, _)| k.kind != KeyKind::PON).collect();
+        assert_eq!(key_counts(space, None, triples), without);
+    }
 
     #[test]
     fn bucket_of_covers_range_and_clamps() {

@@ -38,6 +38,8 @@ pub mod location;
 pub mod overlay;
 pub mod wire;
 
-pub use key::{key_for_pattern, key_for_triple, keys_for_triple, IndexKey, KeyKind, NumericBuckets};
+pub use key::{
+    key_counts, key_for_pattern, key_for_triple, keys_for_triple, IndexKey, KeyKind, NumericBuckets,
+};
 pub use location::{LocationTable, Provider};
 pub use overlay::{JoinReport, Located, Overlay, OverlayError, PublishReport, StorageNode};

@@ -24,7 +24,7 @@ use rdfmesh_chord::{ChordRing, Id, RingError};
 use rdfmesh_net::{Network, NodeId, SimTime};
 use rdfmesh_rdf::{SharedStore, Triple, TriplePattern, TripleStore};
 
-use crate::key::{key_for_pattern, keys_for_triple, IndexKey, KeyKind, NumericBuckets};
+use crate::key::{key_counts, key_for_pattern, IndexKey, KeyKind, NumericBuckets};
 use crate::location::{LocationTable, Provider};
 use crate::wire;
 
@@ -240,7 +240,7 @@ impl Overlay {
                 row = r.providers(key);
             }
         }
-        row
+        row.to_vec()
     }
 
     /// The index key `pattern` resolves to in this overlay's identifier
@@ -500,7 +500,7 @@ impl Overlay {
         }
         let owners: Vec<Id> = self.tables.keys().copied().collect();
         for owner in owners {
-            let rows: Vec<(Id, Vec<Provider>)> = self.tables[&owner].iter().collect();
+            let rows: Vec<(Id, &[Provider])> = self.tables[&owner].iter().collect();
             let succs: Vec<Id> = self
                 .ring
                 .node(owner)
@@ -512,9 +512,9 @@ impl Overlay {
                 .collect();
             for s in succs {
                 let table = self.replicas.entry(s).or_default();
-                for (key, provs) in &rows {
+                for &(key, provs) in &rows {
                     for p in provs {
-                        table.add(*key, p.node, p.frequency);
+                        table.add(key, p.node, p.frequency);
                     }
                 }
             }
@@ -581,20 +581,7 @@ impl Overlay {
     fn publish(&mut self, addr: NodeId) -> Result<PublishReport, OverlayError> {
         let node = self.storage.get(&addr).ok_or(OverlayError::UnknownStorageNode(addr))?;
         let attach_id = node.attached_to;
-        let space = self.ring.space();
-
-        // Aggregate: key → number of this node's triples carrying it
-        // (six standard keys, plus the PON range key when enabled).
-        let mut counts: HashMap<IndexKey, u64> = HashMap::new();
-        for triple in node.store.iter() {
-            for key in keys_for_triple(space, &triple) {
-                *counts.entry(key).or_insert(0) += 1;
-            }
-            if let Some(key) = self.pon_key_of(&triple) {
-                *counts.entry(key).or_insert(0) += 1;
-            }
-        }
-
+        let counts = key_counts(self.ring.space(), self.buckets, node.store.iter());
         self.publish_deltas(addr, attach_id, counts, true)
     }
 
@@ -606,23 +593,13 @@ impl Overlay {
         addr: NodeId,
         triples: impl IntoIterator<Item = Triple>,
     ) -> Result<PublishReport, OverlayError> {
-        let space = self.ring.space();
-        let buckets = self.buckets;
-        // Only genuinely new triples create index deltas.
-        let mut counts: HashMap<IndexKey, u64> = HashMap::new();
+        let (space, buckets) = (self.ring.space(), self.buckets);
         let node =
             self.storage.get_mut(&addr).ok_or(OverlayError::UnknownStorageNode(addr))?;
         let attach_id = node.attached_to;
-        for triple in triples {
-            if node.store.insert(&triple) {
-                for key in keys_for_triple(space, &triple) {
-                    *counts.entry(key).or_insert(0) += 1;
-                }
-                if let Some(key) = pon_key(space, buckets, &triple) {
-                    *counts.entry(key).or_insert(0) += 1;
-                }
-            }
-        }
+        // Only genuinely new triples create index deltas.
+        let fresh = triples.into_iter().filter(|t| node.store.insert(t));
+        let counts = key_counts(space, buckets, fresh);
         self.publish_deltas(addr, attach_id, counts, true)
     }
 
@@ -633,39 +610,27 @@ impl Overlay {
         addr: NodeId,
         triples: impl IntoIterator<Item = Triple>,
     ) -> Result<PublishReport, OverlayError> {
-        let space = self.ring.space();
-        let buckets = self.buckets;
-        let mut counts: HashMap<IndexKey, u64> = HashMap::new();
+        let (space, buckets) = (self.ring.space(), self.buckets);
         let node =
             self.storage.get_mut(&addr).ok_or(OverlayError::UnknownStorageNode(addr))?;
         let attach_id = node.attached_to;
-        for triple in triples {
-            if node.store.remove(&triple) {
-                for key in keys_for_triple(space, &triple) {
-                    *counts.entry(key).or_insert(0) += 1;
-                }
-                if let Some(key) = pon_key(space, buckets, &triple) {
-                    *counts.entry(key).or_insert(0) += 1;
-                }
-            }
-        }
+        let held = triples.into_iter().filter(|t| node.store.remove(t));
+        let counts = key_counts(space, buckets, held);
         self.publish_deltas(addr, attach_id, counts, false)
     }
 
-    /// Routes one message per key delta and applies it (and its
-    /// replicas). Index nodes that die while an operation is in flight
+    /// Routes one message per key delta, in `(id, kind)` order, and
+    /// applies it (and its replicas). Index nodes that die while an operation is in flight
     /// are skipped — the delta still lands at the owner, we just do not
     /// charge hops through dead addresses — instead of panicking.
     fn publish_deltas(
         &mut self,
         addr: NodeId,
         attach_id: Id,
-        counts: HashMap<IndexKey, u64>,
+        keys: Vec<(IndexKey, u64)>,
         add: bool,
     ) -> Result<PublishReport, OverlayError> {
-        let mut report = PublishReport { keys: counts.len(), ..Default::default() };
-        let mut keys: Vec<(IndexKey, u64)> = counts.into_iter().collect();
-        keys.sort_by_key(|(k, _)| (k.id, k.kind));
+        let mut report = PublishReport { keys: keys.len(), ..Default::default() };
         // owner → changed keys, batched for one notification per owner.
         let mut changed: BTreeMap<Id, Vec<Id>> = BTreeMap::new();
         for (key, count) in keys {
@@ -847,7 +812,8 @@ impl Overlay {
                 providers = r.providers(key.id);
             }
         }
-        self.record_key_hit(key.id, owner, &providers, arrival);
+        self.record_key_hit(key.id, owner, providers, arrival);
+        let providers = providers.to_vec();
         Ok(Some(Located {
             key,
             index_node: self
@@ -897,10 +863,6 @@ impl Overlay {
         }
     }
 
-    fn pon_key_of(&self, triple: &Triple) -> Option<IndexKey> {
-        pon_key(self.ring.space(), self.buckets, triple)
-    }
-
     /// Resolves the providers holding triples `(?s, predicate, ?o)` with
     /// numeric `?o ∈ [lo, hi]`, via the bucketed range keys. Returns
     /// `None` when the range index is not enabled. Providers are the
@@ -948,7 +910,7 @@ impl Overlay {
                     row = r.providers(key);
                 }
             }
-            for p in row {
+            for &p in row {
                 match providers.iter_mut().find(|q| q.node == p.node) {
                     Some(q) => q.frequency += p.frequency,
                     None => providers.push(p),
@@ -990,19 +952,6 @@ impl Overlay {
             .map(|(id, &addr)| (addr, self.tables.get(id).map_or(0, LocationTable::entry_count)))
             .collect()
     }
-}
-
-/// The PON key of a triple, when bucketing is enabled and the object is
-/// numeric.
-fn pon_key(
-    space: rdfmesh_chord::IdSpace,
-    buckets: Option<NumericBuckets>,
-    triple: &Triple,
-) -> Option<IndexKey> {
-    let buckets = buckets?;
-    let value = triple.object.as_literal().and_then(rdfmesh_rdf::Literal::as_f64)?;
-    let bucket = buckets.bucket_of(value);
-    Some(IndexKey { kind: KeyKind::PON, id: buckets.key(space, &triple.predicate, bucket) })
 }
 
 #[cfg(test)]

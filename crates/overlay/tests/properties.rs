@@ -1,12 +1,15 @@
 //! Property-based tests for the two-level distributed index: whatever the
 //! data placement, `locate` must return exactly the storage nodes with at
 //! least one matching triple, with exact frequencies — and churn must not
-//! corrupt that invariant.
+//! corrupt that invariant. The location table itself is checked against a
+//! model under random sequences of its operations.
+
+use std::collections::BTreeMap;
 
 use proptest::prelude::*;
 use rdfmesh_chord::Id;
 use rdfmesh_net::{LatencyModel, Network, NodeId, SimTime};
-use rdfmesh_overlay::Overlay;
+use rdfmesh_overlay::{LocationTable, Overlay, Provider};
 use rdfmesh_rdf::{PatternKind, Term, TermPattern, Triple, TriplePattern};
 
 fn arb_triple() -> impl Strategy<Value = Triple> {
@@ -100,8 +103,130 @@ fn check_locate(o: &Overlay, pattern: &TriplePattern) -> Result<(), TestCaseErro
     Ok(())
 }
 
+/// One operation on a location table, over a few keys and nodes so that
+/// rows collide.
+#[derive(Debug, Clone)]
+enum Op {
+    Add(u64, u64, u64),
+    Set(u64, u64, u64),
+    Remove(u64, u64, u64),
+    PurgeNode(u64),
+    /// Split off the keys below the bound, then merge them back when the
+    /// flag is set.
+    SplitOff(u64, bool),
+    /// Keep only the keys below the bound.
+    Retain(u64),
+    /// Merge a table holding these `add`s.
+    Merge(Vec<(u64, u64, u64)>),
+}
+
+fn arb_op() -> impl Strategy<Value = Op> {
+    let entry = || (0u64..6, 0u64..5, 0u64..4);
+    prop_oneof![
+        3 => entry().prop_map(|(k, n, c)| Op::Add(k, n, c)),
+        3 => entry().prop_map(|(k, n, c)| Op::Set(k, n, c)),
+        2 => entry().prop_map(|(k, n, c)| Op::Remove(k, n, c)),
+        1 => (0u64..5).prop_map(Op::PurgeNode),
+        1 => (0u64..7, any::<bool>()).prop_map(|(bound, back)| Op::SplitOff(bound, back)),
+        1 => (0u64..7).prop_map(Op::Retain),
+        1 => proptest::collection::vec(entry(), 0..6).prop_map(Op::Merge),
+    ]
+}
+
+/// The model: `(key, node) → frequency`, never holding a zero.
+type Model = BTreeMap<(Id, NodeId), u64>;
+
+fn model_set(model: &mut Model, key: u64, node: u64, frequency: u64) {
+    match frequency {
+        0 => model.remove(&(Id(key), NodeId(node))),
+        f => model.insert((Id(key), NodeId(node)), f),
+    };
+}
+
+fn model_held(model: &Model, key: u64, node: u64) -> Option<u64> {
+    model.get(&(Id(key), NodeId(node))).copied()
+}
+
+/// Rows sorted by node, keys in order, no zero and no empty row, and
+/// `providers`, `key_count` and `entry_count` all read the model.
+fn check_table(table: &LocationTable, model: &Model) -> Result<(), TestCaseError> {
+    let keys: Vec<Id> = table.iter().map(|(key, _)| key).collect();
+    prop_assert!(keys.windows(2).all(|w| w[0] < w[1]), "rows out of key order: {keys:?}");
+    for (key, row) in table.iter() {
+        prop_assert!(!row.is_empty(), "empty row at {key}");
+        prop_assert!(row.windows(2).all(|w| w[0].node < w[1].node), "row {key} unsorted");
+        prop_assert!(row.iter().all(|p| p.frequency > 0), "a zero at {key}");
+    }
+    for key in 0..6 {
+        let want: Vec<Provider> = model
+            .range((Id(key), NodeId(0))..=(Id(key), NodeId(u64::MAX)))
+            .map(|(&(_, node), &frequency)| Provider { node, frequency })
+            .collect();
+        prop_assert_eq!(table.providers(Id(key)), &want[..]);
+    }
+    let distinct: std::collections::BTreeSet<Id> = model.keys().map(|&(key, _)| key).collect();
+    prop_assert_eq!(table.key_count(), distinct.len());
+    prop_assert_eq!(table.entry_count(), model.len());
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn location_table_agrees_with_its_model(ops in proptest::collection::vec(arb_op(), 1..40)) {
+        let (mut table, mut model) = (LocationTable::new(), Model::new());
+        for op in ops {
+            match op {
+                Op::Add(k, n, c) => {
+                    table.add(Id(k), NodeId(n), c);
+                    let held = model_held(&model, k, n).unwrap_or(0);
+                    model_set(&mut model, k, n, held + c);
+                }
+                Op::Set(k, n, f) => {
+                    table.set(Id(k), NodeId(n), f);
+                    model_set(&mut model, k, n, f);
+                }
+                Op::Remove(k, n, c) => {
+                    let held = model_held(&model, k, n);
+                    prop_assert_eq!(table.remove(Id(k), NodeId(n), c), held.is_some());
+                    if let Some(f) = held {
+                        model_set(&mut model, k, n, f.saturating_sub(c));
+                    }
+                }
+                Op::PurgeNode(n) => {
+                    let before = model.len();
+                    model.retain(|&(_, node), _| node != NodeId(n));
+                    prop_assert_eq!(table.purge_node(NodeId(n)), before - model.len());
+                }
+                Op::SplitOff(bound, back) => {
+                    let moved = table.split_off_where(|key| key.0 < bound);
+                    let stays = model.split_off(&(Id(bound), NodeId(0)));
+                    check_table(&moved, &model)?;
+                    if back {
+                        table.merge(moved);
+                        model.extend(stays);
+                    } else {
+                        model = stays;
+                    }
+                }
+                Op::Retain(bound) => {
+                    table.retain(|key| key.0 < bound);
+                    model.split_off(&(Id(bound), NodeId(0)));
+                }
+                Op::Merge(adds) => {
+                    let mut other = LocationTable::new();
+                    for (k, n, c) in adds {
+                        other.add(Id(k), NodeId(n), c);
+                        let held = model_held(&model, k, n).unwrap_or(0);
+                        model_set(&mut model, k, n, held + c);
+                    }
+                    table.merge(other);
+                }
+            }
+            check_table(&table, &model)?;
+        }
+    }
 
     #[test]
     fn locate_returns_exactly_the_matching_providers(

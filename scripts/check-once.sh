@@ -17,11 +17,15 @@
 # one `impl Handler<LiveMsg>`, no `Outbox` inside a role, one caller each
 # of `provider::scatter(` and `provider::fold(` (the storage role) and of
 # `provider::assemble(` (the coordinator), one shuffle `generation += 1`.
-# A live location-table row carries the paper's frequency column (no
-# `HashMap<u64, Vec<NodeId>>` table in live/mod.rs), counted where the
-# six keys are placed (one `keys_for_triple(` call), and the bind join's
-# move-small rule — keys or fetch, per provider — is one function with
-# one caller, both in the coordinator.
+# A live location-table row carries the paper's frequency column, and the
+# bind join's move-small rule — keys or fetch, per provider — is one
+# function with one caller, both in the coordinator.
+# The overlay's `LocationTable` is the one location table, on both hosts
+# (no `HashMap<u64, Vec<NodeId>>` or `HashMap<u64, Box<[` table under
+# crates/core/src), and `key_counts` is the one key count: one
+# `keys_for_triple(` call in any crate's code. Every decoded list count is
+# checked against the bytes left (`Reader::u32_count`): no `.min(1024)`
+# reservation in live_wire.rs or node.rs.
 # Fails when a second copy appears. Test modules (`mod tests` to end of
 # file) and comment lines are not code.
 set -eu
@@ -99,10 +103,10 @@ expect 'trait RemoteRoute / struct ClusterParts / enum MeshCluster' \
     "$(code "$net"/*.rs ./*.rs live/*.rs | grep -cE 'trait RemoteRoute|struct ClusterParts|enum MeshCluster' || true)" 0
 expect 'ideal_owner( under crates/core/src' \
     "$(code ./*.rs live/*.rs | grep -c 'ideal_owner(' || true)" 0
-expect 'keys_for_triple( call sites under crates/core/src' \
-    "$(code ./*.rs live/*.rs | grep -c 'keys_for_triple(' || true)" 1
-expect 'HashMap<u64, Vec<NodeId>> in live/mod.rs (a live row carries its frequency)' \
-    "$(code live/mod.rs | grep -cF 'HashMap<u64, Vec<NodeId>>' || true)" 0
+expect 'a location table of its own under crates/core/src (HashMap<u64, Vec<NodeId>> / Box<[)' \
+    "$(code ./*.rs live/*.rs | grep -cE 'HashMap<u64, (Vec<NodeId>>|Box<\[)' || true)" 0
+expect '.min(1024) reservations in live_wire.rs and node.rs' \
+    "$(code live_wire.rs node.rs | grep -cF '.min(1024)' || true)" 0
 expect_at 'fn ships_keys(' 'live/coordinator.rs:1'
 # The definition and its one caller.
 expect_at 'ships_keys(' 'live/coordinator.rs:2'
@@ -117,10 +121,14 @@ expect 'collected scans (.match_pattern( / .matching() in provider.rs' \
 expect 'collected scans in for_each_extension / evaluate_pattern_with' \
     "$(echo "$scan" | grep -v '^ *//' | grep -cE '\.match_pattern\(|\.matching\(' || true)" 0
 expect 'scan driver bodies found in eval.rs' "$(echo "$scan" | grep -c '^pub fn')" 2
+# The six keys of a triple are counted in one function, key_counts.
+cd ../../..
+expect 'keys_for_triple( call sites under crates/*/src' \
+    "$(find crates/*/src -name '*.rs' | while read -r f; do code "$f"; done |
+        grep -v 'fn keys_for_triple(' | grep -c 'keys_for_triple(' || true)" 1
 # A JSON string escaper is what writes a control character as \u00XX, or
 # is named for the job. rdfmesh-obs keeps its own for metric lines: it
 # depends on nothing, and crates/sparql does not depend on it.
-cd ../../..
 escapers=$(find src crates/*/src -name '*.rs' ! -path 'crates/obs/*' | while read -r f; do
     if code "$f" | grep -qE '\\\\u(00|\{:04)|fn [a-z_]*(json_escape|escape_json)'; then echo "$f"; fi
 done)
@@ -136,5 +144,5 @@ expect '[[bench]] tables under crates/*/Cargo.toml' \
 expect 'criterion mentions in any Cargo.toml' \
     "$(cat Cargo.toml crates/*/Cargo.toml shims/*/Cargo.toml benchmark/Cargo.toml | grep -ci criterion || true)" 0
 expect 'directories under shims/' "$(ls -d shims/*/ | wc -l)" 3
-[ "$bad" -eq 0 ] && echo 'exists once: provider compute, exchange pricing, reply accounting, role constructors, the role host, the multiway protocol, regex compilation, lending scan, JSON escaping, result writers, the stopwatch, the pipeline tail, the operator table, the lookup leg, the cluster, the publication path, the frequency column, the move-small rule'
+[ "$bad" -eq 0 ] && echo 'exists once: provider compute, exchange pricing, reply accounting, role constructors, the role host, the multiway protocol, regex compilation, lending scan, JSON escaping, result writers, the stopwatch, the pipeline tail, the operator table, the lookup leg, the cluster, the publication path, the frequency column, the move-small rule, the location table, the key count, the list-count bound'
 exit "$bad"
