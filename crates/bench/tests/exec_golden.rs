@@ -15,6 +15,11 @@
 //! through `SimBackend` — must reproduce every line byte-for-byte. The
 //! simulated testbeds are deterministic, so any drift means the backend
 //! seam changed observable behaviour, not just code layout.
+//!
+//! The fixture was re-cut once since, when the simulator's bind step
+//! became the mesh's keyed round: only the `bind_join` lines whose query
+//! has a bind step moved (fewer bytes, more messages, the same results;
+//! one digest differs by row order alone).
 
 use rdfmesh_bench::{foaf_testbed, testbed_from, Testbed};
 use rdfmesh_core::{ExecConfig, PrimitiveStrategy};

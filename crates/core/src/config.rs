@@ -227,11 +227,16 @@ pub struct ExecConfig {
     /// extension beyond the paper (cf. RDFPeers' locality-preserving
     /// hashing).
     pub range_index: bool,
-    /// Bind-join propagation for conjunctive patterns: ship the current
-    /// intermediate solutions *with* each sub-query so providers return
-    /// only compatible extensions. An extension beyond the paper's
-    /// gather-then-join scheme, drawn from the distributed-QP literature
-    /// it builds on (Kossmann \[15\]); off by default for paper fidelity.
+    /// Bind-join propagation for conjunctive patterns: the current
+    /// intermediate's distinct join keys travel *with* each sub-query so
+    /// providers return only compatible extensions (or, to a provider
+    /// holding fewer matches than there are keys, the bare pattern goes
+    /// and its matches come back: move-small per leg), and the extensions
+    /// are joined back onto the rows at the coordinator. One bind step on
+    /// both backends — the simulator runs the mesh's keyed round. An
+    /// extension beyond the paper's gather-then-join scheme, drawn from the
+    /// distributed-QP literature it builds on (Kossmann \[15\]); off by
+    /// default for paper fidelity.
     pub bind_join: bool,
     /// Distribution strategy for multi-pattern BGPs (the pluggable
     /// seam): chained shipping, HyperCube shuffle, partial evaluation,

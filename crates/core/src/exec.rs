@@ -17,6 +17,10 @@
 //!   bound-pattern sub-query against an intermediate result, combine
 //!   two materializations, propose a common assembly site, and deliver
 //!   the final materialization to the initiator.
+//! * `bind_step` is the one bind join: keys out, extensions joined
+//!   back. Both backends hand it the same keyed round — the mesh over its
+//!   transport, the simulator on the mesh's own roles over the simulated
+//!   network.
 //! * [`run`] walks a plan over any backend. The same executor drives
 //!   the deterministic simulator ([`crate::engine::Engine`] via
 //!   `SimBackend`) and the thread-backed live mesh
@@ -36,7 +40,7 @@ use rdfmesh_sparql::{
     algebra::AlgebraQuery,
     eval::{instantiate, Graph},
     expr::Expression,
-    solution::{self, Solution, SolutionSet},
+    solution::{self, DistinctBuffer, Solution, SolutionSet},
     GraphPattern, QueryResult,
 };
 
@@ -103,15 +107,17 @@ pub enum ExecNode {
     /// Resolve one primitive pattern through the two-level index.
     Primitive(PrimitiveOp),
     /// One step of a conjunctive (multi-pattern BGP) evaluation: run
-    /// `left`, short-circuit on an empty intermediate, then either ship
-    /// the intermediate *with* the next sub-query (`bind`, Sect. IV-D's
-    /// bound evaluation) or resolve the pattern independently and join.
+    /// `left`, short-circuit on an empty intermediate, then either bind
+    /// the next pattern to the intermediate (`bind`, Sect. IV-D's bound
+    /// evaluation) or resolve the pattern independently and join.
     Chain {
         /// The accumulated plan for the preceding patterns.
         left: Box<ExecNode>,
         /// The next pattern in optimizer order.
         right: TriplePattern,
-        /// Bind join: the intermediate travels with the sub-query.
+        /// Bind join (`bind_step`): the intermediate's distinct join
+        /// keys travel with the sub-query, and the extensions that come
+        /// back are joined onto the rows the coordinator kept.
         bind: bool,
         /// Overlap optimization: end the right pattern's provider chain
         /// at the intermediate's site (`ExecConfig::overlap_aware`).
@@ -262,9 +268,9 @@ pub trait MeshBackend {
         use_range: bool,
     ) -> Result<Mat, Self::Error>;
 
-    /// Resolves a bound-pattern sub-query: the current intermediate
-    /// solutions travel with the pattern and every provider returns
-    /// only compatible extensions (the bind-join step of Sect. IV-D).
+    /// Resolves a bound-pattern sub-query against the current
+    /// intermediate (the bind-join step of Sect. IV-D): every backend
+    /// takes `bind_step`, running its keyed round its own way.
     fn exec_bound(&mut self, pattern: &TriplePattern, current: Mat)
         -> Result<Mat, Self::Error>;
 
@@ -402,6 +408,32 @@ fn eval<B: MeshBackend>(
             backend.exec_multiway(patterns, join_vars, *strategy, depart)
         }
     }
+}
+
+/// The bind step of a conjunctive chain (Sect. IV-D), for every backend.
+/// `round` is handed the *join keys* — the distinct projection of `rows`
+/// onto the pattern's variables — and answers their compatible
+/// extensions: all a provider needs, since each extension binds exactly
+/// the pattern's variables. Joining them back onto the rows kept here
+/// gives what shipping the rows whole would have — a set, so rows that
+/// extend to the same mapping (duplicates, or an OPTIONAL's rows that
+/// differ only in what the pattern goes on to bind) are merged. When
+/// every row already lies within the pattern's variables the keys *are*
+/// the rows and the round's answer is the join.
+pub(crate) fn bind_step<E>(
+    pattern: &TriplePattern,
+    rows: SolutionSet,
+    round: impl FnOnce(SolutionSet) -> Result<Mat, E>,
+) -> Result<Mat, E> {
+    let vars: Vec<Variable> = pattern.variables().into_iter().cloned().collect();
+    if rows.iter().all(|row| row.domain().all(|v| vars.contains(v))) {
+        return round(solution::distinct(rows));
+    }
+    let mut keys = DistinctBuffer::new();
+    keys.extend_distinct(rows.iter().map(|row| row.project(&vars)));
+    let extensions = round(keys.into_vec())?;
+    let joined = solution::join_owned(rows, &extensions.solutions);
+    Ok(Mat { solutions: solution::distinct(joined), ..extensions })
 }
 
 // ---- the pipeline's tail (Fig. 3), written once ----------------------

@@ -7,9 +7,10 @@
 //! to itself, finish a round. None holds a channel, a thread, a clock or
 //! an [`rdfmesh_net::Outbox`]; each is told its own address at
 //! construction. `Role` is the one [`Handler`] that runs those actions on
-//! a cluster's `Outbox`, and the simulator (`SimBackend::exec_multiway`)
-//! runs the same coordinator and storage roles over its discrete-event
-//! network instead, pricing each frame at its codec length.
+//! a cluster's `Outbox`, and the simulator's role runner
+//! (`SimBackend::run_round`, for a multiway round and a bind step) runs
+//! the same coordinator and storage roles over its discrete-event network
+//! instead, pricing each frame at its codec length.
 //!
 //! Real threads lose messages and crash mid-query, so the coordinator is
 //! a **per-query state machine** keyed by a fresh [`QueryId`] carried in

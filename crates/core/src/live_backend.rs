@@ -16,10 +16,10 @@
 //!   through the two-level index, ships the pattern (with its
 //!   pushed-down filter), and gathers solution mappings under the
 //!   fault-tolerant ack/retry/purge machinery of [`crate::live`];
-//! * a bind-join chain step hands the round the current intermediates'
-//!   *join keys* — their distinct projection onto the next pattern's
-//!   variables — and gets back their compatible extensions (Sect. IV-D),
-//!   which it joins back onto the rows it kept. Which side travels is the
+//! * a bind-join chain step is `exec::bind_step`, the one the simulator
+//!   takes too: the round is handed the current intermediates' *join
+//!   keys* and gets back their compatible extensions (Sect. IV-D), which
+//!   are joined back onto the rows kept here. Which side travels is the
 //!   coordinator's choice per provider (move-small, by the index row's
 //!   frequencies: the keys, or the provider's matches joined with the
 //!   keys at the coordinator); the answer is the same set either way;
@@ -41,10 +41,7 @@ use std::time::Duration;
 
 use rdfmesh_net::{NodeId, SimTime};
 use rdfmesh_rdf::{TriplePattern, Variable};
-use rdfmesh_sparql::{
-    solution::{self, DistinctBuffer},
-    Expression, QueryResult,
-};
+use rdfmesh_sparql::{solution, Expression, QueryResult};
 
 use crate::config::{DistStrategy, ExecConfig};
 use crate::exec::{self, Mat, MeshBackend, OpKind, PrimitiveOp};
@@ -248,27 +245,11 @@ impl MeshBackend for LiveBackend<'_> {
         self.round(op.pattern.clone(), op.filter.clone(), None)
     }
 
-    /// Ships the bind-join *keys*, not the rows: the distinct projection
-    /// of the intermediates onto the pattern's variables is all a
-    /// provider needs to return every compatible extension, and each
-    /// extension binds exactly the pattern's variables, so joining them
-    /// back onto the rows kept here gives what shipping the rows whole
-    /// would have — a set, so rows that extend to the same mapping
-    /// (duplicates, or an OPTIONAL's rows that differ only in what the
-    /// pattern goes on to bind) are merged as the providers' gather used
-    /// to merge them. When every row already lies within the pattern's
-    /// variables the keys *are* the rows and the reply is the answer.
+    /// The shared bind step, its keyed round one live solution round.
     fn exec_bound(&mut self, pattern: &TriplePattern, current: Mat) -> Result<Mat, LiveError> {
-        let vars: Vec<Variable> = pattern.variables().into_iter().cloned().collect();
-        let rows = current.solutions;
-        if rows.iter().all(|row| row.domain().all(|v| vars.contains(v))) {
-            return self.round(pattern.clone(), None, Some(solution::distinct(rows)));
-        }
-        let mut keys = DistinctBuffer::new();
-        keys.extend_distinct(rows.iter().map(|row| row.project(&vars)));
-        let extensions = self.round(pattern.clone(), None, Some(keys.into_vec()))?;
-        let joined = solution::join_owned(rows, &extensions.solutions);
-        Ok(Mat { solutions: solution::distinct(joined), ..extensions })
+        exec::bind_step(pattern, current.solutions, |keys| {
+            self.round(pattern.clone(), None, Some(keys))
+        })
     }
 
     fn exec_multiway(

@@ -2,15 +2,15 @@
 //!
 //! `SimBackend` owns everything the pre-IR engine did between "optimized
 //! algebra in" and "final materialization out": cache-aware index
-//! lookups, the three primitive shipping strategies, bind-join shipping,
-//! flooding, dead-provider timeouts and purges, join-site selection, and
-//! materialization transfers. Every movement of a sub-query or solution
-//! set is charged to the simulated network, so executing an [`ExecPlan`](crate::ExecPlan)
-//! through this backend produces byte-identical [`QueryStats`] to the
-//! monolithic engine it was carved out of (locked by the
-//! `exec_golden` twin-run fixture in rdfmesh-bench). A multiway round is
-//! not priced here at all: the mesh's own coordinator and storage roles
-//! run it over the simulated network (`exec_multiway`).
+//! lookups, the three primitive shipping strategies, flooding, the ASK
+//! probe, the range index, dead-provider timeouts and purges, join-site
+//! selection, and materialization transfers. Every movement of a
+//! sub-query or solution set is charged to the simulated network, and
+//! executing an [`ExecPlan`](crate::ExecPlan) through this backend is
+//! deterministic (locked by the `exec_golden` fixture in rdfmesh-bench).
+//! Nothing the mesh has is priced here: a bind step's keyed round and a
+//! multiway round are the mesh's own coordinator and storage roles, run
+//! over the simulated network by one role runner (`run_round`).
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, RwLock};
@@ -23,24 +23,22 @@ use rdfmesh_overlay::{wire, Located, Overlay, Provider};
 use rdfmesh_rdf::{SharedStore, TriplePattern, Variable};
 use rdfmesh_sparql::{
     expr::Expression,
-    solution::{self, DistinctBuffer, Solution, SolutionSet},
+    solution::{self, DistinctBuffer, SolutionSet},
 };
 
 use crate::config::{DistStrategy, ExecConfig, JoinSiteStrategy, LiveConfig, PrimitiveStrategy};
 use crate::engine::{EngineError, FrequencyEstimator};
-use crate::exec::{collect_patterns, Mat, MeshBackend, OpKind, PrimitiveOp};
+use crate::exec::{self, collect_patterns, Mat, MeshBackend, OpKind, PrimitiveOp};
 use crate::live::{Action, CoordinatorCore, LiveMsg, LiveStorage, QueryId, SendKey};
 use crate::provider;
 use crate::stats::{LiveStats, LiveStatsSnapshot, QueryStats};
 
-/// A sub-query as a storage node receives it (Fig. 3): the pattern, the
-/// filter pushed to the source (Sect. IV-G) and the intermediate
-/// solutions a bind join carries (Sect. IV-D).
+/// A sub-query as a storage node receives it (Fig. 3): the pattern and
+/// the filter pushed to the source (Sect. IV-G).
 #[derive(Clone, Copy)]
 struct SubQuery<'q> {
     pattern: &'q TriplePattern,
     filter: Option<&'q Expression>,
-    bound: Option<&'q [Solution]>,
 }
 
 impl SubQuery<'_> {
@@ -48,11 +46,10 @@ impl SubQuery<'_> {
         wire::SUBQUERY_HEADER
             + self.pattern.serialized_len()
             + self.filter.map_or(0, |f| f.serialized_len())
-            + self.bound.map_or(0, solution::serialized_len)
     }
 
     fn answer(&self, store: &SharedStore) -> Vec<SolutionSet> {
-        vec![provider::answer(store, self.pattern, self.filter, self.bound)]
+        vec![provider::answer(store, self.pattern, self.filter, None)]
     }
 }
 
@@ -79,8 +76,8 @@ enum Leg<'q> {
     /// The same through the numeric range index: the providers of the
     /// buckets overlapping `[lo, hi]` under the predicate.
     Range(&'q rdfmesh_rdf::Term, f64, f64),
-    /// A sub-query already at the entry node (a bind-join step, a
-    /// multiway slot): nothing to forward.
+    /// A role-run round's lookup, sent by the coordinator to its entry
+    /// index node: nothing to forward.
     Step,
     /// The planner reading statistics: the whole row, whatever the
     /// dataset, and no step of the answer's key resolution.
@@ -106,7 +103,7 @@ fn shipping_span(label: &str, at: SimTime) -> Option<SpanId> {
     rdfmesh_obs::begin_current(phase::SHIPPING, label, at.0)
 }
 
-/// A multiway round's lookup and overall deadlines, in simulated time:
+/// A role-run round's lookup and overall deadlines, in simulated time:
 /// far enough that a lossless simulated network always answers first —
 /// a backstop, not a knob.
 const BACKSTOP: Duration = Duration::from_secs(3600);
@@ -523,7 +520,7 @@ impl<'a> SimBackend<'a> {
         let Located { index_node: assembly, arrival: t0, mut providers, .. } = located;
 
         let provider_nodes: Vec<NodeId> = providers.iter().map(|p| p.node).collect();
-        let sub = SubQuery { pattern, filter, bound: None };
+        let sub = SubQuery { pattern, filter };
         let mat = match self.cfg.primitive {
             PrimitiveStrategy::Basic => self.primitive_basic(sub, assembly, &providers, t0),
             PrimitiveStrategy::Chained => {
@@ -544,7 +541,9 @@ impl<'a> SimBackend<'a> {
         Ok(mat)
     }
 
-    /// Basic scheme: parallel fan-out from the assembly index node.
+    /// Basic scheme: parallel fan-out from the assembly index node. The
+    /// sub-query leaves `assembly` for every provider at `t0` and the
+    /// answers gather there.
     fn primitive_basic(
         &mut self,
         sub: SubQuery<'_>,
@@ -554,20 +553,6 @@ impl<'a> SimBackend<'a> {
     ) -> Mat {
         let span =
             shipping_span(&format!("basic fan-out to {} providers", providers.len()), t0);
-        self.fan_out(span, sub, assembly, providers, t0)
-    }
-
-    /// The fan-out itself, inside the caller's shipping `span` (which it
-    /// closes): the sub-query leaves `assembly` for every provider at
-    /// `t0` and the answers gather there.
-    fn fan_out(
-        &mut self,
-        span: Option<SpanId>,
-        sub: SubQuery<'_>,
-        assembly: NodeId,
-        providers: &[Provider],
-        t0: SimTime,
-    ) -> Mat {
         let bytes = sub.bytes();
         let mut union = DistinctBuffer::new();
         let mut ready = t0;
@@ -586,7 +571,8 @@ impl<'a> SimBackend<'a> {
     }
 
     /// Chained schemes: the sub-query and accumulated mappings travel
-    /// through the provider sequence; the last node holds the result.
+    /// through the provider sequence, each provider adding its own
+    /// solutions; the last node holds the result.
     fn primitive_chain(
         &mut self,
         sub: SubQuery<'_>,
@@ -604,26 +590,11 @@ impl<'a> SimBackend<'a> {
             }
         }
         let bytes = sub.bytes() + 8 * providers.len(); // the forwarding list
-        self.chain("chain", sub, bytes, assembly, &providers, t0)
-    }
-
-    /// The chain itself: from `start`, each hop carries `bytes` of
-    /// sub-query plus everything accumulated so far to the next provider,
-    /// which adds its own solutions.
-    fn chain(
-        &mut self,
-        label: &str,
-        sub: SubQuery<'_>,
-        bytes: usize,
-        start: NodeId,
-        providers: &[Provider],
-        t0: SimTime,
-    ) -> Mat {
-        let span = shipping_span(&format!("{label} through {} providers", providers.len()), t0);
+        let span = shipping_span(&format!("chain through {} providers", providers.len()), t0);
         let mut acc = DistinctBuffer::new();
-        let (mut cursor, mut t) = (start, t0);
+        let (mut cursor, mut t) = (assembly, t0);
         let mut dead = Vec::new();
-        for p in providers {
+        for p in &providers {
             let payload = bytes + wire::RESULT_HEADER + solution::serialized_len(acc.as_slice());
             let (sets, at) =
                 self.exchange((cursor, p.node), payload, t, Reply::Forwarded, |s| sub.answer(s));
@@ -661,7 +632,7 @@ impl<'a> SimBackend<'a> {
         };
         let Located { index_node: assembly, arrival, mut providers, .. } = located;
         providers.sort_by_key(|p| (std::cmp::Reverse(p.frequency), p.node));
-        let sub = SubQuery { pattern, filter, bound: None };
+        let sub = SubQuery { pattern, filter };
         let span =
             shipping_span(&format!("ask probe of {} providers", providers.len()), arrival);
         let mut t = arrival;
@@ -720,7 +691,7 @@ impl<'a> SimBackend<'a> {
             return Ok(Some(nowhere(&located)));
         }
         // Basic-style fan-out with the filter shipped to the sources.
-        let sub = SubQuery { pattern, filter: Some(filter), bound: None };
+        let sub = SubQuery { pattern, filter: Some(filter) };
         let (assembly, t0) = (located.index_node, located.arrival);
         Ok(Some(self.primitive_basic(sub, assembly, &located.providers, t0)))
     }
@@ -736,7 +707,7 @@ impl<'a> SimBackend<'a> {
     ) -> Result<Mat, EngineError> {
         let entry = self.entry_index(self.initiator)?;
         let subquery_bytes = wire::SUBQUERY_HEADER + pattern.serialized_len();
-        let sub = SubQuery { pattern, filter, bound: None };
+        let sub = SubQuery { pattern, filter };
         let span = shipping_span("flood all storage nodes", depart);
         let mut union = DistinctBuffer::new();
         let mut ready = depart;
@@ -791,6 +762,119 @@ impl<'a> SimBackend<'a> {
                 metrics.add("engine.dead_provider_timeouts", 1);
             }
             self.overlay.purge_storage_entries(d);
+        }
+    }
+
+    // ---- the role runner ------------------------------------------------
+
+    /// One round of the mesh's own protocol, run rather than priced: the
+    /// coordinator (`CoordinatorCore`, at the initiator, with its entry
+    /// index node as index) takes `submit` — a bind step's keyed
+    /// `SubmitSol` or a `SubmitMulti` — and it and one `LiveStorage` per
+    /// peer play the round over the simulated network, in time order.
+    /// Every frame is charged at its codec length and delivered when it
+    /// arrives, every exec frame counts as a contact, and a deadline fires
+    /// its delay after it was armed. The overlay stands in for the index
+    /// role: a `Lookup` is answered by `SimBackend::resolve` (Chord hops,
+    /// replicas, cache and `FROM` scope included), with the overlay's own
+    /// location-table frequencies, and the `Providers` reply travels from
+    /// the index node that read the row. A frame to a dead storage node is
+    /// charged and refused, and the coordinator hears of it as it hears of
+    /// a crashed peer on the mesh, through `on_send_failed`; with no
+    /// retries that peer is declared dead at once. Its `ProviderDead`
+    /// notices go uncharged: the overlay is purged of every failed
+    /// provider when the round finishes. The whole round is one shipping
+    /// span, `label`; its lookups are key resolution.
+    fn run_round(
+        &mut self,
+        submit: LiveMsg,
+        label: &str,
+        depart: SimTime,
+    ) -> Result<Mat, EngineError> {
+        let me = self.initiator;
+        let index = self.entry_index(me)?;
+        let mut flood = self.overlay.storage_nodes();
+        flood.retain(|s| self.in_scope(*s));
+        flood.sort();
+        let cfg = LiveConfig {
+            ack_timeout: Duration::from_micros(self.cfg.ack_timeout.0),
+            lookup_timeout: BACKSTOP,
+            query_deadline: BACKSTOP,
+            retries: 0,
+            ..LiveConfig::default()
+        };
+        let stats = Arc::new(LiveStats::default());
+        let (space, flood) = (self.overlay.ring().space(), Arc::new(RwLock::new(flood)));
+        let mut coordinator =
+            CoordinatorCore::new(me, index, cfg, space, flood, Arc::clone(&stats));
+        let mut storages: HashMap<NodeId, LiveStorage> = HashMap::new();
+        let mut events = Scheduler::new();
+        events.schedule_at(depart, (me, me, submit));
+        let span = shipping_span(label, depart);
+        // The latest lookup answer: the round cannot be ready earlier.
+        let mut resolved = depart;
+        loop {
+            let (now, (from, to, msg)) =
+                events.next().expect("the overall deadline finishes every round");
+            // Dispatch by variant, not address: the initiator may be a peer.
+            let (actor, coordinating, actions) = match msg {
+                LiveMsg::Lookup { qid, pattern, reply_to } => {
+                    let Resolved::Row(row) = self.resolve(&pattern, now, Leg::Step)? else {
+                        unreachable!("the coordinator floods a keyless pattern, looking nothing up")
+                    };
+                    let providers = row.providers.iter().map(|p| (p.node, p.frequency)).collect();
+                    let answer = LiveMsg::Providers { qid, pattern, providers };
+                    let bytes = answer.encode_wire().len();
+                    let at = self.overlay.net.send(row.index_node, reply_to, bytes, row.arrival);
+                    resolved = resolved.max(at);
+                    events.schedule_at(at, (row.index_node, reply_to, answer));
+                    continue;
+                }
+                msg if for_storage(&msg) => {
+                    let store = &self.overlay.storage_node(to).expect("refused when dead").store;
+                    let node = storages.entry(to).or_insert_with(|| {
+                        LiveStorage::new(to, store.clone(), Arc::clone(&stats))
+                    });
+                    (to, false, node.on_event(from, msg))
+                }
+                msg => (me, true, coordinator.on_event(from, msg)),
+            };
+            let mut actions = VecDeque::from(actions);
+            while let Some(action) = actions.pop_front() {
+                match action {
+                    // Uncharged: the overlay purges every failed provider
+                    // when the round finishes.
+                    Action::Send { msg: LiveMsg::ProviderDead { .. }, .. } => {}
+                    Action::Send { to, msg } => {
+                        let bytes = msg.encode_wire().len();
+                        let arrival = match msg {
+                            LiveMsg::SubQuerySol { .. }
+                            | LiveMsg::ShuffleExec { .. }
+                            | LiveMsg::PartialExec { .. } => self.contact((actor, to), bytes, now),
+                            _ => self.overlay.net.send(actor, to, bytes, now),
+                        };
+                        // A dead storage node refuses the frame, as a
+                        // crashed peer's transport does on the mesh.
+                        if !for_storage(&msg) || self.overlay.is_storage_alive(to) {
+                            events.schedule_at(arrival, (actor, to, msg));
+                        } else if coordinating {
+                            actions.extend(coordinator.on_send_failed(to, SendKey::of(&msg)));
+                        }
+                    }
+                    Action::Schedule { after, msg } => {
+                        let at = now + SimTime(after.as_micros() as u64);
+                        events.schedule_at(at, (actor, actor, msg));
+                    }
+                    Action::Finish { answer, .. } => {
+                        let LiveStatsSnapshot { solutions_shipped, shuffle_parts, .. } =
+                            stats.snapshot();
+                        self.note_intermediates((solutions_shipped + shuffle_parts) as usize);
+                        let ready = resolved.max(now);
+                        self.close_shipping(span, ready, &answer.failed_providers);
+                        return Ok(Mat { solutions: answer.solutions, site: me, ready });
+                    }
+                }
+            }
         }
     }
 
@@ -891,54 +975,16 @@ impl<'a> MeshBackend for SimBackend<'a> {
         self.primitive(&op.pattern, op.filter.as_ref(), depart, hint)
     }
 
-    /// Bind-join evaluation of one pattern against the current
-    /// materialization: the accumulated solutions travel *with* the
-    /// sub-query, and every provider returns only the compatible
-    /// extensions. Sequential by nature (each pattern waits for the
-    /// previous intermediate), but the wire never carries mappings that
-    /// cannot contribute to the final answer.
+    /// The shared bind step, as the mesh takes it: the intermediate moves
+    /// to the initiator, whose coordinator keeps the rows, and the keyed
+    /// round is the roles' (`run_round`).
     fn exec_bound(&mut self, pattern: &TriplePattern, current: Mat) -> Result<Mat, EngineError> {
-        let located = match self.resolve(pattern, current.ready, Leg::Step)? {
-            Resolved::Row(located) => located,
-            Resolved::Keyless(at) => {
-                // All-variable pattern: fall back to gathering + local join.
-                let right = self.flood(pattern, None, at)?;
-                return Ok(self.exec_binary(&OpKind::Join, current, right));
-            }
-        };
-        if located.providers.is_empty() {
-            return Ok(nowhere(&located));
-        }
-        let Located { index_node: assembly, arrival, mut providers, .. } = located;
-        let sub = SubQuery { pattern, filter: None, bound: Some(&current.solutions) };
-        match self.cfg.primitive {
-            PrimitiveStrategy::Basic => {
-                // Current solutions move to the assembly, then fan out
-                // with the sub-query; extensions return to the assembly.
-                let span = shipping_span(
-                    &format!("bind-join fan-out to {} providers", providers.len()),
-                    current.ready,
-                );
-                let carried = wire::RESULT_HEADER + solution::serialized_len(&current.solutions);
-                let at_assembly = self
-                    .overlay
-                    .net
-                    .send(current.site, assembly, carried, current.ready)
-                    .max(arrival);
-                Ok(self.fan_out(span, sub, assembly, &providers, at_assembly))
-            }
-            PrimitiveStrategy::Chained | PrimitiveStrategy::FrequencyOrdered => {
-                if self.cfg.primitive == PrimitiveStrategy::FrequencyOrdered {
-                    providers.sort_by_key(|p| (p.frequency, p.node));
-                } else {
-                    providers.sort_by_key(|p| p.node);
-                }
-                // The chain starts at the current site (it already holds
-                // the bound solutions) after the index lookup resolves.
-                let t0 = current.ready.max(arrival);
-                Ok(self.chain("bind-join chain", sub, sub.bytes(), current.site, &providers, t0))
-            }
-        }
+        let current = self.deliver(current);
+        exec::bind_step(pattern, current.solutions, |keys| {
+            let (qid, pattern, bound) = (QueryId(0), pattern.clone(), Some(keys));
+            let submit = LiveMsg::SubmitSol { qid, pattern, filter: None, bound };
+            self.run_round(submit, "bind-step round", current.ready)
+        })
     }
 
     fn exec_binary(&mut self, op: &OpKind, left: Mat, right: Mat) -> Mat {
@@ -951,21 +997,7 @@ impl<'a> MeshBackend for SimBackend<'a> {
     }
 
     /// One-round multiway BGP join (the [`crate::exec::ExecNode::MultiJoin`]
-    /// operator), run rather than priced: the mesh's own coordinator
-    /// (`CoordinatorCore`, at the initiator, with its entry index node as
-    /// index) and one `LiveStorage` per peer play the round over the
-    /// simulated network, in time order. Every frame is charged at its
-    /// codec length and delivered when it arrives; a deadline fires its
-    /// delay after it was armed. The overlay stands in for the index
-    /// role: a `Lookup` is answered by `SimBackend::resolve` (Chord hops,
-    /// replicas, cache and `FROM` scope included), with the overlay's own
-    /// location-table frequencies. A frame to a dead
-    /// storage node is charged and refused, and the coordinator hears of
-    /// it as it hears of a crashed peer on the mesh, through
-    /// `on_send_failed`; with no retries that peer is declared dead at
-    /// once. Its `ProviderDead` notices go uncharged: the overlay is
-    /// purged of every failed provider when the round finishes. The whole
-    /// round is one shipping span; its lookups are key resolution.
+    /// operator), run on the mesh's roles (`run_round`), not priced.
     fn exec_multiway(
         &mut self,
         patterns: &[TriplePattern],
@@ -973,92 +1005,9 @@ impl<'a> MeshBackend for SimBackend<'a> {
         strategy: DistStrategy,
         depart: SimTime,
     ) -> Result<Mat, EngineError> {
-        let me = self.initiator;
-        let index = self.entry_index(me)?;
-        let mut flood = self.overlay.storage_nodes();
-        flood.retain(|s| self.in_scope(*s));
-        flood.sort();
-        let cfg = LiveConfig {
-            ack_timeout: Duration::from_micros(self.cfg.ack_timeout.0),
-            lookup_timeout: BACKSTOP,
-            query_deadline: BACKSTOP,
-            retries: 0,
-            ..LiveConfig::default()
-        };
-        let stats = Arc::new(LiveStats::default());
-        let (space, flood) = (self.overlay.ring().space(), Arc::new(RwLock::new(flood)));
-        let mut coordinator =
-            CoordinatorCore::new(me, index, cfg, space, flood, Arc::clone(&stats));
-        let mut storages: HashMap<NodeId, LiveStorage> = HashMap::new();
         let (patterns, join_vars) = (patterns.to_vec(), join_vars.to_vec());
         let submit = LiveMsg::SubmitMulti { qid: QueryId(0), patterns, join_vars, strategy };
-        let mut events = Scheduler::new();
-        events.schedule_at(depart, (me, me, submit));
-        let span = shipping_span(&format!("{strategy} round"), depart);
-        // The latest lookup answer: key resolution advanced the trace's
-        // clock to it, so the round cannot be ready earlier.
-        let mut resolved = depart;
-        loop {
-            let (now, (from, to, msg)) =
-                events.next().expect("the overall deadline finishes every round");
-            // Dispatch by variant, not address: the initiator may be a peer.
-            let (actor, coordinating, actions) = match msg {
-                LiveMsg::Lookup { qid, pattern, reply_to } => {
-                    let Resolved::Row(row) = self.resolve(&pattern, now, Leg::Step)? else {
-                        unreachable!("the coordinator floods a keyless pattern, looking nothing up")
-                    };
-                    resolved = resolved.max(row.arrival);
-                    let providers = row.providers.iter().map(|p| (p.node, p.frequency)).collect();
-                    let answer = LiveMsg::Providers { qid, pattern, providers };
-                    events.schedule_at(row.arrival, (row.index_node, reply_to, answer));
-                    continue;
-                }
-                msg if for_storage(&msg) => {
-                    let store = &self.overlay.storage_node(to).expect("refused when dead").store;
-                    let node = storages.entry(to).or_insert_with(|| {
-                        LiveStorage::new(to, store.clone(), Arc::clone(&stats))
-                    });
-                    (to, false, node.on_event(from, msg))
-                }
-                msg => (me, true, coordinator.on_event(from, msg)),
-            };
-            let mut actions = VecDeque::from(actions);
-            while let Some(action) = actions.pop_front() {
-                match action {
-                    // Uncharged: the overlay purges every failed provider
-                    // when the round finishes.
-                    Action::Send { msg: LiveMsg::ProviderDead { .. }, .. } => {}
-                    Action::Send { to, msg } => {
-                        let bytes = msg.encode_wire().len();
-                        let arrival = match msg {
-                            LiveMsg::ShuffleExec { .. } | LiveMsg::PartialExec { .. } => {
-                                self.contact((actor, to), bytes, now)
-                            }
-                            _ => self.overlay.net.send(actor, to, bytes, now),
-                        };
-                        // A dead storage node refuses the frame, as a
-                        // crashed peer's transport does on the mesh.
-                        if !for_storage(&msg) || self.overlay.is_storage_alive(to) {
-                            events.schedule_at(arrival, (actor, to, msg));
-                        } else if coordinating {
-                            actions.extend(coordinator.on_send_failed(to, SendKey::of(&msg)));
-                        }
-                    }
-                    Action::Schedule { after, msg } => {
-                        let at = now + SimTime(after.as_micros() as u64);
-                        events.schedule_at(at, (actor, actor, msg));
-                    }
-                    Action::Finish { answer, .. } => {
-                        let LiveStatsSnapshot { solutions_shipped, shuffle_parts, .. } =
-                            stats.snapshot();
-                        self.note_intermediates((solutions_shipped + shuffle_parts) as usize);
-                        let ready = resolved.max(now);
-                        self.close_shipping(span, ready, &answer.failed_providers);
-                        return Ok(Mat { solutions: answer.solutions, site: me, ready });
-                    }
-                }
-            }
-        }
+        self.run_round(submit, &format!("{strategy} round"), depart)
     }
 
     /// The runtime half of the Sect. IV-D/IV-F site optimization: locate
@@ -1074,19 +1023,12 @@ impl<'a> MeshBackend for SimBackend<'a> {
         ta: &TriplePattern,
         tb: &TriplePattern,
     ) -> Result<Option<NodeId>, EngineError> {
-        // The first row is read outside `resolve`, as it always was: its
-        // hops count only once the second row is in hand too, so a keyless
-        // second pattern abandons the probe with the first lookup charged
-        // and uncounted. `resolve` counts as it charges, which would move
-        // that number.
-        let entry = self.entry_index(self.initiator)?;
-        let Some(la) = self.locate_cached(entry, ta, SimTime::ZERO)? else {
+        let Resolved::Row(la) = self.resolve(ta, SimTime::ZERO, Leg::Statistics)? else {
             return Ok(None);
         };
         let Resolved::Row(lb) = self.resolve(tb, SimTime::ZERO, Leg::Statistics)? else {
             return Ok(None);
         };
-        self.note_index_hops(la.hops);
         let mut best: Option<(u64, NodeId)> = None;
         for pa in &la.providers {
             if let Some(pb) = lb.providers.iter().find(|pb| pb.node == pa.node) {

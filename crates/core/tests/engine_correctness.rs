@@ -371,17 +371,53 @@ fn traced_stats_equal_hand_counted_stats_on_fixtures() {
     assert_eq!(rdfmesh_core::QueryStats::from_trace(&trace), exec.stats);
 }
 
-/// The one-round strategies the simulator runs on the mesh's own roles.
-const MULTIWAY: [DistChoice; 2] = [DistChoice::HyperCube, DistChoice::PartialEval];
+/// An abandoned common-site probe counts the hops it charged: when the
+/// second operand has no key (the flood) the probe gives up, but the first
+/// operand's row was read, and its lookup's hops count like its bytes.
+#[test]
+fn an_abandoned_common_site_probe_counts_the_hops_it_charged() {
+    let mut overlay = build_overlay(&FoafConfig { persons: 25, peers: 5, ..Default::default() });
+    let query = "SELECT * WHERE { { ?x foaf:knows ?y . } UNION { ?s ?p ?o . } }";
+    let knows = TriplePattern::new(
+        TermPattern::var("x"),
+        Term::iri(rdfmesh_rdf::vocab::foaf::KNOWS),
+        TermPattern::var("y"),
+    );
+    let mut probed = 0;
+    for initiator in overlay.index_nodes() {
+        let mut hops = |overlap_aware| {
+            let cfg = ExecConfig { overlap_aware, ..ExecConfig::default() };
+            let exec = Engine::new(&mut overlay, cfg).execute(initiator, query).unwrap();
+            exec.stats.index_hops
+        };
+        let (on, off) = (hops(true), hops(false));
+        let probe = overlay.locate(initiator, &knows, SimTime::ZERO).unwrap().expect("keyed").hops;
+        assert_eq!(on, off + probe, "from {initiator}");
+        probed += probe;
+    }
+    assert!(probed > 0, "some initiator's probe walks the ring");
+}
 
-/// A star on `?x` over two index keys: eligible for both strategies.
-const STAR: &str = "SELECT * WHERE { ?x foaf:name ?n . ?x foaf:knows ?y . }";
+/// The rounds the simulator runs on the mesh's own roles: the two
+/// one-round multiway strategies, and a bind join's bind step.
+fn role_run_configs() -> [ExecConfig; 3] {
+    [
+        ExecConfig { dist: DistChoice::HyperCube, ..ExecConfig::default() },
+        ExecConfig { dist: DistChoice::PartialEval, ..ExecConfig::default() },
+        ExecConfig { bind_join: true, ..ExecConfig::default() },
+    ]
+}
+
+/// A star on `?x` over two index keys: eligible for both multiway
+/// strategies. A bind join takes the rarer `foaf:mbox` first and binds
+/// `foaf:name` to its rows; some peers hold names but no mbox.
+const STAR: &str = "SELECT * WHERE { ?x foaf:mbox ?m . ?x foaf:name ?n . }";
 
 fn star_patterns() -> [TriplePattern; 2] {
     let on_x = |predicate: &str, object: &str| {
         TriplePattern::new(TermPattern::var("x"), Term::iri(predicate), TermPattern::var(object))
     };
-    [on_x(rdfmesh_rdf::vocab::foaf::NAME, "n"), on_x(rdfmesh_rdf::vocab::foaf::KNOWS, "y")]
+    [on_x(rdfmesh_rdf::vocab::foaf::MBOX, "m"), on_x(rdfmesh_rdf::vocab::foaf::NAME, "n")]
 }
 
 /// The storage nodes `pattern`'s location-table row names.
@@ -390,33 +426,35 @@ fn row(overlay: &Overlay, pattern: &TriplePattern) -> Vec<NodeId> {
     located.providers.iter().map(|p| p.node).collect()
 }
 
-/// A storage node both of the star's rows name: a peer of its round.
-fn star_peer(overlay: &Overlay) -> NodeId {
-    let [name, knows] = star_patterns().map(|p| row(overlay, &p));
-    *name.iter().find(|n| knows.contains(n)).expect("a peer holds both")
+/// A peer of `cfg`'s role-run round: for a multiway round a storage node
+/// both of the star's rows name; for a bind join one only the bound
+/// pattern's row names, so the bind step's round is the first to reach it.
+fn star_peer(overlay: &Overlay, cfg: &ExecConfig) -> NodeId {
+    let [mbox, name] = star_patterns().map(|p| row(overlay, &p));
+    let peer = name.iter().find(|n| mbox.contains(n) != cfg.bind_join);
+    *peer.expect("the star's rows name such a peer")
 }
 
-/// A dead peer of a multiway round is declared dead once and purged from
+/// A dead peer of a role-run round is declared dead once and purged from
 /// every row, and the answer is the survivors' — what `live_exec.rs`
 /// asserts of the mesh when a provider crashes.
 #[test]
 fn a_multiway_round_over_a_dead_peer_answers_the_survivors_oracle_and_purges_it() {
-    for dist in MULTIWAY {
-        let cfg = ExecConfig { dist, ..ExecConfig::default() };
+    for cfg in role_run_configs() {
         let mut overlay =
             build_overlay(&FoafConfig { persons: 25, peers: 5, ..Default::default() });
-        let victim = star_peer(&overlay);
+        let victim = star_peer(&overlay, &cfg);
         overlay.fail_storage_node(victim).unwrap();
         let (exec, trace) =
             Engine::new(&mut overlay, cfg).execute_traced(NodeId(1000), STAR).unwrap();
-        assert!(trace.spans().iter().any(|s| s.label.ends_with(" round")), "{dist:?}: no round");
+        assert!(trace.spans().iter().any(|s| s.label.ends_with(" round")), "{cfg:?}: no round");
         trace.check_well_formed().unwrap();
-        assert_eq!(rdfmesh_core::QueryStats::from_trace(&trace), exec.stats, "{dist:?}");
+        assert_eq!(rdfmesh_core::QueryStats::from_trace(&trace), exec.stats, "{cfg:?}");
         // The oracle of an overlay that lost `victim` is the survivors'.
         assert_is_the_oracles(&overlay, STAR, &exec.result, cfg);
-        assert_eq!(exec.stats.dead_providers, 1, "{dist:?}");
+        assert_eq!(exec.stats.dead_providers, 1, "{cfg:?}");
         for pattern in star_patterns() {
-            assert!(!row(&overlay, &pattern).contains(&victim), "{dist:?} kept {victim}");
+            assert!(!row(&overlay, &pattern).contains(&victim), "{cfg:?} kept {victim}");
         }
     }
 }
@@ -428,19 +466,18 @@ fn a_multiway_round_over_a_dead_peer_answers_the_survivors_oracle_and_purges_it(
 /// at the same cost.
 #[test]
 fn a_multiway_round_submitted_at_one_of_its_peers_is_the_oracles() {
-    for dist in MULTIWAY {
-        let cfg = ExecConfig { dist, ..ExecConfig::default() };
+    for cfg in role_run_configs() {
         let run = || {
             let mut overlay =
                 build_overlay(&FoafConfig { persons: 25, peers: 5, ..Default::default() });
-            let peer = star_peer(&overlay);
+            let peer = star_peer(&overlay, &cfg);
             let got = Engine::new(&mut overlay, cfg).execute(peer, STAR).unwrap();
             (overlay, got)
         };
         let (overlay, got) = run();
-        assert!(!got.result.is_empty(), "{dist:?}: the star has matches");
+        assert!(!got.result.is_empty(), "{cfg:?}: the star has matches");
         assert_is_the_oracles(&overlay, STAR, &got.result, cfg);
         let again = run().1;
-        assert_eq!((again.result, again.stats), (got.result, got.stats), "{dist:?}");
+        assert_eq!((again.result, again.stats), (got.result, got.stats), "{cfg:?}");
     }
 }

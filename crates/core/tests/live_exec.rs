@@ -15,8 +15,8 @@
 use std::time::{Duration, Instant};
 
 use rdfmesh_core::{
-    global_store, DistChoice, ExecConfig, FaultPlan, LiveBackend, LiveConfig, LiveError, LiveMesh,
-    LiveStatsSnapshot, Mat, MeshBackend, Transport,
+    global_store, DistChoice, Engine, ExecConfig, FaultPlan, LiveBackend, LiveConfig, LiveError,
+    LiveMesh, LiveStatsSnapshot, Mat, MeshBackend, PrimitiveStrategy, Transport,
 };
 use rdfmesh_net::{LatencyModel, Network, NodeId, SimTime};
 use rdfmesh_overlay::{Overlay, Provider};
@@ -423,6 +423,62 @@ fn the_bind_join_pools_two_hop_and_triangle_fetch_legs_and_match_the_oracle() {
             assert!(assert_live_agrees(&mesh, &overlay, query, true) > 0, "{query}");
             assert!(mesh.stats().gathered_legs > before, "{query} on {transport:?}");
         }
+        mesh.shutdown();
+    }
+}
+
+/// The simulator's bind step is the mesh's keyed round, run on the same
+/// roles: on the repo benchmark's bind shapes (two-hop, triangle, star on
+/// `?s`) and on a selective chain whose keys ship, the simulator answers
+/// the mesh's rows, and what it counts as intermediate is exactly what
+/// the mesh's providers ship.
+#[test]
+fn the_simulator_binds_the_meshs_rows_and_moves_them_the_same_way() {
+    let mut overlay = university_overlay();
+    let queries = [
+        format!("{UB} SELECT ?s ?p ?d WHERE {{ ?s ub:advisor ?p . ?p ub:worksFor ?d }}"),
+        format!(
+            "{UB} SELECT ?s ?c ?p WHERE {{ ?s ub:takesCourse ?c . ?p ub:teacherOf ?c . \
+             ?s ub:advisor ?p }}"
+        ),
+        format!(
+            "{UB} SELECT ?s ?c ?k WHERE {{ ?s ub:memberOf <http://example.org/univ/d1/dept0> . \
+             ?s ub:takesCourse ?c . ?c ub:credits ?k }}"
+        ),
+        format!(
+            "{UB} SELECT * WHERE {{ ?s ub:advisor <http://example.org/univ/d0/prof0> . \
+             ?s ub:takesCourse ?c . ?s ub:memberOf ?d }}"
+        ),
+    ];
+    let cfg = ExecConfig {
+        bind_join: true,
+        overlap_aware: false,
+        range_index: false,
+        frequency_join_order: false,
+        primitive: PrimitiveStrategy::Basic,
+        ..ExecConfig::default()
+    };
+    let sim: Vec<_> = queries
+        .iter()
+        .map(|q| Engine::new(&mut overlay, cfg).execute(NodeId(1000), q).expect("simulated"))
+        .collect();
+    for transport in TRANSPORTS {
+        let mesh = spawn_on(&overlay, LiveConfig::default(), transport);
+        let mut keys = 0;
+        for (query, sim) in queries.iter().zip(&sim) {
+            let before = mesh.stats();
+            let live = mesh.execute_with(query, &cfg, WAIT).expect("live execution");
+            assert!(live.complete, "{query} on {transport:?}");
+            assert!(!sim.result.is_empty(), "{query}");
+            let rows = canonical(sim.result.clone());
+            assert_eq!(rows, canonical(live.result), "{query} on {transport:?}");
+            let after = mesh.stats();
+            let shipped = after.solutions_shipped - before.solutions_shipped;
+            assert_eq!(sim.stats.intermediate_solutions as u64, shipped, "{query} on {transport:?}");
+            keys = after.bound_keys_shipped - before.bound_keys_shipped;
+        }
+        // The selective chain's few keys travel to the providers.
+        assert!(keys > 0, "{transport:?}");
         mesh.shutdown();
     }
 }

@@ -26,6 +26,11 @@
 # `keys_for_triple(` call in any crate's code. Every decoded list count is
 # checked against the bytes left (`Reader::u32_count`): no `.min(1024)`
 # reservation in live_wire.rs or node.rs.
+# A bind join's bind step is one function, `exec::bind_step`, called by
+# both backends: it is the only `solution::join_owned(` under
+# crates/core/src, and the simulator's keyed round is the mesh's, run by
+# the one role runner (`run_round`, the one `Scheduler::new()` in
+# sim_backend.rs) that runs its multiway round too.
 # Fails when a second copy appears. Test modules (`mod tests` to end of
 # file) and comment lines are not code.
 set -eu
@@ -64,8 +69,8 @@ expect 'shuffle_partition( callers outside provider.rs' \
     "$(code $others | grep -v 'fn shuffle_partition(' | grep -c 'shuffle_partition(' || true)" 0
 expect 'note_provider_contacted() calls in sim_backend.rs' \
     "$(code sim_backend.rs | grep -c 'self\.note_provider_contacted()' || true)" 1
-# Two: the exchange prices a dead provider with it, and the multiway
-# round's coordinator waits for it.
+# Two: the exchange prices a dead provider with it, and the role runner's
+# coordinator waits for it.
 expect 'cfg.ack_timeout uses in sim_backend.rs' \
     "$(code sim_backend.rs | grep -c 'cfg\.ack_timeout' || true)" 2
 expect 'wire::encoded_len sites under live/' \
@@ -81,8 +86,7 @@ expect_at 'provider::assemble(' 'live/coordinator.rs:1'
 expect_at 'generation += 1' 'live/coordinator.rs:1'
 # The pipeline's tail is exec::answer and the lookup leg is
 # SimBackend::resolve: no backend post-processes, joins or looks up on its
-# own again. (The second locate_cached( is exec_common_site's first row, whose
-# hops are counted only after the second resolves — CHANGES.md, PR 22.)
+# own again.
 expect 'finalize( call sites under crates/core/src' \
     "$(code ./*.rs live/*.rs | grep -c 'finalize(' || true)" 1
 expect 'fn post_process in sim_backend.rs' \
@@ -90,7 +94,11 @@ expect 'fn post_process in sim_backend.rs' \
 expect 'left_join_filtered call sites under crates/core/src' \
     "$(code ./*.rs live/*.rs | grep -c 'left_join_filtered' || true)" 1
 expect 'locate_cached( call sites in sim_backend.rs' \
-    "$(code sim_backend.rs | grep -v 'fn locate_cached(' | grep -c 'locate_cached(' || true)" 2
+    "$(code sim_backend.rs | grep -v 'fn locate_cached(' | grep -c 'locate_cached(' || true)" 1
+expect_at 'exec::bind_step(' 'live_backend.rs:1 sim_backend.rs:1'
+expect_at 'solution::join_owned(' 'exec.rs:1'
+expect 'Scheduler::new() in sim_backend.rs (the role runner)' \
+    "$(code sim_backend.rs | grep -c 'Scheduler::new()' || true)" 1
 # One cluster, two wires: crates/net/src declares one cluster struct, and
 # neither the socket hook, its two-phase constructor nor the mesh's
 # per-wire enum is back. The live mesh places no key centrally: its index
@@ -144,5 +152,5 @@ expect '[[bench]] tables under crates/*/Cargo.toml' \
 expect 'criterion mentions in any Cargo.toml' \
     "$(cat Cargo.toml crates/*/Cargo.toml shims/*/Cargo.toml benchmark/Cargo.toml | grep -ci criterion || true)" 0
 expect 'directories under shims/' "$(ls -d shims/*/ | wc -l)" 3
-[ "$bad" -eq 0 ] && echo 'exists once: provider compute, exchange pricing, reply accounting, role constructors, the role host, the multiway protocol, regex compilation, lending scan, JSON escaping, result writers, the stopwatch, the pipeline tail, the operator table, the lookup leg, the cluster, the publication path, the frequency column, the move-small rule, the location table, the key count, the list-count bound'
+[ "$bad" -eq 0 ] && echo 'exists once: provider compute, exchange pricing, reply accounting, role constructors, the role host, the multiway protocol, regex compilation, lending scan, JSON escaping, result writers, the stopwatch, the pipeline tail, the operator table, the lookup leg, the cluster, the publication path, the frequency column, the move-small rule, the location table, the key count, the list-count bound, the bind step, the role runner'
 exit "$bad"
