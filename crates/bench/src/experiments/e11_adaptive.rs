@@ -87,8 +87,13 @@ pub fn run() {
             format!("{} ({} B, {} ms)", pick_m, stats_m.total_bytes, fmt_ms(stats_m.response_time)),
         ]);
 
-        // The adaptive picks must track the measured winners' costs
-        // closely (planning lookups add a small constant overhead).
+        // A planned run costs exactly what the fixed run it picked costs:
+        // planning prices the rows the join orderer is handed anyway.
+        for (pick, stats) in [(pick_b, &stats_b), (pick_t, &stats_t), (pick_m, &stats_m)] {
+            let picked = &fixed.iter().find(|(s, _)| *s == pick).expect("a fixed run").1;
+            assert_eq!(stats, picked, "skew {skew}: the planned {pick} run");
+        }
+        // And the picks track the measured winners' costs closely.
         assert!(
             stats_b.total_bytes as f64 <= best_bytes.1.total_bytes as f64 * 1.15,
             "skew {skew}: MinBytes pick {} at {} vs best {} at {}",

@@ -22,11 +22,12 @@
 //! quantities the paper optimizes — total inter-site bytes and response
 //! time.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 use rdfmesh_cache::QueryCache;
 use rdfmesh_net::{NodeId, SimTime};
-use rdfmesh_obs::{names, phase};
+use rdfmesh_obs::{names, phase, QueryTrace};
 use rdfmesh_overlay::{Overlay, OverlayError};
 use rdfmesh_rdf::{TriplePattern, TripleStore};
 use rdfmesh_sparql::{
@@ -38,6 +39,7 @@ use rdfmesh_sparql::{
 
 use crate::config::ExecConfig;
 use crate::exec::{self, single_pattern_of};
+use crate::planner::{self, PatternRow, Plan, PlanObjective};
 use crate::sim_backend::SimBackend;
 use crate::stats::QueryStats;
 
@@ -141,78 +143,36 @@ impl<'a> Engine<'a> {
     /// Parses, optimizes and executes a SPARQL query submitted at
     /// `initiator` (an index or storage node address).
     pub fn execute(&mut self, initiator: NodeId, query: &str) -> Result<Execution, EngineError> {
-        let algebra = rdfmesh_sparql::parse_query(query)?;
-        self.execute_algebra(initiator, &algebra)
+        Ok(self.execute_traced(initiator, query)?.0)
     }
 
-    /// Like [`Engine::execute`], but records the query lifecycle in a
-    /// [`rdfmesh_obs::QueryTrace`]: every phase becomes a span, every
-    /// inter-site message charges its bytes to the enclosing phase, and
-    /// the trace's per-phase breakdown sums exactly to the returned
-    /// [`QueryStats`] totals (same bytes, same response time).
+    /// Like [`Engine::execute`], but also returns the query's
+    /// [`QueryTrace`]: every phase a span, every inter-site message charged
+    /// to the enclosing phase. The trace is the query's only account — the
+    /// returned [`QueryStats`] are read from it.
     pub fn execute_traced(
         &mut self,
         initiator: NodeId,
         query: &str,
-    ) -> Result<(Execution, rdfmesh_obs::QueryTrace), EngineError> {
-        let trace = rdfmesh_obs::QueryTrace::new();
-        let guard = rdfmesh_obs::set_current(trace.clone());
-        // Parsing runs locally at the initiator: zero simulated time,
-        // zero bytes — the span records that the phase happened.
-        let span = rdfmesh_obs::begin_current(phase::PARSE, query.lines().next().unwrap_or(""), 0);
-        let parsed = rdfmesh_sparql::parse_query(query);
-        rdfmesh_obs::end_current(span, 0);
-        let execution = self.execute_algebra(initiator, &parsed?)?;
-        drop(guard);
-        trace.finish(execution.stats.response_time.0);
+    ) -> Result<(Execution, QueryTrace), EngineError> {
+        let (execution, _, trace) = self.run(initiator, || parse(query), None)?;
         Ok((execution, trace))
     }
 
     /// Plans the primitive strategy from location-table statistics for
     /// the given objective (the Sect. V future-work optimizer), then
     /// executes. Returns the execution together with the plan that was
-    /// chosen; the planning lookups are included in the reported costs.
+    /// chosen. Planning reads each pattern's row once, and the join
+    /// orderer is handed the same rows, so the reported costs are those
+    /// of the chosen strategy's run.
     pub fn execute_with_objective(
         &mut self,
         initiator: NodeId,
         query: &str,
-        objective: crate::planner::PlanObjective,
-    ) -> Result<(Execution, crate::planner::Plan), EngineError> {
-        let algebra = rdfmesh_sparql::parse_query(query)?;
-        self.backend.check_initiator(initiator)?;
-        self.backend.initiator = initiator;
-        let entry = self.backend.entry_index(initiator)?;
-        let before = self.backend.overlay.net.stats();
-        let peer = self
-            .backend
-            .overlay
-            .index_nodes()
-            .into_iter()
-            .find(|&n| n != entry)
-            .unwrap_or(entry);
-        let latency = if peer == entry {
-            SimTime::millis(1)
-        } else {
-            self.backend.overlay.net.latency(entry, peer)
-        };
-        let bandwidth = self.backend.overlay.net.bandwidth();
-        let plan = crate::planner::plan(
-            self.backend.overlay,
-            entry,
-            &algebra.pattern,
-            objective,
-            self.backend.cfg,
-            latency,
-            bandwidth,
-        )?;
-        let planning = before.delta(&self.backend.overlay.net.stats());
-        let saved = self.backend.cfg;
-        self.backend.cfg = plan.config;
-        let result = self.execute_algebra(initiator, &algebra);
-        self.backend.cfg = saved;
-        let mut execution = result?;
-        execution.stats.absorb_net(&planning);
-        Ok((execution, plan))
+        objective: PlanObjective,
+    ) -> Result<(Execution, Plan), EngineError> {
+        let (execution, plan, _) = self.run(initiator, || parse(query), Some(objective))?;
+        Ok((execution, plan.expect("an objective run plans")))
     }
 
     /// Executes an already-translated query: optimize, compile to an
@@ -223,38 +183,59 @@ impl<'a> Engine<'a> {
         initiator: NodeId,
         query: &AlgebraQuery,
     ) -> Result<Execution, EngineError> {
+        Ok(self.run(initiator, || Ok(Cow::Borrowed(query)), None)?.0)
+    }
+
+    /// Runs one query under a fresh [`QueryTrace`], its only account:
+    /// `query` yields the algebra inside the trace, the query is planned
+    /// (for `objective`, when given) and answered, and the trace, finished
+    /// at the response time, is read into the execution's [`QueryStats`].
+    fn run<'q>(
+        &mut self,
+        initiator: NodeId,
+        query: impl FnOnce() -> Result<Cow<'q, AlgebraQuery>, ParseError>,
+        objective: Option<PlanObjective>,
+    ) -> Result<(Execution, Option<Plan>, QueryTrace), EngineError> {
+        let trace = QueryTrace::new();
+        let guard = rdfmesh_obs::set_current(trace.clone());
+        let query = query()?;
         self.backend.check_initiator(initiator)?;
         self.backend.initiator = initiator;
-        self.backend.stats = QueryStats::default();
         self.backend.dataset_graphs = query.dataset.default.clone();
         if self.backend.cache.is_some() {
             // Row-change notifications from index nodes flow to this
             // initiator from now on (idempotent).
             self.backend.overlay.subscribe_cache(initiator);
         }
-        let before = self.backend.overlay.net.stats();
+        let saved = self.backend.cfg;
+        let answered = self.answer(&query, objective);
+        self.backend.cfg = saved;
+        let (result, ready, plan) = answered?;
+        rdfmesh_obs::advance_current(phase::POST_PROCESS, ready.0);
+        rdfmesh_obs::count_current("result_size", result.len() as u64);
+        drop(guard);
+        trace.finish(ready.0);
+        let stats = QueryStats::from_trace(&trace);
+        self.finish_query(stats.response_time);
+        Ok((Execution { result, stats }, plan, trace))
+    }
 
-        // Global query optimization (Fig. 3): algebraic rewrites, with
-        // join ordering driven by location-table frequencies when enabled.
-        // The optimize span takes zero simulated time itself; the
-        // frequency pre-fetch opens nested key-resolution spans that
-        // carry the lookup traffic.
+    /// Optimizes and answers `query` at the initiator under the query's
+    /// trace. Global query optimization (Fig. 3) is algebraic rewrites,
+    /// with joins ordered by location-table frequencies when enabled; the
+    /// optimize span takes zero simulated time itself, while the
+    /// statistics pass opens nested key-resolution spans that carry the
+    /// lookup traffic. The pass runs once, and an objective's plan and
+    /// the join orderer share its rows.
+    fn answer(
+        &mut self,
+        query: &AlgebraQuery,
+        objective: Option<PlanObjective>,
+    ) -> Result<(QueryResult, SimTime, Option<Plan>), EngineError> {
         let span = rdfmesh_obs::begin_current(phase::OPTIMIZE, "rewrites + join ordering", 0);
-        let mut pattern = query.pattern.clone();
-        let optimize = (|| -> Result<GraphPattern, EngineError> {
-            if self.backend.cfg.frequency_join_order {
-                let estimator = self.backend.build_frequency_estimator(&pattern)?;
-                Ok(optimizer::optimize_with(
-                    pattern.clone(),
-                    &self.backend.cfg.optimizer,
-                    &estimator,
-                ))
-            } else {
-                Ok(optimizer::optimize(pattern.clone(), &self.backend.cfg.optimizer))
-            }
-        })();
+        let optimized = self.optimize(&query.pattern, objective);
         rdfmesh_obs::end_current(span, 0);
-        pattern = optimize?;
+        let (pattern, plan) = optimized?;
         let metrics = rdfmesh_obs::metrics();
         if metrics.is_enabled() {
             metrics.add("engine.queries", 1);
@@ -276,15 +257,49 @@ impl<'a> Engine<'a> {
                 exec::answer(&mut self.backend, query, &pattern, &cfg)?
             }
         };
-        self.backend.stats.response_time = ready;
-        self.backend.stats.result_size = result.len();
-        self.backend
-            .stats
-            .absorb_net(&before.delta(&self.backend.overlay.net.stats()));
-        rdfmesh_obs::advance_current(phase::POST_PROCESS, self.backend.stats.response_time.0);
-        rdfmesh_obs::count_current("result_size", result.len() as u64);
-        self.finish_query();
-        Ok(Execution { result, stats: self.backend.stats.clone() })
+        Ok((result, ready, plan))
+    }
+
+    /// The statistics pass, the plan and the rewrites: reads the rows when
+    /// an objective or the join orderer needs them, plans the objective's
+    /// configuration from them (which the query then runs under), and
+    /// orders joins by them.
+    fn optimize(
+        &mut self,
+        pattern: &GraphPattern,
+        objective: Option<PlanObjective>,
+    ) -> Result<(GraphPattern, Option<Plan>), EngineError> {
+        let rows = if objective.is_some() || self.backend.cfg.frequency_join_order {
+            self.backend.statistics(pattern)?
+        } else {
+            Vec::new()
+        };
+        let plan = objective.map(|objective| self.plan(&rows, objective)).transpose()?;
+        if let Some(plan) = &plan {
+            self.backend.cfg = plan.config;
+        }
+        let cfg = &self.backend.cfg;
+        if !cfg.frequency_join_order {
+            return Ok((optimizer::optimize(pattern.clone(), &cfg.optimizer), plan));
+        }
+        // An all-variable pattern has no row: worst case, schedule it last.
+        let keyless = rows.iter().any(|(_, row)| row.is_none());
+        let estimator = FrequencyEstimator::new(
+            rows.into_iter().filter_map(|(tp, row)| Some((tp, row?.iter().sum()))),
+            if keyless { u64::MAX / 2 } else { 1 },
+        );
+        Ok((optimizer::optimize_with(pattern.clone(), &cfg.optimizer, &estimator), plan))
+    }
+
+    /// Prices the query's rows for `objective` on the initiator's view of
+    /// the network: the latency from its entry index node to another index
+    /// node, and the link bandwidth.
+    fn plan(&self, rows: &[PatternRow], objective: PlanObjective) -> Result<Plan, EngineError> {
+        let entry = self.backend.entry_index(self.backend.initiator)?;
+        let net = &self.backend.overlay.net;
+        let peer = self.backend.overlay.index_nodes().into_iter().find(|&n| n != entry);
+        let latency = peer.map_or(SimTime::millis(1), |peer| net.latency(entry, peer));
+        Ok(planner::plan(rows, objective, self.backend.cfg, latency, net.bandwidth()))
     }
 
     /// End-of-query bookkeeping: records the response time in the
@@ -292,8 +307,7 @@ impl<'a> Engine<'a> {
     /// query (response time plus 1 ms think time), so routing TTLs age
     /// across queries even though each query's network clock restarts at
     /// zero.
-    fn finish_query(&mut self) {
-        let rt = self.backend.stats.response_time;
+    fn finish_query(&mut self, rt: SimTime) {
         let metrics = rdfmesh_obs::metrics();
         if metrics.is_enabled() {
             metrics.observe(names::ENGINE_RESPONSE_TIME_US, rt.0);
@@ -302,6 +316,16 @@ impl<'a> Engine<'a> {
             cache.advance_clock(rt + SimTime::millis(1));
         }
     }
+}
+
+/// Parses a query inside the current trace: parsing runs locally at the
+/// initiator, zero simulated time and zero bytes — the span records that
+/// the phase happened.
+fn parse(query: &str) -> Result<Cow<'static, AlgebraQuery>, ParseError> {
+    let span = rdfmesh_obs::begin_current(phase::PARSE, query.lines().next().unwrap_or(""), 0);
+    let parsed = rdfmesh_sparql::parse_query(query);
+    rdfmesh_obs::end_current(span, 0);
+    parsed.map(Cow::Owned)
 }
 
 /// Builds a single [`TripleStore`] holding the union of every storage

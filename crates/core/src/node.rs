@@ -487,6 +487,84 @@ mod tests {
         assert!(allocated <= ALLOC_PER_FRAME_BYTE * bytes.len(), "{allocated} B");
     }
 
+    /// One of each membership frame: a JOIN, a PEER_JOINED, and WELCOMEs of
+    /// 0, 1 and 3 members, multibyte addresses among them.
+    fn control_frames() -> Vec<Control> {
+        let member = |id: u64, addr: &str| Member { id, pos: !id, addr: addr.into() };
+        let roster = vec![
+            member(1, "127.0.0.1:7301"),
+            member(u64::MAX, "hôte-ü.example:7302"),
+            member(0, "[::1]:7303"),
+        ];
+        vec![
+            Control::Join(member(7, "knoten-ß.example:9999")),
+            Control::PeerJoined(member(8, "h:1")),
+            Control::Welcome(Vec::new()),
+            Control::Welcome(roster[1..2].to_vec()),
+            Control::Welcome(roster),
+        ]
+    }
+
+    /// Every truncation and every single-byte mutation of every control
+    /// frame: `Control::decode` refuses the bytes or returns a frame that
+    /// encodes to exactly them, never panics, and allocates at most
+    /// `ALLOC_PER_FRAME_BYTE` per byte of what it was given.
+    #[test]
+    fn mutated_and_truncated_control_frames_decode_to_themselves_or_are_refused() {
+        use crate::live_wire::{allocated_by, ALLOC_PER_FRAME_BYTE};
+        let (mut refused, mut accepted) = (0, 0);
+        for frame in control_frames().iter().map(Control::encode) {
+            let truncations = (0..frame.len()).map(|len| frame[..len].to_vec());
+            let mutations = (0..frame.len()).flat_map(|at| {
+                let frame = &frame;
+                (0..=u8::MAX).filter(move |&b| b != frame[at]).map(move |b| {
+                    let mut bytes = frame.clone();
+                    bytes[at] = b;
+                    bytes
+                })
+            });
+            for bytes in truncations.chain(mutations) {
+                let (decoded, allocated) = allocated_by(|| Control::decode(&bytes));
+                assert!(
+                    allocated <= ALLOC_PER_FRAME_BYTE * bytes.len(),
+                    "decoding a {} B frame allocated {allocated} B",
+                    bytes.len()
+                );
+                match decoded {
+                    Err(_) => refused += 1,
+                    Ok(ctrl) => {
+                        accepted += 1;
+                        assert_eq!(ctrl.encode(), bytes, "a decoded mutant re-encodes to itself");
+                    }
+                }
+            }
+        }
+        assert!(refused > 0 && accepted > 0, "{refused} refused, {accepted} accepted");
+    }
+
+    fn arb_member() -> impl proptest::strategy::Strategy<Value = Member> {
+        use proptest::prelude::*;
+        // Addresses of one- to four-byte characters.
+        let addr = "[a-z0-9.:\\-ß-ü一-龥😀-🙏]{0,24}";
+        (any::<u64>(), any::<u64>(), addr).prop_map(|(id, pos, addr)| Member { id, pos, addr })
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn control_frames_of_arbitrary_members_round_trip(
+            joining in arb_member(),
+            roster in proptest::collection::vec(arb_member(), 0..6),
+        ) {
+            for ctrl in [
+                Control::Join(joining.clone()),
+                Control::PeerJoined(joining.clone()),
+                Control::Welcome(roster.clone()),
+            ] {
+                proptest::prop_assert_eq!(Control::decode(&ctrl.encode()), Ok(ctrl));
+            }
+        }
+    }
+
     #[test]
     fn three_processes_answer_a_conjunctive_query() {
         let n1 = MeshNode::start(

@@ -12,8 +12,8 @@
 //! plan's predicted ranking matches the measured one (validated by §E11
 //! and the tests below).
 
-use rdfmesh_net::{NodeId, SimTime};
-use rdfmesh_overlay::{wire, Overlay, OverlayError};
+use rdfmesh_net::SimTime;
+use rdfmesh_overlay::wire;
 use rdfmesh_rdf::TriplePattern;
 use rdfmesh_sparql::{expr::Expression, GraphPattern};
 
@@ -121,32 +121,29 @@ pub struct Plan {
     pub candidates: Vec<(PrimitiveStrategy, CostEstimate)>,
 }
 
-/// Prices every primitive strategy for the query's patterns (frequencies
-/// fetched from the distributed index via `entry`) and returns the
-/// configuration minimizing `objective`. `base` supplies every other
-/// knob (join sites, optimizer rules).
+/// One pattern of a query with its location-table row in the query's
+/// dataset: the providers' frequencies, `None` for the keyless pattern.
+pub type PatternRow = (TriplePattern, Option<Vec<u64>>);
+
+/// Prices every primitive strategy for the query's location-table rows —
+/// each pattern with its providers' frequencies in the query's dataset,
+/// as the simulator's statistics pass reads them — and returns the
+/// configuration minimizing `objective`. `base` supplies every other knob
+/// (join sites, optimizer rules).
 pub fn plan(
-    overlay: &Overlay,
-    entry: NodeId,
-    pattern: &GraphPattern,
+    rows: &[PatternRow],
     objective: PlanObjective,
     base: ExecConfig,
     latency: SimTime,
     bandwidth: f64,
-) -> Result<Plan, OverlayError> {
-    let mut tps = Vec::new();
-    collect(pattern, &mut tps);
-
+) -> Plan {
     let mut candidates = Vec::new();
     for strategy in PrimitiveStrategy::ALL {
         let mut bytes = 0.0;
         let mut time = SimTime::ZERO;
-        for tp in &tps {
-            let freqs: Vec<u64> = match overlay.locate(entry, tp, SimTime::ZERO)? {
-                Some(located) => located.providers.iter().map(|p| p.frequency).collect(),
-                None => continue, // all-variable pattern: same flood cost everywhere
-            };
-            let est = estimate_primitive(strategy, tp, &freqs, latency, bandwidth);
+        // The all-variable pattern has no row: the same flood cost everywhere.
+        for (tp, freqs) in rows.iter().filter_map(|(tp, row)| Some((tp, row.as_ref()?))) {
+            let est = estimate_primitive(strategy, tp, freqs, latency, bandwidth);
             bytes += est.bytes;
             // Patterns evaluate in parallel branches but join sequentially
             // in the worst case; summing is the conservative choice.
@@ -188,11 +185,7 @@ pub fn plan(
             1,
         );
     }
-    Ok(Plan { config: ExecConfig { primitive: best, ..base }, candidates })
-}
-
-fn collect(pattern: &GraphPattern, out: &mut Vec<TriplePattern>) {
-    crate::exec::collect_patterns(pattern, out);
+    Plan { config: ExecConfig { primitive: best, ..base }, candidates }
 }
 
 // ---- algebra → operator IR ------------------------------------------

@@ -27,11 +27,12 @@ use rdfmesh_sparql::{
 };
 
 use crate::config::{DistStrategy, ExecConfig, JoinSiteStrategy, LiveConfig, PrimitiveStrategy};
-use crate::engine::{EngineError, FrequencyEstimator};
+use crate::engine::EngineError;
 use crate::exec::{self, collect_patterns, Mat, MeshBackend, OpKind, PrimitiveOp};
 use crate::live::{Action, CoordinatorCore, LiveMsg, LiveStorage, QueryId, SendKey};
+use crate::planner::PatternRow;
 use crate::provider;
-use crate::stats::{LiveStats, LiveStatsSnapshot, QueryStats};
+use crate::stats::{LiveStats, LiveStatsSnapshot};
 
 /// A sub-query as a storage node receives it (Fig. 3): the pattern and
 /// the filter pushed to the source (Sect. IV-G).
@@ -79,8 +80,8 @@ enum Leg<'q> {
     /// A role-run round's lookup, sent by the coordinator to its entry
     /// index node: nothing to forward.
     Step,
-    /// The planner reading statistics: the whole row, whatever the
-    /// dataset, and no step of the answer's key resolution.
+    /// The planner reading statistics: the row in the dataset, and no step
+    /// of the answer's key resolution.
     Statistics,
 }
 
@@ -130,7 +131,6 @@ fn for_storage(msg: &LiveMsg) -> bool {
 pub struct SimBackend<'a> {
     pub(crate) overlay: &'a mut Overlay,
     pub(crate) cfg: ExecConfig,
-    pub(crate) stats: QueryStats,
     pub(crate) initiator: NodeId,
     /// `FROM` clause of the running query: when non-empty, only storage
     /// nodes publishing one of these graph IRIs belong to the dataset
@@ -147,7 +147,6 @@ impl<'a> SimBackend<'a> {
         SimBackend {
             overlay,
             cfg,
-            stats: QueryStats::default(),
             initiator: NodeId(0),
             dataset_graphs: Vec::new(),
             cache: None,
@@ -164,19 +163,13 @@ impl<'a> SimBackend<'a> {
         SimBackend { cache: Some(cache), ..SimBackend::new(overlay, cfg) }
     }
 
-    // ---- observability mirrors -----------------------------------------
+    // ---- the query's counters -------------------------------------------
     //
-    // Every legacy counter bump goes through one of these, which also
-    // feed the active query trace (so stats become derivable from it —
-    // see `QueryStats::from_trace`) and the process-wide registry.
-
-    pub(crate) fn note_index_hops(&mut self, hops: usize) {
-        self.stats.index_hops += hops;
-        rdfmesh_obs::count_current("index_hops", hops as u64);
-    }
+    // Each count goes to the query's trace, the simulator's only record of
+    // what a query cost (see `QueryStats::from_trace`), and is mirrored into
+    // the process-wide registry.
 
     fn note_provider_contacted(&mut self) {
-        self.stats.providers_contacted += 1;
         rdfmesh_obs::count_current("providers_contacted", 1);
         let metrics = rdfmesh_obs::metrics();
         if metrics.is_enabled() {
@@ -216,7 +209,6 @@ impl<'a> SimBackend<'a> {
     }
 
     fn note_intermediates(&mut self, n: usize) {
-        self.stats.intermediate_solutions += n;
         rdfmesh_obs::count_current("intermediate_solutions", n as u64);
         let metrics = rdfmesh_obs::metrics();
         if metrics.is_enabled() {
@@ -296,28 +288,25 @@ impl<'a> SimBackend<'a> {
         }
     }
 
-    /// Pre-fetches location information for every triple pattern in the
-    /// query so the optimizer can order joins by true frequencies. These
-    /// lookups are charged: statistics live at remote index nodes.
-    pub(crate) fn build_frequency_estimator(
+    /// The planner's statistics pass: every triple pattern of the query
+    /// with its location-table row's frequencies in the query's dataset —
+    /// `None` for the keyless pattern — each row read once. The reads are
+    /// charged: statistics live at remote index nodes.
+    pub(crate) fn statistics(
         &mut self,
         pattern: &rdfmesh_sparql::GraphPattern,
-    ) -> Result<FrequencyEstimator, EngineError> {
+    ) -> Result<Vec<PatternRow>, EngineError> {
         let mut tps = Vec::new();
         collect_patterns(pattern, &mut tps);
-        let mut entries = Vec::with_capacity(tps.len());
-        let mut default = 1u64;
+        let mut rows = Vec::with_capacity(tps.len());
         for tp in tps {
-            match self.resolve(&tp, SimTime::ZERO, Leg::Statistics)? {
-                Resolved::Row(located) => {
-                    let total: u64 = located.providers.iter().map(|p| p.frequency).sum();
-                    entries.push((tp, total));
-                }
-                // All-variable pattern: worst case, schedule it last.
-                Resolved::Keyless(_) => default = u64::MAX / 2,
-            }
+            let row = match self.resolve(&tp, SimTime::ZERO, Leg::Statistics)? {
+                Resolved::Row(row) => Some(row.providers.iter().map(|p| p.frequency).collect()),
+                Resolved::Keyless(_) => None,
+            };
+            rows.push((tp, row));
         }
-        Ok(FrequencyEstimator::new(entries, default))
+        Ok(rows)
     }
 
     /// The index node through which `addr` reaches the ring: itself if it
@@ -339,9 +328,9 @@ impl<'a> SimBackend<'a> {
     /// The lookup leg of Fig. 2, for every caller: reach the entry index
     /// node (forwarding the sub-query there when the leg starts at a
     /// storage node), resolve the pattern's key to its location-table
-    /// row through the cache stack, count the hops, and — unless the
-    /// planner is only reading statistics — advance key resolution to
-    /// the row's arrival and keep the providers inside the dataset.
+    /// row through the cache stack, count the hops, keep the providers
+    /// inside the dataset, and — unless the planner is only reading
+    /// statistics — advance key resolution to the row's arrival.
     fn resolve(
         &mut self,
         pattern: &TriplePattern,
@@ -360,11 +349,11 @@ impl<'a> SimBackend<'a> {
             _ => self.locate_cached(entry, pattern, depart)?,
         };
         let Some(mut located) = located else { return Ok(Resolved::Keyless(depart)) };
-        self.note_index_hops(located.hops);
+        rdfmesh_obs::count_current("index_hops", located.hops as u64);
         if leg != Leg::Statistics {
             rdfmesh_obs::advance_current(phase::KEY_RESOLUTION, located.arrival.0);
-            located.providers.retain(|p| self.in_scope(p.node));
         }
+        located.providers.retain(|p| self.in_scope(p.node));
         Ok(Resolved::Row(located))
     }
 
@@ -553,21 +542,37 @@ impl<'a> SimBackend<'a> {
     ) -> Mat {
         let span =
             shipping_span(&format!("basic fan-out to {} providers", providers.len()), t0);
-        let bytes = sub.bytes();
+        let legs: Vec<_> = providers.iter().map(|p| (assembly, p.node, t0)).collect();
+        self.fan_out(span, sub, &legs, assembly, t0)
+    }
+
+    /// The parallel fan-out Basic and the flood share: `sub`, charged
+    /// [`SubQuery::bytes`], leaves on every `(from, to, depart)` leg, and
+    /// each live node's answer is shipped to `back`, where the union
+    /// gathers. Closes `span` when the last answer is in (never before
+    /// `depart`), purging the nodes that never acked.
+    fn fan_out(
+        &mut self,
+        span: Option<SpanId>,
+        sub: SubQuery<'_>,
+        legs: &[(NodeId, NodeId, SimTime)],
+        back: NodeId,
+        depart: SimTime,
+    ) -> Mat {
         let mut union = DistinctBuffer::new();
-        let mut ready = t0;
+        let mut ready = depart;
         let mut dead = Vec::new();
-        for p in providers {
-            let reply = Reply::Solutions(assembly);
-            let (sets, at) = self.exchange((assembly, p.node), bytes, t0, reply, |s| sub.answer(s));
+        for &(from, to, at) in legs {
+            let reply = Reply::Solutions(back);
+            let (sets, at) = self.exchange((from, to), sub.bytes(), at, reply, |s| sub.answer(s));
             ready = ready.max(at);
             match sets {
                 Some(sets) => union.extend_distinct(sets.into_iter().flatten()),
-                None => dead.push(p.node),
+                None => dead.push(to),
             }
         }
         self.close_shipping(span, ready, &dead);
-        Mat { solutions: union.into_vec(), site: assembly, ready }
+        Mat { solutions: union.into_vec(), site: back, ready }
     }
 
     /// Chained schemes: the sub-query and accumulated mappings travel
@@ -698,7 +703,7 @@ impl<'a> SimBackend<'a> {
 
     /// Flooding fallback for the all-variable pattern `(?s, ?p, ?o)`:
     /// every index node forwards the sub-query to its attached storage
-    /// nodes; answers assemble at the initiator.
+    /// nodes in the dataset, and their answers assemble at the entry node.
     fn flood(
         &mut self,
         pattern: &TriplePattern,
@@ -706,39 +711,20 @@ impl<'a> SimBackend<'a> {
         depart: SimTime,
     ) -> Result<Mat, EngineError> {
         let entry = self.entry_index(self.initiator)?;
-        let subquery_bytes = wire::SUBQUERY_HEADER + pattern.serialized_len();
         let sub = SubQuery { pattern, filter };
         let span = shipping_span("flood all storage nodes", depart);
-        let mut union = DistinctBuffer::new();
-        let mut ready = depart;
-        let mut dead = Vec::new();
+        let mut legs = Vec::new();
         for index in self.overlay.index_nodes() {
-            let at_index = self.overlay.net.send(entry, index, subquery_bytes, depart);
+            let at_index = self.overlay.net.send(entry, index, sub.bytes(), depart);
             let Some(index_id) = self.overlay.chord_id_of(index) else { continue };
-            let attached: Vec<NodeId> = self
-                .overlay
-                .storage_nodes()
-                .into_iter()
-                .filter(|s| {
-                    self.overlay.storage_node(*s).map(|n| n.attached_to) == Some(index_id)
-                })
-                .collect();
-            for s in attached {
-                if !self.in_scope(s) {
-                    continue;
-                }
-                let reply = Reply::Solutions(entry);
-                let (sets, at) =
-                    self.exchange((index, s), subquery_bytes, at_index, reply, |st| sub.answer(st));
-                ready = ready.max(at);
-                match sets {
-                    Some(sets) => union.extend_distinct(sets.into_iter().flatten()),
-                    None => dead.push(s),
+            for s in self.overlay.storage_nodes() {
+                let attached = self.overlay.storage_node(s).map(|n| n.attached_to);
+                if attached == Some(index_id) && self.in_scope(s) {
+                    legs.push((index, s, at_index));
                 }
             }
         }
-        self.close_shipping(span, ready, &dead);
-        Ok(Mat { solutions: union.into_vec(), site: entry, ready })
+        Ok(self.fan_out(span, sub, &legs, entry, depart))
     }
 
     /// Whether storage node `node` belongs to the query's dataset: every
@@ -756,7 +742,6 @@ impl<'a> SimBackend<'a> {
     fn handle_dead(&mut self, dead: &[NodeId]) {
         let metrics = rdfmesh_obs::metrics();
         for &d in dead {
-            self.stats.dead_providers += 1;
             rdfmesh_obs::count_current("dead_providers", 1);
             if metrics.is_enabled() {
                 metrics.add("engine.dead_provider_timeouts", 1);

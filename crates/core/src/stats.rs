@@ -1,15 +1,16 @@
 //! Per-query execution statistics.
 //!
-//! [`QueryStats`] is maintained two ways at once: the engine bumps the
-//! legacy counters inline as it executes, and mirrors every bump into the
-//! active [`rdfmesh_obs::QueryTrace`] (when one is installed). The two
-//! views are provably equal — [`QueryStats::from_trace`] reconstructs the
-//! stats from the trace alone, and the engine's correctness tests assert
-//! the reconstruction matches the hand-counted values exactly.
+//! A simulated query's only account of what it cost is its
+//! [`rdfmesh_obs::QueryTrace`]: the engine runs every query under a fresh
+//! trace, the network charges each message to it, and the simulator counts
+//! hops, contacts, intermediates and dead providers into it.
+//! [`QueryStats`] is read from that trace ([`QueryStats::from_trace`]), and
+//! the engine's correctness tests hold the trace's totals to the network's
+//! own ledger.
 
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
-use rdfmesh_net::{NetStats, SimTime};
+use rdfmesh_net::SimTime;
 
 /// What one distributed query cost — the quantities the paper's deferred
 /// evaluation (and our EXPERIMENTS.md) reports.
@@ -49,18 +50,11 @@ pub struct QueryStats {
 }
 
 impl QueryStats {
-    /// Folds a network-stats delta into the query stats.
-    pub fn absorb_net(&mut self, delta: &NetStats) {
-        self.total_bytes += delta.total_bytes;
-        self.messages += delta.messages;
-    }
-
-    /// Reconstructs the statistics from a query trace alone, making the
-    /// legacy stats a derived view: bytes/messages come from the span
-    /// tree's charges, the response time from the trace's critical-path
-    /// frontier, and the remaining counters from the trace's named
-    /// counts. For a query run under [`crate::Engine::execute_traced`]
-    /// this equals the engine's hand-counted [`QueryStats`] exactly.
+    /// Reads the statistics from a query trace: bytes/messages come from
+    /// the span tree's charges, the response time from the trace's
+    /// critical-path frontier, and the remaining counters from the trace's
+    /// named counts. This is how the engine builds every
+    /// [`crate::Execution`]'s stats.
     pub fn from_trace(trace: &rdfmesh_obs::QueryTrace) -> QueryStats {
         QueryStats {
             response_time: SimTime(trace.response_time_us()),
@@ -185,18 +179,6 @@ live_counters! {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rdfmesh_net::NodeId;
-
-    #[test]
-    fn absorb_net_accumulates() {
-        let mut q = QueryStats::default();
-        let mut n = NetStats::default();
-        n.record(NodeId(1), NodeId(2), 100, SimTime(5));
-        n.record(NodeId(2), NodeId(3), 50, SimTime(9));
-        q.absorb_net(&n);
-        assert_eq!(q.total_bytes, 150);
-        assert_eq!(q.messages, 2);
-    }
 
     #[test]
     fn display_is_single_line() {

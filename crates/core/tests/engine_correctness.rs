@@ -6,9 +6,10 @@
 //! combination must return exactly the same solution multiset.
 
 use rdfmesh_core::{
-    global_store, DistChoice, Engine, ExecConfig, JoinSiteStrategy, PrimitiveStrategy,
+    global_store, DistChoice, Engine, ExecConfig, Execution, JoinSiteStrategy, PrimitiveStrategy,
 };
 use rdfmesh_net::{LatencyModel, Network, NodeId, SimTime};
+use rdfmesh_obs::QueryTrace;
 use rdfmesh_overlay::Overlay;
 use rdfmesh_rdf::{PatternKind, Term, TermPattern, TriplePattern};
 use rdfmesh_sparql::{evaluate_query, parse_query, QueryResult, Solution};
@@ -81,6 +82,28 @@ fn assert_is_the_oracles(
         }
         other => panic!("result shape mismatch for {query}: {other:?}"),
     }
+}
+
+/// Runs `query` traced under `cfg` and holds the trace — the query's only
+/// account — to the network's own ledger over the query: the trace is
+/// well-formed, and its bytes and messages are exactly those the network
+/// carried.
+fn traced_against_the_network(
+    overlay: &mut Overlay,
+    cfg: ExecConfig,
+    initiator: NodeId,
+    query: &str,
+) -> (Execution, QueryTrace) {
+    let before = overlay.net.stats();
+    let (exec, trace) = Engine::new(overlay, cfg).execute_traced(initiator, query).unwrap();
+    let carried = before.delta(&overlay.net.stats());
+    trace.check_well_formed().unwrap();
+    assert_eq!(
+        (trace.total_bytes(), trace.total_messages()),
+        (carried.total_bytes, carried.messages),
+        "trace != network for {query} under {cfg:?}"
+    );
+    (exec, trace)
 }
 
 fn all_configs() -> Vec<ExecConfig> {
@@ -308,11 +331,11 @@ fn university_dataset_conjunctions_agree() {
 /// Observability exactness on the correctness fixtures: for every
 /// strategy configuration and every query form — including DESCRIBE's
 /// distributed resource fetches and a dead provider's ack timeout — the
-/// statistics derived from the query trace equal the hand-counted
-/// legacy values, and the per-phase breakdown partitions the byte,
-/// message, and response-time totals with no remainder.
+/// query trace carries exactly the bytes and messages the network
+/// carried, and the per-phase breakdown partitions the byte, message,
+/// and response-time totals with no remainder.
 #[test]
-fn traced_stats_equal_hand_counted_stats_on_fixtures() {
+fn the_trace_carries_what_the_network_carried_on_fixtures() {
     let person = rdfmesh_workload::foaf::person_iri(0);
     let describe = format!("DESCRIBE {person}");
     let queries = [
@@ -331,16 +354,10 @@ fn traced_stats_equal_hand_counted_stats_on_fixtures() {
     let mut overlay = build_overlay(&FoafConfig { persons: 25, peers: 5, ..Default::default() });
     for cfg in all_configs() {
         for query in queries {
-            let (exec, trace) = Engine::new(&mut overlay, cfg)
-                .execute_traced(NodeId(1000), query)
-                .unwrap();
+            let (exec, trace) =
+                traced_against_the_network(&mut overlay, cfg, NodeId(1000), query);
             assert_is_the_oracles(&overlay, query, &exec.result, cfg);
-            trace.check_well_formed().unwrap();
-            assert_eq!(
-                rdfmesh_core::QueryStats::from_trace(&trace),
-                exec.stats,
-                "derived != legacy for {query} under {cfg:?}"
-            );
+            assert_eq!(exec.stats.result_size, exec.result.len(), "{query} under {cfg:?}");
             let rows = trace.phase_breakdown();
             assert_eq!(
                 rows.iter().map(|r| r.bytes).sum::<u64>(),
@@ -363,12 +380,37 @@ fn traced_stats_equal_hand_counted_stats_on_fixtures() {
     let mut overlay = build_overlay(&FoafConfig { persons: 25, peers: 5, ..Default::default() });
     let victim = overlay.storage_nodes()[0];
     overlay.fail_storage_node(victim).unwrap();
-    let (exec, trace) = Engine::new(&mut overlay, ExecConfig::default())
-        .execute_traced(NodeId(1000), "SELECT * WHERE { ?x foaf:knows ?y . }")
-        .unwrap();
-    trace.check_well_formed().unwrap();
+    let query = "SELECT * WHERE { ?x foaf:knows ?y . }";
+    let (exec, _) =
+        traced_against_the_network(&mut overlay, ExecConfig::default(), NodeId(1000), query);
     assert!(exec.stats.dead_providers > 0, "the victim should have timed out");
-    assert_eq!(rdfmesh_core::QueryStats::from_trace(&trace), exec.stats);
+}
+
+/// With the initiator's cache attached — a cold walk, then provider-set
+/// and result-cache hits, whose admission copy travels off the critical
+/// path — a query's trace still carries exactly what the network carried,
+/// and its response time is its critical path.
+#[test]
+fn a_cached_query_is_traced_exactly_as_the_network_carried_it() {
+    let mut overlay = build_overlay(&FoafConfig { persons: 25, peers: 5, ..Default::default() });
+    let mut cache = rdfmesh_core::QueryCache::new(rdfmesh_core::CacheConfig::default());
+    let query = "SELECT * WHERE { ?x foaf:knows ?y . OPTIONAL { ?y foaf:name ?n . } }";
+    let mut costs = Vec::new();
+    for _ in 0..3 {
+        let before = overlay.net.stats();
+        let (exec, trace) = Engine::with_cache(&mut overlay, ExecConfig::default(), &mut cache)
+            .execute_traced(NodeId(1000), query)
+            .unwrap();
+        let carried = before.delta(&overlay.net.stats());
+        trace.check_well_formed().unwrap();
+        let account = (exec.stats.total_bytes, exec.stats.messages);
+        assert_eq!(account, (carried.total_bytes, carried.messages));
+        let time: u64 = trace.phase_breakdown().iter().map(|r| r.time_us).sum();
+        assert_eq!(time, exec.stats.response_time.0);
+        assert_is_the_oracles(&overlay, query, &exec.result, ExecConfig::default());
+        costs.push(exec.stats.total_bytes);
+    }
+    assert!(costs[2] < costs[0], "warm runs are cheaper: {costs:?}");
 }
 
 /// An abandoned common-site probe counts the hops it charged: when the
@@ -445,11 +487,8 @@ fn a_multiway_round_over_a_dead_peer_answers_the_survivors_oracle_and_purges_it(
             build_overlay(&FoafConfig { persons: 25, peers: 5, ..Default::default() });
         let victim = star_peer(&overlay, &cfg);
         overlay.fail_storage_node(victim).unwrap();
-        let (exec, trace) =
-            Engine::new(&mut overlay, cfg).execute_traced(NodeId(1000), STAR).unwrap();
+        let (exec, trace) = traced_against_the_network(&mut overlay, cfg, NodeId(1000), STAR);
         assert!(trace.spans().iter().any(|s| s.label.ends_with(" round")), "{cfg:?}: no round");
-        trace.check_well_formed().unwrap();
-        assert_eq!(rdfmesh_core::QueryStats::from_trace(&trace), exec.stats, "{cfg:?}");
         // The oracle of an overlay that lost `victim` is the survivors'.
         assert_is_the_oracles(&overlay, STAR, &exec.result, cfg);
         assert_eq!(exec.stats.dead_providers, 1, "{cfg:?}");

@@ -115,3 +115,27 @@ fn providers_in_graphs_lists_named_members() {
     assert_eq!(both, vec![NodeId(1), NodeId(2)]);
     assert!(o.providers_in_graphs(&[graph("zzz")]).is_empty());
 }
+
+/// Planning prices the query's dataset: under `FROM <alice>` the one
+/// `foaf:knows` row the planner is given holds only alice's peer and its
+/// frequency, not every provider in the system.
+#[test]
+fn planning_prices_only_the_providers_in_the_dataset() {
+    use rdfmesh_core::{estimate_primitive, PlanObjective};
+    use rdfmesh_rdf::{TermPattern, TriplePattern};
+    let mut o = build();
+    let q = "SELECT * FROM <http://example.org/graphs/alice> WHERE { ?x foaf:knows ?y . }";
+    let (exec, plan) = Engine::new(&mut o, ExecConfig::default())
+        .execute_with_objective(NodeId(1000), q, PlanObjective::MinBytes)
+        .unwrap();
+    assert_eq!(exec.result.len(), 2);
+    let knows = TriplePattern::new(
+        TermPattern::var("x"),
+        Term::iri(rdfmesh_rdf::vocab::foaf::KNOWS),
+        TermPattern::var("y"),
+    );
+    for (strategy, estimate) in plan.candidates {
+        let alone = estimate_primitive(strategy, &knows, &[2], SimTime::millis(1), 12.5);
+        assert_eq!(estimate, alone, "{strategy}");
+    }
+}

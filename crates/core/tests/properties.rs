@@ -5,9 +5,7 @@
 //! out of the answer).
 
 use proptest::prelude::*;
-use rdfmesh_core::{
-    global_store, Engine, ExecConfig, JoinSiteStrategy, PrimitiveStrategy, QueryStats,
-};
+use rdfmesh_core::{global_store, Engine, ExecConfig, JoinSiteStrategy, PrimitiveStrategy};
 use rdfmesh_net::{LatencyModel, Network, NodeId, SimTime};
 use rdfmesh_overlay::Overlay;
 use rdfmesh_rdf::{Term, Triple, TripleStore};
@@ -137,10 +135,10 @@ proptest! {
     }
 
     /// The observability tentpole's exactness guarantee: for any random
-    /// config/placement/query, the hand-counted legacy statistics equal
-    /// the statistics derived from the query trace, the trace is
-    /// well-formed, and the per-phase breakdown partitions the byte and
-    /// response-time totals with no remainder.
+    /// config/placement/query, the query trace — from which the statistics
+    /// are read — carries exactly the bytes and messages the network
+    /// carried, the trace is well-formed, and the per-phase breakdown
+    /// partitions the byte and response-time totals with no remainder.
     #[test]
     fn traced_stats_are_a_derived_view(
         datasets in proptest::collection::vec(
@@ -153,15 +151,20 @@ proptest! {
         // A storage-node initiator also exercises the forwarded-sub-query
         // spans; an index-node initiator the direct path.
         let initiator = if from_storage { NodeId(1) } else { NodeId(1000) };
+        let before = overlay.net.stats();
         let (exec, trace) = Engine::new(&mut overlay, cfg)
             .execute_traced(initiator, &query)
             .expect("traced execution");
+        let carried = before.delta(&overlay.net.stats());
         prop_assert!(
             trace.check_well_formed().is_ok(),
             "ill-formed trace: {:?}", trace.check_well_formed()
         );
-        let derived = QueryStats::from_trace(&trace);
-        prop_assert_eq!(&derived, &exec.stats, "query {} under {:?}", query, cfg);
+        prop_assert_eq!(
+            (trace.total_bytes(), trace.total_messages()),
+            (carried.total_bytes, carried.messages),
+            "query {} under {:?}", query, cfg
+        );
         let rows = trace.phase_breakdown();
         let bytes: u64 = rows.iter().map(|r| r.bytes).sum();
         let msgs: u64 = rows.iter().map(|r| r.messages).sum();

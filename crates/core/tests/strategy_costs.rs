@@ -305,3 +305,48 @@ fn ask_agrees_with_oracle_under_failures() {
     let stats = run(&mut overlay, ExecConfig::default(), ask);
     assert_eq!(stats.result_size, 1, "survivors still witness");
 }
+
+/// The planner's statistics pass is the query's: an objective run reads
+/// each row once and hands it to the join orderer, so it costs exactly
+/// what the fixed strategy it picked costs on the same overlay.
+#[test]
+fn an_objective_run_costs_what_its_pick_costs() {
+    use rdfmesh_core::PlanObjective;
+    for counts in [[20, 20, 20, 20], [200, 5, 5, 5]] {
+        for objective in [
+            PlanObjective::MinBytes,
+            PlanObjective::MinResponseTime,
+            PlanObjective::Balanced(0.5),
+        ] {
+            let (mut overlay, ix) = skewed_overlay(&counts);
+            let (planned, plan) = Engine::new(&mut overlay, ExecConfig::default())
+                .execute_with_objective(ix, TARGET_QUERY, objective)
+                .unwrap();
+            let (mut overlay, ix) = skewed_overlay(&counts);
+            let fixed = run_from(&mut overlay, ix, plan.config, TARGET_QUERY);
+            assert_eq!(planned.stats, fixed, "{counts:?} {objective:?}: {}", plan.config.primitive);
+        }
+    }
+}
+
+/// The flood ships the filter with its sub-query, to every index node and
+/// on to every storage node, and charges it: a longer filter that removes
+/// nothing costs more bytes for the same answer.
+#[test]
+fn a_flooded_filter_is_charged_as_shipped() {
+    let absent = |i: usize| format!("?o != <http://example.org/absent/{i}>");
+    let query = |conjuncts: usize| {
+        let filter: Vec<String> = (0..conjuncts).map(absent).collect();
+        format!("SELECT * WHERE {{ ?s ?p ?o . FILTER({}) }}", filter.join(" && "))
+    };
+    let (mut overlay, ix) = skewed_overlay(&[3, 2, 2, 1]);
+    let mut shorter = None;
+    for conjuncts in 1..=3 {
+        let exec = run_from(&mut overlay, ix, ExecConfig::default(), &query(conjuncts));
+        assert_eq!(exec.result_size, 8, "the filter removes nothing");
+        if let Some(bytes) = shorter {
+            assert!(exec.total_bytes > bytes, "{conjuncts} conjuncts: {exec}");
+        }
+        shorter = Some(exec.total_bytes);
+    }
+}

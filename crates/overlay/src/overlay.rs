@@ -233,14 +233,30 @@ impl Overlay {
     /// (primary row, falling back to the node's replica set). Used by the
     /// routing cache's short-circuited level-2 fetch.
     pub fn providers_for_key(&self, owner: NodeId, key: Id) -> Vec<Provider> {
-        let Some(id) = self.chord_id_of(owner) else { return Vec::new() };
-        let mut row = self.tables.get(&id).map(|t| t.providers(key)).unwrap_or_default();
-        if row.is_empty() {
-            if let Some(r) = self.replicas.get(&id) {
-                row = r.providers(key);
-            }
+        self.chord_id_of(owner).map_or_else(Vec::new, |id| self.row(id, key).to_vec())
+    }
+
+    /// `key`'s row at index node `holder`: the primary row, falling back to
+    /// the node's replica set when the primary copy died with a
+    /// predecessor (replication in action).
+    fn row(&self, holder: Id, key: Id) -> &[Provider] {
+        let primary = self.tables.get(&holder).map(|t| t.providers(key)).unwrap_or_default();
+        match self.replicas.get(&holder) {
+            Some(replica) if primary.is_empty() => replica.providers(key),
+            _ => primary,
         }
-        row.to_vec()
+    }
+
+    /// Charges one [`wire::LOOKUP_STEP`] per hop of a ring walk leaving at
+    /// `depart`, returning when it reaches the walk's last node.
+    fn walk(&self, path: &[Id], depart: SimTime) -> Result<SimTime, OverlayError> {
+        let mut arrival = depart;
+        for pair in path.windows(2) {
+            let a = self.addr_of(pair[0]).ok_or(OverlayError::NoIndexNodes)?;
+            let b = self.addr_of(pair[1]).ok_or(OverlayError::NoIndexNodes)?;
+            arrival = self.net.send(a, b, wire::LOOKUP_STEP, arrival);
+        }
+        Ok(arrival)
     }
 
     /// The index key `pattern` resolves to in this overlay's identifier
@@ -780,12 +796,7 @@ impl Overlay {
             &format!("locate {:?} ({} hops)", key.kind, hops),
             depart.0,
         );
-        let mut arrival = depart;
-        for pair in path.windows(2) {
-            let a = self.addr_of(pair[0]).ok_or(OverlayError::NoIndexNodes)?;
-            let b = self.addr_of(pair[1]).ok_or(OverlayError::NoIndexNodes)?;
-            arrival = self.net.send(a, b, wire::LOOKUP_STEP, arrival);
-        }
+        let arrival = self.walk(&path, depart)?;
         rdfmesh_obs::end_current(span, arrival.0);
         let metrics = rdfmesh_obs::metrics();
         if metrics.is_enabled() {
@@ -797,21 +808,10 @@ impl Overlay {
                 metrics.add("overlay.hot.hops_saved", (full_hops - hops) as u64);
             }
         }
-        // Primary row; fall back to the owner's replica set when the
-        // primary copy died with a predecessor (replication in action).
-        // Hot copies mirror the authoritative row exactly (they are
-        // dropped on any row change), so a truncated walk reads the same
-        // providers.
-        let mut providers = self
-            .tables
-            .get(&owner)
-            .map(|t| t.providers(key.id))
-            .unwrap_or_default();
-        if providers.is_empty() {
-            if let Some(r) = self.replicas.get(&owner) {
-                providers = r.providers(key.id);
-            }
-        }
+        // The owner's row. Hot copies mirror the authoritative row exactly
+        // (they are dropped on any row change), so a truncated walk reads
+        // the same providers.
+        let providers = self.row(owner, key.id);
         self.record_key_hit(key.id, owner, providers, arrival);
         let providers = providers.to_vec();
         Ok(Some(Located {
@@ -892,25 +892,10 @@ impl Overlay {
             let key = buckets.key(space, predicate, bucket);
             let path = self.ring.lookup_path_from(from_id, key)?;
             last_owner = *path.last().expect("non-empty");
-            let mut t = depart; // bucket lookups run in parallel
-            for pair in path.windows(2) {
-                let a = self.addr_of(pair[0]).ok_or(OverlayError::NoIndexNodes)?;
-                let b = self.addr_of(pair[1]).ok_or(OverlayError::NoIndexNodes)?;
-                t = self.net.send(a, b, wire::LOOKUP_STEP, t);
-            }
             hops += path.len() - 1;
-            arrival = arrival.max(t);
-            let mut row = self
-                .tables
-                .get(&last_owner)
-                .map(|tab| tab.providers(key))
-                .unwrap_or_default();
-            if row.is_empty() {
-                if let Some(r) = self.replicas.get(&last_owner) {
-                    row = r.providers(key);
-                }
-            }
-            for &p in row {
+            // Bucket lookups run in parallel.
+            arrival = arrival.max(self.walk(&path, depart)?);
+            for &p in self.row(last_owner, key) {
                 match providers.iter_mut().find(|q| q.node == p.node) {
                     Some(q) => q.frequency += p.frequency,
                     None => providers.push(p),

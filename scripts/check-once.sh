@@ -31,6 +31,14 @@
 # crates/core/src, and the simulator's keyed round is the mesh's, run by
 # the one role runner (`run_round`, the one `Scheduler::new()` in
 # sim_backend.rs) that runs its multiway round too.
+# A simulated query's cost is accounted once, in its trace: the engine
+# reads its statistics from the trace (no `self.stats.` counter in
+# sim_backend.rs, no `absorb_net`, no `net.stats()` snapshot in engine.rs),
+# and the planner walks no index — it prices the rows the simulator's one
+# statistics pass read. Basic and the flood fan out through one loop (one
+# `Reply::Solutions(` built in sim_backend.rs), and the overlay reads a row
+# — primary, else the holder's replica — in one function (one
+# `self.replicas.get(` in overlay.rs).
 # Fails when a second copy appears. Test modules (`mod tests` to end of
 # file) and comment lines are not code.
 set -eu
@@ -99,6 +107,18 @@ expect_at 'exec::bind_step(' 'live_backend.rs:1 sim_backend.rs:1'
 expect_at 'solution::join_owned(' 'exec.rs:1'
 expect 'Scheduler::new() in sim_backend.rs (the role runner)' \
     "$(code sim_backend.rs | grep -c 'Scheduler::new()' || true)" 1
+# One account: the query's trace.
+expect 'self.stats. counters in sim_backend.rs' \
+    "$(code sim_backend.rs | grep -c 'self\.stats\.' || true)" 0
+expect 'net.stats() snapshots in engine.rs' \
+    "$(code engine.rs | grep -c 'net\.stats()' || true)" 0
+expect 'Overlay / .locate( in planner.rs' \
+    "$(code planner.rs | grep -cE 'Overlay|\.locate\(' || true)" 0
+# Built once, in the fan-out; the other is the exchange's match arm.
+expect 'Reply::Solutions( built in sim_backend.rs' \
+    "$(code sim_backend.rs | grep 'Reply::Solutions(' | grep -vc '=>' || true)" 1
+expect 'self.replicas.get( in overlay.rs (the row read)' \
+    "$(code ../../overlay/src/overlay.rs | grep -c 'self\.replicas\.get(' || true)" 1
 # One cluster, two wires: crates/net/src declares one cluster struct, and
 # neither the socket hook, its two-phase constructor nor the mesh's
 # per-wire enum is back. The live mesh places no key centrally: its index
@@ -131,6 +151,8 @@ expect 'collected scans in for_each_extension / evaluate_pattern_with' \
 expect 'scan driver bodies found in eval.rs' "$(echo "$scan" | grep -c '^pub fn')" 2
 # The six keys of a triple are counted in one function, key_counts.
 cd ../../..
+expect 'absorb_net under crates/*/src' \
+    "$(find crates/*/src -name '*.rs' | while read -r f; do code "$f"; done | grep -c 'absorb_net' || true)" 0
 expect 'keys_for_triple( call sites under crates/*/src' \
     "$(find crates/*/src -name '*.rs' | while read -r f; do code "$f"; done |
         grep -v 'fn keys_for_triple(' | grep -c 'keys_for_triple(' || true)" 1
@@ -152,5 +174,5 @@ expect '[[bench]] tables under crates/*/Cargo.toml' \
 expect 'criterion mentions in any Cargo.toml' \
     "$(cat Cargo.toml crates/*/Cargo.toml shims/*/Cargo.toml benchmark/Cargo.toml | grep -ci criterion || true)" 0
 expect 'directories under shims/' "$(ls -d shims/*/ | wc -l)" 3
-[ "$bad" -eq 0 ] && echo 'exists once: provider compute, exchange pricing, reply accounting, role constructors, the role host, the multiway protocol, regex compilation, lending scan, JSON escaping, result writers, the stopwatch, the pipeline tail, the operator table, the lookup leg, the cluster, the publication path, the frequency column, the move-small rule, the location table, the key count, the list-count bound, the bind step, the role runner'
+[ "$bad" -eq 0 ] && echo 'exists once: provider compute, exchange pricing, reply accounting, role constructors, the role host, the multiway protocol, regex compilation, lending scan, JSON escaping, result writers, the stopwatch, the pipeline tail, the operator table, the lookup leg, the cluster, the publication path, the frequency column, the move-small rule, the location table, the key count, the list-count bound, the bind step, the role runner, the query account, the statistics pass, the fan-out, the row read'
 exit "$bad"
