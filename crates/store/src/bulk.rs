@@ -12,11 +12,12 @@
 //!    document order, interns terms sequentially — keeping id assignment
 //!    deterministic — and buffers dictionary-encoded keys;
 //! 4. full buffers are **spilled as sorted runs** (the three permutations
-//!    sorted on three threads, then written as ordinary segment files);
-//! 5. a final **shadow merge** ([`crate::merge`]) folds all runs, the
-//!    write overlay and every sealed level into one fresh segment
-//!    generation, published with the usual atomic manifest swap (the
-//!    load *is* a full compaction: tombstones resolve and drop away).
+//!    sorted and written as ordinary segment files, one thread each);
+//! 5. the store's one generation writer **shadow-merges**
+//!    ([`crate::merge`]) all runs and the sorted tail, above the write
+//!    overlay and every sealed level, into one fresh generation, and the
+//!    one commit publishes it in place of all of them (the load *is* a
+//!    full compaction: tombstones resolve and drop away).
 //!
 //! Ingest throughput and volume are recorded into the process metrics
 //! registry under `store.load.*`.
@@ -31,8 +32,8 @@ use crossbeam::channel;
 use rdfmesh_obs::{metrics, names};
 use rdfmesh_rdf::{parse_statements_from, ParseError, PatternSource, Triple};
 
-use crate::merge::{ShadowMerge, ShadowSource};
-use crate::pstore::{Perm, PersistentStore};
+use crate::merge::ShadowSource;
+use crate::pstore::{per_perm, Perm, PersistentStore};
 use crate::segment::{Key, SegmentFile, SegmentWriter};
 
 /// Tuning knobs for [`PersistentStore::bulk_load`].
@@ -141,35 +142,23 @@ impl RunSpiller {
         Ok(())
     }
 
-    /// Sorts the buffer in all three permutations (one thread each) and
-    /// writes them as segment-format run files.
+    /// Sorts the buffer in all three permutations and writes them as
+    /// segment-format run files, one thread each.
     fn spill(&mut self) -> io::Result<()> {
         if self.buf.is_empty() {
             return Ok(());
         }
         let idx = self.runs;
-        let results = sort_permutations(&self.buf);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = Perm::ALL
-                .into_iter()
-                .zip(&results)
-                .map(|(perm, keys)| {
-                    let path = self.run_path(idx, perm);
-                    scope.spawn(move || -> io::Result<()> {
-                        let mut w = SegmentWriter::create(path)?;
-                        for &k in keys {
-                            w.push(k)?;
-                        }
-                        w.finish()?;
-                        Ok(())
-                    })
-                })
-                .collect();
-            for h in handles {
-                h.join().expect("run writer thread")?;
+        let sorted = sort_permutations(&self.buf);
+        per_perm(|perm| -> io::Result<()> {
+            let mut w = SegmentWriter::create(self.run_path(idx, perm))?;
+            for &k in &sorted[perm as usize] {
+                w.push(k)?;
             }
-            Ok::<(), io::Error>(())
-        })?;
+            w.finish().map(drop)
+        })
+        .into_iter()
+        .collect::<io::Result<()>>()?;
         self.buf.clear();
         self.runs += 1;
         Ok(())
@@ -178,24 +167,12 @@ impl RunSpiller {
 
 /// The buffer's keys sorted per permutation, on three threads.
 fn sort_permutations(buf: &[Key]) -> [Vec<Key>; 3] {
-    let mut out: [Vec<Key>; 3] = [Vec::new(), Vec::new(), Vec::new()];
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = Perm::ALL
-            .into_iter()
-            .map(|perm| {
-                scope.spawn(move || {
-                    let mut keys: Vec<Key> = buf.iter().map(|&k| perm.encode(k)).collect();
-                    keys.sort_unstable();
-                    keys.dedup();
-                    keys
-                })
-            })
-            .collect();
-        for (slot, h) in out.iter_mut().zip(handles) {
-            *slot = h.join().expect("sort thread");
-        }
-    });
-    out
+    per_perm(|perm| {
+        let mut keys: Vec<Key> = buf.iter().map(|&k| perm.encode(k)).collect();
+        keys.sort_unstable();
+        keys.dedup();
+        keys
+    })
 }
 
 impl PersistentStore {
@@ -324,8 +301,6 @@ impl PersistentStore {
         self.sync_dict()?;
         let runs = spiller.runs;
         let merged = self.merge_all(&spiller)?;
-        let generation = self.generation() + 1;
-        self.publish_full(generation, merged)?;
         cleanup_runs(&spiller);
 
         let report = LoadReport {
@@ -354,60 +329,33 @@ impl PersistentStore {
         self.bulk_load(file, cfg)
     }
 
-    /// Shadow-merges all spilled runs, the final in-memory buffer, the
-    /// write overlay and every sealed level into segment files for the
-    /// next generation; the three permutations merge on three threads.
-    /// Fresh input sits at rank 0 (so a bulk load re-asserts triples the
-    /// overlay had tombstoned), the overlay at rank 1, levels below.
-    fn merge_all(&self, spiller: &RunSpiller) -> io::Result<u64> {
+    /// Writes and commits the next generation as the shadow merge of
+    /// every spilled run, the final in-memory buffer, the write overlay
+    /// and every sealed level, replacing all of them. Fresh input sits at
+    /// rank 0 (so a bulk load re-asserts triples the overlay had
+    /// tombstoned), the overlay at rank 1, levels below; tombstones drop
+    /// away. Returns the live triples committed.
+    fn merge_all(&mut self, spiller: &RunSpiller) -> io::Result<u64> {
         let tail = sort_permutations(&spiller.buf);
-        let generation = self.generation() + 1;
-        let counts = std::thread::scope(|scope| {
-            let handles: Vec<_> = Perm::ALL
-                .into_iter()
-                .zip(&tail)
-                .map(|(perm, tail_keys)| {
-                    scope.spawn(move || -> io::Result<u64> {
-                        let mut run_files = Vec::with_capacity(spiller.runs);
-                        for idx in 0..spiller.runs {
-                            run_files.push(SegmentFile::open(spiller.run_path(idx, perm))?);
-                        }
-                        let mut sources: Vec<ShadowSource<'_>> = Vec::new();
-                        for seg in &run_files {
-                            sources.push(ShadowSource {
-                                rank: 0,
-                                is_del: false,
-                                iter: Box::new(seg.iter()),
-                            });
-                        }
-                        sources.push(ShadowSource {
-                            rank: 0,
-                            is_del: false,
-                            iter: Box::new(tail_keys.iter().copied()),
-                        });
-                        sources.extend(self.rebuild_sources(perm, 1));
-                        let mut w = SegmentWriter::create(crate::pstore::seg_path(
-                            self.dir(),
-                            generation,
-                            perm,
-                        ))?;
-                        for (k, live) in ShadowMerge::new(sources) {
-                            if live {
-                                w.push(k)?;
-                            }
-                        }
-                        w.finish()
-                    })
-                })
+        let [spo, pos, osp] = Perm::ALL.map(|perm| {
+            (0..spiller.runs)
+                .map(|idx| SegmentFile::open(spiller.run_path(idx, perm)))
+                .collect::<io::Result<Vec<_>>>()
+        });
+        let runs = [spo?, pos?, osp?];
+        let gen = self.generation() + 1;
+        let (merged, _) = self.write_generation(gen, true, |perm| {
+            let mut sources: Vec<ShadowSource<'_>> = runs[perm as usize]
+                .iter()
+                .map(|run| ShadowSource { rank: 0, is_del: false, iter: Box::new(run.iter()) })
                 .collect();
-            let mut counts = [0u64; 3];
-            for (slot, h) in counts.iter_mut().zip(handles) {
-                *slot = h.join().expect("merge thread")?;
-            }
-            Ok::<_, io::Error>(counts)
+            let tail = tail[perm as usize].iter().copied();
+            sources.push(ShadowSource { rank: 0, is_del: false, iter: Box::new(tail) });
+            sources.extend(self.sources(perm, None, true, 0..self.level_count(), 1));
+            sources
         })?;
-        debug_assert!(counts[0] == counts[1] && counts[1] == counts[2]);
-        Ok(counts[0])
+        self.publish(gen, (merged, 0), 0..self.level_count(), merged, true)?;
+        Ok(merged)
     }
 }
 

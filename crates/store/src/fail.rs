@@ -20,8 +20,10 @@ use std::io::{self, Write};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 
-/// `-1` = disarmed; otherwise the number of guarded operations that are
-/// still allowed to succeed before injection begins.
+/// Whether the failpoint is armed: from [`arm`] until [`disarm`].
+static ARMED: AtomicBool = AtomicBool::new(false);
+/// The guarded operations still allowed to succeed before injection
+/// begins; zero or below once it has.
 static COUNTDOWN: AtomicI64 = AtomicI64::new(-1);
 /// Guarded operations observed since the last [`arm`]/[`disarm`].
 static OPS: AtomicU64 = AtomicU64::new(0);
@@ -35,10 +37,12 @@ pub fn arm(allow: u64, torn: bool) {
     OPS.store(0, Ordering::SeqCst);
     TORN.store(torn, Ordering::SeqCst);
     COUNTDOWN.store(allow as i64, Ordering::SeqCst);
+    ARMED.store(true, Ordering::SeqCst);
 }
 
 /// Disarms the failpoint and resets the operation counter.
 pub fn disarm() {
+    ARMED.store(false, Ordering::SeqCst);
     COUNTDOWN.store(-1, Ordering::SeqCst);
     TORN.store(false, Ordering::SeqCst);
     OPS.store(0, Ordering::SeqCst);
@@ -59,7 +63,7 @@ fn injected() -> io::Error {
 /// reached. `true` in `Ok(_)`/the error distinguishes the *first* failing
 /// op (where a torn prefix may land) from the already-dead tail.
 fn hit() -> Result<(), bool> {
-    if COUNTDOWN.load(Ordering::Relaxed) < 0 {
+    if !ARMED.load(Ordering::Relaxed) {
         return Ok(());
     }
     OPS.fetch_add(1, Ordering::SeqCst);
@@ -143,4 +147,22 @@ pub(crate) fn sync_dir(dir: &Path) -> io::Result<()> {
         let _ = dir;
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn every_op_fails_from_the_crash_op_until_disarm() {
+        arm(0, false);
+        let crash_op = check();
+        let next_op = check();
+        disarm();
+        let after = check();
+        assert!(crash_op.is_err(), "the crash op fails");
+        assert!(next_op.is_err(), "the dead process's next op fails too");
+        assert!(after.is_ok(), "disarm ends injection");
+        assert_eq!(ops(), 0, "disarm resets the counter");
+    }
 }

@@ -15,10 +15,15 @@
 //! crash instead of dropping it. [`flush`] seals the overlay into a new
 //! small generation instead of rewriting the whole store; adjacent
 //! generations merge only when the size-ratio trigger
-//! (`COMPACTION_RATIO`) fires. The only commit point is the `MANIFEST`
-//! rename, which happens strictly after the segment files, the
-//! dictionary tail, and the directory entries are synced; the retired
-//! WAL is deleted only after the manifest that supersedes it is durable.
+//! (`COMPACTION_RATIO`) fires.
+//!
+//! **One writer, one commit.** A flush, a compaction and a bulk load
+//! differ only in the shadow-merge sources they hand the one writer
+//! (`write_generation`, built by `sources`) and in the levels the one
+//! commit (`publish`) replaces. The commit point is the `MANIFEST`
+//! rename, strictly after the segment files, the dictionary tail and the
+//! directory entries are synced; a retired WAL or generation is deleted
+//! only after the manifest that supersedes it is durable.
 //!
 //! [`open`]: PersistentStore::open
 //! [`flush`]: PersistentStore::flush
@@ -26,7 +31,7 @@
 use std::collections::BTreeSet;
 use std::fs::File;
 use std::io::{self, Read};
-use std::ops::Bound;
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 
 use rdfmesh_obs::{metrics, names};
@@ -81,6 +86,20 @@ impl Perm {
         }
     }
 }
+
+/// Runs `f` once per permutation, each on its own thread: the store's
+/// one three-way fan-out.
+pub(crate) fn per_perm<T: Send>(f: impl Fn(Perm) -> T + Sync) -> [T; 3] {
+    let f = &f;
+    std::thread::scope(|scope| {
+        Perm::ALL
+            .map(|perm| scope.spawn(move || f(perm)))
+            .map(|h| h.join().expect("permutation thread"))
+    })
+}
+
+/// Every key: the bounds of an unbounded range.
+const ALL_KEYS: (Key, Key) = ((KEY_MIN, KEY_MIN, KEY_MIN), (KEY_MAX, KEY_MAX, KEY_MAX));
 
 /// An in-memory key set indexed in all three permutations — the shape of
 /// both halves of the overlay (unflushed adds and unflushed deletes).
@@ -405,35 +424,7 @@ impl PersistentStore {
     /// order key lies in `lo..=hi`, in ascending `perm`-key order: a
     /// shadow merge of the overlay and every level.
     fn scan_ids(&self, perm: Perm, lo: Key, hi: Key, f: &mut dyn FnMut(Key)) {
-        let range = (Bound::Included(lo), Bound::Included(hi));
-        let mut sources: Vec<ShadowSource<'_>> = Vec::with_capacity(2 + 2 * self.levels.len());
-        sources.push(ShadowSource {
-            rank: 0,
-            is_del: false,
-            iter: Box::new(self.adds.set(perm).range(range).copied()),
-        });
-        if !self.dels.spo.is_empty() {
-            sources.push(ShadowSource {
-                rank: 0,
-                is_del: true,
-                iter: Box::new(self.dels.set(perm).range(range).copied()),
-            });
-        }
-        for (i, level) in self.levels.iter().enumerate() {
-            let rank = i as u32 + 1;
-            sources.push(ShadowSource {
-                rank,
-                is_del: false,
-                iter: Box::new(level.adds.seg(perm).range(lo, hi)),
-            });
-            if let Some(dels) = &level.dels {
-                sources.push(ShadowSource {
-                    rank,
-                    is_del: true,
-                    iter: Box::new(dels.seg(perm).range(lo, hi)),
-                });
-            }
-        }
+        let sources = self.sources(perm, Some((lo, hi)), true, 0..self.levels.len(), 0);
         for (key, live) in ShadowMerge::new(sources) {
             if live {
                 f(perm.decode(key));
@@ -562,57 +553,21 @@ impl PersistentStore {
         false
     }
 
-    /// Seals the overlay into a new segment generation: writes the adds
-    /// (and tombstones, if any) as the next generation's segment files,
-    /// atomically swaps the manifest, retires the write-ahead log, and
-    /// merges adjacent generations while the size-ratio trigger
-    /// (`COMPACTION_RATIO`) fires. A no-op (beyond syncing the dictionary
-    /// tail) when the overlay is empty.
+    /// Seals the overlay into a new segment generation (its adds, and
+    /// its tombstones if any), retires the write-ahead log with the same
+    /// commit, and merges adjacent generations while the size-ratio
+    /// trigger (`COMPACTION_RATIO`) fires. A no-op (beyond syncing the
+    /// dictionary tail) when the overlay is empty.
     pub fn flush(&mut self) -> io::Result<FlushReport> {
         self.sync_dict()?;
-        if self.adds.spo.is_empty() && self.dels.spo.is_empty() {
+        if self.overlay_len() == 0 {
             return Ok(FlushReport { levels: self.levels.len(), ..FlushReport::default() });
         }
-        let add_count = self.adds.spo.len() as u64;
-        let del_count = self.dels.spo.len() as u64;
         let gen = self.generation + 1;
-        for perm in Perm::ALL {
-            let mut w = SegmentWriter::create(seg_path(&self.dir, gen, perm))?;
-            for &k in self.adds.set(perm) {
-                w.push(k)?;
-            }
-            w.finish()?;
-        }
-        if del_count > 0 {
-            for perm in Perm::ALL {
-                let mut w = SegmentWriter::create(del_path(&self.dir, gen, perm))?;
-                for &k in self.dels.set(perm) {
-                    w.push(k)?;
-                }
-                w.finish()?;
-            }
-        }
-        // New files' directory entries must be durable before a
-        // manifest referencing them is.
-        fail::sync_dir(&self.dir)?;
-        let new_live = self.sealed_live - del_count + add_count;
-        let wal_id = self.wal_id + 1;
-        let mut level_meta = vec![(gen, add_count, del_count)];
-        level_meta.extend(self.levels.iter().map(|l| (l.gen, l.add_count, l.del_count)));
-        write_manifest(
-            &self.dir,
-            &Manifest { generation: gen, wal_id, triples: new_live, levels: level_meta },
-            self.dict.len() as u64,
-        )?;
-        self.levels.insert(0, Level::open(&self.dir, gen, add_count, del_count)?);
-        self.generation = gen;
-        self.sealed_live = new_live;
-        self.adds.clear();
-        self.dels.clear();
-        // The WAL's contents are now in segments the manifest owns; a
-        // crash past this point replays the (empty) successor log.
-        self.reset_wal(wal_id)?;
-        let sealed = add_count + del_count;
+        let (adds, dels) =
+            self.write_generation(gen, false, |perm| self.sources(perm, None, true, 0..0, 0))?;
+        self.publish(gen, (adds, dels), 0..0, self.sealed_live - dels + adds, true)?;
+        let sealed = adds + dels;
         let mut report = FlushReport {
             sealed,
             keys_written: sealed,
@@ -651,105 +606,153 @@ impl PersistentStore {
     }
 
     /// Merges levels `i` and `i + 1` (newest-first indices) into one new
-    /// generation, published with the usual atomic manifest swap.
-    /// Tombstones are dropped when the merge reaches the oldest level —
-    /// there is nothing older left to shadow. Returns the logical keys
-    /// written.
+    /// generation. Tombstones are dropped when the merge reaches the
+    /// oldest level — there is nothing older left to shadow. Returns the
+    /// logical keys written.
     fn merge_levels(&mut self, i: usize) -> io::Result<u64> {
-        let j = i + 1;
-        debug_assert!(j < self.levels.len());
         let gen = self.generation + 1;
-        let reaches_oldest = j + 1 == self.levels.len();
-        let mut add_count = 0u64;
-        let mut del_count = 0u64;
-        for perm in Perm::ALL {
-            let mut sources: Vec<ShadowSource<'_>> = Vec::new();
-            for (rank, level) in self.levels[i..=j].iter().enumerate() {
+        let reaches_oldest = i + 2 == self.levels.len();
+        let levels = |perm| self.sources(perm, None, false, i..i + 2, 0);
+        let (adds, dels) = self.write_generation(gen, reaches_oldest, levels)?;
+        self.publish(gen, (adds, dels), i..i + 2, self.sealed_live, false)?;
+        let written = adds + dels;
+        let m = metrics();
+        m.add(names::STORE_COMPACT_COUNT, 1);
+        m.add(names::STORE_COMPACT_KEYS, written);
+        Ok(written)
+    }
+
+    /// The shadow-merge sources over the overlay (when `overlay`) at
+    /// `base_rank`, then `levels[levels]`, newest first, one rank each.
+    /// `Some((lo, hi))` reads the keys in `lo..=hi` through the block
+    /// cache, as a scan does; `None` streams every key past it, as a
+    /// rewrite must, so that a compaction or a load does not flood it.
+    pub(crate) fn sources(
+        &self,
+        perm: Perm,
+        range: Option<(Key, Key)>,
+        overlay: bool,
+        levels: Range<usize>,
+        base_rank: u32,
+    ) -> Vec<ShadowSource<'_>> {
+        let mut sources = Vec::with_capacity(2 + 2 * levels.len());
+        let mut rank = base_rank;
+        if overlay {
+            let (lo, hi) = range.unwrap_or(ALL_KEYS);
+            sources.push(ShadowSource {
+                rank,
+                is_del: false,
+                iter: Box::new(self.adds.set(perm).range(lo..=hi).copied()),
+            });
+            if !self.dels.spo.is_empty() {
                 sources.push(ShadowSource {
-                    rank: rank as u32,
-                    is_del: false,
-                    iter: Box::new(level.adds.seg(perm).iter()),
+                    rank,
+                    is_del: true,
+                    iter: Box::new(self.dels.set(perm).range(lo..=hi).copied()),
                 });
-                if let Some(dels) = &level.dels {
-                    sources.push(ShadowSource {
-                        rank: rank as u32,
-                        is_del: true,
-                        iter: Box::new(dels.seg(perm).iter()),
-                    });
-                }
             }
+            rank += 1;
+        }
+        for level in &self.levels[levels] {
+            for (is_del, files) in [(false, Some(&level.adds)), (true, level.dels.as_ref())] {
+                let Some(file) = files.map(|f| f.seg(perm)) else { continue };
+                let iter: Box<dyn Iterator<Item = Key> + '_> = match range {
+                    Some((lo, hi)) => Box::new(file.range(lo, hi)),
+                    None => Box::new(file.iter()),
+                };
+                sources.push(ShadowSource { rank, is_del, iter });
+            }
+            rank += 1;
+        }
+        sources
+    }
+
+    /// Writes generation `gen` from the shadow merge of `sources(perm)`,
+    /// one thread per permutation: live keys to `seg-<gen>.*`, and
+    /// tombstones to `del-<gen>.*` — created when the first one arrives —
+    /// unless `drop_dels`. Returns the `(adds, dels)` it wrote.
+    pub(crate) fn write_generation<'a>(
+        &'a self,
+        gen: u64,
+        drop_dels: bool,
+        sources: impl Fn(Perm) -> Vec<ShadowSource<'a>> + Sync,
+    ) -> io::Result<(u64, u64)> {
+        let [spo, pos, osp] = per_perm(|perm| -> io::Result<(u64, u64)> {
             let mut adds = SegmentWriter::create(seg_path(&self.dir, gen, perm))?;
-            let mut dels = if reaches_oldest {
-                None
-            } else {
-                Some(SegmentWriter::create(del_path(&self.dir, gen, perm))?)
-            };
-            let (mut a, mut d) = (0u64, 0u64);
-            for (key, live) in ShadowMerge::new(sources) {
+            let mut dels = None;
+            for (key, live) in ShadowMerge::new(sources(perm)) {
                 if live {
                     adds.push(key)?;
-                    a += 1;
-                } else if let Some(w) = &mut dels {
+                } else if !drop_dels {
+                    let w = match &mut dels {
+                        Some(w) => w,
+                        None => dels.insert(SegmentWriter::create(del_path(&self.dir, gen, perm))?),
+                    };
                     w.push(key)?;
-                    d += 1;
                 }
             }
-            adds.finish()?;
-            if let Some(w) = dels {
-                w.finish()?;
-            }
-            debug_assert!(
-                perm == Perm::Spo || (a == add_count && d == del_count),
-                "permutations must agree on the merged key sets"
-            );
-            add_count = a;
-            del_count = d;
-        }
-        if del_count == 0 && !reaches_oldest {
-            for perm in Perm::ALL {
-                let _ = fail::remove_file(&del_path(&self.dir, gen, perm));
-            }
-        }
+            Ok((adds.finish()?, dels.map_or(Ok(0), SegmentWriter::finish)?))
+        });
+        let (spo, pos, osp) = (spo?, pos?, osp?);
+        debug_assert!(spo == pos && pos == osp, "permutations must agree on the key sets");
+        Ok(spo)
+    }
+
+    /// The one commit: publishes generation `gen`, holding `(adds, dels)`,
+    /// in place of `levels[replace]`, with `live` triples sealed. Syncs
+    /// the directory, swaps the manifest, opens the level (or deletes its
+    /// files when it holds nothing) and splices it in; when the
+    /// generation `sealed_overlay`, clears the overlay and starts the next
+    /// write-ahead log; then deletes the replaced generations' files.
+    pub(crate) fn publish(
+        &mut self,
+        gen: u64,
+        (adds, dels): (u64, u64),
+        replace: Range<usize>,
+        live: u64,
+        sealed_overlay: bool,
+    ) -> io::Result<()> {
+        // New files' directory entries must be durable before a
+        // manifest referencing them is.
         fail::sync_dir(&self.dir)?;
-        let mut level_meta: Vec<(u64, u64, u64)> =
-            self.levels[..i].iter().map(|l| (l.gen, l.add_count, l.del_count)).collect();
-        let merged_alive = add_count > 0 || del_count > 0;
-        if merged_alive {
-            level_meta.push((gen, add_count, del_count));
+        let holds = adds + dels > 0;
+        let wal_id = self.wal_id + u64::from(sealed_overlay);
+        let meta = |l: &Level| (l.gen, l.add_count, l.del_count);
+        let mut levels: Vec<_> = self.levels[..replace.start].iter().map(meta).collect();
+        if holds {
+            levels.push((gen, adds, dels));
         }
-        level_meta.extend(self.levels[j + 1..].iter().map(|l| (l.gen, l.add_count, l.del_count)));
+        levels.extend(self.levels[replace.end..].iter().map(meta));
         write_manifest(
             &self.dir,
-            &Manifest {
-                generation: gen,
-                wal_id: self.wal_id,
-                triples: self.sealed_live,
-                levels: level_meta,
-            },
+            &Manifest { generation: gen, wal_id, triples: live, levels },
             self.dict.len() as u64,
         )?;
-        let replacement = if merged_alive {
-            Some(Level::open(&self.dir, gen, add_count, del_count)?)
+        let level = if holds {
+            Some(Level::open(&self.dir, gen, adds, dels)?)
         } else {
             for perm in Perm::ALL {
                 let _ = fail::remove_file(&seg_path(&self.dir, gen, perm));
             }
             None
         };
-        let retired: Vec<u64> = self.levels[i..=j].iter().map(|l| l.gen).collect();
-        self.levels.splice(i..=j, replacement);
+        let retired: Vec<u64> = self.levels.splice(replace, level).map(|l| l.gen).collect();
         self.generation = gen;
+        self.sealed_live = live;
+        if sealed_overlay {
+            self.adds.clear();
+            self.dels.clear();
+            // The WAL's contents are now in segments the manifest owns; a
+            // crash past this point replays the (empty) successor log.
+            self.reset_wal(wal_id)?;
+        }
         for old in retired {
             for perm in Perm::ALL {
                 let _ = fail::remove_file(&seg_path(&self.dir, old, perm));
                 let _ = fail::remove_file(&del_path(&self.dir, old, perm));
             }
         }
-        let written = add_count + del_count;
-        let m = metrics();
-        m.add(names::STORE_COMPACT_COUNT, 1);
-        m.add(names::STORE_COMPACT_KEYS, written);
-        Ok(written)
+        Ok(())
     }
 
     /// Appends and syncs any dictionary entries newer than the last sync.
@@ -768,78 +771,8 @@ impl PersistentStore {
     #[cfg(test)]
     pub(crate) fn iter_ids(&self) -> Vec<Key> {
         let mut out = Vec::new();
-        self.scan_ids(Perm::Spo, (KEY_MIN, KEY_MIN, KEY_MIN), (KEY_MAX, KEY_MAX, KEY_MAX), &mut |k| {
-            out.push(k);
-        });
+        self.scan_ids(Perm::Spo, ALL_KEYS.0, ALL_KEYS.1, &mut |k| out.push(k));
         out
-    }
-
-    /// Shadow-merge sources over the sealed levels and the overlay,
-    /// with the overlay at `base_rank` and levels below it — the bulk
-    /// loader stacks its fresh runs above these.
-    pub(crate) fn rebuild_sources(&self, perm: Perm, base_rank: u32) -> Vec<ShadowSource<'_>> {
-        let mut sources: Vec<ShadowSource<'_>> = Vec::new();
-        sources.push(ShadowSource {
-            rank: base_rank,
-            is_del: false,
-            iter: Box::new(self.adds.set(perm).iter().copied()),
-        });
-        if !self.dels.spo.is_empty() {
-            sources.push(ShadowSource {
-                rank: base_rank,
-                is_del: true,
-                iter: Box::new(self.dels.set(perm).iter().copied()),
-            });
-        }
-        for (i, level) in self.levels.iter().enumerate() {
-            let rank = base_rank + 1 + i as u32;
-            sources.push(ShadowSource {
-                rank,
-                is_del: false,
-                iter: Box::new(level.adds.seg(perm).iter()),
-            });
-            if let Some(dels) = &level.dels {
-                sources.push(ShadowSource {
-                    rank,
-                    is_del: true,
-                    iter: Box::new(dels.seg(perm).iter()),
-                });
-            }
-        }
-        sources
-    }
-
-    /// Publishes a full rebuild (the bulk loader's merged segments) as
-    /// the single generation `generation` holding `count` triples: syncs
-    /// directory entries, swaps the manifest, resets the overlay and the
-    /// write-ahead log, and deletes every retired generation's files.
-    pub(crate) fn publish_full(&mut self, generation: u64, count: u64) -> io::Result<()> {
-        fail::sync_dir(&self.dir)?;
-        let wal_id = self.wal_id + 1;
-        write_manifest(
-            &self.dir,
-            &Manifest {
-                generation,
-                wal_id,
-                triples: count,
-                levels: vec![(generation, count, 0)],
-            },
-            self.dict.len() as u64,
-        )?;
-        let retired: Vec<u64> = self.levels.iter().map(|l| l.gen).collect();
-        self.levels = vec![Level::open(&self.dir, generation, count, 0)?];
-        self.generation = generation;
-        self.sealed_live = count;
-        self.adds.clear();
-        self.dels.clear();
-        self.reset_wal(wal_id)?;
-        for old in retired {
-            for perm in Perm::ALL {
-                let _ = fail::remove_file(&seg_path(&self.dir, old, perm));
-                let _ = fail::remove_file(&del_path(&self.dir, old, perm));
-            }
-        }
-        Ok(())
     }
 }
 
@@ -869,7 +802,7 @@ impl PatternSource for PersistentStore {
                 .map(|l| l.adds.seg(perm).count_range(lo, hi).expect("segment readable"))
                 .sum();
             let overlay =
-                self.adds.set(perm).range((Bound::Included(lo), Bound::Included(hi))).count();
+                self.adds.set(perm).range(lo..=hi).count();
             return sealed as usize + overlay;
         }
         let mut n = 0usize;

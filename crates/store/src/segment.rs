@@ -296,31 +296,6 @@ impl SegmentFile {
         Ok(keys)
     }
 
-    /// Invokes `f` for every key in `lo..=hi`, in sorted order. Binary
-    /// searches the block index, decodes only candidate blocks.
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub fn scan(&self, lo: Key, hi: Key, f: &mut dyn FnMut(Key)) -> io::Result<()> {
-        if self.blocks.is_empty() || lo > hi {
-            return Ok(());
-        }
-        // First block whose first key could precede `lo`.
-        let start = self.blocks.partition_point(|m| m.first <= lo).saturating_sub(1);
-        for idx in start..self.blocks.len() {
-            if self.blocks[idx].first > hi {
-                break;
-            }
-            let keys = self.block(idx)?;
-            let from = keys.partition_point(|&k| k < lo);
-            for &k in &keys[from..] {
-                if k > hi {
-                    return Ok(());
-                }
-                f(k);
-            }
-        }
-        Ok(())
-    }
-
     /// Number of keys in `lo..=hi`.
     pub fn count_range(&self, lo: Key, hi: Key) -> io::Result<u64> {
         let mut n = 0u64;
@@ -368,9 +343,9 @@ impl SegmentFile {
         SegmentIter { seg: self, block: 0, keys: Vec::new(), pos: 0 }
     }
 
-    /// A bounded iterator over the keys in `lo..=hi`, in sorted order —
-    /// the stream form of [`scan`](SegmentFile::scan), for feeding the
-    /// multi-level shadow merges. Goes through the block cache. Panics
+    /// A bounded iterator over the keys in `lo..=hi`, in sorted order,
+    /// for feeding a scan's shadow merge. Binary-searches the block index
+    /// and decodes only candidate blocks, through the block cache. Panics
     /// if the file turns unreadable mid-iteration (read-path convention).
     pub fn range(&self, lo: Key, hi: Key) -> SegmentRange<'_> {
         let idx = if self.blocks.is_empty() || lo > hi {
@@ -511,35 +486,14 @@ mod tests {
             ((3, 0, 0), (3, KEY_MAX, KEY_MAX)),
             ((10, 2, 0), (10, 2, KEY_MAX)),
             ((62, 7, 7), (62, 7, 7)),
+            ((7, 7, 7), (3, 0, 0)), // empty: lo > hi
             ((9999, 0, 0), (9999, KEY_MAX, KEY_MAX)),
         ] {
             let expect: Vec<Key> =
                 sorted.iter().copied().filter(|&k| k >= lo && k <= hi).collect();
-            let mut got = Vec::new();
-            seg.scan(lo, hi, &mut |k| got.push(k)).unwrap();
-            assert_eq!(got, expect, "scan {lo:?}..{hi:?}");
-            assert_eq!(seg.count_range(lo, hi).unwrap(), expect.len() as u64);
-        }
-    }
-
-    #[test]
-    fn range_iterator_agrees_with_scan() {
-        let mut sorted: Vec<Key> = (0..4000u32).map(|i| (i / 64, (i / 8) % 8, i % 8)).collect();
-        sorted.sort_unstable();
-        sorted.dedup();
-        let seg = build(&sorted, "rangeiter");
-        for (lo, hi) in [
-            ((0, 0, 0), (KEY_MAX, KEY_MAX, KEY_MAX)),
-            ((3, 0, 0), (3, KEY_MAX, KEY_MAX)),
-            ((10, 2, 0), (10, 2, KEY_MAX)),
-            ((62, 7, 7), (62, 7, 7)),
-            ((7, 7, 7), (3, 0, 0)), // empty: lo > hi
-            ((9999, 0, 0), (9999, KEY_MAX, KEY_MAX)),
-        ] {
-            let mut want = Vec::new();
-            seg.scan(lo, hi, &mut |k| want.push(k)).unwrap();
             let got: Vec<Key> = seg.range(lo, hi).collect();
-            assert_eq!(got, want, "range {lo:?}..{hi:?}");
+            assert_eq!(got, expect, "range {lo:?}..{hi:?}");
+            assert_eq!(seg.count_range(lo, hi).unwrap(), expect.len() as u64);
         }
     }
 
@@ -572,8 +526,6 @@ mod tests {
         let seg = SegmentFile::open(&path).unwrap();
         assert_eq!(seg.count(), 0);
         assert!(!seg.contains((0, 0, 0)).unwrap());
-        let mut n = 0;
-        seg.scan((0, 0, 0), (KEY_MAX, KEY_MAX, KEY_MAX), &mut |_| n += 1).unwrap();
-        assert_eq!(n, 0);
+        assert_eq!(seg.range((0, 0, 0), (KEY_MAX, KEY_MAX, KEY_MAX)).count(), 0);
     }
 }

@@ -11,7 +11,8 @@
 //! in-flight operation the crash interrupted, which is allowed to have
 //! reached the log (durable-but-unacknowledged) or not. A flush/compact
 //! interrupted anywhere must be invisible: it reorganizes bytes, never
-//! logical content.
+//! logical content. A spilling bulk load interrupted anywhere leaves the
+//! store exactly as it was before the load or as it is after it.
 //!
 //! The failpoint is process-global, so every test takes [`LOCK`]; CI
 //! additionally runs this suite with `--test-threads=1`.
@@ -23,7 +24,7 @@ use std::sync::Mutex;
 
 use proptest::prelude::*;
 use rdfmesh_rdf::{PatternSource, Term, TermPattern, Triple, TriplePattern};
-use rdfmesh_store::{fail, PersistentStore};
+use rdfmesh_store::{fail, LoadConfig, PersistentStore};
 
 static LOCK: Mutex<()> = Mutex::new(());
 static CASE: AtomicUsize = AtomicUsize::new(0);
@@ -246,6 +247,98 @@ fn crash_during_recovery_is_itself_recoverable() {
         assert_eq!(contents(&store), oracle, "re-recovery after crash at {crash_at}");
         drop(store);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+    let _ = std::fs::remove_dir_all(&canonical);
+}
+
+/// A bulk load crashed at every boundary, clean and torn: the store
+/// under it has two sealed levels (the newer carrying tombstones) and an
+/// unflushed overlay of adds and deletes, and the load spills sorted runs.
+/// Recovery lands on exactly the contents before the load or after it,
+/// and no run file survives the reopen.
+#[test]
+fn bulk_load_crash_recovers_to_before_or_after() {
+    let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let canonical = fresh_dir("load-canonical");
+    {
+        let mut store = PersistentStore::open(&canonical).unwrap();
+        for i in 0..200 {
+            store.try_insert(&triple(i)).unwrap();
+        }
+        store.flush().unwrap();
+        for i in [10, 20, 30, 40] {
+            store.try_remove(&triple(i)).unwrap();
+        }
+        store.try_insert(&triple(3000)).unwrap();
+        store.flush().unwrap();
+        assert_eq!(store.level_count(), 2, "the tombstoning flush stays its own level");
+        for i in 3001..3005 {
+            store.try_insert(&triple(i)).unwrap();
+        }
+        for i in [1, 2, 3001] {
+            store.try_remove(&triple(i)).unwrap();
+        }
+    }
+    let before = contents(&PersistentStore::open(&canonical).unwrap());
+    // The load re-asserts the tombstoned triples and adds 2 400 new ones.
+    let doc: String = (0..2600)
+        .map(|i| {
+            let t = triple(i);
+            format!("{} {} {} .\n", t.subject, t.predicate, t.object)
+        })
+        .collect();
+    let cfg = LoadConfig { workers: 2, run_triples: 1024, chunk_bytes: 64 << 10 };
+
+    // Baseline pass: count the boundaries and pin the loaded contents.
+    let probe = fresh_dir("load-probe");
+    copy_dir(&canonical, &probe);
+    let mut store = PersistentStore::open(&probe).unwrap();
+    fail::arm(u64::MAX / 2, false);
+    let report = store.bulk_load(doc.as_bytes(), &cfg);
+    let boundaries = fail::ops();
+    fail::disarm();
+    assert!(report.expect("baseline load").runs >= 2, "the load must spill runs");
+    assert!(boundaries > 50, "load too small to be interesting: {boundaries} ops");
+    let after = contents(&store);
+    assert_ne!(after, before);
+    drop(store);
+    let _ = std::fs::remove_dir_all(&probe);
+
+    for torn in [false, true] {
+        for crash_at in 0..boundaries {
+            let dir = fresh_dir("load-matrix");
+            copy_dir(&canonical, &dir);
+            let mut store = PersistentStore::open(&dir).unwrap();
+            fail::arm(crash_at, torn);
+            let loaded = store.bulk_load(doc.as_bytes(), &cfg).is_ok();
+            fail::disarm();
+            drop(store);
+            let recovered = PersistentStore::open(&dir).unwrap_or_else(|e| {
+                panic!("recovery open (crash at {crash_at}, torn {torn}): {e}")
+            });
+            let got = contents(&recovered);
+            assert!(
+                got == after || (got == before && !loaded),
+                "crash at boundary {crash_at} (torn {torn}, load ok {loaded}): {} triples, \
+                 want {} before or {} after",
+                got.len(),
+                before.len(),
+                after.len()
+            );
+            let runs: Vec<_> = std::fs::read_dir(&dir)
+                .unwrap()
+                .flatten()
+                .map(|e| e.file_name().to_string_lossy().into_owned())
+                .filter(|n| n.starts_with("run-"))
+                .collect();
+            assert!(runs.is_empty(), "crash at {crash_at} (torn {torn}): runs survive {runs:?}");
+            drop(recovered);
+            let mut reopened = PersistentStore::open(&dir).expect("second recovery open");
+            assert_eq!(contents(&reopened), got, "recovery is deterministic");
+            assert!(reopened.try_insert(&triple(9999)).expect("recovered store accepts writes"));
+            drop(reopened);
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
     let _ = std::fs::remove_dir_all(&canonical);
 }

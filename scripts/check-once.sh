@@ -39,6 +39,10 @@
 # `Reply::Solutions(` built in sim_backend.rs), and the overlay reads a row
 # — primary, else the holder's replica — in one function (one
 # `self.replicas.get(` in overlay.rs).
+# The store writes every segment generation through one function and
+# commits it through one (crates/store/src): flush, compaction and bulk
+# load share the shadow-merge writer, the source stack, the three-thread
+# fan-out, the manifest swap and the WAL switch.
 # Fails when a second copy appears. Test modules (`mod tests` to end of
 # file) and comment lines are not code.
 set -eu
@@ -151,6 +155,27 @@ expect 'collected scans in for_each_extension / evaluate_pattern_with' \
 expect 'scan driver bodies found in eval.rs' "$(echo "$scan" | grep -c '^pub fn')" 2
 # The six keys of a triple are counted in one function, key_counts.
 cd ../../..
+# A store generation is written by one function and committed by one:
+# flush, compaction and bulk load differ only in the shadow-merge sources
+# they hand the writer (built by `sources`) and in the levels the commit
+# (`publish`) replaces. So: one manifest write; a level opened on open and
+# on commit; segment writers for a generation's adds and tombstones and
+# for a spilled run; the one three-thread fan-out (`per_perm`) beside the
+# load pipeline's scope; shadow merges in the scan and the writer; one WAL
+# switch.
+store=crates/store/src
+expect 'write_manifest( calls under crates/store/src' \
+    "$(code "$store"/*.rs | grep -v 'fn write_manifest(' | grep -c 'write_manifest(' || true)" 1
+expect 'Level::open( under crates/store/src' \
+    "$(code "$store"/*.rs | grep -c 'Level::open(' || true)" 2
+expect 'SegmentWriter::create( under crates/store/src' \
+    "$(code "$store"/*.rs | grep -c 'SegmentWriter::create(' || true)" 3
+expect 'std::thread::scope( under crates/store/src' \
+    "$(code "$store"/*.rs | grep -c 'std::thread::scope(' || true)" 2
+expect 'ShadowMerge::new( under crates/store/src' \
+    "$(code "$store"/*.rs | grep -c 'ShadowMerge::new(' || true)" 2
+expect '.reset_wal( under crates/store/src' \
+    "$(code "$store"/*.rs | grep -c '\.reset_wal(' || true)" 1
 expect 'absorb_net under crates/*/src' \
     "$(find crates/*/src -name '*.rs' | while read -r f; do code "$f"; done | grep -c 'absorb_net' || true)" 0
 expect 'keys_for_triple( call sites under crates/*/src' \
@@ -174,5 +199,5 @@ expect '[[bench]] tables under crates/*/Cargo.toml' \
 expect 'criterion mentions in any Cargo.toml' \
     "$(cat Cargo.toml crates/*/Cargo.toml shims/*/Cargo.toml benchmark/Cargo.toml | grep -ci criterion || true)" 0
 expect 'directories under shims/' "$(ls -d shims/*/ | wc -l)" 3
-[ "$bad" -eq 0 ] && echo 'exists once: provider compute, exchange pricing, reply accounting, role constructors, the role host, the multiway protocol, regex compilation, lending scan, JSON escaping, result writers, the stopwatch, the pipeline tail, the operator table, the lookup leg, the cluster, the publication path, the frequency column, the move-small rule, the location table, the key count, the list-count bound, the bind step, the role runner, the query account, the statistics pass, the fan-out, the row read'
+[ "$bad" -eq 0 ] && echo 'exists once: provider compute, exchange pricing, reply accounting, role constructors, the role host, the multiway protocol, regex compilation, lending scan, JSON escaping, result writers, the stopwatch, the pipeline tail, the operator table, the lookup leg, the cluster, the publication path, the frequency column, the move-small rule, the location table, the key count, the list-count bound, the bind step, the role runner, the query account, the statistics pass, the fan-out, the row read, the generation writer, the commit'
 exit "$bad"
