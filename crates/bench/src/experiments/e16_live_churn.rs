@@ -16,7 +16,7 @@ use rdfmesh_core::{FaultPlan, LiveAnswer, LiveConfig, LiveMesh, COORDINATOR};
 use rdfmesh_net::NodeId;
 use rdfmesh_overlay::Overlay;
 use rdfmesh_rdf::{Term, TermPattern, TriplePattern};
-use rdfmesh_sparql::{eval::extend, Solution};
+use rdfmesh_sparql::{eval::extend, Rows, Solution};
 use rdfmesh_workload::{foaf, FoafConfig};
 
 use crate::{print_table, testbed_from, INDEX_BASE};
@@ -53,7 +53,8 @@ fn oracle(overlay: &Overlay, pattern: &TriplePattern, dead: &[NodeId]) -> Vec<So
     expected
 }
 
-fn sorted(mut solutions: Vec<Solution>) -> Vec<Solution> {
+fn sorted(solutions: Rows) -> Vec<Solution> {
+    let mut solutions = solutions.to_solutions();
     solutions.sort();
     solutions
 }

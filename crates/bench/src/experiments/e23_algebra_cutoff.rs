@@ -1,18 +1,19 @@
-//! §E23 — Where the nested loop stops paying: the hash/naive crossover.
+//! §E23 — Where the nested loop stops paying: batches against the oracle.
 //!
-//! `solution::{join, left_join, difference}` run the nested loop up to a
-//! pair product `|Ω1|·|Ω2|` of `NAIVE_PRODUCT_CUTOFF` and the hash
-//! operators above it. This experiment times the three *dispatching*
-//! entry points beside `naive::*` and `hashed::*` on the same inputs at
-//! pair products on both sides of the cutoff, so the constant is a
-//! measurement and not a guess. Inputs are the FOAF friend-lookup pair
-//! of `algebra_inputs.rs` (`?x knows ?y` against `?x name ?n`), cut to
-//! sides of equal length — the shape kindest to hashing, which pays the
-//! sum of the sides where the nested loop pays their product.
+//! `solution::{join, left_join, difference}` run the id-row batch
+//! operators (`Rows`) whatever the input size: the operands become
+//! batches, the operator runs, the rows become solutions again. This
+//! experiment times them beside the nested-loop oracle `naive::*` on the
+//! same inputs over a ladder of pair products `|Ω1|·|Ω2|`, so what the
+//! conversion costs on small inputs is a measurement. Inputs are the FOAF
+//! friend-lookup pair of `algebra_inputs.rs` (`?x knows ?y` against
+//! `?x name ?n`), cut to sides of equal length — the shape kindest to
+//! hashing, which pays the sum of the sides where the nested loop pays
+//! their product.
 //!
-//! Wall-clock, so nothing here is asserted beyond the three
-//! implementations returning the same rows; the table and the decision
-//! it supports are in docs/PERFORMANCE.md. Per cell the registry gets
+//! Wall-clock, so nothing here is asserted beyond the two
+//! implementations returning the same rows; the table is in
+//! docs/PERFORMANCE.md. Per cell the registry gets
 //! the median of nine timings in ns per call and their spread,
 //! `(max − min) / median` in percent.
 
@@ -20,14 +21,12 @@ use std::hint::black_box;
 use std::time::Instant;
 
 use rdfmesh_rdf::Variable;
-use rdfmesh_sparql::solution::{self, hashed, naive, Solution};
+use rdfmesh_sparql::solution::{self, naive, Solution};
 
 use crate::algebra_inputs::foaf_join_inputs;
 use crate::print_table;
 
-/// Pair products timed; both sides are `√product` rows long. The first
-/// six are the sizes around the old cutoff (256); the nested loop has not
-/// lost by 4 096, so three more bracket the crossover.
+/// Pair products timed; both sides are `√product` rows long.
 const PRODUCTS: &[usize] = &[1, 16, 64, 256, 1_024, 4_096, 9_216, 16_384, 65_536];
 /// Timings per cell, each the mean over enough calls to fill ~1 ms.
 const TRIALS: usize = 9;
@@ -59,10 +58,10 @@ fn time(op: Op, l: &[Solution], r: &[Solution]) -> (u64, u64) {
 pub fn run() {
     let (knows, names) = foaf_join_inputs(400);
     let x = Variable::new("x");
-    let ops: [(&str, [Op; 3]); 3] = [
-        ("join", [solution::join, naive::join, hashed::join]),
-        ("left_join", [solution::left_join, naive::left_join, hashed::left_join]),
-        ("difference", [solution::difference, naive::difference, hashed::difference]),
+    let ops: [(&str, [Op; 2]); 3] = [
+        ("join", [solution::join, naive::join]),
+        ("left_join", [solution::left_join, naive::left_join]),
+        ("difference", [solution::difference, naive::difference]),
     ];
     let metrics = rdfmesh_obs::metrics();
     let mut rows = Vec::new();
@@ -79,7 +78,7 @@ pub fn run() {
             let out = impls[1](&l, r);
             assert!(impls.iter().all(|op| op(&l, r) == out), "{name} @ {product} disagrees");
             let mut row = vec![name.to_string(), product.to_string(), out.len().to_string()];
-            for (which, op) in ["dispatch", "naive", "hashed"].iter().zip(impls) {
+            for (which, op) in ["rows", "naive"].iter().zip(impls) {
                 let (ns, spread) = time(*op, &l, r);
                 let counter = format!("algebra.cutoff.{name}.p{product}.{which}");
                 metrics.add(leak(format!("{counter}_ns")), ns);
@@ -90,8 +89,8 @@ pub fn run() {
         }
     }
     print_table(
-        "Dispatching entry points vs both implementations (median ns per call ± spread)",
-        &["operator", "pair product", "rows out", "dispatch", "naive", "hashed"],
+        "Batch operators vs the nested-loop oracle (median ns per call ± spread)",
+        &["operator", "pair product", "rows out", "rows", "naive"],
         &rows,
     );
 }

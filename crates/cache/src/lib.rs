@@ -44,7 +44,7 @@ use rdfmesh_net::{NodeId, SimTime};
 use rdfmesh_obs::names;
 use rdfmesh_overlay::Provider;
 use rdfmesh_rdf::TriplePattern;
-use rdfmesh_sparql::Solution;
+use rdfmesh_sparql::Rows;
 
 pub use provider::{ProviderCache, ProviderMiss};
 pub use results::{ResultCache, ResultEntry, ResultMiss};
@@ -228,7 +228,7 @@ impl QueryCache {
         version: u64,
         epoch: u64,
         alive: &dyn Fn(NodeId) -> bool,
-    ) -> Option<Vec<Solution>> {
+    ) -> Option<Rows> {
         self.results.touch(pattern);
         let m = rdfmesh_obs::metrics();
         match self.results.get(pattern, version, epoch, alive) {

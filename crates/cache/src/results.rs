@@ -21,7 +21,7 @@ use std::hash::{Hash, Hasher};
 use rdfmesh_chord::Id;
 use rdfmesh_net::NodeId;
 use rdfmesh_rdf::TriplePattern;
-use rdfmesh_sparql::Solution;
+use rdfmesh_sparql::Rows;
 
 use crate::sketch::FrequencySketch;
 
@@ -29,7 +29,7 @@ use crate::sketch::FrequencySketch;
 #[derive(Debug, Clone)]
 pub struct ResultEntry {
     /// The solutions produced for the pattern.
-    pub solutions: Vec<Solution>,
+    pub solutions: Rows,
     /// Storage nodes whose triples contributed; all must still be alive
     /// for the entry to be served.
     pub providers: Vec<NodeId>,
@@ -100,7 +100,7 @@ impl ResultCache {
         version: u64,
         epoch: u64,
         alive: &dyn Fn(NodeId) -> bool,
-    ) -> Result<Vec<Solution>, ResultMiss> {
+    ) -> Result<Rows, ResultMiss> {
         let Some(e) = self.entries.get(pattern) else {
             return Err(ResultMiss::Absent);
         };
@@ -187,7 +187,7 @@ mod tests {
 
     fn entry(bytes: usize) -> ResultEntry {
         ResultEntry {
-            solutions: Vec::new(),
+            solutions: Rows::new(),
             providers: vec![NodeId(1)],
             key: Id(1),
             version: 0,

@@ -348,7 +348,7 @@ pub fn global_store(overlay: &Overlay) -> TripleStore {
 mod tests {
     use super::*;
     use rdfmesh_rdf::{Term, TermPattern, Variable};
-    use rdfmesh_sparql::solution::{DistinctBuffer, Solution};
+    use rdfmesh_sparql::{Rows, Solution};
 
     fn sol(pairs: &[(&str, &str)]) -> Solution {
         Solution::from_pairs(
@@ -358,10 +358,9 @@ mod tests {
 
     #[test]
     fn distinct_accumulation_drops_exact_duplicates_only() {
-        let mut acc = DistinctBuffer::new();
-        acc.push(sol(&[("x", "a")]));
-        acc.extend_distinct(vec![sol(&[("x", "a")]), sol(&[("x", "b")])]);
-        assert_eq!(acc.into_vec(), vec![sol(&[("x", "a")]), sol(&[("x", "b")])]);
+        let mut acc = Rows::from_solutions(&[sol(&[("x", "a")])]);
+        acc.append(Rows::from_solutions(&[sol(&[("x", "a")]), sol(&[("x", "b")])]));
+        assert_eq!(acc.distinct(), vec![sol(&[("x", "a")]), sol(&[("x", "b")])]);
     }
 
     #[test]

@@ -39,16 +39,16 @@ use rdfmesh_rdf::{TriplePattern, TripleRef, Variable};
 use rdfmesh_sparql::{
     algebra::AlgebraQuery,
     eval::{instantiate, Graph},
-    expr::Expression,
-    solution::{self, DistinctBuffer, Solution, SolutionSet},
-    GraphPattern, QueryResult,
+    expr::{Bindings, Expression},
+    GraphPattern, QueryResult, Rows, Solution,
 };
 
 /// A solution set materialized at a site at a point in simulated time.
 #[derive(Debug, Clone)]
 pub struct Mat {
-    /// The solutions.
-    pub solutions: SolutionSet,
+    /// The solutions, as one id-row batch: they become [`Solution`]s only
+    /// in [`answer`], for `finalize`.
+    pub solutions: Rows,
     /// Where they currently live.
     pub site: NodeId,
     /// When they are complete at that site.
@@ -84,14 +84,17 @@ impl OpKind {
     /// Combines two solution sets standing at one site — the operator
     /// table every backend's [`MeshBackend::exec_binary`] applies once it
     /// has decided where (the oracle's copy is `eval::evaluate_pattern`).
-    pub fn apply(&self, left: &[Solution], right: &[Solution]) -> SolutionSet {
+    pub fn apply(&self, mut left: Rows, right: Rows) -> Rows {
         match self {
-            OpKind::Join => solution::join(left, right),
-            OpKind::Union => solution::union(left, right),
-            OpKind::LeftJoin(None) => solution::left_join(left, right),
+            OpKind::Join => left.join(&right),
+            OpKind::Union => {
+                left.append(right);
+                left
+            }
+            OpKind::LeftJoin(None) => left.left_join(&right),
             OpKind::LeftJoin(Some(cond)) => {
                 let cond = cond.compile();
-                solution::left_join_filtered(left, right, |m| cond.satisfied_by(m))
+                left.left_join_filtered(&right, |m| cond.satisfied_by(m))
             }
         }
     }
@@ -329,7 +332,7 @@ fn eval<B: MeshBackend>(
     let metrics = rdfmesh_obs::metrics();
     match node {
         ExecNode::Unit => Ok(Mat {
-            solutions: vec![Solution::new()],
+            solutions: Rows::unit(),
             site: backend.home(),
             ready: depart,
         }),
@@ -398,7 +401,7 @@ fn eval<B: MeshBackend>(
             }
             let mut mat = eval(backend, input, depart, None)?;
             let expr = expr.compile();
-            mat.solutions.retain(|s| expr.satisfied_by(s));
+            mat.solutions.retain(|row| expr.satisfied_by(row));
             Ok(mat)
         }
         ExecNode::MultiJoin { patterns, join_vars, strategy } => {
@@ -420,20 +423,20 @@ fn eval<B: MeshBackend>(
 /// differ only in what the pattern goes on to bind) are merged. When
 /// every row already lies within the pattern's variables the keys *are*
 /// the rows and the round's answer is the join.
+/// The rows stay a batch throughout; only the keys, which the providers'
+/// per-key scan reads as [`Solution`]s, are handed to `round` as such.
 pub(crate) fn bind_step<E>(
     pattern: &TriplePattern,
-    rows: SolutionSet,
-    round: impl FnOnce(SolutionSet) -> Result<Mat, E>,
+    rows: Rows,
+    round: impl FnOnce(Vec<Solution>) -> Result<Mat, E>,
 ) -> Result<Mat, E> {
     let vars: Vec<Variable> = pattern.variables().into_iter().cloned().collect();
-    if rows.iter().all(|row| row.domain().all(|v| vars.contains(v))) {
-        return round(solution::distinct(rows));
+    if rows.iter().all(|row| row.iter().all(|(v, _)| vars.contains(v))) {
+        return round(rows.distinct().to_solutions());
     }
-    let mut keys = DistinctBuffer::new();
-    keys.extend_distinct(rows.iter().map(|row| row.project(&vars)));
-    let extensions = round(keys.into_vec())?;
-    let joined = solution::join_owned(rows, &extensions.solutions);
-    Ok(Mat { solutions: solution::distinct(joined), ..extensions })
+    let keys = rows.project(&vars).distinct();
+    let Mat { solutions: extensions, site, ready } = round(keys.to_solutions())?;
+    Ok(Mat { solutions: rows.join(&extensions).distinct(), site, ready })
 }
 
 // ---- the pipeline's tail (Fig. 3), written once ----------------------
@@ -441,9 +444,9 @@ pub(crate) fn bind_step<E>(
 /// "The union of all triples stored in all storage nodes" (Sect. IV-A)
 /// as the [`Graph`] that [`rdfmesh_sparql::finalize`] reads DESCRIBE's
 /// resource triples through: each pattern asked of it is one primitive
-/// sub-query on the backend, delivered to the initiator. Carries the
-/// time the last answer was home and the first error (a graph cannot
-/// return one; once set, nothing further is asked).
+/// sub-query on the backend, departing when the last answer was home and
+/// delivered to the initiator. Carries that time and the first error (a
+/// graph cannot return one; once set, nothing further is asked).
 struct MeshGraph<'b, B: MeshBackend>(RefCell<(&'b mut B, SimTime, Option<B::Error>)>);
 
 impl<B: MeshBackend> Graph for MeshGraph<'_, B> {
@@ -453,12 +456,13 @@ impl<B: MeshBackend> Graph for MeshGraph<'_, B> {
             return;
         }
         let op = PrimitiveOp { pattern: pattern.clone(), filter: None, try_range: false };
-        let mat = match backend.exec_primitive(&op, SimTime::ZERO, None, false) {
+        // The fetch leaves when the rows naming its resource are home.
+        let mat = match backend.exec_primitive(&op, *ready, None, false) {
             Ok(mat) => backend.deliver(mat),
             Err(e) => return *failed = Some(e),
         };
         *ready = (*ready).max(mat.ready);
-        for triple in mat.solutions.iter().filter_map(|row| instantiate(pattern, row)) {
+        for triple in mat.solutions.iter().filter_map(|row| instantiate(pattern, &row)) {
             f((&triple).into());
         }
     }
@@ -494,7 +498,11 @@ pub fn answer<B: MeshBackend>(
 /// the thread mesh, and the socket mesh all partition identically.
 /// Solutions that agree on every join variable land in the same bucket,
 /// which is what makes the per-target local joins exhaustive.
-pub(crate) fn shuffle_partition(sol: &Solution, join_vars: &[Variable], buckets: usize) -> usize {
+pub(crate) fn shuffle_partition<B: Bindings + ?Sized>(
+    sol: &B,
+    join_vars: &[Variable],
+    buckets: usize,
+) -> usize {
     let mut bytes = Vec::new();
     for v in join_vars {
         match sol.get(v) {

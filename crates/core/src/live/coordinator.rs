@@ -8,7 +8,7 @@ use rdfmesh_net::NodeId;
 use rdfmesh_overlay::key_for_pattern;
 use rdfmesh_rdf::{TriplePattern, Variable};
 use rdfmesh_sparql::expr::Expression;
-use rdfmesh_sparql::solution::{self, DistinctBuffer, Solution};
+use rdfmesh_sparql::{Rows, Solution};
 
 use super::{rlock, Action, DeadlineStage, LiveAnswer, LiveMsg, QueryId, SharedFlood};
 use crate::config::{DistStrategy, LiveConfig};
@@ -80,9 +80,9 @@ enum RoundKind {
         /// The providers sent the bare pattern instead of `bound`
         /// ([`ships_keys`] said no), decided once at fan-out.
         fetch_from: Vec<NodeId>,
-        /// Their matches, deduplicated apart from the extensions and
-        /// joined with `bound` when the round finishes.
-        fetched: DistinctBuffer,
+        /// Their replies, kept apart from the extensions and joined with
+        /// `bound` when the round finishes.
+        fetched: Vec<Rows>,
     },
     /// A [`LiveMsg::ShuffleExec`] to the provider union; the shuffle
     /// targets answer with locally-joined [`LiveMsg::Solutions`]
@@ -98,7 +98,7 @@ enum RoundKind {
     PartialEval {
         /// Every answering provider's per-pattern local solutions, in
         /// arrival order — the input of [`provider::assemble`].
-        replies: Vec<Vec<Vec<Solution>>>,
+        replies: Vec<Vec<Rows>>,
     },
 }
 
@@ -117,9 +117,9 @@ struct Round {
     /// provider → current exec attempt (0-based).
     outstanding: HashMap<NodeId, u8>,
     failed: Vec<NodeId>,
-    /// Hash-indexed so the per-gather dedup stays linear even when many
-    /// replicated providers ship the same large solution sets.
-    gathered: DistinctBuffer,
+    /// Every reply's rows, in arrival order: deduplicated once, when the
+    /// round finishes (identical rows from replicated triples collapse).
+    gathered: Rows,
 }
 
 impl Round {
@@ -175,7 +175,7 @@ impl CoordinatorCore {
     pub(crate) fn on_event(&mut self, from: NodeId, msg: LiveMsg) -> Vec<Action> {
         match msg {
             LiveMsg::SubmitSol { qid, pattern, filter, bound } => {
-                let (fetch_from, fetched) = (Vec::new(), DistinctBuffer::new());
+                let (fetch_from, fetched) = (Vec::new(), Vec::new());
                 let kind = RoundKind::Chained { filter, bound, fetch_from, fetched };
                 self.on_submit(qid, vec![pattern], kind)
             }
@@ -292,7 +292,7 @@ impl CoordinatorCore {
         }
         if patterns.is_empty() {
             let answer =
-                LiveAnswer { solutions: Vec::new(), complete: true, failed_providers: Vec::new() };
+                LiveAnswer { solutions: Rows::new(), complete: true, failed_providers: Vec::new() };
             return vec![Action::Finish { qid, answer }];
         }
         let slots = patterns
@@ -307,7 +307,7 @@ impl CoordinatorCore {
                 peers: Vec::new(),
                 outstanding: HashMap::new(),
                 failed: Vec::new(),
-                gathered: DistinctBuffer::new(),
+                gathered: Rows::new(),
             },
         );
         let mut actions = Vec::new();
@@ -415,14 +415,14 @@ impl CoordinatorCore {
     /// A provider's solutions for a chained round — extensions of the
     /// keys, or the matches of a provider sent the bare pattern — or a
     /// shuffle target's locally-joined fragment for a HyperCube one.
-    fn on_solutions(&mut self, qid: QueryId, from: NodeId, solutions: Vec<Solution>) -> Vec<Action> {
+    fn on_solutions(&mut self, qid: QueryId, from: NodeId, solutions: Rows) -> Vec<Action> {
         let accepts = |q: &Round| !matches!(q.kind, RoundKind::PartialEval { .. });
         let Some(q) = self.awaited(qid, from, accepts) else { return Vec::new() };
         match &mut q.kind {
             RoundKind::Chained { fetch_from, fetched, .. } if fetch_from.contains(&from) => {
-                fetched.extend_distinct(solutions)
+                fetched.push(solutions)
             }
-            _ => q.gathered.extend_distinct(solutions),
+            _ => q.gathered.append(solutions),
         }
         self.settle(qid)
     }
@@ -431,7 +431,7 @@ impl CoordinatorCore {
         &mut self,
         qid: QueryId,
         from: NodeId,
-        sets: Vec<Vec<Solution>>,
+        sets: Vec<Rows>,
     ) -> Vec<Action> {
         let accepts = |q: &Round| {
             matches!(q.kind, RoundKind::PartialEval { .. }) && q.slots.len() == sets.len()
@@ -582,11 +582,13 @@ impl CoordinatorCore {
             // with the keys are the extensions they would have computed
             // (`provider::answer`'s bind join, done once here).
             RoundKind::Chained { bound: Some(keys), fetched, .. } if !fetched.is_empty() => {
+                let mut matches = Rows::new();
+                fetched.into_iter().for_each(|reply| matches.append(reply));
                 let mut gathered = q.gathered;
-                gathered.extend_distinct(solution::join(&keys, fetched.as_slice()));
-                gathered.into_vec()
+                gathered.append(Rows::from_solutions(&keys).join(&matches.distinct()));
+                gathered.distinct()
             }
-            _ => q.gathered.into_vec(),
+            _ => q.gathered.distinct(),
         };
         let answer = LiveAnswer { solutions, complete, failed_providers: q.failed };
         actions.push(Action::Finish { qid, answer });
@@ -693,7 +695,14 @@ mod tests {
             qid: QueryId,
             solutions: Vec<Solution>,
         ) -> Vec<Action> {
+            let solutions = Rows::from_solutions(&solutions);
             c.on_event(from, LiveMsg::Solutions { qid, solutions })
+        }
+
+        /// A partial evaluation's reply: `sets[slot]` for every slot.
+        fn partial_matches(qid: QueryId, sets: Vec<Vec<Solution>>) -> LiveMsg {
+            let per_pattern = sets.iter().map(|set| Rows::from_solutions(set)).collect();
+            LiveMsg::PartialMatches { qid, per_pattern }
         }
 
         fn deadline(c: &mut CoordinatorCore, qid: QueryId, stage: DeadlineStage) -> Vec<Action> {
@@ -960,7 +969,7 @@ mod tests {
         #[test]
         fn distinct_buffer_gather_matches_naive_contains_dedup() {
             // Twin run: the same duplicated reply stream through the
-            // state machine (DistinctBuffer gather) and through a
+            // state machine (its batch gather) and through a
             // Vec-plus-contains accumulator must agree exactly —
             // first-seen order included.
             let streams: Vec<(NodeId, Vec<u64>)> =
@@ -1021,7 +1030,8 @@ mod tests {
                 .collect()
         }
 
-        fn sorted(mut rows: Vec<Solution>) -> Vec<Solution> {
+        fn sorted(rows: Rows) -> Vec<Solution> {
+            let mut rows = rows.to_solutions();
             rows.sort();
             rows
         }
@@ -1204,10 +1214,10 @@ mod tests {
             // Swapped frames settle nothing: P1 stays awaited by both.
             assert!(solutions(&mut c, P1, partial, vec![xsol(1)]).is_empty());
             let sets = vec![vec![xsol(1)], vec![xsol(1)]];
-            let swapped = LiveMsg::PartialMatches { qid: chained, per_pattern: sets.clone() };
+            let swapped = partial_matches(chained, sets.clone());
             assert!(c.on_event(P1, swapped).is_empty());
             assert_eq!(c.stats.snapshot().stale_replies, 2);
-            let right = LiveMsg::PartialMatches { qid: partial, per_pattern: sets };
+            let right = partial_matches(partial, sets);
             assert_eq!(finishes(&c.on_event(P1, right))[0].1.solutions, vec![xsol(1)]);
             assert_eq!(finishes(&solutions(&mut c, P1, chained, vec![xsol(2)])).len(), 1);
         }
@@ -1226,17 +1236,9 @@ mod tests {
             // P1 holds only pattern-0 rows and P2 only pattern-1 rows:
             // no provider joins anything locally, so the one assembled
             // row is a stitched cross-site match.
-            c.on_event(
-                P1,
-                LiveMsg::PartialMatches {
-                    qid,
-                    per_pattern: vec![vec![xy(1, 1), xy(2, 1)], Vec::new()],
-                },
-            );
-            let done = finishes(&c.on_event(
-                P2,
-                LiveMsg::PartialMatches { qid, per_pattern: vec![Vec::new(), vec![xz(1, 5)]] },
-            ));
+            c.on_event(P1, partial_matches(qid, vec![vec![xy(1, 1), xy(2, 1)], Vec::new()]));
+            let done =
+                finishes(&c.on_event(P2, partial_matches(qid, vec![Vec::new(), vec![xz(1, 5)]])));
             assert_eq!(done.len(), 1);
             assert!(done[0].1.complete);
             let expect = rdfmesh_sparql::solution::join(&[xy(1, 1)], &[xz(1, 5)]);
@@ -1526,13 +1528,12 @@ mod tests {
                         ),
                         Ev::Partial { q, from, sets } => c.on_event(
                             from,
-                            LiveMsg::PartialMatches {
-                                qid: qid_of(q),
-                                per_pattern: sets
-                                    .into_iter()
+                            partial_matches(
+                                qid_of(q),
+                                sets.into_iter()
                                     .map(|vals| vals.into_iter().map(|v| usol(q, v)).collect())
                                     .collect(),
-                            },
+                            ),
                         ),
                         Ev::AckDeadline { q, provider, attempt, generation } => deadline(
                             &mut c,
@@ -1559,10 +1560,10 @@ mod tests {
                         prop_assert!(answer.failed_providers.is_empty());
                     }
                     let universe: Vec<Solution> = (0..6).map(|v| usol(q, v)).collect();
-                    let mut seen: Vec<&Solution> = Vec::new();
-                    for s in &answer.solutions {
+                    let mut seen: Vec<Solution> = Vec::new();
+                    for s in answer.solutions.to_solutions() {
                         prop_assert!(
-                            universe.contains(s),
+                            universe.contains(&s),
                             "query {} leaked a foreign solution", q
                         );
                         prop_assert!(!seen.contains(&s), "duplicate solution in answer");

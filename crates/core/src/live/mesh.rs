@@ -269,7 +269,7 @@ mod tests {
             .iter()
             .filter_map(|t| rdfmesh_sparql::eval::extend(&pattern, t, &Solution::new()))
             .collect();
-        let mut got = live.solutions;
+        let mut got = live.solutions.to_solutions();
         expected.sort();
         got.sort();
         assert_eq!(got, expected);

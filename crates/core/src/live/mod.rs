@@ -80,7 +80,7 @@ use rdfmesh_net::{Envelope, Handler, NodeId, Outbox};
 use rdfmesh_overlay::LocationTable;
 use rdfmesh_rdf::{TriplePattern, Variable};
 use rdfmesh_sparql::expr::Expression;
-use rdfmesh_sparql::solution::Solution;
+use rdfmesh_sparql::{Rows, Solution};
 
 use crate::config::DistStrategy;
 
@@ -226,7 +226,7 @@ pub enum LiveMsg {
         /// The owning query.
         qid: QueryId,
         /// The (filtered, extended) solution mappings.
-        solutions: Vec<Solution>,
+        solutions: Rows,
     },
     /// The external application submits one *solution round* at the
     /// coordinator: the providers answer with solution mappings,
@@ -324,7 +324,7 @@ pub enum LiveMsg {
         /// [`LiveMsg::ShuffleExec`] that triggered the scatter).
         round: u32,
         /// Per-pattern solution sets destined for the receiver.
-        parts: Vec<Vec<Solution>>,
+        parts: Vec<Rows>,
     },
     /// Coordinator → every provider: evaluate the whole BGP over local
     /// data only (partial evaluation) and ship the per-pattern solution
@@ -343,7 +343,7 @@ pub enum LiveMsg {
         /// The owning query.
         qid: QueryId,
         /// `per_pattern[i]` = local solutions of pattern `i`.
-        per_pattern: Vec<Vec<Solution>>,
+        per_pattern: Vec<Rows>,
     },
     /// Coordinator → providers: the multiway round finished; drop any
     /// retained shuffle state for `qid`.
@@ -358,9 +358,10 @@ pub enum LiveMsg {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LiveAnswer {
     /// Deduplicated solution mappings from every provider that answered
-    /// in time. The per-gather dedup mirrors the simulator's in-network
-    /// aggregation: identical solutions from replicated triples collapse.
-    pub solutions: Vec<Solution>,
+    /// in time, as one id-row batch. The per-gather dedup mirrors the
+    /// simulator's in-network aggregation: identical solutions from
+    /// replicated triples collapse.
+    pub solutions: Rows,
     /// `true` iff every selected provider answered before its deadline
     /// (an empty provider set is complete).
     pub complete: bool,

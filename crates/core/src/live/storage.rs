@@ -6,7 +6,8 @@ use std::sync::Arc;
 
 use rdfmesh_net::NodeId;
 use rdfmesh_rdf::{SharedStore, TriplePattern};
-use rdfmesh_sparql::solution::{wire, Solution};
+use rdfmesh_sparql::solution::wire;
+use rdfmesh_sparql::Rows;
 
 use super::{Action, LiveMsg, QueryId};
 use crate::provider;
@@ -38,9 +39,9 @@ pub(crate) struct ShuffleState {
     /// Keyed by origin, so a retransmitted partition frame is idempotent,
     /// and ordered, so the fold's rows come out in the same order on every
     /// run (the simulator's are reproducible bit for bit).
-    received: BTreeMap<NodeId, Vec<Vec<Solution>>>,
+    received: BTreeMap<NodeId, Vec<Rows>>,
     /// The shipped local join, kept for retransmit resends.
-    answer: Option<Vec<Solution>>,
+    answer: Option<Rows>,
 }
 
 /// Shuffle entries for more queries than this trigger an eviction: of
@@ -75,8 +76,8 @@ impl LiveStorage {
             | LiveMsg::ShufflePart { parts: sets, .. } => sets.as_slice(),
             _ => &[],
         };
-        let rows = sets.iter().map(Vec::len).sum::<usize>() as u64;
-        let bytes = sets.iter().map(|set| wire::encoded_len(set)).sum::<usize>() as u64;
+        let rows = sets.iter().map(Rows::len).sum::<usize>() as u64;
+        let bytes = sets.iter().map(wire::rows_encoded_len).sum::<usize>() as u64;
         if matches!(frame, LiveMsg::ShufflePart { .. }) {
             stats.add_shuffle_parts(rows);
             stats.add_shuffle_bytes(bytes);
@@ -222,7 +223,7 @@ mod tests {
         // no exec frame will ever come, and no second MultiDone.
         node.on_event(peer, LiveMsg::MultiDone { qid: QueryId(0) });
         for q in 0..=SHUFFLE_STATE_CAP as u64 {
-            let part = LiveMsg::ShufflePart { qid: QueryId(q), round: 0, parts: vec![Vec::new()] };
+            let part = LiveMsg::ShufflePart { qid: QueryId(q), round: 0, parts: vec![Rows::new()] };
             assert!(node.on_event(peer, part).is_empty(), "no exec frame, nothing to ship");
         }
         let left = node.shuffle.len();

@@ -265,7 +265,7 @@ impl MeshBackend for LiveBackend<'_> {
     }
 
     fn exec_binary(&mut self, op: &OpKind, left: Mat, right: Mat) -> Mat {
-        let solutions = op.apply(&left.solutions, &right.solutions);
+        let solutions = op.apply(left.solutions, right.solutions);
         Mat { solutions, site: COORDINATOR, ready: SimTime::ZERO }
     }
 

@@ -26,9 +26,10 @@ use rdfmesh_rdf::{TermPattern, TriplePattern, Variable};
 use rdfmesh_sparql::expr::wire::{put_expr, read_expr};
 use rdfmesh_sparql::expr::Expression;
 use rdfmesh_sparql::solution::wire::{
-    put_solutions, put_str, put_term, put_u32, put_u64, read_solutions, Reader, WireError,
+    put_rows, put_solutions, put_str, put_term, put_u32, put_u64, read_rows, read_solutions,
+    Reader, WireError,
 };
-use rdfmesh_sparql::solution::Solution;
+use rdfmesh_sparql::{Rows, Solution};
 
 use crate::live::{LiveMsg, QueryId};
 
@@ -224,18 +225,18 @@ fn read_vars(r: &mut Reader<'_>) -> Result<Vec<Variable>, WireError> {
     Ok(vars)
 }
 
-fn put_solution_sets(out: &mut Vec<u8>, sets: &[Vec<Solution>]) {
+fn put_solution_sets(out: &mut Vec<u8>, sets: &[Rows]) {
     put_u32(out, sets.len() as u32);
     for set in sets {
-        put_solutions(out, set);
+        put_rows(out, set);
     }
 }
 
-fn read_solution_sets(r: &mut Reader<'_>) -> Result<Vec<Vec<Solution>>, WireError> {
+fn read_solution_sets(r: &mut Reader<'_>) -> Result<Vec<Rows>, WireError> {
     let count = r.u32_count(SOLUTION_SET_MIN_LEN)?;
     let mut sets = Vec::with_capacity(count);
     for _ in 0..count {
-        sets.push(read_solutions(r)?);
+        sets.push(read_rows(r)?);
     }
     Ok(sets)
 }
@@ -248,8 +249,8 @@ const BASE_HINT: usize = 96;
 // suffix per new term, one byte per repeated one.
 const SOLUTION_HINT: usize = 12;
 
-fn solutions_hint(solutions: &[Solution]) -> usize {
-    solutions.len() * SOLUTION_HINT
+fn solutions_hint(rows: usize) -> usize {
+    rows * SOLUTION_HINT
 }
 
 /// Estimates the encoded size of `msg` so [`WireMsg::encode_wire`] can
@@ -259,9 +260,9 @@ fn solutions_hint(solutions: &[Solution]) -> usize {
 fn size_hint(msg: &LiveMsg) -> usize {
     match msg {
         LiveMsg::SubQuerySol { bound, .. } => {
-            BASE_HINT + bound.as_deref().map_or(0, solutions_hint)
+            BASE_HINT + solutions_hint(bound.as_ref().map_or(0, Vec::len))
         }
-        LiveMsg::Solutions { solutions, .. } => BASE_HINT + solutions_hint(solutions),
+        LiveMsg::Solutions { solutions, .. } => BASE_HINT + solutions_hint(solutions.len()),
         LiveMsg::Providers { providers, .. } => BASE_HINT + providers.len() * ENTRY_LEN,
         LiveMsg::Publish { keys, .. } => BASE_HINT + keys.len() * ENTRY_LEN,
         LiveMsg::ShuffleExec { patterns, peers, .. } => {
@@ -269,7 +270,7 @@ fn size_hint(msg: &LiveMsg) -> usize {
         }
         LiveMsg::PartialExec { patterns, .. } => 16 + patterns.len() * BASE_HINT,
         LiveMsg::ShufflePart { parts: sets, .. } | LiveMsg::PartialMatches { per_pattern: sets, .. } => {
-            16 + sets.iter().map(|s| 8 + solutions_hint(s)).sum::<usize>()
+            16 + sets.iter().map(|s| 8 + solutions_hint(s.len())).sum::<usize>()
         }
         LiveMsg::Lookup { .. }
         | LiveMsg::ProviderDead { .. }
@@ -307,7 +308,7 @@ impl WireMsg for LiveMsg {
             LiveMsg::Solutions { qid, solutions } => {
                 out.push(TAG_SOLUTIONS);
                 put_u64(&mut out, qid.0);
-                put_solutions(&mut out, solutions);
+                put_rows(&mut out, solutions);
             }
             LiveMsg::ProviderDead { pattern, provider } => {
                 out.push(TAG_PROVIDER_DEAD);
@@ -381,7 +382,7 @@ impl WireMsg for LiveMsg {
             }
             TAG_SOLUTIONS => {
                 let qid = QueryId(r.u64().map_err(fault)?);
-                let solutions = read_solutions(&mut r).map_err(fault)?;
+                let solutions = read_rows(&mut r).map_err(fault)?;
                 LiveMsg::Solutions { qid, solutions }
             }
             TAG_PROVIDER_DEAD => {
@@ -453,6 +454,10 @@ mod tests {
         ])
     }
 
+    fn batch(solutions: &[Solution]) -> Rows {
+        Rows::from_solutions(solutions)
+    }
+
     fn filter() -> Expression {
         Expression::Compare(
             ComparisonOp::Gt,
@@ -483,7 +488,7 @@ mod tests {
                 bound: Some(vec![solution(), Solution::new()]),
                 reply_to: NodeId(4),
             },
-            LiveMsg::Solutions { qid: QueryId(15), solutions: vec![solution()] },
+            LiveMsg::Solutions { qid: QueryId(15), solutions: batch(&[solution()]) },
             LiveMsg::ProviderDead { pattern: pattern(), provider: NodeId(5) },
             LiveMsg::Publish {
                 keys: vec![(3, 1), (99, 6), (u64::MAX, u32::MAX.into())],
@@ -500,7 +505,11 @@ mod tests {
             LiveMsg::ShufflePart {
                 qid: QueryId(36),
                 round: 1,
-                parts: vec![vec![solution()], Vec::new(), vec![solution(), Solution::new()]],
+                parts: vec![
+                    batch(&[solution()]),
+                    Rows::new(),
+                    batch(&[solution(), Solution::new()]),
+                ],
             },
             LiveMsg::PartialExec {
                 qid: QueryId(37),
@@ -509,10 +518,47 @@ mod tests {
             },
             LiveMsg::PartialMatches {
                 qid: QueryId(38),
-                per_pattern: vec![vec![solution(), solution()], vec![Solution::new()]],
+                per_pattern: vec![batch(&[solution(), solution()]), Rows::unit()],
             },
             LiveMsg::MultiDone { qid: QueryId(39) },
+            // What an OPTIONAL answers: rows of three domains, unbound cells.
+            LiveMsg::Solutions { qid: QueryId(40), solutions: batch(&optional_rows()) },
+            // One long body in every row: the encoder defines it again.
+            LiveMsg::Solutions { qid: QueryId(41), solutions: batch(&redefining_rows()) },
+            // Keys that start with the unit row, twice.
+            LiveMsg::SubQuerySol {
+                qid: QueryId(42),
+                pattern: pattern(),
+                filter: None,
+                bound: Some(vec![Solution::new(), solution(), Solution::new()]),
+                reply_to: NodeId(4),
+            },
         ]
+    }
+
+    /// `?x` always, `?name` on two rows, `?age` on one: the rows of
+    /// `?x a ?t OPTIONAL { ?x name ?name OPTIONAL { ?x age ?age } }`.
+    fn optional_rows() -> Vec<Solution> {
+        let row = |x: &str, name: Option<&str>, age: Option<&str>| {
+            let x = (Variable::new("x"), Term::iri(&format!("http://example.org/{x}")));
+            let name = name.map(|n| (Variable::new("name"), Term::literal(n)));
+            let age = age.map(|a| (Variable::new("age"), Term::literal(a)));
+            Solution::from_pairs(std::iter::once(x).chain(name).chain(age))
+        };
+        vec![
+            row("alice", Some("Alice"), None),
+            row("bob", None, None),
+            row("carol", Some("Carol"), Some("42")),
+            row("alice", Some("Alice"), None),
+        ]
+    }
+
+    /// 200 rows binding `?x` to one 100-byte literal: a bare id copies 101
+    /// bytes and buys 64, so the budget runs out and the term is spelled
+    /// out again under a second id.
+    fn redefining_rows() -> Vec<Solution> {
+        let long = Term::literal(&"r".repeat(100));
+        vec![Solution::from_pairs([(Variable::new("x"), long)]); 200]
     }
 
     /// The commands a process gives its own coordinator: no tag, no
@@ -556,8 +602,11 @@ mod tests {
     /// `messages()` as wire version 6 encodes them. Every entry is the
     /// bytes version 4 wrote, except the two non-empty frames that carry
     /// the location table's frequency column, which version 6 added: the
-    /// `Providers` row (second entry) and the `Publish` (seventh).
-    const PINNED: [&str; 12] = [
+    /// `Providers` row (second entry) and the `Publish` (seventh). The
+    /// last three — mixed domains, a term defined twice, keys led by the
+    /// unit row — were pinned by the encoder over `Solution` values, before
+    /// solution sets became id-row batches.
+    const PINNED: [&str; 15] = [
         "030a00000000000000000100000078010018000000687474703a2f2f6578616d706c652e6f72672f6b6e6f7773010303000000426f6202000000656effffffffffffffff",
         "040b00000000000000000100000078010018000000687474703a2f2f6578616d706c652e6f72672f6b6e6f7773010303000000426f6202000000656e02000000010000000000000090010000020000000000000003000000",
         "040c00000000000000000100000078010018000000687474703a2f2f6578616d706c652e6f72672f6b6e6f7773010303000000426f6202000000656e00000000",
@@ -570,6 +619,9 @@ mod tests {
         "14250000000000000003000000000100000078010018000000687474703a2f2f6578616d706c652e6f72672f6b6e6f7773010303000000426f6202000000656e000100000078010018000000687474703a2f2f6578616d706c652e6f72672f6b6e6f7773010303000000426f6202000000656e000100000078010018000000687474703a2f2f6578616d706c652e6f72672f6b6e6f7773010303000000426f6202000000656e0400000000000000",
         "15260000000000000002000000020361676501780201020002343202000018687474703a2f2f6578616d706c652e6f72672f616c6963650102000100",
         "162700000000000000",
+        "08280000000000000003046e616d650178036167650401020005416c69636502000018687474703a2f2f6578616d706c652e6f72672f616c696365000003001303626f6200040200054361726f6c050013056361726f6c060200023432010200",
+        "082900000000000000010178c801010200647272727272727272727272727272727272727272727272727272727272727272727272727272727272727272727272727272727272727272727272727272727272727272727272727272727272727272727272727272727272727272727272727272727201010101010101010101010101010101010101010101010101010101010101010101010101010101010101010101010101010101010101010101010101010101010101010101010101010101010101010101010101010101010101010101010101010101010101010101010101010101010101010101010101010101010101010101010101010101010101010101010101010101010101010101010101010101010101010101010101010101010101010101010101010101010102025c087272727272727272020202020202020202020202",
+        "072a00000000000000000100000078010018000000687474703a2f2f6578616d706c652e6f72672f6b6e6f7773010303000000426f6202000000656e00010203616765017803000001020002343202000018687474703a2f2f6578616d706c652e6f72672f616c69636500000400000000000000",
     ];
 
     fn unhex(hex: &str) -> Vec<u8> {
@@ -599,6 +651,17 @@ mod tests {
             let decoded = LiveMsg::decode_wire(&bytes).expect("a pinned frame decodes");
             assert_eq!(decoded.encode_wire(), bytes);
         }
+    }
+
+    #[test]
+    fn a_term_the_frame_defines_twice_decodes_to_one_id() {
+        let frame = unhex(PINNED[13]);
+        assert!(frame.windows(2).any(|w| w == [2, 2]), "id 2 spelled out as a plain literal");
+        let Ok(LiveMsg::Solutions { solutions, .. }) = LiveMsg::decode_wire(&frame) else {
+            panic!("the pinned frame decodes to a Solutions frame")
+        };
+        assert_eq!(solutions.len(), 200);
+        assert_eq!(solutions.distinct(), redefining_rows()[..1].to_vec(), "one term, one row");
     }
 
     #[test]
@@ -829,13 +892,13 @@ mod tests {
                 bound: Some(set.to_vec()),
                 reply_to: NodeId(3),
             },
-            LiveMsg::Solutions { qid: QueryId(3), solutions: set.to_vec() },
+            LiveMsg::Solutions { qid: QueryId(3), solutions: batch(set) },
             LiveMsg::ShufflePart {
                 qid: QueryId(8),
                 round: 1,
-                parts: vec![set.to_vec(), Vec::new()],
+                parts: vec![batch(set), Rows::new()],
             },
-            LiveMsg::PartialMatches { qid: QueryId(9), per_pattern: vec![set.to_vec()] },
+            LiveMsg::PartialMatches { qid: QueryId(9), per_pattern: vec![batch(set)] },
         ]
     }
 
@@ -1021,7 +1084,7 @@ mod tests {
         assert_eq!(item_len(&|out| put_node_ids(out, &[NodeId(0)])), NODE_ID_LEN);
         assert_eq!(item_len(&|out| put_patterns(out, &smallest)), PATTERN_MIN_LEN);
         assert_eq!(item_len(&|out| put_vars(out, &[Variable::new("")])), VAR_MIN_LEN);
-        assert_eq!(item_len(&|out| put_solution_sets(out, &[Vec::new()])), SOLUTION_SET_MIN_LEN);
+        assert_eq!(item_len(&|out| put_solution_sets(out, &[Rows::new()])), SOLUTION_SET_MIN_LEN);
         assert_eq!(item_len(&|out| put_entries(out, [(0, 0)].into_iter())), ENTRY_LEN);
     }
 
@@ -1142,7 +1205,7 @@ mod tests {
         // The layout this one replaced spent 92 B on such a row. Pinned
         // so a later change cannot quietly give the win back.
         let rows = advisor_rows();
-        let frame = LiveMsg::Solutions { qid: QueryId(1), solutions: rows.clone() }.encode_wire();
+        let frame = LiveMsg::Solutions { qid: QueryId(1), solutions: batch(&rows) }.encode_wire();
         assert!(frame.len() <= 16 * rows.len(), "{} B for {} rows", frame.len(), rows.len());
     }
 
@@ -1160,7 +1223,7 @@ mod tests {
             bound: Some(vec![solution(), solution()]),
             reply_to: NodeId(1),
         };
-        let reply = LiveMsg::Solutions { qid: QueryId(1), solutions: advisor_rows() };
+        let reply = LiveMsg::Solutions { qid: QueryId(1), solutions: batch(&advisor_rows()) };
         for msg in [round, reply] {
             let (hint, encoded) = (super::size_hint(&msg), msg.encode_wire().len());
             assert!(hint * 4 >= encoded, "hint {hint} too far below encoded size {encoded}");

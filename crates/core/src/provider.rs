@@ -10,29 +10,30 @@
 use rdfmesh_rdf::{TriplePattern, Variable};
 use rdfmesh_sparql::eval::{for_each_extension, Graph};
 use rdfmesh_sparql::expr::Expression;
-use rdfmesh_sparql::solution::{self, DistinctBuffer, Solution};
+use rdfmesh_sparql::{Rows, Solution};
 
 use crate::exec::shuffle_partition;
 
 /// Local query execution (Fig. 3): match `pattern` against the node's
-/// store — extending the shipped `bound` intermediates when the round is
-/// a bind join (Sect. IV-D) — and apply the pushed-down `filter` at the
-/// source (Sect. IV-G): compiled once, run on each row while the store
-/// still only lends it, so that a row is built only if it is shipped.
+/// store — extending the shipped `bound` keys when the round is a bind
+/// join (Sect. IV-D) — and apply the pushed-down `filter` at the source
+/// (Sect. IV-G): compiled once, run on each row while the store still
+/// only lends it, so that a row is appended to the answer's batch only if
+/// it is shipped.
 pub(crate) fn answer<G: Graph>(
     store: &G,
     pattern: &TriplePattern,
     filter: Option<&Expression>,
     bound: Option<&[Solution]>,
-) -> Vec<Solution> {
+) -> Rows {
     let filter = filter.map(Expression::compile);
-    let mut solutions = Vec::new();
+    let mut rows = Rows::new();
     for_each_extension(store, pattern, bound.unwrap_or(&[Solution::new()]), |row| {
         if filter.as_ref().is_none_or(|f| f.satisfied_by(&row)) {
-            solutions.extend(row.to_solution());
+            rows.push_bindings(row.bindings());
         }
     });
-    solutions
+    rows
 }
 
 /// The scatter half of a HyperCube round: every pattern evaluated
@@ -45,12 +46,14 @@ pub(crate) fn scatter<G: Graph>(
     patterns: &[TriplePattern],
     join_vars: &[Variable],
     k: usize,
-) -> Vec<Vec<Vec<Solution>>> {
+) -> Vec<Vec<Rows>> {
     let k = k.max(1);
-    let mut parts = vec![vec![Vec::new(); patterns.len()]; k];
-    for (slot, pattern) in patterns.iter().enumerate() {
-        for s in answer(store, pattern, None, None) {
-            parts[shuffle_partition(&s, join_vars, k)][slot].push(s);
+    let mut parts = vec![Vec::with_capacity(patterns.len()); k];
+    for pattern in patterns {
+        let rows = answer(store, pattern, None, None);
+        let split = rows.partition(k, |row| shuffle_partition(row, join_vars, k));
+        for (target, part) in parts.iter_mut().zip(split) {
+            target.push(part);
         }
     }
     parts
@@ -61,34 +64,31 @@ pub(crate) fn scatter<G: Graph>(
 /// (`origins[o][slot]`), fold-joined in slot order. Solutions that agree
 /// on the join variables land at the same target, so the union of all
 /// targets' folds is the full join.
-pub(crate) fn fold<'a>(
-    slots: usize,
-    origins: impl IntoIterator<Item = &'a Vec<Vec<Solution>>>,
-) -> Vec<Solution> {
-    let mut fragments: Vec<DistinctBuffer> = (0..slots).map(|_| DistinctBuffer::new()).collect();
+pub(crate) fn fold<'a>(slots: usize, origins: impl IntoIterator<Item = &'a Vec<Rows>>) -> Rows {
+    let mut fragments: Vec<Rows> = (0..slots).map(|_| Rows::new()).collect();
     for parts in origins {
         for (fragment, set) in fragments.iter_mut().zip(parts) {
-            fragment.extend_distinct(set.iter().cloned());
+            fragment.append(set.clone());
         }
     }
-    let mut acc = vec![Solution::new()];
-    for fragment in &fragments {
-        acc = solution::join(&acc, fragment.as_slice());
+    let mut acc = Rows::unit();
+    for fragment in fragments {
+        acc = acc.join(&fragment.distinct());
     }
-    solution::distinct(acc)
+    acc.distinct()
 }
 
 /// Assembly of a partial evaluation: the fold over every provider's
 /// per-pattern matches, and how many of its rows were *stitched* — rows
 /// beyond those some single provider could already join from its own
 /// matches alone.
-pub(crate) fn assemble(slots: usize, providers: &[Vec<Vec<Solution>>]) -> (Vec<Solution>, usize) {
+pub(crate) fn assemble(slots: usize, providers: &[Vec<Rows>]) -> (Rows, usize) {
     let rows = fold(slots, providers);
-    let mut locally_complete = DistinctBuffer::new();
+    let mut locally_complete = Rows::new();
     for sets in providers {
-        locally_complete.extend_distinct(fold(slots, [sets]));
+        locally_complete.append(fold(slots, [sets]));
     }
-    let stitched = rows.len().saturating_sub(locally_complete.len());
+    let stitched = rows.len().saturating_sub(locally_complete.distinct().len());
     (rows, stitched)
 }
 
@@ -103,7 +103,7 @@ mod tests {
     use rdfmesh_rdf::{Term, TermPattern, Triple, TripleStore};
     use rdfmesh_sparql::eval::{evaluate_pattern, evaluate_pattern_with};
     use rdfmesh_sparql::expr::ComparisonOp;
-    use rdfmesh_sparql::GraphPattern;
+    use rdfmesh_sparql::{solution, GraphPattern};
 
     const PREDICATES: [&str; 3] = ["p0", "p1", "p2"];
 
@@ -168,6 +168,11 @@ mod tests {
         TripleStore::from_triples(stores.iter().flat_map(|s| s.iter()))
     }
 
+    /// A batch's rows, as solutions.
+    fn sols(rows: Rows) -> Vec<Solution> {
+        rows.to_solutions()
+    }
+
     fn set(rows: impl IntoIterator<Item = Solution>) -> Vec<Solution> {
         let mut rows = solution::distinct(rows.into_iter().collect());
         rows.sort();
@@ -200,13 +205,13 @@ mod tests {
             let filter = filter.map(|both| if both { &differ } else { &is_iri });
             let central = union_of(&stores);
             // A bind join ships the first pattern's rows with the second.
-            let bound = bind.then(|| set(answer(&central, &bgp[0], None, None)));
+            let bound = bind.then(|| set(sols(answer(&central, &bgp[0], None, None))));
             for tp in &bgp[usize::from(bind)..] {
                 let partial = bound.clone().unwrap_or_else(|| vec![Solution::new()]);
                 let mut expected = evaluate_pattern_with(&central, tp, &partial);
                 expected.retain(|s| filter.is_none_or(|f| f.satisfied_by(s)));
-                let got = stores.iter().flat_map(|s| answer(s, tp, filter, bound.as_deref()));
-                prop_assert_eq!(set(got), set(expected));
+                let got = stores.iter().flat_map(|s| sols(answer(s, tp, filter, bound.as_deref())));
+                prop_assert_eq!(set(got), set(sols(expected)));
             }
         }
 
@@ -216,12 +221,12 @@ mod tests {
             bgp in arb_bgp(),
         ) {
             let central = union_of(&stores);
-            let rows = set(answer(&central, &bgp[0], None, None));
+            let rows = set(sols(answer(&central, &bgp[0], None, None)));
             let next = &bgp[1];
             let vars: Vec<Variable> = next.variables().into_iter().cloned().collect();
             let keys = set(rows.iter().map(|row| row.project(&vars)));
-            let bound = set(stores.iter().flat_map(|s| answer(s, next, None, Some(&keys))));
-            let unbound = set(stores.iter().flat_map(|s| answer(s, next, None, None)));
+            let bound = set(stores.iter().flat_map(|s| sols(answer(s, next, None, Some(&keys)))));
+            let unbound = set(stores.iter().flat_map(|s| sols(answer(s, next, None, None))));
             prop_assert_eq!(
                 set(solution::join(&rows, &bound)),
                 set(solution::join(&rows, &unbound))
@@ -239,8 +244,8 @@ mod tests {
         ) {
             for tp in &bgp {
                 let fetched: Vec<Solution> =
-                    stores.iter().flat_map(|s| answer(s, tp, None, None)).collect();
-                let bound = stores.iter().flat_map(|s| answer(s, tp, None, Some(&keys)));
+                    stores.iter().flat_map(|s| sols(answer(s, tp, None, None))).collect();
+                let bound = stores.iter().flat_map(|s| sols(answer(s, tp, None, Some(&keys))));
                 prop_assert_eq!(set(solution::join(&keys, &fetched)), set(bound));
             }
         }
@@ -257,7 +262,7 @@ mod tests {
                 stores.iter().map(|s| scatter(s, &bgp, &join_vars, k)).collect();
             // Target t folds what every origin filed under t.
             let folded =
-                (0..k).flat_map(|t| fold(bgp.len(), scattered.iter().map(|parts| &parts[t])));
+                (0..k).flat_map(|t| sols(fold(bgp.len(), scattered.iter().map(|parts| &parts[t]))));
             let expected = evaluate_pattern(&union_of(&stores), &GraphPattern::Bgp(bgp.clone()));
             prop_assert_eq!(set(folded), set(expected));
         }
@@ -267,13 +272,14 @@ mod tests {
             stores in arb_stores(),
             bgp in arb_bgp(),
         ) {
-            let replies: Vec<Vec<Vec<Solution>>> = stores
+            let replies: Vec<Vec<Rows>> = stores
                 .iter()
                 .map(|s| bgp.iter().map(|tp| answer(s, tp, None, None)).collect())
                 .collect();
             let (rows, stitched) = assemble(bgp.len(), &replies);
             let whole = GraphPattern::Bgp(bgp.clone());
-            prop_assert_eq!(set(rows.clone()), set(evaluate_pattern(&union_of(&stores), &whole)));
+            let central = evaluate_pattern(&union_of(&stores), &whole);
+            prop_assert_eq!(set(sols(rows.clone())), set(central));
             let alone = set(stores.iter().flat_map(|s| evaluate_pattern(s, &whole)));
             prop_assert_eq!(stitched, rows.len() - alone.len());
         }

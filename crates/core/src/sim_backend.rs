@@ -21,10 +21,7 @@ use rdfmesh_net::{NodeId, Scheduler, SimTime, WireMsg};
 use rdfmesh_obs::{names, phase, SpanId};
 use rdfmesh_overlay::{wire, Located, Overlay, Provider};
 use rdfmesh_rdf::{SharedStore, TriplePattern, Variable};
-use rdfmesh_sparql::{
-    expr::Expression,
-    solution::{self, DistinctBuffer, SolutionSet},
-};
+use rdfmesh_sparql::{expr::Expression, Rows};
 
 use crate::config::{DistStrategy, ExecConfig, JoinSiteStrategy, LiveConfig, PrimitiveStrategy};
 use crate::engine::EngineError;
@@ -49,7 +46,7 @@ impl SubQuery<'_> {
             + self.filter.map_or(0, |f| f.serialized_len())
     }
 
-    fn answer(&self, store: &SharedStore) -> Vec<SolutionSet> {
+    fn answer(&self, store: &SharedStore) -> Vec<Rows> {
         vec![provider::answer(store, self.pattern, self.filter, None)]
     }
 }
@@ -97,7 +94,7 @@ enum Resolved {
 /// The answer to a pattern no provider in the dataset holds: empty, at
 /// the index node that said so.
 fn nowhere(located: &Located) -> Mat {
-    Mat { solutions: Vec::new(), site: located.index_node, ready: located.arrival }
+    Mat { solutions: Rows::new(), site: located.index_node, ready: located.arrival }
 }
 
 fn shipping_span(label: &str, at: SimTime) -> Option<SpanId> {
@@ -249,14 +246,14 @@ impl<'a> SimBackend<'a> {
         bytes: usize,
         depart: SimTime,
         reply: Reply,
-        work: impl FnOnce(&SharedStore) -> Vec<SolutionSet>,
-    ) -> (Option<Vec<SolutionSet>>, SimTime) {
+        work: impl FnOnce(&SharedStore) -> Vec<Rows>,
+    ) -> (Option<Vec<Rows>>, SimTime) {
         let sent = self.contact((from, to), bytes, depart);
         let Some(node) = self.overlay.storage_node(to) else {
             return (None, sent + self.cfg.ack_timeout);
         };
         let sets = work(&node.store);
-        let rows: usize = sets.iter().map(Vec::len).sum();
+        let rows: usize = sets.iter().map(Rows::len).sum();
         self.note_local_exec(to, rows, sent);
         let done = match reply {
             Reply::Ack(back) => self.overlay.net.send(to, back, wire::ACK, sent),
@@ -267,7 +264,7 @@ impl<'a> SimBackend<'a> {
             Reply::Solutions(back) => {
                 self.note_intermediates(rows);
                 let bytes = wire::RESULT_HEADER
-                    + sets.iter().map(|set| solution::serialized_len(set)).sum::<usize>();
+                    + sets.iter().map(Rows::serialized_len).sum::<usize>();
                 self.overlay.net.send(to, back, bytes, sent)
             }
         };
@@ -454,7 +451,7 @@ impl<'a> SimBackend<'a> {
             .copied()
             .filter(|n| self.overlay.is_storage_alive(*n))
             .collect();
-        let bytes = wire::RESULT_HEADER + solution::serialized_len(&mat.solutions);
+        let bytes = wire::RESULT_HEADER + mat.solutions.serialized_len();
         let Some(cache) = self.cache.as_mut() else { return };
         let admitted = cache.store_result(
             pattern.clone(),
@@ -559,7 +556,7 @@ impl<'a> SimBackend<'a> {
         back: NodeId,
         depart: SimTime,
     ) -> Mat {
-        let mut union = DistinctBuffer::new();
+        let mut union = Rows::new();
         let mut ready = depart;
         let mut dead = Vec::new();
         for &(from, to, at) in legs {
@@ -567,12 +564,12 @@ impl<'a> SimBackend<'a> {
             let (sets, at) = self.exchange((from, to), sub.bytes(), at, reply, |s| sub.answer(s));
             ready = ready.max(at);
             match sets {
-                Some(sets) => union.extend_distinct(sets.into_iter().flatten()),
+                Some(sets) => sets.into_iter().for_each(|set| union.append(set)),
                 None => dead.push(to),
             }
         }
         self.close_shipping(span, ready, &dead);
-        Mat { solutions: union.into_vec(), site: back, ready }
+        Mat { solutions: union.distinct(), site: back, ready }
     }
 
     /// Chained schemes: the sub-query and accumulated mappings travel
@@ -596,17 +593,18 @@ impl<'a> SimBackend<'a> {
         }
         let bytes = sub.bytes() + 8 * providers.len(); // the forwarding list
         let span = shipping_span(&format!("chain through {} providers", providers.len()), t0);
-        let mut acc = DistinctBuffer::new();
+        let mut acc = Rows::new();
         let (mut cursor, mut t) = (assembly, t0);
         let mut dead = Vec::new();
         for p in &providers {
-            let payload = bytes + wire::RESULT_HEADER + solution::serialized_len(acc.as_slice());
+            let payload = bytes + wire::RESULT_HEADER + acc.serialized_len();
             let (sets, at) =
                 self.exchange((cursor, p.node), payload, t, Reply::Forwarded, |s| sub.answer(s));
             t = at;
             match sets {
                 Some(sets) => {
-                    acc.extend_distinct(sets.into_iter().flatten());
+                    sets.into_iter().for_each(|set| acc.append(set));
+                    acc = acc.distinct();
                     cursor = p.node;
                 }
                 // The sender detects the missing ack and skips to the
@@ -615,7 +613,7 @@ impl<'a> SimBackend<'a> {
             }
         }
         self.close_shipping(span, t, &dead);
-        Mat { solutions: acc.into_vec(), site: cursor, ready: t }
+        Mat { solutions: acc, site: cursor, ready: t }
     }
 
     /// Existence test for one pattern: providers are probed in
@@ -685,7 +683,7 @@ impl<'a> SimBackend<'a> {
         let hi = hi.min(buckets.max);
         if lo > hi {
             return Ok(Some(Mat {
-                solutions: Vec::new(),
+                solutions: Rows::new(),
                 site: self.initiator,
                 ready: depart,
             }));
@@ -874,8 +872,8 @@ impl<'a> SimBackend<'a> {
             JoinSiteStrategy::QuerySite => self.initiator,
             JoinSiteStrategy::MoveSmall => {
                 // Ship the smaller solution set to the larger one's site.
-                let lb = solution::serialized_len(&left.solutions);
-                let rb = solution::serialized_len(&right.solutions);
+                let lb = left.solutions.serialized_len();
+                let rb = right.solutions.serialized_len();
                 // Left joins must not move the mandatory side for free:
                 // the strategy still compares sizes, as Sect. IV-E says.
                 let _ = op;
@@ -888,8 +886,8 @@ impl<'a> SimBackend<'a> {
             JoinSiteStrategy::ThirdSite => {
                 // Candidates: both operand sites and the query site; pick
                 // the one minimizing total inbound transfer time.
-                let lb = solution::serialized_len(&left.solutions) + wire::RESULT_HEADER;
-                let rb = solution::serialized_len(&right.solutions) + wire::RESULT_HEADER;
+                let lb = left.solutions.serialized_len() + wire::RESULT_HEADER;
+                let rb = right.solutions.serialized_len() + wire::RESULT_HEADER;
                 let candidates = [left.site, right.site, self.initiator];
                 *candidates
                     .iter()
@@ -916,7 +914,7 @@ impl<'a> SimBackend<'a> {
         if mat.site == site {
             return mat;
         }
-        let bytes = wire::RESULT_HEADER + solution::serialized_len(&mat.solutions);
+        let bytes = wire::RESULT_HEADER + mat.solutions.serialized_len();
         let label = format!("ship {} solutions {} -> {}", mat.solutions.len(), mat.site, site);
         let span = shipping_span(&label, mat.ready);
         let ready = self.overlay.net.send(mat.site, site, bytes, mat.ready);
@@ -929,9 +927,8 @@ impl<'a> SimBackend<'a> {
 // all triples stored in all storage nodes" (Sect. IV-A) — a *set* — so
 // identical solutions arising from triples replicated at several
 // providers collapse. That deduplication (the in-network aggregation
-// benefit of the chained schemes, footnote 13) is handled by
-// `DistinctBuffer`, a hash-indexed first-seen-order filter replacing the
-// former O(n²) `merge_distinct` scan with identical output.
+// benefit of the chained schemes, footnote 13) is `Rows::distinct`, a
+// first-seen-order filter over the batch's id cells.
 
 impl<'a> MeshBackend for SimBackend<'a> {
     type Error = EngineError;
@@ -976,7 +973,7 @@ impl<'a> MeshBackend for SimBackend<'a> {
         let site = self.select_site(op, &left, &right);
         let (l, r) = (self.ship(left, site), self.ship(right, site));
         let ready = l.ready.max(r.ready);
-        let solutions = op.apply(&l.solutions, &r.solutions);
+        let solutions = op.apply(l.solutions, r.solutions);
         self.note_intermediates(solutions.len());
         Mat { solutions, site, ready }
     }

@@ -520,3 +520,27 @@ fn a_multiway_round_submitted_at_one_of_its_peers_is_the_oracles() {
         assert_eq!((again.result, again.stats), (got.result, got.stats), "{cfg:?}");
     }
 }
+
+/// A DESCRIBE's resource fetch leaves once the rows that name the resource
+/// are home, not with the query: `DESCRIBE ?x WHERE …` takes the time of
+/// the same `SELECT ?x WHERE …` and then the fetch's own time on top.
+#[test]
+fn a_describe_fetch_departs_when_the_rows_naming_its_resource_are_home() {
+    let mut overlay = build_overlay(&FoafConfig { persons: 25, peers: 5, ..Default::default() });
+    let rows = "WHERE { ?x foaf:name ?n . } ORDER BY ?n ?x LIMIT 1";
+    let cfg = ExecConfig::default();
+    let mut run = |query: String| traced_against_the_network(&mut overlay, cfg, NodeId(1000), &query);
+    let (select, select_trace) = run(format!("SELECT ?x {rows}"));
+    let (describe, trace) = run(format!("DESCRIBE ?x {rows}"));
+    // The spans the SELECT does not have are the fetch's.
+    let spans = trace.spans();
+    let fetch = &spans[select_trace.spans().len()..];
+    let first = fetch.iter().map(|s| s.start_us).min().expect("the fetch has spans");
+    let fetch_us = fetch.iter().map(|s| s.end_us).max().unwrap() - first;
+    assert!(fetch_us > 0);
+    let (select_us, describe_us) = (select.stats.response_time.0, describe.stats.response_time.0);
+    assert!(
+        describe_us >= select_us + fetch_us,
+        "DESCRIBE {describe_us} µs, SELECT {select_us} µs, fetch {fetch_us} µs"
+    );
+}

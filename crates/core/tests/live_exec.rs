@@ -22,7 +22,7 @@ use rdfmesh_net::{LatencyModel, Network, NodeId, SimTime};
 use rdfmesh_overlay::{Overlay, Provider};
 use rdfmesh_rdf::{Term, TermPattern, Triple, TriplePattern, Variable};
 use rdfmesh_sparql::eval::evaluate_pattern_with;
-use rdfmesh_sparql::{evaluate_query, parse_query, solution, QueryResult, Solution};
+use rdfmesh_sparql::{evaluate_query, parse_query, solution, QueryResult, Rows, Solution};
 use rdfmesh_workload::university::{self, ub, UniversityConfig};
 use rdfmesh_workload::{foaf, FoafConfig};
 
@@ -52,7 +52,8 @@ fn oracle(overlay: &Overlay, query: &str) -> QueryResult {
     evaluate_query(&store, &parse_query(query).unwrap())
 }
 
-fn sorted(mut sols: Vec<Solution>) -> Vec<Solution> {
+fn sorted(sols: impl Into<Vec<Solution>>) -> Vec<Solution> {
+    let mut sols = sols.into();
     sols.sort();
     sols
 }
@@ -272,13 +273,14 @@ fn assert_bound_round_agrees(
     pattern: &TriplePattern,
 ) -> LiveStatsSnapshot {
     let matches = evaluate_pattern_with(&global_store(overlay), pattern, &[Solution::new()]);
-    let mut expected = sorted(solution::naive::join(rows, &matches));
+    let mut expected = sorted(solution::naive::join(rows, &matches.to_solutions()));
     expected.dedup();
     assert!(!expected.is_empty(), "the scenario must exercise the join: {pattern}");
     let stats = TRANSPORTS.map(|transport| {
         let mesh = spawn_on(overlay, LiveConfig::default(), transport);
         let mut backend = LiveBackend::new(&*mesh, WAIT);
-        let current = Mat { solutions: rows.to_vec(), site: backend.home(), ready: SimTime::ZERO };
+        let solutions = Rows::from_solutions(rows);
+        let current = Mat { solutions, site: backend.home(), ready: SimTime::ZERO };
         let got = sorted(backend.exec_bound(pattern, current).expect("round").solutions);
         assert_eq!(expected, got, "bound round vs oracle for {pattern} on {transport:?}");
         let stats = mesh.stats();

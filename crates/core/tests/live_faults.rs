@@ -21,7 +21,7 @@ use rdfmesh_core::{
 use rdfmesh_net::{LatencyModel, Network, NodeId, SimTime};
 use rdfmesh_overlay::{Overlay, Provider};
 use rdfmesh_rdf::{Term, TermPattern, Triple, TriplePattern, Variable};
-use rdfmesh_sparql::{eval::extend, Solution};
+use rdfmesh_sparql::{eval::extend, Rows, Solution};
 
 const STORAGE_A: NodeId = NodeId(1);
 const STORAGE_B: NodeId = NodeId(2);
@@ -83,7 +83,8 @@ fn row(entries: &[(NodeId, u64)]) -> Vec<Provider> {
     entries.iter().map(|&(node, frequency)| Provider { node, frequency }).collect()
 }
 
-fn sorted(mut solutions: Vec<Solution>) -> Vec<Solution> {
+fn sorted(solutions: Rows) -> Vec<Solution> {
+    let mut solutions = solutions.to_solutions();
     solutions.sort();
     solutions
 }
@@ -200,13 +201,14 @@ fn stale_reply_scenario(transport: Transport) {
     mesh.inject(
         STORAGE_A,
         COORDINATOR,
-        LiveMsg::Solutions { qid: QueryId(1), solutions: vec![bogus.clone()] },
+        LiveMsg::Solutions { qid: QueryId(1), solutions: Rows::from_solutions(std::slice::from_ref(&bogus)) },
     );
     assert!(mesh.barrier(COORDINATOR, Duration::from_secs(10)));
 
     let second = query(&mesh, &pattern, Duration::from_secs(10));
     assert!(second.complete);
-    assert!(!second.solutions.contains(&bogus), "stale reply leaked into the next query");
+    let leaked = second.solutions.iter().any(|row| row.to_solution() == bogus);
+    assert!(!leaked, "stale reply leaked into the next query");
     assert_eq!(sorted(second.solutions), oracle(&o, &pattern, &[STORAGE_A, STORAGE_B]));
     assert_eq!(mesh.stats().stale_replies, 1);
     mesh.shutdown();
@@ -421,7 +423,7 @@ fn socket_and_thread_transports_return_identical_answers() {
             let cfg = tight();
             let mesh = spawn(&o, cfg, FaultPlan::new().crash(STORAGE_B), t);
             let mut answer = query(&mesh, &pattern, cfg.query_deadline);
-            answer.solutions.sort();
+            answer.solutions = Rows::from_solutions(&sorted(answer.solutions));
             if t == Transport::Sockets {
                 let wire = mesh.transport_stats().expect("socket transport has wire stats");
                 assert!(wire.frames_sent > 0, "protocol must actually cross the socket");

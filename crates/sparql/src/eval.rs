@@ -15,6 +15,7 @@ use rdfmesh_rdf::{
 use crate::algebra::{AlgebraQuery, GraphPattern};
 use crate::ast::{DescribeTarget, Duplicates, Modifiers, QueryForm};
 use crate::expr::{Bindings, Compiled};
+use crate::rows::Rows;
 use crate::solution::{self, Solution, SolutionSet};
 
 /// Anything that can enumerate triples matching a pattern.
@@ -97,6 +98,14 @@ impl<'a> Matched<'a> {
         ]
     }
 
+    /// The extended solution's bindings, `partial`'s first; a variable
+    /// the pattern names twice comes twice, and the triple may bind it to
+    /// two terms — a conflict, which leaves no extended solution.
+    pub fn bindings(&self) -> impl Iterator<Item = (&'a Variable, &'a Term)> + Clone {
+        let matched = self.positions().into_iter().filter_map(|(tp, term)| Some((tp.as_var()?, term)));
+        self.partial.iter().chain(matched)
+    }
+
     /// The extended solution, materialised: `partial` plus the bindings
     /// the triple induces for the pattern's variables. `None` on conflict.
     pub fn to_solution(&self) -> Option<Solution> {
@@ -146,14 +155,16 @@ pub fn for_each_extension<G: Graph>(
 }
 
 /// Evaluates one triple pattern against a graph, extending each of the
-/// given partial solutions.
+/// given partial solutions, into an id-row batch.
 pub fn evaluate_pattern_with<G: Graph>(
     graph: &G,
     pattern: &TriplePattern,
     partial: &[Solution],
-) -> SolutionSet {
-    let mut out = Vec::new();
-    for_each_extension(graph, pattern, partial, |row| out.extend(row.to_solution()));
+) -> Rows {
+    let mut out = Rows::new();
+    for_each_extension(graph, pattern, partial, |row| {
+        out.push_bindings(row.bindings());
+    });
     out
 }
 
@@ -166,7 +177,7 @@ pub fn evaluate_pattern<G: Graph>(graph: &G, pattern: &GraphPattern) -> Solution
                 if current.is_empty() {
                     break;
                 }
-                current = evaluate_pattern_with(graph, tp, &current);
+                current = evaluate_pattern_with(graph, tp, &current).into();
             }
             current
         }
@@ -245,11 +256,18 @@ pub fn evaluate_query<G: Graph>(graph: &G, query: &AlgebraQuery) -> QueryResult 
     finalize(graph, query, raw)
 }
 
-/// Applies the query form and solution modifiers to raw pattern solutions.
+/// Applies the query form and solution modifiers to raw pattern solutions
+/// — a [`SolutionSet`], or an id-row batch ([`Rows`]), whose rows become
+/// solutions here.
 ///
 /// Split from [`evaluate_query`] so the distributed engine can run pattern
 /// evaluation remotely and post-process at the query initiator.
-pub fn finalize<G: Graph>(graph: &G, query: &AlgebraQuery, raw: SolutionSet) -> QueryResult {
+pub fn finalize<G: Graph>(
+    graph: &G,
+    query: &AlgebraQuery,
+    raw: impl Into<SolutionSet>,
+) -> QueryResult {
+    let raw = raw.into();
     match &query.form {
         QueryForm::Ask => QueryResult::Boolean(!raw.is_empty()),
         QueryForm::Select { duplicates, projection } => {
@@ -323,7 +341,7 @@ pub fn finalize<G: Graph>(graph: &G, query: &AlgebraQuery, raw: SolutionSet) -> 
 /// the pattern a solution answered, back into the triple it matched.
 /// `None` when a variable is unbound or a literal would land in an
 /// invalid position.
-pub fn instantiate(tp: &TriplePattern, sol: &Solution) -> Option<Triple> {
+pub fn instantiate<B: Bindings + ?Sized>(tp: &TriplePattern, sol: &B) -> Option<Triple> {
     let resolve = |p: &TermPattern| -> Option<Term> {
         match p {
             TermPattern::Const(t) => Some(t.clone()),

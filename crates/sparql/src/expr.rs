@@ -242,14 +242,14 @@ impl Expression {
     }
 
     /// Evaluates the expression under solution `µ`, producing a term.
-    pub fn evaluate(&self, solution: &Solution) -> EvalResult {
+    pub fn evaluate<B: Bindings + ?Sized>(&self, solution: &B) -> EvalResult {
         self.compile().evaluate(solution)
     }
 
     /// Evaluates the expression as a filter condition: `true` only if it
     /// evaluates without error to a term whose effective boolean value is
     /// true.
-    pub fn satisfied_by(&self, solution: &Solution) -> bool {
+    pub fn satisfied_by<B: Bindings + ?Sized>(&self, solution: &B) -> bool {
         self.compile().satisfied_by(solution)
     }
 

@@ -30,12 +30,12 @@ pub mod algebra;
 pub mod ast;
 pub mod eval;
 pub mod expr;
-pub mod interned;
 pub mod lexer;
 pub mod optimizer;
 pub mod parser;
 pub mod regex;
 pub mod results;
+pub mod rows;
 pub mod serializer;
 pub mod solution;
 
@@ -46,7 +46,8 @@ pub use optimizer::{optimize, optimize_with, CardinalityEstimator, OptimizerConf
 pub use parser::{parse, ParseError};
 pub use results::{to_json, to_tsv, to_xml};
 pub use serializer::{graph_pattern as serialize_pattern, query as serialize_query};
-pub use solution::{distinct, DistinctBuffer, Solution, SolutionSet};
+pub use rows::{Row, Rows};
+pub use solution::{distinct, Solution, SolutionSet};
 
 /// Parses a query string and translates it to algebra in one call — the
 /// Query Parsing + Query Transformation stages of Fig. 3.

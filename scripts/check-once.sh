@@ -43,6 +43,13 @@
 # commits it through one (crates/store/src): flush, compaction and bulk
 # load share the shadow-merge writer, the source stack, the three-thread
 # fan-out, the manifest swap and the WAL switch.
+# A solution set is one id-row batch (`Rows`) from the frame to
+# `finalize`: no `Vec<Solution>` in the mesh's roles, its codec, the
+# executor or the provider but the bind join's keys (the `bound` fields
+# and the bind step's `round`, which the providers' per-key scan reads as
+# solutions, and their codec), no row built as a `Solution` (`.to_solution()`) and no
+# `DistinctBuffer` under crates/core/src, and one join in crates/sparql/src
+# (no `merge_rows`, no `mod hashed`).
 # Fails when a second copy appears. Test modules (`mod tests` to end of
 # file) and comment lines are not code.
 set -eu
@@ -85,8 +92,8 @@ expect 'note_provider_contacted() calls in sim_backend.rs' \
 # coordinator waits for it.
 expect 'cfg.ack_timeout uses in sim_backend.rs' \
     "$(code sim_backend.rs | grep -c 'cfg\.ack_timeout' || true)" 2
-expect 'wire::encoded_len sites under live/' \
-    "$(code live/*.rs | grep -c 'wire::encoded_len' || true)" 1
+expect 'wire::rows_encoded_len sites under live/' \
+    "$(code live/*.rs | grep -c 'wire::rows_encoded_len' || true)" 1
 expect 'role struct literals (one per constructor)' \
     "$(code ./*.rs live/*.rs | grep -E "$role" | grep -cvE "(struct|impl|for) $role" || true)" 3
 expect_at 'impl Handler<LiveMsg> for' 'live/mod.rs:1'
@@ -108,7 +115,16 @@ expect 'left_join_filtered call sites under crates/core/src' \
 expect 'locate_cached( call sites in sim_backend.rs' \
     "$(code sim_backend.rs | grep -v 'fn locate_cached(' | grep -c 'locate_cached(' || true)" 1
 expect_at 'exec::bind_step(' 'live_backend.rs:1 sim_backend.rs:1'
-expect_at 'solution::join_owned(' 'exec.rs:1'
+expect 'solution:: operators (Solution forms) under crates/core/src' \
+    "$(code ./*.rs live/*.rs | grep -cE 'solution::(join|join_owned|left_join|difference|union|distinct)\(' || true)" 0
+# The keys are the one solution set that travels as `Solution`s.
+expect_at 'Vec<Solution>' 'exec.rs:1 live_wire.rs:2 live/client.rs:2 live/coordinator.rs:1 live/mod.rs:2'
+expect 'Vec<Solution> that is not the bind keys (bound / round / their codec)' \
+    "$(code live/*.rs live_wire.rs exec.rs provider.rs | grep 'Vec<Solution>' | grep -cvE 'bound|round|opt_solutions' || true)" 0
+expect '.to_solution() under crates/core/src' \
+    "$(code ./*.rs live/*.rs | grep -c '\.to_solution()' || true)" 0
+expect 'DistinctBuffer under crates/core/src' \
+    "$(code ./*.rs live/*.rs | grep -c 'DistinctBuffer' || true)" 0
 expect 'Scheduler::new() in sim_backend.rs (the role runner)' \
     "$(code sim_backend.rs | grep -c 'Scheduler::new()' || true)" 1
 # One account: the query's trace.
@@ -153,6 +169,8 @@ expect 'collected scans (.match_pattern( / .matching() in provider.rs' \
 expect 'collected scans in for_each_extension / evaluate_pattern_with' \
     "$(echo "$scan" | grep -v '^ *//' | grep -cE '\.match_pattern\(|\.matching\(' || true)" 0
 expect 'scan driver bodies found in eval.rs' "$(echo "$scan" | grep -c '^pub fn')" 2
+expect 'merge_rows / mod hashed under crates/sparql/src' \
+    "$(code "$sparql"/*.rs | grep -cE 'merge_rows|mod hashed' || true)" 0
 # The six keys of a triple are counted in one function, key_counts.
 cd ../../..
 # A store generation is written by one function and committed by one:
@@ -199,5 +217,5 @@ expect '[[bench]] tables under crates/*/Cargo.toml' \
 expect 'criterion mentions in any Cargo.toml' \
     "$(cat Cargo.toml crates/*/Cargo.toml shims/*/Cargo.toml benchmark/Cargo.toml | grep -ci criterion || true)" 0
 expect 'directories under shims/' "$(ls -d shims/*/ | wc -l)" 3
-[ "$bad" -eq 0 ] && echo 'exists once: provider compute, exchange pricing, reply accounting, role constructors, the role host, the multiway protocol, regex compilation, lending scan, JSON escaping, result writers, the stopwatch, the pipeline tail, the operator table, the lookup leg, the cluster, the publication path, the frequency column, the move-small rule, the location table, the key count, the list-count bound, the bind step, the role runner, the query account, the statistics pass, the fan-out, the row read, the generation writer, the commit'
+[ "$bad" -eq 0 ] && echo 'exists once: provider compute, exchange pricing, reply accounting, role constructors, the role host, the multiway protocol, regex compilation, lending scan, JSON escaping, result writers, the stopwatch, the pipeline tail, the operator table, the lookup leg, the cluster, the publication path, the frequency column, the move-small rule, the location table, the key count, the list-count bound, the bind step, the role runner, the query account, the statistics pass, the fan-out, the row read, the generation writer, the commit, the row batch'
 exit "$bad"
