@@ -2,8 +2,9 @@
 //!
 //! The RDF data model used across the ad-hoc Semantic Web data sharing
 //! system: [`Term`]s, [`Triple`]s, [`TriplePattern`]s (the eight kinds of
-//! the paper's Sect. IV-C), N-Triples I/O, dictionary encoding and the
-//! indexed in-memory [`TripleStore`] each storage node runs locally.
+//! the paper's Sect. IV-C), N-Triples I/O, dictionary encoding, the
+//! three-permutation [`TripleIndex`] and the indexed in-memory
+//! [`TripleStore`] each storage node runs locally.
 //!
 //! ```
 //! use rdfmesh_rdf::{Term, Triple, TriplePattern, TermPattern, TripleStore};
@@ -26,6 +27,7 @@
 
 pub mod dictionary;
 pub mod fxhash;
+pub mod index;
 pub mod ntriples;
 pub mod source;
 pub mod store;
@@ -34,6 +36,7 @@ pub mod triple;
 pub mod vocab;
 
 pub use dictionary::{Dictionary, TermId};
+pub use index::{IdTriple, Perm, Plan, TripleIndex};
 pub use ntriples::{
     parse_document, parse_line, parse_statements, parse_statements_from, parse_term_str,
     write_document, ParseError, Statements,

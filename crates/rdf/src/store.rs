@@ -5,21 +5,15 @@
 //! sorted indexes — SPO, POS and OSP — which together answer all eight
 //! triple-pattern kinds of Sect. IV-C with a single range scan each.
 
-use std::collections::BTreeSet;
-use std::ops::Bound;
-
 use crate::dictionary::{Dictionary, TermId};
-use crate::triple::{PatternKind, TermPattern, Triple, TriplePattern, TripleRef};
-
-type Key = (TermId, TermId, TermId);
+use crate::index::{IdTriple, Plan, TripleIndex};
+use crate::triple::{PatternKind, Triple, TriplePattern, TripleRef};
 
 /// An indexed set of triples.
 #[derive(Debug, Default, Clone)]
 pub struct TripleStore {
     dict: Dictionary,
-    spo: BTreeSet<Key>,
-    pos: BTreeSet<Key>,
-    osp: BTreeSet<Key>,
+    index: TripleIndex,
 }
 
 impl TripleStore {
@@ -39,75 +33,48 @@ impl TripleStore {
 
     /// Inserts a triple. Returns `true` if it was not already present.
     pub fn insert(&mut self, triple: &Triple) -> bool {
-        let s = self.dict.intern(&triple.subject);
-        let p = self.dict.intern(&triple.predicate);
-        let o = self.dict.intern(&triple.object);
-        let added = self.spo.insert((s, p, o));
-        if added {
-            self.pos.insert((p, o, s));
-            self.osp.insert((o, s, p));
-        }
-        added
+        let s = self.dict.intern(&triple.subject).0;
+        let p = self.dict.intern(&triple.predicate).0;
+        let o = self.dict.intern(&triple.object).0;
+        self.index.insert((s, p, o))
     }
 
     /// Removes a triple. Returns `true` if it was present.
     pub fn remove(&mut self, triple: &Triple) -> bool {
-        let (Some(s), Some(p), Some(o)) = (
-            self.dict.id(&triple.subject),
-            self.dict.id(&triple.predicate),
-            self.dict.id(&triple.object),
-        ) else {
-            return false;
-        };
-        let removed = self.spo.remove(&(s, p, o));
-        if removed {
-            self.pos.remove(&(p, o, s));
-            self.osp.remove(&(o, s, p));
-        }
-        removed
+        self.ids_of(triple).is_some_and(|spo| self.index.remove(spo))
     }
 
     /// True if the exact triple is present.
     pub fn contains(&self, triple: &Triple) -> bool {
-        match (
-            self.dict.id(&triple.subject),
-            self.dict.id(&triple.predicate),
-            self.dict.id(&triple.object),
-        ) {
-            (Some(s), Some(p), Some(o)) => self.spo.contains(&(s, p, o)),
-            _ => false,
-        }
+        self.ids_of(triple).is_some_and(|spo| self.index.contains(spo))
+    }
+
+    /// The SPO key of `triple`, if every term is interned.
+    fn ids_of(&self, triple: &Triple) -> Option<IdTriple> {
+        let id = |t| self.dict.id(t).map(|id| id.0);
+        Some((id(&triple.subject)?, id(&triple.predicate)?, id(&triple.object)?))
     }
 
     /// Number of triples stored.
     pub fn len(&self) -> usize {
-        self.spo.len()
+        self.index.len()
     }
 
     /// True if the store holds no triples.
     pub fn is_empty(&self) -> bool {
-        self.spo.is_empty()
+        self.index.is_empty()
     }
 
     /// Iterates over all triples (in SPO dictionary-id order).
     pub fn iter(&self) -> impl Iterator<Item = Triple> + '_ {
-        self.spo.iter().map(move |&(s, p, o)| self.decode(s, p, o))
+        self.index.iter().map(move |spo| self.resolve(spo).to_triple())
     }
 
-    fn decode(&self, s: TermId, p: TermId, o: TermId) -> Triple {
-        Triple {
-            subject: self.dict.term(s).clone(),
-            predicate: self.dict.term(p).clone(),
-            object: self.dict.term(o).clone(),
-        }
-    }
-
-    fn id_of(&self, tp: &TermPattern) -> Option<Option<TermId>> {
-        // Outer None: the constant term is absent from the dictionary, so
-        // nothing can match. Inner None: the position is a variable.
-        match tp {
-            TermPattern::Var(_) => Some(None),
-            TermPattern::Const(t) => self.dict.id(t).map(Some),
+    fn resolve(&self, (s, p, o): IdTriple) -> TripleRef<'_> {
+        TripleRef {
+            subject: self.dict.term(TermId(s)),
+            predicate: self.dict.term(TermId(p)),
+            object: self.dict.term(TermId(o)),
         }
     }
 
@@ -125,81 +92,21 @@ impl TripleStore {
     /// all-variable pattern is answered from the index size alone.
     pub fn count_pattern(&self, pattern: &TriplePattern) -> usize {
         if pattern.kind() == PatternKind::None && !pattern.repeated_vars().any() {
-            return self.spo.len();
+            return self.index.len();
         }
+        let Some(plan) = Plan::new(&self.dict, pattern) else { return 0 };
         let mut n = 0;
-        self.scan_ids(pattern, |_, _, _| n += 1);
+        self.index.scan(&plan, |_| n += 1);
         n
     }
 
     /// Lends every matching triple to `f`: the three terms are the
     /// dictionary's own, borrowed for the call.
     pub fn for_each_match<F: FnMut(TripleRef<'_>)>(&self, pattern: &TriplePattern, mut f: F) {
-        self.scan_ids(pattern, |s, p, o| {
-            f(TripleRef {
-                subject: self.dict.term(s),
-                predicate: self.dict.term(p),
-                object: self.dict.term(o),
-            })
-        });
-    }
-
-    /// Invokes `f` with the ids of every matching triple, from the index
-    /// the pattern's [`PatternKind`] selects. Interning is bijective, so
-    /// repeated-variable consistency (`?x p ?x`) is an integer comparison.
-    fn scan_ids(&self, pattern: &TriplePattern, mut f: impl FnMut(TermId, TermId, TermId)) {
-        let (Some(s), Some(p), Some(o)) = (
-            self.id_of(&pattern.subject),
-            self.id_of(&pattern.predicate),
-            self.id_of(&pattern.object),
-        ) else {
-            return; // a bound term is not even in the dictionary
-        };
-        let repeated = pattern.repeated_vars();
-        let mut emit = |s1, p1, o1| {
-            if repeated.consistent(s1, p1, o1) {
-                f(s1, p1, o1);
-            }
-        };
-        match pattern.kind() {
-            PatternKind::SPO => {
-                let key = (s.unwrap(), p.unwrap(), o.unwrap());
-                if self.spo.contains(&key) {
-                    emit(key.0, key.1, key.2);
-                }
-            }
-            PatternKind::SP => {
-                range2(&self.spo, s.unwrap(), p.unwrap()).for_each(|&(s1, p1, o1)| emit(s1, p1, o1))
-            }
-            PatternKind::S => {
-                range1(&self.spo, s.unwrap()).for_each(|&(s1, p1, o1)| emit(s1, p1, o1))
-            }
-            PatternKind::PO => {
-                range2(&self.pos, p.unwrap(), o.unwrap()).for_each(|&(p1, o1, s1)| emit(s1, p1, o1))
-            }
-            PatternKind::P => {
-                range1(&self.pos, p.unwrap()).for_each(|&(p1, o1, s1)| emit(s1, p1, o1))
-            }
-            PatternKind::SO => {
-                range2(&self.osp, o.unwrap(), s.unwrap()).for_each(|&(o1, s1, p1)| emit(s1, p1, o1))
-            }
-            PatternKind::O => {
-                range1(&self.osp, o.unwrap()).for_each(|&(o1, s1, p1)| emit(s1, p1, o1))
-            }
-            PatternKind::None => self.spo.iter().for_each(|&(s1, p1, o1)| emit(s1, p1, o1)),
+        if let Some(plan) = Plan::new(&self.dict, pattern) {
+            self.index.scan(&plan, |spo| f(self.resolve(spo)));
         }
     }
-}
-
-const MIN: TermId = TermId(0);
-const MAX: TermId = TermId(u32::MAX);
-
-fn range1(set: &BTreeSet<Key>, a: TermId) -> impl Iterator<Item = &Key> {
-    set.range((Bound::Included((a, MIN, MIN)), Bound::Included((a, MAX, MAX))))
-}
-
-fn range2(set: &BTreeSet<Key>, a: TermId, b: TermId) -> impl Iterator<Item = &Key> {
-    set.range((Bound::Included((a, b, MIN)), Bound::Included((a, b, MAX))))
 }
 
 impl FromIterator<Triple> for TripleStore {

@@ -7,12 +7,13 @@
 //! instead:
 //!
 //! - a header of variables — the batch's columns;
-//! - a dictionary of the distinct terms its rows bind, each stored once
-//!   and named by a `u32` id, indexed by term hash;
-//! - the rows, row-major, one `u32` cell per column: a term id, or
-//!   [`UNBOUND`] where the row leaves the variable unbound (a solution is
-//!   a *partial* function, so rows of one batch may bind different
-//!   variables, as an OPTIONAL's do).
+//! - a [`Dictionary`] of the distinct terms its rows bind — the term
+//!   dictionary the stores intern with, which holds each term once and
+//!   finds it by hash;
+//! - the rows, row-major, one `u32` cell per column: a term's dictionary
+//!   id plus one, or [`UNBOUND`] where the row leaves the variable unbound
+//!   (a solution is a *partial* function, so rows of one batch may bind
+//!   different variables, as an OPTIONAL's do).
 //!
 //! Inside one batch equal ids mean equal terms and equal terms have equal
 //! ids, so deduplication hashes and compares cells, and a join compares
@@ -32,17 +33,18 @@
 
 use std::collections::HashMap;
 use std::fmt;
-use std::hash::{BuildHasherDefault, Hash, Hasher};
+use std::hash::{BuildHasherDefault, Hasher};
 
 use rdfmesh_rdf::fxhash::FxHasher64;
-use rdfmesh_rdf::{Term, Variable};
+use rdfmesh_rdf::{Dictionary, Term, TermId, Variable};
 
 use crate::expr::Bindings;
 use crate::solution::Solution;
 
 type FxBuild = BuildHasherDefault<FxHasher64>;
 
-/// The cell of a variable its row leaves unbound. Term ids start at 1.
+/// The cell of a variable its row leaves unbound. A bound cell is its
+/// term's dictionary id plus one.
 pub const UNBOUND: u32 = 0;
 
 /// End of a hash chain.
@@ -53,22 +55,12 @@ const NIL: u32 = u32::MAX;
 pub struct Rows {
     /// The columns.
     pub(crate) vars: Vec<Variable>,
-    /// The dictionary: id `i` names `terms[i - 1]`.
-    pub(crate) terms: Vec<Term>,
-    /// Term hash → the newest id with that hash; `older[id - 1]` is the
-    /// one before it (or [`NIL`]).
-    by_hash: HashMap<u64, u32, FxBuild>,
-    older: Vec<u32>,
+    /// The dictionary: cell `c` names term `c - 1`.
+    pub(crate) dict: Dictionary,
     /// `len × vars.len()` cells, row-major.
     pub(crate) cells: Vec<u32>,
     /// The row count (zero-width rows have no cells to count).
     pub(crate) len: usize,
-}
-
-fn term_hash(term: &Term) -> u64 {
-    let mut h = FxHasher64::default();
-    term.hash(&mut h);
-    h.finish()
 }
 
 fn cells_hash(cells: impl IntoIterator<Item = u32>) -> u64 {
@@ -132,10 +124,10 @@ impl Rows {
         (0..self.len).map(|i| Row { rows: self, cells: self.cells_of(i) })
     }
 
-    /// The term id `id` names. Panics on [`UNBOUND`] or an id beyond the
-    /// dictionary.
+    /// The term cell `id` names. Panics on [`UNBOUND`] or an id beyond
+    /// the dictionary.
     pub(crate) fn term(&self, id: u32) -> &Term {
-        &self.terms[id as usize - 1]
+        self.dict.term(TermId(id - 1))
     }
 
     fn column(&self, var: &Variable) -> Option<usize> {
@@ -162,32 +154,19 @@ impl Rows {
         w
     }
 
-    /// The id of `term`, if the dictionary holds it.
-    pub(crate) fn find(&self, term: &Term) -> Option<u32> {
-        let mut id = *self.by_hash.get(&term_hash(term))?;
-        while id != NIL {
-            if self.term(id) == term {
-                return Some(id);
-            }
-            id = self.older[id as usize - 1];
-        }
-        None
+    /// The cell of `term`, if the dictionary holds it.
+    fn find(&self, term: &Term) -> Option<u32> {
+        self.dict.id(term).map(|id| id.0 + 1)
     }
 
-    /// The id of `term`, stored (a clone) if the dictionary lacks it.
+    /// The cell of `term`, stored (a clone) if the dictionary lacks it.
     pub(crate) fn intern(&mut self, term: &Term) -> u32 {
-        match self.find(term) {
-            Some(id) => id,
-            None => self.insert(term.clone()),
-        }
+        self.dict.intern(term).0 + 1
     }
 
     /// [`Rows::intern`] of a term the caller owns.
     pub(crate) fn intern_owned(&mut self, term: Term) -> u32 {
-        match self.find(&term) {
-            Some(id) => id,
-            None => self.insert(term),
-        }
+        self.dict.intern_owned(term).0 + 1
     }
 
     /// The id here of `from`'s id `cell`, through the map `ids` (`from`'s
@@ -202,15 +181,6 @@ impl Rows {
             *id = self.intern(from.term(cell));
         }
         *id
-    }
-
-    /// Stores a term the dictionary does not hold.
-    fn insert(&mut self, term: Term) -> u32 {
-        let id = u32::try_from(self.terms.len() + 1).expect("dictionary overflow");
-        let previous = self.by_hash.insert(term_hash(&term), id).unwrap_or(NIL);
-        self.older.push(previous);
-        self.terms.push(term);
-        id
     }
 
     /// Appends one row binding each variable of `bindings` to its term.
@@ -271,11 +241,11 @@ impl Rows {
         let w = self.width();
         let mut by_name: Vec<usize> = (0..w).collect();
         by_name.sort_by(|&a, &b| self.vars[a].cmp(&self.vars[b]));
-        let mut uses = vec![0u32; self.terms.len()];
+        let mut uses = vec![0u32; self.dict.len()];
         for &cell in self.cells.iter().filter(|c| **c != UNBOUND) {
             uses[cell as usize - 1] += 1;
         }
-        let mut terms: Vec<Option<Term>> = self.terms.into_iter().map(Some).collect();
+        let mut terms: Vec<Option<Term>> = self.dict.into_terms().into_iter().map(Some).collect();
         let mut out = Vec::with_capacity(self.len);
         for i in 0..self.len {
             let row = &self.cells[i * w..(i + 1) * w];
@@ -299,13 +269,13 @@ impl Rows {
     /// union), adding its columns and interning its terms — moved, not
     /// cloned.
     pub fn append(&mut self, other: Rows) {
-        if self.len == 0 && self.terms.is_empty() {
+        if self.len == 0 && self.dict.is_empty() {
             *self = other;
             return;
         }
-        let Rows { vars, terms, cells, len, .. } = other;
+        let Rows { vars, dict, cells, len } = other;
         let cols: Vec<usize> = vars.iter().map(|v| self.column_or_add(v)).collect();
-        let ids: Vec<u32> = terms.into_iter().map(|t| self.intern_owned(t)).collect();
+        let ids: Vec<u32> = dict.into_terms().into_iter().map(|t| self.intern_owned(t)).collect();
         let (w, other_w) = (self.width(), vars.len());
         self.cells.reserve(len * w);
         for i in 0..len {
@@ -324,7 +294,7 @@ impl Rows {
     /// `i` into batch `part_of(row i)`, in order.
     pub fn partition(&self, parts: usize, mut part_of: impl FnMut(&Row<'_>) -> usize) -> Vec<Rows> {
         let mut out: Vec<Rows> = (0..parts).map(|_| Rows::with_vars(self.vars.clone())).collect();
-        let mut ids = vec![vec![UNBOUND; self.terms.len()]; parts];
+        let mut ids = vec![vec![UNBOUND; self.dict.len()]; parts];
         for row in self.iter() {
             let p = part_of(&row);
             let (batch, ids) = (&mut out[p], &mut ids[p]);
@@ -341,7 +311,7 @@ impl Rows {
     pub fn distinct(mut self) -> Rows {
         let w = self.width();
         let mut newest: HashMap<u64, u32, FxBuild> = HashMap::default();
-        let mut older: Vec<u32> = Vec::new();
+        let mut chain: Vec<u32> = Vec::new();
         let mut kept = 0;
         let same = |cells: &[u32], k: usize, i: usize| {
             cells[k * w..(k + 1) * w] == cells[i * w..(i + 1) * w]
@@ -351,14 +321,14 @@ impl Rows {
             let mut k = newest.get(&h).copied().unwrap_or(NIL);
             let previous = k;
             while k != NIL && !same(&self.cells, k as usize, i) {
-                k = older[k as usize];
+                k = chain[k as usize];
             }
             if k != NIL {
                 continue;
             }
             self.cells.copy_within(i * w..(i + 1) * w, kept * w);
             newest.insert(h, kept as u32);
-            older.push(previous);
+            chain.push(previous);
             kept += 1;
         }
         self.cells.truncate(kept * w);
@@ -386,7 +356,7 @@ impl Rows {
             (0..self.width()).filter(|&c| vars.contains(&self.vars[c])).collect();
         let mut out = Rows::with_vars(cols.iter().map(|&c| self.vars[c].clone()).collect());
         out.cells.reserve(self.len * cols.len());
-        let mut ids = vec![UNBOUND; self.terms.len()];
+        let mut ids = vec![UNBOUND; self.dict.len()];
         for i in 0..self.len {
             let row = self.cells_of(i);
             for &c in &cols {
@@ -476,7 +446,7 @@ impl Rows {
     /// [`Solution::serialized_len`] over them.
     pub fn serialized_len(&self) -> usize {
         let names: Vec<usize> = self.vars.iter().map(|v| v.as_str().len() + 2).collect();
-        let terms: Vec<usize> = self.terms.iter().map(Term::serialized_len).collect();
+        let terms: Vec<usize> = self.dict.terms().iter().map(Term::serialized_len).collect();
         let bound = self.cells.chunks_exact(self.width().max(1)).flat_map(|row| {
             let cells = row.iter().zip(&names).filter(|(c, _)| **c != UNBOUND);
             cells.map(|(c, n)| n + terms[*c as usize - 1])
@@ -604,7 +574,7 @@ struct Index<'r> {
 impl<'r> Index<'r> {
     fn new(left: &Rows, right: &'r Rows) -> Index<'r> {
         let left_col = right.vars.iter().map(|v| left.column(v)).collect();
-        let as_left = right.terms.iter().map(|t| left.find(t).unwrap_or(NIL)).collect();
+        let as_left = right.dict.terms().iter().map(|t| left.find(t).unwrap_or(NIL)).collect();
         let mut groups: Vec<Group> = Vec::new();
         let mut group_of: HashMap<Vec<usize>, usize, FxBuild> = HashMap::default();
         let mut domain = Vec::new();
@@ -752,14 +722,8 @@ struct Join<'r> {
 impl<'r> Join<'r> {
     fn new(mut left: Rows, right: &'r Rows) -> Join<'r> {
         let index = Index::new(&left, right);
-        let mut out = Rows {
-            vars: left.vars.clone(),
-            terms: std::mem::take(&mut left.terms),
-            by_hash: std::mem::take(&mut left.by_hash),
-            older: std::mem::take(&mut left.older),
-            cells: Vec::new(),
-            len: 0,
-        };
+        let mut out = Rows::with_vars(left.vars.clone());
+        out.dict = std::mem::take(&mut left.dict);
         let out_col = right.vars.iter().map(|v| out.column_or_add(v)).collect();
         let as_out = index.as_left.iter().map(|&id| if id == NIL { UNBOUND } else { id }).collect();
         Join { left, index, out, out_col, as_out }
@@ -811,7 +775,7 @@ mod tests {
         let sols = vec![sol(&[("x", "a"), ("y", "a")]), sol(&[("z", "a")]), Solution::new()];
         let rows = Rows::from_solutions(&sols);
         assert_eq!(rows.to_solutions(), sols);
-        assert_eq!(rows.terms.len(), 1, "one term, however many cells bind it");
+        assert_eq!(rows.dict.len(), 1, "one term, however many cells bind it");
         assert_eq!(rows.len(), 3);
     }
 
@@ -832,7 +796,7 @@ mod tests {
             Rows::from_solutions(&[sol(&[("x", "a"), ("y", "c")]), sol(&[("x", "b"), ("y", "c")])]);
         let joined = left.join(&right);
         assert_eq!(joined.vars(), &[v("x"), v("y")]);
-        assert_eq!(joined.terms.len(), 3, "a, b and one c");
+        assert_eq!(joined.dict.len(), 3, "a, b and one c");
         assert_eq!(
             joined.to_solutions(),
             vec![sol(&[("x", "a"), ("y", "c")]), sol(&[("x", "b"), ("y", "c")])]

@@ -618,7 +618,7 @@ pub mod wire {
         put_varint(out, rows.len);
         let mut terms = TermIds {
             rows,
-            ids: vec![0; rows.terms.len()],
+            ids: vec![0; rows.dict.len()],
             defined: 0,
             cols: table.iter().map(|&c| (rows.vars[c].as_str().len(), &[][..], &[][..])).collect(),
             start,

@@ -30,10 +30,10 @@ use std::time::{Duration, Instant};
 
 use crossbeam::channel;
 use rdfmesh_obs::{metrics, names};
-use rdfmesh_rdf::{parse_statements_from, ParseError, PatternSource, Triple};
+use rdfmesh_rdf::{parse_statements_from, ParseError, PatternSource, Perm, Triple};
 
 use crate::merge::ShadowSource;
-use crate::pstore::{per_perm, Perm, PersistentStore};
+use crate::pstore::{per_perm, PersistentStore};
 use crate::segment::{Key, SegmentFile, SegmentWriter};
 
 /// Tuning knobs for [`PersistentStore::bulk_load`].
@@ -131,7 +131,7 @@ struct RunSpiller {
 
 impl RunSpiller {
     fn run_path(&self, idx: usize, perm: Perm) -> PathBuf {
-        self.dir.join(format!("run-{idx}.{}", perm.ext()))
+        self.dir.join(format!("run-{idx}.{}", perm.name()))
     }
 
     fn push(&mut self, key: Key) -> io::Result<()> {

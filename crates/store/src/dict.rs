@@ -3,10 +3,13 @@
 //! The persistent store's `Term ↔ TermId` mapping is durably recorded as
 //! a simple append-only log: one `[u32 LE length][N-Triples term text]`
 //! record per interned term, in id order. Reopening replays the log to
-//! rebuild the in-memory [`rdfmesh_rdf::Dictionary`]; a torn final record
-//! (crash mid-append) is detected and truncated away, which drops only
-//! ids that no flushed segment can reference — the manifest is renamed
-//! into place strictly after the log is synced.
+//! rebuild the in-memory [`rdfmesh_rdf::Dictionary`]. The manifest counts
+//! the terms synced when it was committed, and that count is a floor: a
+//! record below it that does not parse is damage, and the open fails with
+//! the file left as it is. A torn record above it (crash mid-append) is
+//! truncated away, which drops only ids that no flushed segment can
+//! reference — the manifest is renamed into place strictly after the log
+//! is synced.
 
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read};
@@ -30,8 +33,10 @@ impl std::fmt::Debug for DictLog {
 
 impl DictLog {
     /// Opens (creating if absent) the log at `path`, replaying every
-    /// intact record. A torn tail is truncated off the file.
-    pub fn open(path: impl Into<PathBuf>) -> io::Result<(DictLog, Vec<Term>)> {
+    /// intact record. The first `floor` records must be intact, or the
+    /// open fails with `InvalidData` and the file is not touched; a torn
+    /// tail past them is truncated off the file.
+    pub fn open(path: impl Into<PathBuf>, floor: u64) -> io::Result<(DictLog, Vec<Term>)> {
         let path = path.into();
         let mut file = OpenOptions::new().read(true).append(true).create(true).open(&path)?;
         let mut bytes = Vec::new();
@@ -47,6 +52,15 @@ impl DictLog {
             terms.push(term);
             pos += 4 + len;
             good = pos;
+        }
+        if (terms.len() as u64) < floor {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!(
+                    "dict.log: record {} of the {floor} the MANIFEST counts is damaged or missing",
+                    terms.len() + 1
+                ),
+            ));
         }
         if good < bytes.len() {
             fail::set_len(&file, good as u64)?;
@@ -107,11 +121,11 @@ mod tests {
         let path = tmp("replay");
         let terms = sample_terms();
         {
-            let (mut log, existing) = DictLog::open(&path).unwrap();
+            let (mut log, existing) = DictLog::open(&path, 0).unwrap();
             assert!(existing.is_empty());
             log.append(&terms).unwrap();
         }
-        let (_log, replayed) = DictLog::open(&path).unwrap();
+        let (_log, replayed) = DictLog::open(&path, 0).unwrap();
         assert_eq!(replayed, terms);
     }
 
@@ -120,7 +134,7 @@ mod tests {
         let path = tmp("torn");
         let terms = sample_terms();
         let len = {
-            let (mut log, _) = DictLog::open(&path)?;
+            let (mut log, _) = DictLog::open(&path, 0)?;
             log.append(&terms)?;
             // Sized through the open handle — an I/O failure here is a
             // propagated error, not a panic.
@@ -130,12 +144,12 @@ mod tests {
         let f = OpenOptions::new().write(true).open(&path)?;
         f.set_len(len - 3)?;
         drop(f);
-        let (mut log, replayed) = DictLog::open(&path)?;
+        let (mut log, replayed) = DictLog::open(&path, 0)?;
         assert_eq!(replayed, terms[..terms.len() - 1]);
         assert!(log.len_bytes()? < len - 3, "torn record truncated away");
         // The log stays appendable after truncation.
         log.append(&[Term::iri("http://example.org/new")])?;
-        let (_log, again) = DictLog::open(&path)?;
+        let (_log, again) = DictLog::open(&path, 0)?;
         assert_eq!(again.len(), terms.len());
         assert_eq!(again.last().unwrap(), &Term::iri("http://example.org/new"));
         Ok(())

@@ -5,14 +5,19 @@
 //! permutation segments (SPO, POS, OSP — mirroring the in-memory
 //! [`rdfmesh_rdf::TripleStore`] layout) plus an optional tombstone
 //! segment trio — fronted by an in-memory overlay of unflushed inserts
-//! and deletes. Reads resolve newest-first: the overlay shadows every
-//! level, a newer level shadows an older one ([`crate::merge`]).
+//! and deletes. The overlay is two [`TripleIndex`]es and the terms live
+//! in a [`Dictionary`], the in-memory store's own index and dictionary;
+//! a pattern is answered from the same [`Plan`], its range read from the
+//! overlay and every level. Reads resolve newest-first: the overlay
+//! shadows every level, a newer level shadows an older one
+//! ([`crate::merge`]).
 //!
 //! **Durability contract** (see `docs/STORAGE.md`): every overlay
 //! mutation is recorded in a checksummed write-ahead log
 //! ([`crate::wal`]) *before* it is acknowledged, with any new dictionary
 //! entries synced first — so [`open`] reconstructs the overlay after a
-//! crash instead of dropping it. [`flush`] seals the overlay into a new
+//! crash instead of dropping it. The manifest counts the synced terms,
+//! and [`open`] refuses a `dict.log` that falls short of that count. [`flush`] seals the overlay into a new
 //! small generation instead of rewriting the whole store; adjacent
 //! generations merge only when the size-ratio trigger
 //! (`COMPACTION_RATIO`) fires.
@@ -28,64 +33,23 @@
 //! [`open`]: PersistentStore::open
 //! [`flush`]: PersistentStore::flush
 
-use std::collections::BTreeSet;
 use std::fs::File;
 use std::io::{self, Read};
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 
 use rdfmesh_obs::{metrics, names};
+use rdfmesh_rdf::index::{ID_MAX, ID_MIN};
 use rdfmesh_rdf::{
-    Dictionary, PatternKind, PatternSource, SharedStore, TermId, TermPattern, Triple,
+    Dictionary, Perm, Plan, PatternSource, SharedStore, TermId, Triple, TripleIndex,
     TriplePattern, TripleRef,
 };
 
 use crate::dict::DictLog;
 use crate::fail;
 use crate::merge::{ShadowMerge, ShadowSource};
-use crate::segment::{Key, SegmentFile, SegmentWriter, KEY_MAX, KEY_MIN};
+use crate::segment::{Key, SegmentFile, SegmentWriter};
 use crate::wal::{Wal, WalOp};
-
-/// The component order of a key in some index.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Perm {
-    /// `(subject, predicate, object)`
-    Spo,
-    /// `(predicate, object, subject)`
-    Pos,
-    /// `(object, subject, predicate)`
-    Osp,
-}
-
-impl Perm {
-    pub(crate) const ALL: [Perm; 3] = [Perm::Spo, Perm::Pos, Perm::Osp];
-
-    pub(crate) fn ext(self) -> &'static str {
-        match self {
-            Perm::Spo => "spo",
-            Perm::Pos => "pos",
-            Perm::Osp => "osp",
-        }
-    }
-
-    /// Reorders an SPO key into this permutation's component order.
-    pub(crate) fn encode(self, (s, p, o): Key) -> Key {
-        match self {
-            Perm::Spo => (s, p, o),
-            Perm::Pos => (p, o, s),
-            Perm::Osp => (o, s, p),
-        }
-    }
-
-    /// Recovers the SPO key from a key in this permutation's order.
-    pub(crate) fn decode(self, (a, b, c): Key) -> Key {
-        match self {
-            Perm::Spo => (a, b, c),
-            Perm::Pos => (c, a, b),
-            Perm::Osp => (b, c, a),
-        }
-    }
-}
 
 /// Runs `f` once per permutation, each on its own thread: the store's
 /// one three-way fan-out.
@@ -99,50 +63,7 @@ pub(crate) fn per_perm<T: Send>(f: impl Fn(Perm) -> T + Sync) -> [T; 3] {
 }
 
 /// Every key: the bounds of an unbounded range.
-const ALL_KEYS: (Key, Key) = ((KEY_MIN, KEY_MIN, KEY_MIN), (KEY_MAX, KEY_MAX, KEY_MAX));
-
-/// An in-memory key set indexed in all three permutations — the shape of
-/// both halves of the overlay (unflushed adds and unflushed deletes).
-#[derive(Debug, Default)]
-pub(crate) struct MemIndex {
-    pub(crate) spo: BTreeSet<Key>,
-    pub(crate) pos: BTreeSet<Key>,
-    pub(crate) osp: BTreeSet<Key>,
-}
-
-impl MemIndex {
-    pub(crate) fn set(&self, perm: Perm) -> &BTreeSet<Key> {
-        match perm {
-            Perm::Spo => &self.spo,
-            Perm::Pos => &self.pos,
-            Perm::Osp => &self.osp,
-        }
-    }
-
-    pub(crate) fn insert(&mut self, spo: Key) -> bool {
-        let added = self.spo.insert(spo);
-        if added {
-            self.pos.insert(Perm::Pos.encode(spo));
-            self.osp.insert(Perm::Osp.encode(spo));
-        }
-        added
-    }
-
-    pub(crate) fn remove(&mut self, spo: Key) -> bool {
-        let removed = self.spo.remove(&spo);
-        if removed {
-            self.pos.remove(&Perm::Pos.encode(spo));
-            self.osp.remove(&Perm::Osp.encode(spo));
-        }
-        removed
-    }
-
-    pub(crate) fn clear(&mut self) {
-        self.spo.clear();
-        self.pos.clear();
-        self.osp.clear();
-    }
-}
+const ALL_KEYS: (Key, Key) = ((ID_MIN, ID_MIN, ID_MIN), (ID_MAX, ID_MAX, ID_MAX));
 
 /// One permutation trio of an on-disk level.
 struct PermFiles {
@@ -261,8 +182,10 @@ pub struct PersistentStore {
     levels: Vec<Level>,
     /// Live triples across all sealed generations.
     sealed_live: u64,
-    pub(crate) adds: MemIndex,
-    pub(crate) dels: MemIndex,
+    /// The overlay: unflushed inserts, and unflushed deletes of sealed
+    /// triples.
+    adds: TripleIndex,
+    dels: TripleIndex,
     wal: Wal,
     wal_id: u64,
     wal_replayed: u64,
@@ -277,14 +200,14 @@ impl std::fmt::Debug for PersistentStore {
             self.generation,
             self.levels.len(),
             self.sealed_live,
-            self.adds.spo.len(),
-            self.dels.spo.len()
+            self.adds.len(),
+            self.dels.len()
         )
     }
 }
 
 fn level_path(dir: &Path, generation: u64, prefix: &str, perm: Perm) -> PathBuf {
-    dir.join(format!("{prefix}-{generation}.{}", perm.ext()))
+    dir.join(format!("{prefix}-{generation}.{}", perm.name()))
 }
 
 pub(crate) fn seg_path(dir: &Path, generation: u64, perm: Perm) -> PathBuf {
@@ -315,13 +238,17 @@ impl PersistentStore {
         if tmp.exists() {
             fail::remove_file(&tmp)?;
         }
-        let (log, terms) = DictLog::open(dir.join("dict.log"))?;
+        let manifest = read_manifest(&dir)?.unwrap_or_default();
+        let (log, terms) = DictLog::open(dir.join("dict.log"), manifest.terms)?;
+        let damaged = |what: &str| io::Error::new(io::ErrorKind::InvalidData, what.to_string());
         let mut dict = Dictionary::new();
-        for term in &terms {
-            dict.intern(term);
+        for term in terms {
+            let id = dict.len();
+            if dict.intern_owned(term).index() != id {
+                return Err(damaged("dict.log: a term is logged twice"));
+            }
         }
         let synced_terms = dict.len();
-        let manifest = read_manifest(&dir)?.unwrap_or_default();
         let mut levels = Vec::with_capacity(manifest.levels.len());
         for &(gen, add_count, del_count) in &manifest.levels {
             levels.push(Level::open(&dir, gen, add_count, del_count)?);
@@ -336,13 +263,17 @@ impl PersistentStore {
             generation: manifest.generation,
             levels,
             sealed_live: manifest.triples,
-            adds: MemIndex::default(),
-            dels: MemIndex::default(),
+            adds: TripleIndex::new(),
+            dels: TripleIndex::new(),
             wal,
             wal_id: manifest.wal_id,
             wal_replayed: 0,
         };
         for op in ops {
+            let (WalOp::Insert((s, p, o)) | WalOp::Remove((s, p, o))) = op;
+            if s.max(p).max(o) as usize >= synced_terms {
+                return Err(damaged("write-ahead log names a term dict.log lacks"));
+            }
             match op {
                 WalOp::Insert(spo) => store.apply_insert_ids(spo),
                 WalOp::Remove(spo) => store.apply_remove_ids(spo),
@@ -377,7 +308,7 @@ impl PersistentStore {
 
     /// Number of triples in the unflushed overlay (inserts + deletes).
     pub fn overlay_len(&self) -> usize {
-        self.adds.spo.len() + self.dels.spo.len()
+        self.adds.len() + self.dels.len()
     }
 
     /// Wraps this store in a [`SharedStore`] handle for the mesh seams.
@@ -411,75 +342,26 @@ impl PersistentStore {
     }
 
     pub(crate) fn contains_ids(&self, spo: Key) -> bool {
-        if self.adds.spo.contains(&spo) {
+        if self.adds.contains(spo) {
             return true;
         }
-        if self.dels.spo.contains(&spo) {
+        if self.dels.contains(spo) {
             return false;
         }
         self.sealed_contains(spo)
     }
 
-    /// Invokes `f` with the SPO key of every live triple whose `perm`-
-    /// order key lies in `lo..=hi`, in ascending `perm`-key order: a
-    /// shadow merge of the overlay and every level.
-    fn scan_ids(&self, perm: Perm, lo: Key, hi: Key, f: &mut dyn FnMut(Key)) {
-        let sources = self.sources(perm, Some((lo, hi)), true, 0..self.levels.len(), 0);
+    /// Invokes `f` with the SPO key of every live triple `plan` matches,
+    /// in ascending `plan.perm`-key order: a shadow merge of the overlay
+    /// and every level.
+    fn scan(&self, plan: &Plan, f: &mut dyn FnMut(Key)) {
+        let range = Some((plan.lo, plan.hi));
+        let sources = self.sources(plan.perm, range, true, 0..self.levels.len(), 0);
         for (key, live) in ShadowMerge::new(sources) {
-            if live {
-                f(perm.decode(key));
+            let spo = plan.perm.decode(key);
+            if live && plan.admits(spo) {
+                f(spo);
             }
-        }
-    }
-
-    /// Invokes `f` with the SPO key of every live triple matching
-    /// `pattern`. Interning is bijective, so repeated-variable
-    /// consistency (`?x p ?x`) is an integer comparison on the key.
-    fn scan_pattern(&self, pattern: &TriplePattern, mut f: impl FnMut(Key)) {
-        let Some((perm, lo, hi)) = self.plan(pattern) else { return };
-        let repeated = pattern.repeated_vars();
-        self.scan_ids(perm, lo, hi, &mut |(s, p, o)| {
-            if repeated.consistent(s, p, o) {
-                f((s, p, o));
-            }
-        });
-    }
-
-    /// The index permutation and key range answering `pattern`; `None`
-    /// when a bound term is not even in the dictionary.
-    fn plan(&self, pattern: &TriplePattern) -> Option<(Perm, Key, Key)> {
-        let s = self.id_of(&pattern.subject)?;
-        let p = self.id_of(&pattern.predicate)?;
-        let o = self.id_of(&pattern.object)?;
-        let lo = KEY_MIN;
-        let hi = KEY_MAX;
-        Some(match pattern.kind() {
-            PatternKind::SPO => {
-                let k = (s.unwrap(), p.unwrap(), o.unwrap());
-                (Perm::Spo, k, k)
-            }
-            PatternKind::SP => {
-                (Perm::Spo, (s.unwrap(), p.unwrap(), lo), (s.unwrap(), p.unwrap(), hi))
-            }
-            PatternKind::S => (Perm::Spo, (s.unwrap(), lo, lo), (s.unwrap(), hi, hi)),
-            PatternKind::PO => {
-                (Perm::Pos, (p.unwrap(), o.unwrap(), lo), (p.unwrap(), o.unwrap(), hi))
-            }
-            PatternKind::P => (Perm::Pos, (p.unwrap(), lo, lo), (p.unwrap(), hi, hi)),
-            PatternKind::SO => {
-                (Perm::Osp, (o.unwrap(), s.unwrap(), lo), (o.unwrap(), s.unwrap(), hi))
-            }
-            PatternKind::O => (Perm::Osp, (o.unwrap(), lo, lo), (o.unwrap(), hi, hi)),
-            PatternKind::None => (Perm::Spo, (lo, lo, lo), (hi, hi, hi)),
-        })
-    }
-
-    /// Resolves a position's id: outer `None` = constant not in the
-    /// dictionary (nothing can match), inner `None` = variable.
-    fn id_of(&self, tp: &TermPattern) -> Option<Option<u32>> {
-        match tp {
-            TermPattern::Var(_) => Some(None),
-            TermPattern::Const(t) => self.dict.id(t).map(|id| Some(id.0)),
         }
     }
 
@@ -489,8 +371,8 @@ impl PersistentStore {
     /// `Ok(true)` means the write is durable.
     pub fn try_insert(&mut self, triple: &Triple) -> io::Result<bool> {
         let spo = self.intern_triple(triple);
-        if self.adds.spo.contains(&spo)
-            || (self.sealed_contains(spo) && !self.dels.spo.contains(&spo))
+        if self.adds.contains(spo)
+            || (self.sealed_contains(spo) && !self.dels.contains(spo))
         {
             return Ok(false); // already live: no-op, nothing to log
         }
@@ -510,8 +392,8 @@ impl PersistentStore {
         let Some(spo) = self.ids_of(triple) else {
             return Ok(false);
         };
-        let effect = self.adds.spo.contains(&spo)
-            || (self.sealed_contains(spo) && !self.dels.spo.contains(&spo));
+        let effect = self.adds.contains(spo)
+            || (self.sealed_contains(spo) && !self.dels.contains(spo));
         if !effect {
             return Ok(false);
         }
@@ -528,7 +410,7 @@ impl PersistentStore {
     /// Applies an insert to the overlay — the shared effect of a live
     /// call (after its WAL record is durable) and of WAL replay.
     fn apply_insert_ids(&mut self, spo: Key) -> bool {
-        if self.adds.spo.contains(&spo) {
+        if self.adds.contains(spo) {
             return false;
         }
         if self.sealed_contains(spo) {
@@ -546,7 +428,7 @@ impl PersistentStore {
         if self.adds.remove(spo) {
             return true;
         }
-        if self.sealed_contains(spo) && !self.dels.spo.contains(&spo) {
+        if self.sealed_contains(spo) && !self.dels.contains(spo) {
             self.dels.insert(spo);
             return true;
         }
@@ -642,13 +524,13 @@ impl PersistentStore {
             sources.push(ShadowSource {
                 rank,
                 is_del: false,
-                iter: Box::new(self.adds.set(perm).range(lo..=hi).copied()),
+                iter: Box::new(self.adds.range(perm, lo, hi)),
             });
-            if !self.dels.spo.is_empty() {
+            if !self.dels.is_empty() {
                 sources.push(ShadowSource {
                     rank,
                     is_del: true,
-                    iter: Box::new(self.dels.set(perm).range(lo..=hi).copied()),
+                    iter: Box::new(self.dels.range(perm, lo, hi)),
                 });
             }
             rank += 1;
@@ -723,11 +605,9 @@ impl PersistentStore {
             levels.push((gen, adds, dels));
         }
         levels.extend(self.levels[replace.end..].iter().map(meta));
-        write_manifest(
-            &self.dir,
-            &Manifest { generation: gen, wal_id, triples: live, levels },
-            self.dict.len() as u64,
-        )?;
+        let terms = self.synced_terms as u64;
+        let manifest = Manifest { generation: gen, wal_id, triples: live, terms, levels };
+        write_manifest(&self.dir, &manifest)?;
         let level = if holds {
             Some(Level::open(&self.dir, gen, adds, dels)?)
         } else {
@@ -757,28 +637,16 @@ impl PersistentStore {
 
     /// Appends and syncs any dictionary entries newer than the last sync.
     pub(crate) fn sync_dict(&mut self) -> io::Result<()> {
-        if self.synced_terms < self.dict.len() {
-            let tail: Vec<_> = (self.synced_terms..self.dict.len())
-                .map(|i| self.dict.term(TermId(i as u32)).clone())
-                .collect();
-            self.log.append(&tail)?;
-            self.synced_terms = self.dict.len();
-        }
+        self.log.append(&self.dict.terms()[self.synced_terms..])?;
+        self.synced_terms = self.dict.len();
         Ok(())
-    }
-
-    /// Streaming iterator over all live SPO keys, in sorted order.
-    #[cfg(test)]
-    pub(crate) fn iter_ids(&self) -> Vec<Key> {
-        let mut out = Vec::new();
-        self.scan_ids(Perm::Spo, ALL_KEYS.0, ALL_KEYS.1, &mut |k| out.push(k));
-        out
     }
 }
 
 impl PatternSource for PersistentStore {
     fn for_each_match(&self, pattern: &TriplePattern, f: &mut dyn FnMut(TripleRef<'_>)) {
-        self.scan_pattern(pattern, |(s, p, o)| {
+        let Some(plan) = Plan::new(&self.dict, pattern) else { return };
+        self.scan(&plan, &mut |(s, p, o)| {
             f(TripleRef {
                 subject: self.dict.term(TermId(s)),
                 predicate: self.dict.term(TermId(p)),
@@ -788,10 +656,10 @@ impl PatternSource for PersistentStore {
     }
 
     fn count_pattern(&self, pattern: &TriplePattern) -> usize {
-        let tombstone_free =
-            self.dels.spo.is_empty() && self.levels.iter().all(|l| l.del_count == 0);
-        if tombstone_free && !pattern.repeated_vars().any() {
-            let Some((perm, lo, hi)) = self.plan(pattern) else { return 0 };
+        let Some(plan) = Plan::new(&self.dict, pattern) else { return 0 };
+        let tombstone_free = self.dels.is_empty() && self.levels.iter().all(|l| l.del_count == 0);
+        if tombstone_free && !plan.filters() {
+            let Plan { perm, lo, hi, .. } = plan;
             // Fast path: with no tombstones anywhere, every level's add
             // set is disjoint from the others and from the overlay, so
             // the footer index can count whole interior blocks without
@@ -801,17 +669,15 @@ impl PatternSource for PersistentStore {
                 .iter()
                 .map(|l| l.adds.seg(perm).count_range(lo, hi).expect("segment readable"))
                 .sum();
-            let overlay =
-                self.adds.set(perm).range(lo..=hi).count();
-            return sealed as usize + overlay;
+            return sealed as usize + self.adds.range(perm, lo, hi).count();
         }
         let mut n = 0usize;
-        self.scan_pattern(pattern, |_| n += 1);
+        self.scan(&plan, &mut |_| n += 1);
         n
     }
 
     fn len(&self) -> usize {
-        (self.sealed_live - self.dels.spo.len() as u64) as usize + self.adds.spo.len()
+        (self.sealed_live - self.dels.len() as u64) as usize + self.adds.len()
     }
 
     fn insert(&mut self, triple: &Triple) -> bool {
@@ -839,6 +705,8 @@ struct Manifest {
     wal_id: u64,
     /// Live triples across all levels.
     triples: u64,
+    /// Dictionary terms synced at the commit: the least `dict.log` holds.
+    terms: u64,
     /// `(generation, add_count, del_count)` per level, newest first.
     levels: Vec<(u64, u64, u64)>,
 }
@@ -856,6 +724,7 @@ fn read_manifest(dir: &Path) -> io::Result<Option<Manifest>> {
     let mut generation = None;
     let mut wal_id = 0;
     let mut triples = 0;
+    let mut terms = 0;
     let mut levels = Vec::new();
     for line in text.lines() {
         let mut parts = line.split_whitespace();
@@ -870,6 +739,7 @@ fn read_manifest(dir: &Path) -> io::Result<Option<Manifest>> {
             (Some("generation"), Some(v)) => generation = v.parse().ok(),
             (Some("wal"), Some(v)) => wal_id = v.parse().map_err(|_| bad())?,
             (Some("triples"), Some(v)) => triples = v.parse().unwrap_or(0),
+            (Some("terms"), Some(v)) => terms = v.parse().map_err(|_| bad())?,
             (Some("level"), Some(gen)) => {
                 let gen = gen.parse().map_err(|_| bad())?;
                 let adds =
@@ -882,19 +752,21 @@ fn read_manifest(dir: &Path) -> io::Result<Option<Manifest>> {
         }
     }
     match generation {
-        Some(generation) if versioned => Ok(Some(Manifest { generation, wal_id, triples, levels })),
+        Some(generation) if versioned => {
+            Ok(Some(Manifest { generation, wal_id, triples, terms, levels }))
+        }
         _ => Err(bad()),
     }
 }
 
 /// Writes the manifest durably: temp file → fsync → rename → directory
 /// fsync. The rename is the store's only commit point.
-fn write_manifest(dir: &Path, m: &Manifest, terms: u64) -> io::Result<()> {
+fn write_manifest(dir: &Path, m: &Manifest) -> io::Result<()> {
     let tmp = dir.join("MANIFEST.tmp");
     let mut f = fail::create(&tmp)?;
     let mut text = format!(
-        "rdfmesh-store 2\ngeneration {}\nwal {}\ntriples {}\nterms {terms}\n",
-        m.generation, m.wal_id, m.triples
+        "rdfmesh-store 2\ngeneration {}\nwal {}\ntriples {}\nterms {}\n",
+        m.generation, m.wal_id, m.triples, m.terms
     );
     for (gen, adds, dels) in &m.levels {
         text.push_str(&format!("level {gen} {adds} {dels}\n"));
@@ -936,7 +808,7 @@ fn gc_orphans(dir: &Path, manifest: &Manifest) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rdfmesh_rdf::Term;
+    use rdfmesh_rdf::{Term, TermPattern};
 
     fn tmpdir(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("rdfmesh-pstore-{}-{name}", std::process::id()));
@@ -961,6 +833,15 @@ mod tests {
             Triple::new(iri("a"), iri("name"), Term::literal("Alice")),
             Triple::new(iri("c"), iri("knows"), iri("c")),
         ]
+    }
+
+    /// Every live SPO key, in the order the full scan yields them.
+    fn iter_ids(store: &PersistentStore) -> Vec<Key> {
+        let v = TermPattern::var;
+        let mut out = Vec::new();
+        let plan = Plan::new(&store.dict, &TriplePattern::new(v("s"), v("p"), v("o"))).unwrap();
+        store.scan(&plan, &mut |k| out.push(k));
+        out
     }
 
     fn sorted(mut v: Vec<Triple>) -> Vec<Triple> {
@@ -1098,7 +979,7 @@ mod tests {
         assert_eq!(got, sorted(vec![t("b", "knows", "c"), t("c", "knows", "d")]));
         assert_eq!(store.count_pattern(&pat), 2);
         assert_eq!(PatternSource::len(&store), 2);
-        let all = store.iter_ids();
+        let all = iter_ids(&store);
         assert_eq!(all.len(), 2);
         assert!(all.windows(2).all(|w| w[0] < w[1]));
     }

@@ -22,12 +22,7 @@ use crate::fail;
 use crate::varint;
 
 /// A dictionary-encoded triple in some permutation's component order.
-pub type Key = (u32, u32, u32);
-
-/// Smallest possible key — range-scan lower bound filler.
-pub const KEY_MIN: u32 = 0;
-/// Largest possible key — range-scan upper bound filler.
-pub const KEY_MAX: u32 = u32::MAX;
+pub use rdfmesh_rdf::IdTriple as Key;
 
 /// Keys per compressed block. 1024 keys ≈ 12 KiB decoded; small enough
 /// that point lookups stay cheap, large enough that deltas amortize.
@@ -446,6 +441,7 @@ fn read_exact_at(file: &File, buf: &mut [u8], offset: u64) -> io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rdfmesh_rdf::index::ID_MAX;
 
     fn tmp(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("rdfmesh-seg-{}-{name}", std::process::id()));
@@ -482,12 +478,12 @@ mod tests {
         sorted.dedup();
         let seg = build(&sorted, "ranges");
         for (lo, hi) in [
-            ((0, 0, 0), (KEY_MAX, KEY_MAX, KEY_MAX)),
-            ((3, 0, 0), (3, KEY_MAX, KEY_MAX)),
-            ((10, 2, 0), (10, 2, KEY_MAX)),
+            ((0, 0, 0), (ID_MAX, ID_MAX, ID_MAX)),
+            ((3, 0, 0), (3, ID_MAX, ID_MAX)),
+            ((10, 2, 0), (10, 2, ID_MAX)),
             ((62, 7, 7), (62, 7, 7)),
             ((7, 7, 7), (3, 0, 0)), // empty: lo > hi
-            ((9999, 0, 0), (9999, KEY_MAX, KEY_MAX)),
+            ((9999, 0, 0), (9999, ID_MAX, ID_MAX)),
         ] {
             let expect: Vec<Key> =
                 sorted.iter().copied().filter(|&k| k >= lo && k <= hi).collect();
@@ -503,7 +499,7 @@ mod tests {
         let seg = build(&sorted, "contains");
         assert!(seg.contains((10, 20, 30)).unwrap());
         assert!(!seg.contains((10, 20, 31)).unwrap());
-        assert!(!seg.contains((KEY_MAX, 0, 0)).unwrap());
+        assert!(!seg.contains((ID_MAX, 0, 0)).unwrap());
     }
 
     #[test]
@@ -526,6 +522,6 @@ mod tests {
         let seg = SegmentFile::open(&path).unwrap();
         assert_eq!(seg.count(), 0);
         assert!(!seg.contains((0, 0, 0)).unwrap());
-        assert_eq!(seg.range((0, 0, 0), (KEY_MAX, KEY_MAX, KEY_MAX)).count(), 0);
+        assert_eq!(seg.range((0, 0, 0), (ID_MAX, ID_MAX, ID_MAX)).count(), 0);
     }
 }

@@ -50,6 +50,13 @@
 # solutions, and their codec), no row built as a `Solution` (`.to_solution()`) and no
 # `DistinctBuffer` under crates/core/src, and one join in crates/sparql/src
 # (no `merge_rows`, no `mod hashed`).
+# A peer indexes its triples once and interns its terms once: the one
+# `BTreeSet<` of id triples is `TripleIndex`'s (crates/rdf/src/index.rs),
+# which `TripleStore` and the persistent store's overlay both hold, beside
+# one definition of `enum Perm`; the one term dictionary is
+# `rdf::Dictionary`, which keeps each term once (no `HashMap<Term` in any
+# crate's code) and which `Rows` holds instead of a chain of its own (no
+# `by_hash` / `older` in rows.rs).
 # Fails when a second copy appears. Test modules (`mod tests` to end of
 # file) and comment lines are not code.
 set -eu
@@ -194,6 +201,31 @@ expect 'ShadowMerge::new( under crates/store/src' \
     "$(code "$store"/*.rs | grep -c 'ShadowMerge::new(' || true)" 2
 expect '.reset_wal( under crates/store/src' \
     "$(code "$store"/*.rs | grep -c '\.reset_wal(' || true)" 1
+# One triple index, one dictionary. files_with REGEX FILE…: each file
+# whose code matches REGEX, with its count, as expect_at prints them.
+files_with() {
+    re=$1
+    shift
+    for f in "$@"; do
+        n=$(code "$f" | grep -cE -- "$re" || true)
+        [ "$n" -eq 0 ] || printf '%s:%s ' "$f" "$n"
+    done
+}
+expect_files() {
+    if [ "$2" != "$3${3:+ }" ]; then
+        echo "exists once: $1 — found at '${2% }', want '$3'" >&2
+        bad=1
+    fi
+}
+expect_files 'BTreeSet< of id triples under crates/{rdf,store}/src' \
+    "$(files_with 'BTreeSet<((IdTriple|Key)\b|\((TermId|u32),)' crates/rdf/src/*.rs "$store"/*.rs)" \
+    'crates/rdf/src/index.rs:1'
+expect_files 'HashMap<Term under src and crates/*/src' \
+    "$(files_with 'HashMap<Term' $(find src crates/*/src -name '*.rs'))" ''
+expect_files 'enum Perm definitions under src and crates/*/src' \
+    "$(files_with 'enum Perm\b' $(find src crates/*/src -name '*.rs'))" 'crates/rdf/src/index.rs:1'
+expect 'by_hash / older in crates/sparql/src/rows.rs (a dictionary of its own)' \
+    "$(code crates/sparql/src/rows.rs | grep -cE '\b(by_hash|older)\b' || true)" 0
 expect 'absorb_net under crates/*/src' \
     "$(find crates/*/src -name '*.rs' | while read -r f; do code "$f"; done | grep -c 'absorb_net' || true)" 0
 expect 'keys_for_triple( call sites under crates/*/src' \
@@ -217,5 +249,5 @@ expect '[[bench]] tables under crates/*/Cargo.toml' \
 expect 'criterion mentions in any Cargo.toml' \
     "$(cat Cargo.toml crates/*/Cargo.toml shims/*/Cargo.toml benchmark/Cargo.toml | grep -ci criterion || true)" 0
 expect 'directories under shims/' "$(ls -d shims/*/ | wc -l)" 3
-[ "$bad" -eq 0 ] && echo 'exists once: provider compute, exchange pricing, reply accounting, role constructors, the role host, the multiway protocol, regex compilation, lending scan, JSON escaping, result writers, the stopwatch, the pipeline tail, the operator table, the lookup leg, the cluster, the publication path, the frequency column, the move-small rule, the location table, the key count, the list-count bound, the bind step, the role runner, the query account, the statistics pass, the fan-out, the row read, the generation writer, the commit, the row batch'
+[ "$bad" -eq 0 ] && echo 'exists once: provider compute, exchange pricing, reply accounting, role constructors, the role host, the multiway protocol, regex compilation, lending scan, JSON escaping, result writers, the stopwatch, the pipeline tail, the operator table, the lookup leg, the cluster, the publication path, the frequency column, the move-small rule, the location table, the key count, the list-count bound, the bind step, the role runner, the query account, the statistics pass, the fan-out, the row read, the generation writer, the commit, the row batch, the triple index, the term dictionary'
 exit "$bad"
