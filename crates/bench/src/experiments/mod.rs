@@ -1,11 +1,11 @@
-//! The deferred-evaluation experiment suite (EXPERIMENTS.md §E1-§E23).
+//! The deferred-evaluation experiment suite (EXPERIMENTS.md §E1-§E21).
 //!
 //! Each module prints one or more Markdown tables; `run_all` regenerates
 //! the whole of EXPERIMENTS.md's measured data. The simulator
-//! experiments are seeded and deterministic; E19, E21 and E23 time the
-//! store and the solution algebra in-process. Nothing here times the
-//! live mesh: that stopwatch is the repo benchmark's (`benchmark/`), and
-//! E17, E18, E20 and E22, which held one, are retired numbers
+//! experiments are seeded and deterministic; E19 and E21 time the store
+//! in-process. Nothing here times the live mesh: that stopwatch is the
+//! repo benchmark's (`benchmark/`), and E17, E18, E20 and E22, which held
+//! one, are retired numbers, as is E23, which timed the solution algebra
 //! (EXPERIMENTS.md §Retired). Each run also returns the experiment's
 //! metrics [`Snapshot`](rdfmesh_obs::Snapshot) so callers (the
 //! `experiments` binary) can emit machine-readable summaries.
@@ -28,7 +28,6 @@ pub mod e15_cache;
 pub mod e16_live_churn;
 pub mod e19_store_scale;
 pub mod e21_store_durability;
-pub mod e23_algebra_cutoff;
 
 /// `(id, description, runner)` for every experiment.
 pub fn all() -> Vec<(&'static str, &'static str, fn())> {
@@ -51,13 +50,12 @@ pub fn all() -> Vec<(&'static str, &'static str, fn())> {
         ("e16", "Live-mesh churn soak: fault tolerance on real threads", e16_live_churn::run),
         ("e19", "Persistent-store scale ladder: bulk load, lookup, memory", e19_store_scale::run),
         ("e21", "Durable writes: WAL overhead, flush latency, write amplification", e21_store_durability::run),
-        ("e23", "Solution algebra: where the nested loop stops paying", e23_algebra_cutoff::run),
     ]
 }
 
 /// One experiment's identity plus the metrics it recorded while running.
 pub struct ExperimentRecord {
-    /// Registry id (`e1` … `e23`).
+    /// Registry id (`e1` … `e21`).
     pub id: &'static str,
     /// Human-readable title from the registry.
     pub title: &'static str,

@@ -1,7 +1,7 @@
 //! # rdfmesh-bench — the experiment harness
 //!
 //! Shared testbed construction and table rendering for the deferred
-//! evaluation suite (EXPERIMENTS.md §E1-§E23). The `experiments` binary
+//! evaluation suite (EXPERIMENTS.md §E1-§E21). The `experiments` binary
 //! regenerates every table and can emit a machine-readable summary:
 //!
 //! ```sh
@@ -16,7 +16,6 @@
 
 #![warn(missing_docs)]
 
-pub mod algebra_inputs;
 pub mod experiments;
 
 use rdfmesh_core::{CacheConfig, CacheStats, Engine, ExecConfig, Execution, QueryCache, QueryStats};

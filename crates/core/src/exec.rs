@@ -46,8 +46,8 @@ use rdfmesh_sparql::{
 /// A solution set materialized at a site at a point in simulated time.
 #[derive(Debug, Clone)]
 pub struct Mat {
-    /// The solutions, as one id-row batch: they become [`Solution`]s only
-    /// in [`answer`], for `finalize`.
+    /// The solutions, as one id-row batch — the batch [`answer`] hands
+    /// `finalize`, which a SELECT answer leaves as.
     pub solutions: Rows,
     /// Where they currently live.
     pub site: NodeId,
@@ -432,10 +432,10 @@ pub(crate) fn bind_step<E>(
 ) -> Result<Mat, E> {
     let vars: Vec<Variable> = pattern.variables().into_iter().cloned().collect();
     if rows.iter().all(|row| row.iter().all(|(v, _)| vars.contains(v))) {
-        return round(rows.distinct().to_solutions());
+        return round(rows.distinct().into_solutions());
     }
     let keys = rows.project(&vars).distinct();
-    let Mat { solutions: extensions, site, ready } = round(keys.to_solutions())?;
+    let Mat { solutions: extensions, site, ready } = round(keys.into_solutions())?;
     Ok(Mat { solutions: rows.join(&extensions).distinct(), site, ready })
 }
 

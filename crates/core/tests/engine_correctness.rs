@@ -62,11 +62,11 @@ fn assert_is_the_oracles(
     match (&expected, got) {
         (QueryResult::Solutions(e), QueryResult::Solutions(g)) => {
             assert_eq!(
-                sorted(e.clone()),
-                sorted(g.clone()),
+                sorted(e.solutions().to_vec()),
+                sorted(g.solutions().to_vec()),
                 "distributed vs oracle mismatch for {query} under {cfg:?}"
             );
-            g.len()
+            g.rows().len()
         }
         (QueryResult::Boolean(e), QueryResult::Boolean(g)) => {
             assert_eq!(e, g, "{query}");

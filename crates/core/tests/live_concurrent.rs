@@ -88,7 +88,7 @@ fn concurrent_executions_scenario(transport: Transport) {
     let rows = |result: &rdfmesh_sparql::QueryResult| -> Vec<String> {
         let mut rows: Vec<String> = match result {
             rdfmesh_sparql::QueryResult::Solutions(sols) => {
-                sols.iter().map(|s| format!("{s:?}")).collect()
+                sols.rows().iter().map(|row| row.to_string()).collect()
             }
             other => panic!("expected solutions, got {other:?}"),
         };

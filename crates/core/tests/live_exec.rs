@@ -63,7 +63,7 @@ const WAIT: Duration = Duration::from_secs(30);
 /// `result` with its rows or triples in a canonical order.
 fn canonical(result: QueryResult) -> QueryResult {
     match result {
-        QueryResult::Solutions(rows) => QueryResult::Solutions(sorted(rows)),
+        QueryResult::Solutions(rows) => QueryResult::Solutions(sorted(rows).into()),
         QueryResult::Graph(mut triples) => {
             triples.sort();
             QueryResult::Graph(triples)
@@ -98,7 +98,7 @@ fn assert_live_agrees(mesh: &LiveMesh, overlay: &Overlay, query: &str, bind_join
                 sorted(g.clone()),
                 "live vs oracle mismatch for {query} (bind_join={bind_join})"
             );
-            g.len()
+            g.rows().len()
         }
         (QueryResult::Boolean(e), QueryResult::Boolean(g)) => {
             assert_eq!(e, g, "{query}");
@@ -254,7 +254,7 @@ fn select(overlay: &Overlay, query: &str) -> Vec<Solution> {
     let QueryResult::Solutions(rows) = oracle(overlay, query) else {
         panic!("SELECT returns solutions")
     };
-    rows
+    rows.into()
 }
 
 fn predicate_pattern(s: &str, predicate: &str, o: &str) -> TriplePattern {

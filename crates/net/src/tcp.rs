@@ -128,14 +128,24 @@ pub struct Frame {
 }
 
 /// Encodes one frame: `[u32 LE length][kind][body]` with
-/// `length = 1 + body.len()`.
+/// `length = 1 + body.len()`. Panics if the frame would exceed
+/// [`MAX_FRAME`], which every reader refuses.
 pub fn encode_frame(kind: u8, body: &[u8]) -> Vec<u8> {
-    let len = 1 + body.len() as u32;
-    let mut out = Vec::with_capacity(5 + body.len());
+    frame_of(kind, &[body]).expect("a frame within MAX_FRAME")
+}
+
+/// One frame in one buffer: the length field, `kind`, then `parts` in
+/// order as the body. `None` if the frame would exceed [`MAX_FRAME`].
+fn frame_of(kind: u8, parts: &[&[u8]]) -> Option<Vec<u8>> {
+    let body: usize = parts.iter().map(|p| p.len()).sum();
+    let len = u32::try_from(body + 1).ok().filter(|&len| len <= MAX_FRAME)?;
+    let mut out = Vec::with_capacity(5 + body);
     out.extend_from_slice(&len.to_le_bytes());
     out.push(kind);
-    out.extend_from_slice(body);
-    out
+    for part in parts {
+        out.extend_from_slice(part);
+    }
+    Some(out)
 }
 
 /// Reads one frame. Returns `Ok(None)` on a clean end of stream (EOF at
@@ -167,13 +177,19 @@ fn read_frame_then<R: Read>(
         ));
     }
     started(r, len);
-    let mut buf = Vec::with_capacity((len as usize).min(BODY_RESERVE));
-    r.take(u64::from(len)).read_to_end(&mut buf)?;
-    if buf.len() < len as usize {
-        return Err(io::Error::new(io::ErrorKind::InvalidData, "frame truncated mid-body"));
+    let truncated = || io::Error::new(io::ErrorKind::InvalidData, "frame truncated mid-body");
+    let mut kind = [0u8; 1];
+    r.read_exact(&mut kind).map_err(|e| match e.kind() {
+        io::ErrorKind::UnexpectedEof => truncated(),
+        _ => e,
+    })?;
+    let body_len = len as usize - 1;
+    let mut body = Vec::with_capacity(body_len.min(BODY_RESERVE));
+    r.take(u64::from(len - 1)).read_to_end(&mut body)?;
+    if body.len() < body_len {
+        return Err(truncated());
     }
-    let kind = buf.remove(0);
-    Ok(Some(Frame { kind, body: buf }))
+    Ok(Some(Frame { kind: kind[0], body }))
 }
 
 /// Writes the 6-byte connection handshake: magic, version, reserved.
@@ -349,20 +365,25 @@ pub(crate) struct Wire<M> {
 }
 
 impl<M> Wire<M> {
-    fn send_frame(&self, addr: SocketAddr, kind: u8, body: &[u8]) -> bool {
+    /// Sends the frame of `kind` whose body is `parts`, written into one
+    /// buffer. A frame over [`MAX_FRAME`] is not sent — the reader would
+    /// refuse it and close the connection under every frame behind it —
+    /// and counts as a send failure.
+    fn send_frame(&self, addr: SocketAddr, kind: u8, parts: &[&[u8]]) -> bool {
+        let Some(frame) = frame_of(kind, parts) else {
+            self.stats.send_failure();
+            return false;
+        };
         let link = Arc::clone(
             self.links.lock().entry(addr).or_insert_with(|| Arc::new(PeerLink::new(addr))),
         );
-        link.send_frame(&encode_frame(kind, body), &self.stats)
+        link.send_frame(&frame, &self.stats)
     }
 
     pub(crate) fn send_envelope(&self, addr: SocketAddr, env: &Envelope<M>) -> bool {
         let payload = (self.encode)(&env.payload);
-        let mut body = Vec::with_capacity(16 + payload.len());
-        body.extend_from_slice(&env.from.0.to_le_bytes());
-        body.extend_from_slice(&env.to.0.to_le_bytes());
-        body.extend_from_slice(&payload);
-        self.send_frame(addr, KIND_ENVELOPE, &body)
+        let (from, to) = (env.from.0.to_le_bytes(), env.to.0.to_le_bytes());
+        self.send_frame(addr, KIND_ENVELOPE, &[&from, &to, &payload])
     }
 
     /// Where `env` leaves through a socket, if it does: a remote
@@ -393,10 +414,7 @@ impl<M> Wire<M> {
         let Some(addr) = self.routes.read().get(&node).copied() else { return false };
         let token = self.barrier_seq.fetch_add(1, Ordering::Relaxed);
         self.barriers.lock().insert(token, ack);
-        let mut body = Vec::with_capacity(16);
-        body.extend_from_slice(&node.0.to_le_bytes());
-        body.extend_from_slice(&token.to_le_bytes());
-        if !self.send_frame(addr, KIND_BARRIER, &body) {
+        if !self.send_frame(addr, KIND_BARRIER, &[&node.0.to_le_bytes(), &token.to_le_bytes()]) {
             self.barriers.lock().remove(&token);
             return false;
         }
@@ -607,7 +625,7 @@ impl<M: Send + 'static> Cluster<M> {
     /// be established, the write failed after a reconnect, or the
     /// cluster runs over channels.
     pub fn send_control(&self, addr: SocketAddr, bytes: &[u8]) -> bool {
-        self.hub.wire.as_ref().is_some_and(|w| w.send_frame(addr, KIND_CONTROL, bytes))
+        self.hub.wire.as_ref().is_some_and(|w| w.send_frame(addr, KIND_CONTROL, &[bytes]))
     }
 
     /// Receives the next inbound control frame, waiting up to `timeout`.

@@ -433,3 +433,39 @@ fn hashed_latency_affects_arrival_times() {
     assert_eq!(a, net.send(NodeId(1), NodeId(2), 10, SimTime::ZERO));
     assert_ne!(a, b);
 }
+
+/// A message of any size: its payload is that many zero bytes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Blob(usize);
+
+impl WireMsg for Blob {
+    fn encode_wire(&self) -> Vec<u8> {
+        vec![0; self.0]
+    }
+    fn decode_wire(bytes: &[u8]) -> Result<Self, WireFault> {
+        Ok(Blob(bytes.len()))
+    }
+}
+
+#[test]
+fn an_envelope_over_max_frame_fails_at_the_sender_and_its_connection_carries_the_next() {
+    let (tx, rx) = unbounded();
+    let seen = move |env: Envelope<Blob>, _out: &Outbox<Blob>| {
+        let _ = tx.send(env.payload.0);
+    };
+    let nodes: Vec<(NodeId, Box<dyn Handler<Blob>>)> = vec![(NodeId(1), Box::new(seen))];
+    let cluster = Cluster::spawn_loopback(nodes, FaultPlan::new()).expect("loopback binds");
+    // Kind byte, from and to (17 bytes) and the payload: one byte too many.
+    let oversized = Blob(MAX_FRAME as usize - 16);
+    assert!(cluster.inject(NodeId(9), NodeId(1), Blob(8)));
+    assert_eq!(rx.recv_timeout(Duration::from_secs(5)), Ok(8), "the first frame arrives");
+    assert!(!cluster.inject(NodeId(9), NodeId(1), oversized), "refused at the sender");
+    assert!(cluster.inject(NodeId(9), NodeId(1), Blob(16)));
+    assert_eq!(rx.recv_timeout(Duration::from_secs(5)), Ok(16), "the next frame arrives");
+    let stats = cluster.transport_stats().expect("a socket wire");
+    assert_eq!(stats.send_failures, 1, "{stats:?}");
+    assert_eq!(stats.frames_sent, 2, "{stats:?}");
+    assert_eq!((stats.connects, stats.reconnects), (1, 0), "one connection throughout: {stats:?}");
+    assert_eq!(stats.decode_errors, 0, "{stats:?}");
+    cluster.shutdown();
+}

@@ -13,6 +13,7 @@ use rdfmesh_rdf::{
 };
 
 use crate::algebra::{AlgebraQuery, GraphPattern};
+use crate::answer::QueryResult;
 use crate::ast::{DescribeTarget, Duplicates, Modifiers, QueryForm};
 use crate::expr::{Bindings, Compiled};
 use crate::rows::Rows;
@@ -214,41 +215,6 @@ pub fn evaluate_pattern<G: Graph>(graph: &G, pattern: &GraphPattern) -> Solution
     }
 }
 
-/// The result of a query, shaped by its query form.
-#[derive(Debug, Clone, PartialEq)]
-pub enum QueryResult {
-    /// SELECT: a solution sequence.
-    Solutions(Vec<Solution>),
-    /// ASK: a boolean.
-    Boolean(bool),
-    /// CONSTRUCT / DESCRIBE: an RDF graph.
-    Graph(Vec<Triple>),
-}
-
-impl QueryResult {
-    /// The solutions, if this is a SELECT result.
-    pub fn solutions(&self) -> Option<&[Solution]> {
-        match self {
-            QueryResult::Solutions(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// Number of solutions / triples, or 0/1 for ASK.
-    pub fn len(&self) -> usize {
-        match self {
-            QueryResult::Solutions(s) => s.len(),
-            QueryResult::Boolean(b) => usize::from(*b),
-            QueryResult::Graph(g) => g.len(),
-        }
-    }
-
-    /// True if the result carries nothing.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
 /// Evaluates a complete query over `graph` — pattern evaluation followed
 /// by the post-processing stage of Fig. 3 (modifiers + query form).
 pub fn evaluate_query<G: Graph>(graph: &G, query: &AlgebraQuery) -> QueryResult {
@@ -257,40 +223,36 @@ pub fn evaluate_query<G: Graph>(graph: &G, query: &AlgebraQuery) -> QueryResult 
 }
 
 /// Applies the query form and solution modifiers to raw pattern solutions
-/// — a [`SolutionSet`], or an id-row batch ([`Rows`]), whose rows become
-/// solutions here.
+/// — an id-row batch ([`Rows`]), or a [`SolutionSet`] made one. The
+/// batch is ordered, projected, deduplicated and sliced in place; a
+/// SELECT answer leaves as that batch.
 ///
 /// Split from [`evaluate_query`] so the distributed engine can run pattern
 /// evaluation remotely and post-process at the query initiator.
-pub fn finalize<G: Graph>(
-    graph: &G,
-    query: &AlgebraQuery,
-    raw: impl Into<SolutionSet>,
-) -> QueryResult {
-    let raw = raw.into();
-    match &query.form {
-        QueryForm::Ask => QueryResult::Boolean(!raw.is_empty()),
-        QueryForm::Select { duplicates, projection } => {
-            let mut rows = raw;
-            apply_order(&mut rows, &query.modifiers);
-            if !projection.is_empty() {
-                rows.iter_mut().for_each(|s| s.retain(projection));
-            }
-            let deduped = match duplicates {
-                Duplicates::All => rows,
-                Duplicates::Distinct | Duplicates::Reduced => solution::distinct(rows),
-            };
-            QueryResult::Solutions(apply_slice(deduped, &query.modifiers))
+pub fn finalize<G: Graph>(graph: &G, query: &AlgebraQuery, raw: impl Into<Rows>) -> QueryResult {
+    let mut rows = raw.into();
+    if matches!(query.form, QueryForm::Ask) {
+        return QueryResult::Boolean(!rows.is_empty());
+    }
+    apply_order(&mut rows, &query.modifiers);
+    if let QueryForm::Select { duplicates, projection } = &query.form {
+        if !projection.is_empty() {
+            rows.keep_columns(projection);
         }
+        if *duplicates != Duplicates::All {
+            rows = rows.distinct();
+        }
+    }
+    apply_slice(&mut rows, &query.modifiers);
+    match &query.form {
+        QueryForm::Ask => unreachable!("answered above"),
+        QueryForm::Select { .. } => QueryResult::Solutions(rows.into()),
         QueryForm::Construct(template) => {
-            let mut rows = raw;
-            apply_order(&mut rows, &query.modifiers);
-            let rows = apply_slice(rows, &query.modifiers);
             let mut triples = Vec::new();
             let mut seen = HashSet::new();
-            for sol in &rows {
+            for row in rows.iter() {
                 for tp in template {
-                    if let Some(t) = instantiate(tp, sol) {
+                    if let Some(t) = instantiate(tp, &row) {
                         if seen.insert(t.clone()) {
                             triples.push(t);
                         }
@@ -300,16 +262,13 @@ pub fn finalize<G: Graph>(
             QueryResult::Graph(triples)
         }
         QueryForm::Describe(targets) => {
-            let mut rows = raw;
-            apply_order(&mut rows, &query.modifiers);
-            let rows = apply_slice(rows, &query.modifiers);
             let mut resources: Vec<Term> = Vec::new();
             for target in targets {
                 match target {
                     DescribeTarget::Iri(iri) => resources.push(Term::Iri(iri.clone())),
                     DescribeTarget::Var(v) => {
-                        for sol in &rows {
-                            if let Some(t) = sol.get(v) {
+                        for row in rows.iter() {
+                            if let Some(t) = row.get(v) {
                                 if !resources.contains(t) {
                                     resources.push(t.clone());
                                 }
@@ -357,27 +316,35 @@ pub fn instantiate<B: Bindings + ?Sized>(tp: &TriplePattern, sol: &B) -> Option<
     Some(Triple { subject, predicate, object })
 }
 
-fn apply_order(rows: &mut [Solution], modifiers: &Modifiers) {
+/// ORDER BY: a stable sort of the rows on the compiled keys.
+fn apply_order(rows: &mut Rows, modifiers: &Modifiers) {
     if modifiers.order_by.is_empty() {
         return;
     }
-    let keys: Vec<(Compiled<'_>, bool)> =
-        modifiers.order_by.iter().map(|cmp| (cmp.expression.compile(), cmp.descending)).collect();
-    rows.sort_by(|a, b| {
-        for (key, descending) in &keys {
-            let ord = compare_for_order(key, a, b);
-            let ord = if *descending { ord.reverse() } else { ord };
-            if ord != Ordering::Equal {
-                return ord;
-            }
+    let keys = order_keys(modifiers);
+    rows.sort_by(|a, b| compare_rows(&keys, a, b));
+}
+
+/// The ORDER BY comparators, compiled, each with its direction.
+fn order_keys(modifiers: &Modifiers) -> Vec<(Compiled<'_>, bool)> {
+    modifiers.order_by.iter().map(|cmp| (cmp.expression.compile(), cmp.descending)).collect()
+}
+
+/// Two rows in the order `keys` give: the first key that tells them apart.
+fn compare_rows<B: Bindings>(keys: &[(Compiled<'_>, bool)], a: &B, b: &B) -> Ordering {
+    for (key, descending) in keys {
+        let ord = compare_for_order(key, a, b);
+        let ord = if *descending { ord.reverse() } else { ord };
+        if ord != Ordering::Equal {
+            return ord;
         }
-        Ordering::Equal
-    });
+    }
+    Ordering::Equal
 }
 
 /// Total order used by ORDER BY: errors/unbound sort lowest, then
 /// numerics by value, then everything else by serialized form.
-fn compare_for_order(expr: &Compiled<'_>, a: &Solution, b: &Solution) -> Ordering {
+fn compare_for_order<B: Bindings>(expr: &Compiled<'_>, a: &B, b: &B) -> Ordering {
     let ka = expr.evaluate(a).ok();
     let kb = expr.evaluate(b).ok();
     match (ka, kb) {
@@ -395,14 +362,9 @@ fn compare_for_order(expr: &Compiled<'_>, a: &Solution, b: &Solution) -> Orderin
     }
 }
 
-fn apply_slice(mut rows: Vec<Solution>, modifiers: &Modifiers) -> Vec<Solution> {
-    if let Some(offset) = modifiers.offset {
-        rows.drain(..offset.min(rows.len()));
-    }
-    if let Some(limit) = modifiers.limit {
-        rows.truncate(limit);
-    }
-    rows
+/// OFFSET, then LIMIT.
+fn apply_slice(rows: &mut Rows, modifiers: &Modifiers) {
+    rows.slice(modifiers.offset.unwrap_or(0), modifiers.limit);
 }
 
 #[cfg(test)]
@@ -600,27 +562,43 @@ mod tests {
         assert_eq!(sol.get_by_name("z").unwrap(), &person("carol"));
     }
 
-    /// SELECT post-processing as it was before it worked on the rows it
-    /// owns: every row rebuilt by the cloning `Solution::project`, the
-    /// slice taken through an iterator. What [`finalize`] must equal.
+    /// Post-processing as it was before it worked on the rows it owns,
+    /// over [`Solution`]s: every SELECT row rebuilt by the cloning
+    /// `Solution::project`, duplicates dropped by the nested-loop
+    /// `naive::distinct`, the slice taken through an iterator. What
+    /// [`finalize`] must equal.
     fn finalize_by_projection(query: &AlgebraQuery, raw: SolutionSet) -> QueryResult {
-        let QueryForm::Select { duplicates, projection } = &query.form else {
-            unreachable!("the differential generates SELECT only")
-        };
+        if matches!(query.form, QueryForm::Ask) {
+            return QueryResult::Boolean(!raw.is_empty());
+        }
         let mut rows = raw;
-        apply_order(&mut rows, &query.modifiers);
-        let projected: Vec<Solution> = if projection.is_empty() {
-            rows
-        } else {
-            rows.iter().map(|s| s.project(projection)).collect()
-        };
-        let deduped = match duplicates {
-            Duplicates::All => projected,
-            Duplicates::Distinct | Duplicates::Reduced => solution::distinct(projected),
-        };
+        let keys = order_keys(&query.modifiers);
+        rows.sort_by(|a, b| compare_rows(&keys, a, b));
+        if let QueryForm::Select { duplicates, projection } = &query.form {
+            if !projection.is_empty() {
+                rows = rows.iter().map(|s| s.project(projection)).collect();
+            }
+            if *duplicates != Duplicates::All {
+                rows = solution::naive::distinct(rows);
+            }
+        }
         let offset = query.modifiers.offset.unwrap_or(0);
         let limit = query.modifiers.limit.unwrap_or(usize::MAX);
-        QueryResult::Solutions(deduped.into_iter().skip(offset).take(limit).collect())
+        let rows: Vec<Solution> = rows.into_iter().skip(offset).take(limit).collect();
+        match &query.form {
+            QueryForm::Select { .. } => QueryResult::Solutions(rows.into()),
+            QueryForm::Construct(template) => {
+                let mut triples: Vec<Triple> = Vec::new();
+                for t in rows.iter().flat_map(|s| template.iter().filter_map(|tp| instantiate(tp, s)))
+                {
+                    if !triples.contains(&t) {
+                        triples.push(t);
+                    }
+                }
+                QueryResult::Graph(triples)
+            }
+            _ => unreachable!("the differential generates no DESCRIBE"),
+        }
     }
 
     mod generated {
@@ -629,54 +607,75 @@ mod tests {
         use crate::expr::Expression;
         use proptest::prelude::*;
 
-        const VARS: [&str; 4] = ["a", "b", "c", "d"];
+        /// The variables rows bind; a projection or an ORDER BY key names
+        /// only the first four, so `?e` is bound outside every projection.
+        const VARS: [&str; 5] = ["a", "b", "c", "d", "e"];
 
         fn var(i: usize) -> Variable {
             Variable::new(VARS[i])
         }
 
-        /// Rows binding any subset of four variables to one of three
+        /// One of three integers or three IRIs.
+        fn value(iri: bool, n: i64) -> Term {
+            match iri {
+                true => Term::iri(&format!("http://e/{n}")),
+                false => Term::Literal(Literal::integer(n)),
+            }
+        }
+
+        /// Rows binding any subset of five variables to one of six
         /// values: duplicates, differing domains and ORDER BY ties are
         /// all common.
         fn arb_rows() -> impl Strategy<Value = SolutionSet> {
-            let cell = (0usize..4, 0i64..3);
-            let row = proptest::collection::vec(cell, 0..5).prop_map(|cells| {
-                Solution::from_pairs(
-                    cells.into_iter().map(|(v, n)| (var(v), Term::Literal(Literal::integer(n)))),
-                )
+            let cell = (0usize..VARS.len(), any::<bool>(), 0i64..3);
+            let row = proptest::collection::vec(cell, 0..6).prop_map(|cells| {
+                Solution::from_pairs(cells.into_iter().map(|(v, iri, n)| (var(v), value(iri, n))))
             });
             proptest::collection::vec(row, 0..12)
         }
 
-        /// A SELECT over no pattern: the projection (empty is `*`; may
-        /// name a variable no row binds, or one twice), the duplicate
-        /// rule, up to two ORDER BY keys, OFFSET and LIMIT — each absent,
-        /// zero, inside and past the end.
+        /// A CONSTRUCT template position: a variable or a constant.
+        fn arb_position() -> impl Strategy<Value = TermPattern> {
+            prop_oneof![
+                3 => (0usize..VARS.len()).prop_map(|v| TermPattern::Var(var(v))),
+                1 => (any::<bool>(), 0i64..3).prop_map(|(iri, n)| TermPattern::Const(value(iri, n))),
+            ]
+        }
+
+        /// SELECT (the projection — empty is `*`; may name a variable no
+        /// row binds, or one twice — and the duplicate rule), ASK or
+        /// CONSTRUCT over no pattern, with up to two ORDER BY keys,
+        /// OFFSET and LIMIT — each absent, zero, inside and past the end.
         fn arb_query() -> impl Strategy<Value = AlgebraQuery> {
             let duplicates = proptest::sample::select(
                 &[Duplicates::All, Duplicates::Distinct, Duplicates::Reduced][..],
             );
+            let select = (proptest::collection::vec(0usize..4, 0..4), duplicates).prop_map(
+                |(projection, duplicates)| QueryForm::Select {
+                    duplicates,
+                    projection: projection.into_iter().map(var).collect(),
+                },
+            );
+            let pattern = (arb_position(), arb_position(), arb_position())
+                .prop_map(|(s, p, o)| TriplePattern::new(s, p, o));
+            let form = prop_oneof![
+                4 => select,
+                1 => Just(QueryForm::Ask),
+                2 => proptest::collection::vec(pattern, 1..3).prop_map(QueryForm::Construct),
+            ];
             let key = (0usize..4, any::<bool>()).prop_map(|(v, descending)| OrderComparator {
                 expression: Expression::Var(var(v)),
                 descending,
             });
             let slice = || prop_oneof![2 => Just(None), 3 => (0usize..15).prop_map(Some)];
-            (
-                proptest::collection::vec(0usize..4, 0..4),
-                duplicates,
-                proptest::collection::vec(key, 0..3),
-                slice(),
-                slice(),
-            )
-                .prop_map(|(projection, duplicates, order_by, offset, limit)| AlgebraQuery {
-                    form: QueryForm::Select {
-                        duplicates,
-                        projection: projection.into_iter().map(var).collect(),
-                    },
+            (form, proptest::collection::vec(key, 0..3), slice(), slice()).prop_map(
+                |(form, order_by, offset, limit)| AlgebraQuery {
+                    form,
                     dataset: Dataset::default(),
                     pattern: GraphPattern::Bgp(Vec::new()),
                     modifiers: Modifiers { order_by, limit, offset },
-                })
+                },
+            )
         }
 
         proptest! {

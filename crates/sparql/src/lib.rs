@@ -27,6 +27,7 @@
 #![warn(missing_docs)]
 
 pub mod algebra;
+pub mod answer;
 pub mod ast;
 pub mod eval;
 pub mod expr;
@@ -40,7 +41,8 @@ pub mod serializer;
 pub mod solution;
 
 pub use algebra::{translate, AlgebraQuery, GraphPattern};
-pub use eval::{evaluate_pattern, evaluate_query, finalize, Graph, QueryResult};
+pub use answer::{QueryResult, Selection};
+pub use eval::{evaluate_pattern, evaluate_query, finalize, Graph};
 pub use expr::{ArithOp, ComparisonOp, Expression, ExprError};
 pub use optimizer::{optimize, optimize_with, CardinalityEstimator, OptimizerConfig};
 pub use parser::{parse, ParseError};

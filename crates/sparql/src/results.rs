@@ -9,33 +9,45 @@
 //! Each format is one writer into one `String`: every name and value is
 //! escaped straight into the document (`push_escaped`; a TSV cell is
 //! the term's own N-Triples `Display`), which is sized from its first
-//! row (`push_rows`).
+//! row (`push_rows`). A SELECT document is written from the finished
+//! id-row batch ([`Rows`]): the header from the columns some row binds,
+//! and each row's bound cells in variable-name order — the order a
+//! `Solution` iterates its bindings in — with each term read from the
+//! batch's dictionary.
 
 use std::fmt::Write as _;
 
 use rdfmesh_rdf::{LiteralKind, Term, Variable};
 
-use crate::eval::QueryResult;
-use crate::solution::Solution;
+use crate::answer::QueryResult;
+use crate::rows::{Row, Rows};
 
-/// Collects the variable names bound anywhere in the solution sequence,
-/// in first-appearance order — the result header.
-pub fn head_variables(solutions: &[Solution]) -> Vec<Variable> {
-    let mut out: Vec<Variable> = Vec::new();
-    let mut previous: Option<&Solution> = None;
-    for s in solutions {
-        // A row with the domain of the row before it adds nothing.
-        if previous.is_some_and(|p| p.domain().eq(s.domain())) {
-            continue;
+/// The variables bound anywhere in the batch, in first-appearance order
+/// — each row's in variable-name order, as its [`Solution`] iterates
+/// them: the result header.
+///
+/// [`Solution`]: crate::Solution
+pub fn head_variables(rows: &Rows) -> Vec<Variable> {
+    let head = head_columns(rows, &rows.columns_by_name());
+    head.into_iter().map(|c| rows.vars()[c].clone()).collect()
+}
+
+/// [`head_variables`] as columns, given the columns in name order.
+fn head_columns(rows: &Rows, by_name: &[usize]) -> Vec<usize> {
+    let mut head = Vec::new();
+    let mut seen = vec![false; by_name.len()];
+    for row in rows.iter() {
+        if head.len() == seen.len() {
+            break;
         }
-        for v in s.domain() {
-            if !out.contains(v) {
-                out.push(v.clone());
+        for (c, _) in row.bound_in(by_name) {
+            if !seen[c] {
+                seen[c] = true;
+                head.push(c);
             }
         }
-        previous = Some(s);
     }
-    out
+    head
 }
 
 /// Appends `s` to `out` with each byte `replacement` names replaced.
@@ -68,21 +80,21 @@ fn push_separated<T>(
     }
 }
 
-/// Writes each solution with `row`, `between` between two. Once the
-/// first row is written, reserves its size and an eighth for each of the
-/// rest: rows of one result are alike, so the document rarely regrows.
+/// Writes each row with `row`, `between` between two. Once the first row
+/// is written, reserves its size and an eighth for each of the rest: rows
+/// of one result are alike, so the document rarely regrows.
 fn push_rows(
     out: &mut String,
-    solutions: &[Solution],
+    rows: &Rows,
     between: &str,
-    mut row: impl FnMut(&mut String, &Solution),
+    mut row: impl FnMut(&mut String, Row<'_>),
 ) {
-    push_separated(out, between, solutions.iter().enumerate(), |out, (i, s)| {
+    push_separated(out, between, rows.iter().enumerate(), |out, (i, r)| {
         let start = out.len();
-        row(out, s);
+        row(out, r);
         if i == 0 {
             let first = out.len() - start + between.len();
-            out.reserve((first + first / 8) * (solutions.len() - 1));
+            out.reserve((first + first / 8) * (rows.len() - 1));
         }
     });
 }
@@ -155,16 +167,18 @@ pub fn to_json(result: &QueryResult) -> String {
             out.push('}');
             out
         }
-        QueryResult::Solutions(solutions) => {
+        QueryResult::Solutions(selection) => {
+            let rows = selection.rows();
+            let by_name = rows.columns_by_name();
             let mut out = String::from("{\"head\":{\"vars\":[");
-            push_separated(&mut out, ",", &head_variables(solutions), |out, v| {
-                json_string(out, v.as_str());
+            push_separated(&mut out, ",", head_columns(rows, &by_name), |out, c| {
+                json_string(out, rows.vars()[c].as_str());
             });
             out.push_str("]},\"results\":{\"bindings\":[");
-            push_rows(&mut out, solutions, ",", |out, s| {
+            push_rows(&mut out, rows, ",", |out, row| {
                 out.push('{');
-                push_separated(out, ",", s.iter(), |out, (v, t)| {
-                    json_string(out, v.as_str());
+                push_separated(out, ",", row.bound_in(&by_name), |out, (c, t)| {
+                    json_string(out, rows.vars()[c].as_str());
                     out.push(':');
                     json_term(out, t);
                 });
@@ -241,20 +255,22 @@ pub fn to_xml(result: &QueryResult) -> String {
             out.push_str("</boolean>\n</sparql>\n");
             out
         }
-        QueryResult::Solutions(solutions) => {
+        QueryResult::Solutions(selection) => {
+            let rows = selection.rows();
+            let by_name = rows.columns_by_name();
             let mut out = String::from(XML_PROLOGUE);
             out.push_str("  <head>\n");
-            for v in &head_variables(solutions) {
+            for c in head_columns(rows, &by_name) {
                 out.push_str("    <variable name=\"");
-                push_xml_escaped(&mut out, v.as_str());
+                push_xml_escaped(&mut out, rows.vars()[c].as_str());
                 out.push_str("\"/>\n");
             }
             out.push_str("  </head>\n  <results>\n");
-            push_rows(&mut out, solutions, "", |out, s| {
+            push_rows(&mut out, rows, "", |out, row| {
                 out.push_str("    <result>\n");
-                for (v, t) in s.iter() {
+                for (c, t) in row.bound_in(&by_name) {
                     out.push_str("      <binding name=\"");
-                    push_xml_escaped(out, v.as_str());
+                    push_xml_escaped(out, rows.vars()[c].as_str());
                     out.push_str("\">");
                     xml_term(out, t);
                     out.push_str("</binding>\n");
@@ -273,18 +289,19 @@ pub fn to_tsv(result: &QueryResult) -> String {
     match result {
         QueryResult::Boolean(b) => String::from(if *b { "true\n" } else { "false\n" }),
         QueryResult::Graph(triples) => rdfmesh_rdf::write_document(triples),
-        QueryResult::Solutions(solutions) => {
-            let vars = head_variables(solutions);
+        QueryResult::Solutions(selection) => {
+            let rows = selection.rows();
+            let head = head_columns(rows, &rows.columns_by_name());
             let mut out = String::new();
-            push_separated(&mut out, "\t", &vars, |out, v| {
+            push_separated(&mut out, "\t", &head, |out, &c| {
                 out.push('?');
-                out.push_str(v.as_str());
+                out.push_str(rows.vars()[c].as_str());
             });
             out.push('\n');
-            push_rows(&mut out, solutions, "", |out, s| {
-                push_separated(out, "\t", &vars, |out, v| {
+            push_rows(&mut out, rows, "", |out, row| {
+                push_separated(out, "\t", &head, |out, &c| {
                     // A cell is the term as N-Triples writes it.
-                    if let Some(t) = s.get(v) {
+                    if let Some(t) = row.at(c) {
                         let _ = write!(out, "{t}");
                     }
                 });
@@ -298,16 +315,19 @@ pub fn to_tsv(result: &QueryResult) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Selection, Solution};
     use proptest::prelude::*;
     use rdfmesh_rdf::{Iri, Literal, Triple};
 
     /// The three serializers as they were before they wrote into one
-    /// buffer: a `String` per cell, per row and per document. What the
-    /// writers above must reproduce byte for byte.
+    /// buffer: a `String` per cell, per row and per document, over the
+    /// rows as [`Solution`]s. What the writers above, which walk the
+    /// batch, must reproduce byte for byte.
     mod oracle {
         use std::fmt::Write as _;
 
         use super::super::*;
+        use crate::Solution;
 
         fn head_variables(solutions: &[Solution]) -> Vec<Variable> {
             let mut out: Vec<Variable> = Vec::new();
@@ -372,7 +392,8 @@ mod tests {
                 QueryResult::Boolean(b) => {
                     format!("{{\"head\":{{}},\"boolean\":{b}}}")
                 }
-                QueryResult::Solutions(solutions) => {
+                QueryResult::Solutions(selection) => {
+                    let solutions = &selection.rows().to_solutions();
                     let vars = head_variables(solutions);
                     let head: Vec<String> =
                         vars.iter().map(|v| format!("\"{}\"", json_escape(v.as_str()))).collect();
@@ -431,7 +452,8 @@ mod tests {
                 QueryResult::Boolean(b) => format!(
                     "<?xml version=\"1.0\"?>\n<sparql xmlns=\"http://www.w3.org/2005/sparql-results#\">\n  <head/>\n  <boolean>{b}</boolean>\n</sparql>\n"
                 ),
-                QueryResult::Solutions(solutions) => {
+                QueryResult::Solutions(selection) => {
+                    let solutions = &selection.rows().to_solutions();
                     let vars = head_variables(solutions);
                     let mut out = String::from(
                         "<?xml version=\"1.0\"?>\n<sparql xmlns=\"http://www.w3.org/2005/sparql-results#\">\n  <head>\n",
@@ -463,7 +485,8 @@ mod tests {
             match result {
                 QueryResult::Boolean(b) => format!("{b}\n"),
                 QueryResult::Graph(triples) => rdfmesh_rdf::write_document(triples),
-                QueryResult::Solutions(solutions) => {
+                QueryResult::Solutions(selection) => {
+                    let solutions = &selection.rows().to_solutions();
                     let vars = head_variables(solutions);
                     let mut out = String::new();
                     let header: Vec<String> =
@@ -505,20 +528,36 @@ mod tests {
         ]
     }
 
-    /// Rows over a few variable names — some needing escapes themselves —
-    /// each row binding its own subset, so domains differ and repeat.
-    fn arb_rows() -> impl Strategy<Value = Vec<Solution>> {
+    /// Batches over a few variable names — some needing escapes
+    /// themselves — each row binding its own subset in its own order, so
+    /// columns come in no name order, domains differ and repeat, and a
+    /// header variable may be bound by no row at all.
+    fn arb_batch() -> impl Strategy<Value = Rows> {
         let names = proptest::collection::vec(arb_text(), 1..4);
         names.prop_flat_map(|names| {
             let names: Vec<String> =
                 ["x".to_string(), "n".to_string()].into_iter().chain(names).collect();
             let cell = (proptest::sample::select(&names[..]), arb_term());
-            let row = proptest::collection::vec(cell, 0..5).prop_map(|cells| {
-                Solution::from_pairs(cells.into_iter().map(|(v, t)| (Variable::new(v), t)))
-            });
+            let row = proptest::collection::vec(cell, 0..5);
             // Runs of one row repeated: neighbours with equal domains.
-            proptest::collection::vec((row, 1usize..4), 0..6).prop_map(|runs| {
-                runs.into_iter().flat_map(|(row, n)| std::iter::repeat_n(row, n)).collect()
+            let runs = proptest::collection::vec((row, 1usize..4), 0..6);
+            let unbound = proptest::collection::vec(proptest::sample::select(&names[..]), 0..2);
+            (unbound, runs).prop_map(|(unbound, runs)| {
+                let mut header: Vec<Variable> = Vec::new();
+                for v in unbound.into_iter().map(Variable::new) {
+                    if !header.contains(&v) {
+                        header.push(v);
+                    }
+                }
+                let mut rows = Rows::with_vars(header);
+                for (row, n) in runs {
+                    let row: Vec<(Variable, Term)> =
+                        row.into_iter().map(|(v, t)| (Variable::new(v), t)).collect();
+                    for _ in 0..n {
+                        rows.push_bindings(row.iter().map(|(v, t)| (v, t)));
+                    }
+                }
+                rows
             })
         })
     }
@@ -527,7 +566,7 @@ mod tests {
         let triple =
             (arb_term(), arb_term(), arb_term()).prop_map(|(s, p, o)| Triple::new(s, p, o));
         prop_oneof![
-            6 => arb_rows().prop_map(QueryResult::Solutions),
+            6 => arb_batch().prop_map(|rows| QueryResult::Solutions(rows.into())),
             1 => any::<bool>().prop_map(QueryResult::Boolean),
             1 => proptest::collection::vec(triple, 0..4).prop_map(QueryResult::Graph),
         ]
@@ -546,13 +585,13 @@ mod tests {
 
     #[test]
     fn the_empty_result_matches_its_oracle() {
-        let empty = QueryResult::Solutions(Vec::new());
+        let empty = QueryResult::Solutions(Rows::new().into());
         assert_eq!(to_json(&empty), "{\"head\":{\"vars\":[]},\"results\":{\"bindings\":[]}}");
         assert_eq!(to_json(&empty), oracle::to_json(&empty));
         assert_eq!(to_xml(&empty), oracle::to_xml(&empty));
         assert_eq!(to_tsv(&empty), oracle::to_tsv(&empty));
         // The unit solution: one row, no cell, no variable.
-        let unit = QueryResult::Solutions(vec![Solution::new()]);
+        let unit = QueryResult::Solutions(Rows::unit().into());
         assert_eq!(to_json(&unit), "{\"head\":{\"vars\":[]},\"results\":{\"bindings\":[{}]}}");
         assert_eq!(to_json(&unit), oracle::to_json(&unit));
         assert_eq!(to_xml(&unit), oracle::to_xml(&unit));
@@ -569,7 +608,7 @@ mod tests {
                 )])
             })
             .collect();
-        let result = QueryResult::Solutions(rows);
+        let result = QueryResult::Solutions(rows.into());
         for (written, expected) in [
             (to_json(&result), oracle::to_json(&result)),
             (to_xml(&result), oracle::to_xml(&result)),
@@ -583,7 +622,7 @@ mod tests {
     }
 
     fn sols() -> QueryResult {
-        QueryResult::Solutions(vec![
+        QueryResult::Solutions(Selection::from(vec![
             Solution::from_pairs([
                 (Variable::new("x"), Term::iri("http://e/a")),
                 (Variable::new("n"), Term::Literal(Literal::lang("Ann \"A\"", "en"))),
@@ -592,7 +631,7 @@ mod tests {
                 (Variable::new("x"), Term::blank("b0")),
                 (Variable::new("age"), Term::Literal(Literal::integer(30))),
             ]),
-        ])
+        ]))
     }
 
     #[test]
@@ -613,10 +652,10 @@ mod tests {
 
     #[test]
     fn json_control_characters_escape() {
-        let r = QueryResult::Solutions(vec![Solution::from_pairs([(
+        let r = QueryResult::Solutions(Selection::from(vec![Solution::from_pairs([(
             Variable::new("v"),
             Term::literal("a\nb\u{1}c"),
-        )])]);
+        )])]));
         let j = to_json(&r);
         assert!(j.contains("a\\nb\\u0001c"));
     }
@@ -669,7 +708,7 @@ mod tests {
     #[test]
     fn head_variables_in_first_appearance_order() {
         let QueryResult::Solutions(s) = sols() else { unreachable!() };
-        let head = head_variables(&s);
+        let head = head_variables(s.rows());
         let vars: Vec<&str> = head.iter().map(|v| v.as_str()).collect();
         // Solution iteration is alphabetical within a solution: n, x, age.
         assert_eq!(vars, ["n", "x", "age"]);

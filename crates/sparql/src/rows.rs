@@ -1,5 +1,7 @@
 //! Id-row batches: the one solution set the distributed engine carries
-//! between a frame and `finalize`.
+//! from a frame to the response bytes — through `finalize`, which orders,
+//! projects, deduplicates and slices a batch in place, and the result
+//! writers, which read the finished batch.
 //!
 //! A [`Solution`] owns its variables and terms: building one clones every
 //! name and term, hashing one walks its strings, and comparing two
@@ -31,6 +33,7 @@
 //! operand, grouped by domain, so it costs O(n + m + output) where the
 //! nested loop costs O(n·m).
 
+use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -233,14 +236,21 @@ impl Rows {
         self.iter().map(|row| row.to_solution()).collect()
     }
 
+    /// The columns in variable-name order: the order a [`Solution`]
+    /// iterates its bindings in.
+    pub(crate) fn columns_by_name(&self) -> Vec<usize> {
+        let mut by_name: Vec<usize> = (0..self.width()).collect();
+        by_name.sort_by(|&a, &b| self.vars[a].cmp(&self.vars[b]));
+        by_name
+    }
+
     /// [`Rows::to_solutions`] of a batch the caller gives up: each term is
     /// moved into the last cell that names it and cloned only for the
     /// others, and each row's bindings are built in variable order at
     /// their exact length.
     pub fn into_solutions(self) -> Vec<Solution> {
         let w = self.width();
-        let mut by_name: Vec<usize> = (0..w).collect();
-        by_name.sort_by(|&a, &b| self.vars[a].cmp(&self.vars[b]));
+        let by_name = self.columns_by_name();
         let mut uses = vec![0u32; self.dict.len()];
         for &cell in self.cells.iter().filter(|c| **c != UNBOUND) {
             uses[cell as usize - 1] += 1;
@@ -347,6 +357,46 @@ impl Rows {
         }
         self.cells.truncate(kept * w);
         self.len = kept;
+    }
+
+    /// Sorts the rows by `cmp`, stably: equal rows keep their order.
+    pub(crate) fn sort_by(&mut self, mut cmp: impl FnMut(&Row<'_>, &Row<'_>) -> Ordering) {
+        let mut order: Vec<usize> = (0..self.len).collect();
+        order.sort_by(|&a, &b| cmp(&self.row(a), &self.row(b)));
+        let w = self.width();
+        let mut cells = Vec::with_capacity(self.cells.len());
+        for i in order {
+            cells.extend_from_slice(&self.cells[i * w..(i + 1) * w]);
+        }
+        self.cells = cells;
+    }
+
+    /// Drops the first `offset` rows, then every row past `limit`.
+    pub(crate) fn slice(&mut self, offset: usize, limit: Option<usize>) {
+        let w = self.width();
+        let offset = offset.min(self.len);
+        self.cells.drain(..offset * w);
+        self.len -= offset;
+        if let Some(limit) = limit.filter(|&limit| limit < self.len) {
+            self.cells.truncate(limit * w);
+            self.len = limit;
+        }
+    }
+
+    /// Drops, in place, every column whose variable `vars` does not name
+    /// (projection). The dictionary keeps every term: a term no cell names
+    /// any longer is never read.
+    pub(crate) fn keep_columns(&mut self, vars: &[Variable]) {
+        let keep: Vec<bool> = self.vars.iter().map(|v| vars.contains(v)).collect();
+        if keep.iter().all(|k| *k) {
+            return;
+        }
+        let kept = self.cells.chunks_exact(self.width()).flat_map(|row| {
+            row.iter().zip(&keep).filter(|(_, k)| **k).map(|(c, _)| *c)
+        });
+        self.cells = kept.collect();
+        let mut keep = keep.into_iter();
+        self.vars.retain(|_| keep.next().expect("one flag per column"));
     }
 
     /// The rows restricted to the columns of `vars` (projection), in a
@@ -461,6 +511,12 @@ impl From<Rows> for Vec<Solution> {
     }
 }
 
+impl From<Vec<Solution>> for Rows {
+    fn from(solutions: Vec<Solution>) -> Rows {
+        Rows::from_solutions(&solutions)
+    }
+}
+
 /// Two batches are equal when they hold equal rows in the same order,
 /// whatever their headers and dictionaries.
 impl PartialEq for Rows {
@@ -495,8 +551,7 @@ pub struct Row<'a> {
 impl<'a> Row<'a> {
     /// The term the row binds `var` to, if any.
     pub fn get(&self, var: &Variable) -> Option<&'a Term> {
-        let cell = self.cells[self.rows.column(var)?];
-        (cell != UNBOUND).then(|| self.rows.term(cell))
+        self.at(self.rows.column(var)?)
     }
 
     /// The row's bindings, in column order.
@@ -507,6 +562,22 @@ impl<'a> Row<'a> {
             .zip(self.cells)
             .filter(|(_, c)| **c != UNBOUND)
             .map(move |(v, c)| (v, rows.term(*c)))
+    }
+
+    /// The term in column `col`, if the row binds it.
+    pub(crate) fn at(&self, col: usize) -> Option<&'a Term> {
+        let cell = self.cells[col];
+        (cell != UNBOUND).then(|| self.rows.term(cell))
+    }
+
+    /// The row's bound cells among the columns `cols`, in that order, each
+    /// as its column and term.
+    pub(crate) fn bound_in<'c>(&self, cols: &'c [usize]) -> impl Iterator<Item = (usize, &'a Term)> + 'c
+    where
+        'a: 'c,
+    {
+        let row = *self;
+        cols.iter().filter_map(move |&c| Some((c, row.at(c)?)))
     }
 
     /// The row as a [`Solution`].
@@ -527,9 +598,35 @@ impl Bindings for Row<'_> {
     }
 }
 
+/// Written as the row's [`Solution`] is: `{?a -> t, ...}`, bindings in
+/// variable-name order.
+impl fmt::Display for Row<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{{")?;
+        for (i, (c, t)) in self.bound_in(&self.rows.columns_by_name()).enumerate() {
+            if i > 0 {
+                write!(f, ", ")?;
+            }
+            write!(f, "{} -> {t}", self.rows.vars[c])?;
+        }
+        write!(f, "}}")
+    }
+}
+
+/// Printed as the row's [`Solution`] is, so a batch prints as the
+/// solution sequence it holds.
 impl fmt::Debug for Row<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.to_solution())
+        struct Map<'r>(Row<'r>);
+        impl fmt::Debug for Map<'_> {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                let row = self.0;
+                let by_name = row.rows.columns_by_name();
+                let bindings = row.bound_in(&by_name).map(|(c, t)| (&row.rows.vars[c], t));
+                f.debug_map().entries(bindings).finish()
+            }
+        }
+        f.debug_struct("Solution").field("bindings", &Map(*self)).finish()
     }
 }
 
@@ -787,6 +884,32 @@ mod tests {
         assert!(rows.push_bindings([(&v("y"), &b), (&v("x"), &a)]));
         assert!(!rows.push_bindings([(&v("x"), &a), (&v("x"), &b)]), "?x bound twice, differently");
         assert_eq!(rows.to_solutions(), vec![sol(&[("x", "a")]), sol(&[("x", "a"), ("y", "b")])]);
+    }
+
+    #[test]
+    fn a_batch_prints_as_the_solutions_it_holds() {
+        let sols = vec![sol(&[("y", "b"), ("x", "a")]), Solution::new(), sol(&[("z", "c")])];
+        let rows = Rows::from_solutions(&sols);
+        assert_eq!(format!("{rows:?}"), format!("{sols:?}"));
+        for (row, sol) in rows.iter().zip(&sols) {
+            assert_eq!(row.to_string(), sol.to_string());
+        }
+    }
+
+    #[test]
+    fn columns_slices_and_order_are_cut_in_place() {
+        let sols: Vec<Solution> =
+            ["c", "a", "b", "a"].iter().map(|val| sol(&[("x", val), ("y", "k")])).collect();
+        let mut rows = Rows::from_solutions(&sols);
+        rows.keep_columns(&[v("x")]);
+        assert_eq!(rows.vars(), &[v("x")]);
+        rows.sort_by(|a, b| a.get(&v("x")).cmp(&b.get(&v("x"))));
+        let x = |vals: &[&str]| vals.iter().map(|val| sol(&[("x", val)])).collect::<Vec<_>>();
+        assert_eq!(rows.to_solutions(), x(&["a", "a", "b", "c"]));
+        rows.slice(1, Some(2));
+        assert_eq!(rows.to_solutions(), x(&["a", "b"]));
+        rows.slice(5, None);
+        assert!(rows.is_empty());
     }
 
     #[test]

@@ -57,6 +57,12 @@
 # `rdf::Dictionary`, which keeps each term once (no `HashMap<Term` in any
 # crate's code) and which `Rows` holds instead of a chain of its own (no
 # `by_hash` / `older` in rows.rs).
+# A SELECT answer leaves as that batch: `finalize` orders, projects,
+# deduplicates and slices it in place and the JSON / XML / TSV writers
+# read it, so no row becomes a `Solution` on the answer path — no
+# `into_solutions(`, `to_solutions(` or `.solutions()` in eval.rs,
+# results.rs or src/endpoint.rs, and under crates/core/src only the bind
+# step's two, which hand a bind join's keys to their round (exec.rs).
 # Fails when a second copy appears. Test modules (`mod tests` to end of
 # file) and comment lines are not code.
 set -eu
@@ -226,6 +232,13 @@ expect_files 'enum Perm definitions under src and crates/*/src' \
     "$(files_with 'enum Perm\b' $(find src crates/*/src -name '*.rs'))" 'crates/rdf/src/index.rs:1'
 expect 'by_hash / older in crates/sparql/src/rows.rs (a dictionary of its own)' \
     "$(code crates/sparql/src/rows.rs | grep -cE '\b(by_hash|older)\b' || true)" 0
+# The answer path builds no `Solution`: the one view of a result as
+# `Solution`s is `Selection::solutions` (crates/sparql/src/answer.rs).
+to_sols='into_solutions\(|to_solutions\(|\.solutions\(\)'
+expect 'into_solutions( / to_solutions( / .solutions() in eval.rs, results.rs, src/endpoint.rs' \
+    "$(code crates/sparql/src/eval.rs crates/sparql/src/results.rs src/endpoint.rs | grep -cE "$to_sols" || true)" 0
+expect_files 'into_solutions( / to_solutions( / .solutions() under crates/core/src (the bind keys)' \
+    "$(files_with "$to_sols" $(find crates/core/src -name '*.rs' | sort))" 'crates/core/src/exec.rs:2'
 expect 'absorb_net under crates/*/src' \
     "$(find crates/*/src -name '*.rs' | while read -r f; do code "$f"; done | grep -c 'absorb_net' || true)" 0
 expect 'keys_for_triple( call sites under crates/*/src' \
@@ -249,5 +262,5 @@ expect '[[bench]] tables under crates/*/Cargo.toml' \
 expect 'criterion mentions in any Cargo.toml' \
     "$(cat Cargo.toml crates/*/Cargo.toml shims/*/Cargo.toml benchmark/Cargo.toml | grep -ci criterion || true)" 0
 expect 'directories under shims/' "$(ls -d shims/*/ | wc -l)" 3
-[ "$bad" -eq 0 ] && echo 'exists once: provider compute, exchange pricing, reply accounting, role constructors, the role host, the multiway protocol, regex compilation, lending scan, JSON escaping, result writers, the stopwatch, the pipeline tail, the operator table, the lookup leg, the cluster, the publication path, the frequency column, the move-small rule, the location table, the key count, the list-count bound, the bind step, the role runner, the query account, the statistics pass, the fan-out, the row read, the generation writer, the commit, the row batch, the triple index, the term dictionary'
+[ "$bad" -eq 0 ] && echo 'exists once: provider compute, exchange pricing, reply accounting, role constructors, the role host, the multiway protocol, regex compilation, lending scan, JSON escaping, result writers, the stopwatch, the pipeline tail, the operator table, the lookup leg, the cluster, the publication path, the frequency column, the move-small rule, the location table, the key count, the list-count bound, the bind step, the role runner, the query account, the statistics pass, the fan-out, the row read, the generation writer, the commit, the row batch, the triple index, the term dictionary, the answer batch'
 exit "$bad"

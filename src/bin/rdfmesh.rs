@@ -184,9 +184,9 @@ fn print_result(format: &str, exec: &rdfmesh::Execution) -> Result<(), String> {
                     println!("{t}");
                 }
             }
-            rdfmesh::QueryResult::Solutions(sols) => {
-                for s in sols {
-                    println!("{s}");
+            rdfmesh::QueryResult::Solutions(selection) => {
+                for row in selection.rows().iter() {
+                    println!("{row}");
                 }
             }
         },

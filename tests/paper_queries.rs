@@ -205,8 +205,8 @@ fn all_figures_agree_across_strategy_space() {
         let baseline = sys.query_with(ix, q, ExecConfig::baseline()).unwrap();
         match (&optimized.result, &baseline.result) {
             (QueryResult::Solutions(a), QueryResult::Solutions(b)) => {
-                let mut a = a.clone();
-                let mut b = b.clone();
+                let mut a = a.solutions().to_vec();
+                let mut b = b.solutions().to_vec();
                 a.sort();
                 b.sort();
                 assert_eq!(a, b, "{q}");
