@@ -5,72 +5,239 @@
 //! sanctioned dependency list carries no hash crate, so the 80-round
 //! SHA-1 compression function lives here. (SHA-1 is used for key
 //! *distribution*, not security; collision weakness is irrelevant.)
+//!
+//! [`Sha1`] streams: a key of several parts is fed part by part, and
+//! nothing is copied beyond the one 64-byte block it holds.
+
+/// A streaming SHA-1: feed bytes with [`Sha1::update`], read the digest
+/// with [`Sha1::finish`]. Holds one partial block; never allocates.
+#[derive(Debug, Clone)]
+pub struct Sha1 {
+    h: [u32; 5],
+    block: [u8; 64],
+    /// Bytes buffered in `block`.
+    filled: usize,
+    /// Bytes fed so far.
+    total: u64,
+}
+
+impl Default for Sha1 {
+    fn default() -> Self {
+        Sha1 {
+            h: [0x6745_2301, 0xEFCD_AB89, 0x98BA_DCFE, 0x1032_5476, 0xC3D2_E1F0],
+            block: [0; 64],
+            filled: 0,
+            total: 0,
+        }
+    }
+}
+
+impl Sha1 {
+    /// A hasher that has been fed nothing.
+    pub fn new() -> Self {
+        Sha1::default()
+    }
+
+    /// Feeds `data`: whole blocks are compressed in place, the tail is
+    /// kept for the next call.
+    pub fn update(&mut self, mut data: &[u8]) {
+        self.total = self.total.wrapping_add(data.len() as u64);
+        if self.filled > 0 {
+            let take = (64 - self.filled).min(data.len());
+            self.block[self.filled..self.filled + take].copy_from_slice(&data[..take]);
+            self.filled += take;
+            data = &data[take..];
+            if self.filled < 64 {
+                return;
+            }
+            compress(&mut self.h, &self.block);
+            self.filled = 0;
+        }
+        let mut blocks = data.chunks_exact(64);
+        for block in &mut blocks {
+            compress(&mut self.h, block.try_into().expect("64-byte chunk"));
+        }
+        let tail = blocks.remainder();
+        self.block[..tail.len()].copy_from_slice(tail);
+        self.filled = tail.len();
+    }
+
+    /// Pads the message (`0x80`, zeros, the bit length) and returns the
+    /// digest.
+    pub fn finish(mut self) -> [u8; 20] {
+        let bits = self.total.wrapping_mul(8);
+        self.block[self.filled] = 0x80;
+        self.block[self.filled + 1..].fill(0);
+        if self.filled >= 56 {
+            compress(&mut self.h, &self.block);
+            self.block.fill(0);
+        }
+        self.block[56..].copy_from_slice(&bits.to_be_bytes());
+        compress(&mut self.h, &self.block);
+        let mut out = [0u8; 20];
+        for (bytes, word) in out.chunks_exact_mut(4).zip(self.h) {
+            bytes.copy_from_slice(&word.to_be_bytes());
+        }
+        out
+    }
+
+    /// The top 64 bits of [`finish`](Sha1::finish)'s digest.
+    pub fn finish_u64(self) -> u64 {
+        let d = self.finish();
+        u64::from_be_bytes(d[..8].try_into().expect("8 bytes"))
+    }
+}
+
+/// One round: `f` is the round function of `b, c, d`, `k` its constant.
+#[inline(always)]
+fn round(s: &mut [u32; 5], f: u32, k: u32, w: u32) {
+    let [a, b, c, d, e] = *s;
+    let temp = a.rotate_left(5).wrapping_add(f).wrapping_add(e).wrapping_add(k).wrapping_add(w);
+    *s = [temp, a, b.rotate_left(30), c, d];
+}
+
+/// The compression function over one 64-byte block: the 80 rounds run as
+/// four loops of 20, one per round function.
+fn compress(h: &mut [u32; 5], block: &[u8; 64]) {
+    let mut w = [0u32; 80];
+    for (wi, word) in w.iter_mut().zip(block.chunks_exact(4)) {
+        *wi = u32::from_be_bytes(word.try_into().expect("4 bytes"));
+    }
+    for i in 16..80 {
+        w[i] = (w[i - 3] ^ w[i - 8] ^ w[i - 14] ^ w[i - 16]).rotate_left(1);
+    }
+    let mut s = *h;
+    for &wi in &w[..20] {
+        let [_, b, c, d, _] = s;
+        round(&mut s, (b & c) | (!b & d), 0x5A82_7999, wi);
+    }
+    for &wi in &w[20..40] {
+        let [_, b, c, d, _] = s;
+        round(&mut s, b ^ c ^ d, 0x6ED9_EBA1, wi);
+    }
+    for &wi in &w[40..60] {
+        let [_, b, c, d, _] = s;
+        round(&mut s, (b & c) | (b & d) | (c & d), 0x8F1B_BCDC, wi);
+    }
+    for &wi in &w[60..] {
+        let [_, b, c, d, _] = s;
+        round(&mut s, b ^ c ^ d, 0xCA62_C1D6, wi);
+    }
+    for (hi, si) in h.iter_mut().zip(s) {
+        *hi = hi.wrapping_add(si);
+    }
+}
 
 /// Computes the SHA-1 digest of `data`.
 pub fn sha1(data: &[u8]) -> [u8; 20] {
-    let mut h: [u32; 5] = [0x6745_2301, 0xEFCD_AB89, 0x98BA_DCFE, 0x1032_5476, 0xC3D2_E1F0];
-
-    let ml = (data.len() as u64).wrapping_mul(8);
-    let mut message = data.to_vec();
-    message.push(0x80);
-    while message.len() % 64 != 56 {
-        message.push(0);
-    }
-    message.extend_from_slice(&ml.to_be_bytes());
-
-    let mut w = [0u32; 80];
-    for chunk in message.chunks_exact(64) {
-        for (i, word) in chunk.chunks_exact(4).enumerate() {
-            w[i] = u32::from_be_bytes(word.try_into().unwrap());
-        }
-        for i in 16..80 {
-            w[i] = (w[i - 3] ^ w[i - 8] ^ w[i - 14] ^ w[i - 16]).rotate_left(1);
-        }
-
-        let (mut a, mut b, mut c, mut d, mut e) = (h[0], h[1], h[2], h[3], h[4]);
-        for (i, &wi) in w.iter().enumerate() {
-            let (f, k) = match i {
-                0..=19 => ((b & c) | ((!b) & d), 0x5A82_7999),
-                20..=39 => (b ^ c ^ d, 0x6ED9_EBA1),
-                40..=59 => ((b & c) | (b & d) | (c & d), 0x8F1B_BCDC),
-                _ => (b ^ c ^ d, 0xCA62_C1D6),
-            };
-            let temp = a
-                .rotate_left(5)
-                .wrapping_add(f)
-                .wrapping_add(e)
-                .wrapping_add(k)
-                .wrapping_add(wi);
-            e = d;
-            d = c;
-            c = b.rotate_left(30);
-            b = a;
-            a = temp;
-        }
-        h[0] = h[0].wrapping_add(a);
-        h[1] = h[1].wrapping_add(b);
-        h[2] = h[2].wrapping_add(c);
-        h[3] = h[3].wrapping_add(d);
-        h[4] = h[4].wrapping_add(e);
-    }
-
-    let mut out = [0u8; 20];
-    for (i, word) in h.iter().enumerate() {
-        out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
-    }
-    out
+    let mut hasher = Sha1::new();
+    hasher.update(data);
+    hasher.finish()
 }
 
 /// The top 64 bits of the SHA-1 digest, used as a Chord identifier before
 /// truncation to the ring's bit width.
 pub fn sha1_u64(data: &[u8]) -> u64 {
-    let d = sha1(data);
-    u64::from_be_bytes(d[..8].try_into().unwrap())
+    let mut hasher = Sha1::new();
+    hasher.update(data);
+    hasher.finish_u64()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The one-shot SHA-1 the streaming hasher replaced: copy the
+    /// message, pad it byte by byte, compress every block. The oracle.
+    fn oneshot(data: &[u8]) -> [u8; 20] {
+        let mut h: [u32; 5] = [0x6745_2301, 0xEFCD_AB89, 0x98BA_DCFE, 0x1032_5476, 0xC3D2_E1F0];
+        let ml = (data.len() as u64).wrapping_mul(8);
+        let mut message = data.to_vec();
+        message.push(0x80);
+        while message.len() % 64 != 56 {
+            message.push(0);
+        }
+        message.extend_from_slice(&ml.to_be_bytes());
+        let mut w = [0u32; 80];
+        for chunk in message.chunks_exact(64) {
+            for (i, word) in chunk.chunks_exact(4).enumerate() {
+                w[i] = u32::from_be_bytes(word.try_into().unwrap());
+            }
+            for i in 16..80 {
+                w[i] = (w[i - 3] ^ w[i - 8] ^ w[i - 14] ^ w[i - 16]).rotate_left(1);
+            }
+            let (mut a, mut b, mut c, mut d, mut e) = (h[0], h[1], h[2], h[3], h[4]);
+            for (i, &wi) in w.iter().enumerate() {
+                let (f, k) = match i {
+                    0..=19 => ((b & c) | ((!b) & d), 0x5A82_7999),
+                    20..=39 => (b ^ c ^ d, 0x6ED9_EBA1),
+                    40..=59 => ((b & c) | (b & d) | (c & d), 0x8F1B_BCDC),
+                    _ => (b ^ c ^ d, 0xCA62_C1D6),
+                };
+                let temp = a
+                    .rotate_left(5)
+                    .wrapping_add(f)
+                    .wrapping_add(e)
+                    .wrapping_add(k)
+                    .wrapping_add(wi);
+                e = d;
+                d = c;
+                c = b.rotate_left(30);
+                b = a;
+                a = temp;
+            }
+            for (hi, x) in h.iter_mut().zip([a, b, c, d, e]) {
+                *hi = hi.wrapping_add(x);
+            }
+        }
+        let mut out = [0u8; 20];
+        for (i, word) in h.iter().enumerate() {
+            out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
+        }
+        out
+    }
+
+    /// The digest of `data` fed in pieces cut at `cuts` (offsets, any
+    /// order, clamped to the input).
+    fn streamed(data: &[u8], cuts: &[usize]) -> [u8; 20] {
+        let mut cuts: Vec<usize> = cuts.iter().map(|&c| c.min(data.len())).collect();
+        cuts.sort_unstable();
+        let mut hasher = Sha1::new();
+        let mut at = 0;
+        for cut in cuts.into_iter().chain([data.len()]) {
+            hasher.update(&data[at..cut]);
+            at = cut;
+        }
+        hasher.finish()
+    }
+
+    #[test]
+    fn every_length_to_200_streams_as_the_oneshot_digest() {
+        // Every padding edge: 55 (length fits), 56 (a second block), 63,
+        // 64 (an exact block), 119 / 120 (the same two blocks on).
+        for n in 0..=200usize {
+            let data: Vec<u8> = (0..n).map(|i| (i * 31 + n) as u8).collect();
+            let want = oneshot(&data);
+            assert_eq!(sha1(&data), want, "one call, {n} bytes");
+            for cuts in [vec![], vec![1], vec![n / 2], vec![55, 56, 64], vec![63, 64, 119, 120]] {
+                assert_eq!(streamed(&data, &cuts), want, "{n} bytes cut at {cuts:?}");
+            }
+            let bytewise: Vec<usize> = (0..n).collect();
+            assert_eq!(streamed(&data, &bytewise), want, "{n} bytes one at a time");
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn random_inputs_in_random_splits_equal_the_oneshot_digest(
+            data in prop::collection::vec(any::<u8>(), 0..600),
+            cuts in prop::collection::vec(0usize..600, 0..8),
+        ) {
+            prop_assert_eq!(streamed(&data, &cuts), oneshot(&data));
+            prop_assert_eq!(sha1_u64(&data), u64::from_be_bytes(oneshot(&data)[..8].try_into().unwrap()));
+        }
+    }
 
     fn hex(d: &[u8]) -> String {
         d.iter().map(|b| format!("{b:02x}")).collect()

@@ -7,7 +7,7 @@
 
 use std::fmt;
 
-use crate::hash::sha1_u64;
+use crate::hash::{sha1_u64, Sha1};
 
 /// An identifier on the Chord ring.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -63,13 +63,14 @@ impl IdSpace {
     /// Hashes a multi-part key: parts are length-prefixed so that
     /// `("ab","c")` and `("a","bc")` hash differently. This is the
     /// `Hash(si, pi)` of the paper's two-level index.
+    /// The parts stream into the hasher; nothing is concatenated.
     pub fn hash_parts(self, parts: &[&str]) -> Id {
-        let mut buf = Vec::with_capacity(parts.iter().map(|p| p.len() + 8).sum());
+        let mut hasher = Sha1::new();
         for p in parts {
-            buf.extend_from_slice(&(p.len() as u64).to_be_bytes());
-            buf.extend_from_slice(p.as_bytes());
+            hasher.update(&(p.len() as u64).to_be_bytes());
+            hasher.update(p.as_bytes());
         }
-        self.hash(&buf)
+        self.id(hasher.finish_u64())
     }
 
     /// `id + 2^k mod 2^m` — the k-th finger start.
@@ -178,6 +179,17 @@ mod tests {
         assert_eq!(s.distance(Id(14), Id(2)), 4);
         assert_eq!(s.distance(Id(2), Id(14)), 12);
         assert_eq!(s.distance(Id(5), Id(5)), 0);
+    }
+
+    #[test]
+    fn hash_parts_hashes_the_length_prefixed_concatenation() {
+        let s = IdSpace::new(64);
+        let mut buf = Vec::new();
+        for p in ["SP", "<http://e/alice>", "", "\"v\"@en"] {
+            buf.extend_from_slice(&(p.len() as u64).to_be_bytes());
+            buf.extend_from_slice(p.as_bytes());
+        }
+        assert_eq!(s.hash_parts(&["SP", "<http://e/alice>", "", "\"v\"@en"]), s.hash(&buf));
     }
 
     #[test]

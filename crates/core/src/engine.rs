@@ -336,9 +336,7 @@ pub fn global_store(overlay: &Overlay) -> TripleStore {
     let mut store = TripleStore::new();
     for addr in overlay.storage_nodes() {
         if let Some(node) = overlay.storage_node(addr) {
-            for t in node.store.iter() {
-                store.insert(&t);
-            }
+            node.store.for_each_triple(|t| { store.insert(&t.to_triple()); });
         }
     }
     store

@@ -101,9 +101,10 @@ pub(crate) fn owner_in_view(ring_view: &[(u64, NodeId)], key: u64) -> NodeId {
 /// The index-key ids of `store`'s triples (six per triple, Sect. III-B),
 /// sorted, each with its frequency — the overlay's [`key_counts`], summed
 /// over the kinds that share an id — what its storage node publishes.
-/// Allocated at its exact length: a serve process keeps it to republish.
+/// One pass over the store's lending scan: no triple is cloned. Allocated
+/// at its exact length: a serve process keeps it to republish.
 pub(crate) fn index_keys(space: rdfmesh_chord::IdSpace, store: &SharedStore) -> Vec<(u64, u64)> {
-    let counts = key_counts(space, None, store.iter());
+    let counts = key_counts(space, None, store.len(), |f| store.for_each_triple(f));
     let ids = counts.chunk_by(|(a, _), (b, _)| a.id == b.id);
     let mut keys = Vec::with_capacity(ids.clone().count());
     keys.extend(ids.map(|run| (run[0].0.id.0, run.iter().map(|(_, n)| n).sum())));
@@ -125,5 +126,67 @@ pub(crate) fn publish(
     }
     for (owner, keys) in by_owner {
         cluster.inject(provider, owner, LiveMsg::Publish { keys, provider });
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::live_wire::peak_by;
+    use rdfmesh_rdf::{PatternSource, Triple};
+    use rdfmesh_workload::university::{department_triples, UniversityConfig};
+
+    /// What the key pass may hold at once per triple of the store: six
+    /// 8-byte key columns (48 B), the counts made of them (24 B per
+    /// distinct key) and the published ids (16 B per distinct id) — and
+    /// no copy of a triple, which alone would take several hundred.
+    const PEAK_BYTES_PER_TRIPLE: usize = 160;
+
+    fn corpus() -> Vec<Triple> {
+        // The repo benchmark's departments: ≈ 1 250 triples each.
+        let cfg = UniversityConfig {
+            professors_per_department: 10,
+            students_per_department: 200,
+            courses_per_professor: 2,
+            courses_per_student: 3,
+            ..UniversityConfig::default()
+        };
+        (0..8).flat_map(|d| department_triples(&cfg, d)).collect()
+    }
+
+    /// `index_keys` over `store`, asserting its peak heap stays in budget.
+    fn keys_in_budget(store: &SharedStore, host: &str) -> Vec<(u64, u64)> {
+        let space = rdfmesh_chord::IdSpace::new(32);
+        let (keys, peak) = peak_by(|| index_keys(space, store));
+        let per_triple = peak / store.len();
+        assert!(
+            per_triple <= PEAK_BYTES_PER_TRIPLE,
+            "{host}: {peak} B at peak over {} triples = {per_triple} B per triple",
+            store.len()
+        );
+        keys
+    }
+
+    #[test]
+    fn the_key_pass_never_holds_the_store_twice() {
+        let triples = corpus();
+        let memory: SharedStore = triples.iter().cloned().collect();
+        let dir = std::env::temp_dir()
+            .join(format!("rdfmesh-index-keys-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut persistent = rdfmesh_store::PersistentStore::open(&dir).expect("open");
+        for t in &triples {
+            persistent.insert(t);
+        }
+        persistent.flush().expect("flush");
+        let persistent = persistent.into_shared();
+        assert!(memory.len() > 5_000, "{} triples", memory.len());
+        assert_eq!(persistent.len(), memory.len());
+        let keys = keys_in_budget(&memory, "in memory");
+        assert_eq!(keys_in_budget(&persistent, "persistent"), keys);
+        let published: u64 = keys.iter().map(|(_, n)| n).sum();
+        assert_eq!(published, 6 * memory.len() as u64, "six keys per triple");
+        drop(persistent);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

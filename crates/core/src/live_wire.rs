@@ -430,7 +430,7 @@ impl WireMsg for LiveMsg {
 }
 
 #[cfg(test)]
-pub(crate) use tests::{allocated_by, ALLOC_PER_FRAME_BYTE};
+pub(crate) use tests::{allocated_by, peak_by, ALLOC_PER_FRAME_BYTE};
 
 #[cfg(test)]
 mod tests {
@@ -755,34 +755,47 @@ mod tests {
     }
 
     /// Counts the bytes the current thread asks the allocator for, so a
-    /// test can bound what decoding one frame costs. Per thread, because
+    /// test can bound what decoding one frame costs, and the bytes it
+    /// holds live, so a test can bound a pass's peak. Per thread, because
     /// the harness runs the other tests of this binary beside it.
     struct CountingAlloc;
 
     thread_local! {
         static ALLOCATED: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+        /// Bytes allocated minus bytes freed on this thread (a block
+        /// another thread allocated and this one frees counts negative).
+        static LIVE: std::cell::Cell<isize> = const { std::cell::Cell::new(0) };
+        /// The highest `LIVE` since [`peak_by`] last reset it.
+        static PEAK: std::cell::Cell<isize> = const { std::cell::Cell::new(0) };
     }
 
-    fn count(bytes: usize) {
+    /// Books `grown` bytes more asked for (a realloc's new size), of
+    /// which `live` (negative when freed) change what the thread holds.
+    fn count(grown: usize, live: isize) {
         // `try_with`: the allocator outlives a dying thread's locals.
-        let _ = ALLOCATED.try_with(|a| a.set(a.get() + bytes));
+        let _ = ALLOCATED.try_with(|a| a.set(a.get() + grown));
+        let _ = LIVE.try_with(|l| {
+            l.set(l.get() + live);
+            let _ = PEAK.try_with(|p| p.set(p.get().max(l.get())));
+        });
     }
 
     // SAFETY: every request is handed to `System` unchanged; the only
-    // addition is a thread-local integer with no destructor and no
-    // allocation of its own, so it cannot re-enter the allocator.
+    // addition is thread-local integers with no destructor and no
+    // allocation of their own, so they cannot re-enter the allocator.
     unsafe impl std::alloc::GlobalAlloc for CountingAlloc {
         unsafe fn alloc(&self, layout: std::alloc::Layout) -> *mut u8 {
-            count(layout.size());
+            count(layout.size(), layout.size() as isize);
             // SAFETY: the caller's contract, passed through.
             unsafe { std::alloc::System.alloc(layout) }
         }
         unsafe fn dealloc(&self, ptr: *mut u8, layout: std::alloc::Layout) {
+            count(0, -(layout.size() as isize));
             // SAFETY: the caller's contract, passed through.
             unsafe { std::alloc::System.dealloc(ptr, layout) }
         }
         unsafe fn realloc(&self, ptr: *mut u8, layout: std::alloc::Layout, new: usize) -> *mut u8 {
-            count(new);
+            count(new, new as isize - layout.size() as isize);
             // SAFETY: the caller's contract, passed through.
             unsafe { std::alloc::System.realloc(ptr, layout, new) }
         }
@@ -802,6 +815,16 @@ mod tests {
         let before = ALLOCATED.with(std::cell::Cell::get);
         let out = f();
         (out, ALLOCATED.with(std::cell::Cell::get) - before)
+    }
+
+    /// Runs `f`, returning its result and the most bytes this thread held
+    /// at once during it beyond what it held before — `f`'s peak heap,
+    /// its result included.
+    pub(crate) fn peak_by<T>(f: impl FnOnce() -> T) -> (T, usize) {
+        let before = LIVE.with(std::cell::Cell::get);
+        PEAK.with(|p| p.set(before));
+        let out = f();
+        (out, (PEAK.with(std::cell::Cell::get) - before).max(0) as usize)
     }
 
     /// One field of a solution-set frame, by the role a decoder gives it.

@@ -34,7 +34,7 @@ use std::net::{SocketAddr, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use rdfmesh_net::{Cluster, FaultPlan, Handler, NodeId, TransportSnapshot};
 use rdfmesh_overlay::key_for_pattern;
@@ -160,6 +160,8 @@ struct NodeShared {
     /// at start — what this process republishes after every membership
     /// change.
     keys: Vec<(u64, u64)>,
+    /// How long the start-up pass that counted `keys` took.
+    key_pass: Duration,
     space: rdfmesh_chord::IdSpace,
 }
 
@@ -307,7 +309,9 @@ impl MeshNode {
         let coord_id = NodeId(COORD_BASE + id);
         let pos = space.hash(&id.to_be_bytes()).0;
 
+        let started = Instant::now();
         let keys = index_keys(space, &store);
+        let key_pass = started.elapsed();
 
         let stats = Arc::new(LiveStats::default());
         let pending: PendingMap = Arc::new(Mutex::new(HashMap::new()));
@@ -347,6 +351,7 @@ impl MeshNode {
             flood,
             table,
             keys,
+            key_pass,
             space,
         });
         // Seed this process's own location-table slice.
@@ -398,6 +403,12 @@ impl MeshNode {
     /// This node's base id.
     pub fn id(&self) -> u64 {
         self.shared.me.id
+    }
+
+    /// How many index-key ids the local store publishes, and how long the
+    /// start-up pass that counted them took.
+    pub fn key_pass(&self) -> (usize, Duration) {
+        (self.shared.keys.len(), self.shared.key_pass)
     }
 
     /// Socket-layer counters (`transport.*` metric names).

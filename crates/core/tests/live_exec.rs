@@ -77,9 +77,9 @@ fn canonical(result: QueryResult) -> QueryResult {
 fn survivor_oracle(overlay: &Overlay, victim: NodeId, query: &str) -> QueryResult {
     let mut survivors = rdfmesh_rdf::TripleStore::new();
     for node in overlay.storage_nodes().into_iter().filter(|n| *n != victim) {
-        for t in overlay.storage_node(node).unwrap().store.iter() {
-            survivors.insert(&t);
-        }
+        overlay.storage_node(node).unwrap().store.for_each_triple(|t| {
+            survivors.insert(&t.to_triple());
+        });
     }
     canonical(evaluate_query(&survivors, &parse_query(query).unwrap()))
 }

@@ -266,7 +266,9 @@ fn runtime_crash_scenario(transport: Transport) {
 fn assert_rows_are_the_overlays(mesh: &LiveMesh, o: &Overlay) -> usize {
     let mut keys = 0;
     for storage in o.storage_nodes() {
-        for t in o.storage_node(storage).expect("listed").store.iter() {
+        let mut triples = Vec::new();
+        o.storage_node(storage).expect("listed").store.for_each_triple(|t| triples.push(t.to_triple()));
+        for t in triples {
             let (s, p, obj) = (&t.subject, &t.predicate, &t.object);
             let [x, y, z] = ["x", "y", "z"].map(TermPattern::var);
             for pattern in [

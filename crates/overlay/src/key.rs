@@ -6,8 +6,10 @@
 //! at six places on the Chord ring. A triple pattern with bound positions
 //! then picks the most selective applicable key.
 
+use std::fmt::Write as _;
+
 use rdfmesh_chord::{Id, IdSpace};
-use rdfmesh_rdf::{PatternKind, Term, Triple, TriplePattern};
+use rdfmesh_rdf::{PatternKind, Term, TermPattern, TriplePattern, TripleRef};
 
 /// Which attribute combination a key hashes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -71,57 +73,78 @@ pub struct IndexKey {
     pub id: Id,
 }
 
-fn term_text(t: &Term) -> String {
-    t.to_string()
+/// Formats a triple's three terms once, into one buffer, and hands `f`
+/// their texts — what every key of the triple hashes.
+fn with_text<R>(triple: TripleRef<'_>, f: impl FnOnce([&str; 3]) -> R) -> R {
+    let mut text = String::with_capacity(128);
+    let mut ends = [0; 3];
+    for (end, term) in ends.iter_mut().zip([triple.subject, triple.predicate, triple.object]) {
+        write!(text, "{term}").expect("a String takes every write");
+        *end = text.len();
+    }
+    f([&text[..ends[0]], &text[ends[0]..ends[1]], &text[ends[1]..]])
 }
 
-/// Hashes one attribute combination of a concrete triple.
-pub fn key_for_triple(space: IdSpace, triple: &Triple, kind: KeyKind) -> IndexKey {
-    let s = term_text(&triple.subject);
-    let p = term_text(&triple.predicate);
-    let o = term_text(&triple.object);
-    let id = match kind {
-        KeyKind::S => space.hash_parts(&["S", &s]),
-        KeyKind::P => space.hash_parts(&["P", &p]),
-        KeyKind::O => space.hash_parts(&["O", &o]),
-        KeyKind::SP => space.hash_parts(&["SP", &s, &p]),
-        KeyKind::PO => space.hash_parts(&["PO", &p, &o]),
-        KeyKind::SO => space.hash_parts(&["SO", &s, &o]),
+/// The ring position of `kind`'s key over the texts of a subject, a
+/// predicate and an object (a kind reads only its own positions).
+fn hash_kind(space: IdSpace, kind: KeyKind, [s, p, o]: [&str; 3]) -> Id {
+    let tag = kind.tag();
+    match kind {
+        KeyKind::S => space.hash_parts(&[tag, s]),
+        KeyKind::P => space.hash_parts(&[tag, p]),
+        KeyKind::O => space.hash_parts(&[tag, o]),
+        KeyKind::SP => space.hash_parts(&[tag, s, p]),
+        KeyKind::PO => space.hash_parts(&[tag, p, o]),
+        KeyKind::SO => space.hash_parts(&[tag, s, o]),
         KeyKind::PON => panic!(
             "PON keys require bucket configuration; use NumericBuckets::key"
         ),
-    };
-    IndexKey { kind, id }
+    }
+}
+
+/// Hashes one attribute combination of a concrete triple, owned or lent.
+pub fn key_for_triple<'a>(
+    space: IdSpace,
+    triple: impl Into<TripleRef<'a>>,
+    kind: KeyKind,
+) -> IndexKey {
+    with_text(triple.into(), |text| IndexKey { kind, id: hash_kind(space, kind, text) })
 }
 
 /// The six keys a provider publishes for one shared triple (Sect. III-B:
-/// "store the mapping … at six places").
-pub fn keys_for_triple(space: IdSpace, triple: &Triple) -> [IndexKey; 6] {
-    KeyKind::ALL.map(|k| key_for_triple(space, triple, k))
+/// "store the mapping … at six places"), owned or lent. Each term is
+/// formatted once.
+pub fn keys_for_triple<'a>(space: IdSpace, triple: impl Into<TripleRef<'a>>) -> [IndexKey; 6] {
+    with_text(triple.into(), |text| {
+        KeyKind::ALL.map(|kind| IndexKey { kind, id: hash_kind(space, kind, text) })
+    })
 }
 
-/// The index keys `triples` publish — six per triple, plus the range key
-/// of a numeric object when `buckets` is set — each with its frequency:
-/// how many of the triples carry it (Table I). Sorted by `(id, kind)`.
+/// The index keys of the triples `scan` lends — six per triple, plus the
+/// range key of a numeric object when `buckets` is set — each with its
+/// frequency: how many of the triples carry it (Table I). Sorted by
+/// `(id, kind)`. `scan` hands every triple to the callback it is given
+/// (`|f| store.for_each_triple(f)`); `len` is how many it will, if known.
 /// The one place a provider's keys are counted, on every host.
 pub fn key_counts(
     space: IdSpace,
     buckets: Option<NumericBuckets>,
-    triples: impl IntoIterator<Item = Triple>,
+    len: usize,
+    scan: impl FnOnce(&mut dyn FnMut(TripleRef<'_>)),
 ) -> Vec<(IndexKey, u64)> {
-    // One column of 8-byte ids per kind, in `KeyKind` order: a store's
-    // keys are the peak of a peer's start-up.
-    let triples = triples.into_iter();
+    // One column of 8-byte ids per kind, in `KeyKind` order, reserved at
+    // `len`. The triples are lent, never held: these columns and the
+    // counts made of them are the whole of the pass's memory.
     let mut columns: [Vec<u64>; 7] = Default::default();
     for column in &mut columns[..6] {
-        column.reserve_exact(triples.size_hint().0);
+        column.reserve_exact(len);
     }
-    for triple in triples {
-        let range_key = buckets.and_then(|b| b.key_of(space, &triple));
-        for key in keys_for_triple(space, &triple).into_iter().chain(range_key) {
+    scan(&mut |triple| {
+        let range_key = buckets.and_then(|b| b.key_of(space, triple));
+        for key in keys_for_triple(space, triple).into_iter().chain(range_key) {
             columns[key.kind as usize].push(key.id.0);
         }
-    }
+    });
     columns.iter_mut().for_each(|column| column.sort_unstable());
     let distinct = columns.iter().map(|column| column.chunk_by(u64::eq).count()).sum();
     let mut counts = Vec::with_capacity(distinct);
@@ -141,27 +164,24 @@ pub fn key_counts(
 /// typically far more selective than predicate, but with exactly one
 /// bound position there is no choice). A fully bound pattern uses `SP`.
 pub fn key_for_pattern(space: IdSpace, pattern: &TriplePattern) -> Option<IndexKey> {
-    let s = pattern.subject.as_const().map(term_text);
-    let p = pattern.predicate.as_const().map(term_text);
-    let o = pattern.object.as_const().map(term_text);
-    let (kind, id) = match pattern.kind() {
+    let kind = match pattern.kind() {
         PatternKind::None => return None,
-        PatternKind::S => (KeyKind::S, space.hash_parts(&["S", s.as_deref()?])),
-        PatternKind::P => (KeyKind::P, space.hash_parts(&["P", p.as_deref()?])),
-        PatternKind::O => (KeyKind::O, space.hash_parts(&["O", o.as_deref()?])),
-        PatternKind::SP | PatternKind::SPO => {
-            (KeyKind::SP, space.hash_parts(&["SP", s.as_deref()?, p.as_deref()?]))
-        }
-        PatternKind::PO => (KeyKind::PO, space.hash_parts(&["PO", p.as_deref()?, o.as_deref()?])),
-        PatternKind::SO => (KeyKind::SO, space.hash_parts(&["SO", s.as_deref()?, o.as_deref()?])),
+        PatternKind::S => KeyKind::S,
+        PatternKind::P => KeyKind::P,
+        PatternKind::O => KeyKind::O,
+        PatternKind::SP | PatternKind::SPO => KeyKind::SP,
+        PatternKind::PO => KeyKind::PO,
+        PatternKind::SO => KeyKind::SO,
     };
-    Some(IndexKey { kind, id })
+    let text = |t: &TermPattern| t.as_const().map(Term::to_string).unwrap_or_default();
+    let [s, p, o] = [&pattern.subject, &pattern.predicate, &pattern.object].map(text);
+    Some(IndexKey { kind, id: hash_kind(space, kind, [&s, &p, &o]) })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rdfmesh_rdf::TermPattern;
+    use rdfmesh_rdf::Triple;
 
     fn space() -> IdSpace {
         IdSpace::new(32)
@@ -291,10 +311,12 @@ impl NumericBuckets {
         space.hash_parts(&["PON", &predicate.to_string(), &bucket.to_string()])
     }
 
-    /// The range key `triple` publishes, if its object is numeric.
-    pub fn key_of(&self, space: IdSpace, triple: &Triple) -> Option<IndexKey> {
+    /// The range key `triple` (owned or lent) publishes, if its object is
+    /// numeric.
+    pub fn key_of<'a>(&self, space: IdSpace, triple: impl Into<TripleRef<'a>>) -> Option<IndexKey> {
+        let triple = triple.into();
         let value = triple.object.as_literal().and_then(rdfmesh_rdf::Literal::as_f64)?;
-        let id = self.key(space, &triple.predicate, self.bucket_of(value));
+        let id = self.key(space, triple.predicate, self.bucket_of(value));
         Some(IndexKey { kind: KeyKind::PON, id })
     }
 }
@@ -302,6 +324,7 @@ impl NumericBuckets {
 #[cfg(test)]
 mod bucket_tests {
     use super::*;
+    use rdfmesh_rdf::Triple;
 
     #[test]
     fn key_counts_count_every_key_sorted_by_id_then_kind() {
@@ -327,9 +350,10 @@ mod bucket_tests {
         }
         let want: Vec<(IndexKey, u64)> =
             naive.into_iter().map(|((id, kind), n)| (IndexKey { kind, id }, n)).collect();
-        assert_eq!(key_counts(space, Some(buckets), triples.clone()), want);
+        let lend = |f: &mut dyn FnMut(TripleRef<'_>)| triples.iter().for_each(|t| f(t.into()));
+        assert_eq!(key_counts(space, Some(buckets), triples.len(), lend), want);
         let without: Vec<_> = want.into_iter().filter(|(k, _)| k.kind != KeyKind::PON).collect();
-        assert_eq!(key_counts(space, None, triples), without);
+        assert_eq!(key_counts(space, None, 0, lend), without);
     }
 
     #[test]

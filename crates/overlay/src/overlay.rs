@@ -597,7 +597,9 @@ impl Overlay {
     fn publish(&mut self, addr: NodeId) -> Result<PublishReport, OverlayError> {
         let node = self.storage.get(&addr).ok_or(OverlayError::UnknownStorageNode(addr))?;
         let attach_id = node.attached_to;
-        let counts = key_counts(self.ring.space(), self.buckets, node.store.iter());
+        let store = &node.store;
+        let counts =
+            key_counts(self.ring.space(), self.buckets, store.len(), |f| store.for_each_triple(f));
         self.publish_deltas(addr, attach_id, counts, true)
     }
 
@@ -614,8 +616,10 @@ impl Overlay {
             self.storage.get_mut(&addr).ok_or(OverlayError::UnknownStorageNode(addr))?;
         let attach_id = node.attached_to;
         // Only genuinely new triples create index deltas.
-        let fresh = triples.into_iter().filter(|t| node.store.insert(t));
-        let counts = key_counts(space, buckets, fresh);
+        let triples = triples.into_iter();
+        let counts = key_counts(space, buckets, triples.size_hint().0, |f| {
+            triples.filter(|t| node.store.insert(t)).for_each(|t| f((&t).into()))
+        });
         self.publish_deltas(addr, attach_id, counts, true)
     }
 
@@ -630,8 +634,10 @@ impl Overlay {
         let node =
             self.storage.get_mut(&addr).ok_or(OverlayError::UnknownStorageNode(addr))?;
         let attach_id = node.attached_to;
-        let held = triples.into_iter().filter(|t| node.store.remove(t));
-        let counts = key_counts(space, buckets, held);
+        let triples = triples.into_iter();
+        let counts = key_counts(space, buckets, triples.size_hint().0, |f| {
+            triples.filter(|t| node.store.remove(t)).for_each(|t| f((&t).into()))
+        });
         self.publish_deltas(addr, attach_id, counts, false)
     }
 

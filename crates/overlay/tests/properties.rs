@@ -305,11 +305,11 @@ proptest! {
         // Distinct (key, node) entries == sum over distinct keys of 1.
         let store = &o.storage_node(NodeId(1)).unwrap().store;
         let mut keys = std::collections::BTreeSet::new();
-        for t in store.iter() {
-            for k in rdfmesh_overlay::keys_for_triple(o.ring().space(), &t) {
+        store.for_each_triple(|t| {
+            for k in rdfmesh_overlay::keys_for_triple(o.ring().space(), t) {
                 keys.insert(k.id);
             }
-        }
+        });
         prop_assert_eq!(o.total_index_entries(), keys.len());
     }
 }

@@ -57,14 +57,15 @@ pub trait PatternSource: fmt::Debug + Send + Sync {
         out
     }
 
-    /// Invokes `f` with a clone of every stored triple.
-    fn for_each_triple(&self, f: &mut dyn FnMut(Triple)) {
+    /// Lends every stored triple to `f`, as
+    /// [`for_each_match`](PatternSource::for_each_match) does.
+    fn for_each_triple(&self, f: &mut dyn FnMut(TripleRef<'_>)) {
         let all = TriplePattern::new(
             TermPattern::var("s"),
             TermPattern::var("p"),
             TermPattern::var("o"),
         );
-        self.for_each_match(&all, &mut |t| f(t.to_triple()));
+        self.for_each_match(&all, f);
     }
 
     /// True if the store holds no triples.
@@ -173,20 +174,11 @@ impl SharedStore {
         self.read().for_each_match(pattern, &mut f);
     }
 
-    /// Invokes `f` for every stored triple.
-    pub fn for_each_triple(&self, mut f: impl FnMut(Triple)) {
+    /// Lends every stored triple to `f`, under the read lock for the
+    /// whole walk: `f` must not call back into this store. The one walk
+    /// over a whole store; nothing collects one.
+    pub fn for_each_triple(&self, mut f: impl FnMut(TripleRef<'_>)) {
         self.read().for_each_triple(&mut f);
-    }
-
-    /// All stored triples, collected and returned as an owned iterator.
-    ///
-    /// Convenient for the simulator's toy-scale oracles; large
-    /// persistent stores should prefer
-    /// [`for_each_triple`](SharedStore::for_each_triple).
-    pub fn iter(&self) -> std::vec::IntoIter<Triple> {
-        let mut out = Vec::new();
-        self.for_each_triple(|t| out.push(t));
-        out.into_iter()
     }
 
     /// Runs `f` with a borrow of the underlying backend (for operations

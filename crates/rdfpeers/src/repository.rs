@@ -15,7 +15,7 @@ use std::collections::BTreeMap;
 
 use rdfmesh_chord::{ChordRing, Id, RingError};
 use rdfmesh_net::{Network, NodeId, SimTime};
-use rdfmesh_rdf::{Literal, SharedStore, Term, TermPattern, Triple, TriplePattern};
+use rdfmesh_rdf::{Literal, SharedStore, Term, TermPattern, Triple, TriplePattern, TripleRef};
 
 use crate::lphash::LocalityHash;
 
@@ -111,14 +111,12 @@ impl RdfPeers {
         if succ != position {
             let space = self.ring.space();
             let pred = self.ring.node(position)?.predecessor.unwrap_or(succ);
-            let moving: Vec<Triple> = self.stores[&succ]
-                .iter()
-                .filter(|t| {
-                    self.keys_of(t)
-                        .iter()
-                        .any(|&k| space.in_open_closed(k, pred, position))
-                })
-                .collect();
+            let mut moving: Vec<Triple> = Vec::new();
+            self.stores[&succ].for_each_triple(|t| {
+                if self.keys_of(t).iter().any(|&k| space.in_open_closed(k, pred, position)) {
+                    moving.push(t.to_triple());
+                }
+            });
             // A triple stays at the successor if it also has a key there;
             // re-place every copy of the moving triples.
             let mut bytes = 0usize;
@@ -170,12 +168,9 @@ impl RdfPeers {
         self.ring.space().hash_parts(&[tag, &term.to_string()])
     }
 
-    fn keys_of(&self, t: &Triple) -> [Id; 3] {
-        [
-            self.hash_term("S", &t.subject),
-            self.hash_term("P", &t.predicate),
-            self.hash_term("O", &t.object),
-        ]
+    fn keys_of<'a>(&self, t: impl Into<TripleRef<'a>>) -> [Id; 3] {
+        let t = t.into();
+        [self.hash_term("S", t.subject), self.hash_term("P", t.predicate), self.hash_term("O", t.object)]
     }
 
     /// Stores `triples` published by `provider` (any network address):
@@ -316,15 +311,17 @@ impl RdfPeers {
         let mut matches: Vec<Triple> = Vec::new();
         let space = self.ring.space();
         let collect = |store: &SharedStore, matches: &mut Vec<Triple>| {
-            for t in store.iter() {
-                if &t.predicate == predicate {
-                    if let Some(v) = t.object.as_literal().and_then(Literal::as_f64) {
-                        if v >= lo && v <= hi && !matches.contains(&t) {
+            store.for_each_triple(|t| {
+                if t.predicate == predicate {
+                    let value = t.object.as_literal().and_then(Literal::as_f64);
+                    if value.is_some_and(|v| v >= lo && v <= hi) {
+                        let t = t.to_triple();
+                        if !matches.contains(&t) {
                             matches.push(t);
                         }
                     }
                 }
-            }
+            });
         };
         let acc_bytes =
             |matches: &[Triple]| matches.iter().map(Triple::serialized_len).sum::<usize>();
@@ -378,10 +375,12 @@ impl RdfPeers {
         self.ring.stabilize_until_converged(128);
         let mut bytes = 0u64;
         if succ != id {
-            for t in store.iter() {
+            let to = &self.stores[&succ];
+            store.for_each_triple(|t| {
+                let t = t.to_triple();
                 bytes += t.serialized_len() as u64;
-                self.stores.get_mut(&succ).expect("member").insert(&t);
-            }
+                to.insert(&t);
+            });
             if bytes > 0 {
                 self.net.send(addr, self.addr[&succ], bytes as usize, SimTime::ZERO);
             }

@@ -63,6 +63,9 @@
 # `into_solutions(`, `to_solutions(` or `.solutions()` in eval.rs,
 # results.rs or src/endpoint.rs, and under crates/core/src only the bind
 # step's two, which hand a bind join's keys to their round (exec.rs).
+# A peer's keys are counted from one lending pass over its store: no code
+# collects a whole `SharedStore` (only the simulator's oracle union copies
+# one, into a `TripleStore`).
 # Fails when a second copy appears. Test modules (`mod tests` to end of
 # file) and comment lines are not code.
 set -eu
@@ -244,6 +247,16 @@ expect 'absorb_net under crates/*/src' \
 expect 'keys_for_triple( call sites under crates/*/src' \
     "$(find crates/*/src -name '*.rs' | while read -r f; do code "$f"; done |
         grep -v 'fn keys_for_triple(' | grep -c 'keys_for_triple(' || true)" 1
+# A whole store is walked by lending (`SharedStore::for_each_triple`),
+# never collected: nothing hands a store's triples back as an owned
+# collection (`IntoIter<Triple>`, a pattern-less `fn …(&self) ->
+# Vec<Triple>`), and no whole-store walk keeps what it is lent (`.push(`,
+# `collect` or `.to_triple()` on the line of a `for_each_triple(`) — but
+# the simulator's oracle, `engine::global_store`, the union it is named for.
+whole='IntoIter<Triple>|fn [a-z_]+\(&self\) -> (std::vec::)?(Vec|IntoIter)<Triple>'
+whole="$whole|for_each_triple\(.*(\.push\(|collect|\.to_triple\(\))"
+expect_files 'whole-store collections under crates/*/src' \
+    "$(files_with "$whole" $(find crates/*/src -name '*.rs' | sort))" 'crates/core/src/engine.rs:1'
 # A JSON string escaper is what writes a control character as \u00XX, or
 # is named for the job. rdfmesh-obs keeps its own for metric lines: it
 # depends on nothing, and crates/sparql does not depend on it.
@@ -262,5 +275,5 @@ expect '[[bench]] tables under crates/*/Cargo.toml' \
 expect 'criterion mentions in any Cargo.toml' \
     "$(cat Cargo.toml crates/*/Cargo.toml shims/*/Cargo.toml benchmark/Cargo.toml | grep -ci criterion || true)" 0
 expect 'directories under shims/' "$(ls -d shims/*/ | wc -l)" 3
-[ "$bad" -eq 0 ] && echo 'exists once: provider compute, exchange pricing, reply accounting, role constructors, the role host, the multiway protocol, regex compilation, lending scan, JSON escaping, result writers, the stopwatch, the pipeline tail, the operator table, the lookup leg, the cluster, the publication path, the frequency column, the move-small rule, the location table, the key count, the list-count bound, the bind step, the role runner, the query account, the statistics pass, the fan-out, the row read, the generation writer, the commit, the row batch, the triple index, the term dictionary, the answer batch'
+[ "$bad" -eq 0 ] && echo 'exists once: provider compute, exchange pricing, reply accounting, role constructors, the role host, the multiway protocol, regex compilation, lending scan, JSON escaping, result writers, the stopwatch, the pipeline tail, the operator table, the lookup leg, the cluster, the publication path, the frequency column, the move-small rule, the location table, the key count, the list-count bound, the bind step, the role runner, the query account, the statistics pass, the fan-out, the row read, the generation writer, the commit, the row batch, the triple index, the term dictionary, the answer batch, the whole-store walk'
 exit "$bad"
