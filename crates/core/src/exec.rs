@@ -83,7 +83,8 @@ pub enum OpKind {
 impl OpKind {
     /// Combines two solution sets standing at one site — the operator
     /// table every backend's [`MeshBackend::exec_binary`] applies once it
-    /// has decided where (the oracle's copy is `eval::evaluate_pattern`).
+    /// has decided where. The oracle, `eval::evaluate_pattern`, applies
+    /// the nested-loop definitions (`solution::naive`) instead.
     pub fn apply(&self, mut left: Rows, right: Rows) -> Rows {
         match self {
             OpKind::Join => left.join(&right),

@@ -1241,7 +1241,7 @@ mod tests {
                 finishes(&c.on_event(P2, partial_matches(qid, vec![Vec::new(), vec![xz(1, 5)]])));
             assert_eq!(done.len(), 1);
             assert!(done[0].1.complete);
-            let expect = rdfmesh_sparql::solution::join(&[xy(1, 1)], &[xz(1, 5)]);
+            let expect = rdfmesh_sparql::solution::naive::join(&[xy(1, 1)], &[xz(1, 5)]);
             assert_eq!(done[0].1.solutions, expect, "only the compatible pair assembles");
             assert_eq!(c.stats.snapshot().stitched_rows, 1);
         }

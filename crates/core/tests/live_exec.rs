@@ -281,7 +281,7 @@ fn assert_bound_round_agrees(
         let mut backend = LiveBackend::new(&*mesh, WAIT);
         let solutions = Rows::from_solutions(rows);
         let current = Mat { solutions, site: backend.home(), ready: SimTime::ZERO };
-        let got = sorted(backend.exec_bound(pattern, current).expect("round").solutions);
+        let got = sorted(backend.exec_bound(pattern, current).expect("round").solutions.into_solutions());
         assert_eq!(expected, got, "bound round vs oracle for {pattern} on {transport:?}");
         let stats = mesh.stats();
         mesh.shutdown();
@@ -350,7 +350,7 @@ fn two_hop_bind_round_moves_the_smaller_side_to_each_provider() {
     let overlay = university_overlay();
     let rows = select(&overlay, &format!("{UB} SELECT * WHERE {{ ?s ub:advisor ?a . }}"));
     let a = [Variable::new("a")];
-    let keys = solution::distinct(rows.iter().map(|r| r.project(&a)).collect());
+    let keys = solution::naive::distinct(rows.iter().map(|r| r.project(&a)).collect());
     assert!(keys.len() * 4 <= rows.len(), "{} keys for {} rows", keys.len(), rows.len());
     let works_for = predicate_pattern("a", ub::WORKS_FOR, "d");
     let mesh = LiveMesh::spawn(&overlay);

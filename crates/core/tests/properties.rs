@@ -3,6 +3,8 @@
 //! with the local oracle under random strategy configurations — including
 //! bind-join and with a randomly failed storage node (whose data
 //! legitimately drops out of the answer) — and so must the live mesh.
+//! SELECT answers compare as sorted rows, DESCRIBE answers as sorted
+//! triple sets.
 
 use proptest::prelude::*;
 use std::time::Duration;
@@ -13,7 +15,7 @@ use rdfmesh_core::{
 use rdfmesh_net::{LatencyModel, Network, NodeId, SimTime};
 use rdfmesh_overlay::Overlay;
 use rdfmesh_rdf::{Term, Triple, TripleStore};
-use rdfmesh_sparql::{evaluate_query, parse_query, Solution};
+use rdfmesh_sparql::{evaluate_query, parse_query, QueryResult, Solution};
 
 fn arb_triple() -> impl Strategy<Value = Triple> {
     (
@@ -130,10 +132,11 @@ fn arb_shape() -> impl Strategy<Value = Shape> {
     prop_oneof![Just(Shape::Chain), Just(Shape::Star), Just(Shape::Cycle), Just(Shape::Cartesian)]
 }
 
-/// Queries from a grammar over the vocabulary of [`arb_triple`]: BGPs of
-/// one to three patterns (chain, star, cycle, cartesian; a constant or
-/// not), OPTIONAL and OPTIONAL nested once, UNION, FILTER over a bound or
-/// an OPTIONAL-unbound variable, DISTINCT, ORDER BY + LIMIT.
+/// Queries from a grammar over the vocabulary of [`arb_triple`]: SELECT
+/// or `DESCRIBE ?v0` over BGPs of one to three patterns (chain, star,
+/// cycle, cartesian; a constant or not), OPTIONAL and OPTIONAL nested
+/// once, UNION, FILTER over a bound or an OPTIONAL-unbound variable,
+/// DISTINCT (SELECT only), ORDER BY + LIMIT.
 fn arb_query() -> impl Strategy<Value = String> {
     let body = prop_oneof![
         Just(Body::Plain),
@@ -156,8 +159,9 @@ fn arb_query() -> impl Strategy<Value = String> {
         }),
     ];
     let constant = (0u8..7).prop_map(|i| (i < 5).then_some(i));
-    (arb_shape(), arb_predicates(), constant, body, filter, modifiers)
-        .prop_map(|(shape, ps, constant, body, filter, modifiers)| {
+    let describe = (0u8..4).prop_map(|i| i == 0);
+    (arb_shape(), arb_predicates(), constant, body, filter, (modifiers, describe))
+        .prop_map(|(shape, ps, constant, body, filter, (modifiers, describe))| {
             let main = bgp(shape, &ps, constant);
             let mut group = match &body {
                 Body::Plain => main,
@@ -196,7 +200,10 @@ fn arb_query() -> impl Strategy<Value = String> {
                     (if distinct { "DISTINCT " } else { "" }, tail)
                 }
             };
-            format!("SELECT {distinct}* WHERE {{ {group}}}{tail}")
+            match describe {
+                true => format!("DESCRIBE ?v0 WHERE {{ {group}}}{tail}"),
+                false => format!("SELECT {distinct}* WHERE {{ {group}}}{tail}"),
+            }
         })
 }
 
@@ -215,11 +222,32 @@ fn build(datasets: &[Vec<Triple>]) -> Overlay {
     o
 }
 
-fn oracle(store: &TripleStore, query: &str) -> Vec<Solution> {
-    let q = parse_query(query).unwrap();
-    let mut s = evaluate_query(store, &q).solutions().unwrap().to_vec();
-    s.sort();
-    s
+/// A result as the properties compare it: SELECT rows sorted, a graph as
+/// its sorted set of triples.
+#[derive(Debug, PartialEq)]
+enum Answer {
+    Rows(Vec<Solution>),
+    Graph(Vec<Triple>),
+}
+
+fn answer(result: &QueryResult) -> Answer {
+    match result {
+        QueryResult::Graph(triples) => {
+            let mut triples = triples.clone();
+            triples.sort();
+            triples.dedup();
+            Answer::Graph(triples)
+        }
+        result => {
+            let mut rows = result.solutions().expect("a SELECT answer").to_vec();
+            rows.sort();
+            Answer::Rows(rows)
+        }
+    }
+}
+
+fn oracle(store: &TripleStore, query: &str) -> Answer {
+    answer(&evaluate_query(store, &parse_query(query).unwrap()))
 }
 
 proptest! {
@@ -237,9 +265,7 @@ proptest! {
         let exec = Engine::new(&mut overlay, cfg)
             .execute(NodeId(1000), &query)
             .expect("distributed execution");
-        let mut got = exec.result.solutions().expect("SELECT").to_vec();
-        got.sort();
-        prop_assert_eq!(got, expected, "query {} under {:?}", query, cfg);
+        prop_assert_eq!(answer(&exec.result), expected, "query {} under {:?}", query, cfg);
     }
 
     #[test]
@@ -258,9 +284,7 @@ proptest! {
         let exec = Engine::new(&mut overlay, ExecConfig::default())
             .execute(NodeId(1000), &query)
             .expect("execution despite failure");
-        let mut got = exec.result.solutions().expect("SELECT").to_vec();
-        got.sort();
-        prop_assert_eq!(got, expected);
+        prop_assert_eq!(answer(&exec.result), expected, "query {}", query);
         // A second run (entries purged) agrees and hits no timeouts.
         let exec2 = Engine::new(&mut overlay, ExecConfig::default())
             .execute(NodeId(1000), &query)
@@ -284,9 +308,7 @@ proptest! {
         mesh.shutdown();
         let live = live.expect("live execution");
         prop_assert!(live.complete, "query {}", query);
-        let mut got = live.result.solutions().expect("SELECT").to_vec();
-        got.sort();
-        prop_assert_eq!(got, expected, "query {}", query);
+        prop_assert_eq!(answer(&live.result), expected, "query {}", query);
     }
 
     /// The observability tentpole's exactness guarantee: for any random

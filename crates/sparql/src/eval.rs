@@ -1,9 +1,16 @@
 //! Local evaluation of algebra expressions over a graph.
 //!
-//! This is the "Local Query Execution" stage of the paper's workflow
-//! (Fig. 3): every storage node evaluates sub-queries against its own RDF
-//! data repository with this engine, and the same engine serves as the
-//! ground-truth oracle that the distributed executor is tested against.
+//! Two things live here. The "Local Query Execution" stage of the
+//! paper's workflow (Fig. 3): a storage node matches a triple pattern
+//! against its own RDF data repository through [`for_each_extension`],
+//! and the initiator post-processes the gathered id-row batch with
+//! [`finalize`]. And the ground-truth oracle the distributed executor is
+//! tested against, [`evaluate_query`]: it evaluates on [`Solution`]s
+//! alone, every operator by its nested-loop definition
+//! ([`solution::naive`]) and every modifier by its own code, so a wrong
+//! row from the batch algebra ([`Rows`]) cannot appear on both sides of a
+//! differential test. What the two share only reads finished rows: the
+//! CONSTRUCT / DESCRIBE tail and the ORDER BY comparison.
 
 use std::cmp::Ordering;
 use std::collections::HashSet;
@@ -17,7 +24,7 @@ use crate::answer::QueryResult;
 use crate::ast::{DescribeTarget, Duplicates, Modifiers, QueryForm};
 use crate::expr::{Bindings, Compiled};
 use crate::rows::Rows;
-use crate::solution::{self, Solution, SolutionSet};
+use crate::solution::{self, naive, Solution, SolutionSet};
 
 /// Anything that can enumerate triples matching a pattern.
 ///
@@ -169,42 +176,40 @@ pub fn evaluate_pattern_with<G: Graph>(
     out
 }
 
-/// Evaluates a graph pattern over `graph`, per the Sect. IV-B semantics.
+/// Evaluates a graph pattern over `graph`, per the Sect. IV-B semantics:
+/// the oracle's pattern evaluation, on [`Solution`]s alone — a BGP one
+/// triple pattern at a time, every binary operator by its nested-loop
+/// definition ([`naive`]).
 pub fn evaluate_pattern<G: Graph>(graph: &G, pattern: &GraphPattern) -> SolutionSet {
+    let both = |a: &GraphPattern, b: &GraphPattern| {
+        (evaluate_pattern(graph, a), evaluate_pattern(graph, b))
+    };
     match pattern {
         GraphPattern::Bgp(tps) => {
             let mut current = vec![Solution::new()];
             for tp in tps {
-                if current.is_empty() {
-                    break;
-                }
-                current = evaluate_pattern_with(graph, tp, &current).into();
+                let mut next = Vec::new();
+                for_each_extension(graph, tp, &current, |m| next.extend(m.to_solution()));
+                current = next;
             }
             current
         }
         GraphPattern::Join(a, b) => {
-            let oa = evaluate_pattern(graph, a);
-            if oa.is_empty() {
-                return Vec::new();
-            }
-            let ob = evaluate_pattern(graph, b);
-            solution::join(&oa, &ob)
+            let (oa, ob) = both(a, b);
+            naive::join(&oa, &ob)
         }
         GraphPattern::Union(a, b) => {
-            let oa = evaluate_pattern(graph, a);
-            let ob = evaluate_pattern(graph, b);
+            let (oa, ob) = both(a, b);
             solution::union(&oa, &ob)
         }
-        GraphPattern::LeftJoin(a, b, expr) => {
-            let oa = evaluate_pattern(graph, a);
-            let ob = evaluate_pattern(graph, b);
-            match expr {
-                None => solution::left_join(&oa, &ob),
-                Some(cond) => {
-                    let cond = cond.compile();
-                    solution::left_join_filtered(&oa, &ob, |m| cond.satisfied_by(m))
-                }
-            }
+        GraphPattern::LeftJoin(a, b, None) => {
+            let (oa, ob) = both(a, b);
+            naive::left_join(&oa, &ob)
+        }
+        GraphPattern::LeftJoin(a, b, Some(cond)) => {
+            let (oa, ob) = both(a, b);
+            let cond = cond.compile();
+            naive::left_join_filtered(&oa, &ob, |m| cond.satisfied_by(m))
         }
         GraphPattern::Filter(cond, p) => {
             let cond = cond.compile();
@@ -216,25 +221,57 @@ pub fn evaluate_pattern<G: Graph>(graph: &G, pattern: &GraphPattern) -> Solution
 }
 
 /// Evaluates a complete query over `graph` — pattern evaluation followed
-/// by the post-processing stage of Fig. 3 (modifiers + query form).
+/// by the post-processing stage of Fig. 3 (modifiers + query form). This
+/// is the central oracle every distributed answer is tested against: it
+/// runs on [`Solution`]s from the first triple to the answer. Of what
+/// the engines run on their batches ([`Rows`]) and [`finalize`], it
+/// shares only what reads finished rows: the ORDER BY comparison and
+/// the CONSTRUCT / DESCRIBE tail.
 pub fn evaluate_query<G: Graph>(graph: &G, query: &AlgebraQuery) -> QueryResult {
-    let raw = evaluate_pattern(graph, &query.pattern);
-    finalize(graph, query, raw)
+    post_process(graph, query, evaluate_pattern(graph, &query.pattern))
 }
 
-/// Applies the query form and solution modifiers to raw pattern solutions
-/// — an id-row batch ([`Rows`]), or a [`SolutionSet`] made one. The
-/// batch is ordered, projected, deduplicated and sliced in place; a
-/// SELECT answer leaves as that batch.
-///
-/// Split from [`evaluate_query`] so the distributed engine can run pattern
-/// evaluation remotely and post-process at the query initiator.
-pub fn finalize<G: Graph>(graph: &G, query: &AlgebraQuery, raw: impl Into<Rows>) -> QueryResult {
-    let mut rows = raw.into();
+/// The oracle's post-processing, on [`Solution`]s: a stable sort, every
+/// SELECT row rebuilt by the cloning [`Solution::project`], duplicates
+/// dropped by the nested-loop [`naive::distinct`], the slice taken
+/// through an iterator. What [`finalize`] must equal.
+fn post_process<G: Graph>(graph: &G, query: &AlgebraQuery, mut rows: SolutionSet) -> QueryResult {
     if matches!(query.form, QueryForm::Ask) {
         return QueryResult::Boolean(!rows.is_empty());
     }
-    apply_order(&mut rows, &query.modifiers);
+    let keys = order_keys(&query.modifiers);
+    rows.sort_by(|a, b| compare_rows(&keys, a, b));
+    if let QueryForm::Select { duplicates, projection } = &query.form {
+        if !projection.is_empty() {
+            rows = rows.iter().map(|s| s.project(projection)).collect();
+        }
+        if *duplicates != Duplicates::All {
+            rows = naive::distinct(rows);
+        }
+    }
+    let offset = query.modifiers.offset.unwrap_or(0);
+    let limit = query.modifiers.limit.unwrap_or(usize::MAX);
+    let rows: SolutionSet = rows.into_iter().skip(offset).take(limit).collect();
+    match &query.form {
+        QueryForm::Select { .. } => QueryResult::Solutions(rows.into()),
+        form => graph_form(graph, form, &rows),
+    }
+}
+
+/// Applies the query form and solution modifiers to raw pattern solutions
+/// — an id-row batch, ordered, projected, deduplicated and sliced in
+/// place; a SELECT answer leaves as that batch.
+///
+/// Split from pattern evaluation: the distributed engine evaluates the
+/// pattern remotely and post-processes at the query initiator.
+pub fn finalize<G: Graph>(graph: &G, query: &AlgebraQuery, mut rows: Rows) -> QueryResult {
+    if matches!(query.form, QueryForm::Ask) {
+        return QueryResult::Boolean(!rows.is_empty());
+    }
+    if !query.modifiers.order_by.is_empty() {
+        let keys = order_keys(&query.modifiers);
+        rows.sort_by(|a, b| compare_rows(&keys, a, b));
+    }
     if let QueryForm::Select { duplicates, projection } = &query.form {
         if !projection.is_empty() {
             rows.keep_columns(projection);
@@ -243,23 +280,29 @@ pub fn finalize<G: Graph>(graph: &G, query: &AlgebraQuery, raw: impl Into<Rows>)
             rows = rows.distinct();
         }
     }
-    apply_slice(&mut rows, &query.modifiers);
+    rows.slice(query.modifiers.offset.unwrap_or(0), query.modifiers.limit);
     match &query.form {
-        QueryForm::Ask => unreachable!("answered above"),
         QueryForm::Select { .. } => QueryResult::Solutions(rows.into()),
+        form => graph_form(graph, form, &rows.iter().collect::<Vec<_>>()),
+    }
+}
+
+/// The CONSTRUCT / DESCRIBE graph of the finished `rows`, each triple
+/// once in first-built order. It reads rows and modifies none, so
+/// [`finalize`] and the oracle share it.
+fn graph_form<G: Graph, B: Bindings>(graph: &G, form: &QueryForm, rows: &[B]) -> QueryResult {
+    let mut triples = Vec::new();
+    let mut seen = HashSet::new();
+    let mut keep = |t: Triple| {
+        if seen.insert(t.clone()) {
+            triples.push(t);
+        }
+    };
+    match form {
         QueryForm::Construct(template) => {
-            let mut triples = Vec::new();
-            let mut seen = HashSet::new();
-            for row in rows.iter() {
-                for tp in template {
-                    if let Some(t) = instantiate(tp, &row) {
-                        if seen.insert(t.clone()) {
-                            triples.push(t);
-                        }
-                    }
-                }
+            for row in rows {
+                template.iter().filter_map(|tp| instantiate(tp, row)).for_each(&mut keep);
             }
-            QueryResult::Graph(triples)
         }
         QueryForm::Describe(targets) => {
             let mut resources: Vec<Term> = Vec::new();
@@ -267,33 +310,26 @@ pub fn finalize<G: Graph>(graph: &G, query: &AlgebraQuery, raw: impl Into<Rows>)
                 match target {
                     DescribeTarget::Iri(iri) => resources.push(Term::Iri(iri.clone())),
                     DescribeTarget::Var(v) => {
-                        for row in rows.iter() {
-                            if let Some(t) = row.get(v) {
-                                if !resources.contains(t) {
-                                    resources.push(t.clone());
-                                }
+                        for t in rows.iter().filter_map(|row| row.get(v)) {
+                            if !resources.contains(t) {
+                                resources.push(t.clone());
                             }
                         }
                     }
                 }
             }
-            let mut triples = Vec::new();
-            let mut seen = HashSet::new();
             for r in resources {
                 let pat = TriplePattern::new(
                     TermPattern::Const(r),
                     TermPattern::var("p"),
                     TermPattern::var("o"),
                 );
-                for t in graph.matching(&pat) {
-                    if seen.insert(t.clone()) {
-                        triples.push(t);
-                    }
-                }
+                graph.matching(&pat).into_iter().for_each(&mut keep);
             }
-            QueryResult::Graph(triples)
         }
+        QueryForm::Select { .. } | QueryForm::Ask => unreachable!("not a graph form"),
     }
+    QueryResult::Graph(triples)
 }
 
 /// Instantiates a pattern under a solution — a CONSTRUCT template, or
@@ -316,15 +352,6 @@ pub fn instantiate<B: Bindings + ?Sized>(tp: &TriplePattern, sol: &B) -> Option<
     Some(Triple { subject, predicate, object })
 }
 
-/// ORDER BY: a stable sort of the rows on the compiled keys.
-fn apply_order(rows: &mut Rows, modifiers: &Modifiers) {
-    if modifiers.order_by.is_empty() {
-        return;
-    }
-    let keys = order_keys(modifiers);
-    rows.sort_by(|a, b| compare_rows(&keys, a, b));
-}
-
 /// The ORDER BY comparators, compiled, each with its direction.
 fn order_keys(modifiers: &Modifiers) -> Vec<(Compiled<'_>, bool)> {
     modifiers.order_by.iter().map(|cmp| (cmp.expression.compile(), cmp.descending)).collect()
@@ -342,29 +369,30 @@ fn compare_rows<B: Bindings>(keys: &[(Compiled<'_>, bool)], a: &B, b: &B) -> Ord
     Ordering::Equal
 }
 
-/// Total order used by ORDER BY: errors/unbound sort lowest, then
-/// numerics by value, then everything else by serialized form.
+/// The total order ORDER BY sorts by (SPARQL 1.1 §15.1): an error or
+/// an unbound key first, then blank nodes, IRIs, and literals last.
+/// Numeric literals precede the other literals and compare by value
+/// ([`f64::total_cmp`]); everything else compares by its N-Triples form,
+/// which also breaks ties in value, so only identical terms are equal.
 fn compare_for_order<B: Bindings>(expr: &Compiled<'_>, a: &B, b: &B) -> Ordering {
-    let ka = expr.evaluate(a).ok();
-    let kb = expr.evaluate(b).ok();
-    match (ka, kb) {
-        (None, None) => Ordering::Equal,
-        (None, Some(_)) => Ordering::Less,
-        (Some(_), None) => Ordering::Greater,
+    let rank = |t: &Option<Term>| match t {
+        None => 0,
+        Some(Term::Blank(_)) => 1,
+        Some(Term::Iri(_)) => 2,
+        Some(Term::Literal(_)) => 3,
+    };
+    let number = |t: &Term| t.as_literal().and_then(Literal::as_f64);
+    let (ka, kb) = (expr.evaluate(a).ok(), expr.evaluate(b).ok());
+    rank(&ka).cmp(&rank(&kb)).then_with(|| match (ka, kb) {
         (Some(ta), Some(tb)) => {
-            let na = ta.as_literal().and_then(Literal::as_f64);
-            let nb = tb.as_literal().and_then(Literal::as_f64);
-            match (na, nb) {
-                (Some(x), Some(y)) => x.partial_cmp(&y).unwrap_or(Ordering::Equal),
-                _ => ta.to_string().cmp(&tb.to_string()),
-            }
+            let by_value = match (number(&ta), number(&tb)) {
+                (Some(x), Some(y)) => x.total_cmp(&y),
+                (x, y) => y.is_some().cmp(&x.is_some()),
+            };
+            by_value.then_with(|| ta.to_string().cmp(&tb.to_string()))
         }
-    }
-}
-
-/// OFFSET, then LIMIT.
-fn apply_slice(rows: &mut Rows, modifiers: &Modifiers) {
-    rows.slice(modifiers.offset.unwrap_or(0), modifiers.limit);
+        _ => Ordering::Equal,
+    })
 }
 
 #[cfg(test)]
@@ -562,42 +590,61 @@ mod tests {
         assert_eq!(sol.get_by_name("z").unwrap(), &person("carol"));
     }
 
-    /// Post-processing as it was before it worked on the rows it owns,
-    /// over [`Solution`]s: every SELECT row rebuilt by the cloning
-    /// `Solution::project`, duplicates dropped by the nested-loop
-    /// `naive::distinct`, the slice taken through an iterator. What
-    /// [`finalize`] must equal.
-    fn finalize_by_projection(query: &AlgebraQuery, raw: SolutionSet) -> QueryResult {
-        if matches!(query.form, QueryForm::Ask) {
-            return QueryResult::Boolean(!raw.is_empty());
+    fn int(n: i64) -> Term {
+        Term::Literal(Literal::integer(n))
+    }
+
+    /// One row per entry of `terms`, binding `?o` to it or leaving `?o`
+    /// unbound, post-processed by `query` on the batch and by the oracle.
+    fn both_ways(query: &str, terms: &[Option<Term>]) -> [QueryResult; 2] {
+        let q = algebra::translate(&parser::parse(query).unwrap());
+        let o = Variable::new("o");
+        let row = |t: &Option<Term>| Solution::from_pairs(t.iter().map(|t| (o.clone(), t.clone())));
+        let rows: SolutionSet = terms.iter().map(row).collect();
+        [finalize(&NoGraph, &q, Rows::from_solutions(&rows)), post_process(&NoGraph, &q, rows)]
+    }
+
+    #[test]
+    fn order_by_is_total_over_mixed_kinds() {
+        // Numbers by value and the rest by string made 10 < "5x" < 9 < 10
+        // a cycle: the first row depended on the input order.
+        let (nine, ten, word) = (int(9), int(10), Term::literal("5x"));
+        let query = "SELECT ?o WHERE { } ORDER BY ?o LIMIT 1";
+        for terms in [
+            [&nine, &ten, &word],
+            [&nine, &word, &ten],
+            [&ten, &nine, &word],
+            [&ten, &word, &nine],
+            [&word, &nine, &ten],
+            [&word, &ten, &nine],
+        ] {
+            let terms: Vec<Option<Term>> = terms.into_iter().cloned().map(Some).collect();
+            for result in both_ways(query, &terms) {
+                assert_eq!(result.solutions().unwrap()[0].get_by_name("o"), Some(&nine));
+            }
         }
-        let mut rows = raw;
-        let keys = order_keys(&query.modifiers);
-        rows.sort_by(|a, b| compare_rows(&keys, a, b));
-        if let QueryForm::Select { duplicates, projection } = &query.form {
-            if !projection.is_empty() {
-                rows = rows.iter().map(|s| s.project(projection)).collect();
-            }
-            if *duplicates != Duplicates::All {
-                rows = solution::naive::distinct(rows);
-            }
-        }
-        let offset = query.modifiers.offset.unwrap_or(0);
-        let limit = query.modifiers.limit.unwrap_or(usize::MAX);
-        let rows: Vec<Solution> = rows.into_iter().skip(offset).take(limit).collect();
-        match &query.form {
-            QueryForm::Select { .. } => QueryResult::Solutions(rows.into()),
-            QueryForm::Construct(template) => {
-                let mut triples: Vec<Triple> = Vec::new();
-                for t in rows.iter().flat_map(|s| template.iter().filter_map(|tp| instantiate(tp, s)))
-                {
-                    if !triples.contains(&t) {
-                        triples.push(t);
-                    }
-                }
-                QueryResult::Graph(triples)
-            }
-            _ => unreachable!("the differential generates no DESCRIBE"),
+    }
+
+    #[test]
+    fn order_by_ranks_unbound_blank_nodes_iris_then_literals_numbers_first() {
+        let decimal = rdfmesh_rdf::Iri::new(rdfmesh_rdf::vocab::xsd::DECIMAL).unwrap();
+        let ordered = vec![
+            None,
+            Some(Term::blank("b")),
+            Some(Term::iri("http://e/a")),
+            Some(int(2)),
+            Some(Term::Literal(Literal::typed("2.0", decimal))),
+            Some(int(10)),
+            Some(Term::literal("10x")),
+            Some(Term::literal("a")),
+        ];
+        let mut shuffled = ordered.clone();
+        shuffled.reverse();
+        shuffled.swap(1, 4);
+        for result in both_ways("SELECT ?o WHERE { } ORDER BY ?o", &shuffled) {
+            let got: Vec<Option<&Term>> =
+                result.solutions().unwrap().iter().map(|s| s.get_by_name("o")).collect();
+            assert_eq!(got, ordered.iter().map(Option::as_ref).collect::<Vec<_>>());
         }
     }
 
@@ -678,18 +725,78 @@ mod tests {
             )
         }
 
+        /// Every kind of term, with numbers of two datatypes that tie in
+        /// value and literals that look numeric but do not parse.
+        fn mixed_term() -> impl Strategy<Value = Term> {
+            let decimal = rdfmesh_rdf::Iri::new(rdfmesh_rdf::vocab::xsd::DECIMAL).unwrap();
+            proptest::sample::select(&[
+                Term::blank("b0"),
+                Term::blank("b1"),
+                Term::iri("http://e/10"),
+                Term::iri("http://e/9"),
+                Term::Literal(Literal::integer(9)),
+                Term::Literal(Literal::integer(10)),
+                Term::Literal(Literal::typed("9.0", decimal)),
+                Term::literal("10"),
+                Term::literal("5x"),
+                Term::Literal(Literal::lang("5x", "en")),
+            ])
+        }
+
+        /// Rows binding any subset of the four ORDER BY variables.
+        fn mixed_rows() -> impl Strategy<Value = SolutionSet> {
+            let row = proptest::collection::vec((0usize..4, mixed_term()), 0..5)
+                .prop_map(|cells| Solution::from_pairs(cells.into_iter().map(|(v, t)| (var(v), t))));
+            proptest::collection::vec(row, 0..10)
+        }
+
+        /// `items` in the order of their `keys`.
+        fn shuffle<T: Clone>(items: &[T], keys: &[u32]) -> Vec<T> {
+            let mut order: Vec<usize> = (0..items.len()).collect();
+            order.sort_by_key(|&i| keys[i]);
+            order.into_iter().map(|i| items[i].clone()).collect()
+        }
+
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(1024))]
 
             #[test]
-            fn finalize_in_place_equals_finalize_by_projection(
+            fn finalize_in_place_equals_the_oracles_post_processing(
                 rows in arb_rows(),
                 query in arb_query(),
             ) {
                 prop_assert_eq!(
-                    finalize(&NoGraph, &query, rows.clone()),
-                    finalize_by_projection(&query, rows)
+                    finalize(&NoGraph, &query, Rows::from_solutions(&rows)),
+                    post_process(&NoGraph, &query, rows)
                 );
+            }
+
+            /// ORDER BY every variable, so that only identical rows tie:
+            /// LIMIT then cuts the same rows whatever order they came in —
+            /// a total order, on the batch and in the oracle alike.
+            #[test]
+            fn order_by_and_limit_ignore_the_input_order(
+                rows in mixed_rows(),
+                row_keys in proptest::collection::vec(any::<u32>(), 10),
+                var_keys in proptest::collection::vec(any::<u32>(), 4),
+                descending in proptest::collection::vec(any::<bool>(), 4),
+                limit in 0usize..6,
+            ) {
+                let shuffled = shuffle(&rows, &row_keys);
+                let vars = shuffle(&[0, 1, 2, 3], &var_keys);
+                let order_by = vars.into_iter().zip(descending).map(|(v, descending)| {
+                    OrderComparator { expression: Expression::Var(var(v)), descending }
+                });
+                let query = AlgebraQuery {
+                    form: QueryForm::Select { duplicates: Duplicates::All, projection: Vec::new() },
+                    dataset: Dataset::default(),
+                    pattern: GraphPattern::Bgp(Vec::new()),
+                    modifiers: Modifiers { order_by: order_by.collect(), limit: Some(limit), offset: None },
+                };
+                let oracle = post_process(&NoGraph, &query, rows.clone());
+                prop_assert_eq!(&post_process(&NoGraph, &query, shuffled.clone()), &oracle);
+                prop_assert_eq!(&finalize(&NoGraph, &query, Rows::from_solutions(&rows)), &oracle);
+                prop_assert_eq!(&finalize(&NoGraph, &query, Rows::from_solutions(&shuffled)), &oracle);
             }
         }
     }

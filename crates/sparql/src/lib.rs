@@ -49,7 +49,7 @@ pub use parser::{parse, ParseError};
 pub use results::{to_json, to_tsv, to_xml};
 pub use serializer::{graph_pattern as serialize_pattern, query as serialize_query};
 pub use rows::{Row, Rows};
-pub use solution::{distinct, Solution, SolutionSet};
+pub use solution::{Solution, SolutionSet};
 
 /// Parses a query string and translates it to algebra in one call — the
 /// Query Parsing + Query Transformation stages of Fig. 3.

@@ -505,18 +505,6 @@ impl Rows {
     }
 }
 
-impl From<Rows> for Vec<Solution> {
-    fn from(rows: Rows) -> Vec<Solution> {
-        rows.into_solutions()
-    }
-}
-
-impl From<Vec<Solution>> for Rows {
-    fn from(solutions: Vec<Solution>) -> Rows {
-        Rows::from_solutions(&solutions)
-    }
-}
-
 /// Two batches are equal when they hold equal rows in the same order,
 /// whatever their headers and dictionaries.
 impl PartialEq for Rows {
@@ -857,6 +845,7 @@ impl<'r> Join<'r> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::solution::naive;
 
     fn v(name: &str) -> Variable {
         Variable::new(name)
@@ -924,5 +913,135 @@ mod tests {
             joined.to_solutions(),
             vec![sol(&[("x", "a"), ("y", "c")]), sol(&[("x", "b"), ("y", "c")])]
         );
+    }
+
+    fn rows(solutions: &[Solution]) -> Rows {
+        Rows::from_solutions(solutions)
+    }
+
+    #[test]
+    fn join_produces_compatible_merges_only() {
+        let l = rows(&[sol(&[("x", "a"), ("y", "b")]), sol(&[("x", "q"), ("y", "r")])]);
+        let r = rows(&[sol(&[("y", "b"), ("z", "c")])]);
+        let j = l.join(&r).to_solutions();
+        assert_eq!(j.len(), 1);
+        assert_eq!(j[0].get(&v("z")), Some(&Term::iri("http://e/c")));
+    }
+
+    #[test]
+    fn difference_keeps_incompatible_rows() {
+        let l = rows(&[sol(&[("x", "a")]), sol(&[("x", "b")])]);
+        let r = rows(&[sol(&[("x", "a"), ("z", "c")])]);
+        assert_eq!(l.difference(&r).to_solutions(), vec![sol(&[("x", "b")])]);
+    }
+
+    #[test]
+    fn left_join_is_join_union_difference() {
+        // Paper Sect. IV-E: Ω1 ⟕ Ω2 = (Ω1 ⋈ Ω2) ∪ (Ω1 − Ω2).
+        let l = rows(&[sol(&[("x", "a")]), sol(&[("x", "b")])]);
+        let r = rows(&[sol(&[("x", "a"), ("y", "c")])]);
+        assert_eq!(
+            l.left_join(&r).to_solutions(),
+            vec![sol(&[("x", "a"), ("y", "c")]), sol(&[("x", "b")])]
+        );
+    }
+
+    #[test]
+    fn left_join_filtered_drops_failing_extensions_but_keeps_bases() {
+        let l = rows(&[sol(&[("x", "a")])]);
+        let r = rows(&[sol(&[("x", "a"), ("y", "c")])]);
+        // Condition rejects every extension: base row must survive bare.
+        let out = l.clone().left_join_filtered(&r, |_| false);
+        assert_eq!(out.to_solutions(), vec![sol(&[("x", "a")])]);
+        // Condition accepts: extension survives.
+        let out = l.left_join_filtered(&r, |_| true);
+        assert_eq!(out.to_solutions(), vec![sol(&[("x", "a"), ("y", "c")])]);
+    }
+
+    fn mixed_sets() -> (Vec<Solution>, Vec<Solution>) {
+        // Heterogeneous domains, shared vars, disjoint rows, duplicates.
+        let left = vec![
+            sol(&[("x", "a"), ("y", "b")]),
+            sol(&[("x", "a")]),
+            sol(&[("z", "q")]),
+            sol(&[("x", "c"), ("y", "d")]),
+            sol(&[("x", "a"), ("y", "b")]),
+            Solution::new(),
+        ];
+        let right = vec![
+            sol(&[("y", "b"), ("w", "e")]),
+            sol(&[("x", "a"), ("w", "f")]),
+            sol(&[("w", "g")]),
+            sol(&[("x", "z")]),
+            Solution::new(),
+        ];
+        (left, right)
+    }
+
+    /// Every batch operator over `l` and `r` against its nested-loop
+    /// transcription, rows and order; `cond` guards the filtered left join.
+    fn assert_operators_match_naive(l: &[Solution], r: &[Solution], cond: fn(&Solution) -> bool) {
+        let (lr, rr) = (rows(l), rows(r));
+        assert_eq!(lr.clone().join(&rr).to_solutions(), naive::join(l, r));
+        assert_eq!(lr.clone().difference(&rr).to_solutions(), naive::difference(l, r));
+        assert_eq!(lr.clone().left_join(&rr).to_solutions(), naive::left_join(l, r));
+        let filtered = lr.left_join_filtered(&rr, |row| cond(&row.to_solution()));
+        assert_eq!(filtered.to_solutions(), naive::left_join_filtered(l, r, cond));
+    }
+
+    #[test]
+    fn operators_match_naive_exactly() {
+        let (l, r) = mixed_sets();
+        let cond = |s: &Solution| s.get(&v("w")).is_none_or(|t| t.to_string().contains('e'));
+        assert_operators_match_naive(&l, &r, cond);
+        assert_operators_match_naive(&r, &l, cond);
+    }
+
+    #[test]
+    fn operators_handle_empty_operands() {
+        let (l, _) = mixed_sets();
+        let (some, none) = (rows(&l), Rows::new());
+        assert!(some.clone().join(&none).is_empty());
+        assert!(none.clone().join(&some).is_empty());
+        assert_eq!(some.clone().difference(&none), l);
+        assert!(none.clone().difference(&some).is_empty());
+        assert_eq!(some.clone().left_join(&none), l);
+        assert_eq!(some.left_join_filtered(&none, |_| true), l);
+    }
+
+    #[test]
+    fn distinct_preserves_first_seen_order() {
+        let sols = vec![
+            sol(&[("x", "b")]),
+            sol(&[("x", "a")]),
+            sol(&[("x", "b")]),
+            sol(&[("x", "c")]),
+            sol(&[("x", "a")]),
+        ];
+        let deduped = rows(&sols).distinct().to_solutions();
+        assert_eq!(deduped, naive::distinct(sols));
+        assert_eq!(deduped, vec![sol(&[("x", "b")]), sol(&[("x", "a")]), sol(&[("x", "c")])]);
+    }
+
+    #[test]
+    fn operators_agree_with_the_oracle_on_larger_inputs() {
+        // Every left row shares ?x with the right rows whose index has its
+        // parity, and binds ?n on its own; a third of them match nothing.
+        let right: Vec<Solution> = (0..257)
+            .map(|j| sol(&[("x", &format!("p{}", j % 2)), ("w", &format!("w{j}"))]))
+            .collect();
+        let left = |n: usize| -> Vec<Solution> {
+            (0..n)
+                .map(|i| match i % 3 {
+                    0 => sol(&[("x", &format!("p{}", i % 2)), ("n", &format!("n{i}"))]),
+                    1 => sol(&[("n", &format!("n{i}"))]),
+                    _ => sol(&[("x", "none"), ("n", &format!("n{i}"))]),
+                })
+                .collect()
+        };
+        let cond = |s: &Solution| s.get(&v("w")).is_none_or(|t| t.to_string().ends_with("0>"));
+        for (l, r) in [(15, 257), (16, 256), (40, 257)] {
+            assert_operators_match_naive(&left(l), &right[..r], cond);
+        }
     }
 }

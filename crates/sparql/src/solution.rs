@@ -6,21 +6,17 @@
 //! variable is bound to the same term; and sets of solutions compose via
 //! join (`⋈`), union (`∪`), difference (`−`) and left outer join (`⟕`).
 //!
-//! The operators are written once, over id-row batches
-//! ([`crate::rows::Rows`]), which is what the distributed engine carries
-//! from a frame to `finalize`. The functions here ([`join`],
-//! [`difference`], [`left_join`], [`left_join_filtered`], [`distinct`])
-//! are their [`Solution`] forms: the operands become batches, the batch
-//! operator runs, and its rows become solutions again. [`naive`] is the
-//! literal nested-loop transcription of the paper's definitions, kept as
-//! the oracle the batch operators are property-tested against — same rows,
-//! same order (`tests/hash_algebra.rs`).
+//! The operators the engines run are written once, over id-row batches
+//! ([`crate::rows::Rows`]), which are what the distributed engine carries
+//! from a frame to `finalize`. Over [`Solution`]s there is [`union`] and
+//! [`naive`], the literal nested-loop transcription of the paper's
+//! definitions: the central oracle (`eval::evaluate_query`) evaluates
+//! with it, and the batch operators are property-tested against it —
+//! same rows, same order (`tests/hash_algebra.rs`).
 
 use std::fmt;
 
 use rdfmesh_rdf::{Term, Variable};
-
-use crate::rows::Rows;
 
 /// A solution mapping `µ : V → U` (partial).
 ///
@@ -182,47 +178,12 @@ impl fmt::Display for Solution {
 /// a multiset, matching the W3C semantics.
 pub type SolutionSet = Vec<Solution>;
 
-/// `Ω1 ⋈ Ω2` — all merges of compatible pairs (Sect. IV-A), in
-/// nested-loop order (ascending left index, then right index).
-pub fn join(left: &[Solution], right: &[Solution]) -> SolutionSet {
-    Rows::from_solutions(left).join(&Rows::from_solutions(right)).to_solutions()
-}
-
-/// [`join`] for a caller that owns `Ω1`: the same rows in the same order.
-pub fn join_owned(left: Vec<Solution>, right: &[Solution]) -> SolutionSet {
-    join(&left, right)
-}
-
 /// `Ω1 ∪ Ω2` — multiset union (Sect. IV-A).
 pub fn union(left: &[Solution], right: &[Solution]) -> SolutionSet {
     let mut out = Vec::with_capacity(left.len() + right.len());
     out.extend_from_slice(left);
     out.extend_from_slice(right);
     out
-}
-
-/// `Ω1 − Ω2` — solutions of `Ω1` compatible with **no** solution of `Ω2`
-/// (Sect. IV-A), in `Ω1` order.
-pub fn difference(left: &[Solution], right: &[Solution]) -> SolutionSet {
-    Rows::from_solutions(left).difference(&Rows::from_solutions(right)).to_solutions()
-}
-
-/// `Ω1 ⟕ Ω2 = (Ω1 ⋈ Ω2) ∪ (Ω1 − Ω2)` — left outer join (Sect. IV-E).
-pub fn left_join(left: &[Solution], right: &[Solution]) -> SolutionSet {
-    Rows::from_solutions(left).left_join(&Rows::from_solutions(right)).to_solutions()
-}
-
-/// Left outer join with a filter condition on the joined rows, as required
-/// by the algebra operator `LeftJoin(P1, P2, expr)`: rows of `Ω1 ⋈ Ω2`
-/// must satisfy `cond`; rows of `Ω1` with no *satisfying* compatible
-/// partner survive unextended.
-pub fn left_join_filtered<F>(left: &[Solution], right: &[Solution], mut cond: F) -> SolutionSet
-where
-    F: FnMut(&Solution) -> bool,
-{
-    Rows::from_solutions(left)
-        .left_join_filtered(&Rows::from_solutions(right), |row| cond(&row.to_solution()))
-        .to_solutions()
 }
 
 /// Total serialized size of a solution set (for byte accounting).
@@ -232,9 +193,10 @@ pub fn serialized_len(solutions: &[Solution]) -> usize {
 
 /// The nested-loop transcription of the Sect. IV-A operator definitions.
 ///
-/// O(n·m) compatibility scans; retained verbatim as the reference oracle
-/// the batch operators of [`crate::rows::Rows`] are property-tested
-/// against.
+/// O(n·m) compatibility scans, kept deliberately plain: the central
+/// oracle (`eval::evaluate_pattern`) joins with them, so it shares no
+/// operator with the batches it judges, and the batch operators of
+/// [`crate::rows::Rows`] are property-tested against them.
 pub mod naive {
     use super::{Solution, SolutionSet};
 
@@ -293,8 +255,8 @@ pub mod naive {
         out
     }
 
-    /// First-seen-order duplicate elimination by linear scan — the old
-    /// `merge_distinct` behaviour, kept as the [`super::distinct`] oracle.
+    /// First-seen-order duplicate elimination by linear scan: the
+    /// oracle's DISTINCT, and [`crate::rows::Rows::distinct`]'s reference.
     pub fn distinct(rows: Vec<Solution>) -> Vec<Solution> {
         let mut out: Vec<Solution> = Vec::new();
         for s in rows {
@@ -933,12 +895,6 @@ pub mod wire {
     }
 }
 
-/// First-seen-order duplicate elimination — the rows of
-/// [`naive::distinct`], by hashing ids instead of scanning solutions.
-pub fn distinct(rows: Vec<Solution>) -> Vec<Solution> {
-    Rows::from_solutions(&rows).distinct().to_solutions()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -992,47 +948,6 @@ mod tests {
     }
 
     #[test]
-    fn join_produces_compatible_merges_only() {
-        let l = vec![sol(&[("x", "a"), ("y", "b")]), sol(&[("x", "q"), ("y", "r")])];
-        let r = vec![sol(&[("y", "b"), ("z", "c")])];
-        let j = join(&l, &r);
-        assert_eq!(j.len(), 1);
-        assert_eq!(j[0].get(&v("z")), Some(&Term::iri("http://e/c")));
-    }
-
-    #[test]
-    fn difference_keeps_incompatible_rows() {
-        let l = vec![sol(&[("x", "a")]), sol(&[("x", "b")])];
-        let r = vec![sol(&[("x", "a"), ("z", "c")])];
-        let d = difference(&l, &r);
-        assert_eq!(d, vec![sol(&[("x", "b")])]);
-    }
-
-    #[test]
-    fn left_join_is_join_union_difference() {
-        // Paper Sect. IV-E: Ω1 ⟕ Ω2 = (Ω1 ⋈ Ω2) ∪ (Ω1 − Ω2).
-        let l = vec![sol(&[("x", "a")]), sol(&[("x", "b")])];
-        let r = vec![sol(&[("x", "a"), ("y", "c")])];
-        let mut lj = left_join(&l, &r);
-        lj.sort();
-        let mut expect = vec![sol(&[("x", "a"), ("y", "c")]), sol(&[("x", "b")])];
-        expect.sort();
-        assert_eq!(lj, expect);
-    }
-
-    #[test]
-    fn left_join_filtered_drops_failing_extensions_but_keeps_bases() {
-        let l = vec![sol(&[("x", "a")])];
-        let r = vec![sol(&[("x", "a"), ("y", "c")])];
-        // Condition rejects every extension: base row must survive bare.
-        let out = left_join_filtered(&l, &r, |_| false);
-        assert_eq!(out, vec![sol(&[("x", "a")])]);
-        // Condition accepts: extension survives.
-        let out = left_join_filtered(&l, &r, |_| true);
-        assert_eq!(out, vec![sol(&[("x", "a"), ("y", "c")])]);
-    }
-
-    #[test]
     fn union_is_multiset() {
         let l = vec![sol(&[("x", "a")])];
         let r = vec![sol(&[("x", "a")])];
@@ -1069,83 +984,6 @@ mod tests {
     fn display_is_readable() {
         let s = sol(&[("x", "a")]);
         assert_eq!(s.to_string(), "{?x -> <http://e/a>}");
-    }
-
-    fn mixed_sets() -> (Vec<Solution>, Vec<Solution>) {
-        // Heterogeneous domains, shared vars, disjoint rows, duplicates.
-        let left = vec![
-            sol(&[("x", "a"), ("y", "b")]),
-            sol(&[("x", "a")]),
-            sol(&[("z", "q")]),
-            sol(&[("x", "c"), ("y", "d")]),
-            sol(&[("x", "a"), ("y", "b")]),
-            Solution::new(),
-        ];
-        let right = vec![
-            sol(&[("y", "b"), ("w", "e")]),
-            sol(&[("x", "a"), ("w", "f")]),
-            sol(&[("w", "g")]),
-            sol(&[("x", "z")]),
-            Solution::new(),
-        ];
-        (left, right)
-    }
-
-    #[test]
-    fn join_matches_naive_exactly() {
-        let (l, r) = mixed_sets();
-        assert_eq!(join(&l, &r), naive::join(&l, &r));
-        assert_eq!(join(&r, &l), naive::join(&r, &l));
-    }
-
-    #[test]
-    fn difference_matches_naive_exactly() {
-        let (l, r) = mixed_sets();
-        assert_eq!(difference(&l, &r), naive::difference(&l, &r));
-        assert_eq!(difference(&r, &l), naive::difference(&r, &l));
-    }
-
-    #[test]
-    fn left_join_matches_naive_exactly() {
-        let (l, r) = mixed_sets();
-        assert_eq!(left_join(&l, &r), naive::left_join(&l, &r));
-        assert_eq!(left_join(&r, &l), naive::left_join(&r, &l));
-    }
-
-    #[test]
-    fn left_join_filtered_matches_naive_exactly() {
-        let (l, r) = mixed_sets();
-        let cond = |s: &Solution| s.get(&v("w")).is_none_or(|t| t.to_string().contains('e'));
-        assert_eq!(left_join_filtered(&l, &r, cond), naive::left_join_filtered(&l, &r, cond));
-    }
-
-    #[test]
-    fn operators_handle_empty_operands() {
-        let (l, _) = mixed_sets();
-        let empty: Vec<Solution> = Vec::new();
-        assert!(join(&l, &empty).is_empty());
-        assert!(join(&empty, &l).is_empty());
-        assert_eq!(difference(&l, &empty), l);
-        assert!(difference(&empty, &l).is_empty());
-        assert_eq!(left_join(&l, &empty), l);
-        assert_eq!(left_join_filtered(&l, &empty, |_| true), l);
-    }
-
-    #[test]
-    fn distinct_preserves_first_seen_order() {
-        let rows = vec![
-            sol(&[("x", "b")]),
-            sol(&[("x", "a")]),
-            sol(&[("x", "b")]),
-            sol(&[("x", "c")]),
-            sol(&[("x", "a")]),
-        ];
-        let deduped = distinct(rows.clone());
-        assert_eq!(deduped, naive::distinct(rows));
-        assert_eq!(
-            deduped,
-            vec![sol(&[("x", "b")]), sol(&[("x", "a")]), sol(&[("x", "c")])]
-        );
     }
 
     fn every_term_kind() -> Solution {
@@ -1309,31 +1147,5 @@ mod tests {
         reject([&[0][..], &[0xFF; 9], &[0x7F]].concat(), "varint overflow");
         reject(vec![0, 2, 0, 1], "non-zero pad in a zero-column row");
         assert_eq!(wire::decode(&[0, 2, 0, 0]).unwrap(), vec![Solution::new(); 2]);
-    }
-
-    #[test]
-    fn operators_agree_with_the_oracle_on_larger_inputs() {
-        // Every left row shares ?x with the right rows whose index has its
-        // parity, and binds ?n on its own; a third of them match nothing.
-        let right: Vec<Solution> = (0..257)
-            .map(|j| sol(&[("x", &format!("p{}", j % 2)), ("w", &format!("w{j}"))]))
-            .collect();
-        let left = |n: usize| -> Vec<Solution> {
-            (0..n)
-                .map(|i| match i % 3 {
-                    0 => sol(&[("x", &format!("p{}", i % 2)), ("n", &format!("n{i}"))]),
-                    1 => sol(&[("n", &format!("n{i}"))]),
-                    _ => sol(&[("x", "none"), ("n", &format!("n{i}"))]),
-                })
-                .collect()
-        };
-        let cond = |s: &Solution| s.get(&v("w")).is_none_or(|t| t.to_string().ends_with("0>"));
-        for (l, r) in [(15, 257), (16, 256), (40, 257)] {
-            let (l, r) = (left(l), &right[..r]);
-            assert_eq!(join(&l, r), naive::join(&l, r));
-            assert_eq!(difference(&l, r), naive::difference(&l, r));
-            assert_eq!(left_join(&l, r), naive::left_join(&l, r));
-            assert_eq!(left_join_filtered(&l, r, cond), naive::left_join_filtered(&l, r, cond));
-        }
     }
 }

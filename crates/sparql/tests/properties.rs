@@ -12,6 +12,7 @@ use rdfmesh_sparql::{
     expr::{ComparisonOp, Expression},
     optimizer::{self, OptimizerConfig},
     solution::{self, Solution},
+    Rows,
 };
 
 fn arb_term() -> impl Strategy<Value = Term> {
@@ -31,9 +32,18 @@ fn arb_solution_set() -> impl Strategy<Value = Vec<Solution>> {
     proptest::collection::vec(arb_solution(), 0..8)
 }
 
+fn batch(solutions: &[Solution]) -> Rows {
+    Rows::from_solutions(solutions)
+}
+
 fn sorted(mut s: Vec<Solution>) -> Vec<Solution> {
     s.sort();
     s
+}
+
+/// The batch's rows as a multiset: its solutions, sorted.
+fn multiset(rows: Rows) -> Vec<Solution> {
+    sorted(rows.into_solutions())
 }
 
 proptest! {
@@ -58,49 +68,38 @@ proptest! {
 
     #[test]
     fn join_is_commutative_as_multiset(l in arb_solution_set(), r in arb_solution_set()) {
-        prop_assert_eq!(
-            sorted(solution::join(&l, &r)),
-            sorted(solution::join(&r, &l))
-        );
-    }
-
-    #[test]
-    fn join_owned_is_join_row_for_row(l in arb_solution_set(), r in arb_solution_set()) {
-        prop_assert_eq!(solution::join_owned(l.clone(), &r), solution::naive::join(&l, &r));
+        prop_assert_eq!(multiset(batch(&l).join(&batch(&r))), multiset(batch(&r).join(&batch(&l))));
     }
 
     #[test]
     fn union_is_commutative_as_multiset(l in arb_solution_set(), r in arb_solution_set()) {
-        prop_assert_eq!(
-            sorted(solution::union(&l, &r)),
-            sorted(solution::union(&r, &l))
-        );
+        let (mut lr, mut rl) = (batch(&l), batch(&r));
+        lr.append(batch(&r));
+        rl.append(batch(&l));
+        prop_assert_eq!(multiset(lr), multiset(rl));
     }
 
     #[test]
     fn left_join_equals_join_union_difference(l in arb_solution_set(), r in arb_solution_set()) {
         // Paper Sect. IV-E: Ω1 ⟕ Ω2 = (Ω1 ⋈ Ω2) ∪ (Ω1 − Ω2).
-        let lhs = sorted(solution::left_join(&l, &r));
-        let rhs = sorted(solution::union(
-            &solution::join(&l, &r),
-            &solution::difference(&l, &r),
-        ));
-        prop_assert_eq!(lhs, rhs);
+        let lhs = multiset(batch(&l).left_join(&batch(&r)));
+        let mut rhs = batch(&l).join(&batch(&r));
+        rhs.append(batch(&l).difference(&batch(&r)));
+        prop_assert_eq!(lhs, multiset(rhs));
     }
 
     #[test]
     fn difference_members_are_incompatible_with_all(l in arb_solution_set(), r in arb_solution_set()) {
-        for d in solution::difference(&l, &r) {
+        for d in batch(&l).difference(&batch(&r)).to_solutions() {
             prop_assert!(r.iter().all(|x| !d.compatible(x)));
         }
     }
 
     #[test]
     fn join_with_empty_right_is_empty(l in arb_solution_set()) {
-        prop_assert!(solution::join(&l, &[]).is_empty());
+        prop_assert!(batch(&l).join(&Rows::new()).is_empty());
         // And joining with the unit solution is identity.
-        let unit = vec![Solution::new()];
-        prop_assert_eq!(sorted(solution::join(&l, &unit)), sorted(l));
+        prop_assert_eq!(multiset(batch(&l).join(&Rows::unit())), multiset(batch(&l)));
     }
 }
 

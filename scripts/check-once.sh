@@ -27,8 +27,7 @@
 # checked against the bytes left (`Reader::u32_count`): no `.min(1024)`
 # reservation in live_wire.rs or node.rs.
 # A bind join's bind step is one function, `exec::bind_step`, called by
-# both backends: it is the only `solution::join_owned(` under
-# crates/core/src, and the simulator's keyed round is the mesh's, run by
+# both backends, and the simulator's keyed round is the mesh's, run by
 # the one role runner (`run_round`, the one `Scheduler::new()` in
 # sim_backend.rs) that runs its multiway round too.
 # A simulated query's cost is accounted once, in its trace: the engine
@@ -66,6 +65,13 @@
 # A peer's keys are counted from one lending pass over its store: no code
 # collects a whole `SharedStore` (only the simulator's oracle union copies
 # one, into a `TripleStore`).
+# The central oracle judges the batch algebra without running it: its
+# bodies in eval.rs (`evaluate_pattern`, `evaluate_query`, `post_process`)
+# name no `Rows`, `evaluate_pattern_with`, `.distinct()` or `finalize(`,
+# and crates/sparql/src spells the operators over `Solution`s only in
+# `solution::naive` (no `fn join` / `join_owned` / `difference` /
+# `left_join` / `left_join_filtered` / `distinct` whose signature names
+# `Solution` outside it).
 # Fails when a second copy appears. Test modules (`mod tests` to end of
 # file) and comment lines are not code.
 set -eu
@@ -185,6 +191,21 @@ expect 'collected scans (.match_pattern( / .matching() in provider.rs' \
 expect 'collected scans in for_each_extension / evaluate_pattern_with' \
     "$(echo "$scan" | grep -v '^ *//' | grep -cE '\.match_pattern\(|\.matching\(' || true)" 0
 expect 'scan driver bodies found in eval.rs' "$(echo "$scan" | grep -c '^pub fn')" 2
+# The oracle's bodies, and the operators' signatures outside `mod naive`
+# (a signature runs from its `fn` to its `{`).
+oracle=$(awk '/^(pub )?fn (evaluate_pattern|evaluate_query|post_process)</{on=1} on{print} on&&/^}/{on=0}' \
+    "$sparql/eval.rs")
+expect 'oracle bodies found in eval.rs' "$(echo "$oracle" | grep -cE '^(pub )?fn ')" 3
+expect 'Rows / evaluate_pattern_with / .distinct() / finalize( in the oracle (eval.rs)' \
+    "$(echo "$oracle" | grep -v '^ *//' | grep -cE 'Rows|evaluate_pattern_with|\.distinct\(\)|finalize\(' || true)" 0
+ops='join|join_owned|difference|left_join|left_join_filtered|distinct'
+solution_ops=$(code "$sparql"/*.rs | awk -v ops="$ops" '
+    /^pub mod naive/ { skip = 1 }
+    skip { if (/^}/) skip = 0; next }
+    $0 ~ "fn (" ops ")[<(]" { sig = ""; on = 1 }
+    on { sig = sig $0; if (/[{;]/) { if (sig ~ /Solution/) print sig; on = 0 } }')
+expect 'Solution forms of the operators outside solution::naive (crates/sparql/src)' \
+    "$(echo "$solution_ops" | grep -c . || true)" 0
 expect 'merge_rows / mod hashed under crates/sparql/src' \
     "$(code "$sparql"/*.rs | grep -cE 'merge_rows|mod hashed' || true)" 0
 # The six keys of a triple are counted in one function, key_counts.
@@ -275,5 +296,5 @@ expect '[[bench]] tables under crates/*/Cargo.toml' \
 expect 'criterion mentions in any Cargo.toml' \
     "$(cat Cargo.toml crates/*/Cargo.toml shims/*/Cargo.toml benchmark/Cargo.toml | grep -ci criterion || true)" 0
 expect 'directories under shims/' "$(ls -d shims/*/ | wc -l)" 3
-[ "$bad" -eq 0 ] && echo 'exists once: provider compute, exchange pricing, reply accounting, role constructors, the role host, the multiway protocol, regex compilation, lending scan, JSON escaping, result writers, the stopwatch, the pipeline tail, the operator table, the lookup leg, the cluster, the publication path, the frequency column, the move-small rule, the location table, the key count, the list-count bound, the bind step, the role runner, the query account, the statistics pass, the fan-out, the row read, the generation writer, the commit, the row batch, the triple index, the term dictionary, the answer batch, the whole-store walk'
+[ "$bad" -eq 0 ] && echo 'exists once: provider compute, exchange pricing, reply accounting, role constructors, the role host, the multiway protocol, regex compilation, lending scan, JSON escaping, result writers, the stopwatch, the pipeline tail, the operator table, the lookup leg, the cluster, the publication path, the frequency column, the move-small rule, the location table, the key count, the list-count bound, the bind step, the role runner, the query account, the statistics pass, the fan-out, the row read, the generation writer, the commit, the row batch, the triple index, the term dictionary, the answer batch, the whole-store walk, the independent oracle'
 exit "$bad"
