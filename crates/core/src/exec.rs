@@ -509,7 +509,7 @@ pub(crate) fn shuffle_partition<B: Bindings + ?Sized>(
         match sol.get(v) {
             Some(t) => {
                 bytes.push(1);
-                rdfmesh_sparql::solution::wire::put_term(&mut bytes, t);
+                rdfmesh_rdf::codec::put_term(&mut bytes, t);
             }
             None => bytes.push(0),
         }

@@ -3,11 +3,11 @@
 //! The live protocol was designed against an in-process cluster, so its
 //! messages carry rich payloads (patterns, expressions, solution sets).
 //! This module flattens each variant that crosses a wire into the
-//! length-checked primitive layer of [`rdfmesh_sparql::solution::wire`]
-//! — one tag byte followed by the variant's fields — so an
-//! [`rdfmesh_net::Cluster`] on its socket wire can carry the identical
-//! protocol between OS processes. `docs/DEPLOYMENT.md` documents the full frame and
-//! payload layout.
+//! length-checked primitives of [`rdfmesh_rdf::codec`] (solution sets
+//! through [`rdfmesh_sparql::solution::wire`]) — one tag byte followed by
+//! the variant's fields — so an [`rdfmesh_net::Cluster`] on its socket
+//! wire can carry the identical protocol between OS processes.
+//! `docs/DEPLOYMENT.md` documents the full frame and payload layout.
 //!
 //! The codec carries only what crosses a wire. The commands a process
 //! gives its own coordinator — [`LiveMsg::SubmitSol`],
@@ -22,13 +22,11 @@
 //! turn into a half-parsed message.
 
 use rdfmesh_net::{NodeId, WireFault, WireMsg};
+use rdfmesh_rdf::codec::{put_str, put_term, put_u32, put_u64, DecodeError, Reader};
 use rdfmesh_rdf::{TermPattern, TriplePattern, Variable};
 use rdfmesh_sparql::expr::wire::{put_expr, read_expr};
 use rdfmesh_sparql::expr::Expression;
-use rdfmesh_sparql::solution::wire::{
-    put_rows, put_solutions, put_str, put_term, put_u32, put_u64, read_rows, read_solutions,
-    Reader, WireError,
-};
+use rdfmesh_sparql::solution::wire::{put_rows, put_solutions, read_rows, read_solutions};
 use rdfmesh_sparql::{Rows, Solution};
 
 use crate::live::{LiveMsg, QueryId};
@@ -65,7 +63,7 @@ const NOT_ON_THE_WIRE: u8 = 0;
 const ABSENT: u8 = 0;
 const PRESENT: u8 = 1;
 
-fn fault(e: WireError) -> WireFault {
+fn fault(e: DecodeError) -> WireFault {
     WireFault(e.0)
 }
 
@@ -82,11 +80,11 @@ fn put_term_pattern(out: &mut Vec<u8>, tp: &TermPattern) {
     }
 }
 
-fn read_term_pattern(r: &mut Reader<'_>) -> Result<TermPattern, WireError> {
+fn read_term_pattern(r: &mut Reader<'_>) -> Result<TermPattern, DecodeError> {
     match r.u8()? {
         POS_VAR => Ok(TermPattern::Var(Variable::new(r.str()?))),
         POS_CONST => Ok(TermPattern::Const(r.term()?)),
-        _ => Err(WireError("unknown term-pattern tag")),
+        _ => Err(DecodeError("unknown term-pattern tag")),
     }
 }
 
@@ -96,7 +94,7 @@ fn put_pattern(out: &mut Vec<u8>, p: &TriplePattern) {
     put_term_pattern(out, &p.object);
 }
 
-fn read_pattern(r: &mut Reader<'_>) -> Result<TriplePattern, WireError> {
+fn read_pattern(r: &mut Reader<'_>) -> Result<TriplePattern, DecodeError> {
     let subject = read_term_pattern(r)?;
     let predicate = read_term_pattern(r)?;
     let object = read_term_pattern(r)?;
@@ -110,7 +108,7 @@ fn put_node_ids(out: &mut Vec<u8>, ids: &[NodeId]) {
     }
 }
 
-fn read_node_ids(r: &mut Reader<'_>) -> Result<Vec<NodeId>, WireError> {
+fn read_node_ids(r: &mut Reader<'_>) -> Result<Vec<NodeId>, DecodeError> {
     let count = r.u32_count(NODE_ID_LEN)?;
     let mut ids = Vec::with_capacity(count);
     for _ in 0..count {
@@ -148,7 +146,7 @@ fn put_entries(out: &mut Vec<u8>, entries: impl ExactSizeIterator<Item = (u64, u
 }
 
 /// The inverse of [`put_entries`], each id read through `id`.
-fn read_entries<A>(r: &mut Reader<'_>, id: fn(u64) -> A) -> Result<Vec<(A, u64)>, WireError> {
+fn read_entries<A>(r: &mut Reader<'_>, id: fn(u64) -> A) -> Result<Vec<(A, u64)>, DecodeError> {
     let count = r.u32_count(ENTRY_LEN)?;
     let mut entries = Vec::with_capacity(count);
     for _ in 0..count {
@@ -167,11 +165,11 @@ fn put_opt_expr(out: &mut Vec<u8>, filter: &Option<Expression>) {
     }
 }
 
-fn read_opt_expr(r: &mut Reader<'_>) -> Result<Option<Expression>, WireError> {
+fn read_opt_expr(r: &mut Reader<'_>) -> Result<Option<Expression>, DecodeError> {
     match r.u8()? {
         ABSENT => Ok(None),
         PRESENT => Ok(Some(read_expr(r)?)),
-        _ => Err(WireError("unknown option flag")),
+        _ => Err(DecodeError("unknown option flag")),
     }
 }
 
@@ -185,11 +183,11 @@ fn put_opt_solutions(out: &mut Vec<u8>, bound: &Option<Vec<Solution>>) {
     }
 }
 
-fn read_opt_solutions(r: &mut Reader<'_>) -> Result<Option<Vec<Solution>>, WireError> {
+fn read_opt_solutions(r: &mut Reader<'_>) -> Result<Option<Vec<Solution>>, DecodeError> {
     match r.u8()? {
         ABSENT => Ok(None),
         PRESENT => Ok(Some(read_solutions(r)?)),
-        _ => Err(WireError("unknown option flag")),
+        _ => Err(DecodeError("unknown option flag")),
     }
 }
 
@@ -200,7 +198,7 @@ fn put_patterns(out: &mut Vec<u8>, patterns: &[TriplePattern]) {
     }
 }
 
-fn read_patterns(r: &mut Reader<'_>) -> Result<Vec<TriplePattern>, WireError> {
+fn read_patterns(r: &mut Reader<'_>) -> Result<Vec<TriplePattern>, DecodeError> {
     let count = r.u32_count(PATTERN_MIN_LEN)?;
     let mut patterns = Vec::with_capacity(count);
     for _ in 0..count {
@@ -216,7 +214,7 @@ fn put_vars(out: &mut Vec<u8>, vars: &[Variable]) {
     }
 }
 
-fn read_vars(r: &mut Reader<'_>) -> Result<Vec<Variable>, WireError> {
+fn read_vars(r: &mut Reader<'_>) -> Result<Vec<Variable>, DecodeError> {
     let count = r.u32_count(VAR_MIN_LEN)?;
     let mut vars = Vec::with_capacity(count);
     for _ in 0..count {
@@ -232,7 +230,7 @@ fn put_solution_sets(out: &mut Vec<u8>, sets: &[Rows]) {
     }
 }
 
-fn read_solution_sets(r: &mut Reader<'_>) -> Result<Vec<Rows>, WireError> {
+fn read_solution_sets(r: &mut Reader<'_>) -> Result<Vec<Rows>, DecodeError> {
     let count = r.u32_count(SOLUTION_SET_MIN_LEN)?;
     let mut sets = Vec::with_capacity(count);
     for _ in 0..count {
@@ -842,12 +840,8 @@ mod tests {
         Bytes(usize, &'static [u8]),
     }
 
-    fn varint(out: &mut Vec<u8>, mut n: usize) {
-        while n >= 0x80 {
-            out.push(n as u8 | 0x80);
-            n >>= 7;
-        }
-        out.push(n as u8);
+    fn varint(out: &mut Vec<u8>, n: usize) {
+        rdfmesh_rdf::codec::put_varint(out, n as u64);
     }
 
     fn serialize(fields: &[Field]) -> Vec<u8> {
@@ -1139,7 +1133,7 @@ mod tests {
         ];
         for (list, bytes) in frames {
             let (decoded, allocated) = allocated_by(|| LiveMsg::decode_wire(&bytes));
-            assert_eq!(decoded.unwrap_err(), WireFault("count exceeds the frame"), "{list}");
+            assert_eq!(decoded.unwrap_err(), WireFault("count exceeds the bytes left"), "{list}");
             assert!(
                 allocated <= ALLOC_PER_FRAME_BYTE * bytes.len(),
                 "{list}: decoding a {} B frame allocated {allocated} B",

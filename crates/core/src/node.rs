@@ -38,10 +38,10 @@ use std::time::{Duration, Instant};
 
 use rdfmesh_net::{Cluster, FaultPlan, Handler, NodeId, TransportSnapshot};
 use rdfmesh_overlay::key_for_pattern;
+use rdfmesh_rdf::codec::{put_str, put_u32, put_u64, DecodeError, Reader};
 use rdfmesh_rdf::TriplePattern;
 #[cfg(test)]
 use rdfmesh_rdf::TripleStore;
-use rdfmesh_sparql::solution::wire::{put_str, put_u64, Reader, WireError};
 
 use crate::config::LiveConfig;
 use crate::live::{
@@ -86,7 +86,7 @@ fn put_member(out: &mut Vec<u8>, m: &Member) {
     put_str(out, &m.addr);
 }
 
-fn read_member(r: &mut Reader<'_>) -> Result<Member, WireError> {
+fn read_member(r: &mut Reader<'_>) -> Result<Member, DecodeError> {
     let id = r.u64()?;
     let pos = r.u64()?;
     let addr = r.str()?.to_string();
@@ -114,7 +114,7 @@ impl Control {
             }
             Control::Welcome(members) => {
                 out.push(CTRL_WELCOME);
-                out.extend_from_slice(&(members.len() as u32).to_le_bytes());
+                put_u32(&mut out, members.len() as u32);
                 for m in members {
                     put_member(&mut out, m);
                 }
@@ -127,7 +127,7 @@ impl Control {
         out
     }
 
-    fn decode(bytes: &[u8]) -> Result<Control, WireError> {
+    fn decode(bytes: &[u8]) -> Result<Control, DecodeError> {
         let mut r = Reader::new(bytes);
         let ctrl = match r.u8()? {
             CTRL_JOIN => Control::Join(read_member(&mut r)?),
@@ -140,7 +140,7 @@ impl Control {
                 Control::Welcome(members)
             }
             CTRL_PEER_JOINED => Control::PeerJoined(read_member(&mut r)?),
-            _ => return Err(WireError("unknown control tag")),
+            _ => return Err(DecodeError("unknown control tag")),
         };
         r.finish()?;
         Ok(ctrl)
@@ -494,7 +494,7 @@ mod tests {
         let mut bytes = vec![CTRL_WELCOME];
         bytes.extend_from_slice(&u32::MAX.to_le_bytes());
         let (decoded, allocated) = allocated_by(|| Control::decode(&bytes));
-        assert_eq!(decoded.unwrap_err().0, "count exceeds the frame");
+        assert_eq!(decoded.unwrap_err().0, "count exceeds the bytes left");
         assert!(allocated <= ALLOC_PER_FRAME_BYTE * bytes.len(), "{allocated} B");
     }
 

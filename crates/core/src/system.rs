@@ -7,7 +7,6 @@
 //! this type.
 
 use rdfmesh_cache::{CacheConfig, QueryCache};
-use rdfmesh_chord::Id;
 use rdfmesh_net::{LatencyModel, Network, NodeId, SimTime};
 use rdfmesh_overlay::{Overlay, OverlayError, PublishReport};
 use rdfmesh_rdf::Triple;
@@ -130,11 +129,6 @@ impl SharingSystem {
         &self.config
     }
 
-    /// Replaces the engine configuration (e.g. to compare strategies).
-    pub fn set_config(&mut self, config: ExecConfig) {
-        self.config = config;
-    }
-
     /// Attaches a query-path cache stack: subsequent [`Self::query`] /
     /// [`Self::query_with`] calls consult the routing, provider-set and
     /// result caches — all three, each sized by `cfg` — and fill them as
@@ -165,14 +159,6 @@ impl SharingSystem {
         let addr = self.fresh_addr();
         let id = self.overlay.ring().space().hash(&addr.0.to_be_bytes());
         self.overlay.add_index_node(addr, id)?;
-        Ok(addr)
-    }
-
-    /// Adds an index node at a chosen ring position (used to reproduce
-    /// the paper's Fig. 1 layout exactly).
-    pub fn add_index_node_at(&mut self, position: Id) -> Result<NodeId, OverlayError> {
-        let addr = self.fresh_addr();
-        self.overlay.add_index_node(addr, position)?;
         Ok(addr)
     }
 

@@ -30,7 +30,7 @@ pub use cluster::{Cluster, ClusterStats, Envelope, Handler, Outbox};
 pub use fault::FaultPlan;
 pub use tcp::{TcpCluster, TransportSnapshot, WireFault, WireMsg};
 pub use latency::LatencyModel;
-pub use network::{Network, NodeId, TraceEntry};
+pub use network::{Network, NodeId};
 pub use sched::Scheduler;
 pub use stats::{NetStats, NodeTraffic};
 pub use time::SimTime;

@@ -17,26 +17,10 @@
 //! exactly about converting remote transfers into local ones.
 
 use std::cell::RefCell;
-use std::collections::HashMap;
 
 use crate::latency::LatencyModel;
 use crate::stats::NetStats;
 use crate::time::SimTime;
-
-/// One recorded message, when tracing is enabled.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TraceEntry {
-    /// Sender.
-    pub from: NodeId,
-    /// Recipient.
-    pub to: NodeId,
-    /// Payload size.
-    pub bytes: usize,
-    /// Departure time.
-    pub depart: SimTime,
-    /// Arrival time.
-    pub arrival: SimTime,
-}
 
 /// Identifies a node (site) in the network.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -55,11 +39,6 @@ pub struct Network {
     /// Link throughput in bytes per microsecond (e.g. 12.5 ≈ 100 Mbit/s).
     bytes_per_micro: f64,
     stats: RefCell<NetStats>,
-    /// Per-node time at which the node becomes free; models servers that
-    /// process one request at a time when executors opt into it.
-    busy_until: RefCell<HashMap<NodeId, SimTime>>,
-    /// Message log; `None` disables recording (the default).
-    trace: RefCell<Option<Vec<TraceEntry>>>,
     /// Extra metrics counter every sent byte is also charged to while
     /// set — lets executors split traffic into classes (e.g. bytes spent
     /// on cache-hit vs cache-miss query paths).
@@ -75,8 +54,6 @@ impl Network {
             latency,
             bytes_per_micro,
             stats: RefCell::new(NetStats::default()),
-            busy_until: RefCell::new(HashMap::new()),
-            trace: RefCell::new(None),
             byte_class: RefCell::new(None),
         }
     }
@@ -131,9 +108,6 @@ impl Network {
         }
         let arrival = depart + self.transfer_time(from, to, bytes);
         self.stats.borrow_mut().record(from, to, bytes, arrival);
-        if let Some(trace) = self.trace.borrow_mut().as_mut() {
-            trace.push(TraceEntry { from, to, bytes, depart, arrival });
-        }
         // Observability: charge the active query trace (if any) and the
         // process-wide registry. Both are cheap no-ops when idle.
         rdfmesh_obs::charge_current(bytes as u64);
@@ -149,45 +123,21 @@ impl Network {
         arrival
     }
 
-    /// Turns message tracing on (clearing any previous log) or off.
-    pub fn set_tracing(&self, enabled: bool) {
-        *self.trace.borrow_mut() = if enabled { Some(Vec::new()) } else { None };
-    }
-
-    /// The recorded messages in send order (empty when tracing is off).
-    pub fn trace(&self) -> Vec<TraceEntry> {
-        self.trace.borrow().clone().unwrap_or_default()
-    }
-
-    /// Serializes node-local compute: returns when `node` can start work
-    /// arriving at `ready`, and marks it busy for `duration` after that.
-    pub fn occupy(&self, node: NodeId, ready: SimTime, duration: SimTime) -> SimTime {
-        let mut busy = self.busy_until.borrow_mut();
-        let start = busy.get(&node).copied().unwrap_or(SimTime::ZERO).max(ready);
-        let end = start + duration;
-        busy.insert(node, end);
-        end
-    }
-
     /// A snapshot of the accumulated statistics.
     pub fn stats(&self) -> NetStats {
         self.stats.borrow().clone()
     }
 
-    /// Clears statistics, busy tracking, and any recorded trace (between
-    /// experiment runs; tracing stays enabled if it was).
+    /// Clears the statistics (between experiment runs).
     pub fn reset(&self) {
         *self.stats.borrow_mut() = NetStats::default();
-        self.busy_until.borrow_mut().clear();
-        if let Some(trace) = self.trace.borrow_mut().as_mut() {
-            trace.clear();
-        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashMap;
 
     #[test]
     fn send_charges_latency_plus_wire_time() {
@@ -227,47 +177,13 @@ mod tests {
     }
 
     #[test]
-    fn occupy_serializes_a_node() {
-        let net = Network::lan();
-        let e1 = net.occupy(NodeId(1), SimTime(0), SimTime(100));
-        let e2 = net.occupy(NodeId(1), SimTime(0), SimTime(100));
-        assert_eq!(e1, SimTime(100));
-        assert_eq!(e2, SimTime(200));
-        // A later-ready request starts when it is ready.
-        let e3 = net.occupy(NodeId(1), SimTime(500), SimTime(10));
-        assert_eq!(e3, SimTime(510));
-    }
-
-    #[test]
     fn reset_clears_everything() {
         let net = Network::lan();
         net.send(NodeId(1), NodeId(2), 10, SimTime::ZERO);
-        net.occupy(NodeId(1), SimTime::ZERO, SimTime(5));
         net.reset();
         assert_eq!(net.stats().messages, 0);
-        assert_eq!(net.occupy(NodeId(1), SimTime::ZERO, SimTime(5)), SimTime(5));
-    }
-
-    #[test]
-    fn tracing_records_messages_in_order() {
-        let net = Network::lan();
-        assert!(net.trace().is_empty(), "tracing off by default");
-        net.set_tracing(true);
-        net.send(NodeId(1), NodeId(2), 10, SimTime::ZERO);
-        net.send(NodeId(2), NodeId(3), 20, SimTime::millis(1));
-        net.send(NodeId(3), NodeId(3), 99, SimTime::ZERO); // local: unrecorded
-        let t = net.trace();
-        assert_eq!(t.len(), 2);
-        assert_eq!(t[0].from, NodeId(1));
-        assert_eq!(t[1].bytes, 20);
-        assert!(t[0].arrival > t[0].depart);
-        net.reset();
-        assert!(net.trace().is_empty(), "reset clears the log");
-        net.send(NodeId(1), NodeId(2), 10, SimTime::ZERO);
-        assert_eq!(net.trace().len(), 1, "tracing survives reset");
-        net.set_tracing(false);
-        net.send(NodeId(1), NodeId(2), 10, SimTime::ZERO);
-        assert!(net.trace().is_empty());
+        assert_eq!(net.stats().total_bytes, 0);
+        assert!(net.stats().per_node.is_empty());
     }
 
     #[test]

@@ -3,8 +3,9 @@
 //! The RDF data model used across the ad-hoc Semantic Web data sharing
 //! system: [`Term`]s, [`Triple`]s, [`TriplePattern`]s (the eight kinds of
 //! the paper's Sect. IV-C), N-Triples I/O, dictionary encoding, the
-//! three-permutation [`TripleIndex`] and the indexed in-memory
-//! [`TripleStore`] each storage node runs locally.
+//! three-permutation [`TripleIndex`], the indexed in-memory
+//! [`TripleStore`] each storage node runs locally, and the one byte
+//! [`codec`] every frame and file is written in.
 //!
 //! ```
 //! use rdfmesh_rdf::{Term, Triple, TriplePattern, TermPattern, TripleStore};
@@ -25,6 +26,7 @@
 
 #![warn(missing_docs)]
 
+pub mod codec;
 pub mod dictionary;
 pub mod fxhash;
 pub mod index;

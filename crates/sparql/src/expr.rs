@@ -610,7 +610,7 @@ fn compare_terms(op: ComparisonOp, a: &Value<'_>, b: &Value<'_>) -> Result<bool,
 }
 
 /// A binary codec for expression trees, built on the primitives of
-/// [`crate::solution::wire`].
+/// [`rdfmesh_rdf::codec`].
 ///
 /// The live mesh pushes `FILTER` conditions down to the data sources
 /// (Sect. IV-G), so a socket transport has to ship expression trees
@@ -619,10 +619,10 @@ fn compare_terms(op: ComparisonOp, a: &Value<'_>, b: &Value<'_>) -> Result<bool,
 /// length-prefixed names; constants reuse the term encoding. Decoding is
 /// depth-bounded so a malicious frame cannot overflow the stack.
 pub mod wire {
+    use rdfmesh_rdf::codec::{put_str, put_term, DecodeError, Reader};
     use rdfmesh_rdf::Variable;
 
     use super::{ArithOp, ComparisonOp, Expression};
-    use crate::solution::wire::{put_str, put_term, Reader, WireError};
 
     const TAG_VAR: u8 = 0;
     const TAG_CONST: u8 = 1;
@@ -759,13 +759,13 @@ pub mod wire {
     }
 
     /// Reads one expression tree off `r` (inverse of [`put_expr`]).
-    pub fn read_expr(r: &mut Reader<'_>) -> Result<Expression, WireError> {
+    pub fn read_expr(r: &mut Reader<'_>) -> Result<Expression, DecodeError> {
         read_at(r, 0)
     }
 
-    fn read_at(r: &mut Reader<'_>, depth: u32) -> Result<Expression, WireError> {
+    fn read_at(r: &mut Reader<'_>, depth: u32) -> Result<Expression, DecodeError> {
         if depth >= MAX_DEPTH {
-            return Err(WireError("expression nesting too deep"));
+            return Err(DecodeError("expression nesting too deep"));
         }
         let one = |r: &mut Reader<'_>| read_at(r, depth + 1).map(Box::new);
         Ok(match r.u8()? {
@@ -782,7 +782,7 @@ pub mod wire {
                     3 => ComparisonOp::Le,
                     4 => ComparisonOp::Gt,
                     5 => ComparisonOp::Ge,
-                    _ => return Err(WireError("unknown comparison operator")),
+                    _ => return Err(DecodeError("unknown comparison operator")),
                 };
                 Expression::Compare(op, one(r)?, one(r)?)
             }
@@ -792,7 +792,7 @@ pub mod wire {
                     1 => ArithOp::Sub,
                     2 => ArithOp::Mul,
                     3 => ArithOp::Div,
-                    _ => return Err(WireError("unknown arithmetic operator")),
+                    _ => return Err(DecodeError("unknown arithmetic operator")),
                 };
                 Expression::Arith(op, one(r)?, one(r)?)
             }
@@ -810,14 +810,14 @@ pub mod wire {
                 let has_flags = match r.u8()? {
                     0 => false,
                     1 => true,
-                    _ => return Err(WireError("invalid regex flags marker")),
+                    _ => return Err(DecodeError("invalid regex flags marker")),
                 };
                 let text = one(r)?;
                 let pattern = one(r)?;
                 let flags = if has_flags { Some(one(r)?) } else { None };
                 Expression::Regex(text, pattern, flags)
             }
-            _ => return Err(WireError("unknown expression tag")),
+            _ => return Err(DecodeError("unknown expression tag")),
         })
     }
 

@@ -2,8 +2,8 @@
 //!
 //! Sub-queries do not cross the network as text: the live mesh ships
 //! patterns, filters and solutions in the binary `live_wire` codec of
-//! `rdfmesh-core` (wire primitives in [`crate::solution::wire`] and
-//! [`crate::expr::wire`]). This module is for people and tools: it
+//! `rdfmesh-core` (built on `rdfmesh_rdf::codec`, with
+//! [`crate::solution::wire`] and [`crate::expr::wire`]). This module is for people and tools: it
 //! renders any [`GraphPattern`] (and whole [`AlgebraQuery`]s) as standard
 //! SPARQL text, and the round-trip `parse(serialize(q))` reproduces the
 //! algebra — property-tested in `tests/properties.rs`.

@@ -309,42 +309,22 @@ pub mod naive {
 /// read so far, and names are at most [`wire::MAX_NAME`] bytes, so what
 /// decoding allocates is linear in the frame whatever the frame says.
 ///
-/// The primitive writers ([`wire::put_str`], [`wire::put_term`],
-/// [`wire::put_u32`], [`wire::put_u64`]) and the [`wire::Reader`]
-/// cursor are public so higher-level codecs — the live-protocol message
-/// codec in `rdfmesh-core` and the [`crate::expr::wire`] expression
-/// codec — compose the same primitives for their own fields (patterns,
-/// expressions, ids) instead of reinventing term encoding.
-/// `docs/DEPLOYMENT.md` specifies the full byte layout.
+/// The primitives — LEB128, the checked reader and the count rule, tagged
+/// terms — are [`rdfmesh_rdf::codec`]'s, which the other frames (the
+/// live-protocol message codec in `rdfmesh-core`, the
+/// [`crate::expr::wire`] expression codec) and the persistent store's
+/// files are written in too. `docs/DEPLOYMENT.md` specifies the full byte
+/// layout.
 pub mod wire {
     use std::collections::HashSet;
 
-    use rdfmesh_rdf::{BlankNode, Iri, Literal, LiteralKind, Term, Variable};
+    use rdfmesh_rdf::codec::{
+        build_term, has_head, leb128, term_parts, utf8, DecodeError, Reader,
+    };
+    use rdfmesh_rdf::Variable;
 
     use super::{Solution, SolutionSet};
     use crate::rows::{Rows, UNBOUND};
-
-    /// A malformed byte stream handed to [`decode`] (or any of the
-    /// [`Reader`] primitives).
-    #[derive(Debug, Clone, PartialEq, Eq)]
-    pub struct WireError(
-        /// What was wrong with the stream.
-        pub &'static str,
-    );
-
-    impl std::fmt::Display for WireError {
-        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-            write!(f, "solution wire decode error: {}", self.0)
-        }
-    }
-
-    impl std::error::Error for WireError {}
-
-    const TAG_IRI: u8 = 0;
-    const TAG_BLANK: u8 = 1;
-    const TAG_PLAIN: u8 = 2;
-    const TAG_LANG: u8 = 3;
-    const TAG_TYPED: u8 = 4;
 
     /// How many bytes a frame may make its decoder *copy* — the name
     /// cloned into every bound cell, a body referenced by id, a
@@ -360,55 +340,6 @@ pub mod wire {
     /// nothing is at least four bytes (id, kind, shared, length), so with
     /// names this short it always pays for the copy of its own name.
     pub const MAX_NAME: usize = 4 * EXPANSION;
-
-    /// Appends a `u32`-length-prefixed UTF-8 string.
-    pub fn put_str(out: &mut Vec<u8>, s: &str) {
-        out.extend_from_slice(&(s.len() as u32).to_le_bytes());
-        out.extend_from_slice(s.as_bytes());
-    }
-
-    /// Appends a little-endian `u32`.
-    pub fn put_u32(out: &mut Vec<u8>, n: u32) {
-        out.extend_from_slice(&n.to_le_bytes());
-    }
-
-    /// Appends a little-endian `u64`.
-    pub fn put_u64(out: &mut Vec<u8>, n: u64) {
-        out.extend_from_slice(&n.to_le_bytes());
-    }
-
-    /// Appends a tagged RDF term standing alone — a pattern constant, an
-    /// expression operand — as a tag byte plus `u32`-length-prefixed
-    /// strings. Terms inside a solution set go through the frame's
-    /// dictionary instead.
-    pub fn put_term(out: &mut Vec<u8>, term: &Term) {
-        match term {
-            Term::Iri(iri) => {
-                out.push(TAG_IRI);
-                put_str(out, iri.as_str());
-            }
-            Term::Blank(b) => {
-                out.push(TAG_BLANK);
-                put_str(out, b.as_str());
-            }
-            Term::Literal(lit) => match lit.kind() {
-                LiteralKind::Plain => {
-                    out.push(TAG_PLAIN);
-                    put_str(out, lit.lexical());
-                }
-                LiteralKind::LanguageTagged(tag) => {
-                    out.push(TAG_LANG);
-                    put_str(out, lit.lexical());
-                    put_str(out, tag);
-                }
-                LiteralKind::Typed(dt) => {
-                    out.push(TAG_TYPED);
-                    put_str(out, lit.lexical());
-                    put_str(out, dt.as_str());
-                }
-            },
-        }
-    }
 
     /// Where the encoder walk writes: a frame buffer, or a byte counter
     /// that lets [`encoded_len`] price a set without building it.
@@ -438,17 +369,9 @@ pub mod wire {
         }
     }
 
-    /// Writes `n` as LEB128: 7 bits per byte, high bit = continuation.
-    fn put_varint(out: &mut impl Sink, mut n: usize) {
-        let mut buf = [0u8; 10];
-        let mut len = 0;
-        while n >= 0x80 {
-            buf[len] = n as u8 | 0x80;
-            n >>= 7;
-            len += 1;
-        }
-        buf[len] = n as u8;
-        out.put(&buf[..=len]);
+    /// Writes `n` as LEB128.
+    fn put_varint(out: &mut impl Sink, n: usize) {
+        out.put(leb128(n as u64, &mut [0; 10]));
     }
 
     /// Length of the longest common prefix, a word at a time.
@@ -463,22 +386,6 @@ pub mod wire {
             n += 8;
         }
         n + a[n..].iter().zip(&b[n..]).take_while(|(x, y)| x == y).count()
-    }
-
-    /// A term as the dictionary stores it: its kind tag and its body in
-    /// two pieces, `head ++ tail` — `head` is the language tag or datatype
-    /// IRI of a tagged / typed literal and empty for every other kind.
-    fn term_parts(term: &Term) -> (u8, &[u8], &[u8]) {
-        let (kind, head, tail) = match term {
-            Term::Iri(iri) => (TAG_IRI, "", iri.as_str()),
-            Term::Blank(b) => (TAG_BLANK, "", b.as_str()),
-            Term::Literal(lit) => match lit.kind() {
-                LiteralKind::Plain => (TAG_PLAIN, "", lit.lexical()),
-                LiteralKind::LanguageTagged(tag) => (TAG_LANG, tag.as_str(), lit.lexical()),
-                LiteralKind::Typed(dt) => (TAG_TYPED, dt.as_str(), lit.lexical()),
-            },
-        };
-        (kind, head.as_bytes(), tail.as_bytes())
     }
 
     /// The encoder's side of the per-frame dictionary: the frame id each
@@ -517,7 +424,7 @@ pub mod wire {
             *id = self.defined;
             put_varint(out, *id);
             out.put(&[kind]);
-            if matches!(kind, TAG_LANG | TAG_TYPED) {
+            if has_head(kind) {
                 put_varint(out, head.len());
             }
             // Any prefix the two bodies really share is a valid `shared`;
@@ -627,140 +534,6 @@ pub mod wire {
         rows_encoded_len(&Rows::from_solutions(solutions))
     }
 
-    /// A checked cursor over wire bytes: every read validates bounds and
-    /// returns a [`WireError`] instead of panicking, so a malformed or
-    /// truncated frame from the network is rejected, never trusted.
-    pub struct Reader<'a> {
-        bytes: &'a [u8],
-        pos: usize,
-    }
-
-    impl<'a> Reader<'a> {
-        /// A cursor positioned at the start of `bytes`.
-        pub fn new(bytes: &'a [u8]) -> Self {
-            Reader { bytes, pos: 0 }
-        }
-
-        /// Reads a little-endian `u32`.
-        pub fn u32(&mut self) -> Result<u32, WireError> {
-            let end = self.pos.checked_add(4).ok_or(WireError("length overflow"))?;
-            let chunk = self.bytes.get(self.pos..end).ok_or(WireError("truncated integer"))?;
-            self.pos = end;
-            Ok(u32::from_le_bytes(chunk.try_into().expect("4-byte slice")))
-        }
-
-        /// Reads a little-endian `u64`.
-        pub fn u64(&mut self) -> Result<u64, WireError> {
-            let end = self.pos.checked_add(8).ok_or(WireError("length overflow"))?;
-            let chunk = self.bytes.get(self.pos..end).ok_or(WireError("truncated integer"))?;
-            self.pos = end;
-            Ok(u64::from_le_bytes(chunk.try_into().expect("8-byte slice")))
-        }
-
-        /// Reads one tag byte.
-        pub fn u8(&mut self) -> Result<u8, WireError> {
-            let b = *self.bytes.get(self.pos).ok_or(WireError("truncated tag"))?;
-            self.pos += 1;
-            Ok(b)
-        }
-
-        /// Reads `len` raw bytes.
-        fn take(&mut self, len: usize) -> Result<&'a [u8], WireError> {
-            let end = self.pos.checked_add(len).ok_or(WireError("length overflow"))?;
-            let chunk = self.bytes.get(self.pos..end).ok_or(WireError("truncated string"))?;
-            self.pos = end;
-            Ok(chunk)
-        }
-
-        /// Reads a `u32`-length-prefixed UTF-8 string.
-        pub fn str(&mut self) -> Result<&'a str, WireError> {
-            let len = self.u32()? as usize;
-            utf8(self.take(len)?)
-        }
-
-        /// Reads a LEB128 integer (inverse of the solution-set encoder's
-        /// counts, ids and lengths).
-        fn varint(&mut self) -> Result<usize, WireError> {
-            let mut value = 0usize;
-            for shift in (0..usize::BITS).step_by(7) {
-                let byte = self.u8()?;
-                let bits = usize::from(byte & 0x7F);
-                if (bits << shift) >> shift != bits {
-                    break;
-                }
-                value |= bits << shift;
-                if byte & 0x80 == 0 {
-                    return Ok(value);
-                }
-            }
-            Err(WireError("varint overflow"))
-        }
-
-        /// Reads a count of items that each occupy at least `unit` bytes
-        /// of this frame, rejecting one the remaining bytes cannot hold —
-        /// which makes the count safe to allocate for.
-        fn count(&mut self, unit: usize) -> Result<usize, WireError> {
-            let n = self.varint()?;
-            self.fits(n, unit)
-        }
-
-        /// Reads a little-endian `u32` count of items that each occupy at
-        /// least `unit` bytes of this frame, rejecting one the remaining
-        /// bytes cannot hold — the live protocol's frames count this way.
-        pub fn u32_count(&mut self, unit: usize) -> Result<usize, WireError> {
-            let n = self.u32()? as usize;
-            self.fits(n, unit)
-        }
-
-        fn fits(&self, n: usize, unit: usize) -> Result<usize, WireError> {
-            match n.checked_mul(unit) {
-                Some(bytes) if bytes <= self.bytes.len() - self.pos => Ok(n),
-                _ => Err(WireError("count exceeds the frame")),
-            }
-        }
-
-        /// Reads a tagged RDF term (inverse of [`put_term`]).
-        pub fn term(&mut self) -> Result<Term, WireError> {
-            let kind = self.u8()?;
-            let first = self.str()?;
-            let second = if matches!(kind, TAG_LANG | TAG_TYPED) { self.str()? } else { "" };
-            build_term(kind, second, first)
-        }
-    }
-
-    impl Reader<'_> {
-        /// Asserts the stream was consumed exactly: trailing bytes are a
-        /// framing error, not padding.
-        pub fn finish(self) -> Result<(), WireError> {
-            if self.pos != self.bytes.len() {
-                return Err(WireError("trailing bytes"));
-            }
-            Ok(())
-        }
-    }
-
-    fn utf8(bytes: &[u8]) -> Result<&str, WireError> {
-        std::str::from_utf8(bytes).map_err(|_| WireError("invalid UTF-8"))
-    }
-
-    /// Validates and builds a term from its kind tag and the two pieces
-    /// [`term_parts`] splits it into.
-    fn build_term(kind: u8, head: &str, tail: &str) -> Result<Term, WireError> {
-        match kind {
-            TAG_IRI => Ok(Term::Iri(Iri::new(tail).map_err(|_| WireError("invalid IRI"))?)),
-            TAG_BLANK => Ok(Term::Blank(
-                BlankNode::new(tail).map_err(|_| WireError("invalid blank node"))?,
-            )),
-            TAG_PLAIN => Ok(Term::Literal(Literal::plain(tail))),
-            TAG_LANG => Ok(Term::Literal(Literal::lang(tail, head))),
-            TAG_TYPED => {
-                let dt = Iri::new(head).map_err(|_| WireError("invalid datatype"))?;
-                Ok(Term::Literal(Literal::typed(tail, dt)))
-            }
-            _ => Err(WireError("unknown term tag")),
-        }
-    }
-
     /// The decoder's side of the per-frame dictionary, and of the
     /// [`EXPANSION`] budget.
     struct TermTable {
@@ -791,16 +564,16 @@ pub mod wire {
             col: usize,
             name_len: usize,
             id: usize,
-        ) -> Result<u32, WireError> {
+        ) -> Result<u32, DecodeError> {
             let borrowed = if let Some(&len) = self.body_lens.get(id - 1) {
                 len
             } else if id == self.ids.len() + 1 {
                 let kind = r.u8()?;
-                let head_len = if matches!(kind, TAG_LANG | TAG_TYPED) { r.varint()? } else { 0 };
+                let head_len = if has_head(kind) { r.varint()? } else { 0 };
                 let body = &mut self.prev[col];
                 let shared = r.varint()?;
                 if shared > body.len() {
-                    return Err(WireError("shared prefix longer than the previous entry"));
+                    return Err(DecodeError("shared prefix longer than the previous entry"));
                 }
                 let suffix_len = r.varint()?;
                 let suffix = r.take(suffix_len)?;
@@ -809,7 +582,7 @@ pub mod wire {
                 // Front coding works on bytes, so a prefix may end inside a
                 // code point: only the reconstructed pieces can be validated.
                 if head_len > body.len() {
-                    return Err(WireError("literal head longer than its body"));
+                    return Err(DecodeError("literal head longer than its body"));
                 }
                 let (head, tail) = body.split_at(head_len);
                 let term = build_term(kind, utf8(head)?, utf8(tail)?)?;
@@ -817,11 +590,11 @@ pub mod wire {
                 self.body_lens.push(body.len());
                 shared
             } else {
-                return Err(WireError("term id beyond the dictionary"));
+                return Err(DecodeError("term id beyond the dictionary"));
             };
             self.copied += name_len + borrowed;
-            if self.copied > EXPANSION * (r.pos - self.start) {
-                return Err(WireError("frame copies more than its length allows"));
+            if self.copied > EXPANSION * (r.position() - self.start) {
+                return Err(DecodeError("frame copies more than its length allows"));
             }
             Ok(self.ids[id - 1])
         }
@@ -836,8 +609,8 @@ pub mod wire {
     /// than the entry they borrow from, entries that do not reconstruct
     /// to a valid term, and a frame whose cells copy more than
     /// [`EXPANSION`] bytes per byte read.
-    pub fn read_rows(r: &mut Reader<'_>) -> Result<Rows, WireError> {
-        let start = r.pos;
+    pub fn read_rows(r: &mut Reader<'_>) -> Result<Rows, DecodeError> {
+        let start = r.position();
         let nvars = r.count(1)?;
         let mut vars = Vec::with_capacity(nvars);
         // Names arrive from outside: the default, keyed hasher.
@@ -845,11 +618,11 @@ pub mod wire {
         for _ in 0..nvars {
             let len = r.varint()?;
             if len > MAX_NAME {
-                return Err(WireError("variable name too long"));
+                return Err(DecodeError("variable name too long"));
             }
             let name = utf8(r.take(len)?)?;
             if !seen.insert(name) {
-                return Err(WireError("duplicate variable in the table"));
+                return Err(DecodeError("duplicate variable in the table"));
             }
             vars.push(Variable::new(name));
         }
@@ -866,7 +639,7 @@ pub mod wire {
         };
         for _ in 0..nrows {
             if nvars == 0 && r.u8()? != 0 {
-                return Err(WireError("non-zero pad byte in a zero-column row"));
+                return Err(DecodeError("non-zero pad byte in a zero-column row"));
             }
             for (col, &name_len) in name_lens.iter().enumerate() {
                 let cell = match r.varint()? {
@@ -881,13 +654,13 @@ pub mod wire {
     }
 
     /// Reads a solution set off `r`: [`read_rows`], as solutions.
-    pub fn read_solutions(r: &mut Reader<'_>) -> Result<SolutionSet, WireError> {
+    pub fn read_solutions(r: &mut Reader<'_>) -> Result<SolutionSet, DecodeError> {
         read_rows(r).map(|rows| rows.to_solutions())
     }
 
     /// Decodes wire bytes back into a solution set. Exact inverse of
     /// [`encode`]; trailing bytes are an error.
-    pub fn decode(bytes: &[u8]) -> Result<SolutionSet, WireError> {
+    pub fn decode(bytes: &[u8]) -> Result<SolutionSet, DecodeError> {
         let mut r = Reader::new(bytes);
         let out = read_solutions(&mut r)?;
         r.finish()?;

@@ -11,13 +11,14 @@
 //! reference — the manifest is renamed into place strictly after the log
 //! is synced.
 
-use std::fs::{File, OpenOptions};
-use std::io::{self, Read};
+use std::fs::File;
+use std::io;
 use std::path::PathBuf;
 
+use rdfmesh_rdf::codec::{put_str, DecodeError};
 use rdfmesh_rdf::{parse_term_str, Term};
 
-use crate::fail;
+use crate::{fail, log};
 
 /// The open append handle plus the replayed terms.
 pub struct DictLog {
@@ -38,33 +39,9 @@ impl DictLog {
     /// tail past them is truncated off the file.
     pub fn open(path: impl Into<PathBuf>, floor: u64) -> io::Result<(DictLog, Vec<Term>)> {
         let path = path.into();
-        let mut file = OpenOptions::new().read(true).append(true).create(true).open(&path)?;
-        let mut bytes = Vec::new();
-        file.read_to_end(&mut bytes)?;
-        let mut terms = Vec::new();
-        let mut pos = 0usize;
-        let mut good = 0usize;
-        while pos + 4 <= bytes.len() {
-            let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap()) as usize;
-            let Some(text) = bytes.get(pos + 4..pos + 4 + len) else { break };
-            let Ok(text) = std::str::from_utf8(text) else { break };
-            let Ok(term) = parse_term_str(text) else { break };
-            terms.push(term);
-            pos += 4 + len;
-            good = pos;
-        }
-        if (terms.len() as u64) < floor {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!(
-                    "dict.log: record {} of the {floor} the MANIFEST counts is damaged or missing",
-                    terms.len() + 1
-                ),
-            ));
-        }
-        if good < bytes.len() {
-            fail::set_len(&file, good as u64)?;
-        }
+        let (file, terms) = log::replay(&path, floor, |r| {
+            parse_term_str(r.str()?).map_err(|_| DecodeError("not an N-Triples term"))
+        })?;
         Ok((DictLog { file, path }, terms))
     }
 
@@ -77,9 +54,7 @@ impl DictLog {
         }
         let mut buf = Vec::new();
         for term in terms {
-            let text = term.to_string();
-            buf.extend_from_slice(&(text.len() as u32).to_le_bytes());
-            buf.extend_from_slice(text.as_bytes());
+            put_str(&mut buf, &term.to_string());
         }
         fail::write_all(&mut self.file, &buf)?;
         fail::sync_data(&self.file)
@@ -95,6 +70,8 @@ impl DictLog {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rdfmesh_rdf::{Iri, Literal};
+    use std::fs::OpenOptions;
 
     fn tmp(name: &str) -> PathBuf {
         let p = std::env::temp_dir().join(format!("rdfmesh-dict-{}-{name}", std::process::id()));
@@ -103,7 +80,6 @@ mod tests {
     }
 
     fn sample_terms() -> Vec<Term> {
-        use rdfmesh_rdf::{Iri, Literal};
         vec![
             Term::iri("http://example.org/s"),
             Term::literal("plain \"quoted\"\nline"),
@@ -153,5 +129,97 @@ mod tests {
         assert_eq!(again.len(), terms.len());
         assert_eq!(again.last().unwrap(), &Term::iri("http://example.org/new"));
         Ok(())
+    }
+
+    #[test]
+    fn every_truncation_and_byte_flip_replays_a_prefix_or_fails_below_the_floor() {
+        let path = tmp("hostile");
+        let terms = golden_terms();
+        {
+            let (mut log, _) = DictLog::open(&path, 0).unwrap();
+            log.append(&terms).unwrap();
+        }
+        let bytes = std::fs::read(&path).unwrap();
+        // Where each record ends.
+        let ends: Vec<usize> = terms
+            .iter()
+            .scan(0, |end, t| {
+                *end += 4 + t.to_string().len();
+                Some(*end)
+            })
+            .collect();
+        assert_eq!(ends.last(), Some(&bytes.len()));
+        let whole = |len: usize| ends.iter().take_while(|&&end| end <= len).count();
+        let floor = terms.len() as u64;
+        for cut in 0..=bytes.len() {
+            std::fs::write(&path, &bytes[..cut]).unwrap();
+            if cut < bytes.len() {
+                let err = DictLog::open(&path, floor).unwrap_err();
+                assert_eq!(err.kind(), io::ErrorKind::InvalidData, "cut at {cut}: {err}");
+                assert_eq!(std::fs::read(&path).unwrap(), bytes[..cut], "left as it was");
+            }
+            let (_log, replayed) = DictLog::open(&path, 0).unwrap();
+            assert_eq!(replayed, terms[..whole(cut)], "cut at {cut}");
+        }
+        // The log has no checksum, so a changed byte inside a term's text
+        // may still spell a term; the records before it replay unchanged,
+        // and none is invented past the ones written.
+        for at in 0..bytes.len() {
+            for mask in [0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0xFF] {
+                let mut hostile = bytes.clone();
+                hostile[at] ^= mask;
+                std::fs::write(&path, &hostile).unwrap();
+                let before = whole(at);
+                match DictLog::open(&path, floor) {
+                    Ok((_, replayed)) => assert_eq!(replayed.len(), terms.len()),
+                    Err(e) => assert_eq!(e.kind(), io::ErrorKind::InvalidData, "{e}"),
+                }
+                std::fs::write(&path, &hostile).unwrap();
+                let (_log, replayed) = DictLog::open(&path, 0).unwrap();
+                assert!(replayed.len() <= terms.len(), "byte {at} ^ {mask:#x}");
+                assert_eq!(replayed[..before], terms[..before], "byte {at} ^ {mask:#x}");
+            }
+        }
+    }
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// The dictionary log's fixture: one term of each kind.
+    fn golden_terms() -> Vec<Term> {
+        vec![
+            Term::iri("http://e/s"),
+            Term::blank("b0"),
+            Term::literal("say \"hi\"\n"),
+            Term::from(Literal::lang("chat", "fr")),
+            Term::from(Literal::typed(
+                "42",
+                Iri::new("http://www.w3.org/2001/XMLSchema#integer").unwrap(),
+            )),
+        ]
+    }
+
+    /// Golden bytes: a change to the writer (or to the codec it writes
+    /// through) that moves a byte of the format fails here.
+    #[test]
+    fn dict_log_bytes_are_pinned() {
+        let path = tmp("golden");
+        let (mut log, _) = DictLog::open(&path, 0).unwrap();
+        log.append(&golden_terms()).unwrap();
+        drop(log);
+        let bytes = std::fs::read(&path).unwrap();
+        std::fs::remove_file(&path).unwrap();
+        assert_eq!(
+            hex(&bytes),
+            concat!(
+                "0c000000", "3c687474703a2f2f652f733e",
+                "04000000", "5f3a6230",
+                "0e000000", "22736179205c2268695c225c6e22",
+                "09000000", "226368617422406672",
+                "30000000", "223432225e5e3c687474703a2f2f7777772e77332e6f72672f",
+                "323030312f584d4c536368656d6123696e74656765723e",
+            )
+        );
     }
 }

@@ -40,11 +40,11 @@
 mod bulk;
 mod dict;
 pub mod fail;
+mod log;
 mod merge;
 mod pstore;
 pub mod rss;
 mod segment;
-mod varint;
 mod wal;
 
 pub use bulk::{LoadConfig, LoadError, LoadReport};

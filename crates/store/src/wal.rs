@@ -22,18 +22,21 @@
 //! payload = [u8 op: 1=insert 2=remove][u32 LE s][u32 LE p][u32 LE o]
 //! ```
 //!
-//! Replay walks records until the file ends or a record fails its
-//! length or checksum, then truncates the torn tail away — safe for the
+//! Replay ([`crate::log::replay`], the dictionary log's too) walks
+//! records until the file ends or a record fails its length, checksum or
+//! op byte, then truncates the torn tail away — safe for the
 //! same reason the dictionary log's truncation is: a record is only
 //! acknowledged after its bytes are synced, so a torn tail was never
 //! acknowledged to any caller.
 
-use std::fs::{File, OpenOptions};
-use std::io::{self, Read};
+use std::fs::File;
+use std::io;
 use std::path::PathBuf;
 
-use crate::fail;
+use rdfmesh_rdf::codec::{put_u32, DecodeError, Reader};
+
 use crate::segment::Key;
+use crate::{fail, log};
 
 /// CRC-32 (IEEE) lookup table, built at compile time.
 const CRC_TABLE: [u32; 256] = {
@@ -75,6 +78,23 @@ const OP_REMOVE: u8 = 2;
 const PAYLOAD_LEN: usize = 13; // op byte + three u32 components
 const RECORD_LEN: usize = 4 + PAYLOAD_LEN + 4;
 
+/// Reads one record: its length must be the payload's, its checksum the
+/// payload's CRC, and its op one of the two.
+fn read_record(r: &mut Reader<'_>) -> Result<WalOp, DecodeError> {
+    let len = r.u32()?;
+    let payload = r.take(PAYLOAD_LEN)?;
+    if len as usize != PAYLOAD_LEN || r.u32()? != crc32(payload) {
+        return Err(DecodeError("torn WAL record"));
+    }
+    let mut p = Reader::new(payload);
+    let (op, key) = (p.u8()?, (p.u32()?, p.u32()?, p.u32()?));
+    match op {
+        OP_INSERT => Ok(WalOp::Insert(key)),
+        OP_REMOVE => Ok(WalOp::Remove(key)),
+        _ => Err(DecodeError("unknown WAL op")),
+    }
+}
+
 /// The open append handle for one generation's log.
 pub(crate) struct Wal {
     file: File,
@@ -94,36 +114,7 @@ impl Wal {
     /// intact record; a torn or checksum-failing tail is truncated off.
     pub(crate) fn open(path: impl Into<PathBuf>) -> io::Result<(Wal, Vec<WalOp>)> {
         let path = path.into();
-        let mut file = OpenOptions::new().read(true).append(true).create(true).open(&path)?;
-        let mut bytes = Vec::new();
-        file.read_to_end(&mut bytes)?;
-        let mut ops = Vec::new();
-        let mut pos = 0usize;
-        while pos + RECORD_LEN <= bytes.len() {
-            let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap()) as usize;
-            if len != PAYLOAD_LEN {
-                break;
-            }
-            let payload = &bytes[pos + 4..pos + 4 + len];
-            let stored =
-                u32::from_le_bytes(bytes[pos + 4 + len..pos + RECORD_LEN].try_into().unwrap());
-            if crc32(payload) != stored {
-                break;
-            }
-            let word = |i: usize| {
-                u32::from_le_bytes(payload[1 + i * 4..5 + i * 4].try_into().unwrap())
-            };
-            let key = (word(0), word(1), word(2));
-            match payload[0] {
-                OP_INSERT => ops.push(WalOp::Insert(key)),
-                OP_REMOVE => ops.push(WalOp::Remove(key)),
-                _ => break,
-            }
-            pos += RECORD_LEN;
-        }
-        if pos < bytes.len() {
-            fail::set_len(&file, pos as u64)?;
-        }
+        let (file, ops) = log::replay(&path, 0, read_record)?;
         let records = ops.len() as u64;
         Ok((Wal { file, path, records }, ops))
     }
@@ -136,15 +127,14 @@ impl Wal {
             WalOp::Insert(k) => (OP_INSERT, k),
             WalOp::Remove(k) => (OP_REMOVE, k),
         };
-        let mut payload = [0u8; PAYLOAD_LEN];
-        payload[0] = tag;
-        payload[1..5].copy_from_slice(&s.to_le_bytes());
-        payload[5..9].copy_from_slice(&p.to_le_bytes());
-        payload[9..13].copy_from_slice(&o.to_le_bytes());
         let mut record = Vec::with_capacity(RECORD_LEN);
-        record.extend_from_slice(&(PAYLOAD_LEN as u32).to_le_bytes());
-        record.extend_from_slice(&payload);
-        record.extend_from_slice(&crc32(&payload).to_le_bytes());
+        put_u32(&mut record, PAYLOAD_LEN as u32);
+        record.push(tag);
+        for id in [s, p, o] {
+            put_u32(&mut record, id);
+        }
+        let crc = crc32(&record[4..]);
+        put_u32(&mut record, crc);
         fail::write_all(&mut self.file, &record)?;
         fail::sync_data(&self.file)?;
         self.records += 1;
@@ -166,6 +156,7 @@ impl Wal {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::fs::OpenOptions;
     use std::io::Write;
 
     fn tmp(name: &str) -> PathBuf {
@@ -239,5 +230,72 @@ mod tests {
     fn crc32_matches_known_vector() {
         // The canonical IEEE check value.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+    }
+
+    #[test]
+    fn every_truncation_and_byte_flip_replays_the_records_before_it() {
+        let path = tmp("hostile");
+        let ops = [
+            WalOp::Insert((1, 2, 3)),
+            WalOp::Remove((1, 2, 3)),
+            WalOp::Insert((u32::MAX, 0, 70_000)),
+            WalOp::Insert((0, 0, 0)),
+        ];
+        {
+            let (mut wal, _) = Wal::open(&path).unwrap();
+            for &op in &ops {
+                wal.append(op).unwrap();
+            }
+        }
+        let bytes = std::fs::read(&path).unwrap();
+        assert_eq!(bytes.len(), ops.len() * RECORD_LEN);
+        // A cut keeps the whole records before it, and the file is
+        // truncated to them.
+        for cut in 0..=bytes.len() {
+            std::fs::write(&path, &bytes[..cut]).unwrap();
+            let (_wal, replayed) = Wal::open(&path).unwrap();
+            assert_eq!(replayed, ops[..cut / RECORD_LEN], "cut at {cut}");
+            let kept = std::fs::metadata(&path).unwrap().len() as usize;
+            assert_eq!(kept, cut / RECORD_LEN * RECORD_LEN, "cut at {cut}");
+        }
+        // The checksum covers the op and the key, the length is checked
+        // on its own: any changed byte ends replay at its record.
+        for at in 0..bytes.len() {
+            for mask in [0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0xFF] {
+                let mut hostile = bytes.clone();
+                hostile[at] ^= mask;
+                std::fs::write(&path, &hostile).unwrap();
+                let (_wal, replayed) = Wal::open(&path).unwrap();
+                assert_eq!(replayed, ops[..at / RECORD_LEN], "byte {at} ^ {mask:#x}");
+            }
+        }
+    }
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// Golden bytes: a change to the writer (or to the codec it writes
+    /// through) that moves a byte of the format fails here.
+    #[test]
+    fn wal_bytes_are_pinned() {
+        let path = tmp("golden");
+        let (mut wal, _) = Wal::open(&path).unwrap();
+        for op in
+            [WalOp::Insert((1, 2, 3)), WalOp::Remove((1, 2, 3)), WalOp::Insert((u32::MAX, 0, 70_000))]
+        {
+            wal.append(op).unwrap();
+        }
+        drop(wal);
+        let bytes = std::fs::read(&path).unwrap();
+        std::fs::remove_file(&path).unwrap();
+        assert_eq!(
+            hex(&bytes),
+            concat!(
+                "0d000000", "01", "010000000200000003000000", "fb7bd719",
+                "0d000000", "02", "010000000200000003000000", "35171da4",
+                "0d000000", "01", "ffffffff0000000070110100", "0dfe0839",
+            )
+        );
     }
 }

@@ -1,5 +1,7 @@
 //! Message-level traces of the three primitive strategies — the Sect.
-//! IV-C narratives, visualized as the actual message sequences.
+//! IV-C narratives, visualized as the query's trace: every span that sent
+//! messages, in the order it opened, then what each site sent and
+//! received.
 //!
 //! ```sh
 //! cargo run --example message_trace
@@ -50,24 +52,39 @@ fn label(overlay: &Overlay, n: NodeId) -> String {
 fn main() {
     for strategy in PrimitiveStrategy::ALL {
         let mut overlay = build();
-        overlay.net.set_tracing(true);
-        let exec = Engine::new(&mut overlay, ExecConfig { primitive: strategy, ..ExecConfig::default() })
-            .execute(NodeId(101), QUERY)
-            .unwrap();
+        overlay.net.reset(); // count the query's messages only
+        let (exec, trace) =
+            Engine::new(&mut overlay, ExecConfig { primitive: strategy, ..ExecConfig::default() })
+                .execute_traced(NodeId(101), QUERY)
+                .unwrap();
         println!(
             "=== {strategy} === ({} results, {} bytes, {})",
             exec.result.len(),
             exec.stats.total_bytes,
             exec.stats.response_time
         );
-        for entry in overlay.net.trace() {
+        for span in trace.spans().iter().filter(|s| s.messages > 0) {
             println!(
-                "  {:>9} -> {:<9} {:>6} B   departs {:>9}  arrives {:>9}",
-                label(&overlay, entry.from),
-                label(&overlay, entry.to),
-                entry.bytes,
-                entry.depart.to_string(),
-                entry.arrival.to_string(),
+                "  {:<16} {:<32} {:>2} msg {:>6} B   {:>9} .. {:>9}",
+                span.phase,
+                span.label,
+                span.messages,
+                span.bytes,
+                SimTime(span.start_us).to_string(),
+                SimTime(span.end_us).to_string(),
+            );
+        }
+        let stats = overlay.net.stats();
+        let mut sites: Vec<_> = stats.per_node.iter().collect();
+        sites.sort_by_key(|(n, _)| **n);
+        for (n, t) in sites {
+            println!(
+                "  {:>9}: sent {} msg / {:>5} B, received {} msg / {:>5} B",
+                label(&overlay, *n),
+                t.messages_out,
+                t.bytes_out,
+                t.messages_in,
+                t.bytes_in
             );
         }
         println!();

@@ -72,6 +72,14 @@
 # `solution::naive` (no `fn join` / `join_owned` / `difference` /
 # `left_join` / `left_join_filtered` / `distinct` whose signature names
 # `Solution` outside it).
+# Every byte format — the socket frames and the store's segments, WAL and
+# dictionary log — is written and read through one codec,
+# `rdfmesh_rdf::codec` (crates/rdf/src/codec.rs): it holds the one LEB128
+# encoder (the one `| 0x80` in any crate's code), no crate has a `mod
+# varint` of its own, the store reads no integer by hand
+# (`from_le_bytes(`) but through the codec's checked `Reader`, and its two
+# append-only logs replay through one function (`log::replay`, the one
+# `fail::set_len(`).
 # Fails when a second copy appears. Test modules (`mod tests` to end of
 # file) and comment lines are not code.
 set -eu
@@ -247,6 +255,16 @@ expect_files() {
         bad=1
     fi
 }
+# One byte codec: the LEB128 encoder, no second varint module, no integer
+# read by hand in the store, one replay of its logs.
+expect_files 'LEB128 continuation (| 0x80) under crates/*/src' \
+    "$(files_with '\| 0x80' $(find crates/*/src -name '*.rs' | sort))" 'crates/rdf/src/codec.rs:1'
+expect_files 'mod varint under src and crates/*/src' \
+    "$(files_with '\bmod varint\b' $(find src crates/*/src -name '*.rs' | sort))" ''
+expect 'from_le_bytes( in crates/store/src code' \
+    "$(code "$store"/*.rs | grep -c 'from_le_bytes(' || true)" 0
+expect 'fail::set_len( in crates/store/src (the one replay, log.rs)' \
+    "$(code "$store"/*.rs | grep -c 'fail::set_len(' || true)" 1
 expect_files 'BTreeSet< of id triples under crates/{rdf,store}/src' \
     "$(files_with 'BTreeSet<((IdTriple|Key)\b|\((TermId|u32),)' crates/rdf/src/*.rs "$store"/*.rs)" \
     'crates/rdf/src/index.rs:1'
@@ -296,5 +314,5 @@ expect '[[bench]] tables under crates/*/Cargo.toml' \
 expect 'criterion mentions in any Cargo.toml' \
     "$(cat Cargo.toml crates/*/Cargo.toml shims/*/Cargo.toml benchmark/Cargo.toml | grep -ci criterion || true)" 0
 expect 'directories under shims/' "$(ls -d shims/*/ | wc -l)" 3
-[ "$bad" -eq 0 ] && echo 'exists once: provider compute, exchange pricing, reply accounting, role constructors, the role host, the multiway protocol, regex compilation, lending scan, JSON escaping, result writers, the stopwatch, the pipeline tail, the operator table, the lookup leg, the cluster, the publication path, the frequency column, the move-small rule, the location table, the key count, the list-count bound, the bind step, the role runner, the query account, the statistics pass, the fan-out, the row read, the generation writer, the commit, the row batch, the triple index, the term dictionary, the answer batch, the whole-store walk, the independent oracle'
+[ "$bad" -eq 0 ] && echo 'exists once: provider compute, exchange pricing, reply accounting, role constructors, the role host, the multiway protocol, regex compilation, lending scan, JSON escaping, result writers, the stopwatch, the pipeline tail, the operator table, the lookup leg, the cluster, the publication path, the frequency column, the move-small rule, the location table, the key count, the list-count bound, the bind step, the role runner, the query account, the statistics pass, the fan-out, the row read, the generation writer, the commit, the row batch, the triple index, the term dictionary, the answer batch, the whole-store walk, the independent oracle, the byte codec, the log replay'
 exit "$bad"
