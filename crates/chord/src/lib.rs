@@ -21,6 +21,6 @@ pub mod hash;
 pub mod id;
 pub mod ring;
 
-pub use hash::{sha1, sha1_u64, Sha1};
+pub use hash::{sha1, sha1_kernel, sha1_u64, Sha1};
 pub use id::{Id, IdSpace};
 pub use ring::{ChordRing, Lookup, NodeState, RingError};

@@ -167,37 +167,55 @@ impl<'a> LineParser<'a> {
     fn parse_iri(&mut self) -> Result<Iri, ParseError> {
         let opened = self.eat(b'<');
         debug_assert!(opened);
+        let text = self.unescape(b'>', "unterminated IRI", "dangling escape in IRI", |p, esc| {
+            match esc {
+                // The N-Triples grammar allows only UCHAR (\uXXXX /
+                // \UXXXXXXXX) escapes inside IRIREF.
+                b'u' | b'U' => p.unicode_escape(esc),
+                other => Err(p.err(format!(
+                    "only \\u/\\U escapes are allowed in IRIs, found \\{}",
+                    other as char
+                ))),
+            }
+        })?;
+        Iri::new(text).map_err(|e| self.err(e.to_string()))
+    }
+
+    /// Reads through the closing `stop` byte, decoding each escape with
+    /// `escape` (handed the byte after the `\`). The text between
+    /// escapes is copied a run at a time, so an escape-free term is one
+    /// exact allocation.
+    fn unescape(
+        &mut self,
+        stop: u8,
+        unterminated: &str,
+        dangling: &str,
+        escape: impl Fn(&mut Self, u8) -> Result<char, ParseError>,
+    ) -> Result<String, ParseError> {
         let mut out = String::new();
         loop {
-            match self.peek() {
-                None => return Err(self.err("unterminated IRI")),
-                Some(b'>') => {
-                    self.pos += 1;
-                    return Iri::new(out).map_err(|e| self.err(e.to_string()));
+            let start = self.pos;
+            let Some(len) = self.bytes[start..].iter().position(|&b| b == stop || b == b'\\')
+            else {
+                return Err(self.err(unterminated));
+            };
+            // `stop` and `\` are ASCII, so the run ends on a character
+            // boundary.
+            let run = &self.src[start..start + len];
+            self.pos += len + 1;
+            if self.bytes[start + len] == stop {
+                // Every escape decodes to a character, so an empty `out`
+                // means none was met.
+                if out.is_empty() {
+                    return Ok(run.to_owned());
                 }
-                Some(b'\\') => {
-                    // The N-Triples grammar allows only UCHAR (\uXXXX /
-                    // \UXXXXXXXX) escapes inside IRIREF.
-                    self.pos += 1;
-                    let esc = self.peek().ok_or_else(|| self.err("dangling escape in IRI"))?;
-                    self.pos += 1;
-                    match esc {
-                        b'u' | b'U' => out.push(self.unicode_escape(esc)?),
-                        other => {
-                            return Err(self.err(format!(
-                                "only \\u/\\U escapes are allowed in IRIs, found \\{}",
-                                other as char
-                            )))
-                        }
-                    }
-                }
-                Some(_) => {
-                    let rest = &self.src[self.pos..];
-                    let ch = rest.chars().next().expect("non-empty");
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
-                }
+                out.push_str(run);
+                return Ok(out);
             }
+            out.push_str(run);
+            let esc = self.peek().ok_or_else(|| self.err(dangling))?;
+            self.pos += 1;
+            out.push(escape(self, esc)?);
         }
     }
 
@@ -210,10 +228,12 @@ impl<'a> LineParser<'a> {
         if end > self.bytes.len() {
             return Err(self.err("truncated \\u escape"));
         }
-        let hex = &self.src[self.pos..end];
-        if !hex.bytes().all(|b| b.is_ascii_hexdigit()) {
+        // Checked as bytes: a multi-byte character among the digits is
+        // not hex (slicing the text first would split it and panic).
+        if !self.bytes[self.pos..end].iter().all(u8::is_ascii_hexdigit) {
             return Err(self.err("invalid hex in \\u escape"));
         }
+        let hex = &self.src[self.pos..end];
         let cp = u32::from_str_radix(hex, 16).map_err(|_| self.err("invalid hex in \\u escape"))?;
         let ch =
             char::from_u32(cp).ok_or_else(|| self.err("invalid code point in \\u escape"))?;
@@ -250,42 +270,20 @@ impl<'a> LineParser<'a> {
     fn parse_literal(&mut self) -> Result<Literal, ParseError> {
         let opened = self.eat(b'"');
         debug_assert!(opened);
-        let mut lexical = String::new();
-        loop {
-            match self.peek() {
-                None => return Err(self.err("unterminated literal")),
-                Some(b'"') => {
-                    self.pos += 1;
-                    break;
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    let esc = self.peek().ok_or_else(|| self.err("dangling escape"))?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => lexical.push('"'),
-                        b'\'' => lexical.push('\''),
-                        b'\\' => lexical.push('\\'),
-                        b'n' => lexical.push('\n'),
-                        b'r' => lexical.push('\r'),
-                        b't' => lexical.push('\t'),
-                        b'b' => lexical.push('\u{0008}'),
-                        b'f' => lexical.push('\u{000C}'),
-                        b'u' | b'U' => lexical.push(self.unicode_escape(esc)?),
-                        other => {
-                            return Err(self.err(format!("unknown escape \\{}", other as char)))
-                        }
-                    }
-                }
-                Some(_) => {
-                    // Advance over one UTF-8 character.
-                    let rest = &self.src[self.pos..];
-                    let ch = rest.chars().next().expect("non-empty");
-                    lexical.push(ch);
-                    self.pos += ch.len_utf8();
-                }
+        let lexical = self.unescape(b'"', "unterminated literal", "dangling escape", |p, esc| {
+            match esc {
+                b'"' => Ok('"'),
+                b'\'' => Ok('\''),
+                b'\\' => Ok('\\'),
+                b'n' => Ok('\n'),
+                b'r' => Ok('\r'),
+                b't' => Ok('\t'),
+                b'b' => Ok('\u{0008}'),
+                b'f' => Ok('\u{000C}'),
+                b'u' | b'U' => p.unicode_escape(esc),
+                other => Err(p.err(format!("unknown escape \\{}", other as char))),
             }
-        }
+        })?;
         // Optional language tag or datatype.
         match self.peek() {
             Some(b'@') => {
@@ -444,6 +442,18 @@ _:b <http://e/p> <http://e/o> .
         assert_eq!(t.object, Term::iri("http://e/o"));
         // Only UCHAR is legal inside an IRI.
         assert!(parse_line(r#"<http://e/s\n> <http://e/p> <http://e/o> ."#, 1).is_err());
+    }
+
+    #[test]
+    fn an_escape_decoding_to_an_excluded_iri_character_is_refused() {
+        // `\u005C` once loaded as `http://e/a\b`, which prints as an
+        // IRI no reader takes.
+        for esc in [r"\u005C", r"\u0000", r"\u0020", r"\U0000003E"] {
+            let line = format!("<http://e/s> <http://e/p> <http://e/a{esc}b> .");
+            let err = parse_line(&line, 7).unwrap_err();
+            assert_eq!(err.line, 7);
+            assert!(err.message.starts_with("invalid character"), "{err}");
+        }
     }
 
     #[test]

@@ -17,18 +17,21 @@ pub struct Iri(String);
 impl Iri {
     /// Creates an IRI from the given string.
     ///
-    /// Performs the minimal well-formedness check relevant to N-Triples
-    /// round-tripping: the string must not contain whitespace, `<`, `>`
-    /// or `"`.
+    /// Performs the well-formedness check N-Triples round-tripping needs:
+    /// the string must hold none of the characters IRIREF excludes
+    /// (U+0000–U+0020, `<`, `>`, `"`, `{`, `}`, `|`, `^`, `` ` ``, `\`)
+    /// and no other whitespace, so that [`Display`](fmt::Display) writes
+    /// an IRI every reader takes back.
     pub fn new(iri: impl Into<String>) -> Result<Self, TermError> {
         let iri = iri.into();
         if iri.is_empty() {
             return Err(TermError::EmptyIri);
         }
-        if let Some(c) = iri
-            .chars()
-            .find(|c| c.is_whitespace() || matches!(c, '<' | '>' | '"' | '{' | '}' | '|' | '^' | '`'))
-        {
+        if let Some(c) = iri.chars().find(|&c| {
+            c <= ' '
+                || c.is_whitespace()
+                || matches!(c, '<' | '>' | '"' | '{' | '}' | '|' | '^' | '`' | '\\')
+        }) {
             return Err(TermError::InvalidIriChar(c));
         }
         Ok(Iri(iri))
@@ -73,13 +76,16 @@ impl AsRef<str> for Iri {
 pub struct BlankNode(String);
 
 impl BlankNode {
-    /// Creates a blank node with the given label (without the `_:` prefix).
+    /// Creates a blank node with the given label (without the `_:` prefix):
+    /// ASCII letters, digits, `_`, `-` and `.`, not starting with `-` or
+    /// `.` and not ending with `.`, the labels N-Triples reads back.
     pub fn new(label: impl Into<String>) -> Result<Self, TermError> {
         let label = label.into();
         if label.is_empty() {
             return Err(TermError::EmptyBlankNodeLabel);
         }
-        if !label.chars().all(|c| c.is_ascii_alphanumeric() || c == '_' || c == '-' || c == '.') {
+        let inner = |c: char| c.is_ascii_alphanumeric() || matches!(c, '_' | '-' | '.');
+        if !label.chars().all(inner) || label.starts_with(['-', '.']) || label.ends_with('.') {
             return Err(TermError::InvalidBlankNodeLabel(label));
         }
         Ok(BlankNode(label))
@@ -129,10 +135,9 @@ impl Literal {
 
     /// A language-tagged literal. The tag is normalized to lowercase.
     pub fn lang(lexical: impl Into<String>, tag: impl Into<String>) -> Self {
-        Literal {
-            lexical: lexical.into(),
-            kind: LiteralKind::LanguageTagged(tag.into().to_ascii_lowercase()),
-        }
+        let mut tag = tag.into();
+        tag.make_ascii_lowercase();
+        Literal { lexical: lexical.into(), kind: LiteralKind::LanguageTagged(tag) }
     }
 
     /// A typed literal with the given datatype IRI.
@@ -402,6 +407,17 @@ mod tests {
     }
 
     #[test]
+    fn iri_rejects_the_rest_of_the_iriref_excluded_set() {
+        // `\` and U+0000–U+0020: an IRI holding one prints as no
+        // N-Triples reader takes back.
+        for c in ('\u{0}'..=' ').chain(['\\', '\u{85}', '\u{a0}', '\u{2028}']) {
+            let text = format!("http://e/a{c}b");
+            assert_eq!(Iri::new(text.as_str()), Err(TermError::InvalidIriChar(c)), "{text:?}");
+        }
+        assert!(Iri::new("http://e/\u{7f}/é/%5C").is_ok());
+    }
+
+    #[test]
     fn blank_node_display() {
         let b = BlankNode::new("b1").unwrap();
         assert_eq!(b.to_string(), "_:b1");
@@ -411,6 +427,13 @@ mod tests {
     fn blank_node_rejects_bad_labels() {
         assert!(BlankNode::new("").is_err());
         assert!(BlankNode::new("a b").is_err());
+        // N-Triples reads none of these back as the same label.
+        for label in ["-x", ".x", "x.", "."] {
+            assert!(BlankNode::new(label).is_err(), "{label}");
+        }
+        for label in ["_x", "0", "a.b-c", "x-"] {
+            assert!(BlankNode::new(label).is_ok(), "{label}");
+        }
     }
 
     #[test]

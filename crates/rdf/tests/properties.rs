@@ -2,7 +2,8 @@
 
 use proptest::prelude::*;
 use rdfmesh_rdf::{
-    ntriples, Literal, PatternSource, Term, TermPattern, Triple, TriplePattern, TripleStore,
+    ntriples, BlankNode, Iri, Literal, PatternSource, Term, TermPattern, Triple, TriplePattern,
+    TripleStore,
 };
 
 /// Small alphabets force collisions, which is where bugs live.
@@ -87,7 +88,47 @@ prop_compose! {
     }
 }
 
+/// Text over the characters N-Triples treats specially: ASCII controls
+/// and space, IRIREF's excluded set, the escapes' own characters, Unicode
+/// whitespace, non-ASCII.
+fn arb_text() -> impl Strategy<Value = String> {
+    prop_oneof![
+        "[a-z:/#.%-]{1,10}",
+        "[\u{0}-\u{7f}]{0,10}",
+        "\\PC{0,6}",
+        "[a-z \t\n\r\u{0}\u{1f}\u{7f}\u{85}\u{a0}\u{2028}<>\"'{}|^`\\\\é😀]{0,8}",
+    ]
+}
+
 proptest! {
+    /// What `dict.log` depends on: a term is stored as its N-Triples text
+    /// and reopened by `parse_term_str`, so every term the checked
+    /// constructors accept must print as text that reads back as itself.
+    /// (`Literal::lang` checks no tag; tags come from the two parsers,
+    /// which read `[A-Za-z0-9-]+`, so tags are drawn from that.)
+    #[test]
+    fn every_term_the_constructors_accept_reads_back_from_its_n_triples(
+        text in arb_text(),
+        label in "[a-zA-Z0-9_.-]{0,6}",
+        lexical in arb_text(),
+        tag in "[a-zA-Z0-9-]{1,8}",
+    ) {
+        let mut terms = vec![
+            Term::Literal(Literal::plain(lexical.as_str())),
+            Term::Literal(Literal::lang(lexical.as_str(), tag)),
+        ];
+        if let Ok(iri) = Iri::new(text.as_str()) {
+            terms.push(Term::Literal(Literal::typed(lexical, iri.clone())));
+            terms.push(Term::Iri(iri));
+        }
+        if let Ok(blank) = BlankNode::new(label) {
+            terms.push(Term::Blank(blank));
+        }
+        for term in terms {
+            prop_assert_eq!(ntriples::parse_term_str(&term.to_string()), Ok(term));
+        }
+    }
+
     #[test]
     fn lending_scan_visits_what_the_pattern_defines(
         // Objects drawn like subjects and predicates, so that repeated

@@ -6,7 +6,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use rdfmesh_rdf::{PatternSource, Term, TermPattern, Triple, TriplePattern};
-use rdfmesh_store::PersistentStore;
+use rdfmesh_store::{LoadConfig, LoadError, PersistentStore};
 
 static CASE: AtomicUsize = AtomicUsize::new(0);
 
@@ -59,6 +59,25 @@ fn open_and_scan(dir: &Path) -> Option<usize> {
     });
     assert_eq!(n, PatternSource::len(&store));
     Some(n)
+}
+
+/// An IRI holding `\` (written `\u005C`) once loaded, went to `dict.log`
+/// as text no reader takes back, and made the flushed store unopenable.
+/// It is refused at load, with its line, and the store reopens.
+#[test]
+fn an_iri_holding_a_backslash_is_refused_at_load_and_the_store_reopens() {
+    let dir = fresh_dir("backslash");
+    let doc = "<http://e/s> <http://e/p> <http://e/o> .\n\
+               <http://e/s> <http://e/p> <http://e/a\\u005Cb> .\n";
+    let mut store = PersistentStore::open(&dir).unwrap();
+    match store.bulk_load(doc.as_bytes(), &LoadConfig::default()) {
+        Err(LoadError::Parse(e)) => assert_eq!(e.line, 2, "{e}"),
+        other => panic!("expected a parse error, got {other:?}"),
+    }
+    store.insert(&Triple::new(iri("s"), iri("p"), iri("o")));
+    store.flush().unwrap();
+    drop(store);
+    assert_eq!(open_and_scan(&dir), Some(1));
 }
 
 #[test]

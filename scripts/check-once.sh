@@ -80,6 +80,10 @@
 # (`from_le_bytes(`) but through the codec's checked `Reader`, and its two
 # append-only logs replay through one function (`log::replay`, the one
 # `fail::set_len(`).
+# The one `unsafe` block and the one `#[target_feature` in library code
+# are the SHA-1 kernel's pick of the x86-64 SHA extensions
+# (crates/chord/src/hash.rs), and the comment run above the block opens
+# `// SAFETY:`.
 # Fails when a second copy appears. Test modules (`mod tests` to end of
 # file) and comment lines are not code.
 set -eu
@@ -314,5 +318,21 @@ expect '[[bench]] tables under crates/*/Cargo.toml' \
 expect 'criterion mentions in any Cargo.toml' \
     "$(cat Cargo.toml crates/*/Cargo.toml shims/*/Cargo.toml benchmark/Cargo.toml | grep -ci criterion || true)" 0
 expect 'directories under shims/' "$(ls -d shims/*/ | wc -l)" 3
-[ "$bad" -eq 0 ] && echo 'exists once: provider compute, exchange pricing, reply accounting, role constructors, the role host, the multiway protocol, regex compilation, lending scan, JSON escaping, result writers, the stopwatch, the pipeline tail, the operator table, the lookup leg, the cluster, the publication path, the frequency column, the move-small rule, the location table, the key count, the list-count bound, the bind step, the role runner, the query account, the statistics pass, the fan-out, the row read, the generation writer, the commit, the row batch, the triple index, the term dictionary, the answer batch, the whole-store walk, the independent oracle, the byte codec, the log replay'
+# One unsafe block in library code: the call that runs the SHA-1 kernel
+# the CPU was seen to support. `unsafe fn` / `unsafe impl` count too.
+lib_rs=$(find src crates/*/src -name '*.rs' | sort)
+hash_rs=crates/chord/src/hash.rs
+expect_files 'unsafe under src and crates/*/src' "$(files_with '\bunsafe\b' $lib_rs)" "$hash_rs:1"
+expect_files 'unsafe blocks under src and crates/*/src' "$(files_with '\bunsafe \{' $lib_rs)" "$hash_rs:1"
+expect_files '#[target_feature under src and crates/*/src' \
+    "$(files_with '#\[target_feature' $lib_rs)" "$hash_rs:1"
+# The comment run above the block (attributes may sit between) opens
+# `// SAFETY:`.
+safety=$(awk '/^mod tests/{exit}
+    /^ *\/\//{ if (!run) first = $0; run = 1; next }
+    /^ *#\[/{ next }
+    /unsafe \{/{ print (first ~ /^ *\/\/ SAFETY:/) ? "ok" : "missing" }
+    { run = 0; first = "" }' "$hash_rs")
+expect "unsafe blocks in $hash_rs under a // SAFETY: comment" "$(echo "$safety" | grep -c '^ok$' || true)" 1
+[ "$bad" -eq 0 ] && echo 'exists once: provider compute, exchange pricing, reply accounting, role constructors, the role host, the multiway protocol, regex compilation, lending scan, JSON escaping, result writers, the stopwatch, the pipeline tail, the operator table, the lookup leg, the cluster, the publication path, the frequency column, the move-small rule, the location table, the key count, the list-count bound, the bind step, the role runner, the query account, the statistics pass, the fan-out, the row read, the generation writer, the commit, the row batch, the triple index, the term dictionary, the answer batch, the whole-store walk, the independent oracle, the byte codec, the log replay, the unsafe block'
 exit "$bad"

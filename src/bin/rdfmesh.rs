@@ -332,7 +332,11 @@ fn run_serve(o: &Options) -> Result<(), String> {
         MeshNode::start(o.listen.as_str(), id, store, o.live).map_err(|e| e.to_string())?,
     );
     let (keys, took) = node.key_pass();
-    eprintln!("# index keys: {keys} keys from {triples} triples in {:.3}s", took.as_secs_f64());
+    eprintln!(
+        "# index keys: {keys} keys from {triples} triples in {:.3}s (SHA-1: {})",
+        took.as_secs_f64(),
+        rdfmesh::chord::sha1_kernel()
+    );
     if let Some(seed) = &o.join {
         if !node.join(seed.as_str()) {
             return Err(format!("could not reach seed {seed}"));
