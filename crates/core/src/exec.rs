@@ -40,7 +40,7 @@ use rdfmesh_sparql::{
     algebra::AlgebraQuery,
     eval::{instantiate, Graph},
     expr::{Bindings, Expression},
-    GraphPattern, QueryResult, Rows, Solution,
+    GraphPattern, QueryResult, Rows,
 };
 
 /// A solution set materialized at a site at a point in simulated time.
@@ -424,19 +424,22 @@ fn eval<B: MeshBackend>(
 /// differ only in what the pattern goes on to bind) are merged. When
 /// every row already lies within the pattern's variables the keys *are*
 /// the rows and the round's answer is the join.
-/// The rows stay a batch throughout; only the keys, which the providers'
-/// per-key scan reads as [`Solution`]s, are handed to `round` as such.
+/// The rows and the keys stay id batches throughout: `round` is handed
+/// the key batch itself, which the coordinator joins a fetched
+/// provider's matches with as it is, and turns into
+/// [`Solution`](rdfmesh_sparql::Solution)s only for the frame of a
+/// provider it ships them to.
 pub(crate) fn bind_step<E>(
     pattern: &TriplePattern,
     rows: Rows,
-    round: impl FnOnce(Vec<Solution>) -> Result<Mat, E>,
+    round: impl FnOnce(Rows) -> Result<Mat, E>,
 ) -> Result<Mat, E> {
     let vars: Vec<Variable> = pattern.variables().into_iter().cloned().collect();
     if rows.iter().all(|row| row.iter().all(|(v, _)| vars.contains(v))) {
-        return round(rows.distinct().into_solutions());
+        return round(rows.distinct());
     }
     let keys = rows.project(&vars).distinct();
-    let Mat { solutions: extensions, site, ready } = round(keys.into_solutions())?;
+    let Mat { solutions: extensions, site, ready } = round(keys)?;
     Ok(Mat { solutions: rows.join(&extensions).distinct(), site, ready })
 }
 
@@ -654,6 +657,7 @@ pub(crate) fn collect_patterns(pattern: &GraphPattern, out: &mut Vec<TriplePatte
 mod tests {
     use super::*;
     use rdfmesh_rdf::{Term, TermPattern, Variable};
+    use rdfmesh_sparql::Solution;
 
     fn tp(p: &str) -> TriplePattern {
         TriplePattern::new(

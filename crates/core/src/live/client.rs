@@ -8,7 +8,7 @@ use std::time::Duration;
 use crossbeam::channel::{bounded, Receiver};
 use rdfmesh_rdf::{TriplePattern, Variable};
 use rdfmesh_sparql::expr::Expression;
-use rdfmesh_sparql::solution::Solution;
+use rdfmesh_sparql::{Rows, Solution};
 
 use super::{lock, LiveAnswer, LiveMsg, PendingMap, QueryId};
 use crate::admission::Admission;
@@ -113,12 +113,24 @@ impl RoundClient {
     /// The non-blocking half of [`RoundClient::query_solutions`]:
     /// injects the round at the coordinator and returns immediately
     /// with a [`RoundHandle`] to wait on. Rounds submitted concurrently
-    /// pipeline through the coordinator.
+    /// pipeline through the coordinator. `bound` becomes one id batch
+    /// here, at entry; the bind step submits its key batch as it is
+    /// ([`SolutionRounds::keyed_round`](crate::SolutionRounds::keyed_round)).
     pub fn submit_solutions(
         &self,
         pattern: TriplePattern,
         filter: Option<Expression>,
         bound: Option<Vec<Solution>>,
+    ) -> RoundHandle {
+        self.submit_keyed(pattern, filter, bound.as_deref().map(Rows::from_solutions))
+    }
+
+    /// [`RoundClient::submit_solutions`] with the keys already a batch.
+    pub(crate) fn submit_keyed(
+        &self,
+        pattern: TriplePattern,
+        filter: Option<Expression>,
+        bound: Option<Rows>,
     ) -> RoundHandle {
         let handle = self.open_round();
         (self.inject)(LiveMsg::SubmitSol { qid: handle.qid, pattern, filter, bound });

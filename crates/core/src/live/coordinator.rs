@@ -8,7 +8,7 @@ use rdfmesh_net::NodeId;
 use rdfmesh_overlay::key_for_pattern;
 use rdfmesh_rdf::{TriplePattern, Variable};
 use rdfmesh_sparql::expr::Expression;
-use rdfmesh_sparql::{Rows, Solution};
+use rdfmesh_sparql::Rows;
 
 use super::{rlock, Action, DeadlineStage, LiveAnswer, LiveMsg, QueryId, SharedFlood};
 use crate::config::{DistStrategy, LiveConfig};
@@ -65,6 +65,15 @@ fn ships_keys(keys: usize, frequency: Option<u64>, filtered: bool) -> bool {
     filtered || frequency.is_none_or(|f| (keys as u64) < f)
 }
 
+/// The extensions of `keys` that the providers sent the bare pattern
+/// would have computed (`provider::answer`'s bind join, done once here):
+/// their `fetched` matches joined with the key batch as it is.
+fn join_fetched(keys: Rows, fetched: Vec<Rows>) -> Rows {
+    let mut matches = Rows::new();
+    fetched.into_iter().for_each(|reply| matches.append(reply));
+    keys.join(&matches.distinct())
+}
+
 /// Where the distribution strategies differ: the exec frame a provider
 /// receives, the reply it sends back, and what the coordinator does with
 /// the gathered replies. Everything else — lookup, fan-out, ack/retry/
@@ -75,8 +84,9 @@ enum RoundKind {
     /// [`LiveMsg::Solutions`] are the answer.
     Chained {
         filter: Option<Expression>,
-        /// The bind join's key set (`None` starts from the unit solution).
-        bound: Option<Vec<Solution>>,
+        /// The bind join's key set (`None` starts from the unit solution),
+        /// boxed: a batch outweighs the other kinds many times over.
+        bound: Option<Box<Rows>>,
         /// The providers sent the bare pattern instead of `bound`
         /// ([`ships_keys`] said no), decided once at fan-out.
         fetch_from: Vec<NodeId>,
@@ -176,6 +186,7 @@ impl CoordinatorCore {
         match msg {
             LiveMsg::SubmitSol { qid, pattern, filter, bound } => {
                 let (fetch_from, fetched) = (Vec::new(), Vec::new());
+                let bound = bound.map(Box::new);
                 let kind = RoundKind::Chained { filter, bound, fetch_from, fetched };
                 self.on_submit(qid, vec![pattern], kind)
             }
@@ -222,7 +233,12 @@ impl CoordinatorCore {
         let patterns = || q.slots.iter().map(|s| s.pattern.clone()).collect();
         match &q.kind {
             RoundKind::Chained { filter, bound, fetch_from, .. } => {
-                let bound = if fetch_from.contains(&to) { None } else { bound.clone() };
+                // The frame's field is `Vec<Solution>`: the one place the
+                // keys leave their batch, once per provider sent them.
+                let bound = match bound {
+                    Some(keys) if !fetch_from.contains(&to) => Some(keys.to_solutions()),
+                    _ => None,
+                };
                 self.stats.add_bound_keys_shipped(bound.as_ref().map_or(0, Vec::len) as u64);
                 LiveMsg::SubQuerySol {
                     qid,
@@ -578,14 +594,9 @@ impl CoordinatorCore {
                 self.stats.add_stitched_rows(stitched as u64);
                 assembled
             }
-            // The providers sent the bare pattern: their matches joined
-            // with the keys are the extensions they would have computed
-            // (`provider::answer`'s bind join, done once here).
             RoundKind::Chained { bound: Some(keys), fetched, .. } if !fetched.is_empty() => {
-                let mut matches = Rows::new();
-                fetched.into_iter().for_each(|reply| matches.append(reply));
                 let mut gathered = q.gathered;
-                gathered.append(Rows::from_solutions(&keys).join(&matches.distinct()));
+                gathered.append(join_fetched(*keys, fetched));
                 gathered.distinct()
             }
             _ => q.gathered.distinct(),
@@ -600,6 +611,7 @@ impl CoordinatorCore {
 mod tests {
     use super::*;
     use crate::live::COORDINATOR;
+    use rdfmesh_sparql::Solution;
     use rdfmesh_rdf::{Term, TermPattern};
     use std::sync::RwLock;
 
@@ -687,6 +699,11 @@ mod tests {
             providers: Vec<(NodeId, u64)>,
         ) -> Vec<Action> {
             c.on_event(IX, LiveMsg::Providers { qid, pattern, providers })
+        }
+
+        /// `sols` as the one id batch a bind step hands its round.
+        fn batch(sols: &[Solution]) -> Rows {
+            Rows::from_solutions(sols)
         }
 
         fn solutions(
@@ -893,7 +910,7 @@ mod tests {
                 qid,
                 pattern: pattern(),
                 filter: Some(filter.clone()),
-                bound: Some(bound.clone()),
+                bound: Some(batch(&bound)),
             };
             c.on_event(COORDINATOR, round);
             providers(&mut c, qid, pattern(), vec![P1]);
@@ -1011,7 +1028,7 @@ mod tests {
             qid: QueryId,
             pattern: TriplePattern,
             filter: Option<Expression>,
-            keys: Vec<Solution>,
+            keys: Rows,
         ) -> Vec<Action> {
             c.on_event(COORDINATOR, LiveMsg::SubmitSol { qid, pattern, filter, bound: Some(keys) })
         }
@@ -1036,11 +1053,48 @@ mod tests {
             rows
         }
 
+        /// The fetch branch joins the key batch, as the bind step built
+        /// it, with the providers' bare matches: that must be what the
+        /// same providers, sent the keys, would have answered — on keys
+        /// that leave `?y` unbound, bind only `?y`, bind nothing, repeat
+        /// or extend to nothing.
+        #[test]
+        fn the_fetch_join_equals_what_key_shipping_providers_answer() {
+            let y = |n: u64| (Variable::new("y"), Term::iri(&format!("http://example.org/o{n}")));
+            let triple = |x: u64, o: u64| {
+                let s = Term::iri(&format!("http://example.org/s{x}"));
+                rdfmesh_rdf::Triple::new(s, Term::iri("http://example.org/p"), y(o).1)
+            };
+            let stores = [
+                rdfmesh_rdf::TripleStore::from_triples([triple(1, 1), triple(1, 2), triple(2, 2)]),
+                rdfmesh_rdf::TripleStore::from_triples([triple(2, 3), triple(3, 1), triple(1, 1)]),
+            ];
+            let keys = [
+                xy(1, 1),
+                xsol(2),
+                Solution::from_pairs([y(1)]),
+                xy(1, 1),
+                Solution::new(),
+                xsol(9),
+            ];
+            let answer = |store, keys| provider::answer(store, &pattern(), None, keys);
+            let shipped: Vec<Solution> =
+                stores.iter().flat_map(|store| answer(store, Some(&keys[..])).to_solutions()).collect();
+            let fetched = stores.iter().map(|store| answer(store, None)).collect();
+            let joined = join_fetched(batch(&keys), fetched);
+            let set = |mut rows: Vec<Solution>| {
+                rows.sort();
+                rows.dedup();
+                rows
+            };
+            assert_eq!(sorted(joined.distinct()), set(shipped));
+        }
+
         #[test]
         fn keys_go_to_exactly_the_providers_whose_frequency_exceeds_their_count() {
             let mut c = core();
             let qid = QueryId(31);
-            submit_keyed(&mut c, qid, pattern(), None, vec![xsol(1), xsol(2), xsol(3)]);
+            submit_keyed(&mut c, qid, pattern(), None, batch(&[xsol(1), xsol(2), xsol(3)]));
             let fan = row(&mut c, qid, pattern(), vec![(P1, 2), (P2, 3), (P3, 4)]);
             // Three keys: fewer than P3's four triples, not fewer than
             // P2's three or P1's two.
@@ -1061,7 +1115,7 @@ mod tests {
         fn a_retransmission_resends_the_frame_shape_its_provider_was_given() {
             let mut c = core();
             let qid = QueryId(32);
-            submit_keyed(&mut c, qid, pattern(), None, vec![xsol(1), xsol(2)]);
+            submit_keyed(&mut c, qid, pattern(), None, batch(&[xsol(1), xsol(2)]));
             let fan = row(&mut c, qid, pattern(), vec![(P1, 1), (P2, 10)]);
             assert_eq!(sub_queries(&fan), vec![(P1, None), (P2, Some(2))]);
             for (provider, keys) in [(P1, None), (P2, Some(2))] {
@@ -1079,7 +1133,7 @@ mod tests {
         fn a_round_cut_short_by_the_overall_deadline_joins_the_matches_that_arrived() {
             let mut c = core();
             let qid = QueryId(33);
-            submit_keyed(&mut c, qid, pattern(), None, vec![xsol(1), xsol(2)]);
+            submit_keyed(&mut c, qid, pattern(), None, batch(&[xsol(1), xsol(2)]));
             row(&mut c, qid, pattern(), vec![(P1, 2), (P2, 2)]);
             solutions(&mut c, P1, qid, vec![xy(1, 1), xy(3, 1)]);
             let done = finishes(&deadline(&mut c, qid, DeadlineStage::Overall));
@@ -1099,10 +1153,10 @@ mod tests {
                 TermPattern::var("o"),
             );
             // No row, so no frequency: every storage node is sent the keys.
-            let fan = submit_keyed(&mut c, flood, all, None, vec![xsol(1), xsol(2)]);
+            let fan = submit_keyed(&mut c, flood, all, None, batch(&[xsol(1), xsol(2)]));
             assert_eq!(sub_queries(&fan), vec![(P1, Some(2)), (P2, Some(2)), (P3, Some(2))]);
             let filter = Some(Expression::Bound(Variable::new("y")));
-            submit_keyed(&mut c, filtered, pattern(), filter, vec![xsol(1), xsol(2)]);
+            submit_keyed(&mut c, filtered, pattern(), filter, batch(&[xsol(1), xsol(2)]));
             let fan = row(&mut c, filtered, pattern(), vec![(P1, 1)]);
             assert_eq!(sub_queries(&fan), vec![(P1, Some(2))]);
             assert_eq!(c.stats.snapshot().gathered_legs, 0);
@@ -1503,7 +1557,7 @@ mod tests {
                     let opened = match *kind {
                         Kind::Chained { keyed: false } => submit(&mut c, qid_of(q)),
                         Kind::Chained { keyed: true } => {
-                            let bound = Some(vec![usol(q, 0), usol(q, 1)]);
+                            let bound = Some(batch(&[usol(q, 0), usol(q, 1)]));
                             let (qid, pattern) = (qid_of(q), pattern());
                             let round = LiveMsg::SubmitSol { qid, pattern, filter: None, bound };
                             c.on_event(COORDINATOR, round)

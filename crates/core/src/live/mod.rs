@@ -240,9 +240,10 @@ pub enum LiveMsg {
         pattern: TriplePattern,
         /// Source-side filter every returned solution must satisfy.
         filter: Option<Expression>,
-        /// Intermediate solutions the providers extend (`None` starts
-        /// from the unit solution).
-        bound: Option<Vec<Solution>>,
+        /// The bind join's keys, which the providers extend (`None`
+        /// starts from the unit solution): one id batch, kept as it is
+        /// until a provider is sent them.
+        bound: Option<Rows>,
     },
     /// Coordinator → index node: `provider` missed its query-ack
     /// deadline for `pattern`'s key; lazily drop it from the owner's

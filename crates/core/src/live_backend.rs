@@ -17,9 +17,10 @@
 //!   pushed-down filter), and gathers solution mappings under the
 //!   fault-tolerant ack/retry/purge machinery of [`crate::live`];
 //! * a bind-join chain step is `exec::bind_step`, the one the simulator
-//!   takes too: the round is handed the current intermediates' *join
-//!   keys* and gets back their compatible extensions (Sect. IV-D), which
-//!   are joined back onto the rows kept here. Which side travels is the
+//!   takes too: the round ([`SolutionRounds::keyed_round`]) is handed the
+//!   current intermediates' *join keys*, one id batch, and gets back
+//!   their compatible extensions (Sect. IV-D), which are joined back onto
+//!   the rows kept here. Which side travels is the
 //!   coordinator's choice per provider (move-small, by the index row's
 //!   frequencies: the keys, or the provider's matches joined with the
 //!   keys at the coordinator); the answer is the same set either way;
@@ -41,7 +42,7 @@ use std::time::Duration;
 
 use rdfmesh_net::{NodeId, SimTime};
 use rdfmesh_rdf::{TriplePattern, Variable};
-use rdfmesh_sparql::{solution, Expression, QueryResult};
+use rdfmesh_sparql::{solution, Expression, QueryResult, Rows};
 
 use crate::config::{DistStrategy, ExecConfig};
 use crate::exec::{self, Mat, MeshBackend, OpKind, PrimitiveOp};
@@ -67,6 +68,19 @@ pub trait SolutionRounds {
         wait: Duration,
     ) -> Option<LiveAnswer>;
 
+    /// A bind step's keyed round: resolves `pattern` extending the join
+    /// `keys`, handed over as the id batch the step built. [`RoundClient`]
+    /// submits the batch as it is, so the coordinator joins a fetched
+    /// provider's matches with it directly and turns it into
+    /// [`Solution`](solution::Solution)s only for a provider it ships the
+    /// keys to. This default body converts the batch and takes
+    /// [`SolutionRounds::solution_round`]; it exists only because the
+    /// repo benchmark's tracing wrapper implements this trait without the
+    /// method, and goes when that wrapper does.
+    fn keyed_round(&self, pattern: TriplePattern, keys: Rows, wait: Duration) -> Option<LiveAnswer> {
+        self.solution_round(pattern, None, Some(keys.into_solutions()), wait)
+    }
+
     /// Resolves a whole multi-pattern BGP in one distributed round —
     /// HyperCube shuffle or partial-evaluation-and-assembly — through
     /// the live protocol. Blocks up to `wait`; `None` means the
@@ -89,6 +103,10 @@ impl SolutionRounds for RoundClient {
         wait: Duration,
     ) -> Option<LiveAnswer> {
         self.query_solutions(pattern, filter, bound, wait)
+    }
+
+    fn keyed_round(&self, pattern: TriplePattern, keys: Rows, wait: Duration) -> Option<LiveAnswer> {
+        self.submit_keyed(pattern, None, Some(keys)).wait(wait)
     }
 
     fn multiway_round(
@@ -199,16 +217,6 @@ impl<'a> LiveBackend<'a> {
         LiveBackend { mesh, wait, complete: true, failed: Vec::new(), rounds: 0 }
     }
 
-    fn round(
-        &mut self,
-        pattern: TriplePattern,
-        filter: Option<Expression>,
-        bound: Option<Vec<solution::Solution>>,
-    ) -> Result<Mat, LiveError> {
-        let answer = self.mesh.solution_round(pattern, filter, bound, self.wait);
-        self.absorb(answer)
-    }
-
     /// Books one round's outcome — a caller-side timeout, or the fault
     /// report the answer carries — and materializes its solutions at the
     /// coordinator.
@@ -242,13 +250,17 @@ impl MeshBackend for LiveBackend<'_> {
         _hint: Option<NodeId>,
         _use_range: bool,
     ) -> Result<Mat, LiveError> {
-        self.round(op.pattern.clone(), op.filter.clone(), None)
+        let (pattern, filter) = (op.pattern.clone(), op.filter.clone());
+        let answer = self.mesh.solution_round(pattern, filter, None, self.wait);
+        self.absorb(answer)
     }
 
-    /// The shared bind step, its keyed round one live solution round.
+    /// The shared bind step, its keyed round one live solution round
+    /// that carries the key batch as it is.
     fn exec_bound(&mut self, pattern: &TriplePattern, current: Mat) -> Result<Mat, LiveError> {
         exec::bind_step(pattern, current.solutions, |keys| {
-            self.round(pattern.clone(), None, Some(keys))
+            let answer = self.mesh.keyed_round(pattern.clone(), keys, self.wait);
+            self.absorb(answer)
         })
     }
 

@@ -569,7 +569,7 @@ mod tests {
                 qid: QueryId(19),
                 pattern: pattern(),
                 filter: Some(filter()),
-                bound: Some(vec![solution(), Solution::new()]),
+                bound: Some(batch(&[solution(), Solution::new()])),
             },
             LiveMsg::SubmitMulti {
                 qid: QueryId(30),

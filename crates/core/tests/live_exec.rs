@@ -15,8 +15,9 @@
 use std::time::{Duration, Instant};
 
 use rdfmesh_core::{
-    global_store, DistChoice, Engine, ExecConfig, FaultPlan, LiveBackend, LiveConfig, LiveError,
-    LiveMesh, LiveStatsSnapshot, Mat, MeshBackend, PrimitiveStrategy, Transport,
+    compile, exec, global_store, DistChoice, Engine, ExecConfig, ExecNode, ExecPlan, FaultPlan,
+    LiveBackend, LiveConfig, LiveError, LiveMesh, LiveStatsSnapshot, Mat, MeshBackend,
+    PrimitiveStrategy, Transport,
 };
 use rdfmesh_net::{LatencyModel, Network, NodeId, SimTime};
 use rdfmesh_overlay::{Overlay, Provider};
@@ -481,6 +482,87 @@ fn the_simulator_binds_the_meshs_rows_and_moves_them_the_same_way() {
         }
         // The selective chain's few keys travel to the providers.
         assert!(keys > 0, "{transport:?}");
+        mesh.shutdown();
+    }
+}
+
+/// Thirty people over three storage nodes (person `k` on node
+/// `k mod 3`): `k` knows `k+1` and `k+2`; an even `k` has the nick
+/// `n{k mod 5}`; every `k` carries the tags `n{k mod 5}` and
+/// `n{(k+1) mod 5}` — twenty `tag` triples on each node.
+fn tagged_overlay() -> Overlay {
+    let ex = |name: String| Term::iri(&format!("http://example.org/{name}"));
+    let person = |k: usize| ex(format!("p{}", k % 30));
+    let nick = |k: usize| Term::literal(&format!("n{}", k % 5));
+    let mut peers = vec![Vec::new(); 3];
+    for k in 0..30 {
+        let triples = &mut peers[k % 3];
+        for next in [k + 1, k + 2] {
+            triples.push(Triple::new(person(k), ex("knows".into()), person(next)));
+        }
+        if k % 2 == 0 {
+            triples.push(Triple::new(person(k), ex("nick".into()), nick(k)));
+        }
+        for tag in [k, k + 1] {
+            triples.push(Triple::new(person(k), ex("tag".into()), nick(tag)));
+        }
+    }
+    overlay_of(&peers)
+}
+
+/// A bind step after an OPTIONAL: its keys `(?y, ?n)` leave `?n` unbound
+/// wherever the nick is missing, and they stay one batch to the
+/// coordinator on both branches of move-small. Which branch each provider
+/// takes follows from move-small's inputs alone — how many keys the left
+/// side yields against the twenty `tag` triples each node holds — so the
+/// same plan, compiled from [`ExecConfig`], ships its keys to every
+/// provider from one person's rows and fetches from every provider over
+/// everyone's; both must answer the oracle's rows.
+#[test]
+fn keys_with_unbound_cells_answer_the_oracle_shipped_and_fetched() {
+    let overlay = tagged_overlay();
+    let cfg = ExecConfig { bind_join: true, overlap_aware: false, ..ExecConfig::default() };
+    let tag = predicate_pattern("y", "http://example.org/tag", "n");
+    let providers = 3;
+    // (subject of the left side, keys it yields, every provider shipped).
+    let cases = [("<http://example.org/p0>", 2, true), ("?x", 30, false)];
+    for transport in TRANSPORTS {
+        let mesh = spawn_on(&overlay, LiveConfig::default(), transport);
+        assert_eq!(mesh.providers_of(&tag).len(), providers);
+        assert!(mesh.providers_of(&tag).iter().all(|p| p.frequency == 20));
+        for (subject, keys, shipped) in cases {
+            let left = format!(
+                "SELECT * WHERE {{ {subject} <http://example.org/knows> ?y \
+                 OPTIONAL {{ ?y <http://example.org/nick> ?n }} }}"
+            );
+            let rows = select(&overlay, &left);
+            let n = Variable::new("n");
+            assert!(rows.iter().any(|r| r.get(&n).is_none()), "{left}: a key with ?n unbound");
+            assert!(rows.iter().any(|r| r.get(&n).is_some()), "{left}: a key with ?n bound");
+            let plan = ExecPlan {
+                root: ExecNode::Chain {
+                    left: Box::new(compile(&parse_query(&left).unwrap().pattern, &cfg).root),
+                    right: tag.clone(),
+                    bind: cfg.bind_join,
+                    hint_from_left: cfg.overlap_aware,
+                },
+            };
+            let before = mesh.stats();
+            let mut backend = LiveBackend::new(&*mesh, WAIT);
+            let got = exec::run(&mut backend, &plan, SimTime::ZERO).expect("the plan runs");
+            let whole = format!(
+                "SELECT * WHERE {{ {subject} <http://example.org/knows> ?y \
+                 OPTIONAL {{ ?y <http://example.org/nick> ?n }} ?y <http://example.org/tag> ?n }}"
+            );
+            let expected = sorted(select(&overlay, &whole));
+            assert!(!expected.is_empty(), "{whole}");
+            assert_eq!(sorted(got.solutions.into_solutions()), expected, "{whole} on {transport:?}");
+            let after = mesh.stats();
+            let sent = after.bound_keys_shipped - before.bound_keys_shipped;
+            let fetched = after.gathered_legs - before.gathered_legs;
+            let expect = if shipped { (keys * providers, 0) } else { (0, providers) };
+            assert_eq!((sent, fetched), (expect.0 as u64, expect.1 as u64), "{whole} on {transport:?}");
+        }
         mesh.shutdown();
     }
 }

@@ -10,7 +10,9 @@
 //! ([`solution::naive`]) and every modifier by its own code, so a wrong
 //! row from the batch algebra ([`Rows`]) cannot appear on both sides of a
 //! differential test. What the two share only reads finished rows: the
-//! CONSTRUCT / DESCRIBE tail and the ORDER BY comparison.
+//! CONSTRUCT / DESCRIBE tail. ORDER BY is written twice on purpose:
+//! [`finalize`] sorts by each row's key values, computed once, and the
+//! oracle compares by evaluating both keys on every comparison.
 
 use std::cmp::Ordering;
 use std::collections::HashSet;
@@ -225,8 +227,7 @@ pub fn evaluate_pattern<G: Graph>(graph: &G, pattern: &GraphPattern) -> Solution
 /// is the central oracle every distributed answer is tested against: it
 /// runs on [`Solution`]s from the first triple to the answer. Of what
 /// the engines run on their batches ([`Rows`]) and [`finalize`], it
-/// shares only what reads finished rows: the ORDER BY comparison and
-/// the CONSTRUCT / DESCRIBE tail.
+/// shares only what reads finished rows: the CONSTRUCT / DESCRIBE tail.
 pub fn evaluate_query<G: Graph>(graph: &G, query: &AlgebraQuery) -> QueryResult {
     post_process(graph, query, evaluate_pattern(graph, &query.pattern))
 }
@@ -270,7 +271,21 @@ pub fn finalize<G: Graph>(graph: &G, query: &AlgebraQuery, mut rows: Rows) -> Qu
     }
     if !query.modifiers.order_by.is_empty() {
         let keys = order_keys(&query.modifiers);
-        rows.sort_by(|a, b| compare_rows(&keys, a, b));
+        let width = keys.len();
+        let values: Vec<OrderValue> = rows
+            .iter()
+            .flat_map(|row| keys.iter().map(move |(key, _)| OrderValue::of(key, &row)))
+            .collect();
+        rows.sort_by_index(|&a, &b| {
+            for (k, (_, descending)) in keys.iter().enumerate() {
+                let ord = values[a * width + k].cmp(&values[b * width + k]);
+                let ord = if *descending { ord.reverse() } else { ord };
+                if ord != Ordering::Equal {
+                    return ord;
+                }
+            }
+            Ordering::Equal
+        });
     }
     if let QueryForm::Select { duplicates, projection } = &query.form {
         if !projection.is_empty() {
@@ -369,11 +384,49 @@ fn compare_rows<B: Bindings>(keys: &[(Compiled<'_>, bool)], a: &B, b: &B) -> Ord
     Ordering::Equal
 }
 
+/// One row's value under one ORDER BY key, evaluated once: its rank,
+/// its number if it is a numeric literal, and its N-Triples form. It
+/// orders as [`compare_for_order`] orders the terms, so [`finalize`]
+/// sorts by values computed once per row where the oracle re-evaluates
+/// both keys on every comparison.
+struct OrderValue {
+    /// 0 for an error or an unbound key, then blank nodes, IRIs, literals.
+    rank: u8,
+    number: Option<f64>,
+    /// Empty for rank 0.
+    text: String,
+}
+
+impl OrderValue {
+    fn of<B: Bindings>(expr: &Compiled<'_>, row: &B) -> OrderValue {
+        let Ok(term) = expr.evaluate(row) else {
+            return OrderValue { rank: 0, number: None, text: String::new() };
+        };
+        let rank = match term {
+            Term::Blank(_) => 1,
+            Term::Iri(_) => 2,
+            Term::Literal(_) => 3,
+        };
+        let number = term.as_literal().and_then(Literal::as_f64);
+        OrderValue { rank, number, text: term.to_string() }
+    }
+
+    fn cmp(&self, other: &OrderValue) -> Ordering {
+        let by_value = || match (self.number, other.number) {
+            (Some(x), Some(y)) => x.total_cmp(&y),
+            (x, y) => y.is_some().cmp(&x.is_some()),
+        };
+        self.rank.cmp(&other.rank).then_with(by_value).then_with(|| self.text.cmp(&other.text))
+    }
+}
+
 /// The total order ORDER BY sorts by (SPARQL 1.1 §15.1): an error or
 /// an unbound key first, then blank nodes, IRIs, and literals last.
 /// Numeric literals precede the other literals and compare by value
 /// ([`f64::total_cmp`]); everything else compares by its N-Triples form,
 /// which also breaks ties in value, so only identical terms are equal.
+/// The oracle's comparison, both keys evaluated on every call; the
+/// reference [`OrderValue`] is held to.
 fn compare_for_order<B: Bindings>(expr: &Compiled<'_>, a: &B, b: &B) -> Ordering {
     let rank = |t: &Option<Term>| match t {
         None => 0,

@@ -359,10 +359,11 @@ impl Rows {
         self.len = kept;
     }
 
-    /// Sorts the rows by `cmp`, stably: equal rows keep their order.
-    pub(crate) fn sort_by(&mut self, mut cmp: impl FnMut(&Row<'_>, &Row<'_>) -> Ordering) {
+    /// Sorts the rows by `cmp` of their indices, stably: equal rows keep
+    /// their order.
+    pub(crate) fn sort_by_index(&mut self, cmp: impl FnMut(&usize, &usize) -> Ordering) {
         let mut order: Vec<usize> = (0..self.len).collect();
-        order.sort_by(|&a, &b| cmp(&self.row(a), &self.row(b)));
+        order.sort_by(cmp);
         let w = self.width();
         let mut cells = Vec::with_capacity(self.cells.len());
         for i in order {
@@ -892,7 +893,9 @@ mod tests {
         let mut rows = Rows::from_solutions(&sols);
         rows.keep_columns(&[v("x")]);
         assert_eq!(rows.vars(), &[v("x")]);
-        rows.sort_by(|a, b| a.get(&v("x")).cmp(&b.get(&v("x"))));
+        let x_of = |i: &usize| rows.row(*i).get(&v("x")).cloned();
+        let keys: Vec<Option<Term>> = (0..rows.len()).map(|i| x_of(&i)).collect();
+        rows.sort_by_index(|a, b| keys[*a].cmp(&keys[*b]));
         let x = |vals: &[&str]| vals.iter().map(|val| sol(&[("x", val)])).collect::<Vec<_>>();
         assert_eq!(rows.to_solutions(), x(&["a", "a", "b", "c"]));
         rows.slice(1, Some(2));

@@ -148,21 +148,3 @@ pub(crate) fn sync_dir(dir: &Path) -> io::Result<()> {
     }
     Ok(())
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn every_op_fails_from_the_crash_op_until_disarm() {
-        arm(0, false);
-        let crash_op = check();
-        let next_op = check();
-        disarm();
-        let after = check();
-        assert!(crash_op.is_err(), "the crash op fails");
-        assert!(next_op.is_err(), "the dead process's next op fails too");
-        assert!(after.is_ok(), "disarm ends injection");
-        assert_eq!(ops(), 0, "disarm resets the counter");
-    }
-}

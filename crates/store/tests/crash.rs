@@ -343,7 +343,29 @@ fn bulk_load_crash_recovers_to_before_or_after() {
     let _ = std::fs::remove_dir_all(&canonical);
 }
 
-/// Satellite: a dictionary-append failure inside `try_insert` or `flush`
+/// The failpoint's own contract, through a public guarded op (an insert
+/// whose first write is the dictionary append): the crash op fails, so
+/// does every op after it, and disarming ends the injection and resets
+/// the counter. It arms the process-global failpoint, so it lives here
+/// under [`LOCK`], never among the store's lib tests, which write
+/// through the guarded helpers in parallel.
+#[test]
+fn every_op_fails_from_the_crash_op_until_disarm() {
+    let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let dir = fresh_dir("failpoint");
+    let mut store = PersistentStore::open(&dir).unwrap();
+    fail::arm(0, false);
+    let crash_op = store.try_insert(&triple(0));
+    let next_op = store.try_insert(&triple(1));
+    fail::disarm();
+    let after = store.try_insert(&triple(2));
+    assert!(crash_op.is_err(), "the crash op fails");
+    assert!(next_op.is_err(), "the dead process's next op fails too");
+    assert!(after.is_ok(), "disarm ends injection");
+    assert_eq!(fail::ops(), 0, "disarm resets the counter");
+}
+
+/// A dictionary-append failure inside `try_insert` or `flush`
 /// leaves the store coherent — nothing acknowledged, nothing applied,
 /// no segment debris — and the store keeps working once the fault clears.
 #[test]

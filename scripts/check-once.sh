@@ -44,9 +44,9 @@
 # fan-out, the manifest swap and the WAL switch.
 # A solution set is one id-row batch (`Rows`) from the frame to
 # `finalize`: no `Vec<Solution>` in the mesh's roles, its codec, the
-# executor or the provider but the bind join's keys (the `bound` fields
-# and the bind step's `round`, which the providers' per-key scan reads as
-# solutions, and their codec), no row built as a `Solution` (`.to_solution()`) and no
+# executor or the provider but the keys of the frame to a key-shipping
+# provider (the `bound` field, which the providers' per-key scan reads as
+# solutions, its codec and the public entry), no row built as a `Solution` (`.to_solution()`) and no
 # `DistinctBuffer` under crates/core/src, and one join in crates/sparql/src
 # (no `merge_rows`, no `mod hashed`).
 # A peer indexes its triples once and interns its terms once: the one
@@ -60,8 +60,12 @@
 # deduplicates and slices it in place and the JSON / XML / TSV writers
 # read it, so no row becomes a `Solution` on the answer path — no
 # `into_solutions(`, `to_solutions(` or `.solutions()` in eval.rs,
-# results.rs or src/endpoint.rs, and under crates/core/src only the bind
-# step's two, which hand a bind join's keys to their round (exec.rs).
+# results.rs or src/endpoint.rs. A bind join's keys stay a batch from the
+# bind step to the coordinator's fetch-join: under crates/core/src one
+# `to_solutions` builds a key-shipping provider's frame, one
+# `from_solutions` is the public `Vec<Solution>` entry, and one
+# `into_solutions` is the keyed round's default adapter.
+# No lib test under crates/store/src arms the process-global failpoint.
 # A peer's keys are counted from one lending pass over its store: no code
 # collects a whole `SharedStore` (only the simulator's oracle union copies
 # one, into a `TripleStore`).
@@ -151,10 +155,14 @@ expect 'locate_cached( call sites in sim_backend.rs' \
 expect_at 'exec::bind_step(' 'live_backend.rs:1 sim_backend.rs:1'
 expect 'solution:: operators (Solution forms) under crates/core/src' \
     "$(code ./*.rs live/*.rs | grep -cE 'solution::(join|join_owned|left_join|difference|union|distinct)\(' || true)" 0
-# The keys are the one solution set that travels as `Solution`s.
-expect_at 'Vec<Solution>' 'exec.rs:1 live_wire.rs:2 live/client.rs:2 live/coordinator.rs:1 live/mod.rs:2'
-expect 'Vec<Solution> that is not the bind keys (bound / round / their codec)' \
-    "$(code live/*.rs live_wire.rs exec.rs provider.rs | grep 'Vec<Solution>' | grep -cvE 'bound|round|opt_solutions' || true)" 0
+# A bind join's keys travel as `Solution`s only in the frame to a
+# key-shipping provider, and the public entry takes them so: what remains
+# is benchmark/'s compile surface, which builds `SubQuerySol` frames and
+# calls `query_solutions` — the frame's field (live/mod.rs), its codec
+# (live_wire.rs) and the two public parameters (live/client.rs).
+expect_at 'Vec<Solution>' 'live_wire.rs:2 live/client.rs:2 live/mod.rs:1'
+expect 'Vec<Solution> that is not the shipped keys (bound / their codec)' \
+    "$(code live/*.rs live_wire.rs exec.rs provider.rs | grep 'Vec<Solution>' | grep -cvE 'bound|opt_solutions' || true)" 0
 expect '.to_solution() under crates/core/src' \
     "$(code ./*.rs live/*.rs | grep -c '\.to_solution()' || true)" 0
 expect 'DistinctBuffer under crates/core/src' \
@@ -283,8 +291,26 @@ expect 'by_hash / older in crates/sparql/src/rows.rs (a dictionary of its own)' 
 to_sols='into_solutions\(|to_solutions\(|\.solutions\(\)'
 expect 'into_solutions( / to_solutions( / .solutions() in eval.rs, results.rs, src/endpoint.rs' \
     "$(code crates/sparql/src/eval.rs crates/sparql/src/results.rs src/endpoint.rs | grep -cE "$to_sols" || true)" 0
-expect_files 'into_solutions( / to_solutions( / .solutions() under crates/core/src (the bind keys)' \
-    "$(files_with "$to_sols" $(find crates/core/src -name '*.rs' | sort))" 'crates/core/src/exec.rs:2'
+# Under crates/core/src a bind join's keys stay one `Rows` batch from the
+# bind step to the coordinator's fetch-join. They become `Solution`s once
+# per frame to a key-shipping provider (the coordinator's `exec_frame`),
+# and in `keyed_round`'s default body, which benchmark/'s tracing wrapper
+# takes; a `Vec<Solution>` becomes a batch once, at the public entry
+# (`submit_solutions`).
+core_rs=$(find crates/core/src -name '*.rs' | sort)
+expect_files 'into_solutions under crates/core/src (keyed_round'"'"'s default body)' \
+    "$(files_with '\binto_solutions\b' $core_rs)" 'crates/core/src/live_backend.rs:1'
+expect_files 'to_solutions under crates/core/src (the SubQuerySol frame)' \
+    "$(files_with '\bto_solutions\b' $core_rs)" 'crates/core/src/live/coordinator.rs:1'
+expect_files 'from_solutions under crates/core/src (the public Vec<Solution> entry)' \
+    "$(files_with '\bfrom_solutions\b' $core_rs)" 'crates/core/src/live/client.rs:1'
+expect_files '.solutions() under crates/core/src' "$(files_with '\.solutions\(\)' $core_rs)" ''
+# The failpoint is process-global: only tests/crash.rs, under its lock,
+# arms it. A lib test that did would fail the store's other lib tests,
+# which write through the guarded helpers in parallel.
+store_tests=$(for f in "$store"/*.rs; do awk '/^#\[cfg\(test\)\]/{on=1} on{print}' "$f"; done |
+    grep -v '^ *//' | grep -cE '\barm\(' || true)
+expect 'arm( in #[cfg(test)] code under crates/store/src' "$store_tests" 0
 expect 'absorb_net under crates/*/src' \
     "$(find crates/*/src -name '*.rs' | while read -r f; do code "$f"; done | grep -c 'absorb_net' || true)" 0
 expect 'keys_for_triple( call sites under crates/*/src' \
@@ -334,5 +360,5 @@ safety=$(awk '/^mod tests/{exit}
     /unsafe \{/{ print (first ~ /^ *\/\/ SAFETY:/) ? "ok" : "missing" }
     { run = 0; first = "" }' "$hash_rs")
 expect "unsafe blocks in $hash_rs under a // SAFETY: comment" "$(echo "$safety" | grep -c '^ok$' || true)" 1
-[ "$bad" -eq 0 ] && echo 'exists once: provider compute, exchange pricing, reply accounting, role constructors, the role host, the multiway protocol, regex compilation, lending scan, JSON escaping, result writers, the stopwatch, the pipeline tail, the operator table, the lookup leg, the cluster, the publication path, the frequency column, the move-small rule, the location table, the key count, the list-count bound, the bind step, the role runner, the query account, the statistics pass, the fan-out, the row read, the generation writer, the commit, the row batch, the triple index, the term dictionary, the answer batch, the whole-store walk, the independent oracle, the byte codec, the log replay, the unsafe block'
+[ "$bad" -eq 0 ] && echo 'exists once: provider compute, exchange pricing, reply accounting, role constructors, the role host, the multiway protocol, regex compilation, lending scan, JSON escaping, result writers, the stopwatch, the pipeline tail, the operator table, the lookup leg, the cluster, the publication path, the frequency column, the move-small rule, the location table, the key count, the list-count bound, the bind step, the role runner, the query account, the statistics pass, the fan-out, the row read, the generation writer, the commit, the row batch, the triple index, the term dictionary, the answer batch, the whole-store walk, the independent oracle, the byte codec, the log replay, the unsafe block, the key batch, the failpoint'
 exit "$bad"
