@@ -93,5 +93,6 @@ pub fn run() {
     println!("left outer join result is never smaller than its mandatory side,");
     println!("so when that side dominates and the result returns to the");
     println!("initiator anyway, query-site is already optimal. Third-site");
-    println!("recognises this through its cost comparison.");
+    println!("weighs only the operands' inbound transfers, so it follows");
+    println!("move-small.");
 }

@@ -80,6 +80,8 @@ pub fn run() {
     println!("\nShape check: query-site drags the large knows operand across the");
     println!("slow link before joining; move-small and third-site join out in");
     println!("the fast mesh so only the small final result crosses the slow");
-    println!("link. The byte gap is the size of the unshipped operand; the");
-    println!("time gap is that operand's wire time on the slow link.");
+    println!("link. The byte gap is the size of the unshipped operand. The");
+    println!("penalty is latency, which every plan pays once to bring its answer");
+    println!("home, so joining at an operand's site costs one more mesh hop than");
+    println!("it saves in wire time: query-site answers first.");
 }

@@ -171,3 +171,32 @@ pub fn run() {
     println!("gather-and-filter for ranges — the trade-off the paper's");
     println!("introduction describes.");
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rdfmesh_rdf::Variable;
+    use rdfmesh_sparql::solution::{wire, Solution};
+
+    #[test]
+    fn an_rdfpeers_lookup_reply_is_charged_as_its_solutions_frame() {
+        let data = dataset();
+        let peers = build_peers(&data);
+        let knows = Term::iri(rdfmesh_rdf::vocab::foaf::KNOWS);
+        let pattern = TriplePattern::new(TermPattern::var("x"), knows, data.persons[7].clone());
+        peers.net.reset();
+        // A provider's address asks: it is no ring node, so the reply is
+        // all it receives.
+        let initiator = NodeId(1);
+        let rep = peers.query(initiator, &pattern).unwrap();
+        assert!(!rep.matches.is_empty());
+        let x = Variable::new("x");
+        let answer: Vec<Solution> = rep
+            .matches
+            .iter()
+            .map(|t| Solution::from_pairs([(x.clone(), t.subject.clone())]))
+            .collect();
+        let received = peers.net.stats().per_node[&initiator].bytes_in;
+        assert_eq!(received, wire::encode(&answer).len() as u64);
+    }
+}

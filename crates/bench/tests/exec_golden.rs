@@ -16,10 +16,16 @@
 //! simulated testbeds are deterministic, so any drift means the backend
 //! seam changed observable behaviour, not just code layout.
 //!
-//! The fixture was re-cut once since, when the simulator's bind step
-//! became the mesh's keyed round: only the `bind_join` lines whose query
-//! has a bind step moved (fewer bytes, more messages, the same results;
-//! one digest differs by row order alone).
+//! The fixture was re-cut twice since. First, when the simulator's bind
+//! step became the mesh's keyed round: only the `bind_join` lines whose
+//! query has a bind step moved (fewer bytes, more messages, the same
+//! results; one digest differs by row order alone). Second, when every
+//! message carrying a sub-query or solutions came to be charged at the
+//! length of the `LiveMsg` frame the mesh sends for it instead of by an
+//! N-Triples size model: `bytes` and `rt` moved on every line that ships
+//! one (the ASK lines only by their sub-query frames), and `digest`,
+//! `results`, `hops`, `prov`, `dead`, `inter` and `msgs` stayed as they
+//! were on every line.
 
 use rdfmesh_bench::{foaf_testbed, testbed_from, Testbed};
 use rdfmesh_core::{ExecConfig, PrimitiveStrategy};

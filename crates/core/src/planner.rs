@@ -13,14 +13,14 @@
 //! and the tests below).
 
 use rdfmesh_net::SimTime;
-use rdfmesh_overlay::wire;
 use rdfmesh_rdf::TriplePattern;
-use rdfmesh_sparql::{expr::Expression, GraphPattern};
+use rdfmesh_sparql::{expr::Expression, GraphPattern, Rows};
 
 use crate::config::{DistChoice, DistStrategy, ExecConfig, PrimitiveStrategy};
 use crate::exec::{
     common_join_vars, covers, single_pattern_of, ExecNode, ExecPlan, OpKind, PrimitiveOp,
 };
+use crate::sim_backend::{forwarding_list_len, solutions_len, subquery_len};
 use rdfmesh_rdf::TermPattern;
 
 /// What the planner optimizes for.
@@ -45,12 +45,17 @@ pub struct CostEstimate {
     pub time: SimTime,
 }
 
-/// Bytes one solution mapping of a pattern occupies on the wire. Matches
-/// the executor's accounting to first order: per binding, `?name` + a
-/// separator + a serialized term (IRIs in the synthetic workloads run
-/// ~30-40 bytes).
+/// Bytes one solution mapping of a pattern adds to a `Solutions` frame:
+/// `1 + 4.6 × vars`. A row binding nothing is the codec's one byte; the
+/// slope is the row-weighted least-squares fit through that point of the
+/// codec's bytes per row, measured per provider on `exec_golden.rs`'s
+/// FOAF (120 persons, 6 peers, seed 2026) and university (4 departments,
+/// seed 77) testbeds over every predicate's `(?x p ?y)`, `(?x p o)` for
+/// its first three objects, and `(?s ?p ?o)`: 14.6, 11.1 and 13.7 B per
+/// row at one, two and three variables. The front-coded terms, not the
+/// column count, make up most of a row.
 fn solution_bytes(pattern: &TriplePattern) -> f64 {
-    2.0 + 40.0 * pattern.variables().len() as f64
+    1.0 + 4.6 * pattern.variables().len() as f64
 }
 
 /// Prices one primitive strategy for a pattern with the given provider
@@ -69,7 +74,10 @@ pub fn estimate_primitive(
     }
     let sol = solution_bytes(pattern);
     let total: u64 = frequencies.iter().sum();
-    let subquery = (wire::SUBQUERY_HEADER + pattern.serialized_len()) as f64;
+    // The frames the simulator charges: the pattern's `SubQuerySol`, and
+    // the `Solutions` frame around an empty batch.
+    let subquery = subquery_len(pattern, None) as f64;
+    let framing = solutions_len(&mut Rows::new()) as f64;
     let wire_time = |bytes: f64| SimTime::micros((bytes / bandwidth).ceil() as u64);
     let lat = latency;
 
@@ -79,9 +87,9 @@ pub fn estimate_primitive(
             // initiator. Parallel: time = 2 hops + the largest return.
             let returns: f64 = frequencies
                 .iter()
-                .map(|&f| wire::RESULT_HEADER as f64 + f as f64 * sol)
+                .map(|&f| framing + f as f64 * sol)
                 .sum();
-            let union_bytes = wire::RESULT_HEADER as f64 + total as f64 * sol;
+            let union_bytes = framing + total as f64 * sol;
             let bytes = k as f64 * subquery + returns + union_bytes;
             let max_return = frequencies.iter().copied().max().unwrap_or(0) as f64 * sol;
             let time = lat + lat + wire_time(max_return) + lat + wire_time(union_bytes);
@@ -92,18 +100,20 @@ pub fn estimate_primitive(
             if strategy == PrimitiveStrategy::FrequencyOrdered {
                 order.sort();
             }
-            // Hop i carries the sub-query + everything accumulated so far;
-            // the final hop ships the full union to the initiator.
+            // Hop i carries the sub-query, the forwarding list and
+            // everything accumulated so far; the final hop ships the full
+            // union to the initiator.
+            let list = forwarding_list_len(k) as f64;
             let mut bytes = 0.0;
             let mut time = lat; // reach the assembly index node
             let mut acc = 0.0;
             for &f in &order {
-                let payload = subquery + wire::RESULT_HEADER as f64 + acc;
+                let payload = subquery + list + framing + acc;
                 bytes += payload;
                 time += lat + wire_time(payload);
                 acc += f as f64 * sol;
             }
-            let final_bytes = wire::RESULT_HEADER as f64 + acc;
+            let final_bytes = framing + acc;
             bytes += final_bytes;
             time += lat + wire_time(final_bytes);
             CostEstimate { bytes, time }
@@ -453,16 +463,16 @@ mod tests {
     }
 
     #[test]
-    fn fully_bound_pattern_ships_two_byte_solutions() {
+    fn fully_bound_pattern_ships_one_byte_solutions() {
         // ASK-shaped pattern: no variables, so each solution mapping is
-        // just the 2-byte frame. Result transfers must reflect that and
-        // stay far below a one-variable pattern's cost.
+        // just the codec's one byte per row. Result transfers must
+        // reflect that and stay far below a one-variable pattern's cost.
         let bound = TriplePattern::new(
             Term::iri("http://example.org/alice"),
             Term::iri("http://xmlns.com/foaf/0.1/knows"),
             Term::iri("http://example.org/bob"),
         );
-        assert_eq!(solution_bytes(&bound), 2.0);
+        assert_eq!(solution_bytes(&bound), 1.0);
         let freqs = [20u64, 20];
         let b = estimate_primitive(PrimitiveStrategy::Basic, &bound, &freqs, LAT, BW);
         let one_var = estimate_primitive(PrimitiveStrategy::Basic, &pattern(), &freqs, LAT, BW);
@@ -479,7 +489,7 @@ mod tests {
             TermPattern::var("p"),
             TermPattern::var("o"),
         );
-        assert_eq!(solution_bytes(&all), 2.0 + 3.0 * 40.0);
+        assert_eq!(solution_bytes(&all), 1.0 + 3.0 * 4.6);
         let a = estimate_primitive(PrimitiveStrategy::Chained, &all, &[10], LAT, BW);
         let one = estimate_primitive(PrimitiveStrategy::Chained, &pattern(), &[10], LAT, BW);
         assert!(a.bytes > one.bytes);
@@ -506,6 +516,44 @@ mod tests {
             estimate_primitive(PrimitiveStrategy::Basic, &pattern(), &[est.estimate(&pattern())], LAT, BW);
         assert!(defaulted.bytes > known.bytes);
         assert!(defaulted.bytes.is_finite() && defaulted.time > SimTime::ZERO);
+    }
+
+    #[test]
+    fn an_empty_one_provider_leg_is_priced_at_the_frames_the_simulator_charges() {
+        use crate::sim_backend::SimBackend;
+        use rdfmesh_net::{LatencyModel, Network, NodeId};
+        use rdfmesh_overlay::Overlay;
+        use rdfmesh_rdf::Triple;
+
+        let net = Network::new(LatencyModel::Uniform(LAT), BW);
+        let mut overlay = Overlay::new(32, 4, 2, net);
+        for i in 0..3u64 {
+            let addr = NodeId(1000 + i);
+            let pos = overlay.ring().space().hash(&addr.0.to_be_bytes());
+            overlay.add_index_node(addr, pos).unwrap();
+        }
+        let knows = Term::iri("http://xmlns.com/foaf/0.1/knows");
+        let person = |n: &str| Term::iri(&format!("http://example.org/{n}"));
+        let triples = vec![
+            Triple::new(person("alice"), knows.clone(), person("bob")),
+            Triple::new(person("bob"), knows.clone(), person("carol")),
+        ];
+        let provider = NodeId(1);
+        overlay.add_storage_node(provider, NodeId(1000), triples).unwrap();
+        // `?x knows ?x` is looked up under `knows`, but no triple is
+        // reflexive: the one provider is sent the sub-query and answers
+        // with no row.
+        let reflexive = TriplePattern::new(TermPattern::var("x"), knows, TermPattern::var("x"));
+        overlay.net.reset();
+        let basic = ExecConfig { primitive: PrimitiveStrategy::Basic, ..ExecConfig::default() };
+        let mut sim = SimBackend::new(&mut overlay, basic);
+        sim.initiator = NodeId(1000);
+        let mat = sim.primitive(&reflexive, None, SimTime::ZERO, None).unwrap();
+        assert!(mat.solutions.is_empty());
+        let traffic = overlay.net.stats().per_node[&provider];
+        // The sub-query, the provider's reply, and the union's delivery.
+        let est = estimate_primitive(PrimitiveStrategy::Basic, &reflexive, &[0], LAT, BW);
+        assert_eq!(est.bytes, (traffic.bytes_in + 2 * traffic.bytes_out) as f64);
     }
 
     // ---- compile() shape tests --------------------------------------

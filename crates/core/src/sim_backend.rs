@@ -4,13 +4,19 @@
 //! algebra in" and "final materialization out": cache-aware index
 //! lookups, the three primitive shipping strategies, flooding, the ASK
 //! probe, the range index, dead-provider timeouts and purges, join-site
-//! selection, and materialization transfers. Every movement of a
-//! sub-query or solution set is charged to the simulated network, and
-//! executing an [`ExecPlan`](crate::ExecPlan) through this backend is
+//! selection, and materialization transfers. Every message that carries
+//! a sub-query or solutions is charged to the simulated network at the
+//! codec length of the [`LiveMsg`] frame the mesh sends for it — a
+//! `SubQuerySol` or a `Solutions` — so a simulated byte is a mesh byte.
+//! Executing an [`ExecPlan`](crate::ExecPlan) through this backend is
 //! deterministic (locked by the `exec_golden` fixture in rdfmesh-bench).
-//! Nothing the mesh has is priced here: a bind step's keyed round and a
-//! multiway round are the mesh's own coordinator and storage roles, run
-//! over the simulated network by one role runner (`run_round`).
+//! A bind step's keyed round and a multiway round are the mesh's own
+//! coordinator and storage roles, run over the simulated network by one
+//! role runner (`run_round`). The primitive legs keep the paper's
+//! topology (Basic fan-out, chains, the flood), which the mesh does not
+//! all have; only their frames are the mesh's. What the mesh never sends
+//! in the simulator's shape — Chord finger hops, ASK's bare ack — keeps
+//! the fixed schedule of [`rdfmesh_overlay::wire`].
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, RwLock};
@@ -20,7 +26,7 @@ use rdfmesh_cache::{QueryCache, ResultEntry};
 use rdfmesh_net::{NodeId, Scheduler, SimTime, WireMsg};
 use rdfmesh_obs::{names, phase, SpanId};
 use rdfmesh_overlay::{wire, Located, Overlay, Provider};
-use rdfmesh_rdf::{SharedStore, TriplePattern, Variable};
+use rdfmesh_rdf::{SharedStore, Term, TriplePattern, Variable};
 use rdfmesh_sparql::{expr::Expression, Rows};
 
 use crate::config::{DistStrategy, ExecConfig, JoinSiteStrategy, LiveConfig, PrimitiveStrategy};
@@ -40,15 +46,41 @@ struct SubQuery<'q> {
 }
 
 impl SubQuery<'_> {
-    fn bytes(&self) -> usize {
-        wire::SUBQUERY_HEADER
-            + self.pattern.serialized_len()
-            + self.filter.map_or(0, |f| f.serialized_len())
+    /// The length of the [`LiveMsg::SubQuerySol`] frame the mesh ships
+    /// the sub-query in. Its query id and return address are fixed-width,
+    /// so their values do not change it.
+    fn frame_len(&self) -> usize {
+        let (qid, reply_to) = (QueryId(0), NodeId(0));
+        let (pattern, filter) = (self.pattern.clone(), self.filter.cloned());
+        let frame = LiveMsg::SubQuerySol { qid, pattern, filter, bound: None, reply_to };
+        frame.encode_wire().len()
     }
 
-    fn answer(&self, store: &SharedStore) -> Vec<Rows> {
-        vec![provider::answer(store, self.pattern, self.filter, None)]
+    fn answer(&self, store: &SharedStore) -> Rows {
+        provider::answer(store, self.pattern, self.filter, None)
     }
+}
+
+/// The length of the [`LiveMsg::SubQuerySol`] frame that ships `pattern`
+/// and its pushed `filter` to a provider.
+pub(crate) fn subquery_len(pattern: &TriplePattern, filter: Option<&Expression>) -> usize {
+    SubQuery { pattern, filter }.frame_len()
+}
+
+/// What a chain hop's forwarding list adds to it: 8 B per provider on
+/// the list. The mesh has no chain frame to take this length from.
+pub(crate) fn forwarding_list_len(providers: usize) -> usize {
+    8 * providers
+}
+
+/// The length of the [`LiveMsg::Solutions`] frame that ships `rows`. The
+/// batch is lent to the frame for the encoding and handed back.
+pub(crate) fn solutions_len(rows: &mut Rows) -> usize {
+    let frame = LiveMsg::Solutions { qid: QueryId(0), solutions: std::mem::take(rows) };
+    let len = frame.encode_wire().len();
+    let LiveMsg::Solutions { solutions, .. } = frame else { unreachable!("built above") };
+    *rows = solutions;
+    len
 }
 
 /// What the sender of an [`SimBackend::exchange`] gets back, which is
@@ -66,14 +98,16 @@ enum Reply {
 
 /// Which lookup leg [`SimBackend::resolve`] runs: who asks the two-level
 /// index, through which key, and whether the answer waits on it.
-#[derive(Clone, Copy, PartialEq)]
+#[derive(Clone, Copy)]
 enum Leg<'q> {
-    /// A sub-query leaving the initiator: a storage-node initiator first
-    /// forwards it to its entry index node.
-    Primitive,
+    /// A sub-query leaving the initiator with the filter pushed to its
+    /// sources: a storage-node initiator first forwards it to its entry
+    /// index node, which fans the filtered sub-query out.
+    Primitive(Option<&'q Expression>),
     /// The same through the numeric range index: the providers of the
-    /// buckets overlapping `[lo, hi]` under the predicate.
-    Range(&'q rdfmesh_rdf::Term, f64, f64),
+    /// buckets overlapping `[lo, hi]` under the predicate, the bounding
+    /// filter shipped.
+    Range(&'q Term, f64, f64, &'q Expression),
     /// A role-run round's lookup, sent by the coordinator to its entry
     /// index node: nothing to forward.
     Step,
@@ -183,24 +217,15 @@ impl<'a> SimBackend<'a> {
     }
 
     /// Forwards a sub-query from a storage-node initiator to its entry
-    /// index node (one charged message), under a shipping span. An
-    /// index-node initiator is its own entry and forwards nothing.
-    fn forward_to_entry(
-        &mut self,
-        entry: NodeId,
-        pattern: &TriplePattern,
-        depart: SimTime,
-    ) -> SimTime {
+    /// index node (one `SubQuerySol` frame, filter included), under a
+    /// shipping span. An index-node initiator is its own entry and
+    /// forwards nothing.
+    fn forward_to_entry(&mut self, entry: NodeId, sub: SubQuery<'_>, depart: SimTime) -> SimTime {
         if entry == self.initiator {
             return depart;
         }
         let span = shipping_span(&format!("forward {} -> {}", self.initiator, entry), depart);
-        let t = self.overlay.net.send(
-            self.initiator,
-            entry,
-            wire::SUBQUERY_HEADER + pattern.serialized_len(),
-            depart,
-        );
+        let t = self.overlay.net.send(self.initiator, entry, sub.frame_len(), depart);
         self.close_shipping(span, t, &[]);
         t
     }
@@ -236,39 +261,37 @@ impl<'a> SimBackend<'a> {
 
     /// One sub-query to one storage node, priced. The request is charged
     /// and the contact counted; a live node runs `work` on its store and
-    /// its `reply` is charged; a dead one costs the sender the query-ack
-    /// timeout (Sect. III-D). Returns what the node computed — `None`
-    /// when it is dead, for the caller to purge — and when the sender
-    /// holds the reply or gives up on it.
+    /// its `reply` is charged — solutions as their `Solutions` frame; a
+    /// dead one costs the sender the query-ack timeout (Sect. III-D).
+    /// Returns what the node computed — `None` when it is dead, for the
+    /// caller to purge — and when the sender holds the reply or gives up
+    /// on it.
     fn exchange(
         &mut self,
         (from, to): (NodeId, NodeId),
         bytes: usize,
         depart: SimTime,
         reply: Reply,
-        work: impl FnOnce(&SharedStore) -> Vec<Rows>,
-    ) -> (Option<Vec<Rows>>, SimTime) {
+        work: impl FnOnce(&SharedStore) -> Rows,
+    ) -> (Option<Rows>, SimTime) {
         let sent = self.contact((from, to), bytes, depart);
         let Some(node) = self.overlay.storage_node(to) else {
             return (None, sent + self.cfg.ack_timeout);
         };
-        let sets = work(&node.store);
-        let rows: usize = sets.iter().map(Rows::len).sum();
-        self.note_local_exec(to, rows, sent);
+        let mut rows = work(&node.store);
+        self.note_local_exec(to, rows.len(), sent);
         let done = match reply {
             Reply::Ack(back) => self.overlay.net.send(to, back, wire::ACK, sent),
             Reply::Forwarded => {
-                self.note_intermediates(rows);
+                self.note_intermediates(rows.len());
                 sent
             }
             Reply::Solutions(back) => {
-                self.note_intermediates(rows);
-                let bytes = wire::RESULT_HEADER
-                    + sets.iter().map(Rows::serialized_len).sum::<usize>();
-                self.overlay.net.send(to, back, bytes, sent)
+                self.note_intermediates(rows.len());
+                self.overlay.net.send(to, back, solutions_len(&mut rows), sent)
             }
         };
-        (Some(sets), done)
+        (Some(rows), done)
     }
 
     /// One frame to storage node `to`, charged, and the contact counted.
@@ -336,18 +359,23 @@ impl<'a> SimBackend<'a> {
     ) -> Result<Resolved, EngineError> {
         let entry = self.entry_index(self.initiator)?;
         let depart = match leg {
-            Leg::Primitive | Leg::Range(..) => self.forward_to_entry(entry, pattern, depart),
+            Leg::Primitive(filter) => {
+                self.forward_to_entry(entry, SubQuery { pattern, filter }, depart)
+            }
+            Leg::Range(.., filter) => {
+                self.forward_to_entry(entry, SubQuery { pattern, filter: Some(filter) }, depart)
+            }
             Leg::Step | Leg::Statistics => depart,
         };
         let located = match leg {
-            Leg::Range(predicate, lo, hi) => {
+            Leg::Range(predicate, lo, hi, _) => {
                 self.overlay.locate_numeric_range(entry, predicate, lo, hi, depart)?
             }
             _ => self.locate_cached(entry, pattern, depart)?,
         };
         let Some(mut located) = located else { return Ok(Resolved::Keyless(depart)) };
         rdfmesh_obs::count_current("index_hops", located.hops as u64);
-        if leg != Leg::Statistics {
+        if !matches!(leg, Leg::Statistics) {
             rdfmesh_obs::advance_current(phase::KEY_RESOLUTION, located.arrival.0);
         }
         located.providers.retain(|p| self.in_scope(p.node));
@@ -451,12 +479,13 @@ impl<'a> SimBackend<'a> {
             .copied()
             .filter(|n| self.overlay.is_storage_alive(*n))
             .collect();
-        let bytes = wire::RESULT_HEADER + mat.solutions.serialized_len();
+        let mut solutions = mat.solutions.clone();
+        let bytes = solutions_len(&mut solutions);
         let Some(cache) = self.cache.as_mut() else { return };
         let admitted = cache.store_result(
             pattern.clone(),
             ResultEntry {
-                solutions: mat.solutions.clone(),
+                solutions,
                 providers: alive,
                 key: key.id,
                 version,
@@ -492,7 +521,7 @@ impl<'a> SimBackend<'a> {
                 return Ok(hit);
             }
         }
-        let located = match self.resolve(pattern, depart, Leg::Primitive)? {
+        let located = match self.resolve(pattern, depart, Leg::Primitive(filter))? {
             Resolved::Row(located) => located,
             Resolved::Keyless(at) => return self.flood(pattern, filter, at),
         };
@@ -543,9 +572,9 @@ impl<'a> SimBackend<'a> {
         self.fan_out(span, sub, &legs, assembly, t0)
     }
 
-    /// The parallel fan-out Basic and the flood share: `sub`, charged
-    /// [`SubQuery::bytes`], leaves on every `(from, to, depart)` leg, and
-    /// each live node's answer is shipped to `back`, where the union
+    /// The parallel fan-out Basic and the flood share: `sub`, charged as
+    /// its `SubQuerySol` frame, leaves on every `(from, to, depart)` leg,
+    /// and each live node's answer is shipped to `back`, where the union
     /// gathers. Closes `span` when the last answer is in (never before
     /// `depart`), purging the nodes that never acked.
     fn fan_out(
@@ -556,15 +585,16 @@ impl<'a> SimBackend<'a> {
         back: NodeId,
         depart: SimTime,
     ) -> Mat {
+        let bytes = sub.frame_len();
         let mut union = Rows::new();
         let mut ready = depart;
         let mut dead = Vec::new();
         for &(from, to, at) in legs {
             let reply = Reply::Solutions(back);
-            let (sets, at) = self.exchange((from, to), sub.bytes(), at, reply, |s| sub.answer(s));
+            let (rows, at) = self.exchange((from, to), bytes, at, reply, |s| sub.answer(s));
             ready = ready.max(at);
-            match sets {
-                Some(sets) => sets.into_iter().for_each(|set| union.append(set)),
+            match rows {
+                Some(rows) => union.append(rows),
                 None => dead.push(to),
             }
         }
@@ -591,19 +621,22 @@ impl<'a> SimBackend<'a> {
                 providers.push(hinted);
             }
         }
-        let bytes = sub.bytes() + 8 * providers.len(); // the forwarding list
+        // The mesh has no chain frame. A hop is charged as the sub-query's
+        // `SubQuerySol` frame, plus 8 B per provider on the forwarding
+        // list, plus the `Solutions` frame of the accumulation so far.
+        let bytes = sub.frame_len() + forwarding_list_len(providers.len());
         let span = shipping_span(&format!("chain through {} providers", providers.len()), t0);
         let mut acc = Rows::new();
         let (mut cursor, mut t) = (assembly, t0);
         let mut dead = Vec::new();
         for p in &providers {
-            let payload = bytes + wire::RESULT_HEADER + acc.serialized_len();
-            let (sets, at) =
+            let payload = bytes + solutions_len(&mut acc);
+            let (rows, at) =
                 self.exchange((cursor, p.node), payload, t, Reply::Forwarded, |s| sub.answer(s));
             t = at;
-            match sets {
-                Some(sets) => {
-                    sets.into_iter().for_each(|set| acc.append(set));
+            match rows {
+                Some(rows) => {
+                    acc.append(rows);
                     acc = acc.distinct();
                     cursor = p.node;
                 }
@@ -625,7 +658,7 @@ impl<'a> SimBackend<'a> {
         pattern: &TriplePattern,
         filter: Option<&Expression>,
     ) -> Result<(bool, SimTime), EngineError> {
-        let located = match self.resolve(pattern, SimTime::ZERO, Leg::Primitive)? {
+        let located = match self.resolve(pattern, SimTime::ZERO, Leg::Primitive(filter))? {
             Resolved::Row(located) => located,
             Resolved::Keyless(at) => {
                 let mat = self.flood(pattern, filter, at)?;
@@ -636,6 +669,7 @@ impl<'a> SimBackend<'a> {
         let Located { index_node: assembly, arrival, mut providers, .. } = located;
         providers.sort_by_key(|p| (std::cmp::Reverse(p.frequency), p.node));
         let sub = SubQuery { pattern, filter };
+        let bytes = sub.frame_len();
         let span =
             shipping_span(&format!("ask probe of {} providers", providers.len()), arrival);
         let mut t = arrival;
@@ -643,12 +677,11 @@ impl<'a> SimBackend<'a> {
         let mut answer = false;
         for p in &providers {
             let reply = Reply::Ack(assembly);
-            let (sets, at) =
-                self.exchange((assembly, p.node), sub.bytes(), t, reply, |s| sub.answer(s));
+            let (rows, at) = self.exchange((assembly, p.node), bytes, t, reply, |s| sub.answer(s));
             t = at;
-            match sets {
+            match rows {
                 // Witness found: its ack is back at the assembly, done.
-                Some(sets) if !sets[0].is_empty() => {
+                Some(rows) if !rows.is_empty() => {
                     answer = true;
                     break;
                 }
@@ -688,7 +721,7 @@ impl<'a> SimBackend<'a> {
                 ready: depart,
             }));
         }
-        let leg = Leg::Range(predicate, lo, hi);
+        let leg = Leg::Range(predicate, lo, hi, filter);
         let Resolved::Row(located) = self.resolve(pattern, depart, leg)? else { return Ok(None) };
         if located.providers.is_empty() {
             return Ok(Some(nowhere(&located)));
@@ -710,10 +743,11 @@ impl<'a> SimBackend<'a> {
     ) -> Result<Mat, EngineError> {
         let entry = self.entry_index(self.initiator)?;
         let sub = SubQuery { pattern, filter };
+        let bytes = sub.frame_len();
         let span = shipping_span("flood all storage nodes", depart);
         let mut legs = Vec::new();
         for index in self.overlay.index_nodes() {
-            let at_index = self.overlay.net.send(entry, index, sub.bytes(), depart);
+            let at_index = self.overlay.net.send(entry, index, bytes, depart);
             let Some(index_id) = self.overlay.chord_id_of(index) else { continue };
             for s in self.overlay.storage_nodes() {
                 let attached = self.overlay.storage_node(s).map(|n| n.attached_to);
@@ -863,8 +897,9 @@ impl<'a> SimBackend<'a> {
 
     // ---- binary operations & join site selection (Sect. II, IV-E/F) ----
 
-    /// Applies the configured join-site strategy.
-    fn select_site(&self, op: &OpKind, left: &Mat, right: &Mat) -> NodeId {
+    /// Applies the configured join-site strategy, sizing each operand as
+    /// the `Solutions` frame it would be shipped in.
+    fn select_site(&self, left: &mut Mat, right: &mut Mat) -> NodeId {
         if left.site == right.site {
             return left.site; // shared node: the Sect. IV-F free case
         }
@@ -872,12 +907,9 @@ impl<'a> SimBackend<'a> {
             JoinSiteStrategy::QuerySite => self.initiator,
             JoinSiteStrategy::MoveSmall => {
                 // Ship the smaller solution set to the larger one's site.
-                let lb = left.solutions.serialized_len();
-                let rb = right.solutions.serialized_len();
-                // Left joins must not move the mandatory side for free:
-                // the strategy still compares sizes, as Sect. IV-E says.
-                let _ = op;
-                if lb >= rb {
+                // Left joins compare sizes too, as Sect. IV-E says: the
+                // mandatory side is not moved for free.
+                if solutions_len(&mut left.solutions) >= solutions_len(&mut right.solutions) {
                     left.site
                 } else {
                     right.site
@@ -886,8 +918,8 @@ impl<'a> SimBackend<'a> {
             JoinSiteStrategy::ThirdSite => {
                 // Candidates: both operand sites and the query site; pick
                 // the one minimizing total inbound transfer time.
-                let lb = left.solutions.serialized_len() + wire::RESULT_HEADER;
-                let rb = right.solutions.serialized_len() + wire::RESULT_HEADER;
+                let lb = solutions_len(&mut left.solutions);
+                let rb = solutions_len(&mut right.solutions);
                 let candidates = [left.site, right.site, self.initiator];
                 *candidates
                     .iter()
@@ -909,12 +941,12 @@ impl<'a> SimBackend<'a> {
         }
     }
 
-    /// Moves a materialization to `site`, charging the transfer.
-    fn ship(&mut self, mat: Mat, site: NodeId) -> Mat {
+    /// Moves a materialization to `site`, charging its `Solutions` frame.
+    fn ship(&mut self, mut mat: Mat, site: NodeId) -> Mat {
         if mat.site == site {
             return mat;
         }
-        let bytes = wire::RESULT_HEADER + mat.solutions.serialized_len();
+        let bytes = solutions_len(&mut mat.solutions);
         let label = format!("ship {} solutions {} -> {}", mat.solutions.len(), mat.site, site);
         let span = shipping_span(&label, mat.ready);
         let ready = self.overlay.net.send(mat.site, site, bytes, mat.ready);
@@ -969,8 +1001,8 @@ impl<'a> MeshBackend for SimBackend<'a> {
         })
     }
 
-    fn exec_binary(&mut self, op: &OpKind, left: Mat, right: Mat) -> Mat {
-        let site = self.select_site(op, &left, &right);
+    fn exec_binary(&mut self, op: &OpKind, mut left: Mat, mut right: Mat) -> Mat {
+        let site = self.select_site(&mut left, &mut right);
         let (l, r) = (self.ship(left, site), self.ship(right, site));
         let ready = l.ready.max(r.ready);
         let solutions = op.apply(l.solutions, r.solutions);
@@ -1025,5 +1057,183 @@ impl<'a> MeshBackend for SimBackend<'a> {
 
     fn deliver(&mut self, mat: Mat) -> Mat {
         self.ship(mat, self.initiator)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rdfmesh_net::{LatencyModel, Network};
+    use rdfmesh_rdf::{TermPattern, Triple};
+    use rdfmesh_sparql::expr::wire::put_expr;
+
+    const INDEX: NodeId = NodeId(1000);
+    /// Three providers of `foaf:knows`, and a storage node holding only
+    /// names, which no `knows` leg involves.
+    const PROVIDERS: [NodeId; 3] = [NodeId(1), NodeId(2), NodeId(3)];
+    const BYSTANDER: NodeId = NodeId(4);
+
+    fn person(n: usize) -> Term {
+        Term::iri(&format!("http://example.org/person/{n}"))
+    }
+
+    fn knows() -> Term {
+        Term::iri(rdfmesh_rdf::vocab::foaf::KNOWS)
+    }
+
+    fn overlay() -> Overlay {
+        let net = Network::new(LatencyModel::Uniform(SimTime::millis(1)), 12.5);
+        let mut o = Overlay::new(32, 4, 2, net);
+        for i in 0..3 {
+            let addr = NodeId(INDEX.0 + i);
+            let pos = o.ring().space().hash(&addr.0.to_be_bytes());
+            o.add_index_node(addr, pos).unwrap();
+        }
+        // Provider i knows persons i+1..=i+3, and every provider holds
+        // `person 0 knows person 1`, so a chain's deduplication has work
+        // to do.
+        for (i, &p) in PROVIDERS.iter().enumerate() {
+            let triples: Vec<Triple> = (0..3)
+                .map(|j| Triple::new(person(i), knows(), person(i + j + 1)))
+                .chain([Triple::new(person(0), knows(), person(1))])
+                .collect();
+            o.add_storage_node(p, NodeId(INDEX.0 + i as u64), triples).unwrap();
+        }
+        let name = Term::iri(rdfmesh_rdf::vocab::foaf::NAME);
+        let names = vec![Triple::new(person(9), name, Term::literal("Nine"))];
+        o.add_storage_node(BYSTANDER, INDEX, names).unwrap();
+        o
+    }
+
+    fn knows_pattern() -> TriplePattern {
+        TriplePattern::new(TermPattern::var("x"), knows(), TermPattern::var("y"))
+    }
+
+    fn backend(o: &mut Overlay, primitive: PrimitiveStrategy) -> SimBackend<'_> {
+        o.net.reset();
+        let mut sim = SimBackend::new(o, ExecConfig { primitive, ..ExecConfig::default() });
+        sim.initiator = INDEX;
+        sim
+    }
+
+    /// `pattern`'s primitive leg under `primitive`, from an index node.
+    fn gather(o: &mut Overlay, primitive: PrimitiveStrategy, pattern: &TriplePattern) -> Mat {
+        backend(o, primitive).primitive(pattern, None, SimTime::ZERO, None).unwrap()
+    }
+
+    /// What the mesh's storage role at `node` is sent for `request` and
+    /// sends back, both at their codec length, and the rows it answers.
+    fn mesh_leg(o: &Overlay, node: NodeId, request: LiveMsg) -> (usize, usize, Rows) {
+        let store = o.storage_node(node).unwrap().store.clone();
+        let mut storage = LiveStorage::new(node, store, Arc::new(LiveStats::default()));
+        let sent = request.encode_wire().len();
+        let actions = storage.on_event(INDEX, request);
+        let [Action::Send { msg: reply @ LiveMsg::Solutions { solutions, .. }, .. }] = &actions[..]
+        else {
+            panic!("one Solutions frame, got {actions:?}")
+        };
+        (sent, reply.encode_wire().len(), solutions.clone())
+    }
+
+    fn bare(pattern: &TriplePattern, filter: Option<&Expression>) -> LiveMsg {
+        let (pattern, filter) = (pattern.clone(), filter.cloned());
+        LiveMsg::SubQuerySol { qid: QueryId(7), pattern, filter, bound: None, reply_to: INDEX }
+    }
+
+    /// (bytes in, bytes out) of `node` on the simulated network.
+    fn traffic(o: &Overlay, node: NodeId) -> (usize, usize) {
+        let t = o.net.stats().per_node.get(&node).copied().unwrap_or_default();
+        (t.bytes_in as usize, t.bytes_out as usize)
+    }
+
+    #[test]
+    fn a_basic_gather_charges_the_mesh_frames() {
+        let mut o = overlay();
+        gather(&mut o, PrimitiveStrategy::Basic, &knows_pattern());
+        for p in PROVIDERS {
+            let (sent, reply, _) = mesh_leg(&o, p, bare(&knows_pattern(), None));
+            assert_eq!(traffic(&o, p), (sent, reply), "provider {p}");
+        }
+    }
+
+    #[test]
+    fn a_chain_hop_charges_the_sub_query_the_forwarding_list_and_the_accumulation() {
+        let mut o = overlay();
+        gather(&mut o, PrimitiveStrategy::Chained, &knows_pattern());
+        // Chained visits the providers in node order.
+        let mut acc = Rows::new();
+        for p in PROVIDERS {
+            let (sent, _, rows) = mesh_leg(&o, p, bare(&knows_pattern(), None));
+            let carried = LiveMsg::Solutions { qid: QueryId(7), solutions: acc.clone() };
+            let hop = sent + 8 * PROVIDERS.len() + carried.encode_wire().len();
+            assert_eq!(traffic(&o, p).0, hop, "hop into provider {p}");
+            acc.append(rows);
+            acc = acc.distinct();
+        }
+    }
+
+    #[test]
+    fn a_flood_charges_the_mesh_frames() {
+        let mut o = overlay();
+        let (s, p, obj) = (TermPattern::var("s"), TermPattern::var("p"), TermPattern::var("o"));
+        let all = TriplePattern::new(s, p, obj);
+        let mat = gather(&mut o, PrimitiveStrategy::Basic, &all);
+        assert_eq!(mat.solutions.len(), 3 * 3 + 1, "every distinct triple, flooded");
+        for p in PROVIDERS.into_iter().chain([BYSTANDER]) {
+            let (sent, reply, _) = mesh_leg(&o, p, bare(&all, None));
+            assert_eq!(traffic(&o, p), (sent, reply), "storage node {p}");
+        }
+    }
+
+    #[test]
+    fn a_ship_charges_the_solutions_frame() {
+        let mut o = overlay();
+        let (_, reply, rows) = mesh_leg(&o, PROVIDERS[1], bare(&knows_pattern(), None));
+        let mat = Mat { solutions: rows, site: PROVIDERS[1], ready: SimTime::ZERO };
+        let shipped = backend(&mut o, PrimitiveStrategy::Basic).ship(mat, PROVIDERS[2]);
+        assert_eq!(shipped.site, PROVIDERS[2]);
+        assert_eq!(traffic(&o, PROVIDERS[1]), (0, reply));
+        assert_eq!(o.net.stats().messages, 1);
+    }
+
+    #[test]
+    fn a_keyed_round_charges_the_mesh_frames() {
+        let mut o = overlay();
+        // One key against providers holding three or four `knows`
+        // triples each: move-small sends every provider the key.
+        let x = Variable::new("x");
+        let mut keys = Rows::new();
+        keys.push_bindings([(&x, &person(0))]);
+        let current = Mat { solutions: keys.clone(), site: INDEX, ready: SimTime::ZERO };
+        let mut sim = backend(&mut o, PrimitiveStrategy::Basic);
+        sim.exec_bound(&knows_pattern(), current).unwrap();
+        for p in PROVIDERS {
+            let bound = Some(keys.to_solutions());
+            let request = LiveMsg::SubQuerySol {
+                qid: QueryId(7),
+                pattern: knows_pattern(),
+                filter: None,
+                bound,
+                reply_to: INDEX,
+            };
+            let (sent, reply, _) = mesh_leg(&o, p, request);
+            assert_eq!(traffic(&o, p), (sent, reply), "provider {p}");
+        }
+    }
+
+    #[test]
+    fn the_forward_hop_carries_the_pushed_filter() {
+        let mut o = overlay();
+        let filter = Expression::Bound(Variable::new("y"));
+        let mut forward = |filter: Option<&Expression>| {
+            let mut sim = backend(&mut o, PrimitiveStrategy::Basic);
+            sim.initiator = BYSTANDER;
+            sim.primitive(&knows_pattern(), filter, SimTime::ZERO, None).unwrap();
+            traffic(&o, BYSTANDER).1
+        };
+        let (bare, filtered) = (forward(None), forward(Some(&filter)));
+        let mut encoded = Vec::new();
+        put_expr(&mut encoded, &filter);
+        assert_eq!(filtered, bare + encoded.len());
     }
 }

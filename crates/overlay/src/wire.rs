@@ -1,8 +1,13 @@
-//! Wire-size constants for overlay protocol messages (bytes).
+//! Wire-size constants for the overlay's own messages (bytes).
 //!
-//! Chosen to approximate small binary headers; the exact values matter
-//! less than their consistency, since every strategy in the experiments
-//! is charged with the same schedule.
+//! The mesh sends none of these messages in this shape: its lookups take
+//! one hop (every node holds the ring view), it publishes a whole key
+//! batch in one frame, and it has no key-range hand-over, no
+//! invalidation push and no bare ack. So the simulator prices them with
+//! this fixed schedule, chosen to approximate small binary headers. A
+//! message that carries a sub-query or solutions is not priced here: the
+//! simulator charges it at the length of the `LiveMsg` frame the mesh
+//! sends for it.
 
 /// One step of iterative Chord routing (request + key + return address).
 pub const LOOKUP_STEP: usize = 48;
@@ -10,10 +15,6 @@ pub const LOOKUP_STEP: usize = 48;
 pub const PUBLISH_REQUEST: usize = 64;
 /// One location-table entry (key + node address + frequency).
 pub const ENTRY: usize = 20;
-/// Fixed header on a shipped sub-query.
-pub const SUBQUERY_HEADER: usize = 32;
-/// Fixed header on a result (solution set) message.
-pub const RESULT_HEADER: usize = 24;
 /// A query acknowledgement / control message.
 pub const ACK: usize = 16;
 /// Fixed header on a cache-invalidation notification pushed to

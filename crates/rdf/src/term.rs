@@ -314,10 +314,10 @@ impl Term {
         }
     }
 
-    /// The serialized N-Triples length in bytes.
-    ///
-    /// Used by the network layer to account inter-site data transmission —
-    /// the paper's primary optimization objective.
+    /// The serialized N-Triples length in bytes: what a triple moved as
+    /// text costs on the wire (the RDFPeers baseline's publications and
+    /// hand-overs). Sub-queries and solutions are charged at their frame
+    /// length instead.
     pub fn serialized_len(&self) -> usize {
         // Display allocates; measure via a counting writer to stay cheap.
         struct Counter(usize);

@@ -32,7 +32,8 @@ impl Triple {
     }
 
     /// The serialized (N-Triples) size in bytes, including separators and
-    /// the terminating ` .`. Used for network byte accounting.
+    /// the terminating ` .`: what moving the triple as text costs on the
+    /// wire.
     pub fn serialized_len(&self) -> usize {
         self.subject.serialized_len() + self.predicate.serialized_len() + self.object.serialized_len() + 4
     }
@@ -295,17 +296,6 @@ impl TriplePattern {
         }
         out
     }
-
-    /// Serialized size in bytes (for shipping sub-queries over the network).
-    pub fn serialized_len(&self) -> usize {
-        fn len(tp: &TermPattern) -> usize {
-            match tp {
-                TermPattern::Var(v) => v.as_str().len() + 1,
-                TermPattern::Const(t) => t.serialized_len(),
-            }
-        }
-        len(&self.subject) + len(&self.predicate) + len(&self.object) + 4
-    }
 }
 
 impl fmt::Display for TriplePattern {
@@ -390,16 +380,5 @@ mod tests {
         );
         let vars: Vec<&str> = pat.variables().iter().map(|v| v.as_str()).collect();
         assert_eq!(vars, ["x", "p"]);
-    }
-
-    #[test]
-    fn pattern_serialized_len_counts_vars_with_sigil() {
-        let pat = TriplePattern::new(
-            TermPattern::var("x"),
-            Term::iri("http://e/p"),
-            TermPattern::var("y"),
-        );
-        // "?x" + space + "<http://e/p>" + space + "?y" + " ." == display length
-        assert_eq!(pat.serialized_len(), pat.to_string().len());
     }
 }

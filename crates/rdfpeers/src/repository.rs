@@ -9,13 +9,17 @@
 //!
 //! Implemented against the same Chord substrate and network cost model
 //! as the hybrid overlay, so §E12 can compare the two architectures
-//! byte-for-byte.
+//! byte-for-byte: an answer is charged as the solution set the mesh's
+//! `Solutions` frames carry ([`rdfmesh_sparql::solution::wire`]). Triples
+//! moving onto, around and off the ring — which the hybrid design never
+//! does — are charged at their N-Triples length.
 
 use std::collections::BTreeMap;
 
 use rdfmesh_chord::{ChordRing, Id, RingError};
 use rdfmesh_net::{Network, NodeId, SimTime};
 use rdfmesh_rdf::{Literal, SharedStore, Term, TermPattern, Triple, TriplePattern, TripleRef};
+use rdfmesh_sparql::{solution::wire, Rows};
 
 use crate::lphash::LocalityHash;
 
@@ -72,6 +76,23 @@ impl std::error::Error for RdfPeersError {}
 
 const LOOKUP_STEP: usize = 48;
 const CANDIDATE_BYTES: usize = 40;
+
+/// The bytes of `matches` shipped as an answer: the encoded solution set
+/// of the bindings `pattern`'s variables take in them, as a `Solutions`
+/// frame of the mesh carries it.
+fn answer_bytes(pattern: &TriplePattern, matches: &[Triple]) -> usize {
+    let mut rows = Rows::new();
+    for t in matches {
+        let positions = [
+            (&pattern.subject, &t.subject),
+            (&pattern.predicate, &t.predicate),
+            (&pattern.object, &t.object),
+        ];
+        let bindings = positions.into_iter().filter_map(|(tp, term)| Some((tp.as_var()?, term)));
+        rows.push_bindings(bindings);
+    }
+    wire::rows_encoded_len(&rows)
+}
 
 /// The DHT-resident RDF repository.
 #[derive(Debug)]
@@ -237,8 +258,8 @@ impl RdfPeers {
             at = self.net.send(self.addr[&pair[0]], self.addr[&pair[1]], LOOKUP_STEP, at);
         }
         let matches = self.stores[&owner].match_pattern(pattern);
-        let bytes: usize = matches.iter().map(Triple::serialized_len).sum();
-        let finished = self.net.send(self.addr[&owner], initiator, bytes + 16, at);
+        let bytes = answer_bytes(pattern, &matches);
+        let finished = self.net.send(self.addr[&owner], initiator, bytes, at);
         Ok(QueryReport { matches, hops: path.len() - 1, finished })
     }
 
@@ -323,8 +344,9 @@ impl RdfPeers {
                 }
             });
         };
-        let acc_bytes =
-            |matches: &[Triple]| matches.iter().map(Triple::serialized_len).sum::<usize>();
+        let (s, o) = (TermPattern::var("s"), TermPattern::var("o"));
+        let pattern = TriplePattern::new(s, predicate.clone(), o);
+        let acc_bytes = |matches: &[Triple]| answer_bytes(&pattern, matches);
         loop {
             collect(&self.stores[&owner], &mut matches);
             // Done when this node's range covers the end of the arc.
@@ -354,7 +376,7 @@ impl RdfPeers {
                 break;
             }
         }
-        let finished = self.net.send(self.addr[&owner], initiator, acc_bytes(&matches) + 16, at);
+        let finished = self.net.send(self.addr[&owner], initiator, acc_bytes(&matches), at);
         Ok(QueryReport { matches, hops, finished })
     }
 

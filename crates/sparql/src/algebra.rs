@@ -138,22 +138,6 @@ impl GraphPattern {
             GraphPattern::Filter(_, p) => p.triple_pattern_count(),
         }
     }
-
-    /// Serialized size in bytes when a sub-plan is shipped to another node.
-    pub fn serialized_len(&self) -> usize {
-        match self {
-            GraphPattern::Bgp(tps) => 4 + tps.iter().map(TriplePattern::serialized_len).sum::<usize>(),
-            GraphPattern::Join(a, b) | GraphPattern::Union(a, b) => {
-                6 + a.serialized_len() + b.serialized_len()
-            }
-            GraphPattern::LeftJoin(a, b, e) => {
-                10 + a.serialized_len()
-                    + b.serialized_len()
-                    + e.as_ref().map_or(0, Expression::serialized_len)
-            }
-            GraphPattern::Filter(e, p) => 8 + e.serialized_len() + p.serialized_len(),
-        }
-    }
 }
 
 impl fmt::Display for GraphPattern {

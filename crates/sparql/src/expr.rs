@@ -252,34 +252,6 @@ impl Expression {
     pub fn satisfied_by<B: Bindings + ?Sized>(&self, solution: &B) -> bool {
         self.compile().satisfied_by(solution)
     }
-
-    /// Serialized size in bytes when shipped inside a sub-query.
-    pub fn serialized_len(&self) -> usize {
-        // Conservative: structural nodes cost 2 bytes, leaves their text.
-        match self {
-            Expression::Var(v) => v.as_str().len() + 1,
-            Expression::Const(t) => t.serialized_len(),
-            Expression::Bound(v) => v.as_str().len() + 8,
-            Expression::Or(a, b)
-            | Expression::And(a, b)
-            | Expression::Compare(_, a, b)
-            | Expression::Arith(_, a, b)
-            | Expression::SameTerm(a, b)
-            | Expression::LangMatches(a, b) => 2 + a.serialized_len() + b.serialized_len(),
-            Expression::Not(e) | Expression::Neg(e) => 1 + e.serialized_len(),
-            Expression::Str(e)
-            | Expression::Lang(e)
-            | Expression::Datatype(e)
-            | Expression::IsIri(e)
-            | Expression::IsBlank(e)
-            | Expression::IsLiteral(e) => 6 + e.serialized_len(),
-            Expression::Regex(t, p, f) => {
-                7 + t.serialized_len()
-                    + p.serialized_len()
-                    + f.as_ref().map_or(0, |f| f.serialized_len())
-            }
-        }
-    }
 }
 
 /// An [`Expression`] prepared by [`Expression::compile`], borrowing its

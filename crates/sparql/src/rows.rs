@@ -492,18 +492,6 @@ impl Rows {
         }
         join.out
     }
-
-    /// What the rows cost shipped between sites — the sum of
-    /// [`Solution::serialized_len`] over them.
-    pub fn serialized_len(&self) -> usize {
-        let names: Vec<usize> = self.vars.iter().map(|v| v.as_str().len() + 2).collect();
-        let terms: Vec<usize> = self.dict.terms().iter().map(Term::serialized_len).collect();
-        let bound = self.cells.chunks_exact(self.width().max(1)).flat_map(|row| {
-            let cells = row.iter().zip(&names).filter(|(c, _)| **c != UNBOUND);
-            cells.map(|(c, n)| n + terms[*c as usize - 1])
-        });
-        2 * self.len + bound.sum::<usize>()
-    }
 }
 
 /// Two batches are equal when they hold equal rows in the same order,

@@ -135,14 +135,6 @@ impl Solution {
         let kept = self.bindings.iter().filter(|(v, _)| vars.contains(v));
         Solution { bindings: kept.cloned().collect() }
     }
-
-    /// Serialized size in bytes when shipped between sites: each binding
-    /// costs `?name` + one separator + the N-Triples form of the term,
-    /// plus a two-byte record frame. This is the unit in which the paper's
-    /// "total amount of intersite data transmission" is accounted.
-    pub fn serialized_len(&self) -> usize {
-        2 + self.iter().map(|(v, t)| v.as_str().len() + 2 + t.serialized_len()).sum::<usize>()
-    }
 }
 
 /// `Solution { bindings: {Variable("x"): …} }`, the pairs printed as a map.
@@ -184,11 +176,6 @@ pub fn union(left: &[Solution], right: &[Solution]) -> SolutionSet {
     out.extend_from_slice(left);
     out.extend_from_slice(right);
     out
-}
-
-/// Total serialized size of a solution set (for byte accounting).
-pub fn serialized_len(solutions: &[Solution]) -> usize {
-    solutions.iter().map(Solution::serialized_len).sum()
 }
 
 /// The nested-loop transcription of the Sect. IV-A operator definitions.
@@ -733,14 +720,6 @@ mod tests {
         let p = s.project(&[v("x"), v("z")]);
         assert_eq!(p.len(), 2);
         assert!(p.get(&v("y")).is_none());
-    }
-
-    #[test]
-    fn serialized_len_grows_with_bindings() {
-        let s1 = sol(&[("x", "a")]);
-        let s2 = sol(&[("x", "a"), ("y", "b")]);
-        assert!(s2.serialized_len() > s1.serialized_len());
-        assert_eq!(serialized_len(&[s1.clone(), s1.clone()]), 2 * s1.serialized_len());
     }
 
     #[test]

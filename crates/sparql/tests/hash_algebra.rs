@@ -113,11 +113,10 @@ proptest! {
     }
 
     #[test]
-    fn solutions_round_trip_and_price_alike(rows in arb_solution_set()) {
+    fn solutions_round_trip(rows in arb_solution_set()) {
         let batch = skewed(&rows);
         prop_assert_eq!(batch.to_solutions(), rows.clone());
         prop_assert_eq!(batch.clone().into_solutions(), rows.clone());
-        prop_assert_eq!(batch.serialized_len(), solution::serialized_len(&rows));
         prop_assert_eq!(batch.len(), rows.len());
     }
 }

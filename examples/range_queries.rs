@@ -87,7 +87,7 @@ fn main() {
     println!("\nThe hybrid index gathers every foaf:age mapping and filters; its");
     println!("cost is flat in the range width. RDFPeers walks exactly the ring");
     println!("arc the range hashes onto, carrying accumulated matches — superb");
-    println!("for narrow ranges, but a full-span range drags the whole answer");
-    println!("across every arc node and ends up costlier. The crossover is the");
+    println!("for narrow ranges, while a full-span range drags the whole answer");
+    println!("across every arc node and the gap all but closes. That is the");
     println!("trade-off the paper's related-work section alludes to.");
 }

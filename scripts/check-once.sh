@@ -84,6 +84,12 @@
 # (`from_le_bytes(`) but through the codec's checked `Reader`, and its two
 # append-only logs replay through one function (`log::replay`, the one
 # `fail::set_len(`).
+# One byte yardstick: the simulator charges a message that carries a
+# sub-query or solutions at the length of the `LiveMsg` frame the mesh
+# sends for it, so no hand-written size model of a solution set, an
+# expression, a pattern or a sub-query is defined under crates/sparql/src
+# or crates/core/src (no `fn serialized_len`), and the overlay's query
+# headers (`SUBQUERY_HEADER`, `RESULT_HEADER`) are gone from every crate.
 # The one `unsafe` block and the one `#[target_feature` in library code
 # are the SHA-1 kernel's pick of the x86-64 SHA extensions
 # (crates/chord/src/hash.rs), and the comment run above the block opens
@@ -344,6 +350,11 @@ expect '[[bench]] tables under crates/*/Cargo.toml' \
 expect 'criterion mentions in any Cargo.toml' \
     "$(cat Cargo.toml crates/*/Cargo.toml shims/*/Cargo.toml benchmark/Cargo.toml | grep -ci criterion || true)" 0
 expect 'directories under shims/' "$(ls -d shims/*/ | wc -l)" 3
+# One byte yardstick: frame lengths, not a size model.
+expect_files 'fn serialized_len under crates/sparql/src and crates/core/src' \
+    "$(files_with 'fn serialized_len\b' $(find crates/sparql/src crates/core/src -name '*.rs' | sort))" ''
+expect_files 'SUBQUERY_HEADER / RESULT_HEADER under src and crates/*/src' \
+    "$(files_with '\b(SUBQUERY|RESULT)_HEADER\b' $(find src crates/*/src -name '*.rs' | sort))" ''
 # One unsafe block in library code: the call that runs the SHA-1 kernel
 # the CPU was seen to support. `unsafe fn` / `unsafe impl` count too.
 lib_rs=$(find src crates/*/src -name '*.rs' | sort)
@@ -360,5 +371,5 @@ safety=$(awk '/^mod tests/{exit}
     /unsafe \{/{ print (first ~ /^ *\/\/ SAFETY:/) ? "ok" : "missing" }
     { run = 0; first = "" }' "$hash_rs")
 expect "unsafe blocks in $hash_rs under a // SAFETY: comment" "$(echo "$safety" | grep -c '^ok$' || true)" 1
-[ "$bad" -eq 0 ] && echo 'exists once: provider compute, exchange pricing, reply accounting, role constructors, the role host, the multiway protocol, regex compilation, lending scan, JSON escaping, result writers, the stopwatch, the pipeline tail, the operator table, the lookup leg, the cluster, the publication path, the frequency column, the move-small rule, the location table, the key count, the list-count bound, the bind step, the role runner, the query account, the statistics pass, the fan-out, the row read, the generation writer, the commit, the row batch, the triple index, the term dictionary, the answer batch, the whole-store walk, the independent oracle, the byte codec, the log replay, the unsafe block, the key batch, the failpoint'
+[ "$bad" -eq 0 ] && echo 'exists once: provider compute, exchange pricing, reply accounting, role constructors, the role host, the multiway protocol, regex compilation, lending scan, JSON escaping, result writers, the stopwatch, the pipeline tail, the operator table, the lookup leg, the cluster, the publication path, the frequency column, the move-small rule, the location table, the key count, the list-count bound, the bind step, the role runner, the query account, the statistics pass, the fan-out, the row read, the generation writer, the commit, the row batch, the triple index, the term dictionary, the answer batch, the whole-store walk, the independent oracle, the byte codec, the log replay, the unsafe block, the key batch, the failpoint, the byte yardstick'
 exit "$bad"
