@@ -93,6 +93,7 @@ pub fn run() {
     println!("left outer join result is never smaller than its mandatory side,");
     println!("so when that side dominates and the result returns to the");
     println!("initiator anyway, query-site is already optimal. Third-site");
-    println!("weighs only the operands' inbound transfers, so it follows");
-    println!("move-small.");
+    println!("counts the result's trip home too, so it joins at the query");
+    println!("site here: the hop it would add costs more than the bytes it");
+    println!("would keep off the initiator's link.");
 }

@@ -78,10 +78,11 @@ pub fn run() {
         &rows,
     );
     println!("\nShape check: query-site drags the large knows operand across the");
-    println!("slow link before joining; move-small and third-site join out in");
-    println!("the fast mesh so only the small final result crosses the slow");
-    println!("link. The byte gap is the size of the unshipped operand. The");
-    println!("penalty is latency, which every plan pays once to bring its answer");
-    println!("home, so joining at an operand's site costs one more mesh hop than");
-    println!("it saves in wire time: query-site answers first.");
+    println!("slow link before joining; move-small joins out in the fast mesh");
+    println!("so only the small final result crosses the slow link. The byte");
+    println!("gap is the size of the unshipped operand. The penalty is latency,");
+    println!("which every plan pays once to bring its answer home, so joining at");
+    println!("an operand's site costs one more mesh hop than it saves in wire");
+    println!("time: query-site answers first. Third-site counts that trip home");
+    println!("and joins at the query site, tying it on time and bytes.");
 }

@@ -428,7 +428,7 @@ impl WireMsg for LiveMsg {
 }
 
 #[cfg(test)]
-pub(crate) use tests::{allocated_by, peak_by, ALLOC_PER_FRAME_BYTE};
+pub(crate) use tests::{allocated_by, allocations_by, peak_by, ALLOC_PER_FRAME_BYTE};
 
 #[cfg(test)]
 mod tests {
@@ -753,13 +753,16 @@ mod tests {
     }
 
     /// Counts the bytes the current thread asks the allocator for, so a
-    /// test can bound what decoding one frame costs, and the bytes it
+    /// test can bound what decoding one frame costs, the requests it
+    /// makes, so a test can tell a per-row allocation, and the bytes it
     /// holds live, so a test can bound a pass's peak. Per thread, because
     /// the harness runs the other tests of this binary beside it.
     struct CountingAlloc;
 
     thread_local! {
         static ALLOCATED: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+        /// Allocation and reallocation requests.
+        static REQUESTS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
         /// Bytes allocated minus bytes freed on this thread (a block
         /// another thread allocated and this one frees counts negative).
         static LIVE: std::cell::Cell<isize> = const { std::cell::Cell::new(0) };
@@ -767,11 +770,15 @@ mod tests {
         static PEAK: std::cell::Cell<isize> = const { std::cell::Cell::new(0) };
     }
 
-    /// Books `grown` bytes more asked for (a realloc's new size), of
-    /// which `live` (negative when freed) change what the thread holds.
+    /// Books `grown` bytes more asked for (a realloc's new size; a
+    /// request when any), of which `live` (negative when freed) change
+    /// what the thread holds.
     fn count(grown: usize, live: isize) {
         // `try_with`: the allocator outlives a dying thread's locals.
         let _ = ALLOCATED.try_with(|a| a.set(a.get() + grown));
+        if grown > 0 {
+            let _ = REQUESTS.try_with(|r| r.set(r.get() + 1));
+        }
         let _ = LIVE.try_with(|l| {
             l.set(l.get() + live);
             let _ = PEAK.try_with(|p| p.set(p.get().max(l.get())));
@@ -813,6 +820,14 @@ mod tests {
         let before = ALLOCATED.with(std::cell::Cell::get);
         let out = f();
         (out, ALLOCATED.with(std::cell::Cell::get) - before)
+    }
+
+    /// Runs `f`, returning its result and how many times it asked the
+    /// allocator for memory on this thread.
+    pub(crate) fn allocations_by<T>(f: impl FnOnce() -> T) -> (T, usize) {
+        let before = REQUESTS.with(std::cell::Cell::get);
+        let out = f();
+        (out, REQUESTS.with(std::cell::Cell::get) - before)
     }
 
     /// Runs `f`, returning its result and the most bytes this thread held

@@ -899,7 +899,7 @@ impl<'a> SimBackend<'a> {
 
     /// Applies the configured join-site strategy, sizing each operand as
     /// the `Solutions` frame it would be shipped in.
-    fn select_site(&self, left: &mut Mat, right: &mut Mat) -> NodeId {
+    fn select_site(&self, op: &OpKind, left: &mut Mat, right: &mut Mat) -> NodeId {
         if left.site == right.site {
             return left.site; // shared node: the Sect. IV-F free case
         }
@@ -917,24 +917,25 @@ impl<'a> SimBackend<'a> {
             }
             JoinSiteStrategy::ThirdSite => {
                 // Candidates: both operand sites and the query site; pick
-                // the one minimizing total inbound transfer time.
+                // the one minimizing the time until the join's output is
+                // home: the slower operand's trip in, then the output's
+                // trip to the initiator (sized by joining here, as the
+                // site will).
                 let lb = solutions_len(&mut left.solutions);
                 let rb = solutions_len(&mut right.solutions);
+                let mut output = op.apply(left.solutions.clone(), right.solutions.clone());
+                let ob = solutions_len(&mut output);
+                let transfer = |from: NodeId, to: NodeId, bytes| match from == to {
+                    true => SimTime::ZERO,
+                    false => self.overlay.net.transfer_time(from, to, bytes),
+                };
                 let candidates = [left.site, right.site, self.initiator];
                 *candidates
                     .iter()
                     .min_by_key(|&&c| {
-                        let lt = if c == left.site {
-                            SimTime::ZERO
-                        } else {
-                            self.overlay.net.transfer_time(left.site, c, lb)
-                        };
-                        let rt = if c == right.site {
-                            SimTime::ZERO
-                        } else {
-                            self.overlay.net.transfer_time(right.site, c, rb)
-                        };
-                        (lt.max(rt), lt + rt, c.0)
+                        let (lt, rt) = (transfer(left.site, c, lb), transfer(right.site, c, rb));
+                        let home = transfer(c, self.initiator, ob);
+                        (lt.max(rt) + home, lt + rt + home, c.0)
                     })
                     .expect("non-empty candidates")
             }
@@ -1002,7 +1003,7 @@ impl<'a> MeshBackend for SimBackend<'a> {
     }
 
     fn exec_binary(&mut self, op: &OpKind, mut left: Mat, mut right: Mat) -> Mat {
-        let site = self.select_site(&mut left, &mut right);
+        let site = self.select_site(op, &mut left, &mut right);
         let (l, r) = (self.ship(left, site), self.ship(right, site));
         let ready = l.ready.max(r.ready);
         let solutions = op.apply(l.solutions, r.solutions);

@@ -238,8 +238,11 @@ fn ack_timeout_hurts_response_time() {
 
 #[test]
 fn third_site_never_worse_than_query_site_in_response_time() {
-    // Third-site picks the cheapest of {left, right, initiator}, so with
-    // uniform latencies it can only tie or beat always-shipping-home.
+    // Third-site picks the cheapest of {left, right, initiator}, counting
+    // the answer's trip home, so it can only tie or beat always joining
+    // at home: with uniform latencies, and with the initiator behind a
+    // slow link (E9's network), where joining at an operand's site still
+    // pays that link once for the answer.
     let data = foaf::generate(&FoafConfig { persons: 80, peers: 6, ..Default::default() });
     let net = Network::new(LatencyModel::Uniform(SimTime::millis(2)), 12.5);
     let mut overlay = Overlay::new(32, 4, 2, net);
@@ -257,6 +260,50 @@ fn third_site_never_worse_than_query_site_in_response_time() {
     let ts = run(&mut overlay, ExecConfig { join_site: JoinSiteStrategy::ThirdSite, ..ExecConfig::default() }, q);
     let qs = run(&mut overlay, ExecConfig { join_site: JoinSiteStrategy::QuerySite, ..ExecConfig::default() }, q);
     assert!(ts.response_time <= qs.response_time, "third-site {} vs query-site {}", ts.response_time, qs.response_time);
+
+    // E9: ten peers, six index nodes, every link touching the initiator
+    // slow, the rest of the mesh at 1 ms; a selective knows ⋈ nick join.
+    let data = foaf::generate(&FoafConfig {
+        persons: 200,
+        peers: 10,
+        knows_degree: 4,
+        nick_probability: 0.05,
+        ..Default::default()
+    });
+    let initiator = NodeId(100_000);
+    for penalty in [1, 5, 20, 80] {
+        let mut links = std::collections::HashMap::new();
+        for other in 0..64u64 {
+            links.insert((initiator, NodeId(other)), SimTime::millis(penalty));
+            links.insert((initiator, NodeId(initiator.0 + other)), SimTime::millis(penalty));
+        }
+        let net = Network::new(LatencyModel::PerLink { default: SimTime::millis(1), links }, 12.5);
+        let mut overlay = Overlay::new(32, 4, 2, net);
+        for i in 0..6u64 {
+            let addr = NodeId(initiator.0 + i);
+            let pos = overlay.ring().space().hash(&addr.0.to_be_bytes());
+            overlay.add_index_node(addr, pos).unwrap();
+        }
+        for (i, t) in data.peers.iter().enumerate() {
+            let attach = NodeId(initiator.0 + i as u64 % 6);
+            overlay.add_storage_node(NodeId(1 + i as u64), attach, t.clone()).unwrap();
+        }
+        let q = "SELECT * WHERE { ?x foaf:knows ?y . ?x foaf:nick ?v . }";
+        let cfg = |join_site| ExecConfig {
+            join_site,
+            primitive: PrimitiveStrategy::Basic,
+            overlap_aware: false,
+            ..ExecConfig::default()
+        };
+        let ts = run_from(&mut overlay, initiator, cfg(JoinSiteStrategy::ThirdSite), q);
+        let qs = run_from(&mut overlay, initiator, cfg(JoinSiteStrategy::QuerySite), q);
+        assert!(
+            ts.response_time <= qs.response_time,
+            "{penalty} ms initiator link: third-site {} vs query-site {}",
+            ts.response_time,
+            qs.response_time
+        );
+    }
 }
 
 #[test]

@@ -24,7 +24,7 @@ use rdfmesh_rdf::{
 use crate::algebra::{AlgebraQuery, GraphPattern};
 use crate::answer::QueryResult;
 use crate::ast::{DescribeTarget, Duplicates, Modifiers, QueryForm};
-use crate::expr::{Bindings, Compiled};
+use crate::expr::{Bindings, Compiled, Slots};
 use crate::rows::Rows;
 use crate::solution::{self, naive, Solution, SolutionSet};
 
@@ -87,8 +87,8 @@ pub fn substitute(pattern: &TriplePattern, solution: &Solution) -> TriplePattern
 
 /// A triple seen through the pattern it matched, over the partial
 /// solution being extended: the row that extension *would* produce,
-/// before it exists. A filter evaluated on it ([`Bindings`]) decides
-/// whether [`Matched::to_solution`] is worth its clones.
+/// before it exists ([`Matched::bindings`]), lent to the caller only if
+/// a pushed filter kept it ([`for_each_kept`]).
 #[derive(Debug, Clone, Copy)]
 pub struct Matched<'a> {
     /// The pattern the triple matched.
@@ -131,17 +131,6 @@ impl<'a> Matched<'a> {
     }
 }
 
-impl Bindings for Matched<'_> {
-    fn get(&self, var: &Variable) -> Option<&Term> {
-        // Where the triple and `partial` both bind a variable they agree,
-        // or there is no extended solution to ask about.
-        self.positions()
-            .into_iter()
-            .find_map(|(tp, term)| (tp.as_var() == Some(var)).then_some(term))
-            .or_else(|| self.partial.get(var))
-    }
-}
-
 /// Extends `solution` with the bindings a `triple` induces for `pattern`'s
 /// variables. Returns `None` on conflict.
 pub fn extend(pattern: &TriplePattern, triple: &Triple, solution: &Solution) -> Option<Solution> {
@@ -154,13 +143,59 @@ pub fn for_each_extension<G: Graph>(
     graph: &G,
     pattern: &TriplePattern,
     partial: &[Solution],
+    f: impl FnMut(Matched<'_>),
+) {
+    for_each_kept(graph, pattern, partial, None, f);
+}
+
+/// [`for_each_extension`], lending `f` only the rows `filter` keeps: a
+/// FILTER pushed to the data source (Sect. IV-G). The filter is resolved
+/// against `pattern` once. A variable the pattern names is read from the
+/// triple at its first position there — right even where a partial
+/// solution binds it too, since the constant substituted for it matched
+/// that very term — and any other from each partial solution, once per
+/// solution. So a row costs the filter's own work and no lookup by name.
+pub fn for_each_kept<G: Graph>(
+    graph: &G,
+    pattern: &TriplePattern,
+    partial: &[Solution],
+    filter: Option<&Compiled<'_>>,
     mut f: impl FnMut(Matched<'_>),
 ) {
+    let vars = filter.map_or(&[][..], Compiled::variables);
+    let positions = [&pattern.subject, &pattern.predicate, &pattern.object];
+    let at: Vec<Option<usize>> =
+        vars.iter().map(|&v| positions.iter().position(|tp| tp.as_var() == Some(v))).collect();
+    let mut keyed = Vec::with_capacity(vars.len());
     for sol in partial {
+        keyed.clear();
+        keyed.extend(vars.iter().zip(&at).map(|(&v, at)| at.map_or_else(|| sol.get(v), |_| None)));
         let bound = substitute(pattern, sol);
         graph.for_each_match(&bound, &mut |triple| {
-            f(Matched { pattern: &bound, triple, partial: sol })
+            let spo = [triple.subject, triple.predicate, triple.object];
+            let row = Lent { spo, at: &at, keyed: &keyed };
+            if filter.is_none_or(|filter| filter.keeps(&row)) {
+                f(Matched { pattern: &bound, triple, partial: sol });
+            }
         });
+    }
+}
+
+/// A lent triple as [`for_each_kept`]'s filter reads it: each of the
+/// filter's variables at its position `at` in the triple, or else as
+/// the partial solution binds it (`keyed`).
+struct Lent<'a> {
+    spo: [&'a Term; 3],
+    at: &'a [Option<usize>],
+    keyed: &'a [Option<&'a Term>],
+}
+
+impl Slots for Lent<'_> {
+    fn slot(&self, i: usize) -> Option<&Term> {
+        match self.at[i] {
+            Some(position) => Some(self.spo[position]),
+            None => self.keyed[i],
+        }
     }
 }
 

@@ -11,15 +11,19 @@
 //! `||`/`&&` recover from errors when the other operand decides the
 //! result.
 //!
-//! There is one evaluator, and it runs on a [`Compiled`] expression over
-//! any [`Bindings`]: [`Expression::compile`] is paid once per filter (it
-//! compiles every `regex` whose pattern and flags are constants), each
-//! row then costs no allocation unless it does arithmetic — intermediate
-//! values borrow from the row and the expression. That is how a filter
-//! pushed to a data source (Sect. IV-G) runs on rows the store only
-//! *lends* ([`crate::eval::Matched`]), before any of them is materialised.
-//! [`Expression::evaluate`] and [`Expression::satisfied_by`] compile and
-//! evaluate in one call, for one-off uses.
+//! There is one evaluator, and it runs on a [`Compiled`] expression:
+//! [`Expression::compile`] is paid once per filter. It numbers the
+//! expression's variables, parses its numeric constants and compiles
+//! every `regex` whose pattern and flags are constants. Each row then
+//! costs no allocation unless it does arithmetic: intermediate values
+//! borrow from the row and the expression, booleans stay `bool`, and an
+//! error is a static message. A row is anything that lends a term per
+//! variable: a [`Bindings`] by name (a [`Solution`], a batch's row), or a
+//! triple the store lends, read by position — how a filter pushed to a
+//! data source (Sect. IV-G) runs before any row is materialised
+//! ([`crate::eval::for_each_kept`]). [`Expression::evaluate`] and
+//! [`Expression::satisfied_by`] compile and evaluate in one call, for
+//! one-off uses.
 
 use std::borrow::Cow;
 use std::fmt;
@@ -103,8 +107,8 @@ pub enum ArithOp {
 
 /// An evaluation error (SPARQL type error). Filters treat it as "drop the
 /// row"; logical connectives may recover.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ExprError(pub String);
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ExprError(pub &'static str);
 
 impl fmt::Display for ExprError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -116,10 +120,6 @@ impl std::error::Error for ExprError {}
 
 type EvalResult = Result<Term, ExprError>;
 
-fn err(msg: impl Into<String>) -> ExprError {
-    ExprError(msg.into())
-}
-
 /// Anything that resolves a variable to a term it holds — what an
 /// expression is evaluated over.
 pub trait Bindings {
@@ -130,6 +130,24 @@ pub trait Bindings {
 impl Bindings for Solution {
     fn get(&self, var: &Variable) -> Option<&Term> {
         Solution::get(self, var)
+    }
+}
+
+/// A row as a [`Compiled`] expression reads it: the term bound to its
+/// `i`-th variable ([`Compiled::variables`]), if any.
+pub(crate) trait Slots {
+    fn slot(&self, i: usize) -> Option<&Term>;
+}
+
+/// A [`Bindings`] row, its variables looked up by name.
+struct ByName<'r, B: ?Sized> {
+    row: &'r B,
+    vars: &'r [&'r Variable],
+}
+
+impl<B: Bindings + ?Sized> Slots for ByName<'_, B> {
+    fn slot(&self, i: usize) -> Option<&Term> {
+        self.row.get(self.vars[i])
     }
 }
 
@@ -187,56 +205,72 @@ impl Expression {
     }
 
     /// Prepares the expression for evaluation over many rows: the same
-    /// tree, with every `regex` whose pattern and flags are constants
-    /// compiled now instead of per row.
+    /// tree, with its variables numbered, its numeric constants parsed
+    /// and every `regex` whose pattern and flags are constants compiled
+    /// now instead of per row.
     pub fn compile(&self) -> Compiled<'_> {
-        Compiled(self.node())
+        let mut vars = Vec::new();
+        let root = self.node(&mut vars);
+        Compiled { root, vars }
     }
 
-    fn node(&self) -> Node<'_> {
-        fn unary(op: UnaryOp, e: &Expression) -> Node<'_> {
-            Node::Unary(op, Box::new(e.node()))
+    fn node<'e>(&'e self, vars: &mut Vec<&'e Variable>) -> Node<'e> {
+        fn slot<'e>(vars: &mut Vec<&'e Variable>, v: &'e Variable) -> usize {
+            vars.iter().position(|&known| known == v).unwrap_or_else(|| {
+                vars.push(v);
+                vars.len() - 1
+            })
         }
-        fn binary<'e>(op: BinaryOp, a: &'e Expression, b: &'e Expression) -> Node<'e> {
-            Node::Binary(op, Box::new(a.node()), Box::new(b.node()))
-        }
-        fn connective<'e>(decisive: bool, a: &'e Expression, b: &'e Expression) -> Node<'e> {
-            Node::Connective { decisive, a: Box::new(a.node()), b: Box::new(b.node()) }
-        }
-        fn constant(e: &Expression) -> Option<Value<'_>> {
+        let mut node = |e: &'e Expression| Box::new(e.node(vars));
+        fn constant_text(e: &Expression) -> Option<Result<Cow<'_, str>, ExprError>> {
             match e {
-                Expression::Const(t) => Some(Value::from(t)),
+                Expression::Const(t) => Some(Value::from(t).into_text()),
                 _ => None,
             }
         }
+        let test = Node::Test;
         match self {
-            Expression::Var(v) => Node::Var(v),
-            Expression::Const(t) => Node::Const(Value::from(t)),
-            Expression::Bound(v) => Node::Bound(v),
-            Expression::Not(e) => unary(UnaryOp::Not, e),
-            Expression::Neg(e) => unary(UnaryOp::Neg, e),
-            Expression::Str(e) => unary(UnaryOp::Str, e),
-            Expression::Lang(e) => unary(UnaryOp::Lang, e),
-            Expression::Datatype(e) => unary(UnaryOp::Datatype, e),
-            Expression::IsIri(e) => unary(UnaryOp::IsIri, e),
-            Expression::IsBlank(e) => unary(UnaryOp::IsBlank, e),
-            Expression::IsLiteral(e) => unary(UnaryOp::IsLiteral, e),
-            Expression::Or(a, b) => connective(true, a, b),
-            Expression::And(a, b) => connective(false, a, b),
-            Expression::Compare(op, a, b) => binary(BinaryOp::Compare(*op), a, b),
-            Expression::Arith(op, a, b) => binary(BinaryOp::Arith(*op), a, b),
-            Expression::SameTerm(a, b) => binary(BinaryOp::SameTerm, a, b),
-            Expression::LangMatches(a, b) => binary(BinaryOp::LangMatches, a, b),
+            Expression::Var(v) => Node::Var(slot(vars, v)),
+            Expression::Const(t) => {
+                let value = Value::from(t);
+                let number = value.as_f64();
+                Node::Const(value, number)
+            }
+            Expression::Neg(e) => Node::Term(TermOp::Neg, node(e)),
+            Expression::Str(e) => Node::Term(TermOp::Str, node(e)),
+            Expression::Lang(e) => Node::Term(TermOp::Lang, node(e)),
+            Expression::Datatype(e) => Node::Term(TermOp::Datatype, node(e)),
+            Expression::Arith(op, a, b) => Node::Arith(*op, node(a), node(b)),
+            Expression::Bound(v) => test(Test::Bound(slot(vars, v))),
+            Expression::Not(e) => test(Test::Not(node(e))),
+            Expression::IsIri(e) => test(Test::Is(IsKind::Iri, node(e))),
+            Expression::IsBlank(e) => test(Test::Is(IsKind::Blank, node(e))),
+            Expression::IsLiteral(e) => test(Test::Is(IsKind::Literal, node(e))),
+            Expression::Or(a, b) | Expression::And(a, b) => {
+                // `||` and `&&` are commutative in SPARQL's three-valued
+                // logic (only which of two errors is reported may differ),
+                // so the cheaper operand runs first: when it decides, the
+                // dearer one is never run.
+                let (a, b) = (node(a), node(b));
+                let (a, b) = if b.cost() < a.cost() { (b, a) } else { (a, b) };
+                test(Test::Connective { decisive: matches!(self, Expression::Or(..)), a, b })
+            }
+            Expression::Compare(op, a, b) => test(Test::Compare(*op, node(a), node(b))),
+            Expression::SameTerm(a, b) => test(Test::SameTerm(node(a), node(b))),
+            Expression::LangMatches(a, b) => test(Test::LangMatches(node(a), node(b))),
             Expression::Regex(text, pattern, flags) => {
-                let matcher = match (constant(pattern), flags.as_deref().map(constant)) {
-                    (Some(p), None) => Matcher::Constant(compile_regex(&p, None)),
-                    (Some(p), Some(Some(f))) => Matcher::Constant(compile_regex(&p, Some(&f))),
+                let text = node(text);
+                let matcher = match (constant_text(pattern), flags.as_deref().map(constant_text)) {
+                    (Some(p), None) => Matcher::Constant(p.and_then(|p| compile_regex(&p, ""))),
+                    (Some(p), Some(Some(f))) => {
+                        Matcher::Constant(p.and_then(|p| compile_regex(&p, &f?)))
+                    }
                     _ => Matcher::PerRow {
-                        pattern: Box::new(pattern.node()),
-                        flags: flags.as_deref().map(|f| Box::new(f.node())),
+                        pattern: node(pattern),
+                        flags: flags.as_deref().map(&mut node),
                     },
                 };
-                Node::Regex { text: Box::new(text.node()), matcher }
+                test(Test::Regex { text, matcher })
             }
         }
     }
@@ -257,52 +291,80 @@ impl Expression {
 /// An [`Expression`] prepared by [`Expression::compile`], borrowing its
 /// variables and constants from it.
 #[derive(Debug)]
-pub struct Compiled<'e>(Node<'e>);
+pub struct Compiled<'e> {
+    root: Node<'e>,
+    /// The variables the expression names, each once: `Node::Var(i)` and
+    /// `Test::Bound(i)` read `vars[i]`.
+    vars: Vec<&'e Variable>,
+}
 
-impl Compiled<'_> {
+impl<'e> Compiled<'e> {
     /// Evaluates the expression over `row`, producing a term.
     pub fn evaluate<B: Bindings + ?Sized>(&self, row: &B) -> EvalResult {
-        self.0.eval(row).map(Value::into_term)
+        self.root.eval(&ByName { row, vars: &self.vars }).map(Value::into_term)
     }
 
     /// Evaluates the expression as a filter condition: `true` only if it
     /// evaluates without error to a term whose effective boolean value is
     /// true.
     pub fn satisfied_by<B: Bindings + ?Sized>(&self, row: &B) -> bool {
-        self.0.eval(row).and_then(|v| v.ebv()).unwrap_or(false)
+        self.keeps(&ByName { row, vars: &self.vars })
+    }
+
+    /// The variables the expression names, in the order [`Slots`] numbers
+    /// them.
+    pub(crate) fn variables(&self) -> &[&'e Variable] {
+        &self.vars
+    }
+
+    /// [`Compiled::satisfied_by`] over a row that lends its terms by slot.
+    pub(crate) fn keeps<S: Slots>(&self, row: &S) -> bool {
+        self.root.truth(row).unwrap_or(false)
     }
 }
 
+/// A compiled expression node. A node whose value is an `xsd:boolean`
+/// is a [`Test`], evaluated to a `bool` ([`Node::truth`]); the others
+/// to a [`Value`] ([`Node::eval`]).
 #[derive(Debug)]
 enum Node<'e> {
-    Var(&'e Variable),
-    Const(Value<'e>),
-    Bound(&'e Variable),
-    Unary(UnaryOp, Box<Node<'e>>),
-    Binary(BinaryOp, Box<Node<'e>>, Box<Node<'e>>),
+    /// A variable, by its index in [`Compiled::vars`].
+    Var(usize),
+    /// A constant, with its numeric value.
+    Const(Value<'e>, Option<f64>),
+    /// A builtin of one term whose value is a term.
+    Term(TermOp, Box<Node<'e>>),
+    Arith(ArithOp, Box<Node<'e>>, Box<Node<'e>>),
+    Test(Test<'e>),
+}
+
+#[derive(Debug, Clone, Copy)]
+enum TermOp {
+    Neg,
+    Str,
+    Lang,
+    Datatype,
+}
+
+#[derive(Debug)]
+enum Test<'e> {
+    Bound(usize),
+    Not(Box<Node<'e>>),
+    Is(IsKind, Box<Node<'e>>),
+    Compare(ComparisonOp, Box<Node<'e>>, Box<Node<'e>>),
+    SameTerm(Box<Node<'e>>, Box<Node<'e>>),
+    LangMatches(Box<Node<'e>>, Box<Node<'e>>),
     /// `||` (`decisive` is true) or `&&` (false).
     Connective { decisive: bool, a: Box<Node<'e>>, b: Box<Node<'e>> },
     Regex { text: Box<Node<'e>>, matcher: Matcher<'e> },
 }
 
+/// `isIRI`, `isBlank`, `isLiteral`.
 #[derive(Debug, Clone, Copy)]
-enum UnaryOp {
-    Not,
-    Neg,
-    Str,
-    Lang,
-    Datatype,
-    IsIri,
-    IsBlank,
-    IsLiteral,
-}
-
-#[derive(Debug, Clone, Copy)]
-enum BinaryOp {
-    Compare(ComparisonOp),
-    Arith(ArithOp),
-    SameTerm,
-    LangMatches,
+enum IsKind {
+    Iri,
+    Blank,
+    Literal,
 }
 
 #[derive(Debug)]
@@ -315,113 +377,209 @@ enum Matcher<'e> {
 }
 
 /// Where every `regex` pattern is compiled, constant or not.
-fn compile_regex(pattern: &Value<'_>, flags: Option<&Value<'_>>) -> Result<Regex, ExprError> {
-    let pattern = pattern.string_value()?;
-    let flags = flags.map_or(Ok(""), Value::string_value)?;
-    Regex::with_flags(pattern, flags).map_err(|e| err(e.to_string()))
+fn compile_regex(pattern: &str, flags: &str) -> Result<Regex, ExprError> {
+    Regex::with_flags(pattern, flags).map_err(|_| ExprError("invalid regular expression"))
 }
 
 impl Node<'_> {
-    fn eval<'a, B: Bindings + ?Sized>(&'a self, row: &'a B) -> Result<Value<'a>, ExprError> {
+    /// What evaluating the node costs a row, roughly, in term reads: a
+    /// number parsed from a term counts 4, a regex compiled per row 64.
+    fn cost(&self) -> u32 {
+        let parse = |e: &Node<'_>| if matches!(e, Node::Const(..)) { 0 } else { 4 };
         match self {
-            Node::Var(v) => {
-                row.get(v).map(Value::from).ok_or_else(|| err(format!("unbound variable {v}")))
+            Node::Const(..) => 0,
+            Node::Var(_) | Node::Test(Test::Bound(_)) => 1,
+            Node::Term(_, e) | Node::Test(Test::Not(e) | Test::Is(_, e)) => 1 + e.cost(),
+            Node::Arith(_, a, b) | Node::Test(Test::Compare(_, a, b)) => {
+                1 + a.cost() + b.cost() + parse(a) + parse(b)
             }
-            Node::Const(value) => Ok(value.clone()),
-            Node::Bound(v) => Ok(Value::boolean(row.get(v).is_some())),
-            Node::Unary(op, e) => {
-                let value = e.eval(row)?;
-                match op {
-                    UnaryOp::Not => Ok(Value::boolean(!value.ebv()?)),
-                    UnaryOp::Neg => Ok(Value::number(-value.numeric()?)),
-                    UnaryOp::Str => match value {
-                        Value::Iri(iri) => Ok(Value::plain(iri)),
-                        Value::Literal { lexical, .. } => {
-                            Ok(Value::Literal { lexical, kind: Kind::Plain })
-                        }
-                        Value::Blank(_) => Err(err("STR of a blank node")),
-                    },
-                    UnaryOp::Lang => match value {
-                        Value::Literal { kind: Kind::Lang(tag), .. } => Ok(Value::plain(tag)),
-                        Value::Literal { .. } => Ok(Value::plain("")),
-                        _ => Err(err("LANG of a non-literal")),
-                    },
-                    UnaryOp::Datatype => match value {
-                        Value::Literal { kind: Kind::Typed(datatype), .. } => {
-                            Ok(Value::Iri(datatype))
-                        }
-                        Value::Literal { kind: Kind::Plain, .. } => Ok(Value::Iri(xsd::STRING)),
-                        Value::Literal { kind: Kind::Lang(_), .. } => {
-                            Err(err("DATATYPE of a language-tagged literal"))
-                        }
-                        _ => Err(err("DATATYPE of a non-literal")),
-                    },
-                    UnaryOp::IsIri => Ok(Value::boolean(matches!(value, Value::Iri(_)))),
-                    UnaryOp::IsBlank => Ok(Value::boolean(matches!(value, Value::Blank(_)))),
-                    UnaryOp::IsLiteral => {
-                        Ok(Value::boolean(matches!(value, Value::Literal { .. })))
-                    }
-                }
-            }
-            Node::Connective { decisive, a, b } => {
-                // SPARQL's 3-valued logic: one operand with the decisive
-                // value (true for `||`, false for `&&`) beats an error
-                // in the other.
-                let truth = |e: &'a Node<'_>| e.eval(row).and_then(|v| v.ebv());
-                match truth(a) {
-                    Ok(t) if t == *decisive => Ok(Value::boolean(t)),
-                    Ok(_) => truth(b).map(Value::boolean),
-                    Err(e) => match truth(b) {
-                        Ok(t) if t == *decisive => Ok(Value::boolean(t)),
-                        _ => Err(e),
-                    },
-                }
-            }
-            Node::Binary(op, a, b) => {
-                let (a, b) = (a.eval(row)?, b.eval(row)?);
-                match op {
-                    BinaryOp::Compare(op) => compare_terms(*op, &a, &b).map(Value::boolean),
-                    BinaryOp::Arith(op) => {
-                        let (na, nb) = (a.numeric()?, b.numeric()?);
-                        Ok(Value::number(match op {
-                            ArithOp::Add => na + nb,
-                            ArithOp::Sub => na - nb,
-                            ArithOp::Mul => na * nb,
-                            ArithOp::Div if nb == 0.0 => return Err(err("division by zero")),
-                            ArithOp::Div => na / nb,
-                        }))
-                    }
-                    BinaryOp::SameTerm => Ok(Value::boolean(a == b)),
-                    BinaryOp::LangMatches => {
-                        Ok(Value::boolean(lang_matches(a.string_value()?, b.string_value()?)))
-                    }
-                }
-            }
-            Node::Regex { text, matcher } => {
-                let text = text.eval(row)?;
-                let text = text.string_value()?;
-                let matched = match matcher {
-                    Matcher::Constant(regex) => regex.as_ref().map_err(Clone::clone)?.is_match(text),
-                    Matcher::PerRow { pattern, flags } => {
-                        let pattern = pattern.eval(row)?;
-                        let flags = flags.as_ref().map(|f| f.eval(row)).transpose()?;
-                        compile_regex(&pattern, flags.as_ref())?.is_match(text)
-                    }
+            Node::Test(
+                Test::SameTerm(a, b) | Test::LangMatches(a, b) | Test::Connective { a, b, .. },
+            ) => 1 + a.cost() + b.cost(),
+            Node::Test(Test::Regex { text, matcher }) => {
+                let per_row = match matcher {
+                    Matcher::Constant(_) => 1,
+                    Matcher::PerRow { .. } => 64,
                 };
-                Ok(Value::boolean(matched))
+                1 + text.cost() + per_row
             }
         }
     }
 }
 
+/// The evaluator: [`Node::eval`] gives a node's value, and three
+/// accessors give what an operator asks of its operands — a truth value,
+/// a number, a string — without building the value where the node can
+/// answer directly (a test its `bool`, a variable its term's parts, a
+/// constant what was computed with the expression, arithmetic its `f64`).
+/// Each asks [`Node::eval`] otherwise, so every operator is defined once.
+impl Node<'_> {
+    /// The node's value. A variable or a constant is read in place, not
+    /// through a call: most operands are one.
+    #[inline]
+    fn eval<'a, S: Slots>(&'a self, row: &'a S) -> Result<Value<'a>, ExprError> {
+        match self {
+            Node::Var(i) => row.slot(*i).map(Value::from).ok_or(UNBOUND),
+            Node::Const(value, _) => Ok(value.clone()),
+            _ => self.compute(row),
+        }
+    }
+
+    /// The value of a node that is not a leaf.
+    fn compute<'a, S: Slots>(&'a self, row: &'a S) -> Result<Value<'a>, ExprError> {
+        match self {
+            Node::Var(_) | Node::Const(..) => self.eval(row),
+            Node::Term(TermOp::Neg, _) | Node::Arith(..) => self.arithmetic(row).map(Value::number),
+            Node::Term(TermOp::Str, e) => Ok(Value::Literal { lexical: e.text(row)?, kind: Kind::Plain }),
+            Node::Term(TermOp::Lang, e) => match e.eval(row)? {
+                Value::Literal { kind: Kind::Lang(tag), .. } => Ok(Value::plain(tag)),
+                Value::Literal { .. } | Value::Bool(_) => Ok(Value::plain("")),
+                _ => Err(ExprError("LANG of a non-literal")),
+            },
+            Node::Term(TermOp::Datatype, e) => match e.eval(row)? {
+                Value::Literal { kind: Kind::Typed(datatype), .. } => Ok(Value::Iri(datatype)),
+                Value::Literal { kind: Kind::Plain, .. } => Ok(Value::Iri(xsd::STRING)),
+                Value::Literal { kind: Kind::Lang(_), .. } => {
+                    Err(ExprError("DATATYPE of a language-tagged literal"))
+                }
+                Value::Bool(_) => Ok(Value::Iri(xsd::BOOLEAN)),
+                _ => Err(ExprError("DATATYPE of a non-literal")),
+            },
+            Node::Test(test) => test.truth(row).map(Value::Bool),
+        }
+    }
+
+    /// The node's effective boolean value (EBV): what a filter and a
+    /// connective ask of it.
+    #[inline]
+    fn truth<S: Slots>(&self, row: &S) -> Result<bool, ExprError> {
+        match self {
+            Node::Test(test) => test.truth(row),
+            _ => self.eval(row)?.ebv(),
+        }
+    }
+
+    /// The node's numeric interpretation ([`Literal::as_f64`]): `None` for
+    /// a term that is not a number.
+    #[inline]
+    fn number<S: Slots>(&self, row: &S) -> Result<Option<f64>, ExprError> {
+        match self {
+            Node::Var(i) => Ok(row.slot(*i).ok_or(UNBOUND)?.as_literal().and_then(Literal::as_f64)),
+            Node::Const(_, number) => Ok(*number),
+            Node::Term(TermOp::Neg, _) | Node::Arith(..) => self.arithmetic(row).map(Some),
+            Node::Test(test) => test.truth(row).map(|_| None),
+            Node::Term(..) => Ok(self.compute(row)?.as_f64()),
+        }
+    }
+
+    /// The value of unary minus or of arithmetic, as the `f64` that
+    /// [`Value::number`] writes out.
+    fn arithmetic<S: Slots>(&self, row: &S) -> Result<f64, ExprError> {
+        let operand = |e: &Node<'_>| e.number(row)?.ok_or(NAN);
+        match self {
+            Node::Term(TermOp::Neg, e) => Ok(-operand(e)?),
+            Node::Arith(op, a, b) => {
+                let (a, b) = (operand(a)?, operand(b)?);
+                Ok(match op {
+                    ArithOp::Add => a + b,
+                    ArithOp::Sub => a - b,
+                    ArithOp::Mul => a * b,
+                    ArithOp::Div if b == 0.0 => return Err(ExprError("division by zero")),
+                    ArithOp::Div => a / b,
+                })
+            }
+            _ => unreachable!("not arithmetic"),
+        }
+    }
+
+    /// The node's string value: an IRI's or a literal's text; an error
+    /// for a blank node.
+    #[inline]
+    fn text<'a, S: Slots>(&'a self, row: &'a S) -> Result<Cow<'a, str>, ExprError> {
+        match self {
+            Node::Var(i) => match row.slot(*i).ok_or(UNBOUND)? {
+                Term::Iri(iri) => Ok(Cow::Borrowed(iri.as_str())),
+                Term::Literal(literal) => Ok(Cow::Borrowed(literal.lexical())),
+                Term::Blank(_) => Err(BLANK_TEXT),
+            },
+            // STR keeps the string value; of a blank node, both are errors.
+            Node::Term(TermOp::Str, e) => e.text(row),
+            _ => self.eval(row)?.into_text(),
+        }
+    }
+}
+
+impl Test<'_> {
+    fn truth<S: Slots>(&self, row: &S) -> Result<bool, ExprError> {
+        match self {
+            Test::Bound(i) => Ok(row.slot(*i).is_some()),
+            Test::Not(e) => Ok(!e.truth(row)?),
+            Test::Is(kind, e) => Ok(matches!(
+                (kind, e.eval(row)?),
+                (IsKind::Iri, Value::Iri(_))
+                    | (IsKind::Blank, Value::Blank(_))
+                    | (IsKind::Literal, Value::Literal { .. } | Value::Bool(_))
+            )),
+            Test::Connective { decisive, a, b } => {
+                // SPARQL's 3-valued logic: one operand with the decisive
+                // value (true for `||`, false for `&&`) beats an error
+                // in the other.
+                match a.truth(row) {
+                    Ok(t) if t == *decisive => Ok(t),
+                    Ok(_) => b.truth(row),
+                    Err(e) => match b.truth(row) {
+                        Ok(t) if t == *decisive => Ok(t),
+                        _ => Err(e),
+                    },
+                }
+            }
+            Test::Compare(op, a, b) => match (a.number(row)?, b.number(row)?) {
+                // Numeric comparison when both sides are numeric literals.
+                (Some(a), Some(b)) => Ok(match op {
+                    ComparisonOp::Eq => a == b,
+                    ComparisonOp::Neq => a != b,
+                    ComparisonOp::Lt => a < b,
+                    ComparisonOp::Le => a <= b,
+                    ComparisonOp::Gt => a > b,
+                    ComparisonOp::Ge => a >= b,
+                }),
+                _ => compare_terms(*op, &a.eval(row)?, &b.eval(row)?),
+            },
+            Test::SameTerm(a, b) => Ok(a.eval(row)? == b.eval(row)?),
+            Test::LangMatches(a, b) => Ok(lang_matches(&a.text(row)?, &b.text(row)?)),
+            Test::Regex { text, matcher } => {
+                let text = text.text(row)?;
+                match matcher {
+                    Matcher::Constant(regex) => Ok(regex.as_ref().map_err(|e| *e)?.is_match(&text)),
+                    Matcher::PerRow { pattern, flags } => {
+                        let pattern = pattern.text(row)?;
+                        let flags = match flags {
+                            Some(f) => f.text(row)?,
+                            None => Cow::Borrowed(""),
+                        };
+                        Ok(compile_regex(&pattern, &flags)?.is_match(&text))
+                    }
+                }
+            }
+        }
+    }
+}
+
+const UNBOUND: ExprError = ExprError("unbound variable");
+const BLANK_TEXT: ExprError = ExprError("string value of a blank node");
+const NAN: ExprError = ExprError("not a number");
+
 /// A term as the evaluator sees it: the strings of a row's or the
 /// expression's [`Term`], borrowed, or a computed value — which borrows
-/// too (`STR`, `LANG`, `DATATYPE`, booleans) unless it is a number.
-#[derive(Debug, Clone, PartialEq)]
+/// too (`STR`, `LANG`, `DATATYPE`) unless it is a number, or is a `bool`.
+#[derive(Debug, Clone)]
 enum Value<'a> {
     Iri(&'a str),
     Blank(&'a str),
     Literal { lexical: Cow<'a, str>, kind: Kind<'a> },
+    /// An `xsd:boolean` computed by the expression: the literal
+    /// `"true"` or `"false"`.
+    Bool(bool),
 }
 
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -429,6 +587,14 @@ enum Kind<'a> {
     Plain,
     Lang(&'a str),
     Typed(&'a str),
+}
+
+fn bool_lexical(b: bool) -> &'static str {
+    if b {
+        "true"
+    } else {
+        "false"
+    }
 }
 
 impl<'a> From<&'a Term> for Value<'a> {
@@ -448,14 +614,24 @@ impl<'a> From<&'a Term> for Value<'a> {
     }
 }
 
+/// Term equality: a [`Value::Bool`] is the `xsd:boolean` literal it
+/// stands for.
+impl PartialEq for Value<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        match (self, other) {
+            (Value::Iri(a), Value::Iri(b)) | (Value::Blank(a), Value::Blank(b)) => a == b,
+            (Value::Bool(a), Value::Bool(b)) => a == b,
+            _ => match (self.literal(), other.literal()) {
+                (Some(a), Some(b)) => a == b,
+                _ => false,
+            },
+        }
+    }
+}
+
 impl<'a> Value<'a> {
     fn plain(lexical: &'a str) -> Self {
         Value::Literal { lexical: Cow::Borrowed(lexical), kind: Kind::Plain }
-    }
-
-    fn boolean(b: bool) -> Self {
-        let lexical = Cow::Borrowed(if b { "true" } else { "false" });
-        Value::Literal { lexical, kind: Kind::Typed(xsd::BOOLEAN) }
     }
 
     fn number(n: f64) -> Self {
@@ -467,10 +643,20 @@ impl<'a> Value<'a> {
         Value::Literal { lexical: Cow::Owned(lexical), kind: Kind::Typed(datatype) }
     }
 
+    /// A literal's lexical form and kind; `None` for an IRI or a blank node.
+    fn literal(&self) -> Option<(&str, Kind<'a>)> {
+        match self {
+            Value::Literal { lexical, kind } => Some((lexical, *kind)),
+            Value::Bool(b) => Some((bool_lexical(*b), Kind::Typed(xsd::BOOLEAN))),
+            Value::Iri(_) | Value::Blank(_) => None,
+        }
+    }
+
     fn into_term(self) -> Term {
         match self {
             Value::Iri(iri) => Term::Iri(Iri::new_unchecked(iri)),
             Value::Blank(label) => Term::Blank(BlankNode::new_unchecked(label)),
+            Value::Bool(b) => Term::Literal(Literal::boolean(b)),
             Value::Literal { lexical, kind } => Term::Literal(match kind {
                 Kind::Plain => Literal::plain(lexical),
                 Kind::Lang(tag) => Literal::lang(lexical, tag),
@@ -490,34 +676,34 @@ impl<'a> Value<'a> {
         }
     }
 
-    fn numeric(&self) -> Result<f64, ExprError> {
-        self.as_f64().ok_or_else(|| err("not a number"))
-    }
-
-    fn string_value(&self) -> Result<&str, ExprError> {
+    /// The string value: an IRI's or a literal's text.
+    fn into_text(self) -> Result<Cow<'a, str>, ExprError> {
         match self {
             Value::Literal { lexical, .. } => Ok(lexical),
-            Value::Iri(iri) => Ok(iri),
-            Value::Blank(_) => Err(err("string value of a blank node")),
+            Value::Bool(b) => Ok(Cow::Borrowed(bool_lexical(b))),
+            Value::Iri(iri) => Ok(Cow::Borrowed(iri)),
+            Value::Blank(_) => Err(BLANK_TEXT),
         }
     }
 
     /// The SPARQL effective boolean value (EBV).
     fn ebv(&self) -> Result<bool, ExprError> {
-        let Value::Literal { lexical, kind } = self else {
-            return Err(err("EBV of a non-literal"));
+        let (lexical, kind) = match self {
+            Value::Bool(b) => return Ok(*b),
+            Value::Literal { lexical, kind } => (lexical, kind),
+            Value::Iri(_) | Value::Blank(_) => return Err(ExprError("EBV of a non-literal")),
         };
         match kind {
             Kind::Typed(datatype) if *datatype == xsd::BOOLEAN => match lexical.as_ref() {
                 "true" | "1" => Ok(true),
                 "false" | "0" => Ok(false),
-                _ => Err(err("ill-formed boolean")),
+                _ => Err(ExprError("ill-formed boolean")),
             },
             Kind::Typed(datatype) if xsd::is_numeric(datatype) => {
                 Ok(self.as_f64().is_some_and(|n| n != 0.0))
             }
             Kind::Typed(datatype) if *datatype != xsd::STRING => {
-                Err(err("no boolean value for this datatype"))
+                Err(ExprError("no boolean value for this datatype"))
             }
             // Plain, language-tagged and xsd:string literals: non-empty is true.
             _ => Ok(!lexical.is_empty()),
@@ -530,6 +716,8 @@ pub fn effective_boolean_value(term: &Term) -> Result<bool, ExprError> {
     Value::from(term).ebv()
 }
 
+/// Whether language `tag` is in `range` (RFC 4647 basic filtering):
+/// ASCII case aside, the tag is the range or starts with it and a `-`.
 fn lang_matches(tag: &str, range: &str) -> bool {
     if tag.is_empty() {
         return false;
@@ -537,32 +725,21 @@ fn lang_matches(tag: &str, range: &str) -> bool {
     if range == "*" {
         return true;
     }
-    let tag = tag.to_ascii_lowercase();
-    let range = range.to_ascii_lowercase();
-    tag == range || tag.starts_with(&format!("{range}-"))
+    let (tag, range) = (tag.as_bytes(), range.as_bytes());
+    tag.get(..range.len()).is_some_and(|head| head.eq_ignore_ascii_case(range))
+        && tag.get(range.len()).is_none_or(|&next| next == b'-')
 }
 
-/// SPARQL `=`/ordering comparison of two terms.
+/// SPARQL `=`/ordering comparison of two terms that are not both
+/// numbers (those compare by value).
 fn compare_terms(op: ComparisonOp, a: &Value<'_>, b: &Value<'_>) -> Result<bool, ExprError> {
     use ComparisonOp::*;
-    // Numeric comparison when both sides are numeric literals.
-    if let (Some(na), Some(nb)) = (a.as_f64(), b.as_f64()) {
-        return Ok(match op {
-            Eq => na == nb,
-            Neq => na != nb,
-            Lt => na < nb,
-            Le => na <= nb,
-            Gt => na > nb,
-            Ge => na >= nb,
-        });
-    }
     // Ordering is defined for comparable literals (string compare of
     // untyped and xsd:string literals); anything else is a type error.
     fn orderable<'v>(v: &'v Value<'_>) -> Option<&'v str> {
-        match v {
-            Value::Literal { kind: Kind::Typed(datatype), .. } if *datatype != xsd::STRING => None,
-            Value::Literal { lexical, .. } => Some(lexical),
-            _ => None,
+        match v.literal()? {
+            (_, Kind::Typed(datatype)) if datatype != xsd::STRING => None,
+            (lexical, _) => Some(lexical),
         }
     }
     match op {
@@ -576,7 +753,7 @@ fn compare_terms(op: ComparisonOp, a: &Value<'_>, b: &Value<'_>) -> Result<bool,
                 Ge => sa >= sb,
                 Eq | Neq => unreachable!("matched above"),
             }),
-            _ => Err(err("terms are not order-comparable")),
+            _ => Err(ExprError("terms are not order-comparable")),
         },
     }
 }
@@ -988,6 +1165,25 @@ mod tests {
             Box::new(Expression::Var(v("missing"))),
         );
         assert!(!e2.satisfied_by(&s));
+    }
+
+    #[test]
+    fn a_connective_runs_its_cheaper_operand_first() {
+        let k = || Box::new(Expression::Var(v("k")));
+        let at_least_one = Expression::Compare(ComparisonOp::Ge, k(), Box::new(Expression::Const(int(1))));
+        let suffix = Expression::Regex(
+            Box::new(Expression::Str(Box::new(Expression::Var(v("c"))))),
+            Box::new(Expression::Const(Term::literal("/course9$"))),
+            None,
+        );
+        let both = Expression::And(Box::new(at_least_one), Box::new(suffix));
+        let Node::Test(Test::Connective { a, .. }) = both.compile().root else { panic!() };
+        assert!(matches!(*a, Node::Test(Test::Regex { .. })), "the regex, which parses no number");
+        // The answers are the written order's, on either operand deciding.
+        let row = |c: &str, k: Term| sol(&[("c", Term::iri(c)), ("k", k)]);
+        assert!(both.satisfied_by(&row("http://e/d4/course9", int(3))));
+        assert!(!both.satisfied_by(&row("http://e/d4/course9", int(0))));
+        assert!(!both.satisfied_by(&row("http://e/d4/course8", Term::iri("http://e/x"))));
     }
 
     #[test]

@@ -21,10 +21,13 @@
 //! over all its threads at once: pattern size × input length steps at
 //! most, whatever the pattern nests (`^(a+)+$` is no slower than `^a+$`;
 //! groups nest at most 128 deep, which bounds the stack).
-//! Before that, an input must contain the pattern's longest run of plain
-//! characters — for `"Smith"` that test is the whole match.
+//! Before that, an input must hold what the pattern's top level fixes:
+//! the single-character steps after a leading `^` at its start, those
+//! before a trailing `$` at its end, or else the longest top-level run of
+//! plain characters anywhere. For `"Smith"` or `"/d4[0-9]/student18$"`
+//! that test is the whole match. Under the `i` flag the input is folded
+//! a character at a time as it is read.
 
-use std::borrow::Cow;
 use std::fmt;
 
 /// A compiled pattern.
@@ -32,13 +35,29 @@ use std::fmt;
 pub struct Regex {
     /// The program; its last instruction is [`Inst::Match`].
     prog: Vec<Inst>,
-    /// The longest run of literal characters at the pattern's top level:
-    /// every match contains it.
-    literal: String,
-    /// The pattern is nothing but `literal`.
+    /// What every matching input holds: tested before the program runs.
+    literal: Literal,
+    /// The pattern is nothing but `literal` and its anchors: the test is
+    /// the whole match.
     literal_only: bool,
     /// The `i` flag: pattern and input are folded, char by char.
     fold: bool,
+}
+
+/// What every input the pattern matches holds, and where: a test that
+/// costs a few comparisons, made before the program runs. A step is a
+/// single-character instruction (a character, `.` or a class), folded
+/// under the `i` flag like the pattern.
+#[derive(Debug, Clone, PartialEq)]
+enum Literal {
+    /// Anywhere: the longest run of plain characters at the top level.
+    Within(String),
+    /// At the start: the steps after a leading `^`.
+    Prefix(Vec<Inst>),
+    /// At the end: the steps before a trailing `$`.
+    Suffix(Vec<Inst>),
+    /// The whole input: the pattern is `^steps$`.
+    Exact(Vec<Inst>),
 }
 
 /// Errors raised when compiling a pattern.
@@ -76,7 +95,7 @@ enum Quantifier {
     Optional,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 enum ClassItem {
     Char(char),
     Range(char, char),
@@ -100,7 +119,7 @@ impl ClassItem {
 /// One instruction of a compiled pattern. A thread at a consuming
 /// instruction moves to the next one on a character it accepts; the
 /// others move without reading input.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 enum Inst {
     Char(char),
     Any,
@@ -130,6 +149,9 @@ impl Inst {
 /// where that is one character, the character itself where it is not
 /// (`İ` lowercases to two).
 fn fold_char(c: char) -> char {
+    if c.is_ascii() {
+        return c.to_ascii_lowercase();
+    }
     let mut lower = c.to_lowercase();
     match (lower.next(), lower.next()) {
         (Some(l), None) => l,
@@ -169,29 +191,53 @@ impl Regex {
     }
 
     /// True if the pattern matches anywhere in `input`.
+    #[inline]
     pub fn is_match(&self, input: &str) -> bool {
-        let text = self.folded(input);
-        text.contains(self.literal.as_str()) && (self.literal_only || self.simulate(&text))
+        self.holds_literal(input) && (self.literal_only || self.simulate(input))
     }
 
     /// [`Regex::is_match`] without the literal pre-check.
     #[cfg(test)]
     fn is_match_unfiltered(&self, input: &str) -> bool {
-        self.simulate(&self.folded(input))
+        self.simulate(input)
     }
 
-    fn folded<'a>(&self, input: &'a str) -> Cow<'a, str> {
-        if self.fold {
-            Cow::Owned(input.chars().map(fold_char).collect())
-        } else {
-            Cow::Borrowed(input)
+    /// Whether `input` holds [`Regex::literal`] where it must. Under the
+    /// `i` flag each character is folded as it is compared.
+    #[inline]
+    fn holds_literal(&self, input: &str) -> bool {
+        fn steps_hold<'s>(
+            mut steps: impl Iterator<Item = &'s Inst>,
+            mut chars: impl Iterator<Item = char>,
+        ) -> bool {
+            steps.all(|step| chars.next().is_some_and(|c| step.consumes(c)))
+        }
+        let fold = self.fold;
+        let read = move |c: char| if fold { fold_char(c) } else { c };
+        match &self.literal {
+            Literal::Within(run) if !fold => input.contains(run.as_str()),
+            Literal::Within(run) => {
+                let mut rest = run.chars();
+                let Some(first) = rest.next() else { return true };
+                input.char_indices().any(|(i, c)| {
+                    let mut after = input[i + c.len_utf8()..].chars();
+                    read(c) == first && rest.clone().all(|r| after.next().map(read) == Some(r))
+                })
+            }
+            Literal::Prefix(steps) => steps_hold(steps.iter(), input.chars().map(read)),
+            Literal::Suffix(steps) => steps_hold(steps.iter().rev(), input.chars().rev().map(read)),
+            Literal::Exact(steps) => {
+                let mut chars = input.chars().map(read);
+                steps_hold(steps.iter(), &mut chars) && chars.next().is_none()
+            }
         }
     }
 
-    /// Runs every thread of the program over `text` in lockstep, one
-    /// input position at a time. A thread is an instruction index, and a
-    /// position's thread list holds each index at most once, so a
-    /// position costs at most one visit per instruction.
+    /// Runs every thread of the program over `text` (folded as it is
+    /// read, under the `i` flag) in lockstep, one input position at a
+    /// time. A thread is an instruction index, and a position's thread
+    /// list holds each index at most once, so a position costs at most
+    /// one visit per instruction.
     fn simulate(&self, text: &str) -> bool {
         let n = self.prog.len();
         let mut inline = [0usize; 3 * INLINE_INSTS];
@@ -208,7 +254,8 @@ impl Regex {
         // `next[..next_len]`: where the threads that consumed the last
         // character continue.
         let mut next_len = 0;
-        let mut chars = text.chars();
+        let fold = self.fold;
+        let mut chars = text.chars().map(|c| if fold { fold_char(c) } else { c });
         loop {
             let c = chars.next();
             threads.position += 1;
@@ -267,25 +314,61 @@ impl Threads<'_> {
     }
 }
 
-/// The longest run of plain characters at the top level of the pattern,
-/// and whether the pattern is nothing else. A Char under a quantifier,
-/// group or alternation is not at the top level: a match need not
-/// contain it.
-fn top_level_literal(node: &Node) -> (String, bool) {
+/// The pattern's [`Literal`], and whether the pattern is nothing else.
+/// The steps after a leading `^` or before a trailing `$`, the longer
+/// run if both, when it is at least as long as the longest top-level run
+/// of plain characters; that run otherwise. A node under a quantifier,
+/// group or alternation is not at the top level: a match need not hold it.
+fn top_level_literal(node: &Node) -> (Literal, bool) {
     let top = match node {
         Node::Concat(nodes) => nodes.as_slice(),
         one => std::slice::from_ref(one),
+    };
+    let step = |n: &Node| match n {
+        Node::Char(c) => Some(Inst::Char(*c)),
+        Node::AnyChar => Some(Inst::Any),
+        Node::Class { negated, items } => Some(Inst::Class { negated: *negated, items: items.clone() }),
+        _ => None,
     };
     let char_of = |n: &Node| match n {
         Node::Char(c) => Some(*c),
         _ => None,
     };
-    let literal = top
+    let head: Vec<Inst> = match top {
+        [Node::StartAnchor, rest @ ..] => rest.iter().map_while(step).collect(),
+        _ => Vec::new(),
+    };
+    let tail: Vec<Inst> = match top {
+        [rest @ .., Node::EndAnchor] => {
+            let mut steps: Vec<Inst> = rest.iter().rev().map_while(step).collect();
+            steps.reverse();
+            steps
+        }
+        _ => Vec::new(),
+    };
+    let longest = top
         .split(|n| char_of(n).is_none())
         .map(|run| run.iter().filter_map(char_of).collect::<String>())
-        .max_by_key(String::len)
+        .max_by_key(|run| run.chars().count())
         .unwrap_or_default();
-    (literal, top.iter().all(|n| char_of(n).is_some()))
+    let runs = longest.chars().count();
+    match top {
+        [Node::StartAnchor, between @ .., Node::EndAnchor] if head.len() == between.len() => {
+            (Literal::Exact(head), true)
+        }
+        [before @ .., Node::EndAnchor] if !tail.is_empty() && tail.len() >= head.len().max(runs) => {
+            let whole = tail.len() == before.len();
+            (Literal::Suffix(tail), whole)
+        }
+        [Node::StartAnchor, after @ ..] if !head.is_empty() && head.len() >= runs => {
+            let whole = head.len() == after.len();
+            (Literal::Prefix(head), whole)
+        }
+        _ => {
+            let whole = top.iter().all(|n| char_of(n).is_some());
+            (Literal::Within(longest), whole)
+        }
+    }
 }
 
 /// Appends the instructions matching `node` to `prog`: as many as the
@@ -650,17 +733,50 @@ mod tests {
     }
 
     #[test]
-    fn the_literal_is_the_longest_top_level_run() {
+    fn the_literal_sits_where_the_anchors_put_it() {
         let literal = |p: &str| Regex::new(p).unwrap().literal;
-        assert_eq!(literal("Smith"), "Smith");
-        assert_eq!(literal("^ab.cde$"), "cde");
-        assert_eq!(literal("ab*cd"), "cd"); // b is under a quantifier
-        assert_eq!(literal("(abc)d|e"), "");
-        assert_eq!(literal("x(abc)yz"), "yz"); // a group is not top level
-        assert_eq!(literal("a|b"), "");
-        assert!(Regex::new("Smith").unwrap().literal_only);
-        assert!(!Regex::new("Smith$").unwrap().literal_only);
-        assert_eq!(Regex::with_flags("SmiTH", "i").unwrap().literal, "smith");
+        let within = |run: &str| Literal::Within(run.into());
+        let steps = |run: &str| run.chars().map(Inst::Char).collect::<Vec<_>>();
+        assert_eq!(literal("Smith"), within("Smith"));
+        assert_eq!(literal("ab*cd"), within("cd")); // b is under a quantifier
+        assert_eq!(literal("(abc)d|e"), within(""));
+        assert_eq!(literal("x(abc)yz"), within("yz")); // a group is not top level
+        assert_eq!(literal("a|b"), within(""));
+        assert_eq!(literal("a$bc"), within("bc")); // `$` is not last
+        assert_eq!(literal("^.*foo"), within("foo")); // no step after `^`
+        assert_eq!(literal("^a.*foo"), within("foo")); // one step, a longer run
+        assert_eq!(literal("^ab(c|d)*e$"), Literal::Prefix(steps("ab")));
+        assert_eq!(literal("^a(c|d)*de$"), Literal::Suffix(steps("de")));
+        let student = literal("/d4[0-9]/student18$");
+        let Literal::Suffix(tail) = &student else { panic!("{student:?}") };
+        assert_eq!(tail.len(), 14);
+        assert_eq!(tail[3], Inst::Class { negated: false, items: vec![ClassItem::Range('0', '9')] });
+        assert_eq!(literal("^http://x"), Literal::Prefix(steps("http://x")));
+        assert_eq!(literal("^ab$"), Literal::Exact(steps("ab")));
+        assert_eq!(literal("^a.$"), Literal::Exact(vec![Inst::Char('a'), Inst::Any]));
+        assert_eq!(literal("^$"), Literal::Exact(Vec::new()));
+        assert_eq!(literal("^(a|b)$"), within("")); // a group between the anchors
+        let only = |p: &str| Regex::new(p).unwrap().literal_only;
+        assert!(only("Smith") && only("^Smith") && only("Smith$") && only("^Smith$"));
+        assert!(only("/d4[0-9]/student18$") && only("^a.[^b]") && only("^a.$"));
+        assert!(!only("Smith.*$") && !only("^a.b*") && !only("^ab(c|d)*e$") && !only("a.b"));
+        assert_eq!(Regex::with_flags("SmiTH", "i").unwrap().literal, within("smith"));
+    }
+
+    #[test]
+    fn anchored_literals_are_tested_in_place_with_and_without_the_i_flag() {
+        let re = Regex::new("/d4[0-9]/student18$").unwrap();
+        assert!(re.is_match("http://e/d42/student18"));
+        assert!(!re.is_match("http://e/d42/student180"));
+        assert!(!re.is_match("http://e/d52/student18"));
+        let re = Regex::with_flags("^ÉCOLE", "i").unwrap();
+        assert!(re.is_match("école normale") && !re.is_match("une école"));
+        let re = Regex::with_flags("STUDENT18$", "i").unwrap();
+        assert!(re.is_match("d4/Student18") && !re.is_match("Student180"));
+        let re = Regex::with_flags("^Ab$", "i").unwrap();
+        assert!(re.is_match("aB") && !re.is_match("aBb") && !re.is_match("a"));
+        let re = Regex::with_flags("mit", "i").unwrap();
+        assert!(re.is_match("SMITH") && !re.is_match("SMIHT"));
     }
 
     /// The matcher this module had before the simulation: a direct
@@ -727,8 +843,41 @@ mod tests {
         })
     }
 
+    /// Patterns that open with `^run`, close with `run$`, or both, with
+    /// classes, groups or any generated pattern between: every kind of
+    /// anchored literal, and near misses (an empty run, a lone anchor).
+    fn arb_anchored() -> impl Strategy<Value = String> {
+        let between = prop_oneof![
+            proptest::sample::select(&["", "[ab]", "[^a]", ".", "\\d", "(a|b)*", "[a-c]+"][..])
+                .prop_map(str::to_string),
+            arb_pattern(),
+        ];
+        (any::<bool>(), "[abB.]{0,3}", between, "[abB1]{0,3}", any::<bool>()).prop_map(
+            |(start, head, between, tail, end)| {
+                let head = head.replace('.', "\\.");
+                let (start, end) = (if start { "^" } else { "" }, if end { "$" } else { "" });
+                format!("{start}{head}{between}{tail}{end}")
+            },
+        )
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn anchored_literal_tests_agree_with_the_simulation_and_with_backtracking(
+            pattern in arb_anchored(),
+            input in "[a-cAB1.]{0,10}",
+            fold in any::<bool>(),
+        ) {
+            let re = Regex::with_flags(&pattern, if fold { "i" } else { "" }).unwrap();
+            let unfiltered = re.is_match_unfiltered(&input);
+            prop_assert_eq!(
+                re.is_match(&input), unfiltered,
+                "/{}/ on {:?}, literal {:?}", pattern, input, re.literal
+            );
+            prop_assert_eq!(unfiltered, oracle(&pattern, fold, &input), "/{}/ on {:?}", pattern, input);
+        }
 
         #[test]
         fn the_literal_pre_check_never_changes_an_answer(

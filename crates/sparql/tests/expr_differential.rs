@@ -1,13 +1,16 @@
 //! The expression evaluator on generated expressions × generated rows.
 //!
-//! A pushed-down FILTER runs compiled, on a row its store only lends
-//! ([`Matched`]); everything else calls `Expression::evaluate` /
-//! `satisfied_by` on a materialised [`Solution`]. Three things must not
-//! be able to tell those apart, and a fourth pins what "the same answer"
-//! means across the rewrite:
+//! A pushed-down FILTER runs compiled against the pattern it scans, on
+//! triples its store only lends ([`for_each_kept`]): each variable is
+//! read from the triple's position, or from the shipped key that binds
+//! it. Everything else calls `Expression::evaluate` / `satisfied_by` on a
+//! materialised [`Solution`]. Three things must not be able to tell those
+//! apart, and a fourth pins what "the same answer" means across the
+//! rewrite:
 //!
-//! 1. compiled-over-lent ≡ wrapper-over-materialised, as a filter and as
-//!    a value-or-error;
+//! 1. the rows the pattern-compiled filter keeps ≡ the extensions the
+//!    filter keeps once materialised — with variables the pattern names,
+//!    the key binds, both, the pattern names twice, or nobody binds;
 //! 2. a `regex` compiled once from constants ≡ the same `regex` compiled
 //!    per row from variables bound to those constants;
 //! 3. both ≡ [`reference`], the evaluator as it was before it ran on
@@ -16,8 +19,8 @@
 
 use proptest::prelude::*;
 use rdfmesh_rdf::vocab::xsd;
-use rdfmesh_rdf::{Iri, Literal, Term, TermPattern, Triple, TriplePattern, Variable};
-use rdfmesh_sparql::eval::Matched;
+use rdfmesh_rdf::{Iri, Literal, Term, TermPattern, Triple, TriplePattern, TripleStore, Variable};
+use rdfmesh_sparql::eval::{for_each_extension, for_each_kept};
 use rdfmesh_sparql::expr::{ArithOp, ComparisonOp, Expression};
 use rdfmesh_sparql::regex::Regex;
 use rdfmesh_sparql::Solution;
@@ -108,14 +111,38 @@ fn arb_expression() -> impl Strategy<Value = Expression> {
     })
 }
 
-/// A position of the matched pattern: the variable, or the very term the
-/// triple has there.
-fn position(bound: bool, term: &Term, i: u8) -> TermPattern {
-    if bound {
-        TermPattern::Const(term.clone())
-    } else {
-        TermPattern::Var(var(i))
+/// A position of the matched pattern: `?x0` … `?x3` (a pattern may name
+/// one twice), or with `choice` 4 the very term the triple has there.
+fn position(choice: u8, term: &Term) -> TermPattern {
+    match choice {
+        4 => TermPattern::Const(term.clone()),
+        i => TermPattern::Var(var(i)),
     }
+}
+
+/// A shipped key: each `(i, agree, term)` binds `?xi` — to the term the
+/// triple has where the pattern names `?xi` when `agree`, so that the key
+/// and the pattern bind it alike, and to `term` otherwise (a key the
+/// triple may not extend). A second binding of one variable is dropped.
+fn key(cells: &[(u8, bool, Term)], pattern: &TriplePattern, triple: &Triple) -> Solution {
+    let at = [
+        (&pattern.subject, &triple.subject),
+        (&pattern.predicate, &triple.predicate),
+        (&pattern.object, &triple.object),
+    ];
+    let mut key = Solution::new();
+    for (i, agree, term) in cells {
+        let v = var(*i);
+        let named = at
+            .iter()
+            .find(|(tp, _)| tp.as_var() == Some(&v))
+            .map(|(_, t)| *t);
+        let term = if *agree { named.unwrap_or(term) } else { term };
+        if key.get(&v).is_none() {
+            key.bind(v, term.clone());
+        }
+    }
+    key
 }
 
 /// The evaluator as it was: owned terms all the way, regexes compiled on
@@ -343,31 +370,51 @@ proptest! {
     #[test]
     fn a_filter_cannot_tell_a_lent_row_from_a_built_one_nor_when_it_was_compiled(
         expr in arb_expression(),
-        spo in (arb_term(), arb_term(), arb_term()),
-        bound in (any::<bool>(), any::<bool>(), any::<bool>()),
-        carried in proptest::collection::vec(arb_term(), 0..2),
+        spo in (arb_term(), arb_term(), arb_term(), 0u8..3),
+        shape in (0u8..5, 0u8..5, 0u8..5),
+        keys in proptest::collection::vec(
+            proptest::collection::vec((0u8..4, (0u8..4).prop_map(|a| a > 0), arb_term()), 0..3),
+            1..3,
+        ),
     ) {
-        // ?x0 ?x1 ?x2 (or the triple's own terms) matched the triple, on
-        // top of a partial row that may bind ?x3; ?x4 is never bound.
-        let triple = Triple::new(spo.0, spo.1, spo.2);
+        // The pattern names some of ?x0 … ?x3 (maybe one twice) and the
+        // triple's own terms elsewhere; the keys bind some of ?x0 … ?x3,
+        // mostly agreeing with the triple; ?x4 is never bound. One triple
+        // in three has its subject for object, so that `?x p ?x` matches.
+        let object = if spo.3 == 0 { spo.0.clone() } else { spo.2 };
+        let triple = Triple::new(spo.0, spo.1, object);
         let pattern = TriplePattern::new(
-            position(bound.0, &triple.subject, 0),
-            position(bound.1, &triple.predicate, 1),
-            position(bound.2, &triple.object, 2),
+            position(shape.0, &triple.subject),
+            position(shape.1, &triple.predicate),
+            position(shape.2, &triple.object),
         );
-        let partial = Solution::from_pairs(carried.into_iter().map(|t| (var(3), t)));
-        let lent = Matched { pattern: &pattern, triple: (&triple).into(), partial: &partial };
-        let row = lent.to_solution().expect("the pattern's variables are distinct and not ?x3");
+        let keys: Vec<Solution> = keys.iter().map(|cells| key(cells, &pattern, &triple)).collect();
+        let store = TripleStore::from_triples([triple]);
 
         let compiled = expr.compile();
-        prop_assert_eq!(compiled.satisfied_by(&lent), expr.satisfied_by(&row), "{:?} on {}", &expr, &row);
-        let value = expr.evaluate(&row);
-        prop_assert_eq!(&compiled.evaluate(&lent), &value, "{:?} on {}", &expr, &row);
-        let value = value.map_err(|_| ());
-        prop_assert_eq!(&value, &reference(&expr, &row), "{:?} on {}", &expr, &row);
-
-        let mut wider = row;
-        let late = abstracted(&expr, &mut wider);
-        prop_assert_eq!(late.evaluate(&wider).map_err(|_| ()), value, "{:?} on {}", &late, &wider);
+        let mut kept = Vec::new();
+        for_each_kept(&store, &pattern, &keys, Some(&compiled), |m| kept.extend(m.to_solution()));
+        let mut want = Vec::new();
+        let mut failure = None;
+        for_each_extension(&store, &pattern, &keys, |m| {
+            let Some(row) = m.to_solution() else { return };
+            let value = expr.evaluate(&row).map_err(|_| ());
+            let mut wider = row.clone();
+            let late = abstracted(&expr, &mut wider);
+            let checks = [
+                (value.clone(), reference(&expr, &row), "compiled vs reference"),
+                (late.evaluate(&wider).map_err(|_| ()), value.clone(), "per-row regex vs compiled"),
+            ];
+            for (got, expected, what) in checks {
+                if got != expected && failure.is_none() {
+                    failure = Some(format!("{what}: {got:?} != {expected:?} for {expr:?} on {row}"));
+                }
+            }
+            if value.and_then(|t| reference_ebv(&t)) == Ok(true) {
+                want.push(row);
+            }
+        });
+        prop_assert!(failure.is_none(), "{}", failure.unwrap_or_default());
+        prop_assert_eq!(kept, want, "{:?} over {:?} with keys {:?}", &expr, &pattern, &keys);
     }
 }

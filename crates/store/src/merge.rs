@@ -12,6 +12,9 @@
 //! key sources: it yields each distinct key exactly once, paired with
 //! the winning entry's verdict (`true` = live add, `false` = tombstone).
 //! Scans keep only the `true`s; compactions write both streams out.
+//! When one source alone has keys — a scan of a bulk-loaded store, one
+//! level and an empty overlay — there is nothing to shadow, and its keys
+//! pass straight through with no heap.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -38,15 +41,28 @@ type Entry = Reverse<(Key, u32, bool, usize)>;
 pub(crate) struct ShadowMerge<'a> {
     sources: Vec<ShadowSource<'a>>,
     heap: BinaryHeap<Entry>,
+    /// The one source that had keys when the merge began, if only one
+    /// had: the heap holds at most its first key, the rest are read
+    /// straight from it.
+    lone: Option<usize>,
 }
 
 impl<'a> ShadowMerge<'a> {
     pub(crate) fn new(sources: Vec<ShadowSource<'a>>) -> ShadowMerge<'a> {
-        let mut merge = ShadowMerge { sources, heap: BinaryHeap::new() };
+        let mut merge = ShadowMerge { sources, heap: BinaryHeap::new(), lone: None };
         for i in 0..merge.sources.len() {
             merge.refill(i);
         }
+        if let [Reverse((.., i))] = merge.heap.as_slice() {
+            merge.lone = Some(*i);
+        }
         merge
+    }
+
+    /// Whether the keys pass straight through from one source.
+    #[cfg(test)]
+    pub(crate) fn passes_through(&self) -> bool {
+        self.lone.is_some()
     }
 
     fn refill(&mut self, i: usize) {
@@ -62,7 +78,14 @@ impl Iterator for ShadowMerge<'_> {
     type Item = (Key, bool);
 
     fn next(&mut self) -> Option<(Key, bool)> {
+        if let (Some(i), true) = (self.lone, self.heap.is_empty()) {
+            let src = &mut self.sources[i];
+            return src.iter.next().map(|key| (key, !src.is_del));
+        }
         let Reverse((key, _, is_del, src)) = self.heap.pop()?;
+        if self.lone.is_some() {
+            return Some((key, !is_del));
+        }
         self.refill(src);
         // Shadowed entries for the same key from older ranks.
         while let Some(&Reverse((k, _, _, s))) = self.heap.peek() {
@@ -122,6 +145,24 @@ mod tests {
         ])
         .collect();
         assert_eq!(got, vec![(k(5), true), (k(6), false), (k(7), true)]);
+    }
+
+    #[test]
+    fn a_lone_source_passes_through_and_two_take_the_merge() {
+        // Empty sources beside it do not count: the overlay of a
+        // bulk-loaded store is one.
+        let lone = || vec![src(0, false, vec![]), src(1, false, vec![k(1), k(2), k(3)])];
+        let merge = ShadowMerge::new(lone());
+        assert!(merge.passes_through());
+        assert_eq!(merge.collect::<Vec<_>>(), vec![(k(1), true), (k(2), true), (k(3), true)]);
+        let dels = ShadowMerge::new(vec![src(2, true, vec![k(4), k(5)])]);
+        assert!(dels.passes_through());
+        assert_eq!(dels.collect::<Vec<_>>(), vec![(k(4), false), (k(5), false)]);
+        let mut two = lone();
+        two.push(src(0, true, vec![k(2)]));
+        let merge = ShadowMerge::new(two);
+        assert!(!merge.passes_through());
+        assert_eq!(merge.collect::<Vec<_>>(), vec![(k(1), true), (k(2), false), (k(3), true)]);
     }
 
     #[test]

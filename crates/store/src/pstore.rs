@@ -849,6 +849,42 @@ mod tests {
         v
     }
 
+    /// A scan of a store with one level and nothing in the overlay for
+    /// the pattern reads that level's keys straight through; an overlay
+    /// insert or a tombstone in its range brings the merge back.
+    #[test]
+    fn a_one_level_scan_passes_through_until_the_overlay_holds_its_range() {
+        let dir = tmpdir("pass-through");
+        let mut store = PersistentStore::open(&dir).unwrap();
+        for tr in demo_triples() {
+            store.insert(&tr);
+        }
+        store.flush().unwrap();
+        let v = TermPattern::var;
+        let knows = TriplePattern::new(v("s"), TermPattern::Const(iri("knows")), v("o"));
+        let passes_through = |store: &PersistentStore| {
+            let plan = Plan::new(&store.dict, &knows).unwrap();
+            let range = Some((plan.lo, plan.hi));
+            let sources = store.sources(plan.perm, range, true, 0..store.levels.len(), 0);
+            ShadowMerge::new(sources).passes_through()
+        };
+        assert!(passes_through(&store));
+        store.insert(&t("a", "name", "c")); // outside the range
+        assert!(passes_through(&store));
+        store.insert(&t("c", "knows", "a"));
+        assert!(!passes_through(&store), "an overlay insert in range");
+        store.flush().unwrap();
+        assert_eq!(store.level_count(), 1, "the small flush compacted into one level");
+        assert!(passes_through(&store));
+        store.remove(&t("a", "knows", "b"));
+        assert!(!passes_through(&store), "a tombstone in range");
+        let mut got = Vec::new();
+        store.for_each_match(&knows, &mut |t| got.push(t.to_triple()));
+        assert_eq!(sorted(got), sorted(vec![t("a", "knows", "c"), t("b", "knows", "c"), t("c", "knows", "a"), t("c", "knows", "c")]));
+        drop(store);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn overlay_matches_before_and_after_flush() {
         let dir = tmpdir("overlay-flush");

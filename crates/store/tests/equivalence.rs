@@ -6,7 +6,9 @@
 //! `count_pattern`, each against the pattern's term-level definition —
 //! on all 8 bound/variable pattern shapes plus repeated-variable
 //! patterns (which force the raw-id consistency path)
-//! in every interesting store state: post-flush (all data in segments),
+//! in every interesting store state: bulk-loaded (one level and an empty
+//! overlay, where a scan passes its one source through without the
+//! merge), post-flush (all data in segments),
 //! overlay-mixed (segments + in-memory adds), tombstoned (removals of
 //! flushed triples), wal-reopened (reopened *without* a flush — the
 //! write-ahead log must reconstruct the overlay), compacted, and
@@ -20,7 +22,7 @@ use proptest::test_runner::TestCaseError;
 use rdfmesh_rdf::{
     Literal, PatternSource, Term, TermPattern, Triple, TriplePattern, TripleStore,
 };
-use rdfmesh_store::PersistentStore;
+use rdfmesh_store::{LoadConfig, PersistentStore};
 
 static CASE: AtomicUsize = AtomicUsize::new(0);
 
@@ -219,6 +221,35 @@ fn lending_scan_over_two_levels_an_overlay_and_tombstones() {
     assert!(store.overlay_len() > 0);
     let anchors = [&all[0], &all[4], &all[13], &all[81], &all[89]];
     check(&mem, &store, &anchors, "two levels + overlay + tombstones").unwrap();
+    drop(store);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A bulk-loaded store is one level and an empty overlay, so every scan
+/// has one source and passes its keys straight through, without the
+/// merge; an overlay insert or a tombstone in a scan's range brings the
+/// merge back. All three answer every shape — the 8 kinds and the
+/// repeated-variable forms — as the in-memory store does.
+#[test]
+fn a_bulk_loaded_store_scans_one_source_through_and_merges_after_a_write() {
+    let r = |i: usize| Term::iri(&format!("http://example.org/r{i}"));
+    let all: Vec<Triple> = (0..8)
+        .flat_map(|s| (0..3).flat_map(move |p| (0..3).map(move |o| Triple::new(r(s), r(p), r(o)))))
+        .filter(|t| t.subject != t.object || t.predicate == r(1))
+        .collect();
+    let dir = fresh_dir();
+    let mut store = PersistentStore::open(&dir).expect("open store");
+    let text = rdfmesh_rdf::ntriples::write_document(&all);
+    store.bulk_load(text.as_bytes(), &LoadConfig::default()).expect("bulk load");
+    assert_eq!((store.level_count(), store.overlay_len()), (1, 0));
+    let mut mem = TripleStore::from_triples(all.iter().cloned());
+    let anchors = [&all[0], &all[7], &all[30], &all[all.len() - 1]];
+    check(&mem, &store, &anchors, "bulk-loaded: one source").unwrap();
+    let added = Triple::new(r(2), r(0), r(2));
+    assert!(mem.insert(&added) && PatternSource::insert(&mut store, &added));
+    check(&mem, &store, &anchors, "bulk-loaded + an overlay insert").unwrap();
+    assert!(mem.remove(&all[7]) && PatternSource::remove(&mut store, &all[7]));
+    check(&mem, &store, &anchors, "bulk-loaded + a tombstone").unwrap();
     drop(store);
     let _ = std::fs::remove_dir_all(&dir);
 }

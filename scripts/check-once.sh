@@ -212,6 +212,15 @@ scan=$(awk '/^pub fn (for_each_extension|evaluate_pattern_with)/{on=1} on{print}
     "$sparql/eval.rs")
 expect 'Regex::with_flags( callers under crates/sparql/src' \
     "$(code "$sparql"/*.rs | grep -c 'Regex::with_flags(' || true)" 1
+# One filter evaluator: one compiled form, read by name from a
+# `Bindings` row or by position from a lent triple — two row readers —
+# and no lookup by name on a lent triple.
+expect 'struct Compiled under crates/sparql/src' \
+    "$(code "$sparql"/*.rs | grep -c 'struct Compiled\b' || true)" 1
+expect 'Slots row readers under crates/sparql/src' \
+    "$(code "$sparql"/*.rs | grep -c 'Slots for ' || true)" 2
+expect 'Bindings for Matched under crates/sparql/src' \
+    "$(code "$sparql"/*.rs | grep -c 'Bindings for Matched' || true)" 0
 expect 'collected scans (.match_pattern( / .matching() in provider.rs' \
     "$(code provider.rs | grep -cE '\.match_pattern\(|\.matching\(' || true)" 0
 expect 'collected scans in for_each_extension / evaluate_pattern_with' \
@@ -371,5 +380,5 @@ safety=$(awk '/^mod tests/{exit}
     /unsafe \{/{ print (first ~ /^ *\/\/ SAFETY:/) ? "ok" : "missing" }
     { run = 0; first = "" }' "$hash_rs")
 expect "unsafe blocks in $hash_rs under a // SAFETY: comment" "$(echo "$safety" | grep -c '^ok$' || true)" 1
-[ "$bad" -eq 0 ] && echo 'exists once: provider compute, exchange pricing, reply accounting, role constructors, the role host, the multiway protocol, regex compilation, lending scan, JSON escaping, result writers, the stopwatch, the pipeline tail, the operator table, the lookup leg, the cluster, the publication path, the frequency column, the move-small rule, the location table, the key count, the list-count bound, the bind step, the role runner, the query account, the statistics pass, the fan-out, the row read, the generation writer, the commit, the row batch, the triple index, the term dictionary, the answer batch, the whole-store walk, the independent oracle, the byte codec, the log replay, the unsafe block, the key batch, the failpoint, the byte yardstick'
+[ "$bad" -eq 0 ] && echo 'exists once: provider compute, exchange pricing, reply accounting, role constructors, the role host, the multiway protocol, regex compilation, lending scan, JSON escaping, result writers, the stopwatch, the pipeline tail, the operator table, the lookup leg, the cluster, the publication path, the frequency column, the move-small rule, the location table, the key count, the list-count bound, the bind step, the role runner, the query account, the statistics pass, the fan-out, the row read, the generation writer, the commit, the row batch, the triple index, the term dictionary, the answer batch, the whole-store walk, the independent oracle, the byte codec, the log replay, the unsafe block, the key batch, the failpoint, the byte yardstick, the filter evaluator'
 exit "$bad"
