@@ -7,8 +7,9 @@
 //! asserts the Sect. III-D guarantees end to end — every query returns
 //! within its deadline, incomplete answers equal the simulator oracle
 //! restricted to live nodes, and the dead providers are lazily purged
-//! from the index so later queries are complete again. The `live.*`
-//! metrics land in `BENCH_live_churn.json` in CI.
+//! from the index so later queries are complete again. The mesh's own
+//! counters, written into the run's metrics at the end, land in
+//! `BENCH_live_churn.json` in CI.
 
 use std::time::Duration;
 
@@ -193,4 +194,9 @@ pub fn run() {
     println!("and the Sect. III-D lazy purge makes the very next pass complete");
     println!("again — on OS threads, not the simulator.");
     mesh.shutdown();
+    // The mesh keeps its own counters; its final figures are this run's
+    // `live.*` record.
+    for (name, value) in mesh.stats().named().into_iter().filter(|(_, value)| *value > 0) {
+        rdfmesh_obs::metrics().add(name, value);
+    }
 }

@@ -22,7 +22,6 @@
 //! quantities the paper optimizes — total inter-site bytes and response
 //! time.
 
-use std::borrow::Cow;
 use std::collections::HashMap;
 
 use rdfmesh_cache::QueryCache;
@@ -155,7 +154,7 @@ impl<'a> Engine<'a> {
         initiator: NodeId,
         query: &str,
     ) -> Result<(Execution, QueryTrace), EngineError> {
-        let (execution, _, trace) = self.run(initiator, || parse(query), None)?;
+        let (execution, _, trace) = self.run(initiator, query, None)?;
         Ok((execution, trace))
     }
 
@@ -171,34 +170,23 @@ impl<'a> Engine<'a> {
         query: &str,
         objective: PlanObjective,
     ) -> Result<(Execution, Plan), EngineError> {
-        let (execution, plan, _) = self.run(initiator, || parse(query), Some(objective))?;
+        let (execution, plan, _) = self.run(initiator, query, Some(objective))?;
         Ok((execution, plan.expect("an objective run plans")))
     }
 
-    /// Executes an already-translated query: optimize, compile to an
-    /// [`crate::exec::ExecPlan`], run the plan through the simulated
-    /// backend, post-process at the initiator.
-    pub fn execute_algebra(
-        &mut self,
-        initiator: NodeId,
-        query: &AlgebraQuery,
-    ) -> Result<Execution, EngineError> {
-        Ok(self.run(initiator, || Ok(Cow::Borrowed(query)), None)?.0)
-    }
-
     /// Runs one query under a fresh [`QueryTrace`], its only account:
-    /// `query` yields the algebra inside the trace, the query is planned
-    /// (for `objective`, when given) and answered, and the trace, finished
-    /// at the response time, is read into the execution's [`QueryStats`].
-    fn run<'q>(
+    /// `query` is parsed inside the trace, planned (for `objective`, when
+    /// given) and answered, and the trace, finished at the response time,
+    /// is read into the execution's [`QueryStats`].
+    fn run(
         &mut self,
         initiator: NodeId,
-        query: impl FnOnce() -> Result<Cow<'q, AlgebraQuery>, ParseError>,
+        query: &str,
         objective: Option<PlanObjective>,
     ) -> Result<(Execution, Option<Plan>, QueryTrace), EngineError> {
         let trace = QueryTrace::new();
         let guard = rdfmesh_obs::set_current(trace.clone());
-        let query = query()?;
+        let query = parse(query)?;
         self.backend.check_initiator(initiator)?;
         self.backend.initiator = initiator;
         self.backend.dataset_graphs = query.dataset.default.clone();
@@ -236,10 +224,7 @@ impl<'a> Engine<'a> {
         let optimized = self.optimize(&query.pattern, objective);
         rdfmesh_obs::end_current(span, 0);
         let (pattern, plan) = optimized?;
-        let metrics = rdfmesh_obs::metrics();
-        if metrics.is_enabled() {
-            metrics.add("engine.queries", 1);
-        }
+        rdfmesh_obs::metrics().add("engine.queries", 1);
 
         // ASK fast path: a single-pattern existence test stops at the
         // first provider that produces a witness instead of gathering
@@ -308,10 +293,7 @@ impl<'a> Engine<'a> {
     /// across queries even though each query's network clock restarts at
     /// zero.
     fn finish_query(&mut self, rt: SimTime) {
-        let metrics = rdfmesh_obs::metrics();
-        if metrics.is_enabled() {
-            metrics.observe(names::ENGINE_RESPONSE_TIME_US, rt.0);
-        }
+        rdfmesh_obs::metrics().observe(names::ENGINE_RESPONSE_TIME_US, rt.0);
         if let Some(cache) = self.backend.cache.as_mut() {
             cache.advance_clock(rt + SimTime::millis(1));
         }
@@ -321,11 +303,11 @@ impl<'a> Engine<'a> {
 /// Parses a query inside the current trace: parsing runs locally at the
 /// initiator, zero simulated time and zero bytes — the span records that
 /// the phase happened.
-fn parse(query: &str) -> Result<Cow<'static, AlgebraQuery>, ParseError> {
+fn parse(query: &str) -> Result<AlgebraQuery, ParseError> {
     let span = rdfmesh_obs::begin_current(phase::PARSE, query.lines().next().unwrap_or(""), 0);
     let parsed = rdfmesh_sparql::parse_query(query);
     rdfmesh_obs::end_current(span, 0);
-    parsed.map(Cow::Owned)
+    parsed
 }
 
 /// Builds a single [`TripleStore`] holding the union of every storage

@@ -317,10 +317,8 @@ pub fn run<B: MeshBackend>(
     depart: SimTime,
 ) -> Result<Mat, B::Error> {
     let metrics = rdfmesh_obs::metrics();
-    if metrics.is_enabled() {
-        metrics.add(rdfmesh_obs::names::EXEC_PLANS, 1);
-        metrics.observe(rdfmesh_obs::names::EXEC_PLAN_NODES, plan.node_count() as u64);
-    }
+    metrics.add(rdfmesh_obs::names::EXEC_PLANS, 1);
+    metrics.observe(rdfmesh_obs::names::EXEC_PLAN_NODES, plan.node_count() as u64);
     eval(backend, &plan.root, depart, None)
 }
 
@@ -338,9 +336,7 @@ fn eval<B: MeshBackend>(
             ready: depart,
         }),
         ExecNode::Primitive(op) => {
-            if metrics.is_enabled() {
-                metrics.add(rdfmesh_obs::names::EXEC_PRIMITIVES, 1);
-            }
+            metrics.add(rdfmesh_obs::names::EXEC_PRIMITIVES, 1);
             // A common-site hint pins the chain end, which bypasses the
             // range-index fast path (the bucketed providers need not
             // include the hinted site).
@@ -357,15 +353,11 @@ fn eval<B: MeshBackend>(
                 return Ok(current);
             }
             if *bind {
-                if metrics.is_enabled() {
-                    metrics.add(rdfmesh_obs::names::EXEC_BOUND_SUBQUERIES, 1);
-                }
+                metrics.add(rdfmesh_obs::names::EXEC_BOUND_SUBQUERIES, 1);
                 backend.exec_bound(right, current)
             } else {
-                if metrics.is_enabled() {
-                    metrics.add(rdfmesh_obs::names::EXEC_PRIMITIVES, 1);
-                    metrics.add(rdfmesh_obs::names::EXEC_BINARY_OPS, 1);
-                }
+                metrics.add(rdfmesh_obs::names::EXEC_PRIMITIVES, 1);
+                metrics.add(rdfmesh_obs::names::EXEC_BINARY_OPS, 1);
                 let h = hint_from_left.then_some(current.site);
                 let op = PrimitiveOp {
                     pattern: right.clone(),
@@ -377,9 +369,7 @@ fn eval<B: MeshBackend>(
             }
         }
         ExecNode::Binary { op, left, right, common_site } => {
-            if metrics.is_enabled() {
-                metrics.add(rdfmesh_obs::names::EXEC_BINARY_OPS, 1);
-            }
+            metrics.add(rdfmesh_obs::names::EXEC_BINARY_OPS, 1);
             let h = if *common_site {
                 match (left.as_ref(), right.as_ref()) {
                     (ExecNode::Primitive(lp), ExecNode::Primitive(rp)) => {
@@ -397,18 +387,14 @@ fn eval<B: MeshBackend>(
             Ok(backend.exec_binary(op, l, r))
         }
         ExecNode::Filter { expr, input } => {
-            if metrics.is_enabled() {
-                metrics.add(rdfmesh_obs::names::EXEC_RESIDUAL_FILTERS, 1);
-            }
+            metrics.add(rdfmesh_obs::names::EXEC_RESIDUAL_FILTERS, 1);
             let mut mat = eval(backend, input, depart, None)?;
             let expr = expr.compile();
             mat.solutions.retain(|row| expr.satisfied_by(row));
             Ok(mat)
         }
         ExecNode::MultiJoin { patterns, join_vars, strategy } => {
-            if metrics.is_enabled() {
-                metrics.add(rdfmesh_obs::names::EXEC_MULTIWAY_JOINS, 1);
-            }
+            metrics.add(rdfmesh_obs::names::EXEC_MULTIWAY_JOINS, 1);
             backend.exec_multiway(patterns, join_vars, *strategy, depart)
         }
     }

@@ -6,18 +6,16 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use crossbeam::channel::{bounded, Receiver};
+use rdfmesh_net::{Cluster, NodeId};
+use rdfmesh_overlay::key_for_pattern;
 use rdfmesh_rdf::{TriplePattern, Variable};
 use rdfmesh_sparql::expr::Expression;
 use rdfmesh_sparql::{Rows, Solution};
 
-use super::{lock, LiveAnswer, LiveMsg, PendingMap, QueryId};
+use super::{lock, owner_in_view, rlock, LiveAnswer, LiveMsg, PendingMap, QueryId, RingView};
 use crate::admission::Admission;
 use crate::config::{DistStrategy, LiveConfig};
 use crate::stats::{LiveStats, LiveStatsSnapshot};
-
-/// Delivers a [`LiveMsg`] to the coordinator a [`RoundClient`] fronts, as
-/// if the coordinator had sent it to itself.
-type Inject = Box<dyn Fn(LiveMsg) + Send + Sync>;
 
 /// A submitted-but-not-yet-awaited solution round: the non-blocking
 /// half of [`RoundClient::query_solutions`]. Callers submit any number
@@ -44,42 +42,41 @@ impl RoundHandle {
     }
 }
 
-/// The client side of one coordinator: allocates query ids, registers
-/// the channel each answer comes back on, injects every round straight
-/// at the coordinator, and gates whole query executions on admission
-/// control. It owns no thread. [`crate::LiveMesh`] and
-/// [`crate::MeshNode`] each own one and dereference to it; they differ
-/// only in how a message reaches their coordinator, which is the
-/// `inject` closure each gives it at construction.
+/// The client side of one host's coordinator: allocates query ids,
+/// registers the channel each answer comes back on, injects every round
+/// straight at the coordinator, gates whole query executions on
+/// admission control, and reads the host's view of the ring. It owns no
+/// thread. The host builds it; [`crate::LiveMesh`] and
+/// [`crate::MeshNode`] dereference to it.
 pub struct RoundClient {
     cfg: LiveConfig,
     next_qid: AtomicU64,
     pending: PendingMap,
-    inject: Inject,
+    cluster: Arc<Cluster<LiveMsg>>,
+    coordinator: NodeId,
+    view: (rdfmesh_chord::IdSpace, RingView),
     admission: Admission,
     stats: Arc<LiveStats>,
 }
 
 impl RoundClient {
-    /// A client for the coordinator that shares `pending` and `stats`
-    /// and receives what `inject` is handed.
-    pub(crate) fn new<F>(
+    /// A client for `coordinator` on `cluster`, sharing its `pending`
+    /// answers and its host's `stats` and `view` of the ring.
+    pub(crate) fn new(
         cfg: LiveConfig,
         pending: PendingMap,
         stats: Arc<LiveStats>,
-        inject: F,
-    ) -> Self
-    where
-        F: Fn(LiveMsg) + Send + Sync + 'static,
-    {
-        RoundClient {
-            cfg,
-            next_qid: AtomicU64::new(1),
-            pending,
-            inject: Box::new(inject),
-            admission: Admission::new(&cfg, Arc::clone(&stats)),
-            stats,
-        }
+        cluster: Arc<Cluster<LiveMsg>>,
+        coordinator: NodeId,
+        view: (rdfmesh_chord::IdSpace, RingView),
+    ) -> Self {
+        let (next_qid, admission) = (AtomicU64::new(1), Admission::new(&cfg, Arc::clone(&stats)));
+        RoundClient { cfg, next_qid, pending, cluster, coordinator, view, admission, stats }
+    }
+
+    /// Hands `msg` to the coordinator, as if it had sent it to itself.
+    fn inject(&self, msg: LiveMsg) {
+        self.cluster.inject(self.coordinator, self.coordinator, msg);
     }
 
     /// Allocates a query id and registers the channel its answer will
@@ -133,7 +130,7 @@ impl RoundClient {
         bound: Option<Rows>,
     ) -> RoundHandle {
         let handle = self.open_round();
-        (self.inject)(LiveMsg::SubmitSol { qid: handle.qid, pattern, filter, bound });
+        self.inject(LiveMsg::SubmitSol { qid: handle.qid, pattern, filter, bound });
         handle
     }
 
@@ -158,7 +155,7 @@ impl RoundClient {
         strategy: DistStrategy,
     ) -> RoundHandle {
         let handle = self.open_round();
-        (self.inject)(LiveMsg::SubmitMulti { qid: handle.qid, patterns, join_vars, strategy });
+        self.inject(LiveMsg::SubmitMulti { qid: handle.qid, patterns, join_vars, strategy });
         handle
     }
 
@@ -175,8 +172,16 @@ impl RoundClient {
         self.cfg
     }
 
-    /// Fault-tolerance counters accumulated so far.
+    /// The host's counters so far.
     pub fn stats(&self) -> LiveStatsSnapshot {
         self.stats.snapshot()
+    }
+
+    /// The index node whose location table owns `pattern`'s key in the
+    /// host's current view of the ring, or `None` for the all-variable
+    /// pattern (which has no key).
+    pub fn index_owner_of(&self, pattern: &TriplePattern) -> Option<NodeId> {
+        let (space, ring) = &self.view;
+        key_for_pattern(*space, pattern).map(|k| owner_in_view(&rlock(ring), k.id.0))
     }
 }

@@ -1,22 +1,17 @@
 //! The in-process host: every role of an [`Overlay`]'s placement on one
-//! [`Cluster`], over channels or over loopback sockets. Its index tables
+//! [`Host`], over channels or over loopback sockets. Its index tables
 //! fill as a serve process's do: each storage node publishes its keys to
 //! their owners ([`LiveMsg::Publish`]).
 
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex, RwLock};
 use std::time::Duration;
 
-use rdfmesh_net::{Cluster, FaultPlan, Handler, NodeId, TransportSnapshot};
-use rdfmesh_overlay::{key_for_pattern, Overlay, Provider};
+use rdfmesh_net::{FaultPlan, NodeId, TransportSnapshot};
+use rdfmesh_overlay::{Overlay, Provider};
 use rdfmesh_rdf::TriplePattern;
 
-use super::{
-    index_keys, lock, owner_in_view, publish, rlock, CoordinatorCore, IndexNode, LiveMsg,
-    LiveStorage, PendingMap, RingView, Role, RoundClient, SharedFlood, SharedTable,
-};
+use super::host::{Host, Placement, Wire};
+use super::{index_keys, LiveMsg, RoundClient};
 use crate::config::LiveConfig;
-use crate::stats::LiveStats;
 
 /// Which wire carries a [`LiveMesh`]'s protocol messages.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -39,18 +34,14 @@ const PUBLISH_WAIT: Duration = Duration::from_secs(30);
 /// data placement. Queries go through the [`RoundClient`] it
 /// dereferences to.
 pub struct LiveMesh {
-    client: RoundClient,
-    cluster: Arc<Cluster<LiveMsg>>,
-    space: rdfmesh_chord::IdSpace,
-    ring_view: RingView,
-    tables: HashMap<NodeId, SharedTable>,
+    host: Host,
 }
 
 impl std::ops::Deref for LiveMesh {
     type Target = RoundClient;
 
     fn deref(&self) -> &RoundClient {
-        &self.client
+        &self.host.client
     }
 }
 
@@ -89,128 +80,96 @@ impl LiveMesh {
         plan: FaultPlan,
         transport: Transport,
     ) -> std::io::Result<Self> {
-        let space = overlay.ring().space();
-        let index_nodes = overlay.index_nodes();
-        assert!(!index_nodes.is_empty(), "live mesh needs an index node");
-        let mut ring_view: Vec<(u64, NodeId)> = index_nodes
-            .iter()
-            .filter_map(|&addr| overlay.chord_id_of(addr).map(|id| (id.0, addr)))
-            .collect();
-        ring_view.sort();
-        let ring_view: RingView = Arc::new(RwLock::new(ring_view));
-        let stats = Arc::new(LiveStats::default());
-        let pending: PendingMap = Arc::new(Mutex::new(HashMap::new()));
-        let mut shared_tables: HashMap<NodeId, SharedTable> = HashMap::new();
-        let mut nodes: Vec<(NodeId, Box<dyn Handler<LiveMsg>>)> = Vec::new();
-        for ix in &index_nodes {
-            let table = SharedTable::default();
-            shared_tables.insert(*ix, Arc::clone(&table));
-            let node =
-                IndexNode::new(*ix, table, space, Arc::clone(&ring_view), Arc::clone(&stats));
-            nodes.push((*ix, Box::new(Role::Index(node))));
+        let (space, index) = (overlay.ring().space(), overlay.index_nodes());
+        assert!(!index.is_empty(), "live mesh needs an index node");
+        let ring = index.iter().filter_map(|&ix| overlay.chord_id_of(ix).map(|id| (id.0, ix)));
+        let storage = overlay.storage_nodes().into_iter();
+        let storage: Vec<_> =
+            storage.map(|s| (s, overlay.storage_node(s).expect("listed").store.clone())).collect();
+        let placement = Placement {
+            space,
+            ring: ring.collect(),
+            index: index.clone(),
+            storage: storage.clone(),
+            coordinator: (COORDINATOR, index[0]),
+        };
+        let host = Host::start(placement, cfg, Wire::Local(transport, plan))?;
+        for (id, store) in &storage {
+            host.publish(*id, &index_keys(space, store));
         }
-        let mut flood: Vec<NodeId> = Vec::new();
-        for storage in overlay.storage_nodes() {
-            let store = overlay.storage_node(storage).expect("listed").store.clone();
-            let node = LiveStorage::new(storage, store, Arc::clone(&stats));
-            nodes.push((storage, Box::new(Role::Storage(node))));
-            flood.push(storage);
-        }
-        flood.sort();
-        let flood: SharedFlood = Arc::new(RwLock::new(flood));
-        let index = index_nodes[0];
-        let core = CoordinatorCore::new(COORDINATOR, index, cfg, space, flood, Arc::clone(&stats));
-        nodes.push((COORDINATOR, Box::new(Role::Coordinator(core, Arc::clone(&pending)))));
-        let cluster = Arc::new(match transport {
-            Transport::Threads => Cluster::spawn_with(nodes, plan),
-            Transport::Sockets => Cluster::spawn_loopback(nodes, plan)?,
-        });
-        for storage in overlay.storage_nodes() {
-            let keys = index_keys(space, &overlay.storage_node(storage).expect("listed").store);
-            publish(&cluster, &rlock(&ring_view), storage, &keys);
-        }
-        if !index_nodes.iter().all(|&ix| cluster.barrier(ix, PUBLISH_WAIT)) {
+        if !index.iter().all(|&ix| host.cluster.barrier(ix, PUBLISH_WAIT)) {
             let err = "an index node never filed its publications";
             return Err(std::io::Error::new(std::io::ErrorKind::TimedOut, err));
         }
-        let inject_at = Arc::clone(&cluster);
-        let client = RoundClient::new(cfg, pending, stats, move |msg| {
-            inject_at.inject(COORDINATOR, COORDINATOR, msg);
-        });
-        Ok(LiveMesh { client, cluster, space, ring_view, tables: shared_tables })
+        Ok(LiveMesh { host })
     }
 
     /// Test-harness facility: delivers a hand-crafted protocol message as
     /// if `from` had sent it, bypassing link faults (see
     /// [`Cluster::inject`]). Fault tests use it to forge late replies
     /// from earlier queries.
+    ///
+    /// [`Cluster::inject`]: rdfmesh_net::Cluster::inject
     pub fn inject(&self, from: NodeId, to: NodeId, msg: LiveMsg) {
-        self.cluster.inject(from, to, msg);
+        self.host.cluster.inject(from, to, msg);
     }
 
     /// Crashes `node` at runtime: it stops answering and sends to it fail
-    /// fast. See [`Cluster::crash`].
+    /// fast. See [`Cluster::crash`](rdfmesh_net::Cluster::crash).
     pub fn crash(&self, node: NodeId) -> bool {
-        self.cluster.crash(node)
+        self.host.cluster.crash(node)
     }
 
     /// Restarts a crashed `node` with its state intact. Its purged
     /// location-table entries stay purged until it republishes — exactly
-    /// the paper's rejoin behaviour. See [`Cluster::restart`].
+    /// the paper's rejoin behaviour. See
+    /// [`Cluster::restart`](rdfmesh_net::Cluster::restart).
     pub fn restart(&self, node: NodeId) -> bool {
-        self.cluster.restart(node)
+        self.host.cluster.restart(node)
     }
 
     /// Blocks until `node` has processed everything delivered to it
     /// before this call — the deterministic fence the fault tests use
-    /// instead of sleeping. See [`Cluster::barrier`].
+    /// instead of sleeping. See
+    /// [`Cluster::barrier`](rdfmesh_net::Cluster::barrier).
     pub fn barrier(&self, node: NodeId, timeout: Duration) -> bool {
-        self.cluster.barrier(node, timeout)
-    }
-
-    /// The index node whose location table owns `pattern`'s key, or
-    /// `None` for the all-variable pattern (which has no key).
-    pub fn index_owner_of(&self, pattern: &TriplePattern) -> Option<NodeId> {
-        key_for_pattern(self.space, pattern)
-            .map(|k| owner_in_view(&rlock(&self.ring_view), k.id.0))
+        self.host.cluster.barrier(node, timeout)
     }
 
     /// The owner index node's current location-table row for `pattern`,
     /// sorted by node — the observable target of publication and of the
     /// lazy removal protocol.
     pub fn providers_of(&self, pattern: &TriplePattern) -> Vec<Provider> {
-        let Some(key) = key_for_pattern(self.space, pattern) else { return Vec::new() };
-        let owner = owner_in_view(&rlock(&self.ring_view), key.id.0);
-        let Some(table) = self.tables.get(&owner) else { return Vec::new() };
-        lock(table).providers(key.id).to_vec()
+        self.host.providers_of(pattern)
     }
 
     /// Messages delivered so far (across all threads), the start-up
     /// publications included.
     pub fn message_count(&self) -> u64 {
-        self.cluster.message_count()
+        self.host.cluster.message_count()
     }
 
     /// Messages lost so far to the fault plan or crashed nodes.
     pub fn dropped_count(&self) -> u64 {
-        self.cluster.dropped_count()
+        self.host.cluster.dropped_count()
     }
 
     /// Socket-layer counters (`transport.*` metric names), or `None` on
     /// [`Transport::Threads`] where no socket exists.
     pub fn transport_stats(&self) -> Option<TransportSnapshot> {
-        self.cluster.transport_stats()
+        self.host.transport_stats()
     }
 
     /// Stops every node thread.
     pub fn shutdown(&self) {
-        self.cluster.shutdown();
+        self.host.shutdown();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
     use crate::live::{QueryId, RoundHandle};
     use rdfmesh_net::{LatencyModel, Network, SimTime};
     use rdfmesh_rdf::{Term, TermPattern, Triple};
@@ -348,7 +307,7 @@ mod tests {
         // Any peer can finish the handshake, and query ids count up from
         // 1: as wire version 4 laid it out, "your round N is overdue".
         let forged: Vec<_> = (1..=8).map(|qid| wire_v4::deadline_overall(QueryId(qid))).collect();
-        let listener = mesh.cluster.local_addr().expect("spawned on sockets");
+        let listener = mesh.host.cluster.local_addr().expect("spawned on sockets");
         let _peer = wire_v4::forge_at(listener, COORDINATOR, &forged);
         let answer = round.wait(Duration::from_secs(30)).expect("no timeout");
         assert!(answer.complete, "cut short, missing {:?}", answer.failed_providers);

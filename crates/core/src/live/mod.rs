@@ -45,15 +45,20 @@
 //! exactly what survived. `docs/FAULTS.md` describes the failure model;
 //! the fault-injection harness lives in [`rdfmesh_net::FaultPlan`].
 //!
-//! The same roles run on one [`rdfmesh_net::Cluster`] over either of its
-//! wires — channels ([`Transport::Threads`]), loopback sockets
-//! ([`Transport::Sockets`]) or one process per peer ([`crate::MeshNode`])
-//! — and every host fills its index tables the same way, by
-//! [`LiveMsg::Publish`]; nothing here touches shared state beyond the
-//! observable location tables and counters. Callers reach a coordinator
-//! through the one [`RoundClient`], which both hosts own: it allocates
-//! query ids, hands each round to its coordinator as one local command,
-//! gates executions on admission and hands answers back.
+//! Whatever runs the roles is one `Host` (`live/host.rs`): from a
+//! placement — the ring, the index and storage nodes it runs, its
+//! coordinator — and a wire — channels ([`Transport::Threads`]), loopback
+//! sockets ([`Transport::Sockets`]) or a bound listener — it builds the
+//! roles on one [`rdfmesh_net::Cluster`], the counters they share
+//! ([`LiveStats`](crate::LiveStats), the host's only ledger), and the
+//! [`RoundClient`] that fronts its coordinator. It owns the view of the
+//! ring, the flood list and its index nodes' location tables, and it fills
+//! those tables the one way, by [`LiveMsg::Publish`]; a new view is one
+//! call that installs it, drops the rows it gives another node and
+//! republishes. [`LiveMesh`] is a host of a whole overlay plus its test
+//! hooks; [`crate::MeshNode`] is a host of one peer plus membership. The
+//! client allocates query ids, hands each round to its coordinator as one
+//! local command, gates executions on admission and hands answers back.
 //!
 //! A round is one frame per provider: whatever else is in flight, a
 //! chained round ships as [`LiveMsg::SubQuerySol`] and is answered with
@@ -67,6 +72,7 @@
 
 mod client;
 mod coordinator;
+pub(crate) mod host;
 mod index;
 mod mesh;
 mod storage;

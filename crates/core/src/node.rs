@@ -1,32 +1,34 @@
-//! A deployable mesh node: one OS process hosting a storage node, an
-//! index node, and a coordinator on one [`Cluster`] over the socket wire
-//! ([`Cluster::bind`]).
+//! A deployable mesh node: one OS process whose `live::Host` runs a storage
+//! node, an index node and a coordinator behind one bound listener.
 //!
-//! [`crate::LiveMesh`] proves the protocol under real concurrency inside
-//! one process; [`MeshNode`] is the same protocol *between* processes —
-//! the shape `rdfmesh serve` runs and `docs/DEPLOYMENT.md` documents.
-//! Each process carries three logical nodes behind one listener:
+//! [`crate::LiveMesh`] hosts a whole overlay's placement inside one
+//! process; [`MeshNode`] hosts one peer's, and is the shape `rdfmesh
+//! serve` runs and `docs/DEPLOYMENT.md` documents. Both are a `Host`:
+//! the same roles, counters, client and view of the ring. A process
+//! carries three logical nodes:
 //!
 //! * a **storage node** (`NodeId(n)`) holding the process's triples;
 //! * an **index node** (`NodeId(INDEX_BASE + n)`) owning the slice of
 //!   the key ring its position covers, routing [`LiveMsg::Lookup`] /
 //!   [`LiveMsg::ProviderDead`] hop-by-hop to the current owner;
 //! * a **coordinator** (`NodeId(COORD_BASE + n)`) running the per-query
-//!   state machine for queries submitted *at this process* — through the
-//!   same [`RoundClient`] a [`crate::LiveMesh`] uses, here injecting at
-//!   the coordinator of this process's [`Cluster`].
+//!   state machine for queries submitted *at this process*, through the
+//!   [`RoundClient`] the node dereferences to.
 //!
-//! Membership is deliberately simple — an ad-hoc sharing system, not a
-//! consensus group. A joiner sends `JOIN` to any member; that member
-//! answers `WELCOME` with the full roster and broadcasts `PEER_JOINED`
-//! to everyone else. Every membership event makes every member rebuild
-//! its ring view and **republish** its local keys ([`LiveMsg::Publish`]
-//! rows are idempotent, and a [`crate::LiveMesh`] fills its tables
-//! through the same function), so location tables converge on the final
-//! ring without coordination. A node drops the rows it stops owning when
-//! its view changes; one filed later from a peer's older view lingers
-//! until the next change, unread, since lookups and purges route to the
-//! *current* owner.
+//! What a [`MeshNode`] adds to its host is membership — deliberately
+//! simple, an ad-hoc sharing system, not a consensus group. A joiner
+//! sends `JOIN` to any member; that member answers `WELCOME` with the
+//! full roster and broadcasts `PEER_JOINED` to everyone else. Every
+//! membership event is one view installed on the host, which drops the
+//! rows the view gives another index node and **republishes** the local
+//! keys ([`LiveMsg::Publish`] rows are idempotent), so location tables
+//! converge on the final ring without coordination. One filed later from
+//! a peer's older view lingers until the next change, unread, since
+//! lookups and purges route to the *current* owner.
+//!
+//! [`LiveMsg::Lookup`]: crate::LiveMsg::Lookup
+//! [`LiveMsg::ProviderDead`]: crate::LiveMsg::ProviderDead
+//! [`LiveMsg::Publish`]: crate::LiveMsg::Publish
 
 use std::collections::HashMap;
 use std::io;
@@ -36,19 +38,14 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use rdfmesh_net::{Cluster, FaultPlan, Handler, NodeId, TransportSnapshot};
-use rdfmesh_overlay::key_for_pattern;
+use rdfmesh_net::{NodeId, TransportSnapshot};
 use rdfmesh_rdf::codec::{put_str, put_u32, put_u64, DecodeError, Reader};
-use rdfmesh_rdf::TriplePattern;
 #[cfg(test)]
 use rdfmesh_rdf::TripleStore;
 
 use crate::config::LiveConfig;
-use crate::live::{
-    index_keys, lock, owner_in_view, publish, rlock, wlock, CoordinatorCore, IndexNode, LiveMsg,
-    LiveStorage, PendingMap, RingView, Role, RoundClient, SharedFlood, SharedTable,
-};
-use crate::stats::LiveStats;
+use crate::live::host::{Host, Placement, Wire};
+use crate::live::{index_keys, lock, RoundClient};
 
 /// Offset of a process's index-node id from its base id `n`.
 pub const INDEX_BASE: u64 = 1 << 32;
@@ -152,50 +149,33 @@ struct NodeShared {
     me: Member,
     /// Base id → member, including `me`.
     members: Mutex<HashMap<u64, Member>>,
-    ring_view: RingView,
-    flood: SharedFlood,
-    /// The local index node's location table.
-    table: SharedTable,
     /// The local store's index-key ids and their frequencies, precomputed
     /// at start — what this process republishes after every membership
     /// change.
     keys: Vec<(u64, u64)>,
     /// How long the start-up pass that counted `keys` took.
     key_pass: Duration,
-    space: rdfmesh_chord::IdSpace,
+    host: Host,
 }
 
 impl NodeShared {
-    /// Rebuilds the routing views from the roster, drops the local rows
-    /// the new view gives another index node, and republishes the local
-    /// keys to their current owners. Idempotent; called after every
-    /// membership event.
-    fn refresh(&self, cluster: &Cluster<LiveMsg>) {
+    /// Routes to every member's listener, then installs the roster's view
+    /// of the ring on the host, which drops the local rows the view gives
+    /// another index node and republishes the local keys to their current
+    /// owners. Idempotent; called after every membership event.
+    fn refresh(&self) {
         let members: Vec<Member> = lock(&self.members).values().cloned().collect();
-        for m in &members {
-            if m.id == self.me.id {
-                continue;
-            }
-            if let Ok(mut addrs) = m.addr.to_socket_addrs() {
-                if let Some(addr) = addrs.next() {
-                    cluster.add_peer(NodeId(m.id), addr);
-                    cluster.add_peer(NodeId(INDEX_BASE + m.id), addr);
-                    cluster.add_peer(NodeId(COORD_BASE + m.id), addr);
-                }
+        let cluster = &self.host.cluster;
+        for m in members.iter().filter(|m| m.id != self.me.id) {
+            if let Some(addr) = resolve(&m.addr) {
+                cluster.add_peer(NodeId(m.id), addr);
+                cluster.add_peer(NodeId(INDEX_BASE + m.id), addr);
+                cluster.add_peer(NodeId(COORD_BASE + m.id), addr);
             }
         }
-        let mut ring: Vec<(u64, NodeId)> =
-            members.iter().map(|m| (m.pos, NodeId(INDEX_BASE + m.id))).collect();
-        ring.sort();
-        *wlock(&self.ring_view) = ring.clone();
-        let index = NodeId(INDEX_BASE + self.me.id);
-        lock(&self.table).retain(|key| owner_in_view(&ring, key.0) == index);
-        let mut flood: Vec<NodeId> = members.iter().map(|m| NodeId(m.id)).collect();
-        flood.sort();
-        *wlock(&self.flood) = flood;
-        // Republish: register this process's storage node for each local
-        // key at its current owner.
-        publish(cluster, &ring, NodeId(self.me.id), &self.keys);
+        let ring = members.iter().map(|m| (m.pos, NodeId(INDEX_BASE + m.id))).collect();
+        let flood = members.iter().map(|m| NodeId(m.id)).collect();
+        self.host.install(ring, flood, NodeId(self.me.id), &self.keys);
     }
 
     fn roster(&self) -> Vec<Member> {
@@ -204,9 +184,16 @@ impl NodeShared {
         members
     }
 
+    /// Sends `ctrl` to the member listening at `addr`.
+    fn send(&self, addr: &str, ctrl: &Control) {
+        if let Some(addr) = resolve(addr) {
+            self.host.cluster.send_control(addr, &ctrl.encode());
+        }
+    }
+
     /// Applies one control message, answering `JOIN` with `WELCOME` and
     /// fanning `PEER_JOINED` out to the rest of the roster.
-    fn on_control(&self, ctrl: Control, cluster: &Cluster<LiveMsg>) {
+    fn on_control(&self, ctrl: Control) {
         match ctrl {
             Control::Join(member) => {
                 let (fresh, others) = {
@@ -225,31 +212,21 @@ impl NodeShared {
                         .collect();
                     (fresh, others)
                 };
-                self.refresh(cluster);
-                if let Some(addr) = resolve(&member.addr) {
-                    cluster.send_control(addr, &Control::Welcome(self.roster()).encode());
-                }
+                self.refresh();
+                self.send(&member.addr, &Control::Welcome(self.roster()));
                 if fresh {
                     for other in others {
-                        if let Some(addr) = resolve(&other.addr) {
-                            cluster
-                                .send_control(addr, &Control::PeerJoined(member.clone()).encode());
-                        }
+                        self.send(&other.addr, &Control::PeerJoined(member.clone()));
                     }
                 }
             }
             Control::Welcome(roster) => {
-                {
-                    let mut members = lock(&self.members);
-                    for m in roster {
-                        members.insert(m.id, m);
-                    }
-                }
-                self.refresh(cluster);
+                lock(&self.members).extend(roster.into_iter().map(|m| (m.id, m)));
+                self.refresh();
             }
             Control::PeerJoined(member) => {
                 lock(&self.members).insert(member.id, member);
-                self.refresh(cluster);
+                self.refresh();
             }
         }
     }
@@ -264,8 +241,6 @@ fn resolve(addr: &str) -> Option<SocketAddr> {
 /// process go through the [`RoundClient`] it dereferences to. See the
 /// module docs and `docs/DEPLOYMENT.md`.
 pub struct MeshNode {
-    client: RoundClient,
-    cluster: Arc<Cluster<LiveMsg>>,
     shared: Arc<NodeShared>,
     closing: Arc<AtomicBool>,
     membership: Mutex<Option<JoinHandle<()>>>,
@@ -275,7 +250,7 @@ impl std::ops::Deref for MeshNode {
     type Target = RoundClient;
 
     fn deref(&self) -> &RoundClient {
-        &self.client
+        &self.shared.host.client
     }
 }
 
@@ -304,80 +279,43 @@ impl MeshNode {
         }
         let store = store.into();
         let space = rdfmesh_chord::IdSpace::new(RING_BITS);
-        let storage_id = NodeId(id);
         let index_id = NodeId(INDEX_BASE + id);
-        let coord_id = NodeId(COORD_BASE + id);
         let pos = space.hash(&id.to_be_bytes()).0;
 
         let started = Instant::now();
         let keys = index_keys(space, &store);
         let key_pass = started.elapsed();
 
-        let stats = Arc::new(LiveStats::default());
-        let pending: PendingMap = Arc::new(Mutex::new(HashMap::new()));
-        let ring_view: RingView = Arc::new(std::sync::RwLock::new(vec![(pos, index_id)]));
-        let flood: SharedFlood = Arc::new(std::sync::RwLock::new(vec![storage_id]));
-        let table = SharedTable::default();
-
-        let index = IndexNode::new(
-            index_id,
-            Arc::clone(&table),
+        let placement = Placement {
             space,
-            Arc::clone(&ring_view),
-            Arc::clone(&stats),
-        );
-        let core = CoordinatorCore::new(
-            coord_id,
-            index_id,
-            cfg,
-            space,
-            Arc::clone(&flood),
-            Arc::clone(&stats),
-        );
-        let storage = LiveStorage::new(storage_id, store, Arc::clone(&stats));
-        let nodes: Vec<(NodeId, Box<dyn Handler<LiveMsg>>)> = vec![
-            (storage_id, Box::new(Role::Storage(storage))),
-            (index_id, Box::new(Role::Index(index))),
-            (coord_id, Box::new(Role::Coordinator(core, Arc::clone(&pending)))),
-        ];
-        let cluster = Arc::new(Cluster::bind(listen, nodes, FaultPlan::new())?);
-        let addr = cluster.local_addr().expect("a bound cluster has a listener");
-
+            ring: vec![(pos, index_id)],
+            index: vec![index_id],
+            storage: vec![(NodeId(id), store)],
+            coordinator: (NodeId(COORD_BASE + id), index_id),
+        };
+        let listen = listen.to_socket_addrs()?.collect();
+        let host = Host::start(placement, cfg, Wire::Bound(listen))?;
+        let addr = host.cluster.local_addr().expect("a bound cluster has a listener");
         let me = Member { id, pos, addr: addr.to_string() };
-        let shared = Arc::new(NodeShared {
-            me: me.clone(),
-            members: Mutex::new(HashMap::from([(id, me)])),
-            ring_view,
-            flood,
-            table,
-            keys,
-            key_pass,
-            space,
-        });
+        let members = Mutex::new(HashMap::from([(id, me.clone())]));
+        let shared = Arc::new(NodeShared { me, members, keys, key_pass, host });
         // Seed this process's own location-table slice.
-        shared.refresh(&cluster);
+        shared.refresh();
 
         let closing = Arc::new(AtomicBool::new(false));
         let membership = {
-            let cluster = Arc::clone(&cluster);
             let shared = Arc::clone(&shared);
             let closing = Arc::clone(&closing);
             std::thread::spawn(move || {
                 while !closing.load(Ordering::Relaxed) {
-                    if let Some(bytes) = cluster.recv_control(Duration::from_millis(200)) {
-                        if let Ok(ctrl) = Control::decode(&bytes) {
-                            shared.on_control(ctrl, &cluster);
-                        }
+                    let control = shared.host.cluster.recv_control(Duration::from_millis(200));
+                    if let Some(ctrl) = control.and_then(|bytes| Control::decode(&bytes).ok()) {
+                        shared.on_control(ctrl);
                     }
                 }
             })
         };
-
-        let inject_at = Arc::clone(&cluster);
-        let client = RoundClient::new(cfg, pending, stats, move |msg| {
-            inject_at.inject(coord_id, coord_id, msg);
-        });
-        Ok(MeshNode { client, cluster, shared, closing, membership: Mutex::new(Some(membership)) })
+        Ok(MeshNode { shared, closing, membership: Mutex::new(Some(membership)) })
     }
 
     /// Announces this node to the member listening at `seed`. Membership
@@ -387,7 +325,8 @@ impl MeshNode {
         let Some(addr) = seed.to_socket_addrs().ok().and_then(|mut a| a.next()) else {
             return false;
         };
-        self.cluster.send_control(addr, &Control::Join(self.shared.me.clone()).encode())
+        let join = Control::Join(self.shared.me.clone()).encode();
+        self.shared.host.cluster.send_control(addr, &join)
     }
 
     /// Members this node currently knows, itself included.
@@ -397,7 +336,7 @@ impl MeshNode {
 
     /// The address the process listener is bound to.
     pub fn local_addr(&self) -> SocketAddr {
-        self.cluster.local_addr().expect("a bound cluster has a listener")
+        self.shared.host.cluster.local_addr().expect("a bound cluster has a listener")
     }
 
     /// This node's base id.
@@ -413,7 +352,7 @@ impl MeshNode {
 
     /// Socket-layer counters (`transport.*` metric names).
     pub fn transport_stats(&self) -> TransportSnapshot {
-        self.cluster.transport_stats().expect("a bound cluster has a socket wire")
+        self.shared.host.transport_stats().expect("a bound cluster has a socket wire")
     }
 
     /// Stops the membership thread and every node thread.
@@ -422,7 +361,7 @@ impl MeshNode {
         if let Some(handle) = lock(&self.membership).take() {
             let _ = handle.join();
         }
-        self.cluster.shutdown();
+        self.shared.host.shutdown();
     }
 }
 
@@ -432,23 +371,18 @@ impl Drop for MeshNode {
     }
 }
 
-/// The index node whose slice of the shared ring owns `pattern`'s key in
-/// this node's current view, or `None` for the all-variable pattern.
-/// Exposed for tests and the `/health` endpoint.
-impl MeshNode {
-    /// See type-level docs.
-    pub fn index_owner_of(&self, pattern: &TriplePattern) -> Option<NodeId> {
-        key_for_pattern(self.shared.space, pattern)
-            .map(|k| owner_in_view(&rlock(&self.shared.ring_view), k.id.0))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::live::{owner_in_view, rlock};
     use rdfmesh_chord::Id;
     use rdfmesh_overlay::LocationTable;
     use rdfmesh_rdf::{Term, Triple};
+
+    /// A copy of `node`'s index-node location table.
+    fn table(node: &MeshNode) -> LocationTable {
+        lock(&node.shared.host.tables[&NodeId(INDEX_BASE + node.id())]).clone()
+    }
 
     fn store(rows: &[(&str, &str, &str)]) -> TripleStore {
         let mut s = TripleStore::new();
@@ -680,7 +614,7 @@ mod tests {
     /// settled: every store's keys at their owner in that node's view.
     fn owned_rows(nodes: &[MeshNode], node: &MeshNode) -> LocationTable {
         let index = NodeId(INDEX_BASE + node.id());
-        let ring = rlock(&node.shared.ring_view).clone();
+        let ring = rlock(&node.shared.host.ring_view).clone();
         let mut table = LocationTable::new();
         for provider in nodes {
             for &(key, frequency) in &provider.shared.keys {
@@ -709,7 +643,7 @@ mod tests {
             wait_members(&mesh.iter().collect::<Vec<_>>(), joined);
             let deadline = std::time::Instant::now() + Duration::from_secs(10);
             for node in mesh {
-                while *lock(&node.shared.table) != owned_rows(mesh, node) {
+                while table(node) != owned_rows(mesh, node) {
                     let id = node.id();
                     assert!(std::time::Instant::now() < deadline, "node {id} never settled");
                     std::thread::sleep(Duration::from_millis(10));
@@ -717,16 +651,16 @@ mod tests {
             }
             for node in mesh {
                 let index = NodeId(INDEX_BASE + node.id());
-                assert!(node.cluster.barrier(index, Duration::from_secs(5)));
+                assert!(node.shared.host.cluster.barrier(index, Duration::from_secs(5)));
             }
         }
         for node in &nodes {
-            let ring = rlock(&node.shared.ring_view).clone();
+            let ring = rlock(&node.shared.host.ring_view).clone();
             let index = NodeId(INDEX_BASE + node.id());
-            let table = lock(&node.shared.table);
+            let table = table(node);
             assert!(table.iter().all(|(key, _)| owner_in_view(&ring, key.0) == index));
         }
-        let first = lock(&nodes[0].shared.table).key_count();
+        let first = table(&nodes[0]).key_count();
         assert!(first < nodes[0].shared.keys.len(), "{first} rows kept");
     }
 
@@ -749,7 +683,7 @@ mod tests {
         assert!(restarted.join(a.local_addr()));
         wait_members(&[&restarted], 3);
         let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        while b.cluster.route_of(NodeId(3)) != Some(restarted.local_addr()) {
+        while b.shared.host.cluster.route_of(NodeId(3)) != Some(restarted.local_addr()) {
             assert!(std::time::Instant::now() < deadline, "B never learned C's new address");
             std::thread::sleep(Duration::from_millis(10));
         }

@@ -184,17 +184,15 @@ pub fn plan(
         .expect("non-empty candidates");
 
     let metrics = rdfmesh_obs::metrics();
-    if metrics.is_enabled() {
-        metrics.add("planner.plans", 1);
-        metrics.add(
-            match best {
-                PrimitiveStrategy::Basic => "planner.chose.basic",
-                PrimitiveStrategy::Chained => "planner.chose.chained",
-                PrimitiveStrategy::FrequencyOrdered => "planner.chose.frequency_ordered",
-            },
-            1,
-        );
-    }
+    metrics.add("planner.plans", 1);
+    metrics.add(
+        match best {
+            PrimitiveStrategy::Basic => "planner.chose.basic",
+            PrimitiveStrategy::Chained => "planner.chose.chained",
+            PrimitiveStrategy::FrequencyOrdered => "planner.chose.frequency_ordered",
+        },
+        1,
+    );
     Plan { config: ExecConfig { primitive: best, ..base }, candidates }
 }
 
@@ -354,17 +352,14 @@ fn join_graph_shape(tps: &[TriplePattern]) -> (bool, bool) {
 
 /// Bumps the `exec.strategy.*.chosen` counter for a multi-pattern BGP.
 fn note_dist_choice(strategy: DistStrategy) {
-    let metrics = rdfmesh_obs::metrics();
-    if metrics.is_enabled() {
-        metrics.add(
-            match strategy {
-                DistStrategy::Chained => rdfmesh_obs::names::EXEC_STRATEGY_CHAINED,
-                DistStrategy::HyperCube => rdfmesh_obs::names::EXEC_STRATEGY_HYPERCUBE,
-                DistStrategy::PartialEval => rdfmesh_obs::names::EXEC_STRATEGY_PARTIAL_EVAL,
-            },
-            1,
-        );
-    }
+    rdfmesh_obs::metrics().add(
+        match strategy {
+            DistStrategy::Chained => rdfmesh_obs::names::EXEC_STRATEGY_CHAINED,
+            DistStrategy::HyperCube => rdfmesh_obs::names::EXEC_STRATEGY_HYPERCUBE,
+            DistStrategy::PartialEval => rdfmesh_obs::names::EXEC_STRATEGY_PARTIAL_EVAL,
+        },
+        1,
+    );
 }
 
 fn binary(op: OpKind, a: &GraphPattern, b: &GraphPattern, cfg: &ExecConfig) -> ExecNode {

@@ -203,17 +203,15 @@ impl<'a> SimBackend<'a> {
     fn note_provider_contacted(&mut self) {
         rdfmesh_obs::count_current("providers_contacted", 1);
         let metrics = rdfmesh_obs::metrics();
-        if metrics.is_enabled() {
-            metrics.add("engine.providers_contacted", 1);
-            metrics.add(
-                match self.cfg.primitive {
-                    PrimitiveStrategy::Basic => "engine.subqueries.basic",
-                    PrimitiveStrategy::Chained => "engine.subqueries.chained",
-                    PrimitiveStrategy::FrequencyOrdered => "engine.subqueries.frequency_ordered",
-                },
-                1,
-            );
-        }
+        metrics.add("engine.providers_contacted", 1);
+        metrics.add(
+            match self.cfg.primitive {
+                PrimitiveStrategy::Basic => "engine.subqueries.basic",
+                PrimitiveStrategy::Chained => "engine.subqueries.chained",
+                PrimitiveStrategy::FrequencyOrdered => "engine.subqueries.frequency_ordered",
+            },
+            1,
+        );
     }
 
     /// Forwards a sub-query from a storage-node initiator to its entry
@@ -232,10 +230,7 @@ impl<'a> SimBackend<'a> {
 
     fn note_intermediates(&mut self, n: usize) {
         rdfmesh_obs::count_current("intermediate_solutions", n as u64);
-        let metrics = rdfmesh_obs::metrics();
-        if metrics.is_enabled() {
-            metrics.observe("engine.intermediate_solutions", n as u64);
-        }
+        rdfmesh_obs::metrics().observe("engine.intermediate_solutions", n as u64);
     }
 
     /// Records local query execution at a storage node as a zero-width
@@ -525,10 +520,8 @@ impl<'a> SimBackend<'a> {
             Resolved::Row(located) => located,
             Resolved::Keyless(at) => return self.flood(pattern, filter, at),
         };
-        let metrics = rdfmesh_obs::metrics();
-        if metrics.is_enabled() {
-            metrics.observe("engine.providers_per_pattern", located.providers.len() as u64);
-        }
+        let found = located.providers.len() as u64;
+        rdfmesh_obs::metrics().observe("engine.providers_per_pattern", found);
         if located.providers.is_empty() {
             return Ok(nowhere(&located));
         }
@@ -775,9 +768,7 @@ impl<'a> SimBackend<'a> {
         let metrics = rdfmesh_obs::metrics();
         for &d in dead {
             rdfmesh_obs::count_current("dead_providers", 1);
-            if metrics.is_enabled() {
-                metrics.add("engine.dead_provider_timeouts", 1);
-            }
+            metrics.add("engine.dead_provider_timeouts", 1);
             self.overlay.purge_storage_entries(d);
         }
     }

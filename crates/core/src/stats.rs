@@ -89,18 +89,20 @@ impl std::fmt::Display for QueryStats {
 /// Declares the live counters, each once: the atomic field of
 /// [`LiveStats`], the [`LiveStatsSnapshot`] field of the same name (which
 /// takes the documentation), the `add_*` bump, and the `rdfmesh_obs::names`
-/// constant the bump mirrors into.
+/// constant the counter is reported under.
 macro_rules! live_counters {
     ($($(#[$doc:meta])* $field:ident, $add:ident => $metric:ident;)*) => {
         /// Shared protocol counters of one host of the mesh's roles.
         ///
         /// Bumped by all three roles — the coordinator's state machine, the
-        /// index nodes and the storage nodes — wherever they run: on a
-        /// [`crate::LiveMesh`] or [`crate::MeshNode`], and in the simulator's
-        /// multiway rounds, which count each round into a fresh set. Every
-        /// bump is mirrored into the global [`rdfmesh_obs::metrics()`]
-        /// registry under its `live.*` or `exec.strategy.*` name, so the
-        /// soak experiment (§E16) and dashboards see the same numbers.
+        /// index nodes and the storage nodes — of the one host that shares
+        /// them: a [`crate::LiveMesh`] or [`crate::MeshNode`], or the
+        /// simulator's role runner, which counts each round into a fresh
+        /// set. They are that host's alone: nothing here writes the global
+        /// [`rdfmesh_obs::metrics()`] registry, so a simulated round never
+        /// counts as mesh traffic. A serve process's `GET /metrics` reports
+        /// its node's set under the `live.*` / `exec.strategy.*` names
+        /// ([`LiveStatsSnapshot::named`]).
         #[derive(Debug, Default)]
         pub struct LiveStats {
             $($field: AtomicU64,)*
@@ -118,7 +120,6 @@ macro_rules! live_counters {
                 pub fn $add(&self, delta: u64) {
                     if delta > 0 {
                         self.$field.fetch_add(delta, Relaxed);
-                        rdfmesh_obs::metrics().add(rdfmesh_obs::names::$metric, delta);
                     }
                 }
             )*
@@ -126,6 +127,13 @@ macro_rules! live_counters {
             /// A point-in-time copy of every counter.
             pub fn snapshot(&self) -> LiveStatsSnapshot {
                 LiveStatsSnapshot { $($field: self.$field.load(Relaxed),)* }
+            }
+        }
+
+        impl LiveStatsSnapshot {
+            /// Every counter under its `rdfmesh_obs::names` metric name.
+            pub fn named(&self) -> Vec<(&'static str, u64)> {
+                vec![$((rdfmesh_obs::names::$metric, self.$field),)*]
             }
         }
     };

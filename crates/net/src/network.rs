@@ -112,13 +112,11 @@ impl Network {
         // process-wide registry. Both are cheap no-ops when idle.
         rdfmesh_obs::charge_current(bytes as u64);
         let metrics = rdfmesh_obs::metrics();
-        if metrics.is_enabled() {
-            metrics.add("net.messages", 1);
-            metrics.add("net.bytes", bytes as u64);
-            metrics.observe("net.message_bytes", bytes as u64);
-            if let Some(class) = *self.byte_class.borrow() {
-                metrics.add(class, bytes as u64);
-            }
+        metrics.add("net.messages", 1);
+        metrics.add("net.bytes", bytes as u64);
+        metrics.observe("net.message_bytes", bytes as u64);
+        if let Some(class) = *self.byte_class.borrow() {
+            metrics.add(class, bytes as u64);
         }
         arrival
     }

@@ -308,10 +308,7 @@ impl Overlay {
                     }
                 }
             }
-            let metrics = rdfmesh_obs::metrics();
-            if metrics.is_enabled() {
-                metrics.add("overlay.cache.invalidations", keys.len() as u64);
-            }
+            rdfmesh_obs::metrics().add("overlay.cache.invalidations", keys.len() as u64);
         }
     }
 
@@ -805,14 +802,12 @@ impl Overlay {
         let arrival = self.walk(&path, depart)?;
         rdfmesh_obs::end_current(span, arrival.0);
         let metrics = rdfmesh_obs::metrics();
-        if metrics.is_enabled() {
-            metrics.add("overlay.locates", 1);
-            metrics.add("overlay.index_hops", hops as u64);
-            metrics.observe("overlay.index_hops_per_locate", hops as u64);
-            if hops < full_hops {
-                metrics.add("overlay.hot.short_circuits", 1);
-                metrics.add("overlay.hot.hops_saved", (full_hops - hops) as u64);
-            }
+        metrics.add("overlay.locates", 1);
+        metrics.add("overlay.index_hops", hops as u64);
+        metrics.observe("overlay.index_hops_per_locate", hops as u64);
+        if hops < full_hops {
+            metrics.add("overlay.hot.short_circuits", 1);
+            metrics.add("overlay.hot.hops_saved", (full_hops - hops) as u64);
         }
         // The owner's row. Hot copies mirror the authoritative row exactly
         // (they are dropped on any row change), so a truncated walk reads
@@ -863,10 +858,7 @@ impl Overlay {
             }
         }
         hot.replicas.insert(key, succs);
-        let metrics = rdfmesh_obs::metrics();
-        if metrics.is_enabled() {
-            metrics.add("overlay.hot.replications", 1);
-        }
+        rdfmesh_obs::metrics().add("overlay.hot.replications", 1);
     }
 
     /// Resolves the providers holding triples `(?s, predicate, ?o)` with
@@ -910,11 +902,9 @@ impl Overlay {
         }
         rdfmesh_obs::end_current(span, arrival.0);
         let metrics = rdfmesh_obs::metrics();
-        if metrics.is_enabled() {
-            metrics.add("overlay.locates", 1);
-            metrics.add("overlay.index_hops", hops as u64);
-            metrics.observe("overlay.index_hops_per_locate", hops as u64);
-        }
+        metrics.add("overlay.locates", 1);
+        metrics.add("overlay.index_hops", hops as u64);
+        metrics.observe("overlay.index_hops_per_locate", hops as u64);
         providers.sort_by_key(|p| p.node);
         Ok(Some(Located {
             key: IndexKey { kind: KeyKind::PON, id: buckets.key(space, predicate, 0) },

@@ -48,11 +48,6 @@ impl Iri {
     pub fn as_str(&self) -> &str {
         &self.0
     }
-
-    /// Consumes the IRI, returning the inner string.
-    pub fn into_string(self) -> String {
-        self.0
-    }
 }
 
 impl fmt::Display for Iri {

@@ -94,6 +94,15 @@
 # are the SHA-1 kernel's pick of the x86-64 SHA extensions
 # (crates/chord/src/hash.rs), and the comment run above the block opens
 # `// SAFETY:`.
+# One host runs the mesh's roles (crates/core/src/live/host.rs): it alone
+# builds the index, storage and coordinator roles on a cluster and the
+# client in front of them — one `RoundClient::new(` and one
+# `IndexNode::new(`; a `CoordinatorCore::new(` and a `LiveStorage::new(`
+# there and in the simulator's role runner — and the host's view of the
+# ring answers `index_owner_of` once (the client's). The host alone keeps
+# its counters: `LiveStats` writes nothing to the global registry (no
+# `metrics().add(` in stats.rs), and the registry checks its own switch
+# (no `is_enabled()` under src or crates/*/src outside crates/obs).
 # Fails when a second copy appears. Test modules (`mod tests` to end of
 # file) and comment lines are not code.
 set -eu
@@ -141,6 +150,13 @@ expect 'wire::rows_encoded_len sites under live/' \
 expect 'role struct literals (one per constructor)' \
     "$(code ./*.rs live/*.rs | grep -E "$role" | grep -cvE "(struct|impl|for) $role" || true)" 3
 expect_at 'impl Handler<LiveMsg> for' 'live/mod.rs:1'
+expect_at 'RoundClient::new(' 'live/host.rs:1'
+expect_at 'IndexNode::new(' 'live/host.rs:1'
+expect_at 'CoordinatorCore::new(' 'sim_backend.rs:1 live/host.rs:1'
+expect_at 'LiveStorage::new(' 'sim_backend.rs:1 live/host.rs:1'
+expect_at 'fn index_owner_of' 'live/client.rs:1'
+expect 'metrics().add( in stats.rs (a mirror of the host'"'"'s counters)' \
+    "$(code stats.rs | grep -cF 'metrics().add(' || true)" 0
 expect 'Outbox in live/{coordinator,index,storage}.rs' \
     "$(code live/coordinator.rs live/index.rs live/storage.rs | grep -c 'Outbox' || true)" 0
 expect_at 'provider::scatter(' 'live/storage.rs:1'
@@ -364,6 +380,8 @@ expect_files 'fn serialized_len under crates/sparql/src and crates/core/src' \
     "$(files_with 'fn serialized_len\b' $(find crates/sparql/src crates/core/src -name '*.rs' | sort))" ''
 expect_files 'SUBQUERY_HEADER / RESULT_HEADER under src and crates/*/src' \
     "$(files_with '\b(SUBQUERY|RESULT)_HEADER\b' $(find src crates/*/src -name '*.rs' | sort))" ''
+expect_files 'is_enabled() under src and crates/*/src outside crates/obs' \
+    "$(files_with 'is_enabled\(\)' $(find src crates/*/src -name '*.rs' ! -path 'crates/obs/*' | sort))" ''
 # One unsafe block in library code: the call that runs the SHA-1 kernel
 # the CPU was seen to support. `unsafe fn` / `unsafe impl` count too.
 lib_rs=$(find src crates/*/src -name '*.rs' | sort)
@@ -380,5 +398,5 @@ safety=$(awk '/^mod tests/{exit}
     /unsafe \{/{ print (first ~ /^ *\/\/ SAFETY:/) ? "ok" : "missing" }
     { run = 0; first = "" }' "$hash_rs")
 expect "unsafe blocks in $hash_rs under a // SAFETY: comment" "$(echo "$safety" | grep -c '^ok$' || true)" 1
-[ "$bad" -eq 0 ] && echo 'exists once: provider compute, exchange pricing, reply accounting, role constructors, the role host, the multiway protocol, regex compilation, lending scan, JSON escaping, result writers, the stopwatch, the pipeline tail, the operator table, the lookup leg, the cluster, the publication path, the frequency column, the move-small rule, the location table, the key count, the list-count bound, the bind step, the role runner, the query account, the statistics pass, the fan-out, the row read, the generation writer, the commit, the row batch, the triple index, the term dictionary, the answer batch, the whole-store walk, the independent oracle, the byte codec, the log replay, the unsafe block, the key batch, the failpoint, the byte yardstick, the filter evaluator'
+[ "$bad" -eq 0 ] && echo 'exists once: provider compute, exchange pricing, reply accounting, role constructors, the role host, the multiway protocol, regex compilation, lending scan, JSON escaping, result writers, the stopwatch, the pipeline tail, the operator table, the lookup leg, the cluster, the publication path, the frequency column, the move-small rule, the location table, the key count, the list-count bound, the bind step, the role runner, the query account, the statistics pass, the fan-out, the row read, the generation writer, the commit, the row batch, the triple index, the term dictionary, the answer batch, the whole-store walk, the independent oracle, the byte codec, the log replay, the unsafe block, the key batch, the failpoint, the byte yardstick, the filter evaluator, the host'"'"'s client, the host'"'"'s ledger, the registry switch'
 exit "$bad"

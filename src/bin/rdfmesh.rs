@@ -42,7 +42,7 @@ use std::time::Duration;
 use rdfmesh::core::{ExecConfig, LiveConfig, PlanObjective, PrimitiveStrategy};
 use rdfmesh::sparql::{to_json, to_tsv, to_xml};
 use rdfmesh::workload::{foaf, FoafConfig};
-use rdfmesh::{Engine, MeshNode, PatternSource, ServeOptions, SharingSystem, SparqlEndpoint};
+use rdfmesh::{MeshNode, PatternSource, ServeOptions, SharingSystem, SparqlEndpoint};
 
 struct Options {
     peers: usize,
@@ -203,10 +203,8 @@ fn run_query(o: &Options) -> Result<(), String> {
     let (mut sys, initiator) = build_synthetic(o)?;
     let exec = match o.objective {
         Some(objective) => {
-            let cfg = *sys.config();
-            let overlay = sys.overlay_mut();
-            let (exec, plan) = Engine::new(overlay, cfg)
-                .execute_with_objective(initiator, query, objective)
+            let (exec, plan) = sys
+                .query_for_objective(initiator, query, objective)
                 .map_err(|e| e.to_string())?;
             eprintln!("# planner chose: {}", plan.config.primitive);
             exec

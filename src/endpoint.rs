@@ -13,8 +13,10 @@
 //!   full answer from one that survived a provider crash;
 //! * `GET /health` reports the process's roster size, for liveness
 //!   probes and the `docs/DEPLOYMENT.md` walkthrough;
-//! * `GET /metrics` dumps the process-wide [`rdfmesh_obs`] registry as
-//!   flat `name value` text, one metric per line.
+//! * `GET /metrics` dumps the process-wide [`rdfmesh_obs`] registry and
+//!   the node's own protocol counters ([`rdfmesh_core::LiveStats`], under
+//!   their `live.*` / `exec.strategy.*` names) as flat `name value` text,
+//!   one metric per line.
 //!
 //! A bounded pool of handler threads drains accepted connections from a
 //! bounded hand-off queue, `Connection: close` semantics: concurrent
@@ -496,11 +498,13 @@ fn answer(req: &Request, node: &MeshNode, options: ServeOptions) -> Response {
                 node.local_addr()
             ),
         ),
-        ("GET", "/metrics") => Response::new(
-            "200 OK",
-            "text/plain; charset=utf-8",
-            render_metrics(&rdfmesh_obs::metrics().snapshot()),
-        ),
+        ("GET", "/metrics") => {
+            let mut snap = rdfmesh_obs::metrics().snapshot();
+            for (name, value) in node.stats().named() {
+                snap.counters.insert(name.to_string(), value);
+            }
+            Response::new("200 OK", "text/plain; charset=utf-8", render_metrics(&snap))
+        }
         ("GET" | "POST", "/sparql") => {
             let Some(query) = sparql_text(req) else {
                 return Response::error("400 Bad Request", "missing query parameter");

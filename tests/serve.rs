@@ -249,6 +249,36 @@ fn three_serve_processes_answer_http_queries_like_the_simulator() {
     assert!(body.contains("\"failed_providers\":[]"), "unexpected failures: {body}");
     assert_eq!(bindings_of(&body), sim_bindings(&triples, conjunctive));
 
+    // The coordinating process's /metrics after that bind join: every
+    // protocol counter the repo benchmark reads (benchmark/src/load.rs)
+    // prints, zero or not, those the query must move above zero, and the
+    // socket counters as before. (`live.batches` and `live.batched_rounds`,
+    // which it also reads, are counted nowhere.)
+    let (status, body) = http(&http3, &format!("GET /metrics HTTP/1.1\r\nHost: {http3}\r\n\r\n"));
+    assert!(status.contains("200"), "metrics route failed: {status}");
+    let metric = |name: &str| -> Option<u64> {
+        body.lines().find_map(|line| line.strip_prefix(name)?.strip_prefix(' ')?.parse().ok())
+    };
+    for name in [
+        "live.retries",
+        "live.ack_timeouts",
+        "live.lookup_failures",
+        "live.incomplete_queries",
+        "live.queued",
+        "live.rejected",
+    ] {
+        assert!(metric(name).is_some(), "{name} missing from /metrics: {body}");
+    }
+    for name in [
+        "live.solution_rounds",
+        "live.solutions_shipped",
+        "live.solution_bytes",
+        "transport.bytes_sent",
+        "transport.frames_sent",
+    ] {
+        assert!(metric(name).is_some_and(|v| v > 0), "{name} not moved in /metrics: {body}");
+    }
+
     // OPTIONAL over the same mesh, via POST with a raw query body: only
     // alice has a mailbox, so one row binds ?m and two leave it out.
     let optional =
