@@ -40,8 +40,7 @@ pub use exec::{ExecNode, ExecPlan, Mat, MeshBackend, OpKind, PrimitiveOp};
 pub use rdfmesh_cache::{CacheConfig, CacheStats, QueryCache};
 pub use rdfmesh_net::FaultPlan;
 pub use live::{
-    DeadlineStage, LiveAnswer, LiveMesh, LiveMsg, QueryId, RoundClient, RoundHandle, Transport,
-    COORDINATOR,
+    LiveAnswer, LiveMesh, LiveMsg, QueryId, RoundClient, RoundHandle, Transport, COORDINATOR,
 };
 pub use live_backend::{LiveBackend, LiveError, LiveExecution, SolutionRounds};
 pub use node::MeshNode;

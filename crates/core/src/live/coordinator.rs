@@ -3,6 +3,7 @@
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
+use std::time::Duration;
 
 use rdfmesh_net::NodeId;
 use rdfmesh_overlay::key_for_pattern;
@@ -10,7 +11,7 @@ use rdfmesh_rdf::{TriplePattern, Variable};
 use rdfmesh_sparql::expr::Expression;
 use rdfmesh_sparql::Rows;
 
-use super::{rlock, Action, DeadlineStage, LiveAnswer, LiveMsg, QueryId, SharedFlood};
+use super::{rlock, Action, LiveAnswer, LiveMsg, QueryId, SharedFlood};
 use crate::config::{DistStrategy, LiveConfig};
 use crate::provider;
 use crate::stats::LiveStats;
@@ -47,6 +48,9 @@ struct Slot {
     pattern: TriplePattern,
     /// Current lookup attempt (0-based).
     lookup_attempt: u8,
+    /// When the current lookup attempt times out; read while the slot is
+    /// open (`providers` is `None`).
+    lookup_due: Duration,
     /// The pattern's providers as the index named them, each with its
     /// frequency (`None` for a flooded provider: no row names it); `None`
     /// until its lookup answers.
@@ -72,6 +76,14 @@ fn join_fetched(keys: Rows, fetched: Vec<Rows>) -> Rows {
     let mut matches = Rows::new();
     fetched.into_iter().for_each(|reply| matches.append(reply));
     keys.join(&matches.distinct())
+}
+
+/// A provider whose reply a round awaits: the exec attempt its frame is
+/// on (0-based) and when that attempt times out.
+#[derive(Debug, Clone, Copy)]
+struct Awaited {
+    attempt: u8,
+    due: Duration,
 }
 
 /// Where the distribution strategies differ: the exec frame a provider
@@ -115,7 +127,9 @@ enum RoundKind {
 /// One in-flight round's coordinator state, whatever its strategy: the
 /// slots resolve their providers concurrently, then the exec frame fans
 /// out to the provider union and the replies gather under the
-/// Sect. III-D ack/retry/purge rules.
+/// Sect. III-D ack/retry/purge rules. Every wait is a due time here, on
+/// the host's clock: an open slot's lookup, an awaited provider's ack and
+/// the round's deadline. A finished round is gone, and its waits with it.
 #[derive(Debug)]
 struct Round {
     slots: Vec<Slot>,
@@ -124,27 +138,32 @@ struct Round {
     /// index named them (so a chained round contacts its providers in
     /// location-table order) — empty until then. Shrinks when a HyperCube restart drops a dead peer.
     peers: Vec<NodeId>,
-    /// provider → current exec attempt (0-based).
-    outstanding: HashMap<NodeId, u8>,
+    /// The providers whose replies the round awaits.
+    outstanding: HashMap<NodeId, Awaited>,
     failed: Vec<NodeId>,
     /// Every reply's rows, in arrival order: deduplicated once, when the
     /// round finishes (identical rows from replicated triples collapse).
     gathered: Rows,
+    /// When the whole round gives up: the query deadline after its
+    /// submission.
+    deadline: Duration,
 }
 
 impl Round {
-    /// The shuffle generation a HyperCube round is on; 0 for the others.
-    fn generation(&self) -> u32 {
-        match self.kind {
-            RoundKind::HyperCube { generation, .. } => generation,
-            _ => 0,
-        }
+    /// The earliest of the round's due times.
+    fn next_due(&self) -> Duration {
+        let lookups = self.slots.iter().filter(|s| s.providers.is_none()).map(|s| s.lookup_due);
+        let acks = self.outstanding.values().map(|a| a.due);
+        lookups.chain(acks).fold(self.deadline, Duration::min)
     }
 }
 
 /// The per-query coordinator state machine. Every transition consumes
-/// one event and returns the actions to perform; it owns no channels,
-/// threads, or clocks, which is what makes it exhaustively testable.
+/// one event and returns the actions to perform; it owns no channels or
+/// threads and reads no clock. Its host hands it `now`, the time since
+/// the host's epoch, with every event, asks [`CoordinatorCore::next_wake`]
+/// when its earliest wait runs out and calls [`CoordinatorCore::on_wake`]
+/// then — which is what makes it exhaustively testable.
 #[derive(Debug)]
 pub(crate) struct CoordinatorCore {
     me: NodeId,
@@ -182,38 +201,30 @@ impl CoordinatorCore {
         }
     }
 
-    pub(crate) fn on_event(&mut self, from: NodeId, msg: LiveMsg) -> Vec<Action> {
+    /// Consumes one message that arrived at `now`.
+    pub(crate) fn on_event(&mut self, now: Duration, from: NodeId, msg: LiveMsg) -> Vec<Action> {
         match msg {
             LiveMsg::SubmitSol { qid, pattern, filter, bound } => {
                 let (fetch_from, fetched) = (Vec::new(), Vec::new());
                 let bound = bound.map(Box::new);
                 let kind = RoundKind::Chained { filter, bound, fetch_from, fetched };
-                self.on_submit(qid, vec![pattern], kind)
+                self.on_submit(now, qid, vec![pattern], kind)
             }
             LiveMsg::SubmitMulti { qid, patterns, join_vars, strategy } => {
                 let kind = match strategy {
                     DistStrategy::HyperCube => RoundKind::HyperCube { join_vars, generation: 0 },
                     _ => RoundKind::PartialEval { replies: Vec::new() },
                 };
-                self.on_submit(qid, patterns, kind)
+                self.on_submit(now, qid, patterns, kind)
             }
             LiveMsg::Providers { qid, pattern, providers } => {
                 let named = providers.into_iter().map(|(p, f)| (p, Some(f))).collect();
-                self.on_providers(qid, &pattern, named)
+                self.on_providers(now, qid, &pattern, named)
             }
             LiveMsg::Solutions { qid, solutions } => self.on_solutions(qid, from, solutions),
             LiveMsg::PartialMatches { qid, per_pattern } => {
                 self.on_partial_matches(qid, from, per_pattern)
             }
-            LiveMsg::Deadline { qid, stage } => match stage {
-                DeadlineStage::Lookup { slot, attempt } => {
-                    self.on_lookup_timeout(qid, slot as usize, attempt)
-                }
-                DeadlineStage::Ack { provider, attempt, generation } => {
-                    self.on_ack_timeout(qid, provider, attempt, generation)
-                }
-                DeadlineStage::Overall => self.on_overall_deadline(qid),
-            },
             // Strays addressed to other roles are ignored.
             LiveMsg::Lookup { .. }
             | LiveMsg::SubQuerySol { .. }
@@ -262,43 +273,24 @@ impl CoordinatorCore {
         }
     }
 
-    /// The exec frame and a fresh ack deadline for every current peer.
-    fn fan_out(&self, qid: QueryId, q: &Round) -> Vec<Action> {
-        let mut actions = Vec::new();
-        for &p in &q.peers {
-            actions.push(Action::Send { to: p, msg: self.exec_frame(qid, q, p) });
-            actions.push(self.ack_deadline(qid, q, p, 0));
-        }
-        actions
+    /// The exec frame for every current peer of round `qid`, each awaited
+    /// at a first attempt due an ack timeout from `now`.
+    fn fan_out(&mut self, now: Duration, qid: QueryId) -> Vec<Action> {
+        let awaited = Awaited { attempt: 0, due: now + self.cfg.ack_timeout };
+        let q = self.in_flight.get_mut(&qid).expect("a round in flight fans out");
+        q.outstanding = q.peers.iter().map(|&p| (p, awaited)).collect();
+        let q = &self.in_flight[&qid];
+        q.peers.iter().map(|&p| Action::Send { to: p, msg: self.exec_frame(qid, q, p) }).collect()
     }
 
-    /// `provider`'s ack deadline for `attempt` of round `qid` as it
-    /// stands — tagged with its generation, which a HyperCube restart
-    /// leaves behind.
-    fn ack_deadline(&self, qid: QueryId, q: &Round, provider: NodeId, attempt: u8) -> Action {
-        let stage = DeadlineStage::Ack { provider, attempt, generation: q.generation() };
-        Action::Schedule { after: self.cfg.ack_timeout, msg: LiveMsg::Deadline { qid, stage } }
-    }
-
-    /// One slot's lookup at the index node and the deadline guarding it.
-    fn lookup(&self, qid: QueryId, slot: usize, pattern: TriplePattern, attempt: u8) -> [Action; 2] {
-        [
-            Action::Send {
-                to: self.index,
-                msg: LiveMsg::Lookup { qid, pattern, reply_to: self.me },
-            },
-            Action::Schedule {
-                after: self.cfg.lookup_timeout,
-                msg: LiveMsg::Deadline {
-                    qid,
-                    stage: DeadlineStage::Lookup { slot: slot as u32, attempt },
-                },
-            },
-        ]
+    /// One slot's lookup at the index node.
+    fn lookup(&self, qid: QueryId, pattern: TriplePattern) -> Action {
+        Action::Send { to: self.index, msg: LiveMsg::Lookup { qid, pattern, reply_to: self.me } }
     }
 
     fn on_submit(
         &mut self,
+        now: Duration,
         qid: QueryId,
         patterns: Vec<TriplePattern>,
         kind: RoundKind,
@@ -311,9 +303,10 @@ impl CoordinatorCore {
                 LiveAnswer { solutions: Rows::new(), complete: true, failed_providers: Vec::new() };
             return vec![Action::Finish { qid, answer }];
         }
+        let lookup_due = now + self.cfg.lookup_timeout;
         let slots = patterns
             .iter()
-            .map(|p| Slot { pattern: p.clone(), lookup_attempt: 0, providers: None })
+            .map(|p| Slot { pattern: p.clone(), lookup_attempt: 0, lookup_due, providers: None })
             .collect();
         self.in_flight.insert(
             qid,
@@ -324,6 +317,7 @@ impl CoordinatorCore {
                 outstanding: HashMap::new(),
                 failed: Vec::new(),
                 gathered: Rows::new(),
+                deadline: now + self.cfg.query_deadline,
             },
         );
         let mut actions = Vec::new();
@@ -336,19 +330,15 @@ impl CoordinatorCore {
                 continue;
             }
             if key_for_pattern(self.space, &pattern).is_some() {
-                actions.extend(self.lookup(qid, slot, pattern, 0));
+                actions.push(self.lookup(qid, pattern));
             } else {
                 // No location-table row exists for the all-variable
                 // pattern: skip the lookup and flood every storage node
                 // (Sect. IV-B), whose frequencies no row gives.
                 let flood = rlock(&self.flood).iter().map(|&p| (p, None)).collect();
-                actions.extend(self.on_providers(qid, &pattern, flood));
+                actions.extend(self.on_providers(now, qid, &pattern, flood));
             }
         }
-        actions.push(Action::Schedule {
-            after: self.cfg.query_deadline,
-            msg: LiveMsg::Deadline { qid, stage: DeadlineStage::Overall },
-        });
         actions
     }
 
@@ -361,6 +351,7 @@ impl CoordinatorCore {
     /// arrived, or a reply to some other round — is stale.
     fn on_providers(
         &mut self,
+        now: Duration,
         qid: QueryId,
         pattern: &TriplePattern,
         providers: Vec<(NodeId, Option<u64>)>,
@@ -391,14 +382,13 @@ impl CoordinatorCore {
         let mut seen = HashSet::new();
         let named = q.slots.iter().flat_map(|s| s.providers.iter().flatten().map(|(p, _)| *p));
         q.peers = named.filter(|p| seen.insert(*p)).collect();
-        q.outstanding = q.peers.iter().map(|p| (*p, 0)).collect();
         if let RoundKind::Chained { filter, bound: Some(keys), fetch_from, .. } = &mut q.kind {
             let row = q.slots[0].providers.iter().flatten();
             let fetch = row.filter(|(_, f)| !ships_keys(keys.len(), *f, filter.is_some()));
             *fetch_from = fetch.map(|(p, _)| *p).collect();
             self.stats.add_gathered_legs(fetch_from.len() as u64);
         }
-        self.fan_out(qid, &self.in_flight[&qid])
+        self.fan_out(now, qid)
     }
 
     /// Takes `from` off the round's outstanding set if the round awaits
@@ -460,45 +450,77 @@ impl CoordinatorCore {
         self.settle(qid)
     }
 
-    fn on_lookup_timeout(&mut self, qid: QueryId, slot: usize, attempt: u8) -> Vec<Action> {
-        let Some(s) = self.in_flight.get_mut(&qid).and_then(|q| q.slots.get_mut(slot)) else {
+    /// When the earliest wait of any round in flight runs out; `None`
+    /// while no round is in flight.
+    pub(crate) fn next_wake(&self) -> Option<Duration> {
+        self.in_flight.values().map(Round::next_due).min()
+    }
+
+    /// Runs whatever is due at `now`, round by round in query-id order: a
+    /// round past its deadline finishes with what it gathered; otherwise
+    /// each open slot whose lookup is due, in slot order, then each
+    /// awaited provider whose ack is due, in the order the exec frames
+    /// went out, retries or gives up.
+    pub(crate) fn on_wake(&mut self, now: Duration) -> Vec<Action> {
+        let in_flight = self.in_flight.iter();
+        let mut due: Vec<QueryId> =
+            in_flight.filter(|(_, q)| q.next_due() <= now).map(|(&qid, _)| qid).collect();
+        due.sort_unstable();
+        let mut actions = Vec::new();
+        for qid in due {
+            let q = &self.in_flight[&qid];
+            if q.deadline <= now {
+                actions.extend(self.on_overall_deadline(qid));
+                continue;
+            }
+            let open = |s: &Slot| s.providers.is_none() && s.lookup_due <= now;
+            let lookups: Vec<usize> = (0..q.slots.len()).filter(|&i| open(&q.slots[i])).collect();
+            let awaited = |p: &NodeId| q.outstanding.get(p).is_some_and(|a| a.due <= now);
+            let acks: Vec<NodeId> = q.peers.iter().copied().filter(awaited).collect();
+            for slot in lookups {
+                actions.extend(self.expire_lookup(now, qid, slot));
+            }
+            for provider in acks {
+                // A HyperCube restart re-arms the survivors: an earlier
+                // provider's death may have put this one's wait ahead.
+                let q = self.in_flight.get(&qid);
+                if q.and_then(|q| q.outstanding.get(&provider)).is_some_and(|a| a.due <= now) {
+                    actions.extend(self.expire_ack(now, qid, provider));
+                }
+            }
+        }
+        actions
+    }
+
+    /// Open slot `slot`'s lookup timed out at `now`: ask again, or once
+    /// its retries are spent fail the round.
+    fn expire_lookup(&mut self, now: Duration, qid: QueryId, slot: usize) -> Vec<Action> {
+        let Some(s) = self.in_flight.get_mut(&qid).map(|q| &mut q.slots[slot]) else {
             return Vec::new();
         };
-        if s.providers.is_some() || s.lookup_attempt != attempt {
-            return Vec::new(); // answered, or a stale deadline
-        }
-        if attempt < self.cfg.retries {
-            s.lookup_attempt = attempt + 1;
+        if s.lookup_attempt < self.cfg.retries {
+            s.lookup_attempt += 1;
+            s.lookup_due = now + self.cfg.lookup_timeout;
             self.stats.add_retries(1);
             let pattern = s.pattern.clone();
-            self.lookup(qid, slot, pattern, attempt + 1).into()
+            vec![self.lookup(qid, pattern)]
         } else {
             self.stats.add_lookup_failures(1);
             self.finish(qid, false)
         }
     }
 
-    fn on_ack_timeout(
-        &mut self,
-        qid: QueryId,
-        provider: NodeId,
-        attempt: u8,
-        generation: u32,
-    ) -> Vec<Action> {
+    /// `provider`'s current attempt timed out at `now`: retransmit its
+    /// exec frame, or once its retries are spent declare it dead — the
+    /// Sect. III-D query-ack timeout.
+    fn expire_ack(&mut self, now: Duration, qid: QueryId, provider: NodeId) -> Vec<Action> {
         let Some(q) = self.in_flight.get_mut(&qid) else { return Vec::new() };
-        if q.outstanding.get(&provider) != Some(&attempt) || q.generation() != generation {
-            // Answered, escalated, or a stale deadline: armed for an
-            // earlier attempt, or for a generation a restart abandoned.
-            return Vec::new();
-        }
-        if attempt < self.cfg.retries {
-            q.outstanding.insert(provider, attempt + 1);
+        let Some(awaited) = q.outstanding.get_mut(&provider) else { return Vec::new() };
+        if awaited.attempt < self.cfg.retries {
+            *awaited = Awaited { attempt: awaited.attempt + 1, due: now + self.cfg.ack_timeout };
             self.stats.add_retries(1);
             let q = &self.in_flight[&qid];
-            return vec![
-                Action::Send { to: provider, msg: self.exec_frame(qid, q, provider) },
-                self.ack_deadline(qid, q, provider, attempt + 1),
-            ];
+            return vec![Action::Send { to: provider, msg: self.exec_frame(qid, q, provider) }];
         }
         q.outstanding.remove(&provider);
         q.failed.push(provider);
@@ -517,13 +539,12 @@ impl CoordinatorCore {
         // A HyperCube generation cannot finish without every peer's
         // partitions — the surviving targets are stalled waiting for the
         // dead peer's scatter. Re-issue the round over the survivors
-        // under a bumped generation; partitions from the abandoned one
-        // are fenced off by the generation tag.
+        // under a bumped generation, each awaited afresh; partitions from
+        // the abandoned one are fenced off by the generation tag.
         if let RoundKind::HyperCube { generation, .. } = &mut q.kind {
             *generation += 1;
             q.peers.retain(|p| *p != provider);
-            q.outstanding = q.peers.iter().map(|p| (*p, 0)).collect();
-            actions.extend(self.fan_out(qid, &self.in_flight[&qid]));
+            actions.extend(self.fan_out(now, qid));
         }
         actions.extend(self.settle(qid));
         actions
@@ -542,31 +563,25 @@ impl CoordinatorCore {
         self.finish(qid, false)
     }
 
-    /// The attempt and generation `provider`'s exec frame for round `qid`
-    /// is on, if the round still awaits its reply.
-    fn exec_attempt(&self, qid: QueryId, provider: NodeId) -> Option<(u8, u32)> {
-        let q = self.in_flight.get(&qid)?;
-        Some((*q.outstanding.get(&provider)?, q.generation()))
-    }
-
-    /// A synchronously failed send is an immediate timeout at the
-    /// target's current attempt (Sect. III-D): the transport already
+    /// A synchronously failed send at `now` is an immediate timeout at
+    /// the target's current attempt (Sect. III-D): the transport already
     /// knows the peer is unreachable, so waiting out the deadline would
     /// only delay the retry/purge.
-    pub(crate) fn on_send_failed(&mut self, to: NodeId, key: SendKey) -> Vec<Action> {
+    pub(crate) fn on_send_failed(
+        &mut self,
+        now: Duration,
+        to: NodeId,
+        key: SendKey,
+    ) -> Vec<Action> {
         self.stats.add_send_failures(1);
         match key {
-            SendKey::Exec(qid) => match self.exec_attempt(qid, to) {
-                Some((attempt, generation)) => self.on_ack_timeout(qid, to, attempt, generation),
-                None => Vec::new(),
-            },
+            SendKey::Exec(qid) => self.expire_ack(now, qid, to),
             // The first open slot awaiting this pattern: equal patterns
             // in one round are interchangeable.
             SendKey::Lookup(qid, pattern) => {
-                let open = |s: &&Slot| s.providers.is_none() && s.pattern == pattern;
-                let slots = self.in_flight.get(&qid).into_iter().flat_map(|q| &q.slots);
-                match slots.enumerate().find(|(_, s)| open(s)).map(|(i, s)| (i, s.lookup_attempt)) {
-                    Some((slot, attempt)) => self.on_lookup_timeout(qid, slot, attempt),
+                let open = |s: &Slot| s.providers.is_none() && s.pattern == pattern;
+                match self.in_flight.get(&qid).and_then(|q| q.slots.iter().position(open)) {
+                    Some(slot) => self.expire_lookup(now, qid, slot),
                     None => Vec::new(),
                 }
             }
@@ -630,6 +645,8 @@ mod tests {
         use proptest::prelude::*;
 
         const IX: NodeId = NodeId(1000);
+        /// The host's clock when a test does not care what it reads.
+        const T0: Duration = Duration::ZERO;
         const P1: NodeId = NodeId(1);
         const P2: NodeId = NodeId(2);
         const P3: NodeId = NodeId(3);
@@ -664,7 +681,8 @@ mod tests {
         /// Opens a chained solution round over [`pattern`].
         fn submit(c: &mut CoordinatorCore, qid: QueryId) -> Vec<Action> {
             let (filter, bound) = (None, None);
-            c.on_event(COORDINATOR, LiveMsg::SubmitSol { qid, pattern: pattern(), filter, bound })
+            let round = LiveMsg::SubmitSol { qid, pattern: pattern(), filter, bound };
+            c.on_event(T0, COORDINATOR, round)
         }
 
         /// Opens a multiway round over `patterns`, joined on `?x`.
@@ -675,7 +693,7 @@ mod tests {
             strategy: DistStrategy,
         ) -> Vec<Action> {
             let join_vars = vec![Variable::new("x")];
-            c.on_event(COORDINATOR, LiveMsg::SubmitMulti { qid, patterns, join_vars, strategy })
+            c.on_event(T0, COORDINATOR, LiveMsg::SubmitMulti { qid, patterns, join_vars, strategy })
         }
 
         /// The index node's answer to the lookup of `pattern`: `providers`,
@@ -698,7 +716,7 @@ mod tests {
             pattern: TriplePattern,
             providers: Vec<(NodeId, u64)>,
         ) -> Vec<Action> {
-            c.on_event(IX, LiveMsg::Providers { qid, pattern, providers })
+            c.on_event(T0, IX, LiveMsg::Providers { qid, pattern, providers })
         }
 
         /// `sols` as the one id batch a bind step hands its round.
@@ -713,7 +731,7 @@ mod tests {
             solutions: Vec<Solution>,
         ) -> Vec<Action> {
             let solutions = Rows::from_solutions(&solutions);
-            c.on_event(from, LiveMsg::Solutions { qid, solutions })
+            c.on_event(T0, from, LiveMsg::Solutions { qid, solutions })
         }
 
         /// A partial evaluation's reply: `sets[slot]` for every slot.
@@ -722,8 +740,21 @@ mod tests {
             LiveMsg::PartialMatches { qid, per_pattern }
         }
 
-        fn deadline(c: &mut CoordinatorCore, qid: QueryId, stage: DeadlineStage) -> Vec<Action> {
-            c.on_event(COORDINATOR, LiveMsg::Deadline { qid, stage })
+        /// The default configuration's waits.
+        fn ack() -> Duration {
+            LiveConfig::default().ack_timeout
+        }
+
+        fn lookup_wait() -> Duration {
+            LiveConfig::default().lookup_timeout
+        }
+
+        fn query_deadline() -> Duration {
+            LiveConfig::default().query_deadline
+        }
+
+        fn ms(n: u64) -> Duration {
+            Duration::from_millis(n)
         }
 
         fn finishes(actions: &[Action]) -> Vec<(QueryId, LiveAnswer)> {
@@ -794,17 +825,17 @@ mod tests {
             submit(&mut c, qid);
             providers(&mut c, qid, pattern(), vec![P1, P2]);
             solutions(&mut c, P1, qid, vec![xsol(1)]);
-            // P2 never answers: deadline at attempt 0 retries...
-            let stage = DeadlineStage::Ack { provider: P2, attempt: 0, generation: 0 };
-            let retry = deadline(&mut c, qid, stage);
+            // P2 never answers: nothing is due a moment before its wait
+            // runs out, and its first attempt's timeout retries...
+            assert!(c.on_wake(ack() - Duration::from_micros(1)).is_empty());
+            let retry = c.on_wake(ack());
             assert!(retry.iter().any(|a| matches!(
                 a,
                 Action::Send { to, msg: LiveMsg::SubQuerySol { .. } } if *to == P2
             )));
             assert_eq!(c.stats.snapshot().retries, 1);
-            // ...and the deadline at attempt 1 gives up.
-            let stage = DeadlineStage::Ack { provider: P2, attempt: 1, generation: 0 };
-            let give_up = deadline(&mut c, qid, stage);
+            // ...and its second's gives up.
+            let give_up = c.on_wake(ack() * 2);
             assert!(give_up.iter().any(|a| matches!(
                 a,
                 Action::Send { to, msg: LiveMsg::ProviderDead { provider, .. } }
@@ -833,11 +864,11 @@ mod tests {
                 })
                 .expect("subquery sent");
             // First failure retries (attempt 0 -> 1), second gives up.
-            let retry = c.on_send_failed(P1, SendKey::of(sub));
+            let retry = c.on_send_failed(T0, P1, SendKey::of(sub));
             assert!(retry
                 .iter()
                 .any(|a| matches!(a, Action::Send { msg: LiveMsg::SubQuerySol { .. }, .. })));
-            let give_up = c.on_send_failed(P1, SendKey::of(sub));
+            let give_up = c.on_send_failed(T0, P1, SendKey::of(sub));
             let done = finishes(&give_up);
             assert_eq!(done.len(), 1);
             assert!(!done[0].1.complete);
@@ -850,11 +881,11 @@ mod tests {
             let mut c = core();
             let qid = QueryId(4);
             submit(&mut c, qid);
-            let retry = deadline(&mut c, qid, DeadlineStage::Lookup { slot: 0, attempt: 0 });
+            let retry = c.on_wake(lookup_wait());
             assert!(retry
                 .iter()
                 .any(|a| matches!(a, Action::Send { msg: LiveMsg::Lookup { .. }, .. })));
-            let give_up = deadline(&mut c, qid, DeadlineStage::Lookup { slot: 0, attempt: 1 });
+            let give_up = c.on_wake(lookup_wait() * 2);
             let done = finishes(&give_up);
             assert_eq!(done.len(), 1);
             assert!(!done[0].1.complete);
@@ -872,11 +903,11 @@ mod tests {
                     _ => None,
                 })
                 .expect("lookup sent");
-            let retry = c.on_send_failed(IX, SendKey::of(&lookup));
+            let retry = c.on_send_failed(T0, IX, SendKey::of(&lookup));
             assert!(retry
                 .iter()
                 .any(|a| matches!(a, Action::Send { msg: LiveMsg::Lookup { .. }, .. })));
-            let done = finishes(&c.on_send_failed(IX, SendKey::of(&lookup)));
+            let done = finishes(&c.on_send_failed(T0, IX, SendKey::of(&lookup)));
             assert_eq!(done.len(), 1);
             assert!(!done[0].1.complete);
             let s = c.stats.snapshot();
@@ -912,10 +943,9 @@ mod tests {
                 filter: Some(filter.clone()),
                 bound: Some(batch(&bound)),
             };
-            c.on_event(COORDINATOR, round);
+            c.on_event(T0, COORDINATOR, round);
             providers(&mut c, qid, pattern(), vec![P1]);
-            let stage = DeadlineStage::Ack { provider: P1, attempt: 0, generation: 0 };
-            let retry = deadline(&mut c, qid, stage);
+            let retry = c.on_wake(ack());
             let resent = retry
                 .iter()
                 .find_map(|a| match a {
@@ -940,6 +970,7 @@ mod tests {
                 TermPattern::var("o"),
             );
             let acts = c.on_event(
+                T0,
                 COORDINATOR,
                 LiveMsg::SubmitSol { qid, pattern: all, filter: None, bound: None },
             );
@@ -1030,7 +1061,8 @@ mod tests {
             filter: Option<Expression>,
             keys: Rows,
         ) -> Vec<Action> {
-            c.on_event(COORDINATOR, LiveMsg::SubmitSol { qid, pattern, filter, bound: Some(keys) })
+            let round = LiveMsg::SubmitSol { qid, pattern, filter, bound: Some(keys) };
+            c.on_event(T0, COORDINATOR, round)
         }
 
         /// `(recipient, keys shipped)` of every sub-query frame in
@@ -1118,10 +1150,7 @@ mod tests {
             submit_keyed(&mut c, qid, pattern(), None, batch(&[xsol(1), xsol(2)]));
             let fan = row(&mut c, qid, pattern(), vec![(P1, 1), (P2, 10)]);
             assert_eq!(sub_queries(&fan), vec![(P1, None), (P2, Some(2))]);
-            for (provider, keys) in [(P1, None), (P2, Some(2))] {
-                let stage = DeadlineStage::Ack { provider, attempt: 0, generation: 0 };
-                assert_eq!(sub_queries(&deadline(&mut c, qid, stage)), vec![(provider, keys)]);
-            }
+            assert_eq!(sub_queries(&c.on_wake(ack())), vec![(P1, None), (P2, Some(2))]);
             assert_eq!(c.stats.snapshot().bound_keys_shipped, 4, "two keys in each of P2's frames");
             // The retransmitted bare pattern is answered like the first.
             solutions(&mut c, P1, qid, vec![xy(1, 5)]);
@@ -1136,7 +1165,7 @@ mod tests {
             submit_keyed(&mut c, qid, pattern(), None, batch(&[xsol(1), xsol(2)]));
             row(&mut c, qid, pattern(), vec![(P1, 2), (P2, 2)]);
             solutions(&mut c, P1, qid, vec![xy(1, 1), xy(3, 1)]);
-            let done = finishes(&deadline(&mut c, qid, DeadlineStage::Overall));
+            let done = finishes(&c.on_wake(query_deadline()));
             assert_eq!(done.len(), 1);
             assert!(!done[0].1.complete);
             assert_eq!(done[0].1.failed_providers, vec![P2]);
@@ -1269,10 +1298,10 @@ mod tests {
             assert!(solutions(&mut c, P1, partial, vec![xsol(1)]).is_empty());
             let sets = vec![vec![xsol(1)], vec![xsol(1)]];
             let swapped = partial_matches(chained, sets.clone());
-            assert!(c.on_event(P1, swapped).is_empty());
+            assert!(c.on_event(T0, P1, swapped).is_empty());
             assert_eq!(c.stats.snapshot().stale_replies, 2);
             let right = partial_matches(partial, sets);
-            assert_eq!(finishes(&c.on_event(P1, right))[0].1.solutions, vec![xsol(1)]);
+            assert_eq!(finishes(&c.on_event(T0, P1, right))[0].1.solutions, vec![xsol(1)]);
             assert_eq!(finishes(&solutions(&mut c, P1, chained, vec![xsol(2)])).len(), 1);
         }
 
@@ -1290,9 +1319,9 @@ mod tests {
             // P1 holds only pattern-0 rows and P2 only pattern-1 rows:
             // no provider joins anything locally, so the one assembled
             // row is a stitched cross-site match.
-            c.on_event(P1, partial_matches(qid, vec![vec![xy(1, 1), xy(2, 1)], Vec::new()]));
-            let done =
-                finishes(&c.on_event(P2, partial_matches(qid, vec![Vec::new(), vec![xz(1, 5)]])));
+            c.on_event(T0, P1, partial_matches(qid, vec![vec![xy(1, 1), xy(2, 1)], Vec::new()]));
+            let last = partial_matches(qid, vec![Vec::new(), vec![xz(1, 5)]]);
+            let done = finishes(&c.on_event(T0, P2, last));
             assert_eq!(done.len(), 1);
             assert!(done[0].1.complete);
             let expect = rdfmesh_sparql::solution::naive::join(&[xy(1, 1)], &[xz(1, 5)]);
@@ -1309,8 +1338,7 @@ mod tests {
             providers(&mut c, qid, pattern2(), vec![P2]);
             solutions(&mut c, P1, qid, vec![xsol(1)]);
             // P2 misses its deadline: first a full exec retransmission...
-            let stage = DeadlineStage::Ack { provider: P2, attempt: 0, generation: 0 };
-            let retry = deadline(&mut c, qid, stage);
+            let retry = c.on_wake(ack());
             assert!(retry.iter().any(|a| matches!(
                 a,
                 Action::Send { to, msg: LiveMsg::ShuffleExec { .. } } if *to == P2
@@ -1320,8 +1348,7 @@ mod tests {
             // bumped generation (round-0 targets were stalled waiting
             // for P2's partitions, so their fragments cannot be trusted
             // to ever arrive).
-            let stage = DeadlineStage::Ack { provider: P2, attempt: 1, generation: 0 };
-            let give_up = deadline(&mut c, qid, stage);
+            let give_up = c.on_wake(ack() * 2);
             let dead: usize = give_up
                 .iter()
                 .filter(|a| matches!(
@@ -1356,7 +1383,7 @@ mod tests {
         }
 
         #[test]
-        fn an_ack_deadline_of_an_abandoned_generation_is_ignored() {
+        fn a_hypercube_restart_rearms_the_survivors() {
             let mut c = core();
             let qid = QueryId(59);
             submit_multi(&mut c, qid, star2(), DistStrategy::HyperCube);
@@ -1369,10 +1396,11 @@ mod tests {
                     _ => None,
                 })
                 .expect("P1's exec frame");
-            // P1's exec frame fails to send at fan-out, and so does its
+            assert_eq!(c.next_wake(), Some(ack()), "both peers are awaited from the fan-out");
+            // P1's exec frame fails to send 10 ms in, and so does its
             // retransmission: P1 is dead, and the round restarts over P2.
-            c.on_send_failed(P1, SendKey::of(exec));
-            let restart = c.on_send_failed(P1, SendKey::of(exec));
+            c.on_send_failed(ms(10), P1, SendKey::of(exec));
+            let restart = c.on_send_failed(ms(10), P1, SendKey::of(exec));
             // The generations of the exec frames `actions` send P2.
             let to_p2 = |actions: &[Action]| -> Vec<u32> {
                 actions
@@ -1386,15 +1414,37 @@ mod tests {
                     .collect()
             };
             assert_eq!(to_p2(&restart), vec![1], "generation 1, over the survivor");
-            // The restart put P2 back at attempt 0. The deadline armed
-            // for generation 0's attempt 0 must not pass for it...
-            let stale = DeadlineStage::Ack { provider: P2, attempt: 0, generation: 0 };
-            let ignored = deadline(&mut c, qid, stale);
-            assert!(ignored.is_empty(), "{ignored:?}");
+            // The restart awaits P2 afresh, from the restart: its
+            // fan-out wait no longer counts...
+            assert_eq!(c.next_wake(), Some(ms(10) + ack()));
+            assert!(c.on_wake(ack()).is_empty());
             assert_eq!(c.stats.snapshot().retries, 1, "P1's retransmission only");
-            // ...while generation 1's retransmits as any expired deadline.
-            let current = DeadlineStage::Ack { provider: P2, attempt: 0, generation: 1 };
-            assert_eq!(to_p2(&deadline(&mut c, qid, current)), vec![1]);
+            // ...and generation 1's wait retransmits as any expired one.
+            assert_eq!(to_p2(&c.on_wake(ms(10) + ack())), vec![1]);
+            assert_eq!(c.next_wake(), Some(ms(10) + ack() * 2));
+        }
+
+        #[test]
+        fn a_retransmission_rearms_only_its_providers_wait() {
+            let mut c = core();
+            let qid = QueryId(60);
+            assert_eq!(c.next_wake(), None, "nothing in flight, nothing to wake for");
+            let round = LiveMsg::SubmitSol { qid, pattern: pattern(), filter: None, bound: None };
+            c.on_event(ms(0), COORDINATOR, round);
+            assert_eq!(c.next_wake(), Some(lookup_wait()), "the lookup's wait");
+            let providers = vec![(P1, u64::MAX), (P2, u64::MAX)];
+            c.on_event(ms(10), IX, LiveMsg::Providers { qid, pattern: pattern(), providers });
+            assert_eq!(c.next_wake(), Some(ms(10) + ack()), "both acks, from the fan-out");
+            let one = Rows::from_solutions(&[xsol(1)]);
+            c.on_event(ms(20), P1, LiveMsg::Solutions { qid, solutions: one });
+            assert_eq!(c.next_wake(), Some(ms(10) + ack()), "P2 is still awaited");
+            let retry = c.on_wake(ms(10) + ack());
+            assert_eq!(sub_queries(&retry), vec![(P2, None)], "P2 alone is sent again");
+            assert_eq!(c.next_wake(), Some(ms(10) + ack() * 2), "from the retransmission");
+            let two = Rows::from_solutions(&[xsol(2)]);
+            let done = c.on_event(ms(30) + ack(), P2, LiveMsg::Solutions { qid, solutions: two });
+            assert_eq!(finishes(&done).len(), 1);
+            assert_eq!(c.next_wake(), None, "a finished round has no due times");
         }
 
         #[test]
@@ -1417,16 +1467,19 @@ mod tests {
             let qid = QueryId(55);
             submit_multi(&mut c, qid, star2(), DistStrategy::PartialEval);
             providers(&mut c, qid, pattern(), vec![P1]);
-            // A stale deadline for the already-resolved slot is inert.
-            let stale = deadline(&mut c, qid, DeadlineStage::Lookup { slot: 0, attempt: 0 });
-            assert!(stale.is_empty());
-            // Slot 1's lookup never answers: retry, then give up.
-            let retry = deadline(&mut c, qid, DeadlineStage::Lookup { slot: 1, attempt: 0 });
-            assert!(retry.iter().any(|a| matches!(
-                a,
-                Action::Send { msg: LiveMsg::Lookup { pattern, .. }, .. } if *pattern == pattern2()
-            )));
-            let give_up = deadline(&mut c, qid, DeadlineStage::Lookup { slot: 1, attempt: 1 });
+            // Slot 1's lookup never answers: it alone is asked again —
+            // the resolved slot 0 waits for nothing — then the round
+            // gives up.
+            let retry = c.on_wake(lookup_wait());
+            let asked: Vec<&TriplePattern> = retry
+                .iter()
+                .filter_map(|a| match a {
+                    Action::Send { msg: LiveMsg::Lookup { pattern, .. }, .. } => Some(pattern),
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(asked, vec![&pattern2()]);
+            let give_up = c.on_wake(lookup_wait() * 2);
             let done = finishes(&give_up);
             assert_eq!(done.len(), 1);
             assert!(!done[0].1.complete);
@@ -1455,17 +1508,17 @@ mod tests {
             xsol(1000 * (q as u64 + 1) + v)
         }
 
-        /// One abstract event aimed at one of the [`NQ`] rounds. A
-        /// `second` pattern is the round's slot 1 for a multiway round
-        /// and an echo naming none of its slots for a chained one.
+        /// One abstract event: a message aimed at one of the [`NQ`]
+        /// rounds, or the host's clock advancing by `ms` and waking the
+        /// machine. A `second` pattern is the round's slot 1 for a
+        /// multiway round and an echo naming none of its slots for a
+        /// chained one.
         #[derive(Debug, Clone)]
         enum Ev {
             Providers { q: usize, stale: bool, second: bool, providers: Vec<(NodeId, u64)> },
             Solutions { q: usize, stale_qid: bool, from: NodeId, vals: Vec<u64> },
             Partial { q: usize, from: NodeId, sets: Vec<Vec<u64>> },
-            AckDeadline { q: usize, provider: NodeId, attempt: u8, generation: u32 },
-            LookupDeadline { q: usize, slot: u32, attempt: u8 },
-            Overall { q: usize },
+            Advance { ms: u64 },
         }
 
         /// How a round is submitted: chained — from the unit solution, or
@@ -1510,17 +1563,8 @@ mod tests {
                 ),
                 (0..NQ, arb_provider(), proptest::collection::vec(arb_vals(), 1..4))
                     .prop_map(|(q, from, sets)| Ev::Partial { q, from, sets }),
-                (0..NQ, arb_provider(), 0u8..3, 0u32..2).prop_map(
-                    |(q, provider, attempt, generation)| Ev::AckDeadline {
-                        q,
-                        provider,
-                        attempt,
-                        generation
-                    }
-                ),
-                (0..NQ, 0u32..3, 0u8..3)
-                    .prop_map(|(q, slot, attempt)| Ev::LookupDeadline { q, slot, attempt }),
-                (0..NQ).prop_map(|q| Ev::Overall { q }),
+                // Up to about two ack and lookup waits at a time.
+                (0u64..320).prop_map(|ms| Ev::Advance { ms }),
             ]
         }
 
@@ -1531,18 +1575,20 @@ mod tests {
             /// own — then an arbitrary interleaving of in-order, late,
             /// duplicate, foreign and dropped provider rows of any
             /// frequencies, solution replies, partial matches of the
-            /// right and the wrong width, and deadlines of current and
-            /// abandoned attempts and generations: the machine never
-            /// panics, every round finishes exactly once, `complete`
-            /// means no provider failed, answers hold only solutions
-            /// from the round's own universe, each once — and once every
-            /// overall deadline has fired the in-flight map is empty.
+            /// right and the wrong width, and clock advances that wake
+            /// the machine: the machine never panics, a wake-up leaves
+            /// nothing due, every round finishes exactly once,
+            /// `complete` means no provider failed, answers hold only
+            /// solutions from the round's own universe, each once — and
+            /// once every round's deadline has passed the in-flight map
+            /// is empty and no wake-up is pending.
             #[test]
             fn concurrent_rounds_of_every_kind_finish_once_without_contamination(
                 kinds in proptest::collection::vec(arb_kind(), NQ..NQ + 1),
                 events in proptest::collection::vec(arb_event(), 0..60)
             ) {
                 let mut c = core();
+                let mut now = T0;
                 let stale = QueryId(999);
                 let mut done: Vec<Vec<LiveAnswer>> = vec![Vec::new(); NQ];
                 let record = |actions: Vec<Action>, done: &mut Vec<Vec<LiveAnswer>>| {
@@ -1560,7 +1606,7 @@ mod tests {
                             let bound = Some(batch(&[usol(q, 0), usol(q, 1)]));
                             let (qid, pattern) = (qid_of(q), pattern());
                             let round = LiveMsg::SubmitSol { qid, pattern, filter: None, bound };
-                            c.on_event(COORDINATOR, round)
+                            c.on_event(T0, COORDINATOR, round)
                         }
                         Kind::Multi(strategy) => submit_multi(&mut c, qid_of(q), star2(), strategy),
                     };
@@ -1568,45 +1614,35 @@ mod tests {
                 }
                 for ev in &events {
                     let actions = match ev.clone() {
-                        Ev::Providers { q, stale: s, second, providers: ps } => row(
-                            &mut c,
-                            if s { stale } else { qid_of(q) },
-                            if second { pattern2() } else { pattern() },
-                            ps,
-                        ),
-                        Ev::Solutions { q, stale_qid, from, vals } => solutions(
-                            &mut c,
-                            from,
-                            if stale_qid { stale } else { qid_of(q) },
-                            vals.into_iter().map(|v| usol(q, v)).collect(),
-                        ),
-                        Ev::Partial { q, from, sets } => c.on_event(
-                            from,
-                            partial_matches(
-                                qid_of(q),
-                                sets.into_iter()
-                                    .map(|vals| vals.into_iter().map(|v| usol(q, v)).collect())
-                                    .collect(),
-                            ),
-                        ),
-                        Ev::AckDeadline { q, provider, attempt, generation } => deadline(
-                            &mut c,
-                            qid_of(q),
-                            DeadlineStage::Ack { provider, attempt, generation },
-                        ),
-                        Ev::LookupDeadline { q, slot, attempt } => deadline(
-                            &mut c,
-                            qid_of(q),
-                            DeadlineStage::Lookup { slot, attempt },
-                        ),
-                        Ev::Overall { q } => deadline(&mut c, qid_of(q), DeadlineStage::Overall),
+                        Ev::Providers { q, stale: s, second, providers } => {
+                            let qid = if s { stale } else { qid_of(q) };
+                            let pattern = if second { pattern2() } else { pattern() };
+                            c.on_event(now, IX, LiveMsg::Providers { qid, pattern, providers })
+                        }
+                        Ev::Solutions { q, stale_qid, from, vals } => {
+                            let qid = if stale_qid { stale } else { qid_of(q) };
+                            let rows: Vec<Solution> = vals.iter().map(|&v| usol(q, v)).collect();
+                            let solutions = Rows::from_solutions(&rows);
+                            c.on_event(now, from, LiveMsg::Solutions { qid, solutions })
+                        }
+                        Ev::Partial { q, from, sets } => {
+                            let sets = sets
+                                .into_iter()
+                                .map(|vals| vals.into_iter().map(|v| usol(q, v)).collect())
+                                .collect();
+                            c.on_event(now, from, partial_matches(qid_of(q), sets))
+                        }
+                        Ev::Advance { ms: by } => {
+                            now += ms(by);
+                            let woken = c.on_wake(now);
+                            prop_assert!(c.next_wake().is_none_or(|due| due > now));
+                            woken
+                        }
                     };
                     record(actions, &mut done)?;
                 }
-                // Every query's overall deadline fires eventually.
-                for q in 0..NQ {
-                    record(deadline(&mut c, qid_of(q), DeadlineStage::Overall), &mut done)?;
-                }
+                // Every round's deadline passes eventually.
+                record(c.on_wake(now + query_deadline()), &mut done)?;
                 for (q, finished) in done.iter().enumerate() {
                     prop_assert_eq!(finished.len(), 1, "query {} must finish exactly once", q);
                     let answer = &finished[0];
@@ -1625,6 +1661,7 @@ mod tests {
                     }
                 }
                 prop_assert!(c.in_flight.is_empty(), "no per-query state leaks");
+                prop_assert_eq!(c.next_wake(), None, "nothing in flight, nothing to wake for");
             }
         }
     }

@@ -7,6 +7,7 @@ use std::collections::HashMap;
 use std::io;
 use std::net::SocketAddr;
 use std::sync::{Arc, RwLock};
+use std::time::Instant;
 
 use rdfmesh_net::{Cluster, FaultPlan, Handler, NodeId, TransportSnapshot};
 use rdfmesh_overlay::{key_for_pattern, Provider};
@@ -84,7 +85,8 @@ impl Host {
         }
         let (flood_of, stats_of) = (Arc::clone(&flood), Arc::clone(&stats));
         let core = CoordinatorCore::new(coordinator, entry, cfg, space, flood_of, stats_of);
-        nodes.push((coordinator, Box::new(Role::Coordinator(core, Arc::clone(&pending)))));
+        let epoch = Instant::now();
+        nodes.push((coordinator, Box::new(Role::Coordinator(core, Arc::clone(&pending), epoch))));
         let cluster = Arc::new(match wire {
             Wire::Local(Transport::Threads, plan) => Cluster::spawn_with(nodes, plan),
             Wire::Local(Transport::Sockets, plan) => Cluster::spawn_loopback(nodes, plan)?,

@@ -2,15 +2,18 @@
 //! node — and the one host that runs them on a cluster.
 //!
 //! Every role is a pure state machine: `CoordinatorCore`, `IndexNode` and
-//! `LiveStorage` each consume one event, `on_event(from, msg)`, and
-//! return the actions it calls for — send a frame, schedule a deadline
-//! to itself, finish a round. None holds a channel, a thread, a clock or
-//! an [`rdfmesh_net::Outbox`]; each is told its own address at
-//! construction. `Role` is the one [`Handler`] that runs those actions on
-//! a cluster's `Outbox`, and the simulator's role runner
-//! (`SimBackend::run_round`, for a multiway round and a bind step) runs
-//! the same coordinator and storage roles over its discrete-event network
-//! instead, pricing each frame at its codec length.
+//! `LiveStorage` each consume one event, `on_event(…, from, msg)`, and
+//! return the actions it calls for — send a frame, finish a round. None
+//! holds a channel, a thread, a clock or an [`rdfmesh_net::Outbox`]; each
+//! is told its own address at construction. The coordinator's waits are
+//! due times in its rounds: it is handed `now`, the time since its host's
+//! epoch, with every event, and its host asks `next_wake` when to call
+//! `on_wake(now)`. `Role` is the one [`Handler`] that runs those actions
+//! on a cluster's `Outbox`, and wakes the coordinator when its node's
+//! thread is due; the simulator's role runner (`SimBackend::run_round`,
+//! for a multiway round and a bind step) runs the same coordinator and
+//! storage roles over its discrete-event network instead, pricing each
+//! frame at its codec length and waking the coordinator on its clock.
 //!
 //! Real threads lose messages and crash mid-query, so the coordinator is
 //! a **per-query state machine** keyed by a fresh [`QueryId`] carried in
@@ -22,8 +25,8 @@
 //! frame's shape, the reply it earns, and what happens to the gathered
 //! replies at the end:
 //!
-//! * every awaited reply has a deadline (a scheduled
-//!   [`LiveMsg::Deadline`] the coordinator delivers to itself);
+//! * every awaited reply has a due time in its round's state, and the
+//!   round as a whole has its deadline;
 //! * an expired query-ack deadline retransmits once (bounded by
 //!   [`LiveConfig::retries`]), then declares the provider dead — the
 //!   Sect. III-D query-ack timeout;
@@ -63,9 +66,9 @@
 //! A round is one frame per provider: whatever else is in flight, a
 //! chained round ships as [`LiveMsg::SubQuerySol`] and is answered with
 //! [`LiveMsg::Solutions`]. The commands that never leave their process —
-//! [`LiveMsg::SubmitSol`], [`LiveMsg::SubmitMulti`], [`LiveMsg::Deadline`]
-//! — have no wire encoding at all (`live_wire.rs`); every transport
-//! delivers an envelope a node addresses to itself to its own mailbox.
+//! [`LiveMsg::SubmitSol`], [`LiveMsg::SubmitMulti`] — have no wire
+//! encoding at all (`live_wire.rs`); every transport delivers an envelope
+//! a node addresses to itself to its own mailbox.
 //!
 //! [`Handler`]: rdfmesh_net::Handler
 //! [`LiveConfig::retries`]: crate::config::LiveConfig::retries
@@ -79,7 +82,7 @@ mod storage;
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Mutex, RwLock};
-use std::time::Duration;
+use std::time::Instant;
 
 use crossbeam::channel::Sender;
 use rdfmesh_net::{Envelope, Handler, NodeId, Outbox};
@@ -97,53 +100,45 @@ pub use mesh::{LiveMesh, Transport, COORDINATOR};
 pub(crate) use storage::LiveStorage;
 
 /// What a role asks its host to do. Pure data, so tests drive a role
-/// without threads or timers and the simulator prices what it sends.
+/// without threads or clocks and the simulator prices what it sends.
 #[derive(Debug, Clone)]
 pub(crate) enum Action {
     /// Send `msg` to `to`.
     Send { to: NodeId, msg: LiveMsg },
-    /// Deliver `msg` to the acting node itself after `after`: a deadline.
-    Schedule { after: Duration, msg: LiveMsg },
     /// Round `qid` is over: hand `answer` to whoever waits for it.
     Finish { qid: QueryId, answer: LiveAnswer },
 }
 
-/// One role as a cluster node hosts it; the coordinator carries the map
-/// its finished answers are handed to.
+/// One role as a cluster node hosts it. The coordinator carries the map
+/// its finished answers are handed to and the instant its host's clock
+/// counts from.
 pub(crate) enum Role {
-    Coordinator(CoordinatorCore, PendingMap),
+    Coordinator(CoordinatorCore, PendingMap, Instant),
     Index(IndexNode),
     Storage(LiveStorage),
 }
 
-impl Handler<LiveMsg> for Role {
+impl Role {
     /// Runs the role's actions in order, every frame sent as it stands.
     /// A failed send feeds back into the coordinator, whose reaction (a
     /// retransmission, a purge, a finish) joins the queue; the index and
     /// storage roles have nothing to react with.
-    fn on_message(&mut self, envelope: Envelope<LiveMsg>, out: &Outbox<LiveMsg>) {
-        let (from, msg) = (envelope.from, envelope.payload);
-        let mut actions: VecDeque<Action> = match self {
-            Role::Coordinator(core, _) => core.on_event(from, msg),
-            Role::Index(index) => index.on_event(from, msg),
-            Role::Storage(storage) => storage.on_event(from, msg),
-        }
-        .into();
+    fn run(&mut self, actions: Vec<Action>, out: &Outbox<LiveMsg>) {
+        let mut actions = VecDeque::from(actions);
         while let Some(action) = actions.pop_front() {
             match (action, &mut *self) {
-                (Action::Send { to, msg }, Role::Coordinator(core, _)) => {
+                (Action::Send { to, msg }, Role::Coordinator(core, _, epoch)) => {
                     let key = SendKey::of(&msg);
                     if !out.send(to, msg) {
-                        actions.extend(core.on_send_failed(to, key));
+                        actions.extend(core.on_send_failed(epoch.elapsed(), to, key));
                     }
                 }
                 (Action::Send { to, msg }, _) => {
                     out.send(to, msg);
                 }
-                (Action::Schedule { after, msg }, _) => out.schedule(after, msg),
                 (Action::Finish { qid, answer }, role) => {
                     // Removing the sender is what makes "done" single-shot.
-                    let Role::Coordinator(_, pending) = role else { continue };
+                    let Role::Coordinator(_, pending, _) = role else { continue };
                     if let Some(tx) = lock(pending).remove(&qid) {
                         let _ = tx.send(answer);
                     }
@@ -153,41 +148,40 @@ impl Handler<LiveMsg> for Role {
     }
 }
 
+impl Handler<LiveMsg> for Role {
+    fn on_message(&mut self, envelope: Envelope<LiveMsg>, out: &Outbox<LiveMsg>) {
+        let (from, msg) = (envelope.from, envelope.payload);
+        let actions = match self {
+            Role::Coordinator(core, _, epoch) => core.on_event(epoch.elapsed(), from, msg),
+            Role::Index(index) => index.on_event(from, msg),
+            Role::Storage(storage) => storage.on_event(from, msg),
+        };
+        self.run(actions, out);
+    }
+
+    /// The coordinator's earliest due time, on its host's clock. Its
+    /// node's thread serves it even while frames keep arriving, and never
+    /// while the node is crashed: a round that fell due during a crash
+    /// times out on the first wake-up after the restart.
+    fn wake_at(&self) -> Option<Instant> {
+        match self {
+            Role::Coordinator(core, _, epoch) => core.next_wake().map(|due| *epoch + due),
+            _ => None,
+        }
+    }
+
+    fn on_wake(&mut self, out: &Outbox<LiveMsg>) {
+        let Role::Coordinator(core, _, epoch) = self else { return };
+        let actions = core.on_wake(epoch.elapsed());
+        self.run(actions, out);
+    }
+}
+
 /// Identifies one in-flight live query. Every protocol message carries
 /// the id of the query it belongs to, so a late or duplicated reply from
 /// query *N* can never contaminate the state of query *N+1*.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct QueryId(pub u64);
-
-/// Which awaited event a [`LiveMsg::Deadline`] guards.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DeadlineStage {
-    /// One pattern slot's provider lookup at the index node (a chained
-    /// round has the single slot 0); `attempt` is the lookup attempt the
-    /// deadline was armed for (a stale deadline from an earlier attempt
-    /// is ignored).
-    Lookup {
-        /// Pattern slot within the round (0-based).
-        slot: u32,
-        /// Attempt number at schedule time (0-based).
-        attempt: u8,
-    },
-    /// One provider's query-ack deadline (Sect. III-D). A deadline armed
-    /// for an earlier attempt, or for a HyperCube generation the round
-    /// has since abandoned, is ignored.
-    Ack {
-        /// The storage node awaited.
-        provider: NodeId,
-        /// Attempt number at schedule time (0-based).
-        attempt: u8,
-        /// The round's shuffle generation at schedule time (always 0
-        /// outside a HyperCube round).
-        generation: u32,
-    },
-    /// The whole-query backstop: fire whatever is still outstanding and
-    /// answer with what was collected.
-    Overall,
-}
 
 /// Protocol messages of the live mesh.
 #[derive(Debug, Clone)]
@@ -260,16 +254,6 @@ pub enum LiveMsg {
         pattern: TriplePattern,
         /// The storage node that failed to answer.
         provider: NodeId,
-    },
-    /// A deadline the coordinator scheduled to itself, which its host
-    /// delivers on the cluster timer ([`rdfmesh_net::Outbox::schedule`]) or
-    /// the simulator's clock. A local command: it has no wire encoding, so
-    /// no peer can expire another coordinator's rounds.
-    Deadline {
-        /// The owning query.
-        qid: QueryId,
-        /// Which awaited event expired.
-        stage: DeadlineStage,
     },
     /// Storage node → owning index node: register `provider` in the
     /// location-table rows for `keys` — how every host fills its index.

@@ -10,11 +10,11 @@
 //! `docs/DEPLOYMENT.md` documents the full frame and payload layout.
 //!
 //! The codec carries only what crosses a wire. The commands a process
-//! gives its own coordinator — [`LiveMsg::SubmitSol`],
-//! [`LiveMsg::SubmitMulti`], [`LiveMsg::Deadline`] — have no tag and no
-//! decoder: every transport hands an envelope a node addresses to itself
-//! to that node's mailbox, so no peer can submit a round at, or expire a
-//! round of, somebody else's coordinator.
+//! gives its own coordinator — [`LiveMsg::SubmitSol`] and
+//! [`LiveMsg::SubmitMulti`] — have no tag and no decoder: every transport
+//! hands an envelope a node addresses to itself to that node's mailbox,
+//! so no peer can submit a round at somebody else's coordinator. A
+//! round's waits are its coordinator's own state, which no frame names.
 //!
 //! Decoding is paranoid by construction: every read is bounds-checked by
 //! [`Reader`], unknown tags are rejected, and trailing bytes fail the
@@ -274,8 +274,7 @@ fn size_hint(msg: &LiveMsg) -> usize {
         | LiveMsg::ProviderDead { .. }
         | LiveMsg::MultiDone { .. }
         | LiveMsg::SubmitSol { .. }
-        | LiveMsg::SubmitMulti { .. }
-        | LiveMsg::Deadline { .. } => BASE_HINT,
+        | LiveMsg::SubmitMulti { .. } => BASE_HINT,
     }
 }
 
@@ -348,7 +347,7 @@ impl WireMsg for LiveMsg {
                 out.push(TAG_MULTI_DONE);
                 put_u64(&mut out, qid.0);
             }
-            LiveMsg::SubmitSol { .. } | LiveMsg::SubmitMulti { .. } | LiveMsg::Deadline { .. } => {
+            LiveMsg::SubmitSol { .. } | LiveMsg::SubmitMulti { .. } => {
                 out.push(NOT_ON_THE_WIRE);
             }
         }
@@ -563,7 +562,6 @@ mod tests {
     /// decoder.
     fn local_commands() -> Vec<LiveMsg> {
         use crate::config::DistStrategy;
-        use crate::live::DeadlineStage;
         vec![
             LiveMsg::SubmitSol {
                 qid: QueryId(19),
@@ -577,15 +575,6 @@ mod tests {
                 join_vars: vec![Variable::new("x")],
                 strategy: DistStrategy::HyperCube,
             },
-            LiveMsg::Deadline {
-                qid: QueryId(16),
-                stage: DeadlineStage::Lookup { slot: 7, attempt: 1 },
-            },
-            LiveMsg::Deadline {
-                qid: QueryId(17),
-                stage: DeadlineStage::Ack { provider: NodeId(6), attempt: 2, generation: 3 },
-            },
-            LiveMsg::Deadline { qid: QueryId(18), stage: DeadlineStage::Overall },
         ]
     }
 

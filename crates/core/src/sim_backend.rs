@@ -781,8 +781,9 @@ impl<'a> SimBackend<'a> {
     /// `SubmitSol` or a `SubmitMulti` — and it and one `LiveStorage` per
     /// peer play the round over the simulated network, in time order.
     /// Every frame is charged at its codec length and delivered when it
-    /// arrives, every exec frame counts as a contact, and a deadline fires
-    /// its delay after it was armed. The overlay stands in for the index
+    /// arrives, every exec frame counts as a contact, and the coordinator
+    /// is woken at each of its due times (`next_wake`), on the simulated
+    /// clock. The overlay stands in for the index
     /// role: a `Lookup` is answered by `SimBackend::resolve` (Chord hops,
     /// replicas, cache and `FROM` scope included), with the overlay's own
     /// location-table frequencies, and the `Providers` reply travels from
@@ -816,17 +817,21 @@ impl<'a> SimBackend<'a> {
         let mut coordinator =
             CoordinatorCore::new(me, index, cfg, space, flood, Arc::clone(&stats));
         let mut storages: HashMap<NodeId, LiveStorage> = HashMap::new();
+        // A frame `(from, to, msg)`, or `None`: the coordinator's wake-up.
         let mut events = Scheduler::new();
-        events.schedule_at(depart, (me, me, submit));
+        events.schedule_at(depart, Some((me, me, submit)));
         let span = shipping_span(label, depart);
         // The latest lookup answer: the round cannot be ready earlier.
         let mut resolved = depart;
+        // The due time the latest wake-up was scheduled for.
+        let mut armed = None;
         loop {
-            let (now, (from, to, msg)) =
-                events.next().expect("the overall deadline finishes every round");
+            let (now, event) = events.next().expect("the overall deadline finishes every round");
+            let clock = Duration::from_micros(now.0);
             // Dispatch by variant, not address: the initiator may be a peer.
-            let (actor, coordinating, actions) = match msg {
-                LiveMsg::Lookup { qid, pattern, reply_to } => {
+            let (actor, coordinating, actions) = match event {
+                None => (me, true, coordinator.on_wake(clock)),
+                Some((_, _, LiveMsg::Lookup { qid, pattern, reply_to })) => {
                     let Resolved::Row(row) = self.resolve(&pattern, now, Leg::Step)? else {
                         unreachable!("the coordinator floods a keyless pattern, looking nothing up")
                     };
@@ -835,17 +840,17 @@ impl<'a> SimBackend<'a> {
                     let bytes = answer.encode_wire().len();
                     let at = self.overlay.net.send(row.index_node, reply_to, bytes, row.arrival);
                     resolved = resolved.max(at);
-                    events.schedule_at(at, (row.index_node, reply_to, answer));
+                    events.schedule_at(at, Some((row.index_node, reply_to, answer)));
                     continue;
                 }
-                msg if for_storage(&msg) => {
+                Some((from, to, msg)) if for_storage(&msg) => {
                     let store = &self.overlay.storage_node(to).expect("refused when dead").store;
                     let node = storages.entry(to).or_insert_with(|| {
                         LiveStorage::new(to, store.clone(), Arc::clone(&stats))
                     });
                     (to, false, node.on_event(from, msg))
                 }
-                msg => (me, true, coordinator.on_event(from, msg)),
+                Some((from, _, msg)) => (me, true, coordinator.on_event(clock, from, msg)),
             };
             let mut actions = VecDeque::from(actions);
             while let Some(action) = actions.pop_front() {
@@ -864,14 +869,11 @@ impl<'a> SimBackend<'a> {
                         // A dead storage node refuses the frame, as a
                         // crashed peer's transport does on the mesh.
                         if !for_storage(&msg) || self.overlay.is_storage_alive(to) {
-                            events.schedule_at(arrival, (actor, to, msg));
+                            events.schedule_at(arrival, Some((actor, to, msg)));
                         } else if coordinating {
-                            actions.extend(coordinator.on_send_failed(to, SendKey::of(&msg)));
+                            let failed = coordinator.on_send_failed(clock, to, SendKey::of(&msg));
+                            actions.extend(failed);
                         }
-                    }
-                    Action::Schedule { after, msg } => {
-                        let at = now + SimTime(after.as_micros() as u64);
-                        events.schedule_at(at, (actor, actor, msg));
                     }
                     Action::Finish { answer, .. } => {
                         let LiveStatsSnapshot { solutions_shipped, shuffle_parts, .. } =
@@ -882,6 +884,10 @@ impl<'a> SimBackend<'a> {
                         return Ok(Mat { solutions: answer.solutions, site: me, ready });
                     }
                 }
+            }
+            if let Some(due) = coordinator.next_wake().filter(|due| armed != Some(*due)) {
+                armed = Some(due);
+                events.schedule_at(SimTime(due.as_micros() as u64), None);
             }
         }
     }

@@ -291,6 +291,35 @@ fn assert_rows_are_the_overlays(mesh: &LiveMesh, o: &Overlay) -> usize {
     keys
 }
 
+/// A coordinator that is down while its round falls due finishes the
+/// round on its first wake-up after the restart: `complete: false`, with
+/// what it had gathered — here nothing, its lookup having been lost.
+fn coordinator_crash_scenario(transport: Transport) {
+    let o = overlay();
+    // The lookup's own wait outlasts the test, so only the round's
+    // deadline can end it.
+    let cfg = LiveConfig {
+        lookup_timeout: Duration::from_secs(30),
+        query_deadline: Duration::from_millis(300),
+        ..tight()
+    };
+    let entry = o.index_nodes()[0];
+    let mesh = spawn(&o, cfg, FaultPlan::new().drop_nth(COORDINATOR, entry, 1), transport);
+    let round = mesh.submit_solutions(knows_bob(), None, None);
+    assert!(mesh.barrier(COORDINATOR, Duration::from_secs(5)), "the round is open");
+    assert!(mesh.crash(COORDINATOR));
+    // Not a fence: the round's deadline has to pass while it is down.
+    std::thread::sleep(cfg.query_deadline + Duration::from_millis(200));
+    assert!(mesh.restart(COORDINATOR));
+    let answer = round.wait(Duration::from_secs(5)).expect("finished after the restart");
+    assert!(!answer.complete);
+    assert!(answer.solutions.is_empty());
+    assert!(answer.failed_providers.is_empty(), "no provider was ever asked");
+    let stats = mesh.stats();
+    assert_eq!((stats.incomplete_queries, stats.lookup_failures, stats.retries), (1, 0, 0));
+    mesh.shutdown();
+}
+
 /// Every storage node publishes its keys and their frequencies to their
 /// owners at spawn: the live rows equal the overlay's location tables — a
 /// storage node down from the start included, since publication is what
@@ -377,6 +406,11 @@ fn runtime_crash_between_queries_degrades_then_purges() {
     runtime_crash_scenario(Transport::Threads);
 }
 
+#[test]
+fn a_coordinator_restarted_after_its_rounds_deadline_finishes_it_incomplete() {
+    coordinator_crash_scenario(Transport::Threads);
+}
+
 // ---- socket transport: the same scenarios over loopback TCP ----------
 
 #[test]
@@ -407,6 +441,11 @@ fn unreachable_index_fails_the_lookup_within_the_deadline_over_sockets() {
 #[test]
 fn runtime_crash_between_queries_degrades_then_purges_over_sockets() {
     runtime_crash_scenario(Transport::Sockets);
+}
+
+#[test]
+fn a_coordinator_restarted_after_its_rounds_deadline_finishes_it_incomplete_over_sockets() {
+    coordinator_crash_scenario(Transport::Sockets);
 }
 
 // ---- twin assertion: answers are identical across transports ---------

@@ -15,14 +15,16 @@
 //! on both wires (see `docs/DEPLOYMENT.md`).
 //!
 //! Fault tolerance is exercised through [`crate::FaultPlan`] (declarative
-//! crash / drop / delay schedules), [`Cluster::crash`] /
-//! [`Cluster::restart`] (runtime liveness control), and a per-cluster
-//! timer thread so handlers can schedule deadline messages to themselves
-//! with [`Outbox::schedule`] — the building block for the paper's
-//! query-ack timeouts (Sect. III-D) on real threads. See `docs/FAULTS.md`.
+//! crash / drop / delay schedules) and [`Cluster::crash`] /
+//! [`Cluster::restart`] (runtime liveness control). Each node's thread
+//! keeps its own time: it waits on its mailbox until its handler's next
+//! wake-up ([`Handler::wake_at`]) or the next send the fault plan delayed
+//! in its [`Outbox`], whichever comes first — the building block for the
+//! paper's query-ack timeouts (Sect. III-D) on real threads. See
+//! `docs/FAULTS.md`.
 
-use std::cmp::Ordering as CmpOrdering;
-use std::collections::{BinaryHeap, HashMap};
+use std::cell::RefCell;
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -51,6 +53,9 @@ pub(crate) enum Packet<M> {
     /// Flush marker: acknowledged by the node thread itself (even while
     /// the node is crashed), after every previously queued packet.
     Barrier(Sender<()>),
+    /// The node was restarted: a wake-up it skipped while crashed is
+    /// served now.
+    Resume,
     Shutdown,
 }
 
@@ -65,21 +70,19 @@ pub struct ClusterStats {
 }
 
 /// What every thread of one cluster shares: the local mailboxes, the
-/// socket wire when the cluster has one, the traffic counters, the fault
-/// state and the timer's command channel.
+/// socket wire when the cluster has one, the traffic counters and the
+/// fault state.
 pub(crate) struct Hub<M> {
     pub(crate) mailboxes: HashMap<NodeId, Sender<Packet<M>>>,
     pub(crate) wire: Option<Wire<M>>,
     stats: ClusterStats,
     faults: FaultState,
-    timer: Sender<TimerCmd<M>>,
-    timer_seq: AtomicU64,
 }
 
 impl<M> Hub<M> {
     /// Counts `env` as traffic and delivers it: through the wire when the
     /// wire claims it, to the local mailbox otherwise. A node's message to
-    /// itself (a self-deadline) is no inter-node message, and the wire
+    /// itself (a local command) is no inter-node message, and the wire
     /// never claims it.
     fn post(&self, env: Envelope<M>) -> bool {
         if env.from != env.to {
@@ -98,57 +101,16 @@ impl<M> Hub<M> {
     fn knows(&self, to: NodeId) -> bool {
         self.mailboxes.contains_key(&to) || self.wire.as_ref().is_some_and(|w| w.reaches(to))
     }
-
-    fn schedule(&self, after: Duration, from: NodeId, to: NodeId, payload: M) {
-        let entry = TimerEntry {
-            at: Instant::now() + after,
-            seq: self.timer_seq.fetch_add(1, Ordering::Relaxed),
-            from,
-            to,
-            payload,
-        };
-        let _ = self.timer.send(TimerCmd::Schedule(entry));
-    }
 }
 
-/// An entry in the timer thread's deadline heap: deliver `payload` from
-/// `from` to `to` at `at`. Ordered by `(at, seq)` so equal deadlines fire
-/// in schedule order.
-struct TimerEntry<M> {
-    at: Instant,
-    seq: u64,
-    from: NodeId,
-    to: NodeId,
-    payload: M,
-}
-
-impl<M> PartialEq for TimerEntry<M> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl<M> Eq for TimerEntry<M> {}
-impl<M> PartialOrd for TimerEntry<M> {
-    fn partial_cmp(&self, other: &Self) -> Option<CmpOrdering> {
-        Some(self.cmp(other))
-    }
-}
-impl<M> Ord for TimerEntry<M> {
-    fn cmp(&self, other: &Self) -> CmpOrdering {
-        // Reversed: BinaryHeap is a max-heap, we want the earliest first.
-        other.at.cmp(&self.at).then(other.seq.cmp(&self.seq))
-    }
-}
-
-enum TimerCmd<M> {
-    Schedule(TimerEntry<M>),
-    Shutdown,
-}
-
-/// Handle through which a node handler sends messages to peers.
+/// Handle through which a node handler sends messages to peers. It
+/// belongs to its node's thread, which also posts the sends the fault
+/// plan delays.
 pub struct Outbox<M> {
     me: NodeId,
     hub: Arc<Hub<M>>,
+    /// The sends the fault plan delayed, in the order they fall due.
+    delayed: RefCell<VecDeque<(Instant, Envelope<M>)>>,
 }
 
 impl<M> Outbox<M> {
@@ -175,19 +137,28 @@ impl<M> Outbox<M> {
                 true
             }
             SendFate::Delay(by) => {
-                self.hub.schedule(by, self.me, to, payload);
+                let due = Instant::now() + by;
+                let mut delayed = self.delayed.borrow_mut();
+                let at = delayed.partition_point(|(d, _)| *d <= due);
+                delayed.insert(at, (due, Envelope { from: self.me, to, payload }));
                 true
             }
             SendFate::Deliver => self.hub.post(Envelope { from: self.me, to, payload }),
         }
     }
 
-    /// Schedules `payload` for delivery to *this node itself* after
-    /// `after` — a deadline message. Self-deadlines bypass the fault
-    /// plan's link faults (they never cross the network) but are
-    /// discarded like any delivery if the node is crashed when they fire.
-    pub fn schedule(&self, after: Duration, payload: M) {
-        self.hub.schedule(after, self.me, self.me, payload);
+    /// When the earliest delayed send falls due.
+    fn next_delayed(&self) -> Option<Instant> {
+        self.delayed.borrow().front().map(|(at, _)| *at)
+    }
+
+    /// Posts every delayed send due by `now`, earliest first.
+    fn post_delayed(&self, now: Instant) {
+        let mut delayed = self.delayed.borrow_mut();
+        while delayed.front().is_some_and(|(at, _)| *at <= now) {
+            let (_, env) = delayed.pop_front().expect("a due send");
+            self.hub.post(env);
+        }
     }
 }
 
@@ -195,14 +166,26 @@ impl<M> Outbox<M> {
 /// module docs).
 pub struct Cluster<M: Send + 'static> {
     pub(crate) hub: Arc<Hub<M>>,
-    /// The timer, every node and, on the socket wire, the accept loop.
+    /// Every node and, on the socket wire, the accept loop.
     pub(crate) handles: Mutex<Vec<JoinHandle<()>>>,
 }
 
-/// A node's behaviour: invoked once per delivered envelope.
+/// A node's behaviour: invoked once per delivered envelope, and whenever
+/// a wake-up it asked for falls due.
 pub trait Handler<M>: Send + 'static {
     /// Reacts to one message; may send further messages via `out`.
     fn on_message(&mut self, envelope: Envelope<M>, out: &Outbox<M>);
+
+    /// When the handler next wants [`Handler::on_wake`], if it waits for
+    /// anything: asked again after every message and wake-up.
+    fn wake_at(&self) -> Option<Instant> {
+        None
+    }
+
+    /// Reacts to [`Handler::wake_at`] having passed. Never called while
+    /// the node is crashed: a wake-up that fell due during a crash is
+    /// served right after the restart.
+    fn on_wake(&mut self, _out: &Outbox<M>) {}
 }
 
 impl<M, F> Handler<M> for F
@@ -214,34 +197,59 @@ where
     }
 }
 
-fn run_timer<M>(rx: Receiver<TimerCmd<M>>, hub: &Hub<M>) {
-    let mut heap: BinaryHeap<TimerEntry<M>> = BinaryHeap::new();
+/// One node's thread: it serves its mailbox, its handler's wake-ups and
+/// its outbox's delayed sends, each when it falls due, until shutdown. A
+/// wake-up that is due is served before the next packet, so a stream of
+/// messages cannot starve it.
+fn run_node<M: 'static>(
+    rx: Receiver<Packet<M>>,
+    mut handler: Box<dyn Handler<M>>,
+    outbox: Outbox<M>,
+) {
+    let (id, hub) = (outbox.me, &outbox.hub);
     loop {
-        // Fire everything due.
-        let now = Instant::now();
-        while heap.peek().is_some_and(|e| e.at <= now) {
-            let e = heap.pop().expect("peeked");
-            hub.post(Envelope { from: e.from, to: e.to, payload: e.payload });
-        }
-        // Sleep until the next deadline or the next command.
-        let cmd = match heap.peek() {
-            Some(e) => {
-                let wait = e.at.saturating_duration_since(Instant::now());
-                match rx.recv_timeout(wait) {
-                    Ok(cmd) => Some(cmd),
-                    Err(RecvTimeoutError::Timeout) => None,
-                    Err(RecvTimeoutError::Disconnected) => return,
-                }
+        let (wake, delayed) = (handler.wake_at(), outbox.next_delayed());
+        let mut wait = None;
+        if wake.is_some() || delayed.is_some() {
+            let now = Instant::now();
+            if delayed.is_some_and(|at| at <= now) {
+                outbox.post_delayed(now);
             }
+            if wake.is_some_and(|at| at <= now) && !hub.faults.is_crashed(id) {
+                handler.on_wake(&outbox);
+                continue;
+            }
+            // A crashed node's due wake-up waits for its restart.
+            let next = wake.filter(|at| *at > now).into_iter().chain(outbox.next_delayed()).min();
+            wait = next.map(|at| at - now);
+        }
+        let packet = match wait {
+            Some(wait) => match rx.recv_timeout(wait) {
+                Ok(packet) => packet,
+                Err(RecvTimeoutError::Timeout) => continue,
+                Err(RecvTimeoutError::Disconnected) => return,
+            },
             None => match rx.recv() {
-                Ok(cmd) => Some(cmd),
+                Ok(packet) => packet,
                 Err(_) => return,
             },
         };
-        match cmd {
-            Some(TimerCmd::Schedule(e)) => heap.push(e),
-            Some(TimerCmd::Shutdown) => return,
-            None => {}
+        match packet {
+            Packet::Deliver(env) => {
+                // A crashed node is a running thread that discards its
+                // deliveries; restart makes it responsive again with
+                // state intact.
+                if hub.faults.is_crashed(id) {
+                    hub.stats.dropped.fetch_add(1, Ordering::Relaxed);
+                } else {
+                    handler.on_message(env, &outbox);
+                }
+            }
+            Packet::Barrier(ack) => {
+                let _ = ack.send(());
+            }
+            Packet::Resume => {}
+            Packet::Shutdown => return,
         }
     }
 }
@@ -261,8 +269,8 @@ impl<M: Send + 'static> Cluster<M> {
         Self::start(nodes, plan, None)
     }
 
-    /// Spawns the timer and node threads, carrying envelopes over `wire`
-    /// when one is given and over channels alone otherwise.
+    /// Spawns the node threads, carrying envelopes over `wire` when one
+    /// is given and over channels alone otherwise.
     pub(crate) fn start(
         nodes: Vec<(NodeId, Box<dyn Handler<M>>)>,
         plan: FaultPlan,
@@ -275,43 +283,20 @@ impl<M: Send + 'static> Cluster<M> {
             mailboxes.insert(id, tx);
             inboxes.push((id, rx, handler));
         }
-        let (timer, timer_rx) = unbounded();
         let hub = Arc::new(Hub {
             mailboxes,
             wire,
             stats: ClusterStats::default(),
             faults: FaultState::from_plan(plan),
-            timer,
-            timer_seq: AtomicU64::new(0),
         });
-        let mut handles = Vec::new();
-        handles.push({
-            let hub = Arc::clone(&hub);
-            std::thread::spawn(move || run_timer(timer_rx, &hub))
-        });
-        for (id, rx, mut handler) in inboxes {
-            let outbox = Outbox { me: id, hub: Arc::clone(&hub) };
-            handles.push(std::thread::spawn(move || {
-                while let Ok(packet) = rx.recv() {
-                    match packet {
-                        Packet::Deliver(env) => {
-                            // A crashed node is a running thread that
-                            // discards its deliveries; restart makes it
-                            // responsive again with state intact.
-                            if outbox.hub.faults.is_crashed(id) {
-                                outbox.hub.stats.dropped.fetch_add(1, Ordering::Relaxed);
-                            } else {
-                                handler.on_message(env, &outbox);
-                            }
-                        }
-                        Packet::Barrier(ack) => {
-                            let _ = ack.send(());
-                        }
-                        Packet::Shutdown => break,
-                    }
-                }
-            }));
-        }
+        let handles = inboxes
+            .into_iter()
+            .map(|(me, rx, handler)| {
+                let (hub, delayed) = (Arc::clone(&hub), RefCell::default());
+                let outbox = Outbox { me, hub, delayed };
+                std::thread::spawn(move || run_node(rx, handler, outbox))
+            })
+            .collect();
         Cluster { hub, handles: Mutex::new(handles) }
     }
 
@@ -334,11 +319,17 @@ impl<M: Send + 'static> Cluster<M> {
     }
 
     /// Restarts a crashed `node`: its thread (never actually stopped)
-    /// resumes processing with its handler state intact. Messages that
+    /// resumes processing with its handler state intact, and serves a
+    /// wake-up that fell due while it was down at once. Messages that
     /// arrived while it was down are lost. Returns `false` if it was not
     /// crashed.
     pub fn restart(&self, node: NodeId) -> bool {
-        self.hub.mailboxes.contains_key(&node) && self.hub.faults.restart(node)
+        let Some(mailbox) = self.hub.mailboxes.get(&node) else { return false };
+        let restarted = self.hub.faults.restart(node);
+        if restarted {
+            let _ = mailbox.send(Packet::Resume);
+        }
+        restarted
     }
 
     /// Whether `node` is currently crashed.
@@ -385,7 +376,6 @@ impl<M: Send + 'static> Cluster<M> {
         for tx in self.hub.mailboxes.values() {
             let _ = tx.send(Packet::Shutdown);
         }
-        let _ = self.hub.timer.send(TimerCmd::Shutdown);
         let wire = self.hub.wire.as_ref();
         if let Some(wire) = wire {
             wire.stop_accepting();

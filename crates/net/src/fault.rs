@@ -67,8 +67,8 @@ impl FaultPlan {
     }
 
     /// Delays every message on the directed link `from → to` by `by`
-    /// (delivered through the cluster's timer thread, preserving
-    /// per-link send order only among equally-delayed messages).
+    /// (held in the sender's outbox and posted by the sender's own thread
+    /// when due, so the link keeps its send order).
     pub fn delay(mut self, from: NodeId, to: NodeId, by: Duration) -> Self {
         self.delays.insert((from, to), by);
         self

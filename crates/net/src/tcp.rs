@@ -217,8 +217,9 @@ pub fn read_handshake(r: &mut impl Read) -> io::Result<()> {
     Ok(())
 }
 
-/// Shared socket-level counters, mirrored into the obs registry under
-/// the `transport.*` names (`rdfmesh_obs::names`).
+/// Shared socket-level counters. They are the cluster's own: the host
+/// that runs the cluster reports them, under the `transport.*` names
+/// ([`TransportSnapshot::named`]).
 #[derive(Debug, Default)]
 pub struct TransportStats {
     frames_sent: AtomicU64,
@@ -231,35 +232,34 @@ pub struct TransportStats {
     decode_errors: AtomicU64,
 }
 
-impl TransportStats {
-    fn bump(&self, counter: &AtomicU64, name: &'static str, delta: u64) {
-        counter.fetch_add(delta, Ordering::Relaxed);
-        rdfmesh_obs::metrics().add(name, delta);
-    }
+fn bump(counter: &AtomicU64, delta: u64) {
+    counter.fetch_add(delta, Ordering::Relaxed);
+}
 
+impl TransportStats {
     fn frame_sent(&self, wire_bytes: u64) {
-        self.bump(&self.frames_sent, rdfmesh_obs::names::TRANSPORT_FRAMES_SENT, 1);
-        self.bump(&self.bytes_sent, rdfmesh_obs::names::TRANSPORT_BYTES_SENT, wire_bytes);
+        bump(&self.frames_sent, 1);
+        bump(&self.bytes_sent, wire_bytes);
     }
 
     fn frame_received(&self, wire_bytes: u64) {
-        self.bump(&self.frames_received, rdfmesh_obs::names::TRANSPORT_FRAMES_RECEIVED, 1);
-        self.bump(&self.bytes_received, rdfmesh_obs::names::TRANSPORT_BYTES_RECEIVED, wire_bytes);
+        bump(&self.frames_received, 1);
+        bump(&self.bytes_received, wire_bytes);
     }
 
     fn connect(&self, again: bool) {
-        self.bump(&self.connects, rdfmesh_obs::names::TRANSPORT_CONNECTS, 1);
+        bump(&self.connects, 1);
         if again {
-            self.bump(&self.reconnects, rdfmesh_obs::names::TRANSPORT_RECONNECTS, 1);
+            bump(&self.reconnects, 1);
         }
     }
 
     fn send_failure(&self) {
-        self.bump(&self.send_failures, rdfmesh_obs::names::TRANSPORT_SEND_FAILURES, 1);
+        bump(&self.send_failures, 1);
     }
 
     fn decode_error(&self) {
-        self.bump(&self.decode_errors, rdfmesh_obs::names::TRANSPORT_DECODE_ERRORS, 1);
+        bump(&self.decode_errors, 1);
     }
 
     /// A point-in-time copy of every counter.
@@ -296,6 +296,23 @@ pub struct TransportSnapshot {
     pub send_failures: u64,
     /// Handshake failures, malformed frames, and undecodable payloads.
     pub decode_errors: u64,
+}
+
+impl TransportSnapshot {
+    /// Every counter under its metric name (`rdfmesh_obs::names`).
+    pub fn named(&self) -> [(&'static str, u64); 8] {
+        use rdfmesh_obs::names::*;
+        [
+            (TRANSPORT_FRAMES_SENT, self.frames_sent),
+            (TRANSPORT_FRAMES_RECEIVED, self.frames_received),
+            (TRANSPORT_BYTES_SENT, self.bytes_sent),
+            (TRANSPORT_BYTES_RECEIVED, self.bytes_received),
+            (TRANSPORT_CONNECTS, self.connects),
+            (TRANSPORT_RECONNECTS, self.reconnects),
+            (TRANSPORT_SEND_FAILURES, self.send_failures),
+            (TRANSPORT_DECODE_ERRORS, self.decode_errors),
+        ]
+    }
 }
 
 /// One outbound connection to a peer process, lazily connected and

@@ -225,35 +225,89 @@ fn delayed_link_delivers_after_direct_messages() {
     }
 }
 
-#[test]
-fn scheduled_deadline_messages_arrive_in_deadline_order() {
-    // A node schedules two deadlines to itself, out of order; they must
-    // fire earliest-first.
-    struct Deadlines {
-        armed: bool,
-        reply: Sender<(NodeId, u64)>,
+/// A node that keeps its own alarms: each message arms one wake-up per
+/// `(after, tag)` of `arm`, and each wake-up reports the tags of the
+/// alarms that are due, earliest first.
+struct Alarms {
+    arm: Vec<(Duration, u64)>,
+    armed: Vec<(Instant, u64)>,
+    reply: Sender<(NodeId, u64)>,
+}
+
+impl Handler<Tag> for Alarms {
+    fn on_message(&mut self, _env: Envelope<Tag>, _out: &Outbox<Tag>) {
+        let now = Instant::now();
+        let arm = self.arm.drain(..).map(|(after, tag)| (now + after, tag));
+        self.armed.extend(arm);
     }
-    impl Handler<Tag> for Deadlines {
-        fn on_message(&mut self, env: Envelope<Tag>, out: &Outbox<Tag>) {
-            if !self.armed {
-                self.armed = true;
-                out.schedule(Duration::from_millis(200), Tag(10));
-                out.schedule(Duration::from_millis(20), Tag(20));
-            } else {
-                let _ = self.reply.send((out.me(), env.payload.0));
-            }
+
+    fn wake_at(&self) -> Option<Instant> {
+        self.armed.iter().map(|(at, _)| *at).min()
+    }
+
+    fn on_wake(&mut self, out: &Outbox<Tag>) {
+        let now = Instant::now();
+        self.armed.sort();
+        let due = self.armed.iter().take_while(|(at, _)| *at <= now).count();
+        for (_, tag) in self.armed.drain(..due) {
+            let _ = self.reply.send((out.me(), tag));
         }
     }
+}
+
+fn alarms(arm: &[(u64, u64)], reply: &Sender<(NodeId, u64)>) -> Box<dyn Handler<Tag>> {
+    let arm = arm.iter().map(|&(ms, tag)| (Duration::from_millis(ms), tag)).collect();
+    Box::new(Alarms { arm, armed: Vec::new(), reply: reply.clone() })
+}
+
+#[test]
+fn a_handler_is_woken_at_the_times_it_asks_for_earliest_first() {
+    // A node arms two wake-ups, out of order; they must come
+    // earliest-first, neither early, and neither as network traffic.
     let (tx, rx) = unbounded();
-    let nodes =
-        || -> Nodes { vec![(NodeId(1), Box::new(Deadlines { armed: false, reply: tx.clone() }))] };
+    let nodes = || -> Nodes { vec![(NodeId(1), alarms(&[(200, 10), (20, 20)], &tx))] };
     for cluster in on_both_wires(nodes, FaultPlan::new()) {
         let before = cluster.message_count();
+        let armed = Instant::now();
         cluster.inject(NodeId(0), NodeId(1), Tag(0));
         assert_eq!(rx.recv_timeout(Duration::from_secs(5)).unwrap().1, 20);
+        assert!(armed.elapsed() >= Duration::from_millis(20), "woken early");
         assert_eq!(rx.recv_timeout(Duration::from_secs(5)).unwrap().1, 10);
-        // Self-deadlines are not network traffic.
+        assert!(armed.elapsed() >= Duration::from_millis(200), "woken early");
+        // Wake-ups are not network traffic.
         assert_eq!(cluster.message_count(), before + 1);
+        cluster.shutdown();
+    }
+}
+
+#[test]
+fn a_due_wake_up_is_served_while_messages_keep_arriving() {
+    let (tx, rx) = unbounded();
+    let nodes = || -> Nodes { vec![(NodeId(1), alarms(&[(20, 7)], &tx))] };
+    for cluster in on_both_wires(nodes, FaultPlan::new()) {
+        let flooding = Instant::now() + Duration::from_secs(10);
+        let mut woken = None;
+        while woken.is_none() && Instant::now() < flooding {
+            cluster.inject(NodeId(0), NodeId(1), Tag(0));
+            woken = rx.try_recv().ok();
+        }
+        assert_eq!(woken.map(|(_, tag)| tag), Some(7), "starved by a stream of messages");
+        cluster.shutdown();
+    }
+}
+
+#[test]
+fn a_crashed_node_is_woken_only_after_its_restart() {
+    let (tx, rx) = unbounded();
+    let nodes = || -> Nodes { vec![(NodeId(1), alarms(&[(300, 7)], &tx))] };
+    for cluster in on_both_wires(nodes, FaultPlan::new()) {
+        cluster.inject(NodeId(0), NodeId(1), Tag(0));
+        assert!(cluster.barrier(NodeId(1), Duration::from_secs(5)), "the alarm is armed");
+        assert!(cluster.crash(NodeId(1)));
+        assert!(rx.recv_timeout(Duration::from_millis(500)).is_err(), "woken while crashed");
+        assert!(cluster.restart(NodeId(1)));
+        let woken = rx.recv_timeout(Duration::from_secs(5)).expect("woken after the restart");
+        assert_eq!(woken, (NodeId(1), 7));
         cluster.shutdown();
     }
 }

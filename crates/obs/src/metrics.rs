@@ -121,11 +121,6 @@ impl MetricsRegistry {
         self.enabled.store(false, Ordering::Relaxed);
     }
 
-    /// Whether recording is active.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
-    }
-
     /// Adds `delta` to the counter `name`.
     #[inline]
     pub fn add(&self, name: &'static str, delta: u64) {

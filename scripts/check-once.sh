@@ -101,8 +101,14 @@
 # there and in the simulator's role runner — and the host's view of the
 # ring answers `index_owner_of` once (the client's). The host alone keeps
 # its counters: `LiveStats` writes nothing to the global registry (no
-# `metrics().add(` in stats.rs), and the registry checks its own switch
-# (no `is_enabled()` under src or crates/*/src outside crates/obs).
+# `metrics().add(` in stats.rs), and neither do the socket wire's
+# transport counters (no `metrics()` in crates/net/src/tcp.rs).
+# Each node thread keeps its own time. A round's waits are its
+# coordinator's state: the host hands it the time and asks it for its next
+# wake-up (one `fn next_wake`, the coordinator's), no deadline travels as
+# a message (no `LiveMsg::Deadline`, `DeadlineStage` or `Action::Schedule`
+# under crates/core/src), and the cluster has no timer thread (no
+# `run_timer`, `TimerCmd` or `fn schedule` under crates/net/src).
 # Fails when a second copy appears. Test modules (`mod tests` to end of
 # file) and comment lines are not code.
 set -eu
@@ -157,6 +163,9 @@ expect_at 'LiveStorage::new(' 'sim_backend.rs:1 live/host.rs:1'
 expect_at 'fn index_owner_of' 'live/client.rs:1'
 expect 'metrics().add( in stats.rs (a mirror of the host'"'"'s counters)' \
     "$(code stats.rs | grep -cF 'metrics().add(' || true)" 0
+expect 'LiveMsg::Deadline / DeadlineStage / Action::Schedule under crates/core/src' \
+    "$(code ./*.rs live/*.rs | grep -cE 'LiveMsg::Deadline|DeadlineStage|Action::Schedule' || true)" 0
+expect_at 'fn next_wake' 'live/coordinator.rs:1'
 expect 'Outbox in live/{coordinator,index,storage}.rs' \
     "$(code live/coordinator.rs live/index.rs live/storage.rs | grep -c 'Outbox' || true)" 0
 expect_at 'provider::scatter(' 'live/storage.rs:1'
@@ -209,6 +218,10 @@ expect 'self.replicas.get( in overlay.rs (the row read)' \
 # nodes learn their rows from the one publication path, as serve
 # processes do.
 net=../../net/src
+expect 'run_timer / TimerCmd / fn schedule under crates/net/src' \
+    "$(code "$net"/*.rs | grep -cE 'run_timer|TimerCmd|fn schedule\b' || true)" 0
+expect 'metrics() in tcp.rs (a mirror of the cluster'"'"'s transport counters)' \
+    "$(code "$net"/tcp.rs | grep -cF 'metrics()' || true)" 0
 expect 'cluster structs under crates/net/src' \
     "$(code "$net"/*.rs | grep -cE 'struct [A-Za-z]*Cluster\b' || true)" 1
 expect 'trait RemoteRoute / struct ClusterParts / enum MeshCluster' \
@@ -380,8 +393,6 @@ expect_files 'fn serialized_len under crates/sparql/src and crates/core/src' \
     "$(files_with 'fn serialized_len\b' $(find crates/sparql/src crates/core/src -name '*.rs' | sort))" ''
 expect_files 'SUBQUERY_HEADER / RESULT_HEADER under src and crates/*/src' \
     "$(files_with '\b(SUBQUERY|RESULT)_HEADER\b' $(find src crates/*/src -name '*.rs' | sort))" ''
-expect_files 'is_enabled() under src and crates/*/src outside crates/obs' \
-    "$(files_with 'is_enabled\(\)' $(find src crates/*/src -name '*.rs' ! -path 'crates/obs/*' | sort))" ''
 # One unsafe block in library code: the call that runs the SHA-1 kernel
 # the CPU was seen to support. `unsafe fn` / `unsafe impl` count too.
 lib_rs=$(find src crates/*/src -name '*.rs' | sort)
@@ -398,5 +409,5 @@ safety=$(awk '/^mod tests/{exit}
     /unsafe \{/{ print (first ~ /^ *\/\/ SAFETY:/) ? "ok" : "missing" }
     { run = 0; first = "" }' "$hash_rs")
 expect "unsafe blocks in $hash_rs under a // SAFETY: comment" "$(echo "$safety" | grep -c '^ok$' || true)" 1
-[ "$bad" -eq 0 ] && echo 'exists once: provider compute, exchange pricing, reply accounting, role constructors, the role host, the multiway protocol, regex compilation, lending scan, JSON escaping, result writers, the stopwatch, the pipeline tail, the operator table, the lookup leg, the cluster, the publication path, the frequency column, the move-small rule, the location table, the key count, the list-count bound, the bind step, the role runner, the query account, the statistics pass, the fan-out, the row read, the generation writer, the commit, the row batch, the triple index, the term dictionary, the answer batch, the whole-store walk, the independent oracle, the byte codec, the log replay, the unsafe block, the key batch, the failpoint, the byte yardstick, the filter evaluator, the host'"'"'s client, the host'"'"'s ledger, the registry switch'
+[ "$bad" -eq 0 ] && echo 'exists once: provider compute, exchange pricing, reply accounting, role constructors, the role host, the multiway protocol, regex compilation, lending scan, JSON escaping, result writers, the stopwatch, the pipeline tail, the operator table, the lookup leg, the cluster, the publication path, the frequency column, the move-small rule, the location table, the key count, the list-count bound, the bind step, the role runner, the query account, the statistics pass, the fan-out, the row read, the generation writer, the commit, the row batch, the triple index, the term dictionary, the answer batch, the whole-store walk, the independent oracle, the byte codec, the log replay, the unsafe block, the key batch, the failpoint, the byte yardstick, the filter evaluator, the host'"'"'s client, the host'"'"'s ledger, the wire'"'"'s ledger, the round'"'"'s clock'
 exit "$bad"

@@ -14,9 +14,9 @@
 //! * `GET /health` reports the process's roster size, for liveness
 //!   probes and the `docs/DEPLOYMENT.md` walkthrough;
 //! * `GET /metrics` dumps the process-wide [`rdfmesh_obs`] registry and
-//!   the node's own protocol counters ([`rdfmesh_core::LiveStats`], under
-//!   their `live.*` / `exec.strategy.*` names) as flat `name value` text,
-//!   one metric per line.
+//!   the node's own counters — its protocol's ([`rdfmesh_core::LiveStats`],
+//!   under their `live.*` / `exec.strategy.*` names) and its socket wire's
+//!   (`transport.*`) — as flat `name value` text, one metric per line.
 //!
 //! A bounded pool of handler threads drains accepted connections from a
 //! bounded hand-off queue, `Connection: close` semantics: concurrent
@@ -500,7 +500,8 @@ fn answer(req: &Request, node: &MeshNode, options: ServeOptions) -> Response {
         ),
         ("GET", "/metrics") => {
             let mut snap = rdfmesh_obs::metrics().snapshot();
-            for (name, value) in node.stats().named() {
+            let own = node.stats().named().into_iter().chain(node.transport_stats().named());
+            for (name, value) in own {
                 snap.counters.insert(name.to_string(), value);
             }
             Response::new("200 OK", "text/plain; charset=utf-8", render_metrics(&snap))
@@ -700,6 +701,40 @@ mod tests {
         let text = render_metrics(&snap);
         assert_eq!(text, "live.admitted 7\nlive.rejected 2\n");
         assert_eq!(render_metrics(&rdfmesh_obs::Snapshot::default()), "");
+    }
+
+    /// `GET /metrics` reports the node's own socket counters, whatever
+    /// the process-wide registry holds: here it is switched off, and a
+    /// second node's join has put frames on the first one's wire.
+    #[test]
+    fn metrics_report_the_nodes_own_transport_counters() {
+        rdfmesh_obs::metrics().disable();
+        let store = || rdfmesh_rdf::TripleStore::new();
+        let cfg = rdfmesh_core::LiveConfig::default();
+        let node = Arc::new(MeshNode::start("127.0.0.1:0", 1, store(), cfg).unwrap());
+        let peer = MeshNode::start("127.0.0.1:0", 2, store(), cfg).unwrap();
+        assert!(node.join(peer.local_addr()));
+        let endpoint =
+            SparqlEndpoint::serve("127.0.0.1:0", Arc::clone(&node), ServeOptions::default())
+                .unwrap();
+        let before = node.transport_stats();
+        let mut stream = TcpStream::connect(endpoint.local_addr()).unwrap();
+        stream.write_all(b"GET /metrics HTTP/1.1\r\nHost: rdfmesh\r\n\r\n").unwrap();
+        let mut response = String::new();
+        stream.read_to_string(&mut response).unwrap();
+        let after = node.transport_stats();
+        let metric = |name: &str| -> u64 {
+            let line = response.lines().find_map(|l| l.strip_prefix(name)?.strip_prefix(' '));
+            line.and_then(|v| v.parse().ok()).unwrap_or_else(|| panic!("no {name}: {response}"))
+        };
+        let bytes = metric("transport.bytes_sent");
+        let frames = metric("transport.frames_sent");
+        assert!(before.frames_sent > 0, "the join crossed the wire: {before:?}");
+        assert!((before.bytes_sent..=after.bytes_sent).contains(&bytes), "{bytes} B");
+        assert!((before.frames_sent..=after.frames_sent).contains(&frames), "{frames} frames");
+        endpoint.shutdown();
+        peer.shutdown();
+        node.shutdown();
     }
 
     #[test]
