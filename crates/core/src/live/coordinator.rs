@@ -1109,7 +1109,9 @@ mod tests {
                 Solution::new(),
                 xsol(9),
             ];
-            let answer = |store, keys| provider::answer(store, &pattern(), None, keys);
+            let answer = |store: &rdfmesh_rdf::TripleStore, keys| {
+                provider::answer(store, &pattern(), None, keys)
+            };
             let shipped: Vec<Solution> =
                 stores.iter().flat_map(|store| answer(store, Some(&keys[..])).to_solutions()).collect();
             let fetched = stores.iter().map(|store| answer(store, None)).collect();

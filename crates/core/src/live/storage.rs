@@ -124,8 +124,9 @@ impl LiveStorage {
     pub(crate) fn on_event(&mut self, from: NodeId, msg: LiveMsg) -> Vec<Action> {
         match msg {
             LiveMsg::SubQuerySol { qid, pattern, filter, bound, reply_to } => {
-                let solutions =
-                    provider::answer(&self.store, &pattern, filter.as_ref(), bound.as_deref());
+                let solutions = self.store.with(|store| {
+                    provider::answer(store, &pattern, filter.as_ref(), bound.as_deref())
+                });
                 vec![Self::ship(&self.stats, reply_to, LiveMsg::Solutions { qid, solutions })]
             }
             LiveMsg::ShuffleExec { qid, round, patterns, join_vars, peers, reply_to } => {
@@ -150,7 +151,9 @@ impl LiveStorage {
                 let mut actions = Vec::new();
                 self.shuffle_entry(qid).round = round;
                 if self.shuffle_entry(qid).exec.is_none() {
-                    let parts = provider::scatter(&self.store, &patterns, &join_vars, peers.len());
+                    let parts = self.store.with(|store| {
+                        provider::scatter(store, &patterns, &join_vars, peers.len())
+                    });
                     for (peer, mine) in peers.iter().zip(parts) {
                         if *peer == me {
                             self.shuffle_entry(qid).received.insert(me, mine);
@@ -184,10 +187,9 @@ impl LiveStorage {
                 // Partial evaluation: answer every pattern over local
                 // data in one shot. Stateless, so a retransmission just
                 // recomputes the same reply.
-                let per_pattern = patterns
-                    .iter()
-                    .map(|p| provider::answer(&self.store, p, None, None))
-                    .collect();
+                let per_pattern = self.store.with(|store| {
+                    patterns.iter().map(|p| provider::answer(store, p, None, None)).collect()
+                });
                 let reply = LiveMsg::PartialMatches { qid, per_pattern };
                 vec![Self::ship(&self.stats, reply_to, reply)]
             }

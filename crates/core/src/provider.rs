@@ -7,9 +7,14 @@
 //! backends agree (each is held to the central oracle, in
 //! `tests/engine_correctness.rs` and `tests/live_exec.rs`).
 
-use rdfmesh_rdf::{TriplePattern, Variable};
-use rdfmesh_sparql::eval::{for_each_kept, Graph};
+use std::collections::HashMap;
+use std::hash::BuildHasherDefault;
+
+use rdfmesh_rdf::fxhash::FxHasher64;
+use rdfmesh_rdf::{PatternSource, TriplePattern, Variable};
+use rdfmesh_sparql::eval::for_each_kept;
 use rdfmesh_sparql::expr::Expression;
+use rdfmesh_sparql::rows::UNBOUND;
 use rdfmesh_sparql::{Rows, Solution};
 
 use crate::exec::shuffle_partition;
@@ -20,17 +25,73 @@ use crate::exec::shuffle_partition;
 /// (Sect. IV-G): compiled once against `pattern`, run on each triple
 /// while the store still only lends it, so that a row is appended to the
 /// answer's batch only if it is shipped.
-pub(crate) fn answer<G: Graph>(
-    store: &G,
+///
+/// The batch is built from the ids the store scans. Its columns are
+/// fixed before the first row: the pattern's variables, then those only
+/// the keys bind. Each store id maps to its cell through a table that
+/// lives as long as the answer, so a term is resolved, cloned and
+/// interned once however many rows name it; a key's own cells are
+/// interned once, at its first match; and a row is appended as cells.
+pub(crate) fn answer(
+    store: &dyn PatternSource,
     pattern: &TriplePattern,
     filter: Option<&Expression>,
     bound: Option<&[Solution]>,
 ) -> Rows {
     let filter = filter.map(Expression::compile);
-    let mut rows = Rows::new();
     let unit = [Solution::new()];
-    for_each_kept(store, pattern, bound.unwrap_or(&unit), filter.as_ref(), |row| {
-        rows.push_bindings(row.bindings());
+    let keys = bound.unwrap_or(&unit);
+    let mut vars: Vec<Variable> = Vec::new();
+    let mut column = |v: &Variable| match vars.iter().position(|known| known == v) {
+        Some(c) => c,
+        None => {
+            vars.push(v.clone());
+            vars.len() - 1
+        }
+    };
+    // Per position, the column its variable fills; a variable the
+    // pattern repeats is read at its first position only (the store
+    // lends only triples that agree with themselves there).
+    let mut reads = [None; 3];
+    for (p, tp) in [&pattern.subject, &pattern.predicate, &pattern.object].into_iter().enumerate() {
+        if let Some(v) = tp.as_var() {
+            let c = column(v);
+            if !reads.contains(&Some(c)) {
+                reads[p] = Some(c);
+            }
+        }
+    }
+    for key in keys {
+        for (v, _) in key.iter() {
+            column(v);
+        }
+    }
+    let mut rows = Rows::with_vars(vars);
+    let mut cells: HashMap<u32, u32, BuildHasherDefault<FxHasher64>> = HashMap::default();
+    let mut row = vec![UNBOUND; rows.vars().len()];
+    // The key the row template holds, and which positions its rows read.
+    let (mut current, mut scanned) = (usize::MAX, [None; 3]);
+    for_each_kept(store, pattern, keys, filter.as_ref(), |k, matched, ids| {
+        if k != current {
+            current = k;
+            row.fill(UNBOUND);
+            for (v, term) in matched.partial.iter() {
+                let c = rows.vars().iter().position(|known| known == v).expect("a column");
+                row[c] = rows.intern(term);
+            }
+            // A variable the key binds was substituted: it is no longer
+            // a variable of the pattern scanned, and its cell is the key's.
+            let bound = &matched.pattern;
+            let bound = [&bound.subject, &bound.predicate, &bound.object];
+            scanned = std::array::from_fn(|p| reads[p].filter(|_| bound[p].is_var()));
+        }
+        let terms = [matched.triple.subject, matched.triple.predicate, matched.triple.object];
+        for (p, c) in scanned.iter().enumerate() {
+            if let Some(c) = *c {
+                row[c] = *cells.entry(ids[p].0).or_insert_with(|| rows.intern(terms[p]));
+            }
+        }
+        rows.push_cells(&row);
     });
     rows
 }
@@ -40,8 +101,8 @@ pub(crate) fn answer<G: Graph>(
 /// `join_vars` bindings hash to. `parts[target][slot]`; empty partitions
 /// are kept, because a target can only join once it heard from every
 /// origin.
-pub(crate) fn scatter<G: Graph>(
-    store: &G,
+pub(crate) fn scatter(
+    store: &dyn PatternSource,
     patterns: &[TriplePattern],
     join_vars: &[Variable],
     k: usize,
@@ -95,14 +156,24 @@ pub(crate) fn assemble(slots: usize, providers: &[Vec<Rows>]) -> (Rows, usize) {
 mod tests {
     //! The four functions against the central evaluator on generated
     //! data: a random graph over a small vocabulary split across one to
-    //! four stores, and a random two- or three-pattern BGP.
+    //! four stores, and a random two- or three-pattern BGP. The answer
+    //! properties run on in-memory stores and on persistent ones, flushed
+    //! to one level and then with an overlay insert and a tombstone over
+    //! it; an answer built from store ids is held byte for byte to the
+    //! frame of the same rows built from terms.
 
     use super::*;
+    use std::path::PathBuf;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
     use proptest::prelude::*;
-    use rdfmesh_rdf::{Literal, Term, TermPattern, Triple, TripleStore};
-    use rdfmesh_sparql::eval::{evaluate_pattern, evaluate_pattern_with};
+    use proptest::test_runner::TestCaseError;
+    use rdfmesh_rdf::{Literal, Term, TermPattern, Triple, TripleRef, TripleStore};
+    use rdfmesh_sparql::eval::{evaluate_pattern, evaluate_pattern_with, Graph};
     use rdfmesh_sparql::expr::ComparisonOp;
+    use rdfmesh_sparql::solution::wire::put_rows;
     use rdfmesh_sparql::{solution, GraphPattern};
+    use rdfmesh_store::PersistentStore;
 
     const PREDICATES: [&str; 3] = ["p0", "p1", "p2"];
 
@@ -230,12 +301,236 @@ mod tests {
         }
     }
 
+    /// `rows` triples over the 50 terms `t0` … `t49`, each in a position
+    /// of its own: every term appears from 1 000 rows on.
+    fn over_fifty_terms(rows: usize) -> impl Iterator<Item = Triple> {
+        let t = |i: usize| iri(&format!("t{}", i % 50));
+        (0..rows).map(move |i| Triple::new(t(i), t(i / 50), t(i / 2500)))
+    }
+
+    /// How often a batch's cells ask the allocator to grow to `rows`
+    /// rows of three: what an answer's allocations may grow by with its
+    /// rows alone.
+    fn cell_growth(rows: usize) -> usize {
+        use crate::live_wire::allocations_by;
+        allocations_by(|| {
+            let mut cells = Vec::new();
+            for _ in 0..rows {
+                cells.extend_from_slice(&[UNBOUND; 3]);
+            }
+            cells
+        })
+        .1
+    }
+
+    /// An answer asks the allocator per distinct term, not per row: over
+    /// the same 50 terms, 1 000 and 10 000 rows ask equally often but for
+    /// the cell vector's doublings — in memory and on a persistent store
+    /// (warm: a segment's blocks are cached at their first read).
+    #[test]
+    fn an_answer_allocates_per_distinct_term_not_per_row() {
+        use crate::live_wire::allocations_by;
+        let var = TermPattern::var;
+        let all = TriplePattern::new(var("s"), var("p"), var("o"));
+        let count = |store: &dyn PatternSource| {
+            answer(store, &all, None, None);
+            let (rows, n) = allocations_by(|| answer(store, &all, None, None));
+            (rows.len(), n - cell_growth(rows.len()))
+        };
+        let memory = |rows| count(&TripleStore::from_triples(over_fifty_terms(rows)));
+        let (few, many) = (memory(1_000), memory(10_000));
+        assert_eq!((few.0, many.0), (1_000, 10_000));
+        assert_eq!(few.1, many.1, "in memory: allocations over 1 000 and 10 000 rows");
+        let disk = |rows| count(&flushed(over_fifty_terms(rows), &TempDir::new()));
+        let (few, many) = (disk(1_000), disk(10_000));
+        assert_eq!((few.0, many.0), (1_000, 10_000));
+        assert_eq!(few.1, many.1, "persistent: allocations over 1 000 and 10 000 rows");
+    }
+
+    /// A one-row answer — a bound-subject lookup — asks the allocator no
+    /// more often than when its row was built from the bindings: 11 times
+    /// in memory and 15 on a one-level persistent store then, 10 and 14
+    /// built from ids.
+    #[test]
+    fn a_one_row_answer_allocates_no_more_than_before() {
+        use crate::live_wire::allocations_by;
+        let store = mixed(1_000);
+        let dir = TempDir::new();
+        let disk = flushed(store.iter(), &dir);
+        let lookup = TriplePattern::new(iri("s5"), iri("p"), TermPattern::var("o"));
+        for (store, before) in [(&store as &dyn PatternSource, 11), (&disk, 15)] {
+            answer(store, &lookup, None, None);
+            let (rows, n) = allocations_by(|| answer(store, &lookup, None, None));
+            assert_eq!(rows.len(), 1);
+            assert!(n <= before, "{n} allocations, {before} before");
+        }
+    }
+
+    /// A directory of its own for each persistent store a test opens,
+    /// removed with it.
+    struct TempDir(PathBuf);
+
+    impl TempDir {
+        fn new() -> TempDir {
+            static NEXT: AtomicUsize = AtomicUsize::new(0);
+            let n = NEXT.fetch_add(1, Ordering::Relaxed);
+            let dir = std::env::temp_dir()
+                .join(format!("rdfmesh-provider-{}-{n}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            TempDir(dir)
+        }
+    }
+
+    impl Drop for TempDir {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
+
+    /// `triples` in a persistent store flushed to one level.
+    fn flushed(triples: impl IntoIterator<Item = Triple>, dir: &TempDir) -> PersistentStore {
+        let mut store = PersistentStore::open(&dir.0).expect("open");
+        for t in triples {
+            store.try_insert(&t).expect("insert");
+        }
+        store.flush().expect("flush");
+        store
+    }
+
+    /// A [`Graph`] over any store, lending terms alone: the term path's
+    /// view of a store that lends ids.
+    struct Terms<'s>(&'s dyn PatternSource);
+
+    impl Graph for Terms<'_> {
+        fn for_each_match(&self, pattern: &TriplePattern, f: &mut dyn FnMut(TripleRef<'_>)) {
+            self.0.for_each_match(pattern, &mut |t, _| f(t));
+        }
+    }
+
+    fn sources<S: PatternSource>(stores: &[S]) -> Vec<&dyn PatternSource> {
+        stores.iter().map(|s| s as &dyn PatternSource).collect()
+    }
+
+    /// Runs `check` on the `stores` and their union, the central store:
+    /// in memory; as persistent stores flushed to one level; and after
+    /// `extra` is inserted into each (the overlay) and each one's first
+    /// triple is removed (a tombstone over the level).
+    fn on_every_store(
+        mut stores: Vec<TripleStore>,
+        extra: &Triple,
+        check: impl Fn(&[&dyn PatternSource], &TripleStore) -> Result<(), TestCaseError>,
+    ) -> Result<(), TestCaseError> {
+        check(&sources(&stores), &union_of(&stores))?;
+        let dirs: Vec<TempDir> = stores.iter().map(|_| TempDir::new()).collect();
+        let mut persistent: Vec<PersistentStore> =
+            stores.iter().zip(&dirs).map(|(s, dir)| flushed(s.iter(), dir)).collect();
+        check(&sources(&persistent), &union_of(&stores))?;
+        for (memory, disk) in stores.iter_mut().zip(&mut persistent) {
+            let first = memory.iter().next().filter(|t| t != extra);
+            for store in [memory as &mut dyn PatternSource, disk] {
+                store.insert(extra);
+                if let Some(t) = &first {
+                    store.remove(t);
+                }
+            }
+        }
+        check(&sources(&persistent), &union_of(&stores))
+    }
+
+    fn check_answers_union_to_the_central_match_then_filter(
+        stores: &[&dyn PatternSource],
+        central: &TripleStore,
+        bgp: &[TriplePattern],
+        filter: Option<&Expression>,
+        bind: bool,
+    ) -> Result<(), TestCaseError> {
+        // A bind join ships the first pattern's rows with the second.
+        let bound = bind.then(|| set(sols(answer(central, &bgp[0], None, None))));
+        for tp in &bgp[usize::from(bind)..] {
+            let partial = bound.clone().unwrap_or_else(|| vec![Solution::new()]);
+            let mut expected = evaluate_pattern_with(central, tp, &partial);
+            expected.retain(|s| filter.is_none_or(|f| f.satisfied_by(s)));
+            let got = stores.iter().flat_map(|&s| sols(answer(s, tp, filter, bound.as_deref())));
+            prop_assert_eq!(set(got), set(sols(expected)));
+        }
+        Ok(())
+    }
+
+    fn check_bound_answers_rejoin_to_the_unbound_join(
+        stores: &[&dyn PatternSource],
+        central: &TripleStore,
+        bgp: &[TriplePattern],
+    ) -> Result<(), TestCaseError> {
+        let rows = set(sols(answer(central, &bgp[0], None, None)));
+        let next = &bgp[1];
+        let vars: Vec<Variable> = next.variables().into_iter().cloned().collect();
+        let keys = set(rows.iter().map(|row| row.project(&vars)));
+        let bound = set(stores.iter().flat_map(|&s| sols(answer(s, next, None, Some(&keys)))));
+        let unbound = set(stores.iter().flat_map(|&s| sols(answer(s, next, None, None))));
+        prop_assert_eq!(
+            set(solution::naive::join(&rows, &bound)),
+            set(solution::naive::join(&rows, &unbound))
+        );
+        Ok(())
+    }
+
+    fn check_fetched_matches_joined_with_the_keys(
+        stores: &[&dyn PatternSource],
+        bgp: &[TriplePattern],
+        keys: &[Solution],
+    ) -> Result<(), TestCaseError> {
+        for tp in bgp {
+            let fetched: Vec<Solution> =
+                stores.iter().flat_map(|&s| sols(answer(s, tp, None, None))).collect();
+            let bound = stores.iter().flat_map(|&s| sols(answer(s, tp, None, Some(keys))));
+            prop_assert_eq!(set(solution::naive::join(keys, &fetched)), set(bound));
+        }
+        Ok(())
+    }
+
+    /// A pattern over `?v0` … `?v3` and the small vocabulary, each
+    /// position a variable or a constant — so one variable may fill two
+    /// positions (`?v1 p0 ?v1`) and a key may bind a variable it names.
+    fn arb_pattern() -> impl Strategy<Value = TriplePattern> {
+        let var = |i: u8| TermPattern::var(&format!("v{i}"));
+        let position = |constant: BoxedStrategy<Term>| {
+            (0u8..7, constant).prop_map(move |(i, c)| if i < 4 { var(i) } else { c.into() })
+        };
+        let predicate = proptest::sample::select(&PREDICATES[..]).prop_map(iri).boxed();
+        (position(arb_node().boxed()), position(predicate), position(arb_object().boxed()))
+            .prop_map(|(s, p, o)| TriplePattern::new(s, p, o))
+    }
+
+    /// A filter over `?v0` … `?v3`, or none: read from the triple, from a
+    /// key, or from neither.
+    fn arb_filter() -> impl Strategy<Value = Option<Expression>> {
+        let var = |i: u8| Box::new(Expression::Var(Variable::new(format!("v{i}"))));
+        let constant = |t: Term| Box::new(Expression::Const(t));
+        let filters = [
+            None,
+            Some(Expression::IsIri(var(1))),
+            Some(Expression::Compare(ComparisonOp::Neq, var(0), var(2))),
+            Some(Expression::Compare(ComparisonOp::Eq, var(2), constant(iri("n1")))),
+            Some(Expression::Bound(Variable::new("v3"))),
+            Some(Expression::Not(Box::new(Expression::IsIri(var(0))))),
+        ];
+        proptest::sample::select(&filters[..])
+    }
+
+    /// The frame bytes of a batch.
+    fn frame(rows: &Rows) -> Vec<u8> {
+        let mut out = Vec::new();
+        put_rows(&mut out, rows);
+        out
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(96))]
 
         #[test]
         fn answers_union_to_the_central_match_then_filter(
             stores in arb_stores(),
+            extra in arb_triple(),
             bgp in arb_bgp(),
             filter in proptest::sample::select(&[None, Some(false), Some(true)][..]),
             bind in any::<bool>(),
@@ -247,34 +542,21 @@ mod tests {
             // pattern binds it) and ?v2 from the triple matched here.
             let differ = Expression::Compare(ComparisonOp::Neq, var("v0"), var("v2"));
             let filter = filter.map(|both| if both { &differ } else { &is_iri });
-            let central = union_of(&stores);
-            // A bind join ships the first pattern's rows with the second.
-            let bound = bind.then(|| set(sols(answer(&central, &bgp[0], None, None))));
-            for tp in &bgp[usize::from(bind)..] {
-                let partial = bound.clone().unwrap_or_else(|| vec![Solution::new()]);
-                let mut expected = evaluate_pattern_with(&central, tp, &partial);
-                expected.retain(|s| filter.is_none_or(|f| f.satisfied_by(s)));
-                let got = stores.iter().flat_map(|s| sols(answer(s, tp, filter, bound.as_deref())));
-                prop_assert_eq!(set(got), set(sols(expected)));
-            }
+            on_every_store(stores, &extra, |stores, central| {
+                let check = check_answers_union_to_the_central_match_then_filter;
+                check(stores, central, &bgp, filter, bind)
+            })?;
         }
 
         #[test]
         fn bound_answers_over_the_key_projection_rejoin_to_the_unbound_join(
             stores in arb_stores(),
+            extra in arb_triple(),
             bgp in arb_bgp(),
         ) {
-            let central = union_of(&stores);
-            let rows = set(sols(answer(&central, &bgp[0], None, None)));
-            let next = &bgp[1];
-            let vars: Vec<Variable> = next.variables().into_iter().cloned().collect();
-            let keys = set(rows.iter().map(|row| row.project(&vars)));
-            let bound = set(stores.iter().flat_map(|s| sols(answer(s, next, None, Some(&keys)))));
-            let unbound = set(stores.iter().flat_map(|s| sols(answer(s, next, None, None))));
-            prop_assert_eq!(
-                set(solution::naive::join(&rows, &bound)),
-                set(solution::naive::join(&rows, &unbound))
-            );
+            on_every_store(stores, &extra, |stores, central| {
+                check_bound_answers_rejoin_to_the_unbound_join(stores, central, &bgp)
+            })?;
         }
 
         /// What move-small relies on: a provider sent the bare pattern
@@ -283,15 +565,46 @@ mod tests {
         #[test]
         fn fetched_matches_joined_with_the_keys_are_the_bound_answers(
             stores in arb_stores(),
+            extra in arb_triple(),
             bgp in arb_bgp(),
             keys in arb_keys(),
         ) {
-            for tp in &bgp {
-                let fetched: Vec<Solution> =
-                    stores.iter().flat_map(|s| sols(answer(s, tp, None, None))).collect();
-                let bound = stores.iter().flat_map(|s| sols(answer(s, tp, None, Some(&keys))));
-                prop_assert_eq!(set(solution::naive::join(&keys, &fetched)), set(bound));
-            }
+            on_every_store(stores, &extra, |stores, _| {
+                check_fetched_matches_joined_with_the_keys(stores, &bgp, &keys)
+            })?;
+        }
+
+        /// The answer built from store ids ships the frame the term path
+        /// ships — the rows the pattern adds to the keys, built from
+        /// their bindings ([`evaluate_pattern_with`]), then filtered —
+        /// byte for byte: the same rows, in the same order, the same
+        /// terms. Over repeated variables, keys that leave cells unbound
+        /// or bind the pattern's variables, the unit key, and filters.
+        #[test]
+        fn an_answer_ships_the_term_paths_frame_byte_for_byte(
+            triples in proptest::collection::vec(arb_triple(), 0..16),
+            extra in arb_triple(),
+            patterns in proptest::collection::vec(arb_pattern(), 1..4),
+            keys in arb_keys(),
+            bind in any::<bool>(),
+            filter in arb_filter(),
+        ) {
+            let keys = bind.then_some(&keys[..]);
+            on_every_store(vec![TripleStore::from_triples(triples)], &extra, |stores, _| {
+                for tp in &patterns {
+                    let got = answer(stores[0], tp, filter.as_ref(), keys);
+                    let unit = [Solution::new()];
+                    let partial = keys.unwrap_or(&unit);
+                    let mut expected = evaluate_pattern_with(&Terms(stores[0]), tp, partial);
+                    if let Some(filter) = &filter {
+                        let filter = filter.compile();
+                        expected.retain(|row| filter.satisfied_by(row));
+                    }
+                    prop_assert_eq!(frame(&got), frame(&expected), "{} with keys {:?}", tp, keys);
+                    prop_assert_eq!(got, expected);
+                }
+                Ok(())
+            })?;
         }
 
         #[test]

@@ -57,7 +57,7 @@ impl SubQuery<'_> {
     }
 
     fn answer(&self, store: &SharedStore) -> Rows {
-        provider::answer(store, self.pattern, self.filter, None)
+        store.with(|store| provider::answer(store, self.pattern, self.filter, None))
     }
 }
 

@@ -9,15 +9,20 @@
 //! query path knowing which one is underneath.
 //!
 //! The scan *lends*: [`PatternSource::for_each_match`] hands its callback
-//! a [`TripleRef`] into the store's own dictionary, so a caller that
-//! filters at the source clones only the rows it keeps. The terms are
-//! valid for the callback only, a [`SharedStore`] holds its read lock for
-//! the whole walk, and the callback must not call back into the store (a
-//! writer queued behind the read lock would deadlock a second read).
+//! a [`TripleRef`] into the store's own dictionary, together with the
+//! three [`TermId`]s the store scanned, so a caller that filters at the
+//! source clones only the rows it keeps, and a caller that builds a batch
+//! resolves each distinct term once, by its id. Within one walk equal ids
+//! are equal terms. The terms and ids are valid for the callback only (an
+//! id names nothing outside the walk that lent it), a [`SharedStore`]
+//! holds its read lock for the whole walk, and the callback must not call
+//! back into the store (a writer queued behind the read lock would
+//! deadlock a second read).
 
 use std::fmt;
 use std::sync::{Arc, RwLock};
 
+use crate::dictionary::TermId;
 use crate::store::TripleStore;
 use crate::triple::{TermPattern, Triple, TriplePattern, TripleRef};
 
@@ -30,9 +35,15 @@ use crate::triple::{TermPattern, Triple, TriplePattern, TripleRef};
 /// [`for_each_match`](PatternSource::for_each_match). Match emission
 /// *order* is unspecified — callers that need a canonical order sort.
 pub trait PatternSource: fmt::Debug + Send + Sync {
-    /// Lends every triple matching `pattern` to `f`. The terms belong to
-    /// the store and are valid for that call of `f` only.
-    fn for_each_match(&self, pattern: &TriplePattern, f: &mut dyn FnMut(TripleRef<'_>));
+    /// Lends every triple matching `pattern` to `f`, with the ids of its
+    /// subject, predicate and object in the store's dictionary. The terms
+    /// belong to the store and are valid for that call of `f` only; two
+    /// lent ids are equal exactly when their terms are.
+    fn for_each_match(
+        &self,
+        pattern: &TriplePattern,
+        f: &mut dyn FnMut(TripleRef<'_>, [TermId; 3]),
+    );
 
     /// Number of triples matching `pattern` — the "frequency" statistic
     /// published into location tables (paper Table I).
@@ -53,19 +64,20 @@ pub trait PatternSource: fmt::Debug + Send + Sync {
     /// All triples matching `pattern`, cloned and collected.
     fn match_pattern(&self, pattern: &TriplePattern) -> Vec<Triple> {
         let mut out = Vec::new();
-        self.for_each_match(pattern, &mut |t| out.push(t.to_triple()));
+        self.for_each_match(pattern, &mut |t, _| out.push(t.to_triple()));
         out
     }
 
     /// Lends every stored triple to `f`, as
-    /// [`for_each_match`](PatternSource::for_each_match) does.
+    /// [`for_each_match`](PatternSource::for_each_match) does, without
+    /// its ids.
     fn for_each_triple(&self, f: &mut dyn FnMut(TripleRef<'_>)) {
         let all = TriplePattern::new(
             TermPattern::var("s"),
             TermPattern::var("p"),
             TermPattern::var("o"),
         );
-        self.for_each_match(&all, f);
+        self.for_each_match(&all, &mut |t, _| f(t));
     }
 
     /// True if the store holds no triples.
@@ -75,7 +87,11 @@ pub trait PatternSource: fmt::Debug + Send + Sync {
 }
 
 impl PatternSource for TripleStore {
-    fn for_each_match(&self, pattern: &TriplePattern, f: &mut dyn FnMut(TripleRef<'_>)) {
+    fn for_each_match(
+        &self,
+        pattern: &TriplePattern,
+        f: &mut dyn FnMut(TripleRef<'_>, [TermId; 3]),
+    ) {
         TripleStore::for_each_match(self, pattern, f);
     }
 
@@ -168,9 +184,14 @@ impl SharedStore {
         self.read().count_pattern(pattern)
     }
 
-    /// Lends every triple matching `pattern` to `f`, under the read lock
-    /// for the whole walk: `f` must not call back into this store.
-    pub fn for_each_match(&self, pattern: &TriplePattern, mut f: impl FnMut(TripleRef<'_>)) {
+    /// Lends every triple matching `pattern` to `f`, with its ids, under
+    /// the read lock for the whole walk: `f` must not call back into this
+    /// store.
+    pub fn for_each_match(
+        &self,
+        pattern: &TriplePattern,
+        mut f: impl FnMut(TripleRef<'_>, [TermId; 3]),
+    ) {
         self.read().for_each_match(pattern, &mut f);
     }
 

@@ -81,7 +81,7 @@ impl TripleStore {
     /// All triples matching `pattern`, honouring repeated variables.
     pub fn match_pattern(&self, pattern: &TriplePattern) -> Vec<Triple> {
         let mut out = Vec::new();
-        self.for_each_match(pattern, |t| out.push(t.to_triple()));
+        self.for_each_match(pattern, |t, _| out.push(t.to_triple()));
         out
     }
 
@@ -101,10 +101,16 @@ impl TripleStore {
     }
 
     /// Lends every matching triple to `f`: the three terms are the
-    /// dictionary's own, borrowed for the call.
-    pub fn for_each_match<F: FnMut(TripleRef<'_>)>(&self, pattern: &TriplePattern, mut f: F) {
+    /// dictionary's own, borrowed for the call, and come with the ids the
+    /// index scanned.
+    pub fn for_each_match<F>(&self, pattern: &TriplePattern, mut f: F)
+    where
+        F: FnMut(TripleRef<'_>, [TermId; 3]),
+    {
         if let Some(plan) = Plan::new(&self.dict, pattern) {
-            self.index.scan(&plan, |spo| f(self.resolve(spo)));
+            self.index.scan(&plan, |spo @ (s, p, o)| {
+                f(self.resolve(spo), [TermId(s), TermId(p), TermId(o)]);
+            });
         }
     }
 }

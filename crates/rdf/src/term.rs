@@ -27,11 +27,7 @@ impl Iri {
         if iri.is_empty() {
             return Err(TermError::EmptyIri);
         }
-        if let Some(c) = iri.chars().find(|&c| {
-            c <= ' '
-                || c.is_whitespace()
-                || matches!(c, '<' | '>' | '"' | '{' | '}' | '|' | '^' | '`' | '\\')
-        }) {
+        if let Some(c) = first_excluded(&iri) {
             return Err(TermError::InvalidIriChar(c));
         }
         Ok(Iri(iri))
@@ -48,6 +44,56 @@ impl Iri {
     pub fn as_str(&self) -> &str {
         &self.0
     }
+}
+
+/// How [`first_excluded`] classes a byte.
+#[derive(Clone, Copy)]
+enum Byte {
+    Allowed,
+    Excluded,
+    /// Not ASCII: the start or the continuation of a wider character.
+    Wide,
+}
+
+/// [`Byte`] per byte value: U+0000–U+0020 (ASCII's whitespace among
+/// them) and the nine IRIREF excludes are [`Byte::Excluded`], every byte
+/// from 0x80 on is [`Byte::Wide`].
+const BYTE_CLASS: [Byte; 256] = {
+    let mut table = [Byte::Allowed; 256];
+    let mut b = 0;
+    while b < 256 {
+        table[b] = match b as u8 {
+            0..=0x20 | b'<' | b'>' | b'"' | b'{' | b'}' | b'|' | b'^' | b'`' | b'\\' => {
+                Byte::Excluded
+            }
+            0x80.. => Byte::Wide,
+            _ => Byte::Allowed,
+        };
+        b += 1;
+    }
+    table
+};
+
+/// The first character of `iri` an IRI may not hold (see [`Iri::new`]).
+/// ASCII is checked a byte at a time through [`BYTE_CLASS`]; from the
+/// first non-ASCII byte on the rest is walked by `char`, since whitespace
+/// beyond ASCII (U+0085, U+00A0, U+2000, …) is excluded too.
+fn first_excluded(iri: &str) -> Option<char> {
+    for (i, &b) in iri.as_bytes().iter().enumerate() {
+        match BYTE_CLASS[usize::from(b)] {
+            Byte::Allowed => {}
+            Byte::Excluded => return Some(char::from(b)),
+            Byte::Wide => return iri[i..].chars().find(|&c| excluded_char(c)),
+        }
+    }
+    None
+}
+
+/// Whether an IRI may not hold `c`.
+fn excluded_char(c: char) -> bool {
+    c <= ' '
+        || c.is_whitespace()
+        || matches!(c, '<' | '>' | '"' | '{' | '}' | '|' | '^' | '`' | '\\')
 }
 
 impl fmt::Display for Iri {
@@ -108,6 +154,25 @@ impl fmt::Display for BlankNode {
 pub struct Literal {
     lexical: String,
     kind: LiteralKind,
+}
+
+/// `lexical.parse::<f64>()`, bit for bit, with integers read without the
+/// float parser: an optional sign and at most 19 digits fits a `u64`,
+/// whose conversion to `f64` rounds to nearest, ties to even — as the
+/// parser rounds the same value. Anything else (more digits, a point, an
+/// exponent, `inf`, `NaN`) is the parser's.
+fn parse_f64(lexical: &str) -> Option<f64> {
+    let (negative, digits) = match lexical.as_bytes().first() {
+        Some(b'-') => (true, &lexical[1..]),
+        Some(b'+') => (false, &lexical[1..]),
+        _ => (false, lexical),
+    };
+    if (1..=19).contains(&digits.len()) && digits.bytes().all(|b| b.is_ascii_digit()) {
+        let n = digits.bytes().fold(0u64, |n, b| n * 10 + u64::from(b - b'0'));
+        let x = n as f64;
+        return Some(if negative { -x } else { x });
+    }
+    lexical.parse().ok()
 }
 
 /// Distinguishes plain, language-tagged and typed literals.
@@ -189,9 +254,9 @@ impl Literal {
     pub fn as_f64(&self) -> Option<f64> {
         match &self.kind {
             LiteralKind::Typed(dt) if crate::vocab::xsd::is_numeric(dt.as_str()) => {
-                self.lexical.parse().ok()
+                parse_f64(&self.lexical)
             }
-            LiteralKind::Plain => self.lexical.parse().ok(),
+            LiteralKind::Plain => parse_f64(&self.lexical),
             _ => None,
         }
     }
@@ -497,5 +562,94 @@ mod tests {
         let mut w = v.clone();
         w.sort();
         assert_eq!(v, w);
+    }
+
+    /// The check `Iri::new` ran before it read ASCII a byte at a time:
+    /// the first excluded character, walking `char`s.
+    fn char_walk(iri: &str) -> Result<(), TermError> {
+        if iri.is_empty() {
+            return Err(TermError::EmptyIri);
+        }
+        match iri.chars().find(|&c| {
+            c <= ' '
+                || c.is_whitespace()
+                || matches!(c, '<' | '>' | '"' | '{' | '}' | '|' | '^' | '`' | '\\')
+        }) {
+            Some(c) => Err(TermError::InvalidIriChar(c)),
+            None => Ok(()),
+        }
+    }
+
+    /// Characters from every class the check tells apart: allowed ASCII
+    /// (DEL among it), the excluded ASCII set with `\x0B`, whitespace
+    /// beyond ASCII, and other non-ASCII text of two, three and four bytes.
+    fn arb_iri_char() -> impl proptest::strategy::Strategy<Value = char> {
+        use proptest::prelude::*;
+        let excluded: Vec<char> =
+            (0u8..=0x20).map(char::from).chain("<>\"{}|^`\\".chars()).collect();
+        let wide_space = [
+            '\u{85}', '\u{a0}', '\u{1680}', '\u{2000}', '\u{2001}', '\u{2002}', '\u{2003}',
+            '\u{2004}', '\u{2005}', '\u{2006}', '\u{2007}', '\u{2008}', '\u{2009}', '\u{200a}',
+            '\u{2028}', '\u{2029}', '\u{202f}', '\u{205f}', '\u{3000}',
+        ];
+        let wide = ['é', 'ß', '\u{200b}', '\u{feff}', '€', '中', '\u{1f600}', '\u{10ffff}'];
+        prop_oneof![
+            6 => (0x21u8..=0x7f).prop_map(char::from),
+            1 => proptest::sample::select(&excluded[..]),
+            1 => proptest::sample::select(&wide_space[..]),
+            1 => proptest::sample::select(&wide[..]),
+            1 => (0u32..0x11_0000).prop_map(|c| char::from_u32(c).unwrap_or('\u{fffd}')),
+        ]
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(2048))]
+
+        #[test]
+        fn the_byte_check_names_what_the_char_walk_names(
+            chars in proptest::collection::vec(arb_iri_char(), 0..48),
+        ) {
+            let iri: String = chars.into_iter().collect();
+            let checked = Iri::new(iri.as_str()).map(|_| ());
+            proptest::prop_assert_eq!(checked, char_walk(&iri), "{:?}", iri);
+        }
+
+        /// The integer path of `as_f64` is the float parser's answer, bit
+        /// for bit: signs, leading zeros, 15 to 20 digits and beyond
+        /// `i64`, and the forms only the parser reads.
+        #[test]
+        fn as_f64_reads_integers_as_the_float_parser_does(
+            sign in proptest::sample::select(&["", "-", "+"][..]),
+            zeros in 0usize..4,
+            digits in "[0-9]{0,22}",
+            form in proptest::sample::select(&[
+                "", "1e3", ".5", "inf", "-inf", "NaN", "1.", "-0", "+007", "00", "1_0", " 1",
+                "0x10",
+            ][..]),
+        ) {
+            let lexical = format!("{sign}{}{digits}{form}", "0".repeat(zeros));
+            let plain = Literal::plain(lexical.as_str()).as_f64().map(f64::to_bits);
+            let double = Iri::new_unchecked(crate::vocab::xsd::DOUBLE);
+            let typed = Literal::typed(lexical.as_str(), double);
+            let expected = lexical.parse::<f64>().ok().map(f64::to_bits);
+            proptest::prop_assert_eq!(plain, expected, "{:?}", lexical);
+            proptest::prop_assert_eq!(typed.as_f64().map(f64::to_bits), expected, "{:?}", lexical);
+        }
+    }
+
+    /// Named integers: signed zeros and leading zeros, the longest
+    /// exact run, halfway cases above 2^53, 2^54 and 2^63 (both paths
+    /// round them to even), the 19-digit edge, and no digits at all.
+    #[test]
+    fn as_f64_named_integers_match_the_float_parser() {
+        for lexical in [
+            "-0", "+0", "0", "00", "+007", "-007", "123456789012345", "999999999999999",
+            "1234567890123456", "9007199254740993", "18014398509481986", "9223372036854776832",
+            "-9223372036854776833", "9999999999999999999", "12345678901234567890",
+            "99999999999999999999", "-9223372036854775809", "18446744073709551616", "-", "+", "",
+        ] {
+            let got = Literal::plain(lexical).as_f64().map(f64::to_bits);
+            assert_eq!(got, lexical.parse::<f64>().ok().map(f64::to_bits), "{lexical:?}");
+        }
     }
 }

@@ -146,7 +146,16 @@ proptest! {
         expected.sort();
         expected.dedup();
         let mut lent = Vec::new();
-        store.for_each_match(&pattern, |t| lent.push(t.to_triple()));
+        let mut named = std::collections::BTreeMap::new();
+        store.for_each_match(&pattern, |t, ids| {
+            // One id per term and one term per id, across the walk.
+            for (id, term) in ids.into_iter().zip([t.subject, t.predicate, t.object]) {
+                assert_eq!(named.entry(id).or_insert_with(|| term.clone()), term);
+            }
+            lent.push(t.to_triple());
+        });
+        let terms: std::collections::BTreeSet<_> = named.values().collect();
+        prop_assert_eq!(terms.len(), named.len(), "two ids lent for one term");
         lent.sort();
         prop_assert_eq!(&lent, &expected, "{}", &pattern);
         // The trait's cloning methods sit on the same scan.

@@ -2,9 +2,9 @@
 //!
 //! Two things live here. The "Local Query Execution" stage of the
 //! paper's workflow (Fig. 3): a storage node matches a triple pattern
-//! against its own RDF data repository through [`for_each_extension`],
-//! and the initiator post-processes the gathered id-row batch with
-//! [`finalize`]. And the ground-truth oracle the distributed executor is
+//! against its own RDF data repository through [`for_each_kept`], which
+//! lends each kept match with its store ids, and the initiator
+//! post-processes the gathered id-row batch with [`finalize`]. And the ground-truth oracle the distributed executor is
 //! tested against, [`evaluate_query`]: it evaluates on [`Solution`]s
 //! alone, every operator by its nested-loop definition
 //! ([`solution::naive`]) and every modifier by its own code, so a wrong
@@ -14,11 +14,13 @@
 //! [`finalize`] sorts by each row's key values, computed once, and the
 //! oracle compares by evaluating both keys on every comparison.
 
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::HashSet;
 
 use rdfmesh_rdf::{
-    Literal, Term, TermPattern, Triple, TriplePattern, TripleRef, TripleStore, Variable,
+    Literal, PatternSource, Term, TermId, TermPattern, Triple, TriplePattern, TripleRef,
+    TripleStore, Variable,
 };
 
 use crate::algebra::{AlgebraQuery, GraphPattern};
@@ -49,13 +51,13 @@ pub trait Graph {
 
 impl Graph for TripleStore {
     fn for_each_match(&self, pattern: &TriplePattern, f: &mut dyn FnMut(TripleRef<'_>)) {
-        TripleStore::for_each_match(self, pattern, f);
+        TripleStore::for_each_match(self, pattern, |t, _| f(t));
     }
 }
 
 impl Graph for rdfmesh_rdf::SharedStore {
     fn for_each_match(&self, pattern: &TriplePattern, f: &mut dyn FnMut(TripleRef<'_>)) {
-        rdfmesh_rdf::SharedStore::for_each_match(self, pattern, f);
+        rdfmesh_rdf::SharedStore::for_each_match(self, pattern, |t, _| f(t));
     }
 }
 
@@ -83,6 +85,16 @@ pub fn substitute(pattern: &TriplePattern, solution: &Solution) -> TriplePattern
         c => c.clone(),
     };
     TriplePattern::new(sub(&pattern.subject), sub(&pattern.predicate), sub(&pattern.object))
+}
+
+/// [`substitute`], borrowing `pattern` where `solution` binds none of its
+/// variables (the unit solution of every unbound sub-query among them).
+fn bind<'p>(pattern: &'p TriplePattern, solution: &Solution) -> Cow<'p, TriplePattern> {
+    let positions = [&pattern.subject, &pattern.predicate, &pattern.object];
+    match positions.iter().any(|tp| tp.as_var().is_some_and(|v| solution.get(v).is_some())) {
+        true => Cow::Owned(substitute(pattern, solution)),
+        false => Cow::Borrowed(pattern),
+    }
 }
 
 /// A triple seen through the pattern it matched, over the partial
@@ -138,44 +150,55 @@ pub fn extend(pattern: &TriplePattern, triple: &Triple, solution: &Solution) -> 
 }
 
 /// Lends `f` every row that matching `pattern` against `graph` adds to
-/// one of the `partial` solutions, none of them materialised.
+/// one of the `partial` solutions, none of them materialised. The
+/// oracle's scan, and the term path's ([`evaluate_pattern_with`]): it
+/// reads terms alone, so any [`Graph`] runs it.
 pub fn for_each_extension<G: Graph>(
     graph: &G,
     pattern: &TriplePattern,
     partial: &[Solution],
-    f: impl FnMut(Matched<'_>),
+    mut f: impl FnMut(Matched<'_>),
 ) {
-    for_each_kept(graph, pattern, partial, None, f);
+    for sol in partial {
+        let bound = bind(pattern, sol);
+        graph.for_each_match(&bound, &mut |triple| {
+            f(Matched { pattern: &bound, triple, partial: sol });
+        });
+    }
 }
 
-/// [`for_each_extension`], lending `f` only the rows `filter` keeps: a
-/// FILTER pushed to the data source (Sect. IV-G). The filter is resolved
-/// against `pattern` once. A variable the pattern names is read from the
-/// triple at its first position there — right even where a partial
-/// solution binds it too, since the constant substituted for it matched
-/// that very term — and any other from each partial solution, once per
-/// solution. So a row costs the filter's own work and no lookup by name.
-pub fn for_each_kept<G: Graph>(
-    graph: &G,
+/// Local query execution (Fig. 3) on a store: [`for_each_extension`]
+/// over a [`PatternSource`], lending `f` only the rows `filter` keeps — a
+/// FILTER pushed to the data source (Sect. IV-G) — each with the index in
+/// `partial` of the solution it extends and the store's ids of the
+/// triple's three terms. Rows extending one solution come together, in
+/// `partial`'s order. The filter is resolved against `pattern` once. A
+/// variable the pattern names is read from the triple at its first
+/// position there — right even where a partial solution binds it too,
+/// since the constant substituted for it matched that very term — and
+/// any other from each partial solution, once per solution. So a row
+/// costs the filter's own work and no lookup by name.
+pub fn for_each_kept(
+    store: &dyn PatternSource,
     pattern: &TriplePattern,
     partial: &[Solution],
     filter: Option<&Compiled<'_>>,
-    mut f: impl FnMut(Matched<'_>),
+    mut f: impl FnMut(usize, Matched<'_>, [TermId; 3]),
 ) {
     let vars = filter.map_or(&[][..], Compiled::variables);
     let positions = [&pattern.subject, &pattern.predicate, &pattern.object];
     let at: Vec<Option<usize>> =
         vars.iter().map(|&v| positions.iter().position(|tp| tp.as_var() == Some(v))).collect();
     let mut keyed = Vec::with_capacity(vars.len());
-    for sol in partial {
+    for (i, sol) in partial.iter().enumerate() {
         keyed.clear();
         keyed.extend(vars.iter().zip(&at).map(|(&v, at)| at.map_or_else(|| sol.get(v), |_| None)));
-        let bound = substitute(pattern, sol);
-        graph.for_each_match(&bound, &mut |triple| {
+        let bound = bind(pattern, sol);
+        store.for_each_match(&bound, &mut |triple, ids| {
             let spo = [triple.subject, triple.predicate, triple.object];
             let row = Lent { spo, at: &at, keyed: &keyed };
             if filter.is_none_or(|filter| filter.keeps(&row)) {
-                f(Matched { pattern: &bound, triple, partial: sol });
+                f(i, Matched { pattern: &bound, triple, partial: sol }, ids);
             }
         });
     }

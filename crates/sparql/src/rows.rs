@@ -86,8 +86,8 @@ impl Rows {
         Rows { len: 1, ..Rows::default() }
     }
 
-    /// An empty batch over the columns `vars`.
-    pub(crate) fn with_vars(vars: Vec<Variable>) -> Rows {
+    /// An empty batch over the columns `vars`, which must be distinct.
+    pub fn with_vars(vars: Vec<Variable>) -> Rows {
         Rows { vars, ..Rows::default() }
     }
 
@@ -163,7 +163,7 @@ impl Rows {
     }
 
     /// The cell of `term`, stored (a clone) if the dictionary lacks it.
-    pub(crate) fn intern(&mut self, term: &Term) -> u32 {
+    pub fn intern(&mut self, term: &Term) -> u32 {
         self.dict.intern(term).0 + 1
     }
 
@@ -184,6 +184,16 @@ impl Rows {
             *id = self.intern(from.term(cell));
         }
         *id
+    }
+
+    /// Appends one row given as its cells, one per column: [`UNBOUND`] or
+    /// a cell [`Rows::intern`] returned for this batch. Panics if the row
+    /// is not as wide as the batch.
+    pub fn push_cells(&mut self, cells: &[u32]) {
+        assert_eq!(cells.len(), self.width(), "one cell per column");
+        debug_assert!(cells.iter().all(|&c| c as usize <= self.dict.len()), "a cell of this batch");
+        self.cells.extend_from_slice(cells);
+        self.len += 1;
     }
 
     /// Appends one row binding each variable of `bindings` to its term.

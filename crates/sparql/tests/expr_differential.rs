@@ -393,7 +393,9 @@ proptest! {
 
         let compiled = expr.compile();
         let mut kept = Vec::new();
-        for_each_kept(&store, &pattern, &keys, Some(&compiled), |m| kept.extend(m.to_solution()));
+        for_each_kept(&store, &pattern, &keys, Some(&compiled), |_, m, _| {
+            kept.extend(m.to_solution());
+        });
         let mut want = Vec::new();
         let mut failure = None;
         for_each_extension(&store, &pattern, &keys, |m| {

@@ -644,14 +644,16 @@ impl PersistentStore {
 }
 
 impl PatternSource for PersistentStore {
-    fn for_each_match(&self, pattern: &TriplePattern, f: &mut dyn FnMut(TripleRef<'_>)) {
+    fn for_each_match(
+        &self,
+        pattern: &TriplePattern,
+        f: &mut dyn FnMut(TripleRef<'_>, [TermId; 3]),
+    ) {
         let Some(plan) = Plan::new(&self.dict, pattern) else { return };
         self.scan(&plan, &mut |(s, p, o)| {
-            f(TripleRef {
-                subject: self.dict.term(TermId(s)),
-                predicate: self.dict.term(TermId(p)),
-                object: self.dict.term(TermId(o)),
-            })
+            let ids = [TermId(s), TermId(p), TermId(o)];
+            let [subject, predicate, object] = ids.map(|id| self.dict.term(id));
+            f(TripleRef { subject, predicate, object }, ids)
         });
     }
 
@@ -879,7 +881,7 @@ mod tests {
         store.remove(&t("a", "knows", "b"));
         assert!(!passes_through(&store), "a tombstone in range");
         let mut got = Vec::new();
-        store.for_each_match(&knows, &mut |t| got.push(t.to_triple()));
+        store.for_each_match(&knows, &mut |t, _| got.push(t.to_triple()));
         assert_eq!(sorted(got), sorted(vec![t("a", "knows", "c"), t("b", "knows", "c"), t("c", "knows", "a"), t("c", "knows", "c")]));
         drop(store);
         let _ = std::fs::remove_dir_all(&dir);

@@ -53,7 +53,7 @@ fn all() -> TriplePattern {
 fn open_and_scan(dir: &Path) -> Option<usize> {
     let store = PersistentStore::open(dir).ok()?;
     let mut n = 0;
-    store.for_each_match(&all(), &mut |t| {
+    store.for_each_match(&all(), &mut |t, _| {
         assert!(!t.subject.to_string().is_empty() && !t.object.to_string().is_empty());
         n += 1;
     });

@@ -136,7 +136,7 @@ fn matches_by_definition(pattern: &TriplePattern, triple: &Triple) -> bool {
 /// What a backend's lending scan visits, cloned out of the callback.
 fn lent(source: &dyn PatternSource, pattern: &TriplePattern) -> Vec<Triple> {
     let mut out = Vec::new();
-    source.for_each_match(pattern, &mut |t| out.push(t.to_triple()));
+    source.for_each_match(pattern, &mut |t, _| out.push(t.to_triple()));
     out.sort();
     out
 }

@@ -109,6 +109,13 @@
 # a message (no `LiveMsg::Deadline`, `DeadlineStage` or `Action::Schedule`
 # under crates/core/src), and the cluster has no timer thread (no
 # `run_timer`, `TimerCmd` or `fn schedule` under crates/net/src).
+# A provider builds its answer from the ids its store scans: no row is
+# built from its bindings under crates/core/src (no `push_bindings(` in
+# code), and a store lends those ids through its one scan method, not a
+# second one beside it — the `fn for_each_` definitions under
+# crates/rdf/src and crates/store/src are source.rs's five (the trait's
+# `for_each_match` and `for_each_triple`, `TripleStore`'s impl,
+# `SharedStore`'s pair), store.rs's one and pstore.rs's one.
 # Fails when a second copy appears. Test modules (`mod tests` to end of
 # file) and comment lines are not code.
 set -eu
@@ -409,5 +416,12 @@ safety=$(awk '/^mod tests/{exit}
     /unsafe \{/{ print (first ~ /^ *\/\/ SAFETY:/) ? "ok" : "missing" }
     { run = 0; first = "" }' "$hash_rs")
 expect "unsafe blocks in $hash_rs under a // SAFETY: comment" "$(echo "$safety" | grep -c '^ok$' || true)" 1
-[ "$bad" -eq 0 ] && echo 'exists once: provider compute, exchange pricing, reply accounting, role constructors, the role host, the multiway protocol, regex compilation, lending scan, JSON escaping, result writers, the stopwatch, the pipeline tail, the operator table, the lookup leg, the cluster, the publication path, the frequency column, the move-small rule, the location table, the key count, the list-count bound, the bind step, the role runner, the query account, the statistics pass, the fan-out, the row read, the generation writer, the commit, the row batch, the triple index, the term dictionary, the answer batch, the whole-store walk, the independent oracle, the byte codec, the log replay, the unsafe block, the key batch, the failpoint, the byte yardstick, the filter evaluator, the host'"'"'s client, the host'"'"'s ledger, the wire'"'"'s ledger, the round'"'"'s clock'
+# The answer in ids: no row built from bindings by a provider, one
+# scan method per store.
+expect 'push_bindings( in crates/core/src code' \
+    "$(code crates/core/src/*.rs crates/core/src/live/*.rs | grep -c 'push_bindings(' || true)" 0
+expect_files 'fn for_each_ definitions under crates/rdf/src and crates/store/src' \
+    "$(files_with '\bfn for_each_' crates/rdf/src/*.rs "$store"/*.rs)" \
+    'crates/rdf/src/source.rs:5 crates/rdf/src/store.rs:1 crates/store/src/pstore.rs:1'
+[ "$bad" -eq 0 ] && echo 'exists once: provider compute, exchange pricing, reply accounting, role constructors, the role host, the multiway protocol, regex compilation, lending scan, JSON escaping, result writers, the stopwatch, the pipeline tail, the operator table, the lookup leg, the cluster, the publication path, the frequency column, the move-small rule, the location table, the key count, the list-count bound, the bind step, the role runner, the query account, the statistics pass, the fan-out, the row read, the generation writer, the commit, the row batch, the triple index, the term dictionary, the answer batch, the whole-store walk, the independent oracle, the byte codec, the log replay, the unsafe block, the key batch, the failpoint, the byte yardstick, the filter evaluator, the host'"'"'s client, the host'"'"'s ledger, the wire'"'"'s ledger, the round'"'"'s clock, the answer in ids, the scan method'
 exit "$bad"
