@@ -46,10 +46,21 @@ use rdfmesh_overlay::Provider;
 use rdfmesh_rdf::TriplePattern;
 use rdfmesh_sparql::Rows;
 
-pub use provider::{ProviderCache, ProviderMiss};
-pub use results::{ResultCache, ResultEntry, ResultMiss};
-pub use routing::{RoutingCache, RoutingMiss};
+pub use provider::ProviderCache;
+pub use results::{ResultCache, ResultEntry};
+pub use routing::RoutingCache;
 pub use sketch::FrequencySketch;
+
+/// Why a lookup in one of the three caches served nothing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Miss {
+    /// No entry for the key or pattern.
+    Absent,
+    /// An entry existed but was stale — an expired TTL, an older row
+    /// version or ring epoch, or a recorded provider no longer alive —
+    /// and has been dropped.
+    Stale,
+}
 
 /// Sizing and policy knobs for a [`QueryCache`]. `Copy`, so call sites
 /// can embed it in larger `Copy` configs.
@@ -165,7 +176,7 @@ impl QueryCache {
             Err(miss) => {
                 self.stats.routing_misses += 1;
                 m.add(names::CACHE_ROUTING_MISSES, 1);
-                if miss == RoutingMiss::Stale {
+                if miss == Miss::Stale {
                     self.stats.stale_drops += 1;
                     m.add(names::CACHE_STALE_DROPS, 1);
                 }
@@ -197,7 +208,7 @@ impl QueryCache {
             Err(miss) => {
                 self.stats.provider_misses += 1;
                 m.add(names::CACHE_PROVIDER_MISSES, 1);
-                if miss == ProviderMiss::Stale {
+                if miss == Miss::Stale {
                     self.stats.stale_drops += 1;
                     m.add(names::CACHE_STALE_DROPS, 1);
                 }
@@ -240,7 +251,7 @@ impl QueryCache {
             Err(miss) => {
                 self.stats.result_misses += 1;
                 m.add(names::CACHE_RESULT_MISSES, 1);
-                if miss == ResultMiss::Stale {
+                if miss == Miss::Stale {
                     self.stats.stale_drops += 1;
                     m.add(names::CACHE_STALE_DROPS, 1);
                 }

@@ -15,6 +15,8 @@ use rdfmesh_chord::Id;
 use rdfmesh_net::NodeId;
 use rdfmesh_overlay::Provider;
 
+use crate::Miss;
+
 /// One cached location-table row.
 #[derive(Debug, Clone)]
 struct ProviderEntry {
@@ -22,16 +24,6 @@ struct ProviderEntry {
     providers: Vec<Provider>,
     version: u64,
     epoch: u64,
-}
-
-/// Why a lookup failed to produce a usable snapshot.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ProviderMiss {
-    /// No snapshot for the key.
-    Absent,
-    /// A snapshot existed but its row version or ring epoch was stale;
-    /// it has been dropped.
-    Stale,
 }
 
 /// A bounded FIFO map from index keys to provider-row snapshots.
@@ -56,15 +48,15 @@ impl ProviderCache {
         key: Id,
         version: u64,
         epoch: u64,
-    ) -> Result<(NodeId, Vec<Provider>), ProviderMiss> {
+    ) -> Result<(NodeId, Vec<Provider>), Miss> {
         match self.entries.get(&key) {
-            None => Err(ProviderMiss::Absent),
+            None => Err(Miss::Absent),
             Some(e) if e.version == version && e.epoch == epoch => {
                 Ok((e.owner, e.providers.clone()))
             }
             Some(_) => {
                 self.entries.remove(&key);
-                Err(ProviderMiss::Stale)
+                Err(Miss::Stale)
             }
         }
     }
@@ -124,15 +116,15 @@ mod tests {
         let mut c = ProviderCache::new(8);
         c.insert(Id(1), NodeId(100), row(), 2, 0);
         assert!(c.get(Id(1), 2, 0).is_ok());
-        assert_eq!(c.get(Id(1), 3, 0), Err(ProviderMiss::Stale));
-        assert_eq!(c.get(Id(1), 2, 0), Err(ProviderMiss::Absent));
+        assert_eq!(c.get(Id(1), 3, 0), Err(Miss::Stale));
+        assert_eq!(c.get(Id(1), 2, 0), Err(Miss::Absent));
     }
 
     #[test]
     fn epoch_mismatch_invalidates() {
         let mut c = ProviderCache::new(8);
         c.insert(Id(1), NodeId(100), row(), 0, 5);
-        assert_eq!(c.get(Id(1), 0, 6), Err(ProviderMiss::Stale));
+        assert_eq!(c.get(Id(1), 0, 6), Err(Miss::Stale));
     }
 
     #[test]
@@ -142,7 +134,7 @@ mod tests {
         c.insert(Id(2), NodeId(2), row(), 0, 0);
         c.insert(Id(3), NodeId(3), row(), 0, 0);
         assert_eq!(c.len(), 2);
-        assert_eq!(c.get(Id(1), 0, 0), Err(ProviderMiss::Absent));
+        assert_eq!(c.get(Id(1), 0, 0), Err(Miss::Absent));
         assert!(c.get(Id(2), 0, 0).is_ok());
         assert!(c.get(Id(3), 0, 0).is_ok());
     }

@@ -24,6 +24,7 @@ use rdfmesh_rdf::TriplePattern;
 use rdfmesh_sparql::Rows;
 
 use crate::sketch::FrequencySketch;
+use crate::Miss;
 
 /// One cached primitive-pattern result.
 #[derive(Debug, Clone)]
@@ -41,16 +42,6 @@ pub struct ResultEntry {
     pub epoch: u64,
     /// Serialized size charged against the byte budget.
     pub bytes: usize,
-}
-
-/// Why a lookup failed to produce a servable result.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ResultMiss {
-    /// No entry for the pattern.
-    Absent,
-    /// An entry existed but its version/epoch was stale or a recorded
-    /// provider is no longer alive; it has been dropped.
-    Stale,
 }
 
 /// Deterministic 64-bit hash of a pattern for the frequency sketch.
@@ -100,9 +91,9 @@ impl ResultCache {
         version: u64,
         epoch: u64,
         alive: &dyn Fn(NodeId) -> bool,
-    ) -> Result<Rows, ResultMiss> {
+    ) -> Result<Rows, Miss> {
         let Some(e) = self.entries.get(pattern) else {
-            return Err(ResultMiss::Absent);
+            return Err(Miss::Absent);
         };
         let fresh =
             e.version == version && e.epoch == epoch && e.providers.iter().all(|&n| alive(n));
@@ -112,7 +103,7 @@ impl ResultCache {
         if let Some(dropped) = self.entries.remove(pattern) {
             self.used_bytes -= dropped.bytes;
         }
-        Err(ResultMiss::Stale)
+        Err(Miss::Stale)
     }
 
     /// Offers a result for admission. Returns `true` if stored; `false`
@@ -203,13 +194,13 @@ mod tests {
         let all_alive: &dyn Fn(NodeId) -> bool = &|_| true;
         assert!(c.get(&pat(1), 0, 0, all_alive).is_ok());
         // Stale version drops the entry.
-        assert_eq!(c.get(&pat(1), 1, 0, all_alive), Err(ResultMiss::Stale));
-        assert_eq!(c.get(&pat(1), 0, 0, all_alive), Err(ResultMiss::Absent));
+        assert_eq!(c.get(&pat(1), 1, 0, all_alive), Err(Miss::Stale));
+        assert_eq!(c.get(&pat(1), 0, 0, all_alive), Err(Miss::Absent));
         assert_eq!(c.used_bytes(), 0);
         // A dead recorded provider also drops it.
         assert!(c.insert(pat(2), entry(100)));
         let n1_dead: &dyn Fn(NodeId) -> bool = &|n| n != NodeId(1);
-        assert_eq!(c.get(&pat(2), 0, 0, n1_dead), Err(ResultMiss::Stale));
+        assert_eq!(c.get(&pat(2), 0, 0, n1_dead), Err(Miss::Stale));
     }
 
     #[test]
@@ -229,7 +220,7 @@ mod tests {
             c.touch(&pat(3));
         }
         assert!(c.insert(pat(3), entry(100)));
-        assert_eq!(c.get(&pat(1), 0, 0, &|_| true), Err(ResultMiss::Absent));
+        assert_eq!(c.get(&pat(1), 0, 0, &|_| true), Err(Miss::Absent));
     }
 
     #[test]

@@ -12,22 +12,14 @@ use std::collections::HashMap;
 use rdfmesh_chord::Id;
 use rdfmesh_net::{NodeId, SimTime};
 
+use crate::Miss;
+
 /// One remembered key-owner binding.
 #[derive(Debug, Clone, Copy)]
 struct RoutingEntry {
     owner: NodeId,
     epoch: u64,
     expires: SimTime,
-}
-
-/// Why a lookup failed to produce a usable entry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RoutingMiss {
-    /// No entry for the key.
-    Absent,
-    /// An entry existed but was expired or from an older ring epoch; it
-    /// has been dropped.
-    Stale,
 }
 
 /// A bounded TTL'd map from index keys to their owning index node.
@@ -45,13 +37,13 @@ impl RoutingCache {
 
     /// The owner remembered for `key`, if fresh at simulated time `now`
     /// under ring epoch `epoch`. Stale entries are dropped, not served.
-    pub fn get(&mut self, key: Id, now: SimTime, epoch: u64) -> Result<NodeId, RoutingMiss> {
+    pub fn get(&mut self, key: Id, now: SimTime, epoch: u64) -> Result<NodeId, Miss> {
         match self.entries.get(&key) {
-            None => Err(RoutingMiss::Absent),
+            None => Err(Miss::Absent),
             Some(e) if e.epoch == epoch && e.expires > now => Ok(e.owner),
             Some(_) => {
                 self.entries.remove(&key);
-                Err(RoutingMiss::Stale)
+                Err(Miss::Stale)
             }
         }
     }
@@ -95,16 +87,16 @@ mod tests {
         let mut c = RoutingCache::new(8);
         c.insert(Id(1), NodeId(9), 0, SimTime::millis(10));
         assert_eq!(c.get(Id(1), SimTime::millis(5), 0), Ok(NodeId(9)));
-        assert_eq!(c.get(Id(1), SimTime::millis(10), 0), Err(RoutingMiss::Stale));
+        assert_eq!(c.get(Id(1), SimTime::millis(10), 0), Err(Miss::Stale));
         // The stale entry was dropped, not retained.
-        assert_eq!(c.get(Id(1), SimTime::ZERO, 0), Err(RoutingMiss::Absent));
+        assert_eq!(c.get(Id(1), SimTime::ZERO, 0), Err(Miss::Absent));
     }
 
     #[test]
     fn epoch_change_invalidates() {
         let mut c = RoutingCache::new(8);
         c.insert(Id(1), NodeId(9), 3, SimTime::millis(100));
-        assert_eq!(c.get(Id(1), SimTime::ZERO, 4), Err(RoutingMiss::Stale));
+        assert_eq!(c.get(Id(1), SimTime::ZERO, 4), Err(Miss::Stale));
     }
 
     #[test]
@@ -114,7 +106,7 @@ mod tests {
         c.insert(Id(2), NodeId(2), 0, SimTime::millis(50));
         c.insert(Id(3), NodeId(3), 0, SimTime::millis(20));
         assert_eq!(c.len(), 2);
-        assert_eq!(c.get(Id(1), SimTime::ZERO, 0), Err(RoutingMiss::Absent));
+        assert_eq!(c.get(Id(1), SimTime::ZERO, 0), Err(Miss::Absent));
         assert_eq!(c.get(Id(2), SimTime::ZERO, 0), Ok(NodeId(2)));
         assert_eq!(c.get(Id(3), SimTime::ZERO, 0), Ok(NodeId(3)));
     }

@@ -17,6 +17,8 @@
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
+use rdfmesh_net::lock;
+
 use crate::config::LiveConfig;
 use crate::stats::LiveStats;
 
@@ -54,7 +56,7 @@ pub struct Permit {
 
 impl Drop for Permit {
     fn drop(&mut self) {
-        let mut load = self.inner.load.lock().unwrap_or_else(|e| e.into_inner());
+        let mut load = lock(&self.inner.load);
         load.inflight = load.inflight.saturating_sub(1);
         drop(load);
         self.inner.freed.notify_one();
@@ -82,7 +84,7 @@ impl Admission {
     /// when rejected (queue full, or the wait outlived `wait_limit`).
     pub fn acquire(&self, wait_limit: Duration) -> Result<Permit, Duration> {
         let deadline = Instant::now() + wait_limit;
-        let mut load = self.inner.load.lock().unwrap_or_else(|e| e.into_inner());
+        let mut load = lock(&self.inner.load);
         if load.inflight < self.inner.max_inflight {
             load.inflight += 1;
             self.stats.add_admitted(1);
@@ -126,7 +128,7 @@ impl Admission {
 
     /// The current in-flight / queued occupancy.
     pub fn load(&self) -> AdmissionLoad {
-        *self.inner.load.lock().unwrap_or_else(|e| e.into_inner())
+        *lock(&self.inner.load)
     }
 }
 

@@ -2,17 +2,17 @@
 //! the admission gate.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{self, Receiver};
 use std::sync::Arc;
 use std::time::Duration;
 
-use crossbeam::channel::{bounded, Receiver};
-use rdfmesh_net::{Cluster, NodeId};
+use rdfmesh_net::{lock, rlock, Cluster, NodeId};
 use rdfmesh_overlay::key_for_pattern;
 use rdfmesh_rdf::{TriplePattern, Variable};
 use rdfmesh_sparql::expr::Expression;
 use rdfmesh_sparql::{Rows, Solution};
 
-use super::{lock, owner_in_view, rlock, LiveAnswer, LiveMsg, PendingMap, QueryId, RingView};
+use super::{owner_in_view, LiveAnswer, LiveMsg, PendingMap, QueryId, RingView};
 use crate::admission::Admission;
 use crate::config::{DistStrategy, LiveConfig};
 use crate::stats::{LiveStats, LiveStatsSnapshot};
@@ -84,7 +84,7 @@ impl RoundClient {
     fn open_round(&self) -> RoundHandle {
         self.stats.add_solution_rounds(1);
         let qid = QueryId(self.next_qid.fetch_add(1, Ordering::Relaxed));
-        let (tx, rx) = bounded(1);
+        let (tx, rx) = mpsc::sync_channel(1);
         lock(&self.pending).insert(qid, tx);
         RoundHandle { qid, rx, pending: Arc::clone(&self.pending) }
     }

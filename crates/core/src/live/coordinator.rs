@@ -5,13 +5,13 @@ use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::Duration;
 
-use rdfmesh_net::NodeId;
+use rdfmesh_net::{rlock, NodeId};
 use rdfmesh_overlay::key_for_pattern;
 use rdfmesh_rdf::{TriplePattern, Variable};
 use rdfmesh_sparql::expr::Expression;
 use rdfmesh_sparql::Rows;
 
-use super::{rlock, Action, LiveAnswer, LiveMsg, QueryId, SharedFlood};
+use super::{Action, LiveAnswer, LiveMsg, QueryId, SharedFlood};
 use crate::config::{DistStrategy, LiveConfig};
 use crate::provider;
 use crate::stats::LiveStats;

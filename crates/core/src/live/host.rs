@@ -9,13 +9,13 @@ use std::net::SocketAddr;
 use std::sync::{Arc, RwLock};
 use std::time::Instant;
 
-use rdfmesh_net::{Cluster, FaultPlan, Handler, NodeId, TransportSnapshot};
+use rdfmesh_net::{lock, rlock, wlock, Cluster, FaultPlan, Handler, NodeId, TransportSnapshot};
 use rdfmesh_overlay::{key_for_pattern, Provider};
 use rdfmesh_rdf::{SharedStore, TriplePattern};
 
 use super::{
-    lock, owner_in_view, publish, rlock, wlock, CoordinatorCore, IndexNode, LiveMsg, LiveStorage,
-    RingView, Role, RoundClient, SharedFlood, SharedTable, Transport,
+    owner_in_view, publish, CoordinatorCore, IndexNode, LiveMsg, LiveStorage, RingView, Role,
+    RoundClient, SharedFlood, SharedTable, Transport,
 };
 use crate::config::LiveConfig;
 use crate::stats::LiveStats;

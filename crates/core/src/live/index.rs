@@ -3,11 +3,11 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use rdfmesh_net::{Cluster, NodeId};
+use rdfmesh_net::{lock, rlock, Cluster, NodeId};
 use rdfmesh_overlay::{key_counts, key_for_pattern};
 use rdfmesh_rdf::SharedStore;
 
-use super::{lock, rlock, Action, LiveMsg, RingView, SharedTable};
+use super::{Action, LiveMsg, RingView, SharedTable};
 use crate::stats::LiveStats;
 
 pub(crate) struct IndexNode {

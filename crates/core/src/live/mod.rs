@@ -81,11 +81,11 @@ mod mesh;
 mod storage;
 
 use std::collections::{HashMap, VecDeque};
+use std::sync::mpsc::SyncSender;
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::Instant;
 
-use crossbeam::channel::Sender;
-use rdfmesh_net::{Envelope, Handler, NodeId, Outbox};
+use rdfmesh_net::{lock, Envelope, Handler, NodeId, Outbox};
 use rdfmesh_overlay::LocationTable;
 use rdfmesh_rdf::{TriplePattern, Variable};
 use rdfmesh_sparql::expr::Expression;
@@ -361,7 +361,7 @@ pub struct LiveAnswer {
     pub failed_providers: Vec<NodeId>,
 }
 
-pub(crate) type PendingMap = Arc<Mutex<HashMap<QueryId, Sender<LiveAnswer>>>>;
+pub(crate) type PendingMap = Arc<Mutex<HashMap<QueryId, SyncSender<LiveAnswer>>>>;
 /// An index node's location table (Table I): the overlay's own type,
 /// shared between the index role and its host.
 pub(crate) type SharedTable = Arc<Mutex<LocationTable>>;
@@ -371,15 +371,3 @@ pub(crate) type RingView = Arc<RwLock<Vec<(u64, NodeId)>>>;
 /// The keyless-pattern flood list (every storage node, sorted). Shared
 /// mutable for the same reason.
 pub(crate) type SharedFlood = Arc<RwLock<Vec<NodeId>>>;
-
-pub(crate) fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-pub(crate) fn rlock<T>(m: &RwLock<T>) -> std::sync::RwLockReadGuard<'_, T> {
-    m.read().unwrap_or_else(|e| e.into_inner())
-}
-
-pub(crate) fn wlock<T>(m: &RwLock<T>) -> std::sync::RwLockWriteGuard<'_, T> {
-    m.write().unwrap_or_else(|e| e.into_inner())
-}

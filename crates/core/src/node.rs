@@ -38,14 +38,14 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use rdfmesh_net::{NodeId, TransportSnapshot};
+use rdfmesh_net::{lock, NodeId, TransportSnapshot};
 use rdfmesh_rdf::codec::{put_str, put_u32, put_u64, DecodeError, Reader};
 #[cfg(test)]
 use rdfmesh_rdf::TripleStore;
 
 use crate::config::LiveConfig;
 use crate::live::host::{Host, Placement, Wire};
-use crate::live::{index_keys, lock, RoundClient};
+use crate::live::{index_keys, RoundClient};
 
 /// Offset of a process's index-node id from its base id `n`.
 pub const INDEX_BASE: u64 = 1 << 32;
@@ -374,8 +374,9 @@ impl Drop for MeshNode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::live::{owner_in_view, rlock};
+    use crate::live::owner_in_view;
     use rdfmesh_chord::Id;
+    use rdfmesh_net::rlock;
     use rdfmesh_overlay::LocationTable;
     use rdfmesh_rdf::{Term, Triple};
 

@@ -8,8 +8,6 @@
 //! the engine's correctness tests hold the trace's totals to the network's
 //! own ledger.
 
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
-
 use rdfmesh_net::SimTime;
 
 /// What one distributed query cost — the quantities the paper's deferred
@@ -86,60 +84,19 @@ impl std::fmt::Display for QueryStats {
     }
 }
 
-/// Declares the live counters, each once: the atomic field of
-/// [`LiveStats`], the [`LiveStatsSnapshot`] field of the same name (which
-/// takes the documentation), the `add_*` bump, and the `rdfmesh_obs::names`
-/// constant the counter is reported under.
-macro_rules! live_counters {
-    ($($(#[$doc:meta])* $field:ident, $add:ident => $metric:ident;)*) => {
-        /// Shared protocol counters of one host of the mesh's roles.
-        ///
-        /// Bumped by all three roles — the coordinator's state machine, the
-        /// index nodes and the storage nodes — of the one host that shares
-        /// them: a [`crate::LiveMesh`] or [`crate::MeshNode`], or the
-        /// simulator's role runner, which counts each round into a fresh
-        /// set. They are that host's alone: nothing here writes the global
-        /// [`rdfmesh_obs::metrics()`] registry, so a simulated round never
-        /// counts as mesh traffic. A serve process's `GET /metrics` reports
-        /// its node's set under the `live.*` / `exec.strategy.*` names
-        /// ([`LiveStatsSnapshot::named`]).
-        #[derive(Debug, Default)]
-        pub struct LiveStats {
-            $($field: AtomicU64,)*
-        }
-
-        /// A point-in-time copy of [`LiveStats`].
-        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-        pub struct LiveStatsSnapshot {
-            $($(#[$doc])* pub $field: u64,)*
-        }
-
-        impl LiveStats {
-            $(
-                #[doc = concat!("Adds `delta` to [`LiveStatsSnapshot::", stringify!($field), "`].")]
-                pub fn $add(&self, delta: u64) {
-                    if delta > 0 {
-                        self.$field.fetch_add(delta, Relaxed);
-                    }
-                }
-            )*
-
-            /// A point-in-time copy of every counter.
-            pub fn snapshot(&self) -> LiveStatsSnapshot {
-                LiveStatsSnapshot { $($field: self.$field.load(Relaxed),)* }
-            }
-        }
-
-        impl LiveStatsSnapshot {
-            /// Every counter under its `rdfmesh_obs::names` metric name.
-            pub fn named(&self) -> Vec<(&'static str, u64)> {
-                vec![$((rdfmesh_obs::names::$metric, self.$field),)*]
-            }
-        }
-    };
-}
-
-live_counters! {
+rdfmesh_obs::counters! {
+    /// Shared protocol counters of one host of the mesh's roles.
+    ///
+    /// Bumped by all three roles — the coordinator's state machine, the
+    /// index nodes and the storage nodes — of the one host that shares
+    /// them: a [`crate::LiveMesh`] or [`crate::MeshNode`], or the
+    /// simulator's role runner, which counts each round into a fresh set.
+    /// They are that host's alone: nothing here writes the global
+    /// [`rdfmesh_obs::metrics()`] registry, so a simulated round never
+    /// counts as mesh traffic. A serve process's `GET /metrics` reports
+    /// its node's set under the `live.*` / `exec.strategy.*` names
+    /// ([`LiveStatsSnapshot::named`]).
+    pub struct LiveStats / LiveStatsSnapshot;
     /// Sub-query/lookup retransmissions after an expired ack deadline.
     retries, add_retries => LIVE_RETRIES;
     /// Providers declared dead after the bounded retries were exhausted.

@@ -6,7 +6,7 @@
 //! "everything delivered earlier was handled") instead of sleeping.
 //!
 //! Every scenario is **transport-parameterized**: the same function runs
-//! once on [`Transport::Threads`] (crossbeam channels) and once on
+//! once on [`Transport::Threads`] (std's channels) and once on
 //! [`Transport::Sockets`] (framed TCP over loopback), asserting the same
 //! outcomes byte for byte. That is the contract `docs/DEPLOYMENT.md`
 //! promises: [`rdfmesh_net::FaultPlan`] semantics are adjudicated on the

@@ -7,7 +7,7 @@
 //! envelopes, counts traffic with atomics, and shuts down cleanly.
 //!
 //! [`Cluster::spawn`] / [`Cluster::spawn_with`] carry every envelope over
-//! crossbeam channels. `Cluster::spawn_loopback` / `Cluster::bind`
+//! std's channels. `Cluster::spawn_loopback` / `Cluster::bind`
 //! (`crate::tcp`) give the same cluster a socket wire: a listener, framed
 //! TCP links and a route table, so envelopes to remote processes — or, in
 //! the loopback twin, to local nodes as well — leave through a socket.
@@ -26,15 +26,14 @@
 use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender, SyncSender};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender};
-use parking_lot::Mutex;
-
 use crate::fault::{FaultPlan, FaultState, SendFate};
 use crate::network::NodeId;
+use crate::sync::lock;
 use crate::tcp::Wire;
 
 /// A routed message.
@@ -52,7 +51,7 @@ pub(crate) enum Packet<M> {
     Deliver(Envelope<M>),
     /// Flush marker: acknowledged by the node thread itself (even while
     /// the node is crashed), after every previously queued packet.
-    Barrier(Sender<()>),
+    Barrier(SyncSender<()>),
     /// The node was restarted: a wake-up it skipped while crashed is
     /// served now.
     Resume,
@@ -279,7 +278,7 @@ impl<M: Send + 'static> Cluster<M> {
         let mut mailboxes = HashMap::new();
         let mut inboxes = Vec::new();
         for (id, handler) in nodes {
-            let (tx, rx) = unbounded();
+            let (tx, rx) = mpsc::channel();
             mailboxes.insert(id, tx);
             inboxes.push((id, rx, handler));
         }
@@ -347,7 +346,7 @@ impl<M: Send + 'static> Cluster<M> {
     /// sends), so it orders after every frame already written — a
     /// mailbox-only fence could overtake in-flight socket traffic.
     pub fn barrier(&self, node: NodeId, timeout: Duration) -> bool {
-        let (ack, acked) = bounded(1);
+        let (ack, acked) = mpsc::sync_channel(1);
         let sent = match &self.hub.wire {
             Some(wire) if wire.fences(node) => wire.send_fence(node, ack),
             _ => {
@@ -380,7 +379,7 @@ impl<M: Send + 'static> Cluster<M> {
         if let Some(wire) = wire {
             wire.stop_accepting();
         }
-        let mut handles = self.handles.lock();
+        let mut handles = lock(&self.handles);
         for h in handles.drain(..) {
             let _ = h.join();
         }
@@ -399,7 +398,6 @@ impl<M: Send + 'static> Drop for Cluster<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crossbeam::channel::unbounded as chan;
 
     #[test]
     fn ping_pong_round_trip() {
@@ -422,7 +420,7 @@ mod tests {
             (NodeId(1), Box::new(pinger) as Box<dyn Handler<Msg>>),
             (NodeId(2), Box::new(ponger)),
         ]);
-        let (tx, rx) = chan();
+        let (tx, rx) = mpsc::channel();
         cluster.inject(NodeId(99), NodeId(1), Msg::Ping(0, tx));
         assert_eq!(rx.recv_timeout(std::time::Duration::from_secs(5)).unwrap(), 2);
         assert!(cluster.message_count() >= 2);
@@ -441,7 +439,7 @@ mod tests {
     fn fan_out_reaches_all_nodes() {
         use std::sync::atomic::{AtomicU32, Ordering};
         let hits = Arc::new(AtomicU32::new(0));
-        let (done_tx, done_rx) = chan::<()>();
+        let (done_tx, done_rx) = mpsc::channel::<()>();
         let mut nodes: Vec<(NodeId, Box<dyn Handler<u8>>)> = Vec::new();
         for i in 1..=8u64 {
             let hits = Arc::clone(&hits);

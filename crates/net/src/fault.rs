@@ -21,9 +21,11 @@
 //!   these — exactly the Sect. III-D query-ack-timeout situation.
 
 use std::collections::{BTreeSet, HashMap, HashSet};
+use std::sync::Mutex;
 use std::time::Duration;
 
 use crate::network::NodeId;
+use crate::sync::lock;
 
 /// A declarative fault schedule for a [`crate::Cluster`].
 ///
@@ -92,7 +94,7 @@ pub(crate) enum SendFate {
 /// the live crashed set.
 #[derive(Debug)]
 pub(crate) struct FaultState {
-    inner: parking_lot::Mutex<FaultInner>,
+    inner: Mutex<FaultInner>,
 }
 
 #[derive(Debug)]
@@ -106,7 +108,7 @@ struct FaultInner {
 impl FaultState {
     pub(crate) fn from_plan(plan: FaultPlan) -> Self {
         FaultState {
-            inner: parking_lot::Mutex::new(FaultInner {
+            inner: Mutex::new(FaultInner {
                 crashed: plan.crashed,
                 drops: plan.drops,
                 delays: plan.delays,
@@ -116,22 +118,22 @@ impl FaultState {
     }
 
     pub(crate) fn is_crashed(&self, node: NodeId) -> bool {
-        self.inner.lock().crashed.contains(&node)
+        lock(&self.inner).crashed.contains(&node)
     }
 
     /// Marks `node` crashed. Returns whether it was previously alive.
     pub(crate) fn crash(&self, node: NodeId) -> bool {
-        self.inner.lock().crashed.insert(node)
+        lock(&self.inner).crashed.insert(node)
     }
 
     /// Clears the crash mark. Returns whether it was previously crashed.
     pub(crate) fn restart(&self, node: NodeId) -> bool {
-        self.inner.lock().crashed.remove(&node)
+        lock(&self.inner).crashed.remove(&node)
     }
 
     /// Adjudicates one send on `from → to`, advancing the link counter.
     pub(crate) fn on_send(&self, from: NodeId, to: NodeId) -> SendFate {
-        let mut inner = self.inner.lock();
+        let mut inner = lock(&self.inner);
         if inner.crashed.contains(&to) {
             return SendFate::Refuse;
         }

@@ -40,15 +40,14 @@ use std::fmt;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::mpsc::{self, Receiver, Sender, SyncSender};
+use std::sync::{Arc, Mutex, RwLock};
 use std::time::{Duration, Instant};
-
-use crossbeam::channel::{unbounded, Receiver, Sender};
-use parking_lot::{Mutex, RwLock};
 
 use crate::cluster::{Cluster, Envelope, Handler, Hub, Packet};
 use crate::fault::FaultPlan;
 use crate::network::NodeId;
+use crate::sync::{lock, rlock, wlock};
 
 /// Connection-handshake magic: the first four bytes on every connection.
 pub const WIRE_MAGIC: [u8; 4] = *b"RDFM";
@@ -217,102 +216,27 @@ pub fn read_handshake(r: &mut impl Read) -> io::Result<()> {
     Ok(())
 }
 
-/// Shared socket-level counters. They are the cluster's own: the host
-/// that runs the cluster reports them, under the `transport.*` names
-/// ([`TransportSnapshot::named`]).
-#[derive(Debug, Default)]
-pub struct TransportStats {
-    frames_sent: AtomicU64,
-    frames_received: AtomicU64,
-    bytes_sent: AtomicU64,
-    bytes_received: AtomicU64,
-    connects: AtomicU64,
-    reconnects: AtomicU64,
-    send_failures: AtomicU64,
-    decode_errors: AtomicU64,
-}
-
-fn bump(counter: &AtomicU64, delta: u64) {
-    counter.fetch_add(delta, Ordering::Relaxed);
-}
-
-impl TransportStats {
-    fn frame_sent(&self, wire_bytes: u64) {
-        bump(&self.frames_sent, 1);
-        bump(&self.bytes_sent, wire_bytes);
-    }
-
-    fn frame_received(&self, wire_bytes: u64) {
-        bump(&self.frames_received, 1);
-        bump(&self.bytes_received, wire_bytes);
-    }
-
-    fn connect(&self, again: bool) {
-        bump(&self.connects, 1);
-        if again {
-            bump(&self.reconnects, 1);
-        }
-    }
-
-    fn send_failure(&self) {
-        bump(&self.send_failures, 1);
-    }
-
-    fn decode_error(&self) {
-        bump(&self.decode_errors, 1);
-    }
-
-    /// A point-in-time copy of every counter.
-    pub fn snapshot(&self) -> TransportSnapshot {
-        TransportSnapshot {
-            frames_sent: self.frames_sent.load(Ordering::Relaxed),
-            frames_received: self.frames_received.load(Ordering::Relaxed),
-            bytes_sent: self.bytes_sent.load(Ordering::Relaxed),
-            bytes_received: self.bytes_received.load(Ordering::Relaxed),
-            connects: self.connects.load(Ordering::Relaxed),
-            reconnects: self.reconnects.load(Ordering::Relaxed),
-            send_failures: self.send_failures.load(Ordering::Relaxed),
-            decode_errors: self.decode_errors.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// A point-in-time copy of a [`TransportStats`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TransportSnapshot {
+rdfmesh_obs::counters! {
+    /// Shared socket-level counters. They are the cluster's own: the host
+    /// that runs the cluster reports them, under the `transport.*` names
+    /// ([`TransportSnapshot::named`]).
+    pub struct TransportStats / TransportSnapshot;
     /// Frames written to sockets.
-    pub frames_sent: u64,
+    frames_sent, add_frames_sent => TRANSPORT_FRAMES_SENT;
     /// Frames decoded off sockets.
-    pub frames_received: u64,
+    frames_received, add_frames_received => TRANSPORT_FRAMES_RECEIVED;
     /// On-wire bytes written (headers included, handshakes excluded).
-    pub bytes_sent: u64,
+    bytes_sent, add_bytes_sent => TRANSPORT_BYTES_SENT;
     /// On-wire bytes read (headers included, handshakes excluded).
-    pub bytes_received: u64,
+    bytes_received, add_bytes_received => TRANSPORT_BYTES_RECEIVED;
     /// Successful outbound connections (first connects and reconnects).
-    pub connects: u64,
+    connects, add_connects => TRANSPORT_CONNECTS;
     /// Successful outbound connections that replaced a broken one.
-    pub reconnects: u64,
+    reconnects, add_reconnects => TRANSPORT_RECONNECTS;
     /// Sends that failed after the reconnect attempt.
-    pub send_failures: u64,
+    send_failures, add_send_failures => TRANSPORT_SEND_FAILURES;
     /// Handshake failures, malformed frames, and undecodable payloads.
-    pub decode_errors: u64,
-}
-
-impl TransportSnapshot {
-    /// Every counter under its metric name (`rdfmesh_obs::names`).
-    pub fn named(&self) -> [(&'static str, u64); 8] {
-        use rdfmesh_obs::names::*;
-        [
-            (TRANSPORT_FRAMES_SENT, self.frames_sent),
-            (TRANSPORT_FRAMES_RECEIVED, self.frames_received),
-            (TRANSPORT_BYTES_SENT, self.bytes_sent),
-            (TRANSPORT_BYTES_RECEIVED, self.bytes_received),
-            (TRANSPORT_CONNECTS, self.connects),
-            (TRANSPORT_RECONNECTS, self.reconnects),
-            (TRANSPORT_SEND_FAILURES, self.send_failures),
-            (TRANSPORT_DECODE_ERRORS, self.decode_errors),
-        ]
-    }
+    decode_errors, add_decode_errors => TRANSPORT_DECODE_ERRORS;
 }
 
 /// One outbound connection to a peer process, lazily connected and
@@ -333,7 +257,7 @@ impl PeerLink {
     /// link, and makes the per-link frame order the per-connection order
     /// (which the barrier frames rely on).
     fn send_frame(&self, frame: &[u8], stats: &TransportStats) -> bool {
-        let mut guard = self.conn.lock();
+        let mut guard = lock(&self.conn);
         for _ in 0..2 {
             if guard.is_none() {
                 let Ok(mut s) = TcpStream::connect_timeout(&self.addr, CONNECT_TIMEOUT) else {
@@ -343,18 +267,20 @@ impl PeerLink {
                     continue;
                 }
                 let _ = s.set_nodelay(true);
-                stats.connect(self.ever_connected.swap(true, Ordering::Relaxed));
+                stats.add_connects(1);
+                stats.add_reconnects(u64::from(self.ever_connected.swap(true, Ordering::Relaxed)));
                 *guard = Some(s);
             }
             if let Some(s) = guard.as_mut() {
                 if s.write_all(frame).is_ok() {
-                    stats.frame_sent(frame.len() as u64);
+                    stats.add_frames_sent(1);
+                    stats.add_bytes_sent(frame.len() as u64);
                     return true;
                 }
                 *guard = None;
             }
         }
-        stats.send_failure();
+        stats.add_send_failures(1);
         false
     }
 }
@@ -376,7 +302,7 @@ pub(crate) struct Wire<M> {
     /// Behind a mutex so a membership thread can poll through a shared
     /// [`Arc<Cluster>`].
     control_rx: Mutex<Receiver<Vec<u8>>>,
-    barriers: Mutex<HashMap<u64, Sender<()>>>,
+    barriers: Mutex<HashMap<u64, SyncSender<()>>>,
     barrier_seq: AtomicU64,
     closing: AtomicBool,
 }
@@ -388,11 +314,11 @@ impl<M> Wire<M> {
     /// and counts as a send failure.
     fn send_frame(&self, addr: SocketAddr, kind: u8, parts: &[&[u8]]) -> bool {
         let Some(frame) = frame_of(kind, parts) else {
-            self.stats.send_failure();
+            self.stats.add_send_failures(1);
             return false;
         };
         let link = Arc::clone(
-            self.links.lock().entry(addr).or_insert_with(|| Arc::new(PeerLink::new(addr))),
+            lock(&self.links).entry(addr).or_insert_with(|| Arc::new(PeerLink::new(addr))),
         );
         link.send_frame(&frame, &self.stats)
     }
@@ -411,12 +337,12 @@ impl<M> Wire<M> {
         if local && (!self.force_socket || env.from == env.to) {
             return None;
         }
-        self.routes.read().get(&env.to).copied()
+        rlock(&self.routes).get(&env.to).copied()
     }
 
     /// Whether `to` is reachable through this wire.
     pub(crate) fn reaches(&self, to: NodeId) -> bool {
-        self.routes.read().contains_key(&to)
+        rlock(&self.routes).contains_key(&to)
     }
 
     /// Whether a flush fence for `node` travels this wire: in the loopback
@@ -427,12 +353,12 @@ impl<M> Wire<M> {
 
     /// Sends a [`KIND_BARRIER`] frame for `node` down its route; the
     /// receiving reader hands `ack` to the node's mailbox.
-    pub(crate) fn send_fence(&self, node: NodeId, ack: Sender<()>) -> bool {
-        let Some(addr) = self.routes.read().get(&node).copied() else { return false };
+    pub(crate) fn send_fence(&self, node: NodeId, ack: SyncSender<()>) -> bool {
+        let Some(addr) = rlock(&self.routes).get(&node).copied() else { return false };
         let token = self.barrier_seq.fetch_add(1, Ordering::Relaxed);
-        self.barriers.lock().insert(token, ack);
+        lock(&self.barriers).insert(token, ack);
         if !self.send_frame(addr, KIND_BARRIER, &[&node.0.to_le_bytes(), &token.to_le_bytes()]) {
-            self.barriers.lock().remove(&token);
+            lock(&self.barriers).remove(&token);
             return false;
         }
         true
@@ -448,16 +374,17 @@ impl<M> Wire<M> {
     /// Dropping the links closes outbound streams; loopback reader
     /// threads then exit on EOF.
     pub(crate) fn hang_up(&self) {
-        self.links.lock().clear();
+        lock(&self.links).clear();
     }
 }
 
 fn on_frame<M: WireMsg>(hub: &Hub<M>, wire: &Wire<M>, frame: Frame) {
-    wire.stats.frame_received(5 + frame.body.len() as u64);
+    wire.stats.add_frames_received(1);
+    wire.stats.add_bytes_received(5 + frame.body.len() as u64);
     match frame.kind {
         KIND_ENVELOPE => {
             if frame.body.len() < 16 {
-                wire.stats.decode_error();
+                wire.stats.add_decode_errors(1);
                 return;
             }
             let from = NodeId(u64::from_le_bytes(frame.body[..8].try_into().expect("8")));
@@ -468,17 +395,17 @@ fn on_frame<M: WireMsg>(hub: &Hub<M>, wire: &Wire<M>, frame: Frame) {
                         let _ = tx.send(Packet::Deliver(Envelope { from, to, payload }));
                     }
                 }
-                Err(_) => wire.stats.decode_error(),
+                Err(_) => wire.stats.add_decode_errors(1),
             }
         }
         KIND_BARRIER => {
             if frame.body.len() != 16 {
-                wire.stats.decode_error();
+                wire.stats.add_decode_errors(1);
                 return;
             }
             let to = NodeId(u64::from_le_bytes(frame.body[..8].try_into().expect("8")));
             let token = u64::from_le_bytes(frame.body[8..16].try_into().expect("8"));
-            if let Some(ack) = wire.barriers.lock().remove(&token) {
+            if let Some(ack) = lock(&wire.barriers).remove(&token) {
                 if let Some(tx) = hub.mailboxes.get(&to) {
                     let _ = tx.send(Packet::Barrier(ack));
                 }
@@ -487,34 +414,80 @@ fn on_frame<M: WireMsg>(hub: &Hub<M>, wire: &Wire<M>, frame: Frame) {
         KIND_CONTROL => {
             let _ = wire.control_tx.send(frame.body);
         }
-        _ => wire.stats.decode_error(),
+        _ => wire.stats.add_decode_errors(1),
     }
 }
 
-/// An accepted connection's read half, every read held to a deadline
-/// while one is set.
-struct Deadline {
+/// A socket whose every read and write is held to one deadline while one
+/// is set: each call re-arms the socket's timeout with the time left, so
+/// a peer that trickles (or takes) one byte per call cannot hold its
+/// thread for a timeout per byte, and a call once the deadline has passed
+/// fails `TimedOut` at once. With the deadline lifted, calls are unbounded.
+///
+/// The wire's reader holds a connection's handshake, and the rest of a
+/// frame once its length is in, to [`HANDSHAKE_TIMEOUT`], and lifts the
+/// deadline between frames. The HTTP endpoint holds a whole request to
+/// one deadline, and the whole response to another.
+#[derive(Debug)]
+pub struct DeadlineStream {
     stream: TcpStream,
     by: Option<Instant>,
-    /// Whether the socket still carries the read timeout of a lifted
-    /// deadline, to be cleared before the next unbounded read.
-    armed: bool,
+    /// Whether the socket still carries the read (`[0]`) or write (`[1]`)
+    /// timeout of a lifted deadline, to be cleared before the next
+    /// unbounded call.
+    armed: [bool; 2],
 }
 
-impl Read for Deadline {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        if let Some(by) = self.by {
-            let left = by.saturating_duration_since(Instant::now());
-            if left.is_zero() {
-                return Err(io::ErrorKind::TimedOut.into());
+impl DeadlineStream {
+    /// `stream` with every call due `allowed` from now.
+    pub fn after(stream: TcpStream, allowed: Duration) -> Self {
+        DeadlineStream { stream, by: Some(Instant::now() + allowed), armed: [false; 2] }
+    }
+
+    /// Holds every later call to `by`, or lifts the deadline for `None`.
+    pub fn set_deadline(&mut self, by: Option<Instant>) {
+        self.by = by;
+    }
+
+    /// Gives the socket's read or write timeout the time left, or clears
+    /// the one a lifted deadline left behind.
+    fn arm(&mut self, write: bool) -> io::Result<()> {
+        let armed = &mut self.armed[usize::from(write)];
+        let timeout = match self.by {
+            Some(by) => {
+                let left = by.saturating_duration_since(Instant::now());
+                if left.is_zero() {
+                    return Err(io::ErrorKind::TimedOut.into());
+                }
+                Some(left)
             }
-            self.stream.set_read_timeout(Some(left))?;
-            self.armed = true;
-        } else if self.armed {
-            self.stream.set_read_timeout(None)?;
-            self.armed = false;
+            None if *armed => None,
+            None => return Ok(()),
+        };
+        *armed = timeout.is_some();
+        if write {
+            self.stream.set_write_timeout(timeout)
+        } else {
+            self.stream.set_read_timeout(timeout)
         }
+    }
+}
+
+impl Read for DeadlineStream {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        self.arm(false)?;
         self.stream.read(buf)
+    }
+}
+
+impl Write for DeadlineStream {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        self.arm(true)?;
+        self.stream.write(buf)
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        self.stream.flush()
     }
 }
 
@@ -522,26 +495,26 @@ fn run_reader<M: WireMsg>(stream: TcpStream, hub: &Hub<M>) {
     let wire = hub.wire.as_ref().expect("readers run on a socket wire");
     // The handshake has a deadline, and so has the rest of a frame once
     // its length is in; the wait for the next frame has none.
-    let mut conn = Deadline { stream, by: Some(Instant::now() + HANDSHAKE_TIMEOUT), armed: false };
+    let mut conn = DeadlineStream::after(stream, HANDSHAKE_TIMEOUT);
     if read_handshake(&mut conn).is_err() {
-        wire.stats.decode_error();
+        wire.stats.add_decode_errors(1);
         return;
     }
-    conn.by = None;
+    conn.set_deadline(None);
     let mut r = io::BufReader::new(conn);
     loop {
         // A body already buffered costs no deadline (and no syscall).
         let frame = read_frame_then(&mut r, |r, len| {
             if r.buffer().len() < len as usize {
-                r.get_mut().by = Some(Instant::now() + HANDSHAKE_TIMEOUT);
+                r.get_mut().set_deadline(Some(Instant::now() + HANDSHAKE_TIMEOUT));
             }
         });
-        r.get_mut().by = None;
+        r.get_mut().set_deadline(None);
         match frame {
             Ok(Some(frame)) => on_frame(hub, wire, frame),
             Ok(None) => return,
             Err(_) => {
-                wire.stats.decode_error();
+                wire.stats.add_decode_errors(1);
                 return;
             }
         }
@@ -586,7 +559,7 @@ impl<M: WireMsg> Cluster<M> {
         let listener = TcpListener::bind(listen)?;
         let addr = listener.local_addr()?;
         let routes = nodes.iter().filter(|_| force_socket).map(|(id, _)| (*id, addr)).collect();
-        let (control_tx, control_rx) = unbounded();
+        let (control_tx, control_rx) = mpsc::channel();
         let wire = Wire {
             listen: addr,
             routes: RwLock::new(routes),
@@ -602,7 +575,7 @@ impl<M: WireMsg> Cluster<M> {
         };
         let cluster = Cluster::start(nodes, plan, Some(wire));
         let hub = Arc::clone(&cluster.hub);
-        cluster.handles.lock().push(std::thread::spawn(move || {
+        lock(&cluster.handles).push(std::thread::spawn(move || {
             for stream in listener.incoming() {
                 if hub.wire.as_ref().is_some_and(|w| w.closing.load(Ordering::Relaxed)) {
                     break;
@@ -629,12 +602,12 @@ impl<M: Send + 'static> Cluster<M> {
     /// back on a new port). Returns `false` on a cluster over channels,
     /// which has nowhere to route to.
     pub fn add_peer(&self, node: NodeId, addr: SocketAddr) -> bool {
-        self.hub.wire.as_ref().map(|w| w.routes.write().insert(node, addr)).is_some()
+        self.hub.wire.as_ref().map(|w| wlock(&w.routes).insert(node, addr)).is_some()
     }
 
     /// The registered route for `node`, if any.
     pub fn route_of(&self, node: NodeId) -> Option<SocketAddr> {
-        self.hub.wire.as_ref()?.routes.read().get(&node).copied()
+        rlock(&self.hub.wire.as_ref()?.routes).get(&node).copied()
     }
 
     /// Sends an opaque control frame (membership traffic) to the process
@@ -649,7 +622,7 @@ impl<M: Send + 'static> Cluster<M> {
     /// `None` means the wait expired, or that the cluster runs over
     /// channels and no control frame can arrive.
     pub fn recv_control(&self, timeout: Duration) -> Option<Vec<u8>> {
-        self.hub.wire.as_ref()?.control_rx.lock().recv_timeout(timeout).ok()
+        lock(&self.hub.wire.as_ref()?.control_rx).recv_timeout(timeout).ok()
     }
 
     /// A snapshot of the socket-level counters, or `None` on a cluster
@@ -727,7 +700,7 @@ mod tests {
     #[test]
     fn loopback_cluster_delivers_over_sockets() {
         let hits = Arc::new(AtomicU32::new(0));
-        let (done_tx, done_rx) = unbounded::<()>();
+        let (done_tx, done_rx) = mpsc::channel::<()>();
         let forward = |env: Envelope<TestMsg>, out: &Outbox<TestMsg>| {
             out.send(NodeId(2), TestMsg(env.payload.0 + 1));
         };
@@ -765,8 +738,8 @@ mod tests {
     fn fault_plan_applies_before_the_wire() {
         // The 1st message on 1→2 is dropped by the plan: it must never
         // reach the socket, and the sender still observes success.
-        let (seen_tx, seen_rx) = unbounded::<u32>();
-        let (sent_tx, sent_rx) = unbounded::<bool>();
+        let (seen_tx, seen_rx) = mpsc::channel::<u32>();
+        let (sent_tx, sent_rx) = mpsc::channel::<bool>();
         let relay = move |env: Envelope<TestMsg>, out: &Outbox<TestMsg>| {
             let _ = sent_tx.send(out.send(NodeId(2), env.payload));
         };

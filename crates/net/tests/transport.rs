@@ -6,10 +6,10 @@ use std::cell::Cell;
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{channel, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{unbounded, Sender};
 use rdfmesh_net::tcp::{
     encode_frame, read_frame, write_handshake, HANDSHAKE_TIMEOUT, KIND_ENVELOPE, MAX_FRAME,
 };
@@ -111,7 +111,7 @@ fn cluster_survives_a_message_flood() {
     }
 
     let n = 16u64;
-    let (tx, rx) = unbounded();
+    let (tx, rx) = channel();
     let nodes = || -> Nodes {
         let seen = Arc::new(AtomicU64::new(0));
         (0..n)
@@ -138,7 +138,7 @@ fn fault_plan_drops_exactly_the_nth_message() {
     let relay = |env: Envelope<Tag>, out: &Outbox<Tag>| {
         assert!(out.send(NodeId(2), env.payload), "dropped sends still report success");
     };
-    let (tx, rx) = unbounded();
+    let (tx, rx) = channel();
     let nodes = || -> Nodes { vec![(NodeId(1), Box::new(relay)), (NodeId(2), echo(&tx))] };
     let plan = FaultPlan::new().drop_nth(NodeId(1), NodeId(2), 2);
     for cluster in on_both_wires(nodes, plan) {
@@ -168,7 +168,7 @@ fn crash_makes_sends_fail_and_restart_recovers_state() {
             let _ = self.report.send(self.n);
         }
     }
-    let (tx, rx) = unbounded();
+    let (tx, rx) = channel();
     let nodes = || -> Nodes {
         // A prober so we can exercise Outbox::send (inject bypasses faults).
         let refused = tx.clone();
@@ -211,7 +211,7 @@ fn delayed_link_delivers_after_direct_messages() {
     let hop = |env: Envelope<Tag>, out: &Outbox<Tag>| {
         out.send(NodeId(2), env.payload);
     };
-    let (tx, rx) = unbounded();
+    let (tx, rx) = channel();
     let nodes = || -> Nodes {
         vec![(NodeId(1), Box::new(relay)), (NodeId(2), echo(&tx)), (NodeId(3), Box::new(hop))]
     };
@@ -264,7 +264,7 @@ fn alarms(arm: &[(u64, u64)], reply: &Sender<(NodeId, u64)>) -> Box<dyn Handler<
 fn a_handler_is_woken_at_the_times_it_asks_for_earliest_first() {
     // A node arms two wake-ups, out of order; they must come
     // earliest-first, neither early, and neither as network traffic.
-    let (tx, rx) = unbounded();
+    let (tx, rx) = channel();
     let nodes = || -> Nodes { vec![(NodeId(1), alarms(&[(200, 10), (20, 20)], &tx))] };
     for cluster in on_both_wires(nodes, FaultPlan::new()) {
         let before = cluster.message_count();
@@ -282,7 +282,7 @@ fn a_handler_is_woken_at_the_times_it_asks_for_earliest_first() {
 
 #[test]
 fn a_due_wake_up_is_served_while_messages_keep_arriving() {
-    let (tx, rx) = unbounded();
+    let (tx, rx) = channel();
     let nodes = || -> Nodes { vec![(NodeId(1), alarms(&[(20, 7)], &tx))] };
     for cluster in on_both_wires(nodes, FaultPlan::new()) {
         let flooding = Instant::now() + Duration::from_secs(10);
@@ -298,7 +298,7 @@ fn a_due_wake_up_is_served_while_messages_keep_arriving() {
 
 #[test]
 fn a_crashed_node_is_woken_only_after_its_restart() {
-    let (tx, rx) = unbounded();
+    let (tx, rx) = channel();
     let nodes = || -> Nodes { vec![(NodeId(1), alarms(&[(300, 7)], &tx))] };
     for cluster in on_both_wires(nodes, FaultPlan::new()) {
         cluster.inject(NodeId(0), NodeId(1), Tag(0));
@@ -314,7 +314,7 @@ fn a_crashed_node_is_woken_only_after_its_restart() {
 
 #[test]
 fn spawn_with_pre_crashed_node_refuses_sends() {
-    let (tx, rx) = unbounded();
+    let (tx, rx) = channel();
     let nodes = || -> Nodes {
         let reply = tx.clone();
         let probe = move |_env: Envelope<Tag>, out: &Outbox<Tag>| {
@@ -332,7 +332,7 @@ fn spawn_with_pre_crashed_node_refuses_sends() {
 
 #[test]
 fn barrier_works_on_a_crashed_node() {
-    let (tx, _rx) = unbounded();
+    let (tx, _rx) = channel();
     let nodes = || -> Nodes { vec![(NodeId(1), echo(&tx)), (NodeId(2), echo(&tx))] };
     for cluster in on_both_wires(nodes, FaultPlan::new()) {
         assert!(cluster.crash(NodeId(1)));
@@ -410,7 +410,7 @@ fn a_frame_stalled_mid_body_is_closed_at_the_deadline() {
 
 #[test]
 fn a_connection_idle_between_frames_past_the_deadline_still_delivers_both() {
-    let (tx, rx) = unbounded();
+    let (tx, rx) = channel();
     let nodes: Nodes = vec![(NodeId(1), echo(&tx))];
     let cluster = Cluster::spawn_loopback(nodes, FaultPlan::new()).expect("loopback binds");
     let mut peer = TcpStream::connect(cluster.local_addr().expect("bound")).unwrap();
@@ -503,7 +503,7 @@ impl WireMsg for Blob {
 
 #[test]
 fn an_envelope_over_max_frame_fails_at_the_sender_and_its_connection_carries_the_next() {
-    let (tx, rx) = unbounded();
+    let (tx, rx) = channel();
     let seen = move |env: Envelope<Blob>, _out: &Outbox<Blob>| {
         let _ = tx.send(env.payload.0);
     };

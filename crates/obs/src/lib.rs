@@ -23,6 +23,7 @@
 
 #![warn(missing_docs)]
 
+mod counters;
 pub mod json;
 mod metrics;
 pub mod names;

@@ -438,7 +438,7 @@ impl Overlay {
         self.index_addr.remove(&id);
         self.addr_index.remove(&addr);
         self.ring.stabilize_until_converged(128);
-        self.reattach_orphans(id);
+        self.reattach(|_, at| at == id);
         self.refresh_replicas();
         self.bump_epoch();
         Ok(())
@@ -484,20 +484,7 @@ impl Overlay {
             }
         }
         // Re-attach storage nodes whose index node disappeared.
-        let dead_attachments: Vec<NodeId> = self
-            .storage
-            .iter()
-            .filter(|(_, s)| !self.ring.contains(s.attached_to))
-            .map(|(&a, _)| a)
-            .collect();
-        for addr in dead_attachments {
-            let old = self.storage[&addr].attached_to;
-            if let Ok(new_attach) = self.ring.ideal_owner(old) {
-                if let Some(node) = self.storage.get_mut(&addr) {
-                    node.attached_to = new_attach;
-                }
-            }
-        }
+        self.reattach(|ring, at| !ring.contains(at));
         self.refresh_replicas();
         self.bump_epoch();
     }
@@ -534,18 +521,18 @@ impl Overlay {
         }
     }
 
-    fn reattach_orphans(&mut self, gone: Id) {
-        let orphans: Vec<NodeId> = self
+    /// Moves every storage node whose index node `orphaned` picks to that
+    /// index node's ideal owner on the ring as it is now.
+    fn reattach(&mut self, orphaned: impl Fn(&ChordRing, Id) -> bool) {
+        let moves: Vec<(NodeId, Id)> = self
             .storage
             .iter()
-            .filter(|(_, s)| s.attached_to == gone)
-            .map(|(&a, _)| a)
+            .filter(|(_, s)| orphaned(&self.ring, s.attached_to))
+            .filter_map(|(&addr, s)| Some((addr, self.ring.ideal_owner(s.attached_to).ok()?)))
             .collect();
-        for addr in orphans {
-            if let Ok(new_attach) = self.ring.ideal_owner(gone) {
-                if let Some(node) = self.storage.get_mut(&addr) {
-                    node.attached_to = new_attach;
-                }
+        for (addr, to) in moves {
+            if let Some(node) = self.storage.get_mut(&addr) {
+                node.attached_to = to;
             }
         }
     }

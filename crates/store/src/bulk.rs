@@ -26,9 +26,9 @@ use std::collections::BTreeMap;
 use std::io::{self, BufRead, BufReader, Read};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel;
 use rdfmesh_obs::{metrics, names};
 use rdfmesh_rdf::{parse_statements_from, ParseError, PatternSource, Perm, Triple};
 
@@ -200,11 +200,11 @@ impl PersistentStore {
 
         let bytes = std::thread::scope(|scope| -> Result<u64, LoadError> {
             let mut chunk_txs = Vec::with_capacity(workers);
-            let (res_tx, res_rx) = channel::bounded::<(usize, Result<Vec<Triple>, ParseError>)>(
+            let (res_tx, res_rx) = mpsc::sync_channel::<(usize, Result<Vec<Triple>, ParseError>)>(
                 workers * 2,
             );
             for _ in 0..workers {
-                let (tx, rx) = channel::bounded::<(usize, usize, String)>(2);
+                let (tx, rx) = mpsc::sync_channel::<(usize, usize, String)>(2);
                 chunk_txs.push(tx);
                 let res_tx = res_tx.clone();
                 let stop = &stop;

@@ -2,7 +2,7 @@
 //!
 //! Everything else in this repository measures costs on the
 //! deterministic simulator; this example spawns one thread per node
-//! (crossbeam channels as the transport) and resolves queries purely by
+//! (std's channels as the transport) and resolves queries purely by
 //! message passing — lookup to the ring, provider resolution from the
 //! location table, parallel sub-queries, assembly.
 //!

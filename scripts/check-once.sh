@@ -116,6 +116,17 @@
 # crates/rdf/src and crates/store/src are source.rs's five (the trait's
 # `for_each_match` and `for_each_triple`, `TripleStore`'s impl,
 # `SharedStore`'s pair), store.rs's one and pstore.rs's one.
+# Beneath the protocol there is one of each: channels and locks are
+# std's (no `crossbeam` or `parking_lot` in any Cargo.toml or `use`, and
+# `proptest` is the one crate under shims/), a poisoned lock is recovered
+# by one rule (`fn lock<` / `fn rlock<` / `fn wlock<` defined only in
+# crates/net/src), every counter set a host keeps for itself is declared
+# by one macro (one `macro_rules!` in library code, `rdfmesh_obs::counters!`;
+# no hand-declared `AtomicU64` counter in crates/net/src/tcp.rs — its one
+# `AtomicU64` field is the barrier token sequence), and one type holds a
+# socket to a deadline for the wire's reader and the HTTP endpoint (the
+# one `impl Read for` / `impl Write for` in crates/net/src and src code,
+# `DeadlineStream`'s).
 # Fails when a second copy appears. Test modules (`mod tests` to end of
 # file) and comment lines are not code.
 set -eu
@@ -387,14 +398,28 @@ expect "files defining JSON string escaping outside crates/obs ($(echo $escapers
     "$(echo "$escapers" | grep -c . || true)" 1
 expect 'format!( / .join( in results.rs (a String per cell, row or document)' \
     "$(code crates/sparql/src/results.rs | grep -cE 'format!\(|\.join\(' || true)" 0
+lib_rs=$(find src crates/*/src -name '*.rs' | sort)
 # The one stopwatch is benchmark/: no bench target, no bench framework
-# and no shim for one come back (the three shims are crossbeam,
-# parking_lot, proptest).
+# and no shim for one come back (the one shim is proptest).
 expect '[[bench]] tables under crates/*/Cargo.toml' \
     "$(cat crates/*/Cargo.toml | grep -c '^\[\[bench\]\]' || true)" 0
 expect 'criterion mentions in any Cargo.toml' \
     "$(cat Cargo.toml crates/*/Cargo.toml shims/*/Cargo.toml benchmark/Cargo.toml | grep -ci criterion || true)" 0
-expect 'directories under shims/' "$(ls -d shims/*/ | wc -l)" 3
+expect 'directories under shims/' "$(ls -d shims/*/ | wc -l)" 1
+# One of each beneath the protocol.
+expect 'crossbeam / parking_lot in any Cargo.toml' \
+    "$(cat Cargo.toml crates/*/Cargo.toml shims/*/Cargo.toml | grep -cE 'crossbeam|parking_lot' || true)" 0
+expect_files 'use of crossbeam / parking_lot under src and crates/*/src' \
+    "$(files_with '\buse (::)?(crossbeam|parking_lot)\b|(crossbeam|parking_lot)::' $lib_rs)" ''
+expect_files 'fn lock< / fn rlock< / fn wlock< under src and crates/*/src' \
+    "$(files_with '\bfn (lock|rlock|wlock)<' $lib_rs)" 'crates/net/src/sync.rs:3'
+expect_files 'macro_rules! under src and crates/*/src (the one counter macro)' \
+    "$(files_with '\bmacro_rules!' $lib_rs)" 'crates/obs/src/counters.rs:1'
+expect 'hand-declared AtomicU64 counters in crates/net/src/tcp.rs' \
+    "$(code crates/net/src/tcp.rs | grep -E ': AtomicU64\b' | grep -cv 'barrier_seq' || true)" 0
+expect_files 'impl Read for / impl Write for under crates/net/src and src (the one deadline stream)' \
+    "$(files_with '\bimpl (io::|std::io::)?(Read|Write) for\b' $(find crates/net/src src -name '*.rs' | sort))" \
+    'crates/net/src/tcp.rs:2'
 # One byte yardstick: frame lengths, not a size model.
 expect_files 'fn serialized_len under crates/sparql/src and crates/core/src' \
     "$(files_with 'fn serialized_len\b' $(find crates/sparql/src crates/core/src -name '*.rs' | sort))" ''
@@ -402,7 +427,6 @@ expect_files 'SUBQUERY_HEADER / RESULT_HEADER under src and crates/*/src' \
     "$(files_with '\b(SUBQUERY|RESULT)_HEADER\b' $(find src crates/*/src -name '*.rs' | sort))" ''
 # One unsafe block in library code: the call that runs the SHA-1 kernel
 # the CPU was seen to support. `unsafe fn` / `unsafe impl` count too.
-lib_rs=$(find src crates/*/src -name '*.rs' | sort)
 hash_rs=crates/chord/src/hash.rs
 expect_files 'unsafe under src and crates/*/src' "$(files_with '\bunsafe\b' $lib_rs)" "$hash_rs:1"
 expect_files 'unsafe blocks under src and crates/*/src' "$(files_with '\bunsafe \{' $lib_rs)" "$hash_rs:1"
@@ -423,5 +447,5 @@ expect 'push_bindings( in crates/core/src code' \
 expect_files 'fn for_each_ definitions under crates/rdf/src and crates/store/src' \
     "$(files_with '\bfn for_each_' crates/rdf/src/*.rs "$store"/*.rs)" \
     'crates/rdf/src/source.rs:5 crates/rdf/src/store.rs:1 crates/store/src/pstore.rs:1'
-[ "$bad" -eq 0 ] && echo 'exists once: provider compute, exchange pricing, reply accounting, role constructors, the role host, the multiway protocol, regex compilation, lending scan, JSON escaping, result writers, the stopwatch, the pipeline tail, the operator table, the lookup leg, the cluster, the publication path, the frequency column, the move-small rule, the location table, the key count, the list-count bound, the bind step, the role runner, the query account, the statistics pass, the fan-out, the row read, the generation writer, the commit, the row batch, the triple index, the term dictionary, the answer batch, the whole-store walk, the independent oracle, the byte codec, the log replay, the unsafe block, the key batch, the failpoint, the byte yardstick, the filter evaluator, the host'"'"'s client, the host'"'"'s ledger, the wire'"'"'s ledger, the round'"'"'s clock, the answer in ids, the scan method'
+[ "$bad" -eq 0 ] && echo 'exists once: provider compute, exchange pricing, reply accounting, role constructors, the role host, the multiway protocol, regex compilation, lending scan, JSON escaping, result writers, the stopwatch, the pipeline tail, the operator table, the lookup leg, the cluster, the publication path, the frequency column, the move-small rule, the location table, the key count, the list-count bound, the bind step, the role runner, the query account, the statistics pass, the fan-out, the row read, the generation writer, the commit, the row batch, the triple index, the term dictionary, the answer batch, the whole-store walk, the independent oracle, the byte codec, the log replay, the unsafe block, the key batch, the failpoint, the byte yardstick, the filter evaluator, the host'"'"'s client, the host'"'"'s ledger, the wire'"'"'s ledger, the round'"'"'s clock, the answer in ids, the scan method, the channel, the lock rule, the counter macro, the deadline stream'
 exit "$bad"

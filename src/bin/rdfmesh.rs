@@ -292,7 +292,9 @@ fn report_load(file: &str, statements: u64, elapsed: Duration) {
 }
 
 fn run_serve(o: &Options) -> Result<(), String> {
-    // Record live.* / transport.* / store.* metrics for GET /metrics.
+    // Record the registry's store.* (the load counters among them) and
+    // exec.* metrics for GET /metrics, which adds the node's own live.*
+    // and transport.* sets.
     rdfmesh::obs::metrics().enable();
     let id = o.node_id.unwrap_or_else(|| u64::from(std::process::id()));
     let mut loaded = 0u64;

@@ -31,12 +31,13 @@ use std::fmt::Write as _;
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{self, Receiver, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use crossbeam::channel::{bounded, Receiver, TrySendError};
 use rdfmesh_core::{LiveError, MeshNode};
+use rdfmesh_net::{lock, DeadlineStream};
 use rdfmesh_sparql::results::push_json_escaped;
 use rdfmesh_sparql::to_json;
 
@@ -89,10 +90,10 @@ impl SparqlEndpoint {
         let addr = listener.local_addr()?;
         let closing = Arc::new(AtomicBool::new(false));
         // Bounded hand-off: accept → queue → handler pool. The single
-        // shared Receiver sits behind a mutex (the shim channel is
+        // shared Receiver sits behind a mutex (std's channel is
         // single-consumer); an idle handler holds the lock only while
         // blocked on recv, releasing it the moment it takes a stream.
-        let (tx, rx) = bounded::<TcpStream>(options.backlog);
+        let (tx, rx) = mpsc::sync_channel::<TcpStream>(options.backlog);
         let rx = Arc::new(Mutex::new(rx));
         let handlers = (0..options.handlers.max(1))
             .map(|i| {
@@ -152,10 +153,10 @@ impl SparqlEndpoint {
         }
         // Unblock the accept loop with a throwaway connection.
         let _ = TcpStream::connect(self.addr);
-        if let Some(handle) = self.accept.lock().unwrap_or_else(|e| e.into_inner()).take() {
+        if let Some(handle) = lock(&self.accept).take() {
             let _ = handle.join();
         }
-        for handle in self.handlers.lock().unwrap_or_else(|e| e.into_inner()).drain(..) {
+        for handle in lock(&self.handlers).drain(..) {
             let _ = handle.join();
         }
     }
@@ -164,7 +165,7 @@ impl SparqlEndpoint {
 /// Takes the next accepted stream off the shared hand-off queue, or
 /// `None` once the accept loop is gone and the queue is drained.
 fn next_stream(rx: &Mutex<Receiver<TcpStream>>) -> Option<TcpStream> {
-    rx.lock().unwrap_or_else(|e| e.into_inner()).recv().ok()
+    lock(rx).recv().ok()
 }
 
 impl Drop for SparqlEndpoint {
@@ -209,61 +210,20 @@ fn read_line_bounded(reader: &mut impl BufRead, line: &mut String) -> io::Result
 }
 
 /// How long a client has to send its whole request: line, headers and
-/// body together.
+/// body together. The request is read through one [`DeadlineStream`], so
+/// a client that trickles one byte per read cannot stretch it.
 const REQUEST_DEADLINE: Duration = Duration::from_secs(10);
 
 /// How long a client has to take its whole response. One that stops
 /// reading gives its handler back when this has passed.
 const RESPONSE_DEADLINE: Duration = REQUEST_DEADLINE;
 
-/// A socket under one deadline for everything read or written through
-/// it: each call re-arms the socket's timeout with the time remaining,
-/// so a client trickling (or taking) one byte per call cannot hold a
-/// handler for a timeout per byte.
-struct UntilDeadline {
-    stream: TcpStream,
-    deadline: Instant,
-}
-
-impl UntilDeadline {
-    fn after(stream: TcpStream, allowed: Duration) -> UntilDeadline {
-        UntilDeadline { stream, deadline: Instant::now() + allowed }
-    }
-
-    /// The time left, or `TimedOut` once there is none.
-    fn remaining(&self) -> io::Result<Duration> {
-        let left = self.deadline.saturating_duration_since(Instant::now());
-        if left.is_zero() {
-            return Err(io::ErrorKind::TimedOut.into());
-        }
-        Ok(left)
-    }
-}
-
-impl Read for UntilDeadline {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        self.stream.set_read_timeout(Some(self.remaining()?))?;
-        self.stream.read(buf)
-    }
-}
-
-impl Write for UntilDeadline {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        self.stream.set_write_timeout(Some(self.remaining()?))?;
-        self.stream.write(buf)
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        self.stream.flush()
-    }
-}
-
 /// Reads one request, refusing — without reading any further — a line
 /// or header count over the limits, a body whose declared length is
 /// over [`MAX_BODY`] or not a number, and a request not complete within
 /// [`REQUEST_DEADLINE`].
 fn read_request(stream: &mut TcpStream) -> io::Result<Result<Request, Refusal>> {
-    let reader = BufReader::new(UntilDeadline::after(stream.try_clone()?, REQUEST_DEADLINE));
+    let reader = BufReader::new(DeadlineStream::after(stream.try_clone()?, REQUEST_DEADLINE));
     match parse_request(reader) {
         // An expired socket timeout reads as either kind, by platform.
         Err(e) if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut) => {
@@ -354,7 +314,7 @@ impl Response {
     /// Writes the response to `stream`, the client taking all of it
     /// within [`RESPONSE_DEADLINE`].
     fn send(&self, stream: TcpStream) -> io::Result<()> {
-        respond_with(&mut UntilDeadline::after(stream, RESPONSE_DEADLINE), self)
+        respond_with(&mut DeadlineStream::after(stream, RESPONSE_DEADLINE), self)
     }
 }
 
@@ -551,6 +511,7 @@ fn handle_connection(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Instant;
 
     /// Runs [`read_request`] on the server side of a loopback connection
     /// while `client` writes to the other side from its own thread. The
@@ -594,7 +555,7 @@ mod tests {
 
     #[test]
     fn an_endless_header_line_is_refused_after_a_bounded_read() {
-        let started = std::time::Instant::now();
+        let started = Instant::now();
         let outcome = served(|stream| {
             let _ = stream.write_all(b"GET / HTTP/1.1\r\nX-Endless: ");
             // Stops once the far side has hung up.
@@ -737,6 +698,19 @@ mod tests {
         node.shutdown();
     }
 
+    /// `GET /metrics` inserts the node's two counter sets into one map by
+    /// name: a name in both, or twice in one, would overwrite a value.
+    #[test]
+    fn the_nodes_counter_sets_list_every_name_once() {
+        let live = rdfmesh_core::LiveStatsSnapshot::default().named();
+        let wire = rdfmesh_net::TransportSnapshot::default().named();
+        let names: std::collections::BTreeSet<&str> =
+            live.iter().chain(&wire).map(|(name, _)| *name).collect();
+        assert_eq!(names.len(), live.len() + wire.len(), "a name listed twice: {names:?}");
+        assert_eq!(wire.len(), 8);
+        assert!(wire.iter().all(|(name, _)| name.starts_with("transport.")), "{wire:?}");
+    }
+
     #[test]
     fn metadata_splices_into_result_objects() {
         let exec = rdfmesh_core::LiveExecution {
@@ -823,7 +797,7 @@ mod tests {
             Response::new("200 OK", "text/plain", "x".repeat(MORE_THAN_THE_SOCKET_HOLDS));
         let allowed = Duration::from_millis(500);
         let started = Instant::now();
-        let outcome = respond_with(&mut UntilDeadline::after(far, allowed), &response);
+        let outcome = respond_with(&mut DeadlineStream::after(far, allowed), &response);
         let held = started.elapsed();
         // An expired socket timeout reads as either kind, by platform.
         let kind = outcome.expect_err("the response cannot have been taken").kind();

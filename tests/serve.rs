@@ -278,6 +278,21 @@ fn three_serve_processes_answer_http_queries_like_the_simulator() {
     ] {
         assert!(metric(name).is_some_and(|v| v > 0), "{name} not moved in /metrics: {body}");
     }
+    // Every socket counter prints once: the node's two counter sets are
+    // merged into one map by name, where a shared name would overwrite.
+    for name in [
+        "transport.frames_sent",
+        "transport.frames_received",
+        "transport.bytes_sent",
+        "transport.bytes_received",
+        "transport.connects",
+        "transport.reconnects",
+        "transport.send_failures",
+        "transport.decode_errors",
+    ] {
+        let lines = body.lines().filter(|line| line.split(' ').next() == Some(name)).count();
+        assert_eq!(lines, 1, "{name} printed {lines} times in /metrics: {body}");
+    }
 
     // OPTIONAL over the same mesh, via POST with a raw query body: only
     // alice has a mailbox, so one row binds ?m and two leave it out.
