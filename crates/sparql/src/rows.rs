@@ -330,8 +330,11 @@ impl Rows {
     /// Keeps the first occurrence of every row, in order.
     pub fn distinct(mut self) -> Rows {
         let w = self.width();
-        let mut newest: HashMap<u64, u32, FxBuild> = HashMap::default();
-        let mut chain: Vec<u32> = Vec::new();
+        // Sized once for the case of no duplicate: an answer's rows are
+        // mostly distinct.
+        let mut newest: HashMap<u64, u32, FxBuild> =
+            HashMap::with_capacity_and_hasher(self.len, FxBuild::default());
+        let mut chain: Vec<u32> = Vec::with_capacity(self.len);
         let mut kept = 0;
         let same = |cells: &[u32], k: usize, i: usize| {
             cells[k * w..(k + 1) * w] == cells[i * w..(i + 1) * w]
@@ -549,6 +552,12 @@ impl<'a> Row<'a> {
             .zip(self.cells)
             .filter(|(_, c)| **c != UNBOUND)
             .map(move |(v, c)| (v, rows.term(*c)))
+    }
+
+    /// The row's cells, one per column: [`UNBOUND`] or a term's id plus
+    /// one in the batch's dictionary.
+    pub(crate) fn cells(&self) -> &'a [u32] {
+        self.cells
     }
 
     /// The term in column `col`, if the row binds it.

@@ -4,7 +4,8 @@
 # crates/core/src (PR 18); a regex is compiled in one place, and the
 # provider's scan lends its rows instead of collecting them (PR 19); a
 # JSON string is escaped by one function, and the result writers build no
-# string per cell, row or document (PR 20); wall-clock is measured by the
+# string per cell, row or document (PR 20), and render each term once per
+# document, in one row walker; wall-clock is measured by the
 # repo benchmark (benchmark/) and by no bench target (PR 21); a plan's
 # materialization becomes a result in one place above the backends, the
 # binary-operator table is spelled once beside it, and the simulator asks
@@ -398,6 +399,16 @@ expect "files defining JSON string escaping outside crates/obs ($(echo $escapers
     "$(echo "$escapers" | grep -c . || true)" 1
 expect 'format!( / .join( in results.rs (a String per cell, row or document)' \
     "$(code crates/sparql/src/results.rs | grep -cE 'format!\(|\.join\(' || true)" 0
+# A term is rendered once per document: each fragment renderer — JSON's
+# `json_term(`, XML's `xml_term(`, TSV's `Display` write — has one call,
+# in the row walker's first-use branch, and every later cell copies it.
+results=crates/sparql/src/results.rs
+walker=$(awk '/^fn write_select\(/{on=1} on{print} on&&/^}/{on=0}' "$results")
+renders='json_term\(|xml_term\(|write!\('
+expect 'term renderer calls in results.rs (json_term( / xml_term( / write!()' \
+    "$(code "$results" | grep -v '^ *fn ' | grep -cE "$renders" || true)" 3
+expect 'term renderer calls in the row walker (write_select)' \
+    "$(echo "$walker" | grep -v '^ *//' | grep -cE "$renders" || true)" 3
 lib_rs=$(find src crates/*/src -name '*.rs' | sort)
 # The one stopwatch is benchmark/: no bench target, no bench framework
 # and no shim for one come back (the one shim is proptest).
@@ -447,5 +458,5 @@ expect 'push_bindings( in crates/core/src code' \
 expect_files 'fn for_each_ definitions under crates/rdf/src and crates/store/src' \
     "$(files_with '\bfn for_each_' crates/rdf/src/*.rs "$store"/*.rs)" \
     'crates/rdf/src/source.rs:5 crates/rdf/src/store.rs:1 crates/store/src/pstore.rs:1'
-[ "$bad" -eq 0 ] && echo 'exists once: provider compute, exchange pricing, reply accounting, role constructors, the role host, the multiway protocol, regex compilation, lending scan, JSON escaping, result writers, the stopwatch, the pipeline tail, the operator table, the lookup leg, the cluster, the publication path, the frequency column, the move-small rule, the location table, the key count, the list-count bound, the bind step, the role runner, the query account, the statistics pass, the fan-out, the row read, the generation writer, the commit, the row batch, the triple index, the term dictionary, the answer batch, the whole-store walk, the independent oracle, the byte codec, the log replay, the unsafe block, the key batch, the failpoint, the byte yardstick, the filter evaluator, the host'"'"'s client, the host'"'"'s ledger, the wire'"'"'s ledger, the round'"'"'s clock, the answer in ids, the scan method, the channel, the lock rule, the counter macro, the deadline stream'
+[ "$bad" -eq 0 ] && echo 'exists once: provider compute, exchange pricing, reply accounting, role constructors, the role host, the multiway protocol, regex compilation, lending scan, JSON escaping, result writers, the term fragment, the stopwatch, the pipeline tail, the operator table, the lookup leg, the cluster, the publication path, the frequency column, the move-small rule, the location table, the key count, the list-count bound, the bind step, the role runner, the query account, the statistics pass, the fan-out, the row read, the generation writer, the commit, the row batch, the triple index, the term dictionary, the answer batch, the whole-store walk, the independent oracle, the byte codec, the log replay, the unsafe block, the key batch, the failpoint, the byte yardstick, the filter evaluator, the host'"'"'s client, the host'"'"'s ledger, the wire'"'"'s ledger, the round'"'"'s clock, the answer in ids, the scan method, the channel, the lock rule, the counter macro, the deadline stream'
 exit "$bad"
