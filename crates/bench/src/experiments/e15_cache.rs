@@ -285,7 +285,14 @@ fn part_c() {
     }
     print_table(
         "Churn coherence sweep: cached vs cold answers after each event",
-        &["event", "queries compared", "last |result|", "identical", "stale drops", "result hits"],
+        &[
+            "event",
+            "queries compared",
+            "last result rows",
+            "identical",
+            "stale drops",
+            "result hits",
+        ],
         &rows,
     );
     assert_eq!(divergences, 0, "cached answers must never diverge from cold answers");

@@ -1110,7 +1110,7 @@ mod tests {
                 xsol(9),
             ];
             let answer = |store: &rdfmesh_rdf::TripleStore, keys| {
-                provider::answer(store, &pattern(), None, keys)
+                provider::answer(store, &pattern(), None, keys).to_rows()
             };
             let shipped: Vec<Solution> =
                 stores.iter().flat_map(|store| answer(store, Some(&keys[..])).to_solutions()).collect();

@@ -105,6 +105,10 @@ pub(crate) use storage::LiveStorage;
 pub(crate) enum Action {
     /// Send `msg` to `to`.
     Send { to: NodeId, msg: LiveMsg },
+    /// Send `frame`, a [`LiveMsg`] its role already encoded, to `to`: the
+    /// storage role's replies and partitions, written once from what it
+    /// scanned.
+    SendEncoded { to: NodeId, frame: Vec<u8> },
     /// Round `qid` is over: hand `answer` to whoever waits for it.
     Finish { qid: QueryId, answer: LiveAnswer },
 }
@@ -135,6 +139,9 @@ impl Role {
                 }
                 (Action::Send { to, msg }, _) => {
                     out.send(to, msg);
+                }
+                (Action::SendEncoded { to, frame }, _) => {
+                    out.send_encoded(to, frame);
                 }
                 (Action::Finish { qid, answer }, role) => {
                     // Removing the sender is what makes "done" single-shot.

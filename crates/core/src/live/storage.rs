@@ -4,14 +4,13 @@
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
-use rdfmesh_net::NodeId;
+use rdfmesh_net::{NodeId, WireMsg};
 use rdfmesh_rdf::{SharedStore, TriplePattern};
-use rdfmesh_sparql::solution::wire;
 use rdfmesh_sparql::Rows;
 
 use super::{Action, LiveMsg, QueryId};
-use crate::provider;
 use crate::stats::LiveStats;
+use crate::{live_wire, provider};
 
 /// The retained copy of a [`LiveMsg::ShuffleExec`] frame's fields.
 #[derive(Debug)]
@@ -40,8 +39,9 @@ pub(crate) struct ShuffleState {
     /// and ordered, so the fold's rows come out in the same order on every
     /// run (the simulator's are reproducible bit for bit).
     received: BTreeMap<NodeId, Vec<Rows>>,
-    /// The shipped local join, kept for retransmit resends.
-    answer: Option<Rows>,
+    /// The shipped local join — its row count and frame — kept for
+    /// retransmit resends.
+    answer: Option<(usize, Vec<u8>)>,
 }
 
 /// Shuffle entries for more queries than this trigger an eviction: of
@@ -65,27 +65,22 @@ impl LiveStorage {
         LiveStorage { me, store, stats, shuffle: HashMap::new() }
     }
 
-    /// A reply or partition frame to send, with the solutions it carries
-    /// counted: rows and their encoded bytes, as shuffle traffic for a
-    /// peer-to-peer [`LiveMsg::ShufflePart`] and as shipped solutions
-    /// for everything that returns to the coordinator.
-    fn ship(stats: &LiveStats, to: NodeId, frame: LiveMsg) -> Action {
-        let sets = match &frame {
-            LiveMsg::Solutions { solutions, .. } => std::slice::from_ref(solutions),
-            LiveMsg::PartialMatches { per_pattern: sets, .. }
-            | LiveMsg::ShufflePart { parts: sets, .. } => sets.as_slice(),
-            _ => &[],
-        };
-        let rows = sets.iter().map(Rows::len).sum::<usize>() as u64;
-        let bytes = sets.iter().map(wire::rows_encoded_len).sum::<usize>() as u64;
-        if matches!(frame, LiveMsg::ShufflePart { .. }) {
+    /// A reply or partition frame to send as it was written, with the
+    /// solutions it carries counted: its `rows` and the bytes of its
+    /// solution sets, as shuffle traffic for a peer-to-peer
+    /// [`LiveMsg::ShufflePart`] and as shipped solutions for everything
+    /// that returns to the coordinator.
+    fn ship(stats: &LiveStats, to: NodeId, rows: usize, frame: Vec<u8>) -> Action {
+        let (bytes, peer_to_peer) = live_wire::solution_sets(&frame);
+        let (rows, bytes) = (rows as u64, bytes as u64);
+        if peer_to_peer {
             stats.add_shuffle_parts(rows);
             stats.add_shuffle_bytes(bytes);
         } else {
             stats.add_solutions_shipped(rows);
             stats.add_solution_bytes(bytes);
         }
-        Action::Send { to, msg: frame }
+        Action::SendEncoded { to, frame }
     }
 
     /// Admits a new shuffle entry, evicting retired rounds' leftovers
@@ -111,9 +106,10 @@ impl LiveStorage {
             return None;
         }
         let solutions = provider::fold(patterns.len(), st.received.values());
-        let reply = LiveMsg::Solutions { qid, solutions: solutions.clone() };
-        let shipped = Self::ship(&self.stats, *reply_to, reply);
-        st.answer = Some(solutions);
+        let rows = solutions.len();
+        let frame = LiveMsg::Solutions { qid, solutions }.encode_wire();
+        let shipped = Self::ship(&self.stats, *reply_to, rows, frame.clone());
+        st.answer = Some((rows, frame));
         Some(shipped)
     }
 
@@ -124,10 +120,14 @@ impl LiveStorage {
     pub(crate) fn on_event(&mut self, from: NodeId, msg: LiveMsg) -> Vec<Action> {
         match msg {
             LiveMsg::SubQuerySol { qid, pattern, filter, bound, reply_to } => {
-                let solutions = self.store.with(|store| {
-                    provider::answer(store, &pattern, filter.as_ref(), bound.as_deref())
+                // The answer lends the store's terms: its frame is written
+                // under the one borrow of the store.
+                let (rows, frame) = self.store.with(|store| {
+                    let (filter, bound) = (filter.as_ref(), bound.as_deref());
+                    let answer = provider::answer(store, &pattern, filter, bound);
+                    (answer.len(), live_wire::solutions_frame(qid, &answer))
                 });
-                vec![Self::ship(&self.stats, reply_to, LiveMsg::Solutions { qid, solutions })]
+                vec![Self::ship(&self.stats, reply_to, rows, frame)]
             }
             LiveMsg::ShuffleExec { qid, round, patterns, join_vars, peers, reply_to } => {
                 // A newer generation supersedes any retained state: the
@@ -139,12 +139,11 @@ impl LiveStorage {
                     if round < st.round {
                         return Vec::new(); // exec from an abandoned generation
                     }
-                    if let Some(answer) = st.answer.clone() {
+                    if let Some((rows, frame)) = st.answer.clone() {
                         // Retransmitted exec after the answer already
                         // shipped: resend it (the coordinator dedups),
                         // counted like the first.
-                        let reply = LiveMsg::Solutions { qid, solutions: answer };
-                        return vec![Self::ship(&self.stats, reply_to, reply)];
+                        return vec![Self::ship(&self.stats, reply_to, rows, frame)];
                     }
                 }
                 let me = self.me;
@@ -158,8 +157,9 @@ impl LiveStorage {
                         if *peer == me {
                             self.shuffle_entry(qid).received.insert(me, mine);
                         } else {
+                            let rows = mine.iter().map(Rows::len).sum();
                             let part = LiveMsg::ShufflePart { qid, round, parts: mine };
-                            actions.push(Self::ship(&self.stats, *peer, part));
+                            actions.push(Self::ship(&self.stats, *peer, rows, part.encode_wire()));
                         }
                     }
                     self.shuffle_entry(qid).exec =
@@ -187,11 +187,13 @@ impl LiveStorage {
                 // Partial evaluation: answer every pattern over local
                 // data in one shot. Stateless, so a retransmission just
                 // recomputes the same reply.
-                let per_pattern = self.store.with(|store| {
-                    patterns.iter().map(|p| provider::answer(store, p, None, None)).collect()
+                let per_pattern: Vec<Rows> = self.store.with(|store| {
+                    let answers = patterns.iter().map(|p| provider::answer(store, p, None, None));
+                    answers.map(|answer| answer.to_rows()).collect()
                 });
+                let rows = per_pattern.iter().map(Rows::len).sum();
                 let reply = LiveMsg::PartialMatches { qid, per_pattern };
-                vec![Self::ship(&self.stats, reply_to, reply)]
+                vec![Self::ship(&self.stats, reply_to, rows, reply.encode_wire())]
             }
             LiveMsg::MultiDone { qid } => {
                 self.shuffle.remove(&qid);
@@ -232,6 +234,43 @@ mod tests {
         assert!((1..=SHUFFLE_STATE_CAP).contains(&left), "{left} orphaned entries retained");
     }
 
+    /// A sub-query's reply is the frame of its answer's batch, written
+    /// from the store's terms; what it ships is counted off that frame:
+    /// its rows, and its set's codec length.
+    #[test]
+    fn a_sub_query_ships_its_batchs_frame_and_counts_its_set() {
+        use rdfmesh_sparql::solution::wire::rows_encoded_len;
+        let knows = Term::iri(rdfmesh_rdf::vocab::foaf::KNOWS);
+        let person = |n: &str| Term::iri(&format!("http://example.org/{n}"));
+        let mut node = storage(&[
+            Triple::new(person("alice"), knows.clone(), person("bob")),
+            Triple::new(person("bob"), knows.clone(), person("alice")),
+            Triple::new(person("carol"), knows.clone(), person("bob")),
+        ]);
+        let pattern = TriplePattern::new(TermPattern::var("x"), knows, TermPattern::var("y"));
+        let (qid, reply_to) = (QueryId(3), COORDINATOR);
+        let request = LiveMsg::SubQuerySol {
+            qid,
+            pattern: pattern.clone(),
+            filter: None,
+            bound: None,
+            reply_to,
+        };
+        let actions = node.on_event(COORDINATOR, request);
+        let [Action::SendEncoded { to, frame }] = &actions[..] else {
+            panic!("one encoded frame, got {actions:?}")
+        };
+        assert_eq!(*to, COORDINATOR);
+        let batch =
+            node.store.with(|store| provider::answer(store, &pattern, None, None).to_rows());
+        assert_eq!(batch.len(), 3);
+        let expected = LiveMsg::Solutions { qid, solutions: batch.clone() }.encode_wire();
+        assert_eq!(*frame, expected);
+        let shipped = node.stats.snapshot();
+        assert_eq!(shipped.solutions_shipped, 3);
+        assert_eq!(shipped.solution_bytes, rows_encoded_len(&batch) as u64);
+    }
+
     #[test]
     fn a_retransmitted_shuffle_exec_resends_the_answer_and_counts_it() {
         let knows = Term::iri(rdfmesh_rdf::vocab::foaf::KNOWS);
@@ -250,11 +289,16 @@ mod tests {
         };
         // A shuffle over this node alone: its own partition completes it.
         let answer = |actions: &[Action]| match actions {
-            [Action::Send { to, msg: LiveMsg::Solutions { qid: QueryId(7), solutions } }] => {
+            [Action::SendEncoded { to, frame }] => {
                 assert_eq!(*to, COORDINATOR);
-                solutions.clone()
+                let Ok(LiveMsg::Solutions { qid: QueryId(7), solutions }) =
+                    LiveMsg::decode_wire(frame)
+                else {
+                    panic!("expected a Solutions frame")
+                };
+                solutions
             }
-            other => panic!("expected one Solutions frame, got {other:?}"),
+            other => panic!("expected one encoded frame, got {other:?}"),
         };
         let first = answer(&node.on_event(COORDINATOR, exec.clone()));
         assert_eq!(first.len(), 2);

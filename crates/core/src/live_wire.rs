@@ -26,8 +26,8 @@ use rdfmesh_rdf::codec::{put_str, put_term, put_u32, put_u64, DecodeError, Reade
 use rdfmesh_rdf::{TermPattern, TriplePattern, Variable};
 use rdfmesh_sparql::expr::wire::{put_expr, read_expr};
 use rdfmesh_sparql::expr::Expression;
-use rdfmesh_sparql::solution::wire::{put_rows, put_solutions, read_rows, read_solutions};
-use rdfmesh_sparql::{Rows, Solution};
+use rdfmesh_sparql::solution::wire::{put_lent, put_rows, put_solutions, read_rows, read_solutions};
+use rdfmesh_sparql::{LentRows, Rows, Solution};
 
 use crate::live::{LiveMsg, QueryId};
 
@@ -426,6 +426,33 @@ impl WireMsg for LiveMsg {
     }
 }
 
+/// The [`LiveMsg::Solutions`] frame of round `qid` that ships a
+/// provider's lent answer: the bytes of
+/// `LiveMsg::Solutions { qid, solutions: rows.to_rows() }`, written from
+/// the store's own terms with none cloned.
+pub(crate) fn solutions_frame(qid: QueryId, rows: &LentRows<'_>) -> Vec<u8> {
+    let mut out = Vec::with_capacity(BASE_HINT + solutions_hint(rows.len()));
+    out.push(TAG_SOLUTIONS);
+    put_u64(&mut out, qid.0);
+    put_lent(&mut out, rows);
+    out
+}
+
+/// How many bytes of a solution-carrying frame its solution sets take —
+/// the frame less its fixed-width header: tag and query id, a set list's
+/// count, a partition's round — and whether it is a peer-to-peer
+/// [`LiveMsg::ShufflePart`]. The storage role counts what it ships from
+/// the frame it wrote. Any other frame carries none.
+pub(crate) fn solution_sets(frame: &[u8]) -> (usize, bool) {
+    let (header, peer_to_peer) = match frame.first() {
+        Some(&TAG_SOLUTIONS) => (1 + 8, false),
+        Some(&TAG_PARTIAL_MATCHES) => (1 + 8 + 4, false),
+        Some(&TAG_SHUFFLE_PART) => (1 + 8 + 4 + 4, true),
+        _ => (frame.len(), false),
+    };
+    (frame.len() - header, peer_to_peer)
+}
+
 #[cfg(test)]
 pub(crate) use tests::{allocated_by, allocations_by, peak_by, ALLOC_PER_FRAME_BYTE};
 
@@ -627,6 +654,30 @@ mod tests {
         }
         assert_eq!(tags.len(), 11, "one tag per variant on the wire: {tags:?}");
         assert!(RETIRED_TAGS.iter().all(|t| !tags.contains(t)));
+    }
+
+    /// What the storage role counts as shipped solution bytes is the
+    /// codec length of the sets a frame carries, read off the frame.
+    #[test]
+    fn a_frames_solution_sets_are_its_length_less_its_header() {
+        use rdfmesh_sparql::solution::wire::rows_encoded_len;
+        let sets = |msg: &LiveMsg| -> Vec<Rows> {
+            match msg {
+                LiveMsg::Solutions { solutions, .. } => vec![solutions.clone()],
+                LiveMsg::ShufflePart { parts: sets, .. }
+                | LiveMsg::PartialMatches { per_pattern: sets, .. } => sets.clone(),
+                _ => Vec::new(),
+            }
+        };
+        let mut carriers = 0;
+        for msg in messages() {
+            let expected: usize = sets(&msg).iter().map(rows_encoded_len).sum();
+            let (bytes, peer_to_peer) = solution_sets(&msg.encode_wire());
+            assert_eq!(bytes, expected, "{msg:?}");
+            assert_eq!(peer_to_peer, matches!(msg, LiveMsg::ShufflePart { .. }));
+            carriers += usize::from(!sets(&msg).is_empty());
+        }
+        assert!(carriers >= 4, "{carriers} solution-carrying frames");
     }
 
     #[test]
@@ -932,10 +983,10 @@ mod tests {
     /// decoding must not allocate out of proportion to the frame.
     #[test]
     fn structurally_mutated_solution_frames_are_refused_or_valid_and_cheap() {
-        // The worst mutant of this corpus costs 46 B per frame byte (a
-        // decoded row is a `BTreeMap` leaf of name and term clones); a
-        // count or length trusted before it was checked against the
-        // bytes that remain would cost mega- to exabytes.
+        // The worst mutant of this corpus costs 26 B per frame byte, the
+        // batch's dictionary reserved for one entry per four bytes left
+        // included; a count or length trusted before it was checked
+        // against the bytes that remain would cost mega- to exabytes.
         const ALLOC_PER_FRAME_BYTE: usize = 64;
         let (set, fields) = labelled_frame();
         let valid = serialize(&fields);

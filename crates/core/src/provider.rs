@@ -11,33 +11,39 @@ use std::collections::HashMap;
 use std::hash::BuildHasherDefault;
 
 use rdfmesh_rdf::fxhash::FxHasher64;
-use rdfmesh_rdf::{PatternSource, TriplePattern, Variable};
+use rdfmesh_rdf::{PatternSource, Term, TriplePattern, Variable};
 use rdfmesh_sparql::eval::for_each_kept;
 use rdfmesh_sparql::expr::Expression;
 use rdfmesh_sparql::rows::UNBOUND;
-use rdfmesh_sparql::{Rows, Solution};
+use rdfmesh_sparql::{LentRows, Rows, Solution};
 
 use crate::exec::shuffle_partition;
+
+type FxBuild = BuildHasherDefault<FxHasher64>;
 
 /// Local query execution (Fig. 3): match `pattern` against the node's
 /// store — extending the shipped `bound` keys when the round is a bind
 /// join (Sect. IV-D) — and apply the pushed-down `filter` at the source
 /// (Sect. IV-G): compiled once against `pattern`, run on each triple
 /// while the store still only lends it, so that a row is appended to the
-/// answer's batch only if it is shipped.
+/// answer only if it is shipped.
 ///
-/// The batch is built from the ids the store scans. Its columns are
-/// fixed before the first row: the pattern's variables, then those only
-/// the keys bind. Each store id maps to its cell through a table that
-/// lives as long as the answer, so a term is resolved, cloned and
-/// interned once however many rows name it; a key's own cells are
-/// interned once, at its first match; and a row is appended as cells.
-pub(crate) fn answer(
-    store: &dyn PatternSource,
+/// The answer is cells over the ids the store scans, and it lends its
+/// terms: a table holds, per distinct id, the store's own term
+/// ([`PatternSource::term`]), and the frame is written from it
+/// (`live_wire::solutions_frame`) with no term cloned, hashed or freed.
+/// Its columns are fixed before the first row: the pattern's variables,
+/// then those only the keys bind. Each store id maps to its cell through
+/// a table that lives as long as the answer. A key's own cells are found
+/// at its first match: a term the store holds takes the cell of its store
+/// id, so it shares one cell with the same term scanned in another
+/// column, and any other is lent from the key, one cell per term.
+pub(crate) fn answer<'s>(
+    store: &'s dyn PatternSource,
     pattern: &TriplePattern,
     filter: Option<&Expression>,
-    bound: Option<&[Solution]>,
-) -> Rows {
+    bound: Option<&'s [Solution]>,
+) -> LentRows<'s> {
     let filter = filter.map(Expression::compile);
     let unit = [Solution::new()];
     let keys = bound.unwrap_or(&unit);
@@ -66,18 +72,33 @@ pub(crate) fn answer(
             column(v);
         }
     }
-    let mut rows = Rows::with_vars(vars);
-    let mut cells: HashMap<u32, u32, BuildHasherDefault<FxHasher64>> = HashMap::default();
-    let mut row = vec![UNBOUND; rows.vars().len()];
+    // The lent terms, cell `c` naming `terms[c - 1]`: a store id's cell,
+    // and a cell for each term only a key names.
+    let mut terms: Vec<&'s Term> = Vec::new();
+    let mut cell_of: HashMap<u32, u32, FxBuild> = HashMap::default();
+    let mut key_cells: HashMap<&'s Term, u32, FxBuild> = HashMap::default();
+    let lend = |terms: &mut Vec<&'s Term>, term: &'s Term| {
+        terms.push(term);
+        terms.len() as u32
+    };
+    let mut cells: Vec<u32> = Vec::new();
+    let mut len = 0;
+    let mut row = vec![UNBOUND; vars.len()];
     // The key the row template holds, and which positions its rows read.
     let (mut current, mut scanned) = (usize::MAX, [None; 3]);
     for_each_kept(store, pattern, keys, filter.as_ref(), |k, matched, ids| {
         if k != current {
             current = k;
             row.fill(UNBOUND);
-            for (v, term) in matched.partial.iter() {
-                let c = rows.vars().iter().position(|known| known == v).expect("a column");
-                row[c] = rows.intern(term);
+            // The unit key binds nothing; any other is one of `bound`'s.
+            for (v, term) in bound.into_iter().flat_map(|keys| keys[k].iter()) {
+                let c = vars.iter().position(|known| known == v).expect("a column");
+                row[c] = match store.id(term) {
+                    Some(id) => {
+                        *cell_of.entry(id.0).or_insert_with(|| lend(&mut terms, store.term(id)))
+                    }
+                    None => *key_cells.entry(term).or_insert_with(|| lend(&mut terms, term)),
+                };
             }
             // A variable the key binds was substituted: it is no longer
             // a variable of the pattern scanned, and its cell is the key's.
@@ -85,15 +106,16 @@ pub(crate) fn answer(
             let bound = [&bound.subject, &bound.predicate, &bound.object];
             scanned = std::array::from_fn(|p| reads[p].filter(|_| bound[p].is_var()));
         }
-        let terms = [matched.triple.subject, matched.triple.predicate, matched.triple.object];
         for (p, c) in scanned.iter().enumerate() {
             if let Some(c) = *c {
-                row[c] = *cells.entry(ids[p].0).or_insert_with(|| rows.intern(terms[p]));
+                let id = ids[p];
+                row[c] = *cell_of.entry(id.0).or_insert_with(|| lend(&mut terms, store.term(id)));
             }
         }
-        rows.push_cells(&row);
+        cells.extend_from_slice(&row);
+        len += 1;
     });
-    rows
+    LentRows::new(vars, terms, cells, len)
 }
 
 /// The scatter half of a HyperCube round: every pattern evaluated
@@ -110,7 +132,7 @@ pub(crate) fn scatter(
     let k = k.max(1);
     let mut parts = vec![Vec::with_capacity(patterns.len()); k];
     for pattern in patterns {
-        let rows = answer(store, pattern, None, None);
+        let rows = answer(store, pattern, None, None).to_rows();
         let split = rows.partition(k, |row| shuffle_partition(row, join_vars, k));
         for (target, part) in parts.iter_mut().zip(split) {
             target.push(part);
@@ -171,9 +193,12 @@ mod tests {
     use rdfmesh_rdf::{Literal, Term, TermPattern, Triple, TripleRef, TripleStore};
     use rdfmesh_sparql::eval::{evaluate_pattern, evaluate_pattern_with, Graph};
     use rdfmesh_sparql::expr::ComparisonOp;
-    use rdfmesh_sparql::solution::wire::put_rows;
+    use rdfmesh_net::WireMsg;
     use rdfmesh_sparql::{solution, GraphPattern};
     use rdfmesh_store::PersistentStore;
+
+    use crate::live::{LiveMsg, QueryId};
+    use crate::live_wire::solutions_frame;
 
     const PREDICATES: [&str; 3] = ["p0", "p1", "p2"];
 
@@ -238,9 +263,9 @@ mod tests {
         TripleStore::from_triples(stores.iter().flat_map(|s| s.iter()))
     }
 
-    /// A batch's rows, as solutions.
-    fn sols(rows: Rows) -> Vec<Solution> {
-        rows.to_solutions()
+    /// An answer's rows, as solutions.
+    fn sols(rows: LentRows<'_>) -> Vec<Solution> {
+        rows.to_rows().to_solutions()
     }
 
     fn set(rows: impl IntoIterator<Item = Solution>) -> Vec<Solution> {
@@ -349,8 +374,8 @@ mod tests {
 
     /// A one-row answer — a bound-subject lookup — asks the allocator no
     /// more often than when its row was built from the bindings: 11 times
-    /// in memory and 15 on a one-level persistent store then, 10 and 14
-    /// built from ids.
+    /// in memory and 15 on a one-level persistent store then, 6 and 10
+    /// with its terms lent (16 and 20 with its frame).
     #[test]
     fn a_one_row_answer_allocates_no_more_than_before() {
         use crate::live_wire::allocations_by;
@@ -364,6 +389,65 @@ mod tests {
             assert_eq!(rows.len(), 1);
             assert!(n <= before, "{n} allocations, {before} before");
         }
+    }
+
+    /// `rows` triples `(sᵢ, p, o)`: every row names a subject of its own.
+    fn fresh_subjects(rows: usize) -> impl Iterator<Item = Triple> {
+        (0..rows).map(|i| Triple::new(iri(&format!("s{i}")), iri("p"), iri("o")))
+    }
+
+    /// An answer's frame asks the allocator per growth, not per term: it
+    /// borrows every term from the store, so writing the frame of 10 000
+    /// rows that each name a new IRI asks a few times more than for 1 000
+    /// — each vector and table the answer and the frame grow doubles about
+    /// three times more — where a clone of each term would ask 9 000 more.
+    /// In memory and on a persistent store.
+    #[test]
+    fn an_answers_frame_allocates_per_growth_not_per_term() {
+        use crate::live_wire::allocations_by;
+        let pattern = TriplePattern::new(TermPattern::var("s"), iri("p"), TermPattern::var("o"));
+        let count = |store: &dyn PatternSource| {
+            let ship = || solutions_frame(QueryId(1), &answer(store, &pattern, None, None));
+            ship();
+            allocations_by(ship).1
+        };
+        let memory = |rows| count(&TripleStore::from_triples(fresh_subjects(rows)));
+        let (few, many) = (memory(1_000), memory(10_000));
+        assert!(many <= few + GROWTH, "in memory: {few} allocations at 1 000 rows, {many} at 10k");
+        let disk = |rows| count(&flushed(fresh_subjects(rows), &TempDir::new()));
+        let (few, many) = (disk(1_000), disk(10_000));
+        assert!(many <= few + GROWTH, "on disk: {few} allocations at 1 000 rows, {many} at 10k");
+    }
+
+    /// What ten times the rows may add to an answer's allocations: a few
+    /// doublings of each vector and table it grows.
+    const GROWTH: usize = 24;
+
+    /// A key's term that the scan also lends, in another column, is one
+    /// cell and one frame entry, as it is in the term path's batch: the
+    /// key binds `?k` to `<n1>`, which the pattern scans as `?o`; and the
+    /// key that leaves `?k` unbound leaves its cell unbound.
+    #[test]
+    fn a_key_term_scanned_in_another_column_is_one_cell() {
+        let (n1, n2) = (iri("n1"), iri("n2"));
+        let store = TripleStore::from_triples([
+            Triple::new(n2.clone(), iri("p0"), n1.clone()),
+            Triple::new(n1.clone(), iri("p0"), n2.clone()),
+        ]);
+        let var = TermPattern::var;
+        let pattern = TriplePattern::new(var("s"), iri("p0"), var("o"));
+        let k = Variable::new("k");
+        let keys = [
+            Solution::from_pairs([(k.clone(), n1.clone())]),
+            Solution::from_pairs([(Variable::new("s"), n1.clone())]),
+            Solution::from_pairs([(k, Term::literal("only in the key"))]),
+        ];
+        let got = answer(&store, &pattern, None, Some(&keys));
+        let expected = evaluate_pattern_with(&Terms(&store), &pattern, &keys);
+        assert_eq!(got.len(), 5);
+        let (shipped, term_path) = frames(&got, &expected);
+        assert_eq!(shipped, term_path);
+        assert_eq!(got.to_rows(), expected);
     }
 
     /// A directory of its own for each persistent store a test opens,
@@ -451,7 +535,7 @@ mod tests {
             let mut expected = evaluate_pattern_with(central, tp, &partial);
             expected.retain(|s| filter.is_none_or(|f| f.satisfied_by(s)));
             let got = stores.iter().flat_map(|&s| sols(answer(s, tp, filter, bound.as_deref())));
-            prop_assert_eq!(set(got), set(sols(expected)));
+            prop_assert_eq!(set(got), set(expected.to_solutions()));
         }
         Ok(())
     }
@@ -517,11 +601,12 @@ mod tests {
         proptest::sample::select(&filters[..])
     }
 
-    /// The frame bytes of a batch.
-    fn frame(rows: &Rows) -> Vec<u8> {
-        let mut out = Vec::new();
-        put_rows(&mut out, rows);
-        out
+    /// The frame the storage role ships for a lent answer, and the one
+    /// the term path's batch is shipped in: the same round's `Solutions`.
+    fn frames(got: &LentRows<'_>, expected: &Rows) -> (Vec<u8>, Vec<u8>) {
+        let qid = QueryId(5);
+        let term_path = LiveMsg::Solutions { qid, solutions: expected.clone() }.encode_wire();
+        (solutions_frame(qid, got), term_path)
     }
 
     proptest! {
@@ -574,12 +659,15 @@ mod tests {
             })?;
         }
 
-        /// The answer built from store ids ships the frame the term path
-        /// ships — the rows the pattern adds to the keys, built from
-        /// their bindings ([`evaluate_pattern_with`]), then filtered —
-        /// byte for byte: the same rows, in the same order, the same
-        /// terms. Over repeated variables, keys that leave cells unbound
-        /// or bind the pattern's variables, the unit key, and filters.
+        /// The answer built from store ids, its terms lent by the store,
+        /// ships the frame the term path ships — the rows the pattern adds
+        /// to the keys, built from their bindings
+        /// ([`evaluate_pattern_with`]), then filtered — byte for byte: the
+        /// same rows, in the same order, the same terms; and its batch
+        /// ([`LentRows::to_rows`]) is the term path's. Over repeated
+        /// variables, keys that leave cells unbound, bind the pattern's
+        /// variables or name a term the scan lends in another column, the
+        /// unit key, and filters.
         #[test]
         fn an_answer_ships_the_term_paths_frame_byte_for_byte(
             triples in proptest::collection::vec(arb_triple(), 0..16),
@@ -600,8 +688,9 @@ mod tests {
                         let filter = filter.compile();
                         expected.retain(|row| filter.satisfied_by(row));
                     }
-                    prop_assert_eq!(frame(&got), frame(&expected), "{} with keys {:?}", tp, keys);
-                    prop_assert_eq!(got, expected);
+                    let (shipped, term_path) = frames(&got, &expected);
+                    prop_assert_eq!(shipped, term_path, "{} with keys {:?}", tp, keys);
+                    prop_assert_eq!(got.to_rows(), expected);
                 }
                 Ok(())
             })?;
@@ -618,8 +707,8 @@ mod tests {
             let scattered: Vec<_> =
                 stores.iter().map(|s| scatter(s, &bgp, &join_vars, k)).collect();
             // Target t folds what every origin filed under t.
-            let folded =
-                (0..k).flat_map(|t| sols(fold(bgp.len(), scattered.iter().map(|parts| &parts[t]))));
+            let folded = (0..k).map(|t| fold(bgp.len(), scattered.iter().map(|parts| &parts[t])));
+            let folded = folded.flat_map(|rows| rows.to_solutions());
             let expected = evaluate_pattern(&union_of(&stores), &GraphPattern::Bgp(bgp.clone()));
             prop_assert_eq!(set(folded), set(expected));
         }
@@ -631,12 +720,12 @@ mod tests {
         ) {
             let replies: Vec<Vec<Rows>> = stores
                 .iter()
-                .map(|s| bgp.iter().map(|tp| answer(s, tp, None, None)).collect())
+                .map(|s| bgp.iter().map(|tp| answer(s, tp, None, None).to_rows()).collect())
                 .collect();
             let (rows, stitched) = assemble(bgp.len(), &replies);
             let whole = GraphPattern::Bgp(bgp.clone());
             let central = evaluate_pattern(&union_of(&stores), &whole);
-            prop_assert_eq!(set(sols(rows.clone())), set(central));
+            prop_assert_eq!(set(rows.to_solutions()), set(central));
             let alone = set(stores.iter().flat_map(|s| evaluate_pattern(s, &whole)));
             prop_assert_eq!(stitched, rows.len() - alone.len());
         }

@@ -57,7 +57,7 @@ impl SubQuery<'_> {
     }
 
     fn answer(&self, store: &SharedStore) -> Rows {
-        store.with(|store| provider::answer(store, self.pattern, self.filter, None))
+        store.with(|store| provider::answer(store, self.pattern, self.filter, None).to_rows())
     }
 }
 
@@ -854,26 +854,18 @@ impl<'a> SimBackend<'a> {
             };
             let mut actions = VecDeque::from(actions);
             while let Some(action) = actions.pop_front() {
-                match action {
+                let (to, msg, bytes) = match action {
                     // Uncharged: the overlay purges every failed provider
                     // when the round finishes.
-                    Action::Send { msg: LiveMsg::ProviderDead { .. }, .. } => {}
+                    Action::Send { msg: LiveMsg::ProviderDead { .. }, .. } => continue,
                     Action::Send { to, msg } => {
                         let bytes = msg.encode_wire().len();
-                        let arrival = match msg {
-                            LiveMsg::SubQuerySol { .. }
-                            | LiveMsg::ShuffleExec { .. }
-                            | LiveMsg::PartialExec { .. } => self.contact((actor, to), bytes, now),
-                            _ => self.overlay.net.send(actor, to, bytes, now),
-                        };
-                        // A dead storage node refuses the frame, as a
-                        // crashed peer's transport does on the mesh.
-                        if !for_storage(&msg) || self.overlay.is_storage_alive(to) {
-                            events.schedule_at(arrival, Some((actor, to, msg)));
-                        } else if coordinating {
-                            let failed = coordinator.on_send_failed(clock, to, SendKey::of(&msg));
-                            actions.extend(failed);
-                        }
+                        (to, msg, bytes)
+                    }
+                    // What the storage role wrote is what it is charged.
+                    Action::SendEncoded { to, frame } => {
+                        let msg = LiveMsg::decode_wire(&frame).expect("a role's own frame decodes");
+                        (to, msg, frame.len())
                     }
                     Action::Finish { answer, .. } => {
                         let LiveStatsSnapshot { solutions_shipped, shuffle_parts, .. } =
@@ -883,6 +875,20 @@ impl<'a> SimBackend<'a> {
                         self.close_shipping(span, ready, &answer.failed_providers);
                         return Ok(Mat { solutions: answer.solutions, site: me, ready });
                     }
+                };
+                let arrival = match msg {
+                    LiveMsg::SubQuerySol { .. }
+                    | LiveMsg::ShuffleExec { .. }
+                    | LiveMsg::PartialExec { .. } => self.contact((actor, to), bytes, now),
+                    _ => self.overlay.net.send(actor, to, bytes, now),
+                };
+                // A dead storage node refuses the frame, as a
+                // crashed peer's transport does on the mesh.
+                if !for_storage(&msg) || self.overlay.is_storage_alive(to) {
+                    events.schedule_at(arrival, Some((actor, to, msg)));
+                } else if coordinating {
+                    let failed = coordinator.on_send_failed(clock, to, SendKey::of(&msg));
+                    actions.extend(failed);
                 }
             }
             if let Some(due) = coordinator.next_wake().filter(|due| armed != Some(*due)) {
@@ -1126,11 +1132,13 @@ mod tests {
         let mut storage = LiveStorage::new(node, store, Arc::new(LiveStats::default()));
         let sent = request.encode_wire().len();
         let actions = storage.on_event(INDEX, request);
-        let [Action::Send { msg: reply @ LiveMsg::Solutions { solutions, .. }, .. }] = &actions[..]
-        else {
-            panic!("one Solutions frame, got {actions:?}")
+        let [Action::SendEncoded { frame, .. }] = &actions[..] else {
+            panic!("one encoded frame, got {actions:?}")
         };
-        (sent, reply.encode_wire().len(), solutions.clone())
+        let Ok(LiveMsg::Solutions { solutions, .. }) = LiveMsg::decode_wire(frame) else {
+            panic!("a Solutions frame")
+        };
+        (sent, frame.len(), solutions)
     }
 
     fn bare(pattern: &TriplePattern, filter: Option<&Expression>) -> LiveMsg {

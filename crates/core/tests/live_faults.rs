@@ -181,6 +181,29 @@ fn dropped_subquery_scenario(transport: Transport) {
     mesh.shutdown();
 }
 
+fn dropped_answer_scenario(transport: Transport) {
+    let o = overlay();
+    let cfg = tight();
+    // Silently lose the first A → coordinator message: that is A's
+    // answer, a frame A's storage role wrote itself and handed its outbox
+    // encoded. The ack deadline retransmits the sub-query, and A answers
+    // again.
+    let mesh =
+        spawn(&o, cfg, FaultPlan::new().drop_nth(STORAGE_A, COORDINATOR, 1), transport);
+    let pattern = knows_bob();
+    let answer = query(&mesh, &pattern, cfg.query_deadline);
+    assert!(answer.complete, "one bounded retry must recover a lost answer");
+    assert!(answer.failed_providers.is_empty());
+    assert_eq!(sorted(answer.solutions), oracle(&o, &pattern, &[STORAGE_A, STORAGE_B]));
+    assert_eq!(mesh.dropped_count(), 1);
+    let stats = mesh.stats();
+    assert_eq!(stats.retries, 1);
+    assert_eq!(stats.ack_timeouts, 0, "the provider answered on the retry");
+    // A shipped its one row twice, the lost answer and the retry's; B once.
+    assert_eq!(stats.solutions_shipped, 3);
+    mesh.shutdown();
+}
+
 fn stale_reply_scenario(transport: Transport) {
     let o = overlay();
     let mesh = spawn(&o, LiveConfig::default(), FaultPlan::new(), transport);
@@ -392,6 +415,11 @@ fn dropped_subquery_is_retried_to_a_complete_answer() {
 }
 
 #[test]
+fn dropped_answer_is_answered_again_on_the_retry() {
+    dropped_answer_scenario(Transport::Threads);
+}
+
+#[test]
 fn stale_reply_from_an_earlier_query_cannot_contaminate_the_next() {
     stale_reply_scenario(Transport::Threads);
 }
@@ -426,6 +454,11 @@ fn crashed_provider_yields_partial_result_and_lazy_purge_over_sockets() {
 #[test]
 fn dropped_subquery_is_retried_to_a_complete_answer_over_sockets() {
     dropped_subquery_scenario(Transport::Sockets);
+}
+
+#[test]
+fn dropped_answer_is_answered_again_on_the_retry_over_sockets() {
+    dropped_answer_scenario(Transport::Sockets);
 }
 
 #[test]

@@ -25,6 +25,7 @@
 
 use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
+use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender, SyncSender};
 use std::sync::{Arc, Mutex};
@@ -34,7 +35,7 @@ use std::time::{Duration, Instant};
 use crate::fault::{FaultPlan, FaultState, SendFate};
 use crate::network::NodeId;
 use crate::sync::lock;
-use crate::tcp::Wire;
+use crate::tcp::{Wire, WireMsg};
 
 /// A routed message.
 #[derive(Debug, Clone)]
@@ -78,22 +79,37 @@ pub(crate) struct Hub<M> {
     faults: FaultState,
 }
 
+/// Where a posted message goes: out through the socket wire, or to the
+/// local mailbox, if any.
+enum Route<'h, M> {
+    Wire(&'h Wire<M>, SocketAddr),
+    Local(Option<&'h Sender<Packet<M>>>),
+}
+
 impl<M> Hub<M> {
-    /// Counts `env` as traffic and delivers it: through the wire when the
-    /// wire claims it, to the local mailbox otherwise. A node's message to
-    /// itself (a local command) is no inter-node message, and the wire
-    /// never claims it.
-    fn post(&self, env: Envelope<M>) -> bool {
-        if env.from != env.to {
+    /// Counts a message from `from` to `to` as traffic and routes it:
+    /// through the wire when the wire claims it, to the local mailbox
+    /// otherwise. A node's message to itself (a local command) is no
+    /// inter-node message, and the wire never claims it.
+    fn route(&self, from: NodeId, to: NodeId) -> Route<'_, M> {
+        if from != to {
             self.stats.messages.fetch_add(1, Ordering::Relaxed);
         }
-        let local = self.mailboxes.get(&env.to);
+        let local = self.mailboxes.get(&to);
         if let Some(wire) = &self.wire {
-            if let Some(addr) = wire.route(&env, local.is_some()) {
-                return wire.send_envelope(addr, &env);
+            if let Some(addr) = wire.route(from, to, local.is_some()) {
+                return Route::Wire(wire, addr);
             }
         }
-        local.is_some_and(|tx| tx.send(Packet::Deliver(env)).is_ok())
+        Route::Local(local)
+    }
+
+    /// Counts `env` as traffic and delivers it where [`Hub::route`] says.
+    fn post(&self, env: Envelope<M>) -> bool {
+        match self.route(env.from, env.to) {
+            Route::Wire(wire, addr) => wire.send_envelope(addr, &env),
+            Route::Local(local) => local.is_some_and(|tx| tx.send(Packet::Deliver(env)).is_ok()),
+        }
     }
 
     /// Whether `to` is a known destination (local or remote).
@@ -126,23 +142,60 @@ impl<M> Outbox<M> {
     /// an unreachable process likewise fails the send (connection
     /// refused), so the contract is wire-independent.
     pub fn send(&self, to: NodeId, payload: M) -> bool {
-        if !self.hub.knows(to) {
-            return false;
-        }
-        match self.hub.faults.on_send(self.me, to) {
+        let env = Envelope { from: self.me, to, payload };
+        match self.fate(to) {
             SendFate::Refuse => false,
-            SendFate::Drop => {
-                self.hub.stats.dropped.fetch_add(1, Ordering::Relaxed);
-                true
-            }
-            SendFate::Delay(by) => {
-                let due = Instant::now() + by;
-                let mut delayed = self.delayed.borrow_mut();
-                let at = delayed.partition_point(|(d, _)| *d <= due);
-                delayed.insert(at, (due, Envelope { from: self.me, to, payload }));
-                true
-            }
-            SendFate::Deliver => self.hub.post(Envelope { from: self.me, to, payload }),
+            SendFate::Drop => true,
+            SendFate::Delay(by) => self.delay(by, env),
+            SendFate::Deliver => self.hub.post(env),
+        }
+    }
+
+    /// What becomes of a send to `to`: refused when the peer is unknown,
+    /// else the fault plan's fate for it, a drop counted as one.
+    fn fate(&self, to: NodeId) -> SendFate {
+        if !self.hub.knows(to) {
+            return SendFate::Refuse;
+        }
+        let fate = self.hub.faults.on_send(self.me, to);
+        if matches!(fate, SendFate::Drop) {
+            self.hub.stats.dropped.fetch_add(1, Ordering::Relaxed);
+        }
+        fate
+    }
+
+    /// Holds `env` back by `by`, behind every delayed send due earlier.
+    fn delay(&self, by: Duration, env: Envelope<M>) -> bool {
+        let due = Instant::now() + by;
+        let mut delayed = self.delayed.borrow_mut();
+        let at = delayed.partition_point(|(d, _)| *d <= due);
+        delayed.insert(at, (due, env));
+        true
+    }
+
+    /// [`Outbox::send`] of a payload its sender already encoded, as
+    /// [`WireMsg::encode_wire`] would: on a socket route the bytes leave
+    /// as they are, and only a local mailbox — or a send the fault plan
+    /// delays — decodes them, once. The fault plan's fate (a `drop_nth`
+    /// counts it as any send), the cluster's `messages` and the wire's
+    /// transport counters are [`Outbox::send`]'s. Bytes that do not decode
+    /// reach no handler: a local mailbox is not sent them (`false`), and a
+    /// peer's reader counts a decode error.
+    pub fn send_encoded(&self, to: NodeId, payload: Vec<u8>) -> bool
+    where
+        M: WireMsg,
+    {
+        let decoded = |from| Some(Envelope { from, to, payload: M::decode_wire(&payload).ok()? });
+        match self.fate(to) {
+            SendFate::Refuse => false,
+            SendFate::Drop => true,
+            SendFate::Delay(by) => decoded(self.me).is_some_and(|env| self.delay(by, env)),
+            SendFate::Deliver => match self.hub.route(self.me, to) {
+                Route::Wire(wire, addr) => wire.send_payload(addr, self.me, to, &payload),
+                Route::Local(local) => decoded(self.me).is_some_and(|env| {
+                    local.is_some_and(|tx| tx.send(Packet::Deliver(env)).is_ok())
+                }),
+            },
         }
     }
 

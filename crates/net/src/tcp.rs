@@ -324,20 +324,30 @@ impl<M> Wire<M> {
     }
 
     pub(crate) fn send_envelope(&self, addr: SocketAddr, env: &Envelope<M>) -> bool {
-        let payload = (self.encode)(&env.payload);
-        let (from, to) = (env.from.0.to_le_bytes(), env.to.0.to_le_bytes());
-        self.send_frame(addr, KIND_ENVELOPE, &[&from, &to, &payload])
+        self.send_payload(addr, env.from, env.to, &(self.encode)(&env.payload))
     }
 
-    /// Where `env` leaves through a socket, if it does: a remote
-    /// destination always, a `local` one only in the loopback twin. What
-    /// a node addresses to itself never crosses a socket, not even in the
-    /// twin: message types need no encoding for it.
-    pub(crate) fn route(&self, env: &Envelope<M>, local: bool) -> Option<SocketAddr> {
-        if local && (!self.force_socket || env.from == env.to) {
+    /// Sends the envelope frame of an encoded `payload` from `from` to `to`.
+    pub(crate) fn send_payload(
+        &self,
+        addr: SocketAddr,
+        from: NodeId,
+        to: NodeId,
+        payload: &[u8],
+    ) -> bool {
+        let (from, to) = (from.0.to_le_bytes(), to.0.to_le_bytes());
+        self.send_frame(addr, KIND_ENVELOPE, &[&from, &to, payload])
+    }
+
+    /// Where a message from `from` to `to` leaves through a socket, if it
+    /// does: a remote destination always, a `local` one only in the
+    /// loopback twin. What a node addresses to itself never crosses a
+    /// socket, not even in the twin: message types need no encoding for it.
+    pub(crate) fn route(&self, from: NodeId, to: NodeId, local: bool) -> Option<SocketAddr> {
+        if local && (!self.force_socket || from == to) {
             return None;
         }
-        rlock(&self.routes).get(&env.to).copied()
+        rlock(&self.routes).get(&to).copied()
     }
 
     /// Whether `to` is reachable through this wire.
@@ -767,6 +777,51 @@ mod tests {
         cluster.inject(NodeId(99), NodeId(1), TestMsg(9));
         assert!(!sent_rx.recv_timeout(Duration::from_secs(5)).unwrap(), "crashed peer refuses");
         cluster.shutdown();
+    }
+
+    /// An encoded send is a send: on channels and on sockets the same
+    /// message arrives, the fault plan drops the same one, the cluster
+    /// counts the same messages, and on sockets the bytes leave as they
+    /// were handed over, in one frame each.
+    #[test]
+    fn an_encoded_send_is_a_send_on_either_wire() {
+        for sockets in [false, true] {
+            let (seen_tx, seen_rx) = mpsc::channel::<u32>();
+            let relay = move |env: Envelope<TestMsg>, out: &Outbox<TestMsg>| {
+                let v = env.payload.0;
+                assert!(out.send_encoded(NodeId(2), TestMsg(v + 1).encode_wire()));
+                assert_eq!(out.send_encoded(NodeId(2), vec![0]), sockets, "undecodable bytes");
+            };
+            let sink = move |env: Envelope<TestMsg>, _out: &Outbox<TestMsg>| {
+                let _ = seen_tx.send(env.payload.0);
+            };
+            let nodes = vec![
+                (NodeId(1), Box::new(relay) as Box<dyn Handler<TestMsg>>),
+                (NodeId(2), Box::new(sink)),
+            ];
+            let plan = FaultPlan::new().drop_nth(NodeId(1), NodeId(2), 1);
+            let cluster = match sockets {
+                true => Cluster::spawn_loopback(nodes, plan).unwrap(),
+                false => Cluster::spawn_with(nodes, plan),
+            };
+            cluster.inject(NodeId(99), NodeId(1), TestMsg(7));
+            cluster.inject(NodeId(99), NodeId(1), TestMsg(8));
+            // The relay has sent all it will, and node 2 has read it.
+            for node in [NodeId(1), NodeId(2)] {
+                assert!(cluster.barrier(node, Duration::from_secs(5)));
+            }
+            assert_eq!(seen_rx.try_iter().collect::<Vec<_>>(), [9], "8 was dropped");
+            assert_eq!(cluster.dropped_count(), 1);
+            // Two injects, and the relay's three sends past the plan.
+            assert_eq!(cluster.message_count(), 2 + 3);
+            if let Some(t) = cluster.transport_stats() {
+                // The injects, the three sends and the two fences; the
+                // two undecodable payloads are refused by the reader.
+                assert_eq!(t.frames_sent, 2 + 3 + 2);
+                assert_eq!(t.decode_errors, 2);
+            }
+            cluster.shutdown();
+        }
     }
 
     #[test]

@@ -75,6 +75,14 @@ impl Dictionary {
         }
     }
 
+    /// Makes room for `additional` more terms, so interning that many
+    /// grows no table.
+    pub fn reserve(&mut self, additional: usize) {
+        self.terms.reserve(additional);
+        self.chain.reserve(additional);
+        self.newest.reserve(additional);
+    }
+
     /// Looks up the id of an already-interned term.
     pub fn id(&self, term: &Term) -> Option<TermId> {
         self.find(term_hash(term), term)

@@ -12,18 +12,25 @@
 //! a [`TripleRef`] into the store's own dictionary, together with the
 //! three [`TermId`]s the store scanned, so a caller that filters at the
 //! source clones only the rows it keeps, and a caller that builds a batch
-//! resolves each distinct term once, by its id. Within one walk equal ids
-//! are equal terms. The terms and ids are valid for the callback only (an
-//! id names nothing outside the walk that lent it), a [`SharedStore`]
-//! holds its read lock for the whole walk, and the callback must not call
-//! back into the store (a writer queued behind the read lock would
-//! deadlock a second read).
+//! keeps ids alone. Equal ids are equal terms, and equal terms equal ids.
+//! The [`TripleRef`] is valid for the callback only; an id stays valid for
+//! as long as the store is borrowed (nothing can change it then), and
+//! [`PatternSource::term`] resolves it to the store's own term, borrowed
+//! from the store, while [`PatternSource::id`] finds the id of a term the
+//! caller holds. So a provider's answer (`rdfmesh-core`'s `provider`)
+//! lends its frame the store's terms, one per distinct id, and clones
+//! none. Both read the dictionary alone: a callback may call them on the
+//! source it walks. Through a [`SharedStore`] the read lock is held for
+//! the whole walk, and a callback must not take it again (a writer queued
+//! behind the lock would deadlock the second read); borrow the backend
+//! once, with [`SharedStore::with`], to walk and resolve under one lock.
 
 use std::fmt;
 use std::sync::{Arc, RwLock};
 
 use crate::dictionary::TermId;
 use crate::store::TripleStore;
+use crate::term::Term;
 use crate::triple::{TermPattern, Triple, TriplePattern, TripleRef};
 
 /// Anything that stores triples and answers the eight pattern kinds of
@@ -44,6 +51,14 @@ pub trait PatternSource: fmt::Debug + Send + Sync {
         pattern: &TriplePattern,
         f: &mut dyn FnMut(TripleRef<'_>, [TermId; 3]),
     );
+
+    /// The store's own term for `id`, an id this store lent. Valid while
+    /// the store is borrowed. Panics on an id it never lent.
+    fn term(&self, id: TermId) -> &Term;
+
+    /// The id of `term` in the store's dictionary, if it holds the term:
+    /// the id a walk lends wherever the term matches.
+    fn id(&self, term: &Term) -> Option<TermId>;
 
     /// Number of triples matching `pattern` — the "frequency" statistic
     /// published into location tables (paper Table I).
@@ -93,6 +108,14 @@ impl PatternSource for TripleStore {
         f: &mut dyn FnMut(TripleRef<'_>, [TermId; 3]),
     ) {
         TripleStore::for_each_match(self, pattern, f);
+    }
+
+    fn term(&self, id: TermId) -> &Term {
+        TripleStore::term(self, id)
+    }
+
+    fn id(&self, term: &Term) -> Option<TermId> {
+        TripleStore::id(self, term)
     }
 
     fn count_pattern(&self, pattern: &TriplePattern) -> usize {

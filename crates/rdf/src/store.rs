@@ -7,6 +7,7 @@
 
 use crate::dictionary::{Dictionary, TermId};
 use crate::index::{IdTriple, Plan, TripleIndex};
+use crate::term::Term;
 use crate::triple::{PatternKind, Triple, TriplePattern, TripleRef};
 
 /// An indexed set of triples.
@@ -53,6 +54,17 @@ impl TripleStore {
     fn ids_of(&self, triple: &Triple) -> Option<IdTriple> {
         let id = |t| self.dict.id(t).map(|id| id.0);
         Some((id(&triple.subject)?, id(&triple.predicate)?, id(&triple.object)?))
+    }
+
+    /// The term `id` names in this store's dictionary. Panics on an id
+    /// the store never lent.
+    pub fn term(&self, id: TermId) -> &Term {
+        self.dict.term(id)
+    }
+
+    /// The id of `term` in this store's dictionary, if it holds it.
+    pub fn id(&self, term: &Term) -> Option<TermId> {
+        self.dict.id(term)
     }
 
     /// Number of triples stored.

@@ -48,7 +48,7 @@ pub use optimizer::{optimize, optimize_with, CardinalityEstimator, OptimizerConf
 pub use parser::{parse, ParseError};
 pub use results::{to_json, to_tsv, to_xml};
 pub use serializer::{graph_pattern as serialize_pattern, query as serialize_query};
-pub use rows::{Row, Rows};
+pub use rows::{LentRows, Row, Rows};
 pub use solution::{Solution, SolutionSet};
 
 /// Parses a query string and translates it to algebra in one call — the

@@ -295,6 +295,7 @@ impl Rows {
         }
         let Rows { vars, dict, cells, len } = other;
         let cols: Vec<usize> = vars.iter().map(|v| self.column_or_add(v)).collect();
+        self.dict.reserve(dict.len());
         let ids: Vec<u32> = dict.into_terms().into_iter().map(|t| self.intern_owned(t)).collect();
         let (w, other_w) = (self.width(), vars.len());
         self.cells.reserve(len * w);
@@ -504,6 +505,59 @@ impl Rows {
             }
         }
         join.out
+    }
+}
+
+/// A batch whose terms are lent: a [`Rows`] header and cells, each bound
+/// cell naming a term borrowed from where the batch was built — a
+/// provider's store, or a key shipped with its sub-query — rather than
+/// held in a dictionary of its own. The frame writer
+/// ([`crate::solution::wire::put_lent`]) reads it as it reads a batch, byte
+/// for byte, and [`LentRows::to_rows`] clones each term once into one.
+pub struct LentRows<'t> {
+    pub(crate) vars: Vec<Variable>,
+    /// Cell `c` names `terms[c - 1]`; no two entries are equal terms.
+    pub(crate) terms: Vec<&'t Term>,
+    pub(crate) cells: Vec<u32>,
+    pub(crate) len: usize,
+}
+
+impl<'t> LentRows<'t> {
+    /// The `len` rows over the columns `vars`, `cells` row-major: each
+    /// [`UNBOUND`] or naming `terms[cell - 1]`. The terms must be distinct
+    /// — equal terms share one cell, as in a [`Rows`] dictionary. Panics if
+    /// the cells are not `len` rows as wide as `vars`.
+    pub fn new(vars: Vec<Variable>, terms: Vec<&'t Term>, cells: Vec<u32>, len: usize) -> Self {
+        assert_eq!(cells.len(), len * vars.len(), "one cell per column and row");
+        debug_assert!(cells.iter().all(|&c| c as usize <= terms.len()), "a cell of the table");
+        LentRows { vars, terms, cells, len }
+    }
+
+    /// Number of rows.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// True if the batch has no rows.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The columns.
+    pub fn vars(&self) -> &[Variable] {
+        &self.vars
+    }
+
+    /// The rows as a [`Rows`] batch of their own: each term cloned once,
+    /// into a dictionary whose ids are the cells'.
+    pub fn to_rows(&self) -> Rows {
+        let mut dict = Dictionary::new();
+        dict.reserve(self.terms.len());
+        for term in &self.terms {
+            dict.intern(term);
+        }
+        assert_eq!(dict.len(), self.terms.len(), "a lent batch names each term once");
+        Rows { vars: self.vars.clone(), dict, cells: self.cells.clone(), len: self.len }
     }
 }
 

@@ -263,8 +263,11 @@ pub mod naive {
 /// codec fixes the byte layout so their transfer sizes can be accounted
 /// (the `live.solution_bytes` counter) with the same number a real
 /// deployment puts on the network. [`wire::put_rows`] maps the batch's
-/// ids to frame ids through a vector, hashing no string, and
-/// [`wire::read_rows`] fills a batch straight from the frame, interning
+/// ids to frame ids through a vector, hashing no string; [`wire::put_lent`]
+/// writes the same bytes for a [`crate::rows::LentRows`] batch, whose
+/// cells name terms it borrows (a provider's answer, lent its store's
+/// terms) — one frame writer reads either. [`wire::read_rows`] fills a
+/// batch straight from the frame, its dictionary sized once, interning
 /// each entry — so a term the frame defines twice gets one id. The
 /// [`Solution`] forms ([`wire::encode`], [`wire::decode`]) go through a
 /// batch.
@@ -308,10 +311,10 @@ pub mod wire {
     use rdfmesh_rdf::codec::{
         build_term, has_head, leb128, term_parts, utf8, DecodeError, Reader,
     };
-    use rdfmesh_rdf::Variable;
+    use rdfmesh_rdf::{Dictionary, Term, TermId, Variable};
 
     use super::{Solution, SolutionSet};
-    use crate::rows::{Rows, UNBOUND};
+    use crate::rows::{LentRows, Rows, UNBOUND};
 
     /// How many bytes a frame may make its decoder *copy* — the name
     /// cloned into every bound cell, a body referenced by id, a
@@ -375,13 +378,42 @@ pub mod wire {
         n + a[n..].iter().zip(&b[n..]).take_while(|(x, y)| x == y).count()
     }
 
+    /// Where a batch's cells find their terms: cell `c` names the `c`-th
+    /// term — of a [`Rows`] batch's dictionary, or of a [`LentRows`]
+    /// batch's table of borrowed terms. Either holds each term once.
+    trait CellTerms {
+        /// The term `cell` names. Panics on [`UNBOUND`] or beyond the table.
+        fn term(&self, cell: u32) -> &Term;
+        /// How many terms cells may name.
+        fn count(&self) -> usize;
+    }
+
+    impl CellTerms for Dictionary {
+        fn term(&self, cell: u32) -> &Term {
+            Dictionary::term(self, TermId(cell - 1))
+        }
+        fn count(&self) -> usize {
+            self.len()
+        }
+    }
+
+    impl CellTerms for [&Term] {
+        fn term(&self, cell: u32) -> &Term {
+            self[cell as usize - 1]
+        }
+        fn count(&self) -> usize {
+            self.len()
+        }
+    }
+
     /// The encoder's side of the per-frame dictionary: the frame id each
     /// batch id was last defined under (0 = not yet), per column its
     /// name's length and the body of the entry last defined there (to
     /// front-code the column's next one against), and the [`EXPANSION`]
-    /// budget's two running figures. Bodies are borrowed from the batch.
-    struct TermIds<'a> {
-        rows: &'a Rows,
+    /// budget's two running figures. Bodies are borrowed from the batch's
+    /// terms, wherever they live.
+    struct TermIds<'a, T: CellTerms + ?Sized> {
+        terms: &'a T,
         ids: Vec<usize>,
         defined: usize,
         cols: Vec<(usize, &'a [u8], &'a [u8])>,
@@ -391,12 +423,12 @@ pub mod wire {
         copied: usize,
     }
 
-    impl TermIds<'_> {
+    impl<T: CellTerms + ?Sized> TermIds<'_, T> {
         /// Writes one bound cell of column `col`: the term's id, followed
         /// by its dictionary entry if this is its first occurrence — or
         /// if the budget cannot afford the copy a bare id asks for.
         fn put(&mut self, out: &mut impl Sink, col: usize, cell: u32) {
-            let (kind, head, tail) = term_parts(self.rows.term(cell));
+            let (kind, head, tail) = term_parts(self.terms.term(cell));
             let body_len = head.len() + tail.len();
             let (name_len, prev_head, prev_tail) = self.cols[col];
             self.copied += name_len;
@@ -435,18 +467,26 @@ pub mod wire {
         }
     }
 
-    fn write_rows(out: &mut impl Sink, rows: &Rows) {
+    /// The one frame writer: `len` rows over the columns `vars`, `cells`
+    /// row-major, each bound cell's term found in `terms`.
+    fn write_rows<T: CellTerms + ?Sized>(
+        out: &mut impl Sink,
+        vars: &[Variable],
+        cells: &[u32],
+        len: usize,
+        terms: &T,
+    ) {
         let start = out.len();
         // The variable table: the union of the rows' domains in
         // first-seen order, each row's domain in `Variable` order, and no
         // column no row binds. Rows of one BGP all share one domain, which
         // the comparison with the row before recognizes without a walk.
-        let mut by_name: Vec<usize> = (0..rows.vars.len()).collect();
-        by_name.sort_by(|&a, &b| rows.vars[a].cmp(&rows.vars[b]));
+        let mut by_name: Vec<usize> = (0..vars.len()).collect();
+        by_name.sort_by(|&a, &b| vars[a].cmp(&vars[b]));
         let mut table: Vec<usize> = Vec::new();
-        let mut listed = vec![false; rows.vars.len()];
+        let mut listed = vec![false; vars.len()];
         let mut previous: Option<&[u32]> = None;
-        for row in rows.cells.chunks_exact(rows.vars.len().max(1)).take(rows.len) {
+        for row in cells.chunks_exact(vars.len().max(1)).take(len) {
             let bound = |cells: &[u32], c: usize| cells.get(c).is_some_and(|&id| id != UNBOUND);
             if previous.is_some_and(|p| (0..row.len()).all(|c| bound(p, c) == bound(row, c))) {
                 continue;
@@ -461,30 +501,30 @@ pub mod wire {
         }
         put_varint(out, table.len());
         for &c in &table {
-            let name = rows.vars[c].as_str();
+            let name = vars[c].as_str();
             put_varint(out, name.len());
             out.put(name.as_bytes());
         }
-        put_varint(out, rows.len);
-        let mut terms = TermIds {
-            rows,
-            ids: vec![0; rows.dict.len()],
+        put_varint(out, len);
+        let mut ids = TermIds {
+            terms,
+            ids: vec![0; terms.count()],
             defined: 0,
-            cols: table.iter().map(|&c| (rows.vars[c].as_str().len(), &[][..], &[][..])).collect(),
+            cols: table.iter().map(|&c| (vars[c].as_str().len(), &[][..], &[][..])).collect(),
             start,
             copied: 0,
         };
-        let width = rows.vars.len();
-        for i in 0..rows.len {
+        let width = vars.len();
+        for i in 0..len {
             if table.is_empty() {
                 // A row always costs a byte, so a decoder can bound the
                 // row count by the bytes that remain.
                 out.put(&[0]);
             }
             for (col, &c) in table.iter().enumerate() {
-                match rows.cells[i * width + c] {
+                match cells[i * width + c] {
                     UNBOUND => out.put(&[0]),
-                    cell => terms.put(out, col, cell),
+                    cell => ids.put(out, col, cell),
                 }
             }
         }
@@ -492,15 +532,20 @@ pub mod wire {
 
     /// Appends a batch (inverse of [`read_rows`]).
     pub fn put_rows(out: &mut Vec<u8>, rows: &Rows) {
-        write_rows(out, rows);
+        write_rows(out, &rows.vars, &rows.cells, rows.len, &rows.dict);
+    }
+
+    /// Appends a batch whose terms are lent: the bytes [`put_rows`] writes
+    /// for [`LentRows::to_rows`], with no term cloned.
+    pub fn put_lent(out: &mut Vec<u8>, rows: &LentRows<'_>) {
+        write_rows(out, &rows.vars, &rows.cells, rows.len, &rows.terms[..]);
     }
 
     /// `put_rows`'s byte count without building the bytes: the same
-    /// encoder walk into a counting sink. For byte accounting at sites
-    /// whose frame the transport encodes anyway.
+    /// encoder walk into a counting sink.
     pub fn rows_encoded_len(rows: &Rows) -> usize {
         let mut count = ByteCount(0);
-        write_rows(&mut count, rows);
+        write_rows(&mut count, &rows.vars, &rows.cells, rows.len, &rows.dict);
         count.0
     }
 
@@ -520,6 +565,16 @@ pub mod wire {
     pub fn encoded_len(solutions: &[Solution]) -> usize {
         rows_encoded_len(&Rows::from_solutions(solutions))
     }
+
+    /// The fewest bytes a dictionary entry takes, its cell id included:
+    /// id, kind, shared-prefix length and suffix length (an empty plain
+    /// literal). [`read_rows`] reserves a batch's dictionary once, for
+    /// no more entries than the bytes left can hold at this size — what a
+    /// hostile frame may make it reserve is linear in the frame: the worst
+    /// mutant of `live_wire.rs`'s structural fuzz decodes at 26 B
+    /// allocated per frame byte (19 B unreserved; one entry per byte left
+    /// would be 51 B), inside the 64 B that test allows.
+    const ENTRY_MIN_LEN: usize = 4;
 
     /// The decoder's side of the per-frame dictionary, and of the
     /// [`EXPANSION`] budget.
@@ -617,6 +672,10 @@ pub mod wire {
         let name_lens: Vec<usize> = vars.iter().map(|v| v.as_str().len()).collect();
         let mut rows = Rows::with_vars(vars);
         rows.cells.reserve(nrows * nvars);
+        // Sized once: every cell may define a term, and an entry is at
+        // least ENTRY_MIN_LEN bytes, so no more can follow than the bytes
+        // left allow.
+        rows.dict.reserve((nrows * nvars).min(r.remaining() / ENTRY_MIN_LEN));
         let mut terms = TermTable {
             ids: Vec::new(),
             body_lens: Vec::new(),

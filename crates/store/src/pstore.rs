@@ -41,7 +41,7 @@ use std::path::{Path, PathBuf};
 use rdfmesh_obs::{metrics, names};
 use rdfmesh_rdf::index::{ID_MAX, ID_MIN};
 use rdfmesh_rdf::{
-    Dictionary, Perm, Plan, PatternSource, SharedStore, TermId, Triple, TripleIndex,
+    Dictionary, Perm, Plan, PatternSource, SharedStore, Term, TermId, Triple, TripleIndex,
     TriplePattern, TripleRef,
 };
 
@@ -655,6 +655,14 @@ impl PatternSource for PersistentStore {
             let [subject, predicate, object] = ids.map(|id| self.dict.term(id));
             f(TripleRef { subject, predicate, object }, ids)
         });
+    }
+
+    fn term(&self, id: TermId) -> &Term {
+        self.dict.term(id)
+    }
+
+    fn id(&self, term: &Term) -> Option<TermId> {
+        self.dict.id(term)
     }
 
     fn count_pattern(&self, pattern: &TriplePattern) -> usize {

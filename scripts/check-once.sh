@@ -117,6 +117,12 @@
 # crates/rdf/src and crates/store/src are source.rs's five (the trait's
 # `for_each_match` and `for_each_triple`, `TripleStore`'s impl,
 # `SharedStore`'s pair), store.rs's one and pstore.rs's one.
+# The answer lends the store's own terms to the one frame writer: the
+# provider interns nothing (no `.intern(` / `intern_owned(` in
+# provider.rs code), a reply is counted off the frame the storage role
+# wrote (no `wire::rows_encoded_len` under live/), and one encoder writes
+# a batch and a lent answer alike (one `struct TermIds`, one
+# `fn write_rows` in crates/sparql/src/solution.rs).
 # Beneath the protocol there is one of each: channels and locks are
 # std's (no `crossbeam` or `parking_lot` in any Cargo.toml or `use`, and
 # `proptest` is the one crate under shims/), a poisoned lock is recovered
@@ -171,7 +177,7 @@ expect 'note_provider_contacted() calls in sim_backend.rs' \
 expect 'cfg.ack_timeout uses in sim_backend.rs' \
     "$(code sim_backend.rs | grep -c 'cfg\.ack_timeout' || true)" 2
 expect 'wire::rows_encoded_len sites under live/' \
-    "$(code live/*.rs | grep -c 'wire::rows_encoded_len' || true)" 1
+    "$(code live/*.rs | grep -c 'wire::rows_encoded_len' || true)" 0
 expect 'role struct literals (one per constructor)' \
     "$(code ./*.rs live/*.rs | grep -E "$role" | grep -cvE "(struct|impl|for) $role" || true)" 3
 expect_at 'impl Handler<LiveMsg> for' 'live/mod.rs:1'
@@ -455,8 +461,14 @@ expect "unsafe blocks in $hash_rs under a // SAFETY: comment" "$(echo "$safety" 
 # scan method per store.
 expect 'push_bindings( in crates/core/src code' \
     "$(code crates/core/src/*.rs crates/core/src/live/*.rs | grep -c 'push_bindings(' || true)" 0
+expect '.intern( / intern_owned( in crates/core/src/provider.rs code' \
+    "$(code crates/core/src/provider.rs | grep -cE '\.intern\(|intern_owned\(' || true)" 0
+expect 'struct TermIds in crates/sparql/src/solution.rs' \
+    "$(code crates/sparql/src/solution.rs | grep -c 'struct TermIds\b' || true)" 1
+expect 'fn write_rows in crates/sparql/src/solution.rs' \
+    "$(code crates/sparql/src/solution.rs | grep -c 'fn write_rows\b' || true)" 1
 expect_files 'fn for_each_ definitions under crates/rdf/src and crates/store/src' \
     "$(files_with '\bfn for_each_' crates/rdf/src/*.rs "$store"/*.rs)" \
     'crates/rdf/src/source.rs:5 crates/rdf/src/store.rs:1 crates/store/src/pstore.rs:1'
-[ "$bad" -eq 0 ] && echo 'exists once: provider compute, exchange pricing, reply accounting, role constructors, the role host, the multiway protocol, regex compilation, lending scan, JSON escaping, result writers, the term fragment, the stopwatch, the pipeline tail, the operator table, the lookup leg, the cluster, the publication path, the frequency column, the move-small rule, the location table, the key count, the list-count bound, the bind step, the role runner, the query account, the statistics pass, the fan-out, the row read, the generation writer, the commit, the row batch, the triple index, the term dictionary, the answer batch, the whole-store walk, the independent oracle, the byte codec, the log replay, the unsafe block, the key batch, the failpoint, the byte yardstick, the filter evaluator, the host'"'"'s client, the host'"'"'s ledger, the wire'"'"'s ledger, the round'"'"'s clock, the answer in ids, the scan method, the channel, the lock rule, the counter macro, the deadline stream'
+[ "$bad" -eq 0 ] && echo 'exists once: provider compute, exchange pricing, reply accounting, role constructors, the role host, the multiway protocol, regex compilation, lending scan, JSON escaping, result writers, the term fragment, the stopwatch, the pipeline tail, the operator table, the lookup leg, the cluster, the publication path, the frequency column, the move-small rule, the location table, the key count, the list-count bound, the bind step, the role runner, the query account, the statistics pass, the fan-out, the row read, the generation writer, the commit, the row batch, the triple index, the term dictionary, the answer batch, the whole-store walk, the independent oracle, the byte codec, the log replay, the unsafe block, the key batch, the failpoint, the byte yardstick, the filter evaluator, the host'"'"'s client, the host'"'"'s ledger, the wire'"'"'s ledger, the round'"'"'s clock, the answer in ids, the lent answer, the frame writer, the scan method, the channel, the lock rule, the counter macro, the deadline stream'
 exit "$bad"
